@@ -779,7 +779,11 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 .env(env)
                 .budget(budget.clone())
                 .build()?
-                .run()
+                .run()?
+                // Finish the merge into a stored run while the grant is still
+                // this job's: the pages go back at `release` below, and a
+                // client that then stops reading its result pins none.
+                .settle()
         })
     }))
     .unwrap_or_else(|panic| Err(panic_error(panic)));
@@ -991,7 +995,15 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert!(matches!(report.completion.store, ServiceStore::Temp(_)));
+        // The report is settled: the merge finished under the job's grant
+        // (final statistics, every tuple through the root) and all that is
+        // left in the store is the one run the result is read from.
+        let ServiceStore::Temp(store) = &report.completion.store else {
+            panic!("asked for a temp-dir store");
+        };
+        assert_eq!(std::fs::read_dir(store.dir()).unwrap().count(), 1);
+        let merge = &report.outcome().merge;
+        assert!(merge.tuples_output >= 1_200 && merge.pages_written >= 1_200 / 8);
         let sorted = report.into_sorted_vec().unwrap();
         assert_sorted_permutation(&input, &sorted);
     }

@@ -177,13 +177,15 @@ impl SortTicket {
     }
 }
 
-/// Everything a finished sort hands back: the core
-/// [`SortCompletion`] (outcome + the store holding the output run) plus the
-/// broker's per-job statistics.
+/// Everything a finished sort hands back: the core [`SortCompletion`],
+/// *settled* (the merge ran to the end under the job's grant, so the outcome
+/// is final and what is left is one stored run that pins no broker pages),
+/// plus the broker's per-job statistics.
 #[derive(Debug)]
 pub struct JobReport {
-    /// The sort's outcome and output store; stream or collect it exactly as
-    /// with a standalone [`SortJob`](masort_core::SortJob).
+    /// The sort's outcome and the store holding its result; stream or
+    /// collect it exactly as with a standalone
+    /// [`SortJob`](masort_core::SortJob).
     pub completion: SortCompletion<ServiceStore>,
     /// Broker-side statistics: queue wait, reallocations, delay samples.
     pub stats: JobStats,
@@ -202,7 +204,7 @@ impl JobReport {
         &self.completion.outcome
     }
 
-    /// Stream the sorted result page by page.
+    /// Stream the sorted result page by page off the settled run.
     pub fn into_stream(self) -> SortedStream<ServiceStore> {
         self.completion.into_stream()
     }

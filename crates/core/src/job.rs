@@ -15,7 +15,8 @@
 //!     .run()?;
 //! println!("runs formed: {}", completion.outcome.runs_formed());
 //!
-//! // Stream the result page by page instead of materialising it:
+//! // The stream *is* the final merge step: tuples come off the merge, no
+//! // sorted copy of the relation is ever written or held.
 //! for tuple in completion.into_stream() {
 //!     let tuple = tuple?;
 //!     // ... feed downstream operator ...
@@ -28,17 +29,34 @@
 //! defaults ([`MemStore`], [`RealEnv`], a fixed budget of
 //! `config.memory_pages`), and validates the configuration at
 //! [`build`](SortJobBuilder::build) time — before any data moves.
+//!
+//! [`run`](SortJob::run) does the split phase and whatever preliminary merge
+//! steps the budget demands, and returns a [`SortCompletion`] as soon as the
+//! merge tree is down to its root step. That root is then executed by the
+//! consumer: [`into_stream`](SortCompletion::into_stream) yields its output
+//! tuple by tuple, still polling the budget and adapting between pages, or
+//! [`settle`](SortCompletion::settle) runs it into one stored run first, for
+//! owners that must give the sort's memory back before anybody reads.
+//!
+//! A parked root pins its merge buffers until the consumer pulls again. That
+//! is harmless on a budget nobody moves; on one that *was* moved while the
+//! sort ran, somebody is waiting on the sort's answers, so `run` does not
+//! park: it settles the merge itself (every shrink answered from the sorting
+//! thread, at page granularity) and returns a completion that holds one
+//! stored run and none of the budget's pages.
 
 use crate::budget::MemoryBudget;
 use crate::config::SortConfig;
 use crate::env::{RealEnv, SortEnv};
 use crate::error::{SortError, SortResult};
 use crate::input::{InputSource, PartitionableSource, VecSource};
+use crate::merge::exec::{Exec, MergeState};
 use crate::order::SortOrder;
 use crate::sorter::{ExternalSorter, SortOutcome};
 use crate::store::{MemStore, RunStore};
 use crate::stream::SortedStream;
 use crate::tuple::Tuple;
+use masort_trace::EventKind;
 
 /// Conversion of a builder input into a concrete [`InputSource`] at
 /// [`build`](SortJobBuilder::build) time, once the configuration is final.
@@ -130,8 +148,15 @@ where
     S: RunStore,
     E: SortEnv,
 {
-    /// Execute the sort. Returns the outcome plus the store holding the
-    /// output run.
+    /// Execute the sort up to its final merge step: form the runs, run the
+    /// preliminary merge steps the budget demands, and return once the merge
+    /// tree is down to its root. Consuming the returned [`SortCompletion`]
+    /// executes that root.
+    ///
+    /// If the budget's target was moved while this call ran, the root is
+    /// executed here as well ([`SortCompletion::settle`]): whoever moves a
+    /// budget waits for the sort to follow, and a parked root follows only
+    /// when its consumer next pulls.
     ///
     /// With [`cpu_threads`](SortJobBuilder::cpu_threads)` ≥ 2` the split
     /// phase partitions the input across that many compute workers (each
@@ -140,37 +165,139 @@ where
     /// (unsplittable sources simply decline and run single-threaded); wrap a
     /// custom source in [`Unsplit`](crate::Unsplit) — or implement the trait
     /// — to run it here.
-    pub fn run(mut self) -> SortResult<SortCompletion<S>> {
+    pub fn run(mut self) -> SortResult<SortCompletion<S, E>> {
+        let moves_before = self.budget.version();
         let sorter = ExternalSorter::new(self.cfg.clone());
-        let outcome =
-            sorter.sort_partitioned(self.input, &mut self.store, &mut self.env, &self.budget)?;
-        Ok(SortCompletion {
+        let (outcome, root) =
+            sorter.begin(self.input, &mut self.store, &mut self.env, &self.budget)?;
+        let completion = SortCompletion {
             outcome,
             store: self.store,
-        })
+            env: self.env,
+            cfg: self.cfg,
+            budget: self.budget,
+            root,
+        };
+        if completion.budget.version() == moves_before {
+            Ok(completion)
+        } else {
+            completion.settle()
+        }
     }
 }
 
-/// A finished sort: statistics plus the store holding the output run.
+/// A sort that is done but for its final merge step, which the consumer of
+/// this value executes.
+///
+/// The sort's runs are in [`store`](Self::store) and the root of its merge
+/// tree is parked in here, holding the pages the budget shows as held.
+/// Nothing sorted has been written: a sort that formed a single run streams
+/// that very run, and an empty input has no run at all. (The exception is a
+/// [settled](Self::settle) completion — asked for, or returned by
+/// [`SortJob::run`] because the budget moved under the sort — whose root
+/// reads the one run the merge was finished into.) Dropping the
+/// completion (or the stream made from it) at any point deletes every run of
+/// the sort and returns its pages to the budget.
 #[derive(Debug)]
-pub struct SortCompletion<S> {
-    /// Statistics and the output-run id.
+pub struct SortCompletion<S: RunStore, E: SortEnv = RealEnv> {
+    /// Statistics as of the last time the sort stopped: when
+    /// [`SortJob::run`] returned, or when [`settle`](Self::settle) finished
+    /// the merge. ([`SortedStream::finish`] reports the final ones of a
+    /// streamed sort.)
     pub outcome: SortOutcome,
-    /// The store the sort executed against (owns the output run).
+    /// The store the sort executes against (owns its runs).
     pub store: S,
+    env: E,
+    cfg: SortConfig,
+    budget: MemoryBudget,
+    /// The merge tree, stopped with its root step active.
+    root: MergeState,
 }
 
-impl<S: RunStore> SortCompletion<S> {
-    /// Stream the sorted result page by page (at most one page buffered at a
-    /// time). The output run is deleted from the store once fully drained.
-    pub fn into_stream(self) -> SortedStream<S> {
-        self.outcome.into_stream(self.store)
+impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
+    /// Stream the sorted result: the iterator executes the final merge step,
+    /// yielding tuples as the merge produces them. The budget is polled and
+    /// the configured adaptation applied between pages, exactly as during
+    /// [`SortJob::run`].
+    pub fn into_stream(self) -> SortedStream<S, E> {
+        SortedStream::new(self)
     }
 
     /// Materialise the sorted result as a vector (convenience for small
     /// relations; prefer [`into_stream`](Self::into_stream) for big ones).
     pub fn into_sorted_vec(self) -> SortResult<Vec<Tuple>> {
         self.into_stream().try_collect()
+    }
+
+    /// Finish the merge *now*, into one stored run, and hand back a
+    /// completion that streams that run: a fan-in-1 root that pins none of
+    /// the budget's pages (it reads through a fixed allowance of its own —
+    /// the merge's three-page minimum — as any run reader must) and that no
+    /// later move of the budget can reach. [`outcome`](Self::outcome) then
+    /// covers the whole merge and the merge phase is over.
+    ///
+    /// This is for owners that lend the sort its memory and want it back
+    /// before the result is read — a broker must not let a client that
+    /// stopped reading pin granted pages. It costs the write and the re-read
+    /// of the result that [`into_stream`](Self::into_stream) avoids; a sort
+    /// that is already down to a single stored run (or none) settles for
+    /// free.
+    pub fn settle(mut self) -> SortResult<Self> {
+        self.exec().settle()?;
+        // Surface deferred write-behind failures here, not at the first read.
+        self.store.flush()?;
+        if self.exec().end_phase() {
+            self.merge_phase_ended();
+        }
+        // What is left reads one run through buffers of its own: a fixed
+        // budget that a fan-in-1 root fits in and nobody else holds.
+        self.budget = MemoryBudget::new(self.root.min_pages());
+        Ok(self)
+    }
+
+    /// The next page of sorted tuples off the root merge step; `None` when
+    /// the sort is exhausted. Exhaustion and errors both close the sort.
+    pub(crate) fn next_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
+        let page = self.exec().next_root_page();
+        if !matches!(page, Ok(Some(_))) {
+            self.close();
+        }
+        page
+    }
+
+    /// Delete every run the sort still has, return its pages, and — unless
+    /// [`settle`](Self::settle) already did — end the merge phase.
+    /// Idempotent; nothing can be streamed afterwards.
+    pub(crate) fn close(&mut self) {
+        if self.exec().close() {
+            self.merge_phase_ended();
+        }
+    }
+
+    fn exec(&mut self) -> Exec<'_, S, E> {
+        Exec::over(
+            &self.cfg,
+            &self.budget,
+            &mut self.store,
+            &mut self.env,
+            &mut self.root,
+        )
+    }
+
+    fn merge_phase_ended(&mut self) {
+        let merge = self.root.stats().clone();
+        self.outcome.response_time += merge.finished_at - self.outcome.merge.finished_at;
+        self.outcome.merge = merge;
+        self.outcome.delays.extend(self.budget.take_delays());
+        self.env
+            .trace()
+            .emit(EventKind::PhaseEnd { phase: "merge" });
+    }
+}
+
+impl<S: RunStore, E: SortEnv> Drop for SortCompletion<S, E> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -549,6 +676,60 @@ mod tests {
         assert_eq!(job.budget().target(), 4);
         let completion = job.run().unwrap();
         assert_eq!(completion.outcome.split.total_tuples(), 500);
+        // Moved before the sort began, not under it: the root is parked.
+        assert!(budget.held() > 0);
+        drop(completion);
+        assert_eq!(budget.held(), 0);
+    }
+
+    #[test]
+    fn a_settled_completion_is_out_of_the_budgets_reach() {
+        use crate::config::{MergeAdaptation, MergePolicy, RunFormation};
+        for adaptation in [
+            MergeAdaptation::DynamicSplitting,
+            MergeAdaptation::Suspension,
+            MergeAdaptation::Paging,
+        ] {
+            let spec =
+                AlgorithmSpec::new(RunFormation::repl(6), MergePolicy::Optimized, adaptation);
+            let input = random_tuples(3_000, 21);
+            let budget = MemoryBudget::new(16);
+            let mut settled = SortJob::builder()
+                .config(small_cfg(16).with_algorithm(spec))
+                .tuples(input.clone())
+                .budget(budget.clone())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+                .settle()
+                .unwrap();
+            assert!(settled.outcome.runs_formed() > 4, "{adaptation:?}");
+            assert_eq!(budget.held(), 0, "{adaptation:?}");
+            let allowance = settled.budget.clone();
+            assert_eq!(allowance.target(), 3, "{adaptation:?}");
+            let at_settle = settled.root.stats().clone();
+
+            // The owner takes every page away. A root still listening to
+            // this budget would split, page, or suspend for good.
+            budget.set_target(0, 0.0);
+            let mut sorted = Vec::new();
+            while let Some(page) = settled.next_page().unwrap() {
+                assert_eq!(budget.held(), 0, "{adaptation:?}");
+                assert!(allowance.held() <= 3, "{adaptation:?}");
+                sorted.extend(page);
+            }
+            assert_sorted_permutation(&input, &sorted);
+            let now = settled.root.stats();
+            let adaptations = |m: &crate::merge::MergeStats| {
+                (
+                    (m.splits, m.combines, m.switches, m.pages_written),
+                    (m.extra_paging_reads, m.refetched_pages, m.suspended_time),
+                )
+            };
+            assert_eq!(adaptations(now), adaptations(&at_settle), "{adaptation:?}");
+            assert_eq!(allowance.version(), 0, "{adaptation:?}");
+        }
     }
 
     #[test]

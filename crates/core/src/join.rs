@@ -7,7 +7,9 @@
 //! merge steps are created — each restricted to the runs of a single relation,
 //! choosing the relation that minimises the work (or, when one relation has
 //! too few runs, the relation with more runs, so no extra steps appear).
-//! All three merge-phase adaptation strategies apply.
+//! All three merge-phase adaptation strategies apply. The root step writes no
+//! run — matched pairs go straight to the caller's callback, the way a
+//! streaming sort's root hands its tuples to [`crate::SortedStream`].
 
 use crate::budget::{DelaySample, MemoryBudget, SortPhase};
 use crate::config::SortConfig;

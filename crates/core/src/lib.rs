@@ -28,7 +28,9 @@
 //! The documented entry point is the [`SortJob`] builder: it owns the input,
 //! run store, environment and memory budget (with sensible defaults),
 //! validates the configuration before any data moves, and returns a result
-//! that can be **streamed** tuple by tuple or collected:
+//! that can be **streamed** tuple by tuple or collected. The stream executes
+//! the sort's final merge step (see [`stream`]), so the sorted relation is
+//! never written out and read back:
 //!
 //! ```
 //! use masort_core::prelude::*;

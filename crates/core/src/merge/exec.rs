@@ -1,10 +1,19 @@
 //! The adaptation-aware merge executor.
 //!
-//! One executor drives both plain sorts and sort-merge joins. It owns a
-//! [`StepArena`] and repeatedly (a) polls the [`MemoryBudget`], (b) adapts —
-//! suspension, MRU paging or dynamic splitting — and (c) produces roughly one
-//! output page of work on the *active* step before polling again, so the sort
-//! reacts to memory fluctuations with page granularity.
+//! One executor drives both plain sorts and sort-merge joins. Its state — a
+//! [`StepArena`] plus the selection tree and the statistics — repeatedly (a)
+//! polls the [`MemoryBudget`], (b) adapts — suspension, MRU paging or dynamic
+//! splitting — and (c) produces roughly one output page of work on the
+//! *active* step before polling again, so the sort reacts to memory
+//! fluctuations with page granularity.
+//!
+//! That state is a value of its own (`MergeState`), separate from the store
+//! and environment it runs against, which makes the merge *resumable*: a
+//! materialising merge ([`execute_merge`]) and a join drive it to the end in
+//! one call, while a streaming sort stops once the tree is down to its root
+//! step, parks the state, and lets the consumer pull the root's output page
+//! by page — the root then has no output run, exactly like the root of a
+//! join.
 //!
 //! Dynamic splitting follows paper §3.2.3 precisely:
 //!
@@ -31,6 +40,7 @@ use crate::config::{MergeAdaptation, MergePolicy, PageLayout, SortConfig};
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
 use crate::layout::TupleArena;
+use crate::merge::cursor::RunCursor;
 use crate::merge::plan::preliminary_fan_in;
 use crate::merge::select::LoserTree;
 use crate::merge::step::{Input, Side, StepArena};
@@ -147,8 +157,17 @@ impl MergeStats {
     pub fn duration(&self) -> f64 {
         (self.finished_at - self.started_at).max(0.0)
     }
+
+    /// Fold in the I/O counters of a cursor that is leaving the merge.
+    fn retire_cursor(&mut self, cursor: &RunCursor) {
+        self.pages_read += cursor.pages_read;
+        self.io_stall += cursor.io_stall;
+        self.sync_block_loads += cursor.sync_loads;
+        self.prefetch_block_joins += cursor.prefetch_joins;
+    }
 }
 
+/// What one [`Exec::step`] achieved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Progress {
     Produced,
@@ -162,11 +181,16 @@ enum ExecMode {
     Join,
 }
 
-struct Exec<'a, S: RunStore, E: SortEnv> {
-    cfg: &'a SortConfig,
-    budget: &'a MemoryBudget,
-    store: &'a mut S,
-    env: &'a mut E,
+/// Everything a merge phase carries from one produce unit to the next, apart
+/// from the configuration, budget, store and environment it runs against.
+///
+/// Owning this (rather than a borrowed executor) is what makes a merge
+/// resumable: a materialising merge keeps it on the stack for one call, a
+/// streaming sort parks it inside its
+/// [`SortCompletion`](crate::job::SortCompletion) and lends it to an [`Exec`]
+/// each time the consumer needs another page.
+#[derive(Debug)]
+pub(crate) struct MergeState {
     params: ExecParams,
     mode: ExecMode,
     arena: StepArena,
@@ -206,52 +230,88 @@ struct Exec<'a, S: RunStore, E: SortEnv> {
     /// in which case batching is skipped and selection costs exactly one
     /// path replay per tuple, like the per-tuple reference path.
     streak: Option<(usize, Option<(usize, u128)>)>,
+    /// True from [`Exec::begin`] until [`Exec::end_phase`]: the merge phase's
+    /// closing statistics and trace event are still owed.
+    open: bool,
 }
 
-impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        cfg: &'a SortConfig,
-        budget: &'a MemoryBudget,
-        store: &'a mut S,
-        env: &'a mut E,
+impl MergeState {
+    fn new<S: RunStore, E: SortEnv>(
+        budget: &MemoryBudget,
+        store: &S,
+        env: &E,
         params: ExecParams,
         mode: ExecMode,
         inputs: Vec<Input>,
         output: Option<RunId>,
     ) -> Self {
-        let plan_memory = budget.target().max(params.min_pages);
-        // Prefetch workers: the environment's shared pool, or the one a
-        // pipelined sort attached to its store.
-        let pool = if params.io_depth > 0 {
-            env.io_pool().or_else(|| store.io_pool())
-        } else {
-            None
-        };
-        let trace = env.trace();
+        MergeState {
+            params,
+            mode,
+            arena: StepArena::with_root(inputs, output),
+            stats: MergeStats::default(),
+            plan_memory: budget.target().max(params.min_pages),
+            resident: HashSet::new(),
+            recency: Vec::new(),
+            // Prefetch workers: the environment's shared pool, or the one a
+            // pipelined sort attached to its store.
+            pool: if params.io_depth > 0 {
+                env.io_pool().or_else(|| store.io_pool())
+            } else {
+                None
+            },
+            pipeline_stamp: None,
+            tree: LoserTree::new(Vec::new()),
+            sel_dirty: true,
+            trace: env.trace(),
+            streak: None,
+            open: false,
+        }
+    }
+
+    /// The merge statistics so far.
+    pub(crate) fn stats(&self) -> &MergeStats {
+        &self.stats
+    }
+
+    /// The pages the merge keeps whatever the budget says (see
+    /// [`ExecParams::min_pages`]).
+    pub(crate) fn min_pages(&self) -> usize {
+        self.params.min_pages
+    }
+}
+
+/// The merge executor: a [`MergeState`] paired, for as long as it is being
+/// driven, with what it runs against.
+pub(crate) struct Exec<'a, S: RunStore, E: SortEnv> {
+    cfg: &'a SortConfig,
+    budget: &'a MemoryBudget,
+    store: &'a mut S,
+    env: &'a mut E,
+    st: &'a mut MergeState,
+}
+
+impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
+    /// Drive `st` against the given configuration, budget, store and
+    /// environment (the ones it was created against).
+    pub(crate) fn over(
+        cfg: &'a SortConfig,
+        budget: &'a MemoryBudget,
+        store: &'a mut S,
+        env: &'a mut E,
+        st: &'a mut MergeState,
+    ) -> Self {
         Exec {
             cfg,
             budget,
             store,
             env,
-            params,
-            mode,
-            arena: StepArena::with_root(inputs, output),
-            stats: MergeStats::default(),
-            plan_memory,
-            resident: HashSet::new(),
-            recency: Vec::new(),
-            pool,
-            pipeline_stamp: None,
-            tree: LoserTree::new(Vec::new()),
-            sel_dirty: true,
-            trace,
-            streak: None,
+            st,
         }
     }
 
     fn effective_target(&self) -> usize {
-        self.budget.target().max(self.params.min_pages)
+        self.budget.target().max(self.st.params.min_pages)
     }
 
     // ------------------------------------------------------------------
@@ -266,7 +326,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             self.budget.record_held(0, self.env.now());
             return Err(crate::error::SortError::Cancelled);
         }
-        match self.params.adaptation {
+        match self.st.params.adaptation {
             MergeAdaptation::DynamicSplitting => self.adapt_dynamic()?,
             MergeAdaptation::Suspension => self.adapt_static(true)?,
             MergeAdaptation::Paging => self.adapt_static(false)?,
@@ -280,29 +340,29 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// longer fit. With `io_depth == 0` this is a no-op and the merge reads
     /// one page at a time, exactly as the paper models.
     fn update_pipeline(&mut self) {
-        if self.params.io_depth == 0 {
+        if self.st.params.io_depth == 0 {
             return;
         }
         // Cheap change detection: depths only move when the budget target
         // moves (version bump), the active step switches, or an input is
         // exhausted/absorbed.
-        let active = self.arena.active;
-        let n_inputs = self.arena.steps[active].inputs.len();
+        let active = self.st.arena.active;
+        let n_inputs = self.st.arena.steps[active].inputs.len();
         let stamp = (active, n_inputs, self.budget.version());
-        if self.pipeline_stamp == Some(stamp) {
+        if self.st.pipeline_stamp == Some(stamp) {
             return;
         }
-        self.pipeline_stamp = Some(stamp);
+        self.st.pipeline_stamp = Some(stamp);
         let target = self.effective_target();
-        let need = self.arena.steps[active].pages_needed();
+        let need = self.st.arena.steps[active].pages_needed();
         let headroom = target.saturating_sub(need);
         let n = n_inputs.max(1);
-        let per = self.params.io_depth.min(headroom / n);
-        for input in &mut self.arena.steps[active].inputs {
+        let per = self.st.params.io_depth.min(headroom / n);
+        for input in &mut self.st.arena.steps[active].inputs {
             if input.cursor.rented_pages() > per {
                 input.cursor.shed_to(per);
             }
-            input.cursor.set_pipeline(per, self.pool.clone());
+            input.cursor.set_pipeline(per, self.st.pool.clone());
         }
         let staged = self.staged_total();
         self.budget
@@ -313,7 +373,8 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// in-flight prefetch blocks) — the merge's outstanding rent against the
     /// memory budget.
     fn staged_total(&self) -> usize {
-        self.arena
+        self.st
+            .arena
             .steps
             .iter()
             .flat_map(|s| s.inputs.iter())
@@ -325,30 +386,30 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// execution switches away from a step; its buffers would be refetched
     /// after the switch anyway).
     fn shed_step(&mut self, step: usize) {
-        for input in &mut self.arena.steps[step].inputs {
+        for input in &mut self.st.arena.steps[step].inputs {
             input.cursor.shed_to(0);
         }
     }
 
     fn adapt_dynamic(&mut self) -> SortResult<()> {
         let target = self.effective_target();
-        let need = self.arena.active_step().pages_needed();
-        if need > target && self.arena.active_step().inputs.len() > 2 {
+        let need = self.st.arena.active_step().pages_needed();
+        if need > target && self.st.arena.active_step().inputs.len() > 2 {
             self.do_split(target)?;
         } else if target > need {
             // Combine only when memory actually grew past what it was when the
             // active step was split off; otherwise a freshly created
             // preliminary step would immediately bounce back to its parent.
-            let grew = target > self.arena.active_step().created_target;
+            let grew = target > self.st.arena.active_step().created_target;
             if grew {
-                if let Some(parent) = self.arena.active_step().parent {
-                    if self.arena.steps[parent].pages_needed() <= target {
+                if let Some(parent) = self.st.arena.active_step().parent {
+                    if self.st.arena.steps[parent].pages_needed() <= target {
                         self.switch_to_parent()?;
                     }
                 }
             }
         }
-        let need_now = self.arena.active_step().pages_needed() + self.staged_total();
+        let need_now = self.st.arena.active_step().pages_needed() + self.staged_total();
         self.budget
             .record_held(need_now.min(target), self.env.now());
         Ok(())
@@ -357,37 +418,37 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     fn adapt_static(&mut self, suspend: bool) -> SortResult<()> {
         // Static planning: split with the memory available when the merge
         // phase began, never re-plan afterwards (paper §3.2.1/§3.2.2).
-        while self.arena.active_step().pages_needed() > self.plan_memory
-            && self.arena.active_step().inputs.len() > 2
+        while self.st.arena.active_step().pages_needed() > self.st.plan_memory
+            && self.st.arena.active_step().inputs.len() > 2
         {
-            self.do_split(self.plan_memory)?;
+            self.do_split(self.st.plan_memory)?;
         }
         let target = self.effective_target();
-        let need = self.arena.active_step().pages_needed();
+        let need = self.st.arena.active_step().pages_needed();
         if suspend {
             if need > target {
                 // Give every buffer back — including staged read-ahead pages —
                 // then stop until the memory returns.
-                self.shed_step(self.arena.active);
+                self.shed_step(self.st.arena.active);
                 self.budget.record_held(0, self.env.now());
-                self.trace.emit(EventKind::Suspend { need, target });
+                self.st.trace.emit(EventKind::Suspend { need, target });
                 let waited_from = self.env.now();
                 let _granted = self.env.wait_for_pages(self.budget, need);
                 let waited = self.env.now() - waited_from;
-                self.stats.suspended_time += waited;
-                self.trace.emit(EventKind::Resume { waited });
+                self.st.stats.suspended_time += waited;
+                self.st.trace.emit(EventKind::Resume { waited });
                 // Fetch all the input buffers together on resume (one batch).
                 let refetch = need.saturating_sub(1);
                 self.env.charge_extra_read(refetch);
-                self.stats.refetched_pages += refetch;
+                self.st.stats.refetched_pages += refetch;
             }
             let target_now = self.effective_target();
             self.budget
                 .record_held((need + self.staged_total()).min(target_now), self.env.now());
         } else {
             if need <= target {
-                self.resident.clear();
-                self.recency.clear();
+                self.st.resident.clear();
+                self.st.recency.clear();
             }
             self.budget
                 .record_held((need + self.staged_total()).min(target), self.env.now());
@@ -396,28 +457,31 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     }
 
     fn do_split(&mut self, memory: usize) -> SortResult<()> {
-        let active = self.arena.active;
-        let n = self.arena.steps[active].inputs.len();
+        let active = self.st.arena.active;
+        let n = self.st.arena.steps[active].inputs.len();
         // `memory` is floored at `min_pages >= 3` by every caller, so the
         // starved-planner error cannot fire here; `?` keeps it honest anyway.
-        let fan = preliminary_fan_in(n, memory, self.params.policy)?
+        let fan = preliminary_fan_in(n, memory, self.st.params.policy)?
             .unwrap_or_else(|| memory.saturating_sub(1).max(2))
             .min(n.saturating_sub(1))
             .max(2);
-        let (indices, side) = match self.mode {
+        let (indices, side) = match self.st.mode {
             ExecMode::Sort => (
-                self.arena.shortest_inputs(&*self.store, active, fan, None),
+                self.st
+                    .arena
+                    .shortest_inputs(&*self.store, active, fan, None),
                 Side::Left,
             ),
             ExecMode::Join => {
-                if self.arena.active != self.arena.root() {
+                if self.st.arena.active != self.st.arena.root() {
                     // Preliminary steps are single-relation by construction.
-                    let side = self.arena.steps[active]
+                    let side = self.st.arena.steps[active]
                         .inputs
                         .first()
                         .map_or(Side::Left, |i| i.side);
                     (
-                        self.arena
+                        self.st
+                            .arena
                             .shortest_inputs(&*self.store, active, fan, Some(side)),
                         side,
                     )
@@ -430,13 +494,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             return Ok(()); // cannot split any further
         }
         let child_out = self.store.create_run()?;
-        let parent = self.arena.active;
-        self.arena.split_active(indices, child_out, side, memory);
+        let parent = self.st.arena.active;
+        self.st.arena.split_active(indices, child_out, side, memory);
         // The (now dormant) parent keeps its cursors; return their staged
         // read-ahead pages to the budget immediately.
         self.shed_step(parent);
-        self.stats.splits += 1;
-        self.trace.emit(EventKind::Split { target: memory });
+        self.st.stats.splits += 1;
+        self.st.trace.emit(EventKind::Split { target: memory });
         self.charge_switch();
         self.reset_paging_state();
         Ok(())
@@ -447,16 +511,17 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// are smaller overall; if one relation has too few runs, pick the one
     /// with more runs so no extra merge steps are introduced.
     fn choose_join_split(&mut self, fan: usize) -> (Vec<usize>, Side) {
-        let root = self.arena.root();
-        let n_left = self.arena.steps[root].side_count(Side::Left);
-        let n_right = self.arena.steps[root].side_count(Side::Right);
+        let root = self.st.arena.root();
+        let n_left = self.st.arena.steps[root].side_count(Side::Left);
+        let n_right = self.st.arena.steps[root].side_count(Side::Right);
         let sum_shortest = |exec: &Self, side: Side| -> usize {
             let idx = exec
+                .st
                 .arena
                 .shortest_inputs(&*exec.store, root, fan, Some(side));
             idx.iter()
                 .map(|&i| {
-                    exec.arena.steps[root].inputs[i]
+                    exec.st.arena.steps[root].inputs[i]
                         .cursor
                         .remaining_pages(&*exec.store)
                 })
@@ -477,10 +542,11 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         } else {
             Side::Right
         };
-        let count = self.arena.steps[root].side_count(side);
+        let count = self.st.arena.steps[root].side_count(side);
         let take = fan.min(count);
         (
-            self.arena
+            self.st
+                .arena
                 .shortest_inputs(&*self.store, root, take, Some(side)),
             side,
         )
@@ -488,9 +554,9 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
 
     fn switch_to_parent(&mut self) -> SortResult<()> {
         self.flush_active_output(true)?;
-        if let Some(parent) = self.arena.active_step().parent {
-            self.shed_step(self.arena.active);
-            self.arena.active = parent;
+        if let Some(parent) = self.st.arena.active_step().parent {
+            self.shed_step(self.st.arena.active);
+            self.st.arena.active = parent;
             self.charge_switch();
             self.reset_paging_state();
         }
@@ -498,17 +564,17 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     }
 
     fn charge_switch(&mut self) {
-        let pages = self.arena.active_step().inputs.len();
+        let pages = self.st.arena.active_step().inputs.len();
         self.env.charge_extra_read(pages);
-        self.stats.refetched_pages += pages;
-        self.stats.switches += 1;
-        self.trace.emit(EventKind::Switch);
-        self.sel_dirty = true;
+        self.st.stats.refetched_pages += pages;
+        self.st.stats.switches += 1;
+        self.st.trace.emit(EventKind::Switch);
+        self.st.sel_dirty = true;
     }
 
     fn reset_paging_state(&mut self) {
-        self.resident.clear();
-        self.recency.clear();
+        self.st.resident.clear();
+        self.st.recency.clear();
     }
 
     // ------------------------------------------------------------------
@@ -523,18 +589,18 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         let mut best: Option<(usize, u64)> = None;
         let mut i = 0;
         loop {
-            let active = self.arena.active;
-            let len = self.arena.steps[active].inputs.len();
+            let active = self.st.arena.active;
+            let len = self.st.arena.steps[active].inputs.len();
             if i >= len {
                 break;
             }
             if let Some(s) = side {
-                if self.arena.steps[active].inputs[i].side != s {
+                if self.st.arena.steps[active].inputs[i].side != s {
                     i += 1;
                     continue;
                 }
             }
-            let rank = self.arena.steps[active].inputs[i].cursor.peek_rank(
+            let rank = self.st.arena.steps[active].inputs[i].cursor.peek_rank(
                 &self.cfg.order,
                 self.store,
                 self.env,
@@ -553,8 +619,8 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 }
             }
         }
-        let active = self.arena.active;
-        let fan = self.arena.steps[active].inputs.len().max(1) as u64;
+        let active = self.st.arena.active;
+        let fan = self.st.arena.steps[active].inputs.len().max(1) as u64;
         // Cost of selecting the minimum with a selection tree / heap.
         self.env
             .charge_cpu(CpuOp::Compare, (64 - fan.leading_zeros() as u64).max(1));
@@ -562,30 +628,27 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     }
 
     fn handle_exhausted_input(&mut self, idx: usize) -> SortResult<()> {
-        let active = self.arena.active;
-        let run = self.arena.steps[active].inputs[idx].cursor.run;
-        self.stats.pages_read += self.arena.steps[active].inputs[idx].cursor.pages_read;
-        self.stats.io_stall += self.arena.steps[active].inputs[idx].cursor.io_stall;
-        self.stats.sync_block_loads += self.arena.steps[active].inputs[idx].cursor.sync_loads;
-        self.stats.prefetch_block_joins +=
-            self.arena.steps[active].inputs[idx].cursor.prefetch_joins;
-        let absorbed = self.arena.remove_input(active, idx);
+        let active = self.st.arena.active;
+        let cursor = &self.st.arena.steps[active].inputs[idx].cursor;
+        let run = cursor.run;
+        self.st.stats.retire_cursor(cursor);
+        let absorbed = self.st.arena.remove_input(active, idx);
         self.store.delete_run(run)?;
         if absorbed.is_some() {
-            self.stats.combines += 1;
-            self.trace.emit(EventKind::Combine);
+            self.st.stats.combines += 1;
+            self.st.trace.emit(EventKind::Combine);
         }
         self.reset_paging_state();
         // Inputs renumbered (swap_remove / absorbed children).
-        self.sel_dirty = true;
+        self.st.sel_dirty = true;
         Ok(())
     }
 
     fn pop_input(&mut self, idx: usize) -> SortResult<Tuple> {
-        let active = self.arena.active;
-        let run = self.arena.steps[active].inputs[idx].cursor.run;
+        let active = self.st.arena.active;
+        let run = self.st.arena.steps[active].inputs[idx].cursor.run;
         self.note_access(run);
-        let t = self.arena.steps[active].inputs[idx]
+        let t = self.st.arena.steps[active].inputs[idx]
             .cursor
             .pop(&self.cfg.order, self.store, self.env)?
             .expect("input had a peeked tuple");
@@ -597,31 +660,31 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// is not resident while memory is short, and evict the most recently
     /// used other buffer when over capacity (paper §3.2.2).
     fn note_access(&mut self, run: RunId) {
-        if self.params.adaptation != MergeAdaptation::Paging {
+        if self.st.params.adaptation != MergeAdaptation::Paging {
             return;
         }
         let target = self.effective_target();
-        let need = self.arena.active_step().pages_needed();
+        let need = self.st.arena.active_step().pages_needed();
         if need <= target {
             return;
         }
         let capacity = target.saturating_sub(1).max(1);
-        if self.resident.contains(&run) {
-            self.recency.retain(|r| *r != run);
-            self.recency.push(run);
+        if self.st.resident.contains(&run) {
+            self.st.recency.retain(|r| *r != run);
+            self.st.recency.push(run);
             return;
         }
-        self.stats.extra_paging_reads += 1;
+        self.st.stats.extra_paging_reads += 1;
         self.env.charge_extra_read(1);
-        self.resident.insert(run);
-        self.recency.retain(|r| *r != run);
-        self.recency.push(run);
-        if self.resident.len() > capacity {
+        self.st.resident.insert(run);
+        self.st.recency.retain(|r| *r != run);
+        self.st.recency.push(run);
+        if self.st.resident.len() > capacity {
             // Evict the most recently used buffer other than the one we just
             // brought in.
-            if self.recency.len() >= 2 {
-                let victim = self.recency.remove(self.recency.len() - 2);
-                self.resident.remove(&victim);
+            if self.st.recency.len() >= 2 {
+                let victim = self.st.recency.remove(self.st.recency.len() - 2);
+                self.st.resident.remove(&victim);
             }
         }
     }
@@ -630,9 +693,9 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// active step writes to an output run (the root of a join does not).
     fn dense_out_stride(&self) -> Option<usize> {
         match self.cfg.layout {
-            PageLayout::Dense { stride } => {
-                self.arena.steps[self.arena.active].output.map(|_| stride)
-            }
+            PageLayout::Dense { stride } => self.st.arena.steps[self.st.arena.active]
+                .output
+                .map(|_| stride),
             PageLayout::Owned => None,
         }
     }
@@ -640,17 +703,17 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// Seal the step's dense out-arena into one page and append it to the
     /// step's output run.
     fn flush_dense_page(&mut self, step: usize) -> SortResult<()> {
-        let out = self.arena.steps[step]
+        let out = self.st.arena.steps[step]
             .output
             .expect("dense out-arena implies an output run");
-        let page = self.arena.steps[step]
+        let page = self.st.arena.steps[step]
             .out_arena
             .as_mut()
             .expect("caller checked the arena exists")
             .seal();
         self.env.charge_cpu(CpuOp::StartIo, 1);
         self.store.append_page(out, Page::from_dense(page))?;
-        self.stats.pages_written += 1;
+        self.st.stats.pages_written += 1;
         Ok(())
     }
 
@@ -659,7 +722,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// page between produce calls (so a seal always emits exactly one page).
     fn flush_if_dense_page_full(&mut self, step: usize) -> SortResult<()> {
         let tpp = self.cfg.tuples_per_page();
-        if self.arena.steps[step]
+        if self.st.arena.steps[step]
             .out_arena
             .as_ref()
             .is_some_and(|a| a.len() >= tpp)
@@ -671,17 +734,17 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
 
     fn flush_active_output(&mut self, force: bool) -> SortResult<()> {
         let tpp = self.cfg.tuples_per_page();
-        let active = self.arena.active;
-        let Some(out) = self.arena.steps[active].output else {
-            self.arena.steps[active].out_buf.clear();
-            self.arena.steps[active].out_arena = None;
+        let active = self.st.arena.active;
+        let Some(out) = self.st.arena.steps[active].output else {
+            // The root of a streaming sort: its consumer takes the tuples
+            // straight out of `out_buf` (a join's root never fills it).
             return Ok(());
         };
         // Dense output: full pages are appended as the arena fills; only a
         // forced flush (step switch / completion) seals a partial page.
         self.flush_if_dense_page_full(active)?;
         if force
-            && self.arena.steps[active]
+            && self.st.arena.steps[active]
                 .out_arena
                 .as_ref()
                 .is_some_and(|a| !a.is_empty())
@@ -689,13 +752,14 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             self.flush_dense_page(active)?;
         }
         loop {
-            let len = self.arena.steps[active].out_buf.len();
+            let len = self.st.arena.steps[active].out_buf.len();
             if len >= tpp || (force && len > 0) {
                 let take = tpp.min(len);
-                let tuples: Vec<Tuple> = self.arena.steps[active].out_buf.drain(..take).collect();
+                let tuples: Vec<Tuple> =
+                    self.st.arena.steps[active].out_buf.drain(..take).collect();
                 self.env.charge_cpu(CpuOp::StartIo, 1);
                 self.store.append_page(out, Page::from_tuples(tuples))?;
-                self.stats.pages_written += 1;
+                self.st.stats.pages_written += 1;
             } else {
                 break;
             }
@@ -705,13 +769,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
 
     fn complete_active(&mut self) -> SortResult<Progress> {
         self.flush_active_output(true)?;
-        let active = self.arena.active;
+        let active = self.st.arena.active;
         self.shed_step(active);
-        self.arena.steps[active].completed = true;
-        Ok(match self.arena.steps[active].parent {
+        self.st.arena.steps[active].completed = true;
+        Ok(match self.st.arena.steps[active].parent {
             None => Progress::Done,
             Some(parent) => {
-                self.arena.active = parent;
+                self.st.arena.active = parent;
                 self.charge_switch();
                 self.reset_paging_state();
                 Progress::StepCompleted
@@ -727,15 +791,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         let mut heads: Vec<Option<u128>> = Vec::new();
         let mut i = 0;
         loop {
-            let active = self.arena.active;
-            if i >= self.arena.steps[active].inputs.len() {
+            let active = self.st.arena.active;
+            if i >= self.st.arena.steps[active].inputs.len() {
                 break;
             }
-            let key = self.arena.steps[active].inputs[i].cursor.peek_composite(
-                &self.cfg.order,
-                self.store,
-                self.env,
-            )?;
+            let key = self.st.arena.steps[active].inputs[i]
+                .cursor
+                .peek_composite(&self.cfg.order, self.store, self.env)?;
             match key {
                 Some(r) => {
                     heads.push(Some(r));
@@ -748,9 +810,9 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 }
             }
         }
-        self.tree.rebuild(heads);
-        self.sel_dirty = false;
-        self.streak = None;
+        self.st.tree.rebuild(heads);
+        self.st.sel_dirty = false;
+        self.st.streak = None;
         Ok(())
     }
 
@@ -758,8 +820,8 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// in paper Table 4. Charged identically by the per-tuple and the batched
     /// kernel, so dbsim figures do not depend on `ExecParams::batch`.
     fn charge_selection(&mut self, tuples: u64) {
-        let active = self.arena.active;
-        let fan = self.arena.steps[active].inputs.len().max(1) as u64;
+        let active = self.st.arena.active;
+        let fan = self.st.arena.steps[active].inputs.len().max(1) as u64;
         self.env.charge_cpu(
             CpuOp::Compare,
             (64 - fan.leading_zeros() as u64).max(1) * tuples,
@@ -773,14 +835,12 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// input is removed (possibly absorbing its producer step), which marks
     /// the tree for rebuild.
     fn rearm_winner(&mut self, idx: usize) -> SortResult<()> {
-        let active = self.arena.active;
-        let key = self.arena.steps[active].inputs[idx].cursor.peek_composite(
-            &self.cfg.order,
-            self.store,
-            self.env,
-        )?;
+        let active = self.st.arena.active;
+        let key = self.st.arena.steps[active].inputs[idx]
+            .cursor
+            .peek_composite(&self.cfg.order, self.store, self.env)?;
         match key {
-            Some(r) => self.tree.replay_winner(Some(r)),
+            Some(r) => self.st.tree.replay_winner(Some(r)),
             None => self.handle_exhausted_input(idx)?,
         }
         Ok(())
@@ -792,8 +852,8 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         self.charge_selection(1);
         let t = self.pop_input(idx)?;
         let dense = self.dense_out_stride();
-        let active = self.arena.active;
-        let step = &mut self.arena.steps[active];
+        let active = self.st.arena.active;
+        let step = &mut self.st.arena.steps[active];
         match dense {
             Some(stride) => step
                 .out_arena
@@ -802,7 +862,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             None => step.out_buf.push(t),
         }
         step.produced_anything = true;
-        self.stats.tuples_output += 1;
+        self.st.stats.tuples_output += 1;
         self.flush_if_dense_page_full(active)?;
         self.rearm_winner(idx)?;
         Ok(())
@@ -839,25 +899,25 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             None => (None, false),
         };
         let dense = self.dense_out_stride();
-        let active = self.arena.active;
+        let active = self.st.arena.active;
         // Dense out-pages seal at exactly one page of records; cap the batch
         // at the room left so the arena never crosses a page boundary.
-        let max = match (dense, self.arena.steps[active].out_arena.as_ref()) {
+        let max = match (dense, self.st.arena.steps[active].out_arena.as_ref()) {
             (Some(_), Some(a)) => max.min(self.cfg.tuples_per_page() - a.len()),
             _ => max,
         };
-        let n = self.arena.steps[active].inputs[idx]
+        let n = self.st.arena.steps[active].inputs[idx]
             .cursor
             .gallop_len(bound, inclusive, max)
             .max(1);
         self.charge_selection(1);
-        let run = self.arena.steps[active].inputs[idx].cursor.run;
+        let run = self.st.arena.steps[active].inputs[idx].cursor.run;
         self.note_access(run);
         if n > 1 {
             self.charge_selection(n as u64 - 1);
         }
         self.env.charge_cpu(CpuOp::CopyTuple, n as u64);
-        let step = &mut self.arena.steps[active];
+        let step = &mut self.st.arena.steps[active];
         match dense {
             Some(stride) => {
                 let (inputs, out_arena) = (&mut step.inputs, &mut step.out_arena);
@@ -870,7 +930,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             }
         }
         step.produced_anything = true;
-        self.stats.tuples_output += n as u64;
+        self.st.stats.tuples_output += n as u64;
         self.flush_if_dense_page_full(active)?;
         self.rearm_winner(idx)?;
         Ok(n)
@@ -881,19 +941,19 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         let tpp = self.cfg.tuples_per_page();
         let mut produced = 0usize;
         while produced < tpp {
-            if self.sel_dirty {
+            if self.st.sel_dirty {
                 self.rebuild_selection()?;
             }
-            let Some((idx, _rank)) = self.tree.winner() else {
+            let Some((idx, _rank)) = self.st.tree.winner() else {
                 return self.complete_active();
             };
-            if !self.params.batch {
+            if !self.st.params.batch {
                 // Per-tuple reference path (`merge_batch` off).
                 self.produce_one(idx)?;
                 produced += 1;
                 continue;
             }
-            match self.streak {
+            match self.st.streak {
                 // Established streak: gallop against the cached challenger.
                 Some((winner, challenger)) if winner == idx => {
                     produced += self.produce_batch(idx, challenger, tpp - produced)?;
@@ -906,18 +966,21 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 _ => {
                     self.produce_one(idx)?;
                     produced += 1;
-                    self.streak =
-                        if !self.sel_dirty && self.tree.winner().map(|(w, _)| w) == Some(idx) {
-                            Some((idx, self.tree.challenger()))
-                        } else {
-                            None
-                        };
+                    self.st.streak = if !self.st.sel_dirty
+                        && self.st.tree.winner().map(|(w, _)| w) == Some(idx)
+                    {
+                        Some((idx, self.st.tree.challenger()))
+                    } else {
+                        None
+                    };
                 }
             }
             // A streak (and its cached challenger) only survives while the
             // same input keeps winning and the membership is unchanged.
-            if self.sel_dirty || self.tree.winner().map(|(w, _)| w) != self.streak.map(|(w, _)| w) {
-                self.streak = None;
+            if self.st.sel_dirty
+                || self.st.tree.winner().map(|(w, _)| w) != self.st.streak.map(|(w, _)| w)
+            {
+                self.st.streak = None;
             }
         }
         self.flush_active_output(false)?;
@@ -950,18 +1013,18 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 _ => return self.complete_active(),
             };
             self.env.charge_cpu(CpuOp::JoinProbe, 1);
-            let active = self.arena.active;
-            self.arena.steps[active].produced_anything = true;
+            let active = self.st.arena.active;
+            self.st.arena.steps[active].produced_anything = true;
             if lk < rk {
                 if let Some((idx, _)) = self.min_input(Some(Side::Left))? {
                     self.pop_input(idx)?;
-                    self.stats.tuples_output += 1;
+                    self.st.stats.tuples_output += 1;
                     processed += 1;
                 }
             } else if rk < lk {
                 if let Some((idx, _)) = self.min_input(Some(Side::Right))? {
                     self.pop_input(idx)?;
-                    self.stats.tuples_output += 1;
+                    self.st.stats.tuples_output += 1;
                     processed += 1;
                 }
             } else {
@@ -973,7 +1036,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                         break;
                     }
                     group.push(self.pop_input(ri)?);
-                    self.stats.tuples_output += 1;
+                    self.st.stats.tuples_output += 1;
                     processed += 1;
                 }
                 // Every left tuple with this key matches the whole group.
@@ -982,13 +1045,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                         break;
                     }
                     let lt = self.pop_input(li)?;
-                    self.stats.tuples_output += 1;
+                    self.st.stats.tuples_output += 1;
                     processed += 1;
                     for rt in &group {
                         self.env.charge_cpu(CpuOp::JoinProbe, 1);
                         self.env.charge_cpu(CpuOp::CopyTuple, 1);
                         on_match(&lt, rt);
-                        self.stats.join_matches += 1;
+                        self.st.stats.join_matches += 1;
                     }
                 }
             }
@@ -1000,51 +1063,144 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     // Top-level drivers
     // ------------------------------------------------------------------
 
-    fn run_sort(&mut self) -> SortResult<RunId> {
-        self.stats.started_at = self.env.now();
-        let output = self.arena.steps[self.arena.root()]
-            .output
-            .expect("sort root has an output run");
-        if self.arena.steps[self.arena.root()].inputs.is_empty() {
-            self.stats.finished_at = self.env.now();
-            return Ok(output);
-        }
-        self.trace.emit(EventKind::MergeStepStart {
-            fan_in: self.arena.steps[self.arena.root()].inputs.len(),
+    /// Open the merge phase: stamp its start and announce the root step.
+    fn begin(&mut self) {
+        self.st.stats.started_at = self.env.now();
+        self.st.open = true;
+        self.st.trace.emit(EventKind::MergeStepStart {
+            fan_in: self.st.arena.steps[self.st.arena.root()].inputs.len(),
         });
-        loop {
-            self.env.poll(self.budget);
-            self.adapt()?;
-            if self.arena.active == self.arena.root() {
-                // Splitting may have changed the active step; re-check.
-                if self.arena.steps[self.arena.root()].inputs.is_empty() {
-                    break;
-                }
-            }
-            match self.produce_unit()? {
-                Progress::Done => break,
-                Progress::Produced | Progress::StepCompleted => {}
-            }
+    }
+
+    /// One adaptivity checkpoint: poll the budget, adapt. Splitting and
+    /// switching happen in here, so the active step may differ afterwards.
+    fn checkpoint(&mut self) -> SortResult<()> {
+        self.env.poll(self.budget);
+        self.adapt()
+    }
+
+    /// A checkpoint followed by about a page of work on whichever step is
+    /// active after it.
+    fn step(&mut self) -> SortResult<Progress> {
+        self.checkpoint()?;
+        let root = self.st.arena.root();
+        if self.st.arena.active == root && self.st.arena.steps[root].inputs.is_empty() {
+            return Ok(Progress::Done);
         }
-        self.stats.steps_executed = self.arena.executed_steps();
-        self.stats.finished_at = self.env.now();
+        self.produce_unit()
+    }
+
+    /// Close the merge phase's books, once: final statistics, every held page
+    /// back to the budget, the closing trace event. Returns whether the phase
+    /// was still open.
+    pub(crate) fn end_phase(&mut self) -> bool {
+        if !std::mem::take(&mut self.st.open) {
+            return false;
+        }
+        self.stamp_stats();
         self.budget.record_held(0, self.env.now());
-        self.trace.emit(EventKind::MergeStepEnd {
-            tuples_out: self.stats.tuples_output,
+        self.st.trace.emit(EventKind::MergeStepEnd {
+            tuples_out: self.st.stats.tuples_output,
         });
-        Ok(output)
+        true
+    }
+
+    /// Bring the derived statistics up to now.
+    fn stamp_stats(&mut self) {
+        self.st.stats.steps_executed = self.st.arena.executed_steps();
+        self.st.stats.finished_at = self.env.now();
+    }
+
+    fn run_sort(&mut self) -> SortResult<()> {
+        self.begin();
+        while self.step()? != Progress::Done {}
+        self.end_phase();
+        Ok(())
+    }
+
+    /// Run preliminary steps until the root is the active step again. The
+    /// statistics are stamped as of the return, so a caller that parks the
+    /// state sees a consistent (if partial) picture of the phase.
+    fn run_to_root(&mut self) -> SortResult<()> {
+        self.begin();
+        loop {
+            self.checkpoint()?;
+            if self.st.arena.active == self.st.arena.root() {
+                break;
+            }
+            self.produce_unit()?;
+        }
+        self.stamp_stats();
+        Ok(())
+    }
+
+    /// The next page of the root step's output, straight from its out buffer
+    /// (the root of a streaming sort writes no run), or `None` once the merge
+    /// is complete. Budget polls, suspension, paging and dynamic splitting
+    /// all keep happening in here: a shrink can make this call run (and
+    /// write) preliminary steps before the root yields again.
+    pub(crate) fn next_root_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
+        let root = self.st.arena.root();
+        while !self.st.arena.steps[root].completed {
+            if self.step()? == Progress::Done {
+                self.st.arena.steps[root].completed = true;
+            }
+            let out = &mut self.st.arena.steps[root].out_buf;
+            if !out.is_empty() {
+                let capacity = out.capacity();
+                return Ok(Some(std::mem::replace(out, Vec::with_capacity(capacity))));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Run whatever is left of the merge into one output run and leave the
+    /// tree as a fan-in-1 root over it — which is what a lone stored run (or
+    /// no run at all) already is, so those settle for free.
+    pub(crate) fn settle(&mut self) -> SortResult<()> {
+        let root = self.st.arena.root();
+        let inputs = &self.st.arena.steps[root].inputs;
+        if inputs.len() <= 1 && inputs.iter().all(|i| i.producer.is_none()) {
+            return Ok(());
+        }
+        let out = self.store.create_run()?;
+        self.st.arena.steps[root].output = Some(out);
+        while self.step()? != Progress::Done {}
+        let step = &mut self.st.arena.steps[root];
+        step.output = None;
+        step.completed = false;
+        step.inputs.push(Input::from_run(out, Side::Left));
+        self.st.sel_dirty = true;
+        Ok(())
+    }
+
+    /// End the merge wherever it stands: delete every run the tree still
+    /// references (inputs, and output runs of steps that were cut short),
+    /// then [`end_phase`](Self::end_phase), whose answer is passed on.
+    /// Deletion failures are ignored — this runs on drop and error paths.
+    /// The root is marked completed, so the state yields nothing afterwards;
+    /// closing twice finds nothing left to do.
+    pub(crate) fn close(&mut self) -> bool {
+        for step in &mut self.st.arena.steps {
+            for input in step.inputs.drain(..) {
+                self.st.stats.retire_cursor(&input.cursor);
+                let _ = self.store.delete_run(input.cursor.run);
+            }
+            if let Some(out) = step.output.take() {
+                let _ = self.store.delete_run(out);
+            }
+        }
+        let root = self.st.arena.root();
+        self.st.arena.steps[root].completed = true;
+        self.end_phase()
     }
 
     fn run_join(&mut self, on_match: &mut dyn FnMut(&Tuple, &Tuple)) -> SortResult<()> {
-        self.stats.started_at = self.env.now();
-        self.trace.emit(EventKind::MergeStepStart {
-            fan_in: self.arena.steps[self.arena.root()].inputs.len(),
-        });
+        self.begin();
         loop {
-            self.env.poll(self.budget);
-            self.adapt()?;
-            let progress = if self.arena.active == self.arena.root() {
-                if self.arena.steps[self.arena.root()].inputs.is_empty() {
+            self.checkpoint()?;
+            let progress = if self.st.arena.active == self.st.arena.root() {
+                if self.st.arena.steps[self.st.arena.root()].inputs.is_empty() {
                     break;
                 }
                 self.produce_unit_join(on_match)?
@@ -1055,14 +1211,15 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 break;
             }
         }
-        self.stats.steps_executed = self.arena.executed_steps();
-        self.stats.finished_at = self.env.now();
-        self.budget.record_held(0, self.env.now());
-        self.trace.emit(EventKind::MergeStepEnd {
-            tuples_out: self.stats.tuples_output,
-        });
+        self.end_phase();
         Ok(())
     }
+}
+
+fn sort_inputs(runs: &[RunMeta]) -> Vec<Input> {
+    runs.iter()
+        .map(|r| Input::from_meta(*r, Side::Left))
+        .collect()
 }
 
 /// Merge `runs` into a single sorted output run, adapting to memory
@@ -1077,22 +1234,36 @@ pub fn execute_merge<S: RunStore, E: SortEnv>(
     params: ExecParams,
 ) -> SortResult<(RunId, MergeStats)> {
     let output = store.create_run()?;
-    let inputs: Vec<Input> = runs
-        .iter()
-        .map(|r| Input::from_meta(*r, Side::Left))
-        .collect();
-    let mut exec = Exec::new(
-        cfg,
+    let mode = ExecMode::Sort;
+    let mut st = MergeState::new(
         budget,
         store,
         env,
         params,
-        ExecMode::Sort,
-        inputs,
+        mode,
+        sort_inputs(runs),
         Some(output),
     );
-    let out = exec.run_sort()?;
-    Ok((out, exec.stats))
+    Exec::over(cfg, budget, store, env, &mut st).run_sort()?;
+    Ok((output, st.stats))
+}
+
+/// Begin merging `runs` for a streaming sort: the root step gets no output
+/// run, preliminary steps the budget demands are run (and written) now, and
+/// the state is returned with the root active — ready for
+/// [`Exec::next_root_page`] to pull sorted tuples out of it.
+pub(crate) fn begin_streaming_merge<S: RunStore, E: SortEnv>(
+    cfg: &SortConfig,
+    budget: &MemoryBudget,
+    runs: &[RunMeta],
+    store: &mut S,
+    env: &mut E,
+    params: ExecParams,
+) -> SortResult<MergeState> {
+    let mode = ExecMode::Sort;
+    let mut st = MergeState::new(budget, store, env, params, mode, sort_inputs(runs), None);
+    Exec::over(cfg, budget, store, env, &mut st).run_to_root()?;
+    Ok(st)
 }
 
 /// Merge-join two sets of runs (one per relation), adapting to memory
@@ -1111,18 +1282,9 @@ pub fn execute_join_merge<S: RunStore, E: SortEnv>(
     let mut inputs: Vec<Input> = Vec::with_capacity(left_runs.len() + right_runs.len());
     inputs.extend(left_runs.iter().map(|r| Input::from_meta(*r, Side::Left)));
     inputs.extend(right_runs.iter().map(|r| Input::from_meta(*r, Side::Right)));
-    let mut exec = Exec::new(
-        cfg,
-        budget,
-        store,
-        env,
-        params,
-        ExecMode::Join,
-        inputs,
-        None,
-    );
-    exec.run_join(on_match)?;
-    Ok(exec.stats)
+    let mut st = MergeState::new(budget, store, env, params, ExecMode::Join, inputs, None);
+    Exec::over(cfg, budget, store, env, &mut st).run_join(on_match)?;
+    Ok(st.stats)
 }
 
 #[cfg(test)]

@@ -1,27 +1,34 @@
 //! The end-to-end external sorter: split phase + merge phase.
 //!
 //! [`ExternalSorter`] is the low-level engine: the caller supplies the input,
-//! store, environment and budget explicitly. Most applications should use the
+//! store, environment and budget explicitly, and [`sort`](ExternalSorter::sort)
+//! *materialises* the result — the root merge step writes one output run and
+//! the call returns its id. Most applications should use the
 //! [`SortJob`](crate::job::SortJob) builder instead, which owns those pieces,
-//! validates the configuration, and returns a streamable result.
+//! validates the configuration, and *streams* the result: its final merge
+//! step hands sorted tuples straight to the consumer and writes no run at all
+//! (see [`crate::stream`]; a job whose budget moved under it settles instead,
+//! see [`crate::job`]).
 
 use crate::budget::{DelaySample, MemoryBudget, SortPhase};
 use crate::config::SortConfig;
 use crate::env::SortEnv;
 use crate::error::SortResult;
 use crate::input::{InputSource, PartitionableSource};
-use crate::merge::exec::{execute_merge, ExecParams, MergeStats};
+use crate::merge::exec::{
+    begin_streaming_merge, execute_merge, ExecParams, MergeState, MergeStats,
+};
 use crate::run_formation::{form_runs, parallel::form_runs_parallel, SplitStats};
 use crate::store::{RunId, RunStore};
-use crate::stream::SortedStream;
 use masort_trace::EventKind;
 
-/// The result of a complete external sort.
-#[derive(Clone, Debug)]
+/// The statistics of an external sort.
+///
+/// Where the sorted tuples are is not part of it: a materialising
+/// [`ExternalSorter::sort`] returns the output run's id next to the outcome,
+/// a streaming [`SortJob`](crate::job::SortJob) has no output run.
+#[derive(Clone, Debug, Default)]
 pub struct SortOutcome {
-    /// Run containing the fully sorted relation (inside the store the sort
-    /// executed against).
-    pub output_run: RunId,
     /// Split-phase statistics (runs formed, duration, shrink events, ...).
     pub split: SplitStats,
     /// Merge-phase statistics (steps, splits/combines, I/O, ...).
@@ -58,15 +65,6 @@ impl SortOutcome {
     /// merge phase.
     pub fn mean_merge_delay(&self) -> f64 {
         mean_delay(&self.delays, SortPhase::Merge)
-    }
-
-    /// Turn this outcome into a [`SortedStream`] that drains the output run
-    /// from `store` page by page, without materialising the whole relation.
-    ///
-    /// `store` must be the store the sort executed against (a
-    /// [`SortCompletion`](crate::job::SortCompletion) hands it back).
-    pub fn into_stream<S: RunStore>(self, store: S) -> SortedStream<S> {
-        SortedStream::new(store, self.output_run)
     }
 }
 
@@ -105,6 +103,8 @@ impl ExternalSorter {
 
     /// Run a full external sort of `input`, storing runs (including the final
     /// output run) in `store`, charging costs to `env`, and obeying `budget`.
+    /// Returns the id of the output run — the fully sorted relation, inside
+    /// `store` — and the sort's statistics.
     ///
     /// The configuration is validated first (`SortError::InvalidConfig`), so
     /// this low-level entry point enforces the same invariants as
@@ -119,7 +119,7 @@ impl ExternalSorter {
         store: &mut S,
         env: &mut E,
         budget: &MemoryBudget,
-    ) -> SortResult<SortOutcome>
+    ) -> SortResult<(RunId, SortOutcome)>
     where
         S: RunStore,
         I: InputSource,
@@ -127,32 +127,54 @@ impl ExternalSorter {
     {
         self.cfg.validate()?;
         let started = env.now();
-        self.attach_io(store, env);
-        budget.set_phase(SortPhase::Split);
-        env.trace().emit(EventKind::PhaseStart { phase: "split" });
-        let split = form_runs(&self.cfg, budget, input, store, env);
-        self.merge_and_finish(split, store, env, budget, started)
+        self.enter_split(store, env, budget);
+        let phases = form_runs(&self.cfg, budget, input, store, env).and_then(|split| {
+            self.enter_merge(env, budget);
+            let (output_run, merge) = execute_merge(
+                &self.cfg,
+                budget,
+                &split.runs,
+                store,
+                env,
+                self.merge_params(),
+            )?;
+            Ok((output_run, split, merge))
+        });
+        let (output_run, split, merge) = flush_after(phases, store, env, budget)?;
+        env.trace().emit(EventKind::PhaseEnd { phase: "merge" });
+        let outcome = SortOutcome {
+            split,
+            merge,
+            response_time: env.now() - started,
+            delays: budget.take_delays(),
+        };
+        Ok((output_run, outcome))
     }
 
-    /// Like [`sort`](Self::sort), but taking the input by value so that, with
-    /// `cpu_threads ≥ 2` in the configuration, the split phase can partition
-    /// it across that many compute workers — each running the configured
-    /// in-memory sorting method against a
-    /// [`MemoryBudget::child`] share of `budget` and appending runs to
-    /// `store` through the orchestrating thread. `SortJob::run` goes through
-    /// this entry point.
+    /// The front of a *streaming* sort, which is what `SortJob::run` does:
+    /// form the runs, run (and write) whatever preliminary merge steps the
+    /// budget demands right now, and stop with the merge tree down to its
+    /// root step. The returned [`MergeState`] is that root, untouched — its
+    /// consumer pulls the sorted tuples out of it, so no output run is ever
+    /// written — and the outcome describes the sort up to this point (the
+    /// merge phase is still open: no `PhaseEnd` yet).
     ///
-    /// Falls back to the exact single-threaded path when `cpu_threads` is 1,
-    /// when the input declines to partition, or when the environment cannot
-    /// fork workers ([`SortEnv::fork_worker`]); the merge phase always runs
-    /// on the calling thread against the root budget.
-    pub fn sort_partitioned<S, I, E>(
+    /// The input is taken by value so that, with `cpu_threads ≥ 2` in the
+    /// configuration, the split phase can partition it across that many
+    /// compute workers — each running the configured in-memory sorting
+    /// method against a [`MemoryBudget::child`] share of `budget` and
+    /// appending runs to `store` through the orchestrating thread. It falls
+    /// back to the exact single-threaded path when `cpu_threads` is 1, when
+    /// the input declines to partition, or when the environment cannot fork
+    /// workers ([`SortEnv::fork_worker`]); the merge phase always runs on the
+    /// calling thread against the root budget.
+    pub(crate) fn begin<S, I, E>(
         &self,
         input: I,
         store: &mut S,
         env: &mut E,
         budget: &MemoryBudget,
-    ) -> SortResult<SortOutcome>
+    ) -> SortResult<(SortOutcome, MergeState)>
     where
         S: RunStore,
         I: PartitionableSource,
@@ -160,11 +182,48 @@ impl ExternalSorter {
     {
         self.cfg.validate()?;
         let started = env.now();
-        self.attach_io(store, env);
-        budget.set_phase(SortPhase::Split);
-        env.trace().emit(EventKind::PhaseStart { phase: "split" });
+        self.enter_split(store, env, budget);
+        let phases = self
+            .form_runs_partitioned(input, store, env, budget)
+            .and_then(|split| {
+                self.enter_merge(env, budget);
+                let root = begin_streaming_merge(
+                    &self.cfg,
+                    budget,
+                    &split.runs,
+                    store,
+                    env,
+                    self.merge_params(),
+                )?;
+                Ok((split, root))
+            });
+        let (split, root) = flush_after(phases, store, env, budget)?;
+        let merge = root.stats().clone();
+        let outcome = SortOutcome {
+            split,
+            // Measured to the same instant as `merge.finished_at`, so whoever
+            // finishes the merge can extend it by the time that passed since.
+            response_time: merge.finished_at - started,
+            merge,
+            delays: budget.take_delays(),
+        };
+        Ok((outcome, root))
+    }
+
+    fn form_runs_partitioned<S, I, E>(
+        &self,
+        input: I,
+        store: &mut S,
+        env: &mut E,
+        budget: &MemoryBudget,
+    ) -> SortResult<SplitStats>
+    where
+        S: RunStore,
+        I: PartitionableSource,
+        E: SortEnv,
+    {
         let threads = self.cfg.cpu_threads;
-        let split = if threads >= 2 {
+        if threads >= 2 {
             let forked: Option<Vec<_>> = (0..threads).map(|_| env.fork_worker()).collect();
             match forked {
                 Some(envs) => match input.partition(threads) {
@@ -189,22 +248,21 @@ impl ExternalSorter {
         } else {
             let mut input = input;
             form_runs(&self.cfg, budget, &mut input, store, env)
-        };
-        self.merge_and_finish(split, store, env, budget, started)
+        }
     }
 
-    /// Resolve the background I/O pool for pipelined configurations: prefer
-    /// the environment's shared pool (a service hands one pool to all of its
-    /// sorts); otherwise spin up a private one when the configuration asks
-    /// for worker threads. Attaching it to the store enables write-behind
-    /// during run formation and merging; merge cursors pick the same pool up
-    /// for read-ahead.
-    fn attach_io<S: RunStore, E: SortEnv>(&self, store: &mut S, env: &E) {
+    /// Enter the split phase. Pipelined configurations first get their
+    /// background I/O pool resolved: prefer the environment's shared pool (a
+    /// service hands one pool to all of its sorts); otherwise spin up a
+    /// private one when the configuration asks for worker threads. Attaching
+    /// it to the store enables write-behind during run formation and merging;
+    /// merge cursors pick the same pool up for read-ahead.
+    fn enter_split<S: RunStore, E: SortEnv>(&self, store: &mut S, env: &E, budget: &MemoryBudget) {
         // The store shares the environment's observability handle so its run
         // and I/O events land on the same span as the sort's phase events.
         let trace = env.trace();
         if trace.is_enabled() {
-            store.attach_trace(trace);
+            store.attach_trace(trace.clone());
         }
         if self.cfg.io.enabled() {
             let pool = env.io_pool().or_else(|| {
@@ -217,56 +275,43 @@ impl ExternalSorter {
             // writes: appends coalesce into ~read-block-sized block writes.
             store.set_write_coalescing(self.cfg.io.pipeline_depth.clamp(8, 64));
         }
+        budget.set_phase(SortPhase::Split);
+        trace.emit(EventKind::PhaseStart { phase: "split" });
     }
 
-    /// Shared back half of a sort: merge the split phase's runs, then flush
-    /// the store **on success and error paths alike** — write-behind stores
-    /// may still have blocks in flight, and a deferred write failure must
-    /// surface as the sort's error instead of being dropped with the store.
-    /// A phase error takes precedence over a flush error.
-    fn merge_and_finish<S: RunStore, E: SortEnv>(
-        &self,
-        split: SortResult<SplitStats>,
-        store: &mut S,
-        env: &mut E,
-        budget: &MemoryBudget,
-        started: f64,
-    ) -> SortResult<SortOutcome> {
-        let phases = split.and_then(|split| {
-            let trace = env.trace();
-            trace.emit(EventKind::PhaseEnd { phase: "split" });
-            budget.set_phase(SortPhase::Merge);
-            trace.emit(EventKind::PhaseStart { phase: "merge" });
-            let params = ExecParams::from_algorithm(&self.cfg.algorithm)
-                .with_io_depth(self.cfg.io.pipeline_depth)
-                .with_merge_batch(self.cfg.merge_batch);
-            let (output_run, merge) =
-                execute_merge(&self.cfg, budget, &split.runs, store, env, params)?;
-            Ok((split, output_run, merge))
-        });
-        let flushed = store.flush();
-        let (split, output_run, merge) = match phases.and_then(|ok| flushed.map(|_| ok)) {
-            Ok(parts) => parts,
-            Err(e) => {
-                // A failed (or cancelled) sort holds no buffers — everything
-                // it had is dropped with its locals on unwind from the phase
-                // functions. Record that, so owners auditing the budget for
-                // leaked pages (e.g. a broker's post-release check) see zero
-                // rather than the last checkpoint's stale count.
-                budget.record_held(0, env.now());
-                return Err(e);
-            }
-        };
-        let response_time = env.now() - started;
-        env.trace().emit(EventKind::PhaseEnd { phase: "merge" });
-        Ok(SortOutcome {
-            output_run,
-            split,
-            merge,
-            response_time,
-            delays: budget.take_delays(),
-        })
+    fn enter_merge<E: SortEnv>(&self, env: &E, budget: &MemoryBudget) {
+        let trace = env.trace();
+        trace.emit(EventKind::PhaseEnd { phase: "split" });
+        budget.set_phase(SortPhase::Merge);
+        trace.emit(EventKind::PhaseStart { phase: "merge" });
     }
+
+    fn merge_params(&self) -> ExecParams {
+        ExecParams::from_algorithm(&self.cfg.algorithm)
+            .with_io_depth(self.cfg.io.pipeline_depth)
+            .with_merge_batch(self.cfg.merge_batch)
+    }
+}
+
+/// Flush the store after the phases ran, **on success and error paths
+/// alike** — write-behind stores may still have blocks in flight, and a
+/// deferred write failure must surface as the sort's error instead of being
+/// dropped with the store. A phase error takes precedence over a flush error.
+fn flush_after<T, S: RunStore, E: SortEnv>(
+    phases: SortResult<T>,
+    store: &mut S,
+    env: &E,
+    budget: &MemoryBudget,
+) -> SortResult<T> {
+    let flushed = store.flush();
+    phases.and_then(|ok| flushed.map(|_| ok)).inspect_err(|_| {
+        // A failed (or cancelled) sort holds no buffers — everything it had
+        // is dropped with its locals on unwind from the phase functions.
+        // Record that, so owners auditing the budget for leaked pages (e.g.
+        // a broker's post-release check) see zero rather than the last
+        // checkpoint's stale count.
+        budget.record_held(0, env.now());
+    })
 }
 
 impl Default for ExternalSorter {
@@ -338,10 +383,12 @@ mod tests {
             .run()
             .unwrap();
         assert!(completion.outcome.runs_formed() > 1);
-        assert!(completion.outcome.merge.steps_executed >= 1);
-        assert!(completion.outcome.response_time >= 0.0);
-        let sorted = completion.into_sorted_vec().unwrap();
+        let mut stream = completion.into_stream();
+        let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
         assert_sorted_permutation(&input, &sorted);
+        let outcome = stream.finish();
+        assert!(outcome.merge.steps_executed >= 1);
+        assert!(outcome.response_time >= outcome.split.duration());
     }
 
     #[test]
@@ -353,10 +400,10 @@ mod tests {
         let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
         let mut store = FileStore::in_temp_dir().unwrap();
         let mut env = CountingEnv::new();
-        let outcome = sorter
+        let (output_run, _) = sorter
             .sort(&mut source, &mut store, &mut env, &budget)
             .unwrap();
-        let sorted = collect_run(&mut store, outcome.output_run).unwrap();
+        let sorted = collect_run(&mut store, output_run).unwrap();
         assert_sorted_permutation(&input, &sorted);
     }
 
@@ -404,11 +451,11 @@ mod tests {
         let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = RealEnv::new();
-        let outcome = sorter
+        let (output_run, _) = sorter
             .sort(&mut source, &mut store, &mut env, &budget)
             .unwrap();
         handle.join().unwrap();
-        let sorted = collect_run(&mut store, outcome.output_run).unwrap();
+        let sorted = collect_run(&mut store, output_run).unwrap();
         assert_sorted_permutation(&input, &sorted);
     }
 

@@ -95,11 +95,10 @@ pub trait RunStore {
 
     /// Read page `idx` of `run`, reusing `scratch` as the raw I/O buffer.
     ///
-    /// Streaming consumers ([`crate::SortedStream`], `verify::collect_run`)
-    /// read one page at a time for the life of a run; routing those reads
-    /// through a caller-held scratch buffer lets stores that hit a real
-    /// device (e.g. [`FileStore`]) reuse one allocation per stream instead
-    /// of allocating per page. The default ignores `scratch` and delegates
+    /// Whole-run readers (`verify::collect_run`) read one page at a time for
+    /// the life of a run; routing those reads through a caller-held scratch
+    /// buffer lets stores that hit a real device (e.g. [`FileStore`]) reuse
+    /// one allocation per run instead of allocating per page. The default ignores `scratch` and delegates
     /// to [`read_page`](Self::read_page).
     fn read_page_with_scratch(
         &mut self,

@@ -45,10 +45,10 @@ fn sort_counted(
     let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
     let mut store = MemStore::new();
     let mut env = CountingEnv::new();
-    let outcome = sorter
+    let (output_run, outcome) = sorter
         .sort(&mut input, &mut store, &mut env, &budget)
         .unwrap();
-    let keys = collect_run(&mut store, outcome.output_run)
+    let keys = collect_run(&mut store, output_run)
         .unwrap()
         .into_iter()
         .map(|t| t.key)

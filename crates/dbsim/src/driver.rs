@@ -107,7 +107,7 @@ pub fn run_sort_in_system(cfg: &SimConfig, sys: &SharedSystem, seed: u64) -> Sor
         seed ^ 0x5eed_f00d,
     );
     let sorter = ExternalSorter::new(cfg.sort_config());
-    let outcome = sorter
+    let (_output_run, outcome) = sorter
         .sort(&mut input, &mut store, &mut env, &budget)
         .expect("simulated stores and inputs are infallible");
     SortRunMetrics::from_outcome(cfg, sys, &outcome)

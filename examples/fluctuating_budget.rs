@@ -48,16 +48,20 @@ fn main() -> Result<(), SortError> {
         steals
     });
 
-    let completion = SortJob::builder()
+    // The budget moves under the sort, so `run()` finishes the whole merge
+    // itself instead of parking the final step for the reader (a parked step
+    // would answer the buffer manager only when the reader next pulls).
+    // `finish()` has the final statistics in either case.
+    let mut stream = SortJob::builder()
         .config(cfg)
         .tuples(tuples)
         .budget(budget)
         .build()?
-        .run()?;
+        .run()?
+        .into_stream();
+    let sorted = stream.by_ref().collect::<Result<Vec<_>, _>>()?;
+    let outcome = stream.finish();
     let steals = dbms.join().unwrap();
-
-    let outcome = completion.outcome.clone();
-    let sorted = completion.into_sorted_vec()?;
     masort_core::verify::assert_sorted_permutation(&input_copy, &sorted);
 
     println!("sorted {} tuples while the budget fluctuated", sorted.len());

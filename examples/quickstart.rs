@@ -38,25 +38,28 @@ fn main() -> Result<(), SortError> {
         .tuples(tuples)
         .build()?
         .run()?;
-    let outcome = &completion.outcome;
-    println!("runs formed    : {}", outcome.runs_formed());
-    println!("merge steps    : {}", outcome.merge.steps_executed);
-    println!(
-        "pages written  : {}",
-        outcome.split.pages_written + outcome.merge.pages_written
-    );
-    println!("wall time      : {:.3} s", outcome.response_time);
+    println!("runs formed    : {}", completion.outcome.runs_formed());
 
-    // Stream the result instead of materialising 50 MB at once: only one
-    // page of tuples is buffered at a time.
+    // `run()` stopped with the merge down to its final step; the stream
+    // executes that step, so the 50 MB are never written out sorted nor held
+    // in memory — one page of merged tuples is buffered at a time.
+    let mut stream = completion.into_stream();
     let mut count = 0usize;
     let mut previous = 0u64;
-    for tuple in completion.into_stream() {
+    for tuple in stream.by_ref() {
         let tuple = tuple?;
         assert!(tuple.key >= previous);
         previous = tuple.key;
         count += 1;
     }
     println!("streamed       : {count} tuples in sorted order");
+
+    let outcome = stream.finish();
+    println!("merge steps    : {}", outcome.merge.steps_executed);
+    println!(
+        "pages written  : {}",
+        outcome.split.pages_written + outcome.merge.pages_written
+    );
+    println!("wall time      : {:.3} s", outcome.response_time);
     Ok(())
 }

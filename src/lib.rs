@@ -42,7 +42,8 @@
 //!     .build()?
 //!     .run()?;
 //!
-//! // Stream the sorted relation without materialising it ...
+//! // Stream the sorted relation: the iterator runs the final merge step, so
+//! // nothing sorted is ever materialised, in memory or in the store ...
 //! let mut previous = 0u64;
 //! for tuple in completion.into_stream() {
 //!     let tuple = tuple?;

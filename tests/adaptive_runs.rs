@@ -74,8 +74,9 @@ fn adaptive_output_is_bit_identical_across_the_matrix() {
 }
 
 /// A fully presorted input collapses to a single natural run; a fully
-/// reversed one to a single *descending* run — and the merge reads the
-/// latter back-to-front from the file store, so the sorted stream is intact.
+/// reversed one to a single *descending* run — which the stream reads
+/// back-to-front straight from the file store: the sorted stream is intact
+/// and nothing is copied into a second, forward run.
 #[test]
 fn reversed_input_round_trips_through_the_file_store() {
     for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
@@ -96,9 +97,11 @@ fn reversed_input_round_trips_through_the_file_store() {
             split.natural_tuples > 0,
             "order detection never engaged ({layout:?})"
         );
-        let sorted = completion.into_sorted_vec().unwrap();
+        let mut stream = completion.into_stream();
+        let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
         assert_eq!(sorted.len(), 120 * tpp);
         assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key));
+        assert_eq!(stream.finish().merge.pages_written, 0);
     }
 }
 

@@ -120,10 +120,10 @@ fn tiny_memory_floor_still_sorts() {
         let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = RealEnv::new();
-        let outcome = ExternalSorter::new(cfg)
+        let (output_run, _) = ExternalSorter::new(cfg)
             .sort(&mut source, &mut store, &mut env, &budget)
             .unwrap();
-        let sorted = masort_core::verify::collect_run(&mut store, outcome.output_run).unwrap();
+        let sorted = masort_core::verify::collect_run(&mut store, output_run).unwrap();
         masort_core::verify::assert_sorted_permutation(&input, &sorted);
     }
 }
@@ -139,8 +139,9 @@ fn outcome_statistics_are_consistent() {
         .unwrap()
         .run()
         .unwrap();
-    let outcome = completion.outcome.clone();
-    let sorted = completion.into_sorted_vec().unwrap();
+    let mut stream = completion.into_stream();
+    let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
+    let outcome = stream.finish();
     assert_eq!(sorted.len(), input.len());
     assert_eq!(outcome.split.total_tuples(), input.len());
     assert!(outcome.merge.steps_executed >= 1);
@@ -242,12 +243,16 @@ fn streamed_sort_end_to_end_file_store() {
         count += 1;
     }
     assert_eq!(count, input.len());
-    // Draining the stream reclaimed the output run's file. Check while the
-    // store (and therefore the directory) is still alive — dropping the
-    // FileStore would delete everything regardless.
+    // Draining the stream deleted the sort's run files. Check while the
+    // stream (and therefore the store and its directory) is still alive —
+    // dropping the FileStore would delete everything regardless.
     let remaining = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(remaining, 0, "run files should be deleted after streaming");
-    drop(stream.into_store());
+    // Five pages cannot merge every run at once: preliminary steps moved
+    // some tuples before the root moved them all.
+    let outcome = stream.finish();
+    assert!(outcome.merge.steps_executed >= 2);
+    assert!(outcome.merge.tuples_output as usize > input.len());
 }
 
 // ---------------------------------------------------------------------------

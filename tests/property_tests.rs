@@ -5,7 +5,8 @@
 //! * every algorithm combination produces a sorted permutation of its input,
 //!   for random inputs and scripted budget fluctuations, ascending and
 //!   descending;
-//! * `SortedStream` yields exactly the same sequence as `collect_run` for
+//! * a streamed sort (`SortedStream` executing the root merge step) yields
+//!   exactly the sequence a materialising sort writes to its output run, for
 //!   random inputs across all algorithm combinations, including descending
 //!   order;
 //! * replacement-selection runs are individually sorted and cover the input;
@@ -195,10 +196,10 @@ fn sort_is_a_sorted_permutation_under_fluctuation() {
         let mut env = ScriptedBudgetEnv::new(period, targets);
         let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
         let mut store = MemStore::new();
-        let outcome = ExternalSorter::new(cfg)
+        let (output_run, _) = ExternalSorter::new(cfg)
             .sort(&mut source, &mut store, &mut env, &budget)
             .unwrap_or_else(|e| panic!("case {case} ({spec}) failed: {e}"));
-        let sorted = verify::collect_run(&mut store, outcome.output_run).unwrap();
+        let sorted = verify::collect_run(&mut store, output_run).unwrap();
         assert!(
             verify::is_sorted_by(&sorted, &order),
             "case {case} ({spec}, {order:?}) produced unsorted output"
@@ -212,10 +213,10 @@ fn sort_is_a_sorted_permutation_under_fluctuation() {
 
 #[test]
 fn sorted_stream_matches_collect_run_for_all_algorithms() {
-    // The satellite property: for random inputs, streaming the output run
-    // yields exactly the same sequence as materialising it with
-    // `collect_run`, for every algorithm combination — ascending *and*
-    // descending.
+    // The satellite property: for random inputs, streaming the sort off its
+    // root merge step yields exactly the sequence a materialising sort of the
+    // same input writes to its output run, for every algorithm combination —
+    // ascending *and* descending.
     let mut case = 0u64;
     for spec in AlgorithmSpec::all(4) {
         for order in [SortOrder::ascending(), SortOrder::descending()] {
@@ -229,15 +230,19 @@ fn sorted_stream_matches_collect_run_for_all_algorithms() {
             let mut env = RealEnv::new();
             let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
             let mut store = MemStore::new();
-            let outcome = ExternalSorter::new(cfg)
+            let (output_run, _) = ExternalSorter::new(cfg.clone())
                 .sort(&mut source, &mut store, &mut env, &budget)
                 .unwrap();
+            let collected = verify::collect_run(&mut store, output_run).unwrap();
 
-            // Materialise first (collect_run does not consume the run) ...
-            let collected = verify::collect_run(&mut store, outcome.output_run).unwrap();
-            // ... then stream the very same run and compare sequences.
-            let streamed: Vec<Tuple> = outcome
-                .into_stream(store)
+            let streamed: Vec<Tuple> = SortJob::builder()
+                .config(cfg)
+                .tuples(input.clone())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+                .into_stream()
                 .collect::<Result<_, _>>()
                 .unwrap();
             assert_eq!(
