@@ -1,10 +1,10 @@
-//! Presortedness-adaptive run formation experiment: classic replacement
-//! selection vs the up/down natural-run mode
-//! ([`SortConfig::adaptive_runs`](masort_core::SortConfig::adaptive_runs))
+//! Natural-run formation experiment: classic replacement selection
+//! (`repl6,opt,split`) vs its up/down natural-run variant (`nat6,opt,split`,
+//! [`RunFormation::NaturalSelect`](masort_core::RunFormation::NaturalSelect))
 //! across input-order profiles.
 //!
 //! The rig sorts the same deterministic [`GenSource`] relation twice per
-//! profile — adaptive off, then on — through the full in-memory pipeline
+//! profile — `repl6`, then `nat6` — through the full in-memory pipeline
 //! (`MemStore` + `RealEnv`, so the measurement is the CPU the formation and
 //! merge layers actually burn, not disk noise). Profiles sweep the
 //! presortedness axis:
@@ -22,7 +22,7 @@
 //!   streak detection (every ramp boundary is a direction break).
 //!
 //! For every profile the two sorted outputs are asserted **tuple-identical**
-//! — the knob may only change speed, never the result. The headline metric
+//! — the formation may only change speed, never the result. The headline metric
 //! is whole-sort tuples/sec; per-profile speedups (adaptive / classic) and
 //! run-count/length statistics go to `BENCH_adaptive.json` (override with
 //! `MASORT_ADAPT_JSON`, directory via `MASORT_BENCH_DIR`).
@@ -36,7 +36,9 @@
 //! `MASORT_ADAPT_JSON` (output path, default `BENCH_adaptive.json`).
 
 use masort_bench::{env_usize, f, print_table};
-use masort_core::{GenOrder, GenSource, InputSource, SortConfig, SortJob, SplitStats, Tuple};
+use masort_core::{
+    AlgorithmSpec, GenOrder, GenSource, InputSource, SortConfig, SortJob, SplitStats, Tuple,
+};
 use std::time::Instant;
 
 struct Outcome {
@@ -125,9 +127,17 @@ fn main() {
     let mut json_rows = Vec::new();
     for (name, order) in profiles {
         let input = materialize(pages, tpp, seed, order);
-        let classic = best_of(reps, &base.clone().with_adaptive_runs(false), &input);
-        let adaptive = best_of(reps, &base.clone().with_adaptive_runs(true), &input);
-        // The knob must be invisible in the result: tuple-for-tuple identity.
+        let classic = best_of(
+            reps,
+            &base.clone().with_algorithm(AlgorithmSpec::recommended()),
+            &input,
+        );
+        let adaptive = best_of(
+            reps,
+            &base.clone().with_algorithm(AlgorithmSpec::natural()),
+            &input,
+        );
+        // The formation must be invisible in the result: tuple-for-tuple identity.
         assert_eq!(
             classic.sorted, adaptive.sorted,
             "{name}: adaptive output diverged from classic"
@@ -156,7 +166,7 @@ fn main() {
         json_rows.push(format!(
             "    {{\"profile\": \"{name}\", \"classic_s\": {:.4}, \"adaptive_s\": {:.4}, \
              \"classic_tuples_per_sec\": {:.0}, \"adaptive_tuples_per_sec\": {:.0}, \
-             \"classic_runs\": {}, \"adaptive_runs\": {}, \"natural_runs\": {}, \
+             \"classic_run_count\": {}, \"adaptive_run_count\": {}, \"natural_runs\": {}, \
              \"adaptive_avg_run_tuples\": {:.1}, \"speedup\": {speedup:.3}}}",
             classic.sort_s,
             adaptive.sort_s,
@@ -170,7 +180,7 @@ fn main() {
     }
 
     print_table(
-        "exp_adaptive: classic vs presortedness-adaptive run formation (MemStore)",
+        "exp_adaptive: classic (repl6) vs natural-run (nat6) formation (MemStore)",
         &[
             "profile",
             "classic (s)",
@@ -183,7 +193,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("outputs tuple-identical across the adaptive knob for every profile");
+    println!("outputs tuple-identical across repl6 and nat6 for every profile");
 
     let json = format!(
         "{{\n  \"experiment\": \"adaptive\",\n  \"tuples\": {records},\n  \

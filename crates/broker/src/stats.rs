@@ -70,8 +70,8 @@ pub struct JobStats {
     /// Mean tuples per run (0 if no runs were formed).
     pub avg_run_tuples: f64,
     /// Natural (pre-existing) runs the split phase detected in its input —
-    /// populated only when the job ran with
-    /// [`adaptive_runs`](masort_core::SortConfig::adaptive_runs) on.
+    /// populated only when the job's run formation was
+    /// [`NaturalSelect`](masort_core::RunFormation::NaturalSelect) (`natN`).
     pub natural_runs: usize,
     /// Tuples absorbed through the order-detection fast path (see
     /// `natural_runs`); 0 for classic formation.

@@ -24,6 +24,19 @@ pub enum RunFormation {
         /// Number of pages written per block write.
         block_pages: usize,
     },
+    /// Natural-run replacement selection with `block_pages`-page block writes
+    /// (`nat{n}`): the up/down variant of replacement selection that detects
+    /// streaks already ascending or descending in the input and forms runs
+    /// in either direction, so pre-existing order extends runs instead of
+    /// cutting them (see [`crate::run_formation::replacement`]). The sorted
+    /// output is tuple-for-tuple that of `repl{n}`; only run boundaries — and
+    /// with them merge fan-in and I/O volume — differ. Not one of the paper's
+    /// methods; [`SortJob::builder`](crate::job::SortJob::builder) starts
+    /// from it.
+    NaturalSelect {
+        /// Number of pages written per block write.
+        block_pages: usize,
+    },
     /// Replacement selection whose block-write size tracks the *current*
     /// memory allocation (roughly one sixth of it, clamped to the given
     /// bounds). This is the buffer-size-adjustment extension sketched in the
@@ -53,6 +66,13 @@ impl RunFormation {
         RunFormation::ReplacementSelect { block_pages: n }
     }
 
+    /// Natural-run replacement selection with `n`-page block writes
+    /// (`nat{n}`). A zero block size is rejected by [`SortConfig::validate`],
+    /// as for [`repl`](Self::repl).
+    pub fn natural(n: usize) -> Self {
+        RunFormation::NaturalSelect { block_pages: n }
+    }
+
     /// Replacement selection with memory-tracking block writes (`adapt`).
     pub fn adaptive() -> Self {
         RunFormation::AdaptiveReplacement {
@@ -67,6 +87,7 @@ impl fmt::Display for RunFormation {
         match self {
             RunFormation::Quicksort => write!(f, "quick"),
             RunFormation::ReplacementSelect { block_pages } => write!(f, "repl{block_pages}"),
+            RunFormation::NaturalSelect { block_pages } => write!(f, "nat{block_pages}"),
             RunFormation::AdaptiveReplacement { .. } => write!(f, "adapt"),
         }
     }
@@ -145,6 +166,17 @@ impl AlgorithmSpec {
         )
     }
 
+    /// [`recommended`](Self::recommended) with natural-run replacement
+    /// selection, `nat6,opt,split`: what
+    /// [`SortJob::builder`](crate::job::SortJob::builder) and the sort server
+    /// run unless told otherwise.
+    pub fn natural() -> Self {
+        AlgorithmSpec {
+            formation: RunFormation::natural(6),
+            ..AlgorithmSpec::recommended()
+        }
+    }
+
     /// All 18 algorithm combinations evaluated in the paper
     /// (3 in-memory methods × 2 merging strategies × 3 adaptation strategies),
     /// with `replN` instantiated at N = `block_pages`.
@@ -211,18 +243,19 @@ impl FromStr for AlgorithmSpec {
         if parts.len() != 3 {
             return Err(err("expected three comma-separated components"));
         }
+        let block_pages = |n: &str| match n.parse::<usize>() {
+            Ok(0) => Err(err("block size must be at least 1")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(err("replN / natN require a numeric block size")),
+        };
         let formation = if parts[0] == "quick" {
             RunFormation::Quicksort
         } else if parts[0] == "adapt" {
             RunFormation::adaptive()
         } else if let Some(n) = parts[0].strip_prefix("repl") {
-            let n: usize = n
-                .parse()
-                .map_err(|_| err("replN requires a numeric block size"))?;
-            if n == 0 {
-                return Err(err("replN block size must be at least 1"));
-            }
-            RunFormation::repl(n)
+            RunFormation::repl(block_pages(n)?)
+        } else if let Some(n) = parts[0].strip_prefix("nat") {
+            RunFormation::natural(block_pages(n)?)
         } else {
             return Err(err("unknown in-memory sorting method"));
         };
@@ -308,28 +341,11 @@ pub struct SortConfig {
     /// and the environment can fork workers (the deterministic simulator
     /// cannot, so simulated sorts always stay single-threaded).
     pub cpu_threads: usize,
-    /// Gallop batch moves in the merge kernel (default on). The merge always
-    /// selects through a loser tree over cached ranks; with this knob on,
-    /// runs of winning tuples move page-slice-at-a-time instead of one
-    /// selection round trip per tuple. Output, statistics and simulated CPU
-    /// charges are identical either way — turning it off exists for A/B
-    /// measurement (`exp_merge_kernel`) and regression hunting.
-    pub merge_batch: bool,
     /// The physical layout run pages are built in (default: owned tuples).
     /// [`PageLayout::Dense`] routes run formation and the merge through the
     /// arena/zero-copy fast path of [`crate::layout`]; the sorted output is
     /// tuple-for-tuple identical in either layout.
     pub layout: PageLayout,
-    /// Presortedness-aware run formation (default off here; the
-    /// [`SortJob`](crate::job::SortJob) builder turns it on). When enabled,
-    /// replacement-selection formations detect natural runs in the input
-    /// (streaks that already ascend or descend in rank order) and alternate
-    /// ascending/descending output runs, so pre-existing order in *either*
-    /// direction extends runs instead of cutting them. The sorted output is
-    /// tuple-for-tuple identical with the knob on or off; only run boundaries
-    /// (and therefore merge fan-in and I/O volume) change. Quicksort run
-    /// formation ignores the knob.
-    pub adaptive_runs: bool,
 }
 
 impl Default for SortConfig {
@@ -344,12 +360,7 @@ impl Default for SortConfig {
             order: SortOrder::ascending(),
             io: crate::io::IoConfig::default(),
             cpu_threads: 1,
-            merge_batch: true,
             layout: PageLayout::Owned,
-            // Off by default so the paper's classic algorithms (and every
-            // simulated figure) reproduce bit-identically; `SortJob::builder`
-            // enables it for the real environment.
-            adaptive_runs: false,
         }
     }
 }
@@ -365,8 +376,11 @@ impl SortConfig {
     }
 
     /// Builder-style override of the memory allocation.
+    ///
+    /// A zero value is stored as-is and rejected by [`validate`](Self::validate)
+    /// (i.e. at `SortJobBuilder::build` time) rather than panicking here.
     pub fn with_memory_pages(mut self, pages: usize) -> Self {
-        self.memory_pages = pages.max(1);
+        self.memory_pages = pages;
         self
     }
 
@@ -412,12 +426,6 @@ impl SortConfig {
         self
     }
 
-    /// Builder-style override of the merge kernel's gallop batch moves.
-    pub fn with_merge_batch(mut self, batch: bool) -> Self {
-        self.merge_batch = batch;
-        self
-    }
-
     /// Builder-style override of the run-page layout.
     ///
     /// An undersized dense stride is stored as-is and rejected by
@@ -425,12 +433,6 @@ impl SortConfig {
     /// rather than panicking here.
     pub fn with_layout(mut self, layout: PageLayout) -> Self {
         self.layout = layout;
-        self
-    }
-
-    /// Builder-style override of presortedness-aware run formation.
-    pub fn with_adaptive_runs(mut self, adaptive: bool) -> Self {
-        self.adaptive_runs = adaptive;
         self
     }
 
@@ -445,9 +447,8 @@ impl SortConfig {
 
     /// Check that this configuration describes a runnable sort.
     ///
-    /// The `with_*` builder methods refuse most bad values eagerly, but the
-    /// fields are public (and a zero can arrive through a struct literal or
-    /// deserialization), so jobs validate at
+    /// The `with_*` builder methods store what they are given and the fields
+    /// are public, so jobs validate at
     /// [`build`](crate::job::SortJobBuilder::build) time via this method.
     pub fn validate(&self) -> SortResult<()> {
         if self.page_size == 0 {
@@ -472,7 +473,9 @@ impl SortConfig {
                 "cpu_threads must be at least 1 (1 = single-threaded run formation)",
             ));
         }
-        if let RunFormation::ReplacementSelect { block_pages } = self.algorithm.formation {
+        if let RunFormation::ReplacementSelect { block_pages }
+        | RunFormation::NaturalSelect { block_pages } = self.algorithm.formation
+        {
             if block_pages == 0 {
                 return Err(SortError::invalid_config(
                     "replacement-selection block size must be at least one page",
@@ -589,6 +592,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_memory_pages_is_rejected_at_validate_not_construction() {
+        let cfg = SortConfig::default().with_memory_pages(0);
+        assert_eq!(cfg.memory_pages, 0, "stored as given, not clamped");
+        let err = cfg.validate();
+        assert!(matches!(err, Err(SortError::InvalidConfig(_))), "{err:?}");
+    }
+
+    #[test]
     fn zero_cpu_threads_is_rejected_at_validate_not_construction() {
         let cfg = SortConfig::default().with_cpu_threads(0);
         let err = cfg.validate();
@@ -611,6 +622,29 @@ mod tests {
         assert!(matches!(huge.validate(), Err(SortError::InvalidConfig(_))));
         assert_eq!(PageLayout::default(), PageLayout::Owned);
         assert_eq!(PageLayout::Dense { stride: 40 }.to_string(), "dense40");
+    }
+
+    #[test]
+    fn natural_notation_round_trips_and_validates_its_block_size() {
+        let spec = AlgorithmSpec::natural();
+        assert_eq!(spec.to_string(), "nat6,opt,split");
+        assert_eq!("nat6,opt,split".parse::<AlgorithmSpec>().unwrap(), spec);
+        assert_eq!(
+            " nat1 , naive , page ".parse::<AlgorithmSpec>().unwrap(),
+            AlgorithmSpec::new(
+                RunFormation::natural(1),
+                MergePolicy::Naive,
+                MergeAdaptation::Paging
+            )
+        );
+        assert!("nat0,opt,split".parse::<AlgorithmSpec>().is_err());
+        assert!("nat,opt,split".parse::<AlgorithmSpec>().is_err());
+        let zero = AlgorithmSpec {
+            formation: RunFormation::natural(0),
+            ..AlgorithmSpec::natural()
+        };
+        let err = SortConfig::default().with_algorithm(zero).validate();
+        assert!(matches!(err, Err(SortError::InvalidConfig(_))), "{err:?}");
     }
 
     #[test]

@@ -325,8 +325,8 @@ impl<I: Iterator<Item = Tuple> + Send + 'static> PartitionableSource for IterSou
 
 /// Key-order profile of a [`GenSource`] relation: how much pre-existing
 /// order the generated key stream carries. The default is fully random; the
-/// other profiles exercise presortedness-adaptive run formation
-/// ([`crate::SortConfig::adaptive_runs`]) from its best case (long ascending
+/// other profiles exercise natural-run formation
+/// ([`crate::RunFormation::NaturalSelect`]) from its best case (long ascending
 /// stretches) to its adversarial case (sawtooth ramps shorter than memory).
 ///
 /// Every profile consumes exactly **one** random draw per tuple, so a

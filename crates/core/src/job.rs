@@ -106,16 +106,19 @@ pub struct SortJob<I, S, E> {
 }
 
 impl SortJob<VecSource, MemStore, RealEnv> {
-    /// Start building a job with the default configuration, an empty input,
-    /// an in-memory store, the wall-clock environment, and a fixed budget of
-    /// `config.memory_pages` pages.
+    /// Start building a job with the default configuration running
+    /// [`AlgorithmSpec::natural`](crate::config::AlgorithmSpec::natural)
+    /// (`nat6,opt,split`: the paper's recommended combination with run
+    /// formation that follows order already present in the input), an empty
+    /// input, an in-memory store, the wall-clock environment, and a fixed
+    /// budget of `config.memory_pages` pages.
+    ///
+    /// [`config`](SortJobBuilder::config) replaces the configuration whole,
+    /// algorithm included: a job given `SortConfig::default()` runs the
+    /// paper's `repl6,opt,split`, as that configuration says.
     pub fn builder() -> SortJobBuilder<TupleInput, MemStore, RealEnv> {
         SortJobBuilder {
-            // Presortedness-adaptive run formation is on for the real
-            // environment; `config()` replaces the whole configuration, so
-            // callers supplying one opt in via `SortConfig::adaptive_runs`
-            // (or the `adaptive_runs` builder method) instead.
-            cfg: SortConfig::default().with_adaptive_runs(true),
+            cfg: SortConfig::default().with_algorithm(crate::config::AlgorithmSpec::natural()),
             input: TupleInput(Vec::new()),
             store: MemStore::new(),
             env: RealEnv::new(),
@@ -371,29 +374,6 @@ where
         self
     }
 
-    /// Toggle the merge kernel's gallop batch moves (default on). The sorted
-    /// output, the statistics and the simulated CPU charges are identical
-    /// with the knob on or off; `false` keeps the per-tuple reference path
-    /// for A/B measurement.
-    pub fn merge_batch(mut self, batch: bool) -> Self {
-        self.cfg.merge_batch = batch;
-        self
-    }
-
-    /// Toggle presortedness-adaptive run formation (default on).
-    ///
-    /// When on, replacement-selection formations detect natural runs in the
-    /// input and alternate ascending/descending output runs, so pre-existing
-    /// order in either direction makes runs longer and the sort faster. The
-    /// sorted output is identical with the knob on or off. Note that
-    /// [`config`](Self::config) replaces the whole configuration including
-    /// this flag ([`SortConfig::default`] carries `adaptive_runs: false`), so
-    /// call this after `config()` to re-enable it.
-    pub fn adaptive_runs(mut self, adaptive: bool) -> Self {
-        self.cfg.adaptive_runs = adaptive;
-        self
-    }
-
     /// Sort with `n` compute workers in the split phase (default 1 =
     /// single-threaded, today's exact behaviour).
     ///
@@ -532,6 +512,19 @@ mod tests {
             .with_page_size(512)
             .with_tuple_size(64)
             .with_memory_pages(mem)
+    }
+
+    #[test]
+    fn builder_runs_natural_formation_unless_given_a_config() {
+        let job = SortJob::builder().build().unwrap();
+        assert_eq!(job.config().algorithm, AlgorithmSpec::natural());
+        assert_eq!(job.config().algorithm.to_string(), "nat6,opt,split");
+        // A supplied configuration is taken whole, algorithm included.
+        let job = SortJob::builder()
+            .config(SortConfig::default())
+            .build()
+            .unwrap();
+        assert_eq!(job.config().algorithm, AlgorithmSpec::recommended());
     }
 
     #[test]

@@ -93,8 +93,7 @@ impl SortMergeJoin {
         let right_split = form_runs(&self.cfg, budget, right, store, env)?;
 
         budget.set_phase(SortPhase::Merge);
-        let params =
-            ExecParams::from_algorithm(&self.cfg.algorithm).with_merge_batch(self.cfg.merge_batch);
+        let params = ExecParams::from_algorithm(&self.cfg.algorithm);
         let merge = execute_join_merge(
             &self.cfg,
             budget,

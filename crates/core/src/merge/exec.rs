@@ -28,12 +28,12 @@
 //!
 //! Selection runs on a cache-conscious batched kernel (see
 //! [`super::select`]): a loser tree over the cursors' cached head ranks picks
-//! the winner in O(log fan) with no stale-entry retries, and — with
-//! [`ExecParams::batch`] on — whole slices of the winning cursor's buffered
-//! page move into the out buffer in one drain whenever their ranks all beat
-//! the challenger's. Batches never cross a produce-unit boundary, so the
-//! budget poll / adaptation cadence (and every simulated CPU charge) is
-//! identical to the per-tuple path.
+//! the winner in O(log fan) with no stale-entry retries, and whole slices of
+//! the winning cursor's buffered page move into the out buffer in one drain
+//! whenever their ranks all beat the challenger's. Batches never cross a
+//! produce-unit boundary and are charged per tuple, so the budget poll /
+//! adaptation cadence and every simulated CPU charge are those of a merge
+//! that moves one tuple at a time (`tests/simulation_golden.rs` pins them).
 
 use crate::budget::MemoryBudget;
 use crate::config::{MergeAdaptation, MergePolicy, PageLayout, SortConfig};
@@ -63,14 +63,6 @@ pub struct ExecParams {
     /// the active step's working set and shrinks to zero under pressure, so
     /// pipelining never competes with the paper's adaptation logic for pages.
     pub io_depth: usize,
-    /// Gallop batch moves: when the winning cursor's buffered page holds a
-    /// run of tuples that all beat the challenger, move the whole slice into
-    /// the out buffer in one drain (binary-searching the cutoff in the cached
-    /// rank column) instead of one selection round trip per tuple. The output
-    /// and the simulated CPU charges are identical either way; `false` keeps
-    /// the per-tuple reference path for A/B benchmarking
-    /// ([`crate::SortConfig::merge_batch`]).
-    pub batch: bool,
 }
 
 impl ExecParams {
@@ -81,19 +73,12 @@ impl ExecParams {
             adaptation: spec.adaptation,
             min_pages: 3,
             io_depth: 0,
-            batch: true,
         }
     }
 
     /// Builder-style override of the read-ahead depth ceiling.
     pub fn with_io_depth(mut self, depth: usize) -> Self {
         self.io_depth = depth;
-        self
-    }
-
-    /// Builder-style override of gallop batch moves.
-    pub fn with_merge_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
         self
     }
 }
@@ -105,7 +90,6 @@ impl Default for ExecParams {
             adaptation: MergeAdaptation::DynamicSplitting,
             min_pages: 3,
             io_depth: 0,
-            batch: true,
         }
     }
 }
@@ -113,8 +97,7 @@ impl Default for ExecParams {
 /// Statistics describing one completed merge phase.
 ///
 /// Compares with `==` so tests can assert that two merges behaved
-/// identically (the batched kernel is charge- and stat-identical to the
-/// per-tuple path).
+/// identically.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MergeStats {
     /// Merge steps that produced at least one tuple.
@@ -228,7 +211,7 @@ pub(crate) struct MergeState {
     /// computed once per streak and stays valid until the streak ends or the
     /// step's membership changes. `None` while the winner keeps alternating,
     /// in which case batching is skipped and selection costs exactly one
-    /// path replay per tuple, like the per-tuple reference path.
+    /// path replay per tuple.
     streak: Option<(usize, Option<(usize, u128)>)>,
     /// True from [`Exec::begin`] until [`Exec::end_phase`]: the merge phase's
     /// closing statistics and trace event are still owed.
@@ -817,8 +800,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     }
 
     /// Selection-tree cost for `tuples` selections at the current fan-in, as
-    /// in paper Table 4. Charged identically by the per-tuple and the batched
-    /// kernel, so dbsim figures do not depend on `ExecParams::batch`.
+    /// in paper Table 4 — per tuple, however many of them one move carries.
     fn charge_selection(&mut self, tuples: u64) {
         let active = self.st.arena.active;
         let fan = self.st.arena.steps[active].inputs.len().max(1) as u64;
@@ -847,7 +829,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     }
 
     /// Move one tuple from the winning input `idx` into the out buffer (one
-    /// selection, one copy, one path replay — the per-tuple kernel step).
+    /// selection, one copy, one path replay).
     fn produce_one(&mut self, idx: usize) -> SortResult<()> {
         self.charge_selection(1);
         let t = self.pop_input(idx)?;
@@ -875,10 +857,10 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// number of tuples moved (at least one — the winner's own head beats
     /// the challenger by definition).
     ///
-    /// The CPU cost is charged per tuple exactly as the per-tuple path does
-    /// (selection + copy per tuple, MRU access once per same-run streak,
-    /// which is what the per-tuple path's repeated `note_access` calls
-    /// amount to), so simulated figures are bit-identical.
+    /// The CPU cost is charged per tuple, as [`produce_one`](Self::produce_one)
+    /// charges it (selection + copy per tuple, MRU access once per same-run
+    /// streak, which is what repeated `note_access` calls amount to), so
+    /// simulated figures do not depend on how long the batches were.
     fn produce_batch(
         &mut self,
         idx: usize,
@@ -947,12 +929,6 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             let Some((idx, _rank)) = self.st.tree.winner() else {
                 return self.complete_active();
             };
-            if !self.st.params.batch {
-                // Per-tuple reference path (`merge_batch` off).
-                self.produce_one(idx)?;
-                produced += 1;
-                continue;
-            }
             match self.st.streak {
                 // Established streak: gallop against the cached challenger.
                 Some((winner, challenger)) if winner == idx => {
@@ -962,7 +938,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 // the replay it does anyway tells us whether a streak starts.
                 // Only then pay one challenger walk for the whole streak.
                 // This keeps adversarial inputs (winner alternating every
-                // tuple) at exactly the per-tuple path's cost.
+                // tuple) at one replay per tuple.
                 _ => {
                     self.produce_one(idx)?;
                     produced += 1;
@@ -1340,7 +1316,6 @@ mod tests {
             adaptation,
             min_pages: 3,
             io_depth: 0,
-            batch: true,
         }
     }
 

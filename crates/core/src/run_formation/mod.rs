@@ -5,7 +5,8 @@
 //!
 //! * [`quicksort`] — fill memory, sort, write the whole run (`quick`);
 //! * [`replacement`] — replacement selection, writing either one page at a
-//!   time (`repl1`) or N-page blocks (`replN`).
+//!   time (`repl1`) or N-page blocks (`replN`), plus its natural-run variant
+//!   (`natN`) that follows order already present in the input.
 //!
 //! All methods poll the [`MemoryBudget`] before every page they absorb and
 //! react to shortages as described in the paper: Quicksort must sort and write
@@ -44,12 +45,12 @@ pub struct SplitStats {
     pub finished_at: f64,
     /// Number of times the method had to shed pages due to a memory shortage.
     pub shrink_events: usize,
-    /// Natural-run streaks detected in the input (adaptive run formation
-    /// only; always 0 with [`SortConfig::adaptive_runs`] off).
+    /// Natural-run streaks (at least a page long) detected in the input.
+    /// Only [`RunFormation::NaturalSelect`] looks for them; 0 under every
+    /// other formation.
     pub natural_runs: usize,
     /// Tuples absorbed through the O(1) natural-run path instead of the
-    /// selection heap (adaptive run formation only; always 0 with the knob
-    /// off).
+    /// selection heap ([`RunFormation::NaturalSelect`] only).
     pub natural_tuples: usize,
 }
 
@@ -115,18 +116,12 @@ where
 {
     match cfg.algorithm.formation {
         RunFormation::Quicksort => quicksort::form_runs(cfg, budget, input, store, env),
-        RunFormation::ReplacementSelect { block_pages } if cfg.adaptive_runs => {
-            replacement::form_runs_ordered(cfg, budget, input, store, env, block_pages)
-        }
         RunFormation::ReplacementSelect { block_pages } => {
             replacement::form_runs(cfg, budget, input, store, env, block_pages)
         }
-        RunFormation::AdaptiveReplacement {
-            min_block,
-            max_block,
-        } if cfg.adaptive_runs => replacement::form_runs_ordered_adaptive(
-            cfg, budget, input, store, env, min_block, max_block,
-        ),
+        RunFormation::NaturalSelect { block_pages } => {
+            replacement::form_runs_ordered(cfg, budget, input, store, env, block_pages)
+        }
         RunFormation::AdaptiveReplacement {
             min_block,
             max_block,

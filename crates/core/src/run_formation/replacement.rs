@@ -401,12 +401,12 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Presortedness-adaptive (up/down) replacement selection
+// Natural-run (up/down) replacement selection — `RunFormation::NaturalSelect`
 // ---------------------------------------------------------------------------
 //
-// The `adaptive_runs` mode below keeps the classic algorithm's memory
-// discipline (same arena, same block policy, same shedding) but changes *what
-// a run is* in two ways:
+// The formation below keeps the classic algorithm's memory discipline (same
+// arena, same fixed block size, same shedding) but changes *what a run is* in
+// two ways:
 //
 // 1. **Trend-driven run directions**: each run is formed either ascending
 //    (`Up`) or descending (`Down`), and the direction *follows the input*.
@@ -771,9 +771,9 @@ impl<'a, S: RunStore> OrderedState<'a, S> {
     }
 }
 
-/// Execute the split phase with presortedness-adaptive (up/down) replacement
-/// selection and `block_pages`-page block writes. Selected by the
-/// [`adaptive_runs`](SortConfig::adaptive_runs) knob.
+/// Execute the split phase with natural-run (up/down) replacement selection
+/// and `block_pages`-page block writes
+/// ([`RunFormation::NaturalSelect`](crate::config::RunFormation::NaturalSelect)).
 pub fn form_runs_ordered<S, I, E>(
     cfg: &SortConfig,
     budget: &MemoryBudget,
@@ -781,58 +781,6 @@ pub fn form_runs_ordered<S, I, E>(
     store: &mut S,
     env: &mut E,
     block_pages: usize,
-) -> SortResult<SplitStats>
-where
-    S: RunStore,
-    I: InputSource,
-    E: SortEnv,
-{
-    form_runs_ordered_impl(
-        cfg,
-        budget,
-        input,
-        store,
-        env,
-        BlockPolicy::Fixed(block_pages),
-    )
-}
-
-/// [`form_runs_ordered`] with the allocation-tracking block policy of
-/// [`form_runs_adaptive`].
-pub fn form_runs_ordered_adaptive<S, I, E>(
-    cfg: &SortConfig,
-    budget: &MemoryBudget,
-    input: &mut I,
-    store: &mut S,
-    env: &mut E,
-    min_block: usize,
-    max_block: usize,
-) -> SortResult<SplitStats>
-where
-    S: RunStore,
-    I: InputSource,
-    E: SortEnv,
-{
-    form_runs_ordered_impl(
-        cfg,
-        budget,
-        input,
-        store,
-        env,
-        BlockPolicy::Adaptive {
-            min: min_block,
-            max: max_block.max(min_block),
-        },
-    )
-}
-
-fn form_runs_ordered_impl<S, I, E>(
-    cfg: &SortConfig,
-    budget: &MemoryBudget,
-    input: &mut I,
-    store: &mut S,
-    env: &mut E,
-    policy: BlockPolicy,
 ) -> SortResult<SplitStats>
 where
     S: RunStore,
@@ -847,7 +795,7 @@ where
     let mut st = OrderedState {
         store,
         tpp,
-        block_tuples: policy.block_pages(budget.target().max(1)) * tpp,
+        block_tuples: block_pages.max(1) * tpp,
         order: cfg.order.clone(),
         layout: cfg.layout,
         heap: BinaryHeap::new(),
@@ -876,9 +824,7 @@ where
             budget.record_held(0, env.now());
             return Err(crate::error::SortError::Cancelled);
         }
-        let target = budget.target().max(1);
-        st.block_tuples = policy.block_pages(target) * tpp;
-        let cap_tuples = target * tpp;
+        let cap_tuples = budget.target().max(1) * tpp;
         let in_mem = st.in_memory_tuples();
 
         // Memory shortage: shed exactly the excess, as the classic path does.
@@ -1105,12 +1051,10 @@ mod tests {
         }
     }
 
-    // -- presortedness-adaptive (up/down) mode ---------------------------
+    // -- natural-run (up/down) formation ---------------------------------
 
     fn split_ordered(tuples: Vec<Tuple>, mem: usize, block: usize) -> (SplitStats, MemStore) {
-        let cfg = SortConfig::default()
-            .with_memory_pages(mem)
-            .with_adaptive_runs(true);
+        let cfg = SortConfig::default().with_memory_pages(mem);
         let budget = MemoryBudget::new(mem);
         let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
         let mut store = MemStore::new();
@@ -1234,8 +1178,7 @@ mod tests {
         let n = 32 * 20;
         let cfg = SortConfig::default()
             .with_memory_pages(4)
-            .with_order(SortOrder::descending())
-            .with_adaptive_runs(true);
+            .with_order(SortOrder::descending());
         let budget = MemoryBudget::new(4);
         let mut input = VecSource::from_tuples(random_tuples(n, 9), cfg.tuples_per_page());
         let mut store = MemStore::new();
@@ -1255,9 +1198,7 @@ mod tests {
 
     #[test]
     fn ordered_mode_survives_shrink() {
-        let cfg = SortConfig::default()
-            .with_memory_pages(8)
-            .with_adaptive_runs(true);
+        let cfg = SortConfig::default().with_memory_pages(8);
         let tpp = cfg.tuples_per_page();
         let budget = MemoryBudget::new(8);
         let mut input = VecSource::from_tuples(random_tuples(32 * 30, 3), tpp);

@@ -287,9 +287,7 @@ impl ExternalSorter {
     }
 
     fn merge_params(&self) -> ExecParams {
-        ExecParams::from_algorithm(&self.cfg.algorithm)
-            .with_io_depth(self.cfg.io.pipeline_depth)
-            .with_merge_batch(self.cfg.merge_batch)
+        ExecParams::from_algorithm(&self.cfg.algorithm).with_io_depth(self.cfg.io.pipeline_depth)
     }
 }
 

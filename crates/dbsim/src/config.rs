@@ -117,15 +117,9 @@ impl SimConfig {
             io: masort_core::IoConfig::default(),
             // The simulator is deterministic and single-threaded by design.
             cpu_threads: 1,
-            // The batched kernel charges the identical simulated CPU cost per
-            // tuple, so figures do not depend on this; keep the default.
-            merge_batch: true,
             // Simulated pages carry synthetic payloads; the owned layout is
             // the representation the paper's cost model is calibrated on.
             layout: masort_core::PageLayout::Owned,
-            // The figures reproduce the paper's classic run formation; the
-            // presortedness-adaptive mode stays off in the simulator.
-            adaptive_runs: false,
         }
     }
 }

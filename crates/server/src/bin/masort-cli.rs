@@ -4,7 +4,7 @@
 //! masort-cli [sort] [--addr HOST:PORT] [--tenant NAME] [--priority N]
 //!            [--budget PAGES] [--min-pages N] [--max-pages N]
 //!            [--page-size BYTES] [--tuple-size BYTES] [--cpu-threads N]
-//!            [--spill] [--descending] [--adaptive|--no-adaptive]
+//!            [--spill] [--descending]
 //!            < input > output
 //! masort-cli shutdown [--addr HOST:PORT]
 //! masort-cli stats    [--addr HOST:PORT]
@@ -38,7 +38,7 @@ fn usage() -> &'static str {
     "usage: masort-cli [sort] [--addr HOST:PORT] [--tenant NAME] [--priority N]\n\
      \u{20}                 [--budget PAGES] [--min-pages N] [--max-pages N]\n\
      \u{20}                 [--page-size BYTES] [--tuple-size BYTES] [--cpu-threads N]\n\
-     \u{20}                 [--spill] [--descending] [--adaptive|--no-adaptive]\n\
+     \u{20}                 [--spill] [--descending]\n\
      \u{20}                 < input > output\n\
      \u{20}      masort-cli shutdown [--addr HOST:PORT]\n\
      \u{20}      masort-cli stats    [--addr HOST:PORT]\n\
@@ -116,8 +116,6 @@ fn run() -> Result<(), String> {
             }
             "--spill" => spec.spill = true,
             "--descending" => spec.descending = true,
-            "--adaptive" => spec.adaptive = Some(true),
-            "--no-adaptive" => spec.adaptive = Some(false),
             "--prometheus" => prometheus = true,
             "--json" => raw_json = true,
             "--help" | "-h" => {

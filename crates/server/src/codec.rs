@@ -15,7 +15,6 @@
 //! [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`] — never
 //! a panic or an oversized allocation.
 
-use masort_core::sync::atomic::{AtomicBool, Ordering};
 use std::io::{self, Read, Write};
 
 use masort_core::{Payload, Tuple};
@@ -106,13 +105,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u64(&mut buf, spec.expected_tuples);
             buf.push(spec.spill as u8);
             buf.push(spec.descending as u8);
-            // Tri-state, matching the "zero = server default" idiom of the
-            // numeric fields: 0 = default, 1 = force on, 2 = force off.
-            buf.push(match spec.adaptive {
-                None => 0u8,
-                Some(true) => 1,
-                Some(false) => 2,
-            });
         }
         Frame::Accepted { job } => put_u64(&mut buf, *job),
         Frame::Ingest(tuples) | Frame::Egress(tuples) => put_tuples(&mut buf, tuples),
@@ -328,17 +320,6 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
             expected_tuples: c.u64("SUBMIT expected_tuples")?,
             spill: c.bool("SUBMIT spill")?,
             descending: c.bool("SUBMIT descending")?,
-            adaptive: match c.u8("SUBMIT adaptive")? {
-                0 => None,
-                1 => Some(true),
-                2 => Some(false),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("malformed frame: SUBMIT adaptive {other}"),
-                    ))
-                }
-            },
         }),
         0x04 => Frame::Accepted {
             job: c.u64("ACCEPTED job")?,
@@ -417,29 +398,13 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
 /// Read one length-prefixed frame, blocking until it arrives.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
-/// frames); a close *inside* a frame is [`io::ErrorKind::UnexpectedEof`].
-/// A length prefix over [`MAX_FRAME_BYTES`] is rejected before any body
-/// allocation.
+/// frames, or this side shut the socket's read half down); a close *inside*
+/// a frame is [`io::ErrorKind::UnexpectedEof`]. A length prefix over
+/// [`MAX_FRAME_BYTES`] is rejected before any body allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
-    read_frame_abortable(r, &AtomicBool::new(false))
-}
-
-/// [`read_frame`], but bails out between frames when `abort` becomes true.
-///
-/// The reader is expected to carry a read timeout: each blocking read then
-/// wakes up with [`WouldBlock`](io::ErrorKind::WouldBlock) /
-/// [`TimedOut`](io::ErrorKind::TimedOut) every so often, and this function
-/// re-checks the flag. The check only fires while **zero** bytes of the next
-/// frame have arrived — once a frame is partially read we keep going, because
-/// abandoning mid-frame would desynchronise the stream. An abort surfaces as
-/// `Ok(None)`, same as a clean close.
-pub fn read_frame_abortable<R: Read>(r: &mut R, abort: &AtomicBool) -> io::Result<Option<Frame>> {
     let mut prefix = [0u8; 4];
     let mut got = 0usize;
     while got < prefix.len() {
-        if got == 0 && abort.load(Ordering::Acquire) {
-            return Ok(None);
-        }
         match r.read(&mut prefix[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => {
@@ -450,13 +415,6 @@ pub fn read_frame_abortable<R: Read>(r: &mut R, abort: &AtomicBool) -> io::Resul
             }
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Read timeout tick: loop back around, re-checking the abort
-                // flag only while nothing of this frame has arrived yet.
-                continue;
-            }
             Err(e) => return Err(e),
         }
     }
@@ -474,25 +432,7 @@ pub fn read_frame_abortable<R: Read>(r: &mut R, abort: &AtomicBool) -> io::Resul
         ));
     }
     let mut body = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut body[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame body",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    r.read_exact(&mut body)?;
     decode_frame(&body).map(Some)
 }
 
@@ -539,7 +479,6 @@ mod tests {
             expected_tuples: 100_000,
             spill: true,
             descending: true,
-            adaptive: Some(false),
         }));
         round_trip(Frame::Accepted { job: 42 });
         round_trip(Frame::Ingest(vec![

@@ -32,8 +32,9 @@
 use masort_core::Tuple;
 
 /// Version this crate speaks. A `HELLO` carrying any other version is
-/// answered with an [`ErrorCode::Protocol`] error.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// answered with an [`ErrorCode::Protocol`] error. Version 2 dropped the
+/// run-formation byte that ended version 1's `SUBMIT` payload.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on one frame's body (opcode + payload), enforced on both
 /// send and receive. 16 MiB comfortably fits the largest egress chunk while
@@ -150,11 +151,6 @@ pub struct SubmitSpec {
     pub spill: bool,
     /// Sort descending instead of ascending.
     pub descending: bool,
-    /// Presortedness-adaptive run formation
-    /// ([`SortConfig::adaptive_runs`](masort_core::SortConfig::adaptive_runs)):
-    /// `None` keeps the server's base configuration (on by default),
-    /// `Some(x)` forces it for this job.
-    pub adaptive: Option<bool>,
 }
 
 impl Default for SubmitSpec {
@@ -170,7 +166,6 @@ impl Default for SubmitSpec {
             expected_tuples: 0,
             spill: false,
             descending: false,
-            adaptive: None,
         }
     }
 }

@@ -5,17 +5,22 @@
 //! so hundreds of connections contend for the same page pool and the same
 //! workers — exactly the multi-query pressure the paper's broker arbitrates.
 //!
-//! Shutdown is cooperative: a flag flips (via [`ServerHandle::shutdown`] or
-//! a `SHUTDOWN` frame), the accept loop stops taking connections, parked
-//! sessions notice at their next read tick, in-flight sorts drain, and the
-//! underlying service is torn down only after every session thread has been
-//! joined.
+//! Nothing here polls. The accept loop blocks in `accept()` and every
+//! session blocks in `read()`; shutdown (via [`ServerHandle::shutdown`] or a
+//! `SHUTDOWN` frame) flips a flag and *wakes* them — the accept loop by a
+//! loop-back connection to its own listener, each session by shutting down
+//! the read half of its socket, which the blocked read sees as end of
+//! stream. Sessions waiting for input cancel their job, in-flight sorts
+//! drain their egress, and the underlying service is torn down only after
+//! every session thread has been joined.
 
 use masort_core::sync::atomic::{AtomicBool, Ordering};
 use masort_core::sync::thread::{self, JoinHandle};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,15 +28,26 @@ use std::time::Duration;
 use masort_broker::{
     job_span, EqualShare, MinGuarantee, PriorityWeighted, ServiceStats, SortService,
 };
-use masort_core::SortConfig;
+use masort_core::{AlgorithmSpec, SortConfig};
 use masort_trace::{metrics_to_json, trace_to_json, MetricsRegistry, Recorder, Trace};
 
 use crate::protocol::ServerSummary;
 use crate::session::run_session;
 use crate::tenant::{TenantQuota, TenantRegistry};
 
-/// How often the accept loop wakes to re-check the shutdown flag.
-const ACCEPT_TICK: Duration = Duration::from_millis(50);
+/// Raise the shutdown flag and wake the accept loop blocked on the listener
+/// at `addr` with a throw-away loop-back connection. A connect that fails
+/// leaves the loop asleep until the next client arrives; it then sees the
+/// flag.
+fn request_shutdown(flag: &AtomicBool, addr: SocketAddr) {
+    flag.store(true, Ordering::Release);
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect(SocketAddr::new(ip, addr.port()));
+}
 
 /// Which shipped arbitration policy the service should run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,8 +82,11 @@ pub(crate) struct ServerShared {
     pub(crate) service: SortService,
     /// Tenant quotas and live-job accounting.
     pub(crate) tenants: TenantRegistry,
-    /// Cooperative shutdown flag, also held by [`ServerHandle`].
+    /// Cooperative shutdown flag, also held by [`ServerHandle`]. Raise it
+    /// through [`request_shutdown`](Self::request_shutdown) only.
     pub(crate) shutdown: Arc<AtomicBool>,
+    /// The listener's bound address (what a shutdown connects to).
+    addr: SocketAddr,
     /// Defaults a `SUBMIT` frame's zero fields fall back to.
     pub(crate) base_cfg: SortConfig,
     /// Bound of each sort's ingest channel, in pages.
@@ -81,6 +100,11 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
+    /// Stop accepting, wake every waiting session, drain (a `SHUTDOWN` frame).
+    pub(crate) fn request_shutdown(&self) {
+        request_shutdown(&self.shutdown, self.addr);
+    }
+
     /// Snapshot of the service-wide counters in wire form.
     pub(crate) fn summary(&self) -> ServerSummary {
         let stats = self.service.stats();
@@ -143,14 +167,12 @@ impl Default for ServerBuilder {
             io_threads: 0,
             io_pipeline: 0,
             cpu_threads: 0,
-            // The real serving environment defaults adaptive run formation
-            // on; the simulator (which reproduces the paper's figures with
-            // classic replacement selection) keeps it off.
+            // Like `SortJob::builder()`: natural-run formation.
             base_cfg: SortConfig::default()
+                .with_algorithm(AlgorithmSpec::natural())
                 .with_page_size(4096)
                 .with_tuple_size(64)
-                .with_memory_pages(16)
-                .with_adaptive_runs(true),
+                .with_memory_pages(16),
             ingest_depth: 8,
             egress_chunk: 4096,
             tenants: HashMap::new(),
@@ -226,7 +248,6 @@ impl ServerBuilder {
     /// [`Server::local_addr`]).
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let trace = Trace::enabled(Recorder::new(), MetricsRegistry::new());
         let mut svc = SortService::builder()
@@ -246,13 +267,13 @@ impl ServerBuilder {
                 service: svc.build(),
                 tenants: TenantRegistry::new(self.tenants),
                 shutdown: Arc::new(AtomicBool::new(false)),
+                addr,
                 base_cfg: self.base_cfg,
                 ingest_depth: self.ingest_depth,
                 egress_chunk: self.egress_chunk,
                 trace,
             }),
             listener,
-            addr,
         })
     }
 }
@@ -262,7 +283,6 @@ impl ServerBuilder {
 pub struct Server {
     shared: Arc<ServerShared>,
     listener: TcpListener,
-    addr: SocketAddr,
 }
 
 impl Server {
@@ -273,7 +293,7 @@ impl Server {
 
     /// The address the listener actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Serve connections on the calling thread until shutdown is requested
@@ -281,38 +301,49 @@ impl Server {
     /// in-flight sorts, joins every session, tears down the service and
     /// returns its final statistics.
     pub fn run(self) -> ServiceStats {
-        let Server {
-            shared,
-            listener,
-            addr: _,
-        } = self;
-        let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-        while !shared.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
+        let Server { shared, listener } = self;
+        // Each session with a clone of its socket, which is what wakes it at
+        // shutdown.
+        let mut sessions: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+        loop {
+            let accepted = listener.accept();
+            if shared.shutdown.load(Ordering::Acquire) {
+                // `accepted` is the connection that woke us, or a client that
+                // raced it; either way it is dropped unanswered.
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
+                    let Ok(waker) = stream.try_clone() else {
+                        continue;
+                    };
                     let shared = Arc::clone(&shared);
-                    sessions.push(thread::spawn(move || run_session(&shared, stream)));
+                    let session = thread::spawn(move || run_session(&shared, stream));
+                    sessions.push((session, waker));
                     // Reap finished sessions so a long-lived server does not
-                    // accumulate dead join handles.
+                    // accumulate dead join handles (and their sockets).
                     if sessions.len().is_multiple_of(32) {
                         let (done, live): (Vec<_>, Vec<_>) =
-                            sessions.drain(..).partition(|h| h.is_finished());
-                        for h in done {
+                            sessions.drain(..).partition(|(h, _)| h.is_finished());
+                        for (h, _) in done {
                             let _ = h.join();
                         }
                         sessions = live;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_TICK);
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => thread::sleep(ACCEPT_TICK),
+                // Back-off after a failed `accept` (out of descriptors, a
+                // connection reset while queued): such a failure usually
+                // repeats at once, and retrying without a pause would spin.
+                Err(_) => thread::sleep(Duration::from_millis(10)),
             }
         }
         drop(listener);
-        for h in sessions {
-            let _ = h.join();
+        for (_, socket) in &sessions {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (session, _) in sessions {
+            let _ = session.join();
         }
         // Every session thread has been joined, so this Arc is the last one.
         let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| {
@@ -324,7 +355,7 @@ impl Server {
     /// Run the accept loop on a background thread and return a handle that
     /// can stop it and collect the final statistics.
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.addr;
+        let addr = self.shared.addr;
         let stop = Arc::clone(&self.shared.shutdown);
         let thread = thread::spawn(move || self.run());
         ServerHandle { addr, stop, thread }
@@ -346,7 +377,7 @@ impl ServerHandle {
 
     /// Ask the server to stop accepting and drain.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        request_shutdown(&self.stop, self.addr);
     }
 
     /// Shut down (idempotent) and wait for the server to finish, returning
@@ -356,5 +387,17 @@ impl ServerHandle {
         self.thread
             .join()
             .expect("server accept thread should not panic")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn base_config_runs_natural_formation() {
+        let base = ServerBuilder::default().base_cfg;
+        assert_eq!(base.algorithm, AlgorithmSpec::natural());
+        assert!(base.validate().is_ok());
     }
 }

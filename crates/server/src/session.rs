@@ -11,22 +11,18 @@
 
 use masort_core::sync::atomic::Ordering;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 use masort_broker::SortRequest;
 use masort_core::{ChannelSource, Page, SortError, SortOrder, Tuple};
 use masort_trace::EventKind;
 
-use crate::codec::{read_frame, read_frame_abortable, write_frame};
+use crate::codec::{read_frame, write_frame};
 use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::server::ServerShared;
-
-/// How often a blocked socket read wakes up to re-check the shutdown flag.
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Map a sort error onto its wire representation.
 pub(crate) fn wire_error(e: &SortError) -> WireError {
@@ -49,20 +45,17 @@ pub(crate) fn wire_error(e: &SortError) -> WireError {
 /// — the peer is gone and there is nobody left to tell — but job cleanup
 /// always runs.
 pub(crate) fn run_session(shared: &Arc<ServerShared>, stream: TcpStream) {
-    // The read timeout turns blocking reads into a poll loop so a parked
-    // session notices server shutdown; the codec retries the timeouts
-    // internally and only surfaces them at frame boundaries.
-    let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = BufWriter::new(&stream);
     shared.trace.emit(EventKind::SessionOpen);
     let _ = serve(shared, &mut reader, &mut writer);
     shared.trace.emit(EventKind::SessionClose);
     let _ = writer.flush();
+    // The accept loop keeps a clone of this socket (it is how a waiting
+    // session is woken at shutdown), so dropping ours would leave the
+    // connection open; end it explicitly.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Send a frame and flush it out immediately.
@@ -79,18 +72,32 @@ fn protocol_error<W: Write>(w: &mut W, detail: String) -> io::Result<()> {
     send_error(w, WireError::new(ErrorCode::Protocol, detail))
 }
 
+/// The next frame while the server is up, end of stream once it is shutting
+/// down. A session blocked in here at shutdown is woken by the accept loop
+/// shutting down its socket's read half, which also reads as end of stream;
+/// the flag covers a session that still has frames queued in the socket.
+fn next_frame(
+    shared: &ServerShared,
+    reader: &mut BufReader<&TcpStream>,
+) -> io::Result<Option<Frame>> {
+    if shared.shutdown.load(Ordering::Acquire) {
+        return Ok(None);
+    }
+    read_frame(reader)
+}
+
 fn serve<W: Write>(
     shared: &Arc<ServerShared>,
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     writer: &mut W,
 ) -> io::Result<()> {
     // The opening frame routes the whole connection: HELLO starts a sort,
     // SHUTDOWN / STATS_REQ / TRACE_REQ / METRICS_REQ are admin commands.
-    let tenant = match read_frame_abortable(reader, &shared.shutdown)? {
+    let tenant = match next_frame(shared, reader)? {
         None => return Ok(()),
         Some(Frame::Shutdown) => {
             send(writer, &Frame::ServerStats(shared.summary()))?;
-            shared.shutdown.store(true, Ordering::Release);
+            shared.request_shutdown();
             return Ok(());
         }
         Some(frame @ (Frame::StatsReq | Frame::TraceReq { .. } | Frame::MetricsReq)) => {
@@ -114,7 +121,7 @@ fn serve<W: Write>(
                     )?,
                     Frame::Shutdown => {
                         send(writer, &Frame::ServerStats(shared.summary()))?;
-                        shared.shutdown.store(true, Ordering::Release);
+                        shared.request_shutdown();
                         return Ok(());
                     }
                     other => {
@@ -124,7 +131,7 @@ fn serve<W: Write>(
                         )
                     }
                 }
-                match read_frame_abortable(reader, &shared.shutdown)? {
+                match next_frame(shared, reader)? {
                     Some(next) => frame = next,
                     None => return Ok(()),
                 }
@@ -177,7 +184,7 @@ fn serve<W: Write>(
 /// Admit the submission, pump ingest, drain egress. One sort, end to end.
 fn run_sort<W: Write>(
     shared: &Arc<ServerShared>,
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     writer: &mut W,
     tenant: Option<String>,
     spec: SubmitSpec,
@@ -217,9 +224,6 @@ fn run_sort<W: Write>(
     }
     if spec.descending {
         cfg = cfg.with_order(SortOrder::descending());
-    }
-    if let Some(adaptive) = spec.adaptive {
-        cfg = cfg.with_adaptive_runs(adaptive);
     }
     let page_cap = quota.map(|q| q.max_pages).unwrap_or(0);
     if page_cap != 0 {
@@ -300,7 +304,7 @@ fn run_sort<W: Write>(
     let mut sink = Some(sink);
     let mut pending: Vec<Tuple> = Vec::new();
     let finished = loop {
-        match read_frame_abortable(reader, &shared.shutdown) {
+        match next_frame(shared, reader) {
             Ok(Some(Frame::Ingest(tuples))) => {
                 pending.extend(tuples);
                 let tx = sink.as_ref().expect("sink alive during ingest");

@@ -353,16 +353,22 @@ fn shutdown_drains_inflight_sorts_before_exiting() {
     let summary = shutdown_server(addr).expect("shutdown handshake");
     assert!(summary.submitted >= 1);
 
-    // The in-flight egress must still complete, sorted and whole.
+    // The in-flight egress must still complete, sorted and whole, down to
+    // its terminal STATS frame: shutdown wakes sessions that wait for input,
+    // it does not cut off one that is writing.
     let mut previous = first.key;
     let mut count = 1usize;
-    for tuple in completed {
+    for tuple in &mut completed {
         let tuple = tuple.expect("egress continues through shutdown");
         assert!(tuple.key >= previous);
         previous = tuple.key;
         count += 1;
     }
     assert_eq!(count, 8_000);
+    let summary = completed
+        .summary()
+        .expect("STATS frame after the last chunk");
+    assert_eq!(summary.tuples, 8_000);
 
     let stats = handle.join();
     assert_eq!(stats.completed, 1);

@@ -62,11 +62,6 @@ fn random_frame(rng: &mut StdRng) -> Frame {
             expected_tuples: rng.next_u64(),
             spill: rng.gen_bool(0.5),
             descending: rng.gen_bool(0.5),
-            adaptive: match rng.next_u64() % 3 {
-                0 => None,
-                1 => Some(true),
-                _ => Some(false),
-            },
         }),
         3 => Frame::Accepted {
             job: rng.next_u64(),

@@ -1,8 +1,9 @@
-//! Presortedness-adaptive run formation, end to end: with `adaptive_runs` on,
-//! every algorithm combination produces the *bit-identical* sorted output of
-//! its classic counterpart — across ascending, descending and custom-key
-//! orders, both page layouts, and single- and multi-worker splits — while
-//! descending (reversed) runs round-trip through the file store.
+//! Natural-run formation (`natN`), end to end: every replacement-selection
+//! algorithm combination produces the *bit-identical* sorted output under
+//! `natN` as under its classic `replN` counterpart — across ascending,
+//! descending and custom-key orders, both page layouts, and single- and
+//! multi-worker splits — while descending (reversed) runs round-trip through
+//! the file store.
 
 use memory_adaptive_sort::core::GenOrder;
 use memory_adaptive_sort::prelude::*;
@@ -16,7 +17,7 @@ fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
-fn cfg(spec: AlgorithmSpec, layout: PageLayout, workers: usize, adaptive: bool) -> SortConfig {
+fn cfg(spec: AlgorithmSpec, layout: PageLayout, workers: usize) -> SortConfig {
     SortConfig::default()
         .with_page_size(512)
         .with_tuple_size(64)
@@ -24,7 +25,17 @@ fn cfg(spec: AlgorithmSpec, layout: PageLayout, workers: usize, adaptive: bool) 
         .with_algorithm(spec)
         .with_layout(layout)
         .with_cpu_threads(workers)
-        .with_adaptive_runs(adaptive)
+}
+
+/// `replN,p,a` → `natN,p,a`; formations without a natural-run variant → `None`.
+fn natural_counterpart(spec: AlgorithmSpec) -> Option<AlgorithmSpec> {
+    match spec.formation {
+        RunFormation::ReplacementSelect { block_pages } => Some(AlgorithmSpec {
+            formation: RunFormation::natural(block_pages),
+            ..spec
+        }),
+        _ => None,
+    }
 }
 
 fn sort_with(base: SortConfig, order: &SortOrder, input: &[Tuple]) -> Vec<Tuple> {
@@ -39,12 +50,13 @@ fn sort_with(base: SortConfig, order: &SortOrder, input: &[Tuple]) -> Vec<Tuple>
         .unwrap()
 }
 
-/// The tentpole's contract: the adaptive knob changes run boundaries, run
-/// directions and fan-in — never the output. Exercised over all 18 algorithm
-/// combinations x 3 sort orders x both layouts x {1, 2, 4} workers.
+/// Natural-run formation changes run boundaries, run directions and fan-in —
+/// never the output. Exercised over the 12 replacement-selection combinations
+/// (`repl1`/`repl6` x 2 policies x 3 adaptations) x 3 sort orders x both
+/// layouts x {1, 2, 4} workers.
 #[test]
-fn adaptive_output_is_bit_identical_across_the_matrix() {
-    // A mix of presorted stretches and noise so adaptive formation actually
+fn natural_output_is_bit_identical_across_the_matrix() {
+    // A mix of presorted stretches and noise so natural formation actually
     // detects natural runs instead of degenerating to the classic path.
     let mut input = random_tuples(1_500, 42);
     input[300..700].sort_unstable_by_key(|t| t.key);
@@ -57,15 +69,20 @@ fn adaptive_output_is_bit_identical_across_the_matrix() {
         ("desc", SortOrder::descending()),
         ("custom", SortOrder::by_key(|t: &Tuple| t.key.swap_bytes())),
     ];
-    for spec in AlgorithmSpec::all(6) {
+    let pairs: Vec<(AlgorithmSpec, AlgorithmSpec)> = AlgorithmSpec::all(6)
+        .into_iter()
+        .filter_map(|classic| Some((classic, natural_counterpart(classic)?)))
+        .collect();
+    assert_eq!(pairs.len(), 12);
+    for (classic_spec, natural_spec) in pairs {
         for (name, order) in &orders {
             for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
                 for workers in [1usize, 2, 4] {
-                    let classic = sort_with(cfg(spec, layout, workers, false), order, &input);
-                    let adaptive = sort_with(cfg(spec, layout, workers, true), order, &input);
+                    let classic = sort_with(cfg(classic_spec, layout, workers), order, &input);
+                    let natural = sort_with(cfg(natural_spec, layout, workers), order, &input);
                     assert_eq!(
-                        classic, adaptive,
-                        "adaptive output diverged: {spec:?} {name} {layout:?} {workers}w"
+                        classic, natural,
+                        "{natural_spec} diverged from {classic_spec}: {name} {layout:?} {workers}w"
                     );
                 }
             }
@@ -80,7 +97,7 @@ fn adaptive_output_is_bit_identical_across_the_matrix() {
 #[test]
 fn reversed_input_round_trips_through_the_file_store() {
     for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
-        let base = cfg(AlgorithmSpec::recommended(), layout, 1, true);
+        let base = cfg(AlgorithmSpec::natural(), layout, 1);
         let tpp = base.tuples_per_page();
         let input = GenSource::new(120, tpp, 64, 9).with_order(GenOrder::Reversed);
         let completion = SortJob::builder()
@@ -106,19 +123,19 @@ fn reversed_input_round_trips_through_the_file_store() {
 }
 
 /// Natural-run statistics surface through the job outcome — and stay zero
-/// with the knob off, so classic runs are observably classic.
+/// under `repl6`, so classic runs are observably classic.
 #[test]
 fn natural_run_statistics_reach_the_outcome() {
     let mut input = random_tuples(3_000, 11);
     input.sort_unstable_by_key(|t| t.key);
-    for (adaptive, workers) in [(true, 1), (true, 2), (false, 1)] {
+    for (spec, workers) in [
+        (AlgorithmSpec::natural(), 1),
+        (AlgorithmSpec::natural(), 2),
+        (AlgorithmSpec::recommended(), 1),
+    ] {
+        let adaptive = spec == AlgorithmSpec::natural();
         let completion = SortJob::builder()
-            .config(cfg(
-                AlgorithmSpec::recommended(),
-                PageLayout::Owned,
-                workers,
-                adaptive,
-            ))
+            .config(cfg(spec, PageLayout::Owned, workers))
             .tuples(input.clone())
             .build()
             .unwrap()

@@ -67,10 +67,11 @@ impl masort_core::SortEnv for ScriptedBudgetEnv {
 }
 
 fn arbitrary_algorithm(rng: &mut StdRng) -> AlgorithmSpec {
-    let formation = match rng.gen_range(0usize..3) {
+    let formation = match rng.gen_range(0usize..4) {
         0 => RunFormation::Quicksort,
         1 => RunFormation::repl(1),
-        _ => RunFormation::repl(4),
+        2 => RunFormation::repl(4),
+        _ => RunFormation::natural(4),
     };
     let policy = if rng.gen_range(0usize..2) == 0 {
         MergePolicy::Naive
@@ -110,12 +111,29 @@ fn algorithm_spec_display_fromstr_round_trips_for_all_combinations() {
     // Satellite property: `AlgorithmSpec` survives a Display -> FromStr round
     // trip for every `X1,X2,X3` combination — all three in-memory methods
     // (with randomized `replN` block sizes), both merge policies, all three
-    // adaptation strategies — plus the adaptive-replacement extension.
+    // adaptation strategies — plus the natural-run (`natN`) and
+    // adaptive-replacement (`adapt`) extensions.
     let mut cases = 0usize;
+    let mut crosses = Vec::new();
+    for policy in [MergePolicy::Naive, MergePolicy::Optimized] {
+        for adaptation in [
+            MergeAdaptation::Suspension,
+            MergeAdaptation::Paging,
+            MergeAdaptation::DynamicSplitting,
+        ] {
+            crosses.push((policy, adaptation));
+        }
+    }
     for seed in 0..32u64 {
         let mut rng = StdRng::seed_from_u64(0xA160 + seed);
         let block = rng.gen_range(1usize..512);
-        for spec in AlgorithmSpec::all(block) {
+        let mut specs = AlgorithmSpec::all(block);
+        specs.extend(
+            crosses
+                .iter()
+                .map(|&(p, a)| AlgorithmSpec::new(RunFormation::natural(block), p, a)),
+        );
+        for spec in specs {
             let text = spec.to_string();
             let parsed: AlgorithmSpec = text
                 .parse()
@@ -126,19 +144,13 @@ fn algorithm_spec_display_fromstr_round_trips_for_all_combinations() {
         }
     }
     // `adapt` (default bounds) round-trips with every policy x adaptation.
-    for policy in [MergePolicy::Naive, MergePolicy::Optimized] {
-        for adaptation in [
-            MergeAdaptation::Suspension,
-            MergeAdaptation::Paging,
-            MergeAdaptation::DynamicSplitting,
-        ] {
-            let spec = AlgorithmSpec::new(RunFormation::adaptive(), policy, adaptation);
-            let parsed: AlgorithmSpec = spec.to_string().parse().unwrap();
-            assert_eq!(parsed, spec);
-            cases += 1;
-        }
+    for &(policy, adaptation) in &crosses {
+        let spec = AlgorithmSpec::new(RunFormation::adaptive(), policy, adaptation);
+        let parsed: AlgorithmSpec = spec.to_string().parse().unwrap();
+        assert_eq!(parsed, spec);
+        cases += 1;
     }
-    assert_eq!(cases, 32 * 18 + 6);
+    assert_eq!(cases, 32 * (18 + 6) + 6);
 
     // Fuzz the parser with mangled variants: it must reject or round-trip,
     // never panic or accept something that re-displays differently.
@@ -148,6 +160,10 @@ fn algorithm_spec_display_fromstr_round_trips_for_all_combinations() {
         "repl",
         "repl1",
         "repl0",
+        "nat",
+        "nat6",
+        "nat0",
+        "natX",
         "adapt",
         "naive",
         "opt",

@@ -46,7 +46,7 @@ fn run(cfg: SortConfig, input: &[Tuple]) -> SortCompletion<MemStore> {
 
 #[test]
 fn streamed_output_equals_settled_output_across_the_matrix() {
-    // Ascending and descending stretches between noise, so adaptive run
+    // Ascending and descending stretches between noise, so natural-run
     // formation emits natural and reversed runs next to ordinary ones.
     let mut input = random_tuples(1_500, 42);
     input[300..700].sort_unstable_by_key(|t| t.key);
@@ -62,15 +62,16 @@ fn streamed_output_equals_settled_output_across_the_matrix() {
     let mut cases = 0;
     let mut reversed_at_the_root = 0;
     let mut roots_after_preliminary_steps = 0;
-    for spec in AlgorithmSpec::all(6) {
+    for mut spec in AlgorithmSpec::all(6) {
+        // `replN` → `natN`: reversed runs only come out of natural formation.
+        if let RunFormation::ReplacementSelect { block_pages } = spec.formation {
+            spec.formation = RunFormation::natural(block_pages);
+        }
         for (name, order) in &orders {
             for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
                 // 12 pages: the replacement-selection formations' runs all
                 // fit one step, quicksort's need preliminary steps first.
-                let cfg = cfg(spec, 12)
-                    .with_order(order.clone())
-                    .with_layout(layout)
-                    .with_adaptive_runs(true);
+                let cfg = cfg(spec, 12).with_order(order.clone()).with_layout(layout);
                 let case = format!("{spec} {name} {layout:?}");
 
                 let completion = run(cfg.clone(), &input);
