@@ -106,7 +106,13 @@ fn run_policy(
     let mut reallocations = 0u64;
     let mut delay_samples = 0u64;
     for ticket in tickets {
-        let report = ticket.wait().expect("sort failed");
+        // Read every result to its end, as a client would: the last merge
+        // step runs as fast as its reader takes the pages.
+        let mut output = ticket.wait().expect("sort failed");
+        for tuple in output.by_ref() {
+            tuple.expect("result ended early");
+        }
+        let report = output.finish();
         response_ms.record(report.stats.response_time() * 1e3);
         queued_ms.record(report.stats.queued_for * 1e3);
         reallocations += report.stats.reallocations;

@@ -75,18 +75,28 @@ impl AdmissionQueue {
         self.queue.is_empty()
     }
 
-    /// Remove and return the first queued request whose minimum the broker
-    /// can currently guarantee, never admitting past a request that has
-    /// already been bypassed [`MAX_BYPASS`] times (bounded bypass — see the
-    /// module docs for the starvation argument).
-    pub fn pop_admissible(&mut self, broker: &MemoryBroker) -> Option<QueuedRequest> {
+    /// Position of the first queued request whose minimum the broker can
+    /// currently guarantee, never looking past a request that has already
+    /// been bypassed [`MAX_BYPASS`] times (bounded bypass — see the module
+    /// docs for the starvation argument).
+    fn first_admissible(&self, broker: &MemoryBroker) -> Option<usize> {
         let barrier = self.queue.iter().position(|r| r.bypassed >= MAX_BYPASS);
         let candidates = barrier.map_or(self.queue.len(), |b| b + 1);
-        let idx = self
-            .queue
+        self.queue
             .iter()
             .take(candidates)
-            .position(|r| broker.can_admit(r.min_pages))?;
+            .position(|r| broker.can_admit(r.min_pages))
+    }
+
+    /// Whether [`pop_admissible`](Self::pop_admissible) would find a request.
+    pub fn has_admissible(&self, broker: &MemoryBroker) -> bool {
+        self.first_admissible(broker).is_some()
+    }
+
+    /// Remove and return the first admissible request, counting the bypass
+    /// against every request it overtakes.
+    pub fn pop_admissible(&mut self, broker: &MemoryBroker) -> Option<QueuedRequest> {
+        let idx = self.first_admissible(broker)?;
         for overtaken in self.queue.iter_mut().take(idx) {
             overtaken.bypassed += 1;
         }

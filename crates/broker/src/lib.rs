@@ -45,17 +45,33 @@
 //! service.resize_pool(48);         // ... and give it back
 //!
 //! for ticket in tickets {
-//!     let report = ticket.wait()?; // SortCompletion + per-job broker stats
-//!     assert!(report.stats.initial_grant >= 2);
+//!     // Resolves when the sort is down to its last merge step; the tuples
+//!     // then come off that step as the worker holding the grant runs it.
+//!     let mut output = ticket.wait()?;
 //!     let mut previous = 0u64;
-//!     for tuple in report.into_stream() {
+//!     for tuple in output.by_ref() {
 //!         let tuple = tuple?;
 //!         assert!(tuple.key >= previous);
 //!         previous = tuple.key;
 //!     }
+//!     let report = output.finish(); // final outcome + per-job broker stats
+//!     assert!(report.stats.initial_grant >= 2);
 //! }
 //! # Ok::<(), masort_core::SortError>(())
 //! ```
+//!
+//! ## Results are streamed, and nobody waits behind a slow reader
+//!
+//! A job's worker — the thread that holds its grant — executes the last
+//! merge step itself and hands the pages to the [`JobOutput`] across a small
+//! bounded queue, so a reader that keeps up gets the result without it ever
+//! being written, and the grant returns to the pool when the merge has
+//! produced its last page. A reader that falls behind is waited for while
+//! nothing else wants the worker or the grant (the worker keeps answering
+//! budget changes meanwhile); the moment a queued request does, or after the
+//! service's `suspension_wait`, the worker settles the remainder into one
+//! run, releases, and the reader gets the rest from that run on its own
+//! thread.
 //!
 //! ## Writing an arbitration policy
 //!
@@ -119,7 +135,7 @@ pub use service::{
     job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
 };
 pub use stats::{JobStats, ServiceStats, TenantStats};
-pub use ticket::{JobId, JobReport, SortTicket};
+pub use ticket::{JobId, JobOutput, JobReport, SortTicket};
 
 /// Convenient glob import of the service-facing types.
 pub mod prelude {
@@ -131,5 +147,5 @@ pub mod prelude {
         job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
     };
     pub use crate::stats::{JobStats, ServiceStats, TenantStats};
-    pub use crate::ticket::{JobId, JobReport, SortTicket};
+    pub use crate::ticket::{JobId, JobOutput, JobReport, SortTicket};
 }

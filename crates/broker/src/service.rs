@@ -5,12 +5,13 @@ use crate::admission::{AdmissionQueue, QueuedRequest};
 use crate::broker::MemoryBroker;
 use crate::policy::{ArbitrationPolicy, EqualShare, JobDemand};
 use crate::stats::{JobStats, ServiceStats};
-use crate::ticket::{JobId, JobReport, SortTicket, TicketShared};
+use crate::ticket::{HandOff, JobEnd, JobId, JobOutput, JobReport, Room, SortTicket, TicketShared};
 use masort_core::sync::thread::{self, JoinHandle};
 use masort_core::sync::{Condvar, Mutex, MutexGuard};
 use masort_core::{
     BlockReadJob, DelaySample, FileStore, InputSource, IoPool, MemStore, MemoryBudget, Page,
-    RealEnv, RunId, RunStore, SortConfig, SortError, SortJob, SortResult, Tuple, VecSource,
+    RealEnv, RunId, RunStore, SortCompletion, SortConfig, SortError, SortJob, SortOutcome,
+    SortResult, Tuple, VecSource,
 };
 use masort_trace::{EventKind, SpanId, Trace};
 use std::sync::Arc;
@@ -370,6 +371,7 @@ impl SortServiceBuilder {
                 stats: ServiceStats::default(),
                 next_job: 0,
                 cpu_free: self.cpu_threads,
+                idle_workers: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -396,6 +398,8 @@ struct State {
     /// [`SortServiceBuilder::cpu_threads`]); borrowed at admission, returned
     /// at completion.
     cpu_free: usize,
+    /// Workers waiting for something admissible to appear in the queue.
+    idle_workers: usize,
     shutdown: bool,
 }
 
@@ -419,6 +423,23 @@ impl Shared {
 
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock()
+    }
+
+    /// Why a worker waiting on its job's consumer should stop waiting, if it
+    /// should: the service is shutting down, or a request is queued that
+    /// nobody will run while this worker waits — no worker is free for it,
+    /// or the live jobs' grants leave no room for it.
+    fn call_on_worker(&self) -> Option<RootEnd> {
+        let st = self.lock();
+        if st.shutdown {
+            Some(RootEnd::Shutdown)
+        } else if !st.queue.is_empty()
+            && (st.idle_workers == 0 || !st.queue.has_admissible(&st.broker))
+        {
+            Some(RootEnd::QueuedRequest)
+        } else {
+            None
+        }
     }
 
     /// Remove job `job` from the admission queue, if it is still queued, and
@@ -699,12 +720,162 @@ fn worker_loop(shared: Arc<Shared>) {
                 if st.shutdown && st.queue.is_empty() {
                     return;
                 }
+                st.idle_workers += 1;
                 st = shared.work.wait(st);
+                st.idle_workers -= 1;
             }
         };
         run_admitted(&shared, admitted);
         // A completion frees committed minimums: queued requests may now fit.
         shared.work.notify_all();
+    }
+}
+
+/// How a job's last merge step ended on its worker, and so whether (and why)
+/// part of its result went through the store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RootEnd {
+    /// The merge produced its last page into the hand-off.
+    Exhausted,
+    /// The consumer was behind and a queued request needed this worker or
+    /// this grant.
+    QueuedRequest,
+    /// The consumer took no page for the service's `suspension_wait`.
+    Stall,
+    /// The consumer was behind and the service is shutting down.
+    Shutdown,
+    /// The consumer hung up, or the ticket was cancelled.
+    Cancelled,
+    /// The merge failed.
+    Failed,
+}
+
+impl RootEnd {
+    fn name(self) -> &'static str {
+        match self {
+            RootEnd::Exhausted => "exhausted",
+            RootEnd::QueuedRequest => "queued-request",
+            RootEnd::Stall => "stall",
+            RootEnd::Shutdown => "shutdown",
+            RootEnd::Cancelled => "cancelled",
+            RootEnd::Failed => "failed",
+        }
+    }
+}
+
+/// Wait until the hand-off has room for a page, or until the wait should
+/// end some other way. While the consumer is behind, the worker stays the
+/// budget's correspondent — one root checkpoint per `tick` — and nobody
+/// queues behind it: the wait ends on the first look that finds a request
+/// it is holding up, and after `suspension_wait` whatever happens.
+fn wait_for_consumer(
+    shared: &Shared,
+    sort: &mut SortCompletion<ServiceStore>,
+    hand_off: &HandOff,
+    tick: Duration,
+) -> SortResult<Option<RootEnd>> {
+    let mut room = hand_off.room(None);
+    let mut behind_since: Option<Instant> = None;
+    loop {
+        match room {
+            Room::Free => return Ok(None),
+            Room::Gone => return Ok(Some(RootEnd::Cancelled)),
+            Room::Full => {}
+        }
+        match behind_since {
+            None => behind_since = Some(Instant::now()),
+            Some(since) => {
+                sort.checkpoint()?;
+                if since.elapsed() >= shared.suspension_wait {
+                    return Ok(Some(RootEnd::Stall));
+                }
+            }
+        }
+        if let Some(end) = shared.call_on_worker() {
+            return Ok(Some(end));
+        }
+        room = hand_off.room(Some(tick));
+    }
+}
+
+/// What is left of a job once its worker is done with the last merge step.
+struct RootDone {
+    end: RootEnd,
+    error: Option<SortError>,
+    outcome: SortOutcome,
+    write_stall_seconds: f64,
+    tuples_streamed: usize,
+    /// The remainder of the result, if the worker settled it.
+    rest: Option<SortCompletion<ServiceStore>>,
+}
+
+/// Execute the job's last merge step on this thread — the one holding the
+/// grant — handing each page to the consumer as it is produced. The step
+/// ends exhausted, or cut short by its consumer, a cancel or a failure, or
+/// with the remainder settled into one run because the consumer fell behind
+/// when the worker or the grant was wanted elsewhere.
+fn drive_root(
+    shared: &Shared,
+    mut sort: SortCompletion<ServiceStore>,
+    hand_off: &HandOff,
+    tick: Duration,
+) -> RootDone {
+    let mut tuples_streamed = 0;
+    let ended = loop {
+        match wait_for_consumer(shared, &mut sort, hand_off, tick) {
+            Ok(None) => {}
+            Ok(Some(end)) => break Ok(end),
+            Err(e) => break Err(e),
+        }
+        match sort.next_page() {
+            Ok(Some(page)) => {
+                tuples_streamed += page.len();
+                hand_off.push(page);
+            }
+            Ok(None) => break Ok(RootEnd::Exhausted),
+            Err(e) => break Err(e),
+        }
+    };
+    if let Ok(end @ (RootEnd::QueuedRequest | RootEnd::Stall | RootEnd::Shutdown)) = ended {
+        // The consumer is behind and the worker or the grant is wanted:
+        // finish the merge into one run under the grant, for the consumer to
+        // read on its own. (A failed settle takes the sort, and its books,
+        // with it.)
+        let so_far = sort.outcome.clone();
+        return match sort.settle() {
+            Ok(settled) => RootDone {
+                end,
+                error: None,
+                outcome: settled.outcome.clone(),
+                write_stall_seconds: settled.store.write_stall_seconds(),
+                tuples_streamed,
+                rest: Some(settled),
+            },
+            Err(e) => RootDone {
+                end: RootEnd::Failed,
+                error: Some(e),
+                outcome: so_far,
+                write_stall_seconds: 0.0,
+                tuples_streamed,
+                rest: None,
+            },
+        };
+    }
+    let write_stall_seconds = sort.store.write_stall_seconds();
+    // Closes the sort wherever it stands: runs deleted, pages back.
+    let outcome = sort.into_stream().finish();
+    let (end, error) = match ended {
+        Ok(end) => (end, None),
+        Err(SortError::Cancelled) => (RootEnd::Cancelled, Some(SortError::Cancelled)),
+        Err(e) => (RootEnd::Failed, Some(e)),
+    };
+    RootDone {
+        end,
+        error,
+        outcome,
+        write_stall_seconds,
+        tuples_streamed,
+        rest: None,
     }
 }
 
@@ -752,10 +923,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
         budget.attach_trace(trace.clone());
     }
 
-    // A panicking job (e.g. a user-supplied `InputSource`) must not take the
-    // worker thread down with it: its pages would stay committed forever and
-    // its ticket would never be fulfilled. Contain the unwind and surface it
-    // as an error on the ticket instead.
     // Service-wide I/O pipelining: submissions inherit the service's default
     // read-ahead depth unless they chose their own, and every pipelined sort
     // shares the service's single background I/O pool through its
@@ -766,12 +933,18 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
     }
     // Cap the job's compute workers at what the shared allowance granted.
     cfg.cpu_threads = cpu_workers;
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let tuples_per_page = cfg.tuples_per_page();
+    let mut env = RealEnv::starting_at(shared.start);
+    env.max_wait = shared.suspension_wait;
+    env.io_pool = shared.io_pool.clone();
+    env.trace = trace.clone();
+    let tick = env.poll_interval;
+    // A panicking job (e.g. a user-supplied `InputSource`) must not take the
+    // worker thread down with it: its pages would stay committed forever and
+    // its ticket would never be resolved. Contain the unwind and surface it
+    // as an error on the ticket instead.
+    let root = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         build_store(storage).and_then(|store| {
-            let mut env = RealEnv::starting_at(shared.start);
-            env.max_wait = shared.suspension_wait;
-            env.io_pool = shared.io_pool.clone();
-            env.trace = trace.clone();
             SortJob::builder()
                 .config(cfg)
                 .input(input)
@@ -779,14 +952,45 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 .env(env)
                 .budget(budget.clone())
                 .build()?
-                .run()?
-                // Finish the merge into a stored run while the grant is still
-                // this job's: the pages go back at `release` below, and a
-                // client that then stops reading its result pins none.
-                .settle()
+                // This thread stays with the root and answers for the
+                // budget until the grant goes back, so there is nothing to
+                // settle for: the root parks, and `drive_root` executes it.
+                .run_to_root()
         })
     }))
     .unwrap_or_else(|panic| Err(panic_error(panic)));
+
+    // A sort that is down to its root resolves its ticket now; the worker
+    // executes the root into the hand-off and lets go of the job below.
+    let (hand_off, done, error) = match root {
+        Ok(sort) => {
+            let hand_off = Arc::new(HandOff::default());
+            ticket.fulfill(Ok(JobOutput::new(Arc::clone(&hand_off))));
+            let mut done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_root(shared, sort, &hand_off, tick)
+            }))
+            .unwrap_or_else(|panic| RootDone {
+                end: RootEnd::Failed,
+                error: Some(panic_error(panic)),
+                outcome: SortOutcome::default(),
+                write_stall_seconds: 0.0,
+                tuples_streamed: 0,
+                rest: None,
+            });
+            let error = done.error.take();
+            (Some(hand_off), Some(done), error)
+        }
+        Err(e) => (None, None, Some(e)),
+    };
+    // A cancelled job did what it was told; count it apart from genuine
+    // failures. A sort that was blocked on a streaming input when the cancel
+    // landed reports its abandoned channel's I/O error instead of
+    // `Cancelled` — normalise it, so cancellation accounting is
+    // deterministic for the caller.
+    let error = error.map(|e| match ticket.cancel_requested() {
+        true => SortError::Cancelled,
+        false => e,
+    });
 
     // Reallocations observed strictly after the initial grant and before this
     // job's own release below (which only re-targets the survivors).
@@ -803,11 +1007,19 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
     if let Some(tenant) = &tenant {
         st.stats.tenant_entry(tenant).total_queue_wait += queued_for;
     }
-    let outcome = match result {
-        Ok(completion) => {
-            let delays = &completion.outcome.delays;
-            let merge = &completion.outcome.merge;
-            let split = &completion.outcome.split;
+    // The job's books, taken now: the outcome is final (the merge ran to its
+    // end, was settled, or was closed) and the grant has just gone back.
+    let (report, rest, root_finished) = match done {
+        None => (None, None, None),
+        Some(done) => {
+            let outcome = done.outcome;
+            let (split, merge, delays) = (&outcome.split, &outcome.merge, &outcome.delays);
+            let pages = |tuples: usize| tuples.div_ceil(tuples_per_page) as u64;
+            let pages_settled = match done.rest {
+                Some(_) => pages(split.total_tuples() - done.tuples_streamed),
+                None => 0,
+            };
+            let root_finished = (pages(done.tuples_streamed), pages_settled, done.end.name());
             let stats = JobStats {
                 job,
                 tenant: tenant.clone(),
@@ -821,7 +1033,7 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 reallocations,
                 delay_samples: delays.len(),
                 total_delay: delays.iter().map(DelaySample::delay).sum(),
-                write_stall_seconds: completion.store.write_stall_seconds(),
+                write_stall_seconds: done.write_stall_seconds,
                 io_stall_seconds: merge.io_stall,
                 sync_loads: merge.sync_block_loads,
                 prefetch_joins: merge.prefetch_block_joins,
@@ -833,51 +1045,65 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 natural_runs: split.natural_runs,
                 natural_tuples: split.natural_tuples,
             };
+            let report = JobReport {
+                outcome,
+                stats,
+                trace: trace.clone(),
+            };
+            (Some(report), done.rest, Some(root_finished))
+        }
+    };
+    match &error {
+        None => {
             st.stats.completed += 1;
             st.stats.total_reallocations += reallocations;
-            st.stats.total_delay_samples += stats.delay_samples as u64;
+            if let Some(report) = &report {
+                st.stats.total_delay_samples += report.stats.delay_samples as u64;
+            }
             if let Some(tenant) = &tenant {
                 st.stats.tenant_entry(tenant).completed += 1;
             }
-            Ok(JobReport {
-                completion,
-                stats,
-                trace: trace.clone(),
-            })
         }
-        Err(e) => {
-            // A cancelled job did what it was told; count it apart from
-            // genuine failures. A sort that was blocked on a streaming input
-            // when the cancel landed reports its abandoned channel's I/O
-            // error instead of `Cancelled` — normalise it, so cancellation
-            // accounting is deterministic for the caller.
-            let e = if ticket.cancel_requested() {
-                SortError::Cancelled
-            } else {
-                e
-            };
-            if matches!(e, SortError::Cancelled) {
-                st.stats.cancelled += 1;
-                if let Some(tenant) = &tenant {
-                    st.stats.tenant_entry(tenant).cancelled += 1;
-                }
-            } else {
-                st.stats.failed += 1;
-                if let Some(tenant) = &tenant {
-                    st.stats.tenant_entry(tenant).failed += 1;
-                }
+        Some(SortError::Cancelled) => {
+            st.stats.cancelled += 1;
+            if let Some(tenant) = &tenant {
+                st.stats.tenant_entry(tenant).cancelled += 1;
             }
-            Err(e)
         }
-    };
+        Some(_) => {
+            st.stats.failed += 1;
+            if let Some(tenant) = &tenant {
+                st.stats.tenant_entry(tenant).failed += 1;
+            }
+        }
+    }
+    // Under the state lock, so that whoever reads the counters above also
+    // finds the ticket past cancelling.
+    ticket.job_over();
     drop(st);
     if trace.is_enabled() {
         let tenant = tenant.as_deref();
-        match &outcome {
-            Ok(report) => {
+        // Was this job's result written, and why.
+        if let Some((pages_streamed, pages_settled, reason)) = root_finished {
+            trace.emit(EventKind::RootFinished {
+                pages_streamed,
+                pages_settled,
+                reason,
+            });
+            if let Some(metrics) = trace.metrics() {
+                metrics
+                    .counter("egress_pages_streamed_total", None)
+                    .add(pages_streamed);
+                metrics
+                    .counter("egress_pages_settled_total", None)
+                    .add(pages_settled);
+            }
+        }
+        match (&error, &report) {
+            (None, Some(report)) => {
                 if let Some(metrics) = trace.metrics() {
                     let s = &report.stats;
-                    let merge = &report.completion.outcome.merge;
+                    let merge = &report.outcome.merge;
                     let labels = std::iter::once(None).chain(tenant.map(Some));
                     for label in labels {
                         metrics.counter("jobs_completed_total", label).inc();
@@ -901,7 +1127,7 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                             .observe(merge.tuples_output as f64 / duration);
                     }
                     let lengths = metrics.histogram("masort_runs_length", None, RUN_LENGTH_BUCKETS);
-                    for run in &report.completion.outcome.split.runs {
+                    for run in &report.outcome.split.runs {
                         lengths.observe(run.tuples as f64);
                     }
                     metrics
@@ -909,7 +1135,8 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                         .set(s.io_peak_depth as i64);
                 }
             }
-            Err(e) => {
+            (None, None) => unreachable!("a job without an error reached its root"),
+            (Some(e), _) => {
                 let cancelled = matches!(e, SortError::Cancelled);
                 if cancelled {
                     trace.emit(EventKind::Cancelled);
@@ -928,7 +1155,14 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
             }
         }
     }
-    ticket.fulfill(outcome);
+    match (hand_off, report) {
+        (Some(hand_off), Some(report)) => hand_off.finish(JobEnd {
+            error,
+            rest,
+            report,
+        }),
+        _ => ticket.fulfill(Err(error.expect("a job that never had an output failed"))),
+    }
 }
 
 /// Convert a caught panic payload into the error delivered on the ticket.
@@ -970,6 +1204,12 @@ mod tests {
             .with_memory_pages(mem)
     }
 
+    /// Read an output to its end, then take the job's report.
+    fn drain(mut output: JobOutput) -> (Vec<Tuple>, JobReport) {
+        let sorted = output.by_ref().collect::<SortResult<_>>().unwrap();
+        (sorted, output.finish())
+    }
+
     #[test]
     fn single_job_round_trip() {
         let svc = SortService::builder().pool_pages(16).workers(2).build();
@@ -977,9 +1217,8 @@ mod tests {
         let ticket = svc
             .submit(SortRequest::tuples(small_cfg(8), input.clone()))
             .unwrap();
-        let report = ticket.wait().unwrap();
+        let (sorted, report) = drain(ticket.wait().unwrap());
         assert!(report.stats.initial_grant >= 1);
-        let sorted = report.into_sorted_vec().unwrap();
         assert_sorted_permutation(&input, &sorted);
         let stats = svc.shutdown();
         assert_eq!(stats.completed, 1);
@@ -990,22 +1229,21 @@ mod tests {
     fn temp_disk_storage_round_trip() {
         let svc = SortService::builder().pool_pages(16).workers(1).build();
         let input = random_tuples(1_200, 2);
-        let report = svc
-            .submit(SortRequest::tuples(small_cfg(6), input.clone()).spill_to_temp_dir())
+        let output = svc
+            .submit(SortRequest::tuples(small_cfg(16), input.clone()).spill_to_temp_dir())
             .unwrap()
             .wait()
             .unwrap();
-        // The report is settled: the merge finished under the job's grant
-        // (final statistics, every tuple through the root) and all that is
-        // left in the store is the one run the result is read from.
-        let ServiceStore::Temp(store) = &report.completion.store else {
-            panic!("asked for a temp-dir store");
-        };
-        assert_eq!(std::fs::read_dir(store.dir()).unwrap().count(), 1);
-        let merge = &report.outcome().merge;
-        assert!(merge.tuples_output >= 1_200 && merge.pages_written >= 1_200 / 8);
-        let sorted = report.into_sorted_vec().unwrap();
+        let (sorted, report) = drain(output);
         assert_sorted_permutation(&input, &sorted);
+        // The report is final — every tuple went through the root — and the
+        // result came off the merge: 16 pages merge these runs in one step,
+        // and that step wrote nothing.
+        assert!(report.outcome.runs_formed() > 1);
+        let merge = &report.outcome.merge;
+        assert_eq!(merge.tuples_output, 1_200);
+        assert_eq!((merge.steps_executed, merge.pages_written), (1, 0));
+        assert_eq!(merge.pages_read, report.outcome.split.pages_written);
     }
 
     #[test]
@@ -1171,20 +1409,21 @@ mod tests {
             .cpu_threads(2)
             .build();
         let input = random_tuples(4_000, 77);
-        let report = svc
+        let output = svc
             .submit(SortRequest::tuples(small_cfg(8), input.clone()).cpu_threads(8))
             .unwrap()
             .wait()
             .unwrap();
+        let (sorted, report) = drain(output);
         assert_eq!(report.stats.cpu_workers, 3, "1 own + 2 borrowed");
-        let sorted = report.into_sorted_vec().unwrap();
         assert_sorted_permutation(&input, &sorted);
         // The borrowed threads came back: a second job gets them again.
         let report = svc
             .submit(SortRequest::tuples(small_cfg(8), random_tuples(800, 78)).cpu_threads(2))
             .unwrap()
             .wait()
-            .unwrap();
+            .unwrap()
+            .finish();
         assert_eq!(report.stats.cpu_workers, 2);
         svc.shutdown();
 
@@ -1193,7 +1432,8 @@ mod tests {
             .submit(SortRequest::tuples(small_cfg(8), random_tuples(500, 79)).cpu_threads(4))
             .unwrap()
             .wait()
-            .unwrap();
+            .unwrap()
+            .finish();
         assert_eq!(
             report.stats.cpu_workers, 1,
             "no allowance, no extra threads"
@@ -1218,14 +1458,13 @@ mod tests {
             .collect();
         let mut granted_extra_total = 0usize;
         for (ticket, input) in tickets.into_iter().zip(&inputs) {
-            let report = ticket.wait().unwrap();
+            let (sorted, report) = drain(ticket.wait().unwrap());
             assert!(
                 (1..=3).contains(&report.stats.cpu_workers),
                 "granted {} workers",
                 report.stats.cpu_workers
             );
             granted_extra_total += report.stats.cpu_workers - 1;
-            let sorted = report.into_sorted_vec().unwrap();
             assert_sorted_permutation(input, &sorted);
         }
         assert!(
@@ -1307,13 +1546,16 @@ mod tests {
     #[test]
     fn cancel_after_completion_is_a_no_op() {
         let svc = SortService::builder().pool_pages(8).workers(1).build();
-        let input = random_tuples(500, 15);
+        // Two pages: the whole result fits the hand-off, so the job is over
+        // (merge exhausted, grant back) without anybody reading.
+        let input = random_tuples(16, 15);
         let ticket = svc
             .submit(SortRequest::tuples(small_cfg(4), input.clone()))
             .unwrap();
-        while !ticket.is_done() {
+        while svc.stats().completed == 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
+        assert!(ticket.is_done());
         assert!(!ticket.cancel(), "finished job cannot be cancelled");
         let sorted = ticket.wait().unwrap().into_sorted_vec().unwrap();
         assert_sorted_permutation(&input, &sorted);
@@ -1387,9 +1629,8 @@ mod tests {
                 })
                 .collect();
             for (ticket, input) in tickets.into_iter().zip(&inputs) {
-                let report = ticket.wait().unwrap();
+                let (sorted, report) = drain(ticket.wait().unwrap());
                 assert!(report.stats.initial_grant >= 2, "minimum not honoured");
-                let sorted = report.into_sorted_vec().unwrap();
                 assert_sorted_permutation(input, &sorted);
             }
         }

@@ -9,7 +9,8 @@
 use crate::ticket::JobId;
 use std::collections::BTreeMap;
 
-/// Broker-side statistics for one completed job.
+/// Broker-side statistics for one job, taken when its grant went back to the
+/// pool (from the sort's final outcome).
 #[derive(Clone, Debug)]
 pub struct JobStats {
     /// The job these statistics belong to.
@@ -26,7 +27,9 @@ pub struct JobStats {
     /// Seconds spent queued before admission (waiting for the minimum share
     /// to become available).
     pub queued_for: f64,
-    /// Seconds between admission and completion.
+    /// Seconds between admission and the release of the job's grant: the
+    /// last merge step exhausted into the hand-off, its remainder settled,
+    /// or the sort closed.
     pub ran_for: f64,
     /// Pages granted by the arbitration policy at admission.
     pub initial_grant: usize,

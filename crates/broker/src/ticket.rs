@@ -1,12 +1,13 @@
 //! Tickets: the handle a caller holds while a submitted sort is queued and
-//! running, and the report it redeems for when the sort finishes.
+//! running, the output it redeems for once the sort is down to its last merge
+//! step, and the hand-off that carries that step's pages from the worker
+//! holding the grant to the caller.
 
 use crate::service::{ServiceStore, Shared};
 use crate::stats::JobStats;
-use masort_core::sync::{Condvar, Mutex, MutexGuard};
-use masort_core::{
-    MemoryBudget, SortCompletion, SortError, SortOutcome, SortResult, SortedStream, Tuple,
-};
+use masort_core::sync::{Condvar, Mutex};
+use masort_core::{MemoryBudget, SortCompletion, SortError, SortOutcome, SortResult, Tuple};
+use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -22,28 +23,58 @@ pub type JobId = u64;
 struct CancelSlot {
     requested: bool,
     budget: Option<MemoryBudget>,
+    /// The job has given its grant back (or never had one): nothing is left
+    /// for a cancel to stop.
+    over: bool,
+}
+
+/// What a ticket resolves to, and whether anybody is still there to take it.
+#[derive(Debug, Default)]
+enum Slot {
+    #[default]
+    Pending,
+    Ready(SortResult<JobOutput>),
+    /// Redeemed, or the ticket was dropped unredeemed.
+    Taken,
+}
+
+impl Slot {
+    /// Take the result if the ticket has resolved.
+    fn take(&mut self) -> Option<SortResult<JobOutput>> {
+        match std::mem::replace(self, Slot::Taken) {
+            Slot::Ready(result) => Some(result),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
 }
 
 /// The shared completion slot between a worker thread and the ticket holder.
 #[derive(Debug, Default)]
 pub(crate) struct TicketShared {
-    slot: Mutex<Option<SortResult<JobReport>>>,
+    slot: Mutex<Slot>,
     cv: Condvar,
     cancel: Mutex<CancelSlot>,
 }
 
 impl TicketShared {
-    fn lock(&self) -> MutexGuard<'_, Option<SortResult<JobReport>>> {
-        self.slot.lock()
-    }
-
-    /// Deliver the job's result and wake every waiter. Must be called at most
-    /// once per ticket.
-    pub(crate) fn fulfill(&self, result: SortResult<JobReport>) {
-        let mut g = self.lock();
-        debug_assert!(g.is_none(), "ticket fulfilled twice");
-        *g = Some(result);
-        self.cv.notify_all();
+    /// Resolve the ticket and wake every waiter. Must be called at most once
+    /// per ticket. A job that ended without an output is over; one that
+    /// resolves to an output is over when its worker says so
+    /// ([`job_over`](Self::job_over)). If the ticket is gone the result is
+    /// dropped here, which hangs up on the worker.
+    pub(crate) fn fulfill(&self, result: SortResult<JobOutput>) {
+        if result.is_err() {
+            self.job_over();
+        }
+        let mut g = self.slot.lock();
+        debug_assert!(!matches!(*g, Slot::Ready(_)), "ticket fulfilled twice");
+        if matches!(*g, Slot::Pending) {
+            *g = Slot::Ready(result);
+            self.cv.notify_all();
+        }
     }
 
     /// Called by the admitting worker (under the service state lock): make
@@ -59,13 +90,26 @@ impl TicketShared {
     }
 
     /// Called by [`SortTicket::cancel`]: flag the job as cancelled and, if it
-    /// is already running, cancel its budget.
-    pub(crate) fn request_cancel(&self) {
+    /// is already running, cancel its budget. `false` if the job is over.
+    fn request_cancel(&self) -> bool {
         let mut g = self.cancel.lock();
+        if g.over {
+            return false;
+        }
         g.requested = true;
         if let Some(budget) = &g.budget {
             budget.cancel();
         }
+        true
+    }
+
+    /// Called by the worker once the job's grant is back with the broker.
+    pub(crate) fn job_over(&self) {
+        self.cancel.lock().over = true;
+    }
+
+    fn is_over(&self) -> bool {
+        self.cancel.lock().over
     }
 
     /// Whether a cancel was ever requested for this job. The worker uses it
@@ -85,7 +129,8 @@ impl TicketShared {
 /// [`is_done`](Self::is_done) / [`wait_timeout`](Self::wait_timeout). The
 /// ticket is independent of the service handle: it can be sent to another
 /// thread and outlives `SortService` shutdown (queued work is drained before
-/// the workers exit, so every ticket is eventually fulfilled).
+/// the workers exit, so every ticket is eventually resolved). Dropping it
+/// unredeemed abandons the result: the sort is closed as soon as it has one.
 #[derive(Debug)]
 pub struct SortTicket {
     job: JobId,
@@ -108,8 +153,8 @@ impl SortTicket {
     }
 
     /// Cancel this job. Returns `true` if the cancellation took effect,
-    /// `false` if the job had already finished (its report is still
-    /// redeemable with [`wait`](Self::wait)).
+    /// `false` if the job was already over — failed, or its result produced
+    /// to the end (still redeemable with [`wait`](Self::wait)).
     ///
     /// A job still **queued** is removed from the admission queue on the spot
     /// and this ticket resolves to [`SortError::Cancelled`] immediately — it
@@ -117,15 +162,16 @@ impl SortTicket {
     /// its [`MemoryBudget`] flagged; the sort observes the flag at its next
     /// adaptivity checkpoint (the same points where it polls for memory
     /// changes), aborts with [`SortError::Cancelled`], and releases every
-    /// page it held back to the pool.
+    /// page it held back to the pool. That holds for a job whose ticket has
+    /// resolved but whose last merge step is still running, too: its output
+    /// then ends with [`SortError::Cancelled`].
     pub fn cancel(&self) -> bool {
-        if self.is_done() {
-            return false;
-        }
         // Flag first: if the job is admitted concurrently, the admitting
         // worker sees the flag when it attaches the budget and the sort
         // aborts at its first checkpoint.
-        self.shared.request_cancel();
+        if !self.shared.request_cancel() {
+            return false;
+        }
         if let Some(service) = self.service.upgrade() {
             if service.cancel_queued(self.job) {
                 // Removed from the queue under the service lock: no worker
@@ -135,20 +181,21 @@ impl SortTicket {
                 return true;
             }
         }
-        !self.is_done()
+        !self.shared.is_over()
     }
 
-    /// True once the job has finished (successfully or not) and
-    /// [`wait`](Self::wait) would return without blocking.
+    /// True once [`wait`](Self::wait) would return without blocking: the
+    /// sort has reached its last merge step, or has ended without one.
     pub fn is_done(&self) -> bool {
-        self.shared.lock().is_some()
+        matches!(*self.shared.slot.lock(), Slot::Ready(_))
     }
 
-    /// Block until the sort completes, then return its report (or the error
-    /// that stopped it — I/O failures, `BudgetStarved` rejections after a
-    /// pool shrink, ...).
-    pub fn wait(self) -> SortResult<JobReport> {
-        let mut g = self.shared.lock();
+    /// Block until the sort is down to its last merge step, then return the
+    /// [`JobOutput`] that step's pages arrive through (or the error that
+    /// stopped the sort before — I/O failures, `BudgetStarved` rejections
+    /// after a pool shrink, ...).
+    pub fn wait(self) -> SortResult<JobOutput> {
+        let mut g = self.shared.slot.lock();
         loop {
             if let Some(result) = g.take() {
                 return result;
@@ -159,9 +206,9 @@ impl SortTicket {
 
     /// Like [`wait`](Self::wait), but give up after `timeout`, handing the
     /// ticket back so the caller can retry.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<SortResult<JobReport>, SortTicket> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<SortResult<JobOutput>, SortTicket> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.shared.lock();
+        let mut g = self.shared.slot.lock();
         loop {
             if let Some(result) = g.take() {
                 return Ok(result);
@@ -177,16 +224,239 @@ impl SortTicket {
     }
 }
 
-/// Everything a finished sort hands back: the core [`SortCompletion`],
-/// *settled* (the merge ran to the end under the job's grant, so the outcome
-/// is final and what is left is one stored run that pins no broker pages),
-/// plus the broker's per-job statistics.
+impl Drop for SortTicket {
+    fn drop(&mut self) {
+        // An output nobody will read must not keep its worker waiting.
+        let unread = std::mem::replace(&mut *self.shared.slot.lock(), Slot::Taken);
+        drop(unread);
+    }
+}
+
+/// Pages the hand-off holds before the worker waits for the consumer: enough
+/// for the merge on one thread and the consumer on the other to overlap. They
+/// are the consumer's memory, not the grant's — a page leaves the sort's
+/// budget when the merge hands it over, as an ingest page enters it only when
+/// the sort takes it off its channel.
+const HAND_OFF_PAGES: usize = 4;
+
+/// Whether the hand-off can take another page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Room {
+    Free,
+    Full,
+    /// The consumer dropped its end.
+    Gone,
+}
+
+/// What the consumer finds in the hand-off.
+enum Handed {
+    Page(Vec<Tuple>),
+    End(Box<JobEnd>),
+}
+
+/// How the worker let go of a job: what it leaves with the consumer after
+/// the last page it handed over.
+#[derive(Debug)]
+pub(crate) struct JobEnd {
+    /// The error that ended the result early, if one did.
+    pub(crate) error: Option<SortError>,
+    /// The part of the result the worker did not stream: settled into one
+    /// run under the grant, read by the consumer on its own thread.
+    pub(crate) rest: Option<SortCompletion<ServiceStore>>,
+    pub(crate) report: JobReport,
+}
+
+#[derive(Debug, Default)]
+struct HandOffState {
+    pages: VecDeque<Vec<Tuple>>,
+    end: Option<Box<JobEnd>>,
+    consumer_gone: bool,
+}
+
+/// The bounded page queue between the worker executing a job's last merge
+/// step and the holder of its [`JobOutput`] — the egress twin of
+/// `ChannelSink`/`ChannelSource`. One producer, one consumer.
+#[derive(Debug, Default)]
+pub(crate) struct HandOff {
+    state: Mutex<HandOffState>,
+    /// Signalled on every change of `state`.
+    changed: Condvar,
+}
+
+impl HandOff {
+    /// Worker side: is there room for a page? With `wait`, a full hand-off
+    /// is given that long to change before the answer.
+    pub(crate) fn room(&self, wait: Option<Duration>) -> Room {
+        let mut g = self.state.lock();
+        let full = |s: &HandOffState| !s.consumer_gone && s.pages.len() >= HAND_OFF_PAGES;
+        if let (Some(wait), true) = (wait, full(&g)) {
+            g = self.changed.wait_timeout(g, wait).0;
+        }
+        if g.consumer_gone {
+            Room::Gone
+        } else if full(&g) {
+            Room::Full
+        } else {
+            Room::Free
+        }
+    }
+
+    /// Worker side: hand a page over (after [`room`](Self::room) said so).
+    pub(crate) fn push(&self, page: Vec<Tuple>) {
+        self.state.lock().pages.push_back(page);
+        self.changed.notify_all();
+    }
+
+    /// Worker side, once: nothing more will be pushed.
+    pub(crate) fn finish(&self, end: JobEnd) {
+        self.state.lock().end = Some(Box::new(end));
+        self.changed.notify_all();
+    }
+
+    fn pull(&self) -> Handed {
+        let mut g = self.state.lock();
+        loop {
+            if let Some(page) = g.pages.pop_front() {
+                self.changed.notify_all();
+                return Handed::Page(page);
+            }
+            if let Some(end) = g.end.take() {
+                return Handed::End(end);
+            }
+            g = self.changed.wait(g);
+        }
+    }
+
+    /// Consumer side: take no more pages. The worker closes the sort when it
+    /// next looks, and still leaves its [`JobEnd`].
+    fn hang_up(&self) {
+        let mut g = self.state.lock();
+        g.consumer_gone = true;
+        g.pages.clear();
+        self.changed.notify_all();
+    }
+}
+
+/// The sorted result of a job, arriving as its last merge step produces it.
+///
+/// A ticket resolves to this when the sort is down to that step. The step
+/// runs on the worker that holds the job's grant and its pages cross a small
+/// bounded hand-off to whoever holds this value, so a consumer that keeps up
+/// gets the result straight off the merge — nothing sorted is written — and
+/// the grant goes back to the pool when the merge has produced its last
+/// page, not when that page has been read.
+///
+/// A consumer that falls behind is waited for, but not at anybody's expense:
+/// the worker keeps answering its budget while it waits, and when a queued
+/// request needs the worker or the grant (or the service shuts down, or the
+/// service's `suspension_wait` passes) it
+/// [settles](masort_core::SortCompletion::settle) the remainder into one
+/// run, releases, and leaves that run to be read from here — on the
+/// consumer's own thread and a fixed three-page allowance of its own.
+///
+/// Read it as an iterator of tuples, page by page with
+/// [`next_page`](Self::next_page), or whole with
+/// [`into_sorted_vec`](Self::into_sorted_vec); [`finish`](Self::finish)
+/// returns the job's report. Dropping it closes the sort: runs deleted, grant
+/// released.
+#[derive(Debug)]
+pub struct JobOutput {
+    hand_off: Arc<HandOff>,
+    /// Set once the worker has let go of the job and every page it handed
+    /// over has been pulled.
+    end: Option<Box<JobEnd>>,
+    /// The page the iterator is handing out.
+    buf: std::vec::IntoIter<Tuple>,
+}
+
+impl JobOutput {
+    pub(crate) fn new(hand_off: Arc<HandOff>) -> Self {
+        JobOutput {
+            hand_off,
+            end: None,
+            buf: Vec::new().into_iter(),
+        }
+    }
+
+    /// The next page of sorted tuples; `None` once the result is exhausted.
+    /// An error ends the result: afterwards this returns `None`.
+    pub fn next_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
+        if self.buf.len() > 0 {
+            return Ok(Some(self.buf.by_ref().collect()));
+        }
+        if self.end.is_none() {
+            match self.hand_off.pull() {
+                Handed::Page(page) => return Ok(Some(page)),
+                Handed::End(end) => self.end = Some(end),
+            }
+        }
+        let end = self.end.as_mut().expect("the worker's end was just stored");
+        if let Some(e) = end.error.take() {
+            return Err(e);
+        }
+        match &mut end.rest {
+            Some(rest) => rest.next_page(),
+            None => Ok(None),
+        }
+    }
+
+    /// Materialise the sorted result (convenience for small relations).
+    pub fn into_sorted_vec(mut self) -> SortResult<Vec<Tuple>> {
+        self.by_ref().collect()
+    }
+
+    /// End the output (wherever it stands) and return the job's report: its
+    /// final outcome and the broker's statistics, taken when the grant went
+    /// back. On an output read to its end this returns at once; on one cut
+    /// short it first waits for the worker to close the sort and release.
+    pub fn finish(mut self) -> JobReport {
+        let end = match self.end.take() {
+            Some(end) => end,
+            None => {
+                self.hand_off.hang_up();
+                loop {
+                    if let Handed::End(end) = self.hand_off.pull() {
+                        break end;
+                    }
+                }
+            }
+        };
+        end.report
+    }
+}
+
+impl Iterator for JobOutput {
+    type Item = SortResult<Tuple>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(t) = self.buf.next() {
+                return Some(Ok(t));
+            }
+            match self.next_page() {
+                Ok(Some(page)) => self.buf = page.into_iter(),
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
+impl Drop for JobOutput {
+    fn drop(&mut self) {
+        if self.end.is_none() {
+            self.hand_off.hang_up();
+        }
+    }
+}
+
+/// How a job went, as of the moment its grant returned to the pool: the
+/// sort's final outcome plus the broker's per-job statistics.
 #[derive(Debug)]
 pub struct JobReport {
-    /// The sort's outcome and the store holding its result; stream or
-    /// collect it exactly as with a standalone
-    /// [`SortJob`](masort_core::SortJob).
-    pub completion: SortCompletion<ServiceStore>,
+    /// The sort outcome (runs formed, merge statistics, delay samples,
+    /// response time up to the release).
+    pub outcome: SortOutcome,
     /// Broker-side statistics: queue wait, reallocations, delay samples.
     pub stats: JobStats,
     /// Observability handle bound to this job's span
@@ -196,21 +466,4 @@ pub struct JobReport {
     /// full event timeline is
     /// `trace.recorder().unwrap().events_for(trace.span())`.
     pub trace: masort_trace::Trace,
-}
-
-impl JobReport {
-    /// The sort outcome (runs formed, merge statistics, response time, ...).
-    pub fn outcome(&self) -> &SortOutcome {
-        &self.completion.outcome
-    }
-
-    /// Stream the sorted result page by page off the settled run.
-    pub fn into_stream(self) -> SortedStream<ServiceStore> {
-        self.completion.into_stream()
-    }
-
-    /// Materialise the sorted result (convenience for small relations).
-    pub fn into_sorted_vec(self) -> Result<Vec<Tuple>, SortError> {
-        self.completion.into_sorted_vec()
-    }
 }

@@ -71,9 +71,14 @@ fn exercise_policy(policy: impl ArbitrationPolicy + 'static) {
     let mut total_reallocations = 0u64;
     let mut total_delay_samples = 0usize;
     for (i, (ticket, input)) in tickets.into_iter().zip(&inputs).enumerate() {
-        let report = ticket
+        let mut output = ticket
             .wait()
             .unwrap_or_else(|e| panic!("{policy_name}: job {i} failed: {e}"));
+        let streamed: Vec<Tuple> = output
+            .by_ref()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("{policy_name}: job {i} stream failed: {e}"));
+        let report = output.finish();
         assert!(
             report.stats.initial_grant >= 2,
             "{policy_name}: job {i} admitted below its guaranteed minimum \
@@ -83,10 +88,6 @@ fn exercise_policy(policy: impl ArbitrationPolicy + 'static) {
         total_reallocations += report.stats.reallocations;
         total_delay_samples += report.stats.delay_samples;
 
-        let streamed: Vec<Tuple> = report
-            .into_stream()
-            .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| panic!("{policy_name}: job {i} stream failed: {e}"));
         assert!(
             is_sorted(&streamed),
             "{policy_name}: job {i} output not sorted"

@@ -1,0 +1,500 @@
+//! The last merge step of a brokered sort runs on the worker that holds the
+//! grant and hands its pages to the ticket holder. What that promises:
+//!
+//! * **I1** — a consumer that keeps up never causes the result to be written;
+//! * **I2** — a worker waiting on a consumer keeps following its budget;
+//! * **I3** — nobody waits behind a slow consumer: a queued request (or a
+//!   shutdown) ends the wait at once, `suspension_wait` ends it regardless,
+//!   and the consumer still gets the whole result;
+//! * **I4** — the job's report is taken from the final outcome, at release;
+//!
+//! and every way out of an output — dropped, cancelled, abandoned — leaves
+//! no page held, no run behind, and the pool whole.
+//!
+//! Nothing here sleeps to make something happen: a stalled consumer is one
+//! that does not pull, and every wait is on a state the service reports.
+//! (This file is its own test binary so that the spill directories of its
+//! process are all its own; the tests that spill take `DISK` in turn.)
+
+use masort_broker::prelude::*;
+use masort_core::{
+    AlgorithmSpec, MergeAdaptation, MergePolicy, RunFormation, SortConfig, SortError, SortOrder,
+    SortPhase, Tuple,
+};
+use masort_trace::{EventKind, MetricsRegistry, Recorder, Trace};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+/// Held by every test that spills, so "no spill directory is left" is a
+/// statement about that test's own jobs.
+static DISK: Mutex<()> = Mutex::new(());
+
+/// Never reached by a test that passes.
+const NEVER: Duration = Duration::from_secs(600);
+
+fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| Tuple::synthetic(rng.gen::<u64>() >> 8, 64))
+        .collect()
+}
+
+/// 8 tuples per page.
+fn cfg(mem: usize) -> SortConfig {
+    SortConfig::default()
+        .with_page_size(512)
+        .with_tuple_size(64)
+        .with_memory_pages(mem)
+}
+
+/// The oracle: the input's keys, `sort_unstable`d.
+fn sorted_keys(input: &[Tuple]) -> Vec<u64> {
+    let mut keys: Vec<u64> = input.iter().map(|t| t.key).collect();
+    keys.sort_unstable();
+    keys
+}
+
+fn keys(tuples: &[Tuple]) -> Vec<u64> {
+    tuples.iter().map(|t| t.key).collect()
+}
+
+fn traced() -> Trace {
+    Trace::enabled(Recorder::with_capacity(1 << 20), MetricsRegistry::new())
+}
+
+/// How the job's root ended, from its own timeline:
+/// `(pages_streamed, pages_settled, reason)`.
+fn root_finished(report: &JobReport) -> (u64, u64, &'static str) {
+    let events = report
+        .trace
+        .recorder()
+        .expect("service built with a trace")
+        .events_for(report.trace.span());
+    let mut ends = events.iter().filter_map(|e| match e.kind {
+        EventKind::RootFinished {
+            pages_streamed,
+            pages_settled,
+            reason,
+        } => Some((pages_streamed, pages_settled, reason)),
+        _ => None,
+    });
+    let end = ends.next().expect("one root_finished event per job");
+    assert!(ends.next().is_none(), "root finished twice");
+    end
+}
+
+fn count(report: &JobReport, pick: impl Fn(&EventKind) -> bool) -> usize {
+    let recorder = report.trace.recorder().expect("traced service");
+    recorder
+        .events_for(report.trace.span())
+        .iter()
+        .filter(|e| pick(&e.kind))
+        .count()
+}
+
+/// Spill directories this process's sorts currently own (see
+/// `FileStore::in_temp_dir`).
+fn spill_dirs() -> Vec<PathBuf> {
+    let prefix = format!("masort-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("list the temp dir")
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with(&prefix))
+        })
+        .collect()
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Read an output to its end, then take the job's report.
+fn drain(mut output: JobOutput) -> (Vec<Tuple>, JobReport) {
+    let sorted = output.by_ref().collect::<Result<_, _>>().unwrap();
+    (sorted, output.finish())
+}
+
+/// The whole pool can be had again: a job whose minimum is every page of it
+/// is admitted and sorts.
+fn assert_pool_whole(svc: &SortService) {
+    let input = random_tuples(200, 99);
+    let sorted = svc
+        .submit(SortRequest::tuples(cfg(4), input.clone()).min_pages(svc.pool_pages()))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .into_sorted_vec()
+        .unwrap();
+    assert_eq!(keys(&sorted), sorted_keys(&input));
+    assert_eq!(svc.stats().leaked_pages, 0);
+}
+
+#[test]
+fn i1_a_consumer_that_keeps_up_gets_the_result_off_the_merge_for_every_algorithm() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut input = random_tuples(3_000, 1);
+    input[500..1_200].sort_unstable_by_key(|t| t.key);
+    let mut cases = 0;
+    let mut multi_step = 0;
+    for spec in AlgorithmSpec::all(4) {
+        for storage in [RunStorage::TempDisk, RunStorage::InMemory] {
+            let descending = cases % 4 >= 2;
+            let order = match descending {
+                false => SortOrder::ascending(),
+                true => SortOrder::descending(),
+            };
+            let case = format!("{spec} {storage:?} descending={descending}");
+            let svc = SortService::builder()
+                .pool_pages(16)
+                .workers(1)
+                .trace(traced())
+                .build();
+            let request = SortRequest::tuples(
+                cfg(10).with_algorithm(spec).with_order(order),
+                input.clone(),
+            )
+            .storage(storage);
+            let (sorted, report) = drain(svc.submit(request).unwrap().wait().unwrap());
+            let mut expected = sorted_keys(&input);
+            if descending {
+                expected.reverse();
+            }
+            assert_eq!(keys(&sorted), expected, "{case}");
+
+            // Nothing sorted touched the store: the only runs ever created
+            // are the formed ones and the outputs of preliminary steps.
+            assert_eq!(
+                root_finished(&report),
+                (3_000 / 8, 0, "exhausted"),
+                "{case}"
+            );
+            let outcome = &report.outcome;
+            let created = count(&report, |k| matches!(k, EventKind::RunCreate { .. }));
+            assert_eq!(
+                created,
+                outcome.runs_formed() + outcome.merge.splits,
+                "{case}"
+            );
+            assert_eq!(
+                created,
+                count(&report, |k| matches!(k, EventKind::RunDelete { .. })),
+                "{case}: a run outlived the job"
+            );
+            // I4: the books are those of the whole merge, root included.
+            assert!(outcome.merge.tuples_output >= 3_000, "{case}");
+            assert!(outcome.merge.steps_executed >= 1, "{case}");
+            assert_eq!(report.stats.runs_emitted, outcome.runs_formed(), "{case}");
+            assert_eq!(report.stats.delay_samples, outcome.delays.len(), "{case}");
+            assert!(report.stats.ran_for >= outcome.merge.duration(), "{case}");
+            multi_step += usize::from(outcome.merge.steps_executed > 1);
+
+            let stats = svc.shutdown();
+            assert_eq!((stats.completed, stats.leaked_pages), (1, 0), "{case}");
+            assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "{case}");
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 36);
+    assert!(multi_step >= 6, "{multi_step} sorts had preliminary steps");
+}
+
+/// A job at its root whose consumer took one page and stopped, on a service
+/// that would wait `stall` for it.
+struct Stalled {
+    svc: SortService,
+    recorder: Recorder,
+    input: Vec<Tuple>,
+    output: JobOutput,
+    taken: Vec<Tuple>,
+}
+
+fn stalled(workers: usize, stall: Duration, adaptation: MergeAdaptation) -> Stalled {
+    let recorder = Recorder::with_capacity(1 << 20);
+    let svc = SortService::builder()
+        .pool_pages(32)
+        .workers(workers)
+        .suspension_wait(stall)
+        .trace(Trace::enabled(recorder.clone(), MetricsRegistry::new()))
+        .build();
+    let input = random_tuples(4_000, 7);
+    let spec = AlgorithmSpec::new(RunFormation::repl(4), MergePolicy::Optimized, adaptation);
+    let mut output = svc
+        .submit(SortRequest::tuples(cfg(32).with_algorithm(spec), input.clone()).min_pages(20))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let taken = output.next_page().unwrap().expect("first page");
+    Stalled {
+        svc,
+        recorder,
+        input,
+        output,
+        taken,
+    }
+}
+
+impl Stalled {
+    /// Start pulling again; the result must be whole and in order.
+    fn resume(self) -> (SortService, JobReport) {
+        let Stalled {
+            svc,
+            input,
+            output,
+            mut taken,
+            ..
+        } = self;
+        let (rest, report) = drain(output);
+        taken.extend(rest);
+        assert_eq!(keys(&taken), sorted_keys(&input));
+        (svc, report)
+    }
+}
+
+#[test]
+fn i3_a_queued_request_is_not_kept_waiting_by_a_stalled_consumer() {
+    // Once with no worker free for the second request, once with a worker
+    // free but no room for its minimum beside the first job's.
+    for (workers, second_min) in [(1, 1), (2, 20)] {
+        let first = stalled(workers, NEVER, MergeAdaptation::DynamicSplitting);
+        assert_eq!(first.svc.live_jobs(), 1, "the stalled job holds its grant");
+
+        let input = random_tuples(1_000, 8);
+        let second = first
+            .svc
+            .submit(SortRequest::tuples(cfg(8), input.clone()).min_pages(second_min))
+            .unwrap();
+        // Resolves, though the first consumer never pulls again and the
+        // service would wait ten minutes for it.
+        let (sorted, report) = drain(second.wait().unwrap());
+        assert_eq!(keys(&sorted), sorted_keys(&input));
+        assert!(report.stats.queued_for < NEVER.as_secs_f64() / 2.0);
+
+        // The first job was settled to make way, and is still whole.
+        let (svc, report) = first.resume();
+        let (streamed, settled, reason) = root_finished(&report);
+        assert_eq!(reason, "queued-request", "workers={workers}");
+        assert!(streamed >= 1 && settled >= 1);
+        assert_eq!(streamed + settled, 4_000 / 8);
+        // I4: final books — the settle's writes are in them.
+        assert!(report.outcome.merge.pages_written as u64 >= settled);
+        assert_eq!(report.outcome.merge.tuples_output, 4_000);
+        let stats = svc.shutdown();
+        assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
+    }
+}
+
+#[test]
+fn i3_a_consumer_that_stops_gives_the_pool_back_after_suspension_wait() {
+    let stall = Duration::from_millis(40);
+    let first = stalled(2, stall, MergeAdaptation::DynamicSplitting);
+    // Nothing is queued and nobody shuts down; only time can end this wait.
+    wait_until("the stalled job to be released", || {
+        first.svc.live_jobs() == 0
+    });
+    assert_pool_whole(&first.svc);
+
+    let (svc, report) = first.resume();
+    let (streamed, settled, reason) = root_finished(&report);
+    assert_eq!(reason, "stall");
+    assert_eq!(streamed + settled, 4_000 / 8);
+    assert!(settled >= 1);
+    // Released within suspension_wait + ε of reaching the root, by the
+    // service's own clock (admission -> release; the sort itself is a few
+    // milliseconds of that).
+    assert!(
+        report.stats.ran_for < (stall + Duration::from_secs(5)).as_secs_f64(),
+        "ran for {} s",
+        report.stats.ran_for
+    );
+    assert!(report.stats.ran_for >= stall.as_secs_f64());
+    let stats = svc.shutdown();
+    assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
+}
+
+#[test]
+fn i3_shutdown_does_not_wait_for_a_stalled_consumer_and_the_result_survives_it() {
+    let first = stalled(1, NEVER, MergeAdaptation::Paging);
+    let Stalled {
+        svc,
+        input,
+        output,
+        mut taken,
+        ..
+    } = first;
+    let stats = svc.shutdown();
+    assert_eq!((stats.completed, stats.leaked_pages), (1, 0));
+    let (rest, report) = drain(output);
+    taken.extend(rest);
+    assert_eq!(keys(&taken), sorted_keys(&input));
+    assert_eq!(root_finished(&report).2, "shutdown");
+}
+
+#[test]
+fn i2_a_shrink_during_a_stall_is_honoured_and_sampled() {
+    for adaptation in [
+        MergeAdaptation::DynamicSplitting,
+        MergeAdaptation::Paging,
+        MergeAdaptation::Suspension,
+    ] {
+        let first = stalled(1, NEVER, adaptation);
+        // What the job last reported as held.
+        let held_at_most = |pages: usize| {
+            let last = first.timeline().into_iter().rev().find_map(|k| match k {
+                EventKind::BudgetHeld { held, .. } => Some(held),
+                _ => None,
+            });
+            last.is_some_and(|held| held <= pages)
+        };
+        assert!(
+            !held_at_most(5),
+            "{adaptation:?}: the root merges more runs than that"
+        );
+
+        // The operator takes most of the pool away while the consumer is
+        // not pulling: the parked worker must answer, not the next pull.
+        first.svc.resize_pool(5);
+        wait_until("the parked root to give pages back", || held_at_most(5));
+        first.svc.resize_pool(32);
+
+        let (svc, report) = first.resume();
+        assert_eq!(root_finished(&report).2, "exhausted", "{adaptation:?}");
+        let merge_delays: Vec<f64> = report
+            .outcome
+            .delays
+            .iter()
+            .filter(|d| d.phase == SortPhase::Merge)
+            .map(|d| d.delay())
+            .collect();
+        assert!(!merge_delays.is_empty(), "{adaptation:?}: shrink unsampled");
+        assert!(report.stats.delay_samples >= merge_delays.len());
+        assert!(report.stats.reallocations >= 2, "{adaptation:?}");
+        // Answered at the worker's next look, not at anybody's timeout.
+        assert!(
+            merge_delays.iter().all(|&d| d < 5.0),
+            "{adaptation:?}: {merge_delays:?}"
+        );
+        svc.shutdown();
+    }
+}
+
+impl Stalled {
+    /// The kinds on the stalled job's timeline so far (it is job 0).
+    fn timeline(&self) -> Vec<EventKind> {
+        self.recorder
+            .events_for(job_span(0))
+            .into_iter()
+            .map(|e| e.kind)
+            .collect()
+    }
+}
+
+#[test]
+fn every_way_out_of_an_output_leaves_nothing_behind() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
+    let svc = SortService::builder()
+        .pool_pages(24)
+        .workers(2)
+        .suspension_wait(NEVER)
+        .trace(traced())
+        .build();
+    let input = random_tuples(4_000, 21);
+    let submit = || {
+        svc.submit(SortRequest::tuples(cfg(24), input.clone()).spill_to_temp_dir())
+            .unwrap()
+    };
+    let settled = |jobs: u64| {
+        wait_until("the job to be released", || {
+            let s = svc.stats();
+            svc.live_jobs() == 0 && s.completed + s.cancelled == jobs
+        });
+        assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "after {jobs} jobs");
+        assert_eq!(svc.stats().leaked_pages, 0);
+    };
+
+    // Dropped unread.
+    drop(submit().wait().unwrap());
+    settled(1);
+
+    // Dropped after a few pages (a LIMIT downstream).
+    let mut output = submit().wait().unwrap();
+    for _ in 0..3 {
+        output.next_page().unwrap().expect("a page");
+    }
+    drop(output);
+    settled(2);
+
+    // Finished early: the report is there, and final for what ran.
+    let mut output = submit().wait().unwrap();
+    output.next_page().unwrap().expect("a page");
+    let report = output.finish();
+    assert_eq!(svc.live_jobs(), 0, "finish() waits for the release");
+    assert_eq!(root_finished(&report).2, "cancelled");
+    assert!(report.outcome.merge.tuples_output < 4_000);
+    settled(3);
+
+    // The ticket dropped unredeemed, before and after the root is reached.
+    drop(submit());
+    settled(4);
+    let ticket = submit();
+    wait_until("the sort to reach its root", || ticket.is_done());
+    drop(ticket);
+    settled(5);
+
+    // Cancelled mid-egress, through the ticket, while the output waits to
+    // be redeemed: what was handed over is still there, then `Cancelled`.
+    let ticket = submit();
+    wait_until("the sort to reach its root", || ticket.is_done());
+    assert!(ticket.cancel(), "a root still running can be cancelled");
+    let mut output = ticket.wait().unwrap();
+    let mut got = 0;
+    let err = loop {
+        match output.next_page() {
+            Ok(Some(page)) => got += page.len(),
+            Ok(None) => panic!("a cancelled result ended as if whole"),
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(err, SortError::Cancelled), "{err}");
+    assert!(got < 4_000);
+    assert!(matches!(output.next_page(), Ok(None)), "fused");
+    drop(output);
+    settled(6);
+    assert_eq!(svc.stats().cancelled, 1);
+
+    assert_pool_whole(&svc);
+    let stats = svc.shutdown();
+    assert_eq!((stats.failed, stats.leaked_pages), (0, 0));
+}
+
+#[test]
+fn one_worker_and_two_tickets_redeemed_in_reverse_order_do_not_deadlock() {
+    let svc = SortService::builder()
+        .pool_pages(16)
+        .workers(1)
+        .suspension_wait(NEVER)
+        .build();
+    let inputs = [random_tuples(2_000, 31), random_tuples(2_000, 32)];
+    let first = svc
+        .submit(SortRequest::tuples(cfg(8), inputs[0].clone()))
+        .unwrap();
+    let second = svc
+        .submit(SortRequest::tuples(cfg(8), inputs[1].clone()))
+        .unwrap();
+    // The only worker reaches the first job's root and finds nobody there.
+    let (sorted, _) = drain(second.wait().unwrap());
+    assert_eq!(keys(&sorted), sorted_keys(&inputs[1]));
+    let (sorted, _) = drain(first.wait().unwrap());
+    assert_eq!(keys(&sorted), sorted_keys(&inputs[0]));
+    let stats = svc.shutdown();
+    assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
+}

@@ -76,8 +76,8 @@ fn submission_storm_with_concurrent_resizes() {
             let mut starved = 0usize;
             for (i, (input, ticket)) in results.into_iter().enumerate() {
                 match ticket.wait() {
-                    Ok(report) => {
-                        let sorted = report.into_sorted_vec().unwrap();
+                    Ok(output) => {
+                        let sorted = output.into_sorted_vec().unwrap();
                         assert!(is_sorted(&sorted), "submitter {t} job {i}");
                         assert!(is_key_permutation(&input, &sorted), "submitter {t} job {i}");
                     }

@@ -43,7 +43,12 @@
 //! sort ran, somebody is waiting on the sort's answers, so `run` does not
 //! park: it settles the merge itself (every shrink answered from the sorting
 //! thread, at page granularity) and returns a completion that holds one
-//! stored run and none of the budget's pages.
+//! stored run and none of the budget's pages. An owner that stays with the
+//! root — pulling it page by page
+//! ([`next_page`](SortCompletion::next_page)) and running its
+//! [`checkpoint`](SortCompletion::checkpoint) whenever it cannot pull — has
+//! no such problem and enters through
+//! [`run_to_root`](SortJob::run_to_root), which always parks.
 
 use crate::budget::MemoryBudget;
 use crate::config::SortConfig;
@@ -159,7 +164,10 @@ where
     /// If the budget's target was moved while this call ran, the root is
     /// executed here as well ([`SortCompletion::settle`]): whoever moves a
     /// budget waits for the sort to follow, and a parked root follows only
-    /// when its consumer next pulls.
+    /// when its consumer next pulls. An owner that keeps driving the root
+    /// itself — pulling pages, or running its
+    /// [`checkpoint`](SortCompletion::checkpoint) while it cannot — calls
+    /// [`run_to_root`](Self::run_to_root) instead.
     ///
     /// With [`cpu_threads`](SortJobBuilder::cpu_threads)` ≥ 2` the split
     /// phase partitions the input across that many compute workers (each
@@ -168,24 +176,34 @@ where
     /// (unsplittable sources simply decline and run single-threaded); wrap a
     /// custom source in [`Unsplit`](crate::Unsplit) — or implement the trait
     /// — to run it here.
-    pub fn run(mut self) -> SortResult<SortCompletion<S, E>> {
+    pub fn run(self) -> SortResult<SortCompletion<S, E>> {
         let moves_before = self.budget.version();
+        let completion = self.run_to_root()?;
+        if completion.budget.version() == moves_before {
+            Ok(completion)
+        } else {
+            completion.settle()
+        }
+    }
+
+    /// [`run`](Self::run) without its settling rule: whatever happened to
+    /// the budget meanwhile, the sort stops with its root step parked and
+    /// nothing sorted written. This is for a caller that answers for the
+    /// budget while the root is parked — one that never lets the root sit
+    /// between pulls without running its
+    /// [`checkpoint`](SortCompletion::checkpoint), as a broker's worker does.
+    pub fn run_to_root(mut self) -> SortResult<SortCompletion<S, E>> {
         let sorter = ExternalSorter::new(self.cfg.clone());
         let (outcome, root) =
             sorter.begin(self.input, &mut self.store, &mut self.env, &self.budget)?;
-        let completion = SortCompletion {
+        Ok(SortCompletion {
             outcome,
             store: self.store,
             env: self.env,
             cfg: self.cfg,
             budget: self.budget,
             root,
-        };
-        if completion.budget.version() == moves_before {
-            Ok(completion)
-        } else {
-            completion.settle()
-        }
+        })
     }
 }
 
@@ -244,7 +262,9 @@ impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
     /// stopped reading pin granted pages. It costs the write and the re-read
     /// of the result that [`into_stream`](Self::into_stream) avoids; a sort
     /// that is already down to a single stored run (or none) settles for
-    /// free.
+    /// free. Pages already pulled with [`next_page`](Self::next_page) stay
+    /// pulled: only the remainder is settled, and what the completion yields
+    /// afterwards continues where the pulls stopped.
     pub fn settle(mut self) -> SortResult<Self> {
         self.exec().settle()?;
         // Surface deferred write-behind failures here, not at the first read.
@@ -259,13 +279,29 @@ impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
     }
 
     /// The next page of sorted tuples off the root merge step; `None` when
-    /// the sort is exhausted. Exhaustion and errors both close the sort.
-    pub(crate) fn next_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
+    /// the sort is exhausted. Exhaustion and errors both close the sort:
+    /// runs deleted, pages back, [`outcome`](Self::outcome) final.
+    /// ([`into_stream`](Self::into_stream) is this, tuple by tuple.)
+    pub fn next_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
         let page = self.exec().next_root_page();
         if !matches!(page, Ok(Some(_))) {
             self.close();
         }
         page
+    }
+
+    /// What the merge does between two pages, without the page: poll the
+    /// budget and apply the configured adaptation, so that a root whose
+    /// consumer cannot take another page right now still answers a shrink —
+    /// by splitting, paging, or giving every buffer back — instead of
+    /// sitting on its pages until the next pull. An error (cancellation
+    /// included) closes the sort.
+    pub fn checkpoint(&mut self) -> SortResult<()> {
+        let result = self.exec().idle_checkpoint();
+        if result.is_err() {
+            self.close();
+        }
+        result
     }
 
     /// Delete every run the sort still has, return its pages, and — unless

@@ -216,6 +216,11 @@ pub(crate) struct MergeState {
     /// True from [`Exec::begin`] until [`Exec::end_phase`]: the merge phase's
     /// closing statistics and trace event are still owed.
     open: bool,
+    /// When the suspension strategy gave every buffer back and has not had
+    /// them again since. Set and cleared inside one checkpoint by a merge
+    /// that waits for its memory; a parked merge ([`Exec::idle_checkpoint`])
+    /// can stay suspended from one checkpoint to the next.
+    suspended_at: Option<f64>,
 }
 
 impl MergeState {
@@ -249,6 +254,7 @@ impl MergeState {
             trace: env.trace(),
             streak: None,
             open: false,
+            suspended_at: None,
         }
     }
 
@@ -301,7 +307,9 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     // Adaptation
     // ------------------------------------------------------------------
 
-    fn adapt(&mut self) -> SortResult<()> {
+    /// `wait` is false at the checkpoint of a parked merge, which has nothing
+    /// to produce and so no reason to block until suspended memory returns.
+    fn adapt(&mut self, wait: bool) -> SortResult<()> {
         // The merge-phase adaptivity checkpoint doubles as the cancellation
         // point: an owner-cancelled sort aborts here, before doing any more
         // merge work, and its pages are released with the cursors.
@@ -311,10 +319,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         }
         match self.st.params.adaptation {
             MergeAdaptation::DynamicSplitting => self.adapt_dynamic()?,
-            MergeAdaptation::Suspension => self.adapt_static(true)?,
-            MergeAdaptation::Paging => self.adapt_static(false)?,
+            MergeAdaptation::Suspension => self.adapt_static(true, wait)?,
+            MergeAdaptation::Paging => self.adapt_static(false, wait)?,
         }
-        self.update_pipeline();
+        // A merge that stays suspended holds nothing, read-ahead included.
+        if self.st.suspended_at.is_none() {
+            self.update_pipeline();
+        }
         Ok(())
     }
 
@@ -398,7 +409,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         Ok(())
     }
 
-    fn adapt_static(&mut self, suspend: bool) -> SortResult<()> {
+    fn adapt_static(&mut self, suspend: bool, wait: bool) -> SortResult<()> {
         // Static planning: split with the memory available when the merge
         // phase began, never re-plan afterwards (paper §3.2.1/§3.2.2).
         while self.st.arena.active_step().pages_needed() > self.st.plan_memory
@@ -409,14 +420,22 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         let target = self.effective_target();
         let need = self.st.arena.active_step().pages_needed();
         if suspend {
-            if need > target {
+            if need > target && self.st.suspended_at.is_none() {
                 // Give every buffer back — including staged read-ahead pages —
                 // then stop until the memory returns.
                 self.shed_step(self.st.arena.active);
                 self.budget.record_held(0, self.env.now());
                 self.st.trace.emit(EventKind::Suspend { need, target });
-                let waited_from = self.env.now();
-                let _granted = self.env.wait_for_pages(self.budget, need);
+                self.st.suspended_at = Some(self.env.now());
+            }
+            if let Some(waited_from) = self.st.suspended_at {
+                if need > self.effective_target() {
+                    if !wait {
+                        return Ok(());
+                    }
+                    let _granted = self.env.wait_for_pages(self.budget, need);
+                }
+                self.st.suspended_at = None;
                 let waited = self.env.now() - waited_from;
                 self.st.stats.suspended_time += waited;
                 self.st.trace.emit(EventKind::Resume { waited });
@@ -1052,7 +1071,16 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// switching happen in here, so the active step may differ afterwards.
     fn checkpoint(&mut self) -> SortResult<()> {
         self.env.poll(self.budget);
-        self.adapt()
+        self.adapt(true)
+    }
+
+    /// The checkpoint of a merge whose consumer is not pulling: poll and
+    /// adapt as ever — a shrink is answered by splitting, paging or
+    /// suspending right here — but produce nothing, and leave a suspension's
+    /// wait for its memory to the next [`step`](Self::step).
+    pub(crate) fn idle_checkpoint(&mut self) -> SortResult<()> {
+        self.env.poll(self.budget);
+        self.adapt(false)
     }
 
     /// A checkpoint followed by about a page of work on whichever step is

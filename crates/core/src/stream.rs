@@ -225,15 +225,17 @@ mod tests {
 
     /// Sort up to where `run()` stops; reads start failing after `ok_reads`.
     fn rig(n: usize, mem: usize, ok_reads: usize) -> (Rig, SortCompletion<ProbedStore>) {
-        rig_moving(n, mem, ok_reads, Vec::new())
+        rig_moving(n, mem, ok_reads, Vec::new(), false)
     }
 
-    /// [`rig`], with the budget moved during run formation.
+    /// [`rig`], with the budget moved during run formation, stopped by
+    /// `run()` or (`to_root`) by `run_to_root()`.
     fn rig_moving(
         n: usize,
         mem: usize,
         ok_reads: usize,
         moves: Vec<(usize, usize)>,
+        to_root: bool,
     ) -> (Rig, SortCompletion<ProbedStore>) {
         let input = random_tuples(n, n as u64);
         let budget = MemoryBudget::new(mem);
@@ -241,7 +243,7 @@ mod tests {
         let store = FileStore::in_temp_dir().unwrap();
         let dir = store.dir().to_path_buf();
         let live_runs = Arc::new(AtomicUsize::new(0));
-        let completion = SortJob::builder()
+        let job = SortJob::builder()
             .config(cfg(mem))
             .input(Unsplit(MovingInput {
                 pages: VecSource::from_tuples(input.clone(), cfg(mem).tuples_per_page()),
@@ -258,9 +260,13 @@ mod tests {
             .env(RealEnv::new().with_trace(trace.clone()))
             .budget(budget.clone())
             .build()
-            .unwrap()
-            .run()
             .unwrap();
+        let completion = if to_root {
+            job.run_to_root()
+        } else {
+            job.run()
+        }
+        .unwrap();
         let rig = Rig {
             input,
             budget,
@@ -321,7 +327,8 @@ mod tests {
     fn a_budget_moved_under_the_sort_makes_run_settle_instead_of_parking() {
         // 750 input pages; the budget dips to 8 pages and is back at 32 long
         // before the merge starts, where every run fits one step again.
-        let (rig, completion) = rig_moving(6_000, 32, usize::MAX, vec![(100, 8), (200, 32)]);
+        let moves = vec![(100, 8), (200, 32)];
+        let (rig, completion) = rig_moving(6_000, 32, usize::MAX, moves, false);
         let at_run = completion.outcome.clone();
         assert!(at_run.runs_formed() > 4);
         // Whoever moved the budget must not wait on this sort's consumer:
@@ -337,6 +344,27 @@ mod tests {
         let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
         assert_sorted_permutation(&rig.input, &sorted);
         assert_eq!(stream.finish().merge, at_run.merge);
+        rig.assert_cleaned_up();
+    }
+
+    #[test]
+    fn run_to_root_parks_whatever_happened_to_the_budget() {
+        // The same sort under the same moves, entered by the owner that
+        // keeps driving the root: nothing is settled on its behalf.
+        let moves = vec![(100, 8), (200, 32)];
+        let (rig, completion) = rig_moving(6_000, 32, usize::MAX, moves, true);
+        let at_root = completion.outcome.clone();
+        assert_eq!(at_root.runs_formed(), run_files(&rig.dir));
+        assert!(rig.budget.held() > 1, "the parked root holds its buffers");
+        assert_eq!(merge_phase_ends(&rig.trace), 0);
+        assert_eq!(at_root.merge.tuples_output, 0);
+        assert_eq!(at_root.merge.pages_written, 0);
+        assert_eq!(at_root.delays.len(), 1, "the dip was answered in the split");
+
+        let mut stream = completion.into_stream();
+        let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
+        assert_sorted_permutation(&rig.input, &sorted);
+        assert_eq!(stream.finish().merge.pages_written, 0);
         rig.assert_cleaned_up();
     }
 

@@ -11,6 +11,8 @@ use masort_core::prelude::*;
 use masort_core::verify::{assert_sorted_permutation, assert_sorted_permutation_by};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn env_threads() -> usize {
     std::env::var("MASORT_THREADS")
@@ -215,6 +217,11 @@ fn budget_shrinks_mid_parallel_sort_are_honoured() {
 /// after quiescence the sum of the child holdings matches the root's
 /// aggregate and fits under the root target, and the shrink delays the
 /// workers incurred are visible at the root.
+///
+/// The two sides overlap by construction, not by luck: the wobbler starts
+/// once every worker has reported a holding, follows each move by waiting
+/// for every worker to report again, and the workers go on until they have
+/// seen its last move.
 #[test]
 fn budget_hierarchy_invariants_under_concurrent_wobbler() {
     let workers = 4usize;
@@ -222,19 +229,29 @@ fn budget_hierarchy_invariants_under_concurrent_wobbler() {
     let children: Vec<MemoryBudget> = (0..workers)
         .map(|_| root.child(1.0 / workers as f64))
         .collect();
+    let reports: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..workers).map(|_| AtomicUsize::new(0)).collect());
+    let wobbled = Arc::new(AtomicBool::new(false));
 
     let wobbler = {
-        let root = root.clone();
+        let (root, reports, wobbled) = (root.clone(), Arc::clone(&reports), Arc::clone(&wobbled));
         std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(17);
+            let mut seen = vec![0usize; reports.len()];
             for step in 0..300usize {
+                // Every worker has reported since the previous move (before
+                // the first one: at all).
+                for (seen, reported) in seen.iter_mut().zip(reports.iter()) {
+                    while reported.load(Ordering::SeqCst) == *seen {
+                        std::thread::yield_now();
+                    }
+                    *seen = reported.load(Ordering::SeqCst);
+                }
                 // Never below `workers` pages, so per-child floors cannot
                 // oversubscribe the root.
                 root.set_target(rng.gen_range(16..64usize), step as f64);
-                if step % 16 == 0 {
-                    std::thread::yield_now();
-                }
             }
+            wobbled.store(true, Ordering::SeqCst);
         })
     };
 
@@ -243,9 +260,13 @@ fn budget_hierarchy_invariants_under_concurrent_wobbler() {
         .cloned()
         .enumerate()
         .map(|(i, child)| {
+            let (reports, wobbled) = (Arc::clone(&reports), Arc::clone(&wobbled));
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(100 + i as u64);
-                for step in 0..300usize {
+                for step in 0usize.. {
+                    // Read before reporting: the report that follows a `true`
+                    // comes after the wobbler's last move.
+                    let last = wobbled.load(Ordering::SeqCst);
                     // Sometimes lag behind a shrink (hold more than the
                     // current target) so real delay samples are produced when
                     // the holding later drops to target.
@@ -256,6 +277,12 @@ fn budget_hierarchy_invariants_under_concurrent_wobbler() {
                         target.saturating_sub(rng.gen_range(0..2usize))
                     };
                     child.record_held(held, step as f64);
+                    reports[i].fetch_add(1, Ordering::SeqCst);
+                    if last {
+                        break;
+                    }
+                    // More threads than cores must not starve the wobbler.
+                    std::thread::yield_now();
                 }
             })
         })

@@ -151,7 +151,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Write one length-prefixed frame. Flushes are the caller's business —
-/// batch several frames, then flush once.
+/// batch several frames, then flush once. A frame whose body is over
+/// [`MAX_FRAME_BYTES`] is refused with `InvalidInput` before anything is
+/// written.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     let body = encode_frame(frame);
     if body.len() > MAX_FRAME_BYTES {

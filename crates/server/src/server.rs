@@ -231,7 +231,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Tuples per `EGRESS` frame.
+    /// Tuples per `EGRESS` frame: result pages are coalesced until a frame
+    /// holds at least this many (and never past half the frame cap at the
+    /// job's declared tuple size).
     pub fn egress_chunk(mut self, tuples: usize) -> Self {
         self.egress_chunk = tuples.max(1);
         self

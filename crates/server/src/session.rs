@@ -3,18 +3,19 @@
 //! A session owns exactly one sort. It reads `HELLO`/`SUBMIT`, turns the
 //! submission into a [`SortRequest`] whose input is a bounded
 //! [`ChannelSource`] — so a slow sort backpressures `INGEST` frames straight
-//! through TCP — and then pumps tuples in, waits on the ticket and streams
-//! the sorted result back out. Every abnormal exit (a `CANCEL` frame, a
-//! protocol violation, a vanished client) funnels through the same cleanup:
-//! cancel the ticket, drop the ingest channel, drain the ticket so the job's
-//! pages are provably back in the pool before the session ends.
+//! through TCP — and then pumps tuples in, waits on the ticket and frames
+//! the sorted result as the job's last merge step hands its pages over.
+//! Every abnormal exit (a `CANCEL` frame, a protocol violation, a vanished
+//! client) funnels through the same cleanup: cancel the ticket, drop the
+//! ingest channel, and see the job out ([`JobOutput::finish`]) so its pages
+//! are provably back in the pool before the session ends.
 
 use masort_core::sync::atomic::Ordering;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
-use masort_broker::SortRequest;
+use masort_broker::{JobOutput, SortRequest};
 use masort_core::{ChannelSource, Page, SortError, SortOrder, Tuple};
 use masort_trace::EventKind;
 
@@ -245,6 +246,11 @@ fn run_sort<W: Write>(
         cfg = cfg.with_memory_pages(capped);
     }
     let tuples_per_page = cfg.tuples_per_page();
+    // What the job's own geometry says fits half the frame cap.
+    let frame_tuples = shared
+        .egress_chunk
+        .min(MAX_FRAME_BYTES / 2 / cfg.tuple_size.max(1))
+        .max(1);
 
     let (sink, source) = ChannelSource::bounded(shared.ingest_depth);
     let source = if spec.expected_tuples != 0 {
@@ -302,16 +308,22 @@ fn run_sort<W: Write>(
     // blocks `sink.send`, which stops us reading frames, which fills the TCP
     // window — backpressure all the way to the client.
     let mut sink = Some(sink);
-    let mut pending: Vec<Tuple> = Vec::new();
+    let mut pending: Vec<Tuple> = Vec::with_capacity(tuples_per_page);
     let finished = loop {
         match next_frame(shared, reader) {
             Ok(Some(Frame::Ingest(tuples))) => {
-                pending.extend(tuples);
                 let tx = sink.as_ref().expect("sink alive during ingest");
+                // One pass over the frame: top the carried-over partial page
+                // up, send every page that fills, carry the tail over.
+                let mut tuples = tuples.into_iter();
                 let mut closed = false;
-                while pending.len() >= tuples_per_page {
-                    let rest = pending.split_off(tuples_per_page);
-                    let page = Page::from_tuples(std::mem::replace(&mut pending, rest));
+                loop {
+                    pending.extend(tuples.by_ref().take(tuples_per_page - pending.len()));
+                    if pending.len() < tuples_per_page {
+                        break;
+                    }
+                    let next = Vec::with_capacity(tuples_per_page);
+                    let page = Page::from_tuples(std::mem::replace(&mut pending, next));
                     if tx.send(page).is_err() {
                         // The sort is already over (failed or reallocated
                         // away); stop feeding it and report its fate below.
@@ -363,70 +375,106 @@ fn run_sort<W: Write>(
     drop(sink);
 
     if !finished {
-        // Cancelled or abandoned: drain the ticket so cleanup is complete,
+        // Cancelled or abandoned: see the job out so cleanup is complete,
         // then (best-effort) tell the client.
-        let result = ticket.wait();
-        let err = match &result {
-            Err(e) => wire_error(e),
-            // The sort won the race and completed before the cancel landed;
-            // the client asked us to throw the result away.
-            Ok(_) => wire_error(&SortError::Cancelled),
+        let err = match ticket.wait() {
+            Err(e) => wire_error(&e),
+            // The sort won the race and got to its last merge step before
+            // the cancel landed; the client asked us to throw the result
+            // away.
+            Ok(output) => {
+                output.finish();
+                wire_error(&SortError::Cancelled)
+            }
         };
         return send_error(writer, err);
     }
 
     // -- Egress ------------------------------------------------------------
-    let report = match ticket.wait() {
-        Ok(report) => report,
+    let mut output = match ticket.wait() {
+        Ok(output) => output,
         Err(e) => return send_error(writer, wire_error(&e)),
     };
-    let stats = &report.stats;
-    let outcome = report.outcome();
-    let mut summary = JobSummary {
-        job: stats.job,
-        tuples: 0,
-        queued_for: stats.queued_for,
-        ran_for: stats.ran_for,
-        initial_grant: stats.initial_grant as u64,
-        reallocations: stats.reallocations,
-        delay_samples: stats.delay_samples as u64,
-        total_delay: stats.total_delay,
-        runs_formed: outcome.split.runs.len() as u64,
-        merge_steps: outcome.merge.steps_executed as u64,
-        natural_runs: stats.natural_runs as u64,
-        min_run_tuples: stats.min_run_tuples as u64,
-        max_run_tuples: stats.max_run_tuples as u64,
-        avg_run_tuples: stats.avg_run_tuples,
+    let sent = send_result(&mut output, writer, frame_tuples);
+    // Whatever became of the socket, the job is over before the session is:
+    // sort closed, grant back in the pool.
+    let report = output.finish();
+    let tuples = match sent? {
+        Ok(tuples) => tuples,
+        Err(e) => return send_error(writer, wire_error(&e)),
     };
-    // Keep each EGRESS frame comfortably under the frame cap even for
-    // pathological payload sizes.
-    let chunk_tuples = shared.egress_chunk.max(1);
-    let mut chunk: Vec<Tuple> = Vec::with_capacity(chunk_tuples);
-    let mut chunk_bytes = 0usize;
-    for tuple in report.into_stream() {
-        let tuple = match tuple {
-            Ok(t) => t,
-            Err(e) => return send_error(writer, wire_error(&e)),
-        };
-        chunk_bytes += tuple_wire_bytes(&tuple);
-        chunk.push(tuple);
-        summary.tuples += 1;
-        if chunk.len() >= chunk_tuples || chunk_bytes >= MAX_FRAME_BYTES / 2 {
-            write_frame(writer, &Frame::Egress(std::mem::take(&mut chunk)))?;
-            chunk_bytes = 0;
+    let (stats, outcome) = (&report.stats, &report.outcome);
+    send(
+        writer,
+        &Frame::Stats(JobSummary {
+            job: stats.job,
+            tuples,
+            queued_for: stats.queued_for,
+            ran_for: stats.ran_for,
+            initial_grant: stats.initial_grant as u64,
+            reallocations: stats.reallocations,
+            delay_samples: stats.delay_samples as u64,
+            total_delay: stats.total_delay,
+            runs_formed: outcome.split.runs.len() as u64,
+            merge_steps: outcome.merge.steps_executed as u64,
+            natural_runs: stats.natural_runs as u64,
+            min_run_tuples: stats.min_run_tuples as u64,
+            max_run_tuples: stats.max_run_tuples as u64,
+            avg_run_tuples: stats.avg_run_tuples,
+        }),
+    )
+}
+
+/// Frame the job's result as its pages arrive: whole pages, coalesced up to
+/// `frame_tuples` per `EGRESS` frame. Returns how many tuples went out, or
+/// the error that ended the result.
+fn send_result<W: Write>(
+    output: &mut JobOutput,
+    writer: &mut W,
+    frame_tuples: usize,
+) -> io::Result<Result<u64, SortError>> {
+    let mut tuples = 0u64;
+    let mut chunk: Vec<Tuple> = Vec::new();
+    loop {
+        match output.next_page() {
+            Ok(Some(page)) => {
+                tuples += page.len() as u64;
+                if chunk.is_empty() {
+                    chunk = page;
+                } else {
+                    chunk.extend(page);
+                }
+                if chunk.len() >= frame_tuples {
+                    write_egress(writer, std::mem::take(&mut chunk))?;
+                }
+            }
+            Ok(None) => break,
+            Err(e) => return Ok(Err(e)),
         }
     }
     if !chunk.is_empty() {
-        write_frame(writer, &Frame::Egress(chunk))?;
+        write_egress(writer, chunk)?;
     }
-    send(writer, &Frame::Stats(summary))
+    Ok(Ok(tuples))
 }
 
-/// Wire footprint of one tuple, for egress chunk sizing.
-fn tuple_wire_bytes(t: &Tuple) -> usize {
-    8 + 1
-        + match &t.payload {
-            masort_core::Payload::Synthetic(_) => 4,
-            masort_core::Payload::Bytes(b) => 4 + b.len(),
+/// One `EGRESS` frame — or, when payloads far larger than the job's geometry
+/// declared push the encoding over the frame cap, as many as it takes.
+fn write_egress<W: Write>(writer: &mut W, tuples: Vec<Tuple>) -> io::Result<()> {
+    let frame = Frame::Egress(tuples);
+    match write_frame(writer, &frame) {
+        // Refused before a byte was written.
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+            let Frame::Egress(mut tuples) = frame else {
+                unreachable!("built as EGRESS above");
+            };
+            if tuples.len() < 2 {
+                return Err(e);
+            }
+            let back = tuples.split_off(tuples.len() / 2);
+            write_egress(writer, tuples)?;
+            write_egress(writer, back)
         }
+        sent => sent,
+    }
 }

@@ -1,0 +1,212 @@
+//! Hostile and unlucky clients on the way out: `EGRESS` frames are built
+//! from the pages a job's last merge step hands over while the broker's
+//! worker still holds the grant, so a client that stops reading, vanishes,
+//! or is caught by a shutdown must cost nobody else anything and leave
+//! nothing behind.
+//!
+//! A client "stops reading" by not calling `next()`; the result is made
+//! larger than loop-back's socket buffers, so the session really does block
+//! in `write` with the rest of the result still in the merge. Every wait is
+//! on a state the server reports. (This file is its own test binary so that
+//! the spill directories of its process are all its own; the tests that
+//! spill take `DISK` in turn.)
+
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+use masort_core::{SortConfig, Tuple};
+use masort_server::{
+    fetch_trace, server_stats, shutdown_server, Completed, Server, ServerHandle, SortClient,
+    SubmitSpec,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+static DISK: Mutex<()> = Mutex::new(());
+
+const PAYLOAD: usize = 120;
+
+/// One worker: whoever is at its root has the only one.
+fn one_worker_server() -> ServerHandle {
+    Server::builder()
+        .pool_pages(32)
+        .workers(1)
+        .base_config(
+            SortConfig::default()
+                .with_page_size(8192)
+                .with_tuple_size(PAYLOAD + 8)
+                .with_memory_pages(32),
+        )
+        .bind("127.0.0.1:0")
+        .expect("bind loopback")
+        .spawn()
+}
+
+/// `n` tuples with real payloads (a synthetic payload is four bytes on the
+/// wire): ~140 bytes each in an `EGRESS` frame.
+fn heavy_tuples(seed: u64, n: usize) -> Vec<Tuple> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let key = rng.gen::<u64>() >> 8;
+            Tuple::new(key, vec![key as u8; PAYLOAD])
+        })
+        .collect()
+}
+
+/// ~11 MB on the wire: several times what loop-back buffers for a reader
+/// that is not reading.
+const BIG: usize = 80_000;
+
+/// Submit and ingest; the result is the caller's to read (or not).
+fn start_sort(addr: SocketAddr, input: &[Tuple], spill: bool) -> (u64, Completed) {
+    let mut client = SortClient::connect(addr, None).expect("connect");
+    let job = client
+        .submit(SubmitSpec {
+            spill,
+            expected_tuples: input.len() as u64,
+            ..SubmitSpec::default()
+        })
+        .expect("submit");
+    for chunk in input.chunks(2_000) {
+        client.ingest(chunk.to_vec()).expect("ingest");
+    }
+    (job, client.finish().expect("finish"))
+}
+
+fn sorted(mut input: Vec<Tuple>) -> Vec<Tuple> {
+    input.sort_by_key(|t| t.key);
+    input
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Spill directories this process's sorts currently own (see
+/// `FileStore::in_temp_dir`).
+fn spill_dirs() -> Vec<PathBuf> {
+    let prefix = format!("masort-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("list the temp dir")
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with(&prefix))
+        })
+        .collect()
+}
+
+#[test]
+fn a_client_that_stops_reading_holds_up_nobody_and_still_gets_its_result() {
+    let handle = one_worker_server();
+    let addr = handle.addr();
+    let big = heavy_tuples(1, BIG);
+    let (job, mut stalled) = start_sort(addr, &big, false);
+    let mut got = vec![stalled.next().expect("a first tuple").expect("tuple")];
+    // ... and the client reads no further. The session fills the socket and
+    // blocks; the hand-off fills; the only worker waits at the root.
+
+    // A second client needs that worker. It must get it without the first
+    // one ever reading again (the service would wait 5 s for it, and this
+    // test would then still pass — the trace below says which happened).
+    let small = heavy_tuples(2, 4_000);
+    let (_, completed) = start_sort(addr, &small, false);
+    let (result, summary) = completed.into_sorted_vec().expect("second client");
+    assert_eq!(result, sorted(small));
+    assert!(summary.queued_for < 4.0, "queued {} s", summary.queued_for);
+
+    // The stalled client resumes: everything is there, in order.
+    for tuple in &mut stalled {
+        got.push(tuple.expect("tuple"));
+    }
+    assert_eq!(got.len(), BIG);
+    assert_eq!(got, sorted(big));
+    let summary = stalled.summary().expect("terminal STATS").clone();
+    assert_eq!(summary.tuples, BIG as u64);
+    // Final books: the settled remainder was written, and that is in them.
+    assert!(summary.merge_steps >= 1);
+
+    // "Was my result written to disk, and why": the job's own timeline.
+    let trace = fetch_trace(addr, job).expect("trace");
+    assert!(trace.contains("\"root_finished\""), "{trace}");
+    assert!(trace.contains("\"queued-request\""), "{trace}");
+    let stats = handle.join();
+    assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
+}
+
+#[test]
+fn a_client_that_vanishes_mid_egress_leaves_no_trace() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
+    let handle = one_worker_server();
+    let addr = handle.addr();
+    let (_, mut completed) = start_sort(addr, &heavy_tuples(3, BIG), true);
+    completed.next().expect("a first tuple").expect("tuple");
+    drop(completed); // connection closed with most of the result unsent
+
+    wait_until("the abandoned job to be released", || {
+        let s = server_stats(addr).expect("stats");
+        s.live_jobs == 0 && s.completed + s.cancelled + s.failed == 1
+    });
+    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    let stats = handle.join();
+    assert_eq!((stats.failed, stats.leaked_pages), (0, 0));
+}
+
+#[test]
+fn a_shutdown_mid_egress_still_delivers_the_result() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
+    let handle = one_worker_server();
+    let addr = handle.addr();
+    let big = heavy_tuples(4, BIG);
+    let (_, mut completed) = start_sort(addr, &big, true);
+    let mut got = vec![completed.next().expect("a first tuple").expect("tuple")];
+
+    let at_shutdown = shutdown_server(addr).expect("SHUTDOWN");
+    assert_eq!(at_shutdown.live_jobs + at_shutdown.completed, 1);
+    for tuple in &mut completed {
+        got.push(tuple.expect("in-flight egress is drained, not cut"));
+    }
+    assert_eq!(got, sorted(big));
+    assert!(completed.summary().is_some(), "terminal STATS");
+
+    let stats = handle.join();
+    assert_eq!((stats.completed, stats.leaked_pages), (1, 0));
+    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+}
+
+#[test]
+fn payloads_far_larger_than_declared_are_split_to_fit_the_frame_cap() {
+    // The geometry says 128-byte tuples, 64 to a page; the payloads are
+    // 300 KiB, so one page of the result is ~19 MiB on the wire, over the
+    // 16 MiB frame cap.
+    let handle = one_worker_server();
+    let mut rng = StdRng::seed_from_u64(5);
+    let input: Vec<Tuple> = (0..96)
+        .map(|_| {
+            let key = rng.gen::<u64>() >> 8;
+            Tuple::new(key, vec![key as u8; 300 << 10])
+        })
+        .collect();
+    let mut client = SortClient::connect(handle.addr(), None).expect("connect");
+    client.submit(SubmitSpec::default()).expect("submit");
+    for chunk in input.chunks(16) {
+        client.ingest(chunk.to_vec()).expect("ingest");
+    }
+    let (result, summary) = client
+        .finish()
+        .expect("finish")
+        .into_sorted_vec()
+        .expect("every frame under the cap");
+    assert_eq!(summary.tuples, 96);
+    assert_eq!(result, sorted(input));
+    let stats = handle.join();
+    assert_eq!((stats.completed, stats.leaked_pages), (1, 0));
+}

@@ -88,6 +88,7 @@ fn traces_and_metrics_agree_over_the_wire() {
     let mut granted_pages = 0u64;
     let mut budget_targets = 0usize;
     let mut phase_starts = 0usize;
+    let (mut streamed, mut settled) = (0u64, 0u64);
     for &job in &jobs {
         let json = fetch_trace(addr, job).expect("TRACE_REQ");
         let doc = JsonValue::parse(&json).expect("trace JSON parses");
@@ -108,10 +109,27 @@ fn traces_and_metrics_agree_over_the_wire() {
                 }
                 EventKind::BudgetTarget { .. } => budget_targets += 1,
                 EventKind::PhaseStart { .. } => phase_starts += 1,
+                EventKind::RootFinished {
+                    pages_streamed,
+                    pages_settled,
+                    ..
+                } => {
+                    streamed += pages_streamed;
+                    settled += pages_settled;
+                }
                 _ => {}
             }
         }
+        // A job id answers "was my result written to disk, and why".
+        let roots = snapshot
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::RootFinished { .. }));
+        assert_eq!(roots.count(), 1, "job {job}: one root_finished event");
     }
+    // 32 tuples to a page; every page of every result went one way or the
+    // other.
+    assert_eq!(streamed + settled, clients * (n as u64).div_ceil(32));
     assert!(
         granted_events >= 1,
         "expected at least one admission grant across {clients} jobs"
@@ -137,6 +155,14 @@ fn traces_and_metrics_agree_over_the_wire() {
         snapshot.counter("pages_granted_total", None),
         Some(granted_pages),
         "trace events and the metrics registry disagree on pages granted"
+    );
+    assert_eq!(
+        snapshot.counter("egress_pages_streamed_total", None),
+        Some(streamed)
+    );
+    assert_eq!(
+        snapshot.counter("egress_pages_settled_total", None),
+        Some(settled)
     );
     assert_eq!(
         snapshot.counter("jobs_submitted_total", None),

@@ -138,6 +138,19 @@ pub enum EventKind {
     },
     /// The job was cancelled (while queued or running).
     Cancelled,
+    /// A brokered job's final merge step is over and its grant went back:
+    /// how much of the result went from the merge to the consumer, how much
+    /// was settled into a stored run for the consumer to read later, and why.
+    RootFinished {
+        /// Result pages handed from the merge straight to the consumer.
+        pages_streamed: u64,
+        /// Result pages left in a stored run instead.
+        pages_settled: u64,
+        /// `"exhausted"` (all streamed), why the rest was settled
+        /// (`"queued-request"`, `"stall"`, `"shutdown"`), or why there is no
+        /// rest (`"cancelled"`, `"failed"`).
+        reason: &'static str,
+    },
     /// A network session opened.
     SessionOpen,
     /// A network session closed.
@@ -169,6 +182,7 @@ impl EventKind {
             EventKind::AdmissionGranted { .. } => "admission_granted",
             EventKind::AdmissionRejected { .. } => "admission_rejected",
             EventKind::Cancelled => "cancelled",
+            EventKind::RootFinished { .. } => "root_finished",
             EventKind::SessionOpen => "session_open",
             EventKind::SessionClose => "session_close",
         }
@@ -223,6 +237,15 @@ impl EventKind {
             EventKind::AdmissionRejected { needed, granted } => {
                 vec![("needed", n(*needed)), ("granted", n(*granted))]
             }
+            EventKind::RootFinished {
+                pages_streamed,
+                pages_settled,
+                reason,
+            } => vec![
+                ("pages_streamed", JsonValue::Number(*pages_streamed as f64)),
+                ("pages_settled", JsonValue::Number(*pages_settled as f64)),
+                ("reason", JsonValue::String((*reason).to_string())),
+            ],
         }
     }
 
@@ -313,6 +336,21 @@ impl EventKind {
                 granted: us("granted")?,
             },
             "cancelled" => EventKind::Cancelled,
+            "root_finished" => EventKind::RootFinished {
+                pages_streamed: num("pages_streamed")? as u64,
+                pages_settled: num("pages_settled")? as u64,
+                reason: match get("reason")? {
+                    JsonValue::String(s) => match s.as_str() {
+                        "exhausted" => "exhausted",
+                        "queued-request" => "queued-request",
+                        "stall" => "stall",
+                        "shutdown" => "shutdown",
+                        "cancelled" => "cancelled",
+                        _ => "failed",
+                    },
+                    _ => return None,
+                },
+            },
             "session_open" => EventKind::SessionOpen,
             "session_close" => EventKind::SessionClose,
             _ => return None,
@@ -366,6 +404,11 @@ mod tests {
                 granted: 32,
             },
             EventKind::Cancelled,
+            EventKind::RootFinished {
+                pages_streamed: 40,
+                pages_settled: 2,
+                reason: "queued-request",
+            },
             EventKind::SessionOpen,
             EventKind::SessionClose,
         ];

@@ -244,8 +244,10 @@ pub fn metrics_to_prometheus(snapshot: &MetricsSnapshot) -> String {
 
 /// Render one job's timeline as ASCII art: page-grant level over time (from
 /// `budget_target` events) with adaptation markers (`S`uspend, `R`esume,
-/// sp`L`it, `C`ombine, s`W`itch) on a rail underneath, followed by the raw
-/// event list. The paper's Figure-style view, on a terminal.
+/// sp`L`it, `C`ombine, s`W`itch) on a rail underneath, then — for a brokered
+/// job whose grant has gone back — one line saying whether its result was
+/// written to disk and why, followed by the raw event list. The paper's
+/// Figure-style view, on a terminal.
 pub fn render_timeline(events: &[TraceEvent]) -> String {
     const WIDTH: usize = 64;
     const HEIGHT: usize = 10;
@@ -313,6 +315,20 @@ pub fn render_timeline(events: &[TraceEvent]) -> String {
     if rail.iter().any(|&c| c != ' ') {
         out.push_str(&format!("       {}\n", rail.iter().collect::<String>()));
         out.push_str("       S=suspend R=resume L=split C=combine W=switch\n");
+    }
+
+    for e in events {
+        if let EventKind::RootFinished {
+            pages_streamed,
+            pages_settled,
+            reason,
+        } = e.kind
+        {
+            out.push_str(&format!(
+                "result: {pages_streamed} pages streamed off the last merge step, \
+                 {pages_settled} settled into a stored run ({reason})\n"
+            ));
+        }
     }
 
     out.push('\n');
@@ -416,12 +432,26 @@ mod tests {
                 span: SpanId(1),
                 kind: EventKind::BudgetTarget { prev: 8, target: 2 },
             },
+            TraceEvent {
+                ts: 1.1,
+                span: SpanId(1),
+                kind: EventKind::RootFinished {
+                    pages_streamed: 12,
+                    pages_settled: 30,
+                    reason: "stall",
+                },
+            },
         ];
         let art = render_timeline(&events);
         assert!(art.contains('█'));
         assert!(art.contains('S'));
         assert!(art.contains('R'));
         assert!(art.contains("budget_target"));
+        assert!(art.contains("result: 12 pages streamed"), "{art}");
+        assert!(
+            art.contains("30 settled into a stored run (stall)"),
+            "{art}"
+        );
         assert_eq!(render_timeline(&[]), "(no events)\n");
     }
 }

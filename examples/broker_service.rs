@@ -53,7 +53,20 @@ fn main() -> Result<(), SortError> {
 
     println!("job  prio  grant  reallocs  delays  queued(ms)  ran(ms)");
     for (priority, ticket) in tickets {
-        let report = ticket.wait()?;
+        // Resolves when the sort is down to its last merge step. Stream the
+        // result off that step and check it on the fly.
+        let mut output = ticket.wait()?;
+        let mut previous = 0u64;
+        let mut count = 0usize;
+        for tuple in output.by_ref() {
+            let tuple = tuple?;
+            assert!(tuple.key >= previous, "output out of order");
+            previous = tuple.key;
+            count += 1;
+        }
+        assert_eq!(count, 120_000);
+        // The job's books, closed when its grant went back to the pool.
+        let report = output.finish();
         let s = &report.stats;
         println!(
             "{:>3}  {:>4}  {:>5}  {:>8}  {:>6}  {:>10.2}  {:>7.2}",
@@ -65,16 +78,6 @@ fn main() -> Result<(), SortError> {
             s.queued_for * 1e3,
             s.ran_for * 1e3,
         );
-        // Stream the result and check it on the fly.
-        let mut previous = 0u64;
-        let mut count = 0usize;
-        for tuple in report.into_stream() {
-            let tuple = tuple?;
-            assert!(tuple.key >= previous, "output out of order");
-            previous = tuple.key;
-            count += 1;
-        }
-        assert_eq!(count, 120_000);
     }
 
     let stats = service.shutdown();

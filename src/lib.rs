@@ -21,6 +21,8 @@
 //!   all live sorts (equal-share, priority-weighted or min-guarantee
 //!   arbitration — or your own [`broker::ArbitrationPolicy`]), so sorts
 //!   grow, shrink, suspend, page and split while running on real threads.
+//!   A ticket resolves to a [`broker::JobOutput`]: the result comes off the
+//!   job's last merge step as the worker holding the grant executes it.
 //! * [`simkit`], [`diskmodel`], [`sysmodel`] — the simulation substrates
 //!   (event kernel, analytic disk model, CPU/buffer/workload models).
 //! * [`dbsim`] — the paper's database-system simulation model and the

@@ -10,6 +10,10 @@
 //!   second thread takes the budget from 64 pages to 3 and wobbles it while
 //!   the consumer is mid-stream; the sort reacts the way the paper says it
 //!   does and the output is still the sorted input.
+//! * What an owner that drives the root itself builds on (the broker's
+//!   worker): `settle()` after k pages were pulled continues the stream
+//!   where the pulls stopped, and `checkpoint()` answers a shrink — or a
+//!   cancel — without producing a page.
 
 use memory_adaptive_sort::prelude::*;
 use rand::rngs::StdRng;
@@ -208,5 +212,136 @@ fn suspension_adapts_while_the_stream_is_drained() {
     assert_eq!(
         done.merge.pages_written, 0,
         "suspension never splits the root"
+    );
+}
+
+/// A 30-run sort on a budget the test keeps a handle on, parked at its root.
+fn parked(
+    adaptation: MergeAdaptation,
+    order: &SortOrder,
+    input: &[Tuple],
+) -> (MemoryBudget, SortCompletion<MemStore>) {
+    let spec = AlgorithmSpec::new(RunFormation::repl(6), MergePolicy::Optimized, adaptation);
+    let budget = MemoryBudget::new(48);
+    let completion = SortJob::builder()
+        .config(cfg(spec, 48).with_order(order.clone()))
+        .tuples(input.to_vec())
+        .budget(budget.clone())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(completion.outcome.runs_formed() > 8);
+    assert!(budget.held() > 8, "parked with its buffers");
+    (budget, completion)
+}
+
+#[test]
+fn settling_after_k_pages_continues_the_stream_where_it_stopped() {
+    let input = random_tuples(6_000, 11);
+    for adaptation in [
+        MergeAdaptation::DynamicSplitting,
+        MergeAdaptation::Paging,
+        MergeAdaptation::Suspension,
+    ] {
+        for order in [SortOrder::ascending(), SortOrder::descending()] {
+            // The un-settled stream, page by page.
+            let (_, mut whole) = parked(adaptation, &order, &input);
+            let mut pages: Vec<Vec<Tuple>> = Vec::new();
+            while let Some(page) = whole.next_page().unwrap() {
+                pages.push(page);
+            }
+            let reference: Vec<Tuple> = pages.concat();
+            assert!(order.is_sorted(&reference));
+            assert_eq!(reference.len(), input.len());
+
+            for k in [0, 1, pages.len() / 2, pages.len() - 1, pages.len()] {
+                let case = format!("{adaptation:?} {order:?} k={k}");
+                let (budget, mut sort) = parked(adaptation, &order, &input);
+                let mut output = Vec::new();
+                for _ in 0..k {
+                    output.extend(sort.next_page().unwrap().expect("k pages exist"));
+                }
+                let settled = sort.settle().unwrap();
+                assert_eq!(budget.held(), 0, "{case}: settle gives every page back");
+                let merge = &settled.outcome.merge;
+                assert_eq!(merge.tuples_output as usize, input.len(), "{case}");
+                // Only what had not been pulled went through the store.
+                let left = pages.len() - k;
+                assert!(
+                    (left..=left + 1).contains(&merge.pages_written),
+                    "{case}: {} pages written for {left} left",
+                    merge.pages_written
+                );
+                output.extend(settled.into_sorted_vec().unwrap());
+                assert_eq!(output, reference, "{case}: settled tail diverged");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_checkpoint_answers_a_shrink_without_a_page_being_pulled() {
+    let input = random_tuples(6_000, 12);
+    for adaptation in [
+        MergeAdaptation::DynamicSplitting,
+        MergeAdaptation::Paging,
+        MergeAdaptation::Suspension,
+    ] {
+        let (budget, mut sort) = parked(adaptation, &SortOrder::ascending(), &input);
+        sort.checkpoint().unwrap();
+        assert!(budget.held() > 8, "{adaptation:?}: nothing to answer yet");
+
+        // The owner wants all but three pages back from a root whose
+        // consumer is not pulling.
+        budget.set_target(3, 1.0);
+        assert!(budget.shrink_pending());
+        sort.checkpoint().unwrap();
+        assert!(budget.held() <= 3, "{adaptation:?}: held {}", budget.held());
+        assert!(!budget.shrink_pending(), "{adaptation:?}");
+        // Idempotent while nothing moves, and nothing was produced.
+        sort.checkpoint().unwrap();
+        assert!(budget.held() <= 3, "{adaptation:?}");
+
+        // The memory comes back; the stream picks up as if never parked.
+        budget.set_target(48, 2.0);
+        let mut stream = sort.into_stream();
+        let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
+        masort_core::verify::assert_sorted_permutation(&input, &sorted);
+        let done = stream.finish();
+        assert_eq!(done.merge.tuples_output as usize, input.len());
+        let answered = done.delays.iter().filter(|d| d.phase == SortPhase::Merge);
+        assert_eq!(
+            answered.count(),
+            1,
+            "{adaptation:?}: one shrink, one sample"
+        );
+        match adaptation {
+            MergeAdaptation::DynamicSplitting => assert!(done.merge.splits >= 1),
+            // Gave everything back without waiting for it to return, and
+            // refetched its buffers when it did.
+            MergeAdaptation::Suspension => {
+                assert!(done.merge.suspended_time > 0.0);
+                assert!(done.merge.refetched_pages > 0);
+            }
+            MergeAdaptation::Paging => {}
+        }
+    }
+}
+
+#[test]
+fn a_cancelled_budget_fails_the_checkpoint_and_closes_the_sort() {
+    let input = random_tuples(6_000, 13);
+    let (budget, mut sort) = parked(
+        MergeAdaptation::DynamicSplitting,
+        &SortOrder::ascending(),
+        &input,
+    );
+    budget.cancel();
+    assert!(matches!(sort.checkpoint(), Err(SortError::Cancelled)));
+    assert_eq!(budget.held(), 0);
+    assert!(
+        sort.next_page().unwrap().is_none(),
+        "closed: nothing to yield"
     );
 }
