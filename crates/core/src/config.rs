@@ -278,43 +278,6 @@ impl FromStr for AlgorithmSpec {
     }
 }
 
-/// The physical representation run pages are built in (see [`crate::layout`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PageLayout {
-    /// Classic owned pages: a `Vec` of [`crate::Tuple`]s, every payload its
-    /// own allocation. The default, and the only layout the simulation
-    /// harness uses.
-    #[default]
-    Owned,
-    /// Dense fixed-stride pages built from per-run arenas
-    /// ([`crate::layout::TupleArena`]): one contiguous byte region per page,
-    /// decoded zero-copy out of I/O blocks. Payloads longer than
-    /// `stride - 12` bytes spill to the page's overflow slab.
-    Dense {
-        /// Record stride in bytes (key + descriptor + inline payload area).
-        /// Must be at least [`crate::layout::MIN_DENSE_STRIDE`].
-        stride: usize,
-    },
-}
-
-impl PageLayout {
-    /// A dense layout whose records inline payloads of up to `payload` bytes.
-    pub fn dense_for_payload(payload: usize) -> Self {
-        PageLayout::Dense {
-            stride: (crate::layout::RECORD_HEADER + payload).max(crate::layout::MIN_DENSE_STRIDE),
-        }
-    }
-}
-
-impl fmt::Display for PageLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PageLayout::Owned => write!(f, "owned"),
-            PageLayout::Dense { stride } => write!(f, "dense{stride}"),
-        }
-    }
-}
-
 /// Configuration of a single external sort or sort-merge join.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SortConfig {
@@ -341,11 +304,6 @@ pub struct SortConfig {
     /// and the environment can fork workers (the deterministic simulator
     /// cannot, so simulated sorts always stay single-threaded).
     pub cpu_threads: usize,
-    /// The physical layout run pages are built in (default: owned tuples).
-    /// [`PageLayout::Dense`] routes run formation and the merge through the
-    /// arena/zero-copy fast path of [`crate::layout`]; the sorted output is
-    /// tuple-for-tuple identical in either layout.
-    pub layout: PageLayout,
 }
 
 impl Default for SortConfig {
@@ -360,7 +318,6 @@ impl Default for SortConfig {
             order: SortOrder::ascending(),
             io: crate::io::IoConfig::default(),
             cpu_threads: 1,
-            layout: PageLayout::Owned,
         }
     }
 }
@@ -373,6 +330,16 @@ impl SortConfig {
     /// helpers can run before validation surfaces `InvalidConfig`.
     pub fn tuples_per_page(&self) -> usize {
         (self.page_size / self.tuple_size.max(1)).max(1)
+    }
+
+    /// Stride of the fixed-size records the sort holds its tuples in (see
+    /// [`crate::layout`]): header plus the payload of a `tuple_size`-byte
+    /// tuple, so such a payload sits inline. Longer ones are kept outside the
+    /// record; nothing has to fit.
+    pub fn record_stride(&self) -> usize {
+        use crate::layout::{MIN_DENSE_STRIDE, RECORD_HEADER};
+        (RECORD_HEADER + self.tuple_size.saturating_sub(crate::tuple::KEY_BYTES))
+            .max(MIN_DENSE_STRIDE)
     }
 
     /// Builder-style override of the memory allocation.
@@ -423,16 +390,6 @@ impl SortConfig {
     /// Builder-style override of the I/O pipeline configuration.
     pub fn with_io(mut self, io: crate::io::IoConfig) -> Self {
         self.io = io;
-        self
-    }
-
-    /// Builder-style override of the run-page layout.
-    ///
-    /// An undersized dense stride is stored as-is and rejected by
-    /// [`validate`](Self::validate) (i.e. at `SortJobBuilder::build` time)
-    /// rather than panicking here.
-    pub fn with_layout(mut self, layout: PageLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -491,20 +448,6 @@ impl SortConfig {
                 return Err(SortError::invalid_config(
                     "adaptive replacement needs 1 <= min_block <= max_block",
                 ));
-            }
-        }
-        if let PageLayout::Dense { stride } = self.layout {
-            if stride < crate::layout::MIN_DENSE_STRIDE {
-                return Err(SortError::invalid_config(format!(
-                    "dense layout stride ({stride} B) below the minimum of {} B",
-                    crate::layout::MIN_DENSE_STRIDE
-                )));
-            }
-            if stride > self.page_size {
-                return Err(SortError::invalid_config(format!(
-                    "dense layout stride ({stride} B) exceeds page_size ({} B)",
-                    self.page_size
-                )));
             }
         }
         Ok(())
@@ -609,19 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_layout_strides_are_validated() {
-        let ok = SortConfig::default().with_layout(PageLayout::dense_for_payload(248));
-        assert!(ok.validate().is_ok());
-        assert_eq!(ok.layout, PageLayout::Dense { stride: 260 });
-        let tiny = SortConfig::default().with_layout(PageLayout::Dense { stride: 8 });
-        assert!(matches!(tiny.validate(), Err(SortError::InvalidConfig(_))));
-        let huge = SortConfig::default()
-            .with_page_size(64)
-            .with_tuple_size(32)
-            .with_layout(PageLayout::Dense { stride: 128 });
-        assert!(matches!(huge.validate(), Err(SortError::InvalidConfig(_))));
-        assert_eq!(PageLayout::default(), PageLayout::Owned);
-        assert_eq!(PageLayout::Dense { stride: 40 }.to_string(), "dense40");
+    fn record_stride_inlines_a_nominal_payload() {
+        // 256-byte tuples: 8 of key, 248 of payload, 12 of record header.
+        assert_eq!(SortConfig::default().record_stride(), 260);
+        // Never below what an out-of-record payload needs.
+        let tiny = SortConfig::default().with_tuple_size(4);
+        assert_eq!(tiny.record_stride(), crate::layout::MIN_DENSE_STRIDE);
     }
 
     #[test]

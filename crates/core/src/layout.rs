@@ -1,14 +1,22 @@
-//! Dense, fixed-stride tuple layout: arenas, slabs and zero-copy pages.
+//! How the sort holds a record: fixed-stride bytes, from the input page to
+//! the page the consumer takes.
 //!
-//! The classic page representation ([`Page`](crate::tuple::Page) in its
-//! *owned* form) is a `Vec<Tuple>`, so every payload is its own heap
-//! allocation and every decode re-materialises them. This module provides the
-//! cache-conscious alternative used by the raw-speed path:
+//! A page a caller hands in may be a `Vec<Tuple>` (the *owned* form of
+//! [`Page`](crate::tuple::Page): every payload its own heap allocation). The
+//! sort itself never holds a record that way. One record format serves run
+//! formation, the run pages and the merge:
 //!
-//! * [`TupleArena`] — an append-only arena of **fixed-stride records**. Each
-//!   record is `key (8 bytes LE) | descriptor (4 bytes LE) | inline payload`,
-//!   padded to the arena's stride; payloads that do not fit inline spill into
-//!   a per-arena **overflow slab** and the record stores their offset instead.
+//! * a **record** is `key (8 bytes LE) | descriptor (4 bytes LE) | inline
+//!   payload`, padded to a fixed stride
+//!   ([`SortConfig::record_stride`](crate::SortConfig::record_stride)). A
+//!   synthetic payload is its 12-byte header alone; a payload too long for
+//!   the inline area lives outside the record.
+//! * [`RecordSlab`] — the records run formation selects over: slots that are
+//!   filled on insert, freed in any order and recycled through a free list,
+//!   so the slab's footprint tracks what is buffered.
+//! * [`TupleArena`] — an append-only arena of records, the page under
+//!   construction; payloads that do not fit inline spill into a per-arena
+//!   **overflow area** and the record stores their offset instead.
 //! * [`DensePage`] — a sealed arena: one contiguous byte region plus a
 //!   count, cheaply cloneable because the bytes live behind an `Arc`. A block
 //!   read decodes *one* buffer and every page in the block borrows slices out
@@ -23,11 +31,12 @@
 //! store dispatches on the first four bytes.
 
 use crate::tuple::{Payload, Tuple, KEY_BYTES};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Minimum record stride of a dense layout: key (8) + descriptor (4) +
-/// overflow offset (8). Any payload fits at this stride via the overflow
-/// slab; larger strides inline correspondingly larger payloads.
+/// Minimum record stride: key (8) + descriptor (4) + overflow offset (8).
+/// Any payload fits at this stride by living outside the record; larger
+/// strides inline correspondingly larger payloads.
 pub const MIN_DENSE_STRIDE: usize = 20;
 
 /// Byte offset of a record's payload area (key + descriptor).
@@ -47,6 +56,65 @@ const LEN_MASK: u32 = (1 << TAG_SHIFT) - 1;
 const TAG_INLINE: u32 = 0;
 const TAG_OVERFLOW: u32 = 1;
 const TAG_SYNTHETIC: u32 = 2;
+
+/// Write one record into `rec` (a whole stride). A payload that does not fit
+/// the inline area is handed back: the record then carries `overflow_at` (8
+/// bytes LE) where the payload would start, and the caller keeps the bytes.
+fn write_record<'p>(
+    rec: &mut [u8],
+    key: u64,
+    payload: PayloadRef<'p>,
+    overflow_at: u64,
+) -> Option<&'p [u8]> {
+    rec[..KEY_BYTES].copy_from_slice(&key.to_le_bytes());
+    let (tag, len, spilled) = match payload {
+        PayloadRef::Synthetic(n) => (TAG_SYNTHETIC, n, None),
+        PayloadRef::Bytes(b) if b.len() <= rec.len() - RECORD_HEADER => {
+            rec[RECORD_HEADER..RECORD_HEADER + b.len()].copy_from_slice(b);
+            (TAG_INLINE, b.len() as u32, None)
+        }
+        PayloadRef::Bytes(b) => {
+            rec[RECORD_HEADER..RECORD_HEADER + 8].copy_from_slice(&overflow_at.to_le_bytes());
+            (TAG_OVERFLOW, b.len() as u32, Some(b))
+        }
+    };
+    debug_assert!(len <= LEN_MASK, "payload size overflows the descriptor");
+    let desc = (tag << TAG_SHIFT) | (len & LEN_MASK);
+    rec[KEY_BYTES..RECORD_HEADER].copy_from_slice(&desc.to_le_bytes());
+    spilled
+}
+
+/// The stored key of the record starting at `rec`.
+#[inline]
+fn record_key(rec: &[u8]) -> u64 {
+    u64::from_le_bytes(rec[..KEY_BYTES].try_into().unwrap())
+}
+
+/// The descriptor word of the record starting at `rec`.
+#[inline]
+fn record_descriptor(rec: &[u8]) -> u32 {
+    u32::from_le_bytes(rec[KEY_BYTES..RECORD_HEADER].try_into().unwrap())
+}
+
+/// Borrow the payload of the record starting at `rec`; `overflow` resolves
+/// the 8-byte word and the length of a payload kept outside the record.
+#[inline]
+fn record_payload<'a>(
+    rec: &'a [u8],
+    overflow: impl FnOnce(u64, usize) -> &'a [u8],
+) -> PayloadRef<'a> {
+    let desc = record_descriptor(rec);
+    let len = (desc & LEN_MASK) as usize;
+    match desc >> TAG_SHIFT {
+        TAG_INLINE => PayloadRef::Bytes(&rec[RECORD_HEADER..RECORD_HEADER + len]),
+        TAG_OVERFLOW => {
+            let word =
+                u64::from_le_bytes(rec[RECORD_HEADER..RECORD_HEADER + 8].try_into().unwrap());
+            PayloadRef::Bytes(overflow(word, len))
+        }
+        _ => PayloadRef::Synthetic(len as u32),
+    }
+}
 
 /// A borrowed view of one record's payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,16 +157,20 @@ impl<'a> From<&'a Payload> for PayloadRef<'a> {
     }
 }
 
-/// An append-only arena of fixed-stride records with an overflow slab.
+/// An append-only arena of fixed-stride records with an overflow area.
 ///
 /// Push tuples (or raw key/payload pairs) in order, then [`seal`](Self::seal)
-/// the arena into a [`DensePage`]. Sealing leaves the arena empty but keeps
-/// its allocations, so one arena can produce a whole run's pages without
-/// reallocating.
+/// the arena into a [`DensePage`]. Sealing hands the record buffer itself to
+/// the page and leaves the arena empty; its next record starts a buffer of
+/// the same size.
 #[derive(Clone, Debug)]
 pub struct TupleArena {
     stride: usize,
+    /// The page under construction, laid out as its wire encoding: room for
+    /// the header, then zero-filled record slots, the first `count` written.
     records: Vec<u8>,
+    /// Size `records` is given when its first record arrives.
+    room: usize,
     overflow: Vec<u8>,
     count: usize,
     bytes: usize,
@@ -109,10 +181,14 @@ impl TupleArena {
     ///
     /// # Panics
     ///
-    /// Panics when `stride < MIN_DENSE_STRIDE`
-    /// ([`SortConfig::validate`](crate::SortConfig::validate) rejects such
-    /// configurations before any arena is built).
+    /// Panics when `stride < MIN_DENSE_STRIDE`.
     pub fn new(stride: usize) -> Self {
+        Self::with_capacity(stride, 16)
+    }
+
+    /// [`new`](Self::new), with room for `records` records from the start
+    /// (for callers that seal at a known page size).
+    pub fn with_capacity(stride: usize, records: usize) -> Self {
         assert!(
             stride >= MIN_DENSE_STRIDE,
             "dense stride {stride} below minimum {MIN_DENSE_STRIDE}"
@@ -120,6 +196,7 @@ impl TupleArena {
         TupleArena {
             stride,
             records: Vec::new(),
+            room: DENSE_HEADER + records.max(1) * stride,
             overflow: Vec::new(),
             count: 0,
             bytes: 0,
@@ -147,6 +224,19 @@ impl TupleArena {
         self.bytes
     }
 
+    /// The slots of the next `n` records, growing the buffer when they do
+    /// not fit. Slots are handed out zero-filled, so a record shorter than
+    /// its slot needs no padding written.
+    fn slots(&mut self, n: usize) -> &mut [u8] {
+        let at = DENSE_HEADER + self.count * self.stride;
+        let end = at + n * self.stride;
+        if end > self.records.len() {
+            self.room = self.room.max(self.records.len() * 2).max(end);
+            self.records.resize(self.room, 0);
+        }
+        &mut self.records[at..end]
+    }
+
     /// Append a tuple by copying its key and payload into the arena.
     pub fn push(&mut self, t: &Tuple) {
         self.push_ref(t.key, PayloadRef::from(&t.payload));
@@ -155,37 +245,17 @@ impl TupleArena {
     /// Append a record from its parts, choosing inline vs overflow placement
     /// by payload length.
     pub fn push_ref(&mut self, key: u64, payload: PayloadRef<'_>) {
-        let base = self.records.len();
-        self.records.resize(base + self.stride, 0);
-        self.records[base..base + KEY_BYTES].copy_from_slice(&key.to_le_bytes());
-        let desc = match payload {
-            PayloadRef::Synthetic(n) => {
-                debug_assert!(n <= LEN_MASK, "synthetic payload size overflows descriptor");
-                (TAG_SYNTHETIC << TAG_SHIFT) | (n & LEN_MASK)
-            }
-            PayloadRef::Bytes(b) => {
-                debug_assert!(b.len() as u64 <= LEN_MASK as u64, "payload too large");
-                if b.len() <= self.stride - RECORD_HEADER {
-                    self.records[base + RECORD_HEADER..base + RECORD_HEADER + b.len()]
-                        .copy_from_slice(b);
-                    (TAG_INLINE << TAG_SHIFT) | (b.len() as u32 & LEN_MASK)
-                } else {
-                    let off = self.overflow.len() as u64;
-                    self.overflow.extend_from_slice(b);
-                    self.records[base + RECORD_HEADER..base + RECORD_HEADER + 8]
-                        .copy_from_slice(&off.to_le_bytes());
-                    (TAG_OVERFLOW << TAG_SHIFT) | (b.len() as u32 & LEN_MASK)
-                }
-            }
-        };
-        self.records[base + KEY_BYTES..base + RECORD_HEADER].copy_from_slice(&desc.to_le_bytes());
+        let overflow_at = self.overflow.len() as u64;
+        if let Some(bytes) = write_record(self.slots(1), key, payload, overflow_at) {
+            self.overflow.extend_from_slice(bytes);
+        }
         self.count += 1;
         self.bytes += KEY_BYTES + payload.len();
     }
 
     /// Bulk-append `n` records copied verbatim from `page` starting at record
     /// `from`, when the strides match and none of the records spill to the
-    /// overflow slab — one `memcpy` instead of `n` pushes. Returns `false`
+    /// overflow area — one `memcpy` instead of `n` pushes. Returns `false`
     /// (copying nothing) when the fast path does not apply; the caller falls
     /// back to per-record pushes.
     pub fn extend_from_dense(&mut self, page: &DensePage, from: usize, n: usize) -> bool {
@@ -200,30 +270,41 @@ impl TupleArena {
             }
             bytes += KEY_BYTES + (desc & LEN_MASK) as usize;
         }
-        let start = page.records_at + from * page.stride;
-        self.records
-            .extend_from_slice(&page.data[start..start + n * page.stride]);
+        let start = page.records_at() + from * page.stride;
+        self.slots(n)
+            .copy_from_slice(&page.data[start..start + n * page.stride]);
         self.count += n;
         self.bytes += bytes;
         true
     }
 
     /// Seal the arena's contents into a [`DensePage`], leaving the arena
-    /// empty (with its capacity intact) for reuse.
+    /// empty for reuse. The buffer the records were written into becomes the
+    /// page — header filled in, overflow area appended — so sealing copies no
+    /// record, and neither does encoding the page later.
     pub fn seal(&mut self) -> DensePage {
-        let mut data = Vec::with_capacity(self.records.len() + self.overflow.len());
-        data.extend_from_slice(&self.records);
+        let mut data = std::mem::take(&mut self.records);
+        data.resize(DENSE_HEADER + self.count * self.stride, 0);
+        for (word, value) in [
+            DENSE_MAGIC as usize,
+            self.count,
+            self.stride,
+            self.overflow.len(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            data[word * 4..word * 4 + 4].copy_from_slice(&(value as u32).to_le_bytes());
+        }
         data.extend_from_slice(&self.overflow);
         let page = DensePage {
             data: Arc::new(data),
-            records_at: 0,
-            overflow_at: self.records.len(),
+            start: 0,
             overflow_len: self.overflow.len(),
             count: self.count,
             stride: self.stride,
             bytes: self.bytes,
         };
-        self.records.clear();
         self.overflow.clear();
         self.count = 0;
         self.bytes = 0;
@@ -231,16 +312,110 @@ impl TupleArena {
     }
 }
 
-/// A dense page: `count` fixed-stride records plus an overflow slab, all
-/// borrowed from one reference-counted byte buffer.
+/// The records run formation selects over: fixed-stride slots, filled on
+/// [`insert`](Self::insert) and recycled through a free list on
+/// [`release`](Self::release), so the slab's footprint tracks the number of
+/// buffered records instead of growing with the input.
+///
+/// Slots hold the same records a [`TupleArena`] does. A payload longer than
+/// the inline area is kept beside the slots, keyed by its slot (slots are
+/// freed in any order, so an append-only overflow area would not do).
+#[derive(Debug)]
+pub struct RecordSlab {
+    stride: usize,
+    records: Vec<u8>,
+    free: Vec<u32>,
+    live: usize,
+    spilled: HashMap<u32, Box<[u8]>>,
+}
+
+impl RecordSlab {
+    /// Create an empty slab of `stride`-byte slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stride < MIN_DENSE_STRIDE`.
+    pub fn new(stride: usize) -> Self {
+        assert!(
+            stride >= MIN_DENSE_STRIDE,
+            "dense stride {stride} below minimum {MIN_DENSE_STRIDE}"
+        );
+        RecordSlab {
+            stride,
+            records: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            spilled: HashMap::new(),
+        }
+    }
+
+    /// Number of occupied slots.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Copy a record into a free slot and return the slot.
+    pub fn insert(&mut self, key: u64, payload: PayloadRef<'_>) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.records.len() / self.stride;
+            self.records.resize(self.records.len() + self.stride, 0);
+            slot as u32
+        });
+        let at = slot as usize * self.stride;
+        if let Some(bytes) = write_record(&mut self.records[at..at + self.stride], key, payload, 0)
+        {
+            self.spilled.insert(slot, bytes.into());
+        }
+        self.live += 1;
+        slot
+    }
+
+    /// The stored key of the record in `slot`.
+    #[inline]
+    pub fn key(&self, slot: u32) -> u64 {
+        record_key(&self.records[slot as usize * self.stride..])
+    }
+
+    /// Borrow the payload of the record in `slot`.
+    #[inline]
+    pub fn payload_ref(&self, slot: u32) -> PayloadRef<'_> {
+        record_payload(&self.records[slot as usize * self.stride..], |_, _| {
+            &self.spilled[&slot]
+        })
+    }
+
+    /// Free `slot` for reuse.
+    pub fn release(&mut self, slot: u32) {
+        let rec = &self.records[slot as usize * self.stride..];
+        if record_descriptor(rec) >> TAG_SHIFT == TAG_OVERFLOW {
+            self.spilled.remove(&slot);
+        }
+        self.free.push(slot);
+        self.live -= 1;
+    }
+
+    /// Free every slot at once, keeping the allocation: the next inserts fill
+    /// the slab front to back again.
+    pub fn clear(&mut self) {
+        self.records.clear();
+        self.free.clear();
+        self.spilled.clear();
+        self.live = 0;
+    }
+}
+
+/// A dense page: `count` fixed-stride records plus an overflow area, all
+/// borrowed from one reference-counted byte buffer, where they lie exactly
+/// as on disk — header, records, overflow area — so a page is encoded by
+/// writing [`wire_bytes`](Self::wire_bytes) and decoded by pointing at them.
 ///
 /// Cloning is cheap (it bumps the `Arc`), and pages decoded from the same
 /// I/O block share the block's single allocation.
 #[derive(Clone, Debug)]
 pub struct DensePage {
     data: Arc<Vec<u8>>,
-    records_at: usize,
-    overflow_at: usize,
+    /// Where in `data` the page's wire encoding starts.
+    start: usize,
     overflow_len: usize,
     count: usize,
     stride: usize,
@@ -268,11 +443,21 @@ impl DensePage {
         self.bytes
     }
 
+    #[inline]
+    fn records_at(&self) -> usize {
+        self.start + DENSE_HEADER
+    }
+
+    /// The bytes of the page from the start of record `i` on.
+    #[inline]
+    fn record(&self, i: usize) -> &[u8] {
+        &self.data[self.records_at() + i * self.stride..]
+    }
+
     /// The stored key of record `i` (little-endian u64 at the record start).
     #[inline]
     pub fn key(&self, i: usize) -> u64 {
-        let at = self.records_at + i * self.stride;
-        u64::from_le_bytes(self.data[at..at + KEY_BYTES].try_into().unwrap())
+        record_key(self.record(i))
     }
 
     /// Iterate the stored keys in record order.
@@ -282,8 +467,7 @@ impl DensePage {
 
     #[inline]
     fn descriptor(&self, i: usize) -> u32 {
-        let at = self.records_at + i * self.stride + KEY_BYTES;
-        u32::from_le_bytes(self.data[at..at + 4].try_into().unwrap())
+        record_descriptor(self.record(i))
     }
 
     /// Borrow the payload of record `i`.
@@ -293,19 +477,10 @@ impl DensePage {
     /// or a [`TupleArena`].
     #[inline]
     pub fn payload_ref(&self, i: usize) -> PayloadRef<'_> {
-        let desc = self.descriptor(i);
-        let len = (desc & LEN_MASK) as usize;
-        let body = self.records_at + i * self.stride + RECORD_HEADER;
-        match desc >> TAG_SHIFT {
-            TAG_INLINE => PayloadRef::Bytes(&self.data[body..body + len]),
-            TAG_OVERFLOW => {
-                let off =
-                    u64::from_le_bytes(self.data[body..body + 8].try_into().unwrap()) as usize;
-                let at = self.overflow_at + off;
-                PayloadRef::Bytes(&self.data[at..at + len])
-            }
-            _ => PayloadRef::Synthetic(len as u32),
-        }
+        record_payload(self.record(i), |off, len| {
+            let at = self.records_at() + self.count * self.stride + off as usize;
+            &self.data[at..at + len]
+        })
     }
 
     /// Materialise record `i` as an owned [`Tuple`].
@@ -321,22 +496,11 @@ impl DensePage {
         (0..self.count).map(|i| self.get(i)).collect()
     }
 
-    /// Size in bytes of this page's wire encoding.
-    pub fn encoded_len(&self) -> usize {
-        DENSE_HEADER + self.count * self.stride + self.overflow_len
-    }
-
-    /// Append this page's wire encoding to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(self.encoded_len());
-        buf.extend_from_slice(&DENSE_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&(self.count as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.stride as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.overflow_len as u32).to_le_bytes());
-        buf.extend_from_slice(
-            &self.data[self.records_at..self.records_at + self.count * self.stride],
-        );
-        buf.extend_from_slice(&self.data[self.overflow_at..self.overflow_at + self.overflow_len]);
+    /// This page's wire encoding: sentinel, count, stride and overflow length
+    /// (4 × u32 LE), the record region, the overflow area.
+    pub fn wire_bytes(&self) -> &[u8] {
+        let len = DENSE_HEADER + self.count * self.stride + self.overflow_len;
+        &self.data[self.start..self.start + len]
     }
 
     /// True when `buf` starts with the dense-page sentinel.
@@ -383,8 +547,7 @@ impl DensePage {
         }
         let mut page = DensePage {
             data: Arc::clone(data),
-            records_at: start + DENSE_HEADER,
-            overflow_at: start + DENSE_HEADER + records_len,
+            start,
             overflow_len,
             count,
             stride,
@@ -408,7 +571,7 @@ impl DensePage {
                             "record {i}: overflow payload at stride {stride} (needs {MIN_DENSE_STRIDE})"
                         ));
                     }
-                    let body = page.records_at + i * stride + RECORD_HEADER;
+                    let body = page.records_at() + i * stride + RECORD_HEADER;
                     let off = u64::from_le_bytes(page.data[body..body + 8].try_into().unwrap());
                     let end = off.checked_add(plen as u64);
                     if end.is_none_or(|e| e > overflow_len as u64) {
@@ -493,12 +656,50 @@ mod tests {
     }
 
     #[test]
+    fn slab_holds_every_payload_kind_and_recycles_slots() {
+        let tuples = sample_tuples();
+        let mut slab = RecordSlab::new(MIN_DENSE_STRIDE);
+        let slots: Vec<u32> = tuples
+            .iter()
+            .map(|t| slab.insert(t.key, PayloadRef::from(&t.payload)))
+            .collect();
+        assert_eq!(slab.live(), tuples.len());
+        for (t, &slot) in tuples.iter().zip(&slots) {
+            assert_eq!(slab.key(slot), t.key);
+            assert_eq!(slab.payload_ref(slot), PayloadRef::from(&t.payload));
+        }
+        // Freed in any order, slots come back before the slab grows — the one
+        // that held a payload outside its record included.
+        let spilled = slots[3];
+        slab.release(spilled);
+        slab.release(slots[0]);
+        assert_eq!(slab.live(), tuples.len() - 2);
+        assert!(slab.spilled.is_empty(), "a freed slot keeps no payload");
+        let reused = [
+            slab.insert(40, PayloadRef::Synthetic(9)),
+            slab.insert(41, PayloadRef::Bytes(&[1; 30])),
+        ];
+        assert_eq!(reused, [slots[0], spilled]);
+        assert_eq!(slab.payload_ref(spilled), PayloadRef::Bytes(&[1; 30]));
+        assert_eq!(slab.insert(42, PayloadRef::Bytes(&[])), tuples.len() as u32);
+
+        // Records leave through an arena exactly as they came in.
+        let mut arena = TupleArena::new(MIN_DENSE_STRIDE);
+        for &slot in &slots[1..3] {
+            arena.push_ref(slab.key(slot), slab.payload_ref(slot));
+        }
+        assert_eq!(arena.seal().to_tuples(), tuples[1..3].to_vec());
+
+        slab.clear();
+        assert_eq!(slab.live(), 0);
+        assert_eq!(slab.insert(1, PayloadRef::Synthetic(0)), 0);
+    }
+
+    #[test]
     fn wire_encoding_round_trips() {
         let tuples = sample_tuples();
         let page = seal(&tuples, 24);
-        let mut buf = Vec::new();
-        page.encode_into(&mut buf);
-        assert_eq!(buf.len(), page.encoded_len());
+        let buf = page.wire_bytes().to_vec();
         assert!(DensePage::is_dense_encoding(&buf));
         let decoded = DensePage::decode_owned(buf).unwrap();
         assert_eq!(decoded, page);
@@ -509,10 +710,9 @@ mod tests {
     fn block_of_pages_shares_one_buffer() {
         let a = seal(&sample_tuples(), 24);
         let b = seal(&[Tuple::new(11, vec![7; 30])], 24);
-        let mut buf = Vec::new();
-        a.encode_into(&mut buf);
+        let mut buf = a.wire_bytes().to_vec();
         let split = buf.len();
-        b.encode_into(&mut buf);
+        buf.extend_from_slice(b.wire_bytes());
         let shared = Arc::new(buf);
         let da = DensePage::decode_shared(&shared, 0, split).unwrap();
         let db = DensePage::decode_shared(&shared, split, shared.len() - split).unwrap();
@@ -547,8 +747,7 @@ mod tests {
     #[test]
     fn decode_rejects_malformed_pages_without_panicking() {
         let page = seal(&sample_tuples(), 24);
-        let mut good = Vec::new();
-        page.encode_into(&mut good);
+        let good = page.wire_bytes().to_vec();
 
         // Truncation at every prefix length must error, never panic.
         for cut in 0..good.len() {

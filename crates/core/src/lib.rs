@@ -124,7 +124,6 @@ pub mod sync {
 }
 
 pub use budget::{BudgetSnapshot, DelaySample, MemoryBudget, SortPhase};
-pub use config::PageLayout;
 pub use config::{AlgorithmSpec, MergeAdaptation, MergePolicy, RunFormation, SortConfig};
 pub use env::{CpuOp, RealEnv, SortEnv};
 pub use error::{SortError, SortResult};
@@ -139,7 +138,7 @@ pub use input::{
 pub use io::{IoConfig, IoHandle, IoPool};
 pub use job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
 pub use join::{JoinOutcome, SortMergeJoin};
-pub use layout::{DensePage, PayloadRef, TupleArena, MIN_DENSE_STRIDE};
+pub use layout::{DensePage, PayloadRef, RecordSlab, TupleArena, MIN_DENSE_STRIDE};
 pub use merge::{MergeStats, StaticPlanSummary};
 pub use order::{normalized_prefix, SortDirection, SortOrder};
 pub use run_formation::SplitStats;
@@ -152,7 +151,7 @@ pub use tuple::{Page, Payload, Tuple};
 pub mod prelude {
     pub use crate::budget::{BudgetSnapshot, MemoryBudget, SortPhase};
     pub use crate::config::{
-        AlgorithmSpec, MergeAdaptation, MergePolicy, PageLayout, RunFormation, SortConfig,
+        AlgorithmSpec, MergeAdaptation, MergePolicy, RunFormation, SortConfig,
     };
     pub use crate::env::{CpuOp, RealEnv, SortEnv};
     pub use crate::error::{SortError, SortResult};

@@ -78,7 +78,7 @@ struct PendingBlock {
 /// run *back-to-front* — last page first, last tuple of each page first — so
 /// a descending run from adaptive up/down replacement selection presents the
 /// same ascending rank stream as any forward run. Everything downstream (the
-/// loser tree, the cached rank column, gallop batch moves, both layouts) is
+/// loser tree, the cached rank column, gallop batch moves, both page representations) is
 /// direction-blind.
 #[derive(Debug)]
 pub struct RunCursor {
@@ -757,20 +757,29 @@ mod tests {
 
     // -- direction-aware (backward) consumption --------------------------
 
-    /// Store a descending run (keys n-1..0) under the given layout and return
-    /// a cursor that reads it back-to-front.
-    fn setup_reversed(
-        n: usize,
-        per_page: usize,
-        layout: crate::config::PageLayout,
-    ) -> (MemStore, RunCursor) {
-        let mut s = MemStore::new();
-        let r = s.create_run().unwrap();
+    /// A descending run (keys n-1..0) as pages: dense ones at the given
+    /// stride, or owned ones as a caller may hand them in.
+    fn reversed_pages(n: usize, per_page: usize, dense_stride: Option<usize>) -> Vec<Page> {
         let tuples: Vec<Tuple> = (0..n as u64)
             .rev()
             .map(|k| Tuple::synthetic(k, 32))
             .collect();
-        for p in crate::tuple::paginate_with(tuples, per_page, layout) {
+        match dense_stride {
+            Some(stride) => crate::tuple::paginate_dense(tuples, per_page, stride),
+            None => paginate(tuples, per_page),
+        }
+    }
+
+    /// Store [`reversed_pages`] and return a cursor that reads them
+    /// back-to-front.
+    fn setup_reversed(
+        n: usize,
+        per_page: usize,
+        dense_stride: Option<usize>,
+    ) -> (MemStore, RunCursor) {
+        let mut s = MemStore::new();
+        let r = s.create_run().unwrap();
+        for p in reversed_pages(n, per_page, dense_stride) {
             s.append_page(r, p).unwrap();
         }
         let mut meta = s.meta(r);
@@ -780,18 +789,19 @@ mod tests {
 
     #[test]
     fn backward_cursor_streams_descending_run_ascending() {
-        for layout in [
-            crate::config::PageLayout::Owned,
-            crate::config::PageLayout::Dense { stride: 32 },
-        ] {
-            let (mut store, mut c) = setup_reversed(10, 3, layout);
+        for dense_stride in [None, Some(32)] {
+            let (mut store, mut c) = setup_reversed(10, 3, dense_stride);
             let mut env = CountingEnv::new();
             let asc = SortOrder::ascending();
             let mut got = Vec::new();
             while let Some(t) = c.pop(&asc, &mut store, &mut env).unwrap() {
                 got.push(t.key);
             }
-            assert_eq!(got, (0..10).collect::<Vec<u64>>(), "layout {layout:?}");
+            assert_eq!(
+                got,
+                (0..10).collect::<Vec<u64>>(),
+                "dense stride {dense_stride:?}"
+            );
             assert!(c.exhausted(&store));
             assert_eq!(c.pages_read, 4);
             assert_eq!(c.consumed, 10);
@@ -800,11 +810,8 @@ mod tests {
 
     #[test]
     fn backward_cursor_peek_matches_pop() {
-        for layout in [
-            crate::config::PageLayout::Owned,
-            crate::config::PageLayout::Dense { stride: 32 },
-        ] {
-            let (mut store, mut c) = setup_reversed(7, 2, layout);
+        for dense_stride in [None, Some(32)] {
+            let (mut store, mut c) = setup_reversed(7, 2, dense_stride);
             let mut env = CountingEnv::new();
             let asc = SortOrder::ascending();
             for expect in 0..7u64 {
@@ -823,8 +830,7 @@ mod tests {
 
     #[test]
     fn backward_take_batch_dense_preserves_order() {
-        let (mut store, mut c) =
-            setup_reversed(12, 6, crate::config::PageLayout::Dense { stride: 32 });
+        let (mut store, mut c) = setup_reversed(12, 6, Some(32));
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
         let mut got = Vec::new();
@@ -844,8 +850,7 @@ mod tests {
 
     #[test]
     fn backward_take_batch_arena_dense_preserves_order() {
-        let (mut store, mut c) =
-            setup_reversed(9, 4, crate::config::PageLayout::Dense { stride: 32 });
+        let (mut store, mut c) = setup_reversed(9, 4, Some(32));
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
         let mut arena = TupleArena::new(32);
@@ -858,7 +863,7 @@ mod tests {
     }
 
     /// Property test: a descending run of random length, paginated with a
-    /// random page size and layout, written through a [`crate::FileStore`]
+    /// random page size and representation, written through a [`crate::FileStore`]
     /// (encode), read back in random block sizes (block read), and consumed
     /// through a reversed cursor — always yields the ascending stream.
     #[test]
@@ -871,21 +876,12 @@ mod tests {
             let per_page = rng.gen_range(1..32usize);
             let depth = rng.gen_range(0..5usize);
             let dense = rng.gen_bool(0.5);
-            let layout = if dense {
-                crate::config::PageLayout::Dense { stride: 32 }
-            } else {
-                crate::config::PageLayout::Owned
-            };
             let dir = std::env::temp_dir()
                 .join(format!("masort-revcursor-{}-{trial}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let mut store = crate::store::FileStore::new(&dir).unwrap();
             let run = store.create_run().unwrap();
-            let tuples: Vec<Tuple> = (0..n as u64)
-                .rev()
-                .map(|k| Tuple::synthetic(k, 32))
-                .collect();
-            for p in crate::tuple::paginate_with(tuples, per_page, layout) {
+            for p in reversed_pages(n, per_page, dense.then_some(32)) {
                 store.append_page(run, p).unwrap();
             }
             let mut meta = store.meta(run);

@@ -36,7 +36,7 @@
 //! that moves one tuple at a time (`tests/simulation_golden.rs` pins them).
 
 use crate::budget::MemoryBudget;
-use crate::config::{MergeAdaptation, MergePolicy, PageLayout, SortConfig};
+use crate::config::{MergeAdaptation, MergePolicy, SortConfig};
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
 use crate::layout::TupleArena;
@@ -691,80 +691,24 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         }
     }
 
-    /// The dense output stride when the configured layout is dense and the
-    /// active step writes to an output run (the root of a join does not).
-    fn dense_out_stride(&self) -> Option<usize> {
-        match self.cfg.layout {
-            PageLayout::Dense { stride } => self.st.arena.steps[self.st.arena.active]
-                .output
-                .map(|_| stride),
-            PageLayout::Owned => None,
-        }
-    }
-
-    /// Seal the step's dense out-arena into one page and append it to the
-    /// step's output run.
-    fn flush_dense_page(&mut self, step: usize) -> SortResult<()> {
-        let out = self.st.arena.steps[step]
-            .output
-            .expect("dense out-arena implies an output run");
-        let page = self.st.arena.steps[step]
-            .out_arena
-            .as_mut()
-            .expect("caller checked the arena exists")
-            .seal();
-        self.env.charge_cpu(CpuOp::StartIo, 1);
-        self.store.append_page(out, Page::from_dense(page))?;
-        self.st.stats.pages_written += 1;
-        Ok(())
-    }
-
-    /// Flush the step's dense out-arena if it reached one page of records,
-    /// maintaining the invariant that the arena holds strictly less than a
-    /// page between produce calls (so a seal always emits exactly one page).
-    fn flush_if_dense_page_full(&mut self, step: usize) -> SortResult<()> {
-        let tpp = self.cfg.tuples_per_page();
-        if self.st.arena.steps[step]
-            .out_arena
-            .as_ref()
-            .is_some_and(|a| a.len() >= tpp)
-        {
-            self.flush_dense_page(step)?;
-        }
-        Ok(())
-    }
-
+    /// Append the pages the active step's out-arena has filled to its output
+    /// run — at the end of a produce unit, so a unit's reads all come before
+    /// its write — and with `force` (step switch / completion) the partial
+    /// page too. The root of a streaming sort has no output run — its
+    /// consumer takes the tuples straight out of `out_buf` — and a join's
+    /// root produces none.
     fn flush_active_output(&mut self, force: bool) -> SortResult<()> {
-        let tpp = self.cfg.tuples_per_page();
-        let active = self.st.arena.active;
-        let Some(out) = self.st.arena.steps[active].output else {
-            // The root of a streaming sort: its consumer takes the tuples
-            // straight out of `out_buf` (a join's root never fills it).
+        let step = &mut self.st.arena.steps[self.st.arena.active];
+        let Some(out) = step.output else {
             return Ok(());
         };
-        // Dense output: full pages are appended as the arena fills; only a
-        // forced flush (step switch / completion) seals a partial page.
-        self.flush_if_dense_page_full(active)?;
-        if force
-            && self.st.arena.steps[active]
-                .out_arena
-                .as_ref()
-                .is_some_and(|a| !a.is_empty())
-        {
-            self.flush_dense_page(active)?;
+        if let Some(arena) = step.out_arena.as_mut().filter(|a| force && !a.is_empty()) {
+            step.sealed.push(Page::from_dense(arena.seal()));
         }
-        loop {
-            let len = self.st.arena.steps[active].out_buf.len();
-            if len >= tpp || (force && len > 0) {
-                let take = tpp.min(len);
-                let tuples: Vec<Tuple> =
-                    self.st.arena.steps[active].out_buf.drain(..take).collect();
-                self.env.charge_cpu(CpuOp::StartIo, 1);
-                self.store.append_page(out, Page::from_tuples(tuples))?;
-                self.st.stats.pages_written += 1;
-            } else {
-                break;
-            }
+        for page in std::mem::take(&mut step.sealed) {
+            self.env.charge_cpu(CpuOp::StartIo, 1);
+            self.store.append_page(out, page)?;
+            self.st.stats.pages_written += 1;
         }
         Ok(())
     }
@@ -847,34 +791,50 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         Ok(())
     }
 
-    /// Move one tuple from the winning input `idx` into the out buffer (one
+    /// Move the next `n` buffered tuples of input `idx` to where the active
+    /// step's output goes — as records into the out-arena of a step that
+    /// writes a run, as tuples into the out buffer of a streaming root (the
+    /// one place a sort materialises them) — and re-key the input.
+    fn move_out(&mut self, idx: usize, n: usize) -> SortResult<()> {
+        let (stride, tpp) = (self.cfg.record_stride(), self.cfg.tuples_per_page());
+        let step = &mut self.st.arena.steps[self.st.arena.active];
+        let cursor = &mut step.inputs[idx].cursor;
+        match step.output {
+            Some(_) => {
+                let arena = step
+                    .out_arena
+                    .get_or_insert_with(|| TupleArena::with_capacity(stride, tpp));
+                cursor.take_batch_arena(n, arena);
+                // A full page is sealed at once (the arena never holds more)
+                // and appended when the produce unit ends.
+                if arena.len() == tpp {
+                    step.sealed.push(Page::from_dense(arena.seal()));
+                }
+            }
+            None => cursor.take_batch(n, &mut step.out_buf),
+        }
+        step.produced_anything = true;
+        self.st.stats.tuples_output += n as u64;
+        self.rearm_winner(idx)
+    }
+
+    /// Move one tuple from the winning input `idx` to the output (one
     /// selection, one copy, one path replay).
     fn produce_one(&mut self, idx: usize) -> SortResult<()> {
         self.charge_selection(1);
-        let t = self.pop_input(idx)?;
-        let dense = self.dense_out_stride();
         let active = self.st.arena.active;
-        let step = &mut self.st.arena.steps[active];
-        match dense {
-            Some(stride) => step
-                .out_arena
-                .get_or_insert_with(|| TupleArena::new(stride))
-                .push(&t),
-            None => step.out_buf.push(t),
-        }
-        step.produced_anything = true;
-        self.st.stats.tuples_output += 1;
-        self.flush_if_dense_page_full(active)?;
-        self.rearm_winner(idx)?;
-        Ok(())
+        let run = self.st.arena.steps[active].inputs[idx].cursor.run;
+        self.note_access(run);
+        self.env.charge_cpu(CpuOp::CopyTuple, 1);
+        self.move_out(idx, 1)
     }
 
-    /// Move one gallop batch from the winning input `idx` into the out
-    /// buffer: the leading run of buffered tuples that all still beat
-    /// `challenger`, capped at `max` (the remainder of the current produce
-    /// unit, so adaptation checkpoints keep their page cadence). Returns the
-    /// number of tuples moved (at least one — the winner's own head beats
-    /// the challenger by definition).
+    /// Move one gallop batch from the winning input `idx` to the output: the
+    /// leading run of buffered tuples that all still beat `challenger`,
+    /// capped at `max` (the remainder of the current produce unit, so
+    /// adaptation checkpoints keep their page cadence). Returns the number of
+    /// tuples moved (at least one — the winner's own head beats the
+    /// challenger by definition).
     ///
     /// The CPU cost is charged per tuple, as [`produce_one`](Self::produce_one)
     /// charges it (selection + copy per tuple, MRU access once per same-run
@@ -899,13 +859,12 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             ),
             None => (None, false),
         };
-        let dense = self.dense_out_stride();
         let active = self.st.arena.active;
-        // Dense out-pages seal at exactly one page of records; cap the batch
-        // at the room left so the arena never crosses a page boundary.
-        let max = match (dense, self.st.arena.steps[active].out_arena.as_ref()) {
-            (Some(_), Some(a)) => max.min(self.cfg.tuples_per_page() - a.len()),
-            _ => max,
+        // Out-pages seal at exactly one page of records; cap the batch at
+        // the room left so the arena never crosses a page boundary.
+        let max = match self.st.arena.steps[active].out_arena.as_ref() {
+            Some(a) => max.min(self.cfg.tuples_per_page() - a.len()),
+            None => max,
         };
         let n = self.st.arena.steps[active].inputs[idx]
             .cursor
@@ -918,22 +877,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             self.charge_selection(n as u64 - 1);
         }
         self.env.charge_cpu(CpuOp::CopyTuple, n as u64);
-        let step = &mut self.st.arena.steps[active];
-        match dense {
-            Some(stride) => {
-                let (inputs, out_arena) = (&mut step.inputs, &mut step.out_arena);
-                let arena = out_arena.get_or_insert_with(|| TupleArena::new(stride));
-                inputs[idx].cursor.take_batch_arena(n, arena);
-            }
-            None => {
-                let (inputs, out_buf) = (&mut step.inputs, &mut step.out_buf);
-                inputs[idx].cursor.take_batch(n, out_buf);
-            }
-        }
-        step.produced_anything = true;
-        self.st.stats.tuples_output += n as u64;
-        self.flush_if_dense_page_full(active)?;
-        self.rearm_winner(idx)?;
+        self.move_out(idx, n)?;
         Ok(n)
     }
 

@@ -17,7 +17,7 @@
 use crate::layout::TupleArena;
 use crate::merge::cursor::RunCursor;
 use crate::store::{RunId, RunStore};
-use crate::tuple::Tuple;
+use crate::tuple::{Page, Tuple};
 
 /// Which relation an input belongs to. Plain sorts only use [`Side::Left`];
 /// sort-merge joins use both.
@@ -74,13 +74,16 @@ pub struct MergeStep {
     /// Run that this step appends its merged output to. The root step of a
     /// sort owns the final result run; the root of a join has no output run.
     pub output: Option<RunId>,
-    /// Output page under construction (the owned-layout path).
+    /// Tuples a step *without* an output run has produced and its consumer
+    /// has not taken yet: the root of a streaming sort, the one place the
+    /// merge materialises tuples.
     pub out_buf: Vec<Tuple>,
-    /// Dense-layout output page under construction, created lazily by the
-    /// executor when the configured [`crate::config::PageLayout`] is dense and
-    /// this step has an output run. Holds strictly less than one page of
-    /// records between flushes, so sealing always emits exactly one page.
+    /// Output page under construction, created lazily by the executor for a
+    /// step that has an output run; sealed the moment it holds a page of
+    /// records.
     pub out_arena: Option<TupleArena>,
+    /// Pages sealed off `out_arena` that the output run is still owed.
+    pub sealed: Vec<Page>,
     /// Parent step (the step that consumes our output), if any.
     pub parent: Option<StepId>,
     /// True once every input has been consumed and the output flushed.
@@ -125,6 +128,7 @@ impl StepArena {
                 output,
                 out_buf: Vec::new(),
                 out_arena: None,
+                sealed: Vec::new(),
                 parent: None,
                 completed: false,
                 produced_anything: false,
@@ -192,6 +196,7 @@ impl StepArena {
             output: Some(child_output),
             out_buf: Vec::new(),
             out_arena: None,
+            sealed: Vec::new(),
             parent: Some(parent_id),
             completed: false,
             produced_anything: false,

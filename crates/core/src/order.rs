@@ -23,7 +23,8 @@
 //! the composite key ([`SortOrder::composite`]), so records are touched
 //! beyond their prefix only when prefixes collide.
 
-use crate::tuple::{Payload, Tuple};
+use crate::layout::PayloadRef;
+use crate::tuple::{Page, Payload, Tuple};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -248,6 +249,27 @@ impl SortOrder {
         Self::composite(self.rank(t), tie)
     }
 
+    /// Materialise the composite keys of `page`'s records into `out`
+    /// (appending), one per record in page order — what run formation selects
+    /// on. Records are read where they lie: only a custom key extractor,
+    /// which is handed a [`Tuple`] by contract, makes a dense page build one.
+    pub fn composite_column_into(&self, page: &Page, out: &mut Vec<u128>) {
+        out.reserve(page.len());
+        match page.as_dense() {
+            None => out.extend(page.tuples().iter().map(|t| self.composite_of(t))),
+            Some(dense) if self.key_fn.is_some() => {
+                out.extend((0..dense.len()).map(|i| self.composite_of(&dense.get(i))))
+            }
+            Some(dense) => out.extend((0..dense.len()).map(|i| {
+                let tie = match dense.payload_ref(i) {
+                    PayloadRef::Bytes(b) => self.tie_rank_bytes(b),
+                    PayloadRef::Synthetic(_) => self.tie_rank_bytes(&[]),
+                };
+                Self::composite(self.rank_from_key(dense.key(i)), tie)
+            })),
+        }
+    }
+
     /// The rank a *stored* key maps to under this order. Only meaningful for
     /// orders without a custom extractor (the dense fast path, which reads
     /// keys straight out of the record region, is gated on
@@ -383,6 +405,35 @@ mod tests {
             order.rank_column_into(&tuples, &mut col);
             let expect: Vec<u64> = tuples.iter().map(|t| order.rank(t)).collect();
             assert_eq!(col, expect, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn composite_column_reads_owned_and_dense_pages_alike() {
+        let tuples: Vec<Tuple> = [
+            b"aaaaaaaa\x00\x02",
+            b"aaaaaaaa\x00\x01",
+            b"zzzzzzzz\x09\x09",
+        ]
+        .iter()
+        .map(|k| norm(&k[..]))
+        .chain([Tuple::synthetic(7, 64), Tuple::new(3, Vec::new())])
+        .collect();
+        let owned = Page::from_tuples(tuples.clone());
+        let dense = crate::tuple::paginate_dense(tuples.clone(), 8, 20).remove(0);
+        for order in [
+            SortOrder::ascending(),
+            SortOrder::descending(),
+            SortOrder::by_normalized_key(10),
+            SortOrder::by_normalized_key(10).reversed(),
+            SortOrder::by_key(|t| t.key.swap_bytes()),
+        ] {
+            let expect: Vec<u128> = tuples.iter().map(|t| order.composite_of(t)).collect();
+            for page in [&owned, &dense] {
+                let mut column = vec![0];
+                order.composite_column_into(page, &mut column);
+                assert_eq!(column[1..], expect, "{order:?}");
+            }
         }
     }
 

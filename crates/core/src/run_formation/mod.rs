@@ -13,6 +13,12 @@
 //! everything in memory before it can release a page, whereas replacement
 //! selection only needs to emit enough pages (or hand over already-free
 //! buffers) to satisfy the request.
+//!
+//! All methods hold their tuples the same way: an input page's records are
+//! copied into the slots of one [`RecordSlab`], selection works on small
+//! `(composite key, slot)` entries, and emission copies a record from its slot
+//! into the page being built — once, as bytes. No
+//! [`Tuple`](crate::Tuple) exists between the input page and the run page.
 
 pub(crate) mod parallel;
 pub mod quicksort;
@@ -23,7 +29,55 @@ use crate::config::{RunFormation, SortConfig};
 use crate::env::SortEnv;
 use crate::error::SortResult;
 use crate::input::InputSource;
+use crate::layout::{RecordSlab, TupleArena};
 use crate::store::{RunMeta, RunStore};
+use crate::tuple::Page;
+use replacement::BlockPolicy;
+
+/// The block of run pages being emitted: records are copied out of the slab
+/// in output order and every `tuples_per_page` of them are sealed into one
+/// dense page.
+struct OutBlock {
+    arena: TupleArena,
+    tuples_per_page: usize,
+    /// Sealed pages, each `tuples_per_page` records long.
+    pages: Vec<Page>,
+}
+
+impl OutBlock {
+    fn new(stride: usize, tuples_per_page: usize) -> Self {
+        OutBlock {
+            arena: TupleArena::with_capacity(stride, tuples_per_page),
+            tuples_per_page,
+            pages: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pages.len() * self.tuples_per_page + self.arena.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pages.is_empty() && self.arena.is_empty()
+    }
+
+    /// Move the record in `slot` out of `slab` to the end of the block.
+    fn take(&mut self, slab: &mut RecordSlab, slot: u32) {
+        self.arena.push_ref(slab.key(slot), slab.payload_ref(slot));
+        slab.release(slot);
+        if self.arena.len() == self.tuples_per_page {
+            self.pages.push(Page::from_dense(self.arena.seal()));
+        }
+    }
+
+    /// The block's pages (the last one possibly short), leaving it empty.
+    fn take_pages(&mut self) -> Vec<Page> {
+        if !self.arena.is_empty() {
+            self.pages.push(Page::from_dense(self.arena.seal()));
+        }
+        std::mem::take(&mut self.pages)
+    }
+}
 
 /// Statistics describing one completed split phase.
 ///
@@ -117,15 +171,23 @@ where
     match cfg.algorithm.formation {
         RunFormation::Quicksort => quicksort::form_runs(cfg, budget, input, store, env),
         RunFormation::ReplacementSelect { block_pages } => {
-            replacement::form_runs(cfg, budget, input, store, env, block_pages)
+            let block = BlockPolicy::Fixed(block_pages);
+            replacement::form_runs(cfg, budget, input, store, env, block, false)
         }
         RunFormation::NaturalSelect { block_pages } => {
-            replacement::form_runs_ordered(cfg, budget, input, store, env, block_pages)
+            let block = BlockPolicy::Fixed(block_pages);
+            replacement::form_runs(cfg, budget, input, store, env, block, true)
         }
         RunFormation::AdaptiveReplacement {
             min_block,
             max_block,
-        } => replacement::form_runs_adaptive(cfg, budget, input, store, env, min_block, max_block),
+        } => {
+            let block = BlockPolicy::Adaptive {
+                min: min_block,
+                max: max_block.max(min_block),
+            };
+            replacement::form_runs(cfg, budget, input, store, env, block, false)
+        }
     }
 }
 
@@ -251,7 +313,9 @@ mod tests {
     fn presorted_input_gives_single_replacement_run() {
         // Replacement selection on already-sorted input produces one run
         // regardless of memory size (every incoming key >= last output).
-        let cfg = SortConfig::default().with_memory_pages(4);
+        let cfg = SortConfig::default()
+            .with_memory_pages(4)
+            .with_algorithm("repl1,opt,split".parse().unwrap());
         let budget = MemoryBudget::new(4);
         let tuples: Vec<Tuple> = (0..32 * 20)
             .map(|k| Tuple::synthetic(k as u64, 256))
@@ -259,8 +323,7 @@ mod tests {
         let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = CountingEnv::new();
-        let stats =
-            replacement::form_runs(&cfg, &budget, &mut input, &mut store, &mut env, 1).unwrap();
+        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
         assert_eq!(stats.run_count(), 1);
         assert_eq!(stats.runs[0].tuples, 32 * 20);
     }
@@ -269,7 +332,9 @@ mod tests {
     fn reverse_sorted_input_gives_memory_sized_replacement_runs() {
         // Worst case for replacement selection: every incoming key is smaller
         // than the last output, so runs are roughly memory-sized.
-        let cfg = SortConfig::default().with_memory_pages(4);
+        let cfg = SortConfig::default()
+            .with_memory_pages(4)
+            .with_algorithm("repl1,opt,split".parse().unwrap());
         let budget = MemoryBudget::new(4);
         let n = 32 * 20;
         let tuples: Vec<Tuple> = (0..n)
@@ -279,8 +344,7 @@ mod tests {
         let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = CountingEnv::new();
-        let stats =
-            replacement::form_runs(&cfg, &budget, &mut input, &mut store, &mut env, 1).unwrap();
+        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
         assert!(
             stats.run_count() >= 4,
             "expected many runs, got {}",

@@ -13,10 +13,10 @@ use crate::config::SortConfig;
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
 use crate::input::InputSource;
+use crate::layout::RecordSlab;
 use crate::store::RunStore;
-use crate::tuple::{paginate_with, Tuple};
 
-use super::SplitStats;
+use super::{OutBlock, SplitStats};
 
 /// Execute the split phase with Quicksort run formation.
 pub fn form_runs<S, I, E>(
@@ -32,12 +32,18 @@ where
     E: SortEnv,
 {
     let tpp = cfg.tuples_per_page();
-    let order = cfg.order.clone();
     let mut stats = SplitStats {
         started_at: env.now(),
         ..SplitStats::default()
     };
     budget.record_held(0, env.now());
+
+    // The memory load: records in the slab, and the `(composite key, slot)`
+    // list that is sorted in their place.
+    let mut slab = RecordSlab::new(cfg.record_stride());
+    let mut column: Vec<(u128, u32)> = Vec::new();
+    let mut composites: Vec<u128> = Vec::new();
+    let mut out = OutBlock::new(cfg.record_stride(), tpp);
 
     let mut exhausted = false;
     while !exhausted {
@@ -51,7 +57,6 @@ where
         // full of unsorted tuples referenced by the (key, pointer) list.
         // This is exactly why Quicksort exhibits long split-phase delays.
         // ------------------------------------------------------------------
-        let mut mem: Vec<Tuple> = Vec::new();
         let mut held_pages = 0usize;
         let mut fill_target = budget.target().max(1);
         loop {
@@ -70,7 +75,15 @@ where
                     env.charge_cpu(CpuOp::CopyTuple, page.len() as u64);
                     stats.pages_read += 1;
                     held_pages += 1;
-                    mem.extend(page.into_tuples());
+                    // The composite is computed once per tuple (a tie rank
+                    // reads payload bytes, a custom key is a dynamic call;
+                    // neither belongs inside the sort's comparisons).
+                    composites.clear();
+                    cfg.order.composite_column_into(&page, &mut composites);
+                    column.extend(composites.iter().enumerate().map(|(i, &composite)| {
+                        let (key, payload) = page.record(i);
+                        (composite, slab.insert(key, payload))
+                    }));
                     budget.record_held(held_pages, env.now());
                 }
                 None => {
@@ -80,7 +93,7 @@ where
             }
         }
 
-        if mem.is_empty() {
+        if column.is_empty() {
             break;
         }
         if held_pages > budget.target() {
@@ -89,50 +102,14 @@ where
 
         // ------------------------------------------------------------------
         // Sort the memory-resident tuples (key/pointer sort): n log n compares
-        // plus ~n swaps of (key, pointer) pairs.
+        // plus ~n swaps of (key, pointer) pairs. Slots are handed out in
+        // arrival order, so equal keys keep theirs.
         // ------------------------------------------------------------------
-        let n = mem.len() as u64;
-        let log_n = (usize::BITS - (mem.len().max(2) - 1).leading_zeros()) as u64;
+        let n = column.len() as u64;
+        let log_n = (usize::BITS - (column.len().max(2) - 1).leading_zeros()) as u64;
         env.charge_cpu(CpuOp::Compare, n * log_n);
         env.charge_cpu(CpuOp::Swap, n);
-        if order.has_custom_key() {
-            // Pre-computed rank-column sort: one extractor pass materialises
-            // `(rank, index)` pairs, the sort permutes those 12-byte pairs
-            // (never a tuple, never a dynamic dispatch), and one gather pass
-            // moves each tuple exactly once. The `(rank, index)` tie-break
-            // makes this stable, matching `sort_by_cached_key`.
-            let mut ranks: Vec<u64> = Vec::with_capacity(mem.len());
-            order.rank_column_into(&mem, &mut ranks);
-            let mut column: Vec<(u64, u32)> = ranks
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (r, i as u32))
-                .collect();
-            let mut src: Vec<Option<Tuple>> = mem.into_iter().map(Some).collect();
-            column.sort_unstable();
-            mem = column
-                .iter()
-                .map(|&(_, i)| src[i as usize].take().expect("each index gathered once"))
-                .collect();
-        } else if order.rank_is_exact() {
-            mem.sort_unstable_by_key(|t| order.rank(t));
-        } else {
-            // Normalized-key orders: the rank only covers the key prefix, so
-            // sort on the full (rank, tie-rank) composite — computed once per
-            // tuple (a tie rank reads payload bytes; recomputing it per
-            // comparison inside the sort would dominate the split phase).
-            let mut column: Vec<(u128, u32)> = mem
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (order.composite_of(t), i as u32))
-                .collect();
-            let mut src: Vec<Option<Tuple>> = mem.into_iter().map(Some).collect();
-            column.sort_unstable();
-            mem = column
-                .iter()
-                .map(|&(_, i)| src[i as usize].take().expect("each index gathered once"))
-                .collect();
-        }
+        column.sort_unstable();
 
         // ------------------------------------------------------------------
         // Write the run out in one sequential block. Only once the whole
@@ -140,10 +117,15 @@ where
         // can the buffers be handed back — this is why Quicksort reacts to
         // memory shortages so much more slowly than replacement selection.
         // ------------------------------------------------------------------
-        let pages = paginate_with(mem, tpp, cfg.layout);
+        for &(_, slot) in &column {
+            out.take(&mut slab, slot);
+        }
+        column.clear();
+        slab.clear();
+        let pages = out.take_pages();
         let run = store.create_run()?;
         env.charge_cpu(CpuOp::StartIo, 1);
-        env.charge_cpu(CpuOp::CopyTuple, pages.iter().map(|p| p.len() as u64).sum());
+        env.charge_cpu(CpuOp::CopyTuple, n);
         stats.pages_written += pages.len();
         stats.block_writes += 1;
         store.append_block(run, pages)?;
@@ -165,6 +147,7 @@ mod tests {
     use crate::env::CountingEnv;
     use crate::input::VecSource;
     use crate::store::MemStore;
+    use crate::tuple::Tuple;
     use crate::verify::collect_run;
 
     fn cfg(mem: usize) -> SortConfig {

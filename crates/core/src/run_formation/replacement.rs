@@ -1,4 +1,5 @@
-//! Replacement-selection run formation (`repl1` / `replN`).
+//! Replacement-selection run formation (`repl1` / `replN`) and its
+//! natural-run variant (`natN`).
 //!
 //! Input tuples are inserted into an ordered heap. Once memory is full, tuples
 //! with the smallest keys that are still ≥ the last key written to the current
@@ -13,85 +14,96 @@
 //!
 //! # The selection structure
 //!
-//! The heap holds compact `(run_no, composite, slot)` entries over an
-//! **arena** of tuples instead of the tuples themselves: composite keys
-//! (rank, then tie rank — see [`SortOrder::composite`]) are computed once at
+//! The heap holds compact `(run_no, composite, slot)` entries over a
+//! [`RecordSlab`] instead of the tuples themselves: composite keys (rank,
+//! then tie rank — see [`SortOrder::composite`]) are computed once at
 //! insertion (the merge kernel's cached-rank discipline), and every sift
-//! moves a small packed entry rather than a full [`Tuple`] with its payload
-//! vector. A binary heap — not the merge's loser tree
-//! ([`crate::merge::select`]) — is the right tournament here because run
-//! formation inserts whole input pages *between* pop streaks: a loser tree
-//! only supports replaying its current winner, while this heap takes
-//! unpaired O(log n) inserts in stride.
+//! moves a small packed entry while the record stays where it was copied. A
+//! binary heap — not the merge's loser tree ([`crate::merge::select`]) — is
+//! the right tournament here because run formation inserts whole input pages
+//! *between* pop streaks: a loser tree only supports replaying its current
+//! winner, while this heap takes unpaired O(log n) inserts in stride.
+//!
+//! # Natural runs
+//!
+//! `natN` keeps the classic algorithm's memory discipline (same slab, same
+//! fixed block size, same shedding — one main loop serves both) but changes
+//! *what a run is* in two ways:
+//!
+//! 1. **Trend-driven run directions**: each run is formed either ascending
+//!    (`Up`) or descending (`Down`), and the direction *follows the input*.
+//!    Run 0's direction is sniffed from the first input page; every later
+//!    run's direction is chosen from decayed ascending/descending arrival-
+//!    pair counters — descending-majority input gets `Down` runs, anything
+//!    else gets `Up`, so random and presorted input degenerate to the
+//!    classic one-directional algorithm (with its ~2·M expected run length)
+//!    while reversed input forms maximal descending runs. All selection
+//!    happens in a per-run *comparison space* — `cmp = composite` for
+//!    ascending runs and `cmp = !composite` for descending ones (bitwise NOT
+//!    is an order-reversing bijection on `u128`) — so the heap, the
+//!    `last_out` tagging rule and the emission order are direction-blind. A
+//!    descending run is written exactly as emitted (ranks physically
+//!    descending) and tagged [`RunDirection::Reversed`]; the merge reads it
+//!    back-to-front. Heap entries are immutable, so run r+1's direction must
+//!    be fixed when its first tuple is tagged — i.e. at the *start* of run r.
+//!    The policy therefore reacts to a trend reversal with one run of lag
+//!    (one memory-sized "lag run" at each direction change), which is
+//!    amortized away whenever ordered stretches are longer than memory.
+//!
+//! 2. **Natural-run detection** (the tail queue): tuples that continue the
+//!    input's current streak — `cmp` at least the tail's last value — append
+//!    to a FIFO in O(1) instead of paying two O(log M) heap operations. The
+//!    tail is an *independent* ascending sequence, not an extension of the
+//!    heap: emission pops the smaller of (heap top, tail front), and merging
+//!    two ascending streams keeps the output globally non-decreasing in
+//!    `cmp`. A tuple that breaks the streak first evicts up to
+//!    `SPIKE_EVICT_LIMIT` tail-tip elements into the heap — so an isolated
+//!    out-of-place "spike" costs one heap insert instead of ending the
+//!    streak — and falls back to the heap itself on a deeper break. Every
+//!    element pays at most one heap round-trip, exactly like the classic
+//!    algorithm, so random input stays at parity; on presorted, reversed or
+//!    clustered input almost every tuple takes the O(1) path, which is where
+//!    the measured speedups come from.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::budget::MemoryBudget;
-use crate::config::{PageLayout, SortConfig};
+use crate::config::SortConfig;
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
 use crate::input::InputSource;
+use crate::layout::RecordSlab;
 use crate::order::SortOrder;
 use crate::store::{RunDirection, RunId, RunStore};
-use crate::tuple::{paginate_with, Tuple};
+use crate::tuple::Page;
 
-use super::SplitStats;
+use super::{OutBlock, SplitStats};
 
-/// Compact heap entry: `(run_no, composite, slot)`, popped smallest-first
-/// through [`Reverse`]. Ordering by (run number, composite) keeps the current
-/// run's smallest tuple on top while next-run tuples sink below every
-/// current-run one; the slot index breaks ties deterministically and locates
-/// the tuple in the arena. The *composite* is the configured [`SortOrder`]'s
-/// comparison value (`rank << 64 | tie_rank` — the tie half is zero except
-/// for long normalized keys), so descending, custom-key and normalized-key
-/// sorts all use the same heap.
+/// Compact heap entry: `(run_no, cmp, slot)`, popped smallest-first through
+/// [`Reverse`]. Ordering by (run number, cmp) keeps the current run's
+/// smallest tuple on top while next-run tuples sink below every current-run
+/// one; the slot index breaks ties deterministically and locates the record
+/// in the slab. *cmp* is the configured [`SortOrder`]'s composite
+/// (`rank << 64 | tie_rank` — the tie half is zero except for long
+/// normalized keys) in the run's comparison space, so descending,
+/// custom-key and normalized-key sorts and runs of either direction all use
+/// the same heap.
 type Entry = (u32, u128, u32);
-
-/// The tuple arena behind the selection heap: slots are allocated on insert,
-/// emptied on pop, and recycled through a free list so the arena's footprint
-/// tracks the heap's population instead of growing without bound.
-#[derive(Default)]
-struct Arena {
-    slots: Vec<Option<Tuple>>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl Arena {
-    fn insert(&mut self, tuple: Tuple) -> u32 {
-        self.live += 1;
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(tuple);
-                slot
-            }
-            None => {
-                self.slots.push(Some(tuple));
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    fn take(&mut self, slot: u32) -> Tuple {
-        self.live -= 1;
-        self.free.push(slot);
-        self.slots[slot as usize]
-            .take()
-            .expect("heap entry pointed at an empty arena slot")
-    }
-}
 
 /// How the block-write size is chosen.
 #[derive(Clone, Copy, Debug)]
-enum BlockPolicy {
-    /// A fixed number of pages per block write (`replN`).
+pub enum BlockPolicy {
+    /// A fixed number of pages per block write (`replN`, `natN`).
     Fixed(usize),
     /// Track the current memory allocation: block ≈ target / 6, clamped to
-    /// `[min, max]` pages (the paper's future-work extension).
-    Adaptive { min: usize, max: usize },
+    /// `[min, max]` pages (`adapt`, the paper's future-work extension, §7).
+    Adaptive {
+        /// Smallest block size ever used (pages).
+        min: usize,
+        /// Largest block size ever used (pages).
+        max: usize,
+    },
 }
 
 impl BlockPolicy {
@@ -102,346 +114,6 @@ impl BlockPolicy {
         }
     }
 }
-
-struct State<'a, S: RunStore> {
-    store: &'a mut S,
-    tpp: usize,
-    block_tuples: usize,
-    order: SortOrder,
-    layout: PageLayout,
-    heap: BinaryHeap<Reverse<Entry>>,
-    arena: Arena,
-    out_buf: Vec<Tuple>,
-    current_run_no: u32,
-    current_run_id: Option<RunId>,
-    /// Composite key of the last tuple written to the current run.
-    last_out: Option<u128>,
-}
-
-impl<'a, S: RunStore> State<'a, S> {
-    fn in_memory_tuples(&self) -> usize {
-        self.arena.live + self.out_buf.len()
-    }
-
-    fn in_memory_pages(&self) -> usize {
-        self.in_memory_tuples().div_ceil(self.tpp)
-    }
-
-    /// Flush the output buffer (whatever it currently holds) as one block
-    /// write to the current run.
-    fn flush<E: SortEnv>(
-        &mut self,
-        env: &mut E,
-        budget: &MemoryBudget,
-        stats: &mut SplitStats,
-    ) -> SortResult<()> {
-        if self.out_buf.is_empty() {
-            return Ok(());
-        }
-        let run = match self.current_run_id {
-            Some(run) => run,
-            None => {
-                let run = self.store.create_run()?;
-                self.current_run_id = Some(run);
-                run
-            }
-        };
-        let tuples = std::mem::take(&mut self.out_buf);
-        env.charge_cpu(CpuOp::StartIo, 1);
-        let pages = paginate_with(tuples, self.tpp, self.layout);
-        stats.pages_written += pages.len();
-        stats.block_writes += 1;
-        self.store.append_block(run, pages)?;
-        // The flushed buffers become available as soon as the block write
-        // completes; unlike Quicksort, only as many pages as necessary are
-        // written, which keeps replacement selection's delays short.
-        budget.record_held(self.in_memory_pages(), env.now());
-        Ok(())
-    }
-
-    /// Close the current run (flushing any buffered remainder first).
-    fn close_run<E: SortEnv>(
-        &mut self,
-        env: &mut E,
-        budget: &MemoryBudget,
-        stats: &mut SplitStats,
-    ) -> SortResult<()> {
-        self.flush(env, budget, stats)?;
-        if let Some(run) = self.current_run_id.take() {
-            stats.runs.push(self.store.meta(run));
-        }
-        self.current_run_no += 1;
-        self.last_out = None;
-        Ok(())
-    }
-
-    /// Pop tuples of the current run into the output buffer until either the
-    /// block is full, a run boundary is reached, or the heap is empty.
-    /// Returns `true` if a run boundary was hit.
-    fn emit<E: SortEnv>(&mut self, env: &mut E) -> bool {
-        self.emit_up_to(env, self.block_tuples)
-    }
-
-    /// Like [`emit`](Self::emit) but with an explicit output-buffer limit;
-    /// used when shedding memory, where the whole excess is popped before a
-    /// single (asynchronous) block write is issued.
-    fn emit_up_to<E: SortEnv>(&mut self, env: &mut E, limit_tuples: usize) -> bool {
-        while self.out_buf.len() < limit_tuples {
-            match self.heap.peek() {
-                Some(Reverse((run_no, key, slot))) if *run_no == self.current_run_no => {
-                    let (key, slot) = (*key, *slot);
-                    self.heap.pop();
-                    env.charge_cpu(CpuOp::HeapRemove, 1);
-                    env.charge_cpu(CpuOp::CopyTuple, 1);
-                    self.last_out = Some(key);
-                    self.out_buf.push(self.arena.take(slot));
-                }
-                Some(_) => return true, // only next-run tuples remain
-                None => return false,
-            }
-        }
-        false
-    }
-
-    fn insert_page<E: SortEnv>(&mut self, env: &mut E, page: crate::tuple::Page) {
-        env.charge_cpu(CpuOp::StartIo, 1);
-        env.charge_cpu(CpuOp::HeapInsert, page.len() as u64);
-        for tuple in page.into_tuples() {
-            // Composite computed once per tuple (one `SortOrder` dispatch);
-            // every later heap comparison reads the cached value from the
-            // entry.
-            let key = self.order.composite_of(&tuple);
-            let run_no = match self.last_out {
-                Some(last) if key < last => self.current_run_no + 1,
-                _ => self.current_run_no,
-            };
-            let slot = self.arena.insert(tuple);
-            self.heap.push(Reverse((run_no, key, slot)));
-        }
-    }
-}
-
-/// Execute the split phase with replacement selection and `block_pages`-page
-/// block writes.
-pub fn form_runs<S, I, E>(
-    cfg: &SortConfig,
-    budget: &MemoryBudget,
-    input: &mut I,
-    store: &mut S,
-    env: &mut E,
-    block_pages: usize,
-) -> SortResult<SplitStats>
-where
-    S: RunStore,
-    I: InputSource,
-    E: SortEnv,
-{
-    form_runs_impl(
-        cfg,
-        budget,
-        input,
-        store,
-        env,
-        BlockPolicy::Fixed(block_pages),
-    )
-}
-
-/// Execute the split phase with replacement selection whose block-write size
-/// tracks the current memory allocation (the paper's future-work extension,
-/// §7): roughly one sixth of the current target, clamped to
-/// `[min_block, max_block]` pages.
-pub fn form_runs_adaptive<S, I, E>(
-    cfg: &SortConfig,
-    budget: &MemoryBudget,
-    input: &mut I,
-    store: &mut S,
-    env: &mut E,
-    min_block: usize,
-    max_block: usize,
-) -> SortResult<SplitStats>
-where
-    S: RunStore,
-    I: InputSource,
-    E: SortEnv,
-{
-    form_runs_impl(
-        cfg,
-        budget,
-        input,
-        store,
-        env,
-        BlockPolicy::Adaptive {
-            min: min_block,
-            max: max_block.max(min_block),
-        },
-    )
-}
-
-fn form_runs_impl<S, I, E>(
-    cfg: &SortConfig,
-    budget: &MemoryBudget,
-    input: &mut I,
-    store: &mut S,
-    env: &mut E,
-    policy: BlockPolicy,
-) -> SortResult<SplitStats>
-where
-    S: RunStore,
-    I: InputSource,
-    E: SortEnv,
-{
-    let tpp = cfg.tuples_per_page();
-    let mut stats = SplitStats {
-        started_at: env.now(),
-        ..SplitStats::default()
-    };
-    let mut st = State {
-        store,
-        tpp,
-        block_tuples: policy.block_pages(budget.target().max(1)) * tpp,
-        order: cfg.order.clone(),
-        layout: cfg.layout,
-        heap: BinaryHeap::new(),
-        arena: Arena::default(),
-        out_buf: Vec::new(),
-        current_run_no: 0,
-        current_run_id: None,
-        last_out: None,
-    };
-    budget.record_held(0, env.now());
-
-    let mut exhausted = false;
-    loop {
-        env.poll(budget);
-        if budget.is_cancelled() {
-            budget.record_held(0, env.now());
-            return Err(crate::error::SortError::Cancelled);
-        }
-        let target = budget.target().max(1);
-        // Under the adaptive policy the block size follows the allocation.
-        st.block_tuples = policy.block_pages(target) * tpp;
-        let cap_tuples = target * tpp;
-        let in_mem = st.in_memory_tuples();
-
-        // --------------------------------------------------------------
-        // Memory shortage: shed pages by emitting and flushing blocks until
-        // the holding fits the new target (or nothing is left to shed).
-        // Unlike Quicksort, only as much as necessary is written out.
-        // --------------------------------------------------------------
-        if in_mem > cap_tuples {
-            stats.shrink_events += 1;
-            while st.in_memory_tuples() > cap_tuples {
-                // Pop the whole excess (CPU work only), then issue one block
-                // write for it; the freed buffers are handed back as soon as
-                // the write is issued.
-                let excess = st.in_memory_tuples() - cap_tuples;
-                let boundary = st.emit_up_to(env, st.out_buf.len() + excess);
-                if !st.out_buf.is_empty() {
-                    st.flush(env, budget, &mut stats)?;
-                }
-                if boundary {
-                    st.close_run(env, budget, &mut stats)?;
-                } else if st.heap.is_empty() {
-                    break;
-                }
-            }
-            budget.record_held(st.in_memory_pages(), env.now());
-            continue;
-        }
-
-        // --------------------------------------------------------------
-        // Absorb the next input page if it fits in the current target.
-        // --------------------------------------------------------------
-        if !exhausted && in_mem + tpp <= cap_tuples {
-            match input.next_page()? {
-                Some(page) => {
-                    stats.pages_read += 1;
-                    st.insert_page(env, page);
-                    budget.record_held(st.in_memory_pages(), env.now());
-                }
-                None => exhausted = true,
-            }
-            continue;
-        }
-
-        // --------------------------------------------------------------
-        // Memory is full (steady state) or the input is exhausted: emit.
-        // --------------------------------------------------------------
-        if st.heap.is_empty() {
-            if exhausted {
-                st.close_run(env, budget, &mut stats)?;
-                break;
-            }
-            // Heap empty but a residual output buffer blocks the next page:
-            // flush it and retry.
-            if !st.out_buf.is_empty() {
-                st.flush(env, budget, &mut stats)?;
-            }
-            continue;
-        }
-
-        let boundary = st.emit(env);
-        if st.out_buf.len() >= st.block_tuples {
-            st.flush(env, budget, &mut stats)?;
-            budget.record_held(st.in_memory_pages(), env.now());
-        } else if boundary {
-            st.close_run(env, budget, &mut stats)?;
-            budget.record_held(st.in_memory_pages(), env.now());
-        } else {
-            // Heap ran dry before filling a block; flush what we have so the
-            // next input page can be absorbed.
-            st.flush(env, budget, &mut stats)?;
-            budget.record_held(st.in_memory_pages(), env.now());
-        }
-    }
-
-    budget.record_held(0, env.now());
-    stats.finished_at = env.now();
-    Ok(stats)
-}
-
-// ---------------------------------------------------------------------------
-// Natural-run (up/down) replacement selection — `RunFormation::NaturalSelect`
-// ---------------------------------------------------------------------------
-//
-// The formation below keeps the classic algorithm's memory discipline (same
-// arena, same fixed block size, same shedding) but changes *what a run is* in
-// two ways:
-//
-// 1. **Trend-driven run directions**: each run is formed either ascending
-//    (`Up`) or descending (`Down`), and the direction *follows the input*.
-//    Run 0's direction is sniffed from the first input page; every later
-//    run's direction is chosen from decayed ascending/descending arrival-
-//    pair counters — descending-majority input gets `Down` runs, anything
-//    else gets `Up`, so random and presorted input degenerate to the
-//    classic one-directional algorithm (with its ~2·M expected run length)
-//    while reversed input forms maximal descending runs. All selection
-//    happens in a per-run *comparison space* — `cmp = composite` for
-//    ascending runs and `cmp = !composite` for descending ones (bitwise NOT
-//    is an order-reversing bijection on `u128`) — so the heap, the
-//    `last_out` tagging rule and the emission order are direction-blind. A
-//    descending run is written exactly as emitted (ranks physically
-//    descending) and tagged [`RunDirection::Reversed`]; the merge reads it
-//    back-to-front. Heap entries are immutable, so run r+1's direction must
-//    be fixed when its first tuple is tagged — i.e. at the *start* of run r.
-//    The policy therefore reacts to a trend reversal with one run of lag
-//    (one memory-sized "lag run" at each direction change), which is
-//    amortized away whenever ordered stretches are longer than memory.
-//
-// 2. **Natural-run detection** (the tail queue): tuples that continue the
-//    input's current streak — `cmp` at least the tail's last value — append
-//    to a FIFO in O(1) instead of paying two O(log M) heap operations. The
-//    tail is an *independent* ascending sequence, not an extension of the
-//    heap: emission pops the smaller of (heap top, tail front), and merging
-//    two ascending streams keeps the output globally non-decreasing in
-//    `cmp`. A tuple that breaks the streak first evicts up to
-//    [`SPIKE_EVICT_LIMIT`] tail-tip elements into the heap — so an isolated
-//    out-of-place "spike" costs one heap insert instead of ending the
-//    streak — and falls back to the heap itself on a deeper break. Every
-//    element pays at most one heap round-trip, exactly like the classic
-//    algorithm, so random input stays at parity; on presorted, reversed or
-//    clustered input almost every tuple takes the O(1) path, which is where
-//    the measured speedups come from.
 
 /// The direction of the run currently being formed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -469,28 +141,17 @@ impl RunDir {
     }
 }
 
-struct OrderedState<'a, S: RunStore> {
-    store: &'a mut S,
-    tpp: usize,
-    block_tuples: usize,
-    order: SortOrder,
-    layout: PageLayout,
-    heap: BinaryHeap<Reverse<Entry>>,
-    arena: Arena,
-    /// Natural-run FIFO: the `(cmp, tuple)` ascending streak currently being
+/// What natural-run formation tracks on top of the classic state.
+struct Natural {
+    /// Natural-run FIFO: the `(cmp, slot)` ascending streak currently being
     /// detected at the input frontier, merged with the heap at emission.
-    tail: VecDeque<(u128, Tuple)>,
-    out_buf: Vec<Tuple>,
-    current_run_no: u32,
-    current_run_id: Option<RunId>,
+    tail: VecDeque<(u128, u32)>,
     dir: RunDir,
     /// The direction the *next* run will sort in. Fixed at the start of the
     /// current run, because next-run heap entries are tagged in this space
     /// as they arrive and heap entries are immutable.
     next_dir: RunDir,
     dir_fixed: bool,
-    /// Comparison-space value of the last tuple written to the current run.
-    last_out: Option<u128>,
     /// Composite value of the previous input tuple — the reference point for
     /// the ascending/descending arrival-trend counters.
     last_composite: Option<u128>,
@@ -526,41 +187,30 @@ const STREAK_ENGAGE: usize = 8;
 /// without letting a genuinely descending stretch churn the tail.
 const SPIKE_EVICT_LIMIT: usize = 4;
 
-impl<'a, S: RunStore> OrderedState<'a, S> {
-    fn in_memory_tuples(&self) -> usize {
-        self.arena.live + self.tail.len() + self.out_buf.len()
-    }
-
-    fn in_memory_pages(&self) -> usize {
-        self.in_memory_tuples().div_ceil(self.tpp)
-    }
-
-    /// True when nothing of any run remains buffered in the selection
-    /// structures (the heap may still hold next-run entries otherwise).
-    fn selection_empty(&self) -> bool {
-        self.heap.is_empty() && self.tail.is_empty()
+impl Natural {
+    fn new() -> Self {
+        Natural {
+            tail: VecDeque::new(),
+            dir: RunDir::Up,
+            next_dir: RunDir::Up,
+            dir_fixed: false,
+            last_composite: None,
+            up_pairs: 0,
+            down_pairs: 0,
+            streak_len: 0,
+            last_in: None,
+            arrival_streak: 0,
+        }
     }
 
     /// Sniff run 0's direction from the first input page: count ascending vs
     /// descending adjacent rank pairs and start descending when the input
     /// leans that way. The direction must be fixed before any tuple is
     /// tagged, because heap entries are immutable once pushed.
-    fn sniff_direction(&mut self, tuples: &[Tuple]) {
+    fn sniff_direction(&mut self, composites: &[u128]) {
         self.dir_fixed = true;
-        let (mut up, mut down) = (0usize, 0usize);
-        let mut prev: Option<u128> = None;
-        for t in tuples {
-            let c = self.order.composite_of(t);
-            if let Some(p) = prev {
-                if c >= p {
-                    up += 1;
-                } else {
-                    down += 1;
-                }
-            }
-            prev = Some(c);
-        }
-        if down > up {
+        let down = composites.windows(2).filter(|w| w[1] < w[0]).count();
+        if down > composites.len().saturating_sub(1) - down {
             self.dir = RunDir::Down;
         }
         // Until the first close there is no better signal for the next
@@ -568,152 +218,69 @@ impl<'a, S: RunStore> OrderedState<'a, S> {
         self.next_dir = self.dir;
     }
 
-    fn push_next_run<E: SortEnv>(&mut self, env: &mut E, cmp_next: u128, tuple: Tuple) {
-        env.charge_cpu(CpuOp::HeapInsert, 1);
-        let slot = self.arena.insert(tuple);
-        self.heap
-            .push(Reverse((self.current_run_no + 1, cmp_next, slot)));
-    }
-
-    fn insert_page<E: SortEnv>(
-        &mut self,
-        env: &mut E,
-        page: crate::tuple::Page,
-        stats: &mut SplitStats,
-    ) {
-        env.charge_cpu(CpuOp::StartIo, 1);
-        let tuples = page.into_tuples();
-        if !self.dir_fixed {
-            self.sniff_direction(&tuples);
-        }
-        // Halve the trend counters once per page so the direction decision
-        // reflects the last couple of pages, not the whole run.
-        self.up_pairs >>= 1;
-        self.down_pairs >>= 1;
-        for tuple in tuples {
-            let composite = self.order.composite_of(&tuple);
-            if let Some(prev) = self.last_composite {
-                if composite >= prev {
-                    self.up_pairs += 1;
-                } else {
-                    self.down_pairs += 1;
-                }
-            }
-            self.last_composite = Some(composite);
-            let cmp = self.dir.cmp_of(composite);
-            // Arrival-order streak tracking happens before routing so every
-            // tuple — heap, tail or next-run — advances or breaks it.
-            if self.last_in.is_some_and(|p| cmp < p) {
-                self.arrival_streak = 0;
-            } else {
-                self.arrival_streak += 1;
-            }
-            self.last_in = Some(cmp);
-            if matches!(self.last_out, Some(last) if cmp < last) {
-                // Belongs to the next run, tagged in that run's (already
-                // fixed) comparison space.
-                self.push_next_run(env, self.next_dir.cmp_of(composite), tuple);
-                continue;
-            }
-            // A streak-breaking tuple may evict a bounded number of
-            // tail-tip "spikes" into the heap: an isolated out-of-place
-            // tuple then costs one heap insert instead of ending the streak.
-            let mut evicted = 0;
-            while evicted < SPIKE_EVICT_LIMIT {
-                match self.tail.back() {
-                    Some(&(tail_last, _)) if cmp < tail_last => {
-                        let (spike_cmp, spike) = self.tail.pop_back().expect("peeked");
-                        env.charge_cpu(CpuOp::HeapInsert, 1);
-                        let slot = self.arena.insert(spike);
-                        self.heap
-                            .push(Reverse((self.current_run_no, spike_cmp, slot)));
-                        // The spike took the heap path after all.
-                        stats.natural_tuples = stats.natural_tuples.saturating_sub(1);
-                        self.streak_len = self.streak_len.saturating_sub(1);
-                        evicted += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let continues_streak = match self.tail.back() {
-                Some(&(tail_last, _)) => cmp >= tail_last,
-                // Empty tail: current-run membership (`cmp ≥ last_out`) is
-                // already established, but engage only for a proven arrival
-                // streak — random input must not churn through the tail.
-                None => self.arrival_streak >= STREAK_ENGAGE,
-            };
-            if continues_streak {
-                // Natural-run fast path: O(1), no heap traffic.
-                stats.natural_tuples += 1;
-                self.streak_len += 1;
-                if self.streak_len == self.tpp {
-                    // A streak one page long counts as a detected natural
-                    // run (shorter fragments are heap noise).
-                    stats.natural_runs += 1;
-                }
-                env.charge_cpu(CpuOp::CopyTuple, 1);
-                self.tail.push_back((cmp, tuple));
-                continue;
-            }
-            self.streak_len = 0;
-            env.charge_cpu(CpuOp::HeapInsert, 1);
-            let slot = self.arena.insert(tuple);
-            self.heap.push(Reverse((self.current_run_no, cmp, slot)));
-        }
-    }
-
-    /// Pop the smallest current-run tuple (comparison space): the smaller of
-    /// the heap's top and the tail's front. The heap's current-run prefix
-    /// and the tail are each ascending in `cmp`, and a merge of two
-    /// ascending streams is ascending — so emission stays non-decreasing
-    /// without any cross-structure invariant.
-    fn pop_current<E: SortEnv>(&mut self, env: &mut E) -> Option<(u128, Tuple)> {
-        let heap_cur = match self.heap.peek() {
-            Some(&Reverse((run_no, cmp, _))) if run_no == self.current_run_no => Some(cmp),
-            _ => None,
+    /// The run just closed: move on to the direction fixed for the next one
+    /// and choose the one after it.
+    fn next_run(&mut self) {
+        // The next run's space was fixed when its first tuple was tagged;
+        // what the arrival trend decides *now* is the direction of the run
+        // after it (one-run lag, see the module comment).
+        self.dir = self.next_dir;
+        self.next_dir = if self.down_pairs > self.up_pairs {
+            RunDir::Down
+        } else {
+            RunDir::Up
         };
-        let tail_front = self.tail.front().map(|&(cmp, _)| cmp);
-        match (heap_cur, tail_front) {
-            (Some(h), t) if t.is_none_or(|t| h <= t) => {
-                let Some(Reverse((_, cmp, slot))) = self.heap.pop() else {
-                    unreachable!("peeked a current-run entry");
-                };
-                env.charge_cpu(CpuOp::HeapRemove, 1);
-                Some((cmp, self.arena.take(slot)))
-            }
-            (_, Some(_)) => self.tail.pop_front(),
-            (_, None) => None,
-        }
+        self.streak_len = 0;
+        // The comparison space may have changed; arrival history is stale.
+        self.last_in = None;
+        self.arrival_streak = 0;
+    }
+}
+
+struct State<'a, S: RunStore> {
+    store: &'a mut S,
+    tpp: usize,
+    block_tuples: usize,
+    order: SortOrder,
+    heap: BinaryHeap<Reverse<Entry>>,
+    slab: RecordSlab,
+    /// Composite keys of the input page being inserted.
+    composites: Vec<u128>,
+    out: OutBlock,
+    current_run_no: u32,
+    current_run_id: Option<RunId>,
+    /// Comparison-space value of the last tuple written to the current run.
+    last_out: Option<u128>,
+    /// `Some` under natural-run formation.
+    natural: Option<Natural>,
+}
+
+impl<'a, S: RunStore> State<'a, S> {
+    /// Tuples held: in the slab (heap and tail entries) and in the block
+    /// being emitted.
+    fn in_memory_tuples(&self) -> usize {
+        self.slab.live() + self.out.len()
     }
 
-    fn emit<E: SortEnv>(&mut self, env: &mut E) -> bool {
-        self.emit_up_to(env, self.block_tuples)
+    fn in_memory_pages(&self) -> usize {
+        self.in_memory_tuples().div_ceil(self.tpp)
     }
 
-    /// Mirror of [`State::emit_up_to`]: pop current-run tuples into the
-    /// output buffer up to `limit_tuples`; `true` means a run boundary.
-    fn emit_up_to<E: SortEnv>(&mut self, env: &mut E, limit_tuples: usize) -> bool {
-        while self.out_buf.len() < limit_tuples {
-            match self.pop_current(env) {
-                Some((cmp, tuple)) => {
-                    env.charge_cpu(CpuOp::CopyTuple, 1);
-                    self.last_out = Some(cmp);
-                    self.out_buf.push(tuple);
-                }
-                // Only next-run tuples remain (boundary), or nothing at all.
-                None => return !self.heap.is_empty(),
-            }
-        }
-        false
+    /// True when nothing of any run remains buffered in the selection
+    /// structures (the block being emitted may still hold tuples).
+    fn selection_empty(&self) -> bool {
+        self.heap.is_empty() && self.natural.as_ref().is_none_or(|n| n.tail.is_empty())
     }
 
+    /// Flush the block being emitted (whatever it currently holds) as one
+    /// block write to the current run.
     fn flush<E: SortEnv>(
         &mut self,
         env: &mut E,
         budget: &MemoryBudget,
         stats: &mut SplitStats,
     ) -> SortResult<()> {
-        if self.out_buf.is_empty() {
+        if self.out.is_empty() {
             return Ok(());
         }
         let run = match self.current_run_id {
@@ -724,16 +291,19 @@ impl<'a, S: RunStore> OrderedState<'a, S> {
                 run
             }
         };
-        let tuples = std::mem::take(&mut self.out_buf);
         env.charge_cpu(CpuOp::StartIo, 1);
-        let pages = paginate_with(tuples, self.tpp, self.layout);
+        let pages = self.out.take_pages();
         stats.pages_written += pages.len();
         stats.block_writes += 1;
         self.store.append_block(run, pages)?;
+        // The flushed buffers become available as soon as the block write
+        // completes; unlike Quicksort, only as many pages as necessary are
+        // written, which keeps replacement selection's delays short.
         budget.record_held(self.in_memory_pages(), env.now());
         Ok(())
     }
 
+    /// Close the current run (flushing any buffered remainder first).
     fn close_run<E: SortEnv>(
         &mut self,
         env: &mut E,
@@ -744,7 +314,9 @@ impl<'a, S: RunStore> OrderedState<'a, S> {
         if let Some(run) = self.current_run_id.take() {
             // The store only tracks sizes; the direction is ours to record.
             let mut meta = self.store.meta(run);
-            meta.dir = self.dir.meta();
+            if let Some(natural) = &self.natural {
+                meta.dir = natural.dir.meta();
+            }
             env.trace().emit(masort_trace::EventKind::RunEmit {
                 run: run.into(),
                 tuples: meta.tuples as u64,
@@ -753,34 +325,192 @@ impl<'a, S: RunStore> OrderedState<'a, S> {
             stats.runs.push(meta);
         }
         self.current_run_no += 1;
-        // The next run's space was fixed when its first tuple was tagged;
-        // what the arrival trend decides *now* is the direction of the run
-        // after it (one-run lag, see the module comment).
-        self.dir = self.next_dir;
-        self.next_dir = if self.down_pairs > self.up_pairs {
-            RunDir::Down
-        } else {
-            RunDir::Up
-        };
         self.last_out = None;
-        self.streak_len = 0;
-        // The comparison space may have changed; arrival history is stale.
-        self.last_in = None;
-        self.arrival_streak = 0;
+        if let Some(natural) = &mut self.natural {
+            natural.next_run();
+        }
         Ok(())
+    }
+
+    /// Pop the smallest current-run tuple (comparison space): the smaller of
+    /// the heap's top and the tail's front. The heap's current-run prefix
+    /// and the tail are each ascending in `cmp`, and a merge of two
+    /// ascending streams is ascending — so emission stays non-decreasing
+    /// without any cross-structure invariant.
+    fn pop_current<E: SortEnv>(&mut self, env: &mut E) -> Option<(u128, u32)> {
+        let heap_cur = match self.heap.peek() {
+            Some(&Reverse((run_no, cmp, _))) if run_no == self.current_run_no => Some(cmp),
+            _ => None,
+        };
+        let tail = self.natural.as_mut().map(|n| &mut n.tail);
+        let tail_front = tail.as_ref().and_then(|t| t.front()).map(|&(cmp, _)| cmp);
+        match (heap_cur, tail_front) {
+            (Some(h), t) if t.is_none_or(|t| h <= t) => {
+                let Some(Reverse((_, cmp, slot))) = self.heap.pop() else {
+                    unreachable!("peeked a current-run entry");
+                };
+                env.charge_cpu(CpuOp::HeapRemove, 1);
+                Some((cmp, slot))
+            }
+            (_, Some(_)) => tail.and_then(VecDeque::pop_front),
+            (_, None) => None,
+        }
+    }
+
+    /// Pop tuples of the current run into the block being emitted until it
+    /// holds `limit_tuples`, a run boundary is reached, or nothing is left to
+    /// select. Returns `true` if a run boundary was hit. (The limit is one
+    /// block in the steady state; when shedding memory the whole excess is
+    /// popped before a single block write is issued.)
+    fn emit_up_to<E: SortEnv>(&mut self, env: &mut E, limit_tuples: usize) -> bool {
+        while self.out.len() < limit_tuples {
+            match self.pop_current(env) {
+                Some((cmp, slot)) => {
+                    env.charge_cpu(CpuOp::CopyTuple, 1);
+                    self.last_out = Some(cmp);
+                    self.out.take(&mut self.slab, slot);
+                }
+                // Only next-run tuples remain (boundary), or nothing at all.
+                None => return !self.heap.is_empty(),
+            }
+        }
+        false
+    }
+
+    fn insert_page<E: SortEnv>(&mut self, env: &mut E, page: Page, stats: &mut SplitStats) {
+        env.charge_cpu(CpuOp::StartIo, 1);
+        // Composites computed once per tuple (one `SortOrder` dispatch per
+        // page); every later heap comparison reads the cached value from the
+        // entry.
+        self.composites.clear();
+        self.order
+            .composite_column_into(&page, &mut self.composites);
+        if self.natural.is_some() {
+            self.insert_natural(env, &page, stats);
+            return;
+        }
+        env.charge_cpu(CpuOp::HeapInsert, page.len() as u64);
+        for (i, &key) in self.composites.iter().enumerate() {
+            let run_no = match self.last_out {
+                Some(last) if key < last => self.current_run_no + 1,
+                _ => self.current_run_no,
+            };
+            let (stored_key, payload) = page.record(i);
+            let slot = self.slab.insert(stored_key, payload);
+            self.heap.push(Reverse((run_no, key, slot)));
+        }
+    }
+
+    /// [`insert_page`](Self::insert_page) under natural-run formation: route
+    /// each tuple to the next run, the tail or the heap.
+    fn insert_natural<E: SortEnv>(&mut self, env: &mut E, page: &Page, stats: &mut SplitStats) {
+        let State {
+            natural: Some(nat),
+            heap,
+            slab,
+            composites,
+            ..
+        } = self
+        else {
+            unreachable!("caller checked the formation is natural");
+        };
+        let (tpp, current_run_no, last_out) = (self.tpp, self.current_run_no, self.last_out);
+        if !nat.dir_fixed {
+            nat.sniff_direction(composites);
+        }
+        // Halve the trend counters once per page so the direction decision
+        // reflects the last couple of pages, not the whole run.
+        nat.up_pairs >>= 1;
+        nat.down_pairs >>= 1;
+        for (i, &composite) in composites.iter().enumerate() {
+            if let Some(prev) = nat.last_composite {
+                if composite >= prev {
+                    nat.up_pairs += 1;
+                } else {
+                    nat.down_pairs += 1;
+                }
+            }
+            nat.last_composite = Some(composite);
+            let cmp = nat.dir.cmp_of(composite);
+            // Arrival-order streak tracking happens before routing so every
+            // tuple — heap, tail or next-run — advances or breaks it.
+            if nat.last_in.is_some_and(|p| cmp < p) {
+                nat.arrival_streak = 0;
+            } else {
+                nat.arrival_streak += 1;
+            }
+            nat.last_in = Some(cmp);
+            let (stored_key, payload) = page.record(i);
+            if matches!(last_out, Some(last) if cmp < last) {
+                // Belongs to the next run, tagged in that run's (already
+                // fixed) comparison space.
+                env.charge_cpu(CpuOp::HeapInsert, 1);
+                let slot = slab.insert(stored_key, payload);
+                let cmp_next = nat.next_dir.cmp_of(composite);
+                heap.push(Reverse((current_run_no + 1, cmp_next, slot)));
+                continue;
+            }
+            // A streak-breaking tuple may evict a bounded number of
+            // tail-tip "spikes" into the heap: an isolated out-of-place
+            // tuple then costs one heap insert instead of ending the streak.
+            let mut evicted = 0;
+            while evicted < SPIKE_EVICT_LIMIT {
+                match nat.tail.back() {
+                    Some(&(spike_cmp, spike)) if cmp < spike_cmp => {
+                        nat.tail.pop_back();
+                        env.charge_cpu(CpuOp::HeapInsert, 1);
+                        heap.push(Reverse((current_run_no, spike_cmp, spike)));
+                        // The spike took the heap path after all.
+                        stats.natural_tuples = stats.natural_tuples.saturating_sub(1);
+                        nat.streak_len = nat.streak_len.saturating_sub(1);
+                        evicted += 1;
+                    }
+                    _ => break,
+                }
+            }
+            let continues_streak = match nat.tail.back() {
+                Some(&(tail_last, _)) => cmp >= tail_last,
+                // Empty tail: current-run membership (`cmp ≥ last_out`) is
+                // already established, but engage only for a proven arrival
+                // streak — random input must not churn through the tail.
+                None => nat.arrival_streak >= STREAK_ENGAGE,
+            };
+            if continues_streak {
+                // Natural-run fast path: O(1), no heap traffic.
+                stats.natural_tuples += 1;
+                nat.streak_len += 1;
+                if nat.streak_len == tpp {
+                    // A streak one page long counts as a detected natural
+                    // run (shorter fragments are heap noise).
+                    stats.natural_runs += 1;
+                }
+                env.charge_cpu(CpuOp::CopyTuple, 1);
+                nat.tail.push_back((cmp, slab.insert(stored_key, payload)));
+                continue;
+            }
+            nat.streak_len = 0;
+            env.charge_cpu(CpuOp::HeapInsert, 1);
+            heap.push(Reverse((
+                current_run_no,
+                cmp,
+                slab.insert(stored_key, payload),
+            )));
+        }
     }
 }
 
-/// Execute the split phase with natural-run (up/down) replacement selection
-/// and `block_pages`-page block writes
-/// ([`RunFormation::NaturalSelect`](crate::config::RunFormation::NaturalSelect)).
-pub fn form_runs_ordered<S, I, E>(
+/// Execute the split phase with replacement selection, writing blocks sized
+/// by `block`: the classic algorithm (`replN`, `adapt`), or with `natural`
+/// its natural-run variant (`natN`,
+/// [`RunFormation::NaturalSelect`](crate::config::RunFormation::NaturalSelect)).
+pub fn form_runs<S, I, E>(
     cfg: &SortConfig,
     budget: &MemoryBudget,
     input: &mut I,
     store: &mut S,
     env: &mut E,
-    block_pages: usize,
+    block: BlockPolicy,
+    natural: bool,
 ) -> SortResult<SplitStats>
 where
     S: RunStore,
@@ -792,28 +522,19 @@ where
         started_at: env.now(),
         ..SplitStats::default()
     };
-    let mut st = OrderedState {
+    let mut st = State {
         store,
         tpp,
-        block_tuples: block_pages.max(1) * tpp,
+        block_tuples: block.block_pages(budget.target().max(1)) * tpp,
         order: cfg.order.clone(),
-        layout: cfg.layout,
         heap: BinaryHeap::new(),
-        arena: Arena::default(),
-        tail: VecDeque::new(),
-        out_buf: Vec::new(),
+        slab: RecordSlab::new(cfg.record_stride()),
+        composites: Vec::new(),
+        out: OutBlock::new(cfg.record_stride(), tpp),
         current_run_no: 0,
         current_run_id: None,
-        dir: RunDir::Up,
-        next_dir: RunDir::Up,
-        dir_fixed: false,
         last_out: None,
-        last_composite: None,
-        up_pairs: 0,
-        down_pairs: 0,
-        streak_len: 0,
-        last_in: None,
-        arrival_streak: 0,
+        natural: natural.then(Natural::new),
     };
     budget.record_held(0, env.now());
 
@@ -824,18 +545,26 @@ where
             budget.record_held(0, env.now());
             return Err(crate::error::SortError::Cancelled);
         }
-        let cap_tuples = budget.target().max(1) * tpp;
+        let target = budget.target().max(1);
+        // Under the adaptive policy the block size follows the allocation.
+        st.block_tuples = block.block_pages(target) * tpp;
+        let cap_tuples = target * tpp;
         let in_mem = st.in_memory_tuples();
 
-        // Memory shortage: shed exactly the excess, as the classic path does.
+        // --------------------------------------------------------------
+        // Memory shortage: shed pages by emitting and flushing blocks until
+        // the holding fits the new target (or nothing is left to shed).
+        // Unlike Quicksort, only as much as necessary is written out.
+        // --------------------------------------------------------------
         if in_mem > cap_tuples {
             stats.shrink_events += 1;
             while st.in_memory_tuples() > cap_tuples {
+                // Pop the whole excess (CPU work only), then issue one block
+                // write for it; the freed buffers are handed back as soon as
+                // the write is issued.
                 let excess = st.in_memory_tuples() - cap_tuples;
-                let boundary = st.emit_up_to(env, st.out_buf.len() + excess);
-                if !st.out_buf.is_empty() {
-                    st.flush(env, budget, &mut stats)?;
-                }
+                let boundary = st.emit_up_to(env, st.out.len() + excess);
+                st.flush(env, budget, &mut stats)?;
                 if boundary {
                     st.close_run(env, budget, &mut stats)?;
                 } else if st.selection_empty() {
@@ -846,12 +575,19 @@ where
             continue;
         }
 
+        // --------------------------------------------------------------
         // Absorb the next input page if it fits in the current target.
+        // --------------------------------------------------------------
         if !exhausted && in_mem + tpp <= cap_tuples {
             match input.next_page()? {
                 Some(page) => {
                     stats.pages_read += 1;
+                    let oversized = page.len() > tpp;
                     st.insert_page(env, page, &mut stats);
+                    debug_assert!(
+                        oversized || st.slab.live() <= cap_tuples,
+                        "the slab outgrew the budget it was filled under"
+                    );
                     budget.record_held(st.in_memory_pages(), env.now());
                 }
                 None => exhausted = true,
@@ -859,29 +595,29 @@ where
             continue;
         }
 
-        // Memory full (steady state) or input exhausted: emit.
+        // --------------------------------------------------------------
+        // Memory is full (steady state) or the input is exhausted: emit.
+        // --------------------------------------------------------------
         if st.selection_empty() {
             if exhausted {
                 st.close_run(env, budget, &mut stats)?;
                 break;
             }
-            if !st.out_buf.is_empty() {
-                st.flush(env, budget, &mut stats)?;
-            }
+            // Nothing to select but a residual block keeps the next page
+            // out: flush it and retry.
+            st.flush(env, budget, &mut stats)?;
             continue;
         }
 
-        let boundary = st.emit(env);
-        if st.out_buf.len() >= st.block_tuples {
-            st.flush(env, budget, &mut stats)?;
-            budget.record_held(st.in_memory_pages(), env.now());
-        } else if boundary {
+        // A run boundary closes the run; otherwise the block is flushed —
+        // full, or short because the selection ran dry, so that the next
+        // input page can be absorbed.
+        if st.emit_up_to(env, st.block_tuples) {
             st.close_run(env, budget, &mut stats)?;
-            budget.record_held(st.in_memory_pages(), env.now());
         } else {
             st.flush(env, budget, &mut stats)?;
-            budget.record_held(st.in_memory_pages(), env.now());
         }
+        budget.record_held(st.in_memory_pages(), env.now());
     }
 
     budget.record_held(0, env.now());
@@ -895,6 +631,7 @@ mod tests {
     use crate::env::CountingEnv;
     use crate::input::VecSource;
     use crate::store::MemStore;
+    use crate::tuple::Tuple;
     use crate::verify::collect_run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -906,13 +643,25 @@ mod tests {
             .collect()
     }
 
+    /// Form runs from `tuples` under `mem` pages, in `env`.
+    fn split_in<E: SortEnv>(
+        cfg: &SortConfig,
+        tuples: Vec<Tuple>,
+        env: &mut E,
+        block: BlockPolicy,
+        natural: bool,
+    ) -> (SplitStats, MemStore, MemoryBudget) {
+        let budget = MemoryBudget::new(cfg.memory_pages);
+        let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
+        let mut store = MemStore::new();
+        let stats = form_runs(cfg, &budget, &mut input, &mut store, env, block, natural).unwrap();
+        (stats, store, budget)
+    }
+
     fn split(n_tuples: usize, mem: usize, block: usize) -> (SplitStats, MemStore) {
         let cfg = SortConfig::default().with_memory_pages(mem);
-        let budget = MemoryBudget::new(mem);
-        let mut input = VecSource::from_tuples(random_tuples(n_tuples, 7), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = CountingEnv::new();
-        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env, block).unwrap();
+        let (block, mut env) = (BlockPolicy::Fixed(block), CountingEnv::new());
+        let (stats, store, _) = split_in(&cfg, random_tuples(n_tuples, 7), &mut env, block, false);
         (stats, store)
     }
 
@@ -939,47 +688,54 @@ mod tests {
         assert_eq!(s6.total_tuples(), n);
     }
 
+    /// Shrinks the budget to a single page once its clock (advanced by CPU
+    /// charges) passes 0.05 s.
+    struct ShrinkingEnv {
+        clock: f64,
+        fired: bool,
+    }
+
+    impl SortEnv for ShrinkingEnv {
+        fn now(&self) -> f64 {
+            self.clock
+        }
+        fn charge_cpu(&mut self, _op: CpuOp, count: u64) {
+            self.clock += count as f64 * 1e-4;
+        }
+        fn poll(&mut self, budget: &MemoryBudget) {
+            if !self.fired && self.clock > 0.05 {
+                self.fired = true;
+                budget.set_target(1, self.clock);
+            }
+        }
+        fn wait_for_pages(&mut self, _b: &MemoryBudget, _p: usize) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn shrink_mid_split_frees_memory_and_records_event() {
-        let cfg = SortConfig::default().with_memory_pages(8);
-        let tpp = cfg.tuples_per_page();
-        let budget = MemoryBudget::new(8);
-        let mut input = VecSource::from_tuples(random_tuples(32 * 30, 3), tpp);
-        let mut store = MemStore::new();
-
-        // An env that shrinks the budget to a single page once the clock passes 0.05 s.
-        struct ShrinkingEnv {
-            clock: f64,
-            fired: bool,
+        for natural in [false, true] {
+            let cfg = SortConfig::default().with_memory_pages(8);
+            let mut env = ShrinkingEnv {
+                clock: 0.0,
+                fired: false,
+            };
+            let (stats, mut store, budget) = split_in(
+                &cfg,
+                random_tuples(32 * 30, 3),
+                &mut env,
+                BlockPolicy::Fixed(6),
+                natural,
+            );
+            assert!(env.fired);
+            assert!(stats.shrink_events >= 1);
+            assert_directed_runs_cover(&stats, &mut store, 32 * 30);
+            // The shortage must have been satisfied (delay recorded, none
+            // pending).
+            assert!(!budget.shrink_pending());
+            assert!(budget.delay_count() >= 1);
         }
-        impl SortEnv for ShrinkingEnv {
-            fn now(&self) -> f64 {
-                self.clock
-            }
-            fn charge_cpu(&mut self, _op: CpuOp, count: u64) {
-                self.clock += count as f64 * 1e-4;
-            }
-            fn poll(&mut self, budget: &MemoryBudget) {
-                if !self.fired && self.clock > 0.05 {
-                    self.fired = true;
-                    budget.set_target(1, self.clock);
-                }
-            }
-            fn wait_for_pages(&mut self, _b: &MemoryBudget, _p: usize) -> bool {
-                true
-            }
-        }
-        let mut env = ShrinkingEnv {
-            clock: 0.0,
-            fired: false,
-        };
-        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env, 6).unwrap();
-        assert!(env.fired);
-        assert!(stats.shrink_events >= 1);
-        assert_eq!(stats.total_tuples(), 32 * 30);
-        // The shortage must have been satisfied (delay recorded, none pending).
-        assert!(!budget.shrink_pending());
-        assert!(budget.delay_count() >= 1);
     }
 
     #[test]
@@ -1007,12 +763,11 @@ mod tests {
         let cfg_small = SortConfig::default().with_memory_pages(6);
         let cfg_big = SortConfig::default().with_memory_pages(60);
         let run = |cfg: &SortConfig| {
-            let budget = MemoryBudget::new(cfg.memory_pages);
-            let mut input = VecSource::from_tuples(random_tuples(n, 5), cfg.tuples_per_page());
-            let mut store = MemStore::new();
-            let mut env = CountingEnv::new();
-            let stats =
-                form_runs_adaptive(cfg, &budget, &mut input, &mut store, &mut env, 1, 32).unwrap();
+            let (block, mut env) = (
+                BlockPolicy::Adaptive { min: 1, max: 32 },
+                CountingEnv::new(),
+            );
+            let (stats, store, _) = split_in(cfg, random_tuples(n, 5), &mut env, block, false);
             (stats, store)
         };
         let (small, mut small_store) = run(&cfg_small);
@@ -1055,12 +810,8 @@ mod tests {
 
     fn split_ordered(tuples: Vec<Tuple>, mem: usize, block: usize) -> (SplitStats, MemStore) {
         let cfg = SortConfig::default().with_memory_pages(mem);
-        let budget = MemoryBudget::new(mem);
-        let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = CountingEnv::new();
-        let stats =
-            form_runs_ordered(&cfg, &budget, &mut input, &mut store, &mut env, block).unwrap();
+        let (block, mut env) = (BlockPolicy::Fixed(block), CountingEnv::new());
+        let (stats, store, _) = split_in(&cfg, tuples, &mut env, block, true);
         (stats, store)
     }
 
@@ -1179,11 +930,8 @@ mod tests {
         let cfg = SortConfig::default()
             .with_memory_pages(4)
             .with_order(SortOrder::descending());
-        let budget = MemoryBudget::new(4);
-        let mut input = VecSource::from_tuples(random_tuples(n, 9), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = CountingEnv::new();
-        let stats = form_runs_ordered(&cfg, &budget, &mut input, &mut store, &mut env, 1).unwrap();
+        let (block, mut env) = (BlockPolicy::Fixed(1), CountingEnv::new());
+        let (stats, mut store, _) = split_in(&cfg, random_tuples(n, 9), &mut env, block, true);
         let mut total = 0;
         for r in &stats.runs {
             let t = collect_run(&mut store, r.id).unwrap();
@@ -1194,44 +942,5 @@ mod tests {
             total += t.len();
         }
         assert_eq!(total, n);
-    }
-
-    #[test]
-    fn ordered_mode_survives_shrink() {
-        let cfg = SortConfig::default().with_memory_pages(8);
-        let tpp = cfg.tuples_per_page();
-        let budget = MemoryBudget::new(8);
-        let mut input = VecSource::from_tuples(random_tuples(32 * 30, 3), tpp);
-        let mut store = MemStore::new();
-        struct ShrinkingEnv {
-            clock: f64,
-            fired: bool,
-        }
-        impl SortEnv for ShrinkingEnv {
-            fn now(&self) -> f64 {
-                self.clock
-            }
-            fn charge_cpu(&mut self, _op: CpuOp, count: u64) {
-                self.clock += count as f64 * 1e-4;
-            }
-            fn poll(&mut self, budget: &MemoryBudget) {
-                if !self.fired && self.clock > 0.05 {
-                    self.fired = true;
-                    budget.set_target(1, self.clock);
-                }
-            }
-            fn wait_for_pages(&mut self, _b: &MemoryBudget, _p: usize) -> bool {
-                true
-            }
-        }
-        let mut env = ShrinkingEnv {
-            clock: 0.0,
-            fired: false,
-        };
-        let stats = form_runs_ordered(&cfg, &budget, &mut input, &mut store, &mut env, 6).unwrap();
-        assert!(env.fired);
-        assert!(stats.shrink_events >= 1);
-        assert_eq!(stats.total_tuples(), 32 * 30);
-        assert_directed_runs_cover(&stats, &mut store, 32 * 30);
     }
 }

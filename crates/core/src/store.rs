@@ -20,9 +20,10 @@ use crate::io::{IoHandle, IoPool};
 use crate::layout::DensePage;
 use crate::tuple::{Page, Payload, Tuple};
 use masort_trace::EventKind;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,13 +94,11 @@ pub trait RunStore {
     /// Read page `idx` of `run`.
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page>;
 
-    /// Read page `idx` of `run`, reusing `scratch` as the raw I/O buffer.
-    ///
-    /// Whole-run readers (`verify::collect_run`) read one page at a time for
-    /// the life of a run; routing those reads through a caller-held scratch
-    /// buffer lets stores that hit a real device (e.g. [`FileStore`]) reuse
-    /// one allocation per run instead of allocating per page. The default ignores `scratch` and delegates
-    /// to [`read_page`](Self::read_page).
+    /// Read page `idx` of `run`; a store may use `scratch` as its raw I/O
+    /// buffer, so a whole-run reader (`verify::collect_run`) can lend it one
+    /// allocation for the life of a run. The default — and every store in
+    /// this crate: a dense page keeps the buffer it was read into — ignores
+    /// `scratch` and delegates to [`read_page`](Self::read_page).
     fn read_page_with_scratch(
         &mut self,
         run: RunId,
@@ -342,7 +341,7 @@ impl RunStore for MemStore {
 /// and encode every page straight into it).
 fn encode_page_into(page: &Page, buf: &mut Vec<u8>) {
     if let Some(dense) = page.as_dense() {
-        dense.encode_into(buf);
+        buf.extend_from_slice(dense.wire_bytes());
         return;
     }
     buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
@@ -411,20 +410,10 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Decode one page, validating every length along the way. Dense pages are
-/// recognised by their sentinel; working from a borrowed slice, this copies
-/// the page bytes into a fresh buffer — the zero-copy entry points are
-/// [`decode_page_vec`] (single page, buffer handed over) and [`decode_block`]
-/// (whole block shared behind one `Arc`).
-fn decode_page(buf: &[u8]) -> Result<Page, String> {
-    if DensePage::is_dense_encoding(buf) {
-        return DensePage::decode_owned(buf.to_vec()).map(Page::from_dense);
-    }
-    decode_page_classic(buf)
-}
-
-/// Decode one page from a buffer the caller hands over: a dense page takes
-/// ownership of it (no copy), a classic page materialises its tuples.
+/// Decode one page, validating every length along the way, from a buffer the
+/// caller hands over: a dense page (recognised by its sentinel) takes
+/// ownership of it — no copy; [`decode_block`] shares one buffer among a whole
+/// block's pages the same way — a classic page materialises its tuples.
 fn decode_page_vec(buf: Vec<u8>) -> Result<Page, String> {
     if DensePage::is_dense_encoding(&buf) {
         return DensePage::decode_owned(buf).map(Page::from_dense);
@@ -475,7 +464,7 @@ fn decode_page_classic(buf: &[u8]) -> Result<Page, String> {
 /// move the actual encoding onto a background thread.
 fn encoded_page_len(page: &Page) -> usize {
     if let Some(dense) = page.as_dense() {
-        return dense.encoded_len();
+        return dense.wire_bytes().len();
     }
     4 + page
         .tuples()
@@ -494,6 +483,7 @@ fn encoded_page_len(page: &Page) -> usize {
 /// Encode `pages` back to back into one contiguous buffer (one block),
 /// preallocated to its exact size and written in a single pass — no
 /// per-page staging buffer.
+#[cfg(unix)]
 fn encode_pages(pages: &[Page]) -> Vec<u8> {
     let total: usize = pages.iter().map(encoded_page_len).sum();
     let mut buf = Vec::with_capacity(total);
@@ -502,6 +492,49 @@ fn encode_pages(pages: &[Page]) -> Vec<u8> {
     }
     debug_assert_eq!(buf.len(), total, "encoded_page_len disagrees with encoder");
     buf
+}
+
+/// Fill `buf` from `file` at `offset`: one positioned read where the platform
+/// has it.
+fn read_exact_at(file: &mut File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    #[cfg(unix)]
+    return std::os::unix::fs::FileExt::read_exact_at(file, buf, offset);
+    #[cfg(not(unix))]
+    {
+        file.seek(SeekFrom::Start(offset))?;
+        std::io::Read::read_exact(file, buf)
+    }
+}
+
+/// Write `pages` back to back into `file` from `offset` on, as one gathered
+/// write: a dense page goes out from where it lies (it is held as its wire
+/// encoding), an owned page is encoded first. (One write per block, not per
+/// page: pages are not multiples of the file system's block size, and every
+/// write boundary inside a block costs a partial-block update.)
+fn write_pages(file: &mut File, offset: u64, pages: &[Page]) -> std::io::Result<()> {
+    let encoded: Vec<Cow<'_, [u8]>> = pages
+        .iter()
+        .map(|page| match page.as_dense() {
+            Some(dense) => Cow::Borrowed(dense.wire_bytes()),
+            None => {
+                let mut buf = Vec::new();
+                encode_page_into(page, &mut buf);
+                Cow::Owned(buf)
+            }
+        })
+        .collect();
+    let mut slices: Vec<IoSlice<'_>> = encoded.iter().map(|bytes| IoSlice::new(bytes)).collect();
+    let mut rest = &mut slices[..];
+    file.seek(SeekFrom::Start(offset))?;
+    while !rest.is_empty() {
+        match file.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// One block write still in flight on the I/O pool, with everything needed to
@@ -671,9 +704,7 @@ fn flush_queued(r: &mut FileRun, pool: Option<&IoPool>, stall: &mut f64) -> Sort
         if poisoned {
             return Err(std::io::Error::other("injected write failure"));
         }
-        let buf = encode_pages(&pages);
-        r.file.seek(SeekFrom::Start(start_offset))?;
-        r.file.write_all(&buf)
+        write_pages(&mut r.file, start_offset, &pages)
     })();
     match result {
         Ok(()) => Ok(()),
@@ -824,18 +855,17 @@ impl FileStore {
         self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))
     }
 
-    /// Read the raw encoded bytes of page `idx` into `buf` (resized to the
-    /// page's exact encoded length), draining pending writes first.
-    fn read_page_raw(&mut self, run: RunId, idx: usize, buf: &mut Vec<u8>) -> SortResult<()> {
+    /// Read the raw encoded bytes of page `idx` (one positioned read), after
+    /// draining pending writes.
+    fn read_page_raw(&mut self, run: RunId, idx: usize) -> SortResult<Vec<u8>> {
         self.drain_run(run)?;
         let r = self.run_mut(run)?;
         let &(off, len) = r
             .index
             .get(idx)
             .ok_or_else(|| SortError::corrupt(run, format!("page {idx} out of range")))?;
-        buf.resize(len as usize, 0);
-        r.file.seek(SeekFrom::Start(off))?;
-        r.file.read_exact(buf).map_err(|e| {
+        let mut buf = vec![0u8; len as usize];
+        read_exact_at(&mut r.file, &mut buf, off).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 SortError::corrupt(
                     run,
@@ -849,7 +879,7 @@ impl FileStore {
             run: run.into(),
             pages: 1,
         });
-        Ok(())
+        Ok(buf)
     }
 
     /// Retry deleting any run files whose earlier removal failed.
@@ -927,15 +957,13 @@ impl FileStore {
             return Ok(());
         }
 
-        // Classic write-through path: one encode, one seek, one contiguous
-        // write per append call.
+        // Classic write-through path: one seek and one gathered write per
+        // append call.
         let result = (|| -> std::io::Result<()> {
             if injected_failure {
                 return Err(std::io::Error::other("injected write failure"));
             }
-            let buf = encode_pages(&pages);
-            r.file.seek(SeekFrom::Start(start_offset))?;
-            r.file.write_all(&buf)
+            write_pages(&mut r.file, start_offset, &pages)
         })();
         match result {
             Ok(()) => {
@@ -1039,27 +1067,8 @@ impl RunStore for FileStore {
     }
 
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
-        let mut buf = Vec::new();
-        self.read_page_raw(run, idx, &mut buf)?;
-        decode_page_vec(buf)
-            .map_err(|detail| SortError::corrupt(run, format!("page {idx}: {detail}")))
-    }
-
-    fn read_page_with_scratch(
-        &mut self,
-        run: RunId,
-        idx: usize,
-        scratch: &mut Vec<u8>,
-    ) -> SortResult<Page> {
-        self.read_page_raw(run, idx, scratch)?;
-        // A dense page takes ownership of its buffer, so handing the scratch
-        // over skips a full-page copy; the next read re-allocates it, which
-        // costs no more than the copy did. Classic pages keep reusing it.
-        if DensePage::is_dense_encoding(scratch) {
-            return decode_page_vec(std::mem::take(scratch))
-                .map_err(|detail| SortError::corrupt(run, format!("page {idx}: {detail}")));
-        }
-        decode_page(scratch)
+        // The buffer is the page's own: a dense page keeps it.
+        decode_page_vec(self.read_page_raw(run, idx)?)
             .map_err(|detail| SortError::corrupt(run, format!("page {idx}: {detail}")))
     }
 
@@ -1083,8 +1092,7 @@ impl RunStore for FileStore {
         let total: usize = entries.iter().map(|&(_, l)| l as usize).sum();
         let entries = entries.to_vec();
         let mut buf = vec![0u8; total];
-        r.file.seek(SeekFrom::Start(first_off))?;
-        r.file.read_exact(&mut buf).map_err(|e| {
+        read_exact_at(&mut r.file, &mut buf, first_off).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 SortError::corrupt(
                     run,
@@ -1479,12 +1487,12 @@ mod tests {
         buf.extend_from_slice(&5u64.to_le_bytes());
         buf.push(9);
         buf.extend_from_slice(&0u32.to_le_bytes());
-        assert!(decode_page(&buf).unwrap_err().contains("tag"));
+        assert!(decode_page_vec(buf).unwrap_err().contains("tag"));
 
         // A valid empty page followed by junk.
         let mut buf = 0u32.to_le_bytes().to_vec();
         buf.push(1);
-        assert!(decode_page(&buf).unwrap_err().contains("trailing"));
+        assert!(decode_page_vec(buf).unwrap_err().contains("trailing"));
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! without materialising the bytes.
 //!
 //! A [`Page`] has two physical representations behind one logical interface:
-//! the classic **owned** form (`Vec<Tuple>`, every payload its own
-//! allocation) and the **dense** form (a fixed-stride byte region from
-//! [`crate::layout`], materialising tuples only on demand). Code that does
-//! not care reads tuples through [`Page::tuples`]; the hot paths in the
-//! store and the merge kernel branch on [`Page::as_dense`] to stay on the
-//! zero-copy representation.
+//! the **owned** form (`Vec<Tuple>`, every payload its own allocation) —
+//! what a caller builds with [`Page::from_tuples`] — and the **dense** form (a
+//! fixed-stride byte region from [`crate::layout`], materialising tuples only
+//! on demand) — what every page the sort itself builds is. Code that does
+//! not care reads tuples through [`Page::tuples`]; run formation reads
+//! records through [`Page::record`], and the store and the merge kernel
+//! branch on [`Page::as_dense`], so none of them builds a [`Tuple`].
 
-use crate::config::PageLayout;
-use crate::layout::{DensePage, TupleArena};
+use crate::layout::{DensePage, PayloadRef};
 use std::borrow::Cow;
 
 /// The payload carried by a [`Tuple`] in addition to its sort key.
@@ -104,7 +104,7 @@ enum Repr {
 /// [`Page::from_tuples`], so store accounting ([`Page::bytes`]) is O(1)
 /// instead of a full walk over the tuples. Byte accounting is *logical*
 /// (key + payload per tuple) in both representations, so budgets and merge
-/// planning behave identically whichever layout a sort runs with.
+/// planning behave identically whichever representation a page has.
 #[derive(Clone, Debug)]
 pub struct Page {
     repr: Repr,
@@ -186,6 +186,16 @@ impl Page {
         }
     }
 
+    /// Record `i` as its stored key and a borrowed payload, whichever the
+    /// representation — no [`Tuple`] is built.
+    #[inline]
+    pub fn record(&self, i: usize) -> (u64, PayloadRef<'_>) {
+        match &self.repr {
+            Repr::Owned(tuples) => (tuples[i].key, PayloadRef::from(&tuples[i].payload)),
+            Repr::Dense(dense) => (dense.key(i), dense.payload_ref(i)),
+        }
+    }
+
     /// The dense record region behind this page, when it has one.
     pub fn as_dense(&self) -> Option<&DensePage> {
         match &self.repr {
@@ -263,28 +273,21 @@ pub fn paginate(tuples: Vec<Tuple>, tuples_per_page: usize) -> Vec<Page> {
     pages
 }
 
-/// Like [`paginate`], but building pages in the requested [`PageLayout`]:
-/// owned pages for [`PageLayout::Owned`], sealed arenas for
-/// [`PageLayout::Dense`]. Both run-formation paths flush through this so a
-/// sort's run pages are born in the configured layout.
-pub fn paginate_with(tuples: Vec<Tuple>, tuples_per_page: usize, layout: PageLayout) -> Vec<Page> {
-    let stride = match layout {
-        PageLayout::Owned => return paginate(tuples, tuples_per_page),
-        PageLayout::Dense { stride } => stride,
-    };
-    assert!(tuples_per_page > 0, "tuples_per_page must be positive");
-    let mut pages = Vec::with_capacity(tuples.len().div_ceil(tuples_per_page));
-    let mut arena = TupleArena::new(stride);
-    for t in &tuples {
-        arena.push(t);
-        if arena.len() == tuples_per_page {
-            pages.push(Page::from_dense(arena.seal()));
-        }
-    }
-    if !arena.is_empty() {
-        pages.push(Page::from_dense(arena.seal()));
-    }
-    pages
+/// [`paginate`] into dense pages of the given record stride.
+#[cfg(test)]
+pub(crate) fn paginate_dense(
+    tuples: Vec<Tuple>,
+    tuples_per_page: usize,
+    stride: usize,
+) -> Vec<Page> {
+    let mut arena = crate::layout::TupleArena::new(stride);
+    tuples
+        .chunks(tuples_per_page)
+        .map(|chunk| {
+            chunk.iter().for_each(|t| arena.push(t));
+            Page::from_dense(arena.seal())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -372,7 +375,7 @@ mod tests {
     fn dense_and_owned_pages_compare_logically() {
         let tuples: Vec<Tuple> = (0..5).map(|k| Tuple::new(k, vec![k as u8; 12])).collect();
         let owned = Page::from_tuples(tuples.clone());
-        let dense = paginate_with(tuples.clone(), 8, PageLayout::Dense { stride: 24 });
+        let dense = paginate_dense(tuples.clone(), 8, 24);
         assert_eq!(dense.len(), 1);
         assert!(dense[0].is_dense());
         assert_eq!(dense[0], owned, "representations compare by tuples");
@@ -380,26 +383,16 @@ mod tests {
         assert_eq!(dense[0].tuples().to_vec(), tuples);
         assert_eq!(dense[0].clone().into_tuples(), tuples);
         assert!(dense[0].is_sorted());
-    }
-
-    #[test]
-    fn paginate_with_dense_splits_like_owned() {
-        let tuples: Vec<Tuple> = (0..10).map(|k| Tuple::synthetic(k, 16)).collect();
-        let layout = PageLayout::Dense { stride: 20 };
-        let pages = paginate_with(tuples.clone(), 4, layout);
-        assert_eq!(pages.len(), 3);
-        assert_eq!(
-            pages.iter().map(Page::len).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
-        let owned = paginate(tuples, 4);
-        assert_eq!(pages, owned);
+        for (i, t) in tuples.iter().enumerate() {
+            let expect = (t.key, PayloadRef::from(&t.payload));
+            assert_eq!(owned.record(i), expect);
+            assert_eq!(dense[0].record(i), expect);
+        }
     }
 
     #[test]
     fn pushing_into_a_dense_page_converts_it() {
-        let layout = PageLayout::Dense { stride: 20 };
-        let mut page = paginate_with(vec![Tuple::synthetic(1, 16)], 4, layout)
+        let mut page = paginate_dense(vec![Tuple::synthetic(1, 16)], 4, 20)
             .pop()
             .unwrap();
         assert!(page.is_dense());

@@ -117,9 +117,6 @@ impl SimConfig {
             io: masort_core::IoConfig::default(),
             // The simulator is deterministic and single-threaded by design.
             cpu_threads: 1,
-            // Simulated pages carry synthetic payloads; the owned layout is
-            // the representation the paper's cost model is calibrated on.
-            layout: masort_core::PageLayout::Owned,
         }
     }
 }

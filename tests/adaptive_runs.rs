@@ -1,9 +1,8 @@
 //! Natural-run formation (`natN`), end to end: every replacement-selection
 //! algorithm combination produces the *bit-identical* sorted output under
 //! `natN` as under its classic `replN` counterpart — across ascending,
-//! descending and custom-key orders, both page layouts, and single- and
-//! multi-worker splits — while descending (reversed) runs round-trip through
-//! the file store.
+//! descending and custom-key orders, and single- and multi-worker splits —
+//! while descending (reversed) runs round-trip through the file store.
 
 use memory_adaptive_sort::core::GenOrder;
 use memory_adaptive_sort::prelude::*;
@@ -17,13 +16,12 @@ fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
-fn cfg(spec: AlgorithmSpec, layout: PageLayout, workers: usize) -> SortConfig {
+fn cfg(spec: AlgorithmSpec, workers: usize) -> SortConfig {
     SortConfig::default()
         .with_page_size(512)
         .with_tuple_size(64)
         .with_memory_pages(5)
         .with_algorithm(spec)
-        .with_layout(layout)
         .with_cpu_threads(workers)
 }
 
@@ -52,8 +50,8 @@ fn sort_with(base: SortConfig, order: &SortOrder, input: &[Tuple]) -> Vec<Tuple>
 
 /// Natural-run formation changes run boundaries, run directions and fan-in —
 /// never the output. Exercised over the 12 replacement-selection combinations
-/// (`repl1`/`repl6` x 2 policies x 3 adaptations) x 3 sort orders x both
-/// layouts x {1, 2, 4} workers.
+/// (`repl1`/`repl6` x 2 policies x 3 adaptations) x 3 sort orders x
+/// {1, 2, 4} workers.
 #[test]
 fn natural_output_is_bit_identical_across_the_matrix() {
     // A mix of presorted stretches and noise so natural formation actually
@@ -76,15 +74,13 @@ fn natural_output_is_bit_identical_across_the_matrix() {
     assert_eq!(pairs.len(), 12);
     for (classic_spec, natural_spec) in pairs {
         for (name, order) in &orders {
-            for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
-                for workers in [1usize, 2, 4] {
-                    let classic = sort_with(cfg(classic_spec, layout, workers), order, &input);
-                    let natural = sort_with(cfg(natural_spec, layout, workers), order, &input);
-                    assert_eq!(
-                        classic, natural,
-                        "{natural_spec} diverged from {classic_spec}: {name} {layout:?} {workers}w"
-                    );
-                }
+            for workers in [1usize, 2, 4] {
+                let classic = sort_with(cfg(classic_spec, workers), order, &input);
+                let natural = sort_with(cfg(natural_spec, workers), order, &input);
+                assert_eq!(
+                    classic, natural,
+                    "{natural_spec} diverged from {classic_spec}: {name} {workers}w"
+                );
             }
         }
     }
@@ -96,30 +92,25 @@ fn natural_output_is_bit_identical_across_the_matrix() {
 /// and nothing is copied into a second, forward run.
 #[test]
 fn reversed_input_round_trips_through_the_file_store() {
-    for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
-        let base = cfg(AlgorithmSpec::natural(), layout, 1);
-        let tpp = base.tuples_per_page();
-        let input = GenSource::new(120, tpp, 64, 9).with_order(GenOrder::Reversed);
-        let completion = SortJob::builder()
-            .config(base)
-            .input(input)
-            .store(FileStore::in_temp_dir().unwrap())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let split = completion.outcome.split.clone();
-        assert_eq!(split.run_count(), 1, "reversed input should be one run");
-        assert!(
-            split.natural_tuples > 0,
-            "order detection never engaged ({layout:?})"
-        );
-        let mut stream = completion.into_stream();
-        let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
-        assert_eq!(sorted.len(), 120 * tpp);
-        assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key));
-        assert_eq!(stream.finish().merge.pages_written, 0);
-    }
+    let base = cfg(AlgorithmSpec::natural(), 1);
+    let tpp = base.tuples_per_page();
+    let input = GenSource::new(120, tpp, 64, 9).with_order(GenOrder::Reversed);
+    let completion = SortJob::builder()
+        .config(base)
+        .input(input)
+        .store(FileStore::in_temp_dir().unwrap())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let split = completion.outcome.split.clone();
+    assert_eq!(split.run_count(), 1, "reversed input should be one run");
+    assert!(split.natural_tuples > 0, "order detection never engaged");
+    let mut stream = completion.into_stream();
+    let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
+    assert_eq!(sorted.len(), 120 * tpp);
+    assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key));
+    assert_eq!(stream.finish().merge.pages_written, 0);
 }
 
 /// Natural-run statistics surface through the job outcome — and stay zero
@@ -135,7 +126,7 @@ fn natural_run_statistics_reach_the_outcome() {
     ] {
         let adaptive = spec == AlgorithmSpec::natural();
         let completion = SortJob::builder()
-            .config(cfg(spec, PageLayout::Owned, workers))
+            .config(cfg(spec, workers))
             .tuples(input.clone())
             .build()
             .unwrap()

@@ -301,3 +301,82 @@ fn sort_into_removed_directory_reports_io_error() {
         .unwrap_err();
     assert!(matches!(err, SortError::Io(_)), "got {err:?}");
 }
+
+/// How a record is stored must not matter to what comes out: every payload
+/// kind the record format distinguishes — synthetic (header only), inline,
+/// empty, longer than the record's inline area (kept outside the record), and
+/// all of them on one page — sorted under every kind of order, through the
+/// file store's codec, equals what `sort_unstable` makes of the same tuples.
+/// Keys are distinct (under the normalized-key order: distinct up to the tie
+/// bytes), so the oracle's order is the only one.
+#[test]
+fn output_equals_the_oracle_for_every_payload_kind_and_order() {
+    // 64-byte tuples: a record inlines up to 56 payload bytes.
+    let payload_of = |kind: &str, i: usize, key: u64| -> Payload {
+        let bytes = |len: usize| {
+            let mut b = key.to_be_bytes().to_vec();
+            b.resize(len, (key % 251) as u8);
+            Payload::Bytes(b)
+        };
+        match (kind, i % 4) {
+            ("synthetic", _) | ("mixed", 0) => Payload::Synthetic(56),
+            ("inline", _) | ("mixed", 1) => bytes(40),
+            ("empty", _) | ("mixed", 2) => Payload::Bytes(Vec::new()),
+            ("overflow", _) | ("mixed", 3) => bytes(200),
+            other => unreachable!("{other:?}"),
+        }
+    };
+    let orders: [(&str, SortOrder); 4] = [
+        ("asc", SortOrder::ascending()),
+        ("desc", SortOrder::descending()),
+        ("normalized", SortOrder::by_normalized_key(10)),
+        ("custom", SortOrder::by_key(|t: &Tuple| t.key.swap_bytes())),
+    ];
+    for kind in ["synthetic", "inline", "empty", "overflow", "mixed"] {
+        for (order_name, order) in &orders {
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut input: Vec<Tuple> = (0..1_500)
+                .map(|i| {
+                    // Distinct keys, in random order.
+                    let key = (rng.gen::<u64>() >> 16 << 16) | i as u64;
+                    Tuple {
+                        key,
+                        payload: payload_of(kind, i, key),
+                    }
+                })
+                .collect();
+            if *order_name == "normalized" {
+                // Twins that only the tie bytes (payload[8..10]) tell apart.
+                for i in 0..200 {
+                    if let Payload::Bytes(b) = &input[i].payload {
+                        if b.len() >= 10 {
+                            let mut twin = input[i].clone();
+                            let Payload::Bytes(b) = &mut twin.payload else {
+                                unreachable!()
+                            };
+                            b[9] = b[9].wrapping_add(1);
+                            input.push(twin);
+                        }
+                    }
+                }
+            }
+            let mut oracle = input.clone();
+            oracle.sort_unstable_by(|a, b| order.cmp(a, b));
+
+            for alg in ["nat6,opt,split", "repl1,naive,page", "quick,opt,susp"] {
+                let cfg = small_cfg(6, alg.parse().unwrap()).with_order(order.clone());
+                let completion = SortJob::builder()
+                    .config(cfg)
+                    .tuples(input.clone())
+                    .store(FileStore::in_temp_dir().unwrap())
+                    .build()
+                    .unwrap()
+                    .run()
+                    .unwrap();
+                assert!(completion.outcome.runs_formed() > 4);
+                let sorted = completion.into_sorted_vec().unwrap();
+                assert!(sorted == oracle, "{kind} {order_name} {alg}");
+            }
+        }
+    }
+}

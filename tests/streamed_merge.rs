@@ -3,9 +3,9 @@
 //!
 //! * Identity: the streamed output equals the `settle()`d output — the root
 //!   run into a stored run first, then read back — tuple for tuple, across
-//!   all 18 algorithm combinations x ascending/descending/custom orders x
-//!   both page layouts, with adaptive (descending, read-backwards) runs among
-//!   the root's inputs.
+//!   all 18 algorithm combinations x ascending/descending/custom orders,
+//!   with adaptive (descending, read-backwards) runs among the root's
+//!   inputs.
 //! * Adaptation during the drain: for each of the three merge adaptations, a
 //!   second thread takes the budget from 64 pages to 3 and wobbles it while
 //!   the consumer is mid-stream; the sort reacts the way the paper says it
@@ -72,46 +72,43 @@ fn streamed_output_equals_settled_output_across_the_matrix() {
             spec.formation = RunFormation::natural(block_pages);
         }
         for (name, order) in &orders {
-            for layout in [PageLayout::Owned, PageLayout::dense_for_payload(64)] {
-                // 12 pages: the replacement-selection formations' runs all
-                // fit one step, quicksort's need preliminary steps first.
-                let cfg = cfg(spec, 12).with_order(order.clone()).with_layout(layout);
-                let case = format!("{spec} {name} {layout:?}");
+            // 12 pages: the replacement-selection formations' runs all
+            // fit one step, quicksort's need preliminary steps first.
+            let cfg = cfg(spec, 12).with_order(order.clone());
+            let case = format!("{spec} {name}");
 
-                let completion = run(cfg.clone(), &input);
-                let at_run = completion.outcome.clone();
-                let mut stream = completion.into_stream();
-                let streamed: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
-                let done = stream.finish();
+            let completion = run(cfg.clone(), &input);
+            let at_run = completion.outcome.clone();
+            let mut stream = completion.into_stream();
+            let streamed: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
+            let done = stream.finish();
 
-                let settled = run(cfg, &input).settle().unwrap();
-                let merge = settled.outcome.merge.clone();
-                let read_back = settled.into_sorted_vec().unwrap();
+            let settled = run(cfg, &input).settle().unwrap();
+            let merge = settled.outcome.merge.clone();
+            let read_back = settled.into_sorted_vec().unwrap();
 
-                assert_eq!(streamed, read_back, "{case}: outputs diverged");
-                assert!(order.is_sorted(&streamed), "{case}: not sorted");
-                assert_eq!(streamed.len(), input.len(), "{case}");
-                // Same merge, except that only settling writes the result.
-                assert_eq!(done.merge.steps_executed, merge.steps_executed, "{case}");
-                assert_eq!(done.merge.tuples_output, merge.tuples_output, "{case}");
-                assert_eq!(done.merge.pages_read, merge.pages_read, "{case}");
-                if at_run.runs_formed() > 1 {
-                    assert!(done.merge.pages_written < merge.pages_written, "{case}");
-                }
-
-                cases += 1;
-                let eager = at_run.merge.steps_executed > 0;
-                roots_after_preliminary_steps += usize::from(eager);
-                let reversed = |r: &RunMeta| r.dir == RunDirection::Reversed;
-                reversed_at_the_root +=
-                    usize::from(!eager && at_run.split.runs.iter().any(reversed));
+            assert_eq!(streamed, read_back, "{case}: outputs diverged");
+            assert!(order.is_sorted(&streamed), "{case}: not sorted");
+            assert_eq!(streamed.len(), input.len(), "{case}");
+            // Same merge, except that only settling writes the result.
+            assert_eq!(done.merge.steps_executed, merge.steps_executed, "{case}");
+            assert_eq!(done.merge.tuples_output, merge.tuples_output, "{case}");
+            assert_eq!(done.merge.pages_read, merge.pages_read, "{case}");
+            if at_run.runs_formed() > 1 {
+                assert!(done.merge.pages_written < merge.pages_written, "{case}");
             }
+
+            cases += 1;
+            let eager = at_run.merge.steps_executed > 0;
+            roots_after_preliminary_steps += usize::from(eager);
+            let reversed = |r: &RunMeta| r.dir == RunDirection::Reversed;
+            reversed_at_the_root += usize::from(!eager && at_run.split.runs.iter().any(reversed));
         }
     }
-    assert_eq!(cases, 18 * 3 * 2);
-    assert!(reversed_at_the_root >= 12, "{reversed_at_the_root}");
+    assert_eq!(cases, 18 * 3);
+    assert!(reversed_at_the_root >= 6, "{reversed_at_the_root}");
     assert!(
-        roots_after_preliminary_steps >= 12,
+        roots_after_preliminary_steps >= 6,
         "{roots_after_preliminary_steps}"
     );
 }
