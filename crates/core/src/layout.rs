@@ -253,29 +253,38 @@ impl TupleArena {
         self.bytes += KEY_BYTES + payload.len();
     }
 
-    /// Bulk-append `n` records copied verbatim from `page` starting at record
-    /// `from`, when the strides match and none of the records spill to the
-    /// overflow area — one `memcpy` instead of `n` pushes. Returns `false`
-    /// (copying nothing) when the fast path does not apply; the caller falls
-    /// back to per-record pushes.
-    pub fn extend_from_dense(&mut self, page: &DensePage, from: usize, n: usize) -> bool {
-        if page.stride != self.stride || from + n > page.count {
+    /// Append the records in `recs` — whole strides, as a [`RecordSlab`] slot
+    /// or a page's record region holds them — verbatim: one `memcpy`, nothing
+    /// decoded. Returns `false` (copying nothing) when `recs` is not whole
+    /// records of this arena's stride or one of them keeps its payload
+    /// outside itself; the caller falls back to per-record pushes.
+    pub fn push_records(&mut self, recs: &[u8]) -> bool {
+        if !recs.len().is_multiple_of(self.stride) {
             return false;
         }
         let mut bytes = 0usize;
-        for i in from..from + n {
-            let desc = page.descriptor(i);
+        for rec in recs.chunks_exact(self.stride) {
+            let desc = record_descriptor(rec);
             if desc >> TAG_SHIFT == TAG_OVERFLOW {
                 return false;
             }
             bytes += KEY_BYTES + (desc & LEN_MASK) as usize;
         }
-        let start = page.records_at() + from * page.stride;
-        self.slots(n)
-            .copy_from_slice(&page.data[start..start + n * page.stride]);
+        let n = recs.len() / self.stride;
+        self.slots(n).copy_from_slice(recs);
         self.count += n;
         self.bytes += bytes;
         true
+    }
+
+    /// [`push_records`](Self::push_records) for the `n` records of `page`
+    /// starting at record `from` (`false` also when the strides differ).
+    pub fn extend_from_dense(&mut self, page: &DensePage, from: usize, n: usize) -> bool {
+        if page.stride != self.stride || from + n > page.count {
+            return false;
+        }
+        let start = page.records_at() + from * page.stride;
+        self.push_records(&page.data[start..start + n * page.stride])
     }
 
     /// Seal the arena's contents into a [`DensePage`], leaving the arena
@@ -368,6 +377,12 @@ impl RecordSlab {
         }
         self.live += 1;
         slot
+    }
+
+    /// The record in `slot` as it lies there: one stride of bytes.
+    #[inline]
+    pub fn record_bytes(&self, slot: u32) -> &[u8] {
+        &self.records[slot as usize * self.stride..][..self.stride]
     }
 
     /// The stored key of the record in `slot`.
@@ -664,10 +679,16 @@ mod tests {
             .map(|t| slab.insert(t.key, PayloadRef::from(&t.payload)))
             .collect();
         assert_eq!(slab.live(), tuples.len());
+        let mut arena = TupleArena::new(MIN_DENSE_STRIDE);
         for (t, &slot) in tuples.iter().zip(&slots) {
             assert_eq!(slab.key(slot), t.key);
             assert_eq!(slab.payload_ref(slot), PayloadRef::from(&t.payload));
+            // A slot leaves as the bytes it is, unless its payload is elsewhere.
+            let inline = !slab.spilled.contains_key(&slot);
+            assert_eq!(arena.push_records(slab.record_bytes(slot)), inline);
+            assert!(!inline || arena.seal().get(0) == *t);
         }
+        assert!(!arena.push_records(&slab.record_bytes(slots[0])[1..]));
         // Freed in any order, slots come back before the slab grows — the one
         // that held a payload outside its record included.
         let spilled = slots[3];

@@ -498,11 +498,12 @@ impl RunCursor {
             HeadBuf::Dense { page, pos } => {
                 if backward {
                     // Records leave in reverse physical order, so the
-                    // contiguous-region memcpy cannot apply; re-push each
-                    // record (still zero-copy on the dense path).
+                    // contiguous-region memcpy applies one record at a time.
                     let last = page.len() - 1;
                     for i in *pos..*pos + n {
-                        arena.push_ref(page.key(last - i), page.payload_ref(last - i));
+                        if !arena.extend_from_dense(page, last - i, 1) {
+                            arena.push_ref(page.key(last - i), page.payload_ref(last - i));
+                        }
                     }
                 } else if !arena.extend_from_dense(page, *pos, n) {
                     for i in *pos..*pos + n {

@@ -221,6 +221,10 @@ pub(crate) struct MergeState {
     /// that waits for its memory; a parked merge ([`Exec::idle_checkpoint`])
     /// can stay suspended from one checkpoint to the next.
     suspended_at: Option<f64>,
+    /// The configuration's `record_stride()` and `tuples_per_page()` (a
+    /// division), taken once at [`Exec::begin`] for the per-record loop.
+    stride: usize,
+    tpp: usize,
 }
 
 impl MergeState {
@@ -249,12 +253,14 @@ impl MergeState {
                 None
             },
             pipeline_stamp: None,
-            tree: LoserTree::new(Vec::new()),
+            tree: LoserTree::default(),
             sel_dirty: true,
             trace: env.trace(),
             streak: None,
             open: false,
             suspended_at: None,
+            stride: 0,
+            tpp: 0,
         }
     }
 
@@ -796,7 +802,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// writes a run, as tuples into the out buffer of a streaming root (the
     /// one place a sort materialises them) — and re-key the input.
     fn move_out(&mut self, idx: usize, n: usize) -> SortResult<()> {
-        let (stride, tpp) = (self.cfg.record_stride(), self.cfg.tuples_per_page());
+        let (stride, tpp) = (self.st.stride, self.st.tpp);
         let step = &mut self.st.arena.steps[self.st.arena.active];
         let cursor = &mut step.inputs[idx].cursor;
         match step.output {
@@ -863,7 +869,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         // Out-pages seal at exactly one page of records; cap the batch at
         // the room left so the arena never crosses a page boundary.
         let max = match self.st.arena.steps[active].out_arena.as_ref() {
-            Some(a) => max.min(self.cfg.tuples_per_page() - a.len()),
+            Some(a) => max.min(self.st.tpp - a.len()),
             None => max,
         };
         let n = self.st.arena.steps[active].inputs[idx]
@@ -883,7 +889,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
 
     /// Produce roughly one output page of merged tuples on the active step.
     fn produce_unit(&mut self) -> SortResult<Progress> {
-        let tpp = self.cfg.tuples_per_page();
+        let tpp = self.st.tpp;
         let mut produced = 0usize;
         while produced < tpp {
             if self.st.sel_dirty {
@@ -1006,6 +1012,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     fn begin(&mut self) {
         self.st.stats.started_at = self.env.now();
         self.st.open = true;
+        (self.st.stride, self.st.tpp) = (self.cfg.record_stride(), self.cfg.tuples_per_page());
         self.st.trace.emit(EventKind::MergeStepStart {
             fan_in: self.st.arena.steps[self.st.arena.root()].inputs.len(),
         });

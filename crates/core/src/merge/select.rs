@@ -1,16 +1,16 @@
-//! Tournament (loser-tree) selection over the merge inputs.
+//! Tournament (loser-tree) selection, for both phases: over the merge inputs,
+//! and over run formation's sorted mini-runs
+//! ([`crate::run_formation::replacement`]).
 //!
-//! A K-way merge selects the input whose head tuple has the smallest rank,
-//! `tuples_output` times in a row. The previous implementation kept a binary
-//! heap of `(rank, input)` pairs that needed a pop → stale-check → re-push
-//! round trip per output tuple; this module replaces it with the classic
-//! *loser tree* (Knuth Vol. 3, §5.4.1): a complete binary tournament whose
-//! internal nodes remember the **loser** of each match and whose root
-//! remembers the overall winner. After the winner's head advances, only the
-//! matches along the winner's own leaf-to-root path can change, so re-keying
-//! the winner and replaying that path restores the tournament in exactly
-//! ⌈log₂ K⌉ comparisons — no stale entries, no retries, and the keys are the
-//! cached `u64` ranks of [`super::cursor::RunCursor`], so no `SortOrder`
+//! A K-way merge selects the input whose head has the smallest key, once per
+//! output tuple. This is the classic *loser tree* (Knuth Vol. 3, §5.4.1): a
+//! complete binary tournament whose internal nodes remember the **loser** of
+//! each match and whose root remembers the overall winner. After the winner's
+//! head advances, only the matches along the winner's own leaf-to-root path
+//! can change, so re-keying the winner and replaying that path restores the
+//! tournament in exactly ⌈log₂ K⌉ comparisons — no stale entries, no retries.
+//! The keys are values the caller cached (the composite ranks of
+//! [`super::cursor::RunCursor`], run formation's entries), so no `SortOrder`
 //! dispatch happens per comparison.
 //!
 //! # Why adaptivity is preserved
@@ -36,106 +36,93 @@
 //! membership change instead of patching individual slots; rebuilds are rare
 //! (they happen at adaptation events, not per tuple).
 
-/// A loser tree over `cap` slots keyed by `Option<K>`.
+/// A key the tree can select over: totally ordered, `Copy`, and with a value
+/// for the slots that hold nothing.
+pub trait SelectKey: Ord + Copy {
+    /// What an empty slot is keyed with: no real key sorts after it. A real
+    /// key may equal it — the slot tag, not the key, says a slot is empty.
+    const EMPTY: Self;
+}
+
+impl SelectKey for u128 {
+    const EMPTY: Self = u128::MAX;
+}
+
+/// Set in the tag of an empty slot, so that it loses a key tie against every
+/// occupied one.
+const EMPTY_TAG: u32 = 1 << 31;
+
+/// A loser tree over `cap` slots, each holding a key or nothing: none at
+/// first, then as many as the last [`rebuild`](Self::rebuild) was given.
 ///
-/// Empty slots (`None`) lose to every occupied slot; ties between equal keys
-/// are broken toward the smaller slot index, matching the order in which the
-/// old `BinaryHeap<Reverse<(rank, input)>>` selection popped equal ranks —
-/// the kernel's output is byte-identical to the heap's.
-#[derive(Clone, Debug)]
-pub struct LoserTree<K: Ord + Copy> {
-    /// `keys[s]` is the key of slot `s`, or `None` when the slot is empty.
-    keys: Vec<Option<K>>,
+/// Empty slots lose to every occupied slot; ties between equal keys are
+/// broken toward the smaller slot index, matching the order in which a
+/// `BinaryHeap<Reverse<(key, slot)>>` pops equal keys — both phases' output
+/// is byte-identical to that heap's.
+#[derive(Clone, Debug, Default)]
+pub struct LoserTree<K: SelectKey> {
+    /// `heads[s]` is what slot `s` plays its matches with: its key and its
+    /// index, or [`SelectKey::EMPTY`] and its index with [`EMPTY_TAG`] set
+    /// when it is empty. One lexicographic `<` then decides a match — no
+    /// `Option` to take apart per level.
+    heads: Vec<(K, u32)>,
     /// `node[0]` holds the overall winner; `node[1..cap]` hold the loser of
     /// each internal match. The leaf of slot `s` sits (implicitly) at index
     /// `cap + s`.
-    node: Vec<usize>,
-    /// Number of occupied (non-`None`) slots.
+    node: Vec<u32>,
+    /// Number of occupied slots.
     occupied: usize,
 }
 
-impl<K: Ord + Copy> LoserTree<K> {
-    /// Build a tournament over the given slot keys.
-    pub fn new(keys: Vec<Option<K>>) -> Self {
-        let cap = keys.len();
-        let mut tree = LoserTree {
-            occupied: keys.iter().filter(|k| k.is_some()).count(),
-            keys,
-            node: vec![0; cap.max(1)],
-        };
-        tree.run_tournament();
-        tree
+fn head<K: SelectKey>(slot: u32, key: Option<K>) -> (K, u32) {
+    match key {
+        Some(key) => (key, slot),
+        None => (K::EMPTY, slot | EMPTY_TAG),
     }
+}
 
-    /// Number of slots (occupied or not).
-    pub fn capacity(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.occupied
-    }
-
+impl<K: SelectKey> LoserTree<K> {
     /// True when no slot holds a key.
     pub fn is_empty(&self) -> bool {
         self.occupied == 0
     }
 
-    /// Re-key every slot and replay the whole tournament (used whenever the
-    /// merge step's membership changes).
-    pub fn rebuild(&mut self, keys: Vec<Option<K>>) {
-        self.occupied = keys.iter().filter(|k| k.is_some()).count();
-        self.keys = keys;
+    /// Re-key every slot — as many as `keys` yields — and replay the whole
+    /// tournament (used whenever the membership changes).
+    pub fn rebuild(&mut self, keys: impl IntoIterator<Item = Option<K>>) {
+        self.heads.clear();
+        self.heads
+            .extend(keys.into_iter().zip(0u32..).map(|(k, s)| head(s, k)));
+        let cap = self.heads.len();
+        assert!(cap < EMPTY_TAG as usize, "too many slots for a loser tree");
+        self.occupied = self.heads.iter().filter(|h| h.1 < EMPTY_TAG).count();
         self.node.clear();
-        self.node.resize(self.keys.len().max(1), 0);
-        self.run_tournament();
-    }
-
-    /// `true` when slot `a` beats slot `b`: occupied beats empty, a smaller
-    /// key beats a larger one, and equal keys go to the smaller slot index.
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (&self.keys[a], &self.keys[b]) {
-            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
-    }
-
-    /// Play every match bottom-up, storing losers in the internal nodes and
-    /// the champion in `node[0]`.
-    fn run_tournament(&mut self) {
-        let cap = self.keys.len();
-        if cap == 0 {
-            return;
-        }
+        self.node.resize(cap.max(1), 0);
+        // Play every match bottom-up, storing losers in the internal nodes:
         // `win[i]` is the winner of the subtree rooted at tree index `i`;
         // leaves occupy indices `cap..2 * cap`.
-        let mut win: Vec<usize> = vec![0; 2 * cap];
+        let mut win = vec![0u32; 2 * cap];
         for s in 0..cap {
-            win[cap + s] = s;
+            win[cap + s] = s as u32;
         }
         for i in (1..cap).rev() {
             let (a, b) = (win[2 * i], win[2 * i + 1]);
-            if self.beats(a, b) {
-                win[i] = a;
-                self.node[i] = b;
-            } else {
-                win[i] = b;
-                self.node[i] = a;
-            }
+            let a_wins = self.heads[a as usize] < self.heads[b as usize];
+            (win[i], self.node[i]) = if a_wins { (a, b) } else { (b, a) };
         }
-        self.node[0] = win[1];
+        if cap > 0 {
+            self.node[0] = win[1];
+        }
     }
 
     /// The winning slot and its key, or `None` when every slot is empty.
+    #[inline]
     pub fn winner(&self) -> Option<(usize, K)> {
         if self.occupied == 0 {
             return None;
         }
-        let w = self.node[0];
-        self.keys[w].map(|k| (w, k))
+        let w = self.node[0] as usize;
+        Some((w, self.heads[w].0))
     }
 
     /// The *challenger*: the slot that would win if the current winner were
@@ -147,44 +134,42 @@ impl<K: Ord + Copy> LoserTree<K> {
         if self.occupied < 2 {
             return None;
         }
-        let cap = self.keys.len();
-        let winner = self.node[0];
-        let mut best: Option<usize> = None;
-        let mut t = (cap + winner) / 2;
+        let mut best = (K::EMPTY, u32::MAX);
+        let mut t = (self.heads.len() + self.node[0] as usize) / 2;
         while t >= 1 {
-            let s = self.node[t];
-            if self.keys[s].is_some() && best.is_none_or(|b| self.beats(s, b)) {
-                best = Some(s);
-            }
+            best = best.min(self.heads[self.node[t] as usize]);
             t /= 2;
         }
-        best.and_then(|s| self.keys[s].map(|k| (s, k)))
+        Some((best.1 as usize, best.0))
     }
 
     /// Re-key the current winner (`None` empties its slot) and replay its
     /// leaf-to-root path. This is the only sound in-place update — see the
-    /// module docs — and the only one the merge needs: the winner is the slot
-    /// that just advanced.
+    /// module docs — and the only one either phase needs: the winner is the
+    /// slot that just advanced.
+    #[inline]
     pub fn replay_winner(&mut self, key: Option<K>) {
-        let cap = self.keys.len();
+        let cap = self.heads.len();
         if cap == 0 {
             return;
         }
         let slot = self.node[0];
-        match (&self.keys[slot], &key) {
-            (Some(_), None) => self.occupied -= 1,
-            (None, Some(_)) => self.occupied += 1,
-            _ => {}
-        }
-        self.keys[slot] = key;
+        let was_empty = self.heads[slot as usize].1 >= EMPTY_TAG;
+        self.occupied = self.occupied + was_empty as usize - key.is_none() as usize;
+        let mut best = head(slot, key);
+        self.heads[slot as usize] = best;
+        // The swap below is written as selects on one comparison: which of
+        // the two stays behind as the loser is as good as random, and a
+        // branch on it would be mispredicted at every other level.
         let mut winner = slot;
-        let mut t = (cap + slot) / 2;
+        let mut t = (cap + slot as usize) / 2;
         while t >= 1 {
             let stored = self.node[t];
-            if self.beats(stored, winner) {
-                self.node[t] = winner;
-                winner = stored;
-            }
+            let rival = self.heads[stored as usize];
+            let swap = rival < best;
+            self.node[t] = if swap { winner } else { stored };
+            winner = if swap { stored } else { winner };
+            best = if swap { rival } else { best };
             t /= 2;
         }
         self.node[0] = winner;
@@ -199,11 +184,21 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    impl SelectKey for u64 {
+        const EMPTY: Self = u64::MAX;
+    }
+
+    fn tree_of(keys: impl IntoIterator<Item = Option<u64>>) -> LoserTree<u64> {
+        let mut tree = LoserTree::default();
+        tree.rebuild(keys);
+        tree
+    }
+
     #[test]
     fn winner_and_challenger_of_small_tournaments() {
         for cap in 1..9usize {
             let keys: Vec<Option<u64>> = (0..cap).map(|i| Some(((i * 7) % 5) as u64)).collect();
-            let tree = LoserTree::new(keys.clone());
+            let tree = tree_of(keys.clone());
             let expect = (0..cap).min_by_key(|&i| (keys[i].unwrap(), i)).unwrap();
             assert_eq!(
                 tree.winner(),
@@ -228,18 +223,30 @@ mod tests {
 
     #[test]
     fn empty_and_all_empty_slots() {
-        let tree: LoserTree<u64> = LoserTree::new(Vec::new());
+        let tree = tree_of([]);
         assert_eq!(tree.winner(), None);
         assert!(tree.is_empty());
-        let tree: LoserTree<u64> = LoserTree::new(vec![None, None, None]);
-        assert_eq!(tree.winner(), None);
-        assert_eq!(tree.challenger(), None);
-        assert_eq!(tree.capacity(), 3);
+        let mut tree = tree_of([None, None, None]);
+        assert_eq!((tree.winner(), tree.challenger()), (None, None));
+        // Emptying an empty slot changes nothing; filling it makes a winner
+        // of it — even with the very key the empty slots hold.
+        tree.replay_winner(None);
+        assert_eq!((tree.occupied, tree.winner()), (0, None));
+        let slot = tree.node[0] as usize;
+        tree.replay_winner(Some(u64::MAX));
+        assert_eq!(tree.winner(), Some((slot, u64::MAX)));
+        assert_eq!((tree.occupied, tree.challenger()), (1, None));
+        tree.replay_winner(None);
+        assert!(tree.is_empty());
+        // Nor does an empty slot win a tie on that key by its smaller index.
+        let tree = tree_of([None, Some(u64::MAX), None, Some(u64::MAX)]);
+        assert_eq!(tree.winner(), Some((1, u64::MAX)));
+        assert_eq!(tree.challenger(), Some((3, u64::MAX)));
     }
 
     #[test]
     fn ties_go_to_the_smaller_slot() {
-        let tree = LoserTree::new(vec![Some(5u64), Some(3), Some(3), Some(9)]);
+        let tree = tree_of([Some(5), Some(3), Some(3), Some(9)]);
         assert_eq!(tree.winner(), Some((1, 3)));
         assert_eq!(tree.challenger(), Some((2, 3)));
     }
@@ -267,7 +274,7 @@ mod tests {
                 .map(|(i, s)| Reverse((s[0], i)))
                 .collect();
             let mut heap_pos: Vec<usize> = vec![1; fan];
-            let mut tree = LoserTree::new(streams.iter().map(|s| Some(s[0])).collect::<Vec<_>>());
+            let mut tree = tree_of(streams.iter().map(|s| Some(s[0])));
             let mut tree_pos: Vec<usize> = vec![1; fan];
             loop {
                 let from_tree = tree.winner();
@@ -289,13 +296,24 @@ mod tests {
 
     #[test]
     fn rebuild_resets_membership() {
-        let mut tree = LoserTree::new(vec![Some(4u64), Some(2)]);
+        let mut tree = tree_of([Some(4), Some(2)]);
         assert_eq!(tree.winner(), Some((1, 2)));
         tree.rebuild(vec![Some(9), Some(8), Some(1)]);
         assert_eq!(tree.winner(), Some((2, 1)));
-        assert_eq!(tree.len(), 3);
+        assert_eq!(tree.occupied, 3);
         tree.replay_winner(None);
         assert_eq!(tree.winner(), Some((1, 8)));
         assert_eq!(tree.challenger(), Some((0, 9)));
+        // Wider, narrower, down to nothing and back: no state survives.
+        for cap in [7usize, 2, 0, 1, 5] {
+            tree.rebuild((0..cap).map(|s| (s % 3 != 0).then_some(10 - s as u64)));
+            let expect: Vec<_> = (0..cap).rev().filter(|s| s % 3 != 0).collect();
+            assert_eq!((tree.heads.len(), tree.occupied), (cap, expect.len()));
+            for slot in expect {
+                assert_eq!(tree.winner(), Some((slot, 10 - slot as u64)), "cap {cap}");
+                tree.replay_winner(None);
+            }
+            assert!(tree.is_empty());
+        }
     }
 }

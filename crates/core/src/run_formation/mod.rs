@@ -63,7 +63,9 @@ impl OutBlock {
 
     /// Move the record in `slot` out of `slab` to the end of the block.
     fn take(&mut self, slab: &mut RecordSlab, slot: u32) {
-        self.arena.push_ref(slab.key(slot), slab.payload_ref(slot));
+        if !self.arena.push_records(slab.record_bytes(slot)) {
+            self.arena.push_ref(slab.key(slot), slab.payload_ref(slot));
+        }
         slab.release(slot);
         if self.arena.len() == self.tuples_per_page {
             self.pages.push(Page::from_dense(self.arena.seal()));

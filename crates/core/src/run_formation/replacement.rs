@@ -1,7 +1,8 @@
 //! Replacement-selection run formation (`repl1` / `replN`) and its
 //! natural-run variant (`natN`).
 //!
-//! Input tuples are inserted into an ordered heap. Once memory is full, tuples
+//! Input tuples are inserted into a priority queue ("the heap" below and in
+//! the paper; see *The selection structure*). Once memory is full, tuples
 //! with the smallest keys that are still ≥ the last key written to the current
 //! run are removed and written out, making room for more input. Tuples smaller
 //! than the last output key are tagged for the *next* run; when the heap
@@ -14,15 +15,22 @@
 //!
 //! # The selection structure
 //!
-//! The heap holds compact `(run_no, composite, slot)` entries over a
-//! [`RecordSlab`] instead of the tuples themselves: composite keys (rank,
-//! then tie rank — see [`SortOrder::composite`]) are computed once at
-//! insertion (the merge kernel's cached-rank discipline), and every sift
-//! moves a small packed entry while the record stays where it was copied. A
-//! binary heap — not the merge's loser tree ([`crate::merge::select`]) — is
-//! the right tournament here because run formation inserts whole input pages
-//! *between* pop streaks: a loser tree only supports replaying its current
-//! winner, while this heap takes unpaired O(log n) inserts in stride.
+//! "The heap" fixes *which* tuple leaves next, not what finds it. Here it is
+//! a tournament over **sorted mini-runs** of compact `(run_no, rank, tie,
+//! slot)` entries over a [`RecordSlab`]: the composite key (rank, then tie
+//! rank — see [`SortOrder::composite`]) is computed once at insertion and the
+//! record stays where it was copied. The main loop alternates "absorb N
+//! pages" and "emit N pages", so pushes go to an unsorted batch, the first
+//! peek or pop after a push streak sorts that batch once into a new mini-run,
+//! and pops come off the merge phase's loser tree ([`crate::merge::select`])
+//! over the mini-runs' heads — rebuilt when a mini-run is added, replayed per
+//! pop. Entries are totally ordered, so the pop sequence is a binary heap's
+//! (a test holds it to that) and the simulated `HeapInsert`/`HeapRemove`
+//! charges — the paper's cost model — stay where they were; what changed is
+//! the cost here: a sift through a 19 400-entry heap was 14 unpredictable
+//! levels per record, 24 % of a file → file sort, where a tournament over a
+//! few dozen mini-runs is 5. A mini-run is held in chunks, freed as they
+//! empty, so popped entries' memory goes back while the mini-run lives.
 //!
 //! # Natural runs
 //!
@@ -65,8 +73,7 @@
 //!    clustered input almost every tuple takes the O(1) path, which is where
 //!    the measured speedups come from.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::budget::MemoryBudget;
 use crate::config::SortConfig;
@@ -74,22 +81,113 @@ use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
 use crate::input::InputSource;
 use crate::layout::RecordSlab;
+use crate::merge::select::{LoserTree, SelectKey};
 use crate::order::SortOrder;
 use crate::store::{RunDirection, RunId, RunStore};
 use crate::tuple::Page;
 
 use super::{OutBlock, SplitStats};
 
-/// Compact heap entry: `(run_no, cmp, slot)`, popped smallest-first through
-/// [`Reverse`]. Ordering by (run number, cmp) keeps the current run's
-/// smallest tuple on top while next-run tuples sink below every current-run
-/// one; the slot index breaks ties deterministically and locates the record
-/// in the slab. *cmp* is the configured [`SortOrder`]'s composite
-/// (`rank << 64 | tie_rank` — the tie half is zero except for long
-/// normalized keys) in the run's comparison space, so descending,
-/// custom-key and normalized-key sorts and runs of either direction all use
-/// the same heap.
-type Entry = (u32, u128, u32);
+/// Selection entry `(run_no, rank, tie, slot)`, popped smallest-first.
+/// Ordering by (run number, cmp) keeps the current run's smallest tuple first
+/// while next-run tuples sort after every current-run one; the slot index
+/// breaks ties deterministically and locates the record in the slab. `rank`
+/// and `tie` are the halves of *cmp*: the configured [`SortOrder`]'s
+/// composite (`rank << 64 | tie_rank` — the tie half is zero except for long
+/// normalized keys) in the run's comparison space, so descending, custom-key
+/// and normalized-key sorts and runs of either direction all select the same
+/// way. Kept apart they make the entry 24 bytes; as one `u128` it is 32.
+type Entry = (u32, u64, u64, u32);
+
+fn entry(run_no: u32, cmp: u128, slot: u32) -> Entry {
+    (run_no, (cmp >> 64) as u64, cmp as u64, slot)
+}
+
+impl SelectKey for Entry {
+    const EMPTY: Self = (u32::MAX, u64::MAX, u64::MAX, u32::MAX);
+}
+
+/// The head of a mini-run (see [`Selection`]'s `minis`).
+fn head(mini: &[Vec<Entry>]) -> Option<Entry> {
+    mini.last().and_then(|chunk| chunk.last()).copied()
+}
+
+/// The selection structure: a priority queue of [`Entry`] made of sorted
+/// mini-runs (see the module docs).
+#[derive(Default)]
+struct Selection {
+    /// Entries pushed since the last pop, unsorted.
+    pending: Vec<Entry>,
+    /// Entries pushed for a run after `run`, unsorted: nothing can pop them
+    /// before everything else is gone, so they wait to be sorted as one
+    /// batch — which is also what leaves a single mini-run when a run closes.
+    later: Vec<Entry>,
+    /// The highest run number among `minis` and `pending`.
+    run: u32,
+    /// The mini-runs: each a batch sorted *descending* and cut into chunks,
+    /// so its head is the last entry of its last chunk and a chunk's memory
+    /// goes back when its last entry pops. Slot `i` of `tree` is keyed by
+    /// `minis[i]`'s head.
+    minis: Vec<Vec<Vec<Entry>>>,
+    tree: LoserTree<Entry>,
+    len: usize,
+}
+
+impl Selection {
+    fn push(&mut self, entry: Entry) {
+        self.len += 1;
+        if entry.0 > self.run {
+            self.later.push(entry);
+        } else {
+            self.pending.push(entry);
+        }
+    }
+
+    /// Sort what was pushed since the last pop into a mini-run of its own —
+    /// or, with nothing else left, what was pushed for later runs.
+    fn settle(&mut self) {
+        let batch = if !self.pending.is_empty() {
+            &mut self.pending
+        } else if self.tree.is_empty() && !self.later.is_empty() {
+            &mut self.later
+        } else {
+            return;
+        };
+        let mut batch = std::mem::take(batch);
+        batch.sort_unstable_by(|a, b| b.cmp(a));
+        self.run = self.run.max(batch[0].0);
+        // About sqrt(n) chunks of sqrt(n) entries — to a power of two, so
+        // that few sizes are ever asked of the allocator: what a mini-run
+        // holds beyond its live entries is less than one chunk.
+        let chunk = 1 << batch.len().ilog2().div_ceil(2);
+        self.minis.retain(|mini| !mini.is_empty());
+        self.minis
+            .push(batch.chunks(chunk).map(<[Entry]>::to_vec).collect());
+        let heads = self.minis.iter().map(|mini| head(mini));
+        self.tree.rebuild(heads);
+    }
+
+    /// The smallest entry.
+    fn peek(&mut self) -> Option<Entry> {
+        self.settle();
+        self.tree.winner().map(|(_, entry)| entry)
+    }
+
+    /// Remove and return the smallest entry.
+    fn pop(&mut self) -> Option<Entry> {
+        self.settle();
+        let (slot, entry) = self.tree.winner()?;
+        let mini = &mut self.minis[slot];
+        let chunk = mini.last_mut().expect("the winning slot has a head");
+        chunk.pop();
+        if chunk.is_empty() {
+            mini.pop();
+        }
+        self.tree.replay_winner(head(mini));
+        self.len -= 1;
+        Some(entry)
+    }
+}
 
 /// How the block-write size is chosen.
 #[derive(Clone, Copy, Debug)]
@@ -242,7 +340,7 @@ struct State<'a, S: RunStore> {
     tpp: usize,
     block_tuples: usize,
     order: SortOrder,
-    heap: BinaryHeap<Reverse<Entry>>,
+    sel: Selection,
     slab: RecordSlab,
     /// Composite keys of the input page being inserted.
     composites: Vec<u128>,
@@ -269,7 +367,7 @@ impl<'a, S: RunStore> State<'a, S> {
     /// True when nothing of any run remains buffered in the selection
     /// structures (the block being emitted may still hold tuples).
     fn selection_empty(&self) -> bool {
-        self.heap.is_empty() && self.natural.as_ref().is_none_or(|n| n.tail.is_empty())
+        self.sel.len == 0 && self.natural.as_ref().is_none_or(|n| n.tail.is_empty())
     }
 
     /// Flush the block being emitted (whatever it currently holds) as one
@@ -338,19 +436,19 @@ impl<'a, S: RunStore> State<'a, S> {
     /// ascending streams is ascending — so emission stays non-decreasing
     /// without any cross-structure invariant.
     fn pop_current<E: SortEnv>(&mut self, env: &mut E) -> Option<(u128, u32)> {
-        let heap_cur = match self.heap.peek() {
-            Some(&Reverse((run_no, cmp, _))) if run_no == self.current_run_no => Some(cmp),
+        let heap_cur = match self.sel.peek() {
+            Some((run_no, rank, tie, _)) if run_no == self.current_run_no => {
+                Some(SortOrder::composite(rank, tie))
+            }
             _ => None,
         };
         let tail = self.natural.as_mut().map(|n| &mut n.tail);
         let tail_front = tail.as_ref().and_then(|t| t.front()).map(|&(cmp, _)| cmp);
         match (heap_cur, tail_front) {
             (Some(h), t) if t.is_none_or(|t| h <= t) => {
-                let Some(Reverse((_, cmp, slot))) = self.heap.pop() else {
-                    unreachable!("peeked a current-run entry");
-                };
+                let (_, _, _, slot) = self.sel.pop().expect("peeked a current-run entry");
                 env.charge_cpu(CpuOp::HeapRemove, 1);
-                Some((cmp, slot))
+                Some((h, slot))
             }
             (_, Some(_)) => tail.and_then(VecDeque::pop_front),
             (_, None) => None,
@@ -371,7 +469,7 @@ impl<'a, S: RunStore> State<'a, S> {
                     self.out.take(&mut self.slab, slot);
                 }
                 // Only next-run tuples remain (boundary), or nothing at all.
-                None => return !self.heap.is_empty(),
+                None => return self.sel.len > 0,
             }
         }
         false
@@ -397,7 +495,7 @@ impl<'a, S: RunStore> State<'a, S> {
             };
             let (stored_key, payload) = page.record(i);
             let slot = self.slab.insert(stored_key, payload);
-            self.heap.push(Reverse((run_no, key, slot)));
+            self.sel.push(entry(run_no, key, slot));
         }
     }
 
@@ -406,7 +504,7 @@ impl<'a, S: RunStore> State<'a, S> {
     fn insert_natural<E: SortEnv>(&mut self, env: &mut E, page: &Page, stats: &mut SplitStats) {
         let State {
             natural: Some(nat),
-            heap,
+            sel,
             slab,
             composites,
             ..
@@ -447,7 +545,7 @@ impl<'a, S: RunStore> State<'a, S> {
                 env.charge_cpu(CpuOp::HeapInsert, 1);
                 let slot = slab.insert(stored_key, payload);
                 let cmp_next = nat.next_dir.cmp_of(composite);
-                heap.push(Reverse((current_run_no + 1, cmp_next, slot)));
+                sel.push(entry(current_run_no + 1, cmp_next, slot));
                 continue;
             }
             // A streak-breaking tuple may evict a bounded number of
@@ -459,7 +557,7 @@ impl<'a, S: RunStore> State<'a, S> {
                     Some(&(spike_cmp, spike)) if cmp < spike_cmp => {
                         nat.tail.pop_back();
                         env.charge_cpu(CpuOp::HeapInsert, 1);
-                        heap.push(Reverse((current_run_no, spike_cmp, spike)));
+                        sel.push(entry(current_run_no, spike_cmp, spike));
                         // The spike took the heap path after all.
                         stats.natural_tuples = stats.natural_tuples.saturating_sub(1);
                         nat.streak_len = nat.streak_len.saturating_sub(1);
@@ -490,11 +588,7 @@ impl<'a, S: RunStore> State<'a, S> {
             }
             nat.streak_len = 0;
             env.charge_cpu(CpuOp::HeapInsert, 1);
-            heap.push(Reverse((
-                current_run_no,
-                cmp,
-                slab.insert(stored_key, payload),
-            )));
+            sel.push(entry(current_run_no, cmp, slab.insert(stored_key, payload)));
         }
     }
 }
@@ -527,7 +621,7 @@ where
         tpp,
         block_tuples: block.block_pages(budget.target().max(1)) * tpp,
         order: cfg.order.clone(),
-        heap: BinaryHeap::new(),
+        sel: Selection::default(),
         slab: RecordSlab::new(cfg.record_stride()),
         composites: Vec::new(),
         out: OutBlock::new(cfg.record_stride(), tpp),
@@ -663,6 +757,59 @@ mod tests {
         let (block, mut env) = (BlockPolicy::Fixed(block), CountingEnv::new());
         let (stats, store, _) = split_in(&cfg, random_tuples(n_tuples, 7), &mut env, block, false);
         (stats, store)
+    }
+
+    /// Replacement selection over random keys (few of them: duplicates of
+    /// `cmp` are common), absorbing nothing, one entry, a page or six at a
+    /// time under a budget that sheds to a quarter and regrows every few
+    /// steps: every peek and pop is a `BinaryHeap`'s, the mini-runs never hold
+    /// more than 1.5x their live entries plus one batch (in fact about 1.06x),
+    /// and each run closes on a single one.
+    #[test]
+    fn selection_pops_what_a_binary_heap_pops_and_gives_memory_back() {
+        use std::{cmp::Reverse, collections::BinaryHeap};
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        let mut rng = StdRng::seed_from_u64(0x5E1);
+        for block in [1usize, 6] {
+            let (mut sel, mut heap) = (Selection::default(), BinaryHeap::new());
+            let (mut run, mut last, mut closed) = (0u32, 0u128, 0);
+            for step in 0..4000usize {
+                let cap = if step / 7 % 2 == 0 { 64 } else { 16 } * 32;
+                let batch = [0, 1, 32, 192][rng.gen_range(0usize..4)];
+                for slot in 0..(batch as u32) * (sel.len + batch <= cap) as u32 {
+                    let (rank, tie) = (rng.gen_range(0u64..512), rng.gen_range(0u64..3));
+                    let cmp = SortOrder::composite(rank, tie);
+                    let e = entry(run + (cmp < last) as u32, cmp, slot);
+                    sel.push(e);
+                    heap.push(Reverse(e));
+                }
+                // Emit a block — or everything the budget no longer covers.
+                for _ in 0..sel.len.saturating_sub(cap).max(block * 32) {
+                    let top = sel.peek();
+                    assert_eq!(top, heap.peek().map(|e| e.0), "step {step}");
+                    match top {
+                        Some(e) if e.0 == run => {
+                            assert_eq!(sel.pop(), heap.pop().map(|e| e.0), "step {step}");
+                            last = SortOrder::composite(e.1, e.2);
+                        }
+                        Some(_) => {
+                            assert_eq!(sel.minis.len(), 1, "run {run} closed on several");
+                            (run, last, closed) = (run + 1, 0, closed + 1);
+                            break;
+                        }
+                        None => break,
+                    }
+                }
+                assert_eq!(sel.len, heap.len());
+                let held: usize = sel.minis.iter().flatten().map(Vec::capacity).sum();
+                let live = sel.len - sel.pending.len() - sel.later.len();
+                assert!(
+                    held <= live * 3 / 2 + 192,
+                    "step {step}: {held} held, {live} live"
+                );
+            }
+            assert!(closed > 10, "block {block}: only {closed} runs closed");
+        }
     }
 
     #[test]
