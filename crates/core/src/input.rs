@@ -1,6 +1,7 @@
 //! Input sources — where the pages of the relation being sorted come from.
 
 use crate::error::SortResult;
+use crate::layout::{TupleArena, MIN_DENSE_STRIDE};
 use crate::sync::{mpsc, Mutex};
 use crate::tuple::{paginate, Page, Tuple};
 use rand::rngs::StdRng;
@@ -291,18 +292,8 @@ impl<I: Iterator<Item = Tuple>> IterSource<I> {
 
 impl<I: Iterator<Item = Tuple>> InputSource for IterSource<I> {
     fn next_page(&mut self) -> SortResult<Option<Page>> {
-        let mut page = Page::with_capacity(self.tuples_per_page);
-        for t in self.iter.by_ref() {
-            page.push(t);
-            if page.len() == self.tuples_per_page {
-                break;
-            }
-        }
-        if page.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(page))
-        }
+        let tuples: Vec<Tuple> = self.iter.by_ref().take(self.tuples_per_page).collect();
+        Ok((!tuples.is_empty()).then(|| Page::from_tuples(tuples)))
     }
 
     fn total_pages(&self) -> Option<usize> {
@@ -496,15 +487,16 @@ impl InputSource for GenSource {
             return Ok(None);
         }
         self.remaining -= 1;
-        let mut page = Page::with_capacity(self.tuples_per_page);
+        // A synthetic record is its 12-byte header, whatever its nominal size.
+        let mut page = TupleArena::with_capacity(MIN_DENSE_STRIDE, self.tuples_per_page);
         for _ in 0..self.tuples_per_page {
             let key = self
                 .order
                 .key_for(self.rng.gen::<u64>(), self.next_index, self.grand_total);
             self.next_index += 1;
-            page.push(Tuple::synthetic(key, self.tuple_size));
+            page.push(&Tuple::synthetic(key, self.tuple_size));
         }
-        Ok(Some(page))
+        Ok(Some(page.seal()))
     }
 
     fn total_pages(&self) -> Option<usize> {

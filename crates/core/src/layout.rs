@@ -1,10 +1,9 @@
 //! How the sort holds a record: fixed-stride bytes, from the input page to
 //! the page the consumer takes.
 //!
-//! A page a caller hands in may be a `Vec<Tuple>` (the *owned* form of
-//! [`Page`](crate::tuple::Page): every payload its own heap allocation). The
-//! sort itself never holds a record that way. One record format serves run
-//! formation, the run pages and the merge:
+//! One record format serves the input pages, run formation, the run pages
+//! and the merge; a [`Tuple`] exists only where a caller hands one in
+//! ([`Page::from_tuples`]) or takes one out:
 //!
 //! * a **record** is `key (8 bytes LE) | descriptor (4 bytes LE) | inline
 //!   payload`, padded to a fixed stride
@@ -17,18 +16,18 @@
 //! * [`TupleArena`] — an append-only arena of records, the page under
 //!   construction; payloads that do not fit inline spill into a per-arena
 //!   **overflow area** and the record stores their offset instead.
-//! * [`DensePage`] — a sealed arena: one contiguous byte region plus a
-//!   count, cheaply cloneable because the bytes live behind an `Arc`. A block
-//!   read decodes *one* buffer and every page in the block borrows slices out
-//!   of it (zero-copy); individual tuples are only materialised on demand.
+//! * [`Page`] — a sealed arena, the unit of I/O: one contiguous byte region
+//!   plus a count, cheaply cloneable because the bytes live behind an `Arc`.
+//!   A block read decodes *one* buffer and every page in the block borrows
+//!   slices out of it (zero-copy); individual tuples are only materialised
+//!   on demand.
 //! * [`PayloadRef`] — a borrowed view of one record's payload, so hot paths
 //!   can copy payload bytes arena-to-arena without constructing a
 //!   [`Tuple`].
 //!
-//! The on-disk encoding of a dense page starts with the sentinel word
-//! `0xFFFF_FFFF`, which the classic tuple-at-a-time codec can never produce
-//! as a tuple count, so both encodings coexist in the same run file and the
-//! store dispatches on the first four bytes.
+//! The on-disk encoding of a page starts with the magic word `0xFFFF_FFFF`:
+//! bytes that do not — a damaged file, or a page in the tuple-at-a-time
+//! encoding this crate used to write — are refused as corrupt.
 
 use crate::tuple::{Payload, Tuple, KEY_BYTES};
 use std::collections::HashMap;
@@ -42,12 +41,11 @@ pub const MIN_DENSE_STRIDE: usize = 20;
 /// Byte offset of a record's payload area (key + descriptor).
 pub const RECORD_HEADER: usize = KEY_BYTES + 4;
 
-/// Sentinel first word of a dense-encoded page. The classic codec writes the
-/// tuple count here, which is bounded by the page geometry and can never be
-/// `u32::MAX`, so the two encodings are distinguishable in-band.
+/// First word of an encoded page; [`Page::decode_shared`] refuses a page
+/// without it.
 pub const DENSE_MAGIC: u32 = u32::MAX;
 
-/// Fixed bytes of the dense wire encoding before the record region:
+/// Fixed bytes of a page's wire encoding before the record region:
 /// magic, count, stride, overflow length (4 × u32).
 pub const DENSE_HEADER: usize = 16;
 
@@ -160,7 +158,7 @@ impl<'a> From<&'a Payload> for PayloadRef<'a> {
 /// An append-only arena of fixed-stride records with an overflow area.
 ///
 /// Push tuples (or raw key/payload pairs) in order, then [`seal`](Self::seal)
-/// the arena into a [`DensePage`]. Sealing hands the record buffer itself to
+/// the arena into a [`Page`]. Sealing hands the record buffer itself to
 /// the page and leaves the arena empty; its next record starts a buffer of
 /// the same size.
 #[derive(Clone, Debug)]
@@ -279,7 +277,7 @@ impl TupleArena {
 
     /// [`push_records`](Self::push_records) for the `n` records of `page`
     /// starting at record `from` (`false` also when the strides differ).
-    pub fn extend_from_dense(&mut self, page: &DensePage, from: usize, n: usize) -> bool {
+    pub fn extend_from_dense(&mut self, page: &Page, from: usize, n: usize) -> bool {
         if page.stride != self.stride || from + n > page.count {
             return false;
         }
@@ -287,11 +285,11 @@ impl TupleArena {
         self.push_records(&page.data[start..start + n * page.stride])
     }
 
-    /// Seal the arena's contents into a [`DensePage`], leaving the arena
-    /// empty for reuse. The buffer the records were written into becomes the
+    /// Seal the arena's contents into a [`Page`], leaving the arena empty
+    /// for reuse. The buffer the records were written into becomes the
     /// page — header filled in, overflow area appended — so sealing copies no
     /// record, and neither does encoding the page later.
-    pub fn seal(&mut self) -> DensePage {
+    pub fn seal(&mut self) -> Page {
         let mut data = std::mem::take(&mut self.records);
         data.resize(DENSE_HEADER + self.count * self.stride, 0);
         for (word, value) in [
@@ -306,7 +304,7 @@ impl TupleArena {
             data[word * 4..word * 4 + 4].copy_from_slice(&(value as u32).to_le_bytes());
         }
         data.extend_from_slice(&self.overflow);
-        let page = DensePage {
+        let page = Page {
             data: Arc::new(data),
             start: 0,
             overflow_len: self.overflow.len(),
@@ -419,15 +417,18 @@ impl RecordSlab {
     }
 }
 
-/// A dense page: `count` fixed-stride records plus an overflow area, all
-/// borrowed from one reference-counted byte buffer, where they lie exactly
-/// as on disk — header, records, overflow area — so a page is encoded by
-/// writing [`wire_bytes`](Self::wire_bytes) and decoded by pointing at them.
+/// A page, the unit of I/O: `count` fixed-stride records plus an overflow
+/// area, all borrowed from one reference-counted byte buffer, where they lie
+/// exactly as on disk — header, records, overflow area — so a page is encoded
+/// by writing [`wire_bytes`](Self::wire_bytes) and decoded by pointing at them.
 ///
 /// Cloning is cheap (it bumps the `Arc`), and pages decoded from the same
-/// I/O block share the block's single allocation.
+/// I/O block share the block's single allocation. A page is immutable; it is
+/// built by [`TupleArena::seal`], or by [`Page::from_tuples`] when the caller
+/// holds [`Tuple`]s. Byte accounting ([`bytes`](Self::bytes)) is *logical*
+/// (key + payload per tuple, whatever the stride) and cached.
 #[derive(Clone, Debug)]
-pub struct DensePage {
+pub struct Page {
     data: Arc<Vec<u8>>,
     /// Where in `data` the page's wire encoding starts.
     start: usize,
@@ -437,7 +438,36 @@ pub struct DensePage {
     bytes: usize,
 }
 
-impl DensePage {
+impl Default for Page {
+    fn default() -> Self {
+        TupleArena::new(MIN_DENSE_STRIDE).seal()
+    }
+}
+
+impl Page {
+    /// Create an empty page.
+    pub fn new() -> Self {
+        Page::default()
+    }
+
+    /// Pack `tuples` into a page. The stride is derived from the tuples
+    /// themselves — the record header plus the mean length of the real
+    /// payloads — so equal-sized payloads all lie inline and an outlier goes
+    /// to the overflow area. A builder that knows its stride pushes into a
+    /// [`TupleArena`] instead.
+    pub fn from_tuples(tuples: Vec<Tuple>) -> Self {
+        let (real, total) = tuples
+            .iter()
+            .fold((0usize, 0usize), |(n, sum), t| match &t.payload {
+                Payload::Bytes(b) => (n + 1, sum + b.len()),
+                Payload::Synthetic(_) => (n, sum),
+            });
+        let stride = (RECORD_HEADER + total.div_ceil(real.max(1))).max(MIN_DENSE_STRIDE);
+        let mut arena = TupleArena::with_capacity(stride, tuples.len());
+        tuples.iter().for_each(|t| arena.push(t));
+        arena.seal()
+    }
+
     /// Number of records in the page.
     pub fn len(&self) -> usize {
         self.count
@@ -453,7 +483,8 @@ impl DensePage {
         self.stride
     }
 
-    /// Logical bytes (key + payload per record) of the page's tuples.
+    /// Logical bytes (key + payload per record) of the page's tuples
+    /// (cached; O(1)).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -465,24 +496,19 @@ impl DensePage {
 
     /// The bytes of the page from the start of record `i` on.
     #[inline]
-    fn record(&self, i: usize) -> &[u8] {
+    fn record_at(&self, i: usize) -> &[u8] {
         &self.data[self.records_at() + i * self.stride..]
     }
 
     /// The stored key of record `i` (little-endian u64 at the record start).
     #[inline]
     pub fn key(&self, i: usize) -> u64 {
-        record_key(self.record(i))
+        record_key(self.record_at(i))
     }
 
     /// Iterate the stored keys in record order.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.count).map(move |i| self.key(i))
-    }
-
-    #[inline]
-    fn descriptor(&self, i: usize) -> u32 {
-        record_descriptor(self.record(i))
     }
 
     /// Borrow the payload of record `i`.
@@ -492,10 +518,17 @@ impl DensePage {
     /// or a [`TupleArena`].
     #[inline]
     pub fn payload_ref(&self, i: usize) -> PayloadRef<'_> {
-        record_payload(self.record(i), |off, len| {
+        record_payload(self.record_at(i), |off, len| {
             let at = self.records_at() + self.count * self.stride + off as usize;
             &self.data[at..at + len]
         })
+    }
+
+    /// Record `i` as its stored key and a borrowed payload — no [`Tuple`] is
+    /// built.
+    #[inline]
+    pub fn record(&self, i: usize) -> (u64, PayloadRef<'_>) {
+        (self.key(i), self.payload_ref(i))
     }
 
     /// Materialise record `i` as an owned [`Tuple`].
@@ -506,25 +539,26 @@ impl DensePage {
         }
     }
 
-    /// Materialise every record as an owned [`Tuple`].
-    pub fn to_tuples(&self) -> Vec<Tuple> {
+    /// Materialise every record as an owned [`Tuple`]. Hot paths read
+    /// [`record`](Self::record) instead.
+    pub fn tuples(&self) -> Vec<Tuple> {
         (0..self.count).map(|i| self.get(i)).collect()
     }
 
-    /// This page's wire encoding: sentinel, count, stride and overflow length
+    /// True when the stored keys appear in non-decreasing order.
+    pub fn is_sorted(&self) -> bool {
+        (1..self.count).all(|i| self.key(i - 1) <= self.key(i))
+    }
+
+    /// This page's wire encoding: magic, count, stride and overflow length
     /// (4 × u32 LE), the record region, the overflow area.
     pub fn wire_bytes(&self) -> &[u8] {
         let len = DENSE_HEADER + self.count * self.stride + self.overflow_len;
         &self.data[self.start..self.start + len]
     }
 
-    /// True when `buf` starts with the dense-page sentinel.
-    pub fn is_dense_encoding(buf: &[u8]) -> bool {
-        buf.len() >= 4 && buf[..4] == DENSE_MAGIC.to_le_bytes()
-    }
-
-    /// Decode a dense page that occupies `buf[start..start + len]` of a
-    /// shared buffer, borrowing (not copying) the record region.
+    /// Decode a page that occupies `buf[start..start + len]` of a shared
+    /// buffer, borrowing (not copying) the record region.
     ///
     /// Every record descriptor is validated here — lengths, tags and overflow
     /// offsets — so the accessors can index without bounds failures. Returns
@@ -532,35 +566,33 @@ impl DensePage {
     /// wraps it into [`SortError::CorruptRun`](crate::SortError::CorruptRun).
     pub fn decode_shared(data: &Arc<Vec<u8>>, start: usize, len: usize) -> Result<Self, String> {
         if start + len > data.len() {
-            return Err("dense page extends past the buffer".into());
+            return Err("page extends past the buffer".into());
         }
         let buf = &data[start..start + len];
         if len < DENSE_HEADER {
-            return Err(format!("dense page shorter than its header: {len} bytes"));
+            return Err(format!("page shorter than its header: {len} bytes"));
         }
         if buf[..4] != DENSE_MAGIC.to_le_bytes() {
-            return Err("missing dense page sentinel".into());
+            return Err("missing page magic (damaged, or an old-format page)".into());
         }
         let word = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().unwrap());
         let count = word(4) as usize;
         let stride = word(8) as usize;
         let overflow_len = word(12) as usize;
         if stride < RECORD_HEADER {
-            return Err(format!("dense stride {stride} below record header"));
+            return Err(format!("stride {stride} below record header"));
         }
         let records_len = count
             .checked_mul(stride)
-            .ok_or_else(|| "dense record region overflows".to_string())?;
+            .ok_or_else(|| "record region overflows".to_string())?;
         let total = DENSE_HEADER
             .checked_add(records_len)
             .and_then(|t| t.checked_add(overflow_len))
-            .ok_or_else(|| "dense page size overflows".to_string())?;
+            .ok_or_else(|| "page size overflows".to_string())?;
         if total != len {
-            return Err(format!(
-                "dense page claims {total} bytes but occupies {len}"
-            ));
+            return Err(format!("page claims {total} bytes but occupies {len}"));
         }
-        let mut page = DensePage {
+        let mut page = Page {
             data: Arc::clone(data),
             start,
             overflow_len,
@@ -570,7 +602,7 @@ impl DensePage {
         };
         let mut bytes = 0usize;
         for i in 0..count {
-            let desc = page.descriptor(i);
+            let desc = record_descriptor(page.record_at(i));
             let plen = (desc & LEN_MASK) as usize;
             match desc >> TAG_SHIFT {
                 TAG_INLINE => {
@@ -603,21 +635,16 @@ impl DensePage {
         page.bytes = bytes;
         Ok(page)
     }
-
-    /// Decode a dense page from a buffer it owns outright.
-    pub fn decode_owned(buf: Vec<u8>) -> Result<Self, String> {
-        let len = buf.len();
-        Self::decode_shared(&Arc::new(buf), 0, len)
-    }
 }
 
-/// Pages compare by their logical tuples, like the owned representation.
-impl PartialEq for DensePage {
+/// Pages compare by their logical tuples; the stride, where a payload lies
+/// and the byte cache are derived state.
+impl PartialEq for Page {
     fn eq(&self, other: &Self) -> bool {
-        self.count == other.count && (0..self.count).all(|i| self.get(i) == other.get(i))
+        self.count == other.count && (0..self.count).all(|i| self.record(i) == other.record(i))
     }
 }
-impl Eq for DensePage {}
+impl Eq for Page {}
 
 #[cfg(test)]
 mod tests {
@@ -633,7 +660,12 @@ mod tests {
         ]
     }
 
-    fn seal(tuples: &[Tuple], stride: usize) -> DensePage {
+    fn decode(buf: Vec<u8>) -> Result<Page, String> {
+        let len = buf.len();
+        Page::decode_shared(&Arc::new(buf), 0, len)
+    }
+
+    fn seal(tuples: &[Tuple], stride: usize) -> Page {
         let mut arena = TupleArena::new(stride);
         for t in tuples {
             arena.push(t);
@@ -647,7 +679,7 @@ mod tests {
         for stride in [MIN_DENSE_STRIDE, 32, 128] {
             let page = seal(&tuples, stride);
             assert_eq!(page.len(), tuples.len());
-            assert_eq!(page.to_tuples(), tuples, "stride {stride}");
+            assert_eq!(page.tuples(), tuples, "stride {stride}");
             let expect: usize = tuples.iter().map(Tuple::size).sum();
             assert_eq!(page.bytes(), expect);
             assert_eq!(
@@ -709,7 +741,7 @@ mod tests {
         for &slot in &slots[1..3] {
             arena.push_ref(slab.key(slot), slab.payload_ref(slot));
         }
-        assert_eq!(arena.seal().to_tuples(), tuples[1..3].to_vec());
+        assert_eq!(arena.seal().tuples(), tuples[1..3].to_vec());
 
         slab.clear();
         assert_eq!(slab.live(), 0);
@@ -721,8 +753,7 @@ mod tests {
         let tuples = sample_tuples();
         let page = seal(&tuples, 24);
         let buf = page.wire_bytes().to_vec();
-        assert!(DensePage::is_dense_encoding(&buf));
-        let decoded = DensePage::decode_owned(buf).unwrap();
+        let decoded = decode(buf).unwrap();
         assert_eq!(decoded, page);
         assert_eq!(decoded.bytes(), page.bytes());
     }
@@ -735,8 +766,8 @@ mod tests {
         let split = buf.len();
         buf.extend_from_slice(b.wire_bytes());
         let shared = Arc::new(buf);
-        let da = DensePage::decode_shared(&shared, 0, split).unwrap();
-        let db = DensePage::decode_shared(&shared, split, shared.len() - split).unwrap();
+        let da = Page::decode_shared(&shared, 0, split).unwrap();
+        let db = Page::decode_shared(&shared, split, shared.len() - split).unwrap();
         assert_eq!(da, a);
         assert_eq!(db, b);
         assert_eq!(Arc::strong_count(&shared), 3);
@@ -749,7 +780,7 @@ mod tests {
         let mut arena = TupleArena::new(24);
         assert!(arena.extend_from_dense(&page, 1, 4));
         let got = arena.seal();
-        assert_eq!(got.to_tuples(), inline_only[1..5].to_vec());
+        assert_eq!(got.tuples(), inline_only[1..5].to_vec());
 
         // Stride mismatch declines.
         let mut other = TupleArena::new(32);
@@ -773,7 +804,7 @@ mod tests {
         // Truncation at every prefix length must error, never panic.
         for cut in 0..good.len() {
             assert!(
-                DensePage::decode_owned(good[..cut].to_vec()).is_err(),
+                decode(good[..cut].to_vec()).is_err(),
                 "truncated to {cut} bytes decoded"
             );
         }
@@ -781,27 +812,27 @@ mod tests {
         // Overclaimed count.
         let mut bad = good.clone();
         bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(DensePage::decode_owned(bad).is_err());
+        assert!(decode(bad).is_err());
 
         // Undersized stride.
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(DensePage::decode_owned(bad).is_err());
+        assert!(decode(bad).is_err());
 
         // Overflow slab length larger than the buffer.
         let mut bad = good.clone();
         bad[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(DensePage::decode_owned(bad).is_err());
+        assert!(decode(bad).is_err());
 
         // Invalid tag on the first record.
         let mut bad = good.clone();
         bad[DENSE_HEADER + KEY_BYTES + 3] |= 0xC0;
-        assert!(DensePage::decode_owned(bad).is_err());
+        assert!(decode(bad).is_err());
 
-        // Missing sentinel.
+        // Missing magic word.
         let mut bad = good.clone();
         bad[0] = 0;
-        assert!(DensePage::decode_owned(bad).is_err());
+        assert!(decode(bad).is_err());
     }
 
     #[test]

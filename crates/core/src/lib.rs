@@ -138,7 +138,7 @@ pub use input::{
 pub use io::{IoConfig, IoHandle, IoPool};
 pub use job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
 pub use join::{JoinOutcome, SortMergeJoin};
-pub use layout::{DensePage, PayloadRef, RecordSlab, TupleArena, MIN_DENSE_STRIDE};
+pub use layout::{PayloadRef, RecordSlab, TupleArena, MIN_DENSE_STRIDE};
 pub use merge::{MergeStats, StaticPlanSummary};
 pub use order::{normalized_prefix, SortDirection, SortOrder};
 pub use run_formation::SplitStats;

@@ -27,39 +27,11 @@
 use crate::env::{CpuOp, SortEnv};
 use crate::error::{SortError, SortResult};
 use crate::io::{IoHandle, IoPool};
-use crate::layout::{DensePage, PayloadRef, TupleArena};
+use crate::layout::{PayloadRef, TupleArena};
 use crate::order::SortOrder;
 use crate::store::{RunDirection, RunId, RunMeta, RunStore};
 use crate::tuple::{Page, Tuple};
 use std::collections::VecDeque;
-
-/// The consumption buffer over the currently promoted page: either owned
-/// tuples (the classic path) or a zero-copy view into a dense page, where
-/// records stay encoded in the page's shared block buffer until they actually
-/// leave the cursor.
-#[derive(Debug)]
-enum HeadBuf {
-    /// Materialised tuples — owned pages, and dense pages under a custom key
-    /// extractor (which needs a real [`Tuple`] to dispatch on).
-    Owned(VecDeque<Tuple>),
-    /// Borrowed view into a dense page; `pos` indexes the next unconsumed
-    /// record. Batch moves into a dense output arena copy the record bytes
-    /// straight across without ever building a [`Tuple`].
-    Dense { page: DensePage, pos: usize },
-}
-
-impl HeadBuf {
-    fn len(&self) -> usize {
-        match self {
-            HeadBuf::Owned(q) => q.len(),
-            HeadBuf::Dense { page, pos } => page.len() - pos,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// A block read in flight on a background I/O thread.
 #[derive(Debug)]
@@ -78,8 +50,7 @@ struct PendingBlock {
 /// run *back-to-front* — last page first, last tuple of each page first — so
 /// a descending run from adaptive up/down replacement selection presents the
 /// same ascending rank stream as any forward run. Everything downstream (the
-/// loser tree, the cached rank column, gallop batch moves, both page representations) is
-/// direction-blind.
+/// loser tree, the cached rank column, gallop batch moves) is direction-blind.
 #[derive(Debug)]
 pub struct RunCursor {
     /// The run being read.
@@ -91,14 +62,16 @@ pub struct RunCursor {
     pub next_page: usize,
     /// Read the run back-to-front (the run is stored in reverse rank order).
     backward: bool,
-    /// The currently buffered page's unconsumed tuples (owned or zero-copy).
-    buf: HeadBuf,
-    /// Rank column of the buffered page, computed once at page promotion;
-    /// `ranks[rank_pos..]` parallels `buf` front to back and is sorted
-    /// (runs are rank-ordered by construction).
+    /// The currently buffered page. Its records stay where they lie in the
+    /// page's (possibly block-shared) buffer until they leave the cursor.
+    page: Page,
+    /// Records of `page` consumed so far; a backward cursor indexes the page
+    /// from its end.
+    pos: usize,
+    /// Rank column of the buffered page in consumption order, computed once
+    /// at page promotion; `ranks[pos..]` is what is left and is sorted (runs
+    /// are rank-ordered by construction).
     ranks: Vec<u64>,
-    /// Consumption offset into `ranks`.
-    rank_pos: usize,
     /// Total tuples consumed through this cursor.
     pub consumed: usize,
     /// Pages read through this cursor (including prefetched pages that were
@@ -139,9 +112,9 @@ impl RunCursor {
             run,
             next_page: 0,
             backward: dir == RunDirection::Reversed,
-            buf: HeadBuf::Owned(VecDeque::new()),
+            page: Page::new(),
+            pos: 0,
             ranks: Vec::new(),
-            rank_pos: 0,
             consumed: 0,
             pages_read: 0,
             io_stall: 0.0,
@@ -241,37 +214,34 @@ impl RunCursor {
         }
     }
 
+    /// Unconsumed records of the buffered page.
+    fn buffered(&self) -> usize {
+        self.page.len() - self.pos
+    }
+
+    /// Physical index in the buffered page of the `i`-th record in
+    /// consumption order.
+    #[inline]
+    fn index(&self, i: usize) -> usize {
+        if self.backward {
+            self.page.len() - 1 - i
+        } else {
+            i
+        }
+    }
+
     /// Promote `page` into the consumption buffer, materialising its rank
-    /// column in one pass. A dense page stays dense — the rank column is read
-    /// straight out of its record region and the tuples are only materialised
-    /// as they leave the cursor — unless a custom key extractor needs real
-    /// [`Tuple`]s to dispatch on.
+    /// column in one pass. A backward cursor flips only the column, so it is
+    /// sorted in consumption order; the records are indexed from the back as
+    /// they leave.
     fn promote(&mut self, order: &SortOrder, page: Page) {
         self.ranks.clear();
-        self.rank_pos = 0;
-        if !order.has_custom_key() {
-            if let Some(dense) = page.as_dense() {
-                self.ranks
-                    .extend(dense.keys().map(|k| order.rank_from_key(k)));
-                if self.backward {
-                    // The page stays dense (records are indexed from the back
-                    // as they leave); only the rank column flips so it is
-                    // sorted in consumption order.
-                    self.ranks.reverse();
-                }
-                self.buf = HeadBuf::Dense {
-                    page: dense.clone(),
-                    pos: 0,
-                };
-                return;
-            }
-        }
-        let mut tuples = page.into_tuples();
+        order.rank_column_into(&page, &mut self.ranks);
         if self.backward {
-            tuples.reverse();
+            self.ranks.reverse();
         }
-        order.rank_column_into(&tuples, &mut self.ranks);
-        self.buf = HeadBuf::Owned(tuples.into());
+        self.page = page;
+        self.pos = 0;
     }
 
     /// Load the next page into the buffer if the buffer is empty and more
@@ -283,7 +253,7 @@ impl RunCursor {
         store: &mut S,
         env: &mut E,
     ) -> SortResult<bool> {
-        while self.buf.is_empty() {
+        while self.buffered() == 0 {
             // Promote a staged (prefetched) page first.
             if let Some(page) = self.staged.pop_front() {
                 self.promote(order, page);
@@ -366,7 +336,7 @@ impl RunCursor {
         env: &mut E,
     ) -> SortResult<Option<u64>> {
         if self.ensure_loaded(order, store, env)? {
-            Ok(Some(self.ranks[self.rank_pos]))
+            Ok(Some(self.ranks[self.pos]))
         } else {
             Ok(None)
         }
@@ -375,8 +345,8 @@ impl RunCursor {
     /// Composite key (rank, then tie rank — see [`SortOrder::composite`]) of
     /// the next tuple, loading a page if necessary. For exact orders this is
     /// just the cached rank shifted into the high half; the tie rank is only
-    /// computed for normalized-key orders, and on the dense path it reads the
-    /// borrowed payload slice without materialising a tuple.
+    /// computed for normalized-key orders (never combined with a custom
+    /// extractor), from the borrowed payload slice.
     pub fn peek_composite<S: RunStore, E: SortEnv>(
         &mut self,
         order: &SortOrder,
@@ -386,23 +356,13 @@ impl RunCursor {
         if !self.ensure_loaded(order, store, env)? {
             return Ok(None);
         }
-        let rank = self.ranks[self.rank_pos];
+        let rank = self.ranks[self.pos];
         let tie = if order.rank_is_exact() {
             0
         } else {
-            match &self.buf {
-                HeadBuf::Owned(q) => order.tie_rank(q.front().expect("loaded buffer is non-empty")),
-                HeadBuf::Dense { page, pos } => {
-                    let idx = if self.backward {
-                        page.len() - 1 - *pos
-                    } else {
-                        *pos
-                    };
-                    match page.payload_ref(idx) {
-                        PayloadRef::Bytes(b) => order.tie_rank_bytes(b),
-                        PayloadRef::Synthetic(_) => order.tie_rank_bytes(&[]),
-                    }
-                }
+            match self.page.payload_ref(self.index(self.pos)) {
+                PayloadRef::Bytes(b) => order.tie_rank_bytes(b),
+                PayloadRef::Synthetic(_) => order.tie_rank_bytes(&[]),
             }
         };
         Ok(Some(SortOrder::composite(rank, tie)))
@@ -416,23 +376,10 @@ impl RunCursor {
         env: &mut E,
     ) -> SortResult<Option<Tuple>> {
         if self.ensure_loaded(order, store, env)? {
+            let t = self.page.get(self.index(self.pos));
+            self.pos += 1;
             self.consumed += 1;
-            self.rank_pos += 1;
-            let backward = self.backward;
-            Ok(Some(match &mut self.buf {
-                HeadBuf::Owned(q) => q.pop_front().expect("loaded buffer is non-empty"),
-                HeadBuf::Dense { page, pos } => {
-                    // `pos` counts consumed records; backward cursors index
-                    // the dense page from its end.
-                    let t = page.get(if backward {
-                        page.len() - 1 - *pos
-                    } else {
-                        *pos
-                    });
-                    *pos += 1;
-                    t
-                }
-            }))
+            Ok(Some(t))
         } else {
             Ok(None)
         }
@@ -447,7 +394,7 @@ impl RunCursor {
     /// tuple. Returns 0 when nothing is buffered; with `bound == None` (no
     /// challenger — a fan-in of one) the whole buffered page qualifies.
     pub fn gallop_len(&self, bound: Option<u64>, inclusive: bool, max: usize) -> usize {
-        let col = &self.ranks[self.rank_pos..];
+        let col = &self.ranks[self.pos..];
         let qualifying = match bound {
             None => col.len(),
             Some(b) => col.partition_point(|&r| r < b || (inclusive && r == b)),
@@ -459,68 +406,39 @@ impl RunCursor {
     /// counterpart of [`pop`](Self::pop); the caller sizes `n` with
     /// [`gallop_len`](Self::gallop_len), so no page load can be needed).
     pub fn take_batch(&mut self, n: usize, out: &mut Vec<Tuple>) {
-        debug_assert!(n <= self.buf.len(), "take_batch past the buffered page");
-        let backward = self.backward;
-        match &mut self.buf {
-            HeadBuf::Owned(q) => out.extend(q.drain(..n)),
-            HeadBuf::Dense { page, pos } => {
-                if backward {
-                    let last = page.len() - 1;
-                    out.extend((*pos..*pos + n).map(|i| page.get(last - i)));
-                } else {
-                    out.extend((*pos..*pos + n).map(|i| page.get(i)));
-                }
-                *pos += n;
-            }
-        }
-        self.rank_pos += n;
+        debug_assert!(n <= self.buffered(), "take_batch past the buffered page");
+        out.extend((self.pos..self.pos + n).map(|i| self.page.get(self.index(i))));
+        self.pos += n;
         self.consumed += n;
     }
 
-    /// Move the next `n` buffered tuples into a dense output arena (the
-    /// zero-copy counterpart of [`take_batch`](Self::take_batch)). A dense
-    /// head with a matching stride and no overflow records moves as one
-    /// `memcpy` of its record region; otherwise records are re-pushed
-    /// individually, still without materialising a [`Tuple`] on the dense
-    /// path.
+    /// Move the next `n` buffered tuples into an output arena (the
+    /// counterpart of [`take_batch`](Self::take_batch) that builds no
+    /// [`Tuple`]). A forward slice of a matching stride and no overflow
+    /// payloads moves as one `memcpy` of its record region; anything else —
+    /// a backward cursor's records leave in reverse physical order — moves
+    /// record by record, verbatim where the record allows it.
     pub fn take_batch_arena(&mut self, n: usize, arena: &mut TupleArena) {
         debug_assert!(
-            n <= self.buf.len(),
+            n <= self.buffered(),
             "take_batch_arena past the buffered page"
         );
-        let backward = self.backward;
-        match &mut self.buf {
-            HeadBuf::Owned(q) => {
-                for t in q.drain(..n) {
-                    arena.push(&t);
+        let page = &self.page;
+        if self.backward || !arena.extend_from_dense(page, self.pos, n) {
+            for i in (self.pos..self.pos + n).map(|i| self.index(i)) {
+                if !arena.extend_from_dense(page, i, 1) {
+                    arena.push_ref(page.key(i), page.payload_ref(i));
                 }
-            }
-            HeadBuf::Dense { page, pos } => {
-                if backward {
-                    // Records leave in reverse physical order, so the
-                    // contiguous-region memcpy applies one record at a time.
-                    let last = page.len() - 1;
-                    for i in *pos..*pos + n {
-                        if !arena.extend_from_dense(page, last - i, 1) {
-                            arena.push_ref(page.key(last - i), page.payload_ref(last - i));
-                        }
-                    }
-                } else if !arena.extend_from_dense(page, *pos, n) {
-                    for i in *pos..*pos + n {
-                        arena.push_ref(page.key(i), page.payload_ref(i));
-                    }
-                }
-                *pos += n;
             }
         }
-        self.rank_pos += n;
+        self.pos += n;
         self.consumed += n;
     }
 
     /// True when the buffered/staged pages and the store both have nothing
     /// left.
     pub fn exhausted<S: RunStore>(&self, store: &S) -> bool {
-        self.buf.is_empty()
+        self.buffered() == 0
             && self.staged.is_empty()
             && self.pending.is_none()
             && self.next_page >= store.run_pages(self.run)
@@ -530,7 +448,7 @@ impl RunCursor {
     /// when picking the "shortest runs" for a preliminary merge step.
     pub fn remaining_pages<S: RunStore>(&self, store: &S) -> usize {
         let unread = store.run_pages(self.run).saturating_sub(self.next_page);
-        unread + self.staged.len() + usize::from(!self.buf.is_empty())
+        unread + self.staged.len() + usize::from(self.buffered() > 0)
     }
 }
 
@@ -758,31 +676,23 @@ mod tests {
 
     // -- direction-aware (backward) consumption --------------------------
 
-    /// A descending run (keys n-1..0) as pages: dense ones at the given
-    /// stride, or owned ones as a caller may hand them in.
-    fn reversed_pages(n: usize, per_page: usize, dense_stride: Option<usize>) -> Vec<Page> {
-        let tuples: Vec<Tuple> = (0..n as u64)
-            .rev()
-            .map(|k| Tuple::synthetic(k, 32))
-            .collect();
-        match dense_stride {
-            Some(stride) => crate::tuple::paginate_dense(tuples, per_page, stride),
-            None => paginate(tuples, per_page),
-        }
+    /// A descending run (keys n-1..0) as pages.
+    fn reversed_pages(n: usize, per_page: usize) -> Vec<Page> {
+        paginate(
+            (0..n as u64)
+                .rev()
+                .map(|k| Tuple::synthetic(k, 32))
+                .collect(),
+            per_page,
+        )
     }
 
-    /// Store [`reversed_pages`] and return a cursor that reads them
+    /// Store `pages` as one run and return a cursor that reads it
     /// back-to-front.
-    fn setup_reversed(
-        n: usize,
-        per_page: usize,
-        dense_stride: Option<usize>,
-    ) -> (MemStore, RunCursor) {
+    fn setup_reversed(pages: Vec<Page>) -> (MemStore, RunCursor) {
         let mut s = MemStore::new();
         let r = s.create_run().unwrap();
-        for p in reversed_pages(n, per_page, dense_stride) {
-            s.append_page(r, p).unwrap();
-        }
+        s.append_block(r, pages).unwrap();
         let mut meta = s.meta(r);
         meta.dir = crate::store::RunDirection::Reversed;
         (s, RunCursor::from_meta(meta))
@@ -790,55 +700,47 @@ mod tests {
 
     #[test]
     fn backward_cursor_streams_descending_run_ascending() {
-        for dense_stride in [None, Some(32)] {
-            let (mut store, mut c) = setup_reversed(10, 3, dense_stride);
-            let mut env = CountingEnv::new();
-            let asc = SortOrder::ascending();
-            let mut got = Vec::new();
-            while let Some(t) = c.pop(&asc, &mut store, &mut env).unwrap() {
-                got.push(t.key);
-            }
-            assert_eq!(
-                got,
-                (0..10).collect::<Vec<u64>>(),
-                "dense stride {dense_stride:?}"
-            );
-            assert!(c.exhausted(&store));
-            assert_eq!(c.pages_read, 4);
-            assert_eq!(c.consumed, 10);
+        let (mut store, mut c) = setup_reversed(reversed_pages(10, 3));
+        let mut env = CountingEnv::new();
+        let asc = SortOrder::ascending();
+        let mut got = Vec::new();
+        while let Some(t) = c.pop(&asc, &mut store, &mut env).unwrap() {
+            got.push(t.key);
         }
+        assert_eq!(got, (0..10).collect::<Vec<u64>>());
+        assert!(c.exhausted(&store));
+        assert_eq!(c.pages_read, 4);
+        assert_eq!(c.consumed, 10);
     }
 
     #[test]
     fn backward_cursor_peek_matches_pop() {
-        for dense_stride in [None, Some(32)] {
-            let (mut store, mut c) = setup_reversed(7, 2, dense_stride);
-            let mut env = CountingEnv::new();
-            let asc = SortOrder::ascending();
-            for expect in 0..7u64 {
-                assert_eq!(
-                    c.peek_rank(&asc, &mut store, &mut env).unwrap(),
-                    Some(expect)
-                );
-                assert_eq!(
-                    c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key,
-                    expect
-                );
-            }
-            assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), None);
+        let (mut store, mut c) = setup_reversed(reversed_pages(7, 2));
+        let mut env = CountingEnv::new();
+        let asc = SortOrder::ascending();
+        for expect in 0..7u64 {
+            assert_eq!(
+                c.peek_rank(&asc, &mut store, &mut env).unwrap(),
+                Some(expect)
+            );
+            assert_eq!(
+                c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key,
+                expect
+            );
         }
+        assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), None);
     }
 
     #[test]
     fn backward_take_batch_dense_preserves_order() {
-        let (mut store, mut c) = setup_reversed(12, 6, Some(32));
+        let (mut store, mut c) = setup_reversed(reversed_pages(12, 6));
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
         let mut got = Vec::new();
         while c.ensure_loaded(&asc, &mut store, &mut env).unwrap() {
             // Drain the buffered page in two uneven batches to exercise
             // mid-page positions.
-            let n = c.buf.len();
+            let n = c.buffered();
             let first = n.div_ceil(2);
             c.take_batch(first, &mut got);
             c.take_batch(n - first, &mut got);
@@ -851,22 +753,90 @@ mod tests {
 
     #[test]
     fn backward_take_batch_arena_dense_preserves_order() {
-        let (mut store, mut c) = setup_reversed(9, 4, Some(32));
+        let pages = reversed_pages(9, 4);
+        let mut arena = TupleArena::new(pages[0].stride());
+        let (mut store, mut c) = setup_reversed(pages);
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
-        let mut arena = TupleArena::new(32);
         while c.ensure_loaded(&asc, &mut store, &mut env).unwrap() {
-            let n = c.buf.len();
+            let n = c.buffered();
             c.take_batch_arena(n, &mut arena);
         }
         let got: Vec<u64> = arena.seal().keys().collect();
         assert_eq!(got, (0..9).collect::<Vec<u64>>());
     }
 
+    /// A custom-key order reads its rank column out of the same record
+    /// region every other order does: under `by_key` and its reverse, forward
+    /// and backward cursors over pages of every payload kind (so some records
+    /// keep their payload outside themselves) yield, through each way a
+    /// record can leave, the tuples sorted by `order.rank`.
+    #[test]
+    fn custom_key_orders_stream_by_rank_in_both_directions() {
+        // The extractor reads key and payload, so a wrong tuple shows.
+        let by_key = SortOrder::by_key(|t| (t.key % 7) * 1000 + t.payload.len() as u64);
+        let tuples: Vec<Tuple> = (0..23u64)
+            .map(|k| match k % 4 {
+                0 => Tuple::synthetic(k, 40),
+                1 => Tuple::new(k, Vec::new()),
+                2 => Tuple::new(k, vec![k as u8; 6]),
+                _ => Tuple::new(k, vec![k as u8; 90]),
+            })
+            .collect();
+        for order in [by_key.clone(), by_key.reversed()] {
+            let mut sorted = tuples.clone();
+            sorted.sort_by_key(|t| (order.rank(t), t.key));
+            let ranks: Vec<u64> = sorted.iter().map(|t| order.rank(t)).collect();
+            for backward in [false, true] {
+                let cursor = || {
+                    let mut stored = sorted.clone();
+                    if backward {
+                        stored.reverse();
+                    }
+                    let mut s = MemStore::new();
+                    let r = s.create_run().unwrap();
+                    s.append_block(r, paginate(stored, 5)).unwrap();
+                    let mut meta = s.meta(r);
+                    if backward {
+                        meta.dir = crate::store::RunDirection::Reversed;
+                    }
+                    (s, RunCursor::from_meta(meta))
+                };
+                let mut env = CountingEnv::new();
+                let what = format!("{order:?} backward={backward}");
+
+                let (mut store, mut c) = cursor();
+                let (mut peeked, mut popped) = (Vec::new(), Vec::new());
+                while let Some(rank) = c.peek_rank(&order, &mut store, &mut env).unwrap() {
+                    peeked.push(rank);
+                    popped.push(c.pop(&order, &mut store, &mut env).unwrap().unwrap());
+                }
+                assert_eq!(peeked, ranks, "{what}");
+                assert_eq!(popped, sorted, "{what}");
+
+                let (mut store, mut c) = cursor();
+                let mut batched = Vec::new();
+                while c.ensure_loaded(&order, &mut store, &mut env).unwrap() {
+                    let n = c.gallop_len(None, false, 3);
+                    c.take_batch(n, &mut batched);
+                }
+                assert_eq!(batched, sorted, "{what}");
+
+                let (mut store, mut c) = cursor();
+                let mut arena = TupleArena::new(32);
+                while c.ensure_loaded(&order, &mut store, &mut env).unwrap() {
+                    let n = c.buffered();
+                    c.take_batch_arena(n, &mut arena);
+                }
+                assert_eq!(arena.seal().tuples(), sorted, "{what}");
+            }
+        }
+    }
+
     /// Property test: a descending run of random length, paginated with a
-    /// random page size and representation, written through a [`crate::FileStore`]
-    /// (encode), read back in random block sizes (block read), and consumed
-    /// through a reversed cursor — always yields the ascending stream.
+    /// random page size, written through a [`crate::FileStore`] (encode), read
+    /// back in random block sizes (block read), and consumed through a
+    /// reversed cursor — always yields the ascending stream.
     #[test]
     fn descending_runs_round_trip_through_file_store() {
         use rand::rngs::StdRng;
@@ -876,13 +846,12 @@ mod tests {
             let n = rng.gen_range(1..400usize);
             let per_page = rng.gen_range(1..32usize);
             let depth = rng.gen_range(0..5usize);
-            let dense = rng.gen_bool(0.5);
             let dir = std::env::temp_dir()
                 .join(format!("masort-revcursor-{}-{trial}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let mut store = crate::store::FileStore::new(&dir).unwrap();
             let run = store.create_run().unwrap();
-            for p in reversed_pages(n, per_page, dense.then_some(32)) {
+            for p in reversed_pages(n, per_page) {
                 store.append_page(run, p).unwrap();
             }
             let mut meta = store.meta(run);
@@ -898,7 +867,7 @@ mod tests {
             assert_eq!(
                 got,
                 (0..n as u64).collect::<Vec<u64>>(),
-                "trial {trial}: n={n} per_page={per_page} depth={depth} dense={dense}"
+                "trial {trial}: n={n} per_page={per_page} depth={depth}"
             );
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);

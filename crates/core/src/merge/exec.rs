@@ -45,7 +45,7 @@ use crate::merge::plan::preliminary_fan_in;
 use crate::merge::select::LoserTree;
 use crate::merge::step::{Input, Side, StepArena};
 use crate::store::{RunId, RunMeta, RunStore};
-use crate::tuple::{Page, Tuple};
+use crate::tuple::Tuple;
 use masort_trace::EventKind;
 use std::collections::HashSet;
 
@@ -709,7 +709,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             return Ok(());
         };
         if let Some(arena) = step.out_arena.as_mut().filter(|a| force && !a.is_empty()) {
-            step.sealed.push(Page::from_dense(arena.seal()));
+            step.sealed.push(arena.seal());
         }
         for page in std::mem::take(&mut step.sealed) {
             self.env.charge_cpu(CpuOp::StartIo, 1);
@@ -814,7 +814,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 // A full page is sealed at once (the arena never holds more)
                 // and appended when the produce unit ends.
                 if arena.len() == tpp {
-                    step.sealed.push(Page::from_dense(arena.seal()));
+                    step.sealed.push(arena.seal());
                 }
             }
             None => cursor.take_batch(n, &mut step.out_buf),

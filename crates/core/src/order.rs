@@ -175,20 +175,18 @@ impl SortOrder {
         }
     }
 
-    /// Materialise the ranks of `tuples` into `out` (appending) in a single
-    /// pass over the slice.
+    /// Materialise the ranks of `page`'s records into `out` (appending) in a
+    /// single pass, one per record in page order.
     ///
-    /// This is the merge kernel's rank cache: the extractor (one dynamic
-    /// dispatch per *tuple*, not per comparison) and the direction mapping run
-    /// exactly once per staged page, and every later selection reads plain
-    /// `u64`s from the resulting column.
-    pub fn rank_column_into(&self, tuples: &[Tuple], out: &mut Vec<u64>) {
-        out.reserve(tuples.len());
-        match (&self.key_fn, self.direction) {
-            (None, SortDirection::Ascending) => out.extend(tuples.iter().map(|t| t.key)),
-            (None, SortDirection::Descending) => out.extend(tuples.iter().map(|t| !t.key)),
-            (Some(f), SortDirection::Ascending) => out.extend(tuples.iter().map(|t| f(t))),
-            (Some(f), SortDirection::Descending) => out.extend(tuples.iter().map(|t| !f(t))),
+    /// This is the merge kernel's rank cache: the direction mapping — and a
+    /// custom extractor, which is handed a [`Tuple`] by contract and so costs
+    /// one per record — run exactly once per staged page, and every later
+    /// selection reads plain `u64`s from the resulting column.
+    pub fn rank_column_into(&self, page: &Page, out: &mut Vec<u64>) {
+        out.reserve(page.len());
+        match &self.key_fn {
+            None => out.extend(page.keys().map(|k| self.rank_from_key(k))),
+            Some(_) => out.extend((0..page.len()).map(|i| self.rank(&page.get(i)))),
         }
     }
 
@@ -213,7 +211,7 @@ impl SortOrder {
     }
 
     /// The tie rank derived from raw payload bytes (missing bytes read as 0).
-    /// This is the zero-copy twin of [`tie_rank`](Self::tie_rank): dense
+    /// This is the zero-copy twin of [`tie_rank`](Self::tie_rank): merge
     /// cursors feed it a borrowed payload slice.
     #[inline]
     pub fn tie_rank_bytes(&self, payload: &[u8]) -> u64 {
@@ -252,27 +250,24 @@ impl SortOrder {
     /// Materialise the composite keys of `page`'s records into `out`
     /// (appending), one per record in page order — what run formation selects
     /// on. Records are read where they lie: only a custom key extractor,
-    /// which is handed a [`Tuple`] by contract, makes a dense page build one.
+    /// which is handed a [`Tuple`] by contract, makes the page build one.
     pub fn composite_column_into(&self, page: &Page, out: &mut Vec<u128>) {
         out.reserve(page.len());
-        match page.as_dense() {
-            None => out.extend(page.tuples().iter().map(|t| self.composite_of(t))),
-            Some(dense) if self.key_fn.is_some() => {
-                out.extend((0..dense.len()).map(|i| self.composite_of(&dense.get(i))))
-            }
-            Some(dense) => out.extend((0..dense.len()).map(|i| {
-                let tie = match dense.payload_ref(i) {
+        match &self.key_fn {
+            Some(_) => out.extend((0..page.len()).map(|i| self.composite_of(&page.get(i)))),
+            None => out.extend((0..page.len()).map(|i| {
+                let tie = match page.payload_ref(i) {
                     PayloadRef::Bytes(b) => self.tie_rank_bytes(b),
                     PayloadRef::Synthetic(_) => self.tie_rank_bytes(&[]),
                 };
-                Self::composite(self.rank_from_key(dense.key(i)), tie)
+                Self::composite(self.rank_from_key(page.key(i)), tie)
             })),
         }
     }
 
     /// The rank a *stored* key maps to under this order. Only meaningful for
-    /// orders without a custom extractor (the dense fast path, which reads
-    /// keys straight out of the record region, is gated on
+    /// orders without a custom extractor (the paths that read keys straight
+    /// out of the record region are gated on
     /// [`has_custom_key`](Self::has_custom_key) being false).
     #[inline]
     pub fn rank_from_key(&self, key: u64) -> u64 {
@@ -402,14 +397,14 @@ mod tests {
             SortOrder::by_key(|t| t.key & 0xFF).reversed(),
         ] {
             let mut col = Vec::new();
-            order.rank_column_into(&tuples, &mut col);
+            order.rank_column_into(&Page::from_tuples(tuples.clone()), &mut col);
             let expect: Vec<u64> = tuples.iter().map(|t| order.rank(t)).collect();
             assert_eq!(col, expect, "{order:?}");
         }
     }
 
     #[test]
-    fn composite_column_reads_owned_and_dense_pages_alike() {
+    fn composite_column_matches_per_tuple_composites() {
         let tuples: Vec<Tuple> = [
             b"aaaaaaaa\x00\x02",
             b"aaaaaaaa\x00\x01",
@@ -419,8 +414,7 @@ mod tests {
         .map(|k| norm(&k[..]))
         .chain([Tuple::synthetic(7, 64), Tuple::new(3, Vec::new())])
         .collect();
-        let owned = Page::from_tuples(tuples.clone());
-        let dense = crate::tuple::paginate_dense(tuples.clone(), 8, 20).remove(0);
+        let page = Page::from_tuples(tuples.clone());
         for order in [
             SortOrder::ascending(),
             SortOrder::descending(),
@@ -429,11 +423,9 @@ mod tests {
             SortOrder::by_key(|t| t.key.swap_bytes()),
         ] {
             let expect: Vec<u128> = tuples.iter().map(|t| order.composite_of(t)).collect();
-            for page in [&owned, &dense] {
-                let mut column = vec![0];
-                order.composite_column_into(page, &mut column);
-                assert_eq!(column[1..], expect, "{order:?}");
-            }
+            let mut column = vec![0];
+            order.composite_column_into(&page, &mut column);
+            assert_eq!(column[1..], expect, "{order:?}");
         }
     }
 

@@ -36,7 +36,7 @@ use replacement::BlockPolicy;
 
 /// The block of run pages being emitted: records are copied out of the slab
 /// in output order and every `tuples_per_page` of them are sealed into one
-/// dense page.
+/// page.
 struct OutBlock {
     arena: TupleArena,
     tuples_per_page: usize,
@@ -68,14 +68,14 @@ impl OutBlock {
         }
         slab.release(slot);
         if self.arena.len() == self.tuples_per_page {
-            self.pages.push(Page::from_dense(self.arena.seal()));
+            self.pages.push(self.arena.seal());
         }
     }
 
     /// The block's pages (the last one possibly short), leaving it empty.
     fn take_pages(&mut self) -> Vec<Page> {
         if !self.arena.is_empty() {
-            self.pages.push(Page::from_dense(self.arena.seal()));
+            self.pages.push(self.arena.seal());
         }
         std::mem::take(&mut self.pages)
     }

@@ -426,11 +426,8 @@ mod tests {
                     return Err(SortError::Io(std::io::Error::other("input exploded")));
                 }
                 self.pages_left -= 1;
-                let mut page = Page::with_capacity(4);
-                for k in 0..4u64 {
-                    page.push(Tuple::synthetic(k, 64));
-                }
-                Ok(Some(page))
+                let tuples = (0..4u64).map(|k| Tuple::synthetic(k, 64)).collect();
+                Ok(Some(Page::from_tuples(tuples)))
             }
         }
         let cfg = SortConfig::default().with_memory_pages(4);

@@ -17,10 +17,8 @@
 
 use crate::error::{SortError, SortResult};
 use crate::io::{IoHandle, IoPool};
-use crate::layout::DensePage;
-use crate::tuple::{Page, Payload, Tuple};
+use crate::tuple::Page;
 use masort_trace::EventKind;
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{IoSlice, Seek, SeekFrom, Write};
@@ -44,7 +42,7 @@ pub type RunId = u32;
 /// runs back-to-front so every cursor still presents an ascending rank
 /// stream. The flag is pure metadata riding on [`RunMeta`] — page encodings
 /// are identical either way, so forward and reversed runs coexist in one
-/// store the same way Owned and Dense pages do.
+/// store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RunDirection {
     /// Pages (and tuples within pages) are stored in output order.
@@ -94,11 +92,9 @@ pub trait RunStore {
     /// Read page `idx` of `run`.
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page>;
 
-    /// Read page `idx` of `run`; a store may use `scratch` as its raw I/O
-    /// buffer, so a whole-run reader (`verify::collect_run`) can lend it one
-    /// allocation for the life of a run. The default — and every store in
-    /// this crate: a dense page keeps the buffer it was read into — ignores
-    /// `scratch` and delegates to [`read_page`](Self::read_page).
+    /// [`read_page`](Self::read_page) under its former name: a page keeps the
+    /// buffer it was read into, so no store has a use for `scratch`. Kept
+    /// only because the benchmark harness forwards it by name.
     fn read_page_with_scratch(
         &mut self,
         run: RunId,
@@ -171,7 +167,6 @@ pub trait RunStore {
     /// an error (deletes must be idempotent so cleanup paths can't fail).
     fn delete_run(&mut self, run: RunId) -> SortResult<()>;
 
-    /// Metadata snapshot for `run`.
     /// Metadata snapshot for `run`. Stores only track sizes, so the snapshot
     /// always reports [`RunDirection::Forward`]; run formation overrides the
     /// direction on the metadata it records in its statistics.
@@ -327,203 +322,67 @@ impl RunStore for MemStore {
 // File-backed store
 // ---------------------------------------------------------------------------
 
-/// Simple length-prefixed binary page format used by [`FileStore`].
+/// Read the pages `entries` index — a contiguous block starting at page
+/// `start` of `run` — with one positioned read (where the platform has it),
+/// and decode them.
 ///
-/// Classic page layout: `u32` tuple count, then per tuple: `u64` key, `u8`
-/// payload tag (0 = synthetic, 1 = bytes), `u32` payload length, payload
-/// bytes (only for tag 1). Dense pages ([`crate::layout::DensePage`]) use
-/// their own framing, starting with the sentinel word `0xFFFF_FFFF` — a
-/// value the classic format can never produce as a tuple count — so both
-/// encodings coexist in one run file and every decode path dispatches on the
-/// leading word.
-///
-/// Appends the encoding to `buf` (callers sizing a block preallocate once
-/// and encode every page straight into it).
-fn encode_page_into(page: &Page, buf: &mut Vec<u8>) {
-    if let Some(dense) = page.as_dense() {
-        buf.extend_from_slice(dense.wire_bytes());
-        return;
-    }
-    buf.extend_from_slice(&(page.len() as u32).to_le_bytes());
-    for t in page.tuples().iter() {
-        buf.extend_from_slice(&t.key.to_le_bytes());
-        match &t.payload {
-            Payload::Synthetic(n) => {
-                buf.push(0);
-                buf.extend_from_slice(&n.to_le_bytes());
-            }
-            Payload::Bytes(b) => {
-                buf.push(1);
-                buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                buf.extend_from_slice(b);
-            }
-        }
-    }
-}
-
-/// Encode one page into `buf`, replacing its previous contents.
-#[cfg(test)]
-fn encode_page(page: &Page, buf: &mut Vec<u8>) {
-    buf.clear();
-    encode_page_into(page, buf);
-}
-
-/// Length-checked cursor over an encoded page; every read validates that the
-/// bytes it needs actually exist, so truncated or damaged files surface a
-/// decode error instead of a panic.
-struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(format!(
-                "need {n} byte(s) at offset {} but page has only {}",
-                self.pos,
-                self.buf.len()
-            )),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-/// Decode one page, validating every length along the way, from a buffer the
-/// caller hands over: a dense page (recognised by its sentinel) takes
-/// ownership of it — no copy; [`decode_block`] shares one buffer among a whole
-/// block's pages the same way — a classic page materialises its tuples.
-fn decode_page_vec(buf: Vec<u8>) -> Result<Page, String> {
-    if DensePage::is_dense_encoding(&buf) {
-        return DensePage::decode_owned(buf).map(Page::from_dense);
-    }
-    decode_page_classic(&buf)
-}
-
-/// Decode one classic (tuple-at-a-time) page.
-fn decode_page_classic(buf: &[u8]) -> Result<Page, String> {
-    let mut d = Decoder { buf, pos: 0 };
-    let count = d.u32()? as usize;
-    // A page's tuples each occupy at least 13 encoded bytes; an absurd count
-    // (e.g. from reading garbage) is rejected before any allocation.
-    if count > buf.len() / 13 + 1 {
-        return Err(format!(
-            "tuple count {count} impossible for a {}-byte page",
-            buf.len()
-        ));
-    }
-    let mut page = Page::with_capacity(count);
-    for i in 0..count {
-        let key = d.u64().map_err(|e| format!("tuple {i}: {e}"))?;
-        let tag = d.u8().map_err(|e| format!("tuple {i}: {e}"))?;
-        let len = d.u32().map_err(|e| format!("tuple {i}: {e}"))?;
-        let payload = match tag {
-            0 => Payload::Synthetic(len),
-            1 => {
-                let bytes = d
-                    .take(len as usize)
-                    .map_err(|e| format!("tuple {i} payload: {e}"))?;
-                Payload::Bytes(bytes.to_vec())
-            }
-            other => return Err(format!("tuple {i}: unknown payload tag {other}")),
-        };
-        page.push(Tuple { key, payload });
-    }
-    if d.pos != buf.len() {
-        return Err(format!(
-            "{} trailing byte(s) after {count} tuple(s)",
-            buf.len() - d.pos
-        ));
-    }
-    Ok(page)
-}
-
-/// Number of encoded bytes [`encode_page`] produces for `page`, computed
-/// without encoding — lets write-behind reserve index entries up front and
-/// move the actual encoding onto a background thread.
-fn encoded_page_len(page: &Page) -> usize {
-    if let Some(dense) = page.as_dense() {
-        return dense.wire_bytes().len();
-    }
-    4 + page
-        .tuples()
-        .iter()
-        .map(|t| {
-            8 + 1
-                + 4
-                + match &t.payload {
-                    Payload::Synthetic(_) => 0,
-                    Payload::Bytes(b) => b.len(),
-                }
-        })
-        .sum::<usize>()
-}
-
-/// Encode `pages` back to back into one contiguous buffer (one block),
-/// preallocated to its exact size and written in a single pass — no
-/// per-page staging buffer.
-#[cfg(unix)]
-fn encode_pages(pages: &[Page]) -> Vec<u8> {
-    let total: usize = pages.iter().map(encoded_page_len).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in pages {
-        encode_page_into(p, &mut buf);
-    }
-    debug_assert_eq!(buf.len(), total, "encoded_page_len disagrees with encoder");
-    buf
-}
-
-/// Fill `buf` from `file` at `offset`: one positioned read where the platform
-/// has it.
-fn read_exact_at(file: &mut File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+/// The block buffer moves behind an `Arc` exactly once; every page in the
+/// block then *borrows* its record region out of that one shared allocation
+/// (the zero-copy decode path), so a page read alone keeps the buffer it was
+/// read into.
+fn read_pages(
+    file: &File,
+    trace: &masort_trace::Trace,
+    run: RunId,
+    start: usize,
+    entries: &[(u64, u32)],
+) -> SortResult<Vec<Page>> {
+    let first_off = entries[0].0;
+    let total: usize = entries.iter().map(|&(_, l)| l as usize).sum();
+    let mut buf = vec![0u8; total];
     #[cfg(unix)]
-    return std::os::unix::fs::FileExt::read_exact_at(file, buf, offset);
+    let read = std::os::unix::fs::FileExt::read_exact_at(file, &mut buf, first_off);
     #[cfg(not(unix))]
-    {
-        file.seek(SeekFrom::Start(offset))?;
-        std::io::Read::read_exact(file, buf)
-    }
+    let read = {
+        let mut file = file;
+        file.seek(SeekFrom::Start(first_off))
+            .and_then(|_| std::io::Read::read_exact(&mut file, &mut buf))
+    };
+    read.map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            SortError::corrupt(
+                run,
+                format!("block at page {start} truncated: expected {total} byte(s)"),
+            )
+        } else {
+            SortError::Io(e)
+        }
+    })?;
+    trace.emit(EventKind::IoRead {
+        run: run.into(),
+        pages: entries.len(),
+    });
+    let shared = Arc::new(buf);
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, &(off, len))| {
+            Page::decode_shared(&shared, (off - first_off) as usize, len as usize)
+                .map_err(|detail| SortError::corrupt(run, format!("page {}: {detail}", start + i)))
+        })
+        .collect()
 }
 
 /// Write `pages` back to back into `file` from `offset` on, as one gathered
-/// write: a dense page goes out from where it lies (it is held as its wire
-/// encoding), an owned page is encoded first. (One write per block, not per
-/// page: pages are not multiples of the file system's block size, and every
-/// write boundary inside a block costs a partial-block update.)
+/// write: every page goes out from where it lies (it is held as its wire
+/// encoding). (One write per block, not per page: pages are not multiples of
+/// the file system's block size, and every write boundary inside a block
+/// costs a partial-block update.)
 fn write_pages(file: &mut File, offset: u64, pages: &[Page]) -> std::io::Result<()> {
-    let encoded: Vec<Cow<'_, [u8]>> = pages
+    let mut slices: Vec<IoSlice<'_>> = pages
         .iter()
-        .map(|page| match page.as_dense() {
-            Some(dense) => Cow::Borrowed(dense.wire_bytes()),
-            None => {
-                let mut buf = Vec::new();
-                encode_page_into(page, &mut buf);
-                Cow::Owned(buf)
-            }
-        })
+        .map(|page| IoSlice::new(page.wire_bytes()))
         .collect();
-    let mut slices: Vec<IoSlice<'_>> = encoded.iter().map(|bytes| IoSlice::new(bytes)).collect();
     let mut rest = &mut slices[..];
     file.seek(SeekFrom::Start(offset))?;
     while !rest.is_empty() {
@@ -747,7 +606,13 @@ fn submit_queued(r: &mut FileRun, pool: &IoPool, stall: &mut f64) -> SortResult<
         if poisoned {
             return Err(std::io::Error::other("injected write failure"));
         }
-        let buf = encode_pages(&pages);
+        // One positioned write needs one buffer; a page's on-disk form is
+        // the bytes it is held as.
+        let buf = pages
+            .iter()
+            .map(Page::wire_bytes)
+            .collect::<Vec<_>>()
+            .concat();
         use std::os::unix::fs::FileExt;
         file.write_all_at(&buf, start_offset)
     });
@@ -851,37 +716,6 @@ impl FileStore {
         self.pool.is_some()
     }
 
-    fn run_mut(&mut self, run: RunId) -> SortResult<&mut FileRun> {
-        self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))
-    }
-
-    /// Read the raw encoded bytes of page `idx` (one positioned read), after
-    /// draining pending writes.
-    fn read_page_raw(&mut self, run: RunId, idx: usize) -> SortResult<Vec<u8>> {
-        self.drain_run(run)?;
-        let r = self.run_mut(run)?;
-        let &(off, len) = r
-            .index
-            .get(idx)
-            .ok_or_else(|| SortError::corrupt(run, format!("page {idx} out of range")))?;
-        let mut buf = vec![0u8; len as usize];
-        read_exact_at(&mut r.file, &mut buf, off).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SortError::corrupt(
-                    run,
-                    format!("page {idx} truncated: expected {len} byte(s) at offset {off}"),
-                )
-            } else {
-                SortError::Io(e)
-            }
-        })?;
-        self.trace.emit(EventKind::IoRead {
-            run: run.into(),
-            pages: 1,
-        });
-        Ok(buf)
-    }
-
     /// Retry deleting any run files whose earlier removal failed.
     fn sweep_trash(&mut self) {
         self.trash.retain(|path| match std::fs::remove_file(path) {
@@ -920,7 +754,7 @@ impl FileStore {
         let mut total = 0usize;
         let mut tuple_count = 0usize;
         for p in &pages {
-            let len = encoded_page_len(p);
+            let len = p.wire_bytes().len();
             r.index.push((start_offset + total as u64, len as u32));
             total += len;
             tuple_count += p.len();
@@ -1067,9 +901,7 @@ impl RunStore for FileStore {
     }
 
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
-        // The buffer is the page's own: a dense page keeps it.
-        decode_page_vec(self.read_page_raw(run, idx)?)
-            .map_err(|detail| SortError::corrupt(run, format!("page {idx}: {detail}")))
+        Ok(self.read_block(run, idx, 1)?.remove(0))
     }
 
     fn read_block(&mut self, run: RunId, start: usize, len: usize) -> SortResult<Vec<Page>> {
@@ -1077,7 +909,7 @@ impl RunStore for FileStore {
             return Ok(Vec::new());
         }
         self.drain_run(run)?;
-        let r = self.run_mut(run)?;
+        let r = self.runs.get(&run).ok_or(SortError::UnknownRun(run))?;
         let entries = r.index.get(start..start + len).ok_or_else(|| {
             SortError::corrupt(
                 run,
@@ -1088,25 +920,7 @@ impl RunStore for FileStore {
                 ),
             )
         })?;
-        let first_off = entries[0].0;
-        let total: usize = entries.iter().map(|&(_, l)| l as usize).sum();
-        let entries = entries.to_vec();
-        let mut buf = vec![0u8; total];
-        read_exact_at(&mut r.file, &mut buf, first_off).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SortError::corrupt(
-                    run,
-                    format!("block at page {start} truncated: expected {total} byte(s)"),
-                )
-            } else {
-                SortError::Io(e)
-            }
-        })?;
-        self.trace.emit(EventKind::IoRead {
-            run: run.into(),
-            pages: len,
-        });
-        decode_block(run, start, first_off, &entries, buf)
+        read_pages(&r.file, &self.trace, run, start, entries)
     }
 
     #[cfg(unix)]
@@ -1120,29 +934,11 @@ impl RunStore for FileStore {
             return Some(Box::new(move || Err(e)));
         }
         let trace = self.trace.clone();
-        let r = self.runs.get_mut(&run)?;
+        let r = self.runs.get(&run)?;
         let entries = r.index.get(start..start + len)?.to_vec();
         let file = r.file.try_clone().ok()?;
-        let first_off = entries[0].0;
-        let total: usize = entries.iter().map(|&(_, l)| l as usize).sum();
         Some(Box::new(move || {
-            use std::os::unix::fs::FileExt;
-            let mut buf = vec![0u8; total];
-            file.read_exact_at(&mut buf, first_off).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    SortError::corrupt(
-                        run,
-                        format!("block at page {start} truncated: expected {total} byte(s)"),
-                    )
-                } else {
-                    SortError::Io(e)
-                }
-            })?;
-            trace.emit(EventKind::IoRead {
-                run: run.into(),
-                pages: len,
-            });
-            decode_block(run, start, first_off, &entries, buf)
+            read_pages(&file, &trace, run, start, &entries)
         }))
     }
 
@@ -1231,39 +1027,6 @@ impl RunStore for FileStore {
     }
 }
 
-/// Decode the pages of one contiguous block given its index `entries` and the
-/// raw `buf` that starts at file offset `first_off`.
-///
-/// The block buffer moves behind an `Arc` exactly once; every dense page in
-/// the block then *borrows* its record region out of that one shared
-/// allocation (the zero-copy decode path), while classic pages materialise
-/// their tuples as before.
-fn decode_block(
-    run: RunId,
-    start: usize,
-    first_off: u64,
-    entries: &[(u64, u32)],
-    buf: Vec<u8>,
-) -> SortResult<Vec<Page>> {
-    let shared = Arc::new(buf);
-    let mut out = Vec::with_capacity(entries.len());
-    for (i, &(off, len)) in entries.iter().enumerate() {
-        let s = (off - first_off) as usize;
-        let slice = &shared[s..s + len as usize];
-        let corrupt =
-            |detail: String| SortError::corrupt(run, format!("page {}: {detail}", start + i));
-        let page = if DensePage::is_dense_encoding(slice) {
-            DensePage::decode_shared(&shared, s, len as usize)
-                .map(Page::from_dense)
-                .map_err(corrupt)?
-        } else {
-            decode_page_classic(slice).map_err(corrupt)?
-        };
-        out.push(page);
-    }
-    Ok(out)
-}
-
 /// Test-only helpers shared by error-path tests across modules.
 #[cfg(test)]
 pub(crate) mod test_util {
@@ -1300,7 +1063,7 @@ pub(crate) mod test_util {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::paginate;
+    use crate::tuple::{paginate, Tuple};
 
     fn sample_pages() -> Vec<Page> {
         let tuples: Vec<Tuple> = (0..10).map(|k| Tuple::synthetic(k, 32)).collect();
@@ -1384,9 +1147,10 @@ mod tests {
     fn filestore_roundtrip_synthetic_and_bytes() {
         let mut s = FileStore::in_temp_dir().unwrap();
         let r = s.create_run().unwrap();
-        let mut page = Page::new();
-        page.push(Tuple::synthetic(11, 64));
-        page.push(Tuple::new(7, vec![1, 2, 3, 4, 5]));
+        let page = Page::from_tuples(vec![
+            Tuple::synthetic(11, 64),
+            Tuple::new(7, vec![1, 2, 3, 4, 5]),
+        ]);
         s.append_page(r, page.clone()).unwrap();
         s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(99, 16)]))
             .unwrap();
@@ -1480,19 +1244,50 @@ mod tests {
         assert!(s.delete_run(r).is_ok());
     }
 
+    /// A page in the tuple-at-a-time encoding this crate used to write, and
+    /// plain garbage, are both refused as the corruption they now are — by
+    /// every read path, naming the run and the page, never by a panic.
     #[test]
-    fn decode_rejects_bad_tag_and_trailing_bytes() {
-        // count = 1, key, tag = 9 (invalid)
-        let mut buf = 1u32.to_le_bytes().to_vec();
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        buf.push(9);
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        assert!(decode_page_vec(buf).unwrap_err().contains("tag"));
-
-        // A valid empty page followed by junk.
-        let mut buf = 0u32.to_le_bytes().to_vec();
-        buf.push(1);
-        assert!(decode_page_vec(buf).unwrap_err().contains("trailing"));
+    fn old_format_and_garbage_pages_are_corrupt_run_on_every_read_path() {
+        let mut s = FileStore::in_temp_dir().unwrap();
+        let r = s.create_run().unwrap();
+        let page = Page::from_tuples(vec![Tuple::new(5, vec![7u8; 4]), Tuple::synthetic(6, 64)]);
+        let len = page.wire_bytes().len();
+        s.append_page(r, page.clone()).unwrap();
+        s.append_page(r, page).unwrap();
+        // The old encoding by hand: count, then key | tag | length [| bytes]
+        // per tuple; a bytes payload sized to fill the page's slot exactly.
+        let mut classic = 2u32.to_le_bytes().to_vec();
+        classic.extend_from_slice(&6u64.to_le_bytes());
+        classic.push(0); // synthetic
+        classic.extend_from_slice(&56u32.to_le_bytes());
+        classic.extend_from_slice(&5u64.to_le_bytes());
+        classic.push(1); // bytes
+        let fill = len - classic.len() - 4;
+        classic.extend_from_slice(&(fill as u32).to_le_bytes());
+        classic.resize(len, 7);
+        let path = s.dir().join(format!("run-{r}.bin"));
+        for bad in [classic, vec![0xFFu8; len]] {
+            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
+            f.seek(SeekFrom::Start(len as u64)).unwrap();
+            f.write_all(&bad).unwrap();
+            f.sync_all().unwrap();
+            let job = s.block_read_job(r, 0, 2).expect("FileStore supports jobs");
+            for (via, result) in [
+                ("read_page", s.read_page(r, 1).map(|p| vec![p])),
+                ("read_block", s.read_block(r, 0, 2)),
+                ("block_read_job", job()),
+            ] {
+                match result {
+                    Err(SortError::CorruptRun { run, detail }) => {
+                        assert_eq!(run, r, "{via}");
+                        assert!(detail.starts_with("page 1:"), "{via}: {detail}");
+                    }
+                    other => panic!("{via}: expected CorruptRun, got {other:?}"),
+                }
+            }
+            assert_eq!(s.read_page(r, 0).unwrap().len(), 2, "page 0 is intact");
+        }
     }
 
     #[test]
@@ -1619,11 +1414,12 @@ mod tests {
         let disk_len = std::fs::metadata(s.dir().join(format!("run-{r}.bin")))
             .unwrap()
             .len();
-        let (off, len) = (0u64, {
-            let p = Page::from_tuples(vec![Tuple::synthetic(1, 16)]);
-            encoded_page_len(&p) as u64
-        });
-        assert_eq!(disk_len, off + len, "file truncated to the durable prefix");
+        let durable = Page::from_tuples(vec![Tuple::synthetic(1, 16)]);
+        assert_eq!(
+            disk_len,
+            durable.wire_bytes().len() as u64,
+            "file truncated to the durable prefix"
+        );
     }
 
     #[test]
@@ -1669,21 +1465,6 @@ mod tests {
         }
         assert!(!path.exists(), "drop must sweep the trash");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn encoded_page_len_matches_encoder() {
-        let mut page = Page::new();
-        page.push(Tuple::synthetic(11, 64));
-        page.push(Tuple::new(7, vec![1, 2, 3, 4, 5]));
-        page.push(Tuple::new(8, Vec::new()));
-        let mut buf = Vec::new();
-        encode_page(&page, &mut buf);
-        assert_eq!(encoded_page_len(&page), buf.len());
-        let empty = Page::new();
-        let mut buf2 = Vec::new();
-        encode_page(&empty, &mut buf2);
-        assert_eq!(encoded_page_len(&empty), buf2.len());
     }
 
     #[test]

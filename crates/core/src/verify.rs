@@ -12,14 +12,8 @@ use std::collections::HashMap;
 pub fn collect_run<S: RunStore>(store: &mut S, run: RunId) -> SortResult<Vec<Tuple>> {
     let pages = store.run_pages(run);
     let mut out = Vec::with_capacity(store.run_tuples(run));
-    // One decode scratch for the whole run instead of one allocation per page.
-    let mut scratch = Vec::new();
     for i in 0..pages {
-        out.extend(
-            store
-                .read_page_with_scratch(run, i, &mut scratch)?
-                .into_tuples(),
-        );
+        out.extend(store.read_page(run, i)?.tuples());
     }
     Ok(out)
 }

@@ -3,7 +3,10 @@
 //! the disk model.
 
 use crate::system::SharedSystem;
-use masort_core::{InputSource, NeverSource, Page, PartitionableSource, SortResult, Tuple};
+use masort_core::{
+    InputSource, NeverSource, Page, PartitionableSource, SortResult, Tuple, TupleArena,
+    MIN_DENSE_STRIDE,
+};
 use masort_diskmodel::AccessKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,15 +85,16 @@ impl InputSource for SimRelationSource {
             .borrow_mut()
             .charge_disk(linear, cylinder, 1, AccessKind::Read);
         self.next_page += 1;
-        let mut page = Page::with_capacity(self.tuples_per_page);
+        // A synthetic record is its 12-byte header, whatever its nominal size.
+        let mut page = TupleArena::with_capacity(MIN_DENSE_STRIDE, self.tuples_per_page);
         for _ in 0..self.tuples_per_page {
             let key = match self.key_domain {
                 Some(domain) => self.rng.gen_range(0..domain),
                 None => self.rng.gen::<u64>(),
             };
-            page.push(Tuple::synthetic(key, self.tuple_size));
+            page.push(&Tuple::synthetic(key, self.tuple_size));
         }
-        Ok(Some(page))
+        Ok(Some(page.seal()))
     }
 
     fn total_pages(&self) -> Option<usize> {

@@ -16,7 +16,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 use masort_broker::{JobOutput, SortRequest};
-use masort_core::{ChannelSource, Page, SortError, SortOrder, Tuple};
+use masort_core::{ChannelSource, SortError, SortOrder, Tuple, TupleArena};
 use masort_trace::EventKind;
 
 use crate::codec::{read_frame, write_frame};
@@ -246,6 +246,7 @@ fn run_sort<W: Write>(
         cfg = cfg.with_memory_pages(capped);
     }
     let tuples_per_page = cfg.tuples_per_page();
+    let record_stride = cfg.record_stride();
     // What the job's own geometry says fits half the frame cap.
     let frame_tuples = shared
         .egress_chunk
@@ -308,29 +309,19 @@ fn run_sort<W: Write>(
     // blocks `sink.send`, which stops us reading frames, which fills the TCP
     // window — backpressure all the way to the client.
     let mut sink = Some(sink);
-    let mut pending: Vec<Tuple> = Vec::with_capacity(tuples_per_page);
+    let mut pending = TupleArena::with_capacity(record_stride, tuples_per_page);
     let finished = loop {
         match next_frame(shared, reader) {
             Ok(Some(Frame::Ingest(tuples))) => {
                 let tx = sink.as_ref().expect("sink alive during ingest");
-                // One pass over the frame: top the carried-over partial page
-                // up, send every page that fills, carry the tail over.
-                let mut tuples = tuples.into_iter();
-                let mut closed = false;
-                loop {
-                    pending.extend(tuples.by_ref().take(tuples_per_page - pending.len()));
-                    if pending.len() < tuples_per_page {
-                        break;
-                    }
-                    let next = Vec::with_capacity(tuples_per_page);
-                    let page = Page::from_tuples(std::mem::replace(&mut pending, next));
-                    if tx.send(page).is_err() {
-                        // The sort is already over (failed or reallocated
-                        // away); stop feeding it and report its fate below.
-                        closed = true;
-                        break;
-                    }
-                }
+                // Records go straight into the page under construction; every
+                // page that fills is sent, a partial one carries over. A
+                // refused page means the sort is already over (failed or
+                // reallocated away): stop feeding it, report its fate below.
+                let closed = tuples.iter().any(|t| {
+                    pending.push(t);
+                    pending.len() == tuples_per_page && tx.send(pending.seal()).is_err()
+                });
                 if closed {
                     sink = None;
                     break true;
@@ -339,7 +330,7 @@ fn run_sort<W: Write>(
             Ok(Some(Frame::Fin)) => {
                 let tx = sink.take().expect("sink alive during ingest");
                 if !pending.is_empty() {
-                    let _ = tx.send(Page::from_tuples(std::mem::take(&mut pending)));
+                    let _ = tx.send(pending.seal());
                 }
                 tx.finish();
                 break true;
