@@ -218,17 +218,6 @@ impl SortRequest {
         self
     }
 
-    /// Ask for up to `n` compute workers for this sort's split phase
-    /// (shorthand for setting `cfg.cpu_threads`; default 1 =
-    /// single-threaded). The service grants at most what its shared
-    /// [`cpu_threads`](SortServiceBuilder::cpu_threads) allowance has free at
-    /// admission — compute threads are capped across live sorts the same way
-    /// the page pool is shared.
-    pub fn cpu_threads(mut self, n: usize) -> Self {
-        self.cfg.cpu_threads = n.max(1);
-        self
-    }
-
     /// Store this job's runs in `storage` (default [`RunStorage::InMemory`]).
     pub fn storage(mut self, storage: RunStorage) -> Self {
         self.storage = storage;
@@ -249,7 +238,6 @@ pub struct SortServiceBuilder {
     suspension_wait: Duration,
     io_threads: usize,
     io_pipeline_depth: usize,
-    cpu_threads: usize,
     trace: Trace,
 }
 
@@ -277,7 +265,6 @@ impl Default for SortServiceBuilder {
             suspension_wait: Duration::from_secs(5),
             io_threads: 0,
             io_pipeline_depth: 0,
-            cpu_threads: 0,
             trace: Trace::disabled(),
         }
     }
@@ -331,23 +318,6 @@ impl SortServiceBuilder {
         self
     }
 
-    /// Size of the shared *extra* compute-thread allowance for
-    /// partition-parallel split phases (default 0 = every sort runs
-    /// single-threaded, today's behaviour).
-    ///
-    /// Every live job always has its own worker thread; a job whose request
-    /// asks for `cpu_threads = k` additionally borrows up to `k − 1` threads
-    /// from this allowance at admission and returns them on completion — so
-    /// the *sorting* threads across live sorts stay capped the same way the
-    /// page pool is shared, rather than each job spawning freely. (During a
-    /// parallel split the job's own worker thread is not idle: it becomes the
-    /// store-writer lane, draining the workers' finished run pages into the
-    /// job's run store — work it would otherwise have done inline.)
-    pub fn cpu_threads(mut self, total_extra: usize) -> Self {
-        self.cpu_threads = total_extra;
-        self
-    }
-
     /// Observability: emit admission/budget/phase/I-O events and service
     /// metrics through `trace` (default: disabled, zero overhead). Each job's
     /// events are recorded on [`job_span`]`(job_id)`; admission-queue and
@@ -370,7 +340,6 @@ impl SortServiceBuilder {
                 queue: AdmissionQueue::default(),
                 stats: ServiceStats::default(),
                 next_job: 0,
-                cpu_free: self.cpu_threads,
                 idle_workers: 0,
                 shutdown: false,
             }),
@@ -394,10 +363,6 @@ struct State {
     queue: AdmissionQueue,
     stats: ServiceStats,
     next_job: JobId,
-    /// Unclaimed extra compute threads (see
-    /// [`SortServiceBuilder::cpu_threads`]); borrowed at admission, returned
-    /// at completion.
-    cpu_free: usize,
     /// Workers waiting for something admissible to appear in the queue.
     idle_workers: usize,
     shutdown: bool,
@@ -670,9 +635,6 @@ struct Admitted {
     start_version: u64,
     queued_for: f64,
     admitted_at: f64,
-    /// Total compute workers granted (1 + threads borrowed from the shared
-    /// allowance; the borrowed count goes back at release).
-    cpu_workers: usize,
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -697,12 +659,6 @@ fn worker_loop(shared: Arc<Shared>) {
                     // Make the budget reachable from the ticket; a cancel
                     // that raced this admission is applied to it in there.
                     req.ticket.attach_budget(budget.clone());
-                    // Borrow extra compute workers from the shared allowance:
-                    // grant what is free now rather than queueing for threads
-                    // (memory is the scarce, brokered resource; compute
-                    // degrades gracefully to fewer workers).
-                    let extra = req.cfg.cpu_threads.saturating_sub(1).min(state.cpu_free);
-                    state.cpu_free -= extra;
                     let queued_for = (now - req.submitted_at).max(0.0);
                     state.stats.peak_live = state.stats.peak_live.max(state.broker.live_count());
                     state.stats.total_queue_wait += queued_for;
@@ -714,7 +670,6 @@ fn worker_loop(shared: Arc<Shared>) {
                         budget,
                         queued_for,
                         admitted_at: now,
-                        cpu_workers: 1 + extra,
                     };
                 }
                 if st.shutdown && st.queue.is_empty() {
@@ -887,7 +842,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
         start_version,
         queued_for,
         admitted_at,
-        cpu_workers,
     } = admitted;
     let QueuedRequest {
         job,
@@ -931,8 +885,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
     if cfg.io.pipeline_depth == 0 {
         cfg.io.pipeline_depth = shared.default_io_depth;
     }
-    // Cap the job's compute workers at what the shared allowance granted.
-    cfg.cpu_threads = cpu_workers;
     let tuples_per_page = cfg.tuples_per_page();
     let mut env = RealEnv::starting_at(shared.start);
     env.max_wait = shared.suspension_wait;
@@ -1002,7 +954,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
     let finished_at = shared.now();
     let mut st = shared.lock();
     st.broker.release(job, finished_at);
-    st.cpu_free += cpu_workers - 1;
     st.stats.leaked_pages += leaked as u64;
     if let Some(tenant) = &tenant {
         st.stats.tenant_entry(tenant).total_queue_wait += queued_for;
@@ -1029,7 +980,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 queued_for,
                 ran_for: (finished_at - admitted_at).max(0.0),
                 initial_grant,
-                cpu_workers,
                 reallocations,
                 delay_samples: delays.len(),
                 total_delay: delays.iter().map(DelaySample::delay).sum(),
@@ -1395,84 +1345,6 @@ mod tests {
         let stats = svc.shutdown();
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.failed, 0);
-    }
-
-    #[test]
-    fn compute_threads_are_capped_by_the_shared_allowance() {
-        // 2 extra threads shared service-wide: the first admitted parallel
-        // job can borrow at most 2 (3 workers total), and with the default
-        // allowance of 0 every job runs single-threaded no matter what the
-        // request asks for.
-        let svc = SortService::builder()
-            .pool_pages(32)
-            .workers(1)
-            .cpu_threads(2)
-            .build();
-        let input = random_tuples(4_000, 77);
-        let output = svc
-            .submit(SortRequest::tuples(small_cfg(8), input.clone()).cpu_threads(8))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let (sorted, report) = drain(output);
-        assert_eq!(report.stats.cpu_workers, 3, "1 own + 2 borrowed");
-        assert_sorted_permutation(&input, &sorted);
-        // The borrowed threads came back: a second job gets them again.
-        let report = svc
-            .submit(SortRequest::tuples(small_cfg(8), random_tuples(800, 78)).cpu_threads(2))
-            .unwrap()
-            .wait()
-            .unwrap()
-            .finish();
-        assert_eq!(report.stats.cpu_workers, 2);
-        svc.shutdown();
-
-        let svc = SortService::builder().pool_pages(16).workers(1).build();
-        let report = svc
-            .submit(SortRequest::tuples(small_cfg(8), random_tuples(500, 79)).cpu_threads(4))
-            .unwrap()
-            .wait()
-            .unwrap()
-            .finish();
-        assert_eq!(
-            report.stats.cpu_workers, 1,
-            "no allowance, no extra threads"
-        );
-        svc.shutdown();
-    }
-
-    #[test]
-    fn parallel_jobs_share_the_allowance_and_still_sort_correctly() {
-        let svc = SortService::builder()
-            .pool_pages(48)
-            .workers(3)
-            .cpu_threads(4)
-            .build();
-        let inputs: Vec<Vec<Tuple>> = (0..6).map(|i| random_tuples(3_000, 200 + i)).collect();
-        let tickets: Vec<SortTicket> = inputs
-            .iter()
-            .map(|input| {
-                svc.submit(SortRequest::tuples(small_cfg(8), input.clone()).cpu_threads(3))
-                    .unwrap()
-            })
-            .collect();
-        let mut granted_extra_total = 0usize;
-        for (ticket, input) in tickets.into_iter().zip(&inputs) {
-            let (sorted, report) = drain(ticket.wait().unwrap());
-            assert!(
-                (1..=3).contains(&report.stats.cpu_workers),
-                "granted {} workers",
-                report.stats.cpu_workers
-            );
-            granted_extra_total += report.stats.cpu_workers - 1;
-            assert_sorted_permutation(input, &sorted);
-        }
-        assert!(
-            granted_extra_total > 0,
-            "some job should have gone parallel"
-        );
-        let stats = svc.shutdown();
-        assert_eq!(stats.completed, 6);
     }
 
     #[test]

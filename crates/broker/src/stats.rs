@@ -33,11 +33,6 @@ pub struct JobStats {
     pub ran_for: f64,
     /// Pages granted by the arbitration policy at admission.
     pub initial_grant: usize,
-    /// Compute workers the job's split phase was granted (1 = single-threaded;
-    /// more were borrowed from the service's shared
-    /// [`cpu_threads`](crate::SortServiceBuilder::cpu_threads) allowance and
-    /// returned at completion).
-    pub cpu_workers: usize,
     /// Number of times the broker adjusted this job's page target *after* its
     /// initial grant — i.e. mid-flight reallocations, observed via
     /// [`MemoryBudget::version`](masort_core::MemoryBudget::version).
@@ -185,7 +180,6 @@ mod tests {
             queued_for: 0.5,
             ran_for: 1.5,
             initial_grant: 4,
-            cpu_workers: 1,
             reallocations: 3,
             delay_samples: 0,
             total_delay: 0.0,

@@ -158,7 +158,7 @@ impl SortTicket {
     ///
     /// A job still **queued** is removed from the admission queue on the spot
     /// and this ticket resolves to [`SortError::Cancelled`] immediately — it
-    /// never reserves pages or compute threads. A job already **running** has
+    /// never reserves pages. A job already **running** has
     /// its [`MemoryBudget`] flagged; the sort observes the flag at its next
     /// adaptivity checkpoint (the same points where it polls for memory
     /// changes), aborts with [`SortError::Cancelled`], and releases every

@@ -9,9 +9,7 @@
 //!
 //! Caveat for model authors: wake-ups only propagate *between tasks*. A
 //! plain OS thread releasing a checked lock or sending on a checked channel
-//! cannot wake a blocked task — keep all shared state inside tasks (for
-//! masort models: run sorts with `cpu_threads = 1` so run formation does not
-//! spawn unmanaged scoped threads).
+//! cannot wake a blocked task — keep all shared state inside tasks.
 
 use crate::rt;
 use std::mem::ManuallyDrop;

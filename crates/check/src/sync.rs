@@ -52,8 +52,7 @@ pub mod mpsc {
 /// Thread spawning and sleeping. `std::thread` re-exported in default
 /// builds; cooperative tasks under `cfg(masort_check)`. Note that
 /// `std::thread::scope` is only available in default builds — scoped
-/// threads cannot become explorer tasks (models must avoid them, e.g. by
-/// sorting with `cpu_threads = 1`).
+/// threads cannot become explorer tasks (models must avoid them).
 pub mod thread {
     #[cfg(masort_check)]
     pub use crate::checked::thread::*;

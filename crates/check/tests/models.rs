@@ -6,10 +6,9 @@
 //! RUSTFLAGS="--cfg masort_check" cargo test -p masort-check --test models
 //! ```
 //!
-//! Each model keeps all shared state inside explorer tasks (sorts run with
-//! the default `cpu_threads = 1` so run formation spawns no unmanaged scoped
-//! threads) and uses tiny in-memory inputs so a schedule is a few thousand
-//! scheduling decisions at most.
+//! Each model keeps all shared state inside explorer tasks (a sort spawns no
+//! thread of its own) and uses tiny in-memory inputs so a schedule is a few
+//! thousand scheduling decisions at most.
 #![cfg(masort_check)]
 
 use masort_broker::{SortRequest, SortService};
@@ -33,40 +32,39 @@ fn tuples(n: usize, salt: u64) -> Vec<Tuple> {
         .collect()
 }
 
-/// `MemoryBudget` hierarchy: a parent re-targeting while a child reports
-/// holdings. Every interleaving must preserve the budget invariants (checked
-/// by the debug asserts inside `budget.rs` on every operation) and converge:
-/// once the child reports zero, the root holds zero and no shrink request
-/// can still be pending against an empty holding.
+/// `MemoryBudget`: an owner (the broker) re-targeting through one clone of
+/// the handle while the sort reports holdings through another. Every
+/// interleaving must preserve the budget invariant (checked by the debug
+/// assert inside `budget.rs` on every operation) and converge: once the sort
+/// reports zero, nothing is held, no shrink request can still be pending
+/// against an empty holding, and the target is the last one set.
 #[test]
-fn budget_retarget_races_child_rollup() {
+fn budget_retarget_races_holding_reports() {
     explore_random(&opts(25), || {
-        let root = MemoryBudget::new(16);
-        let child = root.child(0.5);
+        let budget = MemoryBudget::new(16);
         let setter = {
-            let root = root.clone();
+            let budget = budget.clone();
             thread::spawn(move || {
                 for (i, t) in [8usize, 2, 12].into_iter().enumerate() {
-                    root.set_target(t, i as f64);
+                    budget.set_target(t, i as f64);
                 }
             })
         };
         let reporter = {
-            let child = child.clone();
+            let budget = budget.clone();
             thread::spawn(move || {
                 for (i, h) in [4usize, 6, 1, 0].into_iter().enumerate() {
-                    child.record_held(h, 10.0 + i as f64);
+                    budget.record_held(h, 10.0 + i as f64);
                 }
             })
         };
         setter.join().expect("setter panicked");
         reporter.join().expect("reporter panicked");
-        assert_eq!(root.held(), 0, "quiescent child must roll up to zero");
-        assert!(!root.shrink_pending(), "no shortage with zero held");
-        assert!(!child.shrink_pending());
-        assert_eq!(child.target(), 6, "final child target = floor(12 * 0.5)");
+        assert_eq!(budget.held(), 0);
+        assert!(!budget.shrink_pending(), "no shortage with zero held");
+        assert_eq!(budget.target(), 12, "the last target set stands");
     })
-    .expect("no interleaving may break the budget hierarchy");
+    .expect("no interleaving may break the budget");
 }
 
 /// `IoPool` backpressure: one worker, competing submitters, handles redeemed

@@ -17,44 +17,9 @@
 //!
 //! The handle is cheaply cloneable and thread-safe, so a real application can
 //! adjust the budget from another thread while the sort runs.
-//!
-//! # The budget hierarchy
-//!
-//! A partition-parallel sort divides one adaptive grant across N compute
-//! workers. [`MemoryBudget::child`] creates a *sub-budget* holding a fixed
-//! share of its parent; the hierarchy obeys the following contract:
-//!
-//! * **Targets flow down.** Every [`set_target`](MemoryBudget::set_target) on
-//!   a parent re-derives each live child's target as
-//!   `max(1, floor(parent_target × share))` (0 when the parent target is 0),
-//!   so the paper's grow/shrink semantics hold per worker: a shrink of the
-//!   root becomes a proportional shrink of every worker, immediately.
-//! * **Holdings roll up.** A child's
-//!   [`record_held`](MemoryBudget::record_held) adjusts the parent's holding
-//!   by the delta, recursively to the root, so the root always reports the
-//!   sum of what its workers actually hold and a root-level shrink request is
-//!   considered satisfied exactly when the aggregate drops to target.
-//! * **Delay samples aggregate at the root.** A shrink satisfied by a child
-//!   is logged on the *root's* sample list (tagged with the child's current
-//!   phase), so [`take_delays`](MemoryBudget::take_delays) on the root sees
-//!   every worker's response time and per-worker budgets need no draining.
-//! * **No global locks on the hot path.** Each budget has its own lock; a
-//!   worker polling and reporting against its child contends only with the
-//!   (rare) re-targeting walk, never with sibling workers, and no operation
-//!   ever holds two locks at once (rollups re-lock level by level).
-//!
-//! Because every child is floored at one page whenever its parent target is
-//! nonzero (a worker must be able to make progress), the children of a
-//! severely starved root may transiently oversubscribe it — exactly as N
-//! independent single-page sorts would. Quiescent workers report zero pages,
-//! which removes their contribution from every ancestor. A parent with live,
-//! actively-reporting children should not also `record_held` directly: the
-//! sorter uses children only during the split phase and reports directly only
-//! during the (single-threaded) merge phase, after the workers have gone
-//! quiet.
 
 use crate::sync::{Mutex, MutexGuard};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Which phase of the external sort a delay was incurred in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -100,41 +65,31 @@ struct Inner {
     /// adaptivity checkpoint and aborts with
     /// [`SortError::Cancelled`](crate::SortError::Cancelled).
     cancelled: bool,
-    /// Upward link of the budget hierarchy (strong: a worker's child keeps
-    /// the root alive). `None` for root budgets.
-    parent: Option<MemoryBudget>,
-    /// Downward links (weak: a finished worker's child is pruned on the next
-    /// re-target), with the share of the parent target each child receives.
-    children: Vec<ChildSlot>,
     /// Observability handle; disabled unless attached via
     /// [`MemoryBudget::attach_trace`]. Events are emitted outside the budget
     /// lock so tracing never lengthens the critical section.
     trace: masort_trace::Trace,
 }
 
-#[derive(Debug)]
-struct ChildSlot {
-    inner: Weak<Mutex<Inner>>,
-    share: f64,
-}
-
-/// Target a child with `share` of a parent receives: proportional, floored at
-/// one page so the worker can always make progress, except that a zero parent
-/// target propagates as zero (the parent was deliberately starved).
-fn child_target(parent_target: usize, share: f64) -> usize {
-    if parent_target == 0 {
-        0
-    } else {
-        ((parent_target as f64 * share) as usize).max(1)
+impl Inner {
+    /// Close the outstanding shrink request, if there is one, logging how
+    /// long the requester waited.
+    fn satisfy_pending(&mut self, now: f64) {
+        if let Some(since) = self.pending_since.take() {
+            self.delays.push(DelaySample {
+                phase: self.phase,
+                requested_at: since,
+                satisfied_at: now,
+            });
+        }
     }
 }
 
 /// Debug-build invariant check, run at the end of every mutating critical
 /// section while the budget lock is still held. The one cross-field
 /// invariant every mutation must preserve: a shrink request stays pending
-/// *exactly* while the sort holds more than its target — `set_target`,
-/// `record_held` and the child roll-up all clear `pending_since` the moment
-/// `held <= target`.
+/// *exactly* while the sort holds more than its target — `set_target` and
+/// `record_held` both clear `pending_since` the moment `held <= target`.
 #[cfg(debug_assertions)]
 fn check_inner(g: &Inner) {
     debug_assert!(
@@ -189,8 +144,6 @@ impl MemoryBudget {
                 delays: Vec::new(),
                 version: 0,
                 cancelled: false,
-                parent: None,
-                children: Vec::new(),
                 trace: masort_trace::Trace::disabled(),
             })),
         }
@@ -201,128 +154,6 @@ impl MemoryBudget {
     /// disabled handle, which costs one branch per change.
     pub fn attach_trace(&self, trace: masort_trace::Trace) {
         self.lock().trace = trace;
-    }
-
-    /// Create a sub-budget entitled to `share` (clamped to `(0, 1]`) of this
-    /// budget's target, for one worker of a partition-parallel sort.
-    ///
-    /// The child starts at `max(1, floor(target × share))` pages and is
-    /// re-derived on every [`set_target`](Self::set_target) of this budget;
-    /// its [`record_held`](Self::record_held) calls roll up here (and on to
-    /// the root), and the delay samples it records aggregate at the root. See
-    /// the [module documentation](self) for the full hierarchy contract.
-    pub fn child(&self, share: f64) -> MemoryBudget {
-        let share = if share.is_finite() && share > 0.0 {
-            share.min(1.0)
-        } else {
-            1.0
-        };
-        // Derive the initial target and register the child under ONE parent
-        // lock acquisition: reading the target and registering separately
-        // would let a concurrent `set_target` slip between the two, leaving
-        // the child with a stale target that no re-targeting walk corrects.
-        let mut g = self.lock();
-        let child = MemoryBudget {
-            inner: Arc::new(Mutex::new(Inner {
-                target: child_target(g.target, share),
-                held: 0,
-                phase: g.phase,
-                pending_since: None,
-                delays: Vec::new(),
-                version: 0,
-                cancelled: g.cancelled,
-                parent: Some(self.clone()),
-                children: Vec::new(),
-                // Workers report through their own budgets but the grant
-                // trajectory of interest is the root's; children stay silent.
-                trace: masort_trace::Trace::disabled(),
-            })),
-        };
-        g.children.retain(|c| c.inner.strong_count() > 0);
-        g.children.push(ChildSlot {
-            inner: Arc::downgrade(&child.inner),
-            share,
-        });
-        child
-    }
-
-    /// True if this budget was created by [`child`](Self::child).
-    pub fn is_child(&self) -> bool {
-        self.lock().parent.is_some()
-    }
-
-    /// Live children (pruning dead ones), collected so the caller can visit
-    /// them *after* releasing this budget's lock — no two hierarchy locks are
-    /// ever held at once.
-    fn live_children(g: &mut MutexGuard<'_, Inner>) -> Vec<(MemoryBudget, f64)> {
-        g.children.retain(|c| c.inner.strong_count() > 0);
-        g.children
-            .iter()
-            .filter_map(|c| {
-                c.inner
-                    .upgrade()
-                    .map(|inner| (MemoryBudget { inner }, c.share))
-            })
-            .collect()
-    }
-
-    /// The root of this budget's hierarchy (itself for non-child budgets).
-    fn root(&self) -> MemoryBudget {
-        let mut cur = self.clone();
-        loop {
-            let parent = cur.lock().parent.clone();
-            match parent {
-                Some(p) => cur = p,
-                None => return cur,
-            }
-        }
-    }
-
-    /// Log a delay sample where the hierarchy aggregates them: at the root.
-    fn push_delay_at_root(&self, sample: DelaySample) {
-        self.root().lock().delays.push(sample);
-    }
-
-    /// Fold a child's holding change into this budget (and its ancestors):
-    /// the delta adjusts `held`, satisfying a pending shrink request exactly
-    /// like a direct [`record_held`](Self::record_held) would.
-    fn apply_child_delta(&self, delta: isize, now: f64) {
-        let (parent, sample) = {
-            let mut g = self.lock();
-            // A roll-up that would underflow means a child released more
-            // pages than were ever accumulated here — a protocol violation
-            // (e.g. a parent overwrote its holding with `record_held` while
-            // workers were still reporting). Saturation hides it in release;
-            // debug builds refuse.
-            debug_assert!(
-                g.held.checked_add_signed(delta).is_some(),
-                "budget roll-up underflow: child delta {delta} on held {}",
-                g.held,
-            );
-            g.held = g.held.saturating_add_signed(delta);
-            let sample = match g.pending_since {
-                Some(since) if g.held <= g.target => {
-                    g.pending_since = None;
-                    Some(DelaySample {
-                        phase: g.phase,
-                        requested_at: since,
-                        satisfied_at: now,
-                    })
-                }
-                _ => None,
-            };
-            check_inner(&g);
-            (g.parent.clone(), sample)
-        };
-        if let Some(sample) = sample {
-            match &parent {
-                Some(_) => self.push_delay_at_root(sample),
-                None => self.lock().delays.push(sample),
-            }
-        }
-        if let Some(p) = parent {
-            p.apply_child_delta(delta, now);
-        }
     }
 
     /// Current page target (how many pages the sort is allowed to hold).
@@ -358,12 +189,11 @@ impl MemoryBudget {
     /// definition of split/merge-phase delays as "the time the method takes to
     /// respond to memory shortages".
     pub fn set_target(&self, pages: usize, now: f64) {
-        let (children, is_child, sample, trace, prev) = {
+        let (trace, prev) = {
             let mut g = self.lock();
             let prev = g.target;
             g.target = pages;
             g.version += 1;
-            let mut sample = None;
             if g.held > pages {
                 // Outstanding shortage: keep the earliest request time so the
                 // measured delay covers the whole time the requester waited.
@@ -373,39 +203,16 @@ impl MemoryBudget {
             } else {
                 // Growth (or an already-satisfied shrink): any pending
                 // shortage is now moot.
-                if let Some(since) = g.pending_since.take() {
-                    sample = Some(DelaySample {
-                        phase: g.phase,
-                        requested_at: since,
-                        satisfied_at: now,
-                    });
-                }
+                g.satisfy_pending(now);
             }
             check_inner(&g);
-            (
-                Self::live_children(&mut g),
-                g.parent.is_some(),
-                sample,
-                g.trace.clone(),
-                prev,
-            )
+            (g.trace.clone(), prev)
         };
         if trace.is_enabled() && prev != pages {
             trace.emit(masort_trace::EventKind::BudgetTarget {
                 prev,
                 target: pages,
             });
-        }
-        if let Some(sample) = sample {
-            if is_child {
-                self.push_delay_at_root(sample);
-            } else {
-                self.lock().delays.push(sample);
-            }
-        }
-        // Re-derive every live child's target from its share of the new one.
-        for (child, share) in children {
-            child.set_target(child_target(pages, share), now);
         }
     }
 
@@ -414,52 +221,25 @@ impl MemoryBudget {
     /// If a shrink request was pending and the new holding satisfies it, the
     /// delay is logged.
     pub fn record_held(&self, pages: usize, now: f64) {
-        let (delta, parent, sample, trace, prev) = {
+        let (trace, prev) = {
             let mut g = self.lock();
             let prev = g.held;
-            let delta = pages as isize - g.held as isize;
             g.held = pages;
-            let mut sample = None;
-            if let Some(since) = g.pending_since {
-                if pages <= g.target {
-                    sample = Some(DelaySample {
-                        phase: g.phase,
-                        requested_at: since,
-                        satisfied_at: now,
-                    });
-                    g.pending_since = None;
-                }
+            if pages <= g.target {
+                g.satisfy_pending(now);
             }
             check_inner(&g);
-            (delta, g.parent.clone(), sample, g.trace.clone(), prev)
+            (g.trace.clone(), prev)
         };
-        if trace.is_enabled() && delta != 0 {
+        if trace.is_enabled() && prev != pages {
             trace.emit(masort_trace::EventKind::BudgetHeld { prev, held: pages });
-        }
-        if let Some(sample) = sample {
-            match &parent {
-                Some(_) => self.push_delay_at_root(sample),
-                None => self.lock().delays.push(sample),
-            }
-        }
-        if let Some(p) = parent {
-            if delta != 0 {
-                p.apply_child_delta(delta, now);
-            }
         }
     }
 
     /// Tell the budget which sort phase is executing, so that delay samples
-    /// are attributed correctly. Propagates to live children.
+    /// are attributed correctly.
     pub fn set_phase(&self, phase: SortPhase) {
-        let children = {
-            let mut g = self.lock();
-            g.phase = phase;
-            Self::live_children(&mut g)
-        };
-        for (child, _) in children {
-            child.set_phase(phase);
-        }
+        self.lock().phase = phase;
     }
 
     /// Phase most recently declared with [`set_phase`](Self::set_phase).
@@ -468,17 +248,11 @@ impl MemoryBudget {
     }
 
     /// Drain and return all delay samples recorded so far.
-    ///
-    /// Samples recorded by [`child`](Self::child) budgets aggregate at the
-    /// root, so draining the root returns every worker's samples and draining
-    /// a child returns nothing.
     pub fn take_delays(&self) -> Vec<DelaySample> {
         std::mem::take(&mut self.lock().delays)
     }
 
     /// Number of delay samples currently recorded (without draining them).
-    /// Like [`take_delays`](Self::take_delays), child samples live at the
-    /// root.
     pub fn delay_count(&self) -> usize {
         self.lock().delays.len()
     }
@@ -493,22 +267,13 @@ impl MemoryBudget {
     /// The sort observes the flag at its next adaptivity checkpoint — the
     /// same points where it polls for target changes — and returns
     /// [`SortError::Cancelled`](crate::SortError::Cancelled), releasing every
-    /// page it holds on the way out. Propagates to live
-    /// [`child`](Self::child) budgets so partition-parallel workers stop too;
-    /// cancelling is irreversible for the budget's lifetime.
+    /// page it holds on the way out. Cancelling is irreversible for the
+    /// budget's lifetime.
     pub fn cancel(&self) {
-        let children = {
-            let mut g = self.lock();
-            g.cancelled = true;
-            Self::live_children(&mut g)
-        };
-        for (child, _) in children {
-            child.cancel();
-        }
+        self.lock().cancelled = true;
     }
 
-    /// True once [`cancel`](Self::cancel) has been called on this budget (or
-    /// an ancestor, for budgets created afterwards).
+    /// True once [`cancel`](Self::cancel) has been called on this budget.
     pub fn is_cancelled(&self) -> bool {
         self.lock().cancelled
     }
@@ -632,143 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn child_targets_rederive_on_parent_set_target() {
-        let root = MemoryBudget::new(16);
-        let a = root.child(0.5);
-        let b = root.child(0.5);
-        assert_eq!(a.target(), 8);
-        assert_eq!(b.target(), 8);
-        root.set_target(9, 1.0);
-        assert_eq!(a.target(), 4);
-        assert_eq!(b.target(), 4);
-        // Floored at one page while the parent has any grant at all...
-        root.set_target(1, 2.0);
-        assert_eq!(a.target(), 1);
-        assert_eq!(b.target(), 1);
-        // ...but a deliberately starved parent starves the children too.
-        root.set_target(0, 3.0);
-        assert_eq!(a.target(), 0);
-        assert!(a.is_child() && !root.is_child());
-    }
-
-    #[test]
-    fn child_holdings_roll_up_to_the_root() {
-        let root = MemoryBudget::new(16);
-        let a = root.child(0.5);
-        let b = root.child(0.5);
-        a.record_held(5, 0.0);
-        b.record_held(3, 0.1);
-        assert_eq!(root.held(), 8);
-        a.record_held(2, 0.2);
-        assert_eq!(root.held(), 5);
-        b.record_held(0, 0.3);
-        assert_eq!(root.held(), 2);
-    }
-
-    #[test]
-    fn root_shrink_is_satisfied_by_aggregate_child_holdings() {
-        let root = MemoryBudget::new(16);
-        let a = root.child(0.5);
-        let b = root.child(0.5);
-        a.record_held(8, 0.0);
-        b.record_held(8, 0.0);
-        root.set_target(6, 1.0);
-        assert!(root.shrink_pending());
-        // Children saw proportional shrinks (3 pages each) and respond.
-        a.record_held(3, 2.0);
-        assert!(root.shrink_pending(), "aggregate still above root target");
-        b.record_held(3, 4.0);
-        assert!(!root.shrink_pending());
-        // Root sample (aggregate satisfied at 4.0) plus one per child, all
-        // aggregated at the root.
-        let d = root.take_delays();
-        assert_eq!(d.len(), 3);
-        assert!(d.iter().any(|s| (s.delay() - 3.0).abs() < 1e-9));
-        assert!(a.take_delays().is_empty(), "children hold no samples");
-    }
-
-    #[test]
-    fn child_delay_samples_aggregate_at_root_with_child_phase() {
-        let root = MemoryBudget::new(8);
-        let child = root.child(1.0);
-        child.record_held(8, 0.0);
-        child.set_target(2, 1.0);
-        assert!(child.shrink_pending());
-        child.record_held(2, 3.0);
-        assert_eq!(child.delay_count(), 0);
-        let d = root.take_delays();
-        assert_eq!(d.len(), 1);
-        assert!((d[0].delay() - 2.0).abs() < 1e-9);
-        assert_eq!(d[0].phase, SortPhase::Split);
-    }
-
-    #[test]
-    fn dropped_children_are_pruned_and_stop_receiving_targets() {
-        let root = MemoryBudget::new(16);
-        let a = root.child(0.25);
-        drop(root.child(0.25));
-        root.set_target(8, 0.0);
-        assert_eq!(a.target(), 2);
-        // The dead slot is gone; only `a` remains registered.
-        assert_eq!(root.lock().children.len(), 1);
-    }
-
-    #[test]
-    fn grandchildren_roll_all_the_way_up() {
-        let root = MemoryBudget::new(16);
-        let mid = root.child(0.5);
-        let leaf = mid.child(0.5);
-        assert_eq!(leaf.target(), 4);
-        leaf.record_held(3, 0.0);
-        assert_eq!(mid.held(), 3);
-        assert_eq!(root.held(), 3);
-        root.set_target(8, 1.0);
-        assert_eq!(leaf.target(), 2);
-        leaf.record_held(0, 2.0);
-        assert_eq!(root.held(), 0);
-    }
-
-    #[test]
-    fn phase_propagates_to_children() {
-        let root = MemoryBudget::new(8);
-        let child = root.child(0.5);
-        root.set_phase(SortPhase::Merge);
-        assert_eq!(child.phase(), SortPhase::Merge);
-    }
-
-    #[test]
-    fn hierarchy_thread_safety_smoke() {
-        // Concurrent parent re-targeting vs child reporting must not deadlock
-        // (no operation holds two hierarchy locks at once).
-        let root = MemoryBudget::new(32);
-        let children: Vec<MemoryBudget> = (0..4).map(|_| root.child(0.25)).collect();
-        let wobbler = {
-            let root = root.clone();
-            std::thread::spawn(move || {
-                for i in 0..500usize {
-                    root.set_target(8 + (i % 32), i as f64);
-                }
-            })
-        };
-        let workers: Vec<_> = children
-            .into_iter()
-            .map(|c| {
-                std::thread::spawn(move || {
-                    for i in 0..500usize {
-                        c.record_held(c.target().min(i % 9), i as f64);
-                    }
-                    c.record_held(0, 1000.0);
-                })
-            })
-            .collect();
-        wobbler.join().unwrap();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(root.held(), 0, "quiescent children contribute nothing");
-    }
-
-    #[test]
     fn thread_safety_smoke() {
         let b = MemoryBudget::new(16);
         let b2 = b.clone();
@@ -795,17 +423,5 @@ mod tests {
         assert!(clone.is_cancelled(), "clones share the flag");
         b.cancel(); // idempotent
         assert!(b.is_cancelled());
-    }
-
-    #[test]
-    fn cancel_propagates_to_children_both_ways() {
-        // Children created before the cancel are told directly...
-        let root = MemoryBudget::new(16);
-        let child = root.child(0.5);
-        root.cancel();
-        assert!(child.is_cancelled());
-        // ...and children created after inherit the flag at birth.
-        let late = root.child(0.25);
-        assert!(late.is_cancelled());
     }
 }

@@ -296,14 +296,6 @@ pub struct SortConfig {
     /// default disables it, keeping every transfer synchronous and
     /// page-at-a-time exactly as the paper models.
     pub io: crate::io::IoConfig,
-    /// Compute workers for the split phase. The default of 1 runs run
-    /// formation on the calling thread exactly as before; `n ≥ 2` partitions
-    /// the input across `n` workers, each sorting against a
-    /// [`MemoryBudget::child`](crate::MemoryBudget::child) share of the one
-    /// adaptive budget. Takes effect only when the input can be partitioned
-    /// and the environment can fork workers (the deterministic simulator
-    /// cannot, so simulated sorts always stay single-threaded).
-    pub cpu_threads: usize,
 }
 
 impl Default for SortConfig {
@@ -317,7 +309,6 @@ impl Default for SortConfig {
             algorithm: AlgorithmSpec::recommended(),
             order: SortOrder::ascending(),
             io: crate::io::IoConfig::default(),
-            cpu_threads: 1,
         }
     }
 }
@@ -393,15 +384,6 @@ impl SortConfig {
         self
     }
 
-    /// Builder-style override of the split-phase compute worker count.
-    ///
-    /// A zero value is stored as-is and rejected by [`validate`](Self::validate)
-    /// (i.e. at `SortJobBuilder::build` time) rather than panicking here.
-    pub fn with_cpu_threads(mut self, threads: usize) -> Self {
-        self.cpu_threads = threads;
-        self
-    }
-
     /// Check that this configuration describes a runnable sort.
     ///
     /// The `with_*` builder methods store what they are given and the fields
@@ -423,11 +405,6 @@ impl SortConfig {
         if self.memory_pages == 0 {
             return Err(SortError::invalid_config(
                 "memory_pages must be at least 1 (the sort cannot run with zero buffers)",
-            ));
-        }
-        if self.cpu_threads == 0 {
-            return Err(SortError::invalid_config(
-                "cpu_threads must be at least 1 (1 = single-threaded run formation)",
             ));
         }
         if let RunFormation::ReplacementSelect { block_pages }
@@ -540,15 +517,6 @@ mod tests {
         assert_eq!(cfg.memory_pages, 0, "stored as given, not clamped");
         let err = cfg.validate();
         assert!(matches!(err, Err(SortError::InvalidConfig(_))), "{err:?}");
-    }
-
-    #[test]
-    fn zero_cpu_threads_is_rejected_at_validate_not_construction() {
-        let cfg = SortConfig::default().with_cpu_threads(0);
-        let err = cfg.validate();
-        assert!(matches!(err, Err(SortError::InvalidConfig(_))), "{err:?}");
-        assert!(SortConfig::default().with_cpu_threads(4).validate().is_ok());
-        assert_eq!(SortConfig::default().cpu_threads, 1, "default stays serial");
     }
 
     #[test]

@@ -64,18 +64,6 @@ pub trait SortEnv {
         None
     }
 
-    /// Fork an independent environment for one compute worker of a
-    /// partition-parallel split phase. `None` (the default) declares that
-    /// this environment cannot host parallel workers — deterministic
-    /// simulation environments stay `None`, so a simulated sort always runs
-    /// single-threaded regardless of `cpu_threads` — and the sort falls back
-    /// to one compute thread. Forked environments should share this
-    /// environment's clock origin so the phase timestamps of all workers
-    /// agree.
-    fn fork_worker(&self) -> Option<Box<dyn SortEnv + Send>> {
-        None
-    }
-
     /// The observability handle the sort emits trace events and metrics
     /// through. The default is the disabled handle — a single branch on
     /// every emission point, so an uninstrumented environment pays nothing
@@ -108,10 +96,6 @@ impl<E: SortEnv + ?Sized> SortEnv for Box<E> {
 
     fn io_pool(&self) -> Option<crate::io::IoPool> {
         (**self).io_pool()
-    }
-
-    fn fork_worker(&self) -> Option<Box<dyn SortEnv + Send>> {
-        (**self).fork_worker()
     }
 
     fn trace(&self) -> masort_trace::Trace {
@@ -211,18 +195,6 @@ impl SortEnv for RealEnv {
 
     fn io_pool(&self) -> Option<crate::io::IoPool> {
         self.io_pool.clone()
-    }
-
-    fn fork_worker(&self) -> Option<Box<dyn SortEnv + Send>> {
-        // Same clock origin, waiting behaviour and I/O pool; wall-clock time
-        // needs no synchronisation between threads.
-        Some(Box::new(RealEnv {
-            start: self.start,
-            max_wait: self.max_wait,
-            poll_interval: self.poll_interval,
-            io_pool: self.io_pool.clone(),
-            trace: self.trace.clone(),
-        }))
     }
 
     fn trace(&self) -> masort_trace::Trace {

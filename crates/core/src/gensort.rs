@@ -18,7 +18,7 @@
 //! bytes.
 
 use crate::error::{SortError, SortResult};
-use crate::input::{InputSource, NeverSource, PartitionableSource};
+use crate::input::InputSource;
 use crate::layout::{PayloadRef, TupleArena, RECORD_HEADER};
 use crate::order::{normalized_prefix, SortOrder};
 use crate::tuple::{Page, Payload, Tuple};
@@ -141,16 +141,6 @@ impl InputSource for GensortFileSource {
 
     fn total_tuples(&self) -> Option<usize> {
         Some(self.total_records)
-    }
-}
-
-impl PartitionableSource for GensortFileSource {
-    type Part = NeverSource;
-
-    /// Always declines: the file is read sequentially so run contents (and
-    /// therefore the sorted output bytes) are deterministic.
-    fn partition(self, _parts: usize) -> Result<Vec<Self::Part>, Self> {
-        Err(self)
     }
 }
 

@@ -2,13 +2,12 @@
 
 use crate::error::SortResult;
 use crate::layout::{TupleArena, MIN_DENSE_STRIDE};
-use crate::sync::{mpsc, Mutex};
+use crate::sync::mpsc;
 use crate::tuple::{paginate, Page, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// A stream of input pages for the split phase.
 ///
@@ -45,75 +44,23 @@ impl<T: InputSource + ?Sized> InputSource for Box<T> {
     }
 }
 
-/// An [`InputSource`] that can split itself into independent page streams for
-/// partition-parallel run formation.
+/// A transparent wrapper: `Unsplit(source)` is `source`.
 ///
-/// [`partition`](Self::partition) either hands back up to `parts` sources
-/// that *together* produce exactly the pages this source would have produced
-/// (the multiset of tuples is preserved; per-part order is up to the
-/// implementation), or returns the source unchanged (`Err`) when it cannot —
-/// or will not — split, in which case the sort falls back to a single
-/// compute thread.
-///
-/// Implementations choose their own strategy:
-///
-/// * [`VecSource`] and [`GenSource`] split by **page range** — each part owns
-///   a contiguous, lock-free slice of the input.
-/// * [`IterSource`] and boxed `dyn` sources split through [`SharedSource`],
-///   the **locked fallback**: every part pulls pages from the one underlying
-///   source through a mutex, which load-balances like round-robin without
-///   requiring the source to know how to split.
-/// * Sources that must stay on one thread (e.g. the simulator's) can declare
-///   [`NeverSource`] as their [`Part`](Self::Part) and always return `Err`.
-pub trait PartitionableSource: InputSource + Sized {
-    /// The per-worker source type produced by a successful split.
-    type Part: InputSource + Send + 'static;
-
-    /// Split into at most `parts` (≥ 2) sources, or return `Err(self)` to
-    /// decline (the caller then sorts on a single thread).
-    fn partition(self, parts: usize) -> Result<Vec<Self::Part>, Self>;
-}
-
-/// The uninhabited [`InputSource`]: declared as the
-/// [`PartitionableSource::Part`] of sources that never split.
-#[derive(Debug)]
-pub enum NeverSource {}
-
-impl InputSource for NeverSource {
-    fn next_page(&mut self) -> SortResult<Option<Page>> {
-        match *self {}
-    }
-}
-
-/// Adapter that makes any [`InputSource`] a [`PartitionableSource`] by always
-/// declining to split, so it sorts on a single compute thread.
-///
-/// `SortJob::run` requires a `PartitionableSource`. Custom source types can
-/// implement the trait themselves (two lines with [`NeverSource`], or via
-/// [`SharedSource::split`] if they are `Send`); `Unsplit` is the zero-effort
-/// alternative for sources that should simply never parallelise:
+/// Kept only because the end-to-end harness names it
+/// (`benchmark/src/file.rs`), from when a sort's input had to say whether it
+/// could be split across run-formation threads; it goes with the next
+/// `[benchmark]` PR. Pass sources to `SortJob::builder().input(..)` bare.
 ///
 /// ```
 /// use masort_core::prelude::*;
 /// use masort_core::Unsplit;
 ///
-/// struct Ones(usize);
-/// impl InputSource for Ones {
-///     fn next_page(&mut self) -> SortResult<Option<Page>> {
-///         if self.0 == 0 {
-///             return Ok(None);
-///         }
-///         self.0 -= 1;
-///         Ok(Some(Page::from_tuples(vec![Tuple::synthetic(1, 64)])))
-///     }
-/// }
-///
 /// let sorted = SortJob::builder()
-///     .input(Unsplit(Ones(3)))
+///     .input(Unsplit(GenSource::new(3, 8, 64, 1)))
 ///     .build()?
 ///     .run()?
 ///     .into_sorted_vec()?;
-/// assert_eq!(sorted.len(), 3);
+/// assert_eq!(sorted.len(), 24);
 /// # Ok::<(), masort_core::SortError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -130,83 +77,6 @@ impl<I: InputSource> InputSource for Unsplit<I> {
 
     fn total_tuples(&self) -> Option<usize> {
         self.0.total_tuples()
-    }
-}
-
-impl<I: InputSource> PartitionableSource for Unsplit<I> {
-    type Part = NeverSource;
-
-    fn partition(self, _parts: usize) -> Result<Vec<NeverSource>, Self> {
-        Err(self)
-    }
-}
-
-/// The locked fallback splitter: hands out any number of handles that pull
-/// pages from one shared [`InputSource`] through a mutex.
-///
-/// Workers draining handles concurrently get demand-driven (round-robin-like)
-/// load balancing; the underlying source still produces each page exactly
-/// once, in its own order.
-#[derive(Debug)]
-pub struct SharedSource<I> {
-    inner: Arc<Mutex<I>>,
-}
-
-impl<I> Clone for SharedSource<I> {
-    fn clone(&self) -> Self {
-        SharedSource {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<I: InputSource> SharedSource<I> {
-    /// Wrap `source` and return `parts` handles draining it cooperatively.
-    pub fn split(source: I, parts: usize) -> Vec<SharedSource<I>> {
-        let handle = SharedSource {
-            inner: Arc::new(Mutex::new(source)),
-        };
-        let mut out = Vec::with_capacity(parts.max(1));
-        for _ in 1..parts.max(1) {
-            out.push(handle.clone());
-        }
-        out.push(handle);
-        out
-    }
-}
-
-impl<I: InputSource> InputSource for SharedSource<I> {
-    fn next_page(&mut self) -> SortResult<Option<Page>> {
-        // A panicking sibling worker must not wedge the rest of the sort:
-        // the shim's lock() recovers poison instead of propagating it.
-        self.inner.lock().next_page()
-    }
-}
-
-impl<I: InputSource + Send + 'static> PartitionableSource for SharedSource<I> {
-    type Part = SharedSource<I>;
-
-    fn partition(self, parts: usize) -> Result<Vec<SharedSource<I>>, Self> {
-        if parts < 2 {
-            return Err(self);
-        }
-        let mut out = Vec::with_capacity(parts);
-        for _ in 1..parts {
-            out.push(self.clone());
-        }
-        out.push(self);
-        Ok(out)
-    }
-}
-
-impl PartitionableSource for Box<dyn InputSource + Send> {
-    type Part = SharedSource<Box<dyn InputSource + Send>>;
-
-    fn partition(self, parts: usize) -> Result<Vec<Self::Part>, Self> {
-        if parts < 2 {
-            return Err(self);
-        }
-        Ok(SharedSource::split(self, parts))
     }
 }
 
@@ -249,28 +119,6 @@ impl InputSource for VecSource {
     }
 }
 
-impl PartitionableSource for VecSource {
-    type Part = VecSource;
-
-    /// Range split: part `i` owns the `i`-th contiguous chunk of the
-    /// remaining pages, so workers share nothing.
-    fn partition(self, parts: usize) -> Result<Vec<VecSource>, Self> {
-        if parts < 2 {
-            return Err(self);
-        }
-        let mut pages: VecDeque<Page> = self.pages;
-        let total = pages.len();
-        let base = total / parts;
-        let extra = total % parts;
-        let mut out = Vec::with_capacity(parts);
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            out.push(VecSource::from_pages(pages.drain(..len).collect()));
-        }
-        Ok(out)
-    }
-}
-
 /// An [`InputSource`] that wraps any iterator of tuples.
 pub struct IterSource<I> {
     iter: I,
@@ -301,29 +149,13 @@ impl<I: Iterator<Item = Tuple>> InputSource for IterSource<I> {
     }
 }
 
-impl<I: Iterator<Item = Tuple> + Send + 'static> PartitionableSource for IterSource<I> {
-    type Part = SharedSource<IterSource<I>>;
-
-    /// An iterator cannot be split in place; workers round-robin pages out of
-    /// it through the locked fallback instead.
-    fn partition(self, parts: usize) -> Result<Vec<Self::Part>, Self> {
-        if parts < 2 {
-            return Err(self);
-        }
-        Ok(SharedSource::split(self, parts))
-    }
-}
-
 /// Key-order profile of a [`GenSource`] relation: how much pre-existing
 /// order the generated key stream carries. The default is fully random; the
 /// other profiles exercise natural-run formation
 /// ([`crate::RunFormation::NaturalSelect`]) from its best case (long ascending
 /// stretches) to its adversarial case (sawtooth ramps shorter than memory).
 ///
-/// Every profile consumes exactly **one** random draw per tuple, so a
-/// profiled source partitions exactly like a random one — part `i` replays
-/// and discards the draws of the parts before it, and the union of the parts
-/// is tuple-for-tuple the sequential stream regardless of profile.
+/// Every profile consumes exactly **one** random draw per tuple.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum GenOrder {
     /// Uniformly-random 64-bit keys (the paper's synthetic relations).
@@ -411,11 +243,8 @@ pub struct GenSource {
     tuple_size: usize,
     rng: StdRng,
     order: GenOrder,
-    /// Global index of the next tuple this part generates.
+    /// Index of the next tuple to generate (position-derived profiles).
     next_index: usize,
-    /// Tuples in the whole (unpartitioned) relation — position-derived
-    /// profiles need the global span, not this part's.
-    grand_total: usize,
 }
 
 impl GenSource {
@@ -430,54 +259,14 @@ impl GenSource {
             rng: StdRng::seed_from_u64(seed),
             order: GenOrder::Random,
             next_index: 0,
-            grand_total: total_pages * tuples_per_page,
         }
     }
 
     /// Generate keys under `order` instead of fully random. Set this before
-    /// consuming or partitioning the source.
+    /// consuming the source.
     pub fn with_order(mut self, order: GenOrder) -> Self {
         self.order = order;
         self
-    }
-}
-
-impl PartitionableSource for GenSource {
-    type Part = GenSource;
-
-    /// Range split: part `i` generates the `i`-th contiguous chunk of the
-    /// remaining pages by replaying (and discarding) the random draws of the
-    /// chunks before it, so the union of the parts is tuple-for-tuple the
-    /// stream this source would have generated sequentially.
-    fn partition(self, parts: usize) -> Result<Vec<GenSource>, Self> {
-        if parts < 2 {
-            return Err(self);
-        }
-        let total = self.remaining;
-        let base = total / parts;
-        let extra = total % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut rng = self.rng;
-        let mut next_index = self.next_index;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            out.push(GenSource {
-                remaining: len,
-                total: len,
-                tuples_per_page: self.tuples_per_page,
-                tuple_size: self.tuple_size,
-                rng: rng.clone(),
-                order: self.order,
-                next_index,
-                grand_total: self.grand_total,
-            });
-            // Skip this part's draws so the next part starts where it ends.
-            for _ in 0..len * self.tuples_per_page {
-                let _ = rng.gen::<u64>();
-            }
-            next_index += len * self.tuples_per_page;
-        }
-        Ok(out)
     }
 }
 
@@ -489,10 +278,11 @@ impl InputSource for GenSource {
         self.remaining -= 1;
         // A synthetic record is its 12-byte header, whatever its nominal size.
         let mut page = TupleArena::with_capacity(MIN_DENSE_STRIDE, self.tuples_per_page);
+        let total_tuples = self.total * self.tuples_per_page;
         for _ in 0..self.tuples_per_page {
             let key = self
                 .order
-                .key_for(self.rng.gen::<u64>(), self.next_index, self.grand_total);
+                .key_for(self.rng.gen::<u64>(), self.next_index, total_tuples);
             self.next_index += 1;
             page.push(&Tuple::synthetic(key, self.tuple_size));
         }
@@ -653,19 +443,6 @@ impl InputSource for ChannelSource {
     }
 }
 
-impl PartitionableSource for ChannelSource {
-    type Part = SharedSource<ChannelSource>;
-
-    /// A channel cannot be split in place; workers round-robin pages out of
-    /// it through the locked fallback instead.
-    fn partition(self, parts: usize) -> Result<Vec<Self::Part>, Self> {
-        if parts < 2 {
-            return Err(self);
-        }
-        Ok(SharedSource::split(self, parts))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,67 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_source_partition_is_a_contiguous_range_split() {
-        let tuples: Vec<Tuple> = (0..22).map(|k| Tuple::synthetic(k, 16)).collect();
-        let whole = drain_keys(VecSource::from_tuples(tuples.clone(), 4));
-        let parts = VecSource::from_tuples(tuples, 4)
-            .partition(3)
-            .expect("vec sources split");
-        assert_eq!(parts.len(), 3);
-        let concat: Vec<u64> = parts.into_iter().flat_map(drain_keys).collect();
-        assert_eq!(
-            concat, whole,
-            "parts must cover the input exactly, in order"
-        );
-    }
-
-    #[test]
-    fn vec_source_partition_with_fewer_pages_than_parts() {
-        let tuples: Vec<Tuple> = (0..4).map(|k| Tuple::synthetic(k, 16)).collect();
-        let parts = VecSource::from_tuples(tuples, 4).partition(4).unwrap();
-        assert_eq!(parts.len(), 4);
-        let non_empty = parts.iter().filter(|p| p.total_pages() > Some(0)).count();
-        assert_eq!(non_empty, 1);
-    }
-
-    #[test]
-    fn gen_source_partition_replays_the_sequential_stream() {
-        for parts in [2, 3, 4] {
-            let whole = drain_keys(GenSource::new(7, 8, 256, 99));
-            let split = GenSource::new(7, 8, 256, 99)
-                .partition(parts)
-                .expect("gen sources split");
-            assert_eq!(split.len(), parts);
-            let concat: Vec<u64> = split.into_iter().flat_map(drain_keys).collect();
-            assert_eq!(concat, whole, "{parts}-way split changed the stream");
-        }
-    }
-
-    #[test]
-    fn gen_order_profiles_partition_like_the_sequential_stream() {
-        let profiles = [
-            GenOrder::PartiallySorted { presortedness: 0.9 },
-            GenOrder::Reversed,
-            GenOrder::Clustered { clusters: 5 },
-            GenOrder::Sawtooth { period: 20 },
-        ];
-        for order in profiles {
-            for parts in [2, 3] {
-                let whole = drain_keys(GenSource::new(7, 8, 256, 99).with_order(order));
-                let split = GenSource::new(7, 8, 256, 99)
-                    .with_order(order)
-                    .partition(parts)
-                    .expect("gen sources split");
-                let concat: Vec<u64> = split.into_iter().flat_map(drain_keys).collect();
-                assert_eq!(
-                    concat, whole,
-                    "{order:?} {parts}-way split changed the stream"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gen_order_profiles_have_their_shape() {
         let n = 8 * 64;
         let keys = |order| drain_keys(GenSource::new(8, 64, 256, 7).with_order(order));
@@ -822,57 +538,6 @@ mod tests {
                 assert!(w[0] <= w[1], "ramp broken at {i}");
             }
         }
-    }
-
-    #[test]
-    fn shared_source_handles_drain_the_underlying_source_exactly_once() {
-        let tuples: Vec<Tuple> = (0..40).map(|k| Tuple::synthetic(k, 16)).collect();
-        let expect: Vec<u64> = (0..40).collect();
-        let handles = SharedSource::split(VecSource::from_tuples(tuples, 4), 3);
-        assert_eq!(handles.len(), 3);
-        let mut keys: Vec<u64> = handles.into_iter().flat_map(drain_keys).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, expect);
-    }
-
-    #[test]
-    fn shared_source_balances_across_concurrent_workers() {
-        let tuples: Vec<Tuple> = (0..32 * 16).map(|k| Tuple::synthetic(k, 16)).collect();
-        let handles = SharedSource::split(VecSource::from_tuples(tuples, 32), 4);
-        let counts: Vec<usize> = std::thread::scope(|s| {
-            handles
-                .into_iter()
-                .map(|h| s.spawn(move || drain_keys(h).len()))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert_eq!(counts.iter().sum::<usize>(), 32 * 16);
-    }
-
-    #[test]
-    fn iter_and_boxed_sources_split_through_the_locked_fallback() {
-        let iter = (0..25u64).map(|k| Tuple::synthetic(k, 16));
-        let Ok(parts) = IterSource::new(iter, 4).partition(2) else {
-            panic!("iterator sources must split via the locked fallback");
-        };
-        let mut keys: Vec<u64> = parts.into_iter().flat_map(drain_keys).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (0..25).collect::<Vec<_>>());
-
-        let boxed: Box<dyn InputSource + Send> = Box::new(GenSource::new(3, 8, 256, 5));
-        let Ok(parts) = boxed.partition(2) else {
-            panic!("boxed sources must split via the locked fallback");
-        };
-        let total: usize = parts.into_iter().map(|p| drain_keys(p).len()).sum();
-        assert_eq!(total, 24);
-    }
-
-    #[test]
-    fn single_part_requests_decline_the_split() {
-        assert!(VecSource::from_pages(Vec::new()).partition(1).is_err());
-        assert!(GenSource::new(2, 4, 64, 1).partition(0).is_err());
     }
 
     #[test]
@@ -926,6 +591,7 @@ mod tests {
     #[test]
     fn channel_source_backpressure_blocks_the_producer() {
         use crate::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
         let sent = Arc::new(AtomicUsize::new(0));
         let (sink, mut source) = ChannelSource::bounded(2);
         let sent2 = Arc::clone(&sent);

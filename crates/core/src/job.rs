@@ -54,7 +54,7 @@ use crate::budget::MemoryBudget;
 use crate::config::SortConfig;
 use crate::env::{RealEnv, SortEnv};
 use crate::error::{SortError, SortResult};
-use crate::input::{InputSource, PartitionableSource, VecSource};
+use crate::input::{InputSource, VecSource};
 use crate::merge::exec::{Exec, MergeState};
 use crate::order::SortOrder;
 use crate::sorter::{ExternalSorter, SortOutcome};
@@ -148,14 +148,7 @@ where
     pub fn budget(&self) -> &MemoryBudget {
         &self.budget
     }
-}
 
-impl<I, S, E> SortJob<I, S, E>
-where
-    I: PartitionableSource,
-    S: RunStore,
-    E: SortEnv,
-{
     /// Execute the sort up to its final merge step: form the runs, run the
     /// preliminary merge steps the budget demands, and return once the merge
     /// tree is down to its root. Consuming the returned [`SortCompletion`]
@@ -168,14 +161,6 @@ where
     /// itself — pulling pages, or running its
     /// [`checkpoint`](SortCompletion::checkpoint) while it cannot — calls
     /// [`run_to_root`](Self::run_to_root) instead.
-    ///
-    /// With [`cpu_threads`](SortJobBuilder::cpu_threads)` ≥ 2` the split
-    /// phase partitions the input across that many compute workers (each
-    /// obeying a child share of the job's budget); hence the input must be a
-    /// [`PartitionableSource`]. Every source this crate provides is one
-    /// (unsplittable sources simply decline and run single-threaded); wrap a
-    /// custom source in [`Unsplit`](crate::Unsplit) — or implement the trait
-    /// — to run it here.
     pub fn run(self) -> SortResult<SortCompletion<S, E>> {
         let moves_before = self.budget.version();
         let completion = self.run_to_root()?;
@@ -194,8 +179,12 @@ where
     /// [`checkpoint`](SortCompletion::checkpoint), as a broker's worker does.
     pub fn run_to_root(mut self) -> SortResult<SortCompletion<S, E>> {
         let sorter = ExternalSorter::new(self.cfg.clone());
-        let (outcome, root) =
-            sorter.begin(self.input, &mut self.store, &mut self.env, &self.budget)?;
+        let (outcome, root) = sorter.begin(
+            &mut self.input,
+            &mut self.store,
+            &mut self.env,
+            &self.budget,
+        )?;
         Ok(SortCompletion {
             outcome,
             store: self.store,
@@ -407,26 +396,6 @@ where
     /// the sorting thread. `0` (the default) disables the pipeline.
     pub fn io_pipeline(mut self, depth: usize) -> Self {
         self.cfg.io.pipeline_depth = depth;
-        self
-    }
-
-    /// Sort with `n` compute workers in the split phase (default 1 =
-    /// single-threaded, today's exact behaviour).
-    ///
-    /// The input is partitioned across the workers
-    /// ([`PartitionableSource`]); each worker runs the configured in-memory
-    /// sorting method against a [`MemoryBudget::child`] share of the job's
-    /// budget, so one adaptive grant still governs the whole sort — a shrink
-    /// of the root budget shrinks every worker proportionally, and the merge
-    /// phase (always on the calling thread) sees the root budget exactly as
-    /// before. For range-split inputs ([`tuples`](Self::tuples),
-    /// [`VecSource`], [`crate::GenSource`]) the sorted output is identical to
-    /// a single-threaded sort of the same input; locked-fallback inputs
-    /// ([`crate::SharedSource`], iterators, boxed sources) feed workers
-    /// demand-driven, so the output is the same sorted multiset but tuples
-    /// with *tying* sort ranks may be permuted among themselves.
-    pub fn cpu_threads(mut self, n: usize) -> Self {
-        self.cfg.cpu_threads = n;
         self
     }
 

@@ -133,7 +133,7 @@ pub use gensort::{
 };
 pub use input::{
     ChannelClosed, ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource,
-    NeverSource, PartitionableSource, SharedSource, Unsplit, VecSource,
+    Unsplit, VecSource,
 };
 pub use io::{IoConfig, IoHandle, IoPool};
 pub use job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
@@ -156,8 +156,8 @@ pub mod prelude {
     pub use crate::env::{CpuOp, RealEnv, SortEnv};
     pub use crate::error::{SortError, SortResult};
     pub use crate::input::{
-        ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource, NeverSource,
-        PartitionableSource, SharedSource, Unsplit, VecSource,
+        ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource, Unsplit,
+        VecSource,
     };
     pub use crate::io::{IoConfig, IoPool};
     pub use crate::job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};

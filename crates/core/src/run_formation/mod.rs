@@ -20,7 +20,6 @@
 //! into the page being built — once, as bytes. No
 //! [`Tuple`](crate::Tuple) exists between the input page and the run page.
 
-pub(crate) mod parallel;
 pub mod quicksort;
 pub mod replacement;
 

@@ -14,11 +14,11 @@ use crate::budget::{DelaySample, MemoryBudget, SortPhase};
 use crate::config::SortConfig;
 use crate::env::SortEnv;
 use crate::error::SortResult;
-use crate::input::{InputSource, PartitionableSource};
+use crate::input::InputSource;
 use crate::merge::exec::{
     begin_streaming_merge, execute_merge, ExecParams, MergeState, MergeStats,
 };
-use crate::run_formation::{form_runs, parallel::form_runs_parallel, SplitStats};
+use crate::run_formation::{form_runs, SplitStats};
 use crate::store::{RunId, RunStore};
 use masort_trace::EventKind;
 
@@ -158,45 +158,33 @@ impl ExternalSorter {
     /// consumer pulls the sorted tuples out of it, so no output run is ever
     /// written — and the outcome describes the sort up to this point (the
     /// merge phase is still open: no `PhaseEnd` yet).
-    ///
-    /// The input is taken by value so that, with `cpu_threads ≥ 2` in the
-    /// configuration, the split phase can partition it across that many
-    /// compute workers — each running the configured in-memory sorting
-    /// method against a [`MemoryBudget::child`] share of `budget` and
-    /// appending runs to `store` through the orchestrating thread. It falls
-    /// back to the exact single-threaded path when `cpu_threads` is 1, when
-    /// the input declines to partition, or when the environment cannot fork
-    /// workers ([`SortEnv::fork_worker`]); the merge phase always runs on the
-    /// calling thread against the root budget.
     pub(crate) fn begin<S, I, E>(
         &self,
-        input: I,
+        input: &mut I,
         store: &mut S,
         env: &mut E,
         budget: &MemoryBudget,
     ) -> SortResult<(SortOutcome, MergeState)>
     where
         S: RunStore,
-        I: PartitionableSource,
+        I: InputSource,
         E: SortEnv,
     {
         self.cfg.validate()?;
         let started = env.now();
         self.enter_split(store, env, budget);
-        let phases = self
-            .form_runs_partitioned(input, store, env, budget)
-            .and_then(|split| {
-                self.enter_merge(env, budget);
-                let root = begin_streaming_merge(
-                    &self.cfg,
-                    budget,
-                    &split.runs,
-                    store,
-                    env,
-                    self.merge_params(),
-                )?;
-                Ok((split, root))
-            });
+        let phases = form_runs(&self.cfg, budget, input, store, env).and_then(|split| {
+            self.enter_merge(env, budget);
+            let root = begin_streaming_merge(
+                &self.cfg,
+                budget,
+                &split.runs,
+                store,
+                env,
+                self.merge_params(),
+            )?;
+            Ok((split, root))
+        });
         let (split, root) = flush_after(phases, store, env, budget)?;
         let merge = root.stats().clone();
         let outcome = SortOutcome {
@@ -208,47 +196,6 @@ impl ExternalSorter {
             delays: budget.take_delays(),
         };
         Ok((outcome, root))
-    }
-
-    fn form_runs_partitioned<S, I, E>(
-        &self,
-        input: I,
-        store: &mut S,
-        env: &mut E,
-        budget: &MemoryBudget,
-    ) -> SortResult<SplitStats>
-    where
-        S: RunStore,
-        I: PartitionableSource,
-        E: SortEnv,
-    {
-        let threads = self.cfg.cpu_threads;
-        if threads >= 2 {
-            let forked: Option<Vec<_>> = (0..threads).map(|_| env.fork_worker()).collect();
-            match forked {
-                Some(envs) => match input.partition(threads) {
-                    Ok(parts) if parts.len() >= 2 => {
-                        form_runs_parallel(&self.cfg, budget, parts, envs, store, env)
-                    }
-                    Ok(parts) => match parts.into_iter().next() {
-                        Some(mut part) => form_runs(&self.cfg, budget, &mut part, store, env),
-                        None => Ok(SplitStats {
-                            started_at: env.now(),
-                            finished_at: env.now(),
-                            ..SplitStats::default()
-                        }),
-                    },
-                    Err(mut input) => form_runs(&self.cfg, budget, &mut input, store, env),
-                },
-                None => {
-                    let mut input = input;
-                    form_runs(&self.cfg, budget, &mut input, store, env)
-                }
-            }
-        } else {
-            let mut input = input;
-            form_runs(&self.cfg, budget, &mut input, store, env)
-        }
     }
 
     /// Enter the split phase. Pipelined configurations first get their

@@ -108,7 +108,7 @@ mod tests {
     use super::*;
     use crate::budget::MemoryBudget;
     use crate::config::{AlgorithmSpec, SortConfig};
-    use crate::input::{InputSource, Unsplit, VecSource};
+    use crate::input::{InputSource, VecSource};
     use crate::job::SortJob;
     use crate::store::{FileStore, MemStore, RunId};
     use crate::sync::atomic::{AtomicUsize, Ordering};
@@ -245,12 +245,12 @@ mod tests {
         let live_runs = Arc::new(AtomicUsize::new(0));
         let job = SortJob::builder()
             .config(cfg(mem))
-            .input(Unsplit(MovingInput {
+            .input(MovingInput {
                 pages: VecSource::from_tuples(input.clone(), cfg(mem).tuples_per_page()),
                 served: 0,
                 budget: budget.clone(),
                 moves,
-            }))
+            })
             .store(ProbedStore {
                 inner: store,
                 ok_reads,

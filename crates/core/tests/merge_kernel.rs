@@ -248,17 +248,16 @@ fn kernel_survives_mid_merge_wobbles() {
     }
 }
 
-/// Partition-parallel split phases (1/2/4 workers) feed the same merge
-/// kernel: every algorithm combination at every worker count (and a custom
-/// key order) must equal the reference sort.
+/// A whole sort through a `SortJob`, whose root step is streamed to the
+/// consumer instead of written: every algorithm combination (and a custom key
+/// order) must equal the reference sort.
 #[test]
-fn kernel_output_matches_naive_merge_across_worker_counts() {
+fn kernel_output_matches_naive_merge_through_a_streamed_root() {
     let input = random_tuples(4_000, 5);
-    let sort = |spec: AlgorithmSpec, order: &SortOrder, workers: usize| {
+    let sort = |spec: AlgorithmSpec, order: &SortOrder| {
         SortJob::builder()
             .config(small_cfg(10, spec))
             .order(order.clone())
-            .cpu_threads(workers)
             .tuples(input.clone())
             .build()
             .unwrap()
@@ -269,25 +268,21 @@ fn kernel_output_matches_naive_merge_across_worker_counts() {
     };
     let ascending = SortOrder::ascending();
     let ascending_reference = naive_sort(&ascending, &input);
-    // Custom-key order through the parallel path, too.
-    let custom = SortOrder::by_key(|t| t.key % 613);
-    let custom_reference = naive_sort(&custom, &input);
-    for workers in [1usize, 2, 4] {
-        for spec in AlgorithmSpec::all(4) {
-            assert_matches_reference(
-                &ascending,
-                &sort(spec, &ascending, workers),
-                &ascending_reference,
-                &format!("{spec} at {workers} worker(s)"),
-            );
-        }
+    for spec in AlgorithmSpec::all(4) {
         assert_matches_reference(
-            &custom,
-            &sort(AlgorithmSpec::recommended(), &custom, workers),
-            &custom_reference,
-            &format!("custom key at {workers} worker(s)"),
+            &ascending,
+            &sort(spec, &ascending),
+            &ascending_reference,
+            &format!("{spec}"),
         );
     }
+    let custom = SortOrder::by_key(|t| t.key % 613);
+    assert_matches_reference(
+        &custom,
+        &sort(AlgorithmSpec::recommended(), &custom),
+        &naive_sort(&custom, &input),
+        "custom key",
+    );
 }
 
 /// The I/O pipeline (block reads + read-ahead) composes with the kernel:

@@ -115,8 +115,6 @@ impl SimConfig {
             // The simulation charges per-page costs itself; pipelining stays
             // off so the disk model matches the paper.
             io: masort_core::IoConfig::default(),
-            // The simulator is deterministic and single-threaded by design.
-            cpu_threads: 1,
         }
     }
 }

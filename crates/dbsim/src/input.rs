@@ -3,10 +3,7 @@
 //! the disk model.
 
 use crate::system::SharedSystem;
-use masort_core::{
-    InputSource, NeverSource, Page, PartitionableSource, SortResult, Tuple, TupleArena,
-    MIN_DENSE_STRIDE,
-};
+use masort_core::{InputSource, Page, SortResult, Tuple, TupleArena, MIN_DENSE_STRIDE};
 use masort_diskmodel::AccessKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,18 +56,6 @@ impl SimRelationSource {
     /// Pages scanned so far.
     pub fn pages_scanned(&self) -> usize {
         self.next_page
-    }
-}
-
-impl PartitionableSource for SimRelationSource {
-    type Part = NeverSource;
-
-    /// The simulation is strictly deterministic and single-threaded: every
-    /// page read advances one shared simulated clock, so a simulated relation
-    /// always declines to split and the sort stays on one compute thread
-    /// regardless of `cpu_threads`.
-    fn partition(self, _parts: usize) -> Result<Vec<NeverSource>, Self> {
-        Err(self)
     }
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! masort-cli [sort] [--addr HOST:PORT] [--tenant NAME] [--priority N]
 //!            [--budget PAGES] [--min-pages N] [--max-pages N]
-//!            [--page-size BYTES] [--tuple-size BYTES] [--cpu-threads N]
+//!            [--page-size BYTES] [--tuple-size BYTES]
 //!            [--spill] [--descending]
 //!            < input > output
 //! masort-cli shutdown [--addr HOST:PORT]
@@ -37,7 +37,7 @@ const INGEST_CHUNK: usize = 4096;
 fn usage() -> &'static str {
     "usage: masort-cli [sort] [--addr HOST:PORT] [--tenant NAME] [--priority N]\n\
      \u{20}                 [--budget PAGES] [--min-pages N] [--max-pages N]\n\
-     \u{20}                 [--page-size BYTES] [--tuple-size BYTES] [--cpu-threads N]\n\
+     \u{20}                 [--page-size BYTES] [--tuple-size BYTES]\n\
      \u{20}                 [--spill] [--descending]\n\
      \u{20}                 < input > output\n\
      \u{20}      masort-cli shutdown [--addr HOST:PORT]\n\
@@ -53,6 +53,13 @@ fn default_addr() -> String {
 fn parse_u64(raw: &str) -> Result<u64, String> {
     raw.parse::<u64>()
         .map_err(|_| format!("`{raw}` is not a number"))
+}
+
+/// The priority is a `u32` on the wire: a larger value is refused, not
+/// truncated (4294967297 must not become 1).
+fn parse_priority(raw: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(raw)?)
+        .map_err(|_| format!("--priority `{raw}` is above {}\n{}", u32::MAX, usage()))
 }
 
 fn run() -> Result<(), String> {
@@ -105,15 +112,12 @@ fn run() -> Result<(), String> {
         match arg.as_str() {
             "--addr" => addr = value("--addr", &mut iter)?,
             "--tenant" => tenant = Some(value("--tenant", &mut iter)?),
-            "--priority" => spec.priority = parse_u64(&value("--priority", &mut iter)?)? as u32,
+            "--priority" => spec.priority = parse_priority(&value("--priority", &mut iter)?)?,
             "--budget" => spec.memory_pages = parse_u64(&value("--budget", &mut iter)?)?,
             "--min-pages" => spec.min_pages = parse_u64(&value("--min-pages", &mut iter)?)?,
             "--max-pages" => spec.max_pages = parse_u64(&value("--max-pages", &mut iter)?)?,
             "--page-size" => spec.page_size = parse_u64(&value("--page-size", &mut iter)?)?,
             "--tuple-size" => spec.tuple_size = parse_u64(&value("--tuple-size", &mut iter)?)?,
-            "--cpu-threads" => {
-                spec.cpu_threads = parse_u64(&value("--cpu-threads", &mut iter)?)? as u32
-            }
             "--spill" => spec.spill = true,
             "--descending" => spec.descending = true,
             "--prometheus" => prometheus = true,
@@ -259,5 +263,19 @@ fn main() -> ExitCode {
             eprintln!("masort-cli: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn priority_above_u32_max_is_refused_not_truncated() {
+        assert_eq!(parse_priority("7"), Ok(7));
+        assert_eq!(parse_priority("4294967295"), Ok(u32::MAX));
+        let err = parse_priority("4294967297").unwrap_err();
+        assert!(err.contains("usage: masort-cli"), "{err}");
+        assert!(parse_priority("-1").is_err());
     }
 }

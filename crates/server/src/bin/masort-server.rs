@@ -3,7 +3,7 @@
 //! ```text
 //! masort-server [--addr 127.0.0.1:7878] [--pool-pages 64] [--workers 4]
 //!               [--policy equal|priority|min-guarantee]
-//!               [--io-threads N] [--io-pipeline N] [--cpu-threads N]
+//!               [--io-threads N] [--io-pipeline N]
 //!               [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]
 //!               [--ingest-depth PAGES] [--egress-chunk TUPLES]
 //!               [--tenant name=max_live:max_pages[:priority]]...
@@ -20,7 +20,7 @@ use masort_server::{Server, TenantQuota};
 fn usage() -> &'static str {
     "usage: masort-server [--addr HOST:PORT] [--pool-pages N] [--workers N]\n\
      \u{20}                    [--policy equal|priority|min-guarantee]\n\
-     \u{20}                    [--io-threads N] [--io-pipeline N] [--cpu-threads N]\n\
+     \u{20}                    [--io-threads N] [--io-pipeline N]\n\
      \u{20}                    [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]\n\
      \u{20}                    [--ingest-depth PAGES] [--egress-chunk TUPLES]\n\
      \u{20}                    [--tenant name=max_live:max_pages[:priority]]..."
@@ -50,9 +50,6 @@ fn run() -> Result<(), String> {
             }
             "--io-pipeline" => {
                 builder = builder.io_pipeline(parse(&value("--io-pipeline", &mut args)?)?)
-            }
-            "--cpu-threads" => {
-                builder = builder.cpu_threads(parse(&value("--cpu-threads", &mut args)?)?)
             }
             "--page-size" => page_size = parse(&value("--page-size", &mut args)?)?,
             "--tuple-size" => tuple_size = parse(&value("--tuple-size", &mut args)?)?,

@@ -101,7 +101,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u64(&mut buf, spec.memory_pages);
             put_u64(&mut buf, spec.page_size);
             put_u64(&mut buf, spec.tuple_size);
-            put_u32(&mut buf, spec.cpu_threads);
             put_u64(&mut buf, spec.expected_tuples);
             buf.push(spec.spill as u8);
             buf.push(spec.descending as u8);
@@ -318,7 +317,6 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
             memory_pages: c.u64("SUBMIT memory_pages")?,
             page_size: c.u64("SUBMIT page_size")?,
             tuple_size: c.u64("SUBMIT tuple_size")?,
-            cpu_threads: c.u32("SUBMIT cpu_threads")?,
             expected_tuples: c.u64("SUBMIT expected_tuples")?,
             spill: c.bool("SUBMIT spill")?,
             descending: c.bool("SUBMIT descending")?,
@@ -477,7 +475,6 @@ mod tests {
             memory_pages: 16,
             page_size: 4096,
             tuple_size: 64,
-            cpu_threads: 2,
             expected_tuples: 100_000,
             spill: true,
             descending: true,

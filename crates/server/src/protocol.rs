@@ -33,8 +33,9 @@ use masort_core::Tuple;
 
 /// Version this crate speaks. A `HELLO` carrying any other version is
 /// answered with an [`ErrorCode::Protocol`] error. Version 2 dropped the
-/// run-formation byte that ended version 1's `SUBMIT` payload.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// run-formation byte that ended version 1's `SUBMIT` payload; version 3
+/// dropped the four-byte compute-worker count from the middle of it.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on one frame's body (opcode + payload), enforced on both
 /// send and receive. 16 MiB comfortably fits the largest egress chunk while
@@ -143,8 +144,6 @@ pub struct SubmitSpec {
     pub page_size: u64,
     /// Nominal tuple size in bytes, for page geometry (0 = server default).
     pub tuple_size: u64,
-    /// Compute workers for the split phase (0 = 1, single-threaded).
-    pub cpu_threads: u32,
     /// Tuples the client intends to send (0 = unknown); a planning hint only.
     pub expected_tuples: u64,
     /// Spill runs to a temporary directory instead of memory.
@@ -162,7 +161,6 @@ impl Default for SubmitSpec {
             memory_pages: 0,
             page_size: 0,
             tuple_size: 0,
-            cpu_threads: 0,
             expected_tuples: 0,
             spill: false,
             descending: false,

@@ -151,7 +151,6 @@ pub struct ServerBuilder {
     policy: PolicyChoice,
     io_threads: usize,
     io_pipeline: usize,
-    cpu_threads: usize,
     base_cfg: SortConfig,
     ingest_depth: usize,
     egress_chunk: usize,
@@ -166,7 +165,6 @@ impl Default for ServerBuilder {
             policy: PolicyChoice::default(),
             io_threads: 0,
             io_pipeline: 0,
-            cpu_threads: 0,
             // Like `SortJob::builder()`: natural-run formation.
             base_cfg: SortConfig::default()
                 .with_algorithm(AlgorithmSpec::natural())
@@ -212,12 +210,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Extra compute threads the service may lend to splits (0 = none).
-    pub fn cpu_threads(mut self, n: usize) -> Self {
-        self.cpu_threads = n;
-        self
-    }
-
     /// Default sort geometry for `SUBMIT` frames that leave fields at zero.
     pub fn base_config(mut self, cfg: SortConfig) -> Self {
         self.base_cfg = cfg;
@@ -257,7 +249,6 @@ impl ServerBuilder {
             .workers(self.workers)
             .io_threads(self.io_threads)
             .io_pipeline(self.io_pipeline)
-            .cpu_threads(self.cpu_threads)
             .trace(trace.clone());
         svc = match self.policy {
             PolicyChoice::EqualShare => svc.policy(EqualShare),

@@ -277,9 +277,6 @@ fn run_sort<W: Write>(
     if max_pages != 0 {
         request = request.max_pages(max_pages);
     }
-    if spec.cpu_threads != 0 {
-        request = request.cpu_threads(spec.cpu_threads as usize);
-    }
     if spec.spill {
         request = request.spill_to_temp_dir();
     }

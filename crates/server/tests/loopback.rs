@@ -300,24 +300,28 @@ fn version_mismatch_and_garbage_bytes_get_clean_refusals() {
     let handle = small_server();
     let addr = handle.addr();
 
-    // A well-formed HELLO with the wrong version: typed protocol error.
+    // A well-formed HELLO with the wrong version — a made-up one, and the
+    // previous one, whose SUBMIT this server would not parse: typed protocol
+    // error.
     use masort_server::codec::{read_frame, write_frame};
     use masort_server::Frame;
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-    let mut writer = std::io::BufWriter::new(stream);
-    write_frame(
-        &mut writer,
-        &Frame::Hello {
-            version: 999,
-            tenant: None,
-        },
-    )
-    .unwrap();
-    writer.flush().unwrap();
-    match read_frame(&mut reader).expect("server answers") {
-        Some(Frame::Error(e)) => assert_eq!(e.code, ErrorCode::Protocol),
-        other => panic!("expected a protocol error frame, got {other:?}"),
+    for version in [999, 2] {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut writer = std::io::BufWriter::new(stream);
+        write_frame(
+            &mut writer,
+            &Frame::Hello {
+                version,
+                tenant: None,
+            },
+        )
+        .unwrap();
+        writer.flush().unwrap();
+        match read_frame(&mut reader).expect("server answers") {
+            Some(Frame::Error(e)) => assert_eq!(e.code, ErrorCode::Protocol, "version {version}"),
+            other => panic!("expected a protocol error frame, got {other:?}"),
+        }
     }
 
     // Raw garbage: the server must drop the connection without panicking and

@@ -36,6 +36,20 @@ fn random_error_code(rng: &mut StdRng) -> ErrorCode {
     ErrorCode::from_u8((rng.next_u64() % 9) as u8 + 1).unwrap()
 }
 
+fn random_submit_spec(rng: &mut StdRng) -> SubmitSpec {
+    SubmitSpec {
+        priority: rng.next_u64() as u32,
+        min_pages: rng.next_u64(),
+        max_pages: rng.next_u64(),
+        memory_pages: rng.next_u64(),
+        page_size: rng.next_u64(),
+        tuple_size: rng.next_u64(),
+        expected_tuples: rng.next_u64(),
+        spill: rng.gen_bool(0.5),
+        descending: rng.gen_bool(0.5),
+    }
+}
+
 fn random_frame(rng: &mut StdRng) -> Frame {
     match rng.next_u64() % 13 {
         0 => Frame::Hello {
@@ -51,18 +65,7 @@ fn random_frame(rng: &mut StdRng) -> Frame {
             pool_pages: rng.next_u64(),
             policy: random_string(rng, 24),
         },
-        2 => Frame::Submit(SubmitSpec {
-            priority: rng.next_u64() as u32,
-            min_pages: rng.next_u64(),
-            max_pages: rng.next_u64(),
-            memory_pages: rng.next_u64(),
-            page_size: rng.next_u64(),
-            tuple_size: rng.next_u64(),
-            cpu_threads: rng.next_u64() as u32,
-            expected_tuples: rng.next_u64(),
-            spill: rng.gen_bool(0.5),
-            descending: rng.gen_bool(0.5),
-        }),
+        2 => Frame::Submit(random_submit_spec(rng)),
         3 => Frame::Accepted {
             job: rng.next_u64(),
         },
@@ -172,6 +175,53 @@ fn mutated_bodies_fail_cleanly_or_decode() {
                 e.kind()
             );
         }
+    }
+}
+
+/// A protocol-2 `SUBMIT` carried a four-byte compute-worker count between
+/// `tuple_size` and `expected_tuples`. Such a body is four bytes longer than
+/// this version's, so it is refused — by the trailing-bytes check, or
+/// earlier when a shifted byte is not a flag — and never read as a spec with
+/// its last fields shifted.
+#[test]
+fn a_protocol_2_submit_body_is_refused_not_misparsed() {
+    let v2_body = |spec: &SubmitSpec, workers: u32| {
+        let mut body = vec![0x03];
+        body.extend_from_slice(&spec.priority.to_le_bytes());
+        for v in [
+            spec.min_pages,
+            spec.max_pages,
+            spec.memory_pages,
+            spec.page_size,
+            spec.tuple_size,
+        ] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        body.extend_from_slice(&workers.to_le_bytes());
+        body.extend_from_slice(&spec.expected_tuples.to_le_bytes());
+        body.extend_from_slice(&[spec.spill as u8, spec.descending as u8]);
+        body
+    };
+    let spec = SubmitSpec {
+        memory_pages: 16,
+        expected_tuples: 100_000,
+        spill: true,
+        ..SubmitSpec::default()
+    };
+    let body = v2_body(&spec, 2);
+    assert_eq!(
+        body.len(),
+        encode_frame(&Frame::Submit(spec.clone())).len() + 4
+    );
+    let err = decode_frame(&body).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("4 trailing bytes"), "{err}");
+
+    let mut rng = StdRng::seed_from_u64(0x0002_5B17);
+    for _ in 0..500 {
+        let spec = random_submit_spec(&mut rng);
+        let err = decode_frame(&v2_body(&spec, rng.next_u64() as u32)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }
 

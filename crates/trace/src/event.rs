@@ -30,7 +30,7 @@ impl std::fmt::Display for SpanId {
 pub enum EventKind {
     /// A sort phase (split, merge, …) began.
     PhaseStart {
-        /// Phase name (`"split"`, `"merge"`, `"split-worker"`).
+        /// Phase name (`"split"`, `"merge"`).
         phase: &'static str,
     },
     /// A sort phase ended.
@@ -266,7 +266,6 @@ impl EventKind {
                 JsonValue::String(s) => Some(match s.as_str() {
                     "split" => "split",
                     "merge" => "merge",
-                    "split-worker" => "split-worker",
                     _ => "phase",
                 }),
                 _ => None,

@@ -1,8 +1,8 @@
 //! Natural-run formation (`natN`), end to end: every replacement-selection
 //! algorithm combination produces the *bit-identical* sorted output under
 //! `natN` as under its classic `replN` counterpart — across ascending,
-//! descending and custom-key orders, and single- and multi-worker splits —
-//! while descending (reversed) runs round-trip through the file store.
+//! descending and custom-key orders — while descending (reversed) runs
+//! round-trip through the file store.
 
 use memory_adaptive_sort::core::GenOrder;
 use memory_adaptive_sort::prelude::*;
@@ -16,13 +16,12 @@ fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
-fn cfg(spec: AlgorithmSpec, workers: usize) -> SortConfig {
+fn cfg(spec: AlgorithmSpec) -> SortConfig {
     SortConfig::default()
         .with_page_size(512)
         .with_tuple_size(64)
         .with_memory_pages(5)
         .with_algorithm(spec)
-        .with_cpu_threads(workers)
 }
 
 /// `replN,p,a` → `natN,p,a`; formations without a natural-run variant → `None`.
@@ -50,8 +49,7 @@ fn sort_with(base: SortConfig, order: &SortOrder, input: &[Tuple]) -> Vec<Tuple>
 
 /// Natural-run formation changes run boundaries, run directions and fan-in —
 /// never the output. Exercised over the 12 replacement-selection combinations
-/// (`repl1`/`repl6` x 2 policies x 3 adaptations) x 3 sort orders x
-/// {1, 2, 4} workers.
+/// (`repl1`/`repl6` x 2 policies x 3 adaptations) x 3 sort orders.
 #[test]
 fn natural_output_is_bit_identical_across_the_matrix() {
     // A mix of presorted stretches and noise so natural formation actually
@@ -74,14 +72,12 @@ fn natural_output_is_bit_identical_across_the_matrix() {
     assert_eq!(pairs.len(), 12);
     for (classic_spec, natural_spec) in pairs {
         for (name, order) in &orders {
-            for workers in [1usize, 2, 4] {
-                let classic = sort_with(cfg(classic_spec, workers), order, &input);
-                let natural = sort_with(cfg(natural_spec, workers), order, &input);
-                assert_eq!(
-                    classic, natural,
-                    "{natural_spec} diverged from {classic_spec}: {name} {workers}w"
-                );
-            }
+            let classic = sort_with(cfg(classic_spec), order, &input);
+            let natural = sort_with(cfg(natural_spec), order, &input);
+            assert_eq!(
+                classic, natural,
+                "{natural_spec} diverged from {classic_spec}: {name}"
+            );
         }
     }
 }
@@ -92,7 +88,7 @@ fn natural_output_is_bit_identical_across_the_matrix() {
 /// and nothing is copied into a second, forward run.
 #[test]
 fn reversed_input_round_trips_through_the_file_store() {
-    let base = cfg(AlgorithmSpec::natural(), 1);
+    let base = cfg(AlgorithmSpec::natural());
     let tpp = base.tuples_per_page();
     let input = GenSource::new(120, tpp, 64, 9).with_order(GenOrder::Reversed);
     let completion = SortJob::builder()
@@ -119,14 +115,10 @@ fn reversed_input_round_trips_through_the_file_store() {
 fn natural_run_statistics_reach_the_outcome() {
     let mut input = random_tuples(3_000, 11);
     input.sort_unstable_by_key(|t| t.key);
-    for (spec, workers) in [
-        (AlgorithmSpec::natural(), 1),
-        (AlgorithmSpec::natural(), 2),
-        (AlgorithmSpec::recommended(), 1),
-    ] {
+    for spec in [AlgorithmSpec::natural(), AlgorithmSpec::recommended()] {
         let adaptive = spec == AlgorithmSpec::natural();
         let completion = SortJob::builder()
-            .config(cfg(spec, workers))
+            .config(cfg(spec))
             .tuples(input.clone())
             .build()
             .unwrap()
@@ -134,7 +126,7 @@ fn natural_run_statistics_reach_the_outcome() {
             .unwrap();
         let split = &completion.outcome.split;
         if adaptive {
-            assert!(split.natural_runs >= 1, "{workers}w: no natural runs");
+            assert!(split.natural_runs >= 1, "no natural runs");
             assert!(split.natural_tuples > input.len() / 2);
             assert!(split.max_run_tuples() >= split.min_run_tuples());
             assert!(split.avg_run_tuples() > 0.0);

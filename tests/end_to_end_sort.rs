@@ -255,6 +255,32 @@ fn streamed_sort_end_to_end_file_store() {
     assert!(outcome.merge.tuples_output as usize > input.len());
 }
 
+/// A user-defined `InputSource` goes to `.input(..)` as it is, bare or boxed.
+#[test]
+fn a_user_defined_input_source_has_a_sort_job_path() {
+    struct Counting(u64);
+    impl InputSource for Counting {
+        fn next_page(&mut self) -> SortResult<Option<Page>> {
+            if self.0 == 0 {
+                return Ok(None);
+            }
+            self.0 -= 1;
+            Ok(Some(Page::from_tuples(vec![Tuple::synthetic(self.0, 64)])))
+        }
+    }
+    fn sorted_keys<I: InputSource>(input: I) -> Vec<u64> {
+        let job = SortJob::builder()
+            .config(small_cfg(4, AlgorithmSpec::recommended()))
+            .input(input);
+        let sorted = job.build().unwrap().run().unwrap().into_sorted_vec();
+        sorted.unwrap().iter().map(|t| t.key).collect()
+    }
+    let expected: Vec<u64> = (0..100).collect();
+    assert_eq!(sorted_keys(Counting(100)), expected);
+    let boxed: Box<dyn InputSource + Send> = Box::new(Counting(100));
+    assert_eq!(sorted_keys(boxed), expected);
+}
+
 // ---------------------------------------------------------------------------
 // Error paths surface as SortError, not panics.
 // ---------------------------------------------------------------------------
