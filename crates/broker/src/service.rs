@@ -9,9 +9,8 @@ use crate::ticket::{HandOff, JobEnd, JobId, JobOutput, JobReport, Room, SortTick
 use masort_core::sync::thread::{self, JoinHandle};
 use masort_core::sync::{Condvar, Mutex, MutexGuard};
 use masort_core::{
-    BlockReadJob, DelaySample, FileStore, InputSource, IoPool, MemStore, MemoryBudget, Page,
-    RealEnv, RunId, RunStore, SortCompletion, SortConfig, SortError, SortJob, SortOutcome,
-    SortResult, Tuple, VecSource,
+    DelaySample, FileStore, InputSource, MemStore, MemoryBudget, Page, RealEnv, RunId, RunStore,
+    SortCompletion, SortConfig, SortError, SortJob, SortOutcome, SortResult, Tuple, VecSource,
 };
 use masort_trace::{EventKind, SpanId, Trace};
 use std::sync::Arc;
@@ -73,15 +72,6 @@ impl ServiceStore {
             ServiceStore::Temp(s) => s,
         }
     }
-
-    /// Seconds the store spent blocked on write-behind blocks (0 for
-    /// in-memory stores, which never stall).
-    pub fn write_stall_seconds(&self) -> f64 {
-        match self {
-            ServiceStore::Mem(_) => 0.0,
-            ServiceStore::Temp(s) => s.write_stall_seconds(),
-        }
-    }
 }
 
 impl RunStore for ServiceStore {
@@ -99,26 +89,6 @@ impl RunStore for ServiceStore {
 
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
         self.inner_mut().read_page(run, idx)
-    }
-
-    fn read_block(&mut self, run: RunId, start: usize, len: usize) -> SortResult<Vec<Page>> {
-        self.inner_mut().read_block(run, start, len)
-    }
-
-    fn block_read_job(&mut self, run: RunId, start: usize, len: usize) -> Option<BlockReadJob> {
-        self.inner_mut().block_read_job(run, start, len)
-    }
-
-    fn attach_io_pool(&mut self, pool: IoPool) {
-        self.inner_mut().attach_io_pool(pool)
-    }
-
-    fn io_pool(&self) -> Option<IoPool> {
-        self.inner().io_pool()
-    }
-
-    fn set_write_coalescing(&mut self, pages: usize) {
-        self.inner_mut().set_write_coalescing(pages)
     }
 
     fn attach_trace(&mut self, trace: masort_trace::Trace) {
@@ -236,8 +206,6 @@ pub struct SortServiceBuilder {
     workers: usize,
     policy: Arc<dyn ArbitrationPolicy>,
     suspension_wait: Duration,
-    io_threads: usize,
-    io_pipeline_depth: usize,
     trace: Trace,
 }
 
@@ -263,8 +231,6 @@ impl Default for SortServiceBuilder {
             workers,
             policy: Arc::new(EqualShare),
             suspension_wait: Duration::from_secs(5),
-            io_threads: 0,
-            io_pipeline_depth: 0,
             trace: Trace::disabled(),
         }
     }
@@ -299,25 +265,6 @@ impl SortServiceBuilder {
         self
     }
 
-    /// Share one background [`IoPool`] of `n` worker threads across every
-    /// sort this service runs (default 0 = no pool, synchronous I/O).
-    /// Spilled jobs gain write-behind and merge read-ahead; see
-    /// [`io_pipeline`](Self::io_pipeline) for the depth.
-    pub fn io_threads(mut self, n: usize) -> Self {
-        self.io_threads = n;
-        self
-    }
-
-    /// Default read-ahead depth (pages per merge cursor) applied to every
-    /// submission that does not set its own `SortConfig::io` pipeline depth
-    /// (default 0 = pipeline off). Depth is rented from each job's own
-    /// memory budget, so pipelining never lets a job exceed its brokered
-    /// allocation.
-    pub fn io_pipeline(mut self, depth: usize) -> Self {
-        self.io_pipeline_depth = depth;
-        self
-    }
-
     /// Observability: emit admission/budget/phase/I-O events and service
     /// metrics through `trace` (default: disabled, zero overhead). Each job's
     /// events are recorded on [`job_span`]`(job_id)`; admission-queue and
@@ -332,8 +279,6 @@ impl SortServiceBuilder {
         let shared = Arc::new(Shared {
             start: Instant::now(),
             suspension_wait: self.suspension_wait,
-            io_pool: (self.io_threads > 0).then(|| IoPool::new(self.io_threads)),
-            default_io_depth: self.io_pipeline_depth,
             trace: self.trace,
             state: Mutex::new(State {
                 broker: MemoryBroker::new(self.pool_pages, self.policy),
@@ -371,10 +316,6 @@ struct State {
 pub(crate) struct Shared {
     start: Instant,
     suspension_wait: Duration,
-    /// Background I/O pool shared by every sort this service runs, if any.
-    io_pool: Option<IoPool>,
-    /// Pipeline depth applied to submissions that do not choose their own.
-    default_io_depth: usize,
     /// Service-wide observability handle; jobs emit on [`job_span`] rebinds.
     pub(crate) trace: Trace,
     state: Mutex<State>,
@@ -758,7 +699,6 @@ struct RootDone {
     end: RootEnd,
     error: Option<SortError>,
     outcome: SortOutcome,
-    write_stall_seconds: f64,
     tuples_streamed: usize,
     /// The remainder of the result, if the worker settled it.
     rest: Option<SortCompletion<ServiceStore>>,
@@ -802,7 +742,6 @@ fn drive_root(
                 end,
                 error: None,
                 outcome: settled.outcome.clone(),
-                write_stall_seconds: settled.store.write_stall_seconds(),
                 tuples_streamed,
                 rest: Some(settled),
             },
@@ -810,13 +749,11 @@ fn drive_root(
                 end: RootEnd::Failed,
                 error: Some(e),
                 outcome: so_far,
-                write_stall_seconds: 0.0,
                 tuples_streamed,
                 rest: None,
             },
         };
     }
-    let write_stall_seconds = sort.store.write_stall_seconds();
     // Closes the sort wherever it stands: runs deleted, pages back.
     let outcome = sort.into_stream().finish();
     let (end, error) = match ended {
@@ -828,7 +765,6 @@ fn drive_root(
         end,
         error,
         outcome,
-        write_stall_seconds,
         tuples_streamed,
         rest: None,
     }
@@ -877,18 +813,9 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
         budget.attach_trace(trace.clone());
     }
 
-    // Service-wide I/O pipelining: submissions inherit the service's default
-    // read-ahead depth unless they chose their own, and every pipelined sort
-    // shares the service's single background I/O pool through its
-    // environment.
-    let mut cfg = cfg;
-    if cfg.io.pipeline_depth == 0 {
-        cfg.io.pipeline_depth = shared.default_io_depth;
-    }
     let tuples_per_page = cfg.tuples_per_page();
     let mut env = RealEnv::starting_at(shared.start);
     env.max_wait = shared.suspension_wait;
-    env.io_pool = shared.io_pool.clone();
     env.trace = trace.clone();
     let tick = env.poll_interval;
     // A panicking job (e.g. a user-supplied `InputSource`) must not take the
@@ -925,7 +852,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 end: RootEnd::Failed,
                 error: Some(panic_error(panic)),
                 outcome: SortOutcome::default(),
-                write_stall_seconds: 0.0,
                 tuples_streamed: 0,
                 rest: None,
             });
@@ -983,11 +909,8 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 reallocations,
                 delay_samples: delays.len(),
                 total_delay: delays.iter().map(DelaySample::delay).sum(),
-                write_stall_seconds: done.write_stall_seconds,
                 io_stall_seconds: merge.io_stall,
                 sync_loads: merge.sync_block_loads,
-                prefetch_joins: merge.prefetch_block_joins,
-                io_peak_depth: shared.io_pool.as_ref().map_or(0, IoPool::peak_queued),
                 runs_emitted: split.run_count(),
                 min_run_tuples: split.min_run_tuples(),
                 max_run_tuples: split.max_run_tuples(),
@@ -1069,7 +992,7 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                         .add(reallocations);
                     metrics
                         .histogram("io_stall_seconds", None, LATENCY_BUCKETS)
-                        .observe(s.io_stall_seconds + s.write_stall_seconds);
+                        .observe(s.io_stall_seconds);
                     let duration = merge.duration();
                     if duration > 0.0 {
                         metrics
@@ -1080,9 +1003,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                     for run in &report.outcome.split.runs {
                         lengths.observe(run.tuples as f64);
                     }
-                    metrics
-                        .gauge("io_pool_peak_depth", None)
-                        .set(s.io_peak_depth as i64);
                 }
             }
             (None, None) => unreachable!("a job without an error reached its root"),
@@ -1321,15 +1241,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_service_round_trips_spilled_sorts() {
-        // One shared I/O pool across the whole service; every submission
-        // inherits the default read-ahead depth and spills to disk.
-        let svc = SortService::builder()
-            .pool_pages(24)
-            .workers(2)
-            .io_threads(2)
-            .io_pipeline(4)
-            .build();
+    fn concurrent_spilled_sorts_round_trip_on_two_workers() {
+        // Four spilling jobs, two workers, a pool of three grants: two run
+        // side by side on their own temporary directories while two queue.
+        let svc = SortService::builder().pool_pages(24).workers(2).build();
         let inputs: Vec<Vec<Tuple>> = (0..4).map(|i| random_tuples(2_000, 90 + i)).collect();
         let tickets: Vec<SortTicket> = inputs
             .iter()

@@ -45,20 +45,10 @@ pub struct JobStats {
     pub delay_samples: usize,
     /// Summed duration (seconds) of those delay samples.
     pub total_delay: f64,
-    /// Seconds the job's run store spent blocked waiting for write-behind
-    /// blocks to land (0 for in-memory stores and synchronous writes).
-    pub write_stall_seconds: f64,
-    /// Seconds the merge phase spent blocked on input I/O (synchronous block
-    /// reads plus waits on in-flight prefetch blocks).
+    /// Seconds the merge phase spent in store reads of its input runs.
     pub io_stall_seconds: f64,
-    /// Input blocks the merge loaded synchronously on its own thread.
+    /// Store reads the merge issued for its input runs.
     pub sync_loads: usize,
-    /// Input blocks delivered by the background prefetcher.
-    pub prefetch_joins: usize,
-    /// Deepest the service's shared background I/O pool queue has been as of
-    /// this job's completion (0 when the service runs without a pool). A
-    /// pool-lifetime high-water mark, not a per-job figure.
-    pub io_peak_depth: usize,
     /// Sorted runs the split phase emitted.
     pub runs_emitted: usize,
     /// Tuples in the shortest run (0 if no runs were formed).
@@ -183,11 +173,8 @@ mod tests {
             reallocations: 3,
             delay_samples: 0,
             total_delay: 0.0,
-            write_stall_seconds: 0.0,
             io_stall_seconds: 0.0,
             sync_loads: 0,
-            prefetch_joins: 0,
-            io_peak_depth: 0,
             runs_emitted: 0,
             min_run_tuples: 0,
             max_run_tuples: 0,

@@ -67,28 +67,6 @@ fn budget_retarget_races_holding_reports() {
     .expect("no interleaving may break the budget");
 }
 
-/// `IoPool` backpressure: one worker, competing submitters, handles redeemed
-/// while the pool is being dropped. Every interleaving must run every job
-/// exactly once (no deadlock between the worker's condvar wait and the
-/// shutdown flag, no lost job on the drop path).
-#[test]
-fn io_pool_backpressure_and_shutdown() {
-    explore_random(&opts(25), || {
-        let pool = IoPool::new(1);
-        let h1 = pool.submit(|| 1u32);
-        let h2 = pool.submit_urgent(|| 2u32);
-        let submitter = {
-            let pool = pool.clone();
-            thread::spawn(move || pool.submit(|| 3u32).wait())
-        };
-        drop(pool); // workers must drain the queue before exiting
-        assert_eq!(h1.wait(), Some(1));
-        assert_eq!(h2.wait(), Some(2));
-        assert_eq!(submitter.join().expect("submitter panicked"), Some(3));
-    })
-    .expect("no interleaving may lose an IoPool job");
-}
-
 /// The broker under concurrent admission, completion and pool resizing: two
 /// tiny sorts run while another task shrinks and re-grows the page pool.
 /// Every interleaving must deliver both sorted outputs and leave the service

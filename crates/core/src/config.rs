@@ -292,10 +292,6 @@ pub struct SortConfig {
     pub algorithm: AlgorithmSpec,
     /// The requested output order (direction + optional key extraction).
     pub order: SortOrder,
-    /// I/O pipelining (batched block reads, read-ahead, write-behind). The
-    /// default disables it, keeping every transfer synchronous and
-    /// page-at-a-time exactly as the paper models.
-    pub io: crate::io::IoConfig,
 }
 
 impl Default for SortConfig {
@@ -308,7 +304,6 @@ impl Default for SortConfig {
             memory_pages: 38,
             algorithm: AlgorithmSpec::recommended(),
             order: SortOrder::ascending(),
-            io: crate::io::IoConfig::default(),
         }
     }
 }
@@ -375,12 +370,6 @@ impl SortConfig {
     /// Builder-style shorthand for a descending sort on [`crate::Tuple::key`].
     pub fn descending(mut self) -> Self {
         self.order = SortOrder::descending();
-        self
-    }
-
-    /// Builder-style override of the I/O pipeline configuration.
-    pub fn with_io(mut self, io: crate::io::IoConfig) -> Self {
-        self.io = io;
         self
     }
 

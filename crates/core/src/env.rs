@@ -55,15 +55,6 @@ pub trait SortEnv {
     /// simulation environment bills it against the disk model.
     fn charge_extra_read(&mut self, _pages: usize) {}
 
-    /// The background I/O thread pool this environment shares with the sort,
-    /// if any. With a pool, stores gain write-behind and merge cursors
-    /// prefetch their next block on a worker thread; without one (the
-    /// default) pipelined configurations fall back to synchronous batched
-    /// reads.
-    fn io_pool(&self) -> Option<crate::io::IoPool> {
-        None
-    }
-
     /// The observability handle the sort emits trace events and metrics
     /// through. The default is the disabled handle — a single branch on
     /// every emission point, so an uninstrumented environment pays nothing
@@ -94,10 +85,6 @@ impl<E: SortEnv + ?Sized> SortEnv for Box<E> {
         (**self).charge_extra_read(pages)
     }
 
-    fn io_pool(&self) -> Option<crate::io::IoPool> {
-        (**self).io_pool()
-    }
-
     fn trace(&self) -> masort_trace::Trace {
         (**self).trace()
     }
@@ -113,8 +100,6 @@ pub struct RealEnv {
     pub max_wait: Duration,
     /// Interval between budget polls while waiting.
     pub poll_interval: Duration,
-    /// Shared background I/O pool handed to pipelined sorts, if any.
-    pub io_pool: Option<crate::io::IoPool>,
     /// Observability handle; disabled by default (zero hot-path cost).
     pub trace: masort_trace::Trace,
 }
@@ -125,7 +110,6 @@ impl Default for RealEnv {
             start: Instant::now(),
             max_wait: Duration::from_secs(30),
             poll_interval: Duration::from_millis(1),
-            io_pool: None,
             trace: masort_trace::Trace::disabled(),
         }
     }
@@ -157,12 +141,6 @@ impl RealEnv {
         }
     }
 
-    /// Builder-style: share `pool` with sorts running in this environment.
-    pub fn with_io_pool(mut self, pool: crate::io::IoPool) -> Self {
-        self.io_pool = Some(pool);
-        self
-    }
-
     /// Builder-style: emit trace events and metrics through `trace`.
     pub fn with_trace(mut self, trace: masort_trace::Trace) -> Self {
         self.trace = trace;
@@ -191,10 +169,6 @@ impl SortEnv for RealEnv {
             }
             crate::sync::thread::sleep(self.poll_interval);
         }
-    }
-
-    fn io_pool(&self) -> Option<crate::io::IoPool> {
-        self.io_pool.clone()
     }
 
     fn trace(&self) -> masort_trace::Trace {

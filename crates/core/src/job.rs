@@ -256,7 +256,8 @@ impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
     /// afterwards continues where the pulls stopped.
     pub fn settle(mut self) -> SortResult<Self> {
         self.exec().settle()?;
-        // Surface deferred write-behind failures here, not at the first read.
+        // A buffering store's deferred write failures surface here, not at
+        // the first read.
         self.store.flush()?;
         if self.exec().end_phase() {
             self.merge_phase_ended();
@@ -382,35 +383,6 @@ where
     /// Shorthand for a descending sort on [`Tuple::key`].
     pub fn descending(self) -> Self {
         self.order(SortOrder::descending())
-    }
-
-    /// Enable the I/O pipeline with up to `depth` pages of read-ahead per
-    /// merge cursor.
-    ///
-    /// The depth is a ceiling, not a reservation: read-ahead pages are rented
-    /// from the [`MemoryBudget`]'s headroom above the merge's working set and
-    /// are returned the moment the allocation shrinks, so the paper's
-    /// adaptation semantics (suspension, paging, dynamic splitting) are
-    /// unchanged. With a depth but no [`io_threads`](Self::io_threads), reads
-    /// are batched (one seek per block instead of one per page) but stay on
-    /// the sorting thread. `0` (the default) disables the pipeline.
-    pub fn io_pipeline(mut self, depth: usize) -> Self {
-        self.cfg.io.pipeline_depth = depth;
-        self
-    }
-
-    /// Run store I/O on `n` background worker threads.
-    ///
-    /// Stores that support it (e.g. [`crate::FileStore`]) gain write-behind —
-    /// run formation sorts the next batch while the previous block is still
-    /// being encoded and written — and merge cursors double-buffer: the next
-    /// block of each input run is fetched and decoded on a worker while the
-    /// current one is consumed. Takes effect only together with
-    /// [`io_pipeline`](Self::io_pipeline). `0` (the default) keeps all I/O on
-    /// the sorting thread.
-    pub fn io_threads(mut self, n: usize) -> Self {
-        self.cfg.io.io_threads = n;
-        self
     }
 
     /// Sort the given input source.

@@ -99,7 +99,6 @@ pub mod env;
 pub mod error;
 pub mod gensort;
 pub mod input;
-pub mod io;
 pub mod job;
 pub mod join;
 pub mod layout;
@@ -135,7 +134,6 @@ pub use input::{
     ChannelClosed, ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource,
     Unsplit, VecSource,
 };
-pub use io::{IoConfig, IoHandle, IoPool};
 pub use job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
 pub use join::{JoinOutcome, SortMergeJoin};
 pub use layout::{PayloadRef, RecordSlab, TupleArena, MIN_DENSE_STRIDE};
@@ -143,7 +141,9 @@ pub use merge::{MergeStats, StaticPlanSummary};
 pub use order::{normalized_prefix, SortDirection, SortOrder};
 pub use run_formation::SplitStats;
 pub use sorter::{ExternalSorter, SortOutcome};
-pub use store::{BlockReadJob, FileStore, MemStore, RunDirection, RunId, RunMeta, RunStore};
+pub use store::{
+    BlockReadJob, FileStore, IoPool, MemStore, RunDirection, RunId, RunMeta, RunStore,
+};
 pub use stream::SortedStream;
 pub use tuple::{Page, Payload, Tuple};
 
@@ -159,7 +159,6 @@ pub mod prelude {
         ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource, Unsplit,
         VecSource,
     };
-    pub use crate::io::{IoConfig, IoPool};
     pub use crate::job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
     pub use crate::join::{JoinOutcome, SortMergeJoin};
     pub use crate::order::{SortDirection, SortOrder};

@@ -1,16 +1,8 @@
 //! A read cursor over a stored run: one buffered page at a time, exactly as
-//! the merge phase consumes its input runs — plus an opt-in, budget-aware
-//! read-ahead pipeline.
-//!
-//! With pipelining off (the default) the cursor reads one page per store
-//! call. When the merge executor grants it a *read-ahead depth* (pages rented
-//! from the [`crate::MemoryBudget`]'s headroom via
-//! [`RunCursor::set_pipeline`]), the cursor pulls whole blocks through
-//! [`RunStore::read_block`] and — when the store supports background I/O and
-//! an [`IoPool`] is attached — double-buffers: while the executor consumes
-//! the staged block, the next block is fetched (and decoded) on an I/O worker
-//! thread. Staged pages are handed back instantly via
-//! [`RunCursor::shed_to`] when memory pressure returns.
+//! the merge phase consumes its input runs. The cursor has one way to load:
+//! when its buffer is empty it reads the run's next page with
+//! [`RunStore::read_page`] on the merging thread, so the one page the merge
+//! plan bills per input is all it ever holds.
 //!
 //! # The rank cache
 //!
@@ -25,26 +17,13 @@
 //! once ([`RunCursor::take_batch`]).
 
 use crate::env::{CpuOp, SortEnv};
-use crate::error::{SortError, SortResult};
-use crate::io::{IoHandle, IoPool};
+use crate::error::SortResult;
 use crate::layout::{PayloadRef, TupleArena};
 use crate::order::SortOrder;
 use crate::store::{RunDirection, RunId, RunMeta, RunStore};
 use crate::tuple::{Page, Tuple};
-use std::collections::VecDeque;
 
-/// A block read in flight on a background I/O thread.
-#[derive(Debug)]
-struct PendingBlock {
-    handle: IoHandle<SortResult<Vec<Page>>>,
-    /// The cursor's logical fetch position (`next_page`) at issue time;
-    /// re-checked at completion in case the cursor was shed/reset.
-    start: usize,
-    len: usize,
-}
-
-/// Cursor over a run held in a [`RunStore`], buffering one page of tuples
-/// (plus optional rented read-ahead pages).
+/// Cursor over a run held in a [`RunStore`], buffering one page of tuples.
 ///
 /// A cursor created from metadata tagged [`RunDirection::Reversed`] reads the
 /// run *back-to-front* — last page first, last tuple of each page first — so
@@ -57,13 +36,12 @@ pub struct RunCursor {
     pub run: RunId,
     /// Number of pages fetched from the store so far. For forward runs this
     /// is also the physical index of the next page to read; for backward
-    /// runs the next physical page is `run_pages - 1 - next_page`. Staged
-    /// (prefetched) pages count as fetched; shedding them rewinds this.
+    /// runs the next physical page is `run_pages - 1 - next_page`.
     pub next_page: usize,
     /// Read the run back-to-front (the run is stored in reverse rank order).
     backward: bool,
     /// The currently buffered page. Its records stay where they lie in the
-    /// page's (possibly block-shared) buffer until they leave the cursor.
+    /// buffer the page was read into until they leave the cursor.
     page: Page,
     /// Records of `page` consumed so far; a backward cursor indexes the page
     /// from its end.
@@ -74,25 +52,12 @@ pub struct RunCursor {
     ranks: Vec<u64>,
     /// Total tuples consumed through this cursor.
     pub consumed: usize,
-    /// Pages read through this cursor (including prefetched pages that were
-    /// later shed and re-read — it counts real store I/O).
+    /// Pages read through this cursor.
     pub pages_read: usize,
-    /// Seconds this cursor spent blocked on store reads / prefetch joins.
+    /// Seconds this cursor spent in store reads.
     pub io_stall: f64,
-    /// Blocks loaded synchronously (prefetch missing or unsupported).
+    /// Store reads this cursor issued.
     pub sync_loads: usize,
-    /// Prefetched blocks joined (completed on a background worker).
-    pub prefetch_joins: usize,
-    /// Whole prefetched pages not yet promoted into `buf`. These are the
-    /// pages "rented" from the memory budget's headroom.
-    staged: VecDeque<Page>,
-    /// Read-ahead block in flight, if any.
-    pending: Option<PendingBlock>,
-    /// Pages of read-ahead this cursor may hold beyond the one page the merge
-    /// plan accounts for (0 = classic synchronous single-page reads).
-    depth: usize,
-    /// Background pool for double-buffered prefetch (requires store support).
-    pool: Option<IoPool>,
 }
 
 impl RunCursor {
@@ -119,98 +84,6 @@ impl RunCursor {
             pages_read: 0,
             io_stall: 0.0,
             sync_loads: 0,
-            prefetch_joins: 0,
-            staged: VecDeque::new(),
-            pending: None,
-            depth: 0,
-            pool: None,
-        }
-    }
-
-    /// Grant this cursor `depth` pages of read-ahead (rented from the memory
-    /// budget's headroom) and, optionally, a background pool for
-    /// double-buffered prefetch. Passing `depth == 0` returns the cursor to
-    /// classic synchronous single-page reads (staged pages are shed).
-    pub fn set_pipeline(&mut self, depth: usize, pool: Option<IoPool>) {
-        self.depth = depth;
-        self.pool = pool;
-        if depth == 0 {
-            self.shed_to(0);
-        }
-    }
-
-    /// Pages currently staged beyond the in-consumption page — the cursor's
-    /// outstanding rent against the memory budget.
-    pub fn staged_pages(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Total read-ahead rent: staged pages plus pages of the in-flight
-    /// prefetch block (those become resident the moment the worker finishes,
-    /// so they are billed from issue time).
-    pub fn rented_pages(&self) -> usize {
-        self.staged.len() + self.pending.as_ref().map_or(0, |p| p.len)
-    }
-
-    /// Give staged read-ahead pages back until at most `keep` remain,
-    /// rewinding `next_page` so they are re-read later, and drop any
-    /// in-flight prefetch. Returns the number of pages shed. This is how
-    /// rented pages return to the [`crate::MemoryBudget`] immediately when
-    /// the allocation shrinks.
-    pub fn shed_to(&mut self, keep: usize) -> usize {
-        self.pending = None;
-        let mut shed = 0;
-        while self.staged.len() > keep {
-            self.staged.pop_back();
-            self.next_page -= 1;
-            shed += 1;
-        }
-        shed
-    }
-
-    /// Issue a background read of the next block if double-buffering is
-    /// possible and worthwhile. Below two pages of depth the per-job
-    /// dispatch/join overhead exceeds a direct read, so shallow grants stay
-    /// on the synchronous batched path.
-    fn maybe_prefetch<S: RunStore>(&mut self, store: &mut S) {
-        if self.pending.is_some() || self.depth < 2 {
-            return;
-        }
-        let Some(pool) = self.pool.clone() else {
-            return;
-        };
-        // Double buffering within the rented quota: the staged pages plus
-        // the in-flight block never exceed `depth`, so the budget billing
-        // (`rented_pages`) is exact. Refill once at most half the quota
-        // remains staged; blocks of fewer than 2 pages are not worth a
-        // dispatch/join cycle.
-        if self.staged.len() * 2 > self.depth {
-            return;
-        }
-        let total = store.run_pages(self.run);
-        if self.next_page >= total {
-            return;
-        }
-        let len = (self.depth - self.staged.len()).min(total - self.next_page);
-        if len < 2 {
-            return;
-        }
-        let phys_start = if self.backward {
-            // The next `len` logical pages are the physical block ending at
-            // the first not-yet-fetched page from the back. Backward runs are
-            // fully written before merging begins, so `total` is stable.
-            total - self.next_page - len
-        } else {
-            self.next_page
-        };
-        if let Some(job) = store.block_read_job(self.run, phys_start, len) {
-            // Urgent: the merge will block on this read soon; it must not
-            // queue behind bulk write-behind blocks.
-            self.pending = Some(PendingBlock {
-                handle: pool.submit_urgent(job),
-                start: self.next_page,
-                len,
-            });
         }
     }
 
@@ -254,72 +127,23 @@ impl RunCursor {
         env: &mut E,
     ) -> SortResult<bool> {
         while self.buffered() == 0 {
-            // Promote a staged (prefetched) page first.
-            if let Some(page) = self.staged.pop_front() {
-                self.promote(order, page);
-                self.maybe_prefetch(store);
-                continue; // empty pages are legal (loop again)
-            }
-            // Join an in-flight prefetched block.
-            if let Some(pending) = self.pending.take() {
-                let t0 = env.now();
-                let result = pending.handle.wait();
-                self.io_stall += env.now() - t0;
-                self.prefetch_joins += 1;
-                let mut pages = match result {
-                    Some(r) => r?,
-                    None => {
-                        return Err(SortError::Io(std::io::Error::other(
-                            "background I/O worker lost a prefetch block",
-                        )))
-                    }
-                };
-                if pending.start == self.next_page {
-                    if self.backward {
-                        // The block was read in physical order; logical
-                        // consumption order is the reverse.
-                        pages.reverse();
-                    }
-                    self.pages_read += pages.len();
-                    self.next_page += pending.len;
-                    self.staged.extend(pages);
-                }
-                // A stale block (cursor was shed/reset underneath) is simply
-                // dropped; the loop re-reads synchronously.
-                continue;
-            }
             let total = store.run_pages(self.run);
             if self.next_page >= total {
                 return Ok(false);
             }
-            // Synchronous (possibly batched) load of up to 1 + depth pages.
-            let want = (1 + self.depth).min(total - self.next_page);
-            let phys_start = if self.backward {
-                total - self.next_page - want
+            let phys = if self.backward {
+                total - 1 - self.next_page
             } else {
                 self.next_page
             };
             env.charge_cpu(CpuOp::StartIo, 1);
             self.sync_loads += 1;
             let t0 = env.now();
-            let mut pages = if want > 1 {
-                store.read_block(self.run, phys_start, want)?
-            } else {
-                vec![store.read_page(self.run, phys_start)?]
-            };
-            if self.backward {
-                pages.reverse();
-            }
+            let page = store.read_page(self.run, phys)?;
             self.io_stall += env.now() - t0;
-            self.pages_read += pages.len();
-            self.next_page += want;
-            if pages.len() > 1 {
-                self.staged.extend(pages.drain(1..));
-            }
-            if let Some(first) = pages.pop() {
-                self.promote(order, first);
-            }
-            self.maybe_prefetch(store);
+            self.pages_read += 1;
+            self.next_page += 1;
+            self.promote(order, page);
             // Empty pages are legal (loop again).
         }
         Ok(true)
@@ -435,20 +259,16 @@ impl RunCursor {
         self.consumed += n;
     }
 
-    /// True when the buffered/staged pages and the store both have nothing
-    /// left.
+    /// True when the buffered page and the store both have nothing left.
     pub fn exhausted<S: RunStore>(&self, store: &S) -> bool {
-        self.buffered() == 0
-            && self.staged.is_empty()
-            && self.pending.is_none()
-            && self.next_page >= store.run_pages(self.run)
+        self.buffered() == 0 && self.next_page >= store.run_pages(self.run)
     }
 
     /// Remaining data in pages (buffered fraction counts as one page); used
     /// when picking the "shortest runs" for a preliminary merge step.
     pub fn remaining_pages<S: RunStore>(&self, store: &S) -> usize {
         let unread = store.run_pages(self.run).saturating_sub(self.next_page);
-        unread + self.staged.len() + usize::from(self.buffered() > 0)
+        unread + usize::from(self.buffered() > 0)
     }
 }
 
@@ -553,95 +373,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key, 5);
-    }
-
-    #[test]
-    fn pipelined_cursor_streams_identically() {
-        // Same tuples, same order, fewer I/O starts — for every depth and
-        // with/without a background pool.
-        for depth in [1, 2, 5, 64] {
-            for with_pool in [false, true] {
-                let (mut store, run) = setup(23, 3);
-                let mut env = CountingEnv::new();
-                let asc = SortOrder::ascending();
-                let mut c = RunCursor::new(run);
-                c.set_pipeline(depth, with_pool.then(|| crate::io::IoPool::new(1)));
-                let mut got = Vec::new();
-                while let Some(t) = c.pop(&asc, &mut store, &mut env).unwrap() {
-                    got.push(t.key);
-                }
-                assert_eq!(got, (0..23).collect::<Vec<u64>>());
-                assert!(c.exhausted(&store));
-                assert_eq!(c.consumed, 23);
-                assert!(
-                    env.charged(CpuOp::StartIo) < 8,
-                    "batched reads must issue fewer I/O starts (depth {depth})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shed_returns_staged_pages_and_rereads_them() {
-        let (mut store, run) = setup(12, 2); // 6 pages
-        let mut env = CountingEnv::new();
-        let asc = SortOrder::ascending();
-        let mut c = RunCursor::new(run);
-        c.set_pipeline(4, None);
-        // First load stages pages beyond the one being consumed.
-        assert!(c.ensure_loaded(&asc, &mut store, &mut env).unwrap());
-        assert!(c.staged_pages() > 0);
-        let staged = c.staged_pages();
-        let shed = c.shed_to(0);
-        assert_eq!(shed, staged);
-        assert_eq!(c.staged_pages(), 0);
-        // Depth 0 = classic synchronous mode; the stream is still complete
-        // and in order even though pages were given back mid-flight.
-        c.set_pipeline(0, None);
-        let mut got = Vec::new();
-        while let Some(t) = c.pop(&asc, &mut store, &mut env).unwrap() {
-            got.push(t.key);
-        }
-        assert_eq!(got, (0..12).collect::<Vec<u64>>());
-        // Shed pages were re-read: total pages read exceeds the run length.
-        assert_eq!(c.pages_read, 6 + shed);
-    }
-
-    #[test]
-    fn remaining_pages_counts_staged_pages() {
-        let (mut store, run) = setup(12, 2); // 6 pages
-        let mut env = CountingEnv::new();
-        let asc = SortOrder::ascending();
-        let mut c = RunCursor::new(run);
-        c.set_pipeline(3, None);
-        assert_eq!(c.remaining_pages(&store), 6);
-        c.pop(&asc, &mut store, &mut env).unwrap(); // loads 1 + 3 pages
-        assert_eq!(
-            c.remaining_pages(&store),
-            6,
-            "2 unread + 3 staged + partial buffer"
-        );
-    }
-
-    #[test]
-    fn background_prefetch_sees_pages_appended_after_issue() {
-        // A growing run (dynamic splitting's child output) must still be
-        // fully consumed when prefetching is on.
-        let mut store = MemStore::new();
-        let run = store.create_run().unwrap();
-        let mut env = CountingEnv::new();
-        let asc = SortOrder::ascending();
-        let mut c = RunCursor::new(run);
-        c.set_pipeline(2, Some(crate::io::IoPool::new(1)));
-        assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap(), None);
-        for p in paginate((0..6u64).map(|k| Tuple::synthetic(k, 16)).collect(), 2) {
-            store.append_page(run, p).unwrap();
-        }
-        let mut got = Vec::new();
-        while let Some(t) = c.pop(&asc, &mut store, &mut env).unwrap() {
-            got.push(t.key);
-        }
-        assert_eq!(got, (0..6).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -835,8 +566,8 @@ mod tests {
 
     /// Property test: a descending run of random length, paginated with a
     /// random page size, written through a [`crate::FileStore`] (encode), read
-    /// back in random block sizes (block read), and consumed through a
-    /// reversed cursor — always yields the ascending stream.
+    /// back and consumed through a reversed cursor — always yields the
+    /// ascending stream.
     #[test]
     fn descending_runs_round_trip_through_file_store() {
         use rand::rngs::StdRng;
@@ -845,7 +576,6 @@ mod tests {
         for trial in 0..20 {
             let n = rng.gen_range(1..400usize);
             let per_page = rng.gen_range(1..32usize);
-            let depth = rng.gen_range(0..5usize);
             let dir = std::env::temp_dir()
                 .join(format!("masort-revcursor-{}-{trial}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
@@ -857,7 +587,6 @@ mod tests {
             let mut meta = store.meta(run);
             meta.dir = crate::store::RunDirection::Reversed;
             let mut c = RunCursor::from_meta(meta);
-            c.set_pipeline(depth, None);
             let mut env = CountingEnv::new();
             let asc = SortOrder::ascending();
             let mut got = Vec::new();
@@ -867,7 +596,7 @@ mod tests {
             assert_eq!(
                 got,
                 (0..n as u64).collect::<Vec<u64>>(),
-                "trial {trial}: n={n} per_page={per_page} depth={depth}"
+                "trial {trial}: n={n} per_page={per_page}"
             );
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);

@@ -58,11 +58,6 @@ pub struct ExecParams {
     pub adaptation: MergeAdaptation,
     /// Minimum number of pages the merge always keeps (2 inputs + 1 output).
     pub min_pages: usize,
-    /// Ceiling on per-cursor read-ahead pages (0 disables the I/O pipeline).
-    /// The actual depth is rented from the [`MemoryBudget`]'s headroom above
-    /// the active step's working set and shrinks to zero under pressure, so
-    /// pipelining never competes with the paper's adaptation logic for pages.
-    pub io_depth: usize,
 }
 
 impl ExecParams {
@@ -72,14 +67,7 @@ impl ExecParams {
             policy: spec.policy,
             adaptation: spec.adaptation,
             min_pages: 3,
-            io_depth: 0,
         }
-    }
-
-    /// Builder-style override of the read-ahead depth ceiling.
-    pub fn with_io_depth(mut self, depth: usize) -> Self {
-        self.io_depth = depth;
-        self
     }
 }
 
@@ -89,7 +77,6 @@ impl Default for ExecParams {
             policy: MergePolicy::Optimized,
             adaptation: MergeAdaptation::DynamicSplitting,
             min_pages: 3,
-            io_depth: 0,
         }
     }
 }
@@ -118,12 +105,13 @@ pub struct MergeStats {
     pub refetched_pages: usize,
     /// Total simulated/real time spent suspended waiting for memory.
     pub suspended_time: f64,
-    /// Seconds the executor spent blocked on input I/O (synchronous reads
-    /// plus waits for not-yet-finished prefetch blocks).
+    /// Seconds the executor spent in store reads of its input runs.
     pub io_stall: f64,
-    /// Input blocks loaded synchronously on the merge thread.
+    /// Store reads the executor issued for its input runs.
     pub sync_block_loads: usize,
-    /// Input blocks fetched by the background prefetcher.
+    /// Always 0: nothing reads ahead on another thread. Kept only because
+    /// the benchmark harness reads the field by name; goes with the next
+    /// `[benchmark]` PR.
     pub prefetch_block_joins: usize,
     /// Tuples written to output runs (or consumed, for joins).
     pub tuples_output: u64,
@@ -146,7 +134,6 @@ impl MergeStats {
         self.pages_read += cursor.pages_read;
         self.io_stall += cursor.io_stall;
         self.sync_block_loads += cursor.sync_loads;
-        self.prefetch_block_joins += cursor.prefetch_joins;
     }
 }
 
@@ -184,13 +171,6 @@ pub(crate) struct MergeState {
     /// MRU-paging residency state (keyed by run id of the active step's inputs).
     resident: HashSet<RunId>,
     recency: Vec<RunId>,
-    /// Background I/O pool for prefetching, when pipelining is enabled and
-    /// the environment provides one.
-    pool: Option<crate::io::IoPool>,
-    /// `(active step, its input count, budget version)` when the pipeline
-    /// grants were last recomputed; re-granting is skipped while unchanged so
-    /// the per-produce-unit adaptation loop stays cheap.
-    pipeline_stamp: Option<(usize, usize, u64)>,
     /// Loser tree over the active step's inputs, keyed by the cursors' head
     /// *composite* keys (`rank << 64 | tie_rank`) — the selection tree the
     /// CPU cost model already assumes, with no stale-entry retries: after the
@@ -228,9 +208,8 @@ pub(crate) struct MergeState {
 }
 
 impl MergeState {
-    fn new<S: RunStore, E: SortEnv>(
+    fn new<E: SortEnv>(
         budget: &MemoryBudget,
-        store: &S,
         env: &E,
         params: ExecParams,
         mode: ExecMode,
@@ -245,14 +224,6 @@ impl MergeState {
             plan_memory: budget.target().max(params.min_pages),
             resident: HashSet::new(),
             recency: Vec::new(),
-            // Prefetch workers: the environment's shared pool, or the one a
-            // pipelined sort attached to its store.
-            pool: if params.io_depth > 0 {
-                env.io_pool().or_else(|| store.io_pool())
-            } else {
-                None
-            },
-            pipeline_stamp: None,
             tree: LoserTree::default(),
             sel_dirty: true,
             trace: env.trace(),
@@ -328,67 +299,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             MergeAdaptation::Suspension => self.adapt_static(true, wait)?,
             MergeAdaptation::Paging => self.adapt_static(false, wait)?,
         }
-        // A merge that stays suspended holds nothing, read-ahead included.
-        if self.st.suspended_at.is_none() {
-            self.update_pipeline();
-        }
         Ok(())
-    }
-
-    /// Re-divide the budget's headroom above the active step's working set
-    /// into per-cursor read-ahead depths, shedding staged pages that no
-    /// longer fit. With `io_depth == 0` this is a no-op and the merge reads
-    /// one page at a time, exactly as the paper models.
-    fn update_pipeline(&mut self) {
-        if self.st.params.io_depth == 0 {
-            return;
-        }
-        // Cheap change detection: depths only move when the budget target
-        // moves (version bump), the active step switches, or an input is
-        // exhausted/absorbed.
-        let active = self.st.arena.active;
-        let n_inputs = self.st.arena.steps[active].inputs.len();
-        let stamp = (active, n_inputs, self.budget.version());
-        if self.st.pipeline_stamp == Some(stamp) {
-            return;
-        }
-        self.st.pipeline_stamp = Some(stamp);
-        let target = self.effective_target();
-        let need = self.st.arena.steps[active].pages_needed();
-        let headroom = target.saturating_sub(need);
-        let n = n_inputs.max(1);
-        let per = self.st.params.io_depth.min(headroom / n);
-        for input in &mut self.st.arena.steps[active].inputs {
-            if input.cursor.rented_pages() > per {
-                input.cursor.shed_to(per);
-            }
-            input.cursor.set_pipeline(per, self.st.pool.clone());
-        }
-        let staged = self.staged_total();
-        self.budget
-            .record_held((need + staged).min(target), self.env.now());
-    }
-
-    /// Read-ahead pages currently rented across every step (staged plus
-    /// in-flight prefetch blocks) — the merge's outstanding rent against the
-    /// memory budget.
-    fn staged_total(&self) -> usize {
-        self.st
-            .arena
-            .steps
-            .iter()
-            .flat_map(|s| s.inputs.iter())
-            .map(|i| i.cursor.rented_pages())
-            .sum()
-    }
-
-    /// Return every staged read-ahead page of `step` to the budget (used when
-    /// execution switches away from a step; its buffers would be refetched
-    /// after the switch anyway).
-    fn shed_step(&mut self, step: usize) {
-        for input in &mut self.st.arena.steps[step].inputs {
-            input.cursor.shed_to(0);
-        }
     }
 
     fn adapt_dynamic(&mut self) -> SortResult<()> {
@@ -409,7 +320,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 }
             }
         }
-        let need_now = self.st.arena.active_step().pages_needed() + self.staged_total();
+        let need_now = self.st.arena.active_step().pages_needed();
         self.budget
             .record_held(need_now.min(target), self.env.now());
         Ok(())
@@ -427,9 +338,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         let need = self.st.arena.active_step().pages_needed();
         if suspend {
             if need > target && self.st.suspended_at.is_none() {
-                // Give every buffer back — including staged read-ahead pages —
-                // then stop until the memory returns.
-                self.shed_step(self.st.arena.active);
+                // Give every buffer back, then stop until the memory returns.
                 self.budget.record_held(0, self.env.now());
                 self.st.trace.emit(EventKind::Suspend { need, target });
                 self.st.suspended_at = Some(self.env.now());
@@ -452,14 +361,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             }
             let target_now = self.effective_target();
             self.budget
-                .record_held((need + self.staged_total()).min(target_now), self.env.now());
+                .record_held(need.min(target_now), self.env.now());
         } else {
             if need <= target {
                 self.st.resident.clear();
                 self.st.recency.clear();
             }
-            self.budget
-                .record_held((need + self.staged_total()).min(target), self.env.now());
+            self.budget.record_held(need.min(target), self.env.now());
         }
         Ok(())
     }
@@ -502,11 +410,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             return Ok(()); // cannot split any further
         }
         let child_out = self.store.create_run()?;
-        let parent = self.st.arena.active;
         self.st.arena.split_active(indices, child_out, side, memory);
-        // The (now dormant) parent keeps its cursors; return their staged
-        // read-ahead pages to the budget immediately.
-        self.shed_step(parent);
         self.st.stats.splits += 1;
         self.st.trace.emit(EventKind::Split { target: memory });
         self.charge_switch();
@@ -563,7 +467,6 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     fn switch_to_parent(&mut self) -> SortResult<()> {
         self.flush_active_output(true)?;
         if let Some(parent) = self.st.arena.active_step().parent {
-            self.shed_step(self.st.arena.active);
             self.st.arena.active = parent;
             self.charge_switch();
             self.reset_paging_state();
@@ -722,7 +625,6 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     fn complete_active(&mut self) -> SortResult<Progress> {
         self.flush_active_output(true)?;
         let active = self.st.arena.active;
-        self.shed_step(active);
         self.st.arena.steps[active].completed = true;
         Ok(match self.st.arena.steps[active].parent {
             None => Progress::Done,
@@ -1190,15 +1092,7 @@ pub fn execute_merge<S: RunStore, E: SortEnv>(
 ) -> SortResult<(RunId, MergeStats)> {
     let output = store.create_run()?;
     let mode = ExecMode::Sort;
-    let mut st = MergeState::new(
-        budget,
-        store,
-        env,
-        params,
-        mode,
-        sort_inputs(runs),
-        Some(output),
-    );
+    let mut st = MergeState::new(budget, env, params, mode, sort_inputs(runs), Some(output));
     Exec::over(cfg, budget, store, env, &mut st).run_sort()?;
     Ok((output, st.stats))
 }
@@ -1216,7 +1110,7 @@ pub(crate) fn begin_streaming_merge<S: RunStore, E: SortEnv>(
     params: ExecParams,
 ) -> SortResult<MergeState> {
     let mode = ExecMode::Sort;
-    let mut st = MergeState::new(budget, store, env, params, mode, sort_inputs(runs), None);
+    let mut st = MergeState::new(budget, env, params, mode, sort_inputs(runs), None);
     Exec::over(cfg, budget, store, env, &mut st).run_to_root()?;
     Ok(st)
 }
@@ -1237,7 +1131,7 @@ pub fn execute_join_merge<S: RunStore, E: SortEnv>(
     let mut inputs: Vec<Input> = Vec::with_capacity(left_runs.len() + right_runs.len());
     inputs.extend(left_runs.iter().map(|r| Input::from_meta(*r, Side::Left)));
     inputs.extend(right_runs.iter().map(|r| Input::from_meta(*r, Side::Right)));
-    let mut st = MergeState::new(budget, store, env, params, ExecMode::Join, inputs, None);
+    let mut st = MergeState::new(budget, env, params, ExecMode::Join, inputs, None);
     Exec::over(cfg, budget, store, env, &mut st).run_join(on_match)?;
     Ok(st.stats)
 }
@@ -1294,7 +1188,6 @@ mod tests {
             policy,
             adaptation,
             min_pages: 3,
-            io_depth: 0,
         }
     }
 

@@ -22,9 +22,8 @@
 //!   against every node on its path), and
 //! * a full [`LoserTree::rebuild`] whenever the *membership* of the active
 //!   merge step changes — a dynamic split, a growth switch, an exhausted
-//!   input, or a child step being absorbed. The executor drives this off the
-//!   same `(active step, input count, budget version)` change signal that
-//!   already gates the I/O pipeline re-grant, so every adaptation checkpoint
+//!   input, or a child step being absorbed. The executor marks the tree
+//!   dirty at each of these, so every adaptation checkpoint
 //!   of the paper (suspension, MRU paging, dynamic splitting) sees a freshly
 //!   built tree and none of them ever observes a stale selection. Batched
 //!   (gallop) moves stop at the same checkpoints: a batch never crosses a

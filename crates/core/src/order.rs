@@ -180,7 +180,7 @@ impl SortOrder {
     ///
     /// This is the merge kernel's rank cache: the direction mapping — and a
     /// custom extractor, which is handed a [`Tuple`] by contract and so costs
-    /// one per record — run exactly once per staged page, and every later
+    /// one per record — run exactly once per promoted page, and every later
     /// selection reads plain `u64`s from the resulting column.
     pub fn rank_column_into(&self, page: &Page, out: &mut Vec<u64>) {
         out.reserve(page.len());

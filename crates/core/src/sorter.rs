@@ -198,29 +198,12 @@ impl ExternalSorter {
         Ok((outcome, root))
     }
 
-    /// Enter the split phase. Pipelined configurations first get their
-    /// background I/O pool resolved: prefer the environment's shared pool (a
-    /// service hands one pool to all of its sorts); otherwise spin up a
-    /// private one when the configuration asks for worker threads. Attaching
-    /// it to the store enables write-behind during run formation and merging;
-    /// merge cursors pick the same pool up for read-ahead.
     fn enter_split<S: RunStore, E: SortEnv>(&self, store: &mut S, env: &E, budget: &MemoryBudget) {
         // The store shares the environment's observability handle so its run
         // and I/O events land on the same span as the sort's phase events.
         let trace = env.trace();
         if trace.is_enabled() {
             store.attach_trace(trace.clone());
-        }
-        if self.cfg.io.enabled() {
-            let pool = env.io_pool().or_else(|| {
-                (self.cfg.io.io_threads > 0).then(|| crate::io::IoPool::new(self.cfg.io.io_threads))
-            });
-            if let Some(pool) = pool {
-                store.attach_io_pool(pool);
-            }
-            // Even without worker threads, pipelined sorts batch their
-            // writes: appends coalesce into ~read-block-sized block writes.
-            store.set_write_coalescing(self.cfg.io.pipeline_depth.clamp(8, 64));
         }
         budget.set_phase(SortPhase::Split);
         trace.emit(EventKind::PhaseStart { phase: "split" });
@@ -234,14 +217,15 @@ impl ExternalSorter {
     }
 
     fn merge_params(&self) -> ExecParams {
-        ExecParams::from_algorithm(&self.cfg.algorithm).with_io_depth(self.cfg.io.pipeline_depth)
+        ExecParams::from_algorithm(&self.cfg.algorithm)
     }
 }
 
 /// Flush the store after the phases ran, **on success and error paths
-/// alike** — write-behind stores may still have blocks in flight, and a
-/// deferred write failure must surface as the sort's error instead of being
-/// dropped with the store. A phase error takes precedence over a flush error.
+/// alike** — a store that buffers its appends (see [`RunStore::flush`]) may
+/// still hold some, and a deferred write failure must surface as the sort's
+/// error instead of being dropped with the store. A phase error takes
+/// precedence over a flush error.
 fn flush_after<T, S: RunStore, E: SortEnv>(
     phases: SortResult<T>,
     store: &mut S,
@@ -509,9 +493,9 @@ mod tests {
     #[test]
     fn error_paths_still_flush_the_store() {
         // A store whose reads always fail makes the merge phase error out
-        // while queued write-behind work may still be buffered; the sorter
-        // must flush it before propagating so deferred write failures cannot
-        // be dropped silently with the store.
+        // while a buffering store may still hold appends; the sorter must
+        // flush it before propagating so deferred write failures cannot be
+        // dropped silently with the store.
         use crate::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
         struct FlushCountingStore {

@@ -16,20 +16,23 @@
 //! [`SortError::CorruptRun`] instead of panicking.
 
 use crate::error::{SortError, SortResult};
-use crate::io::{IoHandle, IoPool};
 use crate::tuple::Page;
 use masort_trace::EventKind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{IoSlice, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// A one-shot batched read that can execute on a background thread: reads and
-/// decodes a contiguous range of pages without touching the store again.
-/// Produced by [`RunStore::block_read_job`].
+/// What [`RunStore::block_read_job`] would return. No store produces one;
+/// the name is kept only because the benchmark harness spells it.
 pub type BlockReadJob = Box<dyn FnOnce() -> SortResult<Vec<Page>> + Send + 'static>;
+
+/// The argument of [`RunStore::attach_io_pool`]. There is no background I/O
+/// pool: the type has no value, so none can be attached. The name is kept
+/// only because the benchmark harness spells it.
+#[derive(Debug)]
+pub enum IoPool {}
 
 /// Identifier of a run within a [`RunStore`].
 pub type RunId = u32;
@@ -92,69 +95,21 @@ pub trait RunStore {
     /// Read page `idx` of `run`.
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page>;
 
-    /// [`read_page`](Self::read_page) under its former name: a page keeps the
-    /// buffer it was read into, so no store has a use for `scratch`. Kept
-    /// only because the benchmark harness forwards it by name.
-    fn read_page_with_scratch(
-        &mut self,
-        run: RunId,
-        idx: usize,
-        scratch: &mut Vec<u8>,
-    ) -> SortResult<Page> {
-        let _ = scratch;
-        self.read_page(run, idx)
-    }
-
-    /// Read `len` consecutive pages of `run` starting at page `start` (a
-    /// *block read*). Implementations that talk to real devices should issue
-    /// a single seek and one contiguous transfer for the whole block; the
-    /// default falls back to `len` individual page reads.
-    fn read_block(&mut self, run: RunId, start: usize, len: usize) -> SortResult<Vec<Page>> {
-        (start..start + len)
-            .map(|idx| self.read_page(run, idx))
-            .collect()
-    }
-
-    /// Package a block read as a job that can run on a background I/O thread
-    /// ([`BlockReadJob`]), or `None` when this store can only read
-    /// synchronously (the default). Stores that support it hand back a
-    /// self-contained closure over an independent file handle, so the caller
-    /// may keep using the store while the job executes.
-    fn block_read_job(&mut self, _run: RunId, _start: usize, _len: usize) -> Option<BlockReadJob> {
-        None
-    }
-
-    /// Attach a background I/O pool. Stores that support write-behind (e.g.
-    /// [`FileStore`]) start completing `append_page`/`append_block` calls
-    /// asynchronously; the default ignores the pool and stays synchronous.
-    fn attach_io_pool(&mut self, _pool: IoPool) {}
-
-    /// The background I/O pool previously attached with
-    /// [`attach_io_pool`](Self::attach_io_pool), if the store kept one.
-    /// Merge cursors use this to prefetch blocks on the store's own workers.
-    fn io_pool(&self) -> Option<IoPool> {
-        None
-    }
-
-    /// Wait until every buffered / in-flight write has reached the backing
-    /// medium, surfacing any deferred write error. A no-op for synchronous
-    /// stores (the default).
+    /// Make every append accepted so far durable on the backing medium,
+    /// surfacing any write error the store deferred. The stores in this
+    /// workspace write through on every append, so theirs is the default
+    /// no-op; a custom store that buffers relies on the sort calling this
+    /// after its phases (on success and on error) and before a settled
+    /// result is read.
     fn flush(&mut self) -> SortResult<()> {
         Ok(())
     }
 
-    /// Hint that the caller runs a pipelined sort: stores that support it
-    /// coalesce small appends into block writes (one seek + one transfer per
-    /// ~`pages` pages) even without a background pool. Appends may then be
-    /// buffered; errors surface at the next read/flush with the run rolled
-    /// back to its last durable prefix. The default ignores the hint.
-    fn set_write_coalescing(&mut self, _pages: usize) {}
-
     /// Attach an observability handle. Stores that support it start emitting
     /// run-lifecycle ([`RunCreate`](masort_trace::EventKind::RunCreate) /
     /// [`RunDelete`](masort_trace::EventKind::RunDelete)) and I/O
-    /// (`IoRead` / `IoWrite` / `IoStall`) events at block granularity; the
-    /// default ignores the handle and stays silent.
+    /// (`IoRead` / `IoWrite`) events, one per store call; the default ignores
+    /// the handle and stays silent.
     fn attach_trace(&mut self, _trace: masort_trace::Trace) {}
 
     /// Number of pages currently in `run` (0 for unknown runs).
@@ -178,6 +133,49 @@ pub trait RunStore {
             dir: RunDirection::Forward,
         }
     }
+
+    // -----------------------------------------------------------------
+    // Pinned names. The sort calls none of the methods below and no store in
+    // the workspace overrides one; each is kept, with the default that does
+    // nothing beyond `read_page`, only because the benchmark harness's store
+    // wrapper forwards it by name. They go with the next `[benchmark]` PR.
+    // -----------------------------------------------------------------
+
+    /// [`read_page`](Self::read_page) under a former name; `scratch` is
+    /// ignored. Pinned (see above).
+    fn read_page_with_scratch(
+        &mut self,
+        run: RunId,
+        idx: usize,
+        scratch: &mut Vec<u8>,
+    ) -> SortResult<Page> {
+        let _ = scratch;
+        self.read_page(run, idx)
+    }
+
+    /// `len` calls of [`read_page`](Self::read_page) from page `start` on.
+    /// Pinned (see above).
+    fn read_block(&mut self, run: RunId, start: usize, len: usize) -> SortResult<Vec<Page>> {
+        (start..start + len)
+            .map(|idx| self.read_page(run, idx))
+            .collect()
+    }
+
+    /// Always `None`: reads happen on the calling thread. Pinned (see above).
+    fn block_read_job(&mut self, _run: RunId, _start: usize, _len: usize) -> Option<BlockReadJob> {
+        None
+    }
+
+    /// Cannot be called: [`IoPool`] has no value. Pinned (see above).
+    fn attach_io_pool(&mut self, _pool: IoPool) {}
+
+    /// Always `None`. Pinned (see above).
+    fn io_pool(&self) -> Option<IoPool> {
+        None
+    }
+
+    /// Does nothing: every append is written through. Pinned (see above).
+    fn set_write_coalescing(&mut self, _pages: usize) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -276,27 +274,6 @@ impl RunStore for MemStore {
         Ok(page)
     }
 
-    fn read_block(&mut self, run: RunId, start: usize, len: usize) -> SortResult<Vec<Page>> {
-        let pages = self.runs.get(&run).ok_or(SortError::UnknownRun(run))?;
-        let end = start + len;
-        if end > pages.len() {
-            return Err(SortError::corrupt(
-                run,
-                format!(
-                    "block [{start}, {end}) out of range ({} page(s))",
-                    pages.len()
-                ),
-            ));
-        }
-        self.pages_read += len;
-        self.bytes_read += pages[start..end].iter().map(Page::bytes).sum::<usize>();
-        self.trace.emit(EventKind::IoRead {
-            run: run.into(),
-            pages: len,
-        });
-        Ok(pages[start..end].to_vec())
-    }
-
     fn run_pages(&self, run: RunId) -> usize {
         self.runs.get(&run).map_or(0, Vec::len)
     }
@@ -322,55 +299,28 @@ impl RunStore for MemStore {
 // File-backed store
 // ---------------------------------------------------------------------------
 
-/// Read the pages `entries` index — a contiguous block starting at page
-/// `start` of `run` — with one positioned read (where the platform has it),
-/// and decode them.
-///
-/// The block buffer moves behind an `Arc` exactly once; every page in the
-/// block then *borrows* its record region out of that one shared allocation
-/// (the zero-copy decode path), so a page read alone keeps the buffer it was
-/// read into.
-fn read_pages(
-    file: &File,
-    trace: &masort_trace::Trace,
-    run: RunId,
-    start: usize,
-    entries: &[(u64, u32)],
-) -> SortResult<Vec<Page>> {
-    let first_off = entries[0].0;
-    let total: usize = entries.iter().map(|&(_, l)| l as usize).sum();
-    let mut buf = vec![0u8; total];
+/// Read page `idx` of `run` — `len` bytes at `offset` of `file` — with one
+/// positioned read (where the platform has it) and decode it. The page keeps
+/// the buffer it was read into.
+fn read_page_at(file: &File, run: RunId, idx: usize, offset: u64, len: usize) -> SortResult<Page> {
+    let mut buf = vec![0u8; len];
     #[cfg(unix)]
-    let read = std::os::unix::fs::FileExt::read_exact_at(file, &mut buf, first_off);
+    let read = std::os::unix::fs::FileExt::read_exact_at(file, &mut buf, offset);
     #[cfg(not(unix))]
     let read = {
         let mut file = file;
-        file.seek(SeekFrom::Start(first_off))
+        file.seek(SeekFrom::Start(offset))
             .and_then(|_| std::io::Read::read_exact(&mut file, &mut buf))
     };
     read.map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SortError::corrupt(
-                run,
-                format!("block at page {start} truncated: expected {total} byte(s)"),
-            )
+            SortError::corrupt(run, format!("page {idx} truncated: expected {len} byte(s)"))
         } else {
             SortError::Io(e)
         }
     })?;
-    trace.emit(EventKind::IoRead {
-        run: run.into(),
-        pages: entries.len(),
-    });
-    let shared = Arc::new(buf);
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, &(off, len))| {
-            Page::decode_shared(&shared, (off - first_off) as usize, len as usize)
-                .map_err(|detail| SortError::corrupt(run, format!("page {}: {detail}", start + i)))
-        })
-        .collect()
+    Page::decode_shared(&Arc::new(buf), 0, len)
+        .map_err(|detail| SortError::corrupt(run, format!("page {idx}: {detail}")))
 }
 
 /// Write `pages` back to back into `file` from `offset` on, as one gathered
@@ -396,233 +346,14 @@ fn write_pages(file: &mut File, offset: u64, pages: &[Page]) -> std::io::Result<
     Ok(())
 }
 
-/// One block write still in flight on the I/O pool, with everything needed to
-/// roll the run back to its last durable prefix if the write fails.
-#[derive(Debug)]
-struct PendingWrite {
-    handle: IoHandle<std::io::Result<()>>,
-    start_offset: u64,
-    index_from: usize,
-    tuples_before: usize,
-}
-
-/// Roll `r` back to the durable prefix ending at `start_offset`
-/// (truncate-on-error): the file is truncated there, the index and tuple
-/// bookkeeping shrink to match, and any pages still queued for coalescing
-/// (which would land even further out) are discarded.
-fn rollback_run(r: &mut FileRun, start_offset: u64, index_from: usize, tuples_before: usize) {
-    let _ = r.file.set_len(start_offset);
-    r.index.truncate(index_from);
-    r.tuples = tuples_before;
-    r.write_pos = start_offset;
-    r.queued.clear();
-    r.queued_from = None;
-}
-
 #[derive(Debug)]
 struct FileRun {
     file: File,
-    /// (offset, encoded length) of each page. With write-behind the entries
-    /// for queued/in-flight blocks are present but not yet durable; every
-    /// read path drains [`FileRun::queued`] and [`FileRun::pending`] first.
+    /// (offset, encoded length) of each page.
     index: Vec<(u64, u32)>,
     tuples: usize,
     write_pos: u64,
     path: PathBuf,
-    /// Pages accepted but not yet handed to the I/O pool: small appends are
-    /// coalesced into one job per [`WRITE_COALESCE_PAGES`]-page block so the
-    /// per-job overhead amortises across many pages.
-    queued: Vec<Page>,
-    /// Rollback bookkeeping for the first queued page, captured when the
-    /// queue went from empty to non-empty.
-    queued_from: Option<(u64, usize, usize)>,
-    /// Outstanding write-behind blocks, oldest first.
-    pending: VecDeque<PendingWrite>,
-    /// Test hook: fail the next coalesced block when it is submitted.
-    #[cfg(test)]
-    poison_next_block: bool,
-}
-
-/// Bound on in-flight write-behind blocks per run; beyond it the appender
-/// blocks until the backlog drains, so memory for encoded-but-unwritten
-/// blocks stays bounded.
-const MAX_INFLIGHT_WRITES: usize = 8;
-
-/// Queued single-page appends are shipped to the pool once this many pages
-/// accumulate (one job, one positioned write for the whole block).
-const WRITE_COALESCE_PAGES: usize = 16;
-
-/// Wait for every in-flight write of `r`. On the first failure the run is
-/// rolled back to its last durable prefix: the file is truncated at the
-/// failed block's start offset and the index/tuple bookkeeping shrinks to
-/// match, so no half-written page is ever readable. Time spent blocked is
-/// accumulated into `stall`.
-fn drain_pending(r: &mut FileRun, stall: &mut f64) -> SortResult<()> {
-    if r.pending.is_empty() {
-        return Ok(());
-    }
-    let t0 = Instant::now();
-    let mut failure: Option<(u64, usize, usize, std::io::Error)> = None;
-    while let Some(p) = r.pending.pop_front() {
-        let err = match p.handle.wait() {
-            Some(Ok(())) => None,
-            Some(Err(e)) => Some(e),
-            None => Some(std::io::Error::other(
-                "background I/O worker lost a write-behind block",
-            )),
-        };
-        if let (Some(e), None) = (err, failure.as_ref()) {
-            failure = Some((p.start_offset, p.index_from, p.tuples_before, e));
-        }
-    }
-    *stall += t0.elapsed().as_secs_f64();
-    if let Some((off, index_from, tuples_before, e)) = failure {
-        // Later blocks past the failed one would sit beyond a hole; discard
-        // them too rather than leave garbage readable.
-        rollback_run(r, off, index_from, tuples_before);
-        return Err(SortError::Io(e));
-    }
-    Ok(())
-}
-
-/// Wait for the oldest in-flight block only (backpressure without a full
-/// barrier). A failure still triggers the full drain-and-rollback, since the
-/// oldest block has the earliest offset.
-fn wait_oldest_pending(r: &mut FileRun, stall: &mut f64) -> SortResult<()> {
-    let Some(p) = r.pending.pop_front() else {
-        return Ok(());
-    };
-    let t0 = Instant::now();
-    let result = p.handle.wait();
-    *stall += t0.elapsed().as_secs_f64();
-    match result {
-        Some(Ok(())) => Ok(()),
-        other => {
-            let e = match other {
-                Some(Err(e)) => e,
-                _ => std::io::Error::other("background I/O worker lost a write-behind block"),
-            };
-            // Oldest block failed: everything at or beyond it must go. Wait
-            // out the rest, then roll back to this block's origin.
-            let _ = drain_pending(r, stall);
-            rollback_run(r, p.start_offset, p.index_from, p.tuples_before);
-            Err(SortError::Io(e))
-        }
-    }
-}
-
-/// Retire already-finished in-flight blocks without blocking. A completed
-/// failure triggers the same full drain-and-rollback as a waited one.
-fn reap_completed_pending(r: &mut FileRun, stall: &mut f64) -> SortResult<()> {
-    while let Some(p) = r.pending.pop_front() {
-        let err = match p.handle.try_wait() {
-            Ok(Ok(())) => continue,
-            Err(Some(handle)) => {
-                // Still running: put it back and stop reaping.
-                r.pending.push_front(PendingWrite {
-                    handle,
-                    start_offset: p.start_offset,
-                    index_from: p.index_from,
-                    tuples_before: p.tuples_before,
-                });
-                return Ok(());
-            }
-            Ok(Err(e)) => e,
-            Err(None) => std::io::Error::other("background I/O worker lost a write-behind block"),
-        };
-        let _ = drain_pending(r, stall);
-        rollback_run(r, p.start_offset, p.index_from, p.tuples_before);
-        return Err(SortError::Io(err));
-    }
-    Ok(())
-}
-
-/// Flush `r`'s queued pages as one coalesced block: on the pool when one is
-/// available (write-behind), synchronously otherwise. No-op when nothing is
-/// queued.
-fn flush_queued(r: &mut FileRun, pool: Option<&IoPool>, stall: &mut f64) -> SortResult<()> {
-    if r.queued.is_empty() {
-        return Ok(());
-    }
-    #[cfg(unix)]
-    if let Some(pool) = pool {
-        return submit_queued(r, pool, stall);
-    }
-    #[cfg(not(unix))]
-    let _ = pool; // positioned writes (pwrite) are unix-only
-    let (start_offset, index_from, tuples_before) = r
-        .queued_from
-        .take()
-        .expect("queued pages always record their rollback origin");
-    let pages = std::mem::take(&mut r.queued);
-    #[cfg(test)]
-    let poisoned = std::mem::take(&mut r.poison_next_block);
-    #[cfg(not(test))]
-    let poisoned = false;
-    let result = (|| -> std::io::Result<()> {
-        if poisoned {
-            return Err(std::io::Error::other("injected write failure"));
-        }
-        write_pages(&mut r.file, start_offset, &pages)
-    })();
-    match result {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            rollback_run(r, start_offset, index_from, tuples_before);
-            Err(e.into())
-        }
-    }
-}
-
-/// Hand `r`'s queued pages to the pool as one coalesced block write,
-/// enforcing the in-flight bound. No-op when nothing is queued.
-#[cfg(unix)]
-fn submit_queued(r: &mut FileRun, pool: &IoPool, stall: &mut f64) -> SortResult<()> {
-    if r.queued.is_empty() {
-        return Ok(());
-    }
-    reap_completed_pending(r, stall)?;
-    if r.pending.len() >= MAX_INFLIGHT_WRITES {
-        wait_oldest_pending(r, stall)?;
-    }
-    let (start_offset, index_from, tuples_before) = r
-        .queued_from
-        .take()
-        .expect("queued pages always record their rollback origin");
-    let pages = std::mem::take(&mut r.queued);
-    #[cfg(test)]
-    let poisoned = std::mem::take(&mut r.poison_next_block);
-    #[cfg(not(test))]
-    let poisoned = false;
-    let file = match r.file.try_clone() {
-        Ok(f) => f,
-        Err(e) => {
-            // Cannot ship the block: discard it entirely (truncate-on-error).
-            rollback_run(r, start_offset, index_from, tuples_before);
-            return Err(e.into());
-        }
-    };
-    let handle = pool.submit(move || -> std::io::Result<()> {
-        if poisoned {
-            return Err(std::io::Error::other("injected write failure"));
-        }
-        // One positioned write needs one buffer; a page's on-disk form is
-        // the bytes it is held as.
-        let buf = pages
-            .iter()
-            .map(Page::wire_bytes)
-            .collect::<Vec<_>>()
-            .concat();
-        use std::os::unix::fs::FileExt;
-        file.write_all_at(&buf, start_offset)
-    });
-    r.pending.push_back(PendingWrite {
-        handle,
-        start_offset,
-        index_from,
-        tuples_before,
-    });
-    Ok(())
 }
 
 /// A [`RunStore`] that spills each run into its own temporary file under a
@@ -637,13 +368,6 @@ pub struct FileStore {
     runs: HashMap<RunId, FileRun>,
     next: RunId,
     own_dir: bool,
-    /// Background I/O pool for write-behind; `None` keeps all I/O synchronous.
-    pool: Option<IoPool>,
-    /// Coalesce appends into blocks of about this many pages (0 = write
-    /// through on every append, the classic behaviour).
-    coalesce_pages: usize,
-    /// Seconds spent blocked waiting for write-behind blocks to land.
-    write_stall: f64,
     /// Run files whose deletion failed; retried on later store operations and
     /// on drop so a transient unlink failure cannot orphan a file for good.
     trash: Vec<PathBuf>,
@@ -670,9 +394,6 @@ impl FileStore {
             runs: HashMap::new(),
             next: 0,
             own_dir: false,
-            pool: None,
-            coalesce_pages: 0,
-            write_stall: 0.0,
             trash: Vec::new(),
             trace: masort_trace::Trace::disabled(),
             #[cfg(test)]
@@ -705,15 +426,11 @@ impl FileStore {
         &self.dir
     }
 
-    /// Seconds this store has spent blocked waiting on write-behind blocks
-    /// (0 when no I/O pool is attached — synchronous writes are not stalls).
+    /// Always 0: every append is written before it returns, so no write is
+    /// ever waited for. Kept only because the benchmark harness calls it;
+    /// goes with the next `[benchmark]` PR.
     pub fn write_stall_seconds(&self) -> f64 {
-        self.write_stall
-    }
-
-    /// True when a background I/O pool is attached (write-behind active).
-    pub fn has_io_pool(&self) -> bool {
-        self.pool.is_some()
+        0.0
     }
 
     /// Retry deleting any run files whose earlier removal failed.
@@ -725,123 +442,37 @@ impl FileStore {
         });
     }
 
-    /// Common append path: reserve index entries for `pages`, then either
-    /// hand the encode+write to the I/O pool (write-behind) or encode and
-    /// write synchronously as one contiguous block.
+    /// The append path: one seek and one gathered write for `pages`, however
+    /// many there are. On error the file is truncated back to where the
+    /// write began (truncate-on-error), so no partially written page
+    /// survives and the run stays usable.
     fn append_pages(&mut self, run: RunId, pages: Vec<Page>) -> SortResult<()> {
         #[cfg(test)]
         let injected_failure = std::mem::take(&mut self.fail_next_append);
         #[cfg(not(test))]
         let injected_failure = false;
-        let pool = self.pool.clone();
-        let trace = self.trace.clone();
-        let page_count = pages.len();
-        // A pool implies block coalescing even if the caller never set an
-        // explicit block size; without a pool, coalescing is opt-in.
-        let coalesce = if pool.is_some() {
-            self.coalesce_pages.max(WRITE_COALESCE_PAGES)
-        } else {
-            self.coalesce_pages
-        };
-        let Self {
-            runs, write_stall, ..
-        } = self;
-        let r = runs.get_mut(&run).ok_or(SortError::UnknownRun(run))?;
-        let stall_before = *write_stall;
+        let r = self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))?;
         let start_offset = r.write_pos;
-        let index_from = r.index.len();
-        let tuples_before = r.tuples;
-        let mut total = 0usize;
-        let mut tuple_count = 0usize;
+        let result = if injected_failure {
+            Err(std::io::Error::other("injected write failure"))
+        } else {
+            write_pages(&mut r.file, start_offset, &pages)
+        };
+        if let Err(e) = result {
+            let _ = r.file.set_len(start_offset);
+            return Err(e.into());
+        }
         for p in &pages {
             let len = p.wire_bytes().len();
-            r.index.push((start_offset + total as u64, len as u32));
-            total += len;
-            tuple_count += p.len();
+            r.index.push((r.write_pos, len as u32));
+            r.write_pos += len as u64;
+            r.tuples += p.len();
         }
-
-        if coalesce > 0 {
-            // Accept the pages into the coalescing queue; a block is flushed
-            // (to the pool, or synchronously) once enough pages accumulate
-            // or a read/flush drains the run. Bookkeeping is updated
-            // optimistically — the rollback origin travels with the block.
-            if r.queued.is_empty() {
-                r.queued_from = Some((start_offset, index_from, tuples_before));
-            }
-            #[cfg(test)]
-            {
-                r.poison_next_block |= injected_failure;
-            }
-            r.queued.extend(pages);
-            r.write_pos += total as u64;
-            r.tuples += tuple_count;
-            if r.queued.len() >= coalesce {
-                flush_queued(r, pool.as_ref(), write_stall)?;
-            }
-            if trace.is_enabled() {
-                trace.emit(EventKind::IoWrite {
-                    run: run.into(),
-                    pages: page_count,
-                });
-                let stalled = *write_stall - stall_before;
-                if stalled > 0.0 {
-                    trace.emit(EventKind::IoStall { seconds: stalled });
-                }
-            }
-            return Ok(());
-        }
-
-        // Classic write-through path: one seek and one gathered write per
-        // append call.
-        let result = (|| -> std::io::Result<()> {
-            if injected_failure {
-                return Err(std::io::Error::other("injected write failure"));
-            }
-            write_pages(&mut r.file, start_offset, &pages)
-        })();
-        match result {
-            Ok(()) => {
-                r.write_pos += total as u64;
-                r.tuples += tuple_count;
-                trace.emit(EventKind::IoWrite {
-                    run: run.into(),
-                    pages: page_count,
-                });
-                Ok(())
-            }
-            Err(e) => {
-                // Truncate-on-error: no partially written page survives.
-                rollback_run(r, start_offset, index_from, tuples_before);
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Ship `run`'s queued pages and wait for its in-flight write-behind
-    /// blocks (no-op when the run has no backlog).
-    fn drain_run(&mut self, run: RunId) -> SortResult<()> {
-        let Self {
-            runs,
-            write_stall,
-            pool,
-            trace,
-            ..
-        } = self;
-        let stall_before = *write_stall;
-        let result = match runs.get_mut(&run) {
-            Some(r) => {
-                flush_queued(r, pool.as_ref(), write_stall)?;
-                drain_pending(r, write_stall)
-            }
-            None => Ok(()),
-        };
-        if trace.is_enabled() {
-            let stalled = *write_stall - stall_before;
-            if stalled > 0.0 {
-                trace.emit(EventKind::IoStall { seconds: stalled });
-            }
-        }
-        result
+        self.trace.emit(EventKind::IoWrite {
+            run: run.into(),
+            pages: pages.len(),
+        });
+        Ok(())
     }
 }
 
@@ -878,11 +509,6 @@ impl RunStore for FileStore {
                 tuples: 0,
                 write_pos: 0,
                 path,
-                queued: Vec::new(),
-                queued_from: None,
-                pending: VecDeque::new(),
-                #[cfg(test)]
-                poison_next_block: false,
             },
         );
         self.trace.emit(EventKind::RunCreate { run: id.into() });
@@ -901,87 +527,19 @@ impl RunStore for FileStore {
     }
 
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
-        Ok(self.read_block(run, idx, 1)?.remove(0))
-    }
-
-    fn read_block(&mut self, run: RunId, start: usize, len: usize) -> SortResult<Vec<Page>> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        self.drain_run(run)?;
         let r = self.runs.get(&run).ok_or(SortError::UnknownRun(run))?;
-        let entries = r.index.get(start..start + len).ok_or_else(|| {
+        let &(offset, len) = r.index.get(idx).ok_or_else(|| {
             SortError::corrupt(
                 run,
-                format!(
-                    "block [{start}, {}) out of range ({} page(s))",
-                    start + len,
-                    r.index.len()
-                ),
+                format!("page {idx} out of range ({} page(s))", r.index.len()),
             )
         })?;
-        read_pages(&r.file, &self.trace, run, start, entries)
-    }
-
-    #[cfg(unix)]
-    fn block_read_job(&mut self, run: RunId, start: usize, len: usize) -> Option<BlockReadJob> {
-        if len == 0 {
-            return None;
-        }
-        // In-flight writes must land before an independent handle reads the
-        // range; a drain failure is delivered through the job itself.
-        if let Err(e) = self.drain_run(run) {
-            return Some(Box::new(move || Err(e)));
-        }
-        let trace = self.trace.clone();
-        let r = self.runs.get(&run)?;
-        let entries = r.index.get(start..start + len)?.to_vec();
-        let file = r.file.try_clone().ok()?;
-        Some(Box::new(move || {
-            read_pages(&file, &trace, run, start, &entries)
-        }))
-    }
-
-    fn attach_io_pool(&mut self, pool: IoPool) {
-        self.pool = Some(pool);
-    }
-
-    fn io_pool(&self) -> Option<IoPool> {
-        self.pool.clone()
-    }
-
-    fn set_write_coalescing(&mut self, pages: usize) {
-        self.coalesce_pages = pages;
-    }
-
-    fn flush(&mut self) -> SortResult<()> {
-        let Self {
-            runs,
-            write_stall,
-            pool,
-            trace,
-            ..
-        } = self;
-        let stall_before = *write_stall;
-        let mut first_err = None;
-        for r in runs.values_mut() {
-            if let Err(e) = flush_queued(r, pool.as_ref(), write_stall) {
-                first_err.get_or_insert(e);
-            }
-            if let Err(e) = drain_pending(r, write_stall) {
-                first_err.get_or_insert(e);
-            }
-        }
-        if trace.is_enabled() {
-            let stalled = *write_stall - stall_before;
-            if stalled > 0.0 {
-                trace.emit(EventKind::IoStall { seconds: stalled });
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let page = read_page_at(&r.file, run, idx, offset, len as usize)?;
+        self.trace.emit(EventKind::IoRead {
+            run: run.into(),
+            pages: 1,
+        });
+        Ok(page)
     }
 
     fn run_pages(&self, run: RunId) -> usize {
@@ -995,8 +553,6 @@ impl RunStore for FileStore {
     fn delete_run(&mut self, run: RunId) -> SortResult<()> {
         self.sweep_trash();
         if let Some(r) = self.runs.remove(&run) {
-            // In-flight writes keep their own cloned handle to the (soon
-            // unlinked) inode, so they finish harmlessly; no need to wait.
             drop(r.file);
             #[cfg(test)]
             let result = if std::mem::take(&mut self.fail_next_delete) {
@@ -1099,8 +655,9 @@ mod tests {
         }
         assert_eq!(s.bytes_written(), total);
         assert_eq!(s.bytes_read(), 0);
-        s.read_page(r, 0).unwrap();
-        s.read_block(r, 1, 2).unwrap();
+        for i in 0..3 {
+            s.read_page(r, i).unwrap();
+        }
         assert_eq!(s.bytes_read(), total);
     }
 
@@ -1246,7 +803,8 @@ mod tests {
 
     /// A page in the tuple-at-a-time encoding this crate used to write, and
     /// plain garbage, are both refused as the corruption they now are — by
-    /// every read path, naming the run and the page, never by a panic.
+    /// the one read path there is, naming the run and the page, never by a
+    /// panic.
     #[test]
     fn old_format_and_garbage_pages_are_corrupt_run_on_every_read_path() {
         let mut s = FileStore::in_temp_dir().unwrap();
@@ -1272,92 +830,15 @@ mod tests {
             f.seek(SeekFrom::Start(len as u64)).unwrap();
             f.write_all(&bad).unwrap();
             f.sync_all().unwrap();
-            let job = s.block_read_job(r, 0, 2).expect("FileStore supports jobs");
-            for (via, result) in [
-                ("read_page", s.read_page(r, 1).map(|p| vec![p])),
-                ("read_block", s.read_block(r, 0, 2)),
-                ("block_read_job", job()),
-            ] {
-                match result {
-                    Err(SortError::CorruptRun { run, detail }) => {
-                        assert_eq!(run, r, "{via}");
-                        assert!(detail.starts_with("page 1:"), "{via}: {detail}");
-                    }
-                    other => panic!("{via}: expected CorruptRun, got {other:?}"),
+            match s.read_page(r, 1) {
+                Err(SortError::CorruptRun { run, detail }) => {
+                    assert_eq!(run, r);
+                    assert!(detail.starts_with("page 1:"), "{detail}");
                 }
+                other => panic!("expected CorruptRun, got {other:?}"),
             }
             assert_eq!(s.read_page(r, 0).unwrap().len(), 2, "page 0 is intact");
         }
-    }
-
-    #[test]
-    fn memstore_read_block_matches_page_reads() {
-        let mut s = MemStore::new();
-        let r = s.create_run().unwrap();
-        for p in sample_pages() {
-            s.append_page(r, p).unwrap();
-        }
-        let block = s.read_block(r, 0, 3).unwrap();
-        assert_eq!(block.len(), 3);
-        for (i, page) in block.iter().enumerate() {
-            assert_eq!(*page, s.read_page(r, i).unwrap());
-        }
-        assert!(matches!(
-            s.read_block(r, 2, 2),
-            Err(SortError::CorruptRun { .. })
-        ));
-    }
-
-    #[test]
-    fn filestore_read_block_matches_page_reads() {
-        let mut s = FileStore::in_temp_dir().unwrap();
-        let r = s.create_run().unwrap();
-        let mut pages = sample_pages();
-        pages.push(Page::from_tuples(vec![Tuple::new(77, vec![9u8; 21])]));
-        for p in &pages {
-            s.append_page(r, p.clone()).unwrap();
-        }
-        let block = s.read_block(r, 1, 3).unwrap();
-        assert_eq!(block.len(), 3);
-        for (i, page) in block.iter().enumerate() {
-            assert_eq!(*page, s.read_page(r, 1 + i).unwrap());
-        }
-        assert!(s.read_block(r, 0, pages.len() + 1).is_err());
-        assert!(s.read_block(r, 0, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn filestore_block_read_job_runs_off_thread() {
-        let mut s = FileStore::in_temp_dir().unwrap();
-        let r = s.create_run().unwrap();
-        for p in sample_pages() {
-            s.append_page(r, p).unwrap();
-        }
-        let job = s.block_read_job(r, 0, 3).expect("FileStore supports jobs");
-        // The job is self-contained: mutate nothing and run it on a pool.
-        let pool = IoPool::new(1);
-        let pages = pool.submit(job).wait().unwrap().unwrap();
-        assert_eq!(pages.len(), 3);
-        assert_eq!(pages[1], s.read_page(r, 1).unwrap());
-    }
-
-    #[test]
-    fn filestore_write_behind_round_trips() {
-        let mut s = FileStore::in_temp_dir().unwrap();
-        s.attach_io_pool(IoPool::new(2));
-        let r = s.create_run().unwrap();
-        let all = sample_pages();
-        s.append_block(r, all.clone()).unwrap();
-        s.append_page(r, Page::from_tuples(vec![Tuple::new(5, vec![1, 2, 3])]))
-            .unwrap();
-        // Metadata reflects in-flight blocks immediately.
-        assert_eq!(s.run_pages(r), all.len() + 1);
-        // Reads drain the backlog first, so they see the written data.
-        assert_eq!(s.read_page(r, 0).unwrap(), all[0]);
-        let block = s.read_block(r, 0, all.len() + 1).unwrap();
-        assert_eq!(block[all.len()].tuples()[0].key, 5);
-        s.flush().unwrap();
-        assert_eq!(s.run_tuples(r), 11);
     }
 
     #[test]
@@ -1386,40 +867,6 @@ mod tests {
             .unwrap();
         assert_eq!(s.read_page(r, 1).unwrap().tuples()[0].key, 2);
         assert_eq!(s.read_page(r, 0).unwrap().tuples()[0].key, 1);
-    }
-
-    #[test]
-    fn failed_write_behind_append_rolls_back_on_next_access() {
-        let mut s = FileStore::in_temp_dir().unwrap();
-        s.attach_io_pool(IoPool::new(1));
-        let r = s.create_run().unwrap();
-        s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(1, 16)]))
-            .unwrap();
-        s.flush().unwrap();
-
-        s.fail_next_append = true;
-        // The failure is asynchronous: the append itself succeeds...
-        s.append_block(r, sample_pages()).unwrap();
-        // ...and a follow-up block queued behind it must be discarded too
-        // (it would sit beyond the hole left by the failed block).
-        s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(9, 16)]))
-            .unwrap();
-        // ...and surfaces at the next access, after which the run has been
-        // rolled back to its last durable prefix.
-        let err = s.read_page(r, 2).unwrap_err();
-        assert!(matches!(err, SortError::Io(_)), "{err:?}");
-        assert_eq!(s.run_pages(r), 1);
-        assert_eq!(s.run_tuples(r), 1);
-        assert_eq!(s.read_page(r, 0).unwrap().tuples()[0].key, 1);
-        let disk_len = std::fs::metadata(s.dir().join(format!("run-{r}.bin")))
-            .unwrap()
-            .len();
-        let durable = Page::from_tuples(vec![Tuple::synthetic(1, 16)]);
-        assert_eq!(
-            disk_len,
-            durable.wire_bytes().len() as u64,
-            "file truncated to the durable prefix"
-        );
     }
 
     #[test]
@@ -1465,6 +912,127 @@ mod tests {
         }
         assert!(!path.exists(), "drop must sweep the trash");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The six required methods over a [`MemStore`], and nothing else.
+    struct SixMethods(MemStore);
+
+    impl RunStore for SixMethods {
+        fn create_run(&mut self) -> SortResult<RunId> {
+            self.0.create_run()
+        }
+        fn append_page(&mut self, run: RunId, page: Page) -> SortResult<()> {
+            self.0.append_page(run, page)
+        }
+        fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
+            self.0.read_page(run, idx)
+        }
+        fn run_pages(&self, run: RunId) -> usize {
+            self.0.run_pages(run)
+        }
+        fn run_tuples(&self, run: RunId) -> usize {
+            self.0.run_tuples(run)
+        }
+        fn delete_run(&mut self, run: RunId) -> SortResult<()> {
+            self.0.delete_run(run)
+        }
+    }
+
+    /// Counts the pages that cross into and out of `inner`; a pinned default
+    /// reached through it is a failure.
+    struct Counted<S> {
+        inner: S,
+        appended: usize,
+        reads: usize,
+    }
+
+    impl<S: RunStore> RunStore for Counted<S> {
+        fn create_run(&mut self) -> SortResult<RunId> {
+            self.inner.create_run()
+        }
+        fn append_page(&mut self, run: RunId, page: Page) -> SortResult<()> {
+            self.appended += 1;
+            self.inner.append_page(run, page)
+        }
+        fn append_block(&mut self, run: RunId, pages: Vec<Page>) -> SortResult<()> {
+            self.appended += pages.len();
+            self.inner.append_block(run, pages)
+        }
+        fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
+            self.reads += 1;
+            self.inner.read_page(run, idx)
+        }
+        fn flush(&mut self) -> SortResult<()> {
+            self.inner.flush()
+        }
+        fn run_pages(&self, run: RunId) -> usize {
+            self.inner.run_pages(run)
+        }
+        fn run_tuples(&self, run: RunId) -> usize {
+            self.inner.run_tuples(run)
+        }
+        fn delete_run(&mut self, run: RunId) -> SortResult<()> {
+            self.inner.delete_run(run)
+        }
+        fn read_page_with_scratch(
+            &mut self,
+            _: RunId,
+            _: usize,
+            _: &mut Vec<u8>,
+        ) -> SortResult<Page> {
+            unreachable!("the sort called a pinned default")
+        }
+        fn read_block(&mut self, _: RunId, _: usize, _: usize) -> SortResult<Vec<Page>> {
+            unreachable!("the sort called a pinned default")
+        }
+        fn block_read_job(&mut self, _: RunId, _: usize, _: usize) -> Option<BlockReadJob> {
+            unreachable!("the sort called a pinned default")
+        }
+        fn attach_io_pool(&mut self, pool: IoPool) {
+            // Compiles only while no pool can exist.
+            match pool {}
+        }
+        fn io_pool(&self) -> Option<IoPool> {
+            unreachable!("the sort called a pinned default")
+        }
+        fn set_write_coalescing(&mut self, _: usize) {
+            unreachable!("the sort called a pinned default")
+        }
+    }
+
+    /// The store contract a sort relies on is the six required methods: a
+    /// store that implements nothing else sorts a spilling input under the
+    /// builder's defaults, every page appended to a run is read back exactly
+    /// once, with `read_page`, and no pinned name is ever called.
+    #[test]
+    fn a_six_method_store_sorts_with_one_page_read_per_page_appended() {
+        let input: Vec<Tuple> = (0..6_000u64)
+            .map(|i| Tuple::synthetic(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20, 256))
+            .collect();
+        let mut sort = crate::SortJob::builder()
+            .tuples(input.clone())
+            .store(Counted {
+                inner: SixMethods(MemStore::new()),
+                appended: 0,
+                reads: 0,
+            })
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let mut sorted = Vec::new();
+        while let Some(page) = sort.next_page().unwrap() {
+            sorted.extend(page);
+        }
+        crate::verify::assert_sorted_permutation(&input, &sorted);
+        assert!(sort.outcome.runs_formed() > 1, "the input must spill");
+        let input_pages = input.len() / crate::SortConfig::default().tuples_per_page();
+        assert!(
+            sort.store.appended >= input_pages,
+            "every tuple went to a run"
+        );
+        assert_eq!(sort.store.reads, sort.store.appended);
+        assert_eq!(sort.store.inner.0.live_runs(), 0);
     }
 
     #[test]

@@ -230,15 +230,12 @@ mod tests {
             assert_eq!(other, page);
             assert_eq!(other.bytes(), page.bytes());
             assert!(tuples.is_empty() || other.wire_bytes() != page.wire_bytes());
-            // A store hands back the bytes it was given, page by page or in a block.
+            // A store hands back the bytes it was given.
             store.append_page(run, page.clone()).unwrap();
             assert_eq!(
                 store.read_page(run, i).unwrap().wire_bytes(),
                 page.wire_bytes()
             );
-            let block = store.read_block(run, 0, i + 1).unwrap();
-            assert_eq!(block[i].wire_bytes(), page.wire_bytes());
-            assert_eq!(block[i], page);
         }
     }
 }

@@ -222,7 +222,6 @@ fn kernel_survives_mid_merge_wobbles() {
             policy: MergePolicy::Optimized,
             adaptation,
             min_pages: 3,
-            io_depth: 0,
         };
         let (out, stats) =
             execute_merge(&cfg, &budget, &metas, &mut store, &mut env, params).unwrap();
@@ -283,26 +282,4 @@ fn kernel_output_matches_naive_merge_through_a_streamed_root() {
         &naive_sort(&custom, &input),
         "custom key",
     );
-}
-
-/// The I/O pipeline (block reads + read-ahead) composes with the kernel:
-/// staged pages promote into the rank cache and gallop batches keep the
-/// output that of the reference sort.
-#[test]
-fn kernel_composes_with_io_pipeline() {
-    let input = random_tuples(4_000, 91);
-    let order = SortOrder::ascending();
-    let piped = SortJob::builder()
-        .config(small_cfg(24, AlgorithmSpec::recommended()))
-        .io_pipeline(4)
-        .io_threads(2)
-        .store(FileStore::in_temp_dir().unwrap())
-        .tuples(input.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap()
-        .into_sorted_vec()
-        .unwrap();
-    assert_matches_reference(&order, &piped, &naive_sort(&order, &input), "io pipeline");
 }

@@ -114,7 +114,6 @@ impl SimConfig {
             order: masort_core::SortOrder::ascending(),
             // The simulation charges per-page costs itself; pipelining stays
             // off so the disk model matches the paper.
-            io: masort_core::IoConfig::default(),
         }
     }
 }

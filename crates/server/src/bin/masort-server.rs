@@ -3,7 +3,6 @@
 //! ```text
 //! masort-server [--addr 127.0.0.1:7878] [--pool-pages 64] [--workers 4]
 //!               [--policy equal|priority|min-guarantee]
-//!               [--io-threads N] [--io-pipeline N]
 //!               [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]
 //!               [--ingest-depth PAGES] [--egress-chunk TUPLES]
 //!               [--tenant name=max_live:max_pages[:priority]]...
@@ -15,25 +14,27 @@
 use std::process::ExitCode;
 
 use masort_core::SortConfig;
-use masort_server::{Server, TenantQuota};
+use masort_server::{Server, ServerBuilder, TenantQuota};
 
 fn usage() -> &'static str {
     "usage: masort-server [--addr HOST:PORT] [--pool-pages N] [--workers N]\n\
      \u{20}                    [--policy equal|priority|min-guarantee]\n\
-     \u{20}                    [--io-threads N] [--io-pipeline N]\n\
      \u{20}                    [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]\n\
      \u{20}                    [--ingest-depth PAGES] [--egress-chunk TUPLES]\n\
      \u{20}                    [--tenant name=max_live:max_pages[:priority]]..."
 }
 
-fn run() -> Result<(), String> {
+/// The address to bind and the configured builder, or `None` when `--help`
+/// was asked for (and printed).
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<Option<(String, ServerBuilder)>, String> {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut builder = Server::builder();
     let mut page_size = 4096usize;
     let mut tuple_size = 64usize;
     let mut memory_pages = 16usize;
 
-    let mut args = std::env::args().skip(1);
     let value = |flag: &str, args: &mut dyn Iterator<Item = String>| -> Result<String, String> {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
     };
@@ -45,12 +46,6 @@ fn run() -> Result<(), String> {
             }
             "--workers" => builder = builder.workers(parse(&value("--workers", &mut args)?)?),
             "--policy" => builder = builder.policy(value("--policy", &mut args)?.parse()?),
-            "--io-threads" => {
-                builder = builder.io_threads(parse(&value("--io-threads", &mut args)?)?)
-            }
-            "--io-pipeline" => {
-                builder = builder.io_pipeline(parse(&value("--io-pipeline", &mut args)?)?)
-            }
             "--page-size" => page_size = parse(&value("--page-size", &mut args)?)?,
             "--tuple-size" => tuple_size = parse(&value("--tuple-size", &mut args)?)?,
             "--memory-pages" => memory_pages = parse(&value("--memory-pages", &mut args)?)?,
@@ -66,7 +61,7 @@ fn run() -> Result<(), String> {
             }
             "--help" | "-h" => {
                 println!("{}", usage());
-                return Ok(());
+                return Ok(None);
             }
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
@@ -77,7 +72,13 @@ fn run() -> Result<(), String> {
             .with_tuple_size(tuple_size)
             .with_memory_pages(memory_pages),
     );
+    Ok(Some((addr, builder)))
+}
 
+fn run() -> Result<(), String> {
+    let Some((addr, builder)) = parse_args(std::env::args().skip(1))? else {
+        return Ok(());
+    };
     let server = builder
         .bind(&addr)
         .map_err(|e| format!("failed to bind {addr}: {e}"))?;
@@ -109,5 +110,28 @@ fn main() -> ExitCode {
             eprintln!("masort-server: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Option<(String, ServerBuilder)>, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn removed_io_flags_are_unknown_flags() {
+        for line in ["--io-threads 2", "--workers 2 --io-pipeline 8"] {
+            let err = parse_line(line).err().expect(line);
+            assert!(err.starts_with("unknown flag `--io-"), "{line}: {err}");
+            assert!(err.contains("usage: masort-server"), "{line}: {err}");
+        }
+        assert!(!usage().contains("--io-"));
+        let (addr, _) = parse_line("--addr 127.0.0.1:0 --workers 2")
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("not --help");
+        assert_eq!(addr, "127.0.0.1:0");
     }
 }

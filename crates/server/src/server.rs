@@ -149,8 +149,6 @@ pub struct ServerBuilder {
     pool_pages: usize,
     workers: usize,
     policy: PolicyChoice,
-    io_threads: usize,
-    io_pipeline: usize,
     base_cfg: SortConfig,
     ingest_depth: usize,
     egress_chunk: usize,
@@ -163,8 +161,6 @@ impl Default for ServerBuilder {
             pool_pages: 64,
             workers: 4,
             policy: PolicyChoice::default(),
-            io_threads: 0,
-            io_pipeline: 0,
             // Like `SortJob::builder()`: natural-run formation.
             base_cfg: SortConfig::default()
                 .with_algorithm(AlgorithmSpec::natural())
@@ -194,19 +190,6 @@ impl ServerBuilder {
     /// Arbitration policy dividing the pool.
     pub fn policy(mut self, policy: PolicyChoice) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// I/O helper threads for the service's read-ahead/write-behind pipeline
-    /// (0 = synchronous I/O).
-    pub fn io_threads(mut self, n: usize) -> Self {
-        self.io_threads = n;
-        self
-    }
-
-    /// Pipeline depth (in blocks) when I/O threads are enabled.
-    pub fn io_pipeline(mut self, depth: usize) -> Self {
-        self.io_pipeline = depth;
         self
     }
 
@@ -247,8 +230,6 @@ impl ServerBuilder {
         let mut svc = SortService::builder()
             .pool_pages(self.pool_pages)
             .workers(self.workers)
-            .io_threads(self.io_threads)
-            .io_pipeline(self.io_pipeline)
             .trace(trace.clone());
         svc = match self.policy {
             PolicyChoice::EqualShare => svc.policy(EqualShare),
