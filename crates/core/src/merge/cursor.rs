@@ -52,12 +52,10 @@ pub struct RunCursor {
     ranks: Vec<u64>,
     /// Total tuples consumed through this cursor.
     pub consumed: usize,
-    /// Pages read through this cursor.
+    /// Pages read through this cursor, one store read each.
     pub pages_read: usize,
     /// Seconds this cursor spent in store reads.
     pub io_stall: f64,
-    /// Store reads this cursor issued.
-    pub sync_loads: usize,
 }
 
 impl RunCursor {
@@ -83,7 +81,6 @@ impl RunCursor {
             consumed: 0,
             pages_read: 0,
             io_stall: 0.0,
-            sync_loads: 0,
         }
     }
 
@@ -137,7 +134,6 @@ impl RunCursor {
                 self.next_page
             };
             env.charge_cpu(CpuOp::StartIo, 1);
-            self.sync_loads += 1;
             let t0 = env.now();
             let page = store.read_page(self.run, phys)?;
             self.io_stall += env.now() - t0;

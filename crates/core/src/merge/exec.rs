@@ -133,7 +133,7 @@ impl MergeStats {
     fn retire_cursor(&mut self, cursor: &RunCursor) {
         self.pages_read += cursor.pages_read;
         self.io_stall += cursor.io_stall;
-        self.sync_block_loads += cursor.sync_loads;
+        self.sync_block_loads += cursor.pages_read;
     }
 }
 

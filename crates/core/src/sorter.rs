@@ -198,6 +198,7 @@ impl ExternalSorter {
         Ok((outcome, root))
     }
 
+    /// Enter the split phase.
     fn enter_split<S: RunStore, E: SortEnv>(&self, store: &mut S, env: &E, budget: &MemoryBudget) {
         // The store shares the environment's observability handle so its run
         // and I/O events land on the same span as the sort's phase events.
