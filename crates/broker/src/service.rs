@@ -910,7 +910,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 delay_samples: delays.len(),
                 total_delay: delays.iter().map(DelaySample::delay).sum(),
                 io_stall_seconds: merge.io_stall,
-                sync_loads: merge.sync_block_loads,
                 runs_emitted: split.run_count(),
                 min_run_tuples: split.min_run_tuples(),
                 max_run_tuples: split.max_run_tuples(),

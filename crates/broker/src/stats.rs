@@ -47,8 +47,6 @@ pub struct JobStats {
     pub total_delay: f64,
     /// Seconds the merge phase spent in store reads of its input runs.
     pub io_stall_seconds: f64,
-    /// Store reads the merge issued for its input runs.
-    pub sync_loads: usize,
     /// Sorted runs the split phase emitted.
     pub runs_emitted: usize,
     /// Tuples in the shortest run (0 if no runs were formed).
@@ -174,7 +172,6 @@ mod tests {
             delay_samples: 0,
             total_delay: 0.0,
             io_stall_seconds: 0.0,
-            sync_loads: 0,
             runs_emitted: 0,
             min_run_tuples: 0,
             max_run_tuples: 0,

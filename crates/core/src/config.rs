@@ -290,7 +290,7 @@ pub struct SortConfig {
     pub memory_pages: usize,
     /// The algorithm combination to run.
     pub algorithm: AlgorithmSpec,
-    /// The requested output order (direction + optional key extraction).
+    /// The requested output order (direction + normalized key length).
     pub order: SortOrder,
 }
 

@@ -374,7 +374,7 @@ where
         self
     }
 
-    /// Override the output order (direction and/or key extraction).
+    /// Override the output order (direction and normalized key length).
     pub fn order(mut self, order: SortOrder) -> Self {
         self.cfg.order = order;
         self
@@ -579,23 +579,6 @@ mod tests {
         let sorted = completion.into_sorted_vec().unwrap();
         assert_sorted_permutation_by(&input, &sorted, &order);
         assert!(sorted.first().unwrap().key >= sorted.last().unwrap().key);
-    }
-
-    #[test]
-    fn builder_custom_key_order() {
-        // Sort by the low 8 bits of the key.
-        let input = random_tuples(1_200, 4);
-        let order = SortOrder::by_key(|t| t.key & 0xFF);
-        let completion = SortJob::builder()
-            .config(small_cfg(5))
-            .order(order.clone())
-            .tuples(input.clone())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let sorted = completion.into_sorted_vec().unwrap();
-        assert_sorted_permutation_by(&input, &sorted, &order);
     }
 
     #[test]

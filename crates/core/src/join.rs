@@ -24,7 +24,9 @@ use crate::tuple::Tuple;
 /// The result of a complete memory-adaptive sort-merge join.
 #[derive(Debug)]
 pub struct JoinOutcome {
-    /// Number of joined pairs produced.
+    /// Number of joined pairs produced: pairs whose whole keys are equal
+    /// under the configured [`crate::order::SortOrder`] (the stored key and,
+    /// for a normalized key longer than eight bytes, its tie bytes).
     pub matches: u64,
     /// Split-phase statistics for the left relation.
     pub left_split: SplitStats,
@@ -65,7 +67,8 @@ impl SortMergeJoin {
     }
 
     /// Join `left` and `right`, invoking `on_match` for every pair of tuples
-    /// with equal sort keys (under the configured [`crate::order::SortOrder`]).
+    /// with equal whole keys (composite keys under the configured
+    /// [`crate::order::SortOrder`]).
     ///
     /// The configuration is validated first (`SortError::InvalidConfig`),
     /// like every other entry point that executes a [`SortConfig`] — the

@@ -54,8 +54,8 @@
 //! # Ok::<(), masort_core::SortError>(())
 //! ```
 //!
-//! Descending and custom-key orders work with every algorithm combination via
-//! [`SortOrder`]:
+//! Descending and normalized-key orders work with every algorithm combination
+//! via [`SortOrder`]:
 //!
 //! ```
 //! use masort_core::prelude::*;

@@ -8,9 +8,9 @@
 //!
 //! Whenever a page is promoted into the consumption buffer, the cursor
 //! materialises a parallel column of `u64` *ranks*
-//! ([`crate::SortOrder::rank_column_into`]) in one pass. Every subsequent
-//! [`RunCursor::peek_rank`] is a plain array read — no `SortOrder` dispatch,
-//! no direction mapping — and because a run's pages are rank-sorted by
+//! ([`crate::SortOrder::rank_column_into`]) in one pass. For exact orders
+//! every subsequent [`RunCursor::peek_composite`] is a plain array read — no
+//! direction mapping — and because a run's pages are rank-sorted by
 //! construction, the column is sorted, which lets the batched merge kernel
 //! binary-search how far this cursor may advance before its head would lose
 //! to a challenger ([`RunCursor::gallop_len`]) and move that whole slice at
@@ -18,7 +18,7 @@
 
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
-use crate::layout::{PayloadRef, TupleArena};
+use crate::layout::TupleArena;
 use crate::order::SortOrder;
 use crate::store::{RunDirection, RunId, RunMeta, RunStore};
 use crate::tuple::{Page, Tuple};
@@ -145,28 +145,10 @@ impl RunCursor {
         Ok(true)
     }
 
-    /// Rank (see [`SortOrder::rank`]) of the next tuple under `order`, loading
-    /// a page if necessary. Once a page is buffered this is a plain read from
-    /// the cached rank column — `order` is only consulted when a new page has
-    /// to be promoted.
-    pub fn peek_rank<S: RunStore, E: SortEnv>(
-        &mut self,
-        order: &SortOrder,
-        store: &mut S,
-        env: &mut E,
-    ) -> SortResult<Option<u64>> {
-        if self.ensure_loaded(order, store, env)? {
-            Ok(Some(self.ranks[self.pos]))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Composite key (rank, then tie rank — see [`SortOrder::composite`]) of
     /// the next tuple, loading a page if necessary. For exact orders this is
-    /// just the cached rank shifted into the high half; the tie rank is only
-    /// computed for normalized-key orders (never combined with a custom
-    /// extractor), from the borrowed payload slice.
+    /// just the cached rank shifted into the high half; a normalized-key
+    /// order reads the record's key and borrowed payload where they lie.
     pub fn peek_composite<S: RunStore, E: SortEnv>(
         &mut self,
         order: &SortOrder,
@@ -176,16 +158,13 @@ impl RunCursor {
         if !self.ensure_loaded(order, store, env)? {
             return Ok(None);
         }
-        let rank = self.ranks[self.pos];
-        let tie = if order.rank_is_exact() {
-            0
-        } else {
-            match self.page.payload_ref(self.index(self.pos)) {
-                PayloadRef::Bytes(b) => order.tie_rank_bytes(b),
-                PayloadRef::Synthetic(_) => order.tie_rank_bytes(&[]),
-            }
-        };
-        Ok(Some(SortOrder::composite(rank, tie)))
+        if order.rank_is_exact() {
+            return Ok(Some(SortOrder::composite(self.ranks[self.pos], 0)));
+        }
+        let i = self.index(self.pos);
+        Ok(Some(
+            order.composite_at(self.page.key(i), self.page.payload_ref(i)),
+        ))
     }
 
     /// Remove and return the next tuple, loading a page if necessary.
@@ -307,21 +286,31 @@ mod tests {
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
         let mut c = RunCursor::new(run);
-        assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), Some(0));
-        assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), Some(0));
+        let head = SortOrder::composite;
+        assert_eq!(
+            c.peek_composite(&asc, &mut store, &mut env).unwrap(),
+            Some(head(0, 0))
+        );
+        assert_eq!(
+            c.peek_composite(&asc, &mut store, &mut env).unwrap(),
+            Some(head(0, 0))
+        );
         assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key, 0);
-        assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), Some(1));
+        assert_eq!(
+            c.peek_composite(&asc, &mut store, &mut env).unwrap(),
+            Some(head(1, 0))
+        );
     }
 
     #[test]
-    fn peek_rank_respects_descending_order() {
+    fn peek_composite_respects_descending_order() {
         let (mut store, run) = setup(3, 2);
         let mut env = CountingEnv::new();
         let desc = SortOrder::descending();
         let mut c = RunCursor::new(run);
         assert_eq!(
-            c.peek_rank(&desc, &mut store, &mut env).unwrap(),
-            Some(!0u64)
+            c.peek_composite(&desc, &mut store, &mut env).unwrap(),
+            Some(SortOrder::composite(!0u64, 0))
         );
     }
 
@@ -348,7 +337,7 @@ mod tests {
         let asc = SortOrder::ascending();
         let mut c = RunCursor::new(run);
         assert!(c.exhausted(&store));
-        assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), None);
+        assert_eq!(c.peek_composite(&asc, &mut store, &mut env).unwrap(), None);
         assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap(), None);
     }
 
@@ -386,13 +375,13 @@ mod tests {
         let asc = SortOrder::ascending();
         let mut c = RunCursor::new(run);
         // The run has pages, so the cursor must attempt the read and surface
-        // the store's error through ensure_loaded / peek_rank / pop.
+        // the store's error through ensure_loaded / peek_composite / pop.
         assert!(matches!(
             c.ensure_loaded(&asc, &mut store, &mut env),
             Err(crate::error::SortError::CorruptRun { .. })
         ));
         assert!(matches!(
-            c.peek_rank(&asc, &mut store, &mut env),
+            c.peek_composite(&asc, &mut store, &mut env),
             Err(crate::error::SortError::CorruptRun { .. })
         ));
         assert!(matches!(
@@ -447,15 +436,15 @@ mod tests {
         let asc = SortOrder::ascending();
         for expect in 0..7u64 {
             assert_eq!(
-                c.peek_rank(&asc, &mut store, &mut env).unwrap(),
-                Some(expect)
+                c.peek_composite(&asc, &mut store, &mut env).unwrap(),
+                Some(SortOrder::composite(expect, 0))
             );
             assert_eq!(
                 c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key,
                 expect
             );
         }
-        assert_eq!(c.peek_rank(&asc, &mut store, &mut env).unwrap(), None);
+        assert_eq!(c.peek_composite(&asc, &mut store, &mut env).unwrap(), None);
     }
 
     #[test]
@@ -493,27 +482,40 @@ mod tests {
         assert_eq!(got, (0..9).collect::<Vec<u64>>());
     }
 
-    /// A custom-key order reads its rank column out of the same record
-    /// region every other order does: under `by_key` and its reverse, forward
-    /// and backward cursors over pages of every payload kind (so some records
-    /// keep their payload outside themselves) yield, through each way a
-    /// record can leave, the tuples sorted by `order.rank`.
+    /// A normalized-key order — the one order whose rank is not the whole
+    /// key — reads its composites out of the same record region every other
+    /// order does: under `by_normalized_key(10)` and its reverse, forward and
+    /// backward cursors over pages of every payload kind (so some records
+    /// keep their payload outside themselves, and some lack the tie bytes)
+    /// peek each record's composite and yield, through each way a record can
+    /// leave, the tuples sorted by composite.
     #[test]
-    fn custom_key_orders_stream_by_rank_in_both_directions() {
-        // The extractor reads key and payload, so a wrong tuple shows.
-        let by_key = SortOrder::by_key(|t| (t.key % 7) * 1000 + t.payload.len() as u64);
+    fn normalized_key_orders_stream_by_composite_in_both_directions() {
+        // Three 8-byte prefixes shared by many records: ranks tie, and only
+        // key bytes 8..10, read from the payload, tell the records apart.
         let tuples: Vec<Tuple> = (0..23u64)
-            .map(|k| match k % 4 {
-                0 => Tuple::synthetic(k, 40),
-                1 => Tuple::new(k, Vec::new()),
-                2 => Tuple::new(k, vec![k as u8; 6]),
-                _ => Tuple::new(k, vec![k as u8; 90]),
+            .map(|k| {
+                let mut key = *b"prefix\0\0\0\0";
+                key[7] = (k % 3) as u8;
+                key[8..].copy_from_slice(&[(k % 5) as u8, k as u8]);
+                let prefix = crate::order::normalized_prefix(&key);
+                match k % 4 {
+                    0 => Tuple::synthetic(prefix, 40),
+                    1 => Tuple::new(prefix, Vec::new()),
+                    2 => Tuple::new(prefix, key[..6].to_vec()),
+                    _ => Tuple::new(prefix, [&key[..], &[k as u8; 80]].concat()),
+                }
             })
             .collect();
-        for order in [by_key.clone(), by_key.reversed()] {
+        let normalized = SortOrder::by_normalized_key(10);
+        for order in [normalized, normalized.reversed()] {
             let mut sorted = tuples.clone();
-            sorted.sort_by_key(|t| (order.rank(t), t.key));
-            let ranks: Vec<u64> = sorted.iter().map(|t| order.rank(t)).collect();
+            sorted.sort_by_key(|t| order.composite_of(t));
+            let composites: Vec<u128> = sorted.iter().map(|t| order.composite_of(t)).collect();
+            assert!(sorted
+                .windows(2)
+                .any(|w| order.rank(&w[0]) == order.rank(&w[1])
+                    && order.composite_of(&w[0]) != order.composite_of(&w[1])));
             for backward in [false, true] {
                 let cursor = || {
                     let mut stored = sorted.clone();
@@ -534,11 +536,11 @@ mod tests {
 
                 let (mut store, mut c) = cursor();
                 let (mut peeked, mut popped) = (Vec::new(), Vec::new());
-                while let Some(rank) = c.peek_rank(&order, &mut store, &mut env).unwrap() {
-                    peeked.push(rank);
+                while let Some(head) = c.peek_composite(&order, &mut store, &mut env).unwrap() {
+                    peeked.push(head);
                     popped.push(c.pop(&order, &mut store, &mut env).unwrap().unwrap());
                 }
-                assert_eq!(peeked, ranks, "{what}");
+                assert_eq!(peeked, composites, "{what}");
                 assert_eq!(popped, sorted, "{what}");
 
                 let (mut store, mut c) = cursor();

@@ -492,12 +492,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     // Producing output
     // ------------------------------------------------------------------
 
-    /// Find the input whose next tuple has the smallest *rank* under the
-    /// configured [`crate::order::SortOrder`], restricted to `side` if given.
-    /// Exhausted inputs encountered along the way are removed (and their
-    /// producing steps absorbed). Returns `(input index, rank)`.
-    fn min_input(&mut self, side: Option<Side>) -> SortResult<Option<(usize, u64)>> {
-        let mut best: Option<(usize, u64)> = None;
+    /// Find the input on `side` whose next tuple has the smallest *composite*
+    /// key under the configured [`crate::order::SortOrder`] — the whole key,
+    /// tie bytes included. Exhausted inputs encountered along the way are
+    /// removed (and their producing steps absorbed). Returns `(input index,
+    /// composite)`.
+    fn min_input(&mut self, side: Side) -> SortResult<Option<(usize, u128)>> {
+        let mut best: Option<(usize, u128)> = None;
         let mut i = 0;
         loop {
             let active = self.st.arena.active;
@@ -505,18 +506,14 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             if i >= len {
                 break;
             }
-            if let Some(s) = side {
-                if self.st.arena.steps[active].inputs[i].side != s {
-                    i += 1;
-                    continue;
-                }
+            if self.st.arena.steps[active].inputs[i].side != side {
+                i += 1;
+                continue;
             }
-            let rank = self.st.arena.steps[active].inputs[i].cursor.peek_rank(
-                &self.cfg.order,
-                self.store,
-                self.env,
-            )?;
-            match rank {
+            let head = self.st.arena.steps[active].inputs[i]
+                .cursor
+                .peek_composite(&self.cfg.order, self.store, self.env)?;
+            match head {
                 Some(k) => {
                     if best.is_none_or(|(_, bk)| k < bk) {
                         best = Some((i, k));
@@ -836,10 +833,11 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
 
     /// Produce roughly one page worth of join work on the root step.
     ///
-    /// Tuples are matched on equal *ranks*, which coincide with equal sort
-    /// keys for every [`crate::order::SortOrder`] (the direction mapping is a
-    /// bijection), so joins work identically for ascending, descending and
-    /// custom-key orders.
+    /// Tuples are matched on equal *composite* keys, which coincide with equal
+    /// whole keys for every [`crate::order::SortOrder`] (the direction mapping
+    /// is a bijection, and a normalized key's bytes past the eighth are the
+    /// tie half), so joins work identically for ascending, descending and
+    /// normalized-key orders.
     fn produce_unit_join(
         &mut self,
         on_match: &mut dyn FnMut(&Tuple, &Tuple),
@@ -850,10 +848,10 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             // NOTE: a `min_input` call may remove exhausted inputs (and absorb
             // dormant child steps), which renumbers the remaining inputs — so
             // an input *index* must never be held across another `min_input`
-            // call. Only the ranks are kept here; the index is re-resolved
+            // call. Only the keys are kept here; the index is re-resolved
             // immediately before each pop.
-            let lkey = self.min_input(Some(Side::Left))?.map(|(_, k)| k);
-            let rkey = self.min_input(Some(Side::Right))?.map(|(_, k)| k);
+            let lkey = self.min_input(Side::Left)?.map(|(_, k)| k);
+            let rkey = self.min_input(Side::Right)?.map(|(_, k)| k);
             let (lk, rk) = match (lkey, rkey) {
                 (Some(l), Some(r)) => (l, r),
                 // One side exhausted: no further matches are possible.
@@ -863,13 +861,13 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
             let active = self.st.arena.active;
             self.st.arena.steps[active].produced_anything = true;
             if lk < rk {
-                if let Some((idx, _)) = self.min_input(Some(Side::Left))? {
+                if let Some((idx, _)) = self.min_input(Side::Left)? {
                     self.pop_input(idx)?;
                     self.st.stats.tuples_output += 1;
                     processed += 1;
                 }
             } else if rk < lk {
-                if let Some((idx, _)) = self.min_input(Some(Side::Right))? {
+                if let Some((idx, _)) = self.min_input(Side::Right)? {
                     self.pop_input(idx)?;
                     self.st.stats.tuples_output += 1;
                     processed += 1;
@@ -878,7 +876,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 let key = lk;
                 // Gather the full right-hand group for this key.
                 let mut group: Vec<Tuple> = Vec::new();
-                while let Some((ri, rk)) = self.min_input(Some(Side::Right))? {
+                while let Some((ri, rk)) = self.min_input(Side::Right)? {
                     if rk != key {
                         break;
                     }
@@ -887,7 +885,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                     processed += 1;
                 }
                 // Every left tuple with this key matches the whole group.
-                while let Some((li, lk)) = self.min_input(Some(Side::Left))? {
+                while let Some((li, lk)) = self.min_input(Side::Left)? {
                     if lk != key {
                         break;
                     }

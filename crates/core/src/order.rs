@@ -1,15 +1,14 @@
-//! Sort ordering: direction (ascending/descending) plus an optional
-//! key-extraction hook.
+//! Sort ordering: a direction plus the length of the sort key in bytes.
 //!
 //! Every algorithm in this crate — run formation, merge cursors, dynamic
-//! splitting, sort-merge join — orders tuples by a single `u64` *rank*
-//! computed by [`SortOrder::rank`]. For the default ascending order the rank
-//! is simply [`Tuple::key`]; a descending order maps each key through bitwise
-//! NOT (a strictly order-reversing bijection on `u64`), and a custom key
-//! extractor lets callers sort by something other than the stored key (a hash
-//! of the payload, a field decoded from the payload bytes, ...). Because all
+//! splitting, sort-merge join — orders records by a single `u64` *rank*
+//! read from the stored key: for the default ascending order the rank is
+//! simply [`Tuple::key`], and a descending order maps each key through
+//! bitwise NOT (a strictly order-reversing bijection on `u64`). Because all
 //! machinery compares ranks with plain `<=`, one code path serves every
-//! ordering.
+//! ordering. To sort by something other than the stored key, compute it into
+//! [`Tuple::key`] once, when the record is ingested ([`normalized_prefix`]
+//! packs a byte key).
 //!
 //! ## Normalized keys longer than eight bytes
 //!
@@ -24,10 +23,8 @@
 //! beyond their prefix only when prefixes collide.
 
 use crate::layout::PayloadRef;
-use crate::tuple::{Page, Payload, Tuple};
+use crate::tuple::{Page, Tuple};
 use std::cmp::Ordering;
-use std::fmt;
-use std::sync::Arc;
 
 /// Widest normalized key (in bytes) representable by the prefix + tie-rank
 /// pair: eight bytes in [`Tuple::key`] plus eight more from the payload.
@@ -44,17 +41,6 @@ pub fn normalized_prefix(key: &[u8]) -> u64 {
     u64::from_be_bytes(buf)
 }
 
-/// Where a normalized order finds its tie-breaking key bytes: a slice of the
-/// payload starting at `offset`, `len` bytes long (missing bytes read as 0).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TieBreak {
-    offset: usize,
-    len: usize,
-}
-
-/// The function type of a custom key extractor.
-pub type KeyExtractor = dyn Fn(&Tuple) -> u64 + Send + Sync;
-
 /// Ascending or descending.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SortDirection {
@@ -65,45 +51,25 @@ pub enum SortDirection {
     Descending,
 }
 
-/// A complete ordering specification: direction plus optional key extraction.
-///
-/// Cheap to clone (the extractor is reference-counted).
-#[derive(Clone, Default)]
+/// A complete ordering specification: a direction plus how many key bytes
+/// lie past the eight in [`Tuple::key`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct SortOrder {
     direction: SortDirection,
-    key_fn: Option<Arc<KeyExtractor>>,
-    tie: Option<TieBreak>,
+    /// Key bytes past the stored eight, read from `payload[8..8 + tie_len]`
+    /// (missing bytes read as 0); 0 for exact orders.
+    tie_len: usize,
 }
 
 impl SortOrder {
     /// Ascending order on [`Tuple::key`] (the default).
     pub fn ascending() -> Self {
-        SortOrder {
-            direction: SortDirection::Ascending,
-            key_fn: None,
-            tie: None,
-        }
+        SortOrder::default()
     }
 
     /// Descending order on [`Tuple::key`].
     pub fn descending() -> Self {
-        SortOrder {
-            direction: SortDirection::Descending,
-            key_fn: None,
-            tie: None,
-        }
-    }
-
-    /// Ascending order on a custom key extracted from each tuple.
-    pub fn by_key<F>(f: F) -> Self
-    where
-        F: Fn(&Tuple) -> u64 + Send + Sync + 'static,
-    {
-        SortOrder {
-            direction: SortDirection::Ascending,
-            key_fn: Some(Arc::new(f)),
-            tie: None,
-        }
+        SortOrder::default().reversed()
     }
 
     /// Ascending order on a normalized byte-string key of `key_len` bytes
@@ -124,11 +90,7 @@ impl SortOrder {
         );
         SortOrder {
             direction: SortDirection::Ascending,
-            key_fn: None,
-            tie: (key_len > 8).then_some(TieBreak {
-                offset: 8,
-                len: key_len - 8,
-            }),
+            tie_len: key_len.saturating_sub(8),
         }
     }
 
@@ -146,48 +108,25 @@ impl SortOrder {
         self.direction
     }
 
-    /// True when a custom key extractor is installed.
-    pub fn has_custom_key(&self) -> bool {
-        self.key_fn.is_some()
-    }
-
-    /// The sort key of `t` under this order, before the direction mapping.
-    #[inline]
-    pub fn sort_key(&self, t: &Tuple) -> u64 {
-        match &self.key_fn {
-            Some(f) => f(t),
-            None => t.key,
-        }
-    }
-
     /// The *rank* of `t`: the value the algorithms actually compare.
     ///
     /// Ranks compare ascending regardless of the requested direction (a
     /// descending order negates the key bits), so `rank(a) <= rank(b)` iff
-    /// `a` sorts no later than `b`. Two tuples have equal ranks iff they have
-    /// equal sort keys.
+    /// `a` sorts no later than `b` on the stored key. Two tuples have equal
+    /// ranks iff they have equal stored keys.
     #[inline]
     pub fn rank(&self, t: &Tuple) -> u64 {
-        let key = self.sort_key(t);
-        match self.direction {
-            SortDirection::Ascending => key,
-            SortDirection::Descending => !key,
-        }
+        self.rank_from_key(t.key)
     }
 
     /// Materialise the ranks of `page`'s records into `out` (appending) in a
     /// single pass, one per record in page order.
     ///
-    /// This is the merge kernel's rank cache: the direction mapping — and a
-    /// custom extractor, which is handed a [`Tuple`] by contract and so costs
-    /// one per record — run exactly once per promoted page, and every later
-    /// selection reads plain `u64`s from the resulting column.
+    /// This is the merge kernel's rank cache: the direction mapping runs
+    /// exactly once per promoted page, and every later gallop reads plain
+    /// `u64`s from the resulting column.
     pub fn rank_column_into(&self, page: &Page, out: &mut Vec<u64>) {
-        out.reserve(page.len());
-        match &self.key_fn {
-            None => out.extend(page.keys().map(|k| self.rank_from_key(k))),
-            Some(_) => out.extend((0..page.len()).map(|i| self.rank(&page.get(i)))),
-        }
+        out.extend(page.keys().map(|k| self.rank_from_key(k)));
     }
 
     /// True when the rank alone totally determines this order — i.e. equal
@@ -197,17 +136,14 @@ impl SortOrder {
     /// stay conservative.
     #[inline]
     pub fn rank_is_exact(&self) -> bool {
-        self.tie.is_none()
+        self.tie_len == 0
     }
 
     /// The tie rank of `t`: a second u64 compared after [`rank`](Self::rank).
     /// Always 0 for exact orders ([`rank_is_exact`](Self::rank_is_exact)).
     #[inline]
     pub fn tie_rank(&self, t: &Tuple) -> u64 {
-        match &t.payload {
-            Payload::Bytes(b) => self.tie_rank_bytes(b),
-            Payload::Synthetic(_) => self.tie_rank_bytes(&[]),
-        }
+        self.composite_of(t) as u64
     }
 
     /// The tie rank derived from raw payload bytes (missing bytes read as 0).
@@ -215,11 +151,13 @@ impl SortOrder {
     /// cursors feed it a borrowed payload slice.
     #[inline]
     pub fn tie_rank_bytes(&self, payload: &[u8]) -> u64 {
-        let Some(tie) = self.tie else { return 0 };
+        if self.tie_len == 0 {
+            return 0;
+        }
         let mut buf = [0u8; 8];
-        let start = tie.offset.min(payload.len());
-        let end = (tie.offset + tie.len).min(payload.len());
-        buf[..end - start].copy_from_slice(&payload[start..end]);
+        let tail = payload.get(8..).unwrap_or_default();
+        let n = self.tie_len.min(tail.len());
+        buf[..n].copy_from_slice(&tail[..n]);
         let x = u64::from_be_bytes(buf);
         match self.direction {
             SortDirection::Ascending => x,
@@ -239,42 +177,31 @@ impl SortOrder {
     /// The composite key of `t` (see [`composite`](Self::composite)).
     #[inline]
     pub fn composite_of(&self, t: &Tuple) -> u128 {
-        let tie = if self.tie.is_some() {
-            self.tie_rank(t)
-        } else {
-            0
+        self.composite_at(t.key, (&t.payload).into())
+    }
+
+    /// The composite key of one record from its stored key and its payload —
+    /// a page slot's `(page.key(i), page.payload_ref(i))` or a tuple's
+    /// fields. A synthetic payload reads as no bytes.
+    #[inline]
+    pub(crate) fn composite_at(&self, key: u64, payload: PayloadRef<'_>) -> u128 {
+        let bytes = match payload {
+            PayloadRef::Bytes(b) => b,
+            PayloadRef::Synthetic(_) => &[],
         };
-        Self::composite(self.rank(t), tie)
+        Self::composite(self.rank_from_key(key), self.tie_rank_bytes(bytes))
     }
 
     /// Materialise the composite keys of `page`'s records into `out`
     /// (appending), one per record in page order — what run formation selects
-    /// on. Records are read where they lie: only a custom key extractor,
-    /// which is handed a [`Tuple`] by contract, makes the page build one.
+    /// on. Records are read where they lie.
     pub fn composite_column_into(&self, page: &Page, out: &mut Vec<u128>) {
-        out.reserve(page.len());
-        match &self.key_fn {
-            Some(_) => out.extend((0..page.len()).map(|i| self.composite_of(&page.get(i)))),
-            None => out.extend((0..page.len()).map(|i| {
-                let tie = match page.payload_ref(i) {
-                    PayloadRef::Bytes(b) => self.tie_rank_bytes(b),
-                    PayloadRef::Synthetic(_) => self.tie_rank_bytes(&[]),
-                };
-                Self::composite(self.rank_from_key(page.key(i)), tie)
-            })),
-        }
+        out.extend((0..page.len()).map(|i| self.composite_at(page.key(i), page.payload_ref(i))));
     }
 
-    /// The rank a *stored* key maps to under this order. Only meaningful for
-    /// orders without a custom extractor (the paths that read keys straight
-    /// out of the record region are gated on
-    /// [`has_custom_key`](Self::has_custom_key) being false).
+    /// The rank a *stored* key maps to under this order.
     #[inline]
     pub fn rank_from_key(&self, key: u64) -> u64 {
-        debug_assert!(
-            self.key_fn.is_none(),
-            "rank_from_key with a custom extractor"
-        );
         match self.direction {
             SortDirection::Ascending => key,
             SortDirection::Descending => !key,
@@ -284,10 +211,7 @@ impl SortOrder {
     /// Compare two tuples under this order (rank, then tie rank).
     #[inline]
     pub fn cmp(&self, a: &Tuple, b: &Tuple) -> Ordering {
-        match self.rank(a).cmp(&self.rank(b)) {
-            Ordering::Equal if self.tie.is_some() => self.tie_rank(a).cmp(&self.tie_rank(b)),
-            ord => ord,
-        }
+        self.composite_of(a).cmp(&self.composite_of(b))
     }
 
     /// True if `tuples` is sorted according to this order.
@@ -298,36 +222,10 @@ impl SortOrder {
     }
 }
 
-/// `Debug` cannot be derived because of the boxed extractor; show the
-/// direction and whether a custom key is installed.
-impl fmt::Debug for SortOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SortOrder")
-            .field("direction", &self.direction)
-            .field("custom_key", &self.key_fn.is_some())
-            .field("tie", &self.tie)
-            .finish()
-    }
-}
-
-/// Two orders are equal when they have the same direction, the same tie
-/// specification, and the same extractor identity (both none, or literally
-/// the same `Arc`).
-impl PartialEq for SortOrder {
-    fn eq(&self, other: &Self) -> bool {
-        self.direction == other.direction
-            && self.tie == other.tie
-            && match (&self.key_fn, &other.key_fn) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Payload;
 
     fn t(k: u64) -> Tuple {
         Tuple::synthetic(k, 16)
@@ -338,7 +236,6 @@ mod tests {
         let o = SortOrder::ascending();
         assert_eq!(o.rank(&t(5)), 5);
         assert_eq!(o.direction(), SortDirection::Ascending);
-        assert!(!o.has_custom_key());
     }
 
     #[test]
@@ -347,17 +244,6 @@ mod tests {
         assert!(o.rank(&t(10)) < o.rank(&t(3)));
         assert!(o.rank(&t(u64::MAX)) < o.rank(&t(0)));
         assert_eq!(o.rank(&t(7)), o.rank(&t(7)));
-    }
-
-    #[test]
-    fn custom_key_extraction() {
-        // Sort by the low byte of the key only.
-        let o = SortOrder::by_key(|t| t.key & 0xFF);
-        assert!(o.has_custom_key());
-        assert_eq!(o.rank(&t(0x1203)), 0x03);
-        assert_eq!(o.rank(&t(0x0503)), o.rank(&t(0xFF03)));
-        let d = o.clone().reversed();
-        assert!(d.rank(&t(0x02)) > d.rank(&t(0x90)));
     }
 
     #[test]
@@ -377,25 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn equality_compares_direction_and_extractor_identity() {
-        assert_eq!(SortOrder::ascending(), SortOrder::ascending());
-        assert_ne!(SortOrder::ascending(), SortOrder::descending());
-        let a = SortOrder::by_key(|t| t.key);
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_ne!(a, SortOrder::by_key(|t| t.key));
-        assert_ne!(a, SortOrder::ascending());
-    }
-
-    #[test]
     fn rank_column_matches_per_tuple_ranks() {
         let tuples: Vec<Tuple> = [3u64, 9, 1, 1, 0xFF07].iter().map(|&k| t(k)).collect();
-        for order in [
-            SortOrder::ascending(),
-            SortOrder::descending(),
-            SortOrder::by_key(|t| t.key & 0xFF),
-            SortOrder::by_key(|t| t.key & 0xFF).reversed(),
-        ] {
+        for order in [SortOrder::ascending(), SortOrder::descending()] {
             let mut col = Vec::new();
             order.rank_column_into(&Page::from_tuples(tuples.clone()), &mut col);
             let expect: Vec<u64> = tuples.iter().map(|t| order.rank(t)).collect();
@@ -420,7 +290,6 @@ mod tests {
             SortOrder::descending(),
             SortOrder::by_normalized_key(10),
             SortOrder::by_normalized_key(10).reversed(),
-            SortOrder::by_key(|t| t.key.swap_bytes()),
         ] {
             let expect: Vec<u128> = tuples.iter().map(|t| order.composite_of(t)).collect();
             let mut column = vec![0];
@@ -545,6 +414,8 @@ mod tests {
 
     #[test]
     fn equality_distinguishes_tie_specs() {
+        assert_eq!(SortOrder::ascending(), SortOrder::ascending());
+        assert_ne!(SortOrder::ascending(), SortOrder::descending());
         assert_eq!(
             SortOrder::by_normalized_key(10),
             SortOrder::by_normalized_key(10)

@@ -76,8 +76,8 @@ where
                     stats.pages_read += 1;
                     held_pages += 1;
                     // The composite is computed once per tuple (a tie rank
-                    // reads payload bytes, a custom key is a dynamic call;
-                    // neither belongs inside the sort's comparisons).
+                    // reads payload bytes, which does not belong inside the
+                    // sort's comparisons).
                     composites.clear();
                     cfg.order.composite_column_into(&page, &mut composites);
                     column.extend(composites.iter().enumerate().map(|(i, &composite)| {

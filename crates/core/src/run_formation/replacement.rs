@@ -94,8 +94,8 @@ use super::{OutBlock, SplitStats};
 /// breaks ties deterministically and locates the record in the slab. `rank`
 /// and `tie` are the halves of *cmp*: the configured [`SortOrder`]'s
 /// composite (`rank << 64 | tie_rank` — the tie half is zero except for long
-/// normalized keys) in the run's comparison space, so descending, custom-key
-/// and normalized-key sorts and runs of either direction all select the same
+/// normalized keys) in the run's comparison space, so descending and
+/// normalized-key sorts and runs of either direction all select the same
 /// way. Kept apart they make the entry 24 bytes; as one `u128` it is 32.
 type Entry = (u32, u64, u64, u32);
 
@@ -620,7 +620,7 @@ where
         store,
         tpp,
         block_tuples: block.block_pages(budget.target().max(1)) * tpp,
-        order: cfg.order.clone(),
+        order: cfg.order,
         sel: Selection::default(),
         slab: RecordSlab::new(cfg.record_stride()),
         composites: Vec::new(),

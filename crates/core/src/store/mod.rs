@@ -13,7 +13,8 @@
 //!
 //! Every data-moving operation returns `Result<_, SortError>`: [`FileStore`]
 //! propagates real `io::Error`s, and decoding a damaged run file surfaces
-//! [`SortError::CorruptRun`] instead of panicking.
+//! [`SortError::CorruptRun`](crate::error::SortError::CorruptRun) instead of
+//! panicking.
 
 use crate::error::SortResult;
 use crate::tuple::Page;

@@ -23,7 +23,7 @@ pub fn is_sorted(tuples: &[Tuple]) -> bool {
     tuples.windows(2).all(|w| w[0].key <= w[1].key)
 }
 
-/// True if `tuples` is sorted according to `order` (direction + key hook).
+/// True if `tuples` is sorted according to `order` (direction + key length).
 pub fn is_sorted_by(tuples: &[Tuple], order: &SortOrder) -> bool {
     order.is_sorted(tuples)
 }

@@ -11,7 +11,7 @@ use masort_core::merge::exec::{execute_merge, ExecParams};
 use masort_core::prelude::*;
 use masort_core::tuple::paginate;
 use masort_core::verify::collect_run;
-use masort_core::RunMeta;
+use masort_core::{normalized_prefix, RunMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -53,15 +53,21 @@ fn naive_sort(order: &SortOrder, input: &[Tuple]) -> Vec<Tuple> {
 }
 
 /// `actual` must be the reference's sequence. Both must ascend in the order's
-/// composite; tuples that tie there (distinct keys with one custom-key rank)
+/// composite; tuples that tie there (distinct records with one whole key)
 /// may come out in either order, so each tie group is compared as a set.
 fn assert_matches_reference(order: &SortOrder, actual: &[Tuple], reference: &[Tuple], what: &str) {
     assert!(order.is_sorted(actual), "{what}: output not sorted");
     assert!(order.is_sorted(reference), "{what}: reference not sorted");
     let canonical = |tuples: &[Tuple]| {
-        let mut pairs: Vec<(u128, u64)> = tuples
+        let mut pairs: Vec<(u128, u64, Vec<u8>)> = tuples
             .iter()
-            .map(|t| (order.composite_of(t), t.key))
+            .map(|t| {
+                let bytes = match &t.payload {
+                    Payload::Bytes(b) => b.clone(),
+                    Payload::Synthetic(_) => Vec::new(),
+                };
+                (order.composite_of(t), t.key, bytes)
+            })
             .collect();
         pairs.sort_unstable();
         pairs
@@ -82,6 +88,23 @@ fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
+/// Records for `by_normalized_key(10)` whose 8-byte prefixes collide (40 of
+/// them) while key bytes 8..10, read from the payload, differ: rank ties
+/// among distinct records, where the gallop must stay conservative
+/// (`rank_is_exact() == false`). Bytes 10..14 number the records.
+fn normalized_tuples(n: usize, seed: u64) -> Vec<Tuple> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n as u32)
+        .map(|i| {
+            let mut record = [0u8; 56];
+            record[..8].copy_from_slice(&rng.gen_range(0..40u64).to_be_bytes());
+            record[8..10].copy_from_slice(&rng.gen_range(0..300u16).to_be_bytes());
+            record[10..14].copy_from_slice(&i.to_be_bytes());
+            Tuple::new(normalized_prefix(&record), record.to_vec())
+        })
+        .collect()
+}
+
 fn small_cfg(mem: usize, spec: AlgorithmSpec) -> SortConfig {
     SortConfig::default()
         .with_page_size(512)
@@ -90,22 +113,23 @@ fn small_cfg(mem: usize, spec: AlgorithmSpec) -> SortConfig {
         .with_algorithm(spec)
 }
 
-/// For all 18 algorithm combinations × {ascending, descending, custom key}:
-/// a whole sort through the engine equals the reference sort.
+/// For all 18 algorithm combinations × {ascending, descending, normalized
+/// key}: a whole sort through the engine equals the reference sort.
 #[test]
 fn kernel_output_matches_naive_merge_for_every_algorithm_and_order() {
     for (i, spec) in AlgorithmSpec::all(4).into_iter().enumerate() {
-        let orders: Vec<(&str, SortOrder)> = vec![
-            ("asc", SortOrder::ascending()),
-            ("desc", SortOrder::descending()),
+        let seed = 31 + i as u64;
+        let orders = [
+            ("asc", SortOrder::ascending(), random_tuples(2_000, seed)),
+            ("desc", SortOrder::descending(), random_tuples(2_000, seed)),
             (
-                "custom",
-                SortOrder::by_key(|t| (t.key % 97) << 8 | (t.key & 0xFF)),
+                "normalized",
+                SortOrder::by_normalized_key(10),
+                normalized_tuples(2_000, seed),
             ),
         ];
-        for (name, order) in orders {
-            let input = random_tuples(2_000, 31 + i as u64);
-            let cfg = small_cfg(6, spec).with_order(order.clone());
+        for (name, order, input) in orders {
+            let cfg = small_cfg(6, spec).with_order(order);
             let budget = MemoryBudget::new(cfg.memory_pages);
             let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
             let mut store = MemStore::new();
@@ -248,16 +272,16 @@ fn kernel_survives_mid_merge_wobbles() {
 }
 
 /// A whole sort through a `SortJob`, whose root step is streamed to the
-/// consumer instead of written: every algorithm combination (and a custom key
-/// order) must equal the reference sort.
+/// consumer instead of written: every algorithm combination (and a normalized
+/// key order) must equal the reference sort.
 #[test]
 fn kernel_output_matches_naive_merge_through_a_streamed_root() {
     let input = random_tuples(4_000, 5);
-    let sort = |spec: AlgorithmSpec, order: &SortOrder| {
+    let sort = |spec: AlgorithmSpec, order: &SortOrder, input: &[Tuple]| {
         SortJob::builder()
             .config(small_cfg(10, spec))
-            .order(order.clone())
-            .tuples(input.clone())
+            .order(*order)
+            .tuples(input.to_vec())
             .build()
             .unwrap()
             .run()
@@ -270,16 +294,17 @@ fn kernel_output_matches_naive_merge_through_a_streamed_root() {
     for spec in AlgorithmSpec::all(4) {
         assert_matches_reference(
             &ascending,
-            &sort(spec, &ascending),
+            &sort(spec, &ascending, &input),
             &ascending_reference,
             &format!("{spec}"),
         );
     }
-    let custom = SortOrder::by_key(|t| t.key % 613);
+    let normalized = SortOrder::by_normalized_key(10);
+    let input = normalized_tuples(4_000, 5);
     assert_matches_reference(
-        &custom,
-        &sort(AlgorithmSpec::recommended(), &custom),
-        &naive_sort(&custom, &input),
-        "custom key",
+        &normalized,
+        &sort(AlgorithmSpec::recommended(), &normalized, &input),
+        &naive_sort(&normalized, &input),
+        "normalized key",
     );
 }

@@ -117,11 +117,6 @@ pub enum EventKind {
         /// Pages written.
         pages: usize,
     },
-    /// The caller blocked on storage I/O.
-    IoStall {
-        /// Seconds spent blocked.
-        seconds: f64,
-    },
     /// The request entered the broker's admission queue.
     AdmissionQueued,
     /// The broker admitted the job and granted its initial share.
@@ -177,7 +172,6 @@ impl EventKind {
             EventKind::RunEmit { .. } => "run_emit",
             EventKind::IoRead { .. } => "io_read",
             EventKind::IoWrite { .. } => "io_write",
-            EventKind::IoStall { .. } => "io_stall",
             EventKind::AdmissionQueued => "admission_queued",
             EventKind::AdmissionGranted { .. } => "admission_granted",
             EventKind::AdmissionRejected { .. } => "admission_rejected",
@@ -232,7 +226,6 @@ impl EventKind {
                     ("pages", n(*pages)),
                 ]
             }
-            EventKind::IoStall { seconds } => vec![("seconds", JsonValue::Number(*seconds))],
             EventKind::AdmissionGranted { pages } => vec![("pages", n(*pages))],
             EventKind::AdmissionRejected { needed, granted } => {
                 vec![("needed", n(*needed)), ("granted", n(*granted))]
@@ -323,9 +316,6 @@ impl EventKind {
                 run: num("run")? as u64,
                 pages: us("pages")?,
             },
-            "io_stall" => EventKind::IoStall {
-                seconds: num("seconds")?,
-            },
             "admission_queued" => EventKind::AdmissionQueued,
             "admission_granted" => EventKind::AdmissionGranted {
                 pages: us("pages")?,
@@ -395,7 +385,6 @@ mod tests {
             },
             EventKind::IoRead { run: 2, pages: 8 },
             EventKind::IoWrite { run: 3, pages: 16 },
-            EventKind::IoStall { seconds: 0.01 },
             EventKind::AdmissionQueued,
             EventKind::AdmissionGranted { pages: 12 },
             EventKind::AdmissionRejected {

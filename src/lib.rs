@@ -55,7 +55,7 @@
 //! # Ok::<(), SortError>(())
 //! ```
 //!
-//! Descending order (or a custom key) works with every algorithm combination:
+//! Descending order works with every algorithm combination:
 //!
 //! ```
 //! use memory_adaptive_sort::prelude::*;

@@ -1,7 +1,7 @@
 //! Natural-run formation (`natN`), end to end: every replacement-selection
 //! algorithm combination produces the *bit-identical* sorted output under
 //! `natN` as under its classic `replN` counterpart — across ascending,
-//! descending and custom-key orders — while descending (reversed) runs
+//! descending and normalized-key orders — while descending (reversed) runs
 //! round-trip through the file store.
 
 use memory_adaptive_sort::core::GenOrder;
@@ -13,6 +13,24 @@ fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| Tuple::synthetic(rng.gen::<u64>() >> 8, 64))
+        .collect()
+}
+
+/// `input` as records for `by_normalized_key(10)`: each key's eight bytes
+/// lead a 56-byte payload, and every tenth record is followed by a twin
+/// that only the tie bytes (`payload[8..10]`) tell apart — so ranks tie
+/// while whole keys stay unique.
+fn with_twins(input: &[Tuple]) -> Vec<Tuple> {
+    input
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| {
+            let mut payload = t.key.to_be_bytes().to_vec();
+            payload.resize(56, 0);
+            let record = Tuple::new(t.key, payload.clone());
+            payload[9] = 1;
+            std::iter::once(record).chain((i % 10 == 0).then(|| Tuple::new(t.key, payload)))
+        })
         .collect()
 }
 
@@ -37,7 +55,7 @@ fn natural_counterpart(spec: AlgorithmSpec) -> Option<AlgorithmSpec> {
 
 fn sort_with(base: SortConfig, order: &SortOrder, input: &[Tuple]) -> Vec<Tuple> {
     SortJob::builder()
-        .config(base.with_order(order.clone()))
+        .config(base.with_order(*order))
         .tuples(input.to_vec())
         .build()
         .unwrap()
@@ -58,12 +76,16 @@ fn natural_output_is_bit_identical_across_the_matrix() {
     input[300..700].sort_unstable_by_key(|t| t.key);
     input[900..1200].sort_unstable_by_key(|t| std::cmp::Reverse(t.key));
 
-    // The custom key is bijective (byte-swap), so ranks are unique and
-    // bit-identity is well-defined under every order.
-    let orders: [(&str, SortOrder); 3] = [
-        ("asc", SortOrder::ascending()),
-        ("desc", SortOrder::descending()),
-        ("custom", SortOrder::by_key(|t: &Tuple| t.key.swap_bytes())),
+    // Whole keys are unique under every order (the normalized input's twins
+    // tie on rank only), so bit-identity is well-defined.
+    let orders = [
+        ("asc", SortOrder::ascending(), input.clone()),
+        ("desc", SortOrder::descending(), input.clone()),
+        (
+            "normalized",
+            SortOrder::by_normalized_key(10),
+            with_twins(&input),
+        ),
     ];
     let pairs: Vec<(AlgorithmSpec, AlgorithmSpec)> = AlgorithmSpec::all(6)
         .into_iter()
@@ -71,9 +93,9 @@ fn natural_output_is_bit_identical_across_the_matrix() {
         .collect();
     assert_eq!(pairs.len(), 12);
     for (classic_spec, natural_spec) in pairs {
-        for (name, order) in &orders {
-            let classic = sort_with(cfg(classic_spec), order, &input);
-            let natural = sort_with(cfg(natural_spec), order, &input);
+        for (name, order, input) in &orders {
+            let classic = sort_with(cfg(classic_spec), order, input);
+            let natural = sort_with(cfg(natural_spec), order, input);
             assert_eq!(
                 classic, natural,
                 "{natural_spec} diverged from {classic_spec}: {name}"

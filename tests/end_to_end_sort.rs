@@ -352,11 +352,10 @@ fn output_equals_the_oracle_for_every_payload_kind_and_order() {
             other => unreachable!("{other:?}"),
         }
     };
-    let orders: [(&str, SortOrder); 4] = [
+    let orders: [(&str, SortOrder); 3] = [
         ("asc", SortOrder::ascending()),
         ("desc", SortOrder::descending()),
         ("normalized", SortOrder::by_normalized_key(10)),
-        ("custom", SortOrder::by_key(|t: &Tuple| t.key.swap_bytes())),
     ];
     for kind in ["synthetic", "inline", "empty", "overflow", "mixed"] {
         for (order_name, order) in &orders {
@@ -390,7 +389,7 @@ fn output_equals_the_oracle_for_every_payload_kind_and_order() {
             oracle.sort_unstable_by(|a, b| order.cmp(a, b));
 
             for alg in ["nat6,opt,split", "repl1,naive,page", "quick,opt,susp"] {
-                let cfg = small_cfg(6, alg.parse().unwrap()).with_order(order.clone());
+                let cfg = small_cfg(6, alg.parse().unwrap()).with_order(*order);
                 let completion = SortJob::builder()
                     .config(cfg)
                     .tuples(input.clone())

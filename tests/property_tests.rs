@@ -12,13 +12,16 @@
 //! * replacement-selection runs are individually sorted and cover the input;
 //! * merge planning respects its fan-in bounds and both policies always use
 //!   the same number of steps;
-//! * the sort-merge join finds exactly the matches a nested-loop join finds.
+//! * the sort-merge join finds exactly the matches a nested-loop join finds,
+//!   also under a normalized key whose bytes past the eighth tell records
+//!   apart.
 
 use masort_core::merge::plan::{preliminary_fan_in, StaticPlanSummary};
-use masort_core::verify;
+use masort_core::{normalized_prefix, verify};
 use memory_adaptive_sort::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 
 /// A scripted environment that changes the budget after every N CPU charges,
 /// cycling through a list of targets — a deterministic stand-in for a DBMS
@@ -207,7 +210,7 @@ fn sort_is_a_sorted_permutation_under_fluctuation() {
             SortOrder::descending()
         };
 
-        let cfg = small_cfg(mem, spec).with_order(order.clone());
+        let cfg = small_cfg(mem, spec).with_order(order);
         let budget = MemoryBudget::new(mem);
         let mut env = ScriptedBudgetEnv::new(period, targets);
         let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
@@ -240,7 +243,7 @@ fn sorted_stream_matches_collect_run_for_all_algorithms() {
             let mut rng = StdRng::seed_from_u64(0x57AE + case);
             let input = arbitrary_tuples(&mut rng, 3_000, 64);
             let mem = rng.gen_range(3usize..10);
-            let cfg = small_cfg(mem, spec).with_order(order.clone());
+            let cfg = small_cfg(mem, spec).with_order(order);
 
             let budget = MemoryBudget::new(mem);
             let mut env = RealEnv::new();
@@ -362,8 +365,8 @@ fn join_matches_nested_loop() {
 
 #[test]
 fn descending_join_matches_nested_loop() {
-    // The join machinery is order-agnostic: matching on equal ranks under a
-    // descending order finds exactly the same pairs.
+    // The join machinery is order-agnostic: matching on equal whole keys
+    // under a descending order finds exactly the same pairs.
     for case in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(0xDE5C + case);
         let left: Vec<Tuple> = (0..rng.gen_range(1usize..500))
@@ -378,5 +381,49 @@ fn descending_join_matches_nested_loop() {
             .join_vecs_count(left, right)
             .unwrap();
         assert_eq!(outcome.matches, expected, "case {case}");
+    }
+}
+
+#[test]
+fn normalized_key_join_matches_on_the_whole_key() {
+    // Records whose first eight key bytes collide often and whose bytes
+    // 8..10 (read from the payload) tell twins apart: a join matching on the
+    // 8-byte rank alone would pair records whose whole keys differ.
+    let record = |rng: &mut StdRng| {
+        let mut key = [0u8; 10];
+        key[..8].copy_from_slice(&rng.gen_range(0u64..30).to_be_bytes());
+        key[8..].copy_from_slice(&rng.gen_range(0u16..4).to_be_bytes());
+        let mut payload = key.to_vec();
+        payload.resize(56, 0xAB);
+        Tuple::new(normalized_prefix(&key), payload)
+    };
+    let key_bytes = |t: &Tuple| match &t.payload {
+        Payload::Bytes(b) => b[..10].to_vec(),
+        Payload::Synthetic(_) => unreachable!("every record has bytes"),
+    };
+    let normalized = SortOrder::by_normalized_key(10);
+    for order in [normalized, normalized.reversed()] {
+        for case in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x10B7 + case);
+            let left: Vec<Tuple> = (0..rng.gen_range(1usize..400))
+                .map(|_| record(&mut rng))
+                .collect();
+            let right: Vec<Tuple> = (0..rng.gen_range(1usize..400))
+                .map(|_| record(&mut rng))
+                .collect();
+            let count = |equal: &dyn Fn(&Tuple, &Tuple) -> bool| {
+                let pairs = left.iter().flat_map(|l| right.iter().map(move |r| (l, r)));
+                pairs.filter(|(l, r)| equal(l, r)).count()
+            };
+            let expected = count(&|l, r| order.cmp(l, r) == Ordering::Equal);
+            assert!(expected < count(&|l, r| l.key == r.key), "case {case}");
+            let cfg = small_cfg(5, AlgorithmSpec::recommended()).with_order(order);
+            let pairs = SortMergeJoin::new(cfg).join_vecs(left, right).unwrap();
+            assert_eq!(pairs.len(), expected, "{order:?} case {case}");
+            assert!(
+                pairs.iter().all(|(l, r)| key_bytes(l) == key_bytes(r)),
+                "{order:?} case {case}"
+            );
+        }
     }
 }

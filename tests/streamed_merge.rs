@@ -3,7 +3,8 @@
 //!
 //! * Identity: the streamed output equals the `settle()`d output — the root
 //!   run into a stored run first, then read back — tuple for tuple, across
-//!   all 18 algorithm combinations x ascending/descending/custom orders,
+//!   all 18 algorithm combinations x ascending/descending/normalized-key
+//!   orders,
 //!   with adaptive (descending, read-backwards) runs among the root's
 //!   inputs.
 //! * Adaptation during the drain: for each of the three merge adaptations, a
@@ -38,6 +39,24 @@ fn cfg(spec: AlgorithmSpec, mem: usize) -> SortConfig {
         .with_algorithm(spec)
 }
 
+/// `input` as records for `by_normalized_key(10)`: each key's eight bytes
+/// lead a 56-byte payload, and every tenth record is followed by a twin
+/// that only the tie bytes (`payload[8..10]`) tell apart — so ranks tie
+/// while whole keys stay unique.
+fn with_twins(input: &[Tuple]) -> Vec<Tuple> {
+    input
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| {
+            let mut payload = t.key.to_be_bytes().to_vec();
+            payload.resize(56, 0);
+            let record = Tuple::new(t.key, payload.clone());
+            payload[9] = 1;
+            std::iter::once(record).chain((i % 10 == 0).then(|| Tuple::new(t.key, payload)))
+        })
+        .collect()
+}
+
 fn run(cfg: SortConfig, input: &[Tuple]) -> SortCompletion<MemStore> {
     SortJob::builder()
         .config(cfg)
@@ -56,12 +75,16 @@ fn streamed_output_equals_settled_output_across_the_matrix() {
     input[300..700].sort_unstable_by_key(|t| t.key);
     input[900..1200].sort_unstable_by_key(|t| std::cmp::Reverse(t.key));
 
-    // The custom key is bijective (byte-swap), so ranks are unique and
-    // tuple-for-tuple identity is well-defined under every order.
-    let orders: [(&str, SortOrder); 3] = [
-        ("asc", SortOrder::ascending()),
-        ("desc", SortOrder::descending()),
-        ("custom", SortOrder::by_key(|t: &Tuple| t.key.swap_bytes())),
+    // Whole keys are unique under every order (the normalized input's twins
+    // tie on rank only), so tuple-for-tuple identity is well-defined.
+    let orders = [
+        ("asc", SortOrder::ascending(), input.clone()),
+        ("desc", SortOrder::descending(), input.clone()),
+        (
+            "normalized",
+            SortOrder::by_normalized_key(10),
+            with_twins(&input),
+        ),
     ];
     let mut cases = 0;
     let mut reversed_at_the_root = 0;
@@ -71,19 +94,19 @@ fn streamed_output_equals_settled_output_across_the_matrix() {
         if let RunFormation::ReplacementSelect { block_pages } = spec.formation {
             spec.formation = RunFormation::natural(block_pages);
         }
-        for (name, order) in &orders {
+        for (name, order, input) in &orders {
             // 12 pages: the replacement-selection formations' runs all
             // fit one step, quicksort's need preliminary steps first.
-            let cfg = cfg(spec, 12).with_order(order.clone());
+            let cfg = cfg(spec, 12).with_order(*order);
             let case = format!("{spec} {name}");
 
-            let completion = run(cfg.clone(), &input);
+            let completion = run(cfg.clone(), input);
             let at_run = completion.outcome.clone();
             let mut stream = completion.into_stream();
             let streamed: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
             let done = stream.finish();
 
-            let settled = run(cfg, &input).settle().unwrap();
+            let settled = run(cfg, input).settle().unwrap();
             let merge = settled.outcome.merge.clone();
             let read_back = settled.into_sorted_vec().unwrap();
 
@@ -221,7 +244,7 @@ fn parked(
     let spec = AlgorithmSpec::new(RunFormation::repl(6), MergePolicy::Optimized, adaptation);
     let budget = MemoryBudget::new(48);
     let completion = SortJob::builder()
-        .config(cfg(spec, 48).with_order(order.clone()))
+        .config(cfg(spec, 48).with_order(*order))
         .tuples(input.to_vec())
         .budget(budget.clone())
         .build()
