@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use masort_bench::env_usize;
 use masort_core::{SortConfig, Tuple};
-use masort_server::{fetch_metrics, PolicyChoice, Server, SortClient, SubmitSpec};
+use masort_server::{fetch_metrics, Server, SortClient, SubmitSpec};
 use masort_simkit::Tally;
 use masort_trace::{metrics_from_json, JsonValue};
 use rand::rngs::StdRng;
@@ -117,7 +117,6 @@ fn main() {
     let handle = Server::builder()
         .pool_pages(pool)
         .workers(workers)
-        .policy(PolicyChoice::PriorityWeighted)
         .base_config(
             SortConfig::default()
                 .with_page_size(PAGE_SIZE)

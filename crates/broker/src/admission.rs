@@ -133,7 +133,6 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::EqualShare;
     use masort_core::VecSource;
 
     fn req(job: JobId, min: usize) -> QueuedRequest {
@@ -154,7 +153,7 @@ mod tests {
 
     #[test]
     fn first_fit_lets_small_requests_bypass_a_stuck_head() {
-        let broker = MemoryBroker::new(10, Arc::new(EqualShare));
+        let broker = MemoryBroker::new(10);
         let mut q = AdmissionQueue::default();
         q.push(req(1, 99)); // cannot fit in a 10-page pool alongside nothing? (99 > 10)
         q.push(req(2, 4));
@@ -170,7 +169,7 @@ mod tests {
         // admitted, but a stream of small requests can. After MAX_BYPASS
         // overtakes the large request becomes a barrier and the small ones
         // queue behind it, however admissible they are.
-        let mut broker = MemoryBroker::new(10, Arc::new(EqualShare));
+        let mut broker = MemoryBroker::new(10);
         broker.admit(
             crate::policy::JobDemand {
                 job: 0,
@@ -210,7 +209,7 @@ mod tests {
         assert!(q.remove(2).is_none(), "already removed");
         assert!(q.remove(99).is_none(), "never queued");
         assert_eq!(q.len(), 2);
-        let broker = MemoryBroker::new(10, Arc::new(EqualShare));
+        let broker = MemoryBroker::new(10);
         assert_eq!(q.pop_admissible(&broker).unwrap().job, 1);
         assert_eq!(q.pop_admissible(&broker).unwrap().job, 3);
     }

@@ -1,9 +1,8 @@
 //! The global memory broker: one page pool, many live sorts.
 //!
 //! [`MemoryBroker`] owns the pool size and the registry of live jobs, and on
-//! every admission, release and resize asks its
-//! [`ArbitrationPolicy`] to re-divide the pool, pushing the new share into
-//! each job's [`MemoryBudget`] via
+//! every admission, release and resize re-divides the pool with
+//! [`divide`], pushing the new share into each job's [`MemoryBudget`] via
 //! [`set_target`](MemoryBudget::set_target). The sorts observe the moved
 //! target at their next adaptation point and grow, shrink, suspend, page or
 //! split accordingly — this is the paper's DBMS buffer manager realised as a
@@ -15,42 +14,29 @@
 //! [`SortService`](crate::SortService) wraps it with worker threads and
 //! admission control.
 
-use crate::policy::{ArbitrationPolicy, JobDemand};
+use crate::policy::{divide, JobDemand};
 use crate::ticket::JobId;
 use masort_core::MemoryBudget;
-use std::sync::Arc;
 
+#[derive(Debug)]
 struct LiveEntry {
     demand: JobDemand,
     budget: MemoryBudget,
 }
 
 /// Divides one global page pool across the live sorts' memory budgets.
+#[derive(Debug)]
 pub struct MemoryBroker {
     pool_pages: usize,
-    policy: Arc<dyn ArbitrationPolicy>,
     live: Vec<LiveEntry>,
     rebalances: u64,
 }
 
-impl std::fmt::Debug for MemoryBroker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoryBroker")
-            .field("pool_pages", &self.pool_pages)
-            .field("policy", &self.policy.name())
-            .field("live", &self.live.len())
-            .field("rebalances", &self.rebalances)
-            .finish()
-    }
-}
-
 impl MemoryBroker {
-    /// Create a broker over a pool of `pool_pages` pages, arbitrated by
-    /// `policy`.
-    pub fn new(pool_pages: usize, policy: Arc<dyn ArbitrationPolicy>) -> Self {
+    /// Create a broker over a pool of `pool_pages` pages.
+    pub fn new(pool_pages: usize) -> Self {
         MemoryBroker {
             pool_pages,
-            policy,
             live: Vec::new(),
             rebalances: 0,
         }
@@ -59,11 +45,6 @@ impl MemoryBroker {
     /// Current pool size in pages.
     pub fn pool_pages(&self) -> usize {
         self.pool_pages
-    }
-
-    /// Name of the arbitration policy in use.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Number of live (admitted, not yet released) jobs.
@@ -114,17 +95,17 @@ impl MemoryBroker {
         self.rebalance(now);
     }
 
-    /// Re-divide the pool across all live jobs via the arbitration policy and
-    /// push each share into the corresponding budget.
+    /// Re-divide the pool across all live jobs with [`divide`] and push each
+    /// share into the corresponding budget.
     ///
-    /// Two defensive floors are enforced on whatever the policy returns: a
-    /// share never exceeds the job's cap, and a live sort is never pushed
-    /// below **one page** — if an operator shrinks the pool under the number
-    /// of live sorts the broker temporarily overcommits rather than starving
-    /// a sort outright (a sort holding zero pages cannot make progress).
+    /// Two floors are enforced on the shares: a share never exceeds the job's
+    /// cap, and a live sort is never pushed below **one page** — if an
+    /// operator shrinks the pool under the number of live sorts the broker
+    /// temporarily overcommits rather than starving a sort outright (a sort
+    /// holding zero pages cannot make progress).
     pub fn rebalance(&mut self, now: f64) {
         let demands: Vec<JobDemand> = self.live.iter().map(|e| e.demand).collect();
-        let mut shares = self.policy.divide(self.pool_pages, &demands);
+        let mut shares = divide(self.pool_pages, &demands);
         shares.resize(demands.len(), 0);
         let mut spent = 0usize;
         for (share, demand) in shares.iter_mut().zip(&demands) {
@@ -151,7 +132,6 @@ impl MemoryBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{EqualShare, PriorityWeighted};
 
     fn demand(job: JobId, priority: u32, min: usize, max: usize) -> JobDemand {
         JobDemand {
@@ -164,7 +144,7 @@ mod tests {
 
     #[test]
     fn admission_sets_every_live_target() {
-        let mut broker = MemoryBroker::new(24, Arc::new(EqualShare));
+        let mut broker = MemoryBroker::new(24);
         let a = MemoryBudget::new(0);
         let b = MemoryBudget::new(0);
         broker.admit(demand(1, 1, 2, 100), a.clone(), 0.0);
@@ -179,7 +159,7 @@ mod tests {
 
     #[test]
     fn release_returns_memory_to_survivors() {
-        let mut broker = MemoryBroker::new(24, Arc::new(EqualShare));
+        let mut broker = MemoryBroker::new(24);
         let a = MemoryBudget::new(0);
         let b = MemoryBudget::new(0);
         broker.admit(demand(1, 1, 2, 100), a.clone(), 0.0);
@@ -195,7 +175,7 @@ mod tests {
 
     #[test]
     fn resize_moves_all_targets() {
-        let mut broker = MemoryBroker::new(32, Arc::new(PriorityWeighted));
+        let mut broker = MemoryBroker::new(32);
         let a = MemoryBudget::new(0);
         let b = MemoryBudget::new(0);
         broker.admit(demand(1, 3, 1, 100), a.clone(), 0.0);
@@ -208,7 +188,7 @@ mod tests {
 
     #[test]
     fn can_admit_tracks_committed_minimums() {
-        let mut broker = MemoryBroker::new(10, Arc::new(EqualShare));
+        let mut broker = MemoryBroker::new(10);
         assert!(broker.can_admit(10));
         assert!(!broker.can_admit(11));
         broker.admit(demand(1, 1, 6, 100), MemoryBudget::new(0), 0.0);
@@ -222,7 +202,7 @@ mod tests {
     fn degenerate_zero_demand_still_gets_exactly_its_one_page_cap() {
         // A standalone-broker user can register min = max = 0; the one-page
         // floor then coincides with the (floored) cap instead of exceeding it.
-        let mut broker = MemoryBroker::new(8, Arc::new(EqualShare));
+        let mut broker = MemoryBroker::new(8);
         let zero = MemoryBudget::new(0);
         let normal = MemoryBudget::new(0);
         broker.admit(demand(1, 1, 0, 0), zero.clone(), 0.0);
@@ -233,7 +213,7 @@ mod tests {
 
     #[test]
     fn live_sorts_never_starve_below_one_page() {
-        let mut broker = MemoryBroker::new(16, Arc::new(EqualShare));
+        let mut broker = MemoryBroker::new(16);
         let budgets: Vec<MemoryBudget> = (0..4).map(|_| MemoryBudget::new(0)).collect();
         for (i, b) in budgets.iter().enumerate() {
             broker.admit(demand(i as JobId, 1, 2, 100), b.clone(), 0.0);

@@ -7,10 +7,11 @@
 //! the component that actually moves those budgets: a [`SortService`] that
 //! runs many sorts concurrently on a bounded worker-thread pool, and a
 //! [`MemoryBroker`] that re-divides **one global page pool** across all live
-//! sorts on every admission, completion and explicit
-//! [`resize_pool`](SortService::resize_pool) call. Sorts genuinely grow,
-//! shrink, suspend, page and split *while running* — the paper's
-//! memory-adaptive behaviour on real threads instead of inside the simulator.
+//! sorts with one rule, [`policy::divide`], on every admission, completion
+//! and explicit [`resize_pool`](SortService::resize_pool) call. Sorts
+//! genuinely grow, shrink, suspend, page and split *while running* — the
+//! paper's memory-adaptive behaviour on real threads instead of inside the
+//! simulator.
 //!
 //! ```
 //! use masort_broker::prelude::*;
@@ -19,7 +20,6 @@
 //! let service = SortService::builder()
 //!     .pool_pages(32)              // one global pool, smaller than demand
 //!     .workers(4)
-//!     .policy(PriorityWeighted)    // or EqualShare / MinGuarantee / your own
 //!     .build();
 //!
 //! let cfg = SortConfig::default()
@@ -73,42 +73,6 @@
 //! run, releases, and the reader gets the rest from that run on its own
 //! thread.
 //!
-//! ## Writing an arbitration policy
-//!
-//! Arbitration is pluggable through the [`ArbitrationPolicy`] trait — a pure,
-//! deterministic function from *(pool size, live-job demands)* to one share
-//! per job:
-//!
-//! ```
-//! use masort_broker::{ArbitrationPolicy, JobDemand};
-//!
-//! /// Everything to the newest sort, minimums to the rest.
-//! struct NewestTakesAll;
-//!
-//! impl ArbitrationPolicy for NewestTakesAll {
-//!     fn name(&self) -> &'static str {
-//!         "newest-takes-all"
-//!     }
-//!     fn divide(&self, pool: usize, jobs: &[JobDemand]) -> Vec<usize> {
-//!         let reserved: usize = jobs.iter().map(|j| j.min_pages).sum();
-//!         let mut shares: Vec<usize> = jobs.iter().map(|j| j.min_pages).collect();
-//!         if let Some(last) = shares.last_mut() {
-//!             *last += pool.saturating_sub(reserved);
-//!         }
-//!         shares
-//!     }
-//! }
-//! ```
-//!
-//! The broker invokes the policy under its lock on every admission,
-//! completion and resize, then pushes each share into the corresponding
-//! sort's `MemoryBudget` via `set_target`. Policies should keep
-//! `sum(shares) <= pool` and respect each job's `[min_pages, cap()]` range;
-//! the broker defensively clamps whatever comes back and never pushes a live
-//! sort below one page. Three implementations ship with the crate —
-//! [`EqualShare`], [`PriorityWeighted`] and [`MinGuarantee`] — see the
-//! [`policy`] module for their exact semantics.
-//!
 //! ## Admission control
 //!
 //! Each request carries a guaranteed minimum share
@@ -130,7 +94,7 @@ pub mod stats;
 pub mod ticket;
 
 pub use broker::MemoryBroker;
-pub use policy::{ArbitrationPolicy, EqualShare, JobDemand, MinGuarantee, PriorityWeighted};
+pub use policy::JobDemand;
 pub use service::{
     job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
 };
@@ -140,9 +104,7 @@ pub use ticket::{JobId, JobOutput, JobReport, SortTicket};
 /// Convenient glob import of the service-facing types.
 pub mod prelude {
     pub use crate::broker::MemoryBroker;
-    pub use crate::policy::{
-        ArbitrationPolicy, EqualShare, JobDemand, MinGuarantee, PriorityWeighted,
-    };
+    pub use crate::policy::JobDemand;
     pub use crate::service::{
         job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
     };

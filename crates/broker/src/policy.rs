@@ -1,30 +1,16 @@
-//! Pluggable arbitration policies: how the global page pool is divided among
-//! the live sorts.
+//! The one arbitration rule: how the global page pool is divided among the
+//! live sorts.
 //!
-//! A policy is a pure function from *(pool size, live-job demands)* to a share
-//! per job. The [`MemoryBroker`](crate::MemoryBroker) invokes it on every
-//! admission, completion and pool resize and pushes the resulting shares into
-//! each sort's [`MemoryBudget`](masort_core::MemoryBudget) — the sorts then
-//! grow, shrink, suspend, page or split to honour their new target, exactly as
-//! they do under the paper's simulated buffer manager.
-//!
-//! Three policies ship with the crate:
-//!
-//! * [`EqualShare`] — ignore priorities; split the pool evenly.
-//! * [`PriorityWeighted`] — surplus above the minimums is divided in
-//!   proportion to job priority.
-//! * [`MinGuarantee`] — every job gets exactly its guaranteed minimum, and the
-//!   surplus is redistributed greedily in strict priority order (the highest
-//!   priority job is filled to its maximum before the next sees a page).
-//!
-//! All three honour the same two floors: a live sort never drops below its
-//! `min_pages` while the pool can cover the live minimums (admission control
-//! guarantees this), and never below one page even when an operator shrinks
-//! the pool under the committed minimums.
+//! [`divide`] is a pure function from *(pool size, live-job demands)* to a
+//! share per job. The [`MemoryBroker`](crate::MemoryBroker) invokes it on
+//! every admission, completion and pool resize and pushes the resulting
+//! shares into each sort's [`MemoryBudget`](masort_core::MemoryBudget) — the
+//! sorts then grow, shrink, suspend, page or split to honour their new
+//! target, exactly as they do under the paper's simulated buffer manager.
 
 use crate::ticket::JobId;
 
-/// The memory demand one live sort presents to the arbitration policy.
+/// The memory demand one live sort presents to the broker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobDemand {
     /// The job this demand belongs to.
@@ -50,41 +36,32 @@ impl JobDemand {
     }
 }
 
-/// How the global page pool is divided among live sorts.
+/// Divide `pool_pages` among `jobs`, returning one share per job in the same
+/// order.
 ///
-/// Implementations must be deterministic pure functions of their inputs (the
-/// broker may re-invoke them at any time) and must return exactly
-/// `jobs.len()` shares. They should aim for `sum(shares) <= pool_pages` and
-/// respect each job's `[min_pages, cap()]` range when the pool allows; the
-/// broker defensively clamps whatever comes back, so a misbehaving policy can
-/// degrade sharing quality but cannot over- or under-commit the pool by more
-/// than one page per live sort.
-pub trait ArbitrationPolicy: Send + Sync {
-    /// Short, stable policy name (used in stats output and benchmarks).
-    fn name(&self) -> &'static str;
-
-    /// Divide `pool_pages` among `jobs`, returning one share per job in the
-    /// same order.
-    fn divide(&self, pool_pages: usize, jobs: &[JobDemand]) -> Vec<usize>;
-}
-
-/// Give every job its minimum, then return the undistributed surplus.
-///
-/// When the pool cannot cover the minimums (an operator shrank it below the
-/// committed floor), the pool is instead divided in proportion to the
-/// minimums, and the surplus is zero.
-fn grant_minimums(pool_pages: usize, jobs: &[JobDemand]) -> (Vec<usize>, usize) {
+/// Every job first gets its `min_pages`; the surplus is then divided in
+/// proportion to `priority.max(1)`, never above a job's [`cap`](JobDemand::cap),
+/// with whatever a capped job cannot take flowing to the others. A
+/// priority-10 sort receives ten times the surplus of a priority-1 sort, and
+/// equal priorities split it evenly. When the pool cannot cover the minimums
+/// (an operator shrank it below the committed floor), the pool is instead
+/// divided in proportion to the minimums.
+pub fn divide(pool_pages: usize, jobs: &[JobDemand]) -> Vec<usize> {
     let total_min: usize = jobs.iter().map(|j| j.min_pages).sum();
-    if total_min <= pool_pages {
-        let shares: Vec<usize> = jobs.iter().map(|j| j.min_pages).collect();
-        (shares, pool_pages - total_min)
-    } else {
-        let mut shares = vec![0usize; jobs.len()];
+    let mut shares = vec![0usize; jobs.len()];
+    if total_min > pool_pages {
         let caps: Vec<usize> = jobs.iter().map(|j| j.min_pages).collect();
         let weights: Vec<u64> = jobs.iter().map(|j| j.min_pages.max(1) as u64).collect();
         distribute(&mut shares, &caps, &weights, pool_pages);
-        (shares, 0)
+        return shares;
     }
+    for (share, job) in shares.iter_mut().zip(jobs) {
+        *share = job.min_pages;
+    }
+    let caps: Vec<usize> = jobs.iter().map(JobDemand::cap).collect();
+    let weights: Vec<u64> = jobs.iter().map(|j| u64::from(j.priority.max(1))).collect();
+    distribute(&mut shares, &caps, &weights, pool_pages - total_min);
+    shares
 }
 
 /// Distribute `amount` pages across `shares`, proportionally to `weights`,
@@ -124,208 +101,5 @@ fn distribute(shares: &mut [usize], caps: &[usize], weights: &[u64], mut amount:
     }
 }
 
-/// Divide the pool evenly among live sorts, ignoring priorities.
-///
-/// Every job is floored at its minimum; the surplus above the minimums is
-/// split in equal parts (capped per job at its maximum, with the remainder
-/// flowing to jobs that still have room).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EqualShare;
-
-impl ArbitrationPolicy for EqualShare {
-    fn name(&self) -> &'static str {
-        "equal-share"
-    }
-
-    fn divide(&self, pool_pages: usize, jobs: &[JobDemand]) -> Vec<usize> {
-        let (mut shares, surplus) = grant_minimums(pool_pages, jobs);
-        let caps: Vec<usize> = jobs.iter().map(JobDemand::cap).collect();
-        let weights = vec![1u64; jobs.len()];
-        distribute(&mut shares, &caps, &weights, surplus);
-        shares
-    }
-}
-
-/// Divide the surplus above the minimums in proportion to job priority.
-///
-/// A priority-10 sort receives ten times the surplus of a priority-1 sort
-/// (subject to its maximum); priorities of zero count as one so no job is
-/// starved of surplus entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PriorityWeighted;
-
-impl ArbitrationPolicy for PriorityWeighted {
-    fn name(&self) -> &'static str {
-        "priority-weighted"
-    }
-
-    fn divide(&self, pool_pages: usize, jobs: &[JobDemand]) -> Vec<usize> {
-        let (mut shares, surplus) = grant_minimums(pool_pages, jobs);
-        let caps: Vec<usize> = jobs.iter().map(JobDemand::cap).collect();
-        let weights: Vec<u64> = jobs.iter().map(|j| u64::from(j.priority.max(1))).collect();
-        distribute(&mut shares, &caps, &weights, surplus);
-        shares
-    }
-}
-
-/// Guarantee every job its minimum, then redistribute the surplus greedily in
-/// strict priority order.
-///
-/// The highest-priority job is filled up to its maximum before the
-/// next-highest sees a single surplus page (ties break towards the job
-/// admitted first). Under contention this concentrates memory on few sorts —
-/// the regime in which the paper's algorithms degrade most gracefully — at
-/// the cost of fairness.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MinGuarantee;
-
-impl ArbitrationPolicy for MinGuarantee {
-    fn name(&self) -> &'static str {
-        "min-guarantee"
-    }
-
-    fn divide(&self, pool_pages: usize, jobs: &[JobDemand]) -> Vec<usize> {
-        let (mut shares, mut surplus) = grant_minimums(pool_pages, jobs);
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(jobs[i].priority), i));
-        for i in order {
-            if surplus == 0 {
-                break;
-            }
-            let give = jobs[i].cap().saturating_sub(shares[i]).min(surplus);
-            shares[i] += give;
-            surplus -= give;
-        }
-        shares
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn demand(job: JobId, priority: u32, min: usize, max: usize) -> JobDemand {
-        JobDemand {
-            job,
-            priority,
-            min_pages: min,
-            max_pages: max,
-        }
-    }
-
-    fn check_invariants(policy: &dyn ArbitrationPolicy, pool: usize, jobs: &[JobDemand]) {
-        let shares = policy.divide(pool, jobs);
-        assert_eq!(shares.len(), jobs.len(), "{}: wrong arity", policy.name());
-        let total: usize = shares.iter().sum();
-        assert!(
-            total <= pool,
-            "{}: overcommitted {total} > {pool}",
-            policy.name()
-        );
-        let total_min: usize = jobs.iter().map(|j| j.min_pages).sum();
-        for (s, j) in shares.iter().zip(jobs) {
-            assert!(*s <= j.cap(), "{}: share {s} above cap", policy.name());
-            if total_min <= pool {
-                assert!(
-                    *s >= j.min_pages,
-                    "{}: share {s} below guaranteed min {}",
-                    policy.name(),
-                    j.min_pages
-                );
-            }
-        }
-        // Pool is not wasted: if some job still has room, the whole pool (up
-        // to the sum of caps) was handed out.
-        let total_cap: usize = jobs.iter().map(JobDemand::cap).sum();
-        if total_min <= pool {
-            assert_eq!(
-                total,
-                pool.min(total_cap),
-                "{}: left pages on the table",
-                policy.name()
-            );
-        }
-    }
-
-    fn policies() -> Vec<Box<dyn ArbitrationPolicy>> {
-        vec![
-            Box::new(EqualShare),
-            Box::new(PriorityWeighted),
-            Box::new(MinGuarantee),
-        ]
-    }
-
-    #[test]
-    fn invariants_hold_over_a_demand_sweep() {
-        for policy in policies() {
-            for pool in [0usize, 1, 3, 7, 16, 33, 100] {
-                for njobs in 0usize..6 {
-                    let jobs: Vec<JobDemand> = (0..njobs)
-                        .map(|i| demand(i as JobId, (i % 3) as u32, 1 + i % 4, 4 + (i * 7) % 20))
-                        .collect();
-                    check_invariants(policy.as_ref(), pool, &jobs);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn equal_share_splits_evenly() {
-        let jobs = [demand(1, 5, 1, 100), demand(2, 1, 1, 100)];
-        let shares = EqualShare.divide(20, &jobs);
-        assert_eq!(shares, vec![10, 10], "priority must not matter");
-    }
-
-    #[test]
-    fn priority_weighted_is_proportional() {
-        let jobs = [demand(1, 3, 0, 100), demand(2, 1, 0, 100)];
-        let shares = PriorityWeighted.divide(40, &jobs);
-        assert_eq!(shares.iter().sum::<usize>(), 40);
-        assert!(
-            shares[0] >= 3 * shares[1] - 1,
-            "priority 3 should get ~3x of priority 1: {shares:?}"
-        );
-    }
-
-    #[test]
-    fn min_guarantee_fills_highest_priority_first() {
-        let jobs = [
-            demand(1, 1, 2, 10),
-            demand(2, 9, 2, 10),
-            demand(3, 5, 2, 10),
-        ];
-        let shares = MinGuarantee.divide(16, &jobs);
-        // mins: 2,2,2 -> surplus 10: job 2 (prio 9) to its cap (+8), then
-        // job 3 (prio 5) gets the remaining 2.
-        assert_eq!(shares, vec![2, 10, 4]);
-    }
-
-    #[test]
-    fn surplus_respects_caps_and_overflows_to_others() {
-        let jobs = [demand(1, 9, 1, 3), demand(2, 1, 1, 100)];
-        for policy in policies() {
-            let shares = policy.divide(30, &jobs);
-            assert_eq!(shares[0], 3, "{}: cap ignored", policy.name());
-            assert_eq!(shares[1], 27, "{}: overflow lost", policy.name());
-        }
-    }
-
-    #[test]
-    fn infeasible_pool_degrades_proportionally_to_minimums() {
-        // Pool shrank below the committed minimums: every policy falls back
-        // to dividing what is left in proportion to the minimums.
-        let jobs = [demand(1, 1, 8, 20), demand(2, 1, 4, 20)];
-        for policy in policies() {
-            let shares = policy.divide(6, &jobs);
-            assert_eq!(shares.iter().sum::<usize>(), 6, "{}", policy.name());
-            assert!(shares[0] >= shares[1], "{}: {shares:?}", policy.name());
-        }
-    }
-
-    #[test]
-    fn empty_job_list_divides_to_nothing() {
-        for policy in policies() {
-            assert!(policy.divide(64, &[]).is_empty());
-        }
-    }
-}
+mod tests;

@@ -3,7 +3,7 @@
 
 use crate::admission::{AdmissionQueue, QueuedRequest};
 use crate::broker::MemoryBroker;
-use crate::policy::{ArbitrationPolicy, EqualShare, JobDemand};
+use crate::policy::JobDemand;
 use crate::stats::{JobStats, ServiceStats};
 use crate::ticket::{HandOff, JobEnd, JobId, JobOutput, JobReport, Room, SortTicket, TicketShared};
 use masort_core::sync::thread::{self, JoinHandle};
@@ -164,8 +164,9 @@ impl SortRequest {
         self
     }
 
-    /// Scheduling priority (larger = more important; default 1). How
-    /// priority translates into pages is the arbitration policy's business.
+    /// Scheduling priority (larger = more important; default 1): the surplus
+    /// above the live minimums is divided in proportion to it (see
+    /// [`divide`](crate::policy::divide)).
     pub fn priority(mut self, priority: u32) -> Self {
         self.priority = priority;
         self
@@ -201,23 +202,12 @@ impl SortRequest {
 }
 
 /// Builder for [`SortService`]. See [`SortService::builder`].
+#[derive(Debug)]
 pub struct SortServiceBuilder {
     pool_pages: usize,
     workers: usize,
-    policy: Arc<dyn ArbitrationPolicy>,
     suspension_wait: Duration,
     trace: Trace,
-}
-
-impl std::fmt::Debug for SortServiceBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SortServiceBuilder")
-            .field("pool_pages", &self.pool_pages)
-            .field("workers", &self.workers)
-            .field("policy", &self.policy.name())
-            .field("suspension_wait", &self.suspension_wait)
-            .finish()
-    }
 }
 
 impl Default for SortServiceBuilder {
@@ -229,7 +219,6 @@ impl Default for SortServiceBuilder {
         SortServiceBuilder {
             pool_pages: 256,
             workers,
-            policy: Arc::new(EqualShare),
             suspension_wait: Duration::from_secs(5),
             trace: Trace::disabled(),
         }
@@ -247,12 +236,6 @@ impl SortServiceBuilder {
     /// (default: available parallelism clamped to 2..=8; floored at 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// The arbitration policy dividing the pool (default [`EqualShare`]).
-    pub fn policy(mut self, policy: impl ArbitrationPolicy + 'static) -> Self {
-        self.policy = Arc::new(policy);
         self
     }
 
@@ -281,7 +264,7 @@ impl SortServiceBuilder {
             suspension_wait: self.suspension_wait,
             trace: self.trace,
             state: Mutex::new(State {
-                broker: MemoryBroker::new(self.pool_pages, self.policy),
+                broker: MemoryBroker::new(self.pool_pages),
                 queue: AdmissionQueue::default(),
                 stats: ServiceStats::default(),
                 next_job: 0,
@@ -404,7 +387,7 @@ impl std::fmt::Debug for Shared {
 }
 
 impl SortService {
-    /// Start building a service (pool size, worker count, policy).
+    /// Start building a service (pool size, worker count, trace).
     pub fn builder() -> SortServiceBuilder {
         SortServiceBuilder::default()
     }
@@ -514,11 +497,6 @@ impl SortService {
     /// Current size of the global page pool.
     pub fn pool_pages(&self) -> usize {
         self.shared.lock().broker.pool_pages()
-    }
-
-    /// Name of the arbitration policy in use.
-    pub fn policy_name(&self) -> &'static str {
-        self.shared.lock().broker.policy_name()
     }
 
     /// Number of sorts currently executing (admitted, not yet completed).
@@ -1054,7 +1032,6 @@ fn build_store(storage: RunStorage) -> SortResult<ServiceStore> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{MinGuarantee, PriorityWeighted};
     use masort_core::verify::assert_sorted_permutation;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1395,33 +1372,25 @@ mod tests {
 
     #[test]
     fn all_policies_run_the_same_workload() {
-        fn run(policy: impl ArbitrationPolicy + 'static) {
-            let svc = SortService::builder()
-                .pool_pages(20)
-                .workers(3)
-                .policy(policy)
-                .build();
-            let inputs: Vec<Vec<Tuple>> = (0..5).map(|i| random_tuples(2_000, 70 + i)).collect();
-            let tickets: Vec<SortTicket> = inputs
-                .iter()
-                .enumerate()
-                .map(|(i, input)| {
-                    svc.submit(
-                        SortRequest::tuples(small_cfg(10), input.clone())
-                            .priority(1 + (i as u32 % 3))
-                            .min_pages(2),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for (ticket, input) in tickets.into_iter().zip(&inputs) {
-                let (sorted, report) = drain(ticket.wait().unwrap());
-                assert!(report.stats.initial_grant >= 2, "minimum not honoured");
-                assert_sorted_permutation(input, &sorted);
-            }
+        // Mixed priorities through the broker's one arbitration rule.
+        let svc = SortService::builder().pool_pages(20).workers(3).build();
+        let inputs: Vec<Vec<Tuple>> = (0..5).map(|i| random_tuples(2_000, 70 + i)).collect();
+        let tickets: Vec<SortTicket> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| {
+                svc.submit(
+                    SortRequest::tuples(small_cfg(10), input.clone())
+                        .priority(1 + (i as u32 % 3))
+                        .min_pages(2),
+                )
+                .unwrap()
+            })
+            .collect();
+        for (ticket, input) in tickets.into_iter().zip(&inputs) {
+            let (sorted, report) = drain(ticket.wait().unwrap());
+            assert!(report.stats.initial_grant >= 2, "minimum not honoured");
+            assert_sorted_permutation(input, &sorted);
         }
-        run(EqualShare);
-        run(PriorityWeighted);
-        run(MinGuarantee);
     }
 }

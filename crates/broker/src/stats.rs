@@ -31,7 +31,7 @@ pub struct JobStats {
     /// last merge step exhausted into the hand-off, its remainder settled,
     /// or the sort closed.
     pub ran_for: f64,
-    /// Pages granted by the arbitration policy at admission.
+    /// Pages the broker granted at admission.
     pub initial_grant: usize,
     /// Number of times the broker adjusted this job's page target *after* its
     /// initial grant — i.e. mid-flight reallocations, observed via

@@ -1,8 +1,8 @@
 //! The acceptance scenario for the broker subsystem: many concurrent sorts
 //! through one [`SortService`] on a pool smaller than their combined demand,
-//! under each arbitration policy, with pool resizes thrown in mid-flight.
+//! with pool resizes thrown in mid-flight.
 //!
-//! For every policy we verify that
+//! We verify that
 //! * every output stream is a correctly sorted permutation of its input,
 //! * every admitted job received at least its guaranteed minimum,
 //! * at least one mid-flight reallocation occurred (observed through
@@ -36,13 +36,9 @@ fn cfg() -> SortConfig {
         .with_memory_pages(16)
 }
 
-fn exercise_policy(policy: impl ArbitrationPolicy + 'static) {
-    let policy_name = policy.name();
-    let service = SortService::builder()
-        .pool_pages(POOL)
-        .workers(4)
-        .policy(policy)
-        .build();
+#[test]
+fn concurrent_sorts_under_contention() {
+    let service = SortService::builder().pool_pages(POOL).workers(4).build();
 
     let inputs: Vec<Vec<Tuple>> = (0..JOBS)
         .map(|i| random_tuples(8_000, 0xACCE97 + i as u64))
@@ -57,7 +53,7 @@ fn exercise_policy(policy: impl ArbitrationPolicy + 'static) {
                         .priority(1 + (i as u32 % 3))
                         .min_pages(2),
                 )
-                .unwrap_or_else(|e| panic!("{policy_name}: submit {i} failed: {e}"))
+                .unwrap_or_else(|e| panic!("submit {i} failed: {e}"))
         })
         .collect();
 
@@ -73,82 +69,52 @@ fn exercise_policy(policy: impl ArbitrationPolicy + 'static) {
     for (i, (ticket, input)) in tickets.into_iter().zip(&inputs).enumerate() {
         let mut output = ticket
             .wait()
-            .unwrap_or_else(|e| panic!("{policy_name}: job {i} failed: {e}"));
+            .unwrap_or_else(|e| panic!("job {i} failed: {e}"));
         let streamed: Vec<Tuple> = output
             .by_ref()
             .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| panic!("{policy_name}: job {i} stream failed: {e}"));
+            .unwrap_or_else(|e| panic!("job {i} stream failed: {e}"));
         let report = output.finish();
         assert!(
             report.stats.initial_grant >= 2,
-            "{policy_name}: job {i} admitted below its guaranteed minimum \
-             (got {})",
+            "job {i} admitted below its guaranteed minimum (got {})",
             report.stats.initial_grant
         );
         total_reallocations += report.stats.reallocations;
         total_delay_samples += report.stats.delay_samples;
 
-        assert!(
-            is_sorted(&streamed),
-            "{policy_name}: job {i} output not sorted"
-        );
+        assert!(is_sorted(&streamed), "job {i} output not sorted");
         assert!(
             is_key_permutation(input, &streamed),
-            "{policy_name}: job {i} lost or duplicated tuples"
+            "job {i} lost or duplicated tuples"
         );
     }
 
     assert!(
         total_reallocations >= 1,
-        "{policy_name}: no job observed a mid-flight reallocation \
+        "no job observed a mid-flight reallocation \
          ({total_delay_samples} delay samples)"
     );
 
     let stats = service.shutdown();
-    assert_eq!(stats.submitted, JOBS as u64, "{policy_name}");
-    assert_eq!(stats.completed, JOBS as u64, "{policy_name}");
-    assert_eq!(stats.failed, 0, "{policy_name}");
-    assert_eq!(stats.resizes, 2, "{policy_name}");
-    assert_eq!(
-        stats.total_reallocations, total_reallocations,
-        "{policy_name}"
-    );
+    assert_eq!(stats.submitted, JOBS as u64);
+    assert_eq!(stats.completed, JOBS as u64);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.resizes, 2);
+    assert_eq!(stats.total_reallocations, total_reallocations);
     assert!(
         stats.rebalances >= (2 * JOBS + 2) as u64,
-        "{policy_name}: every admission, completion and resize rebalances \
-         (got {})",
+        "every admission, completion and resize rebalances (got {})",
         stats.rebalances
     );
-    assert!(
-        stats.peak_live >= 2,
-        "{policy_name}: sorts never overlapped"
-    );
-}
-
-#[test]
-fn concurrent_sorts_under_equal_share() {
-    exercise_policy(EqualShare);
-}
-
-#[test]
-fn concurrent_sorts_under_priority_weighted() {
-    exercise_policy(PriorityWeighted);
-}
-
-#[test]
-fn concurrent_sorts_under_min_guarantee() {
-    exercise_policy(MinGuarantee);
+    assert!(stats.peak_live >= 2, "sorts never overlapped");
 }
 
 #[test]
 fn mixed_storage_and_priorities_under_contention() {
     // Same contention scenario, but half the jobs spill to temporary files
     // and priorities span the full range — the broker must not care.
-    let service = SortService::builder()
-        .pool_pages(20)
-        .workers(4)
-        .policy(PriorityWeighted)
-        .build();
+    let service = SortService::builder().pool_pages(20).workers(4).build();
     let inputs: Vec<Vec<Tuple>> = (0..8)
         .map(|i| random_tuples(4_000, 0xD15C + i as u64))
         .collect();

@@ -20,13 +20,7 @@ const JOBS: usize = 96;
 
 #[test]
 fn submission_storm_with_concurrent_resizes() {
-    let service = Arc::new(
-        SortService::builder()
-            .pool_pages(32)
-            .workers(6)
-            .policy(PriorityWeighted)
-            .build(),
-    );
+    let service = Arc::new(SortService::builder().pool_pages(32).workers(6).build());
 
     // A "buffer manager" thread wobbles the pool the whole time.
     let stop = Arc::new(AtomicBool::new(false));

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! masort-server [--addr 127.0.0.1:7878] [--pool-pages 64] [--workers 4]
-//!               [--policy equal|priority|min-guarantee]
 //!               [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]
 //!               [--ingest-depth PAGES] [--egress-chunk TUPLES]
 //!               [--tenant name=max_live:max_pages[:priority]]...
@@ -18,7 +17,6 @@ use masort_server::{Server, ServerBuilder, TenantQuota};
 
 fn usage() -> &'static str {
     "usage: masort-server [--addr HOST:PORT] [--pool-pages N] [--workers N]\n\
-     \u{20}                    [--policy equal|priority|min-guarantee]\n\
      \u{20}                    [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]\n\
      \u{20}                    [--ingest-depth PAGES] [--egress-chunk TUPLES]\n\
      \u{20}                    [--tenant name=max_live:max_pages[:priority]]..."
@@ -45,7 +43,6 @@ fn parse_args(
                 builder = builder.pool_pages(parse(&value("--pool-pages", &mut args)?)?)
             }
             "--workers" => builder = builder.workers(parse(&value("--workers", &mut args)?)?),
-            "--policy" => builder = builder.policy(value("--policy", &mut args)?.parse()?),
             "--page-size" => page_size = parse(&value("--page-size", &mut args)?)?,
             "--tuple-size" => tuple_size = parse(&value("--tuple-size", &mut args)?)?,
             "--memory-pages" => memory_pages = parse(&value("--memory-pages", &mut args)?)?,
@@ -122,13 +119,25 @@ mod tests {
     }
 
     #[test]
-    fn removed_io_flags_are_unknown_flags() {
-        for line in ["--io-threads 2", "--workers 2 --io-pipeline 8"] {
+    fn removed_flags_are_unknown_flags() {
+        for line in [
+            "--io-threads 2",
+            "--workers 2 --io-pipeline 8",
+            "--policy priority",
+        ] {
+            // The removed flag is the last one on the line.
+            let flag = line
+                .split_whitespace()
+                .rfind(|w| w.starts_with("--"))
+                .unwrap();
             let err = parse_line(line).err().expect(line);
-            assert!(err.starts_with("unknown flag `--io-"), "{line}: {err}");
+            assert!(
+                err.starts_with(&format!("unknown flag `{flag}`")),
+                "{line}: {err}"
+            );
             assert!(err.contains("usage: masort-server"), "{line}: {err}");
+            assert!(!usage().contains(flag));
         }
-        assert!(!usage().contains("--io-"));
         let (addr, _) = parse_line("--addr 127.0.0.1:0 --workers 2")
             .unwrap_or_else(|e| panic!("{e}"))
             .expect("not --help");

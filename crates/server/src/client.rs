@@ -60,7 +60,6 @@ pub struct SortClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     pool_pages: u64,
-    policy: String,
 }
 
 impl SortClient {
@@ -74,18 +73,14 @@ impl SortClient {
             reader,
             writer: BufWriter::new(stream),
             pool_pages: 0,
-            policy: String::new(),
         };
         client.send(&Frame::Hello {
             version: PROTOCOL_VERSION,
             tenant: tenant.map(str::to_string),
         })?;
         match client.recv("WELCOME")? {
-            Frame::Welcome {
-                pool_pages, policy, ..
-            } => {
+            Frame::Welcome { pool_pages, .. } => {
                 client.pool_pages = pool_pages;
-                client.policy = policy;
                 Ok(client)
             }
             Frame::Error(e) => Err(ClientError::Remote(e)),
@@ -109,11 +104,6 @@ impl SortClient {
     /// Page-pool size the server advertised in WELCOME.
     pub fn pool_pages(&self) -> u64 {
         self.pool_pages
-    }
-
-    /// Arbitration-policy name the server advertised in WELCOME.
-    pub fn policy(&self) -> &str {
-        &self.policy
     }
 
     /// Submit the sort; returns the server-assigned job id.

@@ -88,11 +88,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Welcome {
             version,
             pool_pages,
-            policy,
         } => {
             put_u32(&mut buf, *version);
             put_u64(&mut buf, *pool_pages);
-            put_str(&mut buf, policy);
         }
         Frame::Submit(spec) => {
             put_u32(&mut buf, spec.priority);
@@ -308,7 +306,6 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         0x02 => Frame::Welcome {
             version: c.u32("WELCOME version")?,
             pool_pages: c.u64("WELCOME pool")?,
-            policy: c.string("WELCOME policy")?,
         },
         0x03 => Frame::Submit(SubmitSpec {
             priority: c.u32("SUBMIT priority")?,
@@ -466,7 +463,6 @@ mod tests {
         round_trip(Frame::Welcome {
             version: 1,
             pool_pages: 64,
-            policy: "priority-weighted".into(),
         });
         round_trip(Frame::Submit(SubmitSpec {
             priority: 3,

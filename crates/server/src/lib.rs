@@ -65,7 +65,7 @@ pub use protocol::{
     ErrorCode, Frame, JobSummary, ServerSummary, SubmitSpec, WireError, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-pub use server::{PolicyChoice, Server, ServerBuilder, ServerHandle};
+pub use server::{Server, ServerBuilder, ServerHandle};
 pub use tenant::{TenantQuota, TenantRegistry};
 
 /// Convenient glob import of the server- and client-facing types.
@@ -77,6 +77,6 @@ pub mod prelude {
     pub use crate::protocol::{
         ErrorCode, Frame, JobSummary, ServerSummary, SubmitSpec, WireError, PROTOCOL_VERSION,
     };
-    pub use crate::server::{PolicyChoice, Server, ServerBuilder, ServerHandle};
+    pub use crate::server::{Server, ServerBuilder, ServerHandle};
     pub use crate::tenant::{TenantQuota, TenantRegistry};
 }

@@ -13,7 +13,7 @@
 //! client                          server
 //! ------                          ------
 //! HELLO {version, tenant}   -->
-//!                           <--   WELCOME {version, pool, policy}   (or ERR)
+//!                           <--   WELCOME {version, pool}           (or ERR)
 //! SUBMIT {geometry, shares} -->
 //!                           <--   ACCEPTED {job}                    (or ERR)
 //! INGEST {tuples}           -->   (repeated; backpressured by the
@@ -34,8 +34,9 @@ use masort_core::Tuple;
 /// Version this crate speaks. A `HELLO` carrying any other version is
 /// answered with an [`ErrorCode::Protocol`] error. Version 2 dropped the
 /// run-formation byte that ended version 1's `SUBMIT` payload; version 3
-/// dropped the four-byte compute-worker count from the middle of it.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// dropped the four-byte compute-worker count from the middle of it; version
+/// 4 dropped the arbitration-policy name from the end of `WELCOME`.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on one frame's body (opcode + payload), enforced on both
 /// send and receive. 16 MiB comfortably fits the largest egress chunk while
@@ -180,7 +181,7 @@ pub struct JobSummary {
     pub queued_for: f64,
     /// Seconds between admission and completion.
     pub ran_for: f64,
-    /// Pages the arbitration policy granted at admission.
+    /// Pages the broker granted at admission.
     pub initial_grant: u64,
     /// Mid-flight page-target changes the broker pushed into the running job.
     pub reallocations: u64,
@@ -245,8 +246,6 @@ pub enum Frame {
         version: u32,
         /// Current size of the brokered page pool.
         pool_pages: u64,
-        /// Name of the arbitration policy dividing it.
-        policy: String,
     },
     /// Describe the sort to run.
     Submit(SubmitSpec),

@@ -21,13 +21,10 @@ use std::io;
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use masort_broker::{
-    job_span, EqualShare, MinGuarantee, PriorityWeighted, ServiceStats, SortService,
-};
+use masort_broker::{job_span, ServiceStats, SortService};
 use masort_core::{AlgorithmSpec, SortConfig};
 use masort_trace::{metrics_to_json, trace_to_json, MetricsRegistry, Recorder, Trace};
 
@@ -47,33 +44,6 @@ fn request_shutdown(flag: &AtomicBool, addr: SocketAddr) {
         ip => ip,
     };
     let _ = TcpStream::connect(SocketAddr::new(ip, addr.port()));
-}
-
-/// Which shipped arbitration policy the service should run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PolicyChoice {
-    /// Every live sort gets the same share ([`EqualShare`]).
-    EqualShare,
-    /// Shares proportional to priority ([`PriorityWeighted`]).
-    #[default]
-    PriorityWeighted,
-    /// Minimums first, leftovers by priority ([`MinGuarantee`]).
-    MinGuarantee,
-}
-
-impl FromStr for PolicyChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "equal" | "equal-share" => Ok(PolicyChoice::EqualShare),
-            "priority" | "priority-weighted" => Ok(PolicyChoice::PriorityWeighted),
-            "min-guarantee" => Ok(PolicyChoice::MinGuarantee),
-            other => Err(format!(
-                "unknown policy `{other}` (expected equal, priority or min-guarantee)"
-            )),
-        }
-    }
 }
 
 /// Everything a session needs from the server, shared across session threads.
@@ -148,7 +118,6 @@ impl ServerShared {
 pub struct ServerBuilder {
     pool_pages: usize,
     workers: usize,
-    policy: PolicyChoice,
     base_cfg: SortConfig,
     ingest_depth: usize,
     egress_chunk: usize,
@@ -160,7 +129,6 @@ impl Default for ServerBuilder {
         ServerBuilder {
             pool_pages: 64,
             workers: 4,
-            policy: PolicyChoice::default(),
             // Like `SortJob::builder()`: natural-run formation.
             base_cfg: SortConfig::default()
                 .with_algorithm(AlgorithmSpec::natural())
@@ -184,12 +152,6 @@ impl ServerBuilder {
     /// Sort worker threads (concurrent sorts actually executing).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Arbitration policy dividing the pool.
-    pub fn policy(mut self, policy: PolicyChoice) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -227,18 +189,14 @@ impl ServerBuilder {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let trace = Trace::enabled(Recorder::new(), MetricsRegistry::new());
-        let mut svc = SortService::builder()
+        let service = SortService::builder()
             .pool_pages(self.pool_pages)
             .workers(self.workers)
-            .trace(trace.clone());
-        svc = match self.policy {
-            PolicyChoice::EqualShare => svc.policy(EqualShare),
-            PolicyChoice::PriorityWeighted => svc.policy(PriorityWeighted),
-            PolicyChoice::MinGuarantee => svc.policy(MinGuarantee),
-        };
+            .trace(trace.clone())
+            .build();
         Ok(Server {
             shared: Arc::new(ServerShared {
-                service: svc.build(),
+                service,
                 tenants: TenantRegistry::new(self.tenants),
                 shutdown: Arc::new(AtomicBool::new(false)),
                 addr,

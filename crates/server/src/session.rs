@@ -168,7 +168,6 @@ fn serve<W: Write>(
         &Frame::Welcome {
             version: PROTOCOL_VERSION,
             pool_pages: shared.service.pool_pages() as u64,
-            policy: shared.service.policy_name().to_string(),
         },
     )?;
 

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use masort_core::{SortConfig, Tuple};
 use masort_server::{
-    server_stats, shutdown_server, ClientError, ErrorCode, PolicyChoice, Server, ServerHandle,
-    SortClient, SubmitSpec, TenantQuota,
+    server_stats, shutdown_server, ClientError, ErrorCode, Server, ServerHandle, SortClient,
+    SubmitSpec, TenantQuota,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +21,6 @@ fn small_server() -> ServerHandle {
     Server::builder()
         .pool_pages(8)
         .workers(4)
-        .policy(PolicyChoice::PriorityWeighted)
         .base_config(
             SortConfig::default()
                 .with_page_size(2048)

@@ -5,9 +5,7 @@
 use std::thread;
 
 use masort_core::{SortConfig, Tuple};
-use masort_server::{
-    fetch_metrics, fetch_trace, PolicyChoice, Server, ServerHandle, SortClient, SubmitSpec,
-};
+use masort_server::{fetch_metrics, fetch_trace, Server, ServerHandle, SortClient, SubmitSpec};
 use masort_trace::{metrics_from_json, trace_from_json, EventKind, JsonValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +16,6 @@ fn small_server() -> ServerHandle {
     Server::builder()
         .pool_pages(8)
         .workers(4)
-        .policy(PolicyChoice::PriorityWeighted)
         .base_config(
             SortConfig::default()
                 .with_page_size(2048)

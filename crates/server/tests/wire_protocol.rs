@@ -63,7 +63,6 @@ fn random_frame(rng: &mut StdRng) -> Frame {
         1 => Frame::Welcome {
             version: rng.next_u64() as u32,
             pool_pages: rng.next_u64(),
-            policy: random_string(rng, 24),
         },
         2 => Frame::Submit(random_submit_spec(rng)),
         3 => Frame::Accepted {

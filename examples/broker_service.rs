@@ -18,11 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn main() -> Result<(), SortError> {
-    let service = SortService::builder()
-        .pool_pages(32)
-        .workers(4)
-        .policy(PriorityWeighted)
-        .build();
+    let service = SortService::builder().pool_pages(32).workers(4).build();
 
     let cfg = SortConfig::default()
         .with_tuple_size(128)

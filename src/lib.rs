@@ -18,9 +18,9 @@
 //! * [`broker`] (`masort-broker`) — the concurrent multi-sort service: a
 //!   [`broker::SortService`] runs many submissions on a worker-thread pool
 //!   while a [`broker::MemoryBroker`] re-divides one global page pool across
-//!   all live sorts (equal-share, priority-weighted or min-guarantee
-//!   arbitration — or your own [`broker::ArbitrationPolicy`]), so sorts
-//!   grow, shrink, suspend, page and split while running on real threads.
+//!   all live sorts with one rule ([`broker::policy::divide`]: minimums
+//!   first, the surplus in proportion to priority), so sorts grow, shrink,
+//!   suspend, page and split while running on real threads.
 //!   A ticket resolves to a [`broker::JobOutput`]: the result comes off the
 //!   job's last merge step as the worker holding the grant executes it.
 //! * [`simkit`], [`diskmodel`], [`sysmodel`] — the simulation substrates
@@ -110,11 +110,7 @@ mod tests {
 
     #[test]
     fn facade_reexports_the_broker_service() {
-        let service = SortService::builder()
-            .pool_pages(12)
-            .workers(2)
-            .policy(MinGuarantee)
-            .build();
+        let service = SortService::builder().pool_pages(12).workers(2).build();
         let cfg = SortConfig::default()
             .with_page_size(512)
             .with_tuple_size(64)
