@@ -4,12 +4,12 @@
 //!
 //! * `off` — the default [`Trace::disabled`] handle: one branch per
 //!   checkpoint, no clock read, no lock. This is the pre-trace baseline.
-//! * `recorder` — a live [`Recorder`] + [`MetricsRegistry`] attached to the
-//!   environment: every phase transition, budget change, merge step and I/O
-//!   event is timestamped and buffered.
+//! * `recorder` — a live [`Recorder`] attached to the environment: every
+//!   phase transition, budget change, merge step and I/O event is
+//!   timestamped and buffered.
 //! * `export` — recorder on, plus the full export path after the sort: the
-//!   JSON trace document, the Prometheus exposition and the ASCII timeline
-//!   are all rendered (and the JSON parsed back, round-trip checked).
+//!   JSON trace document and the ASCII timeline are rendered (and the JSON
+//!   parsed back, round-trip checked).
 //!
 //! The three outputs are asserted **byte-identical** key for key — the
 //! no-op fast path's bit-identical guarantee, measured rather than assumed.
@@ -27,8 +27,7 @@ use masort_bench::{env_usize, f, print_table};
 use masort_core::prelude::*;
 use masort_core::RealEnv;
 use masort_trace::{
-    metrics_to_prometheus, render_timeline, trace_from_json, trace_to_json, JsonValue,
-    MetricsRegistry, Recorder, SpanId, Trace,
+    render_timeline, trace_from_json, trace_to_json, JsonValue, Recorder, SpanId, Trace,
 };
 use std::time::Instant;
 
@@ -59,9 +58,7 @@ fn run_sort(cfg: &SortConfig, pages: usize, mode: Mode) -> Outcome {
     let source = GenSource::new(pages, cfg.tuples_per_page(), cfg.tuple_size, 0xACE5);
     let trace = match mode {
         Mode::Off => Trace::disabled(),
-        Mode::Recorder | Mode::Export => {
-            Trace::enabled(Recorder::new(), MetricsRegistry::new()).with_span(SpanId(1))
-        }
+        Mode::Recorder | Mode::Export => Trace::enabled(Recorder::new()).with_span(SpanId(1)),
     };
     let env = RealEnv::new().with_trace(trace.clone());
     let t0 = Instant::now();
@@ -77,14 +74,12 @@ fn run_sort(cfg: &SortConfig, pages: usize, mode: Mode) -> Outcome {
     let mut events = 0usize;
     if mode == Mode::Export {
         // The full pipeline: snapshot, JSON out, parse back, round-trip
-        // check, Prometheus text, ASCII timeline — all inside the clock.
+        // check, ASCII timeline — all inside the clock.
         let recorder = trace.recorder().expect("recorder attached");
         let snapshot = recorder.snapshot();
         let text = trace_to_json(&snapshot).to_pretty_string();
         let parsed = trace_from_json(&JsonValue::parse(&text).expect("trace JSON parses"));
         assert_eq!(parsed, snapshot, "trace JSON round trip");
-        let metrics = trace.metrics().expect("metrics attached").snapshot();
-        let _ = metrics_to_prometheus(&metrics);
         let _ = render_timeline(&snapshot.events);
     }
     let secs = t0.elapsed().as_secs_f64();

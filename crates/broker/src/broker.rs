@@ -30,6 +30,7 @@ pub struct MemoryBroker {
     pool_pages: usize,
     live: Vec<LiveEntry>,
     rebalances: u64,
+    peak_live: usize,
 }
 
 impl MemoryBroker {
@@ -39,6 +40,7 @@ impl MemoryBroker {
             pool_pages,
             live: Vec::new(),
             rebalances: 0,
+            peak_live: 0,
         }
     }
 
@@ -62,6 +64,11 @@ impl MemoryBroker {
         self.rebalances
     }
 
+    /// Most jobs ever live at once.
+    pub(crate) fn peak_live(&self) -> usize {
+        self.peak_live
+    }
+
     /// Whether a job guaranteed `min_pages` can be admitted right now without
     /// breaking the guarantees of the jobs already live.
     pub fn can_admit(&self, min_pages: usize) -> bool {
@@ -75,6 +82,7 @@ impl MemoryBroker {
     /// of failing.
     pub fn admit(&mut self, demand: JobDemand, budget: MemoryBudget, now: f64) {
         self.live.push(LiveEntry { demand, budget });
+        self.peak_live = self.peak_live.max(self.live.len());
         self.rebalance(now);
     }
 

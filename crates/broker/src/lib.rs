@@ -54,8 +54,8 @@
 //!         assert!(tuple.key >= previous);
 //!         previous = tuple.key;
 //!     }
-//!     let report = output.finish(); // final outcome + per-job broker stats
-//!     assert!(report.stats.initial_grant >= 2);
+//!     let report = output.finish(); // final outcome + what the broker did
+//!     assert!(report.initial_grant >= 2);
 //! }
 //! # Ok::<(), masort_core::SortError>(())
 //! ```
@@ -98,7 +98,7 @@ pub use policy::JobDemand;
 pub use service::{
     job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
 };
-pub use stats::{JobStats, ServiceStats, TenantStats};
+pub use stats::ServiceStats;
 pub use ticket::{JobId, JobOutput, JobReport, SortTicket};
 
 /// Convenient glob import of the service-facing types.
@@ -108,6 +108,6 @@ pub mod prelude {
     pub use crate::service::{
         job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
     };
-    pub use crate::stats::{JobStats, ServiceStats, TenantStats};
+    pub use crate::stats::ServiceStats;
     pub use crate::ticket::{JobId, JobOutput, JobReport, SortTicket};
 }

@@ -4,15 +4,16 @@
 use crate::admission::{AdmissionQueue, QueuedRequest};
 use crate::broker::MemoryBroker;
 use crate::policy::JobDemand;
-use crate::stats::{JobStats, ServiceStats};
+// `ServiceStats` and the counter names it reads.
+use crate::stats::*;
 use crate::ticket::{HandOff, JobEnd, JobId, JobOutput, JobReport, Room, SortTicket, TicketShared};
 use masort_core::sync::thread::{self, JoinHandle};
 use masort_core::sync::{Condvar, Mutex, MutexGuard};
 use masort_core::{
-    DelaySample, FileStore, InputSource, MemStore, MemoryBudget, Page, RealEnv, RunId, RunStore,
-    SortCompletion, SortConfig, SortError, SortJob, SortOutcome, SortResult, Tuple, VecSource,
+    FileStore, InputSource, MemStore, MemoryBudget, Page, RealEnv, RunId, RunStore, SortCompletion,
+    SortConfig, SortError, SortJob, SortOutcome, SortResult, Tuple, VecSource,
 };
-use masort_trace::{EventKind, SpanId, Trace};
+use masort_trace::{EventKind, MetricsRegistry, MetricsSnapshot, SpanId, Trace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -156,9 +157,8 @@ impl SortRequest {
         Self::from_source(cfg, VecSource::from_tuples(tuples, per_page))
     }
 
-    /// Attribute this job to `tenant` for per-tenant accounting
-    /// ([`ServiceStats::tenants`](crate::ServiceStats)) and in its
-    /// [`JobStats`]. Untagged jobs only count in the service-wide totals.
+    /// Attribute this job to `tenant`: besides the service-wide totals, its
+    /// [metrics](SortService::metrics) count under the tenant's label.
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = Some(tenant.into());
         self
@@ -248,10 +248,11 @@ impl SortServiceBuilder {
         self
     }
 
-    /// Observability: emit admission/budget/phase/I-O events and service
-    /// metrics through `trace` (default: disabled, zero overhead). Each job's
-    /// events are recorded on [`job_span`]`(job_id)`; admission-queue and
-    /// service-wide events stay on the handle's own span.
+    /// Observability: record admission/budget/phase/I-O events through
+    /// `trace` (default: disabled, zero overhead). Each job's events are
+    /// recorded on [`job_span`]`(job_id)`; admission-queue and service-wide
+    /// events stay on the handle's own span. The service's
+    /// [metrics](SortService::metrics) count either way.
     pub fn trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
         self
@@ -266,7 +267,7 @@ impl SortServiceBuilder {
             state: Mutex::new(State {
                 broker: MemoryBroker::new(self.pool_pages),
                 queue: AdmissionQueue::default(),
-                stats: ServiceStats::default(),
+                metrics: MetricsRegistry::new(),
                 next_job: 0,
                 idle_workers: 0,
                 shutdown: false,
@@ -289,11 +290,57 @@ impl SortServiceBuilder {
 struct State {
     broker: MemoryBroker,
     queue: AdmissionQueue,
-    stats: ServiceStats,
+    /// The service's books: every service total is a counter here, bumped
+    /// once per event under this lock.
+    metrics: MetricsRegistry,
     next_job: JobId,
     /// Workers waiting for something admissible to appear in the queue.
     idle_workers: usize,
     shutdown: bool,
+}
+
+impl State {
+    /// Add `n` to counter `name`, service-wide and, for a tenant's job,
+    /// under the tenant's label.
+    fn count(&self, name: &str, tenant: Option<&str>, n: u64) {
+        for label in std::iter::once(None).chain(tenant.map(Some)) {
+            self.metrics.counter(name, label).add(n);
+        }
+    }
+
+    /// The books of a job that completed.
+    fn count_completed(&self, report: &JobReport, tenant: Option<&str>) {
+        let (m, outcome) = (&self.metrics, &report.outcome);
+        self.count(COMPLETED, tenant, 1);
+        self.count(REALLOCATIONS, tenant, report.reallocations);
+        self.count(DELAY_SAMPLES, tenant, outcome.delays.len() as u64);
+        for label in std::iter::once(None).chain(tenant.map(Some)) {
+            m.histogram("job_response_seconds", label, LATENCY_BUCKETS)
+                .observe(report.response_time());
+            m.histogram("job_queue_wait_seconds", label, LATENCY_BUCKETS)
+                .observe(report.queued_for);
+        }
+        m.histogram("io_stall_seconds", None, LATENCY_BUCKETS)
+            .observe(outcome.merge.io_stall);
+        let duration = outcome.merge.duration();
+        if duration > 0.0 {
+            m.histogram("merge_tuples_per_sec", None, THROUGHPUT_BUCKETS)
+                .observe(outcome.merge.tuples_output as f64 / duration);
+        }
+        let lengths = m.histogram("masort_runs_length", None, RUN_LENGTH_BUCKETS);
+        for run in &outcome.split.runs {
+            lengths.observe(run.tuples as f64);
+        }
+    }
+
+    /// Set the gauges from the broker's state, then copy the books out.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let gauge = |name, value: usize| self.metrics.gauge(name, None).set(value as i64);
+        gauge("pool_pages", self.broker.pool_pages());
+        gauge("jobs_live", self.broker.live_count());
+        gauge("jobs_queued", self.queue.len());
+        self.metrics.snapshot()
+    }
 }
 
 pub(crate) struct Shared {
@@ -339,19 +386,11 @@ impl Shared {
         let mut st = self.lock();
         match st.queue.remove(job) {
             Some(req) => {
-                st.stats.cancelled += 1;
-                if let Some(tenant) = &req.tenant {
-                    st.stats.tenant_entry(tenant).cancelled += 1;
-                }
+                st.count(CANCELLED, req.tenant.as_deref(), 1);
                 drop(st);
-                if self.trace.is_enabled() {
-                    self.trace
-                        .with_span(job_span(job))
-                        .emit(EventKind::Cancelled);
-                    if let Some(metrics) = self.trace.metrics() {
-                        metrics.counter("jobs_cancelled_total", None).inc();
-                    }
-                }
+                self.trace
+                    .with_span(job_span(job))
+                    .emit(EventKind::Cancelled);
                 // The request (and its boxed input source) dies outside the
                 // state lock.
                 drop(req);
@@ -413,16 +452,13 @@ impl SortService {
             ));
         }
         if min_pages > st.broker.pool_pages() {
-            st.stats.rejected += 1;
+            st.count(REJECTED, request.tenant.as_deref(), 1);
             let granted = st.broker.pool_pages();
             drop(st);
             self.shared.trace.emit(EventKind::AdmissionRejected {
                 needed: min_pages,
                 granted,
             });
-            if let Some(metrics) = self.shared.trace.metrics() {
-                metrics.counter("admission_rejected_total", None).inc();
-            }
             return Err(SortError::BudgetStarved {
                 needed: min_pages,
                 granted,
@@ -430,11 +466,8 @@ impl SortService {
         }
         let job = st.next_job;
         st.next_job += 1;
-        let tenant_label = request.tenant.clone();
         let ticket_shared = Arc::new(TicketShared::default());
-        if let Some(tenant) = &request.tenant {
-            st.stats.tenant_entry(tenant).submitted += 1;
-        }
+        st.count(SUBMITTED, request.tenant.as_deref(), 1);
         st.queue.push(QueuedRequest {
             job,
             cfg: request.cfg,
@@ -448,23 +481,11 @@ impl SortService {
             submitted_at: self.shared.now(),
             bypassed: 0,
         });
-        st.stats.submitted += 1;
-        st.stats.peak_queued = st.stats.peak_queued.max(st.queue.len());
         drop(st);
-        let trace = &self.shared.trace;
-        if trace.is_enabled() {
-            trace
-                .with_span(job_span(job))
-                .emit(EventKind::AdmissionQueued);
-            if let Some(metrics) = trace.metrics() {
-                metrics.counter("jobs_submitted_total", None).inc();
-                if let Some(tenant) = &tenant_label {
-                    metrics
-                        .counter("jobs_submitted_total", Some(tenant.as_str()))
-                        .inc();
-                }
-            }
-        }
+        self.shared
+            .trace
+            .with_span(job_span(job))
+            .emit(EventKind::AdmissionQueued);
         self.shared.work.notify_all();
         Ok(SortTicket::new(
             job,
@@ -481,11 +502,19 @@ impl SortService {
         let now = self.shared.now();
         let mut st = self.shared.lock();
         st.broker.resize(pages, now);
-        st.stats.resizes += 1;
         let doomed = st.queue.drain_impossible(pages);
-        st.stats.rejected += doomed.len() as u64;
+        for req in &doomed {
+            st.count(REJECTED, req.tenant.as_deref(), 1);
+        }
         drop(st);
         for req in doomed {
+            self.shared
+                .trace
+                .with_span(job_span(req.job))
+                .emit(EventKind::AdmissionRejected {
+                    needed: req.min_pages,
+                    granted: pages,
+                });
             req.ticket.fulfill(Err(SortError::BudgetStarved {
                 needed: req.min_pages,
                 granted: pages,
@@ -509,40 +538,44 @@ impl SortService {
         self.shared.lock().queue.len()
     }
 
-    /// Snapshot of the service-wide aggregate statistics.
+    /// Snapshot of the service's metrics: every counter and histogram it
+    /// keeps (service-wide and per tenant), and the `pool_pages`,
+    /// `jobs_live` and `jobs_queued` gauges, all as of one moment.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.shared.lock().snapshot()
+    }
+
+    /// Snapshot of the service-wide aggregate statistics: a typed read of
+    /// [`metrics`](Self::metrics).
     pub fn stats(&self) -> ServiceStats {
         let st = self.shared.lock();
-        let mut stats = st.stats.clone();
-        stats.rebalances = st.broker.rebalances();
-        stats
+        ServiceStats::read(&st.snapshot(), &st.broker)
     }
 
     /// Stop accepting submissions, drain the queue, join the workers, and
     /// return the final statistics. Every issued ticket is fulfilled before
     /// this returns.
     pub fn shutdown(mut self) -> ServiceStats {
-        self.begin_shutdown();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        let st = self.shared.lock();
-        let mut stats = st.stats.clone();
-        stats.rebalances = st.broker.rebalances();
-        stats
+        self.join_workers();
+        self.stats()
     }
 
     fn begin_shutdown(&self) {
         self.shared.lock().shutdown = true;
         self.shared.work.notify_all();
     }
-}
 
-impl Drop for SortService {
-    fn drop(&mut self) {
+    fn join_workers(&mut self) {
         self.begin_shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+impl Drop for SortService {
+    fn drop(&mut self) {
+        self.join_workers();
     }
 }
 
@@ -552,7 +585,6 @@ struct Admitted {
     budget: MemoryBudget,
     initial_grant: usize,
     start_version: u64,
-    queued_for: f64,
     admitted_at: f64,
 }
 
@@ -578,16 +610,19 @@ fn worker_loop(shared: Arc<Shared>) {
                     // Make the budget reachable from the ticket; a cancel
                     // that raced this admission is applied to it in there.
                     req.ticket.attach_budget(budget.clone());
-                    let queued_for = (now - req.submitted_at).max(0.0);
-                    state.stats.peak_live = state.stats.peak_live.max(state.broker.live_count());
-                    state.stats.total_queue_wait += queued_for;
                     let snapshot = budget.snapshot();
+                    // The grant counted here is the one the job's trace
+                    // records: counters and timelines agree on pages granted.
+                    state.count(
+                        "pages_granted_total",
+                        req.tenant.as_deref(),
+                        snapshot.target as u64,
+                    );
                     break Admitted {
                         req,
                         initial_grant: snapshot.target,
                         start_version: snapshot.version,
                         budget,
-                        queued_for,
                         admitted_at: now,
                     };
                 }
@@ -754,7 +789,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
         budget,
         initial_grant,
         start_version,
-        queued_for,
         admitted_at,
     } = admitted;
     let QueuedRequest {
@@ -763,31 +797,16 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
         input,
         storage,
         tenant,
-        priority,
-        min_pages,
-        max_pages,
         ticket,
+        submitted_at,
         ..
     } = req;
 
-    // The admission grant is the one place where the trace event and the
-    // metrics counter come from the same numbers — timelines and counters
-    // must agree on total pages granted.
     let trace = shared.trace.with_span(job_span(job));
     if trace.is_enabled() {
         trace.emit(EventKind::AdmissionGranted {
             pages: initial_grant,
         });
-        if let Some(metrics) = trace.metrics() {
-            metrics
-                .counter("pages_granted_total", None)
-                .add(initial_grant as u64);
-            if let Some(tenant) = &tenant {
-                metrics
-                    .counter("pages_granted_total", Some(tenant.as_str()))
-                    .add(initial_grant as u64);
-            }
-        }
         budget.attach_trace(trace.clone());
     }
 
@@ -856,151 +875,57 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
     // post-release rebalance cannot mask it.
     let leaked = budget.held();
     let finished_at = shared.now();
+    let tenant = tenant.as_deref();
     let mut st = shared.lock();
     st.broker.release(job, finished_at);
-    st.stats.leaked_pages += leaked as u64;
-    if let Some(tenant) = &tenant {
-        st.stats.tenant_entry(tenant).total_queue_wait += queued_for;
-    }
+    st.count(LEAKED_PAGES, tenant, leaked as u64);
     // The job's books, taken now: the outcome is final (the merge ran to its
     // end, was settled, or was closed) and the grant has just gone back.
     let (report, rest, root_finished) = match done {
         None => (None, None, None),
         Some(done) => {
             let outcome = done.outcome;
-            let (split, merge, delays) = (&outcome.split, &outcome.merge, &outcome.delays);
             let pages = |tuples: usize| tuples.div_ceil(tuples_per_page) as u64;
             let pages_settled = match done.rest {
-                Some(_) => pages(split.total_tuples() - done.tuples_streamed),
+                Some(_) => pages(outcome.split.total_tuples() - done.tuples_streamed),
                 None => 0,
             };
-            let root_finished = (pages(done.tuples_streamed), pages_settled, done.end.name());
-            let stats = JobStats {
+            let pages_streamed = pages(done.tuples_streamed);
+            st.count("egress_pages_streamed_total", tenant, pages_streamed);
+            st.count("egress_pages_settled_total", tenant, pages_settled);
+            let report = JobReport {
+                outcome,
                 job,
-                tenant: tenant.clone(),
-                priority,
-                min_pages,
-                max_pages,
-                queued_for,
+                queued_for: (admitted_at - submitted_at).max(0.0),
                 ran_for: (finished_at - admitted_at).max(0.0),
                 initial_grant,
                 reallocations,
-                delay_samples: delays.len(),
-                total_delay: delays.iter().map(DelaySample::delay).sum(),
-                io_stall_seconds: merge.io_stall,
-                runs_emitted: split.run_count(),
-                min_run_tuples: split.min_run_tuples(),
-                max_run_tuples: split.max_run_tuples(),
-                avg_run_tuples: split.avg_run_tuples(),
-                natural_runs: split.natural_runs,
-                natural_tuples: split.natural_tuples,
-            };
-            let report = JobReport {
-                outcome,
-                stats,
                 trace: trace.clone(),
             };
+            let root_finished = (pages_streamed, pages_settled, done.end.name());
             (Some(report), done.rest, Some(root_finished))
         }
     };
-    match &error {
-        None => {
-            st.stats.completed += 1;
-            st.stats.total_reallocations += reallocations;
-            if let Some(report) = &report {
-                st.stats.total_delay_samples += report.stats.delay_samples as u64;
-            }
-            if let Some(tenant) = &tenant {
-                st.stats.tenant_entry(tenant).completed += 1;
-            }
-        }
-        Some(SortError::Cancelled) => {
-            st.stats.cancelled += 1;
-            if let Some(tenant) = &tenant {
-                st.stats.tenant_entry(tenant).cancelled += 1;
-            }
-        }
-        Some(_) => {
-            st.stats.failed += 1;
-            if let Some(tenant) = &tenant {
-                st.stats.tenant_entry(tenant).failed += 1;
-            }
-        }
+    match (&error, &report) {
+        (None, Some(report)) => st.count_completed(report, tenant),
+        (None, None) => unreachable!("a job without an error reached its root"),
+        (Some(SortError::Cancelled), _) => st.count(CANCELLED, tenant, 1),
+        (Some(_), _) => st.count(FAILED, tenant, 1),
     }
     // Under the state lock, so that whoever reads the counters above also
     // finds the ticket past cancelling.
     ticket.job_over();
     drop(st);
-    if trace.is_enabled() {
-        let tenant = tenant.as_deref();
-        // Was this job's result written, and why.
-        if let Some((pages_streamed, pages_settled, reason)) = root_finished {
-            trace.emit(EventKind::RootFinished {
-                pages_streamed,
-                pages_settled,
-                reason,
-            });
-            if let Some(metrics) = trace.metrics() {
-                metrics
-                    .counter("egress_pages_streamed_total", None)
-                    .add(pages_streamed);
-                metrics
-                    .counter("egress_pages_settled_total", None)
-                    .add(pages_settled);
-            }
-        }
-        match (&error, &report) {
-            (None, Some(report)) => {
-                if let Some(metrics) = trace.metrics() {
-                    let s = &report.stats;
-                    let merge = &report.outcome.merge;
-                    let labels = std::iter::once(None).chain(tenant.map(Some));
-                    for label in labels {
-                        metrics.counter("jobs_completed_total", label).inc();
-                        metrics
-                            .histogram("job_response_seconds", label, LATENCY_BUCKETS)
-                            .observe(s.response_time());
-                        metrics
-                            .histogram("job_queue_wait_seconds", label, LATENCY_BUCKETS)
-                            .observe(s.queued_for);
-                    }
-                    metrics
-                        .counter("budget_reallocations_total", None)
-                        .add(reallocations);
-                    metrics
-                        .histogram("io_stall_seconds", None, LATENCY_BUCKETS)
-                        .observe(s.io_stall_seconds);
-                    let duration = merge.duration();
-                    if duration > 0.0 {
-                        metrics
-                            .histogram("merge_tuples_per_sec", None, THROUGHPUT_BUCKETS)
-                            .observe(merge.tuples_output as f64 / duration);
-                    }
-                    let lengths = metrics.histogram("masort_runs_length", None, RUN_LENGTH_BUCKETS);
-                    for run in &report.outcome.split.runs {
-                        lengths.observe(run.tuples as f64);
-                    }
-                }
-            }
-            (None, None) => unreachable!("a job without an error reached its root"),
-            (Some(e), _) => {
-                let cancelled = matches!(e, SortError::Cancelled);
-                if cancelled {
-                    trace.emit(EventKind::Cancelled);
-                }
-                if let Some(metrics) = trace.metrics() {
-                    let name = if cancelled {
-                        "jobs_cancelled_total"
-                    } else {
-                        "jobs_failed_total"
-                    };
-                    metrics.counter(name, None).inc();
-                    if let Some(t) = tenant {
-                        metrics.counter(name, Some(t)).inc();
-                    }
-                }
-            }
-        }
+    // Was this job's result written, and why.
+    if let Some((pages_streamed, pages_settled, reason)) = root_finished {
+        trace.emit(EventKind::RootFinished {
+            pages_streamed,
+            pages_settled,
+            reason,
+        });
+    }
+    if let Some(SortError::Cancelled) = error {
+        trace.emit(EventKind::Cancelled);
     }
     match (hand_off, report) {
         (Some(hand_off), Some(report)) => hand_off.finish(JobEnd {
@@ -1033,6 +958,7 @@ fn build_store(storage: RunStorage) -> SortResult<ServiceStore> {
 mod tests {
     use super::*;
     use masort_core::verify::assert_sorted_permutation;
+    use masort_core::ChannelSource;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1050,6 +976,17 @@ mod tests {
             .with_memory_pages(mem)
     }
 
+    /// An input whose disk dies at the first read.
+    struct FailingSource;
+
+    impl InputSource for FailingSource {
+        fn next_page(&mut self) -> SortResult<Option<Page>> {
+            Err(SortError::Io(std::io::Error::other(
+                "the input's disk died",
+            )))
+        }
+    }
+
     /// Read an output to its end, then take the job's report.
     fn drain(mut output: JobOutput) -> (Vec<Tuple>, JobReport) {
         let sorted = output.by_ref().collect::<SortResult<_>>().unwrap();
@@ -1064,7 +1001,7 @@ mod tests {
             .submit(SortRequest::tuples(small_cfg(8), input.clone()))
             .unwrap();
         let (sorted, report) = drain(ticket.wait().unwrap());
-        assert!(report.stats.initial_grant >= 1);
+        assert!(report.initial_grant >= 1);
         assert_sorted_permutation(&input, &sorted);
         let stats = svc.shutdown();
         assert_eq!(stats.completed, 1);
@@ -1093,22 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn impossible_request_is_rejected_not_queued() {
-        let svc = SortService::builder().pool_pages(8).workers(1).build();
-        let err = svc
-            .submit(SortRequest::tuples(small_cfg(4), Vec::new()).min_pages(9))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SortError::BudgetStarved {
-                needed: 9,
-                granted: 8
-            }
-        ));
-        assert_eq!(svc.stats().rejected, 1);
-    }
-
-    #[test]
     fn invalid_config_is_rejected_at_submit() {
         let svc = SortService::builder().pool_pages(8).workers(1).build();
         let mut cfg = small_cfg(4);
@@ -1125,32 +1046,6 @@ mod tests {
             .submit(SortRequest::tuples(cfg, vec![Tuple::synthetic(1, 64)]))
             .unwrap_err();
         assert!(matches!(err, SortError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn pool_shrink_fails_queued_requests_that_no_longer_fit() {
-        // One worker, and a long-running job holding the pool, so the
-        // big-minimum request is still queued when the pool shrinks.
-        let svc = SortService::builder().pool_pages(32).workers(1).build();
-        let blocker = svc
-            .submit(SortRequest::tuples(small_cfg(8), random_tuples(30_000, 3)).min_pages(2))
-            .unwrap();
-        let doomed = svc
-            .submit(SortRequest::tuples(small_cfg(8), Vec::new()).min_pages(24))
-            .unwrap();
-        svc.resize_pool(12);
-        match doomed.wait() {
-            Err(SortError::BudgetStarved {
-                needed: 24,
-                granted: 12,
-            }) => {}
-            other => panic!("expected BudgetStarved, got {other:?}"),
-        }
-        blocker.wait().unwrap();
-        let stats = svc.shutdown();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.resizes, 1);
     }
 
     #[test]
@@ -1259,13 +1154,14 @@ mod tests {
             other => panic!("expected Cancelled, got {other:?}"),
         }
         blocker.wait().unwrap();
+        let metrics = svc.metrics();
         let stats = svc.shutdown();
         assert_eq!(stats.cancelled, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0, "a cancel is not a failure");
         assert_eq!(stats.leaked_pages, 0);
-        assert_eq!(stats.tenant("acme").unwrap().cancelled, 1);
-        assert_eq!(stats.tenant("acme").unwrap().submitted, 1);
+        assert_eq!(metrics.counter(CANCELLED, Some("acme")), Some(1));
+        assert_eq!(metrics.counter(SUBMITTED, Some("acme")), Some(1));
     }
 
     #[test]
@@ -1298,12 +1194,13 @@ mod tests {
             .into_sorted_vec()
             .unwrap();
         assert_sorted_permutation(&input, &sorted);
+        let metrics = svc.metrics();
         let stats = svc.shutdown();
         assert_eq!(stats.cancelled, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.leaked_pages, 0, "cancelled job leaked pages");
-        assert_eq!(stats.tenant("acme").unwrap().cancelled, 1);
+        assert_eq!(metrics.counter(CANCELLED, Some("acme")), Some(1));
     }
 
     #[test]
@@ -1329,12 +1226,6 @@ mod tests {
 
     #[test]
     fn tenant_accounting_follows_jobs_through_their_lifecycle() {
-        struct FailingSource;
-        impl InputSource for FailingSource {
-            fn next_page(&mut self) -> SortResult<Option<Page>> {
-                Err(SortError::Io(std::io::Error::other("tenant b's disk died")))
-            }
-        }
         let svc = SortService::builder().pool_pages(16).workers(2).build();
         let mut tickets = Vec::new();
         for i in 0..3 {
@@ -1353,21 +1244,85 @@ mod tests {
             svc.submit(SortRequest::tuples(small_cfg(4), random_tuples(600, 30)))
                 .unwrap(),
         );
+        // Each job's books are closed by the time its report is out.
         for t in tickets {
-            t.wait().unwrap();
+            drain(t.wait().unwrap());
         }
         failing.wait().unwrap_err();
+        let metrics = svc.metrics();
         let stats = svc.shutdown();
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.failed, 1);
-        assert_eq!(stats.tenants.len(), 2);
-        let a = stats.tenant("a").unwrap();
-        assert_eq!((a.submitted, a.completed, a.failed), (3, 3, 0));
-        assert!(a.total_queue_wait >= 0.0);
-        let b = stats.tenant("b").unwrap();
-        assert_eq!((b.submitted, b.completed, b.failed), (1, 0, 1));
-        assert!(stats.tenant("c").is_none());
+        let tenants: Vec<_> = metrics
+            .metrics
+            .iter()
+            .filter(|m| m.name == SUBMITTED)
+            .filter_map(|m| m.label.as_deref())
+            .collect();
+        assert_eq!(tenants, ["a", "b"]);
+        let of = |tenant| [SUBMITTED, COMPLETED, FAILED].map(|n| metrics.counter(n, Some(tenant)));
+        assert_eq!(of("a"), [Some(3), Some(3), None]);
+        assert_eq!(of("b"), [Some(1), None, Some(1)]);
+        assert_eq!(of("c"), [None; 3]);
         assert_eq!(stats.leaked_pages, 0);
+    }
+
+    #[test]
+    fn registry_counts_every_terminal_outcome() {
+        let svc = SortService::builder().pool_pages(8).workers(1).build();
+        let request =
+            |min_pages| SortRequest::tuples(small_cfg(4), Vec::new()).min_pages(min_pages);
+        // Rejected at submit: a minimum above the whole pool.
+        let starved = |e| match e {
+            SortError::BudgetStarved { needed, granted } => (needed, granted),
+            other => panic!("expected BudgetStarved, got {other:?}"),
+        };
+        assert_eq!(starved(svc.submit(request(9)).unwrap_err()), (9, 8));
+        // Admitted with the pool's whole minimum and parked on its input, so
+        // every later request queues behind it.
+        let (sink, source) = ChannelSource::bounded(1);
+        let running = svc
+            .submit(
+                SortRequest::from_source(small_cfg(4), source)
+                    .min_pages(8)
+                    .tenant("acme"),
+            )
+            .unwrap();
+        while svc.live_jobs() == 0 {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // Dropped by a pool shrink under its minimum.
+        let dropped = svc.submit(request(8)).unwrap();
+        svc.resize_pool(7);
+        svc.resize_pool(8);
+        assert_eq!(starved(dropped.wait().unwrap_err()), (8, 7));
+        // Cancelled while queued, then while running.
+        let queued = svc.submit(request(8).tenant("acme")).unwrap();
+        assert!(queued.cancel());
+        assert!(matches!(queued.wait(), Err(SortError::Cancelled)));
+        assert!(running.cancel());
+        drop(sink);
+        assert!(matches!(running.wait(), Err(SortError::Cancelled)));
+        // Failed, then completed.
+        let failing = SortRequest::from_source(small_cfg(4), FailingSource);
+        svc.submit(failing).unwrap().wait().unwrap_err();
+        let input = random_tuples(800, 16);
+        let output = svc.submit(SortRequest::tuples(small_cfg(4), input.clone()));
+        let (sorted, _) = drain(output.unwrap().wait().unwrap());
+        assert_sorted_permutation(&input, &sorted);
+
+        let metrics = svc.metrics();
+        let counter = |name, label| metrics.counter(name, label).unwrap_or(0);
+        let outcomes = [SUBMITTED, REJECTED, CANCELLED, FAILED, COMPLETED];
+        assert_eq!(outcomes.map(|n| counter(n, None)), [5, 2, 2, 1, 1]);
+        assert_eq!(outcomes.map(|n| counter(n, Some("acme"))), [2, 0, 2, 0, 0]);
+        // `ServiceStats` reads exactly those counters.
+        let s = svc.stats();
+        let read = [s.submitted, s.rejected, s.cancelled, s.failed, s.completed];
+        assert_eq!(read, outcomes.map(|n| counter(n, None)));
+        let totals = [LEAKED_PAGES, REALLOCATIONS, DELAY_SAMPLES].map(|n| counter(n, None));
+        let read = [s.leaked_pages, s.total_reallocations, s.total_delay_samples];
+        assert_eq!((read, s.leaked_pages, s.peak_live), (totals, 0, 1));
     }
 
     #[test]
@@ -1389,7 +1344,7 @@ mod tests {
             .collect();
         for (ticket, input) in tickets.into_iter().zip(&inputs) {
             let (sorted, report) = drain(ticket.wait().unwrap());
-            assert!(report.stats.initial_grant >= 2, "minimum not honoured");
+            assert!(report.initial_grant >= 2, "minimum not honoured");
             assert_sorted_permutation(input, &sorted);
         }
     }

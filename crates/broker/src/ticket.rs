@@ -4,7 +4,6 @@
 //! holding the grant to the caller.
 
 use crate::service::{ServiceStore, Shared};
-use crate::stats::JobStats;
 use masort_core::sync::{Condvar, Mutex};
 use masort_core::{MemoryBudget, SortCompletion, SortError, SortOutcome, SortResult, Tuple};
 use std::collections::VecDeque;
@@ -451,19 +450,39 @@ impl Drop for JobOutput {
 }
 
 /// How a job went, as of the moment its grant returned to the pool: the
-/// sort's final outcome plus the broker's per-job statistics.
+/// sort's final outcome plus what only the broker knows about the job.
 #[derive(Debug)]
 pub struct JobReport {
     /// The sort outcome (runs formed, merge statistics, delay samples,
     /// response time up to the release).
     pub outcome: SortOutcome,
-    /// Broker-side statistics: queue wait, reallocations, delay samples.
-    pub stats: JobStats,
+    /// The job this report belongs to.
+    pub job: JobId,
+    /// Seconds spent queued before admission (waiting for the minimum share
+    /// to become available).
+    pub queued_for: f64,
+    /// Seconds between admission and the release of the job's grant: the
+    /// last merge step exhausted into the hand-off, its remainder settled,
+    /// or the sort closed.
+    pub ran_for: f64,
+    /// Pages the broker granted at admission.
+    pub initial_grant: usize,
+    /// Number of times the broker adjusted this job's page target *after* its
+    /// initial grant — i.e. mid-flight reallocations, observed via
+    /// [`MemoryBudget::version`](masort_core::MemoryBudget::version).
+    pub reallocations: u64,
     /// Observability handle bound to this job's span
-    /// ([`job_span`](crate::job_span)`(stats.job)`). Disabled — and
-    /// recording nothing — unless the service was built with
+    /// ([`job_span`](crate::job_span)`(job)`). Disabled — and recording
+    /// nothing — unless the service was built with
     /// [`trace`](crate::SortServiceBuilder::trace); when enabled, the job's
     /// full event timeline is
     /// `trace.recorder().unwrap().events_for(trace.span())`.
     pub trace: masort_trace::Trace,
+}
+
+impl JobReport {
+    /// Total response time: queue wait plus execution.
+    pub fn response_time(&self) -> f64 {
+        self.queued_for + self.ran_for
+    }
 }

@@ -114,7 +114,7 @@ mod tests {
     use crate::sync::atomic::{AtomicUsize, Ordering};
     use crate::tuple::Page;
     use crate::verify::assert_sorted_permutation;
-    use masort_trace::{EventKind, MetricsRegistry, Recorder, SpanId, Trace};
+    use masort_trace::{EventKind, Recorder, SpanId, Trace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -239,7 +239,7 @@ mod tests {
     ) -> (Rig, SortCompletion<ProbedStore>) {
         let input = random_tuples(n, n as u64);
         let budget = MemoryBudget::new(mem);
-        let trace = Trace::enabled(Recorder::new(), MetricsRegistry::new());
+        let trace = Trace::enabled(Recorder::new());
         let store = FileStore::in_temp_dir().unwrap();
         let dir = store.dir().to_path_buf();
         let live_runs = Arc::new(AtomicUsize::new(0));

@@ -16,20 +16,20 @@
 //! a space and an arbitrary payload string. Output uses the same format.
 //! The address defaults to `$MASORT_ADDR`, then `127.0.0.1:7878`.
 //!
-//! `metrics` fetches the server's metrics registry (JSON by default,
-//! `--prometheus` for text exposition); `trace JOB` fetches one job's event
-//! timeline and renders it as an ASCII grant-level chart (`--json` for the
-//! raw document).
+//! `metrics` fetches the server's metrics (JSON by default, `--prometheus`
+//! for text exposition); `stats` prints every service-wide counter and gauge
+//! of the same snapshot, one per row, and `shutdown` the same rows as of the
+//! request. `trace JOB` fetches one job's event timeline and renders it as an
+//! ASCII grant-level chart (`--json` for the raw document).
 
 use std::io::{self, BufRead, BufWriter, Write};
 use std::process::ExitCode;
 
 use masort_core::{Payload, Tuple};
-use masort_server::{
-    fetch_metrics, fetch_trace, server_stats, shutdown_server, SortClient, SubmitSpec,
-};
+use masort_server::{fetch_metrics, fetch_trace, shutdown_server, SortClient, SubmitSpec};
 use masort_trace::{
     metrics_from_json, metrics_to_prometheus, render_timeline, trace_from_json, JsonValue,
+    MetricKind, MetricsSnapshot,
 };
 
 const INGEST_CHUNK: usize = 4096;
@@ -60,6 +60,12 @@ fn parse_u64(raw: &str) -> Result<u64, String> {
 fn parse_priority(raw: &str) -> Result<u32, String> {
     u32::try_from(parse_u64(raw)?)
         .map_err(|_| format!("--priority `{raw}` is above {}\n{}", u32::MAX, usage()))
+}
+
+/// Parse a `METRICS_DATA` document.
+fn snapshot(json: &str) -> Result<MetricsSnapshot, String> {
+    let doc = JsonValue::parse(json).map_err(|e| format!("metrics JSON: {e}"))?;
+    Ok(metrics_from_json(&doc))
 }
 
 fn run() -> Result<(), String> {
@@ -131,39 +137,36 @@ fn run() -> Result<(), String> {
     }
 
     match command {
-        "shutdown" => {
-            let summary = shutdown_server(&addr).map_err(|e| e.to_string())?;
-            eprintln!(
-                "server draining: {} completed, {} failed, {} cancelled, {} leaked pages",
-                summary.completed, summary.failed, summary.cancelled, summary.leaked_pages
-            );
-            Ok(())
-        }
-        "stats" => {
-            let s = server_stats(&addr).map_err(|e| e.to_string())?;
-            let rows: [(&str, u64); 10] = [
-                ("pool pages", s.pool_pages),
-                ("live jobs", s.live_jobs),
-                ("queued jobs", s.queued_jobs),
-                ("submitted", s.submitted),
-                ("completed", s.completed),
-                ("failed", s.failed),
-                ("rejected", s.rejected),
-                ("cancelled", s.cancelled),
-                ("leaked pages", s.leaked_pages),
-                ("reallocations", s.total_reallocations),
-            ];
+        "stats" | "shutdown" => {
+            let json = match command {
+                "shutdown" => shutdown_server(&addr),
+                _ => fetch_metrics(&addr),
+            };
+            let s = snapshot(&json.map_err(|e| e.to_string())?)?;
+            // Every service-wide counter and gauge, one per row.
+            let rows: Vec<(&str, i64)> = s
+                .metrics
+                .iter()
+                .filter(|m| m.label.is_none())
+                .filter_map(|m| match m.kind {
+                    MetricKind::Counter(v) => Some((m.name.as_str(), v as i64)),
+                    MetricKind::Gauge(v) => Some((m.name.as_str(), v)),
+                    MetricKind::Histogram(_) => None,
+                })
+                .collect();
             let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
             for (key, value) in rows {
                 println!("{key:<width$}  {value:>12}");
+            }
+            if command == "shutdown" {
+                eprintln!("server draining");
             }
             Ok(())
         }
         "metrics" => {
             let json = fetch_metrics(&addr).map_err(|e| e.to_string())?;
             if prometheus {
-                let doc = JsonValue::parse(&json).map_err(|e| format!("metrics JSON: {e}"))?;
-                print!("{}", metrics_to_prometheus(&metrics_from_json(&doc)));
+                print!("{}", metrics_to_prometheus(&snapshot(&json)?));
             } else {
                 println!("{json}");
             }

@@ -3,8 +3,9 @@
 //! [`SortClient`] drives one sort per connection: connect (HELLO/WELCOME),
 //! [`submit`](SortClient::submit), feed tuples with
 //! [`ingest`](SortClient::ingest), then [`finish`](SortClient::finish) and
-//! iterate the sorted result. The free functions [`shutdown_server`] and
-//! [`server_stats`] speak the admin side of the protocol.
+//! iterate the sorted result. The free functions [`fetch_metrics`],
+//! [`fetch_trace`] and [`shutdown_server`] speak the admin side of the
+//! protocol.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -12,7 +13,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use masort_core::Tuple;
 
 use crate::codec::{read_frame, write_frame};
-use crate::protocol::{Frame, JobSummary, ServerSummary, SubmitSpec, WireError, PROTOCOL_VERSION};
+use crate::protocol::{Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION};
 
 /// Everything that can go wrong on the client side of a sort.
 #[derive(Debug)]
@@ -201,21 +202,10 @@ impl Iterator for Completed {
     }
 }
 
-/// Ask a server to drain and exit; returns its final counters.
-pub fn shutdown_server(addr: impl ToSocketAddrs) -> ClientResult<ServerSummary> {
-    admin(addr, Frame::Shutdown)
-}
-
-/// Fetch a server's service-wide counters.
-pub fn server_stats(addr: impl ToSocketAddrs) -> ClientResult<ServerSummary> {
-    admin(addr, Frame::StatsReq)
-}
-
-fn admin(addr: impl ToSocketAddrs, frame: Frame) -> ClientResult<ServerSummary> {
-    match admin_frame(addr, frame, "SERVER_STATS")? {
-        Frame::ServerStats(summary) => Ok(summary),
-        other => Err(unexpected(&other, "SERVER_STATS")),
-    }
+/// Ask a server to drain and exit; returns its metrics as of the request, as
+/// [`fetch_metrics`] does.
+pub fn shutdown_server(addr: impl ToSocketAddrs) -> ClientResult<String> {
+    metrics(addr, Frame::Shutdown)
 }
 
 /// Fetch one job's event timeline as a JSON document (the raw `TRACE_DATA`
@@ -230,7 +220,11 @@ pub fn fetch_trace(addr: impl ToSocketAddrs, job: u64) -> ClientResult<String> {
 /// Fetch the server's service-wide metrics registry as a JSON document (the
 /// raw `METRICS_DATA` payload; parse with [`masort_trace::metrics_from_json`]).
 pub fn fetch_metrics(addr: impl ToSocketAddrs) -> ClientResult<String> {
-    match admin_frame(addr, Frame::MetricsReq, "METRICS_DATA")? {
+    metrics(addr, Frame::MetricsReq)
+}
+
+fn metrics(addr: impl ToSocketAddrs, frame: Frame) -> ClientResult<String> {
+    match admin_frame(addr, frame, "METRICS_DATA")? {
         Frame::MetricsData { json } => Ok(json),
         other => Err(unexpected(&other, "METRICS_DATA")),
     }

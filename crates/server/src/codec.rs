@@ -19,9 +19,7 @@ use std::io::{self, Read, Write};
 
 use masort_core::{Payload, Tuple};
 
-use crate::protocol::{
-    ErrorCode, Frame, JobSummary, ServerSummary, SubmitSpec, WireError, MAX_FRAME_BYTES,
-};
+use crate::protocol::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES};
 
 const TAG_SYNTHETIC: u8 = 0;
 const TAG_BYTES: u8 = 1;
@@ -105,7 +103,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Accepted { job } => put_u64(&mut buf, *job),
         Frame::Ingest(tuples) | Frame::Egress(tuples) => put_tuples(&mut buf, tuples),
-        Frame::Fin | Frame::Cancel | Frame::Shutdown | Frame::StatsReq => {}
+        Frame::Fin | Frame::Cancel | Frame::Shutdown | Frame::MetricsReq => {}
         Frame::Stats(s) => {
             put_u64(&mut buf, s.job);
             put_u64(&mut buf, s.tuples);
@@ -128,21 +126,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u64(&mut buf, e.granted);
             put_str(&mut buf, &e.message);
         }
-        Frame::ServerStats(s) => {
-            put_u64(&mut buf, s.pool_pages);
-            put_u64(&mut buf, s.live_jobs);
-            put_u64(&mut buf, s.queued_jobs);
-            put_u64(&mut buf, s.submitted);
-            put_u64(&mut buf, s.completed);
-            put_u64(&mut buf, s.failed);
-            put_u64(&mut buf, s.rejected);
-            put_u64(&mut buf, s.cancelled);
-            put_u64(&mut buf, s.leaked_pages);
-            put_u64(&mut buf, s.total_reallocations);
-        }
         Frame::TraceReq { job } => put_u64(&mut buf, *job),
         Frame::TraceData { json } | Frame::MetricsData { json } => put_str(&mut buf, json),
-        Frame::MetricsReq => {}
     }
     buf
 }
@@ -357,7 +342,6 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         }
         0x0A => Frame::Cancel,
         0x0B => Frame::Shutdown,
-        0x0C => Frame::StatsReq,
         0x0E => Frame::TraceReq {
             job: c.u64("TRACE_REQ job")?,
         },
@@ -368,18 +352,6 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         0x11 => Frame::MetricsData {
             json: c.string("METRICS_DATA json")?,
         },
-        0x0D => Frame::ServerStats(ServerSummary {
-            pool_pages: c.u64("SERVER_STATS pool")?,
-            live_jobs: c.u64("SERVER_STATS live")?,
-            queued_jobs: c.u64("SERVER_STATS queued")?,
-            submitted: c.u64("SERVER_STATS submitted")?,
-            completed: c.u64("SERVER_STATS completed")?,
-            failed: c.u64("SERVER_STATS failed")?,
-            rejected: c.u64("SERVER_STATS rejected")?,
-            cancelled: c.u64("SERVER_STATS cancelled")?,
-            leaked_pages: c.u64("SERVER_STATS leaked")?,
-            total_reallocations: c.u64("SERVER_STATS reallocations")?,
-        }),
         other => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -507,19 +479,6 @@ mod tests {
         }));
         round_trip(Frame::Cancel);
         round_trip(Frame::Shutdown);
-        round_trip(Frame::StatsReq);
-        round_trip(Frame::ServerStats(ServerSummary {
-            pool_pages: 64,
-            live_jobs: 2,
-            queued_jobs: 1,
-            submitted: 10,
-            completed: 7,
-            failed: 1,
-            rejected: 1,
-            cancelled: 1,
-            leaked_pages: 0,
-            total_reallocations: 9,
-        }));
         round_trip(Frame::TraceReq { job: 17 });
         round_trip(Frame::TraceData {
             json: "{\"span\":18,\"events\":[]}".into(),

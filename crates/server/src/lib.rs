@@ -58,12 +58,10 @@ mod session;
 pub mod tenant;
 
 pub use client::{
-    fetch_metrics, fetch_trace, server_stats, shutdown_server, ClientError, ClientResult,
-    Completed, SortClient,
+    fetch_metrics, fetch_trace, shutdown_server, ClientError, ClientResult, Completed, SortClient,
 };
 pub use protocol::{
-    ErrorCode, Frame, JobSummary, ServerSummary, SubmitSpec, WireError, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerBuilder, ServerHandle};
 pub use tenant::{TenantQuota, TenantRegistry};
@@ -71,11 +69,11 @@ pub use tenant::{TenantQuota, TenantRegistry};
 /// Convenient glob import of the server- and client-facing types.
 pub mod prelude {
     pub use crate::client::{
-        fetch_metrics, fetch_trace, server_stats, shutdown_server, ClientError, ClientResult,
-        Completed, SortClient,
+        fetch_metrics, fetch_trace, shutdown_server, ClientError, ClientResult, Completed,
+        SortClient,
     };
     pub use crate::protocol::{
-        ErrorCode, Frame, JobSummary, ServerSummary, SubmitSpec, WireError, PROTOCOL_VERSION,
+        ErrorCode, Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION,
     };
     pub use crate::server::{Server, ServerBuilder, ServerHandle};
     pub use crate::tenant::{TenantQuota, TenantRegistry};

@@ -26,8 +26,13 @@
 //! `CANCEL` may replace any `INGEST`; the server aborts the job and answers
 //! with `ERR {Cancelled}`. A connection that drops mid-ingest aborts its job
 //! the same way — the sort fails, its pages return to the pool and its runs
-//! are deleted. `SHUTDOWN` and `STATS_REQ` are connection-scoped admin
-//! commands sent *instead of* `HELLO`.
+//! are deleted.
+//!
+//! An admin connection opens with `METRICS_REQ` or `TRACE_REQ {job}` instead
+//! of `HELLO` (answered with `METRICS_DATA {json}` / `TRACE_DATA {json}`, and
+//! repeatable), or with `SHUTDOWN`, answered with `METRICS_DATA` before the
+//! server drains. `METRICS_DATA` is the service's one set of books: every
+//! counter the broker keeps, and the pool / live / queued gauges.
 
 use masort_core::Tuple;
 
@@ -35,8 +40,10 @@ use masort_core::Tuple;
 /// answered with an [`ErrorCode::Protocol`] error. Version 2 dropped the
 /// run-formation byte that ended version 1's `SUBMIT` payload; version 3
 /// dropped the four-byte compute-worker count from the middle of it; version
-/// 4 dropped the arbitration-policy name from the end of `WELCOME`.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// 4 dropped the arbitration-policy name from the end of `WELCOME`; version 5
+/// dropped the service-counters request and its reply (opcodes `0x0C` /
+/// `0x0D`, now unknown) and answers `SHUTDOWN` with `METRICS_DATA`.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on one frame's body (opcode + payload), enforced on both
 /// send and receive. 16 MiB comfortably fits the largest egress chunk while
@@ -204,31 +211,6 @@ pub struct JobSummary {
     pub avg_run_tuples: f64,
 }
 
-/// Service-wide counters delivered in a `SERVER_STATS` frame.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerSummary {
-    /// Current size of the brokered page pool.
-    pub pool_pages: u64,
-    /// Sorts currently executing.
-    pub live_jobs: u64,
-    /// Requests waiting for admission.
-    pub queued_jobs: u64,
-    /// Requests accepted since the server started.
-    pub submitted: u64,
-    /// Jobs completed successfully.
-    pub completed: u64,
-    /// Jobs that started but failed.
-    pub failed: u64,
-    /// Requests rejected as impossible.
-    pub rejected: u64,
-    /// Jobs cancelled while queued or running.
-    pub cancelled: u64,
-    /// Pages still recorded as held when jobs released — must stay zero.
-    pub leaked_pages: u64,
-    /// Mid-flight reallocations across all completed jobs.
-    pub total_reallocations: u64,
-}
-
 /// One protocol frame. See the module docs for the conversation and
 /// [`crate::codec`] for the encoding.
 #[derive(Clone, Debug, PartialEq)]
@@ -268,12 +250,8 @@ pub enum Frame {
     /// Abort the in-flight job.
     Cancel,
     /// Ask the server to drain in-flight sorts and exit (sent instead of
-    /// `HELLO`).
+    /// `HELLO`); answered with `METRICS_DATA`.
     Shutdown,
-    /// Ask for service-wide counters (sent instead of `HELLO`).
-    StatsReq,
-    /// Answer to `STATS_REQ`.
-    ServerStats(ServerSummary),
     /// Ask for one job's event timeline (sent instead of `HELLO`). The job
     /// id is the server-assigned id from `ACCEPTED`.
     TraceReq {
@@ -289,8 +267,8 @@ pub enum Frame {
     },
     /// Ask for the service-wide metrics registry (sent instead of `HELLO`).
     MetricsReq,
-    /// Answer to `METRICS_REQ`: every counter/gauge/histogram as a JSON
-    /// document (the `masort_trace` metrics-snapshot schema).
+    /// Answer to `METRICS_REQ` and `SHUTDOWN`: every counter/gauge/histogram
+    /// as a JSON document (the `masort_trace` metrics-snapshot schema).
     MetricsData {
         /// JSON text, parseable with `masort_trace::metrics_from_json`.
         json: String,
@@ -312,8 +290,6 @@ impl Frame {
             Frame::Error(_) => 0x09,
             Frame::Cancel => 0x0A,
             Frame::Shutdown => 0x0B,
-            Frame::StatsReq => 0x0C,
-            Frame::ServerStats(_) => 0x0D,
             Frame::TraceReq { .. } => 0x0E,
             Frame::TraceData { .. } => 0x0F,
             Frame::MetricsReq => 0x10,
@@ -335,8 +311,6 @@ impl Frame {
             Frame::Error(_) => "ERR",
             Frame::Cancel => "CANCEL",
             Frame::Shutdown => "SHUTDOWN",
-            Frame::StatsReq => "STATS_REQ",
-            Frame::ServerStats(_) => "SERVER_STATS",
             Frame::TraceReq { .. } => "TRACE_REQ",
             Frame::TraceData { .. } => "TRACE_DATA",
             Frame::MetricsReq => "METRICS_REQ",

@@ -26,9 +26,8 @@ use std::time::Duration;
 
 use masort_broker::{job_span, ServiceStats, SortService};
 use masort_core::{AlgorithmSpec, SortConfig};
-use masort_trace::{metrics_to_json, trace_to_json, MetricsRegistry, Recorder, Trace};
+use masort_trace::{metrics_to_json, trace_to_json, Recorder, Trace};
 
-use crate::protocol::ServerSummary;
 use crate::session::run_session;
 use crate::tenant::{TenantQuota, TenantRegistry};
 
@@ -63,9 +62,8 @@ pub(crate) struct ServerShared {
     pub(crate) ingest_depth: usize,
     /// Tuples per `EGRESS` frame.
     pub(crate) egress_chunk: usize,
-    /// Always-enabled observability handle: the service and every job feed
-    /// the recorder + registry this handle wraps, and `TRACE_REQ` /
-    /// `METRICS_REQ` frames are answered from it.
+    /// Always-enabled recorder handle: the service and every job feed it,
+    /// and `TRACE_REQ` frames are answered from it.
     pub(crate) trace: Trace,
 }
 
@@ -73,23 +71,6 @@ impl ServerShared {
     /// Stop accepting, wake every waiting session, drain (a `SHUTDOWN` frame).
     pub(crate) fn request_shutdown(&self) {
         request_shutdown(&self.shutdown, self.addr);
-    }
-
-    /// Snapshot of the service-wide counters in wire form.
-    pub(crate) fn summary(&self) -> ServerSummary {
-        let stats = self.service.stats();
-        ServerSummary {
-            pool_pages: self.service.pool_pages() as u64,
-            live_jobs: self.service.live_jobs() as u64,
-            queued_jobs: self.service.queued_jobs() as u64,
-            submitted: stats.submitted,
-            completed: stats.completed,
-            failed: stats.failed,
-            rejected: stats.rejected,
-            cancelled: stats.cancelled,
-            leaked_pages: stats.leaked_pages,
-            total_reallocations: stats.total_reallocations,
-        }
     }
 
     /// One job's event timeline as a pretty-printed JSON document
@@ -102,14 +83,10 @@ impl ServerShared {
         trace_to_json(&recorder.snapshot().for_span(job_span(job))).to_pretty_string()
     }
 
-    /// The service-wide metrics registry as a pretty-printed JSON document
-    /// (the `METRICS_DATA` payload).
+    /// The service's metrics as a pretty-printed JSON document (the
+    /// `METRICS_DATA` payload).
     pub(crate) fn metrics_json(&self) -> String {
-        let metrics = self
-            .trace
-            .metrics()
-            .expect("server trace handle is always enabled");
-        metrics_to_json(&metrics.snapshot()).to_pretty_string()
+        metrics_to_json(&self.service.metrics()).to_pretty_string()
     }
 }
 
@@ -188,7 +165,7 @@ impl ServerBuilder {
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let trace = Trace::enabled(Recorder::new(), MetricsRegistry::new());
+        let trace = Trace::enabled(Recorder::new());
         let service = SortService::builder()
             .pool_pages(self.pool_pages)
             .workers(self.workers)

@@ -16,7 +16,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 use masort_broker::{JobOutput, SortRequest};
-use masort_core::{ChannelSource, SortError, SortOrder, Tuple, TupleArena};
+use masort_core::{ChannelSource, DelaySample, SortError, SortOrder, Tuple, TupleArena};
 use masort_trace::EventKind;
 
 use crate::codec::{read_frame, write_frame};
@@ -93,37 +93,36 @@ fn serve<W: Write>(
     writer: &mut W,
 ) -> io::Result<()> {
     // The opening frame routes the whole connection: HELLO starts a sort,
-    // SHUTDOWN / STATS_REQ / TRACE_REQ / METRICS_REQ are admin commands.
-    let tenant = match next_frame(shared, reader)? {
-        None => return Ok(()),
-        Some(Frame::Shutdown) => {
-            send(writer, &Frame::ServerStats(shared.summary()))?;
-            shared.request_shutdown();
-            return Ok(());
+    // SHUTDOWN / TRACE_REQ / METRICS_REQ are admin commands. An opening
+    // frame this version cannot decode (an older client's admin opcode, say)
+    // is refused in words.
+    let opening = match next_frame(shared, reader) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            return protocol_error(writer, e.to_string())
         }
-        Some(frame @ (Frame::StatsReq | Frame::TraceReq { .. } | Frame::MetricsReq)) => {
+        opening => opening?,
+    };
+    let tenant = match opening {
+        None => return Ok(()),
+        Some(frame @ (Frame::Shutdown | Frame::TraceReq { .. } | Frame::MetricsReq)) => {
             let mut frame = frame;
             // Answer, then allow a monitoring connection to keep polling any
-            // mix of the three read-only admin requests.
+            // mix of the two read-only admin requests.
             loop {
                 match frame {
-                    Frame::StatsReq => send(writer, &Frame::ServerStats(shared.summary()))?,
                     Frame::TraceReq { job } => send(
                         writer,
                         &Frame::TraceData {
                             json: shared.trace_json(job),
                         },
                     )?,
-                    Frame::MetricsReq => send(
-                        writer,
-                        &Frame::MetricsData {
-                            json: shared.metrics_json(),
-                        },
-                    )?,
-                    Frame::Shutdown => {
-                        send(writer, &Frame::ServerStats(shared.summary()))?;
-                        shared.request_shutdown();
-                        return Ok(());
+                    Frame::MetricsReq | Frame::Shutdown => {
+                        let json = shared.metrics_json();
+                        send(writer, &Frame::MetricsData { json })?;
+                        if let Frame::Shutdown = frame {
+                            shared.request_shutdown();
+                            return Ok(());
+                        }
                     }
                     other => {
                         return protocol_error(
@@ -390,24 +389,24 @@ fn run_sort<W: Write>(
         Ok(tuples) => tuples,
         Err(e) => return send_error(writer, wire_error(&e)),
     };
-    let (stats, outcome) = (&report.stats, &report.outcome);
+    let (split, delays) = (&report.outcome.split, &report.outcome.delays);
     send(
         writer,
         &Frame::Stats(JobSummary {
-            job: stats.job,
+            job: report.job,
             tuples,
-            queued_for: stats.queued_for,
-            ran_for: stats.ran_for,
-            initial_grant: stats.initial_grant as u64,
-            reallocations: stats.reallocations,
-            delay_samples: stats.delay_samples as u64,
-            total_delay: stats.total_delay,
-            runs_formed: outcome.split.runs.len() as u64,
-            merge_steps: outcome.merge.steps_executed as u64,
-            natural_runs: stats.natural_runs as u64,
-            min_run_tuples: stats.min_run_tuples as u64,
-            max_run_tuples: stats.max_run_tuples as u64,
-            avg_run_tuples: stats.avg_run_tuples,
+            queued_for: report.queued_for,
+            ran_for: report.ran_for,
+            initial_grant: report.initial_grant as u64,
+            reallocations: report.reallocations,
+            delay_samples: delays.len() as u64,
+            total_delay: delays.iter().map(DelaySample::delay).sum(),
+            runs_formed: split.runs.len() as u64,
+            merge_steps: report.outcome.merge.steps_executed as u64,
+            natural_runs: split.natural_runs as u64,
+            min_run_tuples: split.min_run_tuples() as u64,
+            max_run_tuples: split.max_run_tuples() as u64,
+            avg_run_tuples: split.avg_run_tuples(),
         }),
     )
 }

@@ -68,11 +68,11 @@ fn join_with_three_sessions_waiting() -> Duration {
     let stream = TcpStream::connect(addr).expect("admin connect");
     let mut admin_reader = BufReader::new(stream.try_clone().unwrap());
     let mut admin_writer = BufWriter::new(stream);
-    write_frame(&mut admin_writer, &Frame::StatsReq).unwrap();
+    write_frame(&mut admin_writer, &Frame::MetricsReq).unwrap();
     admin_writer.flush().unwrap();
     assert!(matches!(
-        read_frame(&mut admin_reader).expect("stats reply"),
-        Some(Frame::ServerStats(_))
+        read_frame(&mut admin_reader).expect("metrics reply"),
+        Some(Frame::MetricsData { .. })
     ));
 
     // A spilling sort parked mid-ingest: runs on disk, more input expected.

@@ -18,9 +18,10 @@ use std::time::{Duration, Instant};
 
 use masort_core::{SortConfig, Tuple};
 use masort_server::{
-    fetch_trace, server_stats, shutdown_server, Completed, Server, ServerHandle, SortClient,
+    fetch_metrics, fetch_trace, shutdown_server, Completed, Server, ServerHandle, SortClient,
     SubmitSpec,
 };
+use masort_trace::{metrics_from_json, JsonValue, MetricKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,6 +92,20 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 
 /// Spill directories this process's sorts currently own (see
 /// `FileStore::in_temp_dir`).
+/// Service-wide counter or gauge `name` in a `METRICS_DATA` document; 0 until
+/// first counted.
+fn metric(json: &str, name: &str) -> i64 {
+    let doc = JsonValue::parse(json).expect("metrics JSON parses");
+    match metrics_from_json(&doc)
+        .get(name, None)
+        .map(|m| m.kind.clone())
+    {
+        Some(MetricKind::Counter(v)) => v as i64,
+        Some(MetricKind::Gauge(v)) => v,
+        _ => 0,
+    }
+}
+
 fn spill_dirs() -> Vec<PathBuf> {
     let prefix = format!("masort-{}-", std::process::id());
     std::fs::read_dir(std::env::temp_dir())
@@ -152,8 +167,13 @@ fn a_client_that_vanishes_mid_egress_leaves_no_trace() {
     drop(completed); // connection closed with most of the result unsent
 
     wait_until("the abandoned job to be released", || {
-        let s = server_stats(addr).expect("stats");
-        s.live_jobs == 0 && s.completed + s.cancelled + s.failed == 1
+        let json = fetch_metrics(addr).expect("metrics");
+        let ended = [
+            "jobs_completed_total",
+            "jobs_cancelled_total",
+            "jobs_failed_total",
+        ];
+        metric(&json, "jobs_live") == 0 && ended.map(|n| metric(&json, n)).iter().sum::<i64>() == 1
     });
     assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
     let stats = handle.join();
@@ -170,7 +190,8 @@ fn a_shutdown_mid_egress_still_delivers_the_result() {
     let mut got = vec![completed.next().expect("a first tuple").expect("tuple")];
 
     let at_shutdown = shutdown_server(addr).expect("SHUTDOWN");
-    assert_eq!(at_shutdown.live_jobs + at_shutdown.completed, 1);
+    let live = metric(&at_shutdown, "jobs_live");
+    assert_eq!(live + metric(&at_shutdown, "jobs_completed_total"), 1);
     for tuple in &mut completed {
         got.push(tuple.expect("in-flight egress is drained, not cut"));
     }

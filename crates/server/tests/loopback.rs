@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 
 use masort_core::{SortConfig, Tuple};
 use masort_server::{
-    server_stats, shutdown_server, ClientError, ErrorCode, Server, ServerHandle, SortClient,
+    fetch_metrics, shutdown_server, ClientError, ErrorCode, Server, ServerHandle, SortClient,
     SubmitSpec, TenantQuota,
 };
+use masort_trace::{metrics_from_json, JsonValue, MetricKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,6 +31,20 @@ fn small_server() -> ServerHandle {
         .bind("127.0.0.1:0")
         .expect("bind loopback")
         .spawn()
+}
+
+/// Service-wide counter or gauge `name` in a `METRICS_DATA` document; 0 until
+/// first counted.
+fn metric(json: &str, name: &str) -> i64 {
+    let doc = JsonValue::parse(json).expect("metrics JSON parses");
+    match metrics_from_json(&doc)
+        .get(name, None)
+        .map(|m| m.kind.clone())
+    {
+        Some(MetricKind::Counter(v)) => v as i64,
+        Some(MetricKind::Gauge(v)) => v,
+        _ => 0,
+    }
 }
 
 fn shuffled_tuples(seed: u64, n: usize) -> Vec<Tuple> {
@@ -178,13 +193,14 @@ fn a_client_that_vanishes_mid_ingest_leaves_no_trace() {
     // Wait until the server has noticed and torn the job down.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let s = server_stats(addr).expect("stats");
-        if s.cancelled >= 1 && s.live_jobs == 0 && s.queued_jobs == 0 {
+        let s = fetch_metrics(addr).expect("metrics");
+        let cancelled = metric(&s, "jobs_cancelled_total");
+        if cancelled >= 1 && metric(&s, "jobs_live") == 0 && metric(&s, "jobs_queued") == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "server never cleaned up the abandoned job: {s:?}"
+            "server never cleaned up the abandoned job: {s}"
         );
         thread::sleep(Duration::from_millis(50));
     }
@@ -323,6 +339,21 @@ fn version_mismatch_and_garbage_bytes_get_clean_refusals() {
         }
     }
 
+    // A protocol-4 client's service-counters request and reply opcodes are
+    // unknown now: a typed protocol error, not a silent close.
+    for opcode in [0x0C, 0x0D] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(&1u32.to_le_bytes()).unwrap();
+        stream.write_all(&[opcode]).unwrap();
+        match read_frame(&mut std::io::BufReader::new(stream)).expect("server answers") {
+            Some(Frame::Error(e)) => {
+                assert_eq!(e.code, ErrorCode::Protocol);
+                assert!(e.message.contains("unknown opcode"), "{e}");
+            }
+            other => panic!("expected a protocol error frame, got {other:?}"),
+        }
+    }
+
     // Raw garbage: the server must drop the connection without panicking and
     // keep serving.
     let mut garbage = TcpStream::connect(addr).expect("connect");
@@ -353,8 +384,8 @@ fn shutdown_drains_inflight_sorts_before_exiting() {
     let mut completed = client.finish().expect("finish");
     // Pull one chunk so the session is mid-egress, then ask for shutdown.
     let first = completed.next().expect("at least one tuple").expect("ok");
-    let summary = shutdown_server(addr).expect("shutdown handshake");
-    assert!(summary.submitted >= 1);
+    let at_shutdown = shutdown_server(addr).expect("shutdown handshake");
+    assert!(metric(&at_shutdown, "jobs_submitted_total") >= 1);
 
     // The in-flight egress must still complete, sorted and whole, down to
     // its terminal STATS frame: shutdown wakes sessions that wait for input,

@@ -6,7 +6,7 @@ use std::io;
 
 use masort_core::Tuple;
 use masort_server::codec::{decode_frame, encode_frame, read_frame, write_frame};
-use masort_server::{ErrorCode, Frame, JobSummary, ServerSummary, SubmitSpec, WireError};
+use masort_server::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,7 +51,7 @@ fn random_submit_spec(rng: &mut StdRng) -> SubmitSpec {
 }
 
 fn random_frame(rng: &mut StdRng) -> Frame {
-    match rng.next_u64() % 13 {
+    match rng.next_u64() % 15 {
         0 => Frame::Hello {
             version: rng.next_u64() as u32,
             tenant: if rng.gen_bool(0.5) {
@@ -95,19 +95,16 @@ fn random_frame(rng: &mut StdRng) -> Frame {
         }),
         9 => Frame::Cancel,
         10 => Frame::Shutdown,
-        11 => Frame::StatsReq,
-        _ => Frame::ServerStats(ServerSummary {
-            pool_pages: rng.next_u64(),
-            live_jobs: rng.next_u64(),
-            queued_jobs: rng.next_u64(),
-            submitted: rng.next_u64(),
-            completed: rng.next_u64(),
-            failed: rng.next_u64(),
-            rejected: rng.next_u64(),
-            cancelled: rng.next_u64(),
-            leaked_pages: rng.next_u64(),
-            total_reallocations: rng.next_u64(),
-        }),
+        11 => Frame::TraceReq {
+            job: rng.next_u64(),
+        },
+        12 => Frame::TraceData {
+            json: random_string(rng, 120),
+        },
+        13 => Frame::MetricsReq,
+        _ => Frame::MetricsData {
+            json: random_string(rng, 120),
+        },
     }
 }
 
@@ -224,9 +221,12 @@ fn a_protocol_2_submit_body_is_refused_not_misparsed() {
     }
 }
 
+/// `0x0C` and `0x0D` were the service-counters request and reply until
+/// protocol 5; they are unknown opcodes now, like every byte past
+/// `METRICS_DATA`.
 #[test]
 fn garbage_opcodes_are_rejected() {
-    for opcode in 0x12u8..=0xFF {
+    for opcode in [0x0C, 0x0D].into_iter().chain(0x12u8..=0xFF) {
         let err = decode_frame(&[opcode]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "opcode {opcode:#X}");
     }

@@ -15,22 +15,23 @@
 //!
 //! ## The `Trace` handle and the no-op fast path
 //!
-//! Instrumented code never talks to the recorder or the registry directly;
-//! it holds a [`Trace`] — a clone-cheap handle that is either *disabled*
-//! (the default: a `None`, one branch to skip, no clock read, no atomics,
-//! no allocation) or *enabled* (an `Arc` over a recorder + registry pair).
-//! A sort built without tracing therefore behaves **bit-identically** to
-//! one built before this crate existed; enabling the recorder costs one
-//! short mutex hold per checkpoint-granularity event.
+//! Instrumented code never talks to the recorder directly; it holds a
+//! [`Trace`] — a clone-cheap handle that is either *disabled* (the default:
+//! a `None`, one branch to skip, no clock read, no allocation) or *enabled*
+//! (a shared [`Recorder`]). A sort built without tracing therefore behaves
+//! **bit-identically** to one built before this crate existed; enabling the
+//! recorder costs one short mutex hold per checkpoint-granularity event.
+//!
+//! A `Trace` is the recorder and nothing else. Counters live in a
+//! [`MetricsRegistry`] owned by whoever keeps the books — the broker's sort
+//! service owns one and is its only writer — so they count whether or not a
+//! recorder is attached.
 //!
 //! ```
-//! use masort_trace::{EventKind, MetricsRegistry, Recorder, SpanId, Trace};
+//! use masort_trace::{EventKind, Recorder, SpanId, Trace};
 //!
-//! let trace = Trace::enabled(Recorder::new(), MetricsRegistry::new()).with_span(SpanId(7));
+//! let trace = Trace::enabled(Recorder::new()).with_span(SpanId(7));
 //! trace.emit(EventKind::AdmissionGranted { pages: 16 });
-//! if let Some(metrics) = trace.metrics() {
-//!     metrics.counter("pages_granted_total", None).add(16);
-//! }
 //! let timeline = trace.recorder().unwrap().events_for(SpanId(7));
 //! assert_eq!(timeline.len(), 1);
 //!
@@ -60,24 +61,17 @@ pub use metrics::{
 };
 pub use recorder::{Recorder, TraceSnapshot, DEFAULT_CAPACITY};
 
-use std::sync::Arc;
-
-#[derive(Debug)]
-struct TraceInner {
-    recorder: Recorder,
-    metrics: MetricsRegistry,
-}
-
 /// The handle instrumented code carries: either disabled (the default — a
 /// single branch, zero cost on every hot path) or enabled (a shared
-/// recorder + metrics registry plus the [`SpanId`] events are emitted on).
+/// [`Recorder`] plus the [`SpanId`] events are emitted on).
 ///
-/// `Trace` is clone-cheap (an `Option<Arc>` + a `u64`), so it travels by
-/// value into environments, budgets and stores. [`with_span`](Trace::with_span)
-/// rebinds a clone to one job's span without touching the shared state.
+/// `Trace` is clone-cheap (an `Option` over the recorder's `Arc` + a `u64`),
+/// so it travels by value into environments, budgets and stores.
+/// [`with_span`](Trace::with_span) rebinds a clone to one job's span without
+/// touching the shared state.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    inner: Option<Arc<TraceInner>>,
+    recorder: Option<Recorder>,
     span: SpanId,
 }
 
@@ -89,26 +83,25 @@ impl Trace {
         Trace::default()
     }
 
-    /// A live handle over `recorder` and `metrics`, on the
-    /// [service span](SpanId::SERVICE) until re-bound with
-    /// [`with_span`](Trace::with_span).
-    pub fn enabled(recorder: Recorder, metrics: MetricsRegistry) -> Trace {
+    /// A live handle over `recorder`, on the [service span](SpanId::SERVICE)
+    /// until re-bound with [`with_span`](Trace::with_span).
+    pub fn enabled(recorder: Recorder) -> Trace {
         Trace {
-            inner: Some(Arc::new(TraceInner { recorder, metrics })),
+            recorder: Some(recorder),
             span: SpanId::SERVICE,
         }
     }
 
     /// Whether events will actually be recorded.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.recorder.is_some()
     }
 
     /// A clone of this handle bound to `span`. All [`emit`](Trace::emit)
     /// calls through the clone carry that span.
     pub fn with_span(&self, span: SpanId) -> Trace {
         Trace {
-            inner: self.inner.clone(),
+            recorder: self.recorder.clone(),
             span,
         }
     }
@@ -120,19 +113,14 @@ impl Trace {
 
     /// Record `kind` on this handle's span. A no-op when disabled.
     pub fn emit(&self, kind: EventKind) {
-        if let Some(inner) = &self.inner {
-            inner.recorder.record(self.span, kind);
+        if let Some(recorder) = &self.recorder {
+            recorder.record(self.span, kind);
         }
     }
 
     /// The shared recorder, when enabled.
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.inner.as_deref().map(|i| &i.recorder)
-    }
-
-    /// The shared metrics registry, when enabled.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.inner.as_deref().map(|i| &i.metrics)
+        self.recorder.as_ref()
     }
 }
 
@@ -146,13 +134,12 @@ mod tests {
         assert!(!t.is_enabled());
         t.emit(EventKind::AdmissionQueued);
         assert!(t.recorder().is_none());
-        assert!(t.metrics().is_none());
         assert_eq!(t.span(), SpanId::SERVICE);
     }
 
     #[test]
     fn with_span_rebinds_a_clone_onto_one_timeline() {
-        let t = Trace::enabled(Recorder::new(), MetricsRegistry::new());
+        let t = Trace::enabled(Recorder::new());
         let a = t.with_span(SpanId(1));
         let b = t.with_span(SpanId(2));
         a.emit(EventKind::AdmissionGranted { pages: 3 });
@@ -160,9 +147,5 @@ mod tests {
         let rec = t.recorder().unwrap();
         assert_eq!(rec.events_for(SpanId(1)).len(), 1);
         assert_eq!(rec.events_for(SpanId(2)).len(), 1);
-        // Both clones share one registry.
-        a.metrics().unwrap().counter("x", None).inc();
-        b.metrics().unwrap().counter("x", None).inc();
-        assert_eq!(t.metrics().unwrap().snapshot().counter("x", None), Some(2));
     }
 }

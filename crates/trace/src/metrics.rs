@@ -189,9 +189,9 @@ struct Key {
 /// The registry's own mutex is held only to *register* (get-or-create) a
 /// metric; the returned [`Counter`]/[`Gauge`]/[`Histogram`] handles update
 /// lock-free atomics, so hot paths register once and update forever after
-/// without touching the registry. When tracing is disabled no registry
-/// exists at all — the no-op fast path is a single branch on an `Option`,
-/// with no atomics, no clock reads and no allocation.
+/// without touching the registry. A registry is independent of any
+/// [`Trace`](crate::Trace): its owner (the broker's sort service) writes it
+/// whether or not a recorder is attached.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<BTreeMap<Key, Metric>>>,

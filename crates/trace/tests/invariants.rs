@@ -107,7 +107,7 @@ fn histogram_counts_are_exact_under_contention() {
 #[test]
 fn span_ordering_is_happens_before_consistent_across_threads() {
     const ROUNDS: u64 = 500;
-    let trace = Trace::enabled(Recorder::new(), MetricsRegistry::new()).with_span(SpanId(42));
+    let trace = Trace::enabled(Recorder::new()).with_span(SpanId(42));
     let turn = Arc::new(AtomicU64::new(0));
 
     let worker = {
@@ -168,10 +168,7 @@ fn span_ordering_is_happens_before_consistent_across_threads() {
 fn concurrent_spans_keep_their_own_program_order() {
     const SPANS: u64 = 8;
     const EVENTS: usize = 2_000;
-    let base = Trace::enabled(
-        Recorder::with_capacity(SPANS as usize * EVENTS),
-        MetricsRegistry::new(),
-    );
+    let base = Trace::enabled(Recorder::with_capacity(SPANS as usize * EVENTS));
     let handles: Vec<_> = (0..SPANS)
         .map(|s| {
             let t = base.with_span(SpanId(s + 1));

@@ -63,29 +63,23 @@ fn main() -> Result<(), SortError> {
         assert_eq!(count, 120_000);
         // The job's books, closed when its grant went back to the pool.
         let report = output.finish();
-        let s = &report.stats;
         println!(
             "{:>3}  {:>4}  {:>5}  {:>8}  {:>6}  {:>10.2}  {:>7.2}",
-            s.job,
+            report.job,
             priority,
-            s.initial_grant,
-            s.reallocations,
-            s.delay_samples,
-            s.queued_for * 1e3,
-            s.ran_for * 1e3,
+            report.initial_grant,
+            report.reallocations,
+            report.outcome.delays.len(),
+            report.queued_for * 1e3,
+            report.ran_for * 1e3,
         );
     }
 
     let stats = service.shutdown();
     println!(
-        "\n{} sorts completed; {} rebalances across {} resizes; \
-         peak {} live / {} queued; {} mid-flight reallocations total",
-        stats.completed,
-        stats.rebalances,
-        stats.resizes,
-        stats.peak_live,
-        stats.peak_queued,
-        stats.total_reallocations,
+        "\n{} sorts completed; {} rebalances; peak {} live; \
+         {} mid-flight reallocations total",
+        stats.completed, stats.rebalances, stats.peak_live, stats.total_reallocations,
     );
     Ok(())
 }
