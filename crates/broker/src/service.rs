@@ -1030,6 +1030,22 @@ mod tests {
     }
 
     #[test]
+    fn impossible_request_is_rejected_not_queued() {
+        let svc = SortService::builder().pool_pages(8).workers(1).build();
+        let err = svc
+            .submit(SortRequest::tuples(small_cfg(4), Vec::new()).min_pages(9))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SortError::BudgetStarved {
+                needed: 9,
+                granted: 8
+            }
+        ));
+        assert_eq!(svc.stats().rejected, 1);
+    }
+
+    #[test]
     fn invalid_config_is_rejected_at_submit() {
         let svc = SortService::builder().pool_pages(8).workers(1).build();
         let mut cfg = small_cfg(4);
@@ -1046,6 +1062,31 @@ mod tests {
             .submit(SortRequest::tuples(cfg, vec![Tuple::synthetic(1, 64)]))
             .unwrap_err();
         assert!(matches!(err, SortError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn pool_shrink_fails_queued_requests_that_no_longer_fit() {
+        // One worker, and a long-running job holding the pool, so the
+        // big-minimum request is still queued when the pool shrinks.
+        let svc = SortService::builder().pool_pages(32).workers(1).build();
+        let blocker = svc
+            .submit(SortRequest::tuples(small_cfg(8), random_tuples(30_000, 3)).min_pages(2))
+            .unwrap();
+        let doomed = svc
+            .submit(SortRequest::tuples(small_cfg(8), Vec::new()).min_pages(24))
+            .unwrap();
+        svc.resize_pool(12);
+        match doomed.wait() {
+            Err(SortError::BudgetStarved {
+                needed: 24,
+                granted: 12,
+            }) => {}
+            other => panic!("expected BudgetStarved, got {other:?}"),
+        }
+        blocker.wait().unwrap();
+        let stats = svc.shutdown();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.completed, 1);
     }
 
     #[test]
