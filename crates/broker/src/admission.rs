@@ -88,11 +88,6 @@ impl AdmissionQueue {
             .position(|r| broker.can_admit(r.min_pages))
     }
 
-    /// Whether [`pop_admissible`](Self::pop_admissible) would find a request.
-    pub fn has_admissible(&self, broker: &MemoryBroker) -> bool {
-        self.first_admissible(broker).is_some()
-    }
-
     /// Remove and return the first admissible request, counting the bypass
     /// against every request it overtakes.
     pub fn pop_admissible(&mut self, broker: &MemoryBroker) -> Option<QueuedRequest> {

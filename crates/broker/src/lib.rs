@@ -45,8 +45,8 @@
 //! service.resize_pool(48);         // ... and give it back
 //!
 //! for ticket in tickets {
-//!     // Resolves when the sort is down to its last merge step; the tuples
-//!     // then come off that step as the worker holding the grant runs it.
+//!     // Resolves when the sort is down to its last merge step; reading
+//!     // the output runs that step, on this thread.
 //!     let mut output = ticket.wait()?;
 //!     let mut previous = 0u64;
 //!     for tuple in output.by_ref() {
@@ -62,16 +62,16 @@
 //!
 //! ## Results are streamed, and nobody waits behind a slow reader
 //!
-//! A job's worker — the thread that holds its grant — executes the last
-//! merge step itself and hands the pages to the [`JobOutput`] across a small
-//! bounded queue, so a reader that keeps up gets the result without it ever
-//! being written, and the grant returns to the pool when the merge has
-//! produced its last page. A reader that falls behind is waited for while
-//! nothing else wants the worker or the grant (the worker keeps answering
-//! budget changes meanwhile); the moment a queued request does, or after the
-//! service's `suspension_wait`, the worker settles the remainder into one
-//! run, releases, and the reader gets the rest from that run on its own
-//! thread.
+//! A job's worker runs the sort down to its last merge step, resolves the
+//! ticket and goes back to the queue. The step stays parked in the
+//! [`JobOutput`], and whoever reads the output executes it on their own
+//! thread, so a reader gets the result without it ever being written, and
+//! the grant returns to the pool when the last page has been read. A reader
+//! that stops holds no thread and no memory anybody waits for: a budget
+//! moved meanwhile is answered at once by whoever moved it, which runs the
+//! parked merge's checkpoint; a queued request that does not fit beside the
+//! live minimums, or a shutdown, has the remainder settled into one run and
+//! the job released, and the reader gets the rest from that run.
 //!
 //! ## Admission control
 //!

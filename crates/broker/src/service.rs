@@ -6,7 +6,7 @@ use crate::broker::MemoryBroker;
 use crate::policy::JobDemand;
 // `ServiceStats` and the counter names it reads.
 use crate::stats::*;
-use crate::ticket::{HandOff, JobEnd, JobId, JobOutput, JobReport, Room, SortTicket, TicketShared};
+use crate::ticket::{JobId, JobOutput, JobReport, SortTicket, TicketShared};
 use masort_core::sync::thread::{self, JoinHandle};
 use masort_core::sync::{Condvar, Mutex, MutexGuard};
 use masort_core::{
@@ -269,7 +269,7 @@ impl SortServiceBuilder {
                 queue: AdmissionQueue::default(),
                 metrics: MetricsRegistry::new(),
                 next_job: 0,
-                idle_workers: 0,
+                parked: Vec::new(),
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -294,8 +294,8 @@ struct State {
     /// once per event under this lock.
     metrics: MetricsRegistry,
     next_job: JobId,
-    /// Workers waiting for something admissible to appear in the queue.
-    idle_workers: usize,
+    /// The jobs at their root that are not released yet.
+    parked: Vec<Arc<Root>>,
     shutdown: bool,
 }
 
@@ -347,7 +347,7 @@ pub(crate) struct Shared {
     start: Instant,
     suspension_wait: Duration,
     /// Service-wide observability handle; jobs emit on [`job_span`] rebinds.
-    pub(crate) trace: Trace,
+    trace: Trace,
     state: Mutex<State>,
     work: Condvar,
 }
@@ -361,42 +361,36 @@ impl Shared {
         self.state.lock()
     }
 
-    /// Why a worker waiting on its job's consumer should stop waiting, if it
-    /// should: the service is shutting down, or a request is queued that
-    /// nobody will run while this worker waits — no worker is free for it,
-    /// or the live jobs' grants leave no room for it.
-    fn call_on_worker(&self) -> Option<RootEnd> {
-        let st = self.lock();
-        if st.shutdown {
-            Some(RootEnd::Shutdown)
-        } else if !st.queue.is_empty()
-            && (st.idle_workers == 0 || !st.queue.has_admissible(&st.broker))
-        {
-            Some(RootEnd::QueuedRequest)
-        } else {
-            None
-        }
+    /// Cancel job `job` on the service's side. A job still queued is
+    /// removed and counted, and `true` says its ticket is the caller's to
+    /// resolve; a job at its root has the cancel seen by its checkpoint now.
+    pub(crate) fn cancel(&self, job: JobId) -> bool {
+        let mut st = self.lock();
+        let Some(req) = st.queue.remove(job) else {
+            let root = st.parked.iter().find(|root| root.job == job).cloned();
+            drop(st);
+            self.answer(root);
+            return false;
+        };
+        st.count(CANCELLED, req.tenant.as_deref(), 1);
+        drop(st);
+        self.trace
+            .with_span(job_span(job))
+            .emit(EventKind::Cancelled);
+        // The request (and its boxed input source) dies outside the state
+        // lock.
+        drop(req);
+        true
     }
 
-    /// Remove job `job` from the admission queue, if it is still queued, and
-    /// account the cancellation. Returns whether the job was removed — if so
-    /// the caller owns its ticket's resolution; if not the job is running (or
-    /// done) and cancellation travels through its budget instead.
-    pub(crate) fn cancel_queued(&self, job: JobId) -> bool {
-        let mut st = self.lock();
-        match st.queue.remove(job) {
-            Some(req) => {
-                st.count(CANCELLED, req.tenant.as_deref(), 1);
-                drop(st);
-                self.trace
-                    .with_span(job_span(job))
-                    .emit(EventKind::Cancelled);
-                // The request (and its boxed input source) dies outside the
-                // state lock.
-                drop(req);
-                true
+    /// Have each of `roots` answer its budget at once, by running the
+    /// checkpoint its merge runs between pages. A root whose consumer is
+    /// mid-pull is skipped: that pull is the answer.
+    fn answer(&self, roots: impl IntoIterator<Item = Arc<Root>>) {
+        for root in roots {
+            if let Some(mut slot) = root.slot.try_lock() {
+                slot.checkpoint(self);
             }
-            None => false,
         }
     }
 }
@@ -506,7 +500,9 @@ impl SortService {
         for req in &doomed {
             st.count(REJECTED, req.tenant.as_deref(), 1);
         }
+        let moved = st.parked.clone();
         drop(st);
+        self.shared.answer(moved);
         for req in doomed {
             self.shared
                 .trace
@@ -533,11 +529,6 @@ impl SortService {
         self.shared.lock().broker.live_count()
     }
 
-    /// Number of requests waiting for admission.
-    pub fn queued_jobs(&self) -> usize {
-        self.shared.lock().queue.len()
-    }
-
     /// Snapshot of the service's metrics: every counter and histogram it
     /// keeps (service-wide and per tenant), and the `pool_pages`,
     /// `jobs_live` and `jobs_queued` gauges, all as of one moment.
@@ -552,9 +543,10 @@ impl SortService {
         ServiceStats::read(&st.snapshot(), &st.broker)
     }
 
-    /// Stop accepting submissions, drain the queue, join the workers, and
-    /// return the final statistics. Every issued ticket is fulfilled before
-    /// this returns.
+    /// Stop accepting submissions, drain the queue, join the workers, settle
+    /// every result still at its root, and return the final statistics.
+    /// Every issued ticket is fulfilled and every job released before this
+    /// returns.
     pub fn shutdown(mut self) -> ServiceStats {
         self.join_workers();
         self.stats()
@@ -569,6 +561,10 @@ impl SortService {
         self.begin_shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
+        }
+        let parked = self.shared.lock().parked.clone();
+        for root in parked {
+            root.slot.lock().settle(&self.shared, RootEnd::Shutdown);
         }
     }
 }
@@ -590,7 +586,7 @@ struct Admitted {
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let admitted = {
+        let (admitted, moved) = {
             let mut st = shared.lock();
             loop {
                 let state = &mut *st;
@@ -618,42 +614,47 @@ fn worker_loop(shared: Arc<Shared>) {
                         req.tenant.as_deref(),
                         snapshot.target as u64,
                     );
-                    break Admitted {
+                    let admitted = Admitted {
                         req,
                         initial_grant: snapshot.target,
                         start_version: snapshot.version,
                         budget,
                         admitted_at: now,
                     };
+                    break (admitted, state.parked.clone());
+                }
+                // A request is queued that does not fit beside the live
+                // minimums: a parked root makes room, by settling.
+                let root = st.parked.first().filter(|_| !st.queue.is_empty());
+                if let Some(root) = root.cloned() {
+                    drop(st);
+                    root.slot.lock().settle(&shared, RootEnd::QueuedRequest);
+                    st = shared.lock();
+                    continue;
                 }
                 if st.shutdown && st.queue.is_empty() {
                     return;
                 }
-                st.idle_workers += 1;
                 st = shared.work.wait(st);
-                st.idle_workers -= 1;
             }
         };
+        // The admission moved every live target; the parked roots follow.
+        shared.answer(moved);
         run_admitted(&shared, admitted);
-        // A completion frees committed minimums: queued requests may now fit.
-        shared.work.notify_all();
     }
 }
 
-/// How a job's last merge step ended on its worker, and so whether (and why)
-/// part of its result went through the store.
+/// How a job's last merge step ended, and so whether (and why) part of its
+/// result went through the store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RootEnd {
-    /// The merge produced its last page into the hand-off.
+    /// The consumer pulled the last page.
     Exhausted,
-    /// The consumer was behind and a queued request needed this worker or
-    /// this grant.
+    /// A queued request needed the memory the root held.
     QueuedRequest,
-    /// The consumer took no page for the service's `suspension_wait`.
-    Stall,
-    /// The consumer was behind and the service is shutting down.
+    /// The service shut down with the result unread.
     Shutdown,
-    /// The consumer hung up, or the ticket was cancelled.
+    /// The consumer ended the output early, or the ticket was cancelled.
     Cancelled,
     /// The merge failed.
     Failed,
@@ -664,7 +665,6 @@ impl RootEnd {
         match self {
             RootEnd::Exhausted => "exhausted",
             RootEnd::QueuedRequest => "queued-request",
-            RootEnd::Stall => "stall",
             RootEnd::Shutdown => "shutdown",
             RootEnd::Cancelled => "cancelled",
             RootEnd::Failed => "failed",
@@ -672,118 +672,221 @@ impl RootEnd {
     }
 }
 
-/// Wait until the hand-off has room for a page, or until the wait should
-/// end some other way. While the consumer is behind, the worker stays the
-/// budget's correspondent — one root checkpoint per `tick` — and nobody
-/// queues behind it: the wait ends on the first look that finds a request
-/// it is holding up, and after `suspension_wait` whatever happens.
-fn wait_for_consumer(
-    shared: &Shared,
-    sort: &mut SortCompletion<ServiceStore>,
-    hand_off: &HandOff,
-    tick: Duration,
-) -> SortResult<Option<RootEnd>> {
-    let mut room = hand_off.room(None);
-    let mut behind_since: Option<Instant> = None;
-    loop {
-        match room {
-            Room::Free => return Ok(None),
-            Room::Gone => return Ok(Some(RootEnd::Cancelled)),
-            Room::Full => {}
-        }
-        match behind_since {
-            None => behind_since = Some(Instant::now()),
-            Some(since) => {
-                sort.checkpoint()?;
-                if since.elapsed() >= shared.suspension_wait {
-                    return Ok(Some(RootEnd::Stall));
-                }
-            }
-        }
-        if let Some(end) = shared.call_on_worker() {
-            return Ok(Some(end));
-        }
-        room = hand_off.room(Some(tick));
+/// A job at its root. Whoever holds its [`JobOutput`] executes the root on
+/// their own thread; the service keeps a handle, through which whoever moves
+/// the budget runs the root's checkpoint and a worker settles the root when a
+/// queued request needs its memory. Lock order: a root, then the state.
+#[derive(Debug)]
+pub(crate) struct Root {
+    job: JobId,
+    slot: Mutex<RootSlot>,
+}
+
+#[derive(Debug)]
+struct RootSlot {
+    /// The parked sort until it is closed; after a settle, the run the rest
+    /// of the result went into.
+    sort: Option<SortCompletion<ServiceStore>>,
+    /// What the job's release needs; taken by it, so it happens once.
+    books: Option<Books>,
+    /// The job's report, from its release until it is taken.
+    report: Option<JobReport>,
+    /// What ended the result while nobody pulled, for the next pull.
+    error: Option<SortError>,
+    tuples_streamed: usize,
+}
+
+impl Root {
+    /// The next page of the result, merged on the caller's thread.
+    pub(crate) fn pull(&self, shared: &Shared) -> SortResult<Option<Vec<Tuple>>> {
+        self.slot.lock().pull(shared)
+    }
+
+    /// End the result wherever it stands; the job's report, the first time.
+    pub(crate) fn finish(&self, shared: &Shared) -> Option<JobReport> {
+        let mut slot = self.slot.lock();
+        slot.end(shared, RootEnd::Cancelled, None);
+        slot.report.take()
     }
 }
 
-/// What is left of a job once its worker is done with the last merge step.
-struct RootDone {
-    end: RootEnd,
-    error: Option<SortError>,
-    outcome: SortOutcome,
-    tuples_streamed: usize,
-    /// The remainder of the result, if the worker settled it.
-    rest: Option<SortCompletion<ServiceStore>>,
-}
-
-/// Execute the job's last merge step on this thread — the one holding the
-/// grant — handing each page to the consumer as it is produced. The step
-/// ends exhausted, or cut short by its consumer, a cancel or a failure, or
-/// with the remainder settled into one run because the consumer fell behind
-/// when the worker or the grant was wanted elsewhere.
-fn drive_root(
-    shared: &Shared,
-    mut sort: SortCompletion<ServiceStore>,
-    hand_off: &HandOff,
-    tick: Duration,
-) -> RootDone {
-    let mut tuples_streamed = 0;
-    let ended = loop {
-        match wait_for_consumer(shared, &mut sort, hand_off, tick) {
-            Ok(None) => {}
-            Ok(Some(end)) => break Ok(end),
-            Err(e) => break Err(e),
+impl RootSlot {
+    fn pull(&mut self, shared: &Shared) -> SortResult<Option<Vec<Tuple>>> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
         }
+        let Some(sort) = &mut self.sort else {
+            return Ok(None);
+        };
         match sort.next_page() {
             Ok(Some(page)) => {
-                tuples_streamed += page.len();
-                hand_off.push(page);
+                self.tuples_streamed += page.len();
+                Ok(Some(page))
             }
-            Ok(None) => break Ok(RootEnd::Exhausted),
-            Err(e) => break Err(e),
+            Ok(None) => {
+                self.end(shared, RootEnd::Exhausted, None);
+                Ok(None)
+            }
+            Err(e) => {
+                self.end(shared, RootEnd::Failed, Some(&e));
+                Err(e)
+            }
         }
-    };
-    if let Ok(end @ (RootEnd::QueuedRequest | RootEnd::Stall | RootEnd::Shutdown)) = ended {
-        // The consumer is behind and the worker or the grant is wanted:
-        // finish the merge into one run under the grant, for the consumer to
-        // read on its own. (A failed settle takes the sort, and its books,
-        // with it.)
-        let so_far = sort.outcome.clone();
-        return match sort.settle() {
-            Ok(settled) => RootDone {
-                end,
-                error: None,
-                outcome: settled.outcome.clone(),
-                tuples_streamed,
-                rest: Some(settled),
-            },
-            Err(e) => RootDone {
-                end: RootEnd::Failed,
-                error: Some(e),
-                outcome: so_far,
-                tuples_streamed,
-                rest: None,
-            },
-        };
     }
-    // Closes the sort wherever it stands: runs deleted, pages back.
-    let outcome = sort.into_stream().finish();
-    let (end, error) = match ended {
-        Ok(end) => (end, None),
-        Err(SortError::Cancelled) => (RootEnd::Cancelled, Some(SortError::Cancelled)),
-        Err(e) => (RootEnd::Failed, Some(e)),
-    };
-    RootDone {
-        end,
-        error,
-        outcome,
-        tuples_streamed,
-        rest: None,
+
+    /// What the merge does between two pages, for a budget that moved while
+    /// nobody pulls. An error (a cancel) ends the result.
+    fn checkpoint(&mut self, shared: &Shared) {
+        let Some(sort) = self.sort.as_mut().filter(|_| self.books.is_some()) else {
+            return;
+        };
+        if let Err(e) = sort.checkpoint() {
+            self.end(shared, RootEnd::Failed, Some(&e));
+            self.error = Some(e);
+        }
+    }
+
+    /// Finish the merge into one stored run and release the job; the run
+    /// stays here, for the consumer to read on an allowance of its own.
+    fn settle(&mut self, shared: &Shared, why: RootEnd) {
+        if self.books.is_none() {
+            return;
+        }
+        match self.sort.take().expect("an unreleased root").settle() {
+            Ok(settled) => {
+                let outcome = settled.outcome.clone();
+                self.sort = Some(settled);
+                self.release(shared, why, outcome, None);
+            }
+            Err(e) => {
+                self.release(shared, RootEnd::Failed, SortOutcome::default(), Some(&e));
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// Close the sort where it stands (runs deleted, pages back) and
+    /// release the job, unless that happened already.
+    fn end(&mut self, shared: &Shared, end: RootEnd, error: Option<&SortError>) {
+        let outcome = self.sort.take().map(|sort| sort.into_stream().finish());
+        self.release(shared, end, outcome.unwrap_or_default(), error);
+    }
+
+    fn release(
+        &mut self,
+        shared: &Shared,
+        end: RootEnd,
+        outcome: SortOutcome,
+        error: Option<&SortError>,
+    ) {
+        let Some(books) = self.books.take() else {
+            return;
+        };
+        let end = match error {
+            None => end,
+            Some(SortError::Cancelled) => RootEnd::Cancelled,
+            Some(_) => RootEnd::Failed,
+        };
+        let root = (end, outcome, self.tuples_streamed);
+        self.report = books.close(shared, error, Some(root));
     }
 }
 
-fn run_admitted(shared: &Shared, admitted: Admitted) {
+/// What closing a job's books needs, kept from its admission.
+#[derive(Debug)]
+struct Books {
+    job: JobId,
+    tenant: Option<String>,
+    ticket: Arc<TicketShared>,
+    budget: MemoryBudget,
+    trace: Trace,
+    tuples_per_page: usize,
+    initial_grant: usize,
+    start_version: u64,
+    submitted_at: f64,
+    admitted_at: f64,
+}
+
+impl Books {
+    /// Give the job's grant back and close its books. `root` is how the
+    /// root ended, with the final outcome and the tuples streamed off it,
+    /// for a job that reached it; such a job gets its report.
+    fn close(
+        self,
+        shared: &Shared,
+        error: Option<&SortError>,
+        root: Option<(RootEnd, SortOutcome, usize)>,
+    ) -> Option<JobReport> {
+        // Reallocations observed strictly after the initial grant and before
+        // this job's own release below (which only re-targets the survivors).
+        let reallocations = self.budget.version().saturating_sub(self.start_version);
+        // Whatever the sort still records as held after finishing
+        // (successfully or not) was never handed back: a leak. Measured
+        // before `release` so a post-release rebalance cannot mask it.
+        let leaked = self.budget.held();
+        let finished_at = shared.now();
+        let tenant = self.tenant.as_deref();
+        let mut st = shared.lock();
+        st.broker.release(self.job, finished_at);
+        st.parked.retain(|root| root.job != self.job);
+        st.count(LEAKED_PAGES, tenant, leaked as u64);
+        // The job's books, taken now: the outcome is final (the merge ran to
+        // its end, was settled, or was closed) and the grant has just gone
+        // back.
+        let mut root_finished = None;
+        let report = root.map(|(end, outcome, streamed)| {
+            let pages = |tuples: usize| tuples.div_ceil(self.tuples_per_page) as u64;
+            let pages_settled = match end {
+                RootEnd::QueuedRequest | RootEnd::Shutdown => {
+                    pages(outcome.split.total_tuples() - streamed)
+                }
+                _ => 0,
+            };
+            let pages_streamed = pages(streamed);
+            st.count("egress_pages_streamed_total", tenant, pages_streamed);
+            st.count("egress_pages_settled_total", tenant, pages_settled);
+            root_finished = Some((pages_streamed, pages_settled, end.name()));
+            JobReport {
+                outcome,
+                job: self.job,
+                queued_for: (self.admitted_at - self.submitted_at).max(0.0),
+                ran_for: (finished_at - self.admitted_at).max(0.0),
+                initial_grant: self.initial_grant,
+                reallocations,
+                trace: self.trace.clone(),
+            }
+        });
+        match (error, &report) {
+            (None, Some(report)) => st.count_completed(report, tenant),
+            (None, None) => unreachable!("a job without an error reached its root"),
+            (Some(SortError::Cancelled), _) => st.count(CANCELLED, tenant, 1),
+            (Some(_), _) => st.count(FAILED, tenant, 1),
+        }
+        // Under the state lock, so that whoever reads the counters above also
+        // finds the ticket past cancelling.
+        self.ticket.job_over();
+        let moved = st.parked.clone();
+        drop(st);
+        // A release frees a committed minimum and moves the survivors'
+        // targets: queued requests may fit now, parked roots follow.
+        shared.work.notify_all();
+        shared.answer(moved);
+        // Was this job's result written, and why.
+        if let Some((pages_streamed, pages_settled, reason)) = root_finished {
+            self.trace.emit(EventKind::RootFinished {
+                pages_streamed,
+                pages_settled,
+                reason,
+            });
+        }
+        if let Some(SortError::Cancelled) = error {
+            self.trace.emit(EventKind::Cancelled);
+        }
+        report
+    }
+}
+
+fn run_admitted(shared: &Arc<Shared>, admitted: Admitted) {
     let Admitted {
         req,
         budget,
@@ -814,7 +917,6 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
     let mut env = RealEnv::starting_at(shared.start);
     env.max_wait = shared.suspension_wait;
     env.trace = trace.clone();
-    let tick = env.poll_interval;
     // A panicking job (e.g. a user-supplied `InputSource`) must not take the
     // worker thread down with it: its pages would stay committed forever and
     // its ticket would never be resolved. Contain the unwind and surface it
@@ -828,112 +930,57 @@ fn run_admitted(shared: &Shared, admitted: Admitted) {
                 .env(env)
                 .budget(budget.clone())
                 .build()?
-                // This thread stays with the root and answers for the
-                // budget until the grant goes back, so there is nothing to
-                // settle for: the root parks, and `drive_root` executes it.
+                // The root parks: the output's holder executes it, and
+                // whoever moves the budget runs its checkpoint meanwhile.
                 .run_to_root()
         })
     }))
     .unwrap_or_else(|panic| Err(panic_error(panic)));
 
-    // A sort that is down to its root resolves its ticket now; the worker
-    // executes the root into the hand-off and lets go of the job below.
-    let (hand_off, done, error) = match root {
+    let books = Books {
+        job,
+        tenant,
+        ticket: Arc::clone(&ticket),
+        budget,
+        trace,
+        tuples_per_page,
+        initial_grant,
+        start_version,
+        submitted_at,
+        admitted_at,
+    };
+    match root {
         Ok(sort) => {
-            let hand_off = Arc::new(HandOff::default());
-            ticket.fulfill(Ok(JobOutput::new(Arc::clone(&hand_off))));
-            let mut done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                drive_root(shared, sort, &hand_off, tick)
-            }))
-            .unwrap_or_else(|panic| RootDone {
-                end: RootEnd::Failed,
-                error: Some(panic_error(panic)),
-                outcome: SortOutcome::default(),
+            let slot = RootSlot {
+                sort: Some(sort),
+                books: Some(books),
+                report: None,
+                error: None,
                 tuples_streamed: 0,
-                rest: None,
-            });
-            let error = done.error.take();
-            (Some(hand_off), Some(done), error)
-        }
-        Err(e) => (None, None, Some(e)),
-    };
-    // A cancelled job did what it was told; count it apart from genuine
-    // failures. A sort that was blocked on a streaming input when the cancel
-    // landed reports its abandoned channel's I/O error instead of
-    // `Cancelled` — normalise it, so cancellation accounting is
-    // deterministic for the caller.
-    let error = error.map(|e| match ticket.cancel_requested() {
-        true => SortError::Cancelled,
-        false => e,
-    });
-
-    // Reallocations observed strictly after the initial grant and before this
-    // job's own release below (which only re-targets the survivors).
-    let reallocations = budget.version().saturating_sub(start_version);
-    // Whatever the sort still records as held after finishing (successfully
-    // or not) was never handed back: a leak. Measured before `release` so a
-    // post-release rebalance cannot mask it.
-    let leaked = budget.held();
-    let finished_at = shared.now();
-    let tenant = tenant.as_deref();
-    let mut st = shared.lock();
-    st.broker.release(job, finished_at);
-    st.count(LEAKED_PAGES, tenant, leaked as u64);
-    // The job's books, taken now: the outcome is final (the merge ran to its
-    // end, was settled, or was closed) and the grant has just gone back.
-    let (report, rest, root_finished) = match done {
-        None => (None, None, None),
-        Some(done) => {
-            let outcome = done.outcome;
-            let pages = |tuples: usize| tuples.div_ceil(tuples_per_page) as u64;
-            let pages_settled = match done.rest {
-                Some(_) => pages(outcome.split.total_tuples() - done.tuples_streamed),
-                None => 0,
             };
-            let pages_streamed = pages(done.tuples_streamed);
-            st.count("egress_pages_streamed_total", tenant, pages_streamed);
-            st.count("egress_pages_settled_total", tenant, pages_settled);
-            let report = JobReport {
-                outcome,
+            let root = Arc::new(Root {
                 job,
-                queued_for: (admitted_at - submitted_at).max(0.0),
-                ran_for: (finished_at - admitted_at).max(0.0),
-                initial_grant,
-                reallocations,
-                trace: trace.clone(),
-            };
-            let root_finished = (pages_streamed, pages_settled, done.end.name());
-            (Some(report), done.rest, Some(root_finished))
+                slot: Mutex::new(slot),
+            });
+            shared.lock().parked.push(Arc::clone(&root));
+            // A move or a cancel since the sort last looked found no root to
+            // answer it.
+            shared.answer(Some(Arc::clone(&root)));
+            ticket.fulfill(Ok(JobOutput::new(root, Arc::clone(shared))));
         }
-    };
-    match (&error, &report) {
-        (None, Some(report)) => st.count_completed(report, tenant),
-        (None, None) => unreachable!("a job without an error reached its root"),
-        (Some(SortError::Cancelled), _) => st.count(CANCELLED, tenant, 1),
-        (Some(_), _) => st.count(FAILED, tenant, 1),
-    }
-    // Under the state lock, so that whoever reads the counters above also
-    // finds the ticket past cancelling.
-    ticket.job_over();
-    drop(st);
-    // Was this job's result written, and why.
-    if let Some((pages_streamed, pages_settled, reason)) = root_finished {
-        trace.emit(EventKind::RootFinished {
-            pages_streamed,
-            pages_settled,
-            reason,
-        });
-    }
-    if let Some(SortError::Cancelled) = error {
-        trace.emit(EventKind::Cancelled);
-    }
-    match (hand_off, report) {
-        (Some(hand_off), Some(report)) => hand_off.finish(JobEnd {
-            error,
-            rest,
-            report,
-        }),
-        _ => ticket.fulfill(Err(error.expect("a job that never had an output failed"))),
+        Err(e) => {
+            // A cancelled job did what it was told; count it apart from
+            // genuine failures. A sort that was blocked on a streaming input
+            // when the cancel landed reports its abandoned channel's I/O
+            // error instead of `Cancelled` — normalise it, so cancellation
+            // accounting is deterministic for the caller.
+            let e = match ticket.cancel_requested() {
+                true => SortError::Cancelled,
+                false => e,
+            };
+            books.close(shared, Some(&e), None);
+            ticket.fulfill(Err(e));
+        }
     }
 }
 
@@ -1242,27 +1289,6 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.leaked_pages, 0, "cancelled job leaked pages");
         assert_eq!(metrics.counter(CANCELLED, Some("acme")), Some(1));
-    }
-
-    #[test]
-    fn cancel_after_completion_is_a_no_op() {
-        let svc = SortService::builder().pool_pages(8).workers(1).build();
-        // Two pages: the whole result fits the hand-off, so the job is over
-        // (merge exhausted, grant back) without anybody reading.
-        let input = random_tuples(16, 15);
-        let ticket = svc
-            .submit(SortRequest::tuples(small_cfg(4), input.clone()))
-            .unwrap();
-        while svc.stats().completed == 0 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        assert!(ticket.is_done());
-        assert!(!ticket.cancel(), "finished job cannot be cancelled");
-        let sorted = ticket.wait().unwrap().into_sorted_vec().unwrap();
-        assert_sorted_permutation(&input, &sorted);
-        let stats = svc.shutdown();
-        assert_eq!(stats.cancelled, 0);
-        assert_eq!(stats.completed, 1);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Tickets: the handle a caller holds while a submitted sort is queued and
-//! running, the output it redeems for once the sort is down to its last merge
-//! step, and the hand-off that carries that step's pages from the worker
-//! holding the grant to the caller.
+//! running, and the output it redeems for once the sort is down to its last
+//! merge step — which the output's holder then executes on their own thread.
 
-use crate::service::{ServiceStore, Shared};
+use crate::service::{Root, Shared};
 use masort_core::sync::{Condvar, Mutex};
-use masort_core::{MemoryBudget, SortCompletion, SortError, SortOutcome, SortResult, Tuple};
-use std::collections::VecDeque;
+use masort_core::{MemoryBudget, SortError, SortOutcome, SortResult, Tuple};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -61,9 +59,9 @@ pub(crate) struct TicketShared {
 impl TicketShared {
     /// Resolve the ticket and wake every waiter. Must be called at most once
     /// per ticket. A job that ended without an output is over; one that
-    /// resolves to an output is over when its worker says so
+    /// resolves to an output is over when it is released
     /// ([`job_over`](Self::job_over)). If the ticket is gone the result is
-    /// dropped here, which hangs up on the worker.
+    /// dropped here, which ends the job.
     pub(crate) fn fulfill(&self, result: SortResult<JobOutput>) {
         if result.is_err() {
             self.job_over();
@@ -102,16 +100,12 @@ impl TicketShared {
         true
     }
 
-    /// Called by the worker once the job's grant is back with the broker.
+    /// Called once the job's grant is back with the broker.
     pub(crate) fn job_over(&self) {
         self.cancel.lock().over = true;
     }
 
-    fn is_over(&self) -> bool {
-        self.cancel.lock().over
-    }
-
-    /// Whether a cancel was ever requested for this job. The worker uses it
+    /// Whether a cancel was ever requested for this job. The service uses it
     /// to classify the job's final error: a cancelled sort usually aborts at
     /// a budget checkpoint with `SortError::Cancelled`, but one blocked on a
     /// streaming input can instead surface the I/O error of its abandoned
@@ -161,9 +155,9 @@ impl SortTicket {
     /// its [`MemoryBudget`] flagged; the sort observes the flag at its next
     /// adaptivity checkpoint (the same points where it polls for memory
     /// changes), aborts with [`SortError::Cancelled`], and releases every
-    /// page it held back to the pool. That holds for a job whose ticket has
-    /// resolved but whose last merge step is still running, too: its output
-    /// then ends with [`SortError::Cancelled`].
+    /// page it held back to the pool. A job at its root, its result not read
+    /// to the end, runs that checkpoint on this call: its output then ends
+    /// with [`SortError::Cancelled`].
     pub fn cancel(&self) -> bool {
         // Flag first: if the job is admitted concurrently, the admitting
         // worker sees the flag when it attaches the budget and the sort
@@ -172,15 +166,14 @@ impl SortTicket {
             return false;
         }
         if let Some(service) = self.service.upgrade() {
-            if service.cancel_queued(self.job) {
+            if service.cancel(self.job) {
                 // Removed from the queue under the service lock: no worker
                 // will ever see this request, so the ticket is ours to
                 // resolve.
                 self.shared.fulfill(Err(SortError::Cancelled));
-                return true;
             }
         }
-        !self.shared.is_over()
+        true
     }
 
     /// True once [`wait`](Self::wait) would return without blocking: the
@@ -190,7 +183,7 @@ impl SortTicket {
     }
 
     /// Block until the sort is down to its last merge step, then return the
-    /// [`JobOutput`] that step's pages arrive through (or the error that
+    /// [`JobOutput`] that executes that step (or the error that
     /// stopped the sort before — I/O failures, `BudgetStarved` rejections
     /// after a pool shrink, ...).
     pub fn wait(self) -> SortResult<JobOutput> {
@@ -225,133 +218,25 @@ impl SortTicket {
 
 impl Drop for SortTicket {
     fn drop(&mut self) {
-        // An output nobody will read must not keep its worker waiting.
+        // An output nobody will read ends its job now.
         let unread = std::mem::replace(&mut *self.shared.slot.lock(), Slot::Taken);
         drop(unread);
     }
 }
 
-/// Pages the hand-off holds before the worker waits for the consumer: enough
-/// for the merge on one thread and the consumer on the other to overlap. They
-/// are the consumer's memory, not the grant's — a page leaves the sort's
-/// budget when the merge hands it over, as an ingest page enters it only when
-/// the sort takes it off its channel.
-const HAND_OFF_PAGES: usize = 4;
-
-/// Whether the hand-off can take another page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Room {
-    Free,
-    Full,
-    /// The consumer dropped its end.
-    Gone,
-}
-
-/// What the consumer finds in the hand-off.
-enum Handed {
-    Page(Vec<Tuple>),
-    End(Box<JobEnd>),
-}
-
-/// How the worker let go of a job: what it leaves with the consumer after
-/// the last page it handed over.
-#[derive(Debug)]
-pub(crate) struct JobEnd {
-    /// The error that ended the result early, if one did.
-    pub(crate) error: Option<SortError>,
-    /// The part of the result the worker did not stream: settled into one
-    /// run under the grant, read by the consumer on its own thread.
-    pub(crate) rest: Option<SortCompletion<ServiceStore>>,
-    pub(crate) report: JobReport,
-}
-
-#[derive(Debug, Default)]
-struct HandOffState {
-    pages: VecDeque<Vec<Tuple>>,
-    end: Option<Box<JobEnd>>,
-    consumer_gone: bool,
-}
-
-/// The bounded page queue between the worker executing a job's last merge
-/// step and the holder of its [`JobOutput`] — the egress twin of
-/// `ChannelSink`/`ChannelSource`. One producer, one consumer.
-#[derive(Debug, Default)]
-pub(crate) struct HandOff {
-    state: Mutex<HandOffState>,
-    /// Signalled on every change of `state`.
-    changed: Condvar,
-}
-
-impl HandOff {
-    /// Worker side: is there room for a page? With `wait`, a full hand-off
-    /// is given that long to change before the answer.
-    pub(crate) fn room(&self, wait: Option<Duration>) -> Room {
-        let mut g = self.state.lock();
-        let full = |s: &HandOffState| !s.consumer_gone && s.pages.len() >= HAND_OFF_PAGES;
-        if let (Some(wait), true) = (wait, full(&g)) {
-            g = self.changed.wait_timeout(g, wait).0;
-        }
-        if g.consumer_gone {
-            Room::Gone
-        } else if full(&g) {
-            Room::Full
-        } else {
-            Room::Free
-        }
-    }
-
-    /// Worker side: hand a page over (after [`room`](Self::room) said so).
-    pub(crate) fn push(&self, page: Vec<Tuple>) {
-        self.state.lock().pages.push_back(page);
-        self.changed.notify_all();
-    }
-
-    /// Worker side, once: nothing more will be pushed.
-    pub(crate) fn finish(&self, end: JobEnd) {
-        self.state.lock().end = Some(Box::new(end));
-        self.changed.notify_all();
-    }
-
-    fn pull(&self) -> Handed {
-        let mut g = self.state.lock();
-        loop {
-            if let Some(page) = g.pages.pop_front() {
-                self.changed.notify_all();
-                return Handed::Page(page);
-            }
-            if let Some(end) = g.end.take() {
-                return Handed::End(end);
-            }
-            g = self.changed.wait(g);
-        }
-    }
-
-    /// Consumer side: take no more pages. The worker closes the sort when it
-    /// next looks, and still leaves its [`JobEnd`].
-    fn hang_up(&self) {
-        let mut g = self.state.lock();
-        g.consumer_gone = true;
-        g.pages.clear();
-        self.changed.notify_all();
-    }
-}
-
-/// The sorted result of a job, arriving as its last merge step produces it.
+/// The sorted result of a job, produced by its last merge step as it is read.
 ///
-/// A ticket resolves to this when the sort is down to that step. The step
-/// runs on the worker that holds the job's grant and its pages cross a small
-/// bounded hand-off to whoever holds this value, so a consumer that keeps up
-/// gets the result straight off the merge — nothing sorted is written — and
-/// the grant goes back to the pool when the merge has produced its last
-/// page, not when that page has been read.
-///
-/// A consumer that falls behind is waited for, but not at anybody's expense:
-/// the worker keeps answering its budget while it waits, and when a queued
-/// request needs the worker or the grant (or the service shuts down, or the
-/// service's `suspension_wait` passes) it
-/// [settles](masort_core::SortCompletion::settle) the remainder into one
-/// run, releases, and leaves that run to be read from here — on the
-/// consumer's own thread and a fixed three-page allowance of its own.
+/// A ticket resolves to this when the sort is down to that step. The step is
+/// parked and executes on whichever thread pulls from this value, so a
+/// consumer gets the result straight off the merge — nothing sorted is
+/// written — and the grant goes back to the pool when the last page has been
+/// pulled. Nobody waits for a consumer that stops: whoever moves the job's
+/// budget meanwhile runs the merge's checkpoint for it (split, page, suspend
+/// — as a running merge would), and a queued request whose minimum needs
+/// the grant, or a shutdown, has the remainder
+/// [settled](masort_core::SortCompletion::settle) into one run and the job
+/// released; this value then reads that run, on a fixed three-page
+/// allowance of its own.
 ///
 /// Read it as an iterator of tuples, page by page with
 /// [`next_page`](Self::next_page), or whole with
@@ -360,19 +245,17 @@ impl HandOff {
 /// released.
 #[derive(Debug)]
 pub struct JobOutput {
-    hand_off: Arc<HandOff>,
-    /// Set once the worker has let go of the job and every page it handed
-    /// over has been pulled.
-    end: Option<Box<JobEnd>>,
+    root: Arc<Root>,
+    service: Arc<Shared>,
     /// The page the iterator is handing out.
     buf: std::vec::IntoIter<Tuple>,
 }
 
 impl JobOutput {
-    pub(crate) fn new(hand_off: Arc<HandOff>) -> Self {
+    pub(crate) fn new(root: Arc<Root>, service: Arc<Shared>) -> Self {
         JobOutput {
-            hand_off,
-            end: None,
+            root,
+            service,
             buf: Vec::new().into_iter(),
         }
     }
@@ -383,20 +266,7 @@ impl JobOutput {
         if self.buf.len() > 0 {
             return Ok(Some(self.buf.by_ref().collect()));
         }
-        if self.end.is_none() {
-            match self.hand_off.pull() {
-                Handed::Page(page) => return Ok(Some(page)),
-                Handed::End(end) => self.end = Some(end),
-            }
-        }
-        let end = self.end.as_mut().expect("the worker's end was just stored");
-        if let Some(e) = end.error.take() {
-            return Err(e);
-        }
-        match &mut end.rest {
-            Some(rest) => rest.next_page(),
-            None => Ok(None),
-        }
+        self.root.pull(&self.service)
     }
 
     /// Materialise the sorted result (convenience for small relations).
@@ -406,21 +276,11 @@ impl JobOutput {
 
     /// End the output (wherever it stands) and return the job's report: its
     /// final outcome and the broker's statistics, taken when the grant went
-    /// back. On an output read to its end this returns at once; on one cut
-    /// short it first waits for the worker to close the sort and release.
-    pub fn finish(mut self) -> JobReport {
-        let end = match self.end.take() {
-            Some(end) => end,
-            None => {
-                self.hand_off.hang_up();
-                loop {
-                    if let Handed::End(end) = self.hand_off.pull() {
-                        break end;
-                    }
-                }
-            }
-        };
-        end.report
+    /// back — on an output cut short, here.
+    pub fn finish(self) -> JobReport {
+        self.root
+            .finish(&self.service)
+            .expect("an output is finished once")
     }
 }
 
@@ -443,9 +303,7 @@ impl Iterator for JobOutput {
 
 impl Drop for JobOutput {
     fn drop(&mut self) {
-        if self.end.is_none() {
-            self.hand_off.hang_up();
-        }
+        self.root.finish(&self.service);
     }
 }
 
@@ -462,8 +320,7 @@ pub struct JobReport {
     /// to become available).
     pub queued_for: f64,
     /// Seconds between admission and the release of the job's grant: the
-    /// last merge step exhausted into the hand-off, its remainder settled,
-    /// or the sort closed.
+    /// result read to its end, its remainder settled, or the sort closed.
     pub ran_for: f64,
     /// Pages the broker granted at admission.
     pub initial_grant: usize,

@@ -1,11 +1,13 @@
-//! The last merge step of a brokered sort runs on the worker that holds the
-//! grant and hands its pages to the ticket holder. What that promises:
+//! The last merge step of a brokered sort is parked in the ticket holder's
+//! output and runs on the thread that reads it. What that promises:
 //!
 //! * **I1** — a consumer that keeps up never causes the result to be written;
-//! * **I2** — a worker waiting on a consumer keeps following its budget;
-//! * **I3** — nobody waits behind a slow consumer: a queued request (or a
-//!   shutdown) ends the wait at once, `suspension_wait` ends it regardless,
-//!   and the consumer still gets the whole result;
+//! * **I2** — a parked root follows its budget without anybody pulling: a
+//!   shrink is answered before the call that made it returns;
+//! * **I3** — nobody waits behind a slow consumer: a queued request that
+//!   fits by memory runs beside it, one that needs the root's memory (or a
+//!   shutdown) has the root settled, and the consumer still gets the whole
+//!   result;
 //! * **I4** — the job's report is taken from the final outcome, at release;
 //!
 //! and every way out of an output — dropped, cancelled, abandoned — leaves
@@ -206,8 +208,7 @@ fn i1_a_consumer_that_keeps_up_gets_the_result_off_the_merge_for_every_algorithm
     assert!(multi_step >= 6, "{multi_step} sorts had preliminary steps");
 }
 
-/// A job at its root whose consumer took one page and stopped, on a service
-/// that would wait `stall` for it.
+/// A job at its root whose consumer took one page and stopped.
 struct Stalled {
     svc: SortService,
     recorder: Recorder,
@@ -216,12 +217,12 @@ struct Stalled {
     taken: Vec<Tuple>,
 }
 
-fn stalled(workers: usize, stall: Duration, adaptation: MergeAdaptation) -> Stalled {
+fn stalled(workers: usize, adaptation: MergeAdaptation) -> Stalled {
     let recorder = Recorder::with_capacity(1 << 20);
     let svc = SortService::builder()
         .pool_pages(32)
         .workers(workers)
-        .suspension_wait(stall)
+        .suspension_wait(NEVER)
         .trace(Trace::enabled(recorder.clone()))
         .build();
     let input = random_tuples(4_000, 7);
@@ -260,10 +261,10 @@ impl Stalled {
 
 #[test]
 fn i3_a_queued_request_is_not_kept_waiting_by_a_stalled_consumer() {
-    // Once with no worker free for the second request, once with a worker
-    // free but no room for its minimum beside the first job's.
-    for (workers, second_min) in [(1, 1), (2, 20)] {
-        let first = stalled(workers, NEVER, MergeAdaptation::DynamicSplitting);
+    // Once with a minimum that fits beside the first job's, so the root only
+    // shrinks; once with one that needs the first job's grant.
+    for (workers, second_min, reason) in [(1, 1, "exhausted"), (2, 20, "queued-request")] {
+        let first = stalled(workers, MergeAdaptation::DynamicSplitting);
         assert_eq!(first.svc.live_jobs(), 1, "the stalled job holds its grant");
 
         let input = random_tuples(1_000, 8);
@@ -271,20 +272,23 @@ fn i3_a_queued_request_is_not_kept_waiting_by_a_stalled_consumer() {
             .svc
             .submit(SortRequest::tuples(cfg(8), input.clone()).min_pages(second_min))
             .unwrap();
-        // Resolves, though the first consumer never pulls again and the
-        // service would wait ten minutes for it.
+        // Resolves, though the first consumer never pulls again.
         let (sorted, report) = drain(second.wait().unwrap());
         assert_eq!(keys(&sorted), sorted_keys(&input));
         assert!(report.queued_for < NEVER.as_secs_f64() / 2.0);
 
-        // The first job was settled to make way, and is still whole.
+        // The first job is whole, and was written only if it had to be.
         let (svc, report) = first.resume();
-        let (streamed, settled, reason) = root_finished(&report);
-        assert_eq!(reason, "queued-request", "workers={workers}");
-        assert!(streamed >= 1 && settled >= 1);
+        let (streamed, settled, why) = root_finished(&report);
+        assert_eq!(why, reason, "workers={workers}");
         assert_eq!(streamed + settled, 4_000 / 8);
-        // I4: final books — the settle's writes are in them.
-        assert!(report.outcome.merge.pages_written as u64 >= settled);
+        if reason == "exhausted" {
+            assert_eq!(settled, 0);
+        } else {
+            assert!(streamed >= 1 && settled >= 1);
+            // I4: final books — the settle's writes are in them.
+            assert!(report.outcome.merge.pages_written as u64 >= settled);
+        }
         assert_eq!(report.outcome.merge.tuples_output, 4_000);
         let stats = svc.shutdown();
         assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
@@ -292,36 +296,8 @@ fn i3_a_queued_request_is_not_kept_waiting_by_a_stalled_consumer() {
 }
 
 #[test]
-fn i3_a_consumer_that_stops_gives_the_pool_back_after_suspension_wait() {
-    let stall = Duration::from_millis(40);
-    let first = stalled(2, stall, MergeAdaptation::DynamicSplitting);
-    // Nothing is queued and nobody shuts down; only time can end this wait.
-    wait_until("the stalled job to be released", || {
-        first.svc.live_jobs() == 0
-    });
-    assert_pool_whole(&first.svc);
-
-    let (svc, report) = first.resume();
-    let (streamed, settled, reason) = root_finished(&report);
-    assert_eq!(reason, "stall");
-    assert_eq!(streamed + settled, 4_000 / 8);
-    assert!(settled >= 1);
-    // Released within suspension_wait + ε of reaching the root, by the
-    // service's own clock (admission -> release; the sort itself is a few
-    // milliseconds of that).
-    assert!(
-        report.ran_for < (stall + Duration::from_secs(5)).as_secs_f64(),
-        "ran for {} s",
-        report.ran_for
-    );
-    assert!(report.ran_for >= stall.as_secs_f64());
-    let stats = svc.shutdown();
-    assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
-}
-
-#[test]
 fn i3_shutdown_does_not_wait_for_a_stalled_consumer_and_the_result_survives_it() {
-    let first = stalled(1, NEVER, MergeAdaptation::Paging);
+    let first = stalled(1, MergeAdaptation::Paging);
     let Stalled {
         svc,
         input,
@@ -344,7 +320,7 @@ fn i2_a_shrink_during_a_stall_is_honoured_and_sampled() {
         MergeAdaptation::Paging,
         MergeAdaptation::Suspension,
     ] {
-        let first = stalled(1, NEVER, adaptation);
+        let first = stalled(1, adaptation);
         // What the job last reported as held.
         let held_at_most = |pages: usize| {
             let last = first.timeline().into_iter().rev().find_map(|k| match k {
@@ -359,9 +335,13 @@ fn i2_a_shrink_during_a_stall_is_honoured_and_sampled() {
         );
 
         // The operator takes most of the pool away while the consumer is
-        // not pulling: the parked worker must answer, not the next pull.
+        // not pulling: the root has answered by the time the resize returns,
+        // not at the next pull.
         first.svc.resize_pool(5);
-        wait_until("the parked root to give pages back", || held_at_most(5));
+        assert!(
+            held_at_most(5),
+            "{adaptation:?}: the shrink went unanswered"
+        );
         first.svc.resize_pool(32);
 
         let (svc, report) = first.resume();
@@ -375,7 +355,7 @@ fn i2_a_shrink_during_a_stall_is_honoured_and_sampled() {
             .collect();
         assert!(!merge_delays.is_empty(), "{adaptation:?}: shrink unsampled");
         assert!(report.reallocations >= 2, "{adaptation:?}");
-        // Answered at the worker's next look, not at anybody's timeout.
+        // Answered by the resizing call, not at anybody's timeout.
         assert!(
             merge_delays.iter().all(|&d| d < 5.0),
             "{adaptation:?}: {merge_delays:?}"

@@ -108,142 +108,64 @@ fn broker_resize_races_admission_and_completion() {
     .expect("no interleaving may wedge or corrupt the broker");
 }
 
-/// A service with one worker and the smallest geometry that still makes a
-/// result longer than the hand-off: 4 tuples to a page, 6 pages to a result.
-fn one_worker_service(stall: std::time::Duration) -> SortService {
-    SortService::builder()
-        .pool_pages(8)
-        .workers(1)
-        .suspension_wait(stall)
-        .build()
-}
-
-fn tiny_cfg() -> SortConfig {
-    SortConfig::default()
+/// One worker and a pool of eight pages: a job with a minimum of eight holds
+/// the whole pool, so the next such request fits only once it is released.
+fn whole_pool_request(svc: &SortService, input: &[Tuple]) -> masort_broker::SortTicket {
+    let cfg = SortConfig::default()
         .with_page_size(256)
         .with_tuple_size(64)
-        .with_memory_pages(4)
+        .with_memory_pages(4);
+    svc.submit(SortRequest::tuples(cfg, input.to_vec()).min_pages(8))
+        .expect("submit")
 }
 
-fn sorted_keys(input: &[Tuple]) -> Vec<u64> {
-    let mut keys: Vec<u64> = input.iter().map(|t| t.key).collect();
-    keys.sort_unstable();
-    keys
-}
-
-/// Pull an output page by page to its end: the keys that arrived and the
-/// error that ended them early, if one did.
-fn pull_all(output: &mut masort_broker::JobOutput) -> (Vec<u64>, Option<SortError>) {
-    let mut keys = Vec::new();
-    loop {
-        match output.next_page() {
-            Ok(Some(page)) => keys.extend(page.iter().map(|t| t.key)),
-            Ok(None) => return (keys, None),
-            Err(e) => return (keys, Some(e)),
-        }
-    }
-}
-
-const NEVER: std::time::Duration = std::time::Duration::from_secs(3600);
-
-/// The hand-off between the worker executing a job's last merge step and
-/// the ticket holder, with a second request arriving while the first
-/// consumer is not reading and a shutdown behind it. One worker, so the
-/// second request can only ever run if the first job's worker stops waiting
-/// for its consumer: an interleaving that leaves it parked with the request
-/// queued shows up as a deadlock (or, spinning on its poll, as the step
-/// bound). Every page must arrive exactly once and in order on both
-/// outputs, through whichever mix of streamed and settled pages the schedule
-/// produced, and each grant must be released exactly once.
+/// A parked root holds the minimum a queued request needs, and its
+/// consumer, having taken one page, does not pull again. The worker must
+/// settle the root to admit the request: a schedule that leaves it parked
+/// shows up as a deadlock. Both results arrive whole and in order.
 #[test]
-fn hand_off_never_parks_a_worker_in_front_of_a_queued_request() {
+fn a_queued_request_is_admitted_past_a_parked_root_nobody_pulls() {
     explore_random(&opts(20), || {
-        let svc = one_worker_service(NEVER);
+        let svc = SortService::builder().pool_pages(8).workers(1).build();
         let (in1, in2) = (tuples(24, 3), tuples(24, 4));
-        let t1 = svc
-            .submit(SortRequest::tuples(tiny_cfg(), in1.clone()))
-            .expect("submit 1");
-        let reader = thread::spawn(move || {
-            // Redeems, takes one page, and stops until told to go on.
-            let mut out1 = t1.wait().expect("sort 1 failed");
-            let first = out1.next_page().expect("page").expect("a first page");
-            (out1, first)
-        });
-        let t2 = svc
-            .submit(SortRequest::tuples(tiny_cfg(), in2.clone()))
-            .expect("submit 2");
-        let (keys2, err2) = pull_all(&mut t2.wait().expect("sort 2 failed"));
-        assert!(err2.is_none(), "{err2:?}");
-        assert_eq!(keys2, sorted_keys(&in2));
-
-        let (mut out1, first) = reader.join().expect("reader panicked");
+        let mut out1 = whole_pool_request(&svc, &in1).wait().expect("sort 1");
+        let mut got = out1.next_page().expect("page").expect("a first page");
+        let out2 = whole_pool_request(&svc, &in2).wait().expect("sort 2");
+        assert_sorted_permutation(&in2, &out2.into_sorted_vec().expect("read sort 2"));
+        got.extend(out1.map(|t| t.expect("tuple")));
+        assert_sorted_permutation(&in1, &got);
         let stats = svc.shutdown();
         assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
-        // Read after the service is gone: hand-off pages, then the settled
-        // remainder on this thread.
-        let mut keys1: Vec<u64> = first.iter().map(|t| t.key).collect();
-        let (rest, err1) = pull_all(&mut out1);
-        assert!(err1.is_none(), "{err1:?}");
-        keys1.extend(rest);
-        assert_eq!(keys1, sorted_keys(&in1));
     })
-    .expect("no interleaving may park a worker in front of a queued request");
+    .expect("no interleaving may keep a queued request behind a parked root");
 }
 
-/// The same hand-off with its other three ways out racing the pump: a
-/// cancel through the ticket, a consumer that hangs up half way, and the
-/// stall timeout (a zero `suspension_wait`, so the worker settles the first
-/// time it finds its consumer behind). Whatever arrives is a prefix of the
-/// sorted result — whole unless cancelled — and every job's grant goes back
-/// exactly once.
+/// The ways out of a parked root racing each other: one job's consumer
+/// pulls to the last page while the admission of a second asks for its
+/// settle; the second is cancelled — queued, sorting or parked, wherever the
+/// schedule puts it — and its output dropped. Each job is released exactly
+/// once, and no page leaks.
 #[test]
-fn hand_off_cancel_hang_up_and_stall_release_exactly_once() {
+fn a_cancel_a_drop_a_settle_and_the_last_pull_release_a_job_once() {
     explore_random(&opts(20), || {
-        let svc = one_worker_service(std::time::Duration::ZERO);
+        let svc = SortService::builder().pool_pages(8).workers(1).build();
         let input = tuples(24, 5);
-        let expected = sorted_keys(&input);
-        let submit = || {
-            svc.submit(SortRequest::tuples(tiny_cfg(), input.clone()))
-                .expect("submit")
-        };
-
-        // Stall: the consumer is a task like any other, so some schedules
-        // have it keep up and others have the worker settle under it.
-        let (keys, err) = pull_all(&mut submit().wait().expect("sort failed"));
-        assert!(err.is_none(), "{err:?}");
-        assert_eq!(keys, expected);
-
-        // Cancel, landing wherever the schedule puts it: queued, sorting,
-        // at the root, or after the end.
-        let ticket = submit();
-        let took_effect = ticket.cancel();
-        match ticket.wait() {
-            Ok(mut output) => {
-                let (keys, err) = pull_all(&mut output);
-                assert_eq!(keys[..], expected[..keys.len()], "not a prefix");
-                match err {
-                    None => assert_eq!(keys.len(), expected.len()),
-                    Some(e) => assert!(took_effect && matches!(e, SortError::Cancelled), "{e}"),
-                }
-            }
-            Err(e) => assert!(took_effect && matches!(e, SortError::Cancelled), "{e}"),
-        }
-
-        // Hang-up after two pages; `finish` waits for the release.
-        let mut output = submit().wait().expect("sort failed");
-        let mut keys = Vec::new();
-        for _ in 0..2 {
-            let page = output.next_page().expect("page").expect("two pages exist");
-            keys.extend(page.iter().map(|t| t.key));
-        }
-        assert_eq!(keys[..], expected[..keys.len()]);
-        let report = output.finish();
-        assert_eq!(report.outcome.split.total_tuples(), 24);
-        assert_eq!(svc.live_jobs(), 0, "finish() returned before the release");
-
-        let stats = svc.shutdown();
-        assert_eq!(stats.completed + stats.cancelled, 3);
+        let (a, b) = (
+            whole_pool_request(&svc, &input),
+            whole_pool_request(&svc, &input),
+        );
+        let reader = thread::spawn(move || a.wait().expect("sort a").into_sorted_vec());
+        let canceller = thread::spawn(move || {
+            b.cancel();
+            drop(b.wait());
+        });
+        let sorted = reader.join().expect("reader panicked");
+        assert_sorted_permutation(&input, &sorted.expect("read sort a"));
+        canceller.join().expect("canceller panicked");
+        let stats = svc.stats();
+        assert_eq!(stats.completed + stats.cancelled, 2, "{stats:?}");
         assert_eq!((stats.failed, stats.leaked_pages), (0, 0));
+        assert_eq!(svc.live_jobs(), 0);
     })
-    .expect("no interleaving may leak a grant or a page of the result");
+    .expect("no interleaving may release a job twice or leak a page");
 }

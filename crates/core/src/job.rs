@@ -174,9 +174,9 @@ where
     /// [`run`](Self::run) without its settling rule: whatever happened to
     /// the budget meanwhile, the sort stops with its root step parked and
     /// nothing sorted written. This is for a caller that answers for the
-    /// budget while the root is parked — one that never lets the root sit
-    /// between pulls without running its
-    /// [`checkpoint`](SortCompletion::checkpoint), as a broker's worker does.
+    /// budget while the root is parked — one that runs the root's
+    /// [`checkpoint`](SortCompletion::checkpoint) whenever it moves the
+    /// budget between pulls, as a broker does.
     pub fn run_to_root(mut self) -> SortResult<SortCompletion<S, E>> {
         let sorter = ExternalSorter::new(self.cfg.clone());
         let (outcome, root) = sorter.begin(

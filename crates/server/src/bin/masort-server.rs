@@ -3,7 +3,6 @@
 //! ```text
 //! masort-server [--addr 127.0.0.1:7878] [--pool-pages 64] [--workers 4]
 //!               [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]
-//!               [--ingest-depth PAGES] [--egress-chunk TUPLES]
 //!               [--tenant name=max_live:max_pages[:priority]]...
 //! ```
 //!
@@ -12,13 +11,11 @@
 
 use std::process::ExitCode;
 
-use masort_core::SortConfig;
 use masort_server::{Server, ServerBuilder, TenantQuota};
 
 fn usage() -> &'static str {
     "usage: masort-server [--addr HOST:PORT] [--pool-pages N] [--workers N]\n\
      \u{20}                    [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]\n\
-     \u{20}                    [--ingest-depth PAGES] [--egress-chunk TUPLES]\n\
      \u{20}                    [--tenant name=max_live:max_pages[:priority]]..."
 }
 
@@ -29,9 +26,8 @@ fn parse_args(
 ) -> Result<Option<(String, ServerBuilder)>, String> {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut builder = Server::builder();
-    let mut page_size = 4096usize;
-    let mut tuple_size = 64usize;
-    let mut memory_pages = 16usize;
+    // The geometry flags adjust the builder's default, algorithm included.
+    let mut cfg = builder.config().clone();
 
     let value = |flag: &str, args: &mut dyn Iterator<Item = String>| -> Result<String, String> {
         args.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -43,14 +39,10 @@ fn parse_args(
                 builder = builder.pool_pages(parse(&value("--pool-pages", &mut args)?)?)
             }
             "--workers" => builder = builder.workers(parse(&value("--workers", &mut args)?)?),
-            "--page-size" => page_size = parse(&value("--page-size", &mut args)?)?,
-            "--tuple-size" => tuple_size = parse(&value("--tuple-size", &mut args)?)?,
-            "--memory-pages" => memory_pages = parse(&value("--memory-pages", &mut args)?)?,
-            "--ingest-depth" => {
-                builder = builder.ingest_depth(parse(&value("--ingest-depth", &mut args)?)?)
-            }
-            "--egress-chunk" => {
-                builder = builder.egress_chunk(parse(&value("--egress-chunk", &mut args)?)?)
+            "--page-size" => cfg = cfg.with_page_size(parse(&value("--page-size", &mut args)?)?),
+            "--tuple-size" => cfg = cfg.with_tuple_size(parse(&value("--tuple-size", &mut args)?)?),
+            "--memory-pages" => {
+                cfg = cfg.with_memory_pages(parse(&value("--memory-pages", &mut args)?)?)
             }
             "--tenant" => {
                 let (name, quota) = TenantQuota::parse(&value("--tenant", &mut args)?)?;
@@ -63,13 +55,7 @@ fn parse_args(
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    builder = builder.base_config(
-        SortConfig::default()
-            .with_page_size(page_size)
-            .with_tuple_size(tuple_size)
-            .with_memory_pages(memory_pages),
-    );
-    Ok(Some((addr, builder)))
+    Ok(Some((addr, builder.base_config(cfg))))
 }
 
 fn run() -> Result<(), String> {
@@ -113,6 +99,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use masort_core::Tuple;
+    use masort_server::{SortClient, SubmitSpec};
 
     fn parse_line(line: &str) -> Result<Option<(String, ServerBuilder)>, String> {
         parse_args(line.split_whitespace().map(String::from))
@@ -124,6 +112,8 @@ mod tests {
             "--io-threads 2",
             "--workers 2 --io-pipeline 8",
             "--policy priority",
+            "--ingest-depth 8",
+            "--egress-chunk 4096",
         ] {
             // The removed flag is the last one on the line.
             let flag = line
@@ -142,5 +132,21 @@ mod tests {
             .unwrap_or_else(|e| panic!("{e}"))
             .expect("not --help");
         assert_eq!(addr, "127.0.0.1:0");
+    }
+
+    #[test]
+    fn the_binary_serves_the_builders_algorithm() {
+        let (_, builder) = parse_line("--addr 127.0.0.1:0 --memory-pages 4")
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("not --help");
+        let handle = builder.bind("127.0.0.1:0").expect("bind").spawn();
+        let mut client = SortClient::connect(handle.addr(), None).expect("connect");
+        client.submit(SubmitSpec::default()).expect("submit");
+        let presorted = (0..5_000u64).map(|k| Tuple::synthetic(k, 64)).collect();
+        client.ingest(presorted).expect("ingest");
+        let (sorted, summary) = client.finish().unwrap().into_sorted_vec().unwrap();
+        assert_eq!(sorted.len(), 5_000);
+        assert!(summary.natural_runs > 0, "{summary:?}");
+        handle.join();
     }
 }

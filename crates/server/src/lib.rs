@@ -22,11 +22,11 @@
 //!   tuples in, iterate sorted tuples out. Ingest is backpressured end to
 //!   end: a sort that cannot take more input stops reading its channel, the
 //!   session stops reading the socket, and the client's `ingest` blocks on
-//!   the TCP window. Egress is the mirror image: frames are built from the
-//!   pages the job's last merge step hands over
-//!   ([`JobOutput`](masort_broker::JobOutput)), so the result goes from the
-//!   merge to the socket without being written — and a client that stops
-//!   reading holds up nobody but itself.
+//!   the TCP window. Egress is the mirror image: the session runs the job's
+//!   last merge step ([`JobOutput`](masort_broker::JobOutput)) and frames
+//!   each page it produces, so the result goes from the merge to the socket
+//!   without being written — and a client that stops reading holds up
+//!   nobody but itself.
 //! - Two binaries: `masort-server` (serve a pool) and `masort-cli`
 //!   (sort stdin to stdout over the network).
 //!

@@ -1,9 +1,11 @@
 //! The server: a TCP accept loop in front of one [`SortService`].
 //!
-//! Every accepted connection becomes a session on its own
-//! thread; the sort itself still runs on the service's bounded worker pool,
-//! so hundreds of connections contend for the same page pool and the same
-//! workers — exactly the multi-query pressure the paper's broker arbitrates.
+//! Every accepted connection becomes a session on its own thread. A sort's
+//! runs are formed and merged down to the last step on the service's bounded
+//! worker pool; that step then runs on the session's thread as it frames the
+//! result. So hundreds of connections contend for the same page pool and the
+//! same workers — exactly the multi-query pressure the paper's broker
+//! arbitrates — and a client that stops reading holds no worker.
 //!
 //! Nothing here polls. The accept loop blocks in `accept()` and every
 //! session blocks in `read()`; shutdown (via [`ServerHandle::shutdown`] or a
@@ -58,10 +60,6 @@ pub(crate) struct ServerShared {
     addr: SocketAddr,
     /// Defaults a `SUBMIT` frame's zero fields fall back to.
     pub(crate) base_cfg: SortConfig,
-    /// Bound of each sort's ingest channel, in pages.
-    pub(crate) ingest_depth: usize,
-    /// Tuples per `EGRESS` frame.
-    pub(crate) egress_chunk: usize,
     /// Always-enabled recorder handle: the service and every job feed it,
     /// and `TRACE_REQ` frames are answered from it.
     pub(crate) trace: Trace,
@@ -96,8 +94,6 @@ pub struct ServerBuilder {
     pool_pages: usize,
     workers: usize,
     base_cfg: SortConfig,
-    ingest_depth: usize,
-    egress_chunk: usize,
     tenants: HashMap<String, TenantQuota>,
 }
 
@@ -112,8 +108,6 @@ impl Default for ServerBuilder {
                 .with_page_size(4096)
                 .with_tuple_size(64)
                 .with_memory_pages(16),
-            ingest_depth: 8,
-            egress_chunk: 4096,
             tenants: HashMap::new(),
         }
     }
@@ -138,19 +132,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Bound of each sort's ingest channel, in pages. Smaller = tighter
-    /// backpressure; larger = more slack for bursty clients.
-    pub fn ingest_depth(mut self, pages: usize) -> Self {
-        self.ingest_depth = pages.max(1);
-        self
-    }
-
-    /// Tuples per `EGRESS` frame: result pages are coalesced until a frame
-    /// holds at least this many (and never past half the frame cap at the
-    /// job's declared tuple size).
-    pub fn egress_chunk(mut self, tuples: usize) -> Self {
-        self.egress_chunk = tuples.max(1);
-        self
+    /// The default sort configuration as it stands, to adjust and give back
+    /// through [`base_config`](Self::base_config).
+    pub fn config(&self) -> &SortConfig {
+        &self.base_cfg
     }
 
     /// Attach a quota to a tenant name.
@@ -178,8 +163,6 @@ impl ServerBuilder {
                 shutdown: Arc::new(AtomicBool::new(false)),
                 addr,
                 base_cfg: self.base_cfg,
-                ingest_depth: self.ingest_depth,
-                egress_chunk: self.egress_chunk,
                 trace,
             }),
             listener,

@@ -4,7 +4,9 @@
 //! submission into a [`SortRequest`] whose input is a bounded
 //! [`ChannelSource`] — so a slow sort backpressures `INGEST` frames straight
 //! through TCP — and then pumps tuples in, waits on the ticket and frames
-//! the sorted result as the job's last merge step hands its pages over.
+//! the sorted result as it pulls it off the job's last merge step, which
+//! runs on this thread. While the session is blocked in `write` it holds no
+//! lock, so a client that stops reading holds up nobody else.
 //! Every abnormal exit (a `CANCEL` frame, a protocol violation, a vanished
 //! client) funnels through the same cleanup: cancel the ticket, drop the
 //! ingest channel, and see the job out ([`JobOutput::finish`]) so its pages
@@ -24,6 +26,14 @@ use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::server::ServerShared;
+
+/// Bound of each sort's ingest channel, in pages.
+const INGEST_DEPTH: usize = 8;
+
+/// Tuples per `EGRESS` frame: result pages are coalesced until a frame holds
+/// at least this many (and never past half the frame cap at the job's
+/// declared tuple size).
+const EGRESS_CHUNK: usize = 4096;
 
 /// Map a sort error onto its wire representation.
 pub(crate) fn wire_error(e: &SortError) -> WireError {
@@ -246,12 +256,11 @@ fn run_sort<W: Write>(
     let tuples_per_page = cfg.tuples_per_page();
     let record_stride = cfg.record_stride();
     // What the job's own geometry says fits half the frame cap.
-    let frame_tuples = shared
-        .egress_chunk
+    let frame_tuples = EGRESS_CHUNK
         .min(MAX_FRAME_BYTES / 2 / cfg.tuple_size.max(1))
         .max(1);
 
-    let (sink, source) = ChannelSource::bounded(shared.ingest_depth);
+    let (sink, source) = ChannelSource::bounded(INGEST_DEPTH);
     let source = if spec.expected_tuples != 0 {
         source.expecting_tuples(spec.expected_tuples as usize)
     } else {
@@ -411,7 +420,7 @@ fn run_sort<W: Write>(
     )
 }
 
-/// Frame the job's result as its pages arrive: whole pages, coalesced up to
+/// Frame the job's result as its pages are merged: whole pages, coalesced up to
 /// `frame_tuples` per `EGRESS` frame. Returns how many tuples went out, or
 /// the error that ended the result.
 fn send_result<W: Write>(

@@ -1,8 +1,8 @@
 //! Hostile and unlucky clients on the way out: `EGRESS` frames are built
-//! from the pages a job's last merge step hands over while the broker's
-//! worker still holds the grant, so a client that stops reading, vanishes,
-//! or is caught by a shutdown must cost nobody else anything and leave
-//! nothing behind.
+//! from the pages the session merges off the job's last step while the job
+//! still holds its grant, so a client that stops reading, vanishes, or is
+//! caught by a shutdown must cost nobody else anything and leave nothing
+//! behind.
 //!
 //! A client "stops reading" by not calling `next()`; the result is made
 //! larger than loop-back's socket buffers, so the session really does block
@@ -29,7 +29,7 @@ static DISK: Mutex<()> = Mutex::new(());
 
 const PAYLOAD: usize = 120;
 
-/// One worker: whoever is at its root has the only one.
+/// One worker, which a job at its root does not keep.
 fn one_worker_server() -> ServerHandle {
     Server::builder()
         .pool_pages(32)
@@ -127,11 +127,11 @@ fn a_client_that_stops_reading_holds_up_nobody_and_still_gets_its_result() {
     let (job, mut stalled) = start_sort(addr, &big, false);
     let mut got = vec![stalled.next().expect("a first tuple").expect("tuple")];
     // ... and the client reads no further. The session fills the socket and
-    // blocks; the hand-off fills; the only worker waits at the root.
+    // blocks in `write`, with the rest of the result still in the merge.
 
-    // A second client needs that worker. It must get it without the first
-    // one ever reading again (the service would wait 5 s for it, and this
-    // test would then still pass — the trace below says which happened).
+    // A second client needs the only worker and fits beside the first job
+    // by memory. It must run without the first one ever reading again, and
+    // without the first result being written to make way.
     let small = heavy_tuples(2, 4_000);
     let (_, completed) = start_sort(addr, &small, false);
     let (result, summary) = completed.into_sorted_vec().expect("second client");
@@ -146,13 +146,12 @@ fn a_client_that_stops_reading_holds_up_nobody_and_still_gets_its_result() {
     assert_eq!(got, sorted(big));
     let summary = stalled.summary().expect("terminal STATS").clone();
     assert_eq!(summary.tuples, BIG as u64);
-    // Final books: the settled remainder was written, and that is in them.
     assert!(summary.merge_steps >= 1);
 
     // "Was my result written to disk, and why": the job's own timeline.
     let trace = fetch_trace(addr, job).expect("trace");
     assert!(trace.contains("\"root_finished\""), "{trace}");
-    assert!(trace.contains("\"queued-request\""), "{trace}");
+    assert!(trace.contains("\"exhausted\""), "{trace}");
     let stats = handle.join();
     assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
 }

@@ -142,7 +142,7 @@ pub enum EventKind {
         /// Result pages left in a stored run instead.
         pages_settled: u64,
         /// `"exhausted"` (all streamed), why the rest was settled
-        /// (`"queued-request"`, `"stall"`, `"shutdown"`), or why there is no
+        /// (`"queued-request"`, `"shutdown"`), or why there is no
         /// rest (`"cancelled"`, `"failed"`).
         reason: &'static str,
     },
@@ -332,7 +332,6 @@ impl EventKind {
                     JsonValue::String(s) => match s.as_str() {
                         "exhausted" => "exhausted",
                         "queued-request" => "queued-request",
-                        "stall" => "stall",
                         "shutdown" => "shutdown",
                         "cancelled" => "cancelled",
                         _ => "failed",

@@ -438,7 +438,7 @@ mod tests {
                 kind: EventKind::RootFinished {
                     pages_streamed: 12,
                     pages_settled: 30,
-                    reason: "stall",
+                    reason: "queued-request",
                 },
             },
         ];
@@ -449,7 +449,7 @@ mod tests {
         assert!(art.contains("budget_target"));
         assert!(art.contains("result: 12 pages streamed"), "{art}");
         assert!(
-            art.contains("30 settled into a stored run (stall)"),
+            art.contains("30 settled into a stored run (queued-request)"),
             "{art}"
         );
         assert_eq!(render_timeline(&[]), "(no events)\n");
