@@ -698,7 +698,7 @@ struct RootSlot {
 
 impl Root {
     /// The next page of the result, merged on the caller's thread.
-    pub(crate) fn pull(&self, shared: &Shared) -> SortResult<Option<Vec<Tuple>>> {
+    pub(crate) fn pull(&self, shared: &Shared) -> SortResult<Option<Page>> {
         self.slot.lock().pull(shared)
     }
 
@@ -711,7 +711,7 @@ impl Root {
 }
 
 impl RootSlot {
-    fn pull(&mut self, shared: &Shared) -> SortResult<Option<Vec<Tuple>>> {
+    fn pull(&mut self, shared: &Shared) -> SortResult<Option<Page>> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }

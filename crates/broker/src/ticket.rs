@@ -4,7 +4,7 @@
 
 use crate::service::{Root, Shared};
 use masort_core::sync::{Condvar, Mutex};
-use masort_core::{MemoryBudget, SortError, SortOutcome, SortResult, Tuple};
+use masort_core::{MemoryBudget, Page, SortError, SortOutcome, SortResult, Tuple};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -247,8 +247,9 @@ impl Drop for SortTicket {
 pub struct JobOutput {
     root: Arc<Root>,
     service: Arc<Shared>,
-    /// The page the iterator is handing out.
-    buf: std::vec::IntoIter<Tuple>,
+    /// The page the iterator is handing out, and its next record's index.
+    page: Page,
+    at: usize,
 }
 
 impl JobOutput {
@@ -256,17 +257,21 @@ impl JobOutput {
         JobOutput {
             root,
             service,
-            buf: Vec::new().into_iter(),
+            page: Page::new(),
+            at: 0,
         }
     }
 
-    /// The next page of sorted tuples; `None` once the result is exhausted.
-    /// An error ends the result: afterwards this returns `None`.
-    pub fn next_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
-        if self.buf.len() > 0 {
-            return Ok(Some(self.buf.by_ref().collect()));
+    /// The next sealed page of sorted records; `None` once the result is
+    /// exhausted. An error ends the result: afterwards this returns `None`.
+    pub fn next_page(&mut self) -> SortResult<Option<Page>> {
+        if self.at == self.page.len() {
+            return self.root.pull(&self.service);
         }
-        self.root.pull(&self.service)
+        // What the iterator left of its page.
+        let rest = std::mem::replace(&mut self.at, self.page.len())..self.page.len();
+        let rest = rest.map(|i| self.page.get(i)).collect();
+        Ok(Some(Page::from_tuples(rest)))
     }
 
     /// Materialise the sorted result (convenience for small relations).
@@ -288,16 +293,15 @@ impl Iterator for JobOutput {
     type Item = SortResult<Tuple>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(t) = self.buf.next() {
-                return Some(Ok(t));
-            }
+        while self.at == self.page.len() {
             match self.next_page() {
-                Ok(Some(page)) => self.buf = page.into_iter(),
+                Ok(Some(page)) => (self.page, self.at) = (page, 0),
                 Ok(None) => return None,
                 Err(e) => return Some(Err(e)),
             }
         }
+        self.at += 1;
+        Some(Ok(self.page.get(self.at - 1)))
     }
 }
 

@@ -232,7 +232,7 @@ fn stalled(workers: usize, adaptation: MergeAdaptation) -> Stalled {
         .unwrap()
         .wait()
         .unwrap();
-    let taken = output.next_page().unwrap().expect("first page");
+    let taken = output.next_page().unwrap().expect("first page").tuples();
     Stalled {
         svc,
         recorder,
@@ -474,4 +474,45 @@ fn one_worker_and_two_tickets_redeemed_in_reverse_order_do_not_deadlock() {
     assert_eq!(keys(&sorted), sorted_keys(&inputs[0]));
     let stats = svc.shutdown();
     assert_eq!((stats.completed, stats.leaked_pages), (2, 0));
+}
+
+/// An output read partly as tuples, then page by page, then as tuples again
+/// loses nothing: `next_page` first hands over what the iterator left of
+/// its page, and every page is a sealed page of sorted records.
+#[test]
+fn tuples_and_pages_can_be_read_from_one_output_in_turn() {
+    let svc = SortService::builder().pool_pages(16).workers(1).build();
+    let input: Vec<Tuple> = random_tuples(3_000, 21)
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| Tuple::new(t.key, vec![i as u8; i % 40]))
+        .collect();
+    let mut output = svc
+        .submit(SortRequest::tuples(cfg(8), input.clone()))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let mut got: Vec<Tuple> = output.by_ref().take(3).map(Result::unwrap).collect();
+    let rest = output
+        .next_page()
+        .unwrap()
+        .expect("the rest of the first page");
+    assert_eq!(rest.len(), 5, "8 tuples a page, 3 taken");
+    got.extend(rest.tuples());
+    for _ in 0..4 {
+        let page = output.next_page().unwrap().expect("a whole page");
+        assert!(page.is_sorted());
+        got.extend(page.tuples());
+    }
+    got.extend(output.by_ref().map(Result::unwrap));
+    assert_eq!(keys(&got), sorted_keys(&input));
+    // Payloads travel with their keys.
+    let pairs = |v: &[Tuple]| {
+        let mut p: Vec<(u64, usize)> = v.iter().map(|t| (t.key, t.payload.len())).collect();
+        p.sort_unstable();
+        p
+    };
+    assert_eq!(pairs(&got), pairs(&input));
+    output.finish();
+    assert_eq!(svc.shutdown().leaked_pages, 0);
 }

@@ -129,7 +129,11 @@ fn a_queued_request_is_admitted_past_a_parked_root_nobody_pulls() {
         let svc = SortService::builder().pool_pages(8).workers(1).build();
         let (in1, in2) = (tuples(24, 3), tuples(24, 4));
         let mut out1 = whole_pool_request(&svc, &in1).wait().expect("sort 1");
-        let mut got = out1.next_page().expect("page").expect("a first page");
+        let mut got = out1
+            .next_page()
+            .expect("page")
+            .expect("a first page")
+            .tuples();
         let out2 = whole_pool_request(&svc, &in2).wait().expect("sort 2");
         assert_sorted_permutation(&in2, &out2.into_sorted_vec().expect("read sort 2"));
         got.extend(out1.map(|t| t.expect("tuple")));

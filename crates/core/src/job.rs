@@ -60,7 +60,7 @@ use crate::order::SortOrder;
 use crate::sorter::{ExternalSorter, SortOutcome};
 use crate::store::{MemStore, RunStore};
 use crate::stream::SortedStream;
-use crate::tuple::Tuple;
+use crate::tuple::{Page, Tuple};
 use masort_trace::EventKind;
 
 /// Conversion of a builder input into a concrete [`InputSource`] at
@@ -268,11 +268,11 @@ impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
         Ok(self)
     }
 
-    /// The next page of sorted tuples off the root merge step; `None` when
-    /// the sort is exhausted. Exhaustion and errors both close the sort:
-    /// runs deleted, pages back, [`outcome`](Self::outcome) final.
+    /// The next sealed page of sorted records off the root merge step;
+    /// `None` when the sort is exhausted. Exhaustion and errors both close
+    /// the sort: runs deleted, pages back, [`outcome`](Self::outcome) final.
     /// ([`into_stream`](Self::into_stream) is this, tuple by tuple.)
-    pub fn next_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
+    pub fn next_page(&mut self) -> SortResult<Option<Page>> {
         let page = self.exec().next_root_page();
         if !matches!(page, Ok(Some(_))) {
             self.close();
@@ -670,7 +670,7 @@ mod tests {
             while let Some(page) = settled.next_page().unwrap() {
                 assert_eq!(budget.held(), 0, "{adaptation:?}");
                 assert!(allowance.held() <= 3, "{adaptation:?}");
-                sorted.extend(page);
+                sorted.extend(page.tuples());
             }
             assert_sorted_permutation(&input, &sorted);
             let now = settled.root.stats();

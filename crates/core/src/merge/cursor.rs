@@ -14,7 +14,7 @@
 //! construction, the column is sorted, which lets the batched merge kernel
 //! binary-search how far this cursor may advance before its head would lose
 //! to a challenger ([`RunCursor::gallop_len`]) and move that whole slice at
-//! once ([`RunCursor::take_batch`]).
+//! once ([`RunCursor::take_batch_arena`]).
 
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
@@ -201,19 +201,10 @@ impl RunCursor {
         qualifying.min(max)
     }
 
-    /// Move the next `n` buffered tuples into `out` in one drain (the batch
-    /// counterpart of [`pop`](Self::pop); the caller sizes `n` with
-    /// [`gallop_len`](Self::gallop_len), so no page load can be needed).
-    pub fn take_batch(&mut self, n: usize, out: &mut Vec<Tuple>) {
-        debug_assert!(n <= self.buffered(), "take_batch past the buffered page");
-        out.extend((self.pos..self.pos + n).map(|i| self.page.get(self.index(i))));
-        self.pos += n;
-        self.consumed += n;
-    }
-
-    /// Move the next `n` buffered tuples into an output arena (the
-    /// counterpart of [`take_batch`](Self::take_batch) that builds no
-    /// [`Tuple`]). A forward slice of a matching stride and no overflow
+    /// Move the next `n` buffered tuples into an output arena (the batch
+    /// counterpart of [`pop`](Self::pop), and one that builds no [`Tuple`];
+    /// the caller sizes `n` with [`gallop_len`](Self::gallop_len), so no page
+    /// load can be needed). A forward slice of a matching stride and no overflow
     /// payloads moves as one `memcpy` of its record region; anything else —
     /// a backward cursor's records leave in reverse physical order — moves
     /// record by record, verbatim where the record allows it.
@@ -232,6 +223,17 @@ impl RunCursor {
         }
         self.pos += n;
         self.consumed += n;
+    }
+
+    /// The buffered page itself when the next `n` tuples are all of it, in
+    /// stored order at `stride` (a step hands it on uncopied); else `None`.
+    pub fn take_page(&mut self, n: usize, stride: usize) -> Option<Page> {
+        if self.backward || self.pos != 0 || n != self.page.len() || self.page.stride() != stride {
+            return None;
+        }
+        self.pos = n;
+        self.consumed += n;
+        Some(self.page.clone())
     }
 
     /// True when the buffered page and the store both have nothing left.
@@ -447,24 +449,23 @@ mod tests {
         assert_eq!(c.peek_composite(&asc, &mut store, &mut env).unwrap(), None);
     }
 
+    /// Only a whole forward page at the asked stride leaves as itself.
     #[test]
-    fn backward_take_batch_dense_preserves_order() {
-        let (mut store, mut c) = setup_reversed(reversed_pages(12, 6));
-        let mut env = CountingEnv::new();
-        let asc = SortOrder::ascending();
-        let mut got = Vec::new();
-        while c.ensure_loaded(&asc, &mut store, &mut env).unwrap() {
-            // Drain the buffered page in two uneven batches to exercise
-            // mid-page positions.
-            let n = c.buffered();
-            let first = n.div_ceil(2);
-            c.take_batch(first, &mut got);
-            c.take_batch(n - first, &mut got);
-        }
+    fn take_page_hands_on_only_a_whole_forward_page() {
+        let (mut env, asc) = (CountingEnv::new(), SortOrder::ascending());
+        let (mut store, run) = setup(6, 3);
+        let mut c = RunCursor::new(run);
+        assert!(c.ensure_loaded(&asc, &mut store, &mut env).unwrap());
+        let stride = c.page.stride();
+        assert!(c.take_page(2, stride).is_none() && c.take_page(3, stride + 1).is_none());
         assert_eq!(
-            got.iter().map(|t| t.key).collect::<Vec<_>>(),
-            (0..12).collect::<Vec<u64>>()
+            c.take_page(3, stride).unwrap().keys().collect::<Vec<_>>(),
+            [0, 1, 2]
         );
+        assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key, 3);
+        let (mut store, mut back) = setup_reversed(reversed_pages(3, 3));
+        assert!(back.ensure_loaded(&asc, &mut store, &mut env).unwrap() && back.buffered() == 3);
+        assert!(back.take_page(3, back.page.stride()).is_none());
     }
 
     #[test]
@@ -475,8 +476,12 @@ mod tests {
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
         while c.ensure_loaded(&asc, &mut store, &mut env).unwrap() {
+            // Drain the buffered page in two uneven batches to exercise
+            // mid-page positions.
             let n = c.buffered();
-            c.take_batch_arena(n, &mut arena);
+            let first = n.div_ceil(2);
+            c.take_batch_arena(first, &mut arena);
+            c.take_batch_arena(n - first, &mut arena);
         }
         let got: Vec<u64> = arena.seal().keys().collect();
         assert_eq!(got, (0..9).collect::<Vec<u64>>());
@@ -543,21 +548,15 @@ mod tests {
                 assert_eq!(peeked, composites, "{what}");
                 assert_eq!(popped, sorted, "{what}");
 
-                let (mut store, mut c) = cursor();
-                let mut batched = Vec::new();
-                while c.ensure_loaded(&order, &mut store, &mut env).unwrap() {
-                    let n = c.gallop_len(None, false, 3);
-                    c.take_batch(n, &mut batched);
+                for batch in [3, usize::MAX] {
+                    let (mut store, mut c) = cursor();
+                    let mut arena = TupleArena::new(32);
+                    while c.ensure_loaded(&order, &mut store, &mut env).unwrap() {
+                        let n = c.gallop_len(None, false, batch);
+                        c.take_batch_arena(n, &mut arena);
+                    }
+                    assert_eq!(arena.seal().tuples(), sorted, "{what}");
                 }
-                assert_eq!(batched, sorted, "{what}");
-
-                let (mut store, mut c) = cursor();
-                let mut arena = TupleArena::new(32);
-                while c.ensure_loaded(&order, &mut store, &mut env).unwrap() {
-                    let n = c.buffered();
-                    c.take_batch_arena(n, &mut arena);
-                }
-                assert_eq!(arena.seal().tuples(), sorted, "{what}");
             }
         }
     }

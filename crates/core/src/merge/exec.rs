@@ -12,8 +12,8 @@
 //! materialising merge ([`execute_merge`]) and a join drive it to the end in
 //! one call, while a streaming sort stops once the tree is down to its root
 //! step, parks the state, and lets the consumer pull the root's output page
-//! by page — the root then has no output run, exactly like the root of a
-//! join.
+//! by page — sealed pages of records, as every step writes them, but taken by
+//! the consumer instead of appended to an output run.
 //!
 //! Dynamic splitting follows paper §3.2.3 precisely:
 //!
@@ -29,7 +29,7 @@
 //! Selection runs on a cache-conscious batched kernel (see
 //! [`super::select`]): a loser tree over the cursors' cached head ranks picks
 //! the winner in O(log fan) with no stale-entry retries, and whole slices of
-//! the winning cursor's buffered page move into the out buffer in one drain
+//! the winning cursor's buffered page move into the out-arena in one copy
 //! whenever their ranks all beat the challenger's. Batches never cross a
 //! produce-unit boundary and are charged per tuple, so the budget poll /
 //! adaptation cadence and every simulated CPU charge are those of a merge
@@ -45,7 +45,7 @@ use crate::merge::plan::preliminary_fan_in;
 use crate::merge::select::LoserTree;
 use crate::merge::step::{Input, Side, StepArena};
 use crate::store::{RunId, RunMeta, RunStore};
-use crate::tuple::Tuple;
+use crate::tuple::{Page, Tuple};
 use masort_trace::EventKind;
 use std::collections::HashSet;
 
@@ -600,17 +600,17 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// Append the pages the active step's out-arena has filled to its output
     /// run — at the end of a produce unit, so a unit's reads all come before
     /// its write — and with `force` (step switch / completion) the partial
-    /// page too. The root of a streaming sort has no output run — its
-    /// consumer takes the tuples straight out of `out_buf` — and a join's
-    /// root produces none.
+    /// page too. The root of a streaming sort has no output run: its sealed
+    /// pages wait for its consumer ([`next_root_page`](Self::next_root_page)).
+    /// A join's root produces none.
     fn flush_active_output(&mut self, force: bool) -> SortResult<()> {
         let step = &mut self.st.arena.steps[self.st.arena.active];
-        let Some(out) = step.output else {
-            return Ok(());
-        };
         if let Some(arena) = step.out_arena.as_mut().filter(|a| force && !a.is_empty()) {
             step.sealed.push(arena.seal());
         }
+        let Some(out) = step.output else {
+            return Ok(());
+        };
         for page in std::mem::take(&mut step.sealed) {
             self.env.charge_cpu(CpuOp::StartIo, 1);
             self.store.append_page(out, page)?;
@@ -696,27 +696,27 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         Ok(())
     }
 
-    /// Move the next `n` buffered tuples of input `idx` to where the active
-    /// step's output goes — as records into the out-arena of a step that
-    /// writes a run, as tuples into the out buffer of a streaming root (the
-    /// one place a sort materialises them) — and re-key the input.
+    /// Move the next `n` buffered tuples of input `idx`, as records, into the
+    /// active step's out-arena — the root of a streaming sort included, so no
+    /// step builds a [`Tuple`] — and re-key the input.
     fn move_out(&mut self, idx: usize, n: usize) -> SortResult<()> {
         let (stride, tpp) = (self.st.stride, self.st.tpp);
         let step = &mut self.st.arena.steps[self.st.arena.active];
+        let arena = step
+            .out_arena
+            .get_or_insert_with(|| TupleArena::with_capacity(stride, tpp));
         let cursor = &mut step.inputs[idx].cursor;
-        match step.output {
-            Some(_) => {
-                let arena = step
-                    .out_arena
-                    .get_or_insert_with(|| TupleArena::with_capacity(stride, tpp));
-                cursor.take_batch_arena(n, arena);
-                // A full page is sealed at once (the arena never holds more)
-                // and appended when the produce unit ends.
-                if arena.len() == tpp {
-                    step.sealed.push(arena.seal());
-                }
-            }
-            None => cursor.take_batch(n, &mut step.out_buf),
+        // A whole input page that would fill an empty out-page is that
+        // out-page, handed on without a copy.
+        let whole = (arena.is_empty() && n == tpp).then(|| cursor.take_page(n, stride));
+        match whole.flatten() {
+            Some(page) => step.sealed.push(page),
+            None => cursor.take_batch_arena(n, arena),
+        }
+        // A full page is sealed at once (the arena never holds more) and
+        // appended, or handed out, when the produce unit ends.
+        if arena.len() == tpp {
+            step.sealed.push(arena.seal());
         }
         step.produced_anything = true;
         self.st.stats.tuples_output += n as u64;
@@ -989,24 +989,25 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         Ok(())
     }
 
-    /// The next page of the root step's output, straight from its out buffer
-    /// (the root of a streaming sort writes no run), or `None` once the merge
-    /// is complete. Budget polls, suspension, paging and dynamic splitting
-    /// all keep happening in here: a shrink can make this call run (and
-    /// write) preliminary steps before the root yields again.
-    pub(crate) fn next_root_page(&mut self) -> SortResult<Option<Vec<Tuple>>> {
+    /// The next sealed page of the root step's output (the root of a
+    /// streaming sort writes no run), or `None` once the merge is complete.
+    /// Budget polls, suspension, paging and dynamic splitting all keep
+    /// happening in here: a shrink can make this call run (and write)
+    /// preliminary steps before the root yields again.
+    pub(crate) fn next_root_page(&mut self) -> SortResult<Option<Page>> {
         let root = self.st.arena.root();
-        while !self.st.arena.steps[root].completed {
+        loop {
+            let step = &mut self.st.arena.steps[root];
+            if !step.sealed.is_empty() {
+                return Ok(Some(step.sealed.remove(0)));
+            }
+            if step.completed {
+                return Ok(None);
+            }
             if self.step()? == Progress::Done {
                 self.st.arena.steps[root].completed = true;
             }
-            let out = &mut self.st.arena.steps[root].out_buf;
-            if !out.is_empty() {
-                let capacity = out.capacity();
-                return Ok(Some(std::mem::replace(out, Vec::with_capacity(capacity))));
-            }
         }
-        Ok(None)
     }
 
     /// Run whatever is left of the merge into one output run and leave the
@@ -1037,6 +1038,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// closing twice finds nothing left to do.
     pub(crate) fn close(&mut self) -> bool {
         for step in &mut self.st.arena.steps {
+            step.sealed.clear();
             for input in step.inputs.drain(..) {
                 self.st.stats.retire_cursor(&input.cursor);
                 let _ = self.store.delete_run(input.cursor.run);

@@ -17,7 +17,7 @@
 use crate::layout::TupleArena;
 use crate::merge::cursor::RunCursor;
 use crate::store::{RunId, RunStore};
-use crate::tuple::{Page, Tuple};
+use crate::tuple::Page;
 
 /// Which relation an input belongs to. Plain sorts only use [`Side::Left`];
 /// sort-merge joins use both.
@@ -74,15 +74,12 @@ pub struct MergeStep {
     /// Run that this step appends its merged output to. The root step of a
     /// sort owns the final result run; the root of a join has no output run.
     pub output: Option<RunId>,
-    /// Tuples a step *without* an output run has produced and its consumer
-    /// has not taken yet: the root of a streaming sort, the one place the
-    /// merge materialises tuples.
-    pub out_buf: Vec<Tuple>,
-    /// Output page under construction, created lazily by the executor for a
-    /// step that has an output run; sealed the moment it holds a page of
-    /// records.
+    /// Output page under construction, created lazily by the executor;
+    /// sealed the moment it holds a page of records.
     pub out_arena: Option<TupleArena>,
-    /// Pages sealed off `out_arena` that the output run is still owed.
+    /// Pages sealed off `out_arena` that the output run is still owed — or,
+    /// at the root of a streaming sort (which has no output run), that its
+    /// consumer has not taken yet.
     pub sealed: Vec<Page>,
     /// Parent step (the step that consumes our output), if any.
     pub parent: Option<StepId>,
@@ -126,7 +123,6 @@ impl StepArena {
             steps: vec![MergeStep {
                 inputs,
                 output,
-                out_buf: Vec::new(),
                 out_arena: None,
                 sealed: Vec::new(),
                 parent: None,
@@ -194,7 +190,6 @@ impl StepArena {
         self.steps.push(MergeStep {
             inputs: moved,
             output: Some(child_output),
-            out_buf: Vec::new(),
             out_arena: None,
             sealed: Vec::new(),
             parent: Some(parent_id),
@@ -253,7 +248,7 @@ impl StepArena {
 mod tests {
     use super::*;
     use crate::store::{MemStore, RunStore};
-    use crate::tuple::{Page, Tuple};
+    use crate::tuple::Tuple;
 
     fn store_with_runs(lengths: &[usize]) -> (MemStore, Vec<RunId>) {
         let mut store = MemStore::new();

@@ -402,7 +402,7 @@ fn a_six_method_store_sorts_with_one_page_read_per_page_appended() {
         .unwrap();
     let mut sorted = Vec::new();
     while let Some(page) = sort.next_page().unwrap() {
-        sorted.extend(page);
+        sorted.extend(page.tuples());
     }
     crate::verify::assert_sorted_permutation(&input, &sorted);
     assert!(sort.outcome.runs_formed() > 1, "the input must spill");

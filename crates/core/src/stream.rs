@@ -4,11 +4,12 @@
 //! to its root step. [`SortedStream`] executes that root on demand: every
 //! time its buffer runs dry it does what the merge loop does between pages —
 //! poll the budget, adapt (suspend, page, or split off and run preliminary
-//! steps), merge about a page — and yields the tuples straight from the
-//! root's out buffer. The root writes no run, so the relation is never
-//! stored sorted and never re-read: each tuple is written once (into its
-//! formed run, or into a preliminary step's output) and read once per merge
-//! level, which is the two page-trips per input page a one-pass merge owes.
+//! steps), merge about a page — and yields the tuples of the page the root
+//! sealed, building each [`Tuple`] only as it is handed out. The root writes
+//! no run, so the relation is never stored sorted and never re-read: each
+//! tuple is written once (into its formed run, or into a preliminary step's
+//! output) and read once per merge level, which is the two page-trips per
+//! input page a one-pass merge owes.
 //!
 //! While the stream lives the sort holds its merge buffers (the budget shows
 //! them as held, and takes them back through the configured adaptation); when
@@ -26,7 +27,7 @@ use crate::error::{SortError, SortResult};
 use crate::job::SortCompletion;
 use crate::sorter::SortOutcome;
 use crate::store::RunStore;
-use crate::tuple::Tuple;
+use crate::tuple::{Page, Tuple};
 
 /// An iterator over the tuples of a sort, in sort order, produced by running
 /// the sort's final merge step.
@@ -45,8 +46,9 @@ use crate::tuple::Tuple;
 #[derive(Debug)]
 pub struct SortedStream<S: RunStore, E: SortEnv = RealEnv> {
     sort: SortCompletion<S, E>,
-    /// The page of merged tuples being handed out.
-    buf: std::vec::IntoIter<Tuple>,
+    /// The page of merged records being handed out, and the next one's index.
+    page: Page,
+    at: usize,
     yielded: usize,
 }
 
@@ -54,7 +56,8 @@ impl<S: RunStore, E: SortEnv> SortedStream<S, E> {
     pub(crate) fn new(sort: SortCompletion<S, E>) -> Self {
         SortedStream {
             sort,
-            buf: Vec::new().into_iter(),
+            page: Page::new(),
+            at: 0,
             yielded: 0,
         }
     }
@@ -83,23 +86,23 @@ impl<S: RunStore, E: SortEnv> Iterator for SortedStream<S, E> {
     type Item = Result<Tuple, SortError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(t) = self.buf.next() {
-                self.yielded += 1;
-                return Some(Ok(t));
-            }
+        while self.at == self.page.len() {
             match self.sort.next_page() {
-                Ok(Some(page)) => self.buf = page.into_iter(),
+                Ok(Some(page)) => (self.page, self.at) = (page, 0),
                 // Exhausted, or closed by an earlier error.
                 Ok(None) => return None,
                 Err(e) => return Some(Err(e)),
             }
         }
+        self.at += 1;
+        self.yielded += 1;
+        Some(Ok(self.page.get(self.at - 1)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let total = self.sort.outcome.split.total_tuples();
-        (self.buf.len(), Some(total.saturating_sub(self.yielded)))
+        let buffered = self.page.len() - self.at;
+        (buffered, Some(total.saturating_sub(self.yielded)))
     }
 }
 
@@ -112,7 +115,6 @@ mod tests {
     use crate::job::SortJob;
     use crate::store::{FileStore, MemStore, RunId};
     use crate::sync::atomic::{AtomicUsize, Ordering};
-    use crate::tuple::Page;
     use crate::verify::assert_sorted_permutation;
     use masort_trace::{EventKind, Recorder, SpanId, Trace};
     use rand::rngs::StdRng;

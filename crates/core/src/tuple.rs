@@ -9,8 +9,10 @@
 //! A [`Page`] is a sealed region of fixed-stride records (see
 //! [`crate::layout`]), however it was built: [`Page::from_tuples`] packs a
 //! caller's tuples into one, and a page materialises tuples only on demand
-//! ([`Page::tuples`]). Run formation, the store and the merge read records
-//! where they lie ([`Page::record`]), so none of them builds a [`Tuple`].
+//! ([`Page::tuples`]). Run formation, the store and the merge — its root
+//! step included, which seals pages for its consumer like any other step —
+//! read records where they lie ([`Page::record`]), so none of them builds a
+//! [`Tuple`]; a stream builds one only as it hands it out.
 
 pub use crate::layout::Page;
 

@@ -12,7 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use masort_core::Tuple;
 
-use crate::codec::{read_frame, write_frame};
+use crate::codec::{decode_frame, read_body, read_frame, write_frame, write_frame_with};
 use crate::protocol::{Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION};
 
 /// Everything that can go wrong on the client side of a sort.
@@ -60,6 +60,8 @@ fn closed(wanted: &str) -> ClientError {
 pub struct SortClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Every frame's body is encoded or read in this one buffer.
+    body: Vec<u8>,
     pool_pages: u64,
 }
 
@@ -73,6 +75,7 @@ impl SortClient {
         let mut client = SortClient {
             reader,
             writer: BufWriter::new(stream),
+            body: Vec::new(),
             pool_pages: 0,
         };
         client.send(&Frame::Hello {
@@ -90,15 +93,15 @@ impl SortClient {
     }
 
     fn send(&mut self, frame: &Frame) -> ClientResult<()> {
-        write_frame(&mut self.writer, frame)?;
+        write_frame_with(&mut self.writer, frame, &mut self.body)?;
         self.writer.flush()?;
         Ok(())
     }
 
     fn recv(&mut self, wanted: &str) -> ClientResult<Frame> {
-        match read_frame(&mut self.reader)? {
-            Some(frame) => Ok(frame),
-            None => Err(closed(wanted)),
+        match read_body(&mut self.reader, &mut self.body)? {
+            true => Ok(decode_frame(&self.body)?),
+            false => Err(closed(wanted)),
         }
     }
 
@@ -134,6 +137,7 @@ impl SortClient {
             client: self,
             chunk: Vec::new().into_iter(),
             summary: None,
+            failed: false,
         })
     }
 
@@ -149,11 +153,14 @@ impl SortClient {
 }
 
 /// The draining half of a sort: iterate the sorted tuples, then read the
-/// [`summary`](Completed::summary).
+/// [`summary`](Completed::summary). After the first error (an `ERR` frame,
+/// a closed or failed socket, a frame out of place) the iterator fuses: it
+/// returns `None` forever.
 pub struct Completed {
     client: SortClient,
     chunk: std::vec::IntoIter<Tuple>,
     summary: Option<JobSummary>,
+    failed: bool,
 }
 
 impl Completed {
@@ -185,19 +192,24 @@ impl Iterator for Completed {
             if let Some(tuple) = self.chunk.next() {
                 return Some(Ok(tuple));
             }
-            if self.summary.is_some() {
+            if self.summary.is_some() || self.failed {
                 return None;
             }
-            match self.client.recv("EGRESS or STATS") {
-                Ok(Frame::Egress(tuples)) => self.chunk = tuples.into_iter(),
+            let err = match self.client.recv("EGRESS or STATS") {
+                Ok(Frame::Egress(tuples)) => {
+                    self.chunk = tuples.into_iter();
+                    continue;
+                }
                 Ok(Frame::Stats(summary)) => {
                     self.summary = Some(summary);
                     return None;
                 }
-                Ok(Frame::Error(e)) => return Some(Err(ClientError::Remote(e))),
-                Ok(other) => return Some(Err(unexpected(&other, "EGRESS or STATS"))),
-                Err(e) => return Some(Err(e)),
-            }
+                Ok(Frame::Error(e)) => ClientError::Remote(e),
+                Ok(other) => unexpected(&other, "EGRESS or STATS"),
+                Err(e) => e,
+            };
+            self.failed = true;
+            return Some(Err(err));
         }
     }
 }

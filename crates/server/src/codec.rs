@@ -3,10 +3,14 @@
 //! A frame on the wire is `u32 LE length ++ body`, where `body[0]` is the
 //! opcode and the rest is the opcode-specific payload. All integers are
 //! little-endian; strings and byte blobs are length-prefixed (`u32 LE` count
-//! followed by the raw bytes). Tuples encode as
+//! followed by the raw bytes). Records encode as
 //! `u64 key ++ u8 payload-tag ++ payload`, where tag `0` is a synthetic
 //! payload (`u32` nominal size) and tag `1` is a literal byte blob — so a
 //! round trip preserves not just keys but the exact payload representation.
+//!
+//! One routine encodes a record and one decodes it, over a key and a
+//! [`PayloadRef`]. The [`Frame`] path wraps them in `Vec<Tuple>`s; the server
+//! keeps records as bytes ([`decode_ingest`], [`write_egress`]).
 //!
 //! Decoding is defensive: every read is bounds-checked against the body, the
 //! length prefix is capped at [`MAX_FRAME_BYTES`], unknown opcodes and
@@ -17,12 +21,18 @@
 
 use std::io::{self, Read, Write};
 
-use masort_core::{Payload, Tuple};
+use masort_core::{Page, PayloadRef, Tuple};
 
 use crate::protocol::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES};
 
 const TAG_SYNTHETIC: u8 = 0;
 const TAG_BYTES: u8 = 1;
+const OP_INGEST: u8 = 0x05;
+const OP_EGRESS: u8 = 0x07;
+/// Bytes of a record-list body before its records: opcode and count.
+const LIST_HEADER: usize = 1 + 4;
+/// The fewest bytes a record takes: key, tag, a size or a blob's length.
+const MIN_RECORD: usize = 8 + 1 + 4;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -49,20 +59,33 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
+/// Bytes one record takes in an `INGEST` / `EGRESS` body.
+fn record_len(payload: PayloadRef<'_>) -> usize {
+    match payload {
+        PayloadRef::Synthetic(_) => MIN_RECORD,
+        PayloadRef::Bytes(bytes) => MIN_RECORD + bytes.len(),
+    }
+}
+
+/// The one record encoder.
+fn put_record(buf: &mut Vec<u8>, key: u64, payload: PayloadRef<'_>) {
+    put_u64(buf, key);
+    match payload {
+        PayloadRef::Synthetic(size) => {
+            buf.push(TAG_SYNTHETIC);
+            put_u32(buf, size);
+        }
+        PayloadRef::Bytes(bytes) => {
+            buf.push(TAG_BYTES);
+            put_bytes(buf, bytes);
+        }
+    }
+}
+
 fn put_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
     put_u32(buf, tuples.len() as u32);
     for t in tuples {
-        put_u64(buf, t.key);
-        match &t.payload {
-            Payload::Synthetic(size) => {
-                buf.push(TAG_SYNTHETIC);
-                put_u32(buf, *size);
-            }
-            Payload::Bytes(bytes) => {
-                buf.push(TAG_BYTES);
-                put_bytes(buf, bytes);
-            }
-        }
+        put_record(buf, t.key, PayloadRef::from(&t.payload));
     }
 }
 
@@ -70,15 +93,29 @@ fn put_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
 /// excluded). [`write_frame`] adds the prefix; this form exists so tests can
 /// corrupt bodies directly.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
+    let mut buf = Vec::new();
+    encode_into(frame, &mut buf);
+    buf
+}
+
+/// Encode `frame`'s body into `buf`, replacing its contents. A record list's
+/// exact length is reserved first, so the body is allocated at most once.
+fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
+    buf.clear();
+    if let Frame::Ingest(tuples) | Frame::Egress(tuples) = frame {
+        let sizes = tuples
+            .iter()
+            .map(|t| record_len(PayloadRef::from(&t.payload)));
+        buf.reserve(LIST_HEADER + sizes.sum::<usize>());
+    }
     buf.push(frame.opcode());
     match frame {
         Frame::Hello { version, tenant } => {
-            put_u32(&mut buf, *version);
+            put_u32(buf, *version);
             match tenant {
                 Some(name) => {
                     buf.push(1);
-                    put_str(&mut buf, name);
+                    put_str(buf, name);
                 }
                 None => buf.push(0),
             }
@@ -87,49 +124,48 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             version,
             pool_pages,
         } => {
-            put_u32(&mut buf, *version);
-            put_u64(&mut buf, *pool_pages);
+            put_u32(buf, *version);
+            put_u64(buf, *pool_pages);
         }
         Frame::Submit(spec) => {
-            put_u32(&mut buf, spec.priority);
-            put_u64(&mut buf, spec.min_pages);
-            put_u64(&mut buf, spec.max_pages);
-            put_u64(&mut buf, spec.memory_pages);
-            put_u64(&mut buf, spec.page_size);
-            put_u64(&mut buf, spec.tuple_size);
-            put_u64(&mut buf, spec.expected_tuples);
+            put_u32(buf, spec.priority);
+            put_u64(buf, spec.min_pages);
+            put_u64(buf, spec.max_pages);
+            put_u64(buf, spec.memory_pages);
+            put_u64(buf, spec.page_size);
+            put_u64(buf, spec.tuple_size);
+            put_u64(buf, spec.expected_tuples);
             buf.push(spec.spill as u8);
             buf.push(spec.descending as u8);
         }
-        Frame::Accepted { job } => put_u64(&mut buf, *job),
-        Frame::Ingest(tuples) | Frame::Egress(tuples) => put_tuples(&mut buf, tuples),
+        Frame::Accepted { job } => put_u64(buf, *job),
+        Frame::Ingest(tuples) | Frame::Egress(tuples) => put_tuples(buf, tuples),
         Frame::Fin | Frame::Cancel | Frame::Shutdown | Frame::MetricsReq => {}
         Frame::Stats(s) => {
-            put_u64(&mut buf, s.job);
-            put_u64(&mut buf, s.tuples);
-            put_f64(&mut buf, s.queued_for);
-            put_f64(&mut buf, s.ran_for);
-            put_u64(&mut buf, s.initial_grant);
-            put_u64(&mut buf, s.reallocations);
-            put_u64(&mut buf, s.delay_samples);
-            put_f64(&mut buf, s.total_delay);
-            put_u64(&mut buf, s.runs_formed);
-            put_u64(&mut buf, s.merge_steps);
-            put_u64(&mut buf, s.natural_runs);
-            put_u64(&mut buf, s.min_run_tuples);
-            put_u64(&mut buf, s.max_run_tuples);
-            put_f64(&mut buf, s.avg_run_tuples);
+            put_u64(buf, s.job);
+            put_u64(buf, s.tuples);
+            put_f64(buf, s.queued_for);
+            put_f64(buf, s.ran_for);
+            put_u64(buf, s.initial_grant);
+            put_u64(buf, s.reallocations);
+            put_u64(buf, s.delay_samples);
+            put_f64(buf, s.total_delay);
+            put_u64(buf, s.runs_formed);
+            put_u64(buf, s.merge_steps);
+            put_u64(buf, s.natural_runs);
+            put_u64(buf, s.min_run_tuples);
+            put_u64(buf, s.max_run_tuples);
+            put_f64(buf, s.avg_run_tuples);
         }
         Frame::Error(e) => {
             buf.push(e.code as u8);
-            put_u64(&mut buf, e.needed);
-            put_u64(&mut buf, e.granted);
-            put_str(&mut buf, &e.message);
+            put_u64(buf, e.needed);
+            put_u64(buf, e.granted);
+            put_str(buf, &e.message);
         }
-        Frame::TraceReq { job } => put_u64(&mut buf, *job),
-        Frame::TraceData { json } | Frame::MetricsData { json } => put_str(&mut buf, json),
+        Frame::TraceReq { job } => put_u64(buf, *job),
+        Frame::TraceData { json } | Frame::MetricsData { json } => put_str(buf, json),
     }
-    buf
 }
 
 /// Write one length-prefixed frame. Flushes are the caller's business —
@@ -137,20 +173,65 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// [`MAX_FRAME_BYTES`] is refused with `InvalidInput` before anything is
 /// written.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let body = encode_frame(frame);
+    write_frame_with(w, frame, &mut Vec::new())
+}
+
+/// [`write_frame`], encoding the body in `body`, whose allocation the caller
+/// keeps from frame to frame.
+pub(crate) fn write_frame_with<W: Write>(
+    w: &mut W,
+    frame: &Frame,
+    body: &mut Vec<u8>,
+) -> io::Result<()> {
+    encode_into(frame, body);
+    write_body(w, frame.name(), body)
+}
+
+fn write_body<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!(
-                "{} frame body is {} bytes, over the {} byte frame cap",
-                frame.name(),
-                body.len(),
-                MAX_FRAME_BYTES
+                "{name} frame body is {} bytes, over the {MAX_FRAME_BYTES} byte frame cap",
+                body.len()
             ),
         ));
     }
     w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)
+    w.write_all(body)
+}
+
+/// Write the records of `pages`, in order, as `EGRESS` frames: the bytes
+/// [`write_frame`] writes for `Frame::Egress` of the same records, cut at a
+/// record boundary wherever one more record would take the body over
+/// [`MAX_FRAME_BYTES`] (the cuts are computed from the records' sizes before
+/// anything is encoded). Each body is built in `body`, whose allocation the
+/// caller keeps from frame to frame. A single record over the cap is refused
+/// with `InvalidInput` before a byte of its frame is written.
+pub fn write_egress<W: Write>(w: &mut W, pages: &[Page], body: &mut Vec<u8>) -> io::Result<()> {
+    let mut records = pages
+        .iter()
+        .flat_map(|page| (0..page.len()).map(move |i| page.record(i)))
+        .peekable();
+    while records.peek().is_some() {
+        let (mut n, mut len) = (0usize, LIST_HEADER);
+        for (_, payload) in records.clone() {
+            let more = record_len(payload);
+            if n > 0 && len + more > MAX_FRAME_BYTES {
+                break;
+            }
+            (n, len) = (n + 1, len + more);
+        }
+        body.clear();
+        body.reserve(len);
+        body.push(OP_EGRESS);
+        put_u32(body, n as u32);
+        for (key, payload) in records.by_ref().take(n) {
+            put_record(body, key, payload);
+        }
+        write_body(w, "EGRESS", body)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -203,18 +284,14 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    fn bytes(&mut self, what: &str) -> io::Result<Vec<u8>> {
+    /// A length-prefixed blob, borrowed (so bounds-checked before any copy).
+    fn blob(&mut self, what: &str) -> io::Result<&'a [u8]> {
         let len = self.u32(what)? as usize;
-        // A blob cannot be longer than the bytes that remain: reject before
-        // allocating, so a corrupt count cannot request gigabytes.
-        if len > self.buf.len() - self.pos {
-            return Err(Self::bad(what));
-        }
-        Ok(self.take(len, what)?.to_vec())
+        self.take(len, what)
     }
 
     fn string(&mut self, what: &str) -> io::Result<String> {
-        String::from_utf8(self.bytes(what)?).map_err(|_| {
+        String::from_utf8(self.blob(what)?.to_vec()).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("malformed frame: {what} is not UTF-8"),
@@ -233,18 +310,26 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn tuples(&mut self) -> io::Result<Vec<Tuple>> {
+    /// A record list's count, bounds-checked before anyone allocates for it.
+    fn record_count(&mut self) -> io::Result<usize> {
         let count = self.u32("tuple count")? as usize;
-        // Each tuple takes at least key (8) + tag (1) + payload body (4).
-        if count > (self.buf.len() - self.pos) / 13 {
+        if count > (self.buf.len() - self.pos) / MIN_RECORD {
             return Err(Self::bad("tuple list"));
         }
-        let mut out = Vec::with_capacity(count);
+        Ok(count)
+    }
+
+    /// The one record decoder: `count` records, each handed to `visit`.
+    fn records(
+        &mut self,
+        count: usize,
+        mut visit: impl FnMut(u64, PayloadRef<'a>),
+    ) -> io::Result<()> {
         for _ in 0..count {
             let key = self.u64("tuple key")?;
             let payload = match self.u8("payload tag")? {
-                TAG_SYNTHETIC => Payload::Synthetic(self.u32("synthetic payload size")?),
-                TAG_BYTES => Payload::Bytes(self.bytes("payload bytes")?),
+                TAG_SYNTHETIC => PayloadRef::Synthetic(self.u32("synthetic payload size")?),
+                TAG_BYTES => PayloadRef::Bytes(self.blob("payload bytes")?),
                 tag => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -252,8 +337,20 @@ impl<'a> Cursor<'a> {
                     ))
                 }
             };
-            out.push(Tuple { key, payload });
+            visit(key, payload);
         }
+        Ok(())
+    }
+
+    fn tuples(&mut self) -> io::Result<Vec<Tuple>> {
+        let count = self.record_count()?;
+        let mut out = Vec::with_capacity(count);
+        self.records(count, |key, payload| {
+            out.push(Tuple {
+                key,
+                payload: payload.to_payload(),
+            })
+        })?;
         Ok(out)
     }
 
@@ -306,9 +403,9 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         0x04 => Frame::Accepted {
             job: c.u64("ACCEPTED job")?,
         },
-        0x05 => Frame::Ingest(c.tuples()?),
+        OP_INGEST => Frame::Ingest(c.tuples()?),
         0x06 => Frame::Fin,
-        0x07 => Frame::Egress(c.tuples()?),
+        OP_EGRESS => Frame::Egress(c.tuples()?),
         0x08 => Frame::Stats(JobSummary {
             job: c.u64("STATS job")?,
             tuples: c.u64("STATS tuples")?,
@@ -364,6 +461,20 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
     Ok(frame)
 }
 
+/// Decode an `INGEST` body's records, handing each to `visit` as its key and
+/// a payload borrowed from `body` — no [`Tuple`] is built; `None` when
+/// `body` is another frame's. The count is checked against the body before
+/// `visit` sees a record, but a body that fails later has shown `visit` the
+/// records before the fault.
+pub fn decode_ingest<'a>(
+    body: &'a [u8],
+    visit: impl FnMut(u64, PayloadRef<'a>),
+) -> Option<io::Result<()>> {
+    let mut c = Cursor::new(body.strip_prefix(&[OP_INGEST])?);
+    let decoded = c.record_count().and_then(|count| c.records(count, visit));
+    Some(decoded.and_then(|()| c.finish("INGEST")))
+}
+
 /// Read one length-prefixed frame, blocking until it arrives.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
@@ -371,11 +482,21 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
 /// a frame is [`io::ErrorKind::UnexpectedEof`]. A length prefix over
 /// [`MAX_FRAME_BYTES`] is rejected before any body allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
+    let mut body = Vec::new();
+    read_body(r, &mut body)?
+        .then(|| decode_frame(&body))
+        .transpose()
+}
+
+/// [`read_frame`] without the decode: read one frame's body into `body`,
+/// which keeps its allocation from frame to frame, and return whether a
+/// frame arrived (`false` on a clean end-of-stream).
+pub fn read_body<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<bool> {
     let mut prefix = [0u8; 4];
     let mut got = 0usize;
     while got < prefix.len() {
         match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) if got == 0 => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -400,9 +521,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
             format!("malformed frame: {len} byte body exceeds the {MAX_FRAME_BYTES} byte cap"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_frame(&body).map(Some)
+    // Only the growth past the last frame's length is zero-filled.
+    body.resize(len, 0);
+    r.read_exact(body)?;
+    Ok(true)
 }
 
 #[cfg(test)]

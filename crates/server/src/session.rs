@@ -3,10 +3,12 @@
 //! A session owns exactly one sort. It reads `HELLO`/`SUBMIT`, turns the
 //! submission into a [`SortRequest`] whose input is a bounded
 //! [`ChannelSource`] — so a slow sort backpressures `INGEST` frames straight
-//! through TCP — and then pumps tuples in, waits on the ticket and frames
-//! the sorted result as it pulls it off the job's last merge step, which
-//! runs on this thread. While the session is blocked in `write` it holds no
-//! lock, so a client that stops reading holds up nobody else.
+//! through TCP — and then decodes records from the socket into the job's
+//! pages, waits on the ticket and frames the sorted pages as it pulls them
+//! off the job's last merge step, which runs on this thread: records stay
+//! bytes both ways, in one body buffer per connection. While the session is
+//! blocked in `write` it holds no lock, so a client that stops reading holds
+//! up nobody else.
 //! Every abnormal exit (a `CANCEL` frame, a protocol violation, a vanished
 //! client) funnels through the same cleanup: cancel the ticket, drop the
 //! ingest channel, and see the job out ([`JobOutput::finish`]) so its pages
@@ -18,10 +20,10 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 use masort_broker::{JobOutput, SortRequest};
-use masort_core::{ChannelSource, DelaySample, SortError, SortOrder, Tuple, TupleArena};
+use masort_core::{ChannelSource, DelaySample, SortError, SortOrder, TupleArena};
 use masort_trace::EventKind;
 
-use crate::codec::{read_frame, write_frame};
+use crate::codec::{decode_frame, decode_ingest, read_body, write_egress, write_frame};
 use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
@@ -83,18 +85,28 @@ fn protocol_error<W: Write>(w: &mut W, detail: String) -> io::Result<()> {
     send_error(w, WireError::new(ErrorCode::Protocol, detail))
 }
 
-/// The next frame while the server is up, end of stream once it is shutting
-/// down. A session blocked in here at shutdown is woken by the accept loop
-/// shutting down its socket's read half, which also reads as end of stream;
-/// the flag covers a session that still has frames queued in the socket.
+/// The next frame's body, into `body`, while the server is up; end of stream
+/// (`false`) once it is shutting down. A session blocked in here at shutdown
+/// is woken by the accept loop shutting down its socket's read half, which
+/// also reads as end of stream; the flag covers a session that still has
+/// frames queued in the socket.
+fn next_body(
+    shared: &ServerShared,
+    reader: &mut BufReader<&TcpStream>,
+    body: &mut Vec<u8>,
+) -> io::Result<bool> {
+    Ok(!shared.shutdown.load(Ordering::Acquire) && read_body(reader, body)?)
+}
+
+/// [`next_body`], decoded.
 fn next_frame(
     shared: &ServerShared,
     reader: &mut BufReader<&TcpStream>,
+    body: &mut Vec<u8>,
 ) -> io::Result<Option<Frame>> {
-    if shared.shutdown.load(Ordering::Acquire) {
-        return Ok(None);
-    }
-    read_frame(reader)
+    next_body(shared, reader, body)?
+        .then(|| decode_frame(body))
+        .transpose()
 }
 
 fn serve<W: Write>(
@@ -102,11 +114,12 @@ fn serve<W: Write>(
     reader: &mut BufReader<&TcpStream>,
     writer: &mut W,
 ) -> io::Result<()> {
+    let body = &mut Vec::new();
     // The opening frame routes the whole connection: HELLO starts a sort,
     // SHUTDOWN / TRACE_REQ / METRICS_REQ are admin commands. An opening
     // frame this version cannot decode (an older client's admin opcode, say)
     // is refused in words.
-    let opening = match next_frame(shared, reader) {
+    let opening = match next_frame(shared, reader, body) {
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             return protocol_error(writer, e.to_string())
         }
@@ -141,7 +154,7 @@ fn serve<W: Write>(
                         )
                     }
                 }
-                match next_frame(shared, reader)? {
+                match next_frame(shared, reader, body)? {
                     Some(next) => frame = next,
                     None => return Ok(()),
                 }
@@ -180,14 +193,17 @@ fn serve<W: Write>(
         },
     )?;
 
-    let spec = match read_frame(reader)? {
+    let spec = match read_body(reader, body)?
+        .then(|| decode_frame(body))
+        .transpose()?
+    {
         None => return Ok(()),
         Some(Frame::Submit(spec)) => spec,
         Some(other) => {
             return protocol_error(writer, format!("expected SUBMIT, got {}", other.name()))
         }
     };
-    run_sort(shared, reader, writer, tenant, spec)
+    run_sort(shared, reader, writer, body, tenant, spec)
 }
 
 /// Admit the submission, pump ingest, drain egress. One sort, end to end.
@@ -195,6 +211,7 @@ fn run_sort<W: Write>(
     shared: &Arc<ServerShared>,
     reader: &mut BufReader<&TcpStream>,
     writer: &mut W,
+    body: &mut Vec<u8>,
     tenant: Option<String>,
     spec: SubmitSpec,
 ) -> io::Result<()> {
@@ -309,28 +326,40 @@ fn run_sort<W: Write>(
     )?;
 
     // -- Ingest ------------------------------------------------------------
-    // Tuples are re-paged to the job's own page geometry; a full channel
-    // blocks `sink.send`, which stops us reading frames, which fills the TCP
-    // window — backpressure all the way to the client.
+    // Records are decoded into pages of the job's own geometry; a full
+    // channel blocks `sink.send`, which stops us reading frames, which fills
+    // the TCP window — backpressure all the way to the client.
     let mut sink = Some(sink);
     let mut pending = TupleArena::with_capacity(record_stride, tuples_per_page);
+    // A protocol violation that ended ingest, reported instead of the job's
+    // fate.
+    let mut refusal = None;
     let finished = loop {
-        match next_frame(shared, reader) {
-            Ok(Some(Frame::Ingest(tuples))) => {
-                let tx = sink.as_ref().expect("sink alive during ingest");
-                // Records go straight into the page under construction; every
-                // page that fills is sent, a partial one carries over. A
-                // refused page means the sort is already over (failed or
-                // reallocated away): stop feeding it, report its fate below.
-                let closed = tuples.iter().any(|t| {
-                    pending.push(t);
-                    pending.len() == tuples_per_page && tx.send(pending.seal()).is_err()
-                });
-                if closed {
+        let tx = sink.as_ref().expect("sink alive during ingest");
+        // Records go from the body straight into the page under construction;
+        // every page that fills is sent, a partial one carries over. A refused
+        // page means the sort is already over (failed or reallocated away):
+        // stop feeding it, report its fate below. A body that fails to decode
+        // cancels the job, so nothing it fed in reaches a result.
+        let mut closed = false;
+        let frame = match next_body(shared, reader, body) {
+            Ok(true) => match decode_ingest(body, |key, payload| {
+                if !closed {
+                    pending.push_ref(key, payload);
+                    closed = pending.len() == tuples_per_page && tx.send(pending.seal()).is_err();
+                }
+            }) {
+                Some(Ok(())) if closed => {
                     sink = None;
                     break true;
                 }
-            }
+                Some(Ok(())) => continue,
+                Some(Err(e)) => Err(e),
+                None => decode_frame(body).map(Some),
+            },
+            other => other.map(|_| None),
+        };
+        let violation = match frame {
             Ok(Some(Frame::Fin)) => {
                 let tx = sink.take().expect("sink alive during ingest");
                 if !pending.is_empty() {
@@ -339,39 +368,31 @@ fn run_sort<W: Write>(
                 tx.finish();
                 break true;
             }
-            Ok(Some(Frame::Cancel)) => {
-                ticket.cancel();
-                sink = None; // wake a sort blocked on input
-                break false;
-            }
-            Ok(Some(other)) => {
-                ticket.cancel();
-                sink = None;
-                let _ = protocol_error(
-                    writer,
-                    format!("expected INGEST, FIN or CANCEL, got {}", other.name()),
-                );
-                break false;
-            }
-            Ok(None) | Err(_) => {
-                // Client disconnected mid-ingest (or the server is draining
-                // and the client went quiet): abort the job. Dropping the
-                // sink unblocks a sort waiting for input; cancelling the
-                // ticket aborts one that is mid-computation. Either way we
-                // still drain the ticket below, so by the time this session
-                // ends the job's pages are back in the pool and its runs are
-                // gone.
-                ticket.cancel();
-                sink = None;
-                break false;
-            }
-        }
+            Ok(Some(Frame::Cancel)) => None,
+            Ok(Some(other)) => Some(format!(
+                "expected INGEST, FIN or CANCEL, got {}",
+                other.name()
+            )),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Some(e.to_string()),
+            // Client disconnected mid-ingest (or the server is draining and
+            // the client went quiet).
+            Ok(None) | Err(_) => None,
+        };
+        // Abort the job. Dropping the sink unblocks a sort waiting for
+        // input; cancelling the ticket aborts one that is mid-computation.
+        // Either way we still drain the ticket below, so by the time this
+        // session ends the job's pages are back in the pool and its runs are
+        // gone.
+        ticket.cancel();
+        sink = None;
+        refusal = violation.map(|detail| WireError::new(ErrorCode::Protocol, detail));
+        break false;
     };
     drop(sink);
 
     if !finished {
-        // Cancelled or abandoned: see the job out so cleanup is complete,
-        // then (best-effort) tell the client.
+        // Cancelled, refused or abandoned: see the job out so cleanup is
+        // complete, then (best-effort) tell the client.
         let err = match ticket.wait() {
             Err(e) => wire_error(&e),
             // The sort won the race and got to its last merge step before
@@ -382,7 +403,7 @@ fn run_sort<W: Write>(
                 wire_error(&SortError::Cancelled)
             }
         };
-        return send_error(writer, err);
+        return send_error(writer, refusal.unwrap_or(err));
     }
 
     // -- Egress ------------------------------------------------------------
@@ -390,7 +411,7 @@ fn run_sort<W: Write>(
         Ok(output) => output,
         Err(e) => return send_error(writer, wire_error(&e)),
     };
-    let sent = send_result(&mut output, writer, frame_tuples);
+    let sent = send_result(&mut output, writer, body, frame_tuples);
     // Whatever became of the socket, the job is over before the session is:
     // sort closed, grant back in the pool.
     let report = output.finish();
@@ -420,56 +441,33 @@ fn run_sort<W: Write>(
     )
 }
 
-/// Frame the job's result as its pages are merged: whole pages, coalesced up to
-/// `frame_tuples` per `EGRESS` frame. Returns how many tuples went out, or
-/// the error that ended the result.
+/// Frame the job's result as its pages are merged: sealed pages, coalesced
+/// up to `frame_tuples` records per `EGRESS` frame (and split wherever the
+/// frame cap says, for payloads far larger than the job's geometry
+/// declared), encoded in `body`. Returns how many tuples went out, or the
+/// error that ended the result.
 fn send_result<W: Write>(
     output: &mut JobOutput,
     writer: &mut W,
+    body: &mut Vec<u8>,
     frame_tuples: usize,
 ) -> io::Result<Result<u64, SortError>> {
     let mut tuples = 0u64;
-    let mut chunk: Vec<Tuple> = Vec::new();
+    let mut chunk = Vec::new();
     loop {
         match output.next_page() {
             Ok(Some(page)) => {
                 tuples += page.len() as u64;
-                if chunk.is_empty() {
-                    chunk = page;
-                } else {
-                    chunk.extend(page);
-                }
-                if chunk.len() >= frame_tuples {
-                    write_egress(writer, std::mem::take(&mut chunk))?;
+                chunk.push(page);
+                if chunk.iter().map(|p| p.len()).sum::<usize>() >= frame_tuples {
+                    write_egress(writer, &chunk, body)?;
+                    chunk.clear();
                 }
             }
             Ok(None) => break,
             Err(e) => return Ok(Err(e)),
         }
     }
-    if !chunk.is_empty() {
-        write_egress(writer, chunk)?;
-    }
+    write_egress(writer, &chunk, body)?;
     Ok(Ok(tuples))
-}
-
-/// One `EGRESS` frame — or, when payloads far larger than the job's geometry
-/// declared push the encoding over the frame cap, as many as it takes.
-fn write_egress<W: Write>(writer: &mut W, tuples: Vec<Tuple>) -> io::Result<()> {
-    let frame = Frame::Egress(tuples);
-    match write_frame(writer, &frame) {
-        // Refused before a byte was written.
-        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-            let Frame::Egress(mut tuples) = frame else {
-                unreachable!("built as EGRESS above");
-            };
-            if tuples.len() < 2 {
-                return Err(e);
-            }
-            let back = tuples.split_off(tuples.len() / 2);
-            write_egress(writer, tuples)?;
-            write_egress(writer, back)
-        }
-        sent => sent,
-    }
 }

@@ -414,3 +414,54 @@ fn shutdown_drains_inflight_sorts_before_exiting() {
         "listener should be closed after shutdown"
     );
 }
+
+/// A `Completed` that met an error fuses: a peer that sends one `EGRESS`
+/// frame, then `ERR`, then closes, yields its tuples, one error, and `None`
+/// from then on — so draining it with `filter_map(Result::ok)` ends.
+#[test]
+fn the_result_iterator_fuses_after_an_error() {
+    use masort_server::codec::{read_frame, write_frame};
+    use masort_server::{Frame, WireError, PROTOCOL_VERSION};
+    use std::io::{BufReader, BufWriter};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let peer = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        let mut reply = |frame: Frame| {
+            write_frame(&mut writer, &frame).unwrap();
+            writer.flush().unwrap();
+        };
+        assert!(matches!(
+            read_frame(&mut reader),
+            Ok(Some(Frame::Hello { .. }))
+        ));
+        reply(Frame::Welcome {
+            version: PROTOCOL_VERSION,
+            pool_pages: 8,
+        });
+        assert!(matches!(
+            read_frame(&mut reader),
+            Ok(Some(Frame::Submit(_)))
+        ));
+        reply(Frame::Accepted { job: 1 });
+        assert!(matches!(read_frame(&mut reader), Ok(Some(Frame::Fin))));
+        reply(Frame::Egress(
+            (0..3).map(|k| Tuple::synthetic(k, 16)).collect(),
+        ));
+        reply(Frame::Error(WireError::new(ErrorCode::Io, "the disk died")));
+        // Dropping both halves closes the connection.
+    });
+    let mut client = SortClient::connect(addr, None).expect("connect");
+    client.submit(SubmitSpec::default()).expect("submit");
+    let mut completed = client.finish().expect("finish");
+    let items: Vec<_> = completed.by_ref().take(100).collect();
+    assert_eq!(items.len(), 4, "three tuples, one error, then the end");
+    assert!(items[..3].iter().all(Result::is_ok));
+    assert!(matches!(&items[3], Err(ClientError::Remote(e)) if e.code == ErrorCode::Io));
+    assert!(completed.next().is_none(), "fused");
+    assert!(completed.summary().is_none());
+    peer.join().expect("peer");
+}

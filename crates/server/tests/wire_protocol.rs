@@ -1,12 +1,20 @@
 //! Wire-protocol robustness: randomized round-trips for every frame type,
-//! and a fuzz pass proving malformed bytes produce clean errors — never
-//! panics, never oversized allocations.
+//! a fuzz pass proving malformed bytes produce clean errors — never
+//! panics, never oversized allocations — the record paths the server takes
+//! (pages to `EGRESS`, `INGEST` into a page) held to the bytes of the
+//! `Frame` path, and hostile `INGEST` bodies sent to a live server.
 
-use std::io;
+use std::io::{self, BufReader, BufWriter, Write};
+use std::net::TcpStream;
+use std::path::PathBuf;
 
-use masort_core::Tuple;
-use masort_server::codec::{decode_frame, encode_frame, read_frame, write_frame};
-use masort_server::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError};
+use masort_core::{Page, SortConfig, Tuple, TupleArena, MIN_DENSE_STRIDE};
+use masort_server::codec::{
+    decode_frame, decode_ingest, encode_frame, read_frame, write_egress, write_frame,
+};
+use masort_server::{
+    ErrorCode, Frame, JobSummary, Server, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -275,4 +283,233 @@ fn overclaimed_tuple_counts_are_rejected() {
         let err = decode_frame(&body).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
+}
+
+/// Tuples of one payload kind: synthetic, empty, inline-sized or a mix with
+/// outliers that leave their records.
+fn payload_case(rng: &mut StdRng, kind: u64, n: usize) -> Vec<Tuple> {
+    (0..n)
+        .map(|_| {
+            let key = rng.next_u64();
+            match kind {
+                0 => Tuple::synthetic(key, (rng.next_u64() % 300) as usize),
+                1 => Tuple::new(key, Vec::new()),
+                2 => Tuple::new(key, vec![key as u8; 24]),
+                _ => {
+                    let len = if rng.gen_bool(0.2) { 200 } else { 6 };
+                    Tuple::new(key, vec![key as u8; len])
+                }
+            }
+        })
+        .collect()
+}
+
+/// The same records, sealed at `stride` (small strides push payloads into
+/// the overflow area).
+fn sealed(tuples: &[Tuple], stride: usize) -> Page {
+    let mut arena = TupleArena::new(stride);
+    tuples.iter().for_each(|t| arena.push(t));
+    arena.seal()
+}
+
+/// Pages encode to the very bytes the `Frame` path writes for the same
+/// records, however the records lie in the pages, and an `INGEST` body
+/// decoded into an arena is the page of the frame's tuples.
+#[test]
+fn pages_and_frames_encode_records_to_the_same_bytes() {
+    let mut rng = StdRng::seed_from_u64(0x00B1_7E1D);
+    let mut body = Vec::new();
+    for trial in 0..200 {
+        let kind = trial % 4;
+        let n = (rng.next_u64() % 90) as usize;
+        let tuples = payload_case(&mut rng, kind, n);
+        let stride = MIN_DENSE_STRIDE + (rng.next_u64() % 40) as usize;
+        // One page, or the same records cut into several.
+        let cut = 1 + (rng.next_u64() % 30) as usize;
+        let pages: Vec<Page> = tuples.chunks(cut).map(|c| sealed(c, stride)).collect();
+        let mut expect = Vec::new();
+        if !tuples.is_empty() {
+            write_frame(&mut expect, &Frame::Egress(tuples.clone())).unwrap();
+        }
+        for pages in [vec![sealed(&tuples, stride)], pages] {
+            let mut wire = Vec::new();
+            write_egress(&mut wire, &pages, &mut body).unwrap();
+            assert_eq!(wire, expect, "trial {trial}: kind {kind}, stride {stride}");
+        }
+
+        let ingest = encode_frame(&Frame::Ingest(tuples.clone()));
+        let mut arena = TupleArena::new(stride);
+        decode_ingest(&ingest, |key, payload| arena.push_ref(key, payload))
+            .unwrap()
+            .unwrap();
+        let Frame::Ingest(decoded) = decode_frame(&ingest).unwrap() else {
+            panic!("an INGEST body decodes to INGEST");
+        };
+        assert_eq!(arena.seal(), Page::from_tuples(decoded), "trial {trial}");
+    }
+}
+
+/// A page whose records encode to more than the frame cap goes out as
+/// several frames, cut at record boundaries, each the bytes `write_frame`
+/// writes for its records; a single record over the cap is refused before
+/// anything is written.
+#[test]
+fn a_page_over_the_frame_cap_is_cut_into_frames_of_whole_records() {
+    let big = MAX_FRAME_BYTES / 3;
+    let tuples: Vec<Tuple> = (0..5u64)
+        .map(|k| Tuple::new(k, vec![k as u8; big]))
+        .chain([Tuple::synthetic(9, 64), Tuple::new(10, vec![1; 40])])
+        .collect();
+    let page = Page::from_tuples(tuples.clone());
+    let mut wire = Vec::new();
+    write_egress(&mut wire, std::slice::from_ref(&page), &mut Vec::new()).unwrap();
+
+    let mut r = io::Cursor::new(&wire[..]);
+    let mut frames = Vec::new();
+    while let Some(frame) = read_frame(&mut r).unwrap() {
+        let Frame::Egress(records) = frame else {
+            panic!("only EGRESS frames");
+        };
+        frames.push(records);
+    }
+    // Two records of a third of the cap fit a frame; a third does not.
+    assert_eq!(frames.iter().map(Vec::len).collect::<Vec<_>>(), [2, 2, 3]);
+    let mut expect = Vec::new();
+    for records in &frames {
+        write_frame(&mut expect, &Frame::Egress(records.clone())).unwrap();
+    }
+    assert_eq!(wire, expect);
+    assert_eq!(frames.concat(), tuples);
+
+    let whale = Page::from_tuples(vec![Tuple::new(1, vec![0; MAX_FRAME_BYTES])]);
+    let mut out = Vec::new();
+    let err = write_egress(&mut out, &[whale], &mut Vec::new()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    assert!(out.is_empty(), "nothing of a refused frame is written");
+}
+
+/// `INGEST` bodies a hostile or broken client might send, each next to how
+/// many of its records a decoder gets to see before the error.
+fn hostile_ingest_bodies() -> Vec<(&'static str, Vec<u8>, usize)> {
+    let record = |key: u64, payload: &[u8]| {
+        let mut r = key.to_le_bytes().to_vec();
+        r.push(1); // a byte blob
+        r.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        r.extend_from_slice(payload);
+        r
+    };
+    let list = |count: u32, records: &[Vec<u8>]| {
+        let mut body = vec![0x05];
+        body.extend_from_slice(&count.to_le_bytes());
+        records.iter().for_each(|r| body.extend_from_slice(r));
+        body
+    };
+    let three: Vec<Vec<u8>> = (0..3).map(|k| record(k, &[k as u8; 20])).collect();
+
+    let overclaimed = list(1_000, &three);
+    let mut truncated = list(3, &three);
+    truncated.truncate(truncated.len() - 10);
+    let mut unknown_tag = list(3, &three);
+    unknown_tag[5 + three[0].len() + 8] = 7;
+    let mut long_blob = list(3, &three[..2]);
+    let mut liar = record(2, &[2; 20]);
+    liar[9..13].copy_from_slice(&4_000u32.to_le_bytes());
+    long_blob.extend_from_slice(&liar);
+    vec![
+        ("an overclaimed count", overclaimed, 0),
+        ("a truncated third record", truncated, 2),
+        ("an unknown tag mid-frame", unknown_tag, 1),
+        ("a blob longer than the body", long_blob, 2),
+    ]
+}
+
+/// Each hostile body fails to decode with `InvalidData`; a decoder sees none
+/// of a body whose count the body cannot hold.
+#[test]
+fn hostile_ingest_bodies_fail_to_decode_cleanly() {
+    for (what, body, seen) in hostile_ingest_bodies() {
+        let mut visited = 0;
+        let err = decode_ingest(&body, |_, _| visited += 1)
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        assert_eq!(visited, seen, "{what}");
+        assert!(decode_frame(&body).is_err(), "{what}");
+    }
+}
+
+/// Spill directories this process's sorts currently own.
+fn spill_dirs() -> Vec<PathBuf> {
+    let prefix = format!("masort-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("list the temp dir")
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|path| {
+            path.file_name()
+                .and_then(|name| name.to_str())
+                .is_some_and(|name| name.starts_with(&prefix))
+        })
+        .collect()
+}
+
+/// Sent to a live server after a good `INGEST` frame, each hostile body ends
+/// the sort in a typed protocol error — the only frame the client gets after
+/// it — with no result, no page leaked and no spill directory left behind.
+#[test]
+fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
+    let handle = Server::builder()
+        .pool_pages(16)
+        .workers(1)
+        .base_config(
+            SortConfig::default()
+                .with_page_size(1024)
+                .with_tuple_size(32)
+                .with_memory_pages(8),
+        )
+        .bind("127.0.0.1:0")
+        .expect("bind loopback")
+        .spawn();
+    for (what, hostile, _) in hostile_ingest_bodies() {
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        let mut exchange = |frame: &Frame| {
+            write_frame(&mut writer, frame).unwrap();
+            writer.flush().unwrap();
+            read_frame(&mut reader).unwrap()
+        };
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: None,
+        };
+        assert!(matches!(exchange(&hello), Some(Frame::Welcome { .. })));
+        let submit = Frame::Submit(SubmitSpec {
+            spill: true,
+            ..SubmitSpec::default()
+        });
+        assert!(matches!(exchange(&submit), Some(Frame::Accepted { .. })));
+        // Enough good records to fill pages and spill a run first.
+        let good: Vec<Tuple> = (0..500u64)
+            .rev()
+            .map(|k| Tuple::new(k, vec![7; 20]))
+            .collect();
+        write_frame(&mut writer, &Frame::Ingest(good)).unwrap();
+        writer
+            .write_all(&(hostile.len() as u32).to_le_bytes())
+            .unwrap();
+        writer.write_all(&hostile).unwrap();
+        writer.flush().unwrap();
+        match read_frame(&mut reader).expect("an answer") {
+            Some(Frame::Error(e)) => assert_eq!(e.code, ErrorCode::Protocol, "{what}: {e}"),
+            other => panic!("{what}: expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(
+            read_frame(&mut reader).unwrap(),
+            None,
+            "{what}: nothing after ERR"
+        );
+    }
+    let stats = handle.join();
+    assert_eq!((stats.completed, stats.leaked_pages), (0, 0));
+    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
 }

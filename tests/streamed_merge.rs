@@ -269,7 +269,7 @@ fn settling_after_k_pages_continues_the_stream_where_it_stopped() {
             let (_, mut whole) = parked(adaptation, &order, &input);
             let mut pages: Vec<Vec<Tuple>> = Vec::new();
             while let Some(page) = whole.next_page().unwrap() {
-                pages.push(page);
+                pages.push(page.tuples());
             }
             let reference: Vec<Tuple> = pages.concat();
             assert!(order.is_sorted(&reference));
@@ -280,7 +280,7 @@ fn settling_after_k_pages_continues_the_stream_where_it_stopped() {
                 let (budget, mut sort) = parked(adaptation, &order, &input);
                 let mut output = Vec::new();
                 for _ in 0..k {
-                    output.extend(sort.next_page().unwrap().expect("k pages exist"));
+                    output.extend(sort.next_page().unwrap().expect("k pages exist").tuples());
                 }
                 let settled = sort.settle().unwrap();
                 assert_eq!(budget.held(), 0, "{case}: settle gives every page back");
