@@ -469,8 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn backward_take_batch_arena_dense_preserves_order() {
-        let pages = reversed_pages(9, 4);
+    fn backward_take_batch_dense_preserves_order() {
+        let pages = reversed_pages(12, 6);
         let mut arena = TupleArena::new(pages[0].stride());
         let (mut store, mut c) = setup_reversed(pages);
         let mut env = CountingEnv::new();
@@ -482,6 +482,21 @@ mod tests {
             let first = n.div_ceil(2);
             c.take_batch_arena(first, &mut arena);
             c.take_batch_arena(n - first, &mut arena);
+        }
+        let got: Vec<u64> = arena.seal().keys().collect();
+        assert_eq!(got, (0..12).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn backward_take_batch_arena_dense_preserves_order() {
+        let pages = reversed_pages(9, 4);
+        let mut arena = TupleArena::new(pages[0].stride());
+        let (mut store, mut c) = setup_reversed(pages);
+        let mut env = CountingEnv::new();
+        let asc = SortOrder::ascending();
+        while c.ensure_loaded(&asc, &mut store, &mut env).unwrap() {
+            let n = c.buffered();
+            c.take_batch_arena(n, &mut arena);
         }
         let got: Vec<u64> = arena.seal().keys().collect();
         assert_eq!(got, (0..9).collect::<Vec<u64>>());
