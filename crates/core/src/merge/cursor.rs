@@ -225,17 +225,6 @@ impl RunCursor {
         self.consumed += n;
     }
 
-    /// The buffered page itself when the next `n` tuples are all of it, in
-    /// stored order at `stride` (a step hands it on uncopied); else `None`.
-    pub fn take_page(&mut self, n: usize, stride: usize) -> Option<Page> {
-        if self.backward || self.pos != 0 || n != self.page.len() || self.page.stride() != stride {
-            return None;
-        }
-        self.pos = n;
-        self.consumed += n;
-        Some(self.page.clone())
-    }
-
     /// True when the buffered page and the store both have nothing left.
     pub fn exhausted<S: RunStore>(&self, store: &S) -> bool {
         self.buffered() == 0 && self.next_page >= store.run_pages(self.run)
@@ -447,25 +436,6 @@ mod tests {
             );
         }
         assert_eq!(c.peek_composite(&asc, &mut store, &mut env).unwrap(), None);
-    }
-
-    /// Only a whole forward page at the asked stride leaves as itself.
-    #[test]
-    fn take_page_hands_on_only_a_whole_forward_page() {
-        let (mut env, asc) = (CountingEnv::new(), SortOrder::ascending());
-        let (mut store, run) = setup(6, 3);
-        let mut c = RunCursor::new(run);
-        assert!(c.ensure_loaded(&asc, &mut store, &mut env).unwrap());
-        let stride = c.page.stride();
-        assert!(c.take_page(2, stride).is_none() && c.take_page(3, stride + 1).is_none());
-        assert_eq!(
-            c.take_page(3, stride).unwrap().keys().collect::<Vec<_>>(),
-            [0, 1, 2]
-        );
-        assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap().unwrap().key, 3);
-        let (mut store, mut back) = setup_reversed(reversed_pages(3, 3));
-        assert!(back.ensure_loaded(&asc, &mut store, &mut env).unwrap() && back.buffered() == 3);
-        assert!(back.take_page(3, back.page.stride()).is_none());
     }
 
     #[test]

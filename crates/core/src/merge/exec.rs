@@ -705,14 +705,7 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         let arena = step
             .out_arena
             .get_or_insert_with(|| TupleArena::with_capacity(stride, tpp));
-        let cursor = &mut step.inputs[idx].cursor;
-        // A whole input page that would fill an empty out-page is that
-        // out-page, handed on without a copy.
-        let whole = (arena.is_empty() && n == tpp).then(|| cursor.take_page(n, stride));
-        match whole.flatten() {
-            Some(page) => step.sealed.push(page),
-            None => cursor.take_batch_arena(n, arena),
-        }
+        step.inputs[idx].cursor.take_batch_arena(n, arena);
         // A full page is sealed at once (the arena never holds more) and
         // appended, or handed out, when the produce unit ends.
         if arena.len() == tpp {

@@ -12,7 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use masort_core::Tuple;
 
-use crate::codec::{decode_frame, read_body, read_frame, write_frame, write_frame_with};
+use crate::codec::{read_frame, read_frame_in, write_frame, write_frame_with};
 use crate::protocol::{Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION};
 
 /// Everything that can go wrong on the client side of a sort.
@@ -99,9 +99,9 @@ impl SortClient {
     }
 
     fn recv(&mut self, wanted: &str) -> ClientResult<Frame> {
-        match read_body(&mut self.reader, &mut self.body)? {
-            true => Ok(decode_frame(&self.body)?),
-            false => Err(closed(wanted)),
+        match read_frame_in(&mut self.reader, &mut self.body)? {
+            Some(frame) => Ok(frame),
+            None => Err(closed(wanted)),
         }
     }
 

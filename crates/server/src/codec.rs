@@ -27,10 +27,9 @@ use crate::protocol::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_F
 
 const TAG_SYNTHETIC: u8 = 0;
 const TAG_BYTES: u8 = 1;
-const OP_INGEST: u8 = 0x05;
+/// The opcode of an `INGEST` body, whose records [`decode_ingest`] reads.
+pub const OP_INGEST: u8 = 0x05;
 const OP_EGRESS: u8 = 0x07;
-/// Bytes of a record-list body before its records: opcode and count.
-const LIST_HEADER: usize = 1 + 4;
 /// The fewest bytes a record takes: key, tag, a size or a blob's length.
 const MIN_RECORD: usize = 8 + 1 + 4;
 
@@ -98,16 +97,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     buf
 }
 
-/// Encode `frame`'s body into `buf`, replacing its contents. A record list's
-/// exact length is reserved first, so the body is allocated at most once.
+/// Encode `frame`'s body into `buf`, replacing its contents.
 fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
     buf.clear();
-    if let Frame::Ingest(tuples) | Frame::Egress(tuples) = frame {
-        let sizes = tuples
-            .iter()
-            .map(|t| record_len(PayloadRef::from(&t.payload)));
-        buf.reserve(LIST_HEADER + sizes.sum::<usize>());
-    }
     buf.push(frame.opcode());
     match frame {
         Frame::Hello { version, tenant } => {
@@ -204,31 +196,27 @@ fn write_body<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()> {
 /// Write the records of `pages`, in order, as `EGRESS` frames: the bytes
 /// [`write_frame`] writes for `Frame::Egress` of the same records, cut at a
 /// record boundary wherever one more record would take the body over
-/// [`MAX_FRAME_BYTES`] (the cuts are computed from the records' sizes before
-/// anything is encoded). Each body is built in `body`, whose allocation the
-/// caller keeps from frame to frame. A single record over the cap is refused
-/// with `InvalidInput` before a byte of its frame is written.
+/// [`MAX_FRAME_BYTES`] (each record's size is known before it is encoded, so
+/// nothing is encoded twice). Each body is built in `body`, whose allocation
+/// the caller keeps from frame to frame. A single record over the cap is
+/// refused with `InvalidInput` before a byte of its frame is written.
 pub fn write_egress<W: Write>(w: &mut W, pages: &[Page], body: &mut Vec<u8>) -> io::Result<()> {
     let mut records = pages
         .iter()
         .flat_map(|page| (0..page.len()).map(move |i| page.record(i)))
         .peekable();
     while records.peek().is_some() {
-        let (mut n, mut len) = (0usize, LIST_HEADER);
-        for (_, payload) in records.clone() {
-            let more = record_len(payload);
-            if n > 0 && len + more > MAX_FRAME_BYTES {
-                break;
-            }
-            (n, len) = (n + 1, len + more);
-        }
         body.clear();
-        body.reserve(len);
-        body.push(OP_EGRESS);
-        put_u32(body, n as u32);
-        for (key, payload) in records.by_ref().take(n) {
+        body.extend_from_slice(&[OP_EGRESS, 0, 0, 0, 0]);
+        let mut n = 0u32;
+        while let Some((key, payload)) =
+            records.next_if(|&(_, p)| n == 0 || body.len() + record_len(p) <= MAX_FRAME_BYTES)
+        {
             put_record(body, key, payload);
+            n += 1;
         }
+        // The count goes after the opcode once the cut is known.
+        body[1..5].copy_from_slice(&n.to_le_bytes());
         write_body(w, "EGRESS", body)?;
     }
     Ok(())
@@ -462,17 +450,20 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
 }
 
 /// Decode an `INGEST` body's records, handing each to `visit` as its key and
-/// a payload borrowed from `body` — no [`Tuple`] is built; `None` when
-/// `body` is another frame's. The count is checked against the body before
-/// `visit` sees a record, but a body that fails later has shown `visit` the
-/// records before the fault.
-pub fn decode_ingest<'a>(
-    body: &'a [u8],
-    visit: impl FnMut(u64, PayloadRef<'a>),
-) -> Option<io::Result<()>> {
-    let mut c = Cursor::new(body.strip_prefix(&[OP_INGEST])?);
-    let decoded = c.record_count().and_then(|count| c.records(count, visit));
-    Some(decoded.and_then(|()| c.finish("INGEST")))
+/// a payload borrowed from `body` — no [`Tuple`] is built. The count is
+/// checked against the body before `visit` sees a record, but a body that
+/// fails later has shown `visit` the records before the fault.
+pub fn decode_ingest<'a>(body: &'a [u8], visit: impl FnMut(u64, PayloadRef<'a>)) -> io::Result<()> {
+    let mut c = Cursor::new(body);
+    if c.u8("opcode")? != OP_INGEST {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not an INGEST body",
+        ));
+    }
+    let count = c.record_count()?;
+    c.records(count, visit)?;
+    c.finish("INGEST")
 }
 
 /// Read one length-prefixed frame, blocking until it arrives.
@@ -482,10 +473,13 @@ pub fn decode_ingest<'a>(
 /// a frame is [`io::ErrorKind::UnexpectedEof`]. A length prefix over
 /// [`MAX_FRAME_BYTES`] is rejected before any body allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
-    let mut body = Vec::new();
-    read_body(r, &mut body)?
-        .then(|| decode_frame(&body))
-        .transpose()
+    read_frame_in(r, &mut Vec::new())
+}
+
+/// [`read_frame`], reading the body into `body`, whose allocation the caller
+/// keeps from frame to frame.
+pub(crate) fn read_frame_in<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<Option<Frame>> {
+    read_body(r, body)?.then(|| decode_frame(body)).transpose()
 }
 
 /// [`read_frame`] without the decode: read one frame's body into `body`,

@@ -23,7 +23,9 @@ use masort_broker::{JobOutput, SortRequest};
 use masort_core::{ChannelSource, DelaySample, SortError, SortOrder, TupleArena};
 use masort_trace::EventKind;
 
-use crate::codec::{decode_frame, decode_ingest, read_body, write_egress, write_frame};
+use crate::codec::{
+    decode_frame, decode_ingest, read_body, read_frame_in, write_egress, write_frame, OP_INGEST,
+};
 use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
@@ -193,10 +195,7 @@ fn serve<W: Write>(
         },
     )?;
 
-    let spec = match read_body(reader, body)?
-        .then(|| decode_frame(body))
-        .transpose()?
-    {
+    let spec = match read_frame_in(reader, body)? {
         None => return Ok(()),
         Some(Frame::Submit(spec)) => spec,
         Some(other) => {
@@ -331,10 +330,9 @@ fn run_sort<W: Write>(
     // the TCP window — backpressure all the way to the client.
     let mut sink = Some(sink);
     let mut pending = TupleArena::with_capacity(record_stride, tuples_per_page);
-    // A protocol violation that ended ingest, reported instead of the job's
-    // fate.
-    let mut refusal = None;
-    let finished = loop {
+    // `Ok` once the input is in; `Err` when ingest ended early, with the
+    // protocol violation that ended it, if any.
+    let ingest = loop {
         let tx = sink.as_ref().expect("sink alive during ingest");
         // Records go from the body straight into the page under construction;
         // every page that fills is sent, a partial one carries over. A refused
@@ -343,20 +341,17 @@ fn run_sort<W: Write>(
         // cancels the job, so nothing it fed in reaches a result.
         let mut closed = false;
         let frame = match next_body(shared, reader, body) {
-            Ok(true) => match decode_ingest(body, |key, payload| {
+            Ok(true) if body[0] == OP_INGEST => match decode_ingest(body, |key, payload| {
                 if !closed {
                     pending.push_ref(key, payload);
                     closed = pending.len() == tuples_per_page && tx.send(pending.seal()).is_err();
                 }
             }) {
-                Some(Ok(())) if closed => {
-                    sink = None;
-                    break true;
-                }
-                Some(Ok(())) => continue,
-                Some(Err(e)) => Err(e),
-                None => decode_frame(body).map(Some),
+                Ok(()) if closed => break Ok(()),
+                Ok(()) => continue,
+                Err(e) => Err(e),
             },
+            Ok(true) => decode_frame(body).map(Some),
             other => other.map(|_| None),
         };
         let violation = match frame {
@@ -366,7 +361,7 @@ fn run_sort<W: Write>(
                     let _ = tx.send(pending.seal());
                 }
                 tx.finish();
-                break true;
+                break Ok(());
             }
             Ok(Some(Frame::Cancel)) => None,
             Ok(Some(other)) => Some(format!(
@@ -378,19 +373,17 @@ fn run_sort<W: Write>(
             // the client went quiet).
             Ok(None) | Err(_) => None,
         };
-        // Abort the job. Dropping the sink unblocks a sort waiting for
-        // input; cancelling the ticket aborts one that is mid-computation.
-        // Either way we still drain the ticket below, so by the time this
-        // session ends the job's pages are back in the pool and its runs are
-        // gone.
+        // Abort the job. Dropping the sink (below) unblocks a sort waiting
+        // for input; cancelling the ticket aborts one that is
+        // mid-computation. Either way we still drain the ticket, so by the
+        // time this session ends the job's pages are back in the pool and its
+        // runs are gone.
         ticket.cancel();
-        sink = None;
-        refusal = violation.map(|detail| WireError::new(ErrorCode::Protocol, detail));
-        break false;
+        break Err(violation.map(|detail| WireError::new(ErrorCode::Protocol, detail)));
     };
     drop(sink);
 
-    if !finished {
+    if let Err(refusal) = ingest {
         // Cancelled, refused or abandoned: see the job out so cleanup is
         // complete, then (best-effort) tell the client.
         let err = match ticket.wait() {

@@ -339,9 +339,7 @@ fn pages_and_frames_encode_records_to_the_same_bytes() {
 
         let ingest = encode_frame(&Frame::Ingest(tuples.clone()));
         let mut arena = TupleArena::new(stride);
-        decode_ingest(&ingest, |key, payload| arena.push_ref(key, payload))
-            .unwrap()
-            .unwrap();
+        decode_ingest(&ingest, |key, payload| arena.push_ref(key, payload)).unwrap();
         let Frame::Ingest(decoded) = decode_frame(&ingest).unwrap() else {
             panic!("an INGEST body decodes to INGEST");
         };
@@ -424,18 +422,20 @@ fn hostile_ingest_bodies() -> Vec<(&'static str, Vec<u8>, usize)> {
 }
 
 /// Each hostile body fails to decode with `InvalidData`; a decoder sees none
-/// of a body whose count the body cannot hold.
+/// of a body whose count the body cannot hold, and a body that is not
+/// `INGEST` is refused as `InvalidInput`.
 #[test]
 fn hostile_ingest_bodies_fail_to_decode_cleanly() {
     for (what, body, seen) in hostile_ingest_bodies() {
         let mut visited = 0;
-        let err = decode_ingest(&body, |_, _| visited += 1)
-            .unwrap()
-            .unwrap_err();
+        let err = decode_ingest(&body, |_, _| visited += 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         assert_eq!(visited, seen, "{what}");
         assert!(decode_frame(&body).is_err(), "{what}");
     }
+    let fin = encode_frame(&Frame::Fin);
+    let err = decode_ingest(&fin, |_, _| panic!("FIN has no records")).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
 }
 
 /// Spill directories this process's sorts currently own.
