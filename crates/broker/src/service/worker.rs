@@ -2,113 +2,105 @@
 //! hand the root to the ticket (or fail the job).
 
 use super::root::{Books, Root, RootEnd, RootSlot};
+use super::state::State;
 use super::store::build_store;
-use super::{job_span, Shared};
+use super::{job_span, ServiceStore, Shared};
 use crate::admission::QueuedRequest;
 use crate::policy::JobDemand;
 use crate::ticket::JobOutput;
 use masort_core::sync::Mutex;
-use masort_core::{MemoryBudget, RealEnv, SortError, SortJob};
+use masort_core::{MemoryBudget, RealEnv, SortCompletion, SortError, SortJob, SortResult};
 use masort_trace::EventKind;
 use std::sync::Arc;
 
-/// What a worker carries out of the admission critical section.
-struct Admitted {
-    req: QueuedRequest,
-    budget: MemoryBudget,
-    initial_grant: usize,
-    start_version: u64,
-    admitted_at: f64,
-}
-
+/// A worker's life: admit → sort to the root → hand the root over, or fail.
 pub(super) fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let (admitted, moved) = {
-            let mut st = shared.lock();
-            loop {
-                let state = &mut *st;
-                if let Some(req) = state.queue.pop_admissible(&state.broker) {
-                    let now = shared.now();
-                    let budget = MemoryBudget::new(req.min_pages);
-                    state.broker.admit(
-                        JobDemand {
-                            job: req.job,
-                            priority: req.priority,
-                            min_pages: req.min_pages,
-                            max_pages: req.max_pages,
-                        },
-                        budget.clone(),
-                        now,
-                    );
-                    // Make the budget reachable from the ticket; a cancel
-                    // that raced this admission is applied to it in there.
-                    req.ticket.attach_budget(budget.clone());
-                    let snapshot = budget.snapshot();
-                    // The grant counted here is the one the job's trace
-                    // records: counters and timelines agree on pages granted.
-                    state.count(
-                        "pages_granted_total",
-                        req.tenant.as_deref(),
-                        snapshot.target as u64,
-                    );
-                    let admitted = Admitted {
-                        req,
-                        initial_grant: snapshot.target,
-                        start_version: snapshot.version,
-                        budget,
-                        admitted_at: now,
-                    };
-                    break (admitted, state.parked.clone());
-                }
-                // A request is queued that does not fit beside the live
-                // minimums: a parked root makes room, by settling.
-                let root = st.parked.first().filter(|_| !st.queue.is_empty());
-                if let Some(root) = root.cloned() {
-                    drop(st);
-                    root.slot.lock().settle(&shared, RootEnd::QueuedRequest);
-                    st = shared.lock();
-                    continue;
-                }
-                if st.shutdown && st.queue.is_empty() {
-                    return;
-                }
-                st = shared.work.wait(st);
-            }
-        };
-        // The admission moved every live target; the parked roots follow.
-        shared.answer(moved);
-        run_admitted(&shared, admitted);
+    while let Some((books, req)) = next_admitted(&shared) {
+        match sort_to_root(&shared, &books, req) {
+            Ok(sort) => hand_over(&shared, books, sort),
+            Err(e) => fail(&shared, books, e),
+        }
     }
 }
 
-fn run_admitted(shared: &Arc<Shared>, admitted: Admitted) {
-    let Admitted {
-        req,
-        budget,
-        initial_grant,
-        start_version,
-        admitted_at,
-    } = admitted;
-    let QueuedRequest {
-        job,
-        cfg,
-        input,
-        storage,
-        tenant,
-        ticket,
-        submitted_at,
-        ..
-    } = req;
+/// Wait for a queued request that fits beside the live minimums and admit
+/// it; `None` once the service is shut down and its queue is drained.
+fn next_admitted(shared: &Shared) -> Option<(Books, QueuedRequest)> {
+    let mut st = shared.lock();
+    loop {
+        let state = &mut *st;
+        if let Some(req) = state.queue.pop_admissible(&state.broker) {
+            let books = admit(shared, state, &req);
+            let moved = state.parked.clone();
+            drop(st);
+            // The admission moved every live target; the parked roots follow.
+            shared.answer(moved);
+            return Some((books, req));
+        }
+        // A request is queued that does not fit beside the live
+        // minimums: a parked root makes room, by settling.
+        let root = st.parked.first().filter(|_| !st.queue.is_empty());
+        if let Some(root) = root.cloned() {
+            drop(st);
+            root.slot.lock().settle(shared, RootEnd::QueuedRequest);
+            st = shared.lock();
+            continue;
+        }
+        if st.shutdown && st.queue.is_empty() {
+            return None;
+        }
+        st = shared.work.wait(st);
+    }
+}
 
-    let trace = shared.trace.with_span(job_span(job));
+/// Admit `req`, under the state lock: a budget at its minimum, given to the
+/// broker (which moves every live target), and the books its release closes.
+fn admit(shared: &Shared, state: &mut State, req: &QueuedRequest) -> Books {
+    let now = shared.now();
+    let budget = MemoryBudget::new(req.min_pages);
+    let demand = JobDemand {
+        job: req.job,
+        priority: req.priority,
+        min_pages: req.min_pages,
+        max_pages: req.max_pages,
+    };
+    state.broker.admit(demand, budget.clone(), now);
+    // Make the budget reachable from the ticket; a cancel that raced this
+    // admission is applied to it in there.
+    req.ticket.attach_budget(budget.clone());
+    let snapshot = budget.snapshot();
+    // The grant counted here is the one the job's trace records: counters
+    // and timelines agree on pages granted.
+    let tenant = req.tenant.as_deref();
+    state.count("pages_granted_total", tenant, snapshot.target as u64);
+    Books {
+        job: req.job,
+        tenant: req.tenant.clone(),
+        ticket: Arc::clone(&req.ticket),
+        budget,
+        trace: shared.trace.with_span(job_span(req.job)),
+        tuples_per_page: req.cfg.tuples_per_page(),
+        initial_grant: snapshot.target,
+        start_version: snapshot.version,
+        submitted_at: req.submitted_at,
+        admitted_at: now,
+    }
+}
+
+/// Form the job's runs and run the preliminary merge steps on this worker,
+/// stopping with the root parked.
+fn sort_to_root(
+    shared: &Shared,
+    books: &Books,
+    req: QueuedRequest,
+) -> SortResult<SortCompletion<ServiceStore>> {
+    let trace = &books.trace;
     if trace.is_enabled() {
         trace.emit(EventKind::AdmissionGranted {
-            pages: initial_grant,
+            pages: books.initial_grant,
         });
-        budget.attach_trace(trace.clone());
+        books.budget.attach_trace(trace.clone());
     }
-
-    let tuples_per_page = cfg.tuples_per_page();
     let mut env = RealEnv::starting_at(shared.start);
     env.max_wait = shared.suspension_wait;
     env.trace = trace.clone();
@@ -116,67 +108,60 @@ fn run_admitted(shared: &Arc<Shared>, admitted: Admitted) {
     // worker thread down with it: its pages would stay committed forever and
     // its ticket would never be resolved. Contain the unwind and surface it
     // as an error on the ticket instead.
-    let root = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_store(storage).and_then(|store| {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        build_store(req.storage).and_then(|store| {
             SortJob::builder()
-                .config(cfg)
-                .input(input)
+                .config(req.cfg)
+                .input(req.input)
                 .store(store)
                 .env(env)
-                .budget(budget.clone())
+                .budget(books.budget.clone())
                 .build()?
                 // The root parks: the output's holder executes it, and
                 // whoever moves the budget runs its checkpoint meanwhile.
                 .run_to_root()
         })
     }))
-    .unwrap_or_else(|panic| Err(panic_error(panic)));
+    .unwrap_or_else(|panic| Err(panic_error(panic)))
+}
 
-    let books = Books {
-        job,
-        tenant,
-        ticket: Arc::clone(&ticket),
-        budget,
-        trace,
-        tuples_per_page,
-        initial_grant,
-        start_version,
-        submitted_at,
-        admitted_at,
+/// Park the job's root where budget moves and settles reach it, and give the
+/// ticket its output.
+fn hand_over(shared: &Arc<Shared>, books: Books, sort: SortCompletion<ServiceStore>) {
+    let (job, ticket) = (books.job, Arc::clone(&books.ticket));
+    let slot = RootSlot {
+        sort: Some(sort),
+        books: Some(books),
+        report: None,
+        error: None,
+        tuples_streamed: 0,
     };
-    match root {
-        Ok(sort) => {
-            let slot = RootSlot {
-                sort: Some(sort),
-                books: Some(books),
-                report: None,
-                error: None,
-                tuples_streamed: 0,
-            };
-            let root = Arc::new(Root {
-                job,
-                slot: Mutex::new(slot),
-            });
-            shared.lock().parked.push(Arc::clone(&root));
-            // A move or a cancel since the sort last looked found no root to
-            // answer it.
-            shared.answer(Some(Arc::clone(&root)));
-            ticket.fulfill(Ok(JobOutput::new(root, Arc::clone(shared))));
-        }
-        Err(e) => {
-            // A cancelled job did what it was told; count it apart from
-            // genuine failures. A sort that was blocked on a streaming input
-            // when the cancel landed reports its abandoned channel's I/O
-            // error instead of `Cancelled` — normalise it, so cancellation
-            // accounting is deterministic for the caller.
-            let e = match ticket.cancel_requested() {
-                true => SortError::Cancelled,
-                false => e,
-            };
-            books.close(shared, Some(&e), None);
-            ticket.fulfill(Err(e));
-        }
-    }
+    let root = Arc::new(Root {
+        job,
+        slot: Mutex::new(slot),
+    });
+    shared.lock().parked.push(Arc::clone(&root));
+    // A move or a cancel since the sort last looked found no root to
+    // answer it.
+    shared.answer(Some(Arc::clone(&root)));
+    ticket.fulfill(Ok(JobOutput::new(root, Arc::clone(shared))));
+}
+
+/// Close the books of a job that failed before its root, and give the ticket
+/// the error.
+fn fail(shared: &Shared, books: Books, e: SortError) {
+    let ticket = Arc::clone(&books.ticket);
+    // A cancelled job did what it was told; count it apart from genuine
+    // failures. A sort that was blocked on a streaming input when the cancel
+    // landed reports its abandoned channel's I/O error instead of
+    // `Cancelled` — normalise it, so cancellation accounting is
+    // deterministic for the caller.
+    let e = match ticket.cancel_requested() {
+        true => SortError::Cancelled,
+        false => e,
+    };
+    books.close(shared, Some(&e), None);
+    ticket.fulfill(Err(e));
 }
 
 /// Convert a caught panic payload into the error delivered on the ticket.

@@ -1,14 +1,8 @@
 //! The paper's three merge-phase adaptations: suspension, MRU paging and
 //! dynamic splitting (§3.2), applied at each checkpoint.
 
-use super::{Exec, ExecMode};
-use crate::config::MergeAdaptation;
-use crate::env::SortEnv;
-use crate::error::SortResult;
+use super::*;
 use crate::merge::plan::preliminary_fan_in;
-use crate::merge::step::Side;
-use crate::store::RunStore;
-use masort_trace::EventKind;
 
 impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// `wait` is false at the checkpoint of a parked merge, which has nothing

@@ -1,13 +1,8 @@
 //! The sort-merge join on the merge executor: its root step matches the two
 //! relations instead of writing a run (paper §6).
 
-use super::{Exec, ExecMode, ExecParams, MergeState, MergeStats, Progress};
-use crate::budget::MemoryBudget;
-use crate::config::SortConfig;
-use crate::env::{CpuOp, SortEnv};
-use crate::error::SortResult;
-use crate::merge::step::{Input, Side};
-use crate::store::{RunMeta, RunStore};
+use super::*;
+use crate::env::CpuOp;
 use crate::tuple::Tuple;
 
 impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
@@ -167,7 +162,7 @@ pub fn execute_join_merge<S: RunStore, E: SortEnv>(
     let mut inputs: Vec<Input> = Vec::with_capacity(left_runs.len() + right_runs.len());
     inputs.extend(left_runs.iter().map(|r| Input::from_meta(*r, Side::Left)));
     inputs.extend(right_runs.iter().map(|r| Input::from_meta(*r, Side::Right)));
-    let mut st = MergeState::new(budget, env, params, ExecMode::Join, inputs, None);
+    let mut st = MergeState::new(budget, env, params, ExecMode::Join, inputs);
     Exec::over(cfg, budget, store, env, &mut st).run_join(on_match)?;
     Ok(st.stats)
 }

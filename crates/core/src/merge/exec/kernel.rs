@@ -1,15 +1,10 @@
 //! The selection kernel: pick the winning input, move its records into the
 //! active step's out-arena in batches, and flush sealed pages.
 
-use super::{Exec, Progress};
-use crate::config::MergeAdaptation;
-use crate::env::{CpuOp, SortEnv};
-use crate::error::SortResult;
+use super::*;
+use crate::env::CpuOp;
 use crate::layout::TupleArena;
-use crate::merge::step::Side;
-use crate::store::{RunId, RunStore};
 use crate::tuple::Tuple;
-use masort_trace::EventKind;
 
 impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     /// Find the input on `side` whose next tuple has the smallest *composite*
@@ -47,11 +42,8 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
                 }
             }
         }
-        let active = self.st.arena.active;
-        let fan = self.st.arena.steps[active].inputs.len().max(1) as u64;
         // Cost of selecting the minimum with a selection tree / heap.
-        self.env
-            .charge_cpu(CpuOp::Compare, (64 - fan.leading_zeros() as u64).max(1));
+        self.charge_selection(1);
         Ok(best)
     }
 

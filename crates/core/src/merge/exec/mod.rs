@@ -8,12 +8,16 @@
 //! fluctuations with page granularity.
 //!
 //! That state is a value of its own (`MergeState`), separate from the store
-//! and environment it runs against, which makes the merge *resumable*: a
-//! materialising merge ([`execute_merge`]) and a join drive it to the end in
-//! one call, while a streaming sort stops once the tree is down to its root
-//! step, parks the state, and lets the consumer pull the root's output page
-//! by page — sealed pages of records, as every step writes them, but taken by
-//! the consumer instead of appended to an output run.
+//! and environment it runs against, which makes the merge *resumable*. Every
+//! sort runs the preliminary steps first and stops once the tree is down to
+//! its root step (`begin_streaming_merge`); how the root is finished is the
+//! caller's choice, and all three ways live in `root.rs`. A streaming sort
+//! parks the state and lets its consumer pull the root's output page by page
+//! — sealed pages of records, as every step writes them, but taken by the
+//! consumer instead of appended to an output run. A materialising merge
+//! ([`execute_merge`]) runs the root into a fresh output run at once, which is
+//! also what settling a parked root does. Only a join drives its own root,
+//! matching instead of writing.
 //!
 //! Dynamic splitting follows paper §3.2.3 precisely:
 //!
@@ -36,7 +40,7 @@
 //! that moves one tuple at a time (`tests/simulation_golden.rs` pins them).
 
 use crate::budget::MemoryBudget;
-use crate::config::{MergeAdaptation, MergePolicy, SortConfig};
+use crate::config::{AlgorithmSpec, MergeAdaptation, MergePolicy, SortConfig};
 use crate::env::SortEnv;
 use crate::error::SortResult;
 use crate::merge::cursor::RunCursor;
@@ -68,7 +72,7 @@ pub struct ExecParams {
 
 impl ExecParams {
     /// Parameters derived from an algorithm specification.
-    pub fn from_algorithm(spec: &crate::config::AlgorithmSpec) -> Self {
+    pub fn from_algorithm(spec: &AlgorithmSpec) -> Self {
         ExecParams {
             policy: spec.policy,
             adaptation: spec.adaptation,
@@ -78,12 +82,9 @@ impl ExecParams {
 }
 
 impl Default for ExecParams {
+    /// The parameters of the paper's recommended `repl6,opt,split`.
     fn default() -> Self {
-        ExecParams {
-            policy: MergePolicy::Optimized,
-            adaptation: MergeAdaptation::DynamicSplitting,
-            min_pages: 3,
-        }
+        ExecParams::from_algorithm(&AlgorithmSpec::recommended())
     }
 }
 
@@ -220,12 +221,11 @@ impl MergeState {
         params: ExecParams,
         mode: ExecMode,
         inputs: Vec<Input>,
-        output: Option<RunId>,
     ) -> Self {
         MergeState {
             params,
             mode,
-            arena: StepArena::with_root(inputs, output),
+            arena: StepArena::with_root(inputs),
             stats: MergeStats::default(),
             plan_memory: budget.target().max(params.min_pages),
             resident: HashSet::new(),
@@ -347,24 +347,14 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         self.st.stats.steps_executed = self.st.arena.executed_steps();
         self.st.stats.finished_at = self.env.now();
     }
-
-    fn run_sort(&mut self) -> SortResult<()> {
-        self.begin();
-        while self.step()? != Progress::Done {}
-        self.end_phase();
-        Ok(())
-    }
-}
-
-fn sort_inputs(runs: &[RunMeta]) -> Vec<Input> {
-    runs.iter()
-        .map(|r| Input::from_meta(*r, Side::Left))
-        .collect()
 }
 
 /// Merge `runs` into a single sorted output run, adapting to memory
 /// fluctuations according to `params`. Returns the output run id and the
 /// merge statistics.
+///
+/// This is `begin_streaming_merge` followed by the root step run into a
+/// fresh output run — a lone run is copied too.
 pub fn execute_merge<S: RunStore, E: SortEnv>(
     cfg: &SortConfig,
     budget: &MemoryBudget,
@@ -373,10 +363,10 @@ pub fn execute_merge<S: RunStore, E: SortEnv>(
     env: &mut E,
     params: ExecParams,
 ) -> SortResult<(RunId, MergeStats)> {
-    let output = store.create_run()?;
-    let mode = ExecMode::Sort;
-    let mut st = MergeState::new(budget, env, params, mode, sort_inputs(runs), Some(output));
-    Exec::over(cfg, budget, store, env, &mut st).run_sort()?;
+    let mut st = begin_streaming_merge(cfg, budget, runs, store, env, params)?;
+    let mut exec = Exec::over(cfg, budget, store, env, &mut st);
+    let output = exec.finish_into_run()?;
+    exec.end_phase();
     Ok((output, st.stats))
 }
 
@@ -392,8 +382,8 @@ pub(crate) fn begin_streaming_merge<S: RunStore, E: SortEnv>(
     env: &mut E,
     params: ExecParams,
 ) -> SortResult<MergeState> {
-    let mode = ExecMode::Sort;
-    let mut st = MergeState::new(budget, env, params, mode, sort_inputs(runs), None);
+    let inputs = runs.iter().map(|r| Input::from_meta(*r, Side::Left));
+    let mut st = MergeState::new(budget, env, params, ExecMode::Sort, inputs.collect());
     Exec::over(cfg, budget, store, env, &mut st).run_to_root()?;
     Ok(st)
 }

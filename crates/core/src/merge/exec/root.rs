@@ -1,11 +1,7 @@
 //! The root step: run the preliminary steps until the root is active, then
 //! hand its pages to a consumer, settle it into a run, or close it.
 
-use super::{Exec, Progress};
-use crate::env::SortEnv;
-use crate::error::SortResult;
-use crate::merge::step::{Input, Side};
-use crate::store::RunStore;
+use super::*;
 use crate::tuple::Page;
 
 impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
@@ -46,6 +42,19 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         }
     }
 
+    /// Run whatever is left of the merge, the root step included, into a
+    /// fresh output run and return it. The root is left completed and without
+    /// an output; on error the run stays the root's output, so
+    /// [`close`](Self::close) deletes it.
+    pub(crate) fn finish_into_run(&mut self) -> SortResult<RunId> {
+        let out = self.store.create_run()?;
+        let root = self.st.arena.root();
+        self.st.arena.steps[root].output = Some(out);
+        while self.step()? != Progress::Done {}
+        self.st.arena.steps[root].output = None;
+        Ok(out)
+    }
+
     /// Run whatever is left of the merge into one output run and leave the
     /// tree as a fan-in-1 root over it — which is what a lone stored run (or
     /// no run at all) already is, so those settle for free.
@@ -55,11 +64,8 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
         if inputs.len() <= 1 && inputs.iter().all(|i| i.producer.is_none()) {
             return Ok(());
         }
-        let out = self.store.create_run()?;
-        self.st.arena.steps[root].output = Some(out);
-        while self.step()? != Progress::Done {}
+        let out = self.finish_into_run()?;
         let step = &mut self.st.arena.steps[root];
-        step.output = None;
         step.completed = false;
         step.inputs.push(Input::from_run(out, Side::Left));
         self.st.sel_dirty = true;

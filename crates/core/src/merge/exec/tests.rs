@@ -49,44 +49,68 @@ fn params(policy: MergePolicy, adaptation: MergeAdaptation) -> ExecParams {
     }
 }
 
+/// Merge the runs of `make_runs` with `mem` pages, check that the output run
+/// holds their tuples sorted, and return the merge statistics.
+fn merge_checked(
+    (mut store, metas, input): (MemStore, Vec<RunMeta>, Vec<Tuple>),
+    mem: usize,
+    env: &mut impl SortEnv,
+    params: ExecParams,
+) -> MergeStats {
+    let budget = MemoryBudget::new(mem);
+    let merged = execute_merge(&cfg_with_mem(mem), &budget, &metas, &mut store, env, params);
+    let (out, stats) = merged.unwrap();
+    assert_sorted_permutation(&input, &collect_run(&mut store, out).unwrap());
+    stats
+}
+
+/// `n_runs` sorted runs of `pages` pages each, keys drawn from `0..domain`,
+/// appended to `store`: their metadata and their tuples.
+fn make_side(
+    store: &mut MemStore,
+    rng: &mut StdRng,
+    n_runs: usize,
+    pages: usize,
+    domain: u64,
+) -> (Vec<RunMeta>, Vec<Tuple>) {
+    let tpp = 8;
+    let mut metas = Vec::new();
+    let mut all = Vec::new();
+    for _ in 0..n_runs {
+        let mut tuples: Vec<Tuple> = (0..pages * tpp)
+            .map(|_| Tuple::synthetic(rng.gen_range(0..domain), 64))
+            .collect();
+        tuples.sort_unstable_by_key(|t| t.key);
+        all.extend(tuples.clone());
+        let run = store.create_run().unwrap();
+        for p in paginate(tuples, tpp) {
+            store.append_page(run, p).unwrap();
+        }
+        metas.push(store.meta(run));
+    }
+    (metas, all)
+}
+
 #[test]
 fn single_step_merge_with_ample_memory() {
-    let (mut store, metas, input) = make_runs(6, 3, 1);
-    let cfg = cfg_with_mem(16);
-    let budget = MemoryBudget::new(16);
-    let mut env = CountingEnv::new();
-    let (out, stats) = execute_merge(
-        &cfg,
-        &budget,
-        &metas,
-        &mut store,
-        &mut env,
+    let stats = merge_checked(
+        make_runs(6, 3, 1),
+        16,
+        &mut CountingEnv::new(),
         params(MergePolicy::Optimized, MergeAdaptation::DynamicSplitting),
-    )
-    .unwrap();
-    let result = collect_run(&mut store, out).unwrap();
-    assert_sorted_permutation(&input, &result);
+    );
     assert_eq!(stats.steps_executed, 1);
     assert_eq!(stats.splits, 0);
 }
 
 #[test]
 fn insufficient_memory_triggers_preliminary_steps() {
-    let (mut store, metas, input) = make_runs(10, 3, 2);
-    let cfg = cfg_with_mem(8);
-    let budget = MemoryBudget::new(8);
-    let mut env = CountingEnv::new();
-    let (out, stats) = execute_merge(
-        &cfg,
-        &budget,
-        &metas,
-        &mut store,
-        &mut env,
+    let stats = merge_checked(
+        make_runs(10, 3, 2),
+        8,
+        &mut CountingEnv::new(),
         params(MergePolicy::Optimized, MergeAdaptation::DynamicSplitting),
-    )
-    .unwrap();
-    let result = collect_run(&mut store, out).unwrap();
-    assert_sorted_permutation(&input, &result);
+    );
     assert!(stats.splits >= 1);
     assert!(stats.steps_executed >= 2);
 }
@@ -99,55 +123,19 @@ fn all_adaptations_and_policies_produce_sorted_output() {
         MergeAdaptation::DynamicSplitting,
     ] {
         for policy in [MergePolicy::Naive, MergePolicy::Optimized] {
-            let (mut store, metas, input) = make_runs(12, 2, 3);
-            let cfg = cfg_with_mem(6);
-            let budget = MemoryBudget::new(6);
             let mut env = CountingEnv::new();
-            let (out, _stats) = execute_merge(
-                &cfg,
-                &budget,
-                &metas,
-                &mut store,
-                &mut env,
-                params(policy, adaptation),
-            )
-            .unwrap();
-            let result = collect_run(&mut store, out).unwrap();
-            assert_sorted_permutation(&input, &result);
+            merge_checked(make_runs(12, 2, 3), 6, &mut env, params(policy, adaptation));
         }
     }
 }
 
 #[test]
 fn empty_and_single_run_edge_cases() {
-    let cfg = cfg_with_mem(8);
-    let budget = MemoryBudget::new(8);
     let mut env = CountingEnv::new();
-    let mut store = MemStore::new();
-    let (out, stats) = execute_merge(
-        &cfg,
-        &budget,
-        &[],
-        &mut store,
-        &mut env,
-        ExecParams::default(),
-    )
-    .unwrap();
-    assert_eq!(store.run_tuples(out), 0);
+    let nothing = (MemStore::new(), Vec::new(), Vec::new());
+    let stats = merge_checked(nothing, 8, &mut env, ExecParams::default());
     assert_eq!(stats.steps_executed, 0);
-
-    let (mut store, metas, input) = make_runs(1, 4, 9);
-    let (out, _) = execute_merge(
-        &cfg,
-        &budget,
-        &metas,
-        &mut store,
-        &mut env,
-        ExecParams::default(),
-    )
-    .unwrap();
-    let result = collect_run(&mut store, out).unwrap();
-    assert_sorted_permutation(&input, &result);
+    merge_checked(make_runs(1, 4, 9), 8, &mut env, ExecParams::default());
 }
 
 /// An environment that applies a scripted sequence of budget changes, each
@@ -203,22 +191,14 @@ impl SortEnv for ScriptedEnv {
 
 #[test]
 fn dynamic_splitting_survives_shrink_and_grow_mid_merge() {
-    let (mut store, metas, input) = make_runs(10, 4, 7);
-    let cfg = cfg_with_mem(12);
-    let budget = MemoryBudget::new(12);
     // Shrink hard early, grow back later, shrink again.
     let mut env = ScriptedEnv::new(vec![(0.02, 5), (0.2, 14), (0.5, 4), (0.9, 16)]);
-    let (out, stats) = execute_merge(
-        &cfg,
-        &budget,
-        &metas,
-        &mut store,
+    let stats = merge_checked(
+        make_runs(10, 4, 7),
+        12,
         &mut env,
         params(MergePolicy::Optimized, MergeAdaptation::DynamicSplitting),
-    )
-    .unwrap();
-    let result = collect_run(&mut store, out).unwrap();
-    assert_sorted_permutation(&input, &result);
+    );
     assert!(stats.splits >= 1, "expected at least one dynamic split");
     assert!(stats.switches >= 1);
 }
@@ -226,21 +206,9 @@ fn dynamic_splitting_survives_shrink_and_grow_mid_merge() {
 #[test]
 fn paging_and_suspension_survive_fluctuations() {
     for adaptation in [MergeAdaptation::Paging, MergeAdaptation::Suspension] {
-        let (mut store, metas, input) = make_runs(9, 3, 11);
-        let cfg = cfg_with_mem(10);
-        let budget = MemoryBudget::new(10);
         let mut env = ScriptedEnv::new(vec![(0.01, 4), (0.3, 12), (0.6, 5), (0.8, 12)]);
-        let (out, stats) = execute_merge(
-            &cfg,
-            &budget,
-            &metas,
-            &mut store,
-            &mut env,
-            params(MergePolicy::Optimized, adaptation),
-        )
-        .unwrap();
-        let result = collect_run(&mut store, out).unwrap();
-        assert_sorted_permutation(&input, &result);
+        let params = params(MergePolicy::Optimized, adaptation);
+        let stats = merge_checked(make_runs(9, 3, 11), 10, &mut env, params);
         if adaptation == MergeAdaptation::Paging {
             assert!(stats.extra_paging_reads > 0, "paging should have faulted");
         } else {
@@ -256,21 +224,12 @@ fn paging_and_suspension_survive_fluctuations() {
 fn growth_lets_dynamic_splitting_combine_steps() {
     // Start with too little memory (forcing an immediate split), then grow
     // so the sort switches back to the final step and absorbs the child.
-    let (mut store, metas, input) = make_runs(12, 3, 13);
-    let cfg = cfg_with_mem(5);
-    let budget = MemoryBudget::new(5);
-    let mut env = ScriptedEnv::new(vec![(0.05, 20)]);
-    let (out, stats) = execute_merge(
-        &cfg,
-        &budget,
-        &metas,
-        &mut store,
-        &mut env,
+    let stats = merge_checked(
+        make_runs(12, 3, 13),
+        5,
+        &mut ScriptedEnv::new(vec![(0.05, 20)]),
         params(MergePolicy::Optimized, MergeAdaptation::DynamicSplitting),
-    )
-    .unwrap();
-    let result = collect_run(&mut store, out).unwrap();
-    assert_sorted_permutation(&input, &result);
+    );
     assert!(stats.splits >= 1);
     assert!(
         stats.combines >= 1,
@@ -287,26 +246,8 @@ fn join_merge_with_many_tiny_runs_and_fluctuation() {
     // out-of-bounds pop in `produce_unit_join`.
     let mut rng = StdRng::seed_from_u64(99);
     let mut store = MemStore::new();
-    let tpp = 8;
-    let mut make_side = |n_runs: usize| {
-        let mut metas = Vec::new();
-        let mut all = Vec::new();
-        for _ in 0..n_runs {
-            let mut tuples: Vec<Tuple> = (0..tpp)
-                .map(|_| Tuple::synthetic(rng.gen_range(0..40u64), 64))
-                .collect();
-            tuples.sort_unstable_by_key(|t| t.key);
-            all.extend(tuples.clone());
-            let run = store.create_run().unwrap();
-            for p in paginate(tuples, tpp) {
-                store.append_page(run, p).unwrap();
-            }
-            metas.push(store.meta(run));
-        }
-        (metas, all)
-    };
-    let (left_metas, left_all) = make_side(30);
-    let (right_metas, right_all) = make_side(25);
+    let (left_metas, left_all) = make_side(&mut store, &mut rng, 30, 1, 40);
+    let (right_metas, right_all) = make_side(&mut store, &mut rng, 25, 1, 40);
     let expected = crate::verify::nested_loop_match_count(&left_all, &right_all);
 
     let cfg = cfg_with_mem(5);
@@ -332,27 +273,9 @@ fn join_merge_with_many_tiny_runs_and_fluctuation() {
 fn join_merge_counts_matches_correctly() {
     // Keys drawn from a small domain so duplicates and matches are common.
     let mut rng = StdRng::seed_from_u64(5);
-    let tpp = 8;
     let mut store = MemStore::new();
-    let mut make_side = |n_runs: usize, pages: usize| {
-        let mut metas = Vec::new();
-        let mut all = Vec::new();
-        for _ in 0..n_runs {
-            let mut tuples: Vec<Tuple> = (0..pages * tpp)
-                .map(|_| Tuple::synthetic(rng.gen_range(0..200u64), 64))
-                .collect();
-            tuples.sort_unstable_by_key(|t| t.key);
-            all.extend(tuples.clone());
-            let run = store.create_run().unwrap();
-            for p in paginate(tuples, tpp) {
-                store.append_page(run, p).unwrap();
-            }
-            metas.push(store.meta(run));
-        }
-        (metas, all)
-    };
-    let (left_metas, left_all) = make_side(5, 3);
-    let (right_metas, right_all) = make_side(4, 2);
+    let (left_metas, left_all) = make_side(&mut store, &mut rng, 5, 3, 200);
+    let (right_metas, right_all) = make_side(&mut store, &mut rng, 4, 2, 200);
     let expected = crate::verify::nested_loop_match_count(&left_all, &right_all);
 
     let cfg = cfg_with_mem(6);

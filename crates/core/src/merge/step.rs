@@ -71,8 +71,9 @@ impl Input {
 pub struct MergeStep {
     /// The step's inputs. Order is not significant.
     pub inputs: Vec<Input>,
-    /// Run that this step appends its merged output to. The root step of a
-    /// sort owns the final result run; the root of a join has no output run.
+    /// Run that this step appends its merged output to. The root has one only
+    /// while it is being finished into a run (a materialising sort, or a
+    /// settle); a streamed root and a join's root have none.
     pub output: Option<RunId>,
     /// Output page under construction, created lazily by the executor;
     /// sealed the moment it holds a page of records.
@@ -117,12 +118,13 @@ pub struct StepArena {
 }
 
 impl StepArena {
-    /// Create an arena containing a single root step with the given inputs.
-    pub fn with_root(inputs: Vec<Input>, output: Option<RunId>) -> Self {
+    /// Create an arena containing a single root step with the given inputs
+    /// and no output run; whoever wants the root written sets one.
+    pub fn with_root(inputs: Vec<Input>) -> Self {
         StepArena {
             steps: vec![MergeStep {
                 inputs,
-                output,
+                output: None,
                 out_arena: None,
                 sealed: Vec::new(),
                 parent: None,
@@ -142,11 +144,6 @@ impl StepArena {
     /// Shorthand for the active step.
     pub fn active_step(&self) -> &MergeStep {
         &self.steps[self.active]
-    }
-
-    /// Mutable shorthand for the active step.
-    pub fn active_step_mut(&mut self) -> &mut MergeStep {
-        &mut self.steps[self.active]
     }
 
     /// Depth of the active step below the root (root = 0).
@@ -270,8 +267,9 @@ mod tests {
             .iter()
             .map(|&r| Input::from_run(r, Side::Left))
             .collect();
-        let out = store.create_run().unwrap();
-        StepArena::with_root(inputs, Some(out))
+        let mut arena = StepArena::with_root(inputs);
+        arena.steps[0].output = Some(store.create_run().unwrap());
+        arena
     }
 
     #[test]
@@ -356,8 +354,8 @@ mod tests {
             .map(|&r| Input::from_run(r, Side::Left))
             .collect();
         inputs[2].side = Side::Right;
-        let out = store.create_run().unwrap();
-        let arena = StepArena::with_root(inputs, Some(out));
+        let mut arena = StepArena::with_root(inputs);
+        arena.steps[0].output = Some(store.create_run().unwrap());
         assert_eq!(arena.steps[0].side_count(Side::Left), 2);
         assert_eq!(arena.steps[0].side_count(Side::Right), 1);
         let picked = arena.shortest_inputs(&store, 0, 5, Some(Side::Right));

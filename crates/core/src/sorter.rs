@@ -15,9 +15,7 @@ use crate::config::SortConfig;
 use crate::env::SortEnv;
 use crate::error::SortResult;
 use crate::input::InputSource;
-use crate::merge::exec::{
-    begin_streaming_merge, execute_merge, ExecParams, MergeState, MergeStats,
-};
+use crate::merge::exec::{begin_streaming_merge, Exec, ExecParams, MergeState, MergeStats};
 use crate::run_formation::{form_runs, SplitStats};
 use crate::store::{RunId, RunStore};
 use masort_trace::EventKind;
@@ -125,39 +123,28 @@ impl ExternalSorter {
         I: InputSource,
         E: SortEnv,
     {
-        self.cfg.validate()?;
         let started = env.now();
-        self.enter_split(store, env, budget);
-        let phases = form_runs(&self.cfg, budget, input, store, env).and_then(|split| {
-            self.enter_merge(env, budget);
-            let (output_run, merge) = execute_merge(
-                &self.cfg,
-                budget,
-                &split.runs,
-                store,
-                env,
-                self.merge_params(),
-            )?;
-            Ok((output_run, split, merge))
+        let (mut outcome, mut root) = self.begin(input, store, env, budget)?;
+        let mut exec = Exec::over(&self.cfg, budget, store, env, &mut root);
+        let finished = exec.finish_into_run().inspect(|_| {
+            exec.end_phase();
         });
-        let (output_run, split, merge) = flush_after(phases, store, env, budget)?;
+        let output_run = flush_after(finished, store, env, budget)?;
         env.trace().emit(EventKind::PhaseEnd { phase: "merge" });
-        let outcome = SortOutcome {
-            split,
-            merge,
-            response_time: env.now() - started,
-            delays: budget.take_delays(),
-        };
+        outcome.merge = root.stats().clone();
+        outcome.response_time = env.now() - started;
+        outcome.delays.extend(budget.take_delays());
         Ok((output_run, outcome))
     }
 
-    /// The front of a *streaming* sort, which is what `SortJob::run` does:
-    /// form the runs, run (and write) whatever preliminary merge steps the
-    /// budget demands right now, and stop with the merge tree down to its
-    /// root step. The returned [`MergeState`] is that root, untouched — its
-    /// consumer pulls the sorted tuples out of it, so no output run is ever
-    /// written — and the outcome describes the sort up to this point (the
-    /// merge phase is still open: no `PhaseEnd` yet).
+    /// The front of every sort: form the runs, run (and write) whatever
+    /// preliminary merge steps the budget demands right now, and stop with
+    /// the merge tree down to its root step. The returned [`MergeState`] is
+    /// that root, untouched, and the outcome describes the sort up to this
+    /// point (the merge phase is still open: no `PhaseEnd` yet). A streaming
+    /// sort (`SortJob::run`) lets its consumer pull the sorted tuples out of
+    /// the root, so no output run is written; [`sort`](Self::sort) runs the
+    /// root into one.
     pub(crate) fn begin<S, I, E>(
         &self,
         input: &mut I,
@@ -491,60 +478,105 @@ mod tests {
         assert_eq!(budget.held(), 0);
     }
 
+    /// A store whose reads fail — every one, or with `after_root_append` only
+    /// once an append has followed the first read, so the root has written
+    /// at least a page of its output run. It logs appends, reads and flushes.
+    #[derive(Default)]
+    struct FailingReads {
+        inner: MemStore,
+        after_root_append: bool,
+        log: Vec<&'static str>,
+    }
+
+    impl RunStore for FailingReads {
+        fn create_run(&mut self) -> SortResult<RunId> {
+            self.inner.create_run()
+        }
+        fn append_page(&mut self, run: RunId, page: crate::tuple::Page) -> SortResult<()> {
+            self.log.push("append");
+            self.inner.append_page(run, page)
+        }
+        fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<crate::tuple::Page> {
+            let mut merging = self.log.iter().skip_while(|e| **e != "read").skip(1);
+            if !self.after_root_append || merging.any(|e| *e == "append") {
+                return Err(SortError::corrupt(run, "simulated read failure"));
+            }
+            self.log.push("read");
+            self.inner.read_page(run, idx)
+        }
+        fn flush(&mut self) -> SortResult<()> {
+            self.log.push("flush");
+            Ok(())
+        }
+        fn run_pages(&self, run: RunId) -> usize {
+            self.inner.run_pages(run)
+        }
+        fn run_tuples(&self, run: RunId) -> usize {
+            self.inner.run_tuples(run)
+        }
+        fn delete_run(&mut self, run: RunId) -> SortResult<()> {
+            self.inner.delete_run(run)
+        }
+    }
+
+    /// Sort 2 000 tuples into `store`; the result, and the pages the budget
+    /// shows as held afterwards.
+    fn sort_into<S: RunStore>(cfg: &SortConfig, store: &mut S) -> (SortResult<SortOutcome>, usize) {
+        let budget = MemoryBudget::new(cfg.memory_pages);
+        let mut source = VecSource::from_tuples(random_tuples(2_000, 31), cfg.tuples_per_page());
+        let sorted = ExternalSorter::new(cfg.clone()).sort(
+            &mut source,
+            store,
+            &mut CountingEnv::new(),
+            &budget,
+        );
+        (sorted.map(|(_, outcome)| outcome), budget.held())
+    }
+
     #[test]
     fn error_paths_still_flush_the_store() {
         // A store whose reads always fail makes the merge phase error out
         // while a buffering store may still hold appends; the sorter must
         // flush it before propagating so deferred write failures cannot be
         // dropped silently with the store.
-        use crate::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        struct FlushCountingStore {
-            inner: MemStore,
-            flushes: Arc<AtomicUsize>,
-        }
-        impl RunStore for FlushCountingStore {
-            fn create_run(&mut self) -> SortResult<RunId> {
-                self.inner.create_run()
-            }
-            fn append_page(&mut self, run: RunId, page: crate::tuple::Page) -> SortResult<()> {
-                self.inner.append_page(run, page)
-            }
-            fn read_page(&mut self, run: RunId, _idx: usize) -> SortResult<crate::tuple::Page> {
-                Err(SortError::corrupt(run, "simulated read failure"))
-            }
-            fn flush(&mut self) -> SortResult<()> {
-                self.flushes.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fn run_pages(&self, run: RunId) -> usize {
-                self.inner.run_pages(run)
-            }
-            fn run_tuples(&self, run: RunId) -> usize {
-                self.inner.run_tuples(run)
-            }
-            fn delete_run(&mut self, run: RunId) -> SortResult<()> {
-                self.inner.delete_run(run)
-            }
-        }
-        let flushes = Arc::new(AtomicUsize::new(0));
-        let mut store = FlushCountingStore {
-            inner: MemStore::new(),
-            flushes: Arc::clone(&flushes),
-        };
-        let cfg = small_cfg(4, AlgorithmSpec::recommended());
-        let sorter = ExternalSorter::new(cfg.clone());
-        let budget = MemoryBudget::new(cfg.memory_pages);
-        let mut source = VecSource::from_tuples(random_tuples(2_000, 31), cfg.tuples_per_page());
-        let mut env = CountingEnv::new();
-        let err = sorter
-            .sort(&mut source, &mut store, &mut env, &budget)
-            .unwrap_err();
+        let mut store = FailingReads::default();
+        let (sorted, _) = sort_into(&small_cfg(4, AlgorithmSpec::recommended()), &mut store);
+        let err = sorted.unwrap_err();
         assert!(matches!(err, SortError::CorruptRun { .. }), "{err:?}");
         assert_eq!(
-            flushes.load(Ordering::SeqCst),
+            store.log.iter().filter(|e| **e == "flush").count(),
             1,
             "the error path must flush the store before propagating"
         );
+    }
+
+    #[test]
+    fn a_read_failure_in_the_root_step_still_flushes_and_releases() {
+        // Ample memory: the runs fit one merge step, so the root is the only
+        // step the merge runs, and the failing read is the root's.
+        let cfg = small_cfg(16, AlgorithmSpec::recommended());
+        let merge = sort_into(&cfg, &mut MemStore::new()).0.unwrap().merge;
+        assert_eq!((merge.steps_executed, merge.splits), (1, 0), "{merge:?}");
+
+        let mut store = FailingReads {
+            after_root_append: true,
+            ..Default::default()
+        };
+        let (sorted, held) = sort_into(&cfg, &mut store);
+        let err = sorted.unwrap_err();
+        assert!(matches!(err, SortError::CorruptRun { .. }), "{err:?}");
+        let log = &store.log;
+        let first_read = log.iter().position(|e| *e == "read").unwrap();
+        let last_append = log.iter().rposition(|e| *e == "append").unwrap();
+        assert!(
+            last_append > first_read,
+            "the root appended before the read failed"
+        );
+        assert_eq!(
+            log.last(),
+            Some(&"flush"),
+            "a flush follows the last append"
+        );
+        assert_eq!(held, 0, "a failed root holds no pages");
     }
 }
