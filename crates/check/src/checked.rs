@@ -276,171 +276,6 @@ impl std::fmt::Debug for Condvar {
 }
 
 // ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-/// A reader–writer lock checked by the deterministic explorer.
-pub struct RwLock<T: ?Sized> {
-    res: u64,
-    data: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Create a new checked reader–writer lock.
-    pub fn new(t: T) -> Self {
-        RwLock {
-            res: rt::next_res_id(),
-            data: std::sync::RwLock::new(t),
-        }
-    }
-
-    /// Witness-exempt constructor; identical to [`RwLock::new`] here.
-    pub fn unwitnessed(t: T) -> Self {
-        Self::new(t)
-    }
-
-    /// Consume the lock and return its inner value, recovering poison.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared (read) access.
-    #[track_caller]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let site = site();
-        if rt::in_model() {
-            loop {
-                rt::yield_point(site);
-                match self.data.try_read() {
-                    Ok(g) => {
-                        return RwLockReadGuard {
-                            lock: self,
-                            inner: ManuallyDrop::new(g),
-                        }
-                    }
-                    Err(TryLockError::Poisoned(p)) => {
-                        return RwLockReadGuard {
-                            lock: self,
-                            inner: ManuallyDrop::new(p.into_inner()),
-                        }
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        rt::block_on(self.res, false, site);
-                    }
-                }
-            }
-        } else {
-            let g = self.data.read().unwrap_or_else(|e| e.into_inner());
-            RwLockReadGuard {
-                lock: self,
-                inner: ManuallyDrop::new(g),
-            }
-        }
-    }
-
-    /// Acquire exclusive (write) access.
-    #[track_caller]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let site = site();
-        if rt::in_model() {
-            loop {
-                rt::yield_point(site);
-                match self.data.try_write() {
-                    Ok(g) => {
-                        return RwLockWriteGuard {
-                            lock: self,
-                            inner: ManuallyDrop::new(g),
-                        }
-                    }
-                    Err(TryLockError::Poisoned(p)) => {
-                        return RwLockWriteGuard {
-                            lock: self,
-                            inner: ManuallyDrop::new(p.into_inner()),
-                        }
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        rt::block_on(self.res, false, site);
-                    }
-                }
-            }
-        } else {
-            let g = self.data.write().unwrap_or_else(|e| e.into_inner());
-            RwLockWriteGuard {
-                lock: self,
-                inner: ManuallyDrop::new(g),
-            }
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
-    }
-}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: ManuallyDrop<std::sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        rt::wake_all(self.lock.res);
-    }
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: ManuallyDrop<std::sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        rt::wake_all(self.lock.res);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Atomics
 // ---------------------------------------------------------------------------
 
@@ -638,11 +473,11 @@ pub mod mpsc {
         state: std::sync::Mutex<ChanState<T>>,
         /// Wakes plain-OS-thread receivers; tasks use `res_recv`.
         not_empty: std::sync::Condvar,
-        /// Wakes plain-OS-thread (bounded) senders; tasks use `res_send`.
+        /// Wakes plain-OS-thread senders; tasks use `res_send`.
         not_full: std::sync::Condvar,
         res_recv: u64,
         res_send: u64,
-        cap: Option<usize>,
+        cap: usize,
     }
 
     impl<T> Chan<T> {
@@ -651,8 +486,9 @@ pub mod mpsc {
         }
     }
 
-    fn new_chan<T>(cap: Option<usize>) -> Arc<Chan<T>> {
-        Arc::new(Chan {
+    /// Create a bounded checked channel with capacity `bound`.
+    pub fn sync_channel<T>(bound: usize) -> (SyncSender<T>, Receiver<T>) {
+        let c = Arc::new(Chan {
             state: std::sync::Mutex::new(ChanState {
                 queue: VecDeque::new(),
                 senders: 1,
@@ -662,24 +498,8 @@ pub mod mpsc {
             not_full: std::sync::Condvar::new(),
             res_recv: rt::next_res_id(),
             res_send: rt::next_res_id(),
-            cap,
-        })
-    }
-
-    /// Create an unbounded checked channel.
-    pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-        let c = new_chan(None);
-        (
-            Sender {
-                chan: Arc::clone(&c),
-            },
-            Receiver { chan: c },
-        )
-    }
-
-    /// Create a bounded checked channel with capacity `bound`.
-    pub fn sync_channel<T>(bound: usize) -> (SyncSender<T>, Receiver<T>) {
-        let c = new_chan(Some(bound));
+            cap: bound,
+        });
         (
             SyncSender {
                 chan: Arc::clone(&c),
@@ -696,7 +516,7 @@ pub mod mpsc {
                 if !st.recv_alive {
                     return Err(SendError(t));
                 }
-                if chan.cap.is_none_or(|c| st.queue.len() < c) {
+                if st.queue.len() < chan.cap {
                     st.queue.push_back(t);
                     drop(st);
                     rt::wake_all(chan.res_recv);
@@ -708,7 +528,7 @@ pub mod mpsc {
                 rt::block_on(chan.res_send, false, site);
             } else {
                 let mut st = chan.lock();
-                while st.recv_alive && chan.cap.is_some_and(|c| st.queue.len() >= c) {
+                while st.recv_alive && st.queue.len() >= chan.cap {
                     st = chan.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
                 drop(st);
@@ -729,34 +549,6 @@ pub mod mpsc {
 
     fn add_sender<T>(chan: &Chan<T>) {
         chan.lock().senders += 1;
-    }
-
-    /// Sending half of an unbounded checked channel.
-    pub struct Sender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    impl<T> Sender<T> {
-        /// Send a value; fails if the receiver was dropped.
-        #[track_caller]
-        pub fn send(&self, t: T) -> Result<(), SendError<T>> {
-            do_send(&self.chan, t, Some(Location::caller()))
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            add_sender(&self.chan);
-            Sender {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            close_sender(&self.chan);
-        }
     }
 
     /// Sending half of a bounded checked channel.
@@ -780,7 +572,7 @@ pub mod mpsc {
             if !st.recv_alive {
                 return Err(TrySendError::Disconnected(t));
             }
-            if self.chan.cap.is_some_and(|c| st.queue.len() >= c) {
+            if st.queue.len() >= self.chan.cap {
                 return Err(TrySendError::Full(t));
             }
             st.queue.push_back(t);
@@ -913,12 +705,6 @@ pub mod mpsc {
         /// Drain currently-queued values without blocking.
         pub fn try_iter(&self) -> impl Iterator<Item = T> + '_ {
             std::iter::from_fn(move || self.try_recv().ok())
-        }
-    }
-
-    impl<T> std::fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Sender").finish_non_exhaustive()
         }
     }
 

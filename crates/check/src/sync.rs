@@ -1,31 +1,30 @@
 //! The masort synchronisation shim.
 //!
 //! Every masort crate uses these types instead of `std::sync::{Mutex,
-//! RwLock, Condvar}`, `std::sync::mpsc` and `std::thread` spawning (the
-//! `lint-sync` binary enforces this). The shim has three build modes:
+//! Condvar}`, `std::sync::mpsc` and `std::thread` spawning, and no
+//! `RwLock` at all (the `lint-sync` binary enforces this). The shim has three
+//! build modes:
 //!
 //! - **release** (default): transparent wrappers over `std` with
 //!   poison-recovering `lock()`; compiles away to nothing.
 //! - **debug** (default with `debug_assertions`): additionally feeds every
 //!   acquisition to the [lock-order witness](crate::witness), which panics
 //!   on the first cyclic lock ordering. A lock can opt out with
-//!   [`Mutex::unwitnessed`] / [`RwLock::unwitnessed`].
+//!   [`Mutex::unwitnessed`].
 //! - **`--cfg masort_check`**: the types are the instrumented primitives of
 //!   [`crate::checked`], driven by the deterministic
 //!   [interleaving explorer](crate::explore).
 //!
-//! API deltas from `std`, in every mode: `lock()`/`read()`/`write()` return
-//! guards directly (poison is always recovered — a panicked holder reports
+//! API deltas from `std`, in every mode: `lock()` returns its guard
+//! directly (poison is always recovered — a panicked holder reports
 //! its panic but never cascades an `unwrap` failure into other threads), and
 //! `Condvar::wait_timeout` returns `(guard, timed_out: bool)`.
 
 #[cfg(masort_check)]
-pub use crate::checked::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use crate::checked::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(masort_check))]
-pub use self::default_impl::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+pub use self::default_impl::{Condvar, Mutex, MutexGuard};
 
 /// Atomic types. In default builds these are `std`'s atomics re-exported;
 /// under `cfg(masort_check)` every operation is a scheduler yield point.
@@ -39,14 +38,17 @@ pub mod atomic {
     pub use std::sync::atomic::*;
 }
 
-/// Multi-producer single-consumer channels. `std::sync::mpsc` re-exported
-/// in default builds; the checked channels under `cfg(masort_check)`.
+/// Bounded multi-producer single-consumer channels: `std::sync::mpsc`'s in
+/// default builds, the checked ones under `cfg(masort_check)`.
 pub mod mpsc {
     #[cfg(masort_check)]
     pub use crate::checked::mpsc::*;
     // check-exempt: this module *is* the shim's std escape hatch.
     #[cfg(not(masort_check))]
-    pub use std::sync::mpsc::*;
+    pub use std::sync::mpsc::{
+        sync_channel, Receiver, RecvError, RecvTimeoutError, SendError, SyncSender, TryRecvError,
+        TrySendError,
+    };
 }
 
 /// Thread spawning and sleeping. `std::thread` re-exported in default
@@ -292,121 +294,6 @@ mod default_impl {
     impl std::fmt::Debug for Condvar {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.debug_struct("Condvar").finish_non_exhaustive()
-        }
-    }
-
-    /// A reader–writer lock: `std::sync::RwLock` plus poison recovery and
-    /// (in debug builds) the lock-order witness.
-    pub struct RwLock<T: ?Sized> {
-        site: SiteField,
-        inner: std::sync::RwLock<T>,
-    }
-
-    impl<T> RwLock<T> {
-        /// Create a lock whose class is this construction site.
-        #[cfg_attr(debug_assertions, track_caller)]
-        pub fn new(t: T) -> Self {
-            RwLock {
-                site: here(),
-                inner: std::sync::RwLock::new(t),
-            }
-        }
-
-        /// Create a lock exempt from the lock-order witness.
-        pub fn unwitnessed(t: T) -> Self {
-            RwLock {
-                site: no_site(),
-                inner: std::sync::RwLock::new(t),
-            }
-        }
-
-        /// Consume the lock and return its inner value, recovering poison.
-        pub fn into_inner(self) -> T {
-            self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    impl<T: ?Sized> RwLock<T> {
-        /// Acquire shared (read) access; poison recovered.
-        pub fn read(&self) -> RwLockReadGuard<'_, T> {
-            witness::on_acquire(as_site(self.site));
-            let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
-            RwLockReadGuard {
-                site: self.site,
-                inner: g,
-            }
-        }
-
-        /// Acquire exclusive (write) access; poison recovered.
-        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-            witness::on_acquire(as_site(self.site));
-            let g = self.inner.write().unwrap_or_else(|e| e.into_inner());
-            RwLockWriteGuard {
-                site: self.site,
-                inner: g,
-            }
-        }
-
-        /// Mutable access without locking (requires exclusive ownership).
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    impl<T: Default> Default for RwLock<T> {
-        #[cfg_attr(debug_assertions, track_caller)]
-        fn default() -> Self {
-            RwLock::new(T::default())
-        }
-    }
-
-    impl<T: ?Sized> std::fmt::Debug for RwLock<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("RwLock").finish_non_exhaustive()
-        }
-    }
-
-    /// Shared-access RAII guard for [`RwLock`].
-    pub struct RwLockReadGuard<'a, T: ?Sized> {
-        site: SiteField,
-        inner: std::sync::RwLockReadGuard<'a, T>,
-    }
-
-    impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-        fn drop(&mut self) {
-            witness::on_release(as_site(self.site));
-        }
-    }
-
-    /// Exclusive-access RAII guard for [`RwLock`].
-    pub struct RwLockWriteGuard<'a, T: ?Sized> {
-        site: SiteField,
-        inner: std::sync::RwLockWriteGuard<'a, T>,
-    }
-
-    impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.inner
-        }
-    }
-
-    impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.inner
-        }
-    }
-
-    impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-        fn drop(&mut self) {
-            witness::on_release(as_site(self.site));
         }
     }
 }

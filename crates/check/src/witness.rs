@@ -2,9 +2,9 @@
 //! classes* that panics the first time a cyclic ordering (a potential
 //! deadlock) is observed — long before any schedule actually deadlocks.
 //!
-//! A lock's **class** is the source location of its `Mutex::new` /
-//! `RwLock::new` call (captured with `#[track_caller]`), exactly like the
-//! Linux kernel's lockdep: all budgets share one class, all ticket slots
+//! A lock's **class** is the source location of its `Mutex::new` call
+//! (captured with `#[track_caller]`), exactly like the Linux kernel's
+//! lockdep: all budgets share one class, all ticket slots
 //! another, and a consistent acquisition order between *classes* guarantees
 //! deadlock freedom between *instances*.
 //!

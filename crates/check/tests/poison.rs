@@ -4,7 +4,7 @@
 //! returned directly and the data (plain counters throughout masort) stays
 //! usable.
 
-use masort_check::sync::{Condvar, Mutex, RwLock};
+use masort_check::sync::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,21 +23,6 @@ fn mutex_poison_is_recovered() {
     let mut g = m.lock();
     g.push(2);
     assert_eq!(*g, vec![1, 2]);
-}
-
-#[test]
-fn rwlock_poison_is_recovered_for_readers_and_writers() {
-    let l = Arc::new(RwLock::new(7u32));
-    let l2 = Arc::clone(&l);
-    let holder = std::thread::spawn(move || {
-        let _g = l2.write();
-        panic!("writer panicked");
-    });
-    assert!(holder.join().is_err());
-
-    assert_eq!(*l.read(), 7);
-    *l.write() += 1;
-    assert_eq!(*l.read(), 8);
 }
 
 #[test]
