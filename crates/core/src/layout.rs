@@ -333,7 +333,7 @@ pub struct RecordSlab {
     records: Vec<u8>,
     free: Vec<u32>,
     live: usize,
-    spilled: HashMap<u32, Box<[u8]>>,
+    pub(crate) spilled: HashMap<u32, Box<[u8]>>,
 }
 
 impl RecordSlab {

@@ -16,9 +16,10 @@
 //!
 //! All methods hold their tuples the same way: an input page's records are
 //! copied into the slots of one [`RecordSlab`], selection works on small
-//! `(composite key, slot)` entries, and emission copies a record from its slot
-//! into the page being built — once, as bytes. No
-//! [`Tuple`](crate::Tuple) exists between the input page and the run page.
+//! `(composite key, slot)` entries, and emission copies records from their
+//! slots into the page being built — once, as bytes, in one prefetched gather
+//! per page. No [`Tuple`](crate::Tuple) exists between the input page and the
+//! run page.
 
 pub mod quicksort;
 pub mod replacement;
@@ -32,6 +33,23 @@ use crate::layout::{RecordSlab, TupleArena};
 use crate::store::{RunMeta, RunStore};
 use crate::tuple::Page;
 use replacement::BlockPolicy;
+
+/// How many records [`OutBlock::gather`] prefetches ahead of its copy.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Prefetch every cache line `rec` touches; a no-op off x86-64.
+#[inline]
+fn prefetch(rec: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    for byte in rec.iter().step_by(64).chain(rec.last()) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint: it cannot fault or write, and the
+        // address lies inside `rec`.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((byte as *const u8).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = rec;
+}
 
 /// The block of run pages being emitted: records are copied out of the slab
 /// in output order and every `tuples_per_page` of them are sealed into one
@@ -60,14 +78,26 @@ impl OutBlock {
         self.pages.is_empty() && self.arena.is_empty()
     }
 
-    /// Move the record in `slot` out of `slab` to the end of the block.
-    fn take(&mut self, slab: &mut RecordSlab, slot: u32) {
-        if !self.arena.push_records(slab.record_bytes(slot)) {
-            self.arena.push_ref(slab.key(slot), slab.payload_ref(slot));
+    /// Move the records in `slots` out of `slab` to the end of the block, in
+    /// order. Slots come in key order, which is random slab order, and the
+    /// slab is larger than L2, so each record is prefetched
+    /// [`PREFETCH_AHEAD`] records before it is copied.
+    fn gather(&mut self, slab: &mut RecordSlab, slots: impl Iterator<Item = u32> + Clone) {
+        let mut ahead = slots.clone();
+        for slot in ahead.by_ref().take(PREFETCH_AHEAD) {
+            prefetch(slab.record_bytes(slot));
         }
-        slab.release(slot);
-        if self.arena.len() == self.tuples_per_page {
-            self.pages.push(self.arena.seal());
+        for slot in slots {
+            if let Some(next) = ahead.next() {
+                prefetch(slab.record_bytes(next));
+            }
+            if !self.arena.push_records(slab.record_bytes(slot)) {
+                self.arena.push_ref(slab.key(slot), slab.payload_ref(slot));
+            }
+            slab.release(slot);
+            if self.arena.len() == self.tuples_per_page {
+                self.pages.push(self.arena.seal());
+            }
         }
     }
 
@@ -198,13 +228,13 @@ mod tests {
     use crate::config::AlgorithmSpec;
     use crate::env::CountingEnv;
     use crate::input::VecSource;
-    use crate::store::MemStore;
+    use crate::store::{MemStore, RunDirection};
     use crate::tuple::Tuple;
     use crate::verify::collect_run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
+    pub(super) fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| Tuple::synthetic(rng.gen::<u64>(), 256))
@@ -213,51 +243,97 @@ mod tests {
 
     fn run_split(
         formation: RunFormation,
-        n_tuples: usize,
-        mem_pages: usize,
+        tuples: Vec<Tuple>,
+        mem: usize,
     ) -> (SplitStats, MemStore) {
         let cfg = SortConfig::default()
-            .with_memory_pages(mem_pages)
+            .with_memory_pages(mem)
             .with_algorithm(AlgorithmSpec {
                 formation,
                 ..AlgorithmSpec::recommended()
             });
-        let budget = MemoryBudget::new(mem_pages);
-        let mut input = VecSource::from_tuples(random_tuples(n_tuples, 42), cfg.tuples_per_page());
+        let budget = MemoryBudget::new(mem);
+        let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
         let mut store = MemStore::new();
         let mut env = CountingEnv::new();
         let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
         (stats, store)
     }
 
-    fn assert_runs_sorted_and_complete(stats: &SplitStats, store: &mut MemStore, expect: usize) {
-        let mut total = 0usize;
-        for run in &stats.runs {
-            let tuples = collect_run(store, run.id).unwrap();
-            assert!(
-                tuples.windows(2).all(|w| w[0].key <= w[1].key),
-                "run {} not sorted",
-                run.id
-            );
-            assert_eq!(tuples.len(), run.tuples);
-            total += tuples.len();
+    /// Every run must be sorted in its recorded direction and the runs
+    /// together must cover the input.
+    pub(super) fn assert_directed_runs_cover(
+        stats: &SplitStats,
+        store: &mut MemStore,
+        expect: usize,
+    ) {
+        let mut total = 0;
+        for r in &stats.runs {
+            let t = collect_run(store, r.id).unwrap();
+            let sorted = match r.dir {
+                RunDirection::Forward => t.windows(2).all(|w| w[0].key <= w[1].key),
+                RunDirection::Reversed => t.windows(2).all(|w| w[0].key >= w[1].key),
+            };
+            assert!(sorted, "{:?} run {} out of order", r.dir, r.id);
+            assert_eq!(t.len(), r.tuples);
+            total += t.len();
         }
         assert_eq!(total, expect, "split phase lost or duplicated tuples");
     }
 
+    /// A gather is a sequence of takes: over inline, synthetic and spilled
+    /// payloads it seals the pages that pushing the records one by one
+    /// seals, and it leaves nothing in the slab.
+    #[test]
+    fn gather_seals_what_pushing_record_by_record_seals() {
+        let mut rng = StdRng::seed_from_u64(0x6A7);
+        for stride in [20, 24, 112] {
+            let tuples: Vec<Tuple> = (0..200u64)
+                .map(|k| match k % 3 {
+                    0 => Tuple::new(k, vec![k as u8; 5]),
+                    1 => Tuple::synthetic(k, 100),
+                    _ => Tuple::new(k, vec![k as u8; 101]),
+                })
+                .collect();
+            let mut slab = RecordSlab::new(stride);
+            for (i, t) in tuples.iter().enumerate() {
+                assert_eq!(slab.insert(t.key, (&t.payload).into()), i as u32);
+            }
+            let mut slots: Vec<u32> = (0..200).collect();
+            for i in (1..slots.len()).rev() {
+                slots.swap(i, rng.gen_range(0..=i));
+            }
+            let mut one_by_one = TupleArena::new(stride);
+            let expect: Vec<Vec<u8>> = (slots.chunks(32))
+                .map(|page| {
+                    page.iter()
+                        .for_each(|&s| one_by_one.push(&tuples[s as usize]));
+                    one_by_one.seal().wire_bytes().to_vec()
+                })
+                .collect();
+            let mut out = OutBlock::new(stride, 32);
+            out.gather(&mut slab, slots[..45].iter().copied());
+            out.gather(&mut slab, slots[45..].iter().copied());
+            let pages = out.take_pages();
+            let got: Vec<&[u8]> = pages.iter().map(Page::wire_bytes).collect();
+            assert_eq!(got, expect, "stride {stride}");
+            assert_eq!((slab.live(), slab.spilled.len()), (0, 0), "stride {stride}");
+        }
+    }
+
     #[test]
     fn quicksort_runs_are_memory_sized() {
-        let (stats, mut store) = run_split(RunFormation::Quicksort, 32 * 40, 8);
+        let (stats, mut store) = run_split(RunFormation::Quicksort, random_tuples(32 * 40, 42), 8);
         // 40 pages of input with 8 pages of memory => 5 runs of 8 pages.
         assert_eq!(stats.run_count(), 5);
         assert!(stats.runs.iter().all(|r| r.pages == 8));
-        assert_runs_sorted_and_complete(&stats, &mut store, 32 * 40);
+        assert_directed_runs_cover(&stats, &mut store, 32 * 40);
     }
 
     #[test]
     fn replacement_selection_runs_are_about_twice_memory() {
-        let (stats, mut store) = run_split(RunFormation::repl(1), 32 * 64, 8);
-        assert_runs_sorted_and_complete(&stats, &mut store, 32 * 64);
+        let (stats, mut store) = run_split(RunFormation::repl(1), random_tuples(32 * 64, 42), 8);
+        assert_directed_runs_cover(&stats, &mut store, 32 * 64);
         let avg = stats.avg_run_pages();
         assert!(
             avg > 11.0 && avg < 21.0,
@@ -269,8 +345,8 @@ mod tests {
 
     #[test]
     fn block_writes_shorten_runs_slightly_but_fewer_seeks() {
-        let (s1, _) = run_split(RunFormation::repl(1), 32 * 64, 8);
-        let (s6, _) = run_split(RunFormation::repl(6), 32 * 64, 8);
+        let (s1, _) = run_split(RunFormation::repl(1), random_tuples(32 * 64, 42), 8);
+        let (s6, _) = run_split(RunFormation::repl(6), random_tuples(32 * 64, 42), 8);
         assert!(
             s6.block_writes < s1.block_writes,
             "block writes should reduce write operations"
@@ -282,9 +358,9 @@ mod tests {
 
     #[test]
     fn empty_input_produces_no_runs() {
-        let (stats, _) = run_split(RunFormation::Quicksort, 0, 8);
+        let (stats, _) = run_split(RunFormation::Quicksort, random_tuples(0, 42), 8);
         assert_eq!(stats.run_count(), 0);
-        let (stats, _) = run_split(RunFormation::repl(6), 0, 8);
+        let (stats, _) = run_split(RunFormation::repl(6), random_tuples(0, 42), 8);
         assert_eq!(stats.run_count(), 0);
     }
 
@@ -295,17 +371,17 @@ mod tests {
             RunFormation::repl(1),
             RunFormation::repl(6),
         ] {
-            let (stats, mut store) = run_split(f, 10, 8);
+            let (stats, mut store) = run_split(f, random_tuples(10, 42), 8);
             assert_eq!(stats.run_count(), 1, "formation {f:?}");
-            assert_runs_sorted_and_complete(&stats, &mut store, 10);
+            assert_directed_runs_cover(&stats, &mut store, 10);
         }
     }
 
     #[test]
     fn one_page_of_memory_still_makes_progress() {
         for f in [RunFormation::Quicksort, RunFormation::repl(1)] {
-            let (stats, mut store) = run_split(f, 32 * 6, 1);
-            assert_runs_sorted_and_complete(&stats, &mut store, 32 * 6);
+            let (stats, mut store) = run_split(f, random_tuples(32 * 6, 42), 1);
+            assert_directed_runs_cover(&stats, &mut store, 32 * 6);
             assert!(stats.run_count() >= 1);
         }
     }
@@ -314,17 +390,8 @@ mod tests {
     fn presorted_input_gives_single_replacement_run() {
         // Replacement selection on already-sorted input produces one run
         // regardless of memory size (every incoming key >= last output).
-        let cfg = SortConfig::default()
-            .with_memory_pages(4)
-            .with_algorithm("repl1,opt,split".parse().unwrap());
-        let budget = MemoryBudget::new(4);
-        let tuples: Vec<Tuple> = (0..32 * 20)
-            .map(|k| Tuple::synthetic(k as u64, 256))
-            .collect();
-        let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = CountingEnv::new();
-        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
+        let tuples = (0..32 * 20).map(|k| Tuple::synthetic(k, 256)).collect();
+        let (stats, _) = run_split(RunFormation::repl(1), tuples, 4);
         assert_eq!(stats.run_count(), 1);
         assert_eq!(stats.runs[0].tuples, 32 * 20);
     }
@@ -333,19 +400,9 @@ mod tests {
     fn reverse_sorted_input_gives_memory_sized_replacement_runs() {
         // Worst case for replacement selection: every incoming key is smaller
         // than the last output, so runs are roughly memory-sized.
-        let cfg = SortConfig::default()
-            .with_memory_pages(4)
-            .with_algorithm("repl1,opt,split".parse().unwrap());
-        let budget = MemoryBudget::new(4);
         let n = 32 * 20;
-        let tuples: Vec<Tuple> = (0..n)
-            .rev()
-            .map(|k| Tuple::synthetic(k as u64, 256))
-            .collect();
-        let mut input = VecSource::from_tuples(tuples, cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = CountingEnv::new();
-        let stats = form_runs(&cfg, &budget, &mut input, &mut store, &mut env).unwrap();
+        let tuples = (0..n as u64).rev().map(|k| Tuple::synthetic(k, 256));
+        let (stats, _) = run_split(RunFormation::repl(1), tuples.collect(), 4);
         assert!(
             stats.run_count() >= 4,
             "expected many runs, got {}",

@@ -117,9 +117,7 @@ where
         // can the buffers be handed back — this is why Quicksort reacts to
         // memory shortages so much more slowly than replacement selection.
         // ------------------------------------------------------------------
-        for &(_, slot) in &column {
-            out.take(&mut slab, slot);
-        }
+        out.gather(&mut slab, column.iter().map(|&(_, slot)| slot));
         column.clear();
         slab.clear();
         let pages = out.take_pages();
