@@ -115,7 +115,9 @@ fn main() {
     let json_path = std::env::var("MASORT_TRACE_JSON")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|_| masort_bench::bench_output_path("BENCH_trace.json"));
-    let cfg = SortConfig::default().with_memory_pages(budget);
+    let cfg = SortConfig::default()
+        .with_algorithm(AlgorithmSpec::recommended())
+        .with_memory_pages(budget);
 
     eprintln!("trace overhead experiment — {pages} pages, {budget} page budget, best of {reps}");
 

@@ -167,9 +167,9 @@ impl AlgorithmSpec {
     }
 
     /// [`recommended`](Self::recommended) with natural-run replacement
-    /// selection, `nat6,opt,split`: what
-    /// [`SortJob::builder`](crate::job::SortJob::builder) and the sort server
-    /// run unless told otherwise.
+    /// selection, `nat6,opt,split`: the algorithm of
+    /// [`SortConfig::default`], so what every sort runs unless told
+    /// otherwise.
     pub fn natural() -> Self {
         AlgorithmSpec {
             formation: RunFormation::natural(6),
@@ -296,13 +296,15 @@ pub struct SortConfig {
 
 impl Default for SortConfig {
     fn default() -> Self {
-        // Paper defaults: 8 KB pages, 256 B tuples, M = 0.3 MB ≈ 38 pages,
-        // repl6,opt,split.
+        // Paper defaults: 8 KB pages, 256 B tuples, M = 0.3 MB ≈ 38 pages.
+        // The algorithm is nat6,opt,split: the paper's recommended
+        // combination with run formation that follows order already present
+        // in the input (`AlgorithmSpec::recommended()` is the paper's own).
         SortConfig {
             page_size: 8 * 1024,
             tuple_size: 256,
             memory_pages: 38,
-            algorithm: AlgorithmSpec::recommended(),
+            algorithm: AlgorithmSpec::natural(),
             order: SortOrder::ascending(),
         }
     }
@@ -430,7 +432,7 @@ mod tests {
         assert_eq!(c.page_size, 8192);
         assert_eq!(c.tuple_size, 256);
         assert_eq!(c.tuples_per_page(), 32);
-        assert_eq!(c.algorithm.to_string(), "repl6,opt,split");
+        assert_eq!(c.algorithm.to_string(), "nat6,opt,split");
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //! tuple by tuple, still polling the budget and adapting between pages, or
 //! [`settle`](SortCompletion::settle) runs it into one stored run first, for
 //! owners that must give the sort's memory back before anybody reads.
+//! [`finish_into_run`](SortCompletion::finish_into_run) is the paper's
+//! materialising sort: the root runs into one output run that stays in the
+//! store for the caller.
 //!
 //! A parked root pins its merge buffers until the consumer pulls again. That
 //! is harmless on a budget nobody moves; on one that *was* moved while the
@@ -53,12 +56,12 @@
 use crate::budget::MemoryBudget;
 use crate::config::SortConfig;
 use crate::env::{RealEnv, SortEnv};
-use crate::error::{SortError, SortResult};
+use crate::error::SortResult;
 use crate::input::{InputSource, VecSource};
 use crate::merge::exec::{Exec, MergeState};
 use crate::order::SortOrder;
-use crate::sorter::{ExternalSorter, SortOutcome};
-use crate::store::{MemStore, RunStore};
+use crate::sorter::{begin, SortOutcome};
+use crate::store::{MemStore, RunId, RunStore};
 use crate::stream::SortedStream;
 use crate::tuple::{Page, Tuple};
 use masort_trace::EventKind;
@@ -111,19 +114,13 @@ pub struct SortJob<I, S, E> {
 }
 
 impl SortJob<VecSource, MemStore, RealEnv> {
-    /// Start building a job with the default configuration running
-    /// [`AlgorithmSpec::natural`](crate::config::AlgorithmSpec::natural)
-    /// (`nat6,opt,split`: the paper's recommended combination with run
-    /// formation that follows order already present in the input), an empty
+    /// Start building a job with the default configuration
+    /// ([`SortConfig::default`], which runs `nat6,opt,split`), an empty
     /// input, an in-memory store, the wall-clock environment, and a fixed
     /// budget of `config.memory_pages` pages.
-    ///
-    /// [`config`](SortJobBuilder::config) replaces the configuration whole,
-    /// algorithm included: a job given `SortConfig::default()` runs the
-    /// paper's `repl6,opt,split`, as that configuration says.
     pub fn builder() -> SortJobBuilder<TupleInput, MemStore, RealEnv> {
         SortJobBuilder {
-            cfg: SortConfig::default().with_algorithm(crate::config::AlgorithmSpec::natural()),
+            cfg: SortConfig::default(),
             input: TupleInput(Vec::new()),
             store: MemStore::new(),
             env: RealEnv::new(),
@@ -178,8 +175,8 @@ where
     /// [`checkpoint`](SortCompletion::checkpoint) whenever it moves the
     /// budget between pulls, as a broker does.
     pub fn run_to_root(mut self) -> SortResult<SortCompletion<S, E>> {
-        let sorter = ExternalSorter::new(self.cfg.clone());
-        let (outcome, root) = sorter.begin(
+        let (outcome, root) = begin(
+            &self.cfg,
             &mut self.input,
             &mut self.store,
             &mut self.env,
@@ -266,6 +263,34 @@ impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
         // budget that a fan-in-1 root fits in and nobody else holds.
         self.budget = MemoryBudget::new(self.root.min_pages());
         Ok(self)
+    }
+
+    /// Run the rest of the merge, the root step included, into one fresh
+    /// output run in [`store`](Self::store) and return its id: the
+    /// materialising finish of the paper's sort. A lone run is copied too,
+    /// so the merge writes what the cost model charges. The run is the
+    /// caller's — dropping the completion afterwards leaves it in the store
+    /// — and [`outcome`](Self::outcome) then covers the whole sort.
+    ///
+    /// On error the sort is closed: its runs, the half-written output run
+    /// included, are deleted and its pages returned.
+    pub fn finish_into_run(&mut self) -> SortResult<RunId> {
+        let finished = self.exec().finish_into_run();
+        // A buffering store's deferred write failures are the sort's too; a
+        // merge error takes precedence.
+        let flushed = self.store.flush();
+        match finished.and_then(|run| flushed.map(|_| run)) {
+            Ok(run) => {
+                if self.exec().end_phase() {
+                    self.merge_phase_ended();
+                }
+                Ok(run)
+            }
+            Err(e) => {
+                self.close();
+                Err(e)
+            }
+        }
     }
 
     /// The next sealed page of sorted records off the root merge step;
@@ -430,15 +455,11 @@ where
 
     /// Validate the configuration and produce a runnable [`SortJob`].
     ///
-    /// Fails with [`SortError::InvalidConfig`] on unusable configurations
-    /// (zero memory pages, a tuple bigger than a page, a zero block size) and
-    /// with [`SortError::BudgetStarved`] when an explicitly supplied budget
-    /// grants zero pages at build time. The budget check is best-effort
-    /// misuse detection (it catches `MemoryBudget::new(0)`); since the budget
-    /// is shared and mutable it cannot be a guarantee, and embedded callers
-    /// that legitimately submit sorts at a momentary zero-page allocation
-    /// (waiting for the buffer manager, as the simulation driver does) should
-    /// use the low-level [`ExternalSorter::sort`] engine instead.
+    /// Fails with [`SortError::InvalidConfig`](crate::SortError::InvalidConfig)
+    /// on unusable configurations (zero memory pages, a tuple bigger than a
+    /// page, a zero block size). A supplied budget may stand at zero pages —
+    /// a buffer manager with nothing to give yet: the sort works in its
+    /// minimal working set and grows when pages are granted.
     pub fn build(self) -> SortResult<SortJob<I::Source, S, E>> {
         let SortJobBuilder {
             cfg,
@@ -448,14 +469,6 @@ where
             budget,
         } = self;
         cfg.validate()?;
-        if let Some(b) = &budget {
-            if b.target() == 0 {
-                return Err(SortError::BudgetStarved {
-                    needed: 1,
-                    granted: 0,
-                });
-            }
-        }
         let budget = budget.unwrap_or_else(|| MemoryBudget::new(cfg.memory_pages));
         let input = input.into_input_source(&cfg);
         Ok(SortJob {
@@ -472,6 +485,7 @@ where
 mod tests {
     use super::*;
     use crate::config::AlgorithmSpec;
+    use crate::error::SortError;
     use crate::store::FileStore;
     use crate::verify::{assert_sorted_permutation, assert_sorted_permutation_by};
     use rand::rngs::StdRng;
@@ -493,15 +507,12 @@ mod tests {
 
     #[test]
     fn builder_runs_natural_formation_unless_given_a_config() {
-        let job = SortJob::builder().build().unwrap();
-        assert_eq!(job.config().algorithm, AlgorithmSpec::natural());
-        assert_eq!(job.config().algorithm.to_string(), "nat6,opt,split");
-        // A supplied configuration is taken whole, algorithm included.
-        let job = SortJob::builder()
-            .config(SortConfig::default())
-            .build()
-            .unwrap();
-        assert_eq!(job.config().algorithm, AlgorithmSpec::recommended());
+        // One default: the builder's is `SortConfig::default()`'s, whose
+        // algorithm `config::tests::default_config_matches_paper` pins.
+        assert_eq!(
+            SortJob::builder().build().unwrap().config(),
+            &SortConfig::default()
+        );
     }
 
     #[test]
@@ -601,22 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_starved_budget() {
-        let err = SortJob::builder()
-            .config(small_cfg(4))
-            .budget(MemoryBudget::new(0))
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SortError::BudgetStarved {
-                needed: 1,
-                granted: 0
-            }
-        ));
-    }
-
-    #[test]
     fn external_budget_is_shared() {
         let budget = MemoryBudget::new(8);
         let job = SortJob::builder()
@@ -683,6 +678,40 @@ mod tests {
             assert_eq!(adaptations(now), adaptations(&at_settle), "{adaptation:?}");
             assert_eq!(allowance.version(), 0, "{adaptation:?}");
         }
+    }
+
+    #[test]
+    fn the_materialised_run_is_the_callers_and_a_failed_finish_leaves_none() {
+        use crate::sorter::tests::{FailReads, FailingReads};
+        // Ample memory: the root is the only merge step, so with
+        // `AfterRootAppend` the failing read is the finish's own.
+        let finish = |fail| {
+            let store = FailingReads::new(fail);
+            let budget = MemoryBudget::new(16);
+            let mut done = SortJob::builder()
+                .config(small_cfg(16))
+                .tuples(random_tuples(2_000, 31))
+                .store(store.clone())
+                .budget(budget.clone())
+                .build()
+                .unwrap()
+                .run_to_root()
+                .unwrap();
+            let finished = done.finish_into_run();
+            assert_eq!(budget.held(), 0);
+            (finished, done, store)
+        };
+
+        let (finished, done, store) = finish(FailReads::Never);
+        let out = finished.unwrap();
+        assert_eq!(store.live_runs(), 1);
+        drop(done);
+        assert_eq!(store.live_runs(), 1, "the output run outlives the sort");
+        assert_eq!(store.run_tuples(out), 2_000);
+
+        let (finished, _done, store) = finish(FailReads::AfterRootAppend);
+        assert!(matches!(finished, Err(SortError::CorruptRun { .. })));
+        assert_eq!(store.live_runs(), 0, "the half-written output run is gone");
     }
 
     #[test]

@@ -72,7 +72,7 @@
 //! ```
 //!
 //! Everything that moves data is fallible: [`InputSource`], [`RunStore`], the
-//! sorter and join entry points and the output stream all return
+//! sort and join entry points and the output stream all return
 //! `Result<_, `[`SortError`]`>`, so disk failures and corrupt run files
 //! surface to the caller instead of panicking inside the merge loop.
 //!
@@ -140,7 +140,7 @@ pub use layout::{PayloadRef, RecordSlab, TupleArena, MIN_DENSE_STRIDE};
 pub use merge::{MergeStats, StaticPlanSummary};
 pub use order::{normalized_prefix, SortDirection, SortOrder};
 pub use run_formation::SplitStats;
-pub use sorter::{ExternalSorter, SortOutcome};
+pub use sorter::SortOutcome;
 pub use store::{
     BlockReadJob, FileStore, IoPool, MemStore, RunDirection, RunId, RunMeta, RunStore,
 };
@@ -162,7 +162,7 @@ pub mod prelude {
     pub use crate::job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
     pub use crate::join::{JoinOutcome, SortMergeJoin};
     pub use crate::order::{SortDirection, SortOrder};
-    pub use crate::sorter::{ExternalSorter, SortOutcome};
+    pub use crate::sorter::SortOutcome;
     pub use crate::store::{FileStore, MemStore, RunDirection, RunId, RunMeta, RunStore};
     pub use crate::stream::SortedStream;
     pub use crate::tuple::{Page, Payload, Tuple};

@@ -1,30 +1,29 @@
-//! The end-to-end external sorter: split phase + merge phase.
+//! The front half of every external sort — split phase, then the merge
+//! phase down to its root step — and the statistics a sort reports.
 //!
-//! [`ExternalSorter`] is the low-level engine: the caller supplies the input,
-//! store, environment and budget explicitly, and [`sort`](ExternalSorter::sort)
-//! *materialises* the result — the root merge step writes one output run and
-//! the call returns its id. Most applications should use the
-//! [`SortJob`](crate::job::SortJob) builder instead, which owns those pieces,
-//! validates the configuration, and *streams* the result: its final merge
-//! step hands sorted tuples straight to the consumer and writes no run at all
-//! (see [`crate::stream`]; a job whose budget moved under it settles instead,
-//! see [`crate::job`]).
+//! [`SortJob`](crate::job::SortJob) is the entry point: its
+//! [`run_to_root`](crate::job::SortJob::run_to_root) runs this half, and the
+//! [`SortCompletion`](crate::job::SortCompletion) it returns executes the
+//! root — streaming the sorted tuples straight to the consumer (see
+//! [`crate::stream`]), or materialising them into one output run with
+//! [`finish_into_run`](crate::job::SortCompletion::finish_into_run).
 
 use crate::budget::{DelaySample, MemoryBudget, SortPhase};
 use crate::config::SortConfig;
 use crate::env::SortEnv;
 use crate::error::SortResult;
 use crate::input::InputSource;
-use crate::merge::exec::{begin_streaming_merge, Exec, ExecParams, MergeState, MergeStats};
+use crate::merge::exec::{begin_streaming_merge, ExecParams, MergeState, MergeStats};
 use crate::run_formation::{form_runs, SplitStats};
-use crate::store::{RunId, RunStore};
+use crate::store::RunStore;
 use masort_trace::EventKind;
 
 /// The statistics of an external sort.
 ///
-/// Where the sorted tuples are is not part of it: a materialising
-/// [`ExternalSorter::sort`] returns the output run's id next to the outcome,
-/// a streaming [`SortJob`](crate::job::SortJob) has no output run.
+/// Where the sorted tuples are is not part of it: a streamed sort has no
+/// output run, and a materialising
+/// [`finish_into_run`](crate::job::SortCompletion::finish_into_run) returns
+/// the run's id.
 #[derive(Clone, Debug, Default)]
 pub struct SortOutcome {
     /// Split-phase statistics (runs formed, duration, shrink events, ...).
@@ -79,134 +78,54 @@ fn mean_delay(delays: &[DelaySample], phase: SortPhase) -> f64 {
     }
 }
 
-/// A configurable, memory-adaptive external sorter (the low-level engine).
-///
-/// The sorter is stateless between sorts; all per-sort state lives in the
-/// store, environment and budget supplied to [`sort`](Self::sort).
-#[derive(Clone, Debug)]
-pub struct ExternalSorter {
-    cfg: SortConfig,
-}
-
-impl ExternalSorter {
-    /// Create a sorter with the given configuration.
-    pub fn new(cfg: SortConfig) -> Self {
-        ExternalSorter { cfg }
+/// The front of every sort: form the runs, run (and write) whatever
+/// preliminary merge steps the budget demands right now, and stop with the
+/// merge tree down to its root step. The returned [`MergeState`] is that
+/// root, untouched, and the outcome describes the sort up to this point (the
+/// merge phase is still open: no `PhaseEnd` yet). This is the body of
+/// [`SortJob::run_to_root`](crate::job::SortJob::run_to_root); the
+/// [`SortCompletion`](crate::job::SortCompletion) it returns executes the
+/// root.
+pub(crate) fn begin<S, I, E>(
+    cfg: &SortConfig,
+    input: &mut I,
+    store: &mut S,
+    env: &mut E,
+    budget: &MemoryBudget,
+) -> SortResult<(SortOutcome, MergeState)>
+where
+    S: RunStore,
+    I: InputSource,
+    E: SortEnv,
+{
+    let started = env.now();
+    // The store shares the environment's observability handle so its run
+    // and I/O events land on the same span as the sort's phase events.
+    let trace = env.trace();
+    if trace.is_enabled() {
+        store.attach_trace(trace.clone());
     }
-
-    /// The sorter's configuration.
-    pub fn config(&self) -> &SortConfig {
-        &self.cfg
-    }
-
-    /// Run a full external sort of `input`, storing runs (including the final
-    /// output run) in `store`, charging costs to `env`, and obeying `budget`.
-    /// Returns the id of the output run — the fully sorted relation, inside
-    /// `store` — and the sort's statistics.
-    ///
-    /// The configuration is validated first (`SortError::InvalidConfig`), so
-    /// this low-level entry point enforces the same invariants as
-    /// `SortJob::builder().build()` — the config constructors themselves
-    /// accept any value.
-    ///
-    /// On error the store may be left holding partially written runs; callers
-    /// that reuse stores across sorts should delete them (or drop the store).
-    pub fn sort<S, I, E>(
-        &self,
-        input: &mut I,
-        store: &mut S,
-        env: &mut E,
-        budget: &MemoryBudget,
-    ) -> SortResult<(RunId, SortOutcome)>
-    where
-        S: RunStore,
-        I: InputSource,
-        E: SortEnv,
-    {
-        let started = env.now();
-        let (mut outcome, mut root) = self.begin(input, store, env, budget)?;
-        let mut exec = Exec::over(&self.cfg, budget, store, env, &mut root);
-        let finished = exec.finish_into_run().inspect(|_| {
-            exec.end_phase();
-        });
-        let output_run = flush_after(finished, store, env, budget)?;
-        env.trace().emit(EventKind::PhaseEnd { phase: "merge" });
-        outcome.merge = root.stats().clone();
-        outcome.response_time = env.now() - started;
-        outcome.delays.extend(budget.take_delays());
-        Ok((output_run, outcome))
-    }
-
-    /// The front of every sort: form the runs, run (and write) whatever
-    /// preliminary merge steps the budget demands right now, and stop with
-    /// the merge tree down to its root step. The returned [`MergeState`] is
-    /// that root, untouched, and the outcome describes the sort up to this
-    /// point (the merge phase is still open: no `PhaseEnd` yet). A streaming
-    /// sort (`SortJob::run`) lets its consumer pull the sorted tuples out of
-    /// the root, so no output run is written; [`sort`](Self::sort) runs the
-    /// root into one.
-    pub(crate) fn begin<S, I, E>(
-        &self,
-        input: &mut I,
-        store: &mut S,
-        env: &mut E,
-        budget: &MemoryBudget,
-    ) -> SortResult<(SortOutcome, MergeState)>
-    where
-        S: RunStore,
-        I: InputSource,
-        E: SortEnv,
-    {
-        self.cfg.validate()?;
-        let started = env.now();
-        self.enter_split(store, env, budget);
-        let phases = form_runs(&self.cfg, budget, input, store, env).and_then(|split| {
-            self.enter_merge(env, budget);
-            let root = begin_streaming_merge(
-                &self.cfg,
-                budget,
-                &split.runs,
-                store,
-                env,
-                self.merge_params(),
-            )?;
-            Ok((split, root))
-        });
-        let (split, root) = flush_after(phases, store, env, budget)?;
-        let merge = root.stats().clone();
-        let outcome = SortOutcome {
-            split,
-            // Measured to the same instant as `merge.finished_at`, so whoever
-            // finishes the merge can extend it by the time that passed since.
-            response_time: merge.finished_at - started,
-            merge,
-            delays: budget.take_delays(),
-        };
-        Ok((outcome, root))
-    }
-
-    /// Enter the split phase.
-    fn enter_split<S: RunStore, E: SortEnv>(&self, store: &mut S, env: &E, budget: &MemoryBudget) {
-        // The store shares the environment's observability handle so its run
-        // and I/O events land on the same span as the sort's phase events.
-        let trace = env.trace();
-        if trace.is_enabled() {
-            store.attach_trace(trace.clone());
-        }
-        budget.set_phase(SortPhase::Split);
-        trace.emit(EventKind::PhaseStart { phase: "split" });
-    }
-
-    fn enter_merge<E: SortEnv>(&self, env: &E, budget: &MemoryBudget) {
-        let trace = env.trace();
+    budget.set_phase(SortPhase::Split);
+    trace.emit(EventKind::PhaseStart { phase: "split" });
+    let phases = form_runs(cfg, budget, input, store, env).and_then(|split| {
         trace.emit(EventKind::PhaseEnd { phase: "split" });
         budget.set_phase(SortPhase::Merge);
         trace.emit(EventKind::PhaseStart { phase: "merge" });
-    }
-
-    fn merge_params(&self) -> ExecParams {
-        ExecParams::from_algorithm(&self.cfg.algorithm)
-    }
+        let params = ExecParams::from_algorithm(&cfg.algorithm);
+        let root = begin_streaming_merge(cfg, budget, &split.runs, store, env, params)?;
+        Ok((split, root))
+    });
+    let (split, root) = flush_after(phases, store, env, budget)?;
+    let merge = root.stats().clone();
+    let outcome = SortOutcome {
+        split,
+        // Measured to the same instant as `merge.finished_at`, so whoever
+        // finishes the merge can extend it by the time that passed since.
+        response_time: merge.finished_at - started,
+        merge,
+        delays: budget.take_delays(),
+    };
+    Ok((outcome, root))
 }
 
 /// Flush the store after the phases ran, **on success and error paths
@@ -231,25 +150,20 @@ fn flush_after<T, S: RunStore, E: SortEnv>(
     })
 }
 
-impl Default for ExternalSorter {
-    fn default() -> Self {
-        ExternalSorter::new(SortConfig::default())
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{AlgorithmSpec, MergeAdaptation, MergePolicy, RunFormation};
     use crate::env::{CountingEnv, RealEnv};
     use crate::error::SortError;
-    use crate::input::VecSource;
     use crate::job::SortJob;
-    use crate::store::{FileStore, MemStore};
+    use crate::store::{FileStore, MemStore, RunId};
     use crate::tuple::Tuple;
     use crate::verify::{assert_sorted_permutation, collect_run};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -264,6 +178,28 @@ mod tests {
             .with_tuple_size(64)
             .with_memory_pages(mem)
             .with_algorithm(spec)
+    }
+
+    /// The materialising sort: run to the root, finish into one stored run,
+    /// and read that run back.
+    fn sort_into_run<S: RunStore, E: SortEnv>(
+        cfg: SortConfig,
+        input: Vec<Tuple>,
+        store: S,
+        env: E,
+        budget: &MemoryBudget,
+    ) -> SortResult<(Vec<Tuple>, SortOutcome)> {
+        let mut done = SortJob::builder()
+            .config(cfg)
+            .tuples(input)
+            .store(store)
+            .env(env)
+            .budget(budget.clone())
+            .build()?
+            .run_to_root()?;
+        let out = done.finish_into_run()?;
+        let sorted = collect_run(&mut done.store, out)?;
+        Ok((sorted, std::mem::take(&mut done.outcome)))
     }
 
     fn sort_via_job(cfg: SortConfig, tuples: Vec<Tuple>) -> Vec<Tuple> {
@@ -312,30 +248,22 @@ mod tests {
     fn sort_with_file_store_round_trips() {
         let input = random_tuples(2000, 17);
         let cfg = small_cfg(5, AlgorithmSpec::recommended());
-        let sorter = ExternalSorter::new(cfg.clone());
         let budget = MemoryBudget::new(cfg.memory_pages);
-        let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-        let mut store = FileStore::in_temp_dir().unwrap();
-        let mut env = CountingEnv::new();
-        let (output_run, _) = sorter
-            .sort(&mut source, &mut store, &mut env, &budget)
-            .unwrap();
-        let sorted = collect_run(&mut store, output_run).unwrap();
+        let store = FileStore::in_temp_dir().unwrap();
+        let (sorted, _) =
+            sort_into_run(cfg, input.clone(), store, CountingEnv::new(), &budget).unwrap();
         assert_sorted_permutation(&input, &sorted);
     }
 
     #[test]
     fn low_level_sort_validates_the_config_too() {
-        // The config constructors accept any value; the low-level entry point
-        // must enforce the same invariants as `SortJob::build` rather than
-        // silently sorting with garbage geometry.
+        // The config constructors accept any value; the materialising sort
+        // must be refused the same garbage geometry and algorithm as any
+        // other job, before anything sorts.
+        let budget = MemoryBudget::new(5);
         let cfg = small_cfg(5, AlgorithmSpec::recommended()).with_tuple_size(0);
-        let sorter = ExternalSorter::new(cfg.clone());
-        let budget = MemoryBudget::new(cfg.memory_pages);
-        let mut source = VecSource::from_pages(Vec::new());
-        let mut store = MemStore::new();
-        let mut env = CountingEnv::new();
-        let err = sorter.sort(&mut source, &mut store, &mut env, &budget);
+        let sort = |cfg| sort_into_run(cfg, Vec::new(), MemStore::new(), RealEnv::new(), &budget);
+        let err = sort(cfg);
         assert!(matches!(err, Err(SortError::InvalidConfig(_))), "{err:?}");
         let cfg = small_cfg(
             5,
@@ -345,7 +273,7 @@ mod tests {
                 MergeAdaptation::DynamicSplitting,
             ),
         );
-        let err = ExternalSorter::new(cfg).sort(&mut source, &mut store, &mut env, &budget);
+        let err = sort(cfg);
         assert!(matches!(err, Err(SortError::InvalidConfig(_))), "{err:?}");
     }
 
@@ -355,7 +283,6 @@ mod tests {
         // result stays correct.
         let input = random_tuples(20_000, 23);
         let cfg = small_cfg(32, AlgorithmSpec::recommended());
-        let sorter = ExternalSorter::new(cfg.clone());
         let budget = MemoryBudget::new(cfg.memory_pages);
         let b2 = budget.clone();
         let handle = std::thread::spawn(move || {
@@ -365,14 +292,9 @@ mod tests {
                 b2.set_target(target, step as f64);
             }
         });
-        let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = RealEnv::new();
-        let (output_run, _) = sorter
-            .sort(&mut source, &mut store, &mut env, &budget)
-            .unwrap();
+        let (sorted, _) =
+            sort_into_run(cfg, input.clone(), MemStore::new(), RealEnv::new(), &budget).unwrap();
         handle.join().unwrap();
-        let sorted = collect_run(&mut store, output_run).unwrap();
         assert_sorted_permutation(&input, &sorted);
     }
 
@@ -423,15 +345,10 @@ mod tests {
             AlgorithmSpec::recommended(), // replacement selection
         ] {
             let cfg = small_cfg(4, spec);
-            let sorter = ExternalSorter::new(cfg.clone());
             let budget = MemoryBudget::new(cfg.memory_pages);
             budget.cancel();
-            let mut source =
-                VecSource::from_tuples(random_tuples(2_000, 41), cfg.tuples_per_page());
-            let mut store = MemStore::new();
-            let mut env = CountingEnv::new();
-            let err = sorter
-                .sort(&mut source, &mut store, &mut env, &budget)
+            let input = random_tuples(2_000, 41);
+            let err = sort_into_run(cfg, input, MemStore::new(), CountingEnv::new(), &budget)
                 .unwrap_err();
             assert!(matches!(err, SortError::Cancelled), "{err:?}");
             assert_eq!(budget.held(), 0, "cancelled sorts must release everything");
@@ -464,72 +381,97 @@ mod tests {
         }
         use crate::env::CpuOp;
         let cfg = small_cfg(4, AlgorithmSpec::recommended());
-        let sorter = ExternalSorter::new(cfg.clone());
         let budget = MemoryBudget::new(cfg.memory_pages);
-        let mut source = VecSource::from_tuples(random_tuples(4_000, 43), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = CancelOnMerge {
+        let env = CancelOnMerge {
             inner: CountingEnv::new(),
         };
-        let err = sorter
-            .sort(&mut source, &mut store, &mut env, &budget)
-            .unwrap_err();
+        let input = random_tuples(4_000, 43);
+        let err = sort_into_run(cfg, input, MemStore::new(), env, &budget).unwrap_err();
         assert!(matches!(err, SortError::Cancelled), "{err:?}");
         assert_eq!(budget.held(), 0);
     }
 
-    /// A store whose reads fail — every one, or with `after_root_append` only
-    /// once an append has followed the first read, so the root has written
-    /// at least a page of its output run. It logs appends, reads and flushes.
-    #[derive(Default)]
-    struct FailingReads {
-        inner: MemStore,
-        after_root_append: bool,
-        log: Vec<&'static str>,
+    /// When the reads of a [`FailingReads`] store fail.
+    #[derive(Clone, Copy, Default)]
+    pub(crate) enum FailReads {
+        #[default]
+        Always,
+        /// Only once an append has followed the first read, so the root has
+        /// written at least a page of its output run.
+        AfterRootAppend,
+        Never,
+    }
+
+    /// A `MemStore` whose reads fail as `fail` says, logging appends, reads
+    /// and flushes. Clones share the store and the log, so a test keeps both
+    /// after the sort has taken its copy.
+    #[derive(Clone, Default)]
+    pub(crate) struct FailingReads {
+        fail: FailReads,
+        shared: Rc<RefCell<(MemStore, Vec<&'static str>)>>,
+    }
+
+    impl FailingReads {
+        pub(crate) fn new(fail: FailReads) -> Self {
+            FailingReads {
+                fail,
+                ..Default::default()
+            }
+        }
+
+        fn log(&self) -> Vec<&'static str> {
+            self.shared.borrow().1.clone()
+        }
+
+        pub(crate) fn live_runs(&self) -> usize {
+            self.shared.borrow().0.live_runs()
+        }
     }
 
     impl RunStore for FailingReads {
         fn create_run(&mut self) -> SortResult<RunId> {
-            self.inner.create_run()
+            self.shared.borrow_mut().0.create_run()
         }
         fn append_page(&mut self, run: RunId, page: crate::tuple::Page) -> SortResult<()> {
-            self.log.push("append");
-            self.inner.append_page(run, page)
+            let (store, log) = &mut *self.shared.borrow_mut();
+            log.push("append");
+            store.append_page(run, page)
         }
         fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<crate::tuple::Page> {
-            let mut merging = self.log.iter().skip_while(|e| **e != "read").skip(1);
-            if !self.after_root_append || merging.any(|e| *e == "append") {
+            let (store, log) = &mut *self.shared.borrow_mut();
+            let mut merging = log.iter().skip_while(|e| **e != "read").skip(1);
+            let fails = match self.fail {
+                FailReads::Always => true,
+                FailReads::AfterRootAppend => merging.any(|e| *e == "append"),
+                FailReads::Never => false,
+            };
+            if fails {
                 return Err(SortError::corrupt(run, "simulated read failure"));
             }
-            self.log.push("read");
-            self.inner.read_page(run, idx)
+            log.push("read");
+            store.read_page(run, idx)
         }
         fn flush(&mut self) -> SortResult<()> {
-            self.log.push("flush");
+            self.shared.borrow_mut().1.push("flush");
             Ok(())
         }
         fn run_pages(&self, run: RunId) -> usize {
-            self.inner.run_pages(run)
+            self.shared.borrow().0.run_pages(run)
         }
         fn run_tuples(&self, run: RunId) -> usize {
-            self.inner.run_tuples(run)
+            self.shared.borrow().0.run_tuples(run)
         }
         fn delete_run(&mut self, run: RunId) -> SortResult<()> {
-            self.inner.delete_run(run)
+            self.shared.borrow_mut().0.delete_run(run)
         }
     }
 
     /// Sort 2 000 tuples into `store`; the result, and the pages the budget
     /// shows as held afterwards.
-    fn sort_into<S: RunStore>(cfg: &SortConfig, store: &mut S) -> (SortResult<SortOutcome>, usize) {
+    fn sort_into<S: RunStore>(cfg: &SortConfig, store: S) -> (SortResult<SortOutcome>, usize) {
         let budget = MemoryBudget::new(cfg.memory_pages);
-        let mut source = VecSource::from_tuples(random_tuples(2_000, 31), cfg.tuples_per_page());
-        let sorted = ExternalSorter::new(cfg.clone()).sort(
-            &mut source,
-            store,
-            &mut CountingEnv::new(),
-            &budget,
-        );
+        let input = random_tuples(2_000, 31);
+        let sorted = sort_into_run(cfg.clone(), input, store, CountingEnv::new(), &budget);
         (sorted.map(|(_, outcome)| outcome), budget.held())
     }
 
@@ -539,12 +481,13 @@ mod tests {
         // while a buffering store may still hold appends; the sorter must
         // flush it before propagating so deferred write failures cannot be
         // dropped silently with the store.
-        let mut store = FailingReads::default();
-        let (sorted, _) = sort_into(&small_cfg(4, AlgorithmSpec::recommended()), &mut store);
+        let store = FailingReads::new(FailReads::Always);
+        let cfg = small_cfg(4, AlgorithmSpec::recommended());
+        let (sorted, _) = sort_into(&cfg, store.clone());
         let err = sorted.unwrap_err();
         assert!(matches!(err, SortError::CorruptRun { .. }), "{err:?}");
         assert_eq!(
-            store.log.iter().filter(|e| **e == "flush").count(),
+            store.log().iter().filter(|e| **e == "flush").count(),
             1,
             "the error path must flush the store before propagating"
         );
@@ -555,17 +498,14 @@ mod tests {
         // Ample memory: the runs fit one merge step, so the root is the only
         // step the merge runs, and the failing read is the root's.
         let cfg = small_cfg(16, AlgorithmSpec::recommended());
-        let merge = sort_into(&cfg, &mut MemStore::new()).0.unwrap().merge;
+        let merge = sort_into(&cfg, MemStore::new()).0.unwrap().merge;
         assert_eq!((merge.steps_executed, merge.splits), (1, 0), "{merge:?}");
 
-        let mut store = FailingReads {
-            after_root_append: true,
-            ..Default::default()
-        };
-        let (sorted, held) = sort_into(&cfg, &mut store);
+        let store = FailingReads::new(FailReads::AfterRootAppend);
+        let (sorted, held) = sort_into(&cfg, store.clone());
         let err = sorted.unwrap_err();
         assert!(matches!(err, SortError::CorruptRun { .. }), "{err:?}");
-        let log = &store.log;
+        let log = &store.log();
         let first_read = log.iter().position(|e| *e == "read").unwrap();
         let last_append = log.iter().rposition(|e| *e == "append").unwrap();
         assert!(

@@ -7,8 +7,9 @@ use crate::tuple::Tuple;
 use std::collections::HashMap;
 
 /// Read an entire run back from a store as a flat tuple vector — e.g. the
-/// output run of a materialising [`ExternalSorter::sort`](crate::ExternalSorter::sort)
-/// (a streamed [`SortJob`](crate::SortJob) has none).
+/// output run of a materialising
+/// [`SortCompletion::finish_into_run`](crate::SortCompletion::finish_into_run)
+/// (a streamed sort has none).
 pub fn collect_run<S: RunStore>(store: &mut S, run: RunId) -> SortResult<Vec<Tuple>> {
     let pages = store.run_pages(run);
     let mut out = Vec::with_capacity(store.run_tuples(run));

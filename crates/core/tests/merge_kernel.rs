@@ -129,15 +129,16 @@ fn kernel_output_matches_naive_merge_for_every_algorithm_and_order() {
             ),
         ];
         for (name, order, input) in orders {
-            let cfg = small_cfg(6, spec).with_order(order);
-            let budget = MemoryBudget::new(cfg.memory_pages);
-            let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-            let mut store = MemStore::new();
-            let mut env = CountingEnv::new();
-            let (output_run, outcome) = ExternalSorter::new(cfg)
-                .sort(&mut source, &mut store, &mut env, &budget)
+            let mut done = SortJob::builder()
+                .config(small_cfg(6, spec).with_order(order))
+                .tuples(input.clone())
+                .env(CountingEnv::new())
+                .build()
+                .and_then(SortJob::run_to_root)
                 .unwrap();
-            let sorted = collect_run(&mut store, output_run).unwrap();
+            let output_run = done.finish_into_run().unwrap();
+            let sorted = collect_run(&mut done.store, output_run).unwrap();
+            let outcome = &done.outcome;
             assert_matches_reference(
                 &order,
                 &sorted,

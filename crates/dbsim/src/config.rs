@@ -112,8 +112,6 @@ impl SimConfig {
             memory_pages: self.memory_pages(),
             algorithm: self.algorithm,
             order: masort_core::SortOrder::ascending(),
-            // The simulation charges per-page costs itself; pipelining stays
-            // off so the disk model matches the paper.
         }
     }
 }

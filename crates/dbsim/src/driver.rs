@@ -6,7 +6,7 @@ use crate::env::SimEnv;
 use crate::input::SimRelationSource;
 use crate::store::SimRunStore;
 use crate::system::{SharedSystem, SimSystem};
-use masort_core::{AlgorithmSpec, ExternalSorter, SortMergeJoin, SortOutcome, SortPhase};
+use masort_core::{AlgorithmSpec, SortJob, SortMergeJoin, SortOutcome, SortPhase};
 
 /// Metrics gathered for one simulated external sort.
 #[derive(Clone, Debug)]
@@ -85,11 +85,12 @@ pub struct JoinMetrics {
 /// disk heads and outstanding competing requests carry over — this is how a
 /// stream of sorts shares the machine, as in the paper's Source module).
 ///
-/// The driver uses the low-level [`ExternalSorter`] engine rather than the
-/// [`masort_core::SortJob`] builder because the budget is owned by the
-/// simulated buffer manager and may legitimately be at zero pages when the
-/// sort is submitted (the sort then waits for memory, as in the paper).
-/// Simulated components cannot actually fail, so errors are impossible here.
+/// The sort is a [`SortJob`] over the simulated input, store and environment,
+/// obeying the simulated buffer manager's budget — which may stand at zero
+/// pages when the sort is submitted (the sort then waits for memory, as in
+/// the paper). It runs to its root and finishes into one stored run, so the
+/// merge writes its result as the paper's cost model charges it. Simulated
+/// components cannot actually fail, so errors are impossible here.
 pub fn run_sort_in_system(cfg: &SimConfig, sys: &SharedSystem, seed: u64) -> SortRunMetrics {
     sys.borrow_mut().reset_sort_counters();
     sys.borrow_mut().refresh_budget();
@@ -97,20 +98,25 @@ pub fn run_sort_in_system(cfg: &SimConfig, sys: &SharedSystem, seed: u64) -> Sor
     let _ = budget.take_delays();
     budget.set_phase(SortPhase::Split);
 
-    let mut env = SimEnv::new(sys.clone());
-    let mut store = SimRunStore::new(sys.clone());
-    let mut input = SimRelationSource::new(
+    let input = SimRelationSource::new(
         sys.clone(),
         cfg.relation_pages(),
         cfg.tuples_per_page(),
         cfg.tuple_size,
         seed ^ 0x5eed_f00d,
     );
-    let sorter = ExternalSorter::new(cfg.sort_config());
-    let (_output_run, outcome) = sorter
-        .sort(&mut input, &mut store, &mut env, &budget)
+    let mut done = SortJob::builder()
+        .config(cfg.sort_config())
+        .input(input)
+        .store(SimRunStore::new(sys.clone()))
+        .env(SimEnv::new(sys.clone()))
+        .budget(budget)
+        .build()
+        .and_then(SortJob::run_to_root)
         .expect("simulated stores and inputs are infallible");
-    SortRunMetrics::from_outcome(cfg, sys, &outcome)
+    done.finish_into_run()
+        .expect("simulated stores and inputs are infallible");
+    SortRunMetrics::from_outcome(cfg, sys, &done.outcome)
 }
 
 /// Run a single external sort in a fresh simulated system.

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use masort_broker::{job_span, ServiceStats, SortService};
-use masort_core::{AlgorithmSpec, SortConfig};
+use masort_core::SortConfig;
 use masort_trace::{metrics_to_json, trace_to_json, Recorder, Trace};
 
 use crate::session::run_session;
@@ -102,9 +102,7 @@ impl Default for ServerBuilder {
         ServerBuilder {
             pool_pages: 64,
             workers: 4,
-            // Like `SortJob::builder()`: natural-run formation.
             base_cfg: SortConfig::default()
-                .with_algorithm(AlgorithmSpec::natural())
                 .with_page_size(4096)
                 .with_tuple_size(64)
                 .with_memory_pages(16),
@@ -285,6 +283,7 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use masort_core::AlgorithmSpec;
 
     #[test]
     fn base_config_runs_natural_formation() {

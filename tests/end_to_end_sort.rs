@@ -110,20 +110,18 @@ fn file_store_backed_sort_survives_fluctuation() {
 #[test]
 fn tiny_memory_floor_still_sorts() {
     // Even a budget of zero pages (the DBMS took everything) must not wedge
-    // the sort: it keeps a minimal working set and completes. This goes
-    // through the low-level engine because the builder rejects a zero-page
-    // budget up front.
+    // the sort: it keeps a minimal working set and completes.
     let input = random_tuples(2_000, 4);
     for alg in ["repl6,opt,split", "quick,opt,split"] {
-        let cfg = small_cfg(1, alg.parse().unwrap());
-        let budget = MemoryBudget::new(0);
-        let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let mut env = RealEnv::new();
-        let (output_run, _) = ExternalSorter::new(cfg)
-            .sort(&mut source, &mut store, &mut env, &budget)
+        let mut done = SortJob::builder()
+            .config(small_cfg(1, alg.parse().unwrap()))
+            .tuples(input.clone())
+            .budget(MemoryBudget::new(0))
+            .build()
+            .and_then(SortJob::run_to_root)
             .unwrap();
-        let sorted = masort_core::verify::collect_run(&mut store, output_run).unwrap();
+        let output_run = done.finish_into_run().unwrap();
+        let sorted = masort_core::verify::collect_run(&mut done.store, output_run).unwrap();
         masort_core::verify::assert_sorted_permutation(&input, &sorted);
     }
 }

@@ -210,15 +210,18 @@ fn sort_is_a_sorted_permutation_under_fluctuation() {
             SortOrder::descending()
         };
 
-        let cfg = small_cfg(mem, spec).with_order(order);
-        let budget = MemoryBudget::new(mem);
-        let mut env = ScriptedBudgetEnv::new(period, targets);
-        let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-        let mut store = MemStore::new();
-        let (output_run, _) = ExternalSorter::new(cfg)
-            .sort(&mut source, &mut store, &mut env, &budget)
+        let mut done = SortJob::builder()
+            .config(small_cfg(mem, spec).with_order(order))
+            .tuples(input.clone())
+            .env(ScriptedBudgetEnv::new(period, targets))
+            .budget(MemoryBudget::new(mem))
+            .build()
+            .and_then(SortJob::run_to_root)
             .unwrap_or_else(|e| panic!("case {case} ({spec}) failed: {e}"));
-        let sorted = verify::collect_run(&mut store, output_run).unwrap();
+        let output_run = done
+            .finish_into_run()
+            .unwrap_or_else(|e| panic!("case {case} ({spec}) failed: {e}"));
+        let sorted = verify::collect_run(&mut done.store, output_run).unwrap();
         assert!(
             verify::is_sorted_by(&sorted, &order),
             "case {case} ({spec}, {order:?}) produced unsorted output"
@@ -245,14 +248,14 @@ fn sorted_stream_matches_collect_run_for_all_algorithms() {
             let mem = rng.gen_range(3usize..10);
             let cfg = small_cfg(mem, spec).with_order(order);
 
-            let budget = MemoryBudget::new(mem);
-            let mut env = RealEnv::new();
-            let mut source = VecSource::from_tuples(input.clone(), cfg.tuples_per_page());
-            let mut store = MemStore::new();
-            let (output_run, _) = ExternalSorter::new(cfg.clone())
-                .sort(&mut source, &mut store, &mut env, &budget)
+            let mut done = SortJob::builder()
+                .config(cfg.clone())
+                .tuples(input.clone())
+                .build()
+                .and_then(SortJob::run_to_root)
                 .unwrap();
-            let collected = verify::collect_run(&mut store, output_run).unwrap();
+            let output_run = done.finish_into_run().unwrap();
+            let collected = verify::collect_run(&mut done.store, output_run).unwrap();
 
             let streamed: Vec<Tuple> = SortJob::builder()
                 .config(cfg)

@@ -12,7 +12,7 @@
 //! To regenerate after an *intended* change to simulated behaviour:
 //! `MASORT_BLESS=1 cargo test --test simulation_golden`, then review the diff.
 
-use masort_core::{AlgorithmSpec, ExternalSorter, SortOutcome, SortPhase};
+use masort_core::{AlgorithmSpec, SortJob, SortOutcome, SortPhase};
 use masort_dbsim::driver::run_one_sort;
 use masort_dbsim::system::SystemMetrics;
 use masort_dbsim::{SimConfig, SimEnv, SimRelationSource, SimRunStore, SimSystem};
@@ -38,20 +38,26 @@ fn sort_with_outcome(cfg: &SimConfig) -> (SortOutcome, SystemMetrics) {
     sys.borrow_mut().refresh_budget();
     let budget = sys.borrow().budget.clone();
     budget.set_phase(SortPhase::Split);
-    let mut env = SimEnv::new(sys.clone());
-    let mut store = SimRunStore::new(sys.clone());
-    let mut input = SimRelationSource::new(
+    let input = SimRelationSource::new(
         sys.clone(),
         cfg.relation_pages(),
         cfg.tuples_per_page(),
         cfg.tuple_size,
         SEED ^ 0x5eed_f00d,
     );
-    let (_run, outcome) = ExternalSorter::new(cfg.sort_config())
-        .sort(&mut input, &mut store, &mut env, &budget)
+    let mut done = SortJob::builder()
+        .config(cfg.sort_config())
+        .input(input)
+        .store(SimRunStore::new(sys.clone()))
+        .env(SimEnv::new(sys.clone()))
+        .budget(budget)
+        .build()
+        .and_then(SortJob::run_to_root)
+        .expect("simulated stores and inputs are infallible");
+    done.finish_into_run()
         .expect("simulated stores and inputs are infallible");
     let metrics = sys.borrow().metrics.clone();
-    (outcome, metrics)
+    (std::mem::take(&mut done.outcome), metrics)
 }
 
 /// Twelve significant digits.

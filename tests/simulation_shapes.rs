@@ -7,7 +7,7 @@
 
 use masort_core::env::CountingEnv;
 use masort_core::verify::{assert_sorted_permutation, collect_run};
-use masort_core::{ExternalSorter, MemStore, MemoryBudget, SortConfig, Tuple, VecSource};
+use masort_core::{SortConfig, SortJob, Tuple};
 use masort_dbsim::driver::{run_one_join, run_one_sort, run_sort_stream};
 use masort_dbsim::SimConfig;
 use masort_sysmodel::workload::WorkloadConfig;
@@ -155,8 +155,8 @@ fn sort_stream_metrics_are_reproducible_for_a_seed() {
 
 #[test]
 fn a_lone_run_is_still_copied_by_the_materialising_sort() {
-    // `ExternalSorter::sort` (the engine under every simulated sort) returns
-    // its result as a run of its own. A relation that forms a single run is
+    // The materialising finish (`SortCompletion::finish_into_run`, under
+    // every simulated sort) returns its result as a run of its own. A relation that forms a single run is
     // copied into it by the root step, so the merge writes exactly what run
     // formation wrote, as the paper's cost model charges it.
     for alg in ["quick,opt,split", "repl6,opt,susp", "nat6,naive,page"] {
@@ -168,18 +168,21 @@ fn a_lone_run_is_still_copied_by_the_materialising_sort() {
         let tuples: Vec<Tuple> = (0..200u64)
             .map(|k| Tuple::synthetic(k.wrapping_mul(0x9e37_79b9_7f4a_7c15), 64))
             .collect();
-        let mut input = VecSource::from_tuples(tuples.clone(), cfg.tuples_per_page());
-        let (mut store, mut env) = (MemStore::new(), CountingEnv::new());
-        let budget = MemoryBudget::new(cfg.memory_pages);
-        let (out, outcome) = ExternalSorter::new(cfg)
-            .sort(&mut input, &mut store, &mut env, &budget)
+        let mut done = SortJob::builder()
+            .config(cfg)
+            .tuples(tuples.clone())
+            .env(CountingEnv::new())
+            .build()
+            .and_then(SortJob::run_to_root)
             .unwrap();
+        let out = done.finish_into_run().unwrap();
+        let outcome = &done.outcome;
         assert_eq!(outcome.runs_formed(), 1, "{alg}");
         assert!(outcome.split.pages_written > 0, "{alg}");
         assert_eq!(
             outcome.merge.pages_written, outcome.split.pages_written,
             "{alg}: the lone run must be copied into the output run"
         );
-        assert_sorted_permutation(&tuples, &collect_run(&mut store, out).unwrap());
+        assert_sorted_permutation(&tuples, &collect_run(&mut done.store, out).unwrap());
     }
 }
