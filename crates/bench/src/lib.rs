@@ -74,16 +74,6 @@ pub fn bench_output_path(file_name: &str) -> std::path::PathBuf {
     }
 }
 
-/// Read a comma-separated `usize` list knob from the environment, falling
-/// back to `default` when unset or when no element parses.
-pub fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(key)
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,15 +126,6 @@ impl MemoryBroker {
         }
         self.rebalances += 1;
     }
-
-    /// The current target of every live job, in admission order (for
-    /// introspection and tests).
-    pub fn live_targets(&self) -> Vec<(JobId, usize)> {
-        self.live
-            .iter()
-            .map(|e| (e.demand.job, e.budget.target()))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! [`MemoryBudget`](masort_core::MemoryBudget) handle; this crate provides
 //! the component that actually moves those budgets: a [`SortService`] that
 //! runs many sorts concurrently on a bounded worker-thread pool, and a
-//! [`MemoryBroker`] that re-divides **one global page pool** across all live
-//! sorts with one rule, [`policy::divide`], on every admission, completion
-//! and explicit [`resize_pool`](SortService::resize_pool) call. Sorts
+//! memory broker inside it that re-divides **one global page pool** across
+//! all live sorts with one rule (minimums first, the surplus in proportion to
+//! priority) on every admission, completion and explicit
+//! [`resize_pool`](SortService::resize_pool) call. Sorts
 //! genuinely grow, shrink, suspend, page and split *while running* — the
 //! paper's memory-adaptive behaviour on real threads instead of inside the
 //! simulator.
@@ -87,14 +88,12 @@
 #![warn(rust_2018_idioms)]
 
 mod admission;
-pub mod broker;
-pub mod policy;
+mod broker;
+mod policy;
 pub mod service;
 pub mod stats;
 pub mod ticket;
 
-pub use broker::MemoryBroker;
-pub use policy::JobDemand;
 pub use service::{
     job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
 };
@@ -103,8 +102,6 @@ pub use ticket::{JobId, JobOutput, JobReport, SortTicket};
 
 /// Convenient glob import of the service-facing types.
 pub mod prelude {
-    pub use crate::broker::MemoryBroker;
-    pub use crate::policy::JobDemand;
     pub use crate::service::{
         job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
     };

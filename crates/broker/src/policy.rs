@@ -2,8 +2,8 @@
 //! live sorts.
 //!
 //! [`divide`] is a pure function from *(pool size, live-job demands)* to a
-//! share per job. The [`MemoryBroker`](crate::MemoryBroker) invokes it on
-//! every admission, completion and pool resize and pushes the resulting
+//! share per job. The service's memory broker invokes it on every
+//! admission, completion and pool resize and pushes the resulting
 //! shares into each sort's [`MemoryBudget`](masort_core::MemoryBudget) — the
 //! sorts then grow, shrink, suspend, page or split to honour their new
 //! target, exactly as they do under the paper's simulated buffer manager.

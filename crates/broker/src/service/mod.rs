@@ -86,8 +86,7 @@ impl SortRequest {
     }
 
     /// Scheduling priority (larger = more important; default 1): the surplus
-    /// above the live minimums is divided in proportion to it (see
-    /// [`divide`](crate::policy::divide)).
+    /// above the live minimums is divided in proportion to it.
     pub fn priority(mut self, priority: u32) -> Self {
         self.priority = priority;
         self
@@ -210,8 +209,8 @@ impl SortServiceBuilder {
 
 /// A concurrent multi-sort service over one globally brokered page pool.
 ///
-/// Submissions run on a bounded worker-thread pool; the
-/// [`MemoryBroker`] re-divides the pool across all live sorts on every
+/// Submissions run on a bounded worker-thread pool; the service's memory
+/// broker re-divides the pool across all live sorts on every
 /// admission, completion and [`resize_pool`](Self::resize_pool) call by
 /// moving each sort's shared [`MemoryBudget`](masort_core::MemoryBudget)
 /// target — so sorts genuinely grow, shrink, suspend, page and split **while

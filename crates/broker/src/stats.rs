@@ -1,6 +1,6 @@
 //! Service-wide broker statistics: a typed read of the counters the
 //! [`SortService`](crate::SortService) keeps, its only writer, plus the two
-//! figures only the [`MemoryBroker`] keeps — so the two cannot disagree.
+//! figures only its memory broker keeps — so the two cannot disagree.
 
 use crate::broker::MemoryBroker;
 use masort_trace::MetricsSnapshot;

@@ -6,7 +6,6 @@ use crate::service::{Root, Shared};
 use masort_core::sync::{Condvar, Mutex};
 use masort_core::{MemoryBudget, Page, SortError, SortOutcome, SortResult, Tuple};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 /// Identifier of a job within one [`SortService`](crate::SortService)
 /// (assigned in submission order, starting at 0).
@@ -119,11 +118,11 @@ impl TicketShared {
 ///
 /// Returned by [`SortService::submit`](crate::SortService::submit). Redeem it
 /// with [`wait`](Self::wait) (blocking) or poll with
-/// [`is_done`](Self::is_done) / [`wait_timeout`](Self::wait_timeout). The
-/// ticket is independent of the service handle: it can be sent to another
-/// thread and outlives `SortService` shutdown (queued work is drained before
-/// the workers exit, so every ticket is eventually resolved). Dropping it
-/// unredeemed abandons the result: the sort is closed as soon as it has one.
+/// [`is_done`](Self::is_done). The ticket is independent of the service
+/// handle: it can be sent to another thread and outlives `SortService`
+/// shutdown (queued work is drained before the workers exit, so every ticket
+/// is eventually resolved). Dropping it unredeemed abandons the result: the
+/// sort is closed as soon as it has one.
 #[derive(Debug)]
 pub struct SortTicket {
     job: JobId,
@@ -193,25 +192,6 @@ impl SortTicket {
                 return result;
             }
             g = self.shared.cv.wait(g);
-        }
-    }
-
-    /// Like [`wait`](Self::wait), but give up after `timeout`, handing the
-    /// ticket back so the caller can retry.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<SortResult<JobOutput>, SortTicket> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.shared.slot.lock();
-        loop {
-            if let Some(result) = g.take() {
-                return Ok(result);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                drop(g);
-                return Err(self);
-            }
-            let (guard, _timed_out) = self.shared.cv.wait_timeout(g, deadline - now);
-            g = guard;
         }
     }
 }
@@ -343,7 +323,7 @@ pub struct JobReport {
 
 impl JobReport {
     /// Total response time: queue wait plus execution.
-    pub fn response_time(&self) -> f64 {
+    pub(crate) fn response_time(&self) -> f64 {
         self.queued_for + self.ran_for
     }
 }

@@ -288,6 +288,7 @@ impl std::fmt::Debug for Condvar {
 pub mod atomic {
     use crate::rt;
     use std::panic::Location;
+    #[doc(no_inline)]
     pub use std::sync::atomic::Ordering;
 
     macro_rules! checked_atomic_int {
@@ -459,6 +460,7 @@ pub mod mpsc {
     use crate::rt;
     use std::collections::VecDeque;
     use std::panic::Location;
+    #[doc(no_inline)]
     pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
     use std::sync::Arc;
     use std::time::{Duration, Instant};

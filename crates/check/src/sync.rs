@@ -35,7 +35,10 @@ pub mod atomic {
     };
     // check-exempt: this module *is* the shim's std escape hatch.
     #[cfg(not(masort_check))]
-    pub use std::sync::atomic::*;
+    #[doc(no_inline)]
+    pub use std::sync::atomic::{
+        AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+    };
 }
 
 /// Bounded multi-producer single-consumer channels: `std::sync::mpsc`'s in
@@ -45,21 +48,21 @@ pub mod mpsc {
     pub use crate::checked::mpsc::*;
     // check-exempt: this module *is* the shim's std escape hatch.
     #[cfg(not(masort_check))]
+    #[doc(no_inline)]
     pub use std::sync::mpsc::{
         sync_channel, Receiver, RecvError, RecvTimeoutError, SendError, SyncSender, TryRecvError,
         TrySendError,
     };
 }
 
-/// Thread spawning and sleeping. `std::thread` re-exported in default
-/// builds; cooperative tasks under `cfg(masort_check)`. Note that
-/// `std::thread::scope` is only available in default builds — scoped
-/// threads cannot become explorer tasks (models must avoid them).
+/// Thread spawning and sleeping: `std::thread`'s in default builds, explorer
+/// tasks under `cfg(masort_check)`, the same names in both (so no `scope`).
 pub mod thread {
     #[cfg(masort_check)]
     pub use crate::checked::thread::*;
     #[cfg(not(masort_check))]
-    pub use std::thread::*;
+    #[doc(no_inline)]
+    pub use std::thread::{sleep, spawn, yield_now, Builder, JoinHandle};
 }
 
 #[cfg(not(masort_check))]

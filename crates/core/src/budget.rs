@@ -166,12 +166,6 @@ impl MemoryBudget {
         self.lock().held
     }
 
-    /// How many pages the sort currently holds in excess of its target.
-    pub fn shortfall(&self) -> usize {
-        let g = self.lock();
-        g.held.saturating_sub(g.target)
-    }
-
     /// Monotonic counter incremented on every [`set_target`](Self::set_target)
     /// call; pollers can compare versions to detect changes.
     pub fn version(&self) -> u64 {
@@ -252,11 +246,6 @@ impl MemoryBudget {
         std::mem::take(&mut self.lock().delays)
     }
 
-    /// Number of delay samples currently recorded (without draining them).
-    pub fn delay_count(&self) -> usize {
-        self.lock().delays.len()
-    }
-
     /// True if a shrink request is currently outstanding.
     pub fn shrink_pending(&self) -> bool {
         self.lock().pending_since.is_some()
@@ -274,7 +263,7 @@ impl MemoryBudget {
     }
 
     /// True once [`cancel`](Self::cancel) has been called on this budget.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.lock().cancelled
     }
 
@@ -300,7 +289,7 @@ mod tests {
         let b = MemoryBudget::new(10);
         assert_eq!(b.target(), 10);
         assert_eq!(b.held(), 0);
-        assert_eq!(b.shortfall(), 0);
+        assert_eq!(b.held().saturating_sub(b.target()), 0);
         assert!(!b.shrink_pending());
     }
 
@@ -310,7 +299,7 @@ mod tests {
         b.record_held(10, 0.0);
         b.set_target(4, 1.0);
         assert!(b.shrink_pending());
-        assert_eq!(b.shortfall(), 6);
+        assert_eq!(b.held().saturating_sub(b.target()), 6);
         b.record_held(7, 2.0); // not yet enough
         assert!(b.shrink_pending());
         b.record_held(4, 3.5);

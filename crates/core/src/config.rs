@@ -28,7 +28,7 @@ pub enum RunFormation {
     /// (`nat{n}`): the up/down variant of replacement selection that detects
     /// streaks already ascending or descending in the input and forms runs
     /// in either direction, so pre-existing order extends runs instead of
-    /// cutting them (see [`crate::run_formation::replacement`]). The sorted
+    /// cutting them (see [`crate::run_formation`]). The sorted
     /// output is tuple-for-tuple that of `repl{n}`; only run boundaries — and
     /// with them merge fan-in and I/O volume — differ. Not one of the paper's
     /// methods; [`SortJob::builder`](crate::job::SortJob::builder) starts
@@ -51,11 +51,6 @@ pub enum RunFormation {
 }
 
 impl RunFormation {
-    /// Classic Quicksort run formation.
-    pub fn quick() -> Self {
-        RunFormation::Quicksort
-    }
-
     /// Replacement selection with `n`-page block writes (`repl{n}`).
     ///
     /// A zero block size is accepted here (so configurations can be built

@@ -121,14 +121,6 @@ impl RealEnv {
         Self::default()
     }
 
-    /// Create a real environment with a custom suspension timeout.
-    pub fn with_max_wait(max_wait: Duration) -> Self {
-        RealEnv {
-            max_wait,
-            ..Self::default()
-        }
-    }
-
     /// Create a real environment whose clock starts at `start` instead of
     /// "now". A component that drives several sorts against one shared clock
     /// (e.g. a memory broker timestamping [`MemoryBudget::set_target`] calls)
@@ -228,21 +220,30 @@ mod tests {
 
     #[test]
     fn real_env_wait_succeeds_when_target_already_met() {
-        let mut env = RealEnv::with_max_wait(Duration::from_millis(10));
+        let mut env = RealEnv {
+            max_wait: Duration::from_millis(10),
+            ..RealEnv::default()
+        };
         let budget = MemoryBudget::new(8);
         assert!(env.wait_for_pages(&budget, 4));
     }
 
     #[test]
     fn real_env_wait_times_out() {
-        let mut env = RealEnv::with_max_wait(Duration::from_millis(5));
+        let mut env = RealEnv {
+            max_wait: Duration::from_millis(5),
+            ..RealEnv::default()
+        };
         let budget = MemoryBudget::new(2);
         assert!(!env.wait_for_pages(&budget, 100));
     }
 
     #[test]
     fn real_env_wait_sees_concurrent_growth() {
-        let mut env = RealEnv::with_max_wait(Duration::from_secs(5));
+        let mut env = RealEnv {
+            max_wait: Duration::from_secs(5),
+            ..RealEnv::default()
+        };
         let budget = MemoryBudget::new(1);
         let b2 = budget.clone();
         let handle = std::thread::spawn(move || {

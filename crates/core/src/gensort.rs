@@ -27,10 +27,10 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Size of one gensort record in bytes.
-pub const GENSORT_RECORD_BYTES: usize = 100;
+const GENSORT_RECORD_BYTES: usize = 100;
 
 /// Size of a gensort record's key in bytes.
-pub const GENSORT_KEY_BYTES: usize = 10;
+const GENSORT_KEY_BYTES: usize = 10;
 
 /// Buffer in front of a gensort file being written: a 64 MB result leaves in
 /// 61 `write` calls instead of the 7 813 of `BufWriter`'s 8 KiB default.
@@ -46,7 +46,7 @@ pub fn gensort_order() -> SortOrder {
 ///
 /// # Panics
 ///
-/// Panics if `record` is not exactly [`GENSORT_RECORD_BYTES`] long.
+/// Panics if `record` is not exactly 100 bytes long.
 pub fn tuple_from_record(record: &[u8]) -> Tuple {
     assert_eq!(
         record.len(),
@@ -187,70 +187,23 @@ fn create_buffered(path: &Path) -> SortResult<BufWriter<File>> {
     ))
 }
 
-/// Write `records` deterministic pseudo-random gensort records to `path`.
-/// The same `seed` always produces the same file.
-pub fn generate_gensort_file(path: &Path, records: usize, seed: u64) -> SortResult<()> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut w = create_buffered(path)?;
-    let mut rec = [0u8; GENSORT_RECORD_BYTES];
-    for _ in 0..records {
-        fill_bytes(&mut rng, &mut rec);
-        w.write_all(&rec)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Write `records` deterministic gensort records whose key order follows a
-/// [`GenOrder`](crate::GenOrder) profile — partially sorted, reversed,
-/// clustered or sawtooth benchmark files for presortedness-adaptive run
-/// formation. Payload bytes (and the last two key bytes, the memcmp
-/// tie-break) stay pseudo-random; only the 8-byte key prefix is rewritten,
-/// big-endian so byte order equals numeric order. `GenOrder::Random` produces
-/// exactly the same file as [`generate_gensort_file`].
-pub fn generate_gensort_file_ordered(
-    path: &Path,
-    records: usize,
-    seed: u64,
-    order: crate::GenOrder,
-) -> SortResult<()> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut w = create_buffered(path)?;
-    let mut rec = [0u8; GENSORT_RECORD_BYTES];
-    for index in 0..records {
-        fill_bytes(&mut rng, &mut rec);
-        if order != crate::GenOrder::Random {
-            let draw = u64::from_be_bytes(rec[..8].try_into().expect("8-byte prefix"));
-            let key = order.key_for(draw, index, records);
-            rec[..8].copy_from_slice(&key.to_be_bytes());
-        }
-        w.write_all(&rec)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Fill `buf` with bytes drawn from `rng`, eight at a time.
-fn fill_bytes<R: rand::Rng>(rng: &mut R, buf: &mut [u8]) {
-    let mut chunks = buf.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    let rest = chunks.into_remainder();
-    let tail = rng.next_u64().to_le_bytes();
-    let n = rest.len();
-    rest.copy_from_slice(&tail[..n]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Fill `buf` with bytes drawn from `rng`, eight at a time.
+    fn fill_bytes<R: rand::Rng>(rng: &mut R, buf: &mut [u8]) {
+        let mut chunks = buf.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        let rest = chunks.into_remainder();
+        let tail = rng.next_u64().to_le_bytes();
+        let n = rest.len();
+        rest.copy_from_slice(&tail[..n]);
+    }
 
     /// Minimal self-cleaning temp dir (the workspace has no tempfile crate).
     struct TempDir(std::path::PathBuf);
@@ -432,57 +385,5 @@ mod tests {
             Err(SortError::InvalidConfig(_))
         ));
         assert!(GensortFileSource::open(&p, 8).is_ok());
-    }
-
-    #[test]
-    fn generator_is_deterministic() {
-        let dir = TempDir::new("determinism");
-        let a = dir.path().join("a");
-        let b = dir.path().join("b");
-        generate_gensort_file(&a, 500, 7).unwrap();
-        generate_gensort_file(&b, 500, 7).unwrap();
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-        assert_eq!(
-            std::fs::metadata(&a).unwrap().len(),
-            (500 * GENSORT_RECORD_BYTES) as u64
-        );
-    }
-
-    #[test]
-    fn ordered_generator_follows_the_profile() {
-        let dir = TempDir::new("ordered");
-
-        // Random profile: byte-identical to the plain generator.
-        let plain = dir.path().join("plain");
-        let random = dir.path().join("random");
-        generate_gensort_file(&plain, 300, 11).unwrap();
-        generate_gensort_file_ordered(&random, 300, 11, crate::GenOrder::Random).unwrap();
-        assert_eq!(
-            std::fs::read(&plain).unwrap(),
-            std::fs::read(&random).unwrap()
-        );
-
-        // Reversed profile: record keys strictly descend under memcmp.
-        let rev = dir.path().join("rev");
-        generate_gensort_file_ordered(&rev, 300, 11, crate::GenOrder::Reversed).unwrap();
-        let bytes = std::fs::read(&rev).unwrap();
-        let keys: Vec<&[u8]> = bytes
-            .chunks_exact(GENSORT_RECORD_BYTES)
-            .map(|r| &r[..GENSORT_KEY_BYTES])
-            .collect();
-        assert_eq!(keys.len(), 300);
-        assert!(keys.windows(2).all(|w| w[0] > w[1]));
-
-        // And the tuple adapter sees the same descending order.
-        let mut src = GensortFileSource::open(&rev, 32).unwrap();
-        let mut prev: Option<u64> = None;
-        while let Some(page) = src.next_page().unwrap() {
-            for t in page.tuples().iter() {
-                if let Some(p) = prev {
-                    assert!(t.key < p);
-                }
-                prev = Some(t.key);
-            }
-        }
     }
 }

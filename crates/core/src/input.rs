@@ -119,36 +119,6 @@ impl InputSource for VecSource {
     }
 }
 
-/// An [`InputSource`] that wraps any iterator of tuples.
-pub struct IterSource<I> {
-    iter: I,
-    tuples_per_page: usize,
-    total_pages: Option<usize>,
-}
-
-impl<I: Iterator<Item = Tuple>> IterSource<I> {
-    /// Wrap `iter`, emitting pages of `tuples_per_page` tuples.
-    pub fn new(iter: I, tuples_per_page: usize) -> Self {
-        assert!(tuples_per_page > 0);
-        IterSource {
-            iter,
-            tuples_per_page,
-            total_pages: None,
-        }
-    }
-}
-
-impl<I: Iterator<Item = Tuple>> InputSource for IterSource<I> {
-    fn next_page(&mut self) -> SortResult<Option<Page>> {
-        let tuples: Vec<Tuple> = self.iter.by_ref().take(self.tuples_per_page).collect();
-        Ok((!tuples.is_empty()).then(|| Page::from_tuples(tuples)))
-    }
-
-    fn total_pages(&self) -> Option<usize> {
-        self.total_pages
-    }
-}
-
 /// Key-order profile of a [`GenSource`] relation: how much pre-existing
 /// order the generated key stream carries. The default is fully random; the
 /// other profiles exercise natural-run formation
@@ -189,10 +159,8 @@ pub enum GenOrder {
 
 impl GenOrder {
     /// Map one random draw to this profile's key for global tuple `index`
-    /// out of `total` tuples. Public so the gensort file generator
-    /// ([`crate::gensort::generate_gensort_file_ordered`]) reuses the exact
-    /// same profiles.
-    pub fn key_for(self, draw: u64, index: usize, total: usize) -> u64 {
+    /// out of `total` tuples.
+    fn key_for(self, draw: u64, index: usize, total: usize) -> u64 {
         // Position-derived keys keep the draw's high bits as tie noise so
         // keys stay (almost surely) distinct within a position.
         let noise = draw >> 32;
@@ -458,15 +426,6 @@ mod tests {
             keys.extend(p.tuples().iter().map(|t| t.key));
         }
         assert_eq!(keys, (0..9).collect::<Vec<_>>());
-        assert!(s.next_page().unwrap().is_none());
-    }
-
-    #[test]
-    fn iter_source_paginates_lazily() {
-        let mut s = IterSource::new((0..7u64).map(|k| Tuple::synthetic(k, 16)), 3);
-        assert_eq!(s.next_page().unwrap().unwrap().len(), 3);
-        assert_eq!(s.next_page().unwrap().unwrap().len(), 3);
-        assert_eq!(s.next_page().unwrap().unwrap().len(), 1);
         assert!(s.next_page().unwrap().is_none());
     }
 

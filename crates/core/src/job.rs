@@ -140,12 +140,6 @@ where
         &self.cfg
     }
 
-    /// The job's memory budget handle. Clone it to grow/shrink the sort's
-    /// memory from another thread while [`run`](Self::run) executes.
-    pub fn budget(&self) -> &MemoryBudget {
-        &self.budget
-    }
-
     /// Execute the sort up to its final merge step: form the runs, run the
     /// preliminary merge steps the budget demands, and return once the merge
     /// tree is down to its root. Consuming the returned [`SortCompletion`]
@@ -233,7 +227,7 @@ impl<S: RunStore, E: SortEnv> SortCompletion<S, E> {
     /// Materialise the sorted result as a vector (convenience for small
     /// relations; prefer [`into_stream`](Self::into_stream) for big ones).
     pub fn into_sorted_vec(self) -> SortResult<Vec<Tuple>> {
-        self.into_stream().try_collect()
+        self.into_stream().collect()
     }
 
     /// Finish the merge *now*, into one stored run, and hand back a
@@ -384,12 +378,6 @@ where
     /// Replace the whole configuration.
     pub fn config(mut self, cfg: SortConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Override the memory allocation (pages).
-    pub fn memory_pages(mut self, pages: usize) -> Self {
-        self.cfg.memory_pages = pages;
         self
     }
 
@@ -621,7 +609,7 @@ mod tests {
             .build()
             .unwrap();
         budget.set_target(4, 0.0);
-        assert_eq!(job.budget().target(), 4);
+        assert_eq!(job.budget.target(), 4);
         let completion = job.run().unwrap();
         assert_eq!(completion.outcome.split.total_tuples(), 500);
         // Moved before the sort began, not under it: the root is parked.
@@ -718,8 +706,7 @@ mod tests {
     fn algorithm_and_memory_shorthands() {
         let input = random_tuples(1_000, 11);
         let job = SortJob::builder()
-            .config(small_cfg(4))
-            .memory_pages(7)
+            .config(small_cfg(7))
             .algorithm(AlgorithmSpec::recommended())
             .tuples(input.clone())
             .build()

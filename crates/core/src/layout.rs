@@ -10,7 +10,7 @@
 //!   ([`SortConfig::record_stride`](crate::SortConfig::record_stride)). A
 //!   synthetic payload is its 12-byte header alone; a payload too long for
 //!   the inline area lives outside the record.
-//! * [`RecordSlab`] — the records run formation selects over: slots that are
+//! * `RecordSlab` — the records run formation selects over: slots that are
 //!   filled on insert, freed in any order and recycled through a free list,
 //!   so the slab's footprint tracks what is buffered.
 //! * [`TupleArena`] — an append-only arena of records, the page under
@@ -39,15 +39,15 @@ use std::sync::Arc;
 pub const MIN_DENSE_STRIDE: usize = 20;
 
 /// Byte offset of a record's payload area (key + descriptor).
-pub const RECORD_HEADER: usize = KEY_BYTES + 4;
+pub(crate) const RECORD_HEADER: usize = KEY_BYTES + 4;
 
 /// First word of an encoded page; [`Page::decode_shared`] refuses a page
 /// without it.
-pub const DENSE_MAGIC: u32 = u32::MAX;
+pub(crate) const DENSE_MAGIC: u32 = u32::MAX;
 
 /// Fixed bytes of a page's wire encoding before the record region:
 /// magic, count, stride, overflow length (4 × u32).
-pub const DENSE_HEADER: usize = 16;
+pub(crate) const DENSE_HEADER: usize = 16;
 
 const TAG_SHIFT: u32 = 30;
 const LEN_MASK: u32 = (1 << TAG_SHIFT) - 1;
@@ -201,11 +201,6 @@ impl TupleArena {
         }
     }
 
-    /// The record stride of this arena.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Number of records currently in the arena.
     pub fn len(&self) -> usize {
         self.count
@@ -214,12 +209,6 @@ impl TupleArena {
     /// True when the arena holds no records.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Logical bytes (key + payload, as [`Tuple::size`] counts them) of the
-    /// records currently in the arena.
-    pub fn bytes(&self) -> usize {
-        self.bytes
     }
 
     /// The slots of the next `n` records, growing the buffer when they do
@@ -251,12 +240,12 @@ impl TupleArena {
         self.bytes += KEY_BYTES + payload.len();
     }
 
-    /// Append the records in `recs` — whole strides, as a [`RecordSlab`] slot
+    /// Append the records in `recs` — whole strides, as a `RecordSlab` slot
     /// or a page's record region holds them — verbatim: one `memcpy`, nothing
     /// decoded. Returns `false` (copying nothing) when `recs` is not whole
     /// records of this arena's stride or one of them keeps its payload
     /// outside itself; the caller falls back to per-record pushes.
-    pub fn push_records(&mut self, recs: &[u8]) -> bool {
+    pub(crate) fn push_records(&mut self, recs: &[u8]) -> bool {
         if !recs.len().is_multiple_of(self.stride) {
             return false;
         }
@@ -277,7 +266,7 @@ impl TupleArena {
 
     /// [`push_records`](Self::push_records) for the `n` records of `page`
     /// starting at record `from` (`false` also when the strides differ).
-    pub fn extend_from_dense(&mut self, page: &Page, from: usize, n: usize) -> bool {
+    pub(crate) fn extend_from_dense(&mut self, page: &Page, from: usize, n: usize) -> bool {
         if page.stride != self.stride || from + n > page.count {
             return false;
         }
@@ -328,7 +317,7 @@ impl TupleArena {
 /// the inline area is kept beside the slots, keyed by its slot (slots are
 /// freed in any order, so an append-only overflow area would not do).
 #[derive(Debug)]
-pub struct RecordSlab {
+pub(crate) struct RecordSlab {
     stride: usize,
     records: Vec<u8>,
     free: Vec<u32>,
@@ -420,12 +409,12 @@ impl RecordSlab {
 /// A page, the unit of I/O: `count` fixed-stride records plus an overflow
 /// area, all borrowed from one reference-counted byte buffer, where they lie
 /// exactly as on disk — header, records, overflow area — so a page is encoded
-/// by writing [`wire_bytes`](Self::wire_bytes) and decoded by pointing at them.
+/// by writing its `wire_bytes` and decoded by pointing at them.
 ///
 /// Cloning is cheap (it bumps the `Arc`), and pages decoded from the same
 /// I/O block share the block's single allocation. A page is immutable; it is
 /// built by [`TupleArena::seal`], or by [`Page::from_tuples`] when the caller
-/// holds [`Tuple`]s. Byte accounting ([`bytes`](Self::bytes)) is *logical*
+/// holds [`Tuple`]s. Byte accounting (`bytes`) is *logical*
 /// (key + payload per tuple, whatever the stride) and cached.
 #[derive(Clone, Debug)]
 pub struct Page {
@@ -479,13 +468,14 @@ impl Page {
     }
 
     /// The record stride.
-    pub fn stride(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stride(&self) -> usize {
         self.stride
     }
 
     /// Logical bytes (key + payload per record) of the page's tuples
     /// (cached; O(1)).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
@@ -502,12 +492,12 @@ impl Page {
 
     /// The stored key of record `i` (little-endian u64 at the record start).
     #[inline]
-    pub fn key(&self, i: usize) -> u64 {
+    pub(crate) fn key(&self, i: usize) -> u64 {
         record_key(self.record_at(i))
     }
 
     /// Iterate the stored keys in record order.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.count).map(move |i| self.key(i))
     }
 
@@ -517,7 +507,7 @@ impl Page {
     /// of bounds on pages that came from [`decode_shared`](Self::decode_shared)
     /// or a [`TupleArena`].
     #[inline]
-    pub fn payload_ref(&self, i: usize) -> PayloadRef<'_> {
+    pub(crate) fn payload_ref(&self, i: usize) -> PayloadRef<'_> {
         record_payload(self.record_at(i), |off, len| {
             let at = self.records_at() + self.count * self.stride + off as usize;
             &self.data[at..at + len]
@@ -552,7 +542,7 @@ impl Page {
 
     /// This page's wire encoding: magic, count, stride and overflow length
     /// (4 × u32 LE), the record region, the overflow area.
-    pub fn wire_bytes(&self) -> &[u8] {
+    pub(crate) fn wire_bytes(&self) -> &[u8] {
         let len = DENSE_HEADER + self.count * self.stride + self.overflow_len;
         &self.data[self.start..self.start + len]
     }
@@ -564,7 +554,11 @@ impl Page {
     /// offsets — so the accessors can index without bounds failures. Returns
     /// a human-readable description of the first problem found; the store
     /// wraps it into [`SortError::CorruptRun`](crate::SortError::CorruptRun).
-    pub fn decode_shared(data: &Arc<Vec<u8>>, start: usize, len: usize) -> Result<Self, String> {
+    pub(crate) fn decode_shared(
+        data: &Arc<Vec<u8>>,
+        start: usize,
+        len: usize,
+    ) -> Result<Self, String> {
         if start + len > data.len() {
             return Err("page extends past the buffer".into());
         }
@@ -695,7 +689,7 @@ mod tests {
         arena.push(&Tuple::new(1, vec![9; 4]));
         let first = arena.seal();
         assert!(arena.is_empty());
-        assert_eq!(arena.bytes(), 0);
+        assert_eq!(arena.bytes, 0);
         arena.push(&Tuple::new(2, vec![8; 4]));
         let second = arena.seal();
         assert_eq!(first.len(), 1);

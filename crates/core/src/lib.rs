@@ -8,11 +8,14 @@
 //! The crate is organised around the paper's decomposition of an external sort:
 //!
 //! * **Split phase** ([`run_formation`]) — an in-memory sorting method consumes
-//!   the input relation and produces sorted runs. Three methods are provided:
-//!   Quicksort (`quick`), replacement selection (`repl1`), and replacement
-//!   selection with N-page block writes (`replN`). All three react to memory
-//!   shrink requests by writing tuples out and to growth by absorbing more
-//!   input pages.
+//!   the input relation and produces sorted runs. The paper's three methods
+//!   are Quicksort (`quick`), replacement selection (`repl1`), and replacement
+//!   selection with N-page block writes (`replN`). Two more build on the
+//!   last: natural-run replacement selection (`natN`, the default), which
+//!   lets stretches of the input that are already ascending or descending
+//!   extend its runs, and replacement selection whose block size tracks
+//!   memory (`adapt`). All of them react to memory shrink requests by
+//!   writing tuples out and to growth by absorbing more input pages.
 //! * **Merge phase** ([`merge`]) — merge steps combine runs into the final
 //!   sorted result. Two planning policies (naive / optimized) and three
 //!   adaptation strategies are provided: *suspension*, *MRU paging* and the
@@ -119,26 +122,23 @@ pub mod verify;
 /// deterministic interleaving explorer under `--cfg masort_check`. The
 /// `lint-sync` binary in masort-check enforces the rule.
 pub mod sync {
+    #[doc(no_inline)]
     pub use masort_check::sync::*;
 }
 
-pub use budget::{BudgetSnapshot, DelaySample, MemoryBudget, SortPhase};
+pub use budget::{DelaySample, MemoryBudget, SortPhase};
 pub use config::{AlgorithmSpec, MergeAdaptation, MergePolicy, RunFormation, SortConfig};
 pub use env::{CpuOp, RealEnv, SortEnv};
 pub use error::{SortError, SortResult};
 pub use gensort::{
-    generate_gensort_file, generate_gensort_file_ordered, gensort_order, record_bytes,
-    tuple_from_record, GensortFileSource, GensortWriter, GENSORT_KEY_BYTES, GENSORT_RECORD_BYTES,
+    gensort_order, record_bytes, tuple_from_record, GensortFileSource, GensortWriter,
 };
-pub use input::{
-    ChannelClosed, ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource,
-    Unsplit, VecSource,
-};
+pub use input::{ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, Unsplit, VecSource};
 pub use job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
 pub use join::{JoinOutcome, SortMergeJoin};
-pub use layout::{PayloadRef, RecordSlab, TupleArena, MIN_DENSE_STRIDE};
+pub use layout::{PayloadRef, TupleArena, MIN_DENSE_STRIDE};
 pub use merge::{MergeStats, StaticPlanSummary};
-pub use order::{normalized_prefix, SortDirection, SortOrder};
+pub use order::{normalized_prefix, SortOrder};
 pub use run_formation::SplitStats;
 pub use sorter::SortOutcome;
 pub use store::{
@@ -149,19 +149,18 @@ pub use tuple::{Page, Payload, Tuple};
 
 /// Convenient glob import of the most commonly used types.
 pub mod prelude {
-    pub use crate::budget::{BudgetSnapshot, MemoryBudget, SortPhase};
+    pub use crate::budget::{MemoryBudget, SortPhase};
     pub use crate::config::{
         AlgorithmSpec, MergeAdaptation, MergePolicy, RunFormation, SortConfig,
     };
     pub use crate::env::{CpuOp, RealEnv, SortEnv};
     pub use crate::error::{SortError, SortResult};
     pub use crate::input::{
-        ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, IterSource, Unsplit,
-        VecSource,
+        ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, Unsplit, VecSource,
     };
     pub use crate::job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
     pub use crate::join::{JoinOutcome, SortMergeJoin};
-    pub use crate::order::{SortDirection, SortOrder};
+    pub use crate::order::SortOrder;
     pub use crate::sorter::SortOutcome;
     pub use crate::store::{FileStore, MemStore, RunDirection, RunId, RunMeta, RunStore};
     pub use crate::stream::SortedStream;

@@ -225,11 +225,6 @@ impl RunCursor {
         self.consumed += n;
     }
 
-    /// True when the buffered page and the store both have nothing left.
-    pub fn exhausted<S: RunStore>(&self, store: &S) -> bool {
-        self.buffered() == 0 && self.next_page >= store.run_pages(self.run)
-    }
-
     /// Remaining data in pages (buffered fraction counts as one page); used
     /// when picking the "shortest runs" for a preliminary merge step.
     pub fn remaining_pages<S: RunStore>(&self, store: &S) -> usize {
@@ -266,7 +261,7 @@ mod tests {
             got.push(t.key);
         }
         assert_eq!(got, (0..10).collect::<Vec<u64>>());
-        assert!(c.exhausted(&store));
+        assert_eq!(c.remaining_pages(&store), 0);
         assert_eq!(c.pages_read, 4);
         assert_eq!(c.consumed, 10);
     }
@@ -327,7 +322,7 @@ mod tests {
         let mut env = CountingEnv::new();
         let asc = SortOrder::ascending();
         let mut c = RunCursor::new(run);
-        assert!(c.exhausted(&store));
+        assert_eq!(c.remaining_pages(&store), 0);
         assert_eq!(c.peek_composite(&asc, &mut store, &mut env).unwrap(), None);
         assert_eq!(c.pop(&asc, &mut store, &mut env).unwrap(), None);
     }
@@ -415,7 +410,7 @@ mod tests {
             got.push(t.key);
         }
         assert_eq!(got, (0..10).collect::<Vec<u64>>());
-        assert!(c.exhausted(&store));
+        assert_eq!(c.remaining_pages(&store), 0);
         assert_eq!(c.pages_read, 4);
         assert_eq!(c.consumed, 10);
     }

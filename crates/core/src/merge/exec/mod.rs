@@ -349,27 +349,6 @@ impl<'a, S: RunStore, E: SortEnv> Exec<'a, S, E> {
     }
 }
 
-/// Merge `runs` into a single sorted output run, adapting to memory
-/// fluctuations according to `params`. Returns the output run id and the
-/// merge statistics.
-///
-/// This is `begin_streaming_merge` followed by the root step run into a
-/// fresh output run — a lone run is copied too.
-pub fn execute_merge<S: RunStore, E: SortEnv>(
-    cfg: &SortConfig,
-    budget: &MemoryBudget,
-    runs: &[RunMeta],
-    store: &mut S,
-    env: &mut E,
-    params: ExecParams,
-) -> SortResult<(RunId, MergeStats)> {
-    let mut st = begin_streaming_merge(cfg, budget, runs, store, env, params)?;
-    let mut exec = Exec::over(cfg, budget, store, env, &mut st);
-    let output = exec.finish_into_run()?;
-    exec.end_phase();
-    Ok((output, st.stats))
-}
-
 /// Begin merging `runs` for a streaming sort: the root step gets no output
 /// run, preliminary steps the budget demands are run (and written) now, and
 /// the state is returned with the root active — ready for

@@ -1,13 +1,34 @@
 //! Unit tests of the merge executor.
 
 use super::*;
-use crate::config::{MergeAdaptation, MergePolicy};
+use crate::config::{MergeAdaptation, MergePolicy, RunFormation};
 use crate::env::{CountingEnv, CpuOp};
+use crate::order::SortOrder;
 use crate::store::MemStore;
-use crate::tuple::{paginate, Tuple};
+use crate::tuple::{paginate, Payload, Tuple};
 use crate::verify::{assert_sorted_permutation, collect_run};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Merge `runs` into a single sorted output run, adapting to memory
+/// fluctuations according to `params`: `begin_streaming_merge` followed by
+/// the root step run into a fresh output run (a lone run is copied too).
+fn execute_merge<S: RunStore, E: SortEnv>(
+    cfg: &SortConfig,
+    budget: &MemoryBudget,
+    runs: &[RunMeta],
+    store: &mut S,
+    env: &mut E,
+    params: ExecParams,
+) -> SortResult<(RunId, MergeStats)> {
+    let mut st = begin_streaming_merge(cfg, budget, runs, store, env, params)?;
+    let mut exec = Exec::over(cfg, budget, store, env, &mut st);
+    let output = exec.finish_into_run()?;
+    exec.end_phase();
+    Ok((output, st.stats))
+}
 
 /// Build `n_runs` sorted runs of random lengths in a fresh store and
 /// return the metadata plus the flattened input tuples.
@@ -145,6 +166,8 @@ struct ScriptedEnv {
     clock: f64,
     script: Vec<(f64, usize)>,
     next: usize,
+    /// `CpuOp::CopyTuple` charges seen.
+    copies: u64,
 }
 
 impl ScriptedEnv {
@@ -153,6 +176,7 @@ impl ScriptedEnv {
             clock: 0.0,
             script,
             next: 0,
+            copies: 0,
         }
     }
 }
@@ -161,8 +185,11 @@ impl SortEnv for ScriptedEnv {
     fn now(&self) -> f64 {
         self.clock
     }
-    fn charge_cpu(&mut self, _op: CpuOp, count: u64) {
+    fn charge_cpu(&mut self, op: CpuOp, count: u64) {
         self.clock += count as f64 * 5e-5;
+        if op == CpuOp::CopyTuple {
+            self.copies += count;
+        }
     }
     fn charge_extra_read(&mut self, pages: usize) {
         self.clock += pages as f64 * 1e-3;
@@ -216,6 +243,126 @@ fn paging_and_suspension_survive_fluctuations() {
                 stats.refetched_pages > 0,
                 "suspension should have refetched"
             );
+        }
+    }
+}
+
+/// Reference k-way merge of runs already sorted under `order`: a binary heap
+/// of `(composite, run index)` heads, one pop and one push per tuple. Ties go
+/// to the lower run index.
+fn naive_merge(order: &SortOrder, runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let mut heap = BinaryHeap::new();
+    for (i, run) in runs.iter_mut().enumerate() {
+        if let Some(head) = run.peek() {
+            heap.push(Reverse((order.composite_of(head), i)));
+        }
+    }
+    let mut out = Vec::new();
+    while let Some(Reverse((_, i))) = heap.pop() {
+        out.push(runs[i].next().expect("heap entry for an exhausted run"));
+        if let Some(head) = runs[i].peek() {
+            heap.push(Reverse((order.composite_of(head), i)));
+        }
+    }
+    out
+}
+
+/// `actual` must be the reference's sequence. Both must ascend in the order's
+/// composite; tuples that tie there may come out in either order, so each tie
+/// group is compared as a set.
+fn assert_matches_reference(order: &SortOrder, actual: &[Tuple], reference: &[Tuple], what: &str) {
+    assert!(order.is_sorted(actual), "{what}: output not sorted");
+    assert!(order.is_sorted(reference), "{what}: reference not sorted");
+    let canonical = |tuples: &[Tuple]| {
+        let mut pairs: Vec<(u128, u64, Vec<u8>)> = tuples
+            .iter()
+            .map(|t| {
+                let bytes = match &t.payload {
+                    Payload::Bytes(b) => b.clone(),
+                    Payload::Synthetic(_) => Vec::new(),
+                };
+                (order.composite_of(t), t.key, bytes)
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    assert_eq!(
+        canonical(actual),
+        canonical(reference),
+        "{what}: output diverged from the naive merge"
+    );
+}
+
+/// `n_runs` sorted runs of random lengths with keys from `0..500`, so rank
+/// ties run through every merge step.
+fn make_tied_runs(n_runs: usize, avg_pages: usize, seed: u64) -> (MemStore, Vec<RunMeta>) {
+    let tpp = 8;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut store = MemStore::new();
+    let mut metas = Vec::new();
+    for _ in 0..n_runs {
+        let pages = rng.gen_range(1..=avg_pages * 2);
+        let mut tuples: Vec<Tuple> = (0..pages * tpp)
+            .map(|_| Tuple::synthetic(rng.gen_range(0..500u64), 64))
+            .collect();
+        tuples.sort_unstable_by_key(|t| t.key);
+        let run = store.create_run().unwrap();
+        for p in paginate(tuples, tpp) {
+            store.append_page(run, p).unwrap();
+        }
+        metas.push(store.meta(run));
+    }
+    (store, metas)
+}
+
+/// Mid-merge shrink/grow wobblers: the budget collapses (forcing dynamic
+/// splits / suspension refetches / paging faults mid-merge) and recovers
+/// (forcing growth switches and step combining). The kernel must still emit
+/// the reference merge of the same runs, and charge one tuple copy per tuple
+/// it moved, however long its batches were.
+#[test]
+fn kernel_survives_mid_merge_wobbles() {
+    let order = SortOrder::ascending();
+    for adaptation in [
+        MergeAdaptation::DynamicSplitting,
+        MergeAdaptation::Suspension,
+        MergeAdaptation::Paging,
+    ] {
+        let (mut store, metas) = make_tied_runs(10, 4, 77);
+        let runs: Vec<Vec<Tuple>> = metas
+            .iter()
+            .map(|m| collect_run(&mut store, m.id).unwrap())
+            .collect();
+        let cfg = cfg_with_mem(12).with_algorithm(AlgorithmSpec::new(
+            RunFormation::repl(4),
+            MergePolicy::Optimized,
+            adaptation,
+        ));
+        let budget = MemoryBudget::new(12);
+        let mut env = ScriptedEnv::new(vec![(0.02, 5), (0.2, 14), (0.5, 4), (0.9, 16)]);
+        let params = params(MergePolicy::Optimized, adaptation);
+        let (out, stats) =
+            execute_merge(&cfg, &budget, &metas, &mut store, &mut env, params).unwrap();
+        let merged = collect_run(&mut store, out).unwrap();
+        assert_matches_reference(
+            &order,
+            &merged,
+            &naive_merge(&order, runs),
+            &format!("{adaptation:?}"),
+        );
+        assert_eq!(
+            env.copies, stats.tuples_output,
+            "{adaptation:?}: copies are charged per tuple moved"
+        );
+        // The wobble must actually have exercised the adaptation machinery.
+        match adaptation {
+            MergeAdaptation::DynamicSplitting => {
+                assert!(stats.splits >= 1, "no split — wobble misconfigured")
+            }
+            MergeAdaptation::Suspension => assert!(stats.refetched_pages > 0),
+            MergeAdaptation::Paging => assert!(stats.extra_paging_reads > 0),
         }
     }
 }

@@ -4,22 +4,27 @@
 //! * [`plan`] — fan-in computation for naive vs optimized merging and a pure
 //!   planning utility ([`StaticPlanSummary`]) that predicts the merge-step
 //!   structure for a fixed memory allocation.
-//! * [`cursor`] — a read cursor over a stored run, one buffer page at a time,
+//!
+//! The executor is internal to the crate; a sort or join reaches it through
+//! [`SortJob`](crate::SortJob) or [`SortMergeJoin`](crate::SortMergeJoin):
+//!
+//! * `cursor` — a read cursor over a stored run, one buffer page at a time,
 //!   with a cached rank column per buffered page.
-//! * [`select`] — the loser tree that picks the next input in O(log fan)
-//!   over the cached ranks.
-//! * [`step`] — the merge-step arena used by dynamic splitting: a tree of
-//!   steps where each step's output run feeds its parent.
-//! * [`exec`] — the adaptation-aware executor implementing suspension, MRU
-//!   paging and dynamic splitting, for both plain sorts and sort-merge joins.
+//! * `select` — the loser tree that picks the next input in O(log fan) over
+//!   the cached ranks.
+//! * `step` — the merge-step arena used by dynamic splitting: a tree of steps
+//!   where each step's output run feeds its parent.
+//! * `exec` — the adaptation-aware executor implementing suspension, MRU
+//!   paging and dynamic splitting, for both plain sorts and sort-merge joins;
+//!   its statistics are [`MergeStats`].
 
-pub mod cursor;
-pub mod exec;
+pub(crate) mod cursor;
+pub(crate) mod exec;
 pub mod plan;
-pub mod select;
-pub mod step;
+pub(crate) mod select;
+pub(crate) mod step;
 
-pub use exec::{execute_merge, ExecParams, MergeStats};
+pub use exec::MergeStats;
 pub use plan::{preliminary_fan_in, StaticPlanSummary};
 
 #[cfg(test)]

@@ -53,24 +53,6 @@ pub fn preliminary_fan_in(n: usize, m: usize, policy: MergePolicy) -> SortResult
     })
 }
 
-/// Number of merge steps (preliminary + final) needed to merge `n` runs with
-/// `m` buffer pages. Both policies use the same number of steps. Like
-/// [`preliminary_fan_in`], merging `n >= 2` runs with `m < 3` pages is
-/// rejected with [`SortError::BudgetStarved`].
-pub fn total_merge_steps(n: usize, m: usize) -> SortResult<usize> {
-    if n <= 1 {
-        return Ok(usize::from(n == 1));
-    }
-    require_merge_memory(n, m)?;
-    let max_fan = m.saturating_sub(1).max(2);
-    if n <= max_fan {
-        return Ok(1);
-    }
-    let excess = n - max_fan;
-    let per_full_step = max_fan - 1;
-    Ok(1 + excess.div_ceil(per_full_step))
-}
-
 /// One step of a statically planned merge phase.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannedStep {
@@ -151,17 +133,31 @@ impl StaticPlanSummary {
             .map(|s| s.pages)
             .sum()
     }
-
-    /// Total pages moved by all steps.
-    pub fn total_pages(&self) -> usize {
-        self.steps.iter().map(|s| s.pages).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use MergePolicy::{Naive, Optimized};
+
+    /// Number of merge steps (preliminary + final) needed to merge `n` runs
+    /// with `m` buffer pages, counted in closed form: the oracle the plans
+    /// are checked against. Both policies use the same number of steps.
+    /// Like [`preliminary_fan_in`], merging `n >= 2` runs with `m < 3` pages
+    /// is rejected with [`SortError::BudgetStarved`].
+    fn total_merge_steps(n: usize, m: usize) -> SortResult<usize> {
+        if n <= 1 {
+            return Ok(usize::from(n == 1));
+        }
+        require_merge_memory(n, m)?;
+        let max_fan = m.saturating_sub(1).max(2);
+        if n <= max_fan {
+            return Ok(1);
+        }
+        let excess = n - max_fan;
+        let per_full_step = max_fan - 1;
+        Ok(1 + excess.div_ceil(per_full_step))
+    }
 
     #[test]
     fn no_preliminary_when_memory_sufficient() {
@@ -251,7 +247,7 @@ mod tests {
         );
         let p = StaticPlanSummary::plan(&[42], 8, Optimized).unwrap();
         assert_eq!(p.step_count(), 1);
-        assert_eq!(p.total_pages(), 42);
+        assert_eq!(p.steps.iter().map(|s| s.pages).sum::<usize>(), 42);
     }
 
     #[test]

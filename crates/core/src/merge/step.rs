@@ -146,17 +146,6 @@ impl StepArena {
         &self.steps[self.active]
     }
 
-    /// Depth of the active step below the root (root = 0).
-    pub fn active_depth(&self) -> usize {
-        let mut depth = 0;
-        let mut cur = self.active;
-        while let Some(p) = self.steps[cur].parent {
-            depth += 1;
-            cur = p;
-        }
-        depth
-    }
-
     /// Number of steps that produced at least one output tuple.
     pub fn executed_steps(&self) -> usize {
         self.steps.iter().filter(|s| s.produced_anything).count()
@@ -277,7 +266,7 @@ mod tests {
         let (mut store, runs) = store_with_runs(&[3, 3, 3]);
         let arena = arena_over(&mut store, &runs);
         assert_eq!(arena.active_step().pages_needed(), 4);
-        assert_eq!(arena.active_depth(), 0);
+        assert_eq!(arena.active, arena.root());
         assert_eq!(arena.executed_steps(), 0);
     }
 
@@ -289,7 +278,7 @@ mod tests {
         let picked = arena.shortest_inputs(&store, 0, 2, None);
         let child = arena.split_active(picked, child_out, Side::Left, 8);
         assert_eq!(arena.active, child);
-        assert_eq!(arena.active_depth(), 1);
+        assert_eq!(arena.steps[child].parent, Some(arena.root()));
         assert_eq!(arena.steps[child].inputs.len(), 2);
         // Parent now has 3 original inputs + 1 cursor over the child output.
         assert_eq!(arena.steps[0].inputs.len(), 4);

@@ -19,7 +19,7 @@
 //! algorithms compare memcmp-style — and the order derives a second u64
 //! *tie rank* from the remaining key bytes of the payload. The hot paths
 //! compare the prefix column first and consult the tie rank only through
-//! the composite key ([`SortOrder::composite`]), so records are touched
+//! the composite key (`SortOrder::composite`), so records are touched
 //! beyond their prefix only when prefixes collide.
 
 use crate::layout::PayloadRef;
@@ -43,7 +43,7 @@ pub fn normalized_prefix(key: &[u8]) -> u64 {
 
 /// Ascending or descending.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SortDirection {
+pub(crate) enum SortDirection {
     /// Smallest sort key first (the default).
     #[default]
     Ascending,
@@ -103,19 +103,14 @@ impl SortOrder {
         self
     }
 
-    /// This order's direction.
-    pub fn direction(&self) -> SortDirection {
-        self.direction
-    }
-
     /// The *rank* of `t`: the value the algorithms actually compare.
     ///
     /// Ranks compare ascending regardless of the requested direction (a
     /// descending order negates the key bits), so `rank(a) <= rank(b)` iff
     /// `a` sorts no later than `b` on the stored key. Two tuples have equal
     /// ranks iff they have equal stored keys.
-    #[inline]
-    pub fn rank(&self, t: &Tuple) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rank(&self, t: &Tuple) -> u64 {
         self.rank_from_key(t.key)
     }
 
@@ -125,7 +120,7 @@ impl SortOrder {
     /// This is the merge kernel's rank cache: the direction mapping runs
     /// exactly once per promoted page, and every later gallop reads plain
     /// `u64`s from the resulting column.
-    pub fn rank_column_into(&self, page: &Page, out: &mut Vec<u64>) {
+    pub(crate) fn rank_column_into(&self, page: &Page, out: &mut Vec<u64>) {
         out.extend(page.keys().map(|k| self.rank_from_key(k)));
     }
 
@@ -135,14 +130,14 @@ impl SortOrder {
     /// prefix collisions; batch moves that steal rank-equal tuples must then
     /// stay conservative.
     #[inline]
-    pub fn rank_is_exact(&self) -> bool {
+    pub(crate) fn rank_is_exact(&self) -> bool {
         self.tie_len == 0
     }
 
     /// The tie rank of `t`: a second u64 compared after [`rank`](Self::rank).
     /// Always 0 for exact orders ([`rank_is_exact`](Self::rank_is_exact)).
-    #[inline]
-    pub fn tie_rank(&self, t: &Tuple) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tie_rank(&self, t: &Tuple) -> u64 {
         self.composite_of(t) as u64
     }
 
@@ -150,7 +145,7 @@ impl SortOrder {
     /// This is the zero-copy twin of [`tie_rank`](Self::tie_rank): merge
     /// cursors feed it a borrowed payload slice.
     #[inline]
-    pub fn tie_rank_bytes(&self, payload: &[u8]) -> u64 {
+    pub(crate) fn tie_rank_bytes(&self, payload: &[u8]) -> u64 {
         if self.tie_len == 0 {
             return 0;
         }
@@ -170,11 +165,12 @@ impl SortOrder {
     /// `(rank, tie_rank)` lexicographic order. For exact orders the tie is 0
     /// and composite comparisons degenerate to rank comparisons.
     #[inline]
-    pub fn composite(rank: u64, tie: u64) -> u128 {
+    pub(crate) fn composite(rank: u64, tie: u64) -> u128 {
         ((rank as u128) << 64) | tie as u128
     }
 
-    /// The composite key of `t` (see [`composite`](Self::composite)).
+    /// The composite key of `t`: its rank in the high 64 bits, its tie rank
+    /// in the low 64.
     #[inline]
     pub fn composite_of(&self, t: &Tuple) -> u128 {
         self.composite_at(t.key, (&t.payload).into())
@@ -195,13 +191,13 @@ impl SortOrder {
     /// Materialise the composite keys of `page`'s records into `out`
     /// (appending), one per record in page order — what run formation selects
     /// on. Records are read where they lie.
-    pub fn composite_column_into(&self, page: &Page, out: &mut Vec<u128>) {
+    pub(crate) fn composite_column_into(&self, page: &Page, out: &mut Vec<u128>) {
         out.extend((0..page.len()).map(|i| self.composite_at(page.key(i), page.payload_ref(i))));
     }
 
     /// The rank a *stored* key maps to under this order.
     #[inline]
-    pub fn rank_from_key(&self, key: u64) -> u64 {
+    pub(crate) fn rank_from_key(&self, key: u64) -> u64 {
         match self.direction {
             SortDirection::Ascending => key,
             SortDirection::Descending => !key,
@@ -235,7 +231,7 @@ mod tests {
     fn ascending_rank_is_the_key() {
         let o = SortOrder::ascending();
         assert_eq!(o.rank(&t(5)), 5);
-        assert_eq!(o.direction(), SortDirection::Ascending);
+        assert_eq!(o.direction, SortDirection::Ascending);
     }
 
     #[test]
@@ -249,7 +245,7 @@ mod tests {
     #[test]
     fn reversed_round_trips() {
         let o = SortOrder::ascending().reversed().reversed();
-        assert_eq!(o.direction(), SortDirection::Ascending);
+        assert_eq!(o.direction, SortDirection::Ascending);
     }
 
     #[test]

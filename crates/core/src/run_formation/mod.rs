@@ -3,8 +3,8 @@
 //!
 //! Three in-memory sorting methods are implemented (paper §2.1 / §3.1):
 //!
-//! * [`quicksort`] — fill memory, sort, write the whole run (`quick`);
-//! * [`replacement`] — replacement selection, writing either one page at a
+//! * `quicksort` — fill memory, sort, write the whole run (`quick`);
+//! * `replacement` — replacement selection, writing either one page at a
 //!   time (`repl1`) or N-page blocks (`replN`), plus its natural-run variant
 //!   (`natN`) that follows order already present in the input.
 //!
@@ -15,14 +15,14 @@
 //! buffers) to satisfy the request.
 //!
 //! All methods hold their tuples the same way: an input page's records are
-//! copied into the slots of one [`RecordSlab`], selection works on small
+//! copied into the slots of one `RecordSlab`, selection works on small
 //! `(composite key, slot)` entries, and emission copies records from their
 //! slots into the page being built — once, as bytes, in one prefetched gather
 //! per page. No [`Tuple`](crate::Tuple) exists between the input page and the
 //! run page.
 
-pub mod quicksort;
-pub mod replacement;
+pub(crate) mod quicksort;
+pub(crate) mod replacement;
 
 use crate::budget::MemoryBudget;
 use crate::config::{RunFormation, SortConfig};

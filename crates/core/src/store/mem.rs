@@ -12,8 +12,6 @@ pub struct MemStore {
     runs: HashMap<RunId, Vec<Page>>,
     tuple_counts: HashMap<RunId, usize>,
     next: RunId,
-    pages_written: usize,
-    pages_read: usize,
     bytes_written: usize,
     bytes_read: usize,
     trace: masort_trace::Trace,
@@ -25,31 +23,24 @@ impl MemStore {
         Self::default()
     }
 
-    /// Total pages appended over the store's lifetime (for tests/metrics).
-    pub fn pages_written(&self) -> usize {
-        self.pages_written
-    }
-
-    /// Total pages read over the store's lifetime (for tests/metrics).
-    pub fn pages_read(&self) -> usize {
-        self.pages_read
-    }
-
     /// Total tuple bytes appended over the store's lifetime. Accounted from
     /// each page's cached byte total ([`Page::bytes`]), so the bookkeeping is
     /// O(1) per append instead of a walk over the page.
-    pub fn bytes_written(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bytes_written(&self) -> usize {
         self.bytes_written
     }
 
     /// Total tuple bytes read over the store's lifetime (cached-total
     /// accounting, like [`bytes_written`](Self::bytes_written)).
-    pub fn bytes_read(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bytes_read(&self) -> usize {
         self.bytes_read
     }
 
     /// Number of runs currently stored.
-    pub fn live_runs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_runs(&self) -> usize {
         self.runs.len()
     }
 }
@@ -69,7 +60,6 @@ impl RunStore for MemStore {
             .tuple_counts
             .get_mut(&run)
             .ok_or(SortError::UnknownRun(run))?;
-        self.pages_written += 1;
         self.bytes_written += page.bytes();
         *count += page.len();
         self.runs
@@ -88,7 +78,6 @@ impl RunStore for MemStore {
         let page = pages.get(idx).ok_or_else(|| {
             SortError::corrupt(run, format!("page {idx} out of range ({})", pages.len()))
         })?;
-        self.pages_read += 1;
         self.bytes_read += page.bytes();
         let page = page.clone();
         self.trace.emit(EventKind::IoRead {

@@ -23,7 +23,7 @@
 //! buffers of its own instead of the budget's.
 
 use crate::env::{RealEnv, SortEnv};
-use crate::error::{SortError, SortResult};
+use crate::error::SortError;
 use crate::job::SortCompletion;
 use crate::sorter::SortOutcome;
 use crate::store::RunStore;
@@ -60,17 +60,6 @@ impl<S: RunStore, E: SortEnv> SortedStream<S, E> {
             at: 0,
             yielded: 0,
         }
-    }
-
-    /// Tuples yielded so far.
-    pub fn yielded(&self) -> usize {
-        self.yielded
-    }
-
-    /// Consume the rest of the stream into a vector (convenience; loses the
-    /// streaming property).
-    pub fn try_collect(self) -> SortResult<Vec<Tuple>> {
-        self.collect()
     }
 
     /// End the stream (wherever it stands) and return the sort's final
@@ -111,6 +100,7 @@ mod tests {
     use super::*;
     use crate::budget::MemoryBudget;
     use crate::config::{AlgorithmSpec, SortConfig};
+    use crate::error::SortResult;
     use crate::input::{InputSource, VecSource};
     use crate::job::SortJob;
     use crate::store::{FileStore, MemStore, RunId};
@@ -308,7 +298,7 @@ mod tests {
         let mut stream = completion.into_stream();
         let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
         assert_sorted_permutation(&rig.input, &sorted);
-        assert_eq!(stream.yielded(), 4_000);
+        assert_eq!(sorted.len(), 4_000);
         assert!(stream.next().is_none());
         assert_eq!(run_files(&rig.dir), 0);
         assert_eq!(rig.budget.held(), 0);

@@ -1,17 +1,15 @@
 //! The merge kernel (loser tree over cached ranks, gallop batch moves) against
 //! a reference written here: a naive `BinaryHeap` k-way merge that pops and
-//! pushes one tuple at a time. Across every algorithm combination, sort
-//! order and worker count, and under mid-merge budget wobbles that force
-//! dynamic splits, suspensions and paging faults, the kernel must emit the
-//! reference's tuple sequence. (What the kernel *charges* per tuple is pinned
-//! by the simulator's golden file, `tests/simulation_golden.rs`.)
+//! pushes one tuple at a time. Across every algorithm combination and sort
+//! order, a whole sort must emit the reference's tuple sequence. (The same
+//! check under mid-merge budget wobbles is a unit test of the executor,
+//! `kernel_survives_mid_merge_wobbles`; what the kernel *charges* per tuple
+//! is pinned by the simulator's golden file, `tests/simulation_golden.rs`.)
 
 use masort_core::env::CountingEnv;
-use masort_core::merge::exec::{execute_merge, ExecParams};
+use masort_core::normalized_prefix;
 use masort_core::prelude::*;
-use masort_core::tuple::paginate;
 use masort_core::verify::collect_run;
-use masort_core::{normalized_prefix, RunMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -146,128 +144,6 @@ fn kernel_output_matches_naive_merge_for_every_algorithm_and_order() {
                 &format!("{spec} ({name})"),
             );
             assert!(outcome.merge.tuples_output >= input.len() as u64);
-        }
-    }
-}
-
-/// An environment that applies a scripted sequence of budget changes, each
-/// firing once the clock passes its timestamp (the clock advances on CPU
-/// charges), so shrink/grow wobbles land at the same point of every run.
-struct ScriptedEnv {
-    clock: f64,
-    script: Vec<(f64, usize)>,
-    next: usize,
-    /// `CpuOp::CopyTuple` charges seen.
-    copies: u64,
-}
-
-impl SortEnv for ScriptedEnv {
-    fn now(&self) -> f64 {
-        self.clock
-    }
-    fn charge_cpu(&mut self, op: CpuOp, count: u64) {
-        self.clock += count as f64 * 5e-5;
-        if op == CpuOp::CopyTuple {
-            self.copies += count;
-        }
-    }
-    fn charge_extra_read(&mut self, pages: usize) {
-        self.clock += pages as f64 * 1e-3;
-    }
-    fn poll(&mut self, budget: &MemoryBudget) {
-        while self.next < self.script.len() && self.script[self.next].0 <= self.clock {
-            budget.set_target(self.script[self.next].1, self.clock);
-            self.next += 1;
-        }
-    }
-    fn wait_for_pages(&mut self, budget: &MemoryBudget, pages: usize) -> bool {
-        while self.next < self.script.len() {
-            let (at, target) = self.script[self.next];
-            self.clock = self.clock.max(at);
-            budget.set_target(target, self.clock);
-            self.next += 1;
-            if target >= pages {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-fn make_runs(n_runs: usize, avg_pages: usize, seed: u64) -> (MemStore, Vec<RunMeta>) {
-    let tpp = 8;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut store = MemStore::new();
-    let mut metas = Vec::new();
-    for _ in 0..n_runs {
-        let pages = rng.gen_range(1..=avg_pages * 2);
-        let mut tuples: Vec<Tuple> = (0..pages * tpp)
-            .map(|_| Tuple::synthetic(rng.gen_range(0..500u64), 64))
-            .collect();
-        tuples.sort_unstable_by_key(|t| t.key);
-        let run = store.create_run().unwrap();
-        for p in paginate(tuples, tpp) {
-            store.append_page(run, p).unwrap();
-        }
-        metas.push(store.meta(run));
-    }
-    (store, metas)
-}
-
-/// Mid-merge shrink/grow wobblers: the budget collapses (forcing dynamic
-/// splits / suspension refetches / paging faults mid-merge) and recovers
-/// (forcing growth switches and step combining). The kernel must still emit
-/// the reference merge of the same runs, and charge one tuple copy per tuple
-/// it moved, however long its batches were.
-#[test]
-fn kernel_survives_mid_merge_wobbles() {
-    let order = SortOrder::ascending();
-    for adaptation in [
-        MergeAdaptation::DynamicSplitting,
-        MergeAdaptation::Suspension,
-        MergeAdaptation::Paging,
-    ] {
-        let (mut store, metas) = make_runs(10, 4, 77);
-        let runs: Vec<Vec<Tuple>> = metas
-            .iter()
-            .map(|m| collect_run(&mut store, m.id).unwrap())
-            .collect();
-        let cfg = small_cfg(
-            12,
-            AlgorithmSpec::new(RunFormation::repl(4), MergePolicy::Optimized, adaptation),
-        );
-        let budget = MemoryBudget::new(12);
-        let mut env = ScriptedEnv {
-            clock: 0.0,
-            script: vec![(0.02, 5), (0.2, 14), (0.5, 4), (0.9, 16)],
-            next: 0,
-            copies: 0,
-        };
-        let params = ExecParams {
-            policy: MergePolicy::Optimized,
-            adaptation,
-            min_pages: 3,
-        };
-        let (out, stats) =
-            execute_merge(&cfg, &budget, &metas, &mut store, &mut env, params).unwrap();
-        let merged = collect_run(&mut store, out).unwrap();
-        assert_matches_reference(
-            &order,
-            &merged,
-            &naive_merge(&order, runs),
-            &format!("{adaptation:?}"),
-        );
-        assert_eq!(
-            env.copies, stats.tuples_output,
-            "{adaptation:?}: copies are charged per tuple moved"
-        );
-        // The wobble must actually have exercised the adaptation machinery.
-        match adaptation {
-            MergeAdaptation::DynamicSplitting => {
-                assert!(stats.splits >= 1, "no split — wobble misconfigured")
-            }
-            MergeAdaptation::Suspension => assert!(stats.refetched_pages > 0),
-            MergeAdaptation::Paging => assert!(stats.extra_paging_reads > 0),
         }
     }
 }

@@ -58,7 +58,7 @@ impl SimConfig {
     }
 
     /// Configuration with no memory fluctuation (paper §5.1).
-    pub fn no_fluctuation() -> Self {
+    pub(crate) fn no_fluctuation() -> Self {
         SimConfig {
             workload: WorkloadConfig::none(),
             ..Self::default()
@@ -66,7 +66,7 @@ impl SimConfig {
     }
 
     /// Total buffer memory in pages.
-    pub fn memory_pages(&self) -> usize {
+    pub(crate) fn memory_pages(&self) -> usize {
         (self.memory_bytes / self.page_size).max(1)
     }
 

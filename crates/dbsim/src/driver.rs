@@ -91,7 +91,7 @@ pub struct JoinMetrics {
 /// the paper). It runs to its root and finishes into one stored run, so the
 /// merge writes its result as the paper's cost model charges it. Simulated
 /// components cannot actually fail, so errors are impossible here.
-pub fn run_sort_in_system(cfg: &SimConfig, sys: &SharedSystem, seed: u64) -> SortRunMetrics {
+pub(crate) fn run_sort_in_system(cfg: &SimConfig, sys: &SharedSystem, seed: u64) -> SortRunMetrics {
     sys.borrow_mut().reset_sort_counters();
     sys.borrow_mut().refresh_budget();
     let budget = sys.borrow().budget.clone();

@@ -16,11 +16,6 @@ impl SimEnv {
     pub fn new(system: SharedSystem) -> Self {
         SimEnv { system }
     }
-
-    /// Access the underlying shared system.
-    pub fn system(&self) -> &SharedSystem {
-        &self.system
-    }
 }
 
 impl SortEnv for SimEnv {

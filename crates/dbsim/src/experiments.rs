@@ -49,14 +49,6 @@ impl Scale {
         }
         s
     }
-
-    /// A tiny scale for unit tests (1 MB relation, single sort per point).
-    pub fn tiny() -> Self {
-        Scale {
-            sorts_per_point: 1,
-            relation_mb: 1.0,
-        }
-    }
 }
 
 fn averaged(cfg: &SimConfig, scale: Scale, seed: u64) -> AveragedMetrics {
@@ -172,7 +164,7 @@ pub struct NoFluctuationRow {
 }
 
 /// The memory sizes swept in Figure 5 / Table 6 (MB).
-pub const TABLE6_MEMORY_MB: [f64; 8] = [0.07, 0.14, 0.21, 0.32, 0.42, 0.63, 0.84, 1.40];
+pub(crate) const TABLE6_MEMORY_MB: [f64; 8] = [0.07, 0.14, 0.21, 0.32, 0.42, 0.63, 0.84, 1.40];
 
 /// Reproduce Figure 5 and Table 6: fixed memory allocations (no fluctuation),
 /// sweeping M for the six combinations of in-memory sorting method and
@@ -292,11 +284,11 @@ pub struct RatioRow {
 }
 
 /// Memory sizes swept in Figures 7-11 (MB).
-pub const RATIO_MEMORY_MB: [f64; 7] = [0.1, 0.2, 0.3, 0.45, 0.6, 0.9, 1.4];
+pub(crate) const RATIO_MEMORY_MB: [f64; 7] = [0.1, 0.2, 0.3, 0.45, 0.6, 0.9, 1.4];
 
 /// Algorithms plotted in Figures 7-9: repl6 and quick, naive and optimized,
 /// under paging and dynamic splitting.
-pub const RATIO_ALGORITHMS: [&str; 8] = [
+pub(crate) const RATIO_ALGORITHMS: [&str; 8] = [
     "repl6,naive,page",
     "repl6,opt,page",
     "repl6,naive,split",
@@ -367,7 +359,7 @@ pub struct RateRow {
 }
 
 /// Memory sizes swept in Figures 12-13 (MB).
-pub const RATE_MEMORY_MB: [f64; 5] = [0.1, 0.3, 0.6, 1.2, 2.0];
+pub(crate) const RATE_MEMORY_MB: [f64; 5] = [0.1, 0.3, 0.6, 1.2, 2.0];
 
 /// Reproduce Figures 12 and 13: slow vs fast memory-fluctuation rates (with
 /// the mean available memory held constant) for quick and repl6 under paging
@@ -514,6 +506,12 @@ pub fn ablation(scale: Scale) -> Vec<AblationRow> {
 mod tests {
     use super::*;
 
+    /// A tiny scale for unit tests (1 MB relation, single sort per point).
+    const TINY: Scale = Scale {
+        sorts_per_point: 1,
+        relation_mb: 1.0,
+    };
+
     #[test]
     fn scale_from_env_defaults() {
         let s = Scale::default();
@@ -523,7 +521,7 @@ mod tests {
 
     #[test]
     fn table5_shape_block_writes_reduce_per_page_time() {
-        let rows = table5(Scale::tiny());
+        let rows = table5(TINY);
         assert_eq!(rows.len(), 7);
         let n1 = rows
             .iter()
@@ -554,7 +552,7 @@ mod tests {
         let cfg = SimConfig::baseline()
             .with_relation_mb(1.0)
             .with_algorithm("repl6,opt,split".parse().unwrap());
-        let avg = averaged(&cfg, Scale::tiny(), 1);
+        let avg = averaged(&cfg, TINY, 1);
         assert!(avg.response_time > 0.0);
         assert!(avg.runs_formed >= 1.0);
     }

@@ -48,14 +48,9 @@ impl SimRelationSource {
 
     /// Restrict keys to `0..domain` (useful for join workloads where matches
     /// should actually occur). Keys default to the full 64-bit range.
-    pub fn with_key_domain(mut self, domain: u64) -> Self {
+    pub(crate) fn with_key_domain(mut self, domain: u64) -> Self {
         self.key_domain = Some(domain.max(1));
         self
-    }
-
-    /// Pages scanned so far.
-    pub fn pages_scanned(&self) -> usize {
-        self.next_page
     }
 }
 
@@ -111,7 +106,7 @@ mod tests {
             pages += 1;
         }
         assert_eq!(pages, 10);
-        assert_eq!(src.pages_scanned(), 10);
+        assert_eq!(src.next_page, 10);
         assert!(sys.borrow().clock > 0.0);
         assert!(src.next_page().unwrap().is_none());
     }

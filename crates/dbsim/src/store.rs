@@ -38,16 +38,6 @@ impl SimRunStore {
         }
     }
 
-    /// Total run pages written so far.
-    pub fn pages_written(&self) -> u64 {
-        self.pages_written
-    }
-
-    /// Total run pages read so far.
-    pub fn pages_read(&self) -> u64 {
-        self.pages_read
-    }
-
     /// Cylinder that holds page `idx` of `run`, allocating extents as needed.
     fn cylinder_for(&mut self, run: RunId, idx: usize) -> SortResult<usize> {
         let ppc = self.system.borrow().layout.geometry().pages_per_cylinder;
@@ -225,7 +215,7 @@ mod tests {
         s.append_block(r, (0..4).map(|i| page_of(&[i])).collect())
             .unwrap();
         s.read_page(r, 2).unwrap();
-        assert_eq!(s.pages_written(), 4);
-        assert_eq!(s.pages_read(), 1);
+        assert_eq!(s.pages_written, 4);
+        assert_eq!(s.pages_read, 1);
     }
 }

@@ -33,7 +33,7 @@ pub struct SystemMetrics {
 
 impl SystemMetrics {
     /// Average disk time per page moved during the split phase (seconds).
-    pub fn split_avg_page_time(&self) -> f64 {
+    pub(crate) fn split_avg_page_time(&self) -> f64 {
         if self.split_pages_io == 0 {
             0.0
         } else {
@@ -94,7 +94,7 @@ impl SimSystem {
     /// Advance the clock by `dt` seconds, delivering every workload event
     /// (arrival or departure of a competing memory request) that fires on the
     /// way and refreshing the sort's budget target after each one.
-    pub fn advance(&mut self, dt: f64) {
+    pub(crate) fn advance(&mut self, dt: f64) {
         let end = self.clock + dt.max(0.0);
         loop {
             match self.workload.next_event_time() {
@@ -116,7 +116,7 @@ impl SimSystem {
     }
 
     /// Charge `count` occurrences of CPU operation `op`.
-    pub fn charge_cpu(&mut self, op: CpuOp, count: u64) {
+    pub(crate) fn charge_cpu(&mut self, op: CpuOp, count: u64) {
         let t = self.cpu.charge(op, count);
         self.metrics.cpu_time += t;
         self.advance(t);
@@ -124,7 +124,7 @@ impl SimSystem {
 
     /// Charge a disk access of `pages` pages at `cylinder`, attributing the
     /// time to the current sort phase.
-    pub fn charge_disk(
+    pub(crate) fn charge_disk(
         &mut self,
         first_page: usize,
         cylinder: usize,
@@ -148,7 +148,7 @@ impl SimSystem {
     /// Charge the re-reading of `pages` evicted buffer pages (paging faults,
     /// suspension resumes, merge-step switches). Modelled as one batched read
     /// in the temporary-file region.
-    pub fn charge_refetch(&mut self, pages: usize) {
+    pub(crate) fn charge_refetch(&mut self, pages: usize) {
         if pages == 0 {
             return;
         }
@@ -159,7 +159,7 @@ impl SimSystem {
     /// Block (advance simulated time through future workload events) until the
     /// sort's budget target reaches `pages`. Returns `false` if the workload
     /// can never satisfy the request (no pending events).
-    pub fn wait_until_available(&mut self, pages: usize) -> bool {
+    pub(crate) fn wait_until_available(&mut self, pages: usize) -> bool {
         loop {
             if self.budget.target() >= pages {
                 return true;
@@ -177,7 +177,7 @@ impl SimSystem {
 
     /// Reset per-sort counters (between sorts of a stream). The clock, disk
     /// head positions and outstanding workload requests carry over.
-    pub fn reset_sort_counters(&mut self) {
+    pub(crate) fn reset_sort_counters(&mut self) {
         self.metrics = SystemMetrics::default();
         self.disks.reset_counters();
         self.cpu.reset_counters();

@@ -32,18 +32,13 @@ impl Default for DiskGeometry {
 
 impl DiskGeometry {
     /// Pages on one track.
-    pub fn pages_per_track(&self) -> usize {
+    pub(crate) fn pages_per_track(&self) -> usize {
         (self.pages_per_cylinder / self.tracks_per_cylinder).max(1)
-    }
-
-    /// Total capacity of the disk in pages.
-    pub fn capacity_pages(&self) -> usize {
-        self.cylinders * self.pages_per_cylinder
     }
 
     /// Seek time across `distance` cylinders, in seconds. Zero distance means
     /// the head is already on the right cylinder.
-    pub fn seek_time(&self, distance: usize) -> f64 {
+    pub(crate) fn seek_time(&self, distance: usize) -> f64 {
         if distance == 0 {
             0.0
         } else {
@@ -52,18 +47,18 @@ impl DiskGeometry {
     }
 
     /// Average rotational delay (half a rotation).
-    pub fn rotational_delay(&self) -> f64 {
+    pub(crate) fn rotational_delay(&self) -> f64 {
         self.rotate_time / 2.0
     }
 
     /// Time to transfer `pages` consecutive pages once positioned.
-    pub fn transfer_time(&self, pages: usize) -> f64 {
+    pub(crate) fn transfer_time(&self, pages: usize) -> f64 {
         self.rotate_time * pages as f64 / self.pages_per_track() as f64
     }
 
     /// Complete access time: seek over `distance` cylinders, average
     /// rotational delay, then transfer of `pages` pages.
-    pub fn access_time(&self, distance: usize, pages: usize) -> f64 {
+    pub(crate) fn access_time(&self, distance: usize, pages: usize) -> f64 {
         self.seek_time(distance) + self.rotational_delay() + self.transfer_time(pages)
     }
 
@@ -85,7 +80,7 @@ mod tests {
         assert_eq!(g.page_size, 8192);
         assert!((g.rotate_time - 0.0167).abs() < 1e-12);
         assert!((g.seek_factor - 0.000617).abs() < 1e-12);
-        assert_eq!(g.capacity_pages(), 135_000);
+        assert_eq!(g.cylinders * g.pages_per_cylinder, 135_000);
     }
 
     #[test]

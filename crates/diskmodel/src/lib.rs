@@ -20,4 +20,4 @@ pub mod model;
 pub use elevator::ElevatorQueue;
 pub use geometry::DiskGeometry;
 pub use layout::{DiskLayout, Region, TempExtent};
-pub use model::{AccessKind, DiskArray, DiskModel};
+pub use model::{AccessKind, DiskArray};

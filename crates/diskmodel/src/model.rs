@@ -17,7 +17,7 @@ pub enum AccessKind {
 /// One simulated disk: geometry plus current head position and accumulated
 /// busy time.
 #[derive(Clone, Debug)]
-pub struct DiskModel {
+pub(crate) struct DiskModel {
     geometry: DiskGeometry,
     head: usize,
     busy_time: f64,
@@ -34,40 +34,6 @@ impl DiskModel {
             busy_time: 0.0,
             accesses: 0,
             pages_moved: 0,
-        }
-    }
-
-    /// The disk's geometry.
-    pub fn geometry(&self) -> &DiskGeometry {
-        &self.geometry
-    }
-
-    /// Current head cylinder.
-    pub fn head(&self) -> usize {
-        self.head
-    }
-
-    /// Total time this disk has spent servicing requests.
-    pub fn busy_time(&self) -> f64 {
-        self.busy_time
-    }
-
-    /// Number of requests serviced.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Number of pages transferred.
-    pub fn pages_moved(&self) -> u64 {
-        self.pages_moved
-    }
-
-    /// Average time per page moved (0 if nothing moved yet).
-    pub fn avg_page_time(&self) -> f64 {
-        if self.pages_moved == 0 {
-            0.0
-        } else {
-            self.busy_time / self.pages_moved as f64
         }
     }
 
@@ -115,18 +81,8 @@ impl DiskArray {
         }
     }
 
-    /// Number of disks.
-    pub fn len(&self) -> usize {
-        self.disks.len()
-    }
-
-    /// Always false: a disk array has at least one disk.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Which disk a linear page number maps to.
-    pub fn disk_of_page(&self, page: usize) -> usize {
+    pub(crate) fn disk_of_page(&self, page: usize) -> usize {
         page % self.disks.len()
     }
 
@@ -141,31 +97,6 @@ impl DiskArray {
     ) -> f64 {
         let d = self.disk_of_page(first_page);
         self.disks[d].access(cylinder, pages, kind)
-    }
-
-    /// Immutable access to an individual disk.
-    pub fn disk(&self, idx: usize) -> &DiskModel {
-        &self.disks[idx]
-    }
-
-    /// Total busy time across all disks.
-    pub fn total_busy_time(&self) -> f64 {
-        self.disks.iter().map(DiskModel::busy_time).sum()
-    }
-
-    /// Total pages moved across all disks.
-    pub fn total_pages_moved(&self) -> u64 {
-        self.disks.iter().map(DiskModel::pages_moved).sum()
-    }
-
-    /// Average time per page moved across all disks.
-    pub fn avg_page_time(&self) -> f64 {
-        let pages = self.total_pages_moved();
-        if pages == 0 {
-            0.0
-        } else {
-            self.total_busy_time() / pages as f64
-        }
     }
 
     /// Reset usage counters on every disk.
@@ -185,12 +116,12 @@ mod tests {
         let mut d = DiskModel::new(DiskGeometry::default());
         let t1 = d.access(700, 1, AccessKind::Read);
         assert!(t1 > 0.0);
-        assert_eq!(d.head(), 700);
+        assert_eq!(d.head, 700);
         let t2 = d.access(700, 1, AccessKind::Read);
         assert!(t2 < t1, "no seek needed the second time");
-        assert_eq!(d.accesses(), 2);
-        assert_eq!(d.pages_moved(), 2);
-        assert!((d.busy_time() - (t1 + t2)).abs() < 1e-12);
+        assert_eq!(d.accesses, 2);
+        assert_eq!(d.pages_moved, 2);
+        assert!((d.busy_time - (t1 + t2)).abs() < 1e-12);
     }
 
     #[test]
@@ -212,10 +143,10 @@ mod tests {
             sequential.access(1400 + i, 10, AccessKind::Write);
         }
         assert!(
-            alternating.busy_time() > 3.0 * sequential.busy_time(),
+            alternating.busy_time > 3.0 * sequential.busy_time,
             "alternating {} vs sequential {}",
-            alternating.busy_time(),
-            sequential.busy_time()
+            alternating.busy_time,
+            sequential.busy_time
         );
     }
 
@@ -231,7 +162,7 @@ mod tests {
                 d.access(750 + i / 10, block, AccessKind::Read);
                 d.access(1300 + i / 10, block, AccessKind::Write);
             }
-            let avg = d.avg_page_time();
+            let avg = d.busy_time / d.pages_moved as f64;
             assert!(
                 avg <= prev + 1e-12,
                 "avg page time should not increase with block size"
@@ -243,7 +174,7 @@ mod tests {
     #[test]
     fn disk_array_partitions_pages_round_robin() {
         let arr = DiskArray::new(DiskGeometry::default(), 3);
-        assert_eq!(arr.len(), 3);
+        assert_eq!(arr.disks.len(), 3);
         assert_eq!(arr.disk_of_page(0), 0);
         assert_eq!(arr.disk_of_page(1), 1);
         assert_eq!(arr.disk_of_page(2), 2);
@@ -256,18 +187,19 @@ mod tests {
         arr.access(0, 700, 4, AccessKind::Read);
         arr.access(1, 800, 4, AccessKind::Read);
         arr.access(2, 900, 4, AccessKind::Read);
-        assert_eq!(arr.disk(0).accesses(), 2);
-        assert_eq!(arr.disk(1).accesses(), 1);
-        assert_eq!(arr.total_pages_moved(), 12);
-        assert!(arr.avg_page_time() > 0.0);
+        let pages_moved = |arr: &DiskArray| arr.disks.iter().map(|d| d.pages_moved).sum::<u64>();
+        assert_eq!(arr.disks[0].accesses, 2);
+        assert_eq!(arr.disks[1].accesses, 1);
+        assert_eq!(pages_moved(&arr), 12);
+        assert!(arr.disks.iter().all(|d| d.busy_time > 0.0));
         arr.reset_counters();
-        assert_eq!(arr.total_pages_moved(), 0);
+        assert_eq!(pages_moved(&arr), 0);
     }
 
     #[test]
     fn single_disk_array_never_empty() {
         let arr = DiskArray::new(DiskGeometry::default(), 0);
-        assert_eq!(arr.len(), 1);
-        assert!(!arr.is_empty());
+        assert_eq!(arr.disks.len(), 1);
+        assert!(!arr.disks.is_empty());
     }
 }

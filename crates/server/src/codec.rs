@@ -28,7 +28,7 @@ use crate::protocol::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_F
 const TAG_SYNTHETIC: u8 = 0;
 const TAG_BYTES: u8 = 1;
 /// The opcode of an `INGEST` body, whose records [`decode_ingest`] reads.
-pub const OP_INGEST: u8 = 0x05;
+pub(crate) const OP_INGEST: u8 = 0x05;
 const OP_EGRESS: u8 = 0x07;
 /// The fewest bytes a record takes: key, tag, a size or a blob's length.
 const MIN_RECORD: usize = 8 + 1 + 4;

@@ -64,7 +64,7 @@ pub use protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerBuilder, ServerHandle};
-pub use tenant::{TenantQuota, TenantRegistry};
+pub use tenant::TenantQuota;
 
 /// Convenient glob import of the server- and client-facing types.
 pub mod prelude {
@@ -76,5 +76,5 @@ pub mod prelude {
         ErrorCode, Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION,
     };
     pub use crate::server::{Server, ServerBuilder, ServerHandle};
-    pub use crate::tenant::{TenantQuota, TenantRegistry};
+    pub use crate::tenant::TenantQuota;
 }

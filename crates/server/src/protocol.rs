@@ -277,7 +277,7 @@ pub enum Frame {
 
 impl Frame {
     /// The frame's opcode byte (first byte of the body).
-    pub fn opcode(&self) -> u8 {
+    pub(crate) fn opcode(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 0x01,
             Frame::Welcome { .. } => 0x02,
@@ -298,7 +298,7 @@ impl Frame {
     }
 
     /// Short human name, for protocol-error messages.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "HELLO",
             Frame::Welcome { .. } => "WELCOME",

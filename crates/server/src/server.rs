@@ -8,7 +8,7 @@
 //! arbitrates — and a client that stops reading holds no worker.
 //!
 //! Nothing here polls. The accept loop blocks in `accept()` and every
-//! session blocks in `read()`; shutdown (via [`ServerHandle::shutdown`] or a
+//! session blocks in `read()`; shutdown (via [`ServerHandle::join`] or a
 //! `SHUTDOWN` frame) flips a flag and *wakes* them — the accept loop by a
 //! loop-back connection to its own listener, each session by shutting down
 //! the read half of its socket, which the blocked read sees as end of
@@ -266,7 +266,7 @@ impl ServerHandle {
     }
 
     /// Ask the server to stop accepting and drain.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         request_shutdown(&self.stop, self.addr);
     }
 

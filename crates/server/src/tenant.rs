@@ -3,9 +3,9 @@
 //! A tenant is a client-supplied name carried in the `HELLO` frame. The
 //! server may attach a [`TenantQuota`] to any name — a cap on concurrent
 //! sorts, a cap on pages per sort, and an optional priority override — and
-//! the [`TenantRegistry`] enforces the live-job cap with an RAII guard so a
-//! slot is returned no matter how the session ends (success, cancel, panic
-//! or disconnect). Unknown tenants, and connections with no tenant at all,
+//! the server's tenant registry enforces the live-job cap with an RAII guard
+//! so a slot is returned no matter how the session ends (success, cancel,
+//! panic or disconnect). Unknown tenants, and connections with no tenant at all,
 //! run unrestricted.
 
 use masort_core::sync::{Mutex, MutexGuard};
@@ -78,7 +78,7 @@ struct RegistryState {
 /// Tracks configured quotas and how many sorts each tenant currently has in
 /// flight. Cheap to clone — all clones share one state.
 #[derive(Clone)]
-pub struct TenantRegistry {
+pub(crate) struct TenantRegistry {
     state: Arc<Mutex<RegistryState>>,
 }
 
@@ -103,11 +103,6 @@ impl TenantRegistry {
         self.lock().quotas.get(tenant).copied()
     }
 
-    /// Sorts `tenant` currently has in flight.
-    pub fn live(&self, tenant: &str) -> usize {
-        self.lock().live.get(tenant).copied().unwrap_or(0)
-    }
-
     /// Claim a live-job slot for `tenant`. On success the returned guard
     /// holds the slot until dropped; on failure returns
     /// `Err((live, max_live))` for the quota error frame.
@@ -127,7 +122,7 @@ impl TenantRegistry {
 }
 
 /// RAII handle on one tenant live-job slot; dropping it releases the slot.
-pub struct LiveGuard {
+pub(crate) struct LiveGuard {
     registry: TenantRegistry,
     tenant: String,
 }
@@ -199,9 +194,9 @@ mod tests {
         let _d = reg.claim("other").unwrap();
         drop(a);
         let _e = reg.claim("acme").unwrap();
-        assert_eq!(reg.live("acme"), 2);
+        assert_eq!(reg.lock().live["acme"], 2);
         drop(b);
         drop(_e);
-        assert_eq!(reg.live("acme"), 0);
+        assert!(!reg.lock().live.contains_key("acme"));
     }
 }

@@ -72,11 +72,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another collector into this one.
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.count == 0 {

@@ -43,7 +43,7 @@ impl Default for CpuCosts {
 
 impl CpuCosts {
     /// Instructions for one occurrence of `op`.
-    pub fn instructions(&self, op: CpuOp) -> u64 {
+    pub(crate) fn instructions(&self, op: CpuOp) -> u64 {
         match op {
             CpuOp::Compare => self.compare,
             CpuOp::Swap => self.swap,
@@ -94,21 +94,6 @@ impl CpuModel {
         t
     }
 
-    /// Time that would be needed without accounting it.
-    pub fn time_for(&self, op: CpuOp, count: u64) -> f64 {
-        self.costs.instructions(op) as f64 * count as f64 / (self.mips * 1e6)
-    }
-
-    /// Total CPU busy time so far.
-    pub fn busy_time(&self) -> f64 {
-        self.busy_time
-    }
-
-    /// Total instructions executed so far.
-    pub fn instructions_executed(&self) -> u64 {
-        self.instructions_executed
-    }
-
     /// Reset usage counters.
     pub fn reset_counters(&mut self) {
         self.busy_time = 0.0;
@@ -122,10 +107,10 @@ mod tests {
 
     #[test]
     fn default_matches_paper_mips() {
-        let cpu = CpuModel::default();
+        let mut cpu = CpuModel::default();
         assert_eq!(cpu.mips, 20.0);
         // 3000 instructions at 20 MIPS = 150 microseconds.
-        assert!((cpu.time_for(CpuOp::StartIo, 1) - 150e-6).abs() < 1e-12);
+        assert!((cpu.charge(CpuOp::StartIo, 1) - 150e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -134,10 +119,10 @@ mod tests {
         let t1 = cpu.charge(CpuOp::Compare, 1000);
         let t2 = cpu.charge(CpuOp::CopyTuple, 10);
         assert!(t1 > 0.0 && t2 > 0.0);
-        assert_eq!(cpu.instructions_executed(), 1000 * 50 + 10 * 200);
-        assert!((cpu.busy_time() - (t1 + t2)).abs() < 1e-15);
+        assert_eq!(cpu.instructions_executed, 1000 * 50 + 10 * 200);
+        assert!((cpu.busy_time - (t1 + t2)).abs() < 1e-15);
         cpu.reset_counters();
-        assert_eq!(cpu.instructions_executed(), 0);
+        assert_eq!(cpu.instructions_executed, 0);
     }
 
     #[test]

@@ -166,13 +166,8 @@ impl MemoryWorkload {
         w
     }
 
-    /// The workload configuration.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
-    }
-
     /// Pages currently held by competing requests.
-    pub fn pages_held(&self) -> usize {
+    pub(crate) fn pages_held(&self) -> usize {
         self.active
             .iter()
             .map(|r| r.pages)
@@ -188,16 +183,6 @@ impl MemoryWorkload {
     /// Time of the next arrival or departure, if any.
     pub fn next_event_time(&self) -> Option<f64> {
         self.events.next_time()
-    }
-
-    /// Number of requests that have arrived so far.
-    pub fn arrivals_seen(&self) -> u64 {
-        self.arrivals_seen
-    }
-
-    /// Currently active competing requests.
-    pub fn active_requests(&self) -> &[MemoryRequest] {
-        &self.active
     }
 
     /// Process the next event if it occurs at or before `time`. Returns `true`
@@ -257,7 +242,7 @@ mod tests {
     #[test]
     fn static_workload_never_fires() {
         let mut w = MemoryWorkload::new(WorkloadConfig::none(), 38, 1);
-        assert!(w.config().is_static());
+        assert!(w.config.is_static());
         assert_eq!(w.next_event_time(), None);
         assert!(!w.advance_one(1e9));
         assert_eq!(w.pages_available_to_sort(), 38);
@@ -279,7 +264,7 @@ mod tests {
             assert!(w.pages_held() <= 100);
         }
         assert!(saw_hold, "some requests should have held memory");
-        assert!(w.arrivals_seen() > 100, "roughly 1.1 arrivals per second");
+        assert!(w.arrivals_seen > 100, "roughly 1.1 arrivals per second");
     }
 
     #[test]
@@ -298,7 +283,7 @@ mod tests {
             }
         }
         assert!(
-            w.active_requests().iter().all(|r| r.pages <= 200),
+            w.active.iter().all(|r| r.pages <= 200),
             "small requests must stay below MemThres"
         );
     }

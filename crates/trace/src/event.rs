@@ -154,7 +154,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable short name of the event kind, used in exports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::PhaseStart { .. } => "phase_start",
             EventKind::PhaseEnd { .. } => "phase_end",
@@ -183,7 +183,7 @@ impl EventKind {
     }
 
     /// The kind-specific payload fields, in a stable order.
-    pub fn fields(&self) -> Vec<(&'static str, JsonValue)> {
+    pub(crate) fn fields(&self) -> Vec<(&'static str, JsonValue)> {
         fn n(v: usize) -> JsonValue {
             JsonValue::Number(v as f64)
         }
@@ -244,7 +244,10 @@ impl EventKind {
 
     /// Rebuild a kind from its exported `name` + payload fields. Returns
     /// `None` for unknown names or missing fields.
-    pub fn from_fields(name: &str, get: impl Fn(&str) -> Option<JsonValue>) -> Option<EventKind> {
+    pub(crate) fn from_fields(
+        name: &str,
+        get: impl Fn(&str) -> Option<JsonValue>,
+    ) -> Option<EventKind> {
         let num = |k: &str| -> Option<f64> {
             match get(k)? {
                 JsonValue::Number(v) => Some(v),

@@ -347,14 +347,6 @@ pub fn render_timeline(events: &[TraceEvent]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// File output
-
-/// Write `doc` to `path` as pretty-printed JSON.
-pub fn write_json_file(path: &std::path::Path, doc: &JsonValue) -> std::io::Result<()> {
-    std::fs::write(path, doc.to_pretty_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,7 @@ impl JsonValue {
     }
 
     /// The number inside, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(v) => Some(*v),
             _ => None,
@@ -41,7 +41,7 @@ impl JsonValue {
     }
 
     /// The string inside, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::String(s) => Some(s),
             _ => None,
@@ -49,7 +49,7 @@ impl JsonValue {
     }
 
     /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
             _ => None,
@@ -57,7 +57,7 @@ impl JsonValue {
     }
 
     /// Serialize without whitespace.
-    pub fn to_compact_string(&self) -> String {
+    pub(crate) fn to_compact_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
         out

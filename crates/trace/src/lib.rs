@@ -52,14 +52,14 @@ pub mod recorder;
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use export::{
     metrics_from_json, metrics_to_json, metrics_to_prometheus, render_timeline, trace_from_json,
-    trace_to_json, write_json_file,
+    trace_to_json,
 };
 pub use json::{JsonError, JsonValue};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use recorder::{Recorder, TraceSnapshot, DEFAULT_CAPACITY};
+pub use recorder::{Recorder, TraceSnapshot};
 
 /// The handle instrumented code carries: either disabled (the default — a
 /// single branch, zero cost on every hot path) or enabled (a shared

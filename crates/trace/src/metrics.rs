@@ -308,13 +308,6 @@ impl MetricsSnapshot {
             _ => None,
         }
     }
-
-    /// The distinct metric names present, sorted and deduplicated.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.metrics.iter().map(|m| m.name.clone()).collect();
-        names.dedup();
-        names
-    }
 }
 
 /// One metric in a snapshot.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Default capacity of the event buffer (events, not bytes).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
 struct Buf {
     events: Vec<TraceEvent>,
@@ -56,7 +56,7 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// A recorder with the [default capacity](DEFAULT_CAPACITY).
+    /// A recorder with the default capacity, 65 536 events.
     pub fn new() -> Recorder {
         Recorder::with_capacity(DEFAULT_CAPACITY)
     }
@@ -80,12 +80,12 @@ impl Recorder {
     }
 
     /// Seconds since this recorder was created.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.inner.epoch.elapsed().as_secs_f64()
     }
 
     /// Record `kind` on `span`, stamped with the current time.
-    pub fn record(&self, span: SpanId, kind: EventKind) {
+    pub(crate) fn record(&self, span: SpanId, kind: EventKind) {
         // Stamp under the lock: append order then agrees with timestamp
         // order, so a drained timeline is non-decreasing even when one
         // span's events come from several threads.
@@ -150,17 +150,6 @@ impl TraceSnapshot {
             dropped: self.dropped,
         }
     }
-
-    /// The distinct spans present, in first-appearance order.
-    pub fn spans(&self) -> Vec<SpanId> {
-        let mut spans = Vec::new();
-        for e in &self.events {
-            if !spans.contains(&e.span) {
-                spans.push(e.span);
-            }
-        }
-        spans
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +170,6 @@ mod tests {
         assert_eq!(mine.len(), 2);
         assert_eq!(mine[0].kind, EventKind::AdmissionQueued);
         assert_eq!(mine[1].kind, EventKind::AdmissionGranted { pages: 4 });
-        assert_eq!(snap.spans(), vec![SpanId(1), SpanId(2)]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A `SortService` runs eight concurrent sorts on four worker threads
 //! against a 32-page global pool — far less than their combined demand — while
 //! the main thread plays "operator" and resizes the pool mid-flight. The
-//! `MemoryBroker` re-divides the pool on every admission, completion and
-//! resize, so each sort's memory genuinely fluctuates while it runs, exactly
+//! service's memory broker re-divides the pool on every admission, completion
+//! and resize, so each sort's memory genuinely fluctuates while it runs, exactly
 //! as in the paper but on real threads.
 //!
 //! Run with:

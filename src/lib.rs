@@ -17,12 +17,12 @@
 //!   memory-adaptive sort-merge joins.
 //! * [`broker`] (`masort-broker`) — the concurrent multi-sort service: a
 //!   [`broker::SortService`] runs many submissions on a worker-thread pool
-//!   while a [`broker::MemoryBroker`] re-divides one global page pool across
-//!   all live sorts with one rule ([`broker::policy::divide`]: minimums
-//!   first, the surplus in proportion to priority), so sorts grow, shrink,
-//!   suspend, page and split while running on real threads.
-//!   A ticket resolves to a [`broker::JobOutput`]: the result comes off the
-//!   job's last merge step as the worker holding the grant executes it.
+//!   while its memory broker re-divides one global page pool across all live
+//!   sorts with one rule (minimums first, the surplus by priority), so sorts
+//!   grow, shrink, suspend, page and split while running on real threads.
+//!   A ticket resolves to a [`broker::JobOutput`] once the job is down to its
+//!   last merge step; whoever reads the output executes that step on their
+//!   own thread, so the result is never written out.
 //! * [`simkit`], [`diskmodel`], [`sysmodel`] — the simulation substrates
 //!   (event kernel, analytic disk model, CPU/buffer/workload models).
 //! * [`dbsim`] — the paper's database-system simulation model and the
@@ -84,8 +84,11 @@ pub use masort_sysmodel as sysmodel;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
+    #[doc(no_inline)]
     pub use masort_broker::prelude::*;
+    #[doc(no_inline)]
     pub use masort_core::prelude::*;
+    #[doc(no_inline)]
     pub use masort_dbsim::{SimConfig, SimEnv, SimRelationSource, SimRunStore, SimSystem};
 }
 
