@@ -28,7 +28,6 @@ use std::time::Instant;
 use masort_bench::env_usize;
 use masort_core::{SortConfig, Tuple};
 use masort_server::{fetch_metrics, Server, SortClient, SubmitSpec};
-use masort_simkit::Tally;
 use masort_trace::{metrics_from_json, JsonValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,6 +46,18 @@ fn shuffled_tuples(seed: u64, n: usize) -> Vec<Tuple> {
         tuples.swap(i, j);
     }
     tuples
+}
+
+/// The `p`-th percentile (0 ≤ p ≤ 100) of `values` by nearest rank; 0 when
+/// empty.
+fn percentile(values: &[f64], p: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 struct ClientOutcome {
@@ -132,14 +143,14 @@ fn main() {
     let threads: Vec<_> = (0..clients)
         .map(|i| thread::spawn(move || run_client(addr, 1_000 + i as u64, tuples, job_pages)))
         .collect();
-    let mut response_s = Tally::new();
-    let mut queued_s = Tally::new();
+    let mut response_s = Vec::with_capacity(clients);
+    let mut queued_s = Vec::with_capacity(clients);
     let mut reallocations = 0u64;
     let mut runs_formed = 0u64;
     for t in threads {
         let outcome = t.join().expect("client thread");
-        response_s.record(outcome.response_s);
-        queued_s.record(outcome.queued_s);
+        response_s.push(outcome.response_s);
+        queued_s.push(outcome.queued_s);
         reallocations += outcome.reallocations;
         runs_formed += outcome.runs_formed;
     }
@@ -198,9 +209,9 @@ fn main() {
             pool.to_string(),
             masort_bench::f(wall_s, 2),
             masort_bench::f(throughput, 0),
-            masort_bench::f(response_s.percentile(50.0) * 1e3, 1),
-            masort_bench::f(response_s.percentile(99.0) * 1e3, 1),
-            masort_bench::f(queued_s.percentile(99.0) * 1e3, 1),
+            masort_bench::f(percentile(&response_s, 50.0) * 1e3, 1),
+            masort_bench::f(percentile(&response_s, 99.0) * 1e3, 1),
+            masort_bench::f(percentile(&queued_s, 99.0) * 1e3, 1),
             reallocations.to_string(),
         ]],
     );
@@ -215,11 +226,11 @@ fn main() {
          \"reallocations\": {reallocations},\n  \"runs_formed\": {runs_formed},\n  \
          \"completed\": {},\n  \"cancelled\": {},\n  \"failed\": {},\n  \
          \"leaked_pages\": {},\n  \"rebalances\": {}\n}}\n",
-        response_s.percentile(50.0) * 1e3,
-        response_s.percentile(99.0) * 1e3,
-        response_s.max() * 1e3,
-        queued_s.percentile(50.0) * 1e3,
-        queued_s.percentile(99.0) * 1e3,
+        percentile(&response_s, 50.0) * 1e3,
+        percentile(&response_s, 99.0) * 1e3,
+        response_s.iter().copied().fold(0.0, f64::max) * 1e3,
+        percentile(&queued_s, 50.0) * 1e3,
+        percentile(&queued_s, 99.0) * 1e3,
         stats.completed,
         stats.cancelled,
         stats.failed,

@@ -1,8 +1,7 @@
-//! # masort-bench — experiment binaries and microbenchmarks
+//! # masort-bench — experiment binaries
 //!
 //! One binary per table / figure of the paper (run them with
-//! `cargo run --release -p masort-bench --bin exp_<name>`), plus Criterion
-//! microbenchmarks of the core algorithms (`cargo bench`).
+//! `cargo run --release -p masort-bench --bin exp_<name>`).
 //!
 //! This library crate only contains small formatting helpers shared by the
 //! binaries.

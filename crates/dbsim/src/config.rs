@@ -1,10 +1,10 @@
 //! Simulation configuration: the database, workload and physical-resource
 //! parameters of paper Tables 2 and 3.
 
+use crate::cpu::CpuCosts;
+use crate::geometry::DiskGeometry;
+use crate::workload::WorkloadConfig;
 use masort_core::AlgorithmSpec;
-use masort_diskmodel::DiskGeometry;
-use masort_sysmodel::cpu::CpuCosts;
-use masort_sysmodel::workload::WorkloadConfig;
 
 /// Complete configuration of one simulated experiment point.
 #[derive(Clone, Debug)]
@@ -14,17 +14,17 @@ pub struct SimConfig {
     /// Tuple size in bytes (paper: 256 B).
     pub tuple_size: usize,
     /// Total buffer memory `M` in bytes (paper default: 0.3 MB).
-    pub memory_bytes: usize,
+    pub(crate) memory_bytes: usize,
     /// Size of the relation to sort, in bytes (paper default: 20 MB).
-    pub relation_bytes: usize,
+    pub(crate) relation_bytes: usize,
     /// Number of disks (paper default: 1).
-    pub num_disks: usize,
+    pub(crate) num_disks: usize,
     /// Disk geometry and timing (paper Table 3).
-    pub geometry: DiskGeometry,
+    pub(crate) geometry: DiskGeometry,
     /// CPU MIPS rating (paper: 20 MIPS).
-    pub cpu_mips: f64,
+    pub(crate) cpu_mips: f64,
     /// Per-operation CPU instruction counts (paper Table 4).
-    pub cpu_costs: CpuCosts,
+    pub(crate) cpu_costs: CpuCosts,
     /// Competing memory-request streams (paper Table 2).
     pub workload: WorkloadConfig,
     /// The external sort algorithm combination under test.

@@ -24,11 +24,6 @@ impl Exponential {
         Self::with_mean(1.0 / rate)
     }
 
-    /// The distribution's mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Draw one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse transform sampling; guard against ln(0).
@@ -61,13 +56,15 @@ mod tests {
         let sum: f64 = (0..n).map(|_| d.sample(&mut rng)).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.8).abs() < 0.03, "empirical mean {mean}");
-        assert_eq!(d.mean(), 0.8);
     }
 
     #[test]
     fn exponential_from_rate() {
+        let mut rng = StdRng::seed_from_u64(4);
         let d = Exponential::with_rate(5.0);
-        assert!((d.mean() - 0.2).abs() < 1e-12);
+        let n = 20_000;
+        let mean = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
+        assert!((mean - 0.2).abs() < 0.01, "empirical mean {mean}");
     }
 
     #[test]

@@ -184,8 +184,8 @@ pub fn run_one_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadConfig;
     use masort_core::{MergeAdaptation, MergePolicy, RunFormation, SortJob};
-    use masort_sysmodel::workload::WorkloadConfig;
 
     /// A small configuration so debug-mode tests stay fast: 1 MB relation,
     /// 0.05 MB of memory.

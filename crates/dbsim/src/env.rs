@@ -49,7 +49,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::system::SimSystem;
-    use masort_sysmodel::workload::WorkloadConfig;
+    use crate::workload::WorkloadConfig;
 
     fn shared(cfg: &SimConfig, seed: u64) -> SharedSystem {
         SimSystem::new(cfg, seed).shared()

@@ -84,21 +84,6 @@ impl<T> EventQueue<T> {
             None
         }
     }
-
-    /// Remove and return the earliest event unconditionally.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -111,13 +96,12 @@ mod tests {
         q.schedule(3.0, "c");
         q.schedule(1.0, "a");
         q.schedule(2.0, "b");
-        assert_eq!(q.len(), 3);
         assert_eq!(q.next_time(), Some(1.0));
-        assert_eq!(q.pop(), Some((1.0, "a")));
-        assert_eq!(q.pop(), Some((2.0, "b")));
-        assert_eq!(q.pop(), Some((3.0, "c")));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, "a")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((2.0, "b")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((3.0, "c")));
+        assert_eq!(q.pop_due(f64::INFINITY), None);
+        assert_eq!(q.next_time(), None);
     }
 
     #[test]
@@ -126,9 +110,9 @@ mod tests {
         q.schedule(5.0, 1);
         q.schedule(5.0, 2);
         q.schedule(5.0, 3);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop_due(f64::INFINITY).unwrap().1, 1);
+        assert_eq!(q.pop_due(f64::INFINITY).unwrap().1, 2);
+        assert_eq!(q.pop_due(f64::INFINITY).unwrap().1, 3);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 
 use crate::config::SimConfig;
 use crate::driver::{run_one_join, run_sort_stream, SortRunMetrics};
+use crate::stats::OnlineStats;
+use crate::workload::WorkloadConfig;
 use masort_core::AlgorithmSpec;
-use masort_simkit::stats::OnlineStats;
-use masort_sysmodel::workload::WorkloadConfig;
 
 /// How much simulation to run per experiment point.
 #[derive(Clone, Copy, Debug)]
@@ -58,7 +58,7 @@ fn averaged(cfg: &SimConfig, scale: Scale, seed: u64) -> AveragedMetrics {
 
 /// Averages of the per-sort metrics over one experiment point.
 #[derive(Clone, Debug, Default)]
-pub struct AveragedMetrics {
+pub(crate) struct AveragedMetrics {
     /// Mean response time (s).
     pub response_time: f64,
     /// Mean split-phase duration (s).

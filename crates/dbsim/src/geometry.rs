@@ -61,11 +61,6 @@ impl DiskGeometry {
     pub(crate) fn access_time(&self, distance: usize, pages: usize) -> f64 {
         self.seek_time(distance) + self.rotational_delay() + self.transfer_time(pages)
     }
-
-    /// Which cylinder a linear page number falls on.
-    pub fn cylinder_of_page(&self, page: usize) -> usize {
-        (page / self.pages_per_cylinder).min(self.cylinders.saturating_sub(1))
-    }
 }
 
 #[cfg(test)]
@@ -109,14 +104,5 @@ mod tests {
         let block = g.access_time(200, 6);
         let singles = 6.0 * g.access_time(200, 1);
         assert!(block < singles / 2.0);
-    }
-
-    #[test]
-    fn cylinder_of_page_clamps_to_disk() {
-        let g = DiskGeometry::default();
-        assert_eq!(g.cylinder_of_page(0), 0);
-        assert_eq!(g.cylinder_of_page(89), 0);
-        assert_eq!(g.cylinder_of_page(90), 1);
-        assert_eq!(g.cylinder_of_page(10_000_000), g.cylinders - 1);
     }
 }

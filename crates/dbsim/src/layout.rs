@@ -3,17 +3,6 @@
 
 use crate::geometry::DiskGeometry;
 
-/// A coarse region of the disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Region {
-    /// Outer third of the cylinders (temporary files).
-    Outer,
-    /// Middle third of the cylinders (base relations).
-    Middle,
-    /// Inner third of the cylinders (temporary files).
-    Inner,
-}
-
 /// A contiguous extent of cylinders allocated to one temporary run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TempExtent {
@@ -21,14 +10,6 @@ pub struct TempExtent {
     pub start_cylinder: usize,
     /// Number of cylinders reserved.
     pub cylinders: usize,
-}
-
-impl TempExtent {
-    /// Cylinder of the `page`-th page within this extent, given the geometry.
-    pub fn cylinder_of(&self, geometry: &DiskGeometry, page: usize) -> usize {
-        let offset = page / geometry.pages_per_cylinder;
-        self.start_cylinder + offset.min(self.cylinders.saturating_sub(1))
-    }
 }
 
 /// Placement of relations and temporary files on one disk.
@@ -71,17 +52,6 @@ impl DiskLayout {
     /// The geometry this layout is for.
     pub fn geometry(&self) -> &DiskGeometry {
         &self.geometry
-    }
-
-    /// Which region a cylinder belongs to.
-    pub fn region_of(&self, cylinder: usize) -> Region {
-        if cylinder < self.middle_start {
-            Region::Outer
-        } else if cylinder < self.middle_end {
-            Region::Middle
-        } else {
-            Region::Inner
-        }
     }
 
     /// Allocate `pages` contiguous pages for a relation and return the linear
@@ -128,25 +98,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn regions_partition_the_disk() {
-        let layout = DiskLayout::new(DiskGeometry::default());
-        assert_eq!(layout.region_of(0), Region::Outer);
-        assert_eq!(layout.region_of(499), Region::Outer);
-        assert_eq!(layout.region_of(500), Region::Middle);
-        assert_eq!(layout.region_of(999), Region::Middle);
-        assert_eq!(layout.region_of(1000), Region::Inner);
-        assert_eq!(layout.region_of(1499), Region::Inner);
-    }
-
-    #[test]
     fn relations_live_on_middle_cylinders() {
         let mut layout = DiskLayout::new(DiskGeometry::default());
         let start = layout.allocate_relation(2560);
         assert_eq!(start, 0);
         let first = layout.relation_cylinder(start);
         let last = layout.relation_cylinder(start + 2559);
-        assert_eq!(layout.region_of(first), Region::Middle);
-        assert_eq!(layout.region_of(last), Region::Middle);
+        // The middle third of the default 1500 cylinders.
+        assert!((500..1000).contains(&first));
+        assert!((500..1000).contains(&last));
         // A second relation goes right after the first.
         let second = layout.allocate_relation(100);
         assert_eq!(second, 2560);
@@ -156,7 +116,7 @@ mod tests {
     fn temp_extents_live_outside_the_middle_and_wrap() {
         let mut layout = DiskLayout::new(DiskGeometry::default());
         let e1 = layout.allocate_temp(90 * 3);
-        assert_eq!(layout.region_of(e1.start_cylinder), Region::Inner);
+        assert!(e1.start_cylinder >= 1000, "the inner third");
         assert_eq!(e1.cylinders, 3);
         let e2 = layout.allocate_temp(10);
         assert_eq!(e2.start_cylinder, e1.start_cylinder + 3);
@@ -167,19 +127,6 @@ mod tests {
         }
         assert!(last.start_cylinder >= 1000);
         assert!(last.start_cylinder < 1500);
-    }
-
-    #[test]
-    fn temp_extent_page_to_cylinder() {
-        let g = DiskGeometry::default();
-        let e = TempExtent {
-            start_cylinder: 1200,
-            cylinders: 4,
-        };
-        assert_eq!(e.cylinder_of(&g, 0), 1200);
-        assert_eq!(e.cylinder_of(&g, 89), 1200);
-        assert_eq!(e.cylinder_of(&g, 90), 1201);
-        assert_eq!(e.cylinder_of(&g, 90 * 10), 1203, "clamped to the extent");
     }
 
     #[test]

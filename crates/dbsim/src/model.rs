@@ -1,5 +1,12 @@
-//! The timed disk model: head tracking, access costing, and multi-disk
-//! horizontal partitioning.
+//! The timed disk model of paper Table 3: head tracking, access costing, and
+//! multi-disk horizontal partitioning.
+//!
+//! Each disk has `#Cylinders` cylinders of `CylSize` pages; an access costs
+//! `Seek + RotateDelay + Transfer`, with `SeekTime(n) = SeekFactor · √n`
+//! (\[Bitt88\]). Accesses are served in the order they are charged. Relations
+//! lie on the middle cylinders and sorted runs on the inner ones, which is
+//! what makes the alternating read-one-page / write-one-page pattern of
+//! classic replacement selection so expensive (paper §2.1, Table 5).
 
 use crate::geometry::DiskGeometry;
 

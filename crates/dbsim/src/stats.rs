@@ -1,13 +1,10 @@
 //! Online statistics collectors.
 
-/// Streaming mean / min / max / variance (Welford's algorithm).
+/// Streaming mean (Welford's update).
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
@@ -18,131 +15,14 @@ impl OnlineStats {
 
     /// Record one observation.
     pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Merge another collector into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A collector that also keeps every observation, allowing exact percentiles.
-#[derive(Clone, Debug, Default)]
-pub struct Tally {
-    values: Vec<f64>,
-}
-
-impl Tally {
-    /// New, empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.values.push(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
-    /// Maximum observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// The `p`-th percentile (0 ≤ p ≤ 100) using nearest-rank; 0 when empty.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// All recorded values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+        self.mean
     }
 }
 
@@ -157,55 +37,6 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.variance() - 4.571428571428571).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-6);
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn tally_percentiles() {
-        let mut t = Tally::new();
-        for i in 1..=100 {
-            t.record(i as f64);
-        }
-        assert_eq!(t.count(), 100);
-        assert!((t.mean() - 50.5).abs() < 1e-12);
-        assert_eq!(t.percentile(0.0), 1.0);
-        assert_eq!(t.percentile(100.0), 100.0);
-        assert!((t.percentile(50.0) - 50.0).abs() <= 1.0);
-        assert_eq!(t.max(), 100.0);
-    }
-
-    #[test]
-    fn empty_tally_is_zero() {
-        let t = Tally::new();
-        assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.percentile(95.0), 0.0);
-        assert_eq!(t.max(), 0.0);
     }
 }

@@ -3,9 +3,10 @@
 //! runs placed on temporary-file cylinders (inner region) per the paper's
 //! layout.
 
+use crate::layout::TempExtent;
+use crate::model::AccessKind;
 use crate::system::SharedSystem;
 use masort_core::{Page, RunId, RunStore, SortError, SortResult};
-use masort_diskmodel::{AccessKind, TempExtent};
 use std::collections::HashMap;
 
 #[derive(Debug, Default)]

@@ -1,5 +1,5 @@
-//! The shared simulated system: clock, CPU, disks, buffer pool and the
-//! memory-contention workload.
+//! The shared simulated system: clock, CPU, disks, the sort's memory budget
+//! and the memory-contention workload.
 //!
 //! The sort operator runs as ordinary synchronous code; every resource it
 //! consumes is charged against this system, which advances the simulated
@@ -9,10 +9,11 @@
 //! fluctuations reach the executing sort.
 
 use crate::config::SimConfig;
+use crate::cpu::CpuModel;
+use crate::layout::DiskLayout;
+use crate::model::{AccessKind, DiskArray};
+use crate::workload::MemoryWorkload;
 use masort_core::{CpuOp, MemoryBudget, SortPhase};
-use masort_diskmodel::{AccessKind, DiskArray, DiskLayout};
-use masort_sysmodel::cpu::CpuModel;
-use masort_sysmodel::workload::MemoryWorkload;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -47,19 +48,17 @@ impl SystemMetrics {
 #[derive(Debug)]
 pub struct SimSystem {
     /// Current simulated time in seconds.
-    pub clock: f64,
+    pub(crate) clock: f64,
     /// The CPU manager.
-    pub cpu: CpuModel,
+    pub(crate) cpu: CpuModel,
     /// The disk manager.
-    pub disks: DiskArray,
+    pub(crate) disks: DiskArray,
     /// Data placement on the disks.
-    pub layout: DiskLayout,
+    pub(crate) layout: DiskLayout,
     /// The competing memory-request streams.
-    pub workload: MemoryWorkload,
+    pub(crate) workload: MemoryWorkload,
     /// The sort operator's memory budget (target = M − competing requests).
     pub budget: MemoryBudget,
-    /// Total buffer pages (`M`).
-    pub total_pages: usize,
     /// Aggregate counters.
     pub metrics: SystemMetrics,
 }
@@ -71,8 +70,7 @@ impl SimSystem {
     /// Build a system for the given configuration, seeding the workload
     /// generator with `seed`.
     pub fn new(cfg: &SimConfig, seed: u64) -> Self {
-        let total_pages = cfg.memory_pages();
-        let workload = MemoryWorkload::new(cfg.workload, total_pages, seed);
+        let workload = MemoryWorkload::new(cfg.workload, cfg.memory_pages(), seed);
         let available = workload.pages_available_to_sort();
         SimSystem {
             clock: 0.0,
@@ -81,7 +79,6 @@ impl SimSystem {
             layout: DiskLayout::new(cfg.geometry),
             workload,
             budget: MemoryBudget::new(available),
-            total_pages,
             metrics: SystemMetrics::default(),
         }
     }
@@ -188,7 +185,7 @@ impl SimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use masort_sysmodel::workload::WorkloadConfig;
+    use crate::workload::WorkloadConfig;
 
     #[test]
     fn advance_without_events_just_moves_clock() {
@@ -211,14 +208,14 @@ mod tests {
         let mut saw_shrink = false;
         for _ in 0..200 {
             sys.advance(1.0);
-            if sys.budget.target() < sys.total_pages {
+            if sys.budget.target() < cfg.memory_pages() {
                 saw_shrink = true;
             }
         }
         assert!(saw_shrink, "large requests should have taken memory");
         // Eventually all requests depart if we stop time long enough after
         // the last arrival: just check the target never exceeds total.
-        assert!(sys.budget.target() <= sys.total_pages);
+        assert!(sys.budget.target() <= cfg.memory_pages());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! sort gets whatever is left, so every arrival is a potential memory
 //! shortage for it and every departure potential excess memory.
 
-use masort_simkit::dist::{uniform_fraction, Exponential};
-use masort_simkit::events::EventQueue;
+use crate::dist::{uniform_fraction, Exponential};
+use crate::events::EventQueue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -40,11 +40,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Add `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -137,34 +132,6 @@ impl HistogramSnapshot {
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Estimate the `q`-quantile (`0.0..=1.0`) as the upper bound of the
-    /// bucket containing that rank; observations beyond the last finite
-    /// bound report the last finite bound. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                return Some(match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => *self.bounds.last().unwrap_or(&f64::INFINITY),
-                });
-            }
-        }
-        self.bounds.last().copied()
-    }
-
-    /// Mean of the observed values. `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        let total = self.count();
-        (total > 0).then(|| self.sum / total as f64)
     }
 }
 
@@ -348,11 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn gauge_moves_both_ways() {
+    fn gauge_reads_back_what_was_set() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("io_queue_depth", None);
         g.set(5);
-        g.add(-2);
+        assert_eq!(g.get(), 5);
+        g.set(3);
         assert_eq!(g.get(), 3);
     }
 
@@ -372,26 +340,5 @@ mod tests {
         assert_eq!(snap.counts, vec![1, 2, 1, 1]);
         assert_eq!(snap.count(), 5);
         assert!((snap.sum - 12.0000002).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles_walk_the_buckets() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("resp", None, &[0.1, 0.5, 1.0, 5.0]);
-        for _ in 0..90 {
-            h.observe(0.05);
-        }
-        for _ in 0..9 {
-            h.observe(0.4);
-        }
-        h.observe(3.0);
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile(0.5), Some(0.1));
-        assert_eq!(snap.quantile(0.95), Some(0.5));
-        assert_eq!(snap.quantile(0.999), Some(5.0));
-        assert!(snap.mean().unwrap() > 0.0);
-        let empty = reg.histogram("empty", None, &[1.0]).snapshot();
-        assert_eq!(empty.quantile(0.5), None);
-        assert_eq!(empty.mean(), None);
     }
 }

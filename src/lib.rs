@@ -23,11 +23,9 @@
 //!   A ticket resolves to a [`broker::JobOutput`] once the job is down to its
 //!   last merge step; whoever reads the output executes that step on their
 //!   own thread, so the result is never written out.
-//! * [`simkit`], [`diskmodel`], [`sysmodel`] — the simulation substrates
-//!   (event kernel, analytic disk model, CPU/buffer/workload models).
-//! * [`dbsim`] — the paper's database-system simulation model and the
-//!   experiment harness that regenerates every table and figure of the
-//!   evaluation.
+//! * [`dbsim`] — the paper's database-system simulation model (competing
+//!   memory requests, CPU and disk costs) and the experiment harness that
+//!   regenerates every table and figure of the evaluation.
 //!
 //! ## Quick start
 //!
@@ -78,9 +76,6 @@
 pub use masort_broker as broker;
 pub use masort_core as core;
 pub use masort_dbsim as dbsim;
-pub use masort_diskmodel as diskmodel;
-pub use masort_simkit as simkit;
-pub use masort_sysmodel as sysmodel;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {

@@ -9,8 +9,7 @@ use masort_core::env::CountingEnv;
 use masort_core::verify::{assert_sorted_permutation, collect_run};
 use masort_core::{SortConfig, SortJob, Tuple};
 use masort_dbsim::driver::{run_one_join, run_one_sort, run_sort_stream};
-use masort_dbsim::SimConfig;
-use masort_sysmodel::workload::WorkloadConfig;
+use masort_dbsim::{SimConfig, WorkloadConfig};
 
 fn cfg(alg: &str, relation_mb: f64, memory_mb: f64) -> SimConfig {
     SimConfig::default()
