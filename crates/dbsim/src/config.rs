@@ -1,8 +1,6 @@
 //! Simulation configuration: the database, workload and physical-resource
 //! parameters of paper Tables 2 and 3.
 
-use crate::cpu::CpuCosts;
-use crate::geometry::DiskGeometry;
 use crate::workload::WorkloadConfig;
 use masort_core::AlgorithmSpec;
 
@@ -17,14 +15,6 @@ pub struct SimConfig {
     pub(crate) memory_bytes: usize,
     /// Size of the relation to sort, in bytes (paper default: 20 MB).
     pub(crate) relation_bytes: usize,
-    /// Number of disks (paper default: 1).
-    pub(crate) num_disks: usize,
-    /// Disk geometry and timing (paper Table 3).
-    pub(crate) geometry: DiskGeometry,
-    /// CPU MIPS rating (paper: 20 MIPS).
-    pub(crate) cpu_mips: f64,
-    /// Per-operation CPU instruction counts (paper Table 4).
-    pub(crate) cpu_costs: CpuCosts,
     /// Competing memory-request streams (paper Table 2).
     pub workload: WorkloadConfig,
     /// The external sort algorithm combination under test.
@@ -41,10 +31,6 @@ impl Default for SimConfig {
             tuple_size: 256,
             memory_bytes: (0.3 * MB as f64) as usize,
             relation_bytes: 20 * MB,
-            num_disks: 1,
-            geometry: DiskGeometry::default(),
-            cpu_mips: 20.0,
-            cpu_costs: CpuCosts::default(),
             workload: WorkloadConfig::default(),
             algorithm: AlgorithmSpec::recommended(),
         }
@@ -126,8 +112,6 @@ mod tests {
         assert_eq!(c.memory_pages(), 38, "0.3 MB of 8 KB pages");
         assert_eq!(c.relation_pages(), 2560, "20 MB relation");
         assert_eq!(c.tuples_per_page(), 32);
-        assert_eq!(c.num_disks, 1);
-        assert_eq!(c.cpu_mips, 20.0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl InputSource for SimRelationSource {
         let cylinder = self.system.borrow().layout.relation_cylinder(linear);
         self.system
             .borrow_mut()
-            .charge_disk(linear, cylinder, 1, AccessKind::Read);
+            .charge_disk(cylinder, 1, AccessKind::Read);
         self.next_page += 1;
         // A synthetic record is its 12-byte header, whatever its nominal size.
         let mut page = TupleArena::with_capacity(MIN_DENSE_STRIDE, self.tuples_per_page);

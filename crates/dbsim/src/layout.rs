@@ -3,15 +3,6 @@
 
 use crate::geometry::DiskGeometry;
 
-/// A contiguous extent of cylinders allocated to one temporary run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TempExtent {
-    /// First cylinder of the extent.
-    pub start_cylinder: usize,
-    /// Number of cylinders reserved.
-    pub cylinders: usize,
-}
-
 /// Placement of relations and temporary files on one disk.
 ///
 /// Relations are assigned contiguous pages starting from the middle cylinders
@@ -68,12 +59,13 @@ impl DiskLayout {
         cyl.min(self.middle_end.saturating_sub(1).max(self.middle_start))
     }
 
-    /// Allocate a temporary extent able to hold `pages` pages.
+    /// Allocate a temporary extent able to hold `pages` pages and return its
+    /// first cylinder.
     ///
     /// Extents are carved from the inner cylinders and wrap around (reusing
     /// space) when the region is exhausted — temporary runs are deleted as
     /// soon as they have been merged, so reuse is safe in the simulation.
-    pub fn allocate_temp(&mut self, pages: usize) -> TempExtent {
+    pub fn allocate_temp(&mut self, pages: usize) -> usize {
         let need_cyls = pages.div_ceil(self.geometry.pages_per_cylinder).max(1);
         if self.next_temp_cylinder + need_cyls > self.geometry.cylinders {
             // Wrap around to the start of the inner region.
@@ -81,10 +73,7 @@ impl DiskLayout {
         }
         let start = self.next_temp_cylinder;
         self.next_temp_cylinder += need_cyls;
-        TempExtent {
-            start_cylinder: start,
-            cylinders: need_cyls,
-        }
+        start
     }
 
     /// Reset the temporary allocator (e.g. between simulated sorts).
@@ -116,17 +105,16 @@ mod tests {
     fn temp_extents_live_outside_the_middle_and_wrap() {
         let mut layout = DiskLayout::new(DiskGeometry::default());
         let e1 = layout.allocate_temp(90 * 3);
-        assert!(e1.start_cylinder >= 1000, "the inner third");
-        assert_eq!(e1.cylinders, 3);
+        assert!(e1 >= 1000, "the inner third");
         let e2 = layout.allocate_temp(10);
-        assert_eq!(e2.start_cylinder, e1.start_cylinder + 3);
+        assert_eq!(e2, e1 + 3, "the first extent spans three cylinders");
         // Exhaust the inner region and confirm wrap-around.
         let mut last = e2;
         for _ in 0..300 {
             last = layout.allocate_temp(90 * 2);
         }
-        assert!(last.start_cylinder >= 1000);
-        assert!(last.start_cylinder < 1500);
+        assert!(last >= 1000);
+        assert!(last < 1500);
     }
 
     #[test]
@@ -135,6 +123,6 @@ mod tests {
         let a = layout.allocate_temp(90);
         layout.reset_temp();
         let b = layout.allocate_temp(90);
-        assert_eq!(a.start_cylinder, b.start_cylinder);
+        assert_eq!(a, b);
     }
 }

@@ -3,7 +3,6 @@
 //! runs placed on temporary-file cylinders (inner region) per the paper's
 //! layout.
 
-use crate::layout::TempExtent;
 use crate::model::AccessKind;
 use crate::system::SharedSystem;
 use masort_core::{Page, RunId, RunStore, SortError, SortResult};
@@ -13,8 +12,9 @@ use std::collections::HashMap;
 struct SimRun {
     pages: Vec<Page>,
     tuples: usize,
-    /// One extent per cylinder-worth of pages, allocated lazily.
-    extents: Vec<TempExtent>,
+    /// The start cylinder of one extent per cylinder-worth of pages,
+    /// allocated lazily.
+    extents: Vec<usize>,
 }
 
 /// A [`RunStore`] whose accesses are charged to the simulated disk.
@@ -23,8 +23,6 @@ pub struct SimRunStore {
     system: SharedSystem,
     runs: HashMap<RunId, SimRun>,
     next: RunId,
-    pages_written: u64,
-    pages_read: u64,
 }
 
 impl SimRunStore {
@@ -34,8 +32,6 @@ impl SimRunStore {
             system,
             runs: HashMap::new(),
             next: 0,
-            pages_written: 0,
-            pages_read: 0,
         }
     }
 
@@ -48,7 +44,7 @@ impl SimRunStore {
             let extent = self.system.borrow_mut().layout.allocate_temp(ppc);
             r.extents.push(extent);
         }
-        Ok(r.extents[extent_idx].start_cylinder)
+        Ok(r.extents[extent_idx])
     }
 }
 
@@ -70,8 +66,7 @@ impl RunStore for SimRunStore {
         let cylinder = self.cylinder_for(run, idx)?;
         self.system
             .borrow_mut()
-            .charge_disk(idx, cylinder, 1, AccessKind::Write);
-        self.pages_written += 1;
+            .charge_disk(cylinder, 1, AccessKind::Write);
         let r = self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))?;
         r.tuples += page.len();
         r.pages.push(page);
@@ -93,8 +88,7 @@ impl RunStore for SimRunStore {
         let _ = self.cylinder_for(run, idx + pages.len() - 1)?;
         self.system
             .borrow_mut()
-            .charge_disk(idx, cylinder, pages.len(), AccessKind::Write);
-        self.pages_written += pages.len() as u64;
+            .charge_disk(cylinder, pages.len(), AccessKind::Write);
         let r = self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))?;
         for page in pages {
             r.tuples += page.len();
@@ -107,8 +101,7 @@ impl RunStore for SimRunStore {
         let cylinder = self.cylinder_for(run, idx)?;
         self.system
             .borrow_mut()
-            .charge_disk(idx, cylinder, 1, AccessKind::Read);
-        self.pages_read += 1;
+            .charge_disk(cylinder, 1, AccessKind::Read);
         let r = self.runs.get(&run).ok_or(SortError::UnknownRun(run))?;
         r.pages
             .get(idx)
@@ -207,16 +200,5 @@ mod tests {
         s.delete_run(r).unwrap();
         assert_eq!(s.run_pages(r), 0);
         assert_eq!(s.run_tuples(r), 0);
-    }
-
-    #[test]
-    fn counters_track_io() {
-        let mut s = store();
-        let r = s.create_run().unwrap();
-        s.append_block(r, (0..4).map(|i| page_of(&[i])).collect())
-            .unwrap();
-        s.read_page(r, 2).unwrap();
-        assert_eq!(s.pages_written, 4);
-        assert_eq!(s.pages_read, 1);
     }
 }

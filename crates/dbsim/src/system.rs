@@ -1,4 +1,4 @@
-//! The shared simulated system: clock, CPU, disks, the sort's memory budget
+//! The shared simulated system: clock, CPU, disk, the sort's memory budget
 //! and the memory-contention workload.
 //!
 //! The sort operator runs as ordinary synchronous code; every resource it
@@ -9,9 +9,10 @@
 //! fluctuations reach the executing sort.
 
 use crate::config::SimConfig;
-use crate::cpu::CpuModel;
+use crate::cpu::cpu_seconds;
+use crate::geometry::DiskGeometry;
 use crate::layout::DiskLayout;
-use crate::model::{AccessKind, DiskArray};
+use crate::model::{AccessKind, DiskModel};
 use crate::workload::MemoryWorkload;
 use masort_core::{CpuOp, MemoryBudget, SortPhase};
 use std::cell::RefCell;
@@ -49,10 +50,8 @@ impl SystemMetrics {
 pub struct SimSystem {
     /// Current simulated time in seconds.
     pub(crate) clock: f64,
-    /// The CPU manager.
-    pub(crate) cpu: CpuModel,
     /// The disk manager.
-    pub(crate) disks: DiskArray,
+    pub(crate) disk: DiskModel,
     /// Data placement on the disks.
     pub(crate) layout: DiskLayout,
     /// The competing memory-request streams.
@@ -74,9 +73,8 @@ impl SimSystem {
         let available = workload.pages_available_to_sort();
         SimSystem {
             clock: 0.0,
-            cpu: CpuModel::new(cfg.cpu_mips, cfg.cpu_costs),
-            disks: DiskArray::new(cfg.geometry, cfg.num_disks),
-            layout: DiskLayout::new(cfg.geometry),
+            disk: DiskModel::new(DiskGeometry::default()),
+            layout: DiskLayout::new(DiskGeometry::default()),
             workload,
             budget: MemoryBudget::new(available),
             metrics: SystemMetrics::default(),
@@ -114,21 +112,15 @@ impl SimSystem {
 
     /// Charge `count` occurrences of CPU operation `op`.
     pub(crate) fn charge_cpu(&mut self, op: CpuOp, count: u64) {
-        let t = self.cpu.charge(op, count);
+        let t = cpu_seconds(op, count);
         self.metrics.cpu_time += t;
         self.advance(t);
     }
 
     /// Charge a disk access of `pages` pages at `cylinder`, attributing the
     /// time to the current sort phase.
-    pub(crate) fn charge_disk(
-        &mut self,
-        first_page: usize,
-        cylinder: usize,
-        pages: usize,
-        kind: AccessKind,
-    ) {
-        let t = self.disks.access(first_page, cylinder, pages, kind);
+    pub(crate) fn charge_disk(&mut self, cylinder: usize, pages: usize, kind: AccessKind) {
+        let t = self.disk.access(cylinder, pages, kind);
         match self.budget.phase() {
             SortPhase::Split => {
                 self.metrics.split_disk_time += t;
@@ -150,7 +142,7 @@ impl SimSystem {
             return;
         }
         let cylinder = self.layout.geometry().cylinders * 5 / 6; // middle of the inner region
-        self.charge_disk(0, cylinder, pages, AccessKind::Read);
+        self.charge_disk(cylinder, pages, AccessKind::Read);
     }
 
     /// Block (advance simulated time through future workload events) until the
@@ -173,11 +165,9 @@ impl SimSystem {
     }
 
     /// Reset per-sort counters (between sorts of a stream). The clock, disk
-    /// head positions and outstanding workload requests carry over.
+    /// head position and outstanding workload requests carry over.
     pub(crate) fn reset_sort_counters(&mut self) {
         self.metrics = SystemMetrics::default();
-        self.disks.reset_counters();
-        self.cpu.reset_counters();
         self.layout.reset_temp();
     }
 }
@@ -225,7 +215,7 @@ mod tests {
         sys.charge_cpu(CpuOp::StartIo, 100);
         let after_cpu = sys.clock;
         assert!(after_cpu > 0.0);
-        sys.charge_disk(0, 750, 6, AccessKind::Read);
+        sys.charge_disk(750, 6, AccessKind::Read);
         assert!(sys.clock > after_cpu);
         assert!(sys.metrics.split_pages_io >= 6);
         assert!(sys.metrics.split_avg_page_time() > 0.0);
@@ -236,7 +226,7 @@ mod tests {
         let cfg = SimConfig::no_fluctuation();
         let mut sys = SimSystem::new(&cfg, 1);
         sys.budget.set_phase(SortPhase::Merge);
-        sys.charge_disk(0, 750, 2, AccessKind::Write);
+        sys.charge_disk(750, 2, AccessKind::Write);
         assert_eq!(sys.metrics.split_pages_io, 0);
         assert_eq!(sys.metrics.merge_pages_io, 2);
     }

@@ -13,26 +13,13 @@ use crate::events::EventQueue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Which stream a request belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RequestClass {
-    /// Small requests (up to `MemThres` of memory).
-    Small,
-    /// Large requests (up to 100 % of memory).
-    Large,
-}
-
 /// A competing memory request currently holding pages.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemoryRequest {
     /// Unique id.
     pub id: u64,
-    /// Stream the request came from.
-    pub class: RequestClass,
     /// Pages the request holds.
     pub pages: usize,
-    /// Arrival time.
-    pub arrived_at: f64,
     /// Scheduled departure time.
     pub departs_at: f64,
 }
@@ -137,7 +124,6 @@ pub struct MemoryWorkload {
     events: EventQueue<WorkloadEvent>,
     active: Vec<MemoryRequest>,
     next_id: u64,
-    arrivals_seen: u64,
 }
 
 impl MemoryWorkload {
@@ -151,7 +137,6 @@ impl MemoryWorkload {
             events: EventQueue::new(),
             active: Vec::new(),
             next_id: 0,
-            arrivals_seen: 0,
         };
         if config.lambda_small > 0.0 {
             let d = Exponential::with_rate(config.lambda_small);
@@ -193,13 +178,13 @@ impl MemoryWorkload {
         };
         match ev {
             WorkloadEvent::ArriveSmall => {
-                self.arrive(at, RequestClass::Small);
+                self.arrive(at, self.config.mem_thres, self.config.mu_small);
                 let d = Exponential::with_rate(self.config.lambda_small);
                 let next = at + d.sample(&mut self.rng);
                 self.events.schedule(next, WorkloadEvent::ArriveSmall);
             }
             WorkloadEvent::ArriveLarge => {
-                self.arrive(at, RequestClass::Large);
+                self.arrive(at, 1.0, self.config.mu_large);
                 let d = Exponential::with_rate(self.config.lambda_large);
                 let next = at + d.sample(&mut self.rng);
                 self.events.schedule(next, WorkloadEvent::ArriveLarge);
@@ -211,12 +196,9 @@ impl MemoryWorkload {
         true
     }
 
-    fn arrive(&mut self, at: f64, class: RequestClass) {
-        self.arrivals_seen += 1;
-        let (max_frac, mean_dur) = match class {
-            RequestClass::Small => (self.config.mem_thres, self.config.mu_small),
-            RequestClass::Large => (1.0, self.config.mu_large),
-        };
+    /// A request claiming up to `max_frac` of memory for a mean of
+    /// `mean_dur` seconds arrives at `at`.
+    fn arrive(&mut self, at: f64, max_frac: f64, mean_dur: f64) {
         let frac = uniform_fraction(&mut self.rng, max_frac);
         let pages = (frac * self.total_pages as f64).round() as usize;
         let duration = Exponential::with_mean(mean_dur.max(1e-9)).sample(&mut self.rng);
@@ -224,9 +206,7 @@ impl MemoryWorkload {
         self.next_id += 1;
         let req = MemoryRequest {
             id,
-            class,
             pages,
-            arrived_at: at,
             departs_at: at + duration,
         };
         self.events
@@ -264,7 +244,8 @@ mod tests {
             assert!(w.pages_held() <= 100);
         }
         assert!(saw_hold, "some requests should have held memory");
-        assert!(w.arrivals_seen > 100, "roughly 1.1 arrivals per second");
+        // Every arrival takes the next request id.
+        assert!(w.next_id > 100, "roughly 1.1 arrivals per second");
     }
 
     #[test]
