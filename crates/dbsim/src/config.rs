@@ -4,13 +4,17 @@
 use crate::workload::WorkloadConfig;
 use masort_core::AlgorithmSpec;
 
-/// Complete configuration of one simulated experiment point.
+/// Page size in bytes (paper: 8 KB).
+const PAGE_SIZE: usize = 8 * 1024;
+
+/// Tuple size in bytes (paper: 256 B).
+const TUPLE_SIZE: usize = 256;
+
+/// Complete configuration of one simulated experiment point: the four things
+/// the paper varies. The machine itself (CPU, disk, page and tuple sizes) is
+/// the same in every experiment.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Page size in bytes (paper: 8 KB).
-    pub page_size: usize,
-    /// Tuple size in bytes (paper: 256 B).
-    pub tuple_size: usize,
     /// Total buffer memory `M` in bytes (paper default: 0.3 MB).
     pub(crate) memory_bytes: usize,
     /// Size of the relation to sort, in bytes (paper default: 20 MB).
@@ -27,8 +31,6 @@ pub const MB: usize = 1024 * 1024;
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            page_size: 8 * 1024,
-            tuple_size: 256,
             memory_bytes: (0.3 * MB as f64) as usize,
             relation_bytes: 20 * MB,
             workload: WorkloadConfig::default(),
@@ -53,17 +55,17 @@ impl SimConfig {
 
     /// Total buffer memory in pages.
     pub(crate) fn memory_pages(&self) -> usize {
-        (self.memory_bytes / self.page_size).max(1)
+        (self.memory_bytes / PAGE_SIZE).max(1)
     }
 
     /// Relation size in pages.
     pub fn relation_pages(&self) -> usize {
-        (self.relation_bytes / self.page_size).max(1)
+        (self.relation_bytes / PAGE_SIZE).max(1)
     }
 
     /// Tuples per page.
     pub fn tuples_per_page(&self) -> usize {
-        (self.page_size / self.tuple_size).max(1)
+        (PAGE_SIZE / TUPLE_SIZE).max(1)
     }
 
     /// Builder-style override of the total memory, given in MBytes.
@@ -93,8 +95,8 @@ impl SimConfig {
     /// The sort configuration handed to `masort-core` for this experiment.
     pub fn sort_config(&self) -> masort_core::SortConfig {
         masort_core::SortConfig {
-            page_size: self.page_size,
-            tuple_size: self.tuple_size,
+            page_size: PAGE_SIZE,
+            tuple_size: TUPLE_SIZE,
             memory_pages: self.memory_pages(),
             algorithm: self.algorithm,
             order: masort_core::SortOrder::ascending(),
@@ -112,6 +114,7 @@ mod tests {
         assert_eq!(c.memory_pages(), 38, "0.3 MB of 8 KB pages");
         assert_eq!(c.relation_pages(), 2560, "20 MB relation");
         assert_eq!(c.tuples_per_page(), 32);
+        assert_eq!(c.sort_config().page_size, 8192);
     }
 
     #[test]

@@ -98,15 +98,16 @@ pub(crate) fn run_sort_in_system(cfg: &SimConfig, sys: &SharedSystem, seed: u64)
     let _ = budget.take_delays();
     budget.set_phase(SortPhase::Split);
 
+    let sort_cfg = cfg.sort_config();
     let input = SimRelationSource::new(
         sys.clone(),
         cfg.relation_pages(),
         cfg.tuples_per_page(),
-        cfg.tuple_size,
+        sort_cfg.tuple_size,
         seed ^ 0x5eed_f00d,
     );
     let mut done = SortJob::builder()
-        .config(cfg.sort_config())
+        .config(sort_cfg)
         .input(input)
         .store(SimRunStore::new(sys.clone()))
         .env(SimEnv::new(sys.clone()))
@@ -152,15 +153,15 @@ pub fn run_one_join(
     let mut store = SimRunStore::new(sys.clone());
     // Restrict the key domain so the join produces a meaningful number of
     // matches (foreign-key-like joins).
-    let tpp = cfg.tuples_per_page();
+    let sort_cfg = cfg.sort_config();
+    let (tpp, tuple_size) = (cfg.tuples_per_page(), sort_cfg.tuple_size);
     let domain = ((left_pages + right_pages) * tpp) as u64;
-    let mut left =
-        SimRelationSource::new(sys.clone(), left_pages, tpp, cfg.tuple_size, seed ^ 0xaaaa)
-            .with_key_domain(domain);
+    let mut left = SimRelationSource::new(sys.clone(), left_pages, tpp, tuple_size, seed ^ 0xaaaa)
+        .with_key_domain(domain);
     let mut right =
-        SimRelationSource::new(sys.clone(), right_pages, tpp, cfg.tuple_size, seed ^ 0xbbbb)
+        SimRelationSource::new(sys.clone(), right_pages, tpp, tuple_size, seed ^ 0xbbbb)
             .with_key_domain(domain);
-    let join = SortMergeJoin::new(cfg.sort_config());
+    let join = SortMergeJoin::new(sort_cfg);
     let outcome = join
         .join(
             &mut left,
@@ -312,7 +313,7 @@ mod tests {
             sys.clone(),
             cfg.relation_pages(),
             cfg.tuples_per_page(),
-            cfg.tuple_size,
+            cfg.sort_config().tuple_size,
             77,
         );
         let completion = SortJob::builder()

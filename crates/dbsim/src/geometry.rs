@@ -13,8 +13,6 @@ pub struct DiskGeometry {
     pub seek_factor: f64,
     /// Time for one full disk rotation, in seconds (paper default 16.7 ms).
     pub rotate_time: f64,
-    /// Page size in bytes (paper default 8 KB).
-    pub page_size: usize,
 }
 
 impl Default for DiskGeometry {
@@ -25,7 +23,6 @@ impl Default for DiskGeometry {
             tracks_per_cylinder: 3,
             seek_factor: 0.000_617,
             rotate_time: 0.0167,
-            page_size: 8 * 1024,
         }
     }
 }
@@ -72,7 +69,6 @@ mod tests {
         let g = DiskGeometry::default();
         assert_eq!(g.cylinders, 1500);
         assert_eq!(g.pages_per_cylinder, 90);
-        assert_eq!(g.page_size, 8192);
         assert!((g.rotate_time - 0.0167).abs() < 1e-12);
         assert!((g.seek_factor - 0.000617).abs() < 1e-12);
         assert_eq!(g.cylinders * g.pages_per_cylinder, 135_000);

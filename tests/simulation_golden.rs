@@ -42,7 +42,7 @@ fn sort_with_outcome(cfg: &SimConfig) -> (SortOutcome, SystemMetrics) {
         sys.clone(),
         cfg.relation_pages(),
         cfg.tuples_per_page(),
-        cfg.tuple_size,
+        cfg.sort_config().tuple_size,
         SEED ^ 0x5eed_f00d,
     );
     let mut done = SortJob::builder()
