@@ -10,7 +10,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{ablation, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Ablation — adaptive block size (relation {} MB, {} sorts/point)",

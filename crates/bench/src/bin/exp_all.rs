@@ -1,144 +1,34 @@
-//! Run every experiment in sequence (Tables 5-9, Figures 5-13, Section 6) and
-//! print all result tables. Control the cost with the environment variables
-//! `MASORT_SORTS_PER_POINT` (default 5) and `MASORT_RELATION_MB` (default 20).
+//! Run every paper experiment in turn (Table 5, Figure 5 / Table 6,
+//! Figure 6 / Tables 7-9, Figures 7-13, Section 6 and the §7 ablation) by
+//! calling each figure binary's own `main`, so the output is exactly theirs,
+//! one after the other in the paper's order. Control the cost with the
+//! environment variables `MASORT_SORTS_PER_POINT` (default 5) and
+//! `MASORT_RELATION_MB` (default 20).
 
-use masort_bench::{f, print_table};
-use masort_dbsim::experiments::{self, Scale};
+#[path = "exp_ablation.rs"]
+mod ablation;
+#[path = "exp_fig10_11.rs"]
+mod fig10_11;
+#[path = "exp_fig12_13.rs"]
+mod fig12_13;
+#[path = "exp_fig5_table6.rs"]
+mod fig5_table6;
+#[path = "exp_fig6_baseline.rs"]
+mod fig6_baseline;
+#[path = "exp_fig7_8_9.rs"]
+mod fig7_8_9;
+#[path = "exp_smj.rs"]
+mod smj;
+#[path = "exp_table5.rs"]
+mod table5;
 
 fn main() {
-    let scale = Scale::from_env();
-    eprintln!(
-        "Running all experiments: relation {} MB, {} sorts per point",
-        scale.relation_mb, scale.sorts_per_point
-    );
-
-    let rows = experiments::table5(scale);
-    print_table(
-        "Table 5: avg per-page disk access time (ms)",
-        &["N", "measured (ms)"],
-        &rows
-            .iter()
-            .map(|r| vec![r.block_pages.to_string(), f(r.avg_page_ms, 1)])
-            .collect::<Vec<_>>(),
-    );
-
-    let rows = experiments::fig5_table6(scale);
-    print_table(
-        "Figure 5 / Table 6: no memory fluctuation",
-        &[
-            "M (MB)",
-            "algorithm",
-            "resp (s)",
-            "#runs",
-            "#steps",
-            "split (s)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    f(r.memory_mb, 2),
-                    r.algorithm.clone(),
-                    f(r.response_s, 1),
-                    f(r.runs, 1),
-                    f(r.merge_steps, 1),
-                    f(r.split_s, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let mut rows = experiments::fig6_baseline(scale);
-    rows.sort_by(|a, b| a.response_s.partial_cmp(&b.response_s).unwrap());
-    print_table(
-        "Figure 6 / Tables 7-9: baseline",
-        &[
-            "algorithm",
-            "resp (s)",
-            "split (s)",
-            "mean split delay (ms)",
-            "max (ms)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.algorithm.clone(),
-                    f(r.response_s, 1),
-                    f(r.split_s, 1),
-                    f(r.mean_split_delay_ms, 1),
-                    f(r.max_split_delay_ms, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let rows = experiments::fig7_8_9(scale);
-    print_table(
-        "Figures 7/8/9: memory-ratio sweep",
-        &[
-            "M (MB)",
-            "algorithm",
-            "resp (s)",
-            "mean delay (ms)",
-            "max delay (ms)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    f(r.memory_mb, 2),
-                    r.algorithm.clone(),
-                    f(r.response_s, 1),
-                    f(r.mean_split_delay_s * 1e3, 1),
-                    f(r.max_split_delay_s * 1e3, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let rows = experiments::fig10_11(scale);
-    print_table(
-        "Figures 10/11: fluctuation magnitude",
-        &["M (MB)", "algorithm", "resp (s)"],
-        &rows
-            .iter()
-            .map(|r| vec![f(r.memory_mb, 2), r.algorithm.clone(), f(r.response_s, 1)])
-            .collect::<Vec<_>>(),
-    );
-
-    let rows = experiments::fig12_13(scale);
-    print_table(
-        "Figures 12/13: fluctuation rate",
-        &["M (MB)", "algorithm", "rate", "resp (s)", "split (s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    f(r.memory_mb, 2),
-                    r.algorithm.clone(),
-                    r.setting.to_string(),
-                    f(r.response_s, 1),
-                    f(r.split_s, 1),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let rows = experiments::smj(scale);
-    print_table(
-        "Section 6: sort-merge joins",
-        &["algorithm", "resp (s)", "#runs", "matches"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.algorithm.clone(),
-                    f(r.response_s, 1),
-                    f(r.runs, 1),
-                    f(r.matches, 0),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    table5::main();
+    fig5_table6::main();
+    fig6_baseline::main();
+    fig7_8_9::main();
+    fig10_11::main();
+    fig12_13::main();
+    smj::main();
+    ablation::main();
 }

@@ -9,7 +9,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{fig10_11, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Figures 10/11 — fluctuation magnitude (relation {} MB, {} sorts/point)",

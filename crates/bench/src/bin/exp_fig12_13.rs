@@ -10,7 +10,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{fig12_13, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Figures 12/13 — fluctuation rate (relation {} MB, {} sorts/point)",

@@ -10,7 +10,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{fig5_table6, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Figure 5 / Table 6 — no memory fluctuation (relation {} MB, {} sorts/point)",

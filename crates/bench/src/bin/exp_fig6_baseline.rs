@@ -11,7 +11,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{fig6_baseline, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Figure 6 / Tables 7-9 — baseline experiment (relation {} MB, {} sorts/point)",

@@ -10,7 +10,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{fig7_8_9, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Figures 7/8/9 — M to ||R|| ratio (relation {} MB, {} sorts/point)",

@@ -8,7 +8,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{smj, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Section 6 — memory-adaptive sort-merge joins (relations {}/{} MB, {} joins/point)",

@@ -7,7 +7,7 @@
 use masort_bench::{f, print_table};
 use masort_dbsim::experiments::{table5, Scale};
 
-fn main() {
+pub(crate) fn main() {
     let scale = Scale::from_env();
     eprintln!(
         "Table 5 — per-page disk access time vs block size (relation {} MB, {} sorts/point)",
