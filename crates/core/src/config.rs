@@ -38,16 +38,11 @@ pub enum RunFormation {
         block_pages: usize,
     },
     /// Replacement selection whose block-write size tracks the *current*
-    /// memory allocation (roughly one sixth of it, clamped to the given
-    /// bounds). This is the buffer-size-adjustment extension sketched in the
-    /// paper's future work (§7): larger allocations get larger, cheaper block
-    /// writes while small allocations keep the long runs of `repl1`.
-    AdaptiveReplacement {
-        /// Smallest block size ever used (pages).
-        min_block: usize,
-        /// Largest block size ever used (pages).
-        max_block: usize,
-    },
+    /// memory allocation (roughly one sixth of it, clamped to 1..=32 pages).
+    /// This is the buffer-size-adjustment extension sketched in the paper's
+    /// future work (§7): larger allocations get larger, cheaper block writes
+    /// while small allocations keep the long runs of `repl1`.
+    AdaptiveReplacement,
 }
 
 impl RunFormation {
@@ -70,10 +65,7 @@ impl RunFormation {
 
     /// Replacement selection with memory-tracking block writes (`adapt`).
     pub fn adaptive() -> Self {
-        RunFormation::AdaptiveReplacement {
-            min_block: 1,
-            max_block: 32,
-        }
+        RunFormation::AdaptiveReplacement
     }
 }
 
@@ -83,7 +75,7 @@ impl fmt::Display for RunFormation {
             RunFormation::Quicksort => write!(f, "quick"),
             RunFormation::ReplacementSelect { block_pages } => write!(f, "repl{block_pages}"),
             RunFormation::NaturalSelect { block_pages } => write!(f, "nat{block_pages}"),
-            RunFormation::AdaptiveReplacement { .. } => write!(f, "adapt"),
+            RunFormation::AdaptiveReplacement => write!(f, "adapt"),
         }
     }
 }
@@ -399,17 +391,6 @@ impl SortConfig {
             if block_pages == 0 {
                 return Err(SortError::invalid_config(
                     "replacement-selection block size must be at least one page",
-                ));
-            }
-        }
-        if let RunFormation::AdaptiveReplacement {
-            min_block,
-            max_block,
-        } = self.algorithm.formation
-        {
-            if min_block == 0 || max_block < min_block {
-                return Err(SortError::invalid_config(
-                    "adaptive replacement needs 1 <= min_block <= max_block",
                 ));
             }
         }

@@ -34,6 +34,11 @@ use crate::store::{RunMeta, RunStore};
 use crate::tuple::Page;
 use replacement::BlockPolicy;
 
+/// Smallest block, in pages, the adaptive formation (`adapt`) writes.
+const ADAPTIVE_MIN_BLOCK: usize = 1;
+/// Largest block, in pages, the adaptive formation writes.
+const ADAPTIVE_MAX_BLOCK: usize = 32;
+
 /// How many records [`OutBlock::gather`] prefetches ahead of its copy.
 const PREFETCH_AHEAD: usize = 8;
 
@@ -209,15 +214,8 @@ where
             let block = BlockPolicy::Fixed(block_pages);
             replacement::form_runs(cfg, budget, input, store, env, block, true)
         }
-        RunFormation::AdaptiveReplacement {
-            min_block,
-            max_block,
-        } => {
-            let block = BlockPolicy::Adaptive {
-                min: min_block,
-                max: max_block.max(min_block),
-            };
-            replacement::form_runs(cfg, budget, input, store, env, block, false)
+        RunFormation::AdaptiveReplacement => {
+            replacement::form_runs(cfg, budget, input, store, env, BlockPolicy::Adaptive, false)
         }
     }
 }

@@ -199,20 +199,17 @@ pub enum BlockPolicy {
     /// A fixed number of pages per block write (`replN`, `natN`).
     Fixed(usize),
     /// Track the current memory allocation: block ≈ target / 6, clamped to
-    /// `[min, max]` pages (`adapt`, the paper's future-work extension, §7).
-    Adaptive {
-        /// Smallest block size ever used (pages).
-        min: usize,
-        /// Largest block size ever used (pages).
-        max: usize,
-    },
+    /// 1..=32 pages (`adapt`, the paper's future-work extension, §7).
+    Adaptive,
 }
 
 impl BlockPolicy {
     fn block_pages(&self, target_pages: usize) -> usize {
         match *self {
             BlockPolicy::Fixed(n) => n.max(1),
-            BlockPolicy::Adaptive { min, max } => (target_pages / 6).clamp(min.max(1), max.max(1)),
+            BlockPolicy::Adaptive => {
+                (target_pages / 6).clamp(super::ADAPTIVE_MIN_BLOCK, super::ADAPTIVE_MAX_BLOCK)
+            }
         }
     }
 }
@@ -913,10 +910,7 @@ mod tests {
         let cfg_small = SortConfig::default().with_memory_pages(6);
         let cfg_big = SortConfig::default().with_memory_pages(60);
         let run = |cfg: &SortConfig| {
-            let (block, mut env) = (
-                BlockPolicy::Adaptive { min: 1, max: 32 },
-                CountingEnv::new(),
-            );
+            let (block, mut env) = (BlockPolicy::Adaptive, CountingEnv::new());
             let (stats, store, _) = split_in(cfg, random_tuples(n, 5), &mut env, block, false);
             (stats, store)
         };
