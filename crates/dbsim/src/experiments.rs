@@ -2,11 +2,10 @@
 //! evaluation (Section 5) plus the sort-merge-join study (Section 6).
 //!
 //! Every function sweeps the same parameters the paper sweeps and returns
-//! plain row structs; the binaries in `masort-bench` print them and
-//! `EXPERIMENTS.md` records measured-vs-paper values. Absolute times differ
-//! from the paper (different CPU/disk constants, synchronous I/O); the
-//! *orderings and crossovers* are what these functions are expected to
-//! reproduce.
+//! plain row structs; the `exp_*` binaries in `masort-bench` print them
+//! (README, *Running the paper experiments*). Absolute times differ from the
+//! paper (different CPU/disk constants, synchronous I/O); the *orderings and
+//! crossovers* are what these functions are expected to reproduce.
 
 use crate::config::SimConfig;
 use crate::driver::{run_one_join, run_sort_stream, SortRunMetrics};
@@ -428,7 +427,9 @@ pub fn smj(scale: Scale) -> Vec<SmjRow> {
         "repl6,opt,page",
         "repl6,opt,split",
     ];
-    let relation_pages = (scale.relation_mb * 1024.0 * 1024.0 / 8192.0) as usize;
+    let relation_pages = SimConfig::baseline()
+        .with_relation_mb(scale.relation_mb)
+        .relation_pages();
     let left = (relation_pages / 2).max(8);
     let right = (relation_pages / 4).max(8);
     algorithms

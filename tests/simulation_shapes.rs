@@ -2,8 +2,8 @@
 //! paper's headline results must reproduce their qualitative shape.
 //!
 //! These run at a reduced scale (1-4 MB relations) so they are fast even in
-//! debug builds; the full-scale numbers live in `EXPERIMENTS.md` and are
-//! regenerated by the `masort-bench` binaries.
+//! debug builds; the full-scale numbers are printed by the `exp_*` binaries
+//! of `masort-bench` (README, *Running the paper experiments*).
 
 use masort_core::env::CountingEnv;
 use masort_core::verify::{assert_sorted_permutation, collect_run};
