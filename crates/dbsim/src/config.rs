@@ -65,7 +65,7 @@ impl SimConfig {
 
     /// Tuples per page.
     pub fn tuples_per_page(&self) -> usize {
-        (PAGE_SIZE / TUPLE_SIZE).max(1)
+        PAGE_SIZE / TUPLE_SIZE
     }
 
     /// Builder-style override of the total memory, given in MBytes.
