@@ -17,7 +17,6 @@
 //! the large request is guaranteed to run.
 
 use crate::broker::MemoryBroker;
-use crate::service::RunStorage;
 use crate::ticket::{JobId, TicketShared};
 use masort_core::{InputSource, SortConfig};
 use std::collections::VecDeque;
@@ -28,7 +27,6 @@ pub(crate) struct QueuedRequest {
     pub job: JobId,
     pub cfg: SortConfig,
     pub input: Box<dyn InputSource + Send>,
-    pub storage: RunStorage,
     pub tenant: Option<String>,
     pub priority: u32,
     pub min_pages: usize,
@@ -135,7 +133,6 @@ mod tests {
             job,
             cfg: SortConfig::default(),
             input: Box::new(VecSource::from_pages(Vec::new())),
-            storage: RunStorage::InMemory,
             tenant: None,
             priority: 1,
             min_pages: min,

@@ -94,17 +94,13 @@ pub mod service;
 pub mod stats;
 pub mod ticket;
 
-pub use service::{
-    job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
-};
+pub use service::{job_span, SortRequest, SortService, SortServiceBuilder};
 pub use stats::ServiceStats;
 pub use ticket::{JobId, JobOutput, JobReport, SortTicket};
 
 /// Convenient glob import of the service-facing types.
 pub mod prelude {
-    pub use crate::service::{
-        job_span, RunStorage, ServiceStore, SortRequest, SortService, SortServiceBuilder,
-    };
+    pub use crate::service::{job_span, SortRequest, SortService, SortServiceBuilder};
     pub use crate::stats::ServiceStats;
     pub use crate::ticket::{JobId, JobOutput, JobReport, SortTicket};
 }

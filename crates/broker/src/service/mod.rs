@@ -18,14 +18,12 @@ use worker::worker_loop;
 
 mod root;
 mod state;
-mod store;
 #[cfg(test)]
 mod tests;
 mod worker;
 
 pub(crate) use root::Root;
 pub(crate) use state::Shared;
-pub use store::{RunStorage, ServiceStore};
 
 /// The trace span a job's events are emitted on. Offset by one so job 0 does
 /// not collide with [`SpanId::SERVICE`]; the server and CLI use the same
@@ -35,11 +33,11 @@ pub fn job_span(job: JobId) -> SpanId {
 }
 
 /// One sort submission: input + configuration + how the broker should treat
-/// it (priority, guaranteed minimum, useful maximum, spill target).
+/// it (priority, guaranteed minimum, useful maximum). Its runs always spill,
+/// to a fresh temporary directory created when the job is admitted.
 pub struct SortRequest {
     cfg: SortConfig,
     input: Box<dyn InputSource + Send>,
-    storage: RunStorage,
     tenant: Option<String>,
     priority: u32,
     min_pages: Option<usize>,
@@ -53,7 +51,6 @@ impl std::fmt::Debug for SortRequest {
             .field("priority", &self.priority)
             .field("min_pages", &self.min_pages)
             .field("max_pages", &self.max_pages)
-            .field("storage", &self.storage)
             .finish()
     }
 }
@@ -64,7 +61,6 @@ impl SortRequest {
         SortRequest {
             cfg,
             input: Box::new(source),
-            storage: RunStorage::InMemory,
             tenant: None,
             priority: 1,
             min_pages: None,
@@ -107,17 +103,6 @@ impl SortRequest {
     pub fn max_pages(mut self, pages: usize) -> Self {
         self.max_pages = Some(pages);
         self
-    }
-
-    /// Store this job's runs in `storage` (default [`RunStorage::InMemory`]).
-    pub fn storage(mut self, storage: RunStorage) -> Self {
-        self.storage = storage;
-        self
-    }
-
-    /// Shorthand for [`RunStorage::TempDisk`].
-    pub fn spill_to_temp_dir(self) -> Self {
-        self.storage(RunStorage::TempDisk)
     }
 }
 
@@ -273,7 +258,6 @@ impl SortService {
             job,
             cfg: request.cfg,
             input: request.input,
-            storage: request.storage,
             tenant: request.tenant,
             priority: request.priority,
             min_pages,

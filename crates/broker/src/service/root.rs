@@ -1,11 +1,13 @@
 //! A job at its root: the parked merge, its checkpoint and settle, and the
 //! job's one release.
 
-use super::{ServiceStore, Shared};
+use super::Shared;
 use crate::stats::*;
 use crate::ticket::{JobId, JobReport, TicketShared};
 use masort_core::sync::Mutex;
-use masort_core::{MemoryBudget, Page, SortCompletion, SortError, SortOutcome, SortResult};
+use masort_core::{
+    FileStore, MemoryBudget, Page, SortCompletion, SortError, SortOutcome, SortResult,
+};
 use masort_trace::{EventKind, Trace};
 use std::sync::Arc;
 
@@ -51,7 +53,7 @@ pub(crate) struct Root {
 pub(super) struct RootSlot {
     /// The parked sort until it is closed; after a settle, the run the rest
     /// of the result went into.
-    pub(super) sort: Option<SortCompletion<ServiceStore>>,
+    pub(super) sort: Option<SortCompletion<FileStore>>,
     /// What the job's release needs; taken by it, so it happens once.
     pub(super) books: Option<Books>,
     /// The job's report, from its release until it is taken.

@@ -58,7 +58,7 @@ fn temp_disk_storage_round_trip() {
     let svc = SortService::builder().pool_pages(16).workers(1).build();
     let input = random_tuples(1_200, 2);
     let output = svc
-        .submit(SortRequest::tuples(small_cfg(16), input.clone()).spill_to_temp_dir())
+        .submit(SortRequest::tuples(small_cfg(16), input.clone()))
         .unwrap()
         .wait()
         .unwrap();
@@ -206,7 +206,7 @@ fn concurrent_spilled_sorts_round_trip_on_two_workers() {
     let tickets: Vec<SortTicket> = inputs
         .iter()
         .map(|input| {
-            svc.submit(SortRequest::tuples(small_cfg(8), input.clone()).spill_to_temp_dir())
+            svc.submit(SortRequest::tuples(small_cfg(8), input.clone()))
                 .unwrap()
         })
         .collect();

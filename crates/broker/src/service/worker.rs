@@ -3,13 +3,14 @@
 
 use super::root::{Books, Root, RootEnd, RootSlot};
 use super::state::State;
-use super::store::build_store;
-use super::{job_span, ServiceStore, Shared};
+use super::{job_span, Shared};
 use crate::admission::QueuedRequest;
 use crate::policy::JobDemand;
 use crate::ticket::JobOutput;
 use masort_core::sync::Mutex;
-use masort_core::{MemoryBudget, RealEnv, SortCompletion, SortError, SortJob, SortResult};
+use masort_core::{
+    FileStore, MemoryBudget, RealEnv, SortCompletion, SortError, SortJob, SortResult,
+};
 use masort_trace::EventKind;
 use std::sync::Arc;
 
@@ -87,13 +88,13 @@ fn admit(shared: &Shared, state: &mut State, req: &QueuedRequest) -> Books {
     }
 }
 
-/// Form the job's runs and run the preliminary merge steps on this worker,
-/// stopping with the root parked.
+/// Form the job's runs in a fresh temporary directory and run the
+/// preliminary merge steps on this worker, stopping with the root parked.
 fn sort_to_root(
     shared: &Shared,
     books: &Books,
     req: QueuedRequest,
-) -> SortResult<SortCompletion<ServiceStore>> {
+) -> SortResult<SortCompletion<FileStore>> {
     let trace = &books.trace;
     if trace.is_enabled() {
         trace.emit(EventKind::AdmissionGranted {
@@ -109,25 +110,23 @@ fn sort_to_root(
     // its ticket would never be resolved. Contain the unwind and surface it
     // as an error on the ticket instead.
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        build_store(req.storage).and_then(|store| {
-            SortJob::builder()
-                .config(req.cfg)
-                .input(req.input)
-                .store(store)
-                .env(env)
-                .budget(books.budget.clone())
-                .build()?
-                // The root parks: the output's holder executes it, and
-                // whoever moves the budget runs its checkpoint meanwhile.
-                .run_to_root()
-        })
+        SortJob::builder()
+            .config(req.cfg)
+            .input(req.input)
+            .store(FileStore::in_temp_dir()?)
+            .env(env)
+            .budget(books.budget.clone())
+            .build()?
+            // The root parks: the output's holder executes it, and
+            // whoever moves the budget runs its checkpoint meanwhile.
+            .run_to_root()
     }))
     .unwrap_or_else(|panic| Err(panic_error(panic)))
 }
 
 /// Park the job's root where budget moves and settles reach it, and give the
 /// ticket its output.
-fn hand_over(shared: &Arc<Shared>, books: Books, sort: SortCompletion<ServiceStore>) {
+fn hand_over(shared: &Arc<Shared>, books: Books, sort: SortCompletion<FileStore>) {
     let (job, ticket) = (books.job, Arc::clone(&books.ticket));
     let slot = RootSlot {
         sort: Some(sort),

@@ -111,9 +111,9 @@ fn concurrent_sorts_under_contention() {
 }
 
 #[test]
-fn mixed_storage_and_priorities_under_contention() {
-    // Same contention scenario, but half the jobs spill to temporary files
-    // and priorities span the full range — the broker must not care.
+fn mixed_priorities_under_contention() {
+    // Same contention scenario, but priorities span the full range — the
+    // broker must not care.
     let service = SortService::builder().pool_pages(20).workers(4).build();
     let inputs: Vec<Vec<Tuple>> = (0..8)
         .map(|i| random_tuples(4_000, 0xD15C + i as u64))
@@ -122,12 +122,9 @@ fn mixed_storage_and_priorities_under_contention() {
         .iter()
         .enumerate()
         .map(|(i, input)| {
-            let mut req = SortRequest::tuples(cfg(), input.clone())
+            let req = SortRequest::tuples(cfg(), input.clone())
                 .priority(1 + i as u32)
                 .min_pages(2);
-            if i % 2 == 0 {
-                req = req.spill_to_temp_dir();
-            }
             service.submit(req).unwrap()
         })
         .collect();

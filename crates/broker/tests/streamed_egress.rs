@@ -16,7 +16,8 @@
 //! Nothing here sleeps to make something happen: a stalled consumer is one
 //! that does not pull, and every wait is on a state the service reports.
 //! (This file is its own test binary so that the spill directories of its
-//! process are all its own; the tests that spill take `DISK` in turn.)
+//! process are all its own; every job spills, so every test takes `DISK` in
+//! turn.)
 
 use masort_broker::prelude::*;
 use masort_core::{
@@ -30,8 +31,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Held by every test that spills, so "no spill directory is left" is a
-/// statement about that test's own jobs.
+/// Held by every test that runs a service, so "no spill directory is left"
+/// is a statement about that test's own jobs.
 static DISK: Mutex<()> = Mutex::new(());
 
 /// Never reached by a test that passes.
@@ -149,62 +150,59 @@ fn i1_a_consumer_that_keeps_up_gets_the_result_off_the_merge_for_every_algorithm
     let mut cases = 0;
     let mut multi_step = 0;
     for spec in AlgorithmSpec::all(4) {
-        for storage in [RunStorage::TempDisk, RunStorage::InMemory] {
-            let descending = cases % 4 >= 2;
-            let order = match descending {
-                false => SortOrder::ascending(),
-                true => SortOrder::descending(),
-            };
-            let case = format!("{spec} {storage:?} descending={descending}");
-            let svc = SortService::builder()
-                .pool_pages(16)
-                .workers(1)
-                .trace(traced())
-                .build();
-            let request = SortRequest::tuples(
-                cfg(10).with_algorithm(spec).with_order(order),
-                input.clone(),
-            )
-            .storage(storage);
-            let (sorted, report) = drain(svc.submit(request).unwrap().wait().unwrap());
-            let mut expected = sorted_keys(&input);
-            if descending {
-                expected.reverse();
-            }
-            assert_eq!(keys(&sorted), expected, "{case}");
-
-            // Nothing sorted touched the store: the only runs ever created
-            // are the formed ones and the outputs of preliminary steps.
-            assert_eq!(
-                root_finished(&report),
-                (3_000 / 8, 0, "exhausted"),
-                "{case}"
-            );
-            let outcome = &report.outcome;
-            let created = count(&report, |k| matches!(k, EventKind::RunCreate { .. }));
-            assert_eq!(
-                created,
-                outcome.runs_formed() + outcome.merge.splits,
-                "{case}"
-            );
-            assert_eq!(
-                created,
-                count(&report, |k| matches!(k, EventKind::RunDelete { .. })),
-                "{case}: a run outlived the job"
-            );
-            // I4: the books are those of the whole merge, root included.
-            assert!(outcome.merge.tuples_output >= 3_000, "{case}");
-            assert!(outcome.merge.steps_executed >= 1, "{case}");
-            assert!(report.ran_for >= outcome.merge.duration(), "{case}");
-            multi_step += usize::from(outcome.merge.steps_executed > 1);
-
-            let stats = svc.shutdown();
-            assert_eq!((stats.completed, stats.leaked_pages), (1, 0), "{case}");
-            assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "{case}");
-            cases += 1;
+        let descending = cases % 4 >= 2;
+        let order = match descending {
+            false => SortOrder::ascending(),
+            true => SortOrder::descending(),
+        };
+        let case = format!("{spec} descending={descending}");
+        let svc = SortService::builder()
+            .pool_pages(16)
+            .workers(1)
+            .trace(traced())
+            .build();
+        let request = SortRequest::tuples(
+            cfg(10).with_algorithm(spec).with_order(order),
+            input.clone(),
+        );
+        let (sorted, report) = drain(svc.submit(request).unwrap().wait().unwrap());
+        let mut expected = sorted_keys(&input);
+        if descending {
+            expected.reverse();
         }
+        assert_eq!(keys(&sorted), expected, "{case}");
+
+        // Nothing sorted touched the store: the only runs ever created
+        // are the formed ones and the outputs of preliminary steps.
+        assert_eq!(
+            root_finished(&report),
+            (3_000 / 8, 0, "exhausted"),
+            "{case}"
+        );
+        let outcome = &report.outcome;
+        let created = count(&report, |k| matches!(k, EventKind::RunCreate { .. }));
+        assert_eq!(
+            created,
+            outcome.runs_formed() + outcome.merge.splits,
+            "{case}"
+        );
+        assert_eq!(
+            created,
+            count(&report, |k| matches!(k, EventKind::RunDelete { .. })),
+            "{case}: a run outlived the job"
+        );
+        // I4: the books are those of the whole merge, root included.
+        assert!(outcome.merge.tuples_output >= 3_000, "{case}");
+        assert!(outcome.merge.steps_executed >= 1, "{case}");
+        assert!(report.ran_for >= outcome.merge.duration(), "{case}");
+        multi_step += usize::from(outcome.merge.steps_executed > 1);
+
+        let stats = svc.shutdown();
+        assert_eq!((stats.completed, stats.leaked_pages), (1, 0), "{case}");
+        assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "{case}");
+        cases += 1;
     }
-    assert_eq!(cases, 36);
+    assert_eq!(cases, 18);
     assert!(multi_step >= 6, "{multi_step} sorts had preliminary steps");
 }
 
@@ -261,6 +259,7 @@ impl Stalled {
 
 #[test]
 fn i3_a_queued_request_is_not_kept_waiting_by_a_stalled_consumer() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     // Once with a minimum that fits beside the first job's, so the root only
     // shrinks; once with one that needs the first job's grant.
     for (workers, second_min, reason) in [(1, 1, "exhausted"), (2, 20, "queued-request")] {
@@ -297,6 +296,7 @@ fn i3_a_queued_request_is_not_kept_waiting_by_a_stalled_consumer() {
 
 #[test]
 fn i3_shutdown_does_not_wait_for_a_stalled_consumer_and_the_result_survives_it() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let first = stalled(1, MergeAdaptation::Paging);
     let Stalled {
         svc,
@@ -315,6 +315,7 @@ fn i3_shutdown_does_not_wait_for_a_stalled_consumer_and_the_result_survives_it()
 
 #[test]
 fn i2_a_shrink_during_a_stall_is_honoured_and_sampled() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     for adaptation in [
         MergeAdaptation::DynamicSplitting,
         MergeAdaptation::Paging,
@@ -376,6 +377,26 @@ impl Stalled {
 }
 
 #[test]
+fn a_default_request_at_its_root_keeps_its_runs_in_a_directory_of_its_own() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
+    let svc = SortService::builder().pool_pages(16).workers(1).build();
+    let input = random_tuples(3_000, 7);
+    let output = svc
+        .submit(SortRequest::tuples(cfg(10), input))
+        .unwrap()
+        .wait()
+        .unwrap();
+    // Parked at its root, the job's runs are files in one fresh directory.
+    let dirs = spill_dirs();
+    assert_eq!(dirs.len(), 1, "{dirs:?}");
+    let files = std::fs::read_dir(&dirs[0]).unwrap().count();
+    assert!(files > 1, "{files} run files in {:?}", dirs[0]);
+    drop(output);
+    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    assert_eq!(svc.shutdown().leaked_pages, 0);
+}
+
+#[test]
 fn every_way_out_of_an_output_leaves_nothing_behind() {
     let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let svc = SortService::builder()
@@ -386,7 +407,7 @@ fn every_way_out_of_an_output_leaves_nothing_behind() {
         .build();
     let input = random_tuples(4_000, 21);
     let submit = || {
-        svc.submit(SortRequest::tuples(cfg(24), input.clone()).spill_to_temp_dir())
+        svc.submit(SortRequest::tuples(cfg(24), input.clone()))
             .unwrap()
     };
     let settled = |jobs: u64| {
@@ -455,6 +476,7 @@ fn every_way_out_of_an_output_leaves_nothing_behind() {
 
 #[test]
 fn one_worker_and_two_tickets_redeemed_in_reverse_order_do_not_deadlock() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let svc = SortService::builder()
         .pool_pages(16)
         .workers(1)
@@ -481,6 +503,7 @@ fn one_worker_and_two_tickets_redeemed_in_reverse_order_do_not_deadlock() {
 /// its page, and every page is a sealed page of sorted records.
 #[test]
 fn tuples_and_pages_can_be_read_from_one_output_in_turn() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let svc = SortService::builder().pool_pages(16).workers(1).build();
     let input: Vec<Tuple> = random_tuples(3_000, 21)
         .into_iter()

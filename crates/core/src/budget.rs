@@ -18,8 +18,9 @@
 //! The handle is cheaply cloneable and thread-safe, so a real application can
 //! adjust the budget from another thread while the sort runs.
 
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Which phase of the external sort a delay was incurred in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -117,12 +118,20 @@ pub struct BudgetSnapshot {
     pub shrink_pending: bool,
 }
 
+/// The budget's state, and the condition a suspended sort waits on.
+#[derive(Debug)]
+struct Shared {
+    state: Mutex<Inner>,
+    /// Notified by `set_target` and `cancel`.
+    changed: Condvar,
+}
+
 /// Shared, thread-safe handle to the page allocation of one sort operator.
 ///
 /// See the [module documentation](self) for the protocol.
 #[derive(Clone, Debug)]
 pub struct MemoryBudget {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
 }
 
 impl MemoryBudget {
@@ -130,22 +139,25 @@ impl MemoryBudget {
     /// budget owner must not wedge the sort — the state is a few plain
     /// counters that are always internally consistent).
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock()
+        self.shared.state.lock()
     }
 
     /// Create a budget with an initial target of `initial_pages` pages.
     pub fn new(initial_pages: usize) -> Self {
         MemoryBudget {
-            inner: Arc::new(Mutex::new(Inner {
-                target: initial_pages,
-                held: 0,
-                phase: SortPhase::Split,
-                pending_since: None,
-                delays: Vec::new(),
-                version: 0,
-                cancelled: false,
-                trace: masort_trace::Trace::disabled(),
-            })),
+            shared: Arc::new(Shared {
+                state: Mutex::new(Inner {
+                    target: initial_pages,
+                    held: 0,
+                    phase: SortPhase::Split,
+                    pending_since: None,
+                    delays: Vec::new(),
+                    version: 0,
+                    cancelled: false,
+                    trace: masort_trace::Trace::disabled(),
+                }),
+                changed: Condvar::new(),
+            }),
         }
     }
 
@@ -202,6 +214,7 @@ impl MemoryBudget {
             check_inner(&g);
             (g.trace.clone(), prev)
         };
+        self.shared.changed.notify_all();
         if trace.is_enabled() && prev != pages {
             trace.emit(masort_trace::EventKind::BudgetTarget {
                 prev,
@@ -260,11 +273,33 @@ impl MemoryBudget {
     /// budget's lifetime.
     pub fn cancel(&self) {
         self.lock().cancelled = true;
+        self.shared.changed.notify_all();
     }
 
     /// True once [`cancel`](Self::cancel) has been called on this budget.
     pub(crate) fn is_cancelled(&self) -> bool {
         self.lock().cancelled
+    }
+
+    /// Wait until the target is at least `pages` (true), or until the budget
+    /// is cancelled or `deadline`, if there is one, passes (false).
+    /// [`set_target`](Self::set_target) and [`cancel`](Self::cancel) wake the
+    /// waiter; nothing polls.
+    pub(crate) fn wait_for_target(&self, pages: usize, deadline: Option<Instant>) -> bool {
+        let mut g = self.lock();
+        loop {
+            if g.target >= pages {
+                return true;
+            }
+            let now = Instant::now();
+            if g.cancelled || deadline.is_some_and(|d| now >= d) {
+                return false;
+            }
+            g = match deadline {
+                Some(d) => self.shared.changed.wait_timeout(g, d - now).0,
+                None => self.shared.changed.wait(g),
+            };
+        }
     }
 
     /// Read target, holding, version and pending-shrink state atomically,

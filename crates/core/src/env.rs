@@ -91,15 +91,13 @@ impl<E: SortEnv + ?Sized> SortEnv for Box<E> {
 }
 
 /// A production environment: wall-clock time, no CPU accounting, and
-/// suspension implemented as a bounded sleep-poll loop (another thread is
-/// expected to raise the budget).
+/// suspension implemented as a bounded wait on the budget, which another
+/// thread is expected to raise.
 #[derive(Debug)]
 pub struct RealEnv {
     start: Instant,
     /// Maximum time [`SortEnv::wait_for_pages`] will wait before giving up.
     pub max_wait: Duration,
-    /// Interval between budget polls while waiting.
-    pub poll_interval: Duration,
     /// Observability handle; disabled by default (zero hot-path cost).
     pub trace: masort_trace::Trace,
 }
@@ -109,7 +107,6 @@ impl Default for RealEnv {
         RealEnv {
             start: Instant::now(),
             max_wait: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(1),
             trace: masort_trace::Trace::disabled(),
         }
     }
@@ -148,19 +145,11 @@ impl SortEnv for RealEnv {
     fn charge_cpu(&mut self, _op: CpuOp, _count: u64) {}
 
     fn wait_for_pages(&mut self, budget: &MemoryBudget, pages: usize) -> bool {
-        let deadline = Instant::now() + self.max_wait;
-        loop {
-            if budget.target() >= pages {
-                return true;
-            }
-            // A cancelled sort must not sit out the suspension timeout: give
-            // up immediately so the caller reaches its next checkpoint (and
-            // aborts there) right away.
-            if budget.is_cancelled() || Instant::now() >= deadline {
-                return false;
-            }
-            crate::sync::thread::sleep(self.poll_interval);
-        }
+        // A cancelled sort does not sit out the suspension timeout: the wait
+        // ends at once, so the caller reaches its next checkpoint (and aborts
+        // there) right away. A `max_wait` too long to add to now (say
+        // `Duration::MAX`) means no deadline.
+        budget.wait_for_target(pages, Instant::now().checked_add(self.max_wait))
     }
 
     fn trace(&self) -> masort_trace::Trace {
@@ -241,7 +230,28 @@ mod tests {
     #[test]
     fn real_env_wait_sees_concurrent_growth() {
         let mut env = RealEnv {
-            max_wait: Duration::from_secs(5),
+            max_wait: Duration::from_secs(30),
+            ..RealEnv::default()
+        };
+        let budget = MemoryBudget::new(1);
+        let b2 = budget.clone();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            b2.set_target(16, 0.0);
+        });
+        let started = Instant::now();
+        assert!(env.wait_for_pages(&budget, 8));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the growth woke nobody"
+        );
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn real_env_wait_without_a_deadline_sees_growth() {
+        let mut env = RealEnv {
+            max_wait: Duration::MAX,
             ..RealEnv::default()
         };
         let budget = MemoryBudget::new(1);
@@ -251,6 +261,27 @@ mod tests {
             b2.set_target(16, 0.0);
         });
         assert!(env.wait_for_pages(&budget, 8));
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn real_env_wait_is_woken_by_cancel() {
+        let mut env = RealEnv {
+            max_wait: Duration::from_secs(30),
+            ..RealEnv::default()
+        };
+        let budget = MemoryBudget::new(1);
+        let b2 = budget.clone();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            b2.cancel();
+        });
+        let started = Instant::now();
+        assert!(!env.wait_for_pages(&budget, 8));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the cancel woke nobody"
+        );
         handle.join().unwrap();
     }
 

@@ -2,6 +2,7 @@
 
 use super::{RunId, RunStore};
 use crate::error::{SortError, SortResult};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::tuple::Page;
 use masort_trace::EventKind;
 use std::collections::HashMap;
@@ -114,22 +115,30 @@ impl FileStore {
         })
     }
 
-    /// Create a store in a fresh private directory under the system temp dir.
+    /// Create a store in a fresh private directory under the system temp dir,
+    /// named `masort-{pid}-{nanos}-{n}` with `n` a process-wide counter. The
+    /// directory is made with `create_dir`, so it is new: a name that is
+    /// taken is skipped for the next `n`, and no two stores share a directory.
     pub fn in_temp_dir() -> std::io::Result<Self> {
-        let mut dir = std::env::temp_dir();
-        let unique = format!(
-            "masort-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0)
-        );
-        dir.push(unique);
-        std::fs::create_dir_all(&dir)?;
-        let mut s = FileStore::new(&dir)?;
-        s.own_dir = true;
-        Ok(s)
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos())
+            .unwrap_or(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("masort-{}-{nanos:x}-{n}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            match std::fs::create_dir(&dir) {
+                Ok(()) => {
+                    let mut s = FileStore::new(&dir)?;
+                    s.own_dir = true;
+                    return Ok(s);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Directory holding the run files.

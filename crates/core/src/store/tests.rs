@@ -121,6 +121,29 @@ fn filestore_missing_dir_errors() {
 }
 
 #[test]
+fn filestores_made_at_once_get_distinct_directories() {
+    const THREADS: usize = 8;
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let barrier = std::sync::Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                FileStore::in_temp_dir().unwrap()
+            })
+        })
+        .collect();
+    let stores: Vec<FileStore> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let dirs: std::collections::HashSet<_> = stores.iter().map(|s| s.dir().to_path_buf()).collect();
+    assert_eq!(dirs.len(), THREADS, "two stores share a directory");
+    drop(stores);
+    assert!(
+        dirs.iter().all(|dir| !dir.exists()),
+        "a directory outlived its store"
+    );
+}
+
+#[test]
 fn filestore_many_runs_interleaved() {
     let mut s = FileStore::in_temp_dir().unwrap();
     let a = s.create_run().unwrap();

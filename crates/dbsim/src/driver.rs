@@ -17,20 +17,10 @@ pub struct SortRunMetrics {
     pub response_time: f64,
     /// Split-phase duration (simulated seconds).
     pub split_duration: f64,
-    /// Merge-phase duration (simulated seconds).
-    pub merge_duration: f64,
     /// Number of sorted runs the split phase produced.
     pub runs_formed: usize,
     /// Number of merge steps that actually executed.
     pub merge_steps: usize,
-    /// Dynamic/static splits performed during the merge phase.
-    pub splits: usize,
-    /// Step combinations performed during the merge phase.
-    pub combines: usize,
-    /// MRU paging faults during the merge phase.
-    pub extra_paging_reads: usize,
-    /// Pages re-fetched after suspensions / step switches.
-    pub refetched_pages: usize,
     /// Mean delay (seconds) memory requests experienced during the split phase.
     pub mean_split_delay: f64,
     /// Maximum delay (seconds) during the split phase.
@@ -49,13 +39,8 @@ impl SortRunMetrics {
             algorithm: cfg.algorithm,
             response_time: outcome.response_time,
             split_duration: outcome.split.duration(),
-            merge_duration: outcome.merge.duration(),
             runs_formed: outcome.runs_formed(),
             merge_steps: outcome.merge.steps_executed,
-            splits: outcome.merge.splits,
-            combines: outcome.merge.combines,
-            extra_paging_reads: outcome.merge.extra_paging_reads,
-            refetched_pages: outcome.merge.refetched_pages,
             mean_split_delay: outcome.mean_split_delay(),
             max_split_delay: outcome.max_split_delay(),
             mean_merge_delay: outcome.mean_merge_delay(),
@@ -75,10 +60,6 @@ pub struct JoinMetrics {
     pub matches: u64,
     /// Runs formed across both relations.
     pub runs_formed: usize,
-    /// Merge steps that executed.
-    pub merge_steps: usize,
-    /// Splits performed during the merge phase.
-    pub splits: usize,
 }
 
 /// Execute one external sort inside an existing simulated system (the clock,
@@ -177,8 +158,6 @@ pub fn run_one_join(
         response_time: outcome.response_time,
         matches: outcome.matches,
         runs_formed: outcome.runs_formed(),
-        merge_steps: outcome.merge.steps_executed,
-        splits: outcome.merge.splits,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Data placement: relations on the middle cylinders, temporary files (sorted
 //! runs) on the inner and outer cylinders (paper §4.1).
 
-use crate::geometry::DiskGeometry;
+use crate::geometry::{CYLINDERS, PAGES_PER_CYLINDER};
 
 /// Placement of relations and temporary files on one disk.
 ///
@@ -11,7 +11,6 @@ use crate::geometry::DiskGeometry;
 /// allocator wraps around (runs are short-lived).
 #[derive(Clone, Debug)]
 pub struct DiskLayout {
-    geometry: DiskGeometry,
     middle_start: usize,
     middle_end: usize,
     /// Next relation page to hand out (linear within the middle region).
@@ -24,25 +23,19 @@ pub struct DiskLayout {
 }
 
 impl DiskLayout {
-    /// Create a layout for a disk with the given geometry. The middle third of
-    /// the cylinders is reserved for relations.
-    pub fn new(geometry: DiskGeometry) -> Self {
-        let third = geometry.cylinders / 3;
+    /// Create the disk's layout. The middle third of the cylinders is
+    /// reserved for relations.
+    pub fn new() -> Self {
+        let third = CYLINDERS / 3;
         let middle_start = third;
         let middle_end = 2 * third;
         DiskLayout {
-            geometry,
             middle_start,
             middle_end,
             next_relation_page: 0,
             next_temp_cylinder: 2 * third,
             inner_start: 2 * third,
         }
-    }
-
-    /// The geometry this layout is for.
-    pub fn geometry(&self) -> &DiskGeometry {
-        &self.geometry
     }
 
     /// Allocate `pages` contiguous pages for a relation and return the linear
@@ -55,7 +48,7 @@ impl DiskLayout {
 
     /// Cylinder holding the `page`-th page of the relation area.
     pub fn relation_cylinder(&self, page: usize) -> usize {
-        let cyl = self.middle_start + page / self.geometry.pages_per_cylinder;
+        let cyl = self.middle_start + page / PAGES_PER_CYLINDER;
         cyl.min(self.middle_end.saturating_sub(1).max(self.middle_start))
     }
 
@@ -66,8 +59,8 @@ impl DiskLayout {
     /// space) when the region is exhausted — temporary runs are deleted as
     /// soon as they have been merged, so reuse is safe in the simulation.
     pub fn allocate_temp(&mut self, pages: usize) -> usize {
-        let need_cyls = pages.div_ceil(self.geometry.pages_per_cylinder).max(1);
-        if self.next_temp_cylinder + need_cyls > self.geometry.cylinders {
+        let need_cyls = pages.div_ceil(PAGES_PER_CYLINDER).max(1);
+        if self.next_temp_cylinder + need_cyls > CYLINDERS {
             // Wrap around to the start of the inner region.
             self.next_temp_cylinder = self.inner_start;
         }
@@ -88,7 +81,7 @@ mod tests {
 
     #[test]
     fn relations_live_on_middle_cylinders() {
-        let mut layout = DiskLayout::new(DiskGeometry::default());
+        let mut layout = DiskLayout::new();
         let start = layout.allocate_relation(2560);
         assert_eq!(start, 0);
         let first = layout.relation_cylinder(start);
@@ -103,7 +96,7 @@ mod tests {
 
     #[test]
     fn temp_extents_live_outside_the_middle_and_wrap() {
-        let mut layout = DiskLayout::new(DiskGeometry::default());
+        let mut layout = DiskLayout::new();
         let e1 = layout.allocate_temp(90 * 3);
         assert!(e1 >= 1000, "the inner third");
         let e2 = layout.allocate_temp(10);
@@ -119,7 +112,7 @@ mod tests {
 
     #[test]
     fn reset_temp_reuses_space() {
-        let mut layout = DiskLayout::new(DiskGeometry::default());
+        let mut layout = DiskLayout::new();
         let a = layout.allocate_temp(90);
         layout.reset_temp();
         let b = layout.allocate_temp(90);

@@ -7,7 +7,7 @@
 //! what makes the alternating read-one-page / write-one-page pattern of
 //! classic replacement selection so expensive (paper §2.1, Table 5).
 
-use crate::geometry::DiskGeometry;
+use crate::geometry::{self, CYLINDERS};
 
 /// Whether an access reads or writes (writes to sequential positions get a
 /// small pipelining discount, standing in for the paper's asynchronous write
@@ -20,30 +20,24 @@ pub enum AccessKind {
     Write,
 }
 
-/// The simulated disk: geometry plus current head position.
-#[derive(Clone, Debug)]
+/// The simulated disk: its current head position, cylinder 0 at the start.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct DiskModel {
-    geometry: DiskGeometry,
     head: usize,
 }
 
 impl DiskModel {
-    /// Create a disk with its head parked on cylinder 0.
-    pub fn new(geometry: DiskGeometry) -> Self {
-        DiskModel { geometry, head: 0 }
-    }
-
     /// Service one request: move the head to `cylinder` and transfer `pages`
     /// consecutive pages. Returns the service time in seconds.
     pub fn access(&mut self, cylinder: usize, pages: usize, kind: AccessKind) -> f64 {
-        let cylinder = cylinder.min(self.geometry.cylinders.saturating_sub(1));
+        let cylinder = cylinder.min(CYLINDERS - 1);
         let distance = cylinder.abs_diff(self.head);
-        let mut time = self.geometry.access_time(distance, pages.max(1));
+        let mut time = geometry::access_time(distance, pages.max(1));
         // Sequential writes behind a write-ahead buffer overlap part of the
         // rotational latency (the paper issues asynchronous writes); model
         // this as a half-rotation discount for multi-page writes.
         if kind == AccessKind::Write && pages > 1 && distance == 0 {
-            time -= self.geometry.rotational_delay() * 0.5;
+            time -= geometry::rotational_delay() * 0.5;
         }
         self.head = cylinder;
         time
@@ -56,7 +50,7 @@ mod tests {
 
     #[test]
     fn access_moves_head_and_accumulates_time() {
-        let mut d = DiskModel::new(DiskGeometry::default());
+        let mut d = DiskModel::default();
         let t1 = d.access(700, 1, AccessKind::Read);
         assert!(t1 > 0.0);
         assert_eq!(d.head, 700);
@@ -66,15 +60,14 @@ mod tests {
 
     #[test]
     fn alternating_far_accesses_cost_more_than_sequential() {
-        let g = DiskGeometry::default();
-        let mut d = DiskModel::new(g);
+        let mut d = DiskModel::default();
         // Alternate between a relation cylinder (middle) and a temp cylinder
         // (inner), one page at a time — the repl1 pattern.
         let alternating: f64 = (0..50)
             .map(|_| d.access(750, 1, AccessKind::Read) + d.access(1400, 1, AccessKind::Write))
             .sum();
         // Sequential: read 50 pages then write 50 pages, in blocks of 10.
-        let mut d = DiskModel::new(g);
+        let mut d = DiskModel::default();
         let reads: f64 = (0..5)
             .map(|i| d.access(750 + i, 10, AccessKind::Read))
             .sum();
@@ -90,10 +83,9 @@ mod tests {
 
     #[test]
     fn avg_page_time_decreases_with_block_size() {
-        let g = DiskGeometry::default();
         let mut prev = f64::INFINITY;
         for block in [1usize, 2, 4, 6, 8, 12] {
-            let mut d = DiskModel::new(g);
+            let mut d = DiskModel::default();
             // Simulate the repl-N pattern: read `block` relation pages, write
             // `block` temp pages, repeatedly.
             let busy: f64 = (0..40)

@@ -3,6 +3,7 @@
 //! runs placed on temporary-file cylinders (inner region) per the paper's
 //! layout.
 
+use crate::geometry::PAGES_PER_CYLINDER;
 use crate::model::AccessKind;
 use crate::system::SharedSystem;
 use masort_core::{Page, RunId, RunStore, SortError, SortResult};
@@ -37,11 +38,14 @@ impl SimRunStore {
 
     /// Cylinder that holds page `idx` of `run`, allocating extents as needed.
     fn cylinder_for(&mut self, run: RunId, idx: usize) -> SortResult<usize> {
-        let ppc = self.system.borrow().layout.geometry().pages_per_cylinder;
-        let extent_idx = idx / ppc;
+        let extent_idx = idx / PAGES_PER_CYLINDER;
         let r = self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))?;
         while r.extents.len() <= extent_idx {
-            let extent = self.system.borrow_mut().layout.allocate_temp(ppc);
+            let extent = self
+                .system
+                .borrow_mut()
+                .layout
+                .allocate_temp(PAGES_PER_CYLINDER);
             r.extents.push(extent);
         }
         Ok(r.extents[extent_idx])

@@ -10,7 +10,7 @@
 
 use crate::config::SimConfig;
 use crate::cpu::cpu_seconds;
-use crate::geometry::DiskGeometry;
+use crate::geometry::CYLINDERS;
 use crate::layout::DiskLayout;
 use crate::model::{AccessKind, DiskModel};
 use crate::workload::MemoryWorkload;
@@ -73,8 +73,8 @@ impl SimSystem {
         let available = workload.pages_available_to_sort();
         SimSystem {
             clock: 0.0,
-            disk: DiskModel::new(DiskGeometry::default()),
-            layout: DiskLayout::new(DiskGeometry::default()),
+            disk: DiskModel::default(),
+            layout: DiskLayout::new(),
             workload,
             budget: MemoryBudget::new(available),
             metrics: SystemMetrics::default(),
@@ -141,7 +141,7 @@ impl SimSystem {
         if pages == 0 {
             return;
         }
-        let cylinder = self.layout.geometry().cylinders * 5 / 6; // middle of the inner region
+        let cylinder = CYLINDERS * 5 / 6; // middle of the inner region
         self.charge_disk(cylinder, pages, AccessKind::Read);
     }
 

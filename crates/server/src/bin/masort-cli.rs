@@ -3,8 +3,7 @@
 //! ```text
 //! masort-cli [sort] [--addr HOST:PORT] [--tenant NAME] [--priority N]
 //!            [--budget PAGES] [--min-pages N] [--max-pages N]
-//!            [--page-size BYTES] [--tuple-size BYTES]
-//!            [--spill] [--descending]
+//!            [--page-size BYTES] [--tuple-size BYTES] [--descending]
 //!            < input > output
 //! masort-cli shutdown [--addr HOST:PORT]
 //! masort-cli stats    [--addr HOST:PORT]
@@ -37,8 +36,7 @@ const INGEST_CHUNK: usize = 4096;
 fn usage() -> &'static str {
     "usage: masort-cli [sort] [--addr HOST:PORT] [--tenant NAME] [--priority N]\n\
      \u{20}                 [--budget PAGES] [--min-pages N] [--max-pages N]\n\
-     \u{20}                 [--page-size BYTES] [--tuple-size BYTES]\n\
-     \u{20}                 [--spill] [--descending]\n\
+     \u{20}                 [--page-size BYTES] [--tuple-size BYTES] [--descending]\n\
      \u{20}                 < input > output\n\
      \u{20}      masort-cli shutdown [--addr HOST:PORT]\n\
      \u{20}      masort-cli stats    [--addr HOST:PORT]\n\
@@ -124,7 +122,6 @@ fn run() -> Result<(), String> {
             "--max-pages" => spec.max_pages = parse_u64(&value("--max-pages", &mut iter)?)?,
             "--page-size" => spec.page_size = parse_u64(&value("--page-size", &mut iter)?)?,
             "--tuple-size" => spec.tuple_size = parse_u64(&value("--tuple-size", &mut iter)?)?,
-            "--spill" => spec.spill = true,
             "--descending" => spec.descending = true,
             "--prometheus" => prometheus = true,
             "--json" => raw_json = true,

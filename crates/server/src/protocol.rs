@@ -154,7 +154,8 @@ pub struct SubmitSpec {
     pub tuple_size: u64,
     /// Tuples the client intends to send (0 = unknown); a planning hint only.
     pub expected_tuples: u64,
-    /// Spill runs to a temporary directory instead of memory.
+    /// Ignored: every job's runs spill to a temporary directory. Kept, with
+    /// its `SUBMIT` byte, only because the benchmark harness still sets it.
     pub spill: bool,
     /// Sort descending instead of ascending.
     pub descending: bool,

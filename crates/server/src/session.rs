@@ -300,9 +300,6 @@ fn run_sort<W: Write>(
     if max_pages != 0 {
         request = request.max_pages(max_pages);
     }
-    if spec.spill {
-        request = request.spill_to_temp_dir();
-    }
     if let Some(name) = &tenant {
         request = request.tenant(name.clone());
     }

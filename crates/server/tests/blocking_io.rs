@@ -4,17 +4,21 @@
 //! not wait out anybody's poll interval.
 //!
 //! (This file is its own test binary so that the spill directories of its
-//! process are all its own.)
+//! process are all its own; every job spills, so every test takes `DISK` in
+//! turn.)
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use masort_core::{SortConfig, Tuple};
 use masort_server::codec::{read_frame, write_frame};
 use masort_server::{Frame, Server, ServerHandle, SortClient, SubmitSpec};
+
+static DISK: Mutex<()> = Mutex::new(());
 
 fn small_server() -> ServerHandle {
     Server::builder()
@@ -55,7 +59,7 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 }
 
 /// Park three sessions on a fresh server — one that never said HELLO, a
-/// monitoring connection between polls, a spilling sort mid-ingest — then
+/// monitoring connection between polls, a sort mid-ingest — then
 /// `join()` it. Returns how long the join took.
 fn join_with_three_sessions_waiting() -> Duration {
     let handle = small_server();
@@ -75,12 +79,11 @@ fn join_with_three_sessions_waiting() -> Duration {
         Some(Frame::MetricsData { .. })
     ));
 
-    // A spilling sort parked mid-ingest: runs on disk, more input expected.
+    // A sort parked mid-ingest: runs on disk, more input expected.
     let mut ingesting = SortClient::connect(addr, None).expect("connect");
     ingesting
         .submit(SubmitSpec {
             memory_pages: 8,
-            spill: true,
             ..SubmitSpec::default()
         })
         .expect("submit");
@@ -107,6 +110,7 @@ fn join_with_three_sessions_waiting() -> Duration {
 
 #[test]
 fn join_wakes_every_waiting_session_at_once() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     // A wake-up costs well under a millisecond; a poll interval would cost
     // tens. Best of three, so a descheduled test thread is not a failure.
     let best = (0..3)
@@ -120,6 +124,7 @@ fn join_wakes_every_waiting_session_at_once() {
 
 #[test]
 fn a_connection_is_welcomed_as_soon_as_it_arrives() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let handle = small_server();
     let addr = handle.addr();
     let mut handshakes: Vec<Duration> = (0..50)

@@ -8,8 +8,8 @@
 //! larger than loop-back's socket buffers, so the session really does block
 //! in `write` with the rest of the result still in the merge. Every wait is
 //! on a state the server reports. (This file is its own test binary so that
-//! the spill directories of its process are all its own; the tests that
-//! spill take `DISK` in turn.)
+//! the spill directories of its process are all its own; every job spills,
+//! so every test takes `DISK` in turn.)
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -62,11 +62,10 @@ fn heavy_tuples(seed: u64, n: usize) -> Vec<Tuple> {
 const BIG: usize = 80_000;
 
 /// Submit and ingest; the result is the caller's to read (or not).
-fn start_sort(addr: SocketAddr, input: &[Tuple], spill: bool) -> (u64, Completed) {
+fn start_sort(addr: SocketAddr, input: &[Tuple]) -> (u64, Completed) {
     let mut client = SortClient::connect(addr, None).expect("connect");
     let job = client
         .submit(SubmitSpec {
-            spill,
             expected_tuples: input.len() as u64,
             ..SubmitSpec::default()
         })
@@ -90,8 +89,6 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Spill directories this process's sorts currently own (see
-/// `FileStore::in_temp_dir`).
 /// Service-wide counter or gauge `name` in a `METRICS_DATA` document; 0 until
 /// first counted.
 fn metric(json: &str, name: &str) -> i64 {
@@ -106,6 +103,8 @@ fn metric(json: &str, name: &str) -> i64 {
     }
 }
 
+/// Spill directories this process's sorts currently own (see
+/// `FileStore::in_temp_dir`).
 fn spill_dirs() -> Vec<PathBuf> {
     let prefix = format!("masort-{}-", std::process::id());
     std::fs::read_dir(std::env::temp_dir())
@@ -121,10 +120,11 @@ fn spill_dirs() -> Vec<PathBuf> {
 
 #[test]
 fn a_client_that_stops_reading_holds_up_nobody_and_still_gets_its_result() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let handle = one_worker_server();
     let addr = handle.addr();
     let big = heavy_tuples(1, BIG);
-    let (job, mut stalled) = start_sort(addr, &big, false);
+    let (job, mut stalled) = start_sort(addr, &big);
     let mut got = vec![stalled.next().expect("a first tuple").expect("tuple")];
     // ... and the client reads no further. The session fills the socket and
     // blocks in `write`, with the rest of the result still in the merge.
@@ -133,7 +133,7 @@ fn a_client_that_stops_reading_holds_up_nobody_and_still_gets_its_result() {
     // by memory. It must run without the first one ever reading again, and
     // without the first result being written to make way.
     let small = heavy_tuples(2, 4_000);
-    let (_, completed) = start_sort(addr, &small, false);
+    let (_, completed) = start_sort(addr, &small);
     let (result, summary) = completed.into_sorted_vec().expect("second client");
     assert_eq!(result, sorted(small));
     assert!(summary.queued_for < 4.0, "queued {} s", summary.queued_for);
@@ -161,7 +161,7 @@ fn a_client_that_vanishes_mid_egress_leaves_no_trace() {
     let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let handle = one_worker_server();
     let addr = handle.addr();
-    let (_, mut completed) = start_sort(addr, &heavy_tuples(3, BIG), true);
+    let (_, mut completed) = start_sort(addr, &heavy_tuples(3, BIG));
     completed.next().expect("a first tuple").expect("tuple");
     drop(completed); // connection closed with most of the result unsent
 
@@ -185,7 +185,7 @@ fn a_shutdown_mid_egress_still_delivers_the_result() {
     let handle = one_worker_server();
     let addr = handle.addr();
     let big = heavy_tuples(4, BIG);
-    let (_, mut completed) = start_sort(addr, &big, true);
+    let (_, mut completed) = start_sort(addr, &big);
     let mut got = vec![completed.next().expect("a first tuple").expect("tuple")];
 
     let at_shutdown = shutdown_server(addr).expect("SHUTDOWN");
@@ -204,6 +204,7 @@ fn a_shutdown_mid_egress_still_delivers_the_result() {
 
 #[test]
 fn payloads_far_larger_than_declared_are_split_to_fit_the_frame_cap() {
+    let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     // The geometry says 128-byte tuples, 64 to a page; the payloads are
     // 300 KiB, so one page of the result is ~19 MiB on the wire, over the
     // 16 MiB frame cap.

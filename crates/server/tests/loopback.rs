@@ -181,7 +181,6 @@ fn a_client_that_vanishes_mid_ingest_leaves_no_trace() {
         client
             .submit(SubmitSpec {
                 memory_pages: 8,
-                spill: true, // exercise on-disk run cleanup too
                 ..SubmitSpec::default()
             })
             .expect("submit");

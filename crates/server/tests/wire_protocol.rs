@@ -483,10 +483,7 @@ fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
             tenant: None,
         };
         assert!(matches!(exchange(&hello), Some(Frame::Welcome { .. })));
-        let submit = Frame::Submit(SubmitSpec {
-            spill: true,
-            ..SubmitSpec::default()
-        });
+        let submit = Frame::Submit(SubmitSpec::default());
         assert!(matches!(exchange(&submit), Some(Frame::Accepted { .. })));
         // Enough good records to fill pages and spill a run first.
         let good: Vec<Tuple> = (0..500u64)
