@@ -34,7 +34,7 @@ pub fn job_span(job: JobId) -> SpanId {
 
 /// One sort submission: input + configuration + how the broker should treat
 /// it (priority, guaranteed minimum, useful maximum). Its runs always spill,
-/// to a fresh temporary directory created when the job is admitted.
+/// to a fresh unnamed temporary file opened when the job is admitted.
 pub struct SortRequest {
     cfg: SortConfig,
     input: Box<dyn InputSource + Send>,

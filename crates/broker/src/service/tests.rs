@@ -200,7 +200,7 @@ fn panicking_job_fails_its_ticket_and_releases_its_pages() {
 #[test]
 fn concurrent_spilled_sorts_round_trip_on_two_workers() {
     // Four spilling jobs, two workers, a pool of three grants: two run
-    // side by side on their own temporary directories while two queue.
+    // side by side, each in its own unnamed run file, while two queue.
     let svc = SortService::builder().pool_pages(24).workers(2).build();
     let inputs: Vec<Vec<Tuple>> = (0..4).map(|i| random_tuples(2_000, 90 + i)).collect();
     let tickets: Vec<SortTicket> = inputs

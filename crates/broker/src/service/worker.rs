@@ -88,7 +88,7 @@ fn admit(shared: &Shared, state: &mut State, req: &QueuedRequest) -> Books {
     }
 }
 
-/// Form the job's runs in a fresh temporary directory and run the
+/// Form the job's runs in a fresh unnamed temporary file and run the
 /// preliminary merge steps on this worker, stopping with the root parked.
 fn sort_to_root(
     shared: &Shared,

@@ -15,8 +15,8 @@
 //!
 //! Nothing here sleeps to make something happen: a stalled consumer is one
 //! that does not pull, and every wait is on a state the service reports.
-//! (This file is its own test binary so that the spill directories of its
-//! process are all its own; every job spills, so every test takes `DISK` in
+//! (This file is its own test binary so that the run files its process holds
+//! open are all its own; every job spills, so every test takes `DISK` in
 //! turn.)
 
 use masort_broker::prelude::*;
@@ -31,8 +31,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Held by every test that runs a service, so "no spill directory is left"
-/// is a statement about that test's own jobs.
+/// Held by every test that runs a service, so "no run file is left open" is
+/// a statement about that test's own jobs.
 static DISK: Mutex<()> = Mutex::new(());
 
 /// Never reached by a test that passes.
@@ -98,17 +98,21 @@ fn count(report: &JobReport, pick: impl Fn(&EventKind) -> bool) -> usize {
         .count()
 }
 
-/// Spill directories this process's sorts currently own (see
-/// `FileStore::in_temp_dir`).
-fn spill_dirs() -> Vec<PathBuf> {
-    let prefix = format!("masort-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .expect("list the temp dir")
+/// The run files this process's stores hold open (see `FileStore::new`):
+/// the `/proc/self/fd` links to unlinked `masort-{pid}-*` files in the temp
+/// directory.
+fn run_files() -> Vec<PathBuf> {
+    let dir = std::fs::canonicalize(std::env::temp_dir()).expect("the temp dir");
+    let prefix = dir.join(format!("masort-{}-", std::process::id()));
+    let prefix = prefix.to_string_lossy();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list the open descriptors")
         .filter_map(|entry| Some(entry.ok()?.path()))
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with(&prefix))
+        .filter(|fd| {
+            std::fs::read_link(fd).is_ok_and(|target| {
+                let target = target.to_string_lossy();
+                target.starts_with(&*prefix) && target.ends_with(" (deleted)")
+            })
         })
         .collect()
 }
@@ -199,7 +203,7 @@ fn i1_a_consumer_that_keeps_up_gets_the_result_off_the_merge_for_every_algorithm
 
         let stats = svc.shutdown();
         assert_eq!((stats.completed, stats.leaked_pages), (1, 0), "{case}");
-        assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "{case}");
+        assert_eq!(run_files(), Vec::<PathBuf>::new(), "{case}");
         cases += 1;
     }
     assert_eq!(cases, 18);
@@ -377,7 +381,7 @@ impl Stalled {
 }
 
 #[test]
-fn a_default_request_at_its_root_keeps_its_runs_in_a_directory_of_its_own() {
+fn a_default_request_at_its_root_keeps_its_runs_in_one_unnamed_file() {
     let _disk = DISK.lock().unwrap_or_else(|e| e.into_inner());
     let svc = SortService::builder().pool_pages(16).workers(1).build();
     let input = random_tuples(3_000, 7);
@@ -386,13 +390,13 @@ fn a_default_request_at_its_root_keeps_its_runs_in_a_directory_of_its_own() {
         .unwrap()
         .wait()
         .unwrap();
-    // Parked at its root, the job's runs are files in one fresh directory.
-    let dirs = spill_dirs();
-    assert_eq!(dirs.len(), 1, "{dirs:?}");
-    let files = std::fs::read_dir(&dirs[0]).unwrap().count();
-    assert!(files > 1, "{files} run files in {:?}", dirs[0]);
+    // Parked at its root, the job's runs share one file that has no name.
+    let files = run_files();
+    assert_eq!(files.len(), 1, "{files:?}");
+    let len = std::fs::metadata(&files[0]).unwrap().len();
+    assert!(len > 0, "the job's runs hold no bytes");
     drop(output);
-    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    assert_eq!(run_files(), Vec::<PathBuf>::new(), "run files remain open");
     assert_eq!(svc.shutdown().leaked_pages, 0);
 }
 
@@ -415,7 +419,7 @@ fn every_way_out_of_an_output_leaves_nothing_behind() {
             let s = svc.stats();
             svc.live_jobs() == 0 && s.completed + s.cancelled == jobs
         });
-        assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "after {jobs} jobs");
+        assert_eq!(run_files(), Vec::<PathBuf>::new(), "after {jobs} jobs");
         assert_eq!(svc.stats().leaked_pages, 0);
     };
 

@@ -553,10 +553,7 @@ mod tests {
         for trial in 0..20 {
             let n = rng.gen_range(1..400usize);
             let per_page = rng.gen_range(1..32usize);
-            let dir = std::env::temp_dir()
-                .join(format!("masort-revcursor-{}-{trial}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
-            let mut store = crate::store::FileStore::new(&dir).unwrap();
+            let mut store = crate::store::FileStore::in_temp_dir().unwrap();
             let run = store.create_run().unwrap();
             for p in reversed_pages(n, per_page) {
                 store.append_page(run, p).unwrap();
@@ -575,8 +572,6 @@ mod tests {
                 (0..n as u64).collect::<Vec<u64>>(),
                 "trial {trial}: n={n} per_page={per_page}"
             );
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

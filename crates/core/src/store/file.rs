@@ -1,4 +1,4 @@
-//! [`FileStore`]: each run spilled into its own temporary file.
+//! [`FileStore`]: every run of a store in byte ranges of one unnamed file.
 
 use super::{RunId, RunStore};
 use crate::error::{SortError, SortResult};
@@ -58,92 +58,93 @@ fn write_pages(file: &mut File, offset: u64, pages: &[Page]) -> std::io::Result<
     Ok(())
 }
 
+/// A store file's name, where it could not be unlinked while open: removed
+/// once the file is closed (this field drops after the file).
 #[derive(Debug)]
+struct Leftover(Option<PathBuf>);
+
+impl Drop for Leftover {
+    fn drop(&mut self) {
+        if let Some(path) = self.0.take() {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+#[derive(Debug, Default)]
 struct FileRun {
-    file: File,
     /// (offset, encoded length) of each page.
     index: Vec<(u64, u32)>,
     tuples: usize,
-    write_pos: u64,
-    path: PathBuf,
 }
 
-/// A [`RunStore`] that spills each run into its own temporary file under a
-/// caller-supplied directory.
+/// A [`RunStore`] that keeps every run in byte ranges of one temporary file.
 ///
-/// Files are deleted when the run is deleted or when the store is dropped.
-/// Every file operation propagates its `io::Error`; a run file that no longer
-/// decodes (truncated, overwritten) surfaces [`SortError::CorruptRun`].
+/// The file is created in a caller-supplied directory and unlinked straight
+/// after it is opened, so it has no name on disk: its space goes back to the
+/// file system when the store drops, however the process ends. A deleted
+/// run's ranges go on a free list that later appends reuse (first fit), so
+/// the file stays near the largest set of runs live at once. Every file
+/// operation propagates its `io::Error`; a page that no longer decodes
+/// (truncated, overwritten) surfaces [`SortError::CorruptRun`].
 #[derive(Debug)]
 pub struct FileStore {
-    dir: PathBuf,
+    file: File,
     runs: HashMap<RunId, FileRun>,
     next: RunId,
-    own_dir: bool,
-    /// Run files whose deletion failed; retried on later store operations and
-    /// on drop so a transient unlink failure cannot orphan a file for good.
-    trash: Vec<PathBuf>,
+    /// Freed `[start, stop)` byte ranges, sorted and never adjacent.
+    free: Vec<(u64, u64)>,
+    /// Where the allocated part of the file ends.
+    end: u64,
     /// Observability handle; disabled by default.
     trace: masort_trace::Trace,
+    _name: Leftover,
     #[cfg(test)]
     pub(super) fail_next_append: bool,
-    #[cfg(test)]
-    pub(super) fail_next_delete: bool,
 }
 
 impl FileStore {
-    /// Create a store that places run files inside `dir` (which must exist).
+    /// Create a store whose file lives in `dir` (which must exist), opened
+    /// under the fresh name `masort-{pid}-{n}.runs` (`n` a process-wide
+    /// counter; a name that is taken moves on to the next `n`) and unlinked
+    /// at once.
     pub fn new<P: AsRef<Path>>(dir: P) -> std::io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        if !dir.is_dir() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("run directory {} does not exist", dir.display()),
-            ));
-        }
-        Ok(FileStore {
-            dir,
-            runs: HashMap::new(),
-            next: 0,
-            own_dir: false,
-            trash: Vec::new(),
-            trace: masort_trace::Trace::disabled(),
-            #[cfg(test)]
-            fail_next_append: false,
-            #[cfg(test)]
-            fail_next_delete: false,
-        })
-    }
-
-    /// Create a store in a fresh private directory under the system temp dir,
-    /// named `masort-{pid}-{nanos}-{n}` with `n` a process-wide counter. The
-    /// directory is made with `create_dir`, so it is new: a name that is
-    /// taken is skipped for the next `n`, and no two stores share a directory.
-    pub fn in_temp_dir() -> std::io::Result<Self> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        loop {
+        let (file, path) = loop {
             let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            let name = format!("masort-{}-{nanos:x}-{n}", std::process::id());
-            let dir = std::env::temp_dir().join(name);
-            match std::fs::create_dir(&dir) {
-                Ok(()) => {
-                    let mut s = FileStore::new(&dir)?;
-                    s.own_dir = true;
-                    return Ok(s);
-                }
+            let path = dir
+                .as_ref()
+                .join(format!("masort-{}-{n}.runs", std::process::id()));
+            match OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(&path)
+            {
+                Ok(file) => break (file, path),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
                 Err(e) => return Err(e),
             }
-        }
+        };
+        // A platform that cannot unlink an open file keeps the name until
+        // the store drops.
+        let name = std::fs::remove_file(&path).err().map(|_| path);
+        Ok(FileStore {
+            file,
+            runs: HashMap::new(),
+            next: 0,
+            free: Vec::new(),
+            end: 0,
+            trace: masort_trace::Trace::disabled(),
+            _name: Leftover(name),
+            #[cfg(test)]
+            fail_next_append: false,
+        })
     }
 
-    /// Directory holding the run files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// [`new`](Self::new) in the system's temporary directory.
+    pub fn in_temp_dir() -> std::io::Result<Self> {
+        Self::new(std::env::temp_dir())
     }
 
     /// Always 0: every append is written before it returns, so no write is
@@ -153,39 +154,91 @@ impl FileStore {
         0.0
     }
 
-    /// Retry deleting any run files whose earlier removal failed.
-    fn sweep_trash(&mut self) {
-        self.trash.retain(|path| match std::fs::remove_file(path) {
-            Ok(()) => false,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-            Err(_) => true,
-        });
+    /// The store's file, for tests that damage its bytes.
+    #[cfg(test)]
+    pub(super) fn file(&self) -> &File {
+        &self.file
     }
 
-    /// The append path: one seek and one gathered write for `pages`, however
-    /// many there are. On error the file is truncated back to where the
-    /// write began (truncate-on-error), so no partially written page
-    /// survives and the run stays usable.
-    fn append_pages(&mut self, run: RunId, pages: Vec<Page>) -> SortResult<()> {
+    /// Take `len` bytes from the first free range they fit in, or from the
+    /// end of the file.
+    fn allocate(&mut self, len: u64) -> u64 {
+        let Some(i) = self.free.iter().position(|&(a, b)| b - a >= len) else {
+            self.end += len;
+            return self.end - len;
+        };
+        self.free[i].0 += len;
+        let (start, stop) = self.free[i];
+        if start == stop {
+            self.free.remove(i);
+        }
+        start - len
+    }
+
+    /// Give back `len` bytes at `start`, merged with the free ranges they
+    /// touch; a range that reaches the end moves the end back instead.
+    fn release(&mut self, mut start: u64, len: u64) {
+        let mut stop = start + len;
+        let mut i = self.free.partition_point(|r| r.0 < start);
+        if self.free.get(i).is_some_and(|r| r.0 == stop) {
+            stop = self.free.remove(i).1;
+        }
+        if i > 0 && self.free[i - 1].1 == start {
+            i -= 1;
+            start = self.free.remove(i).0;
+        }
+        if stop == self.end {
+            self.end = start;
+        } else {
+            self.free.insert(i, (start, stop));
+        }
+    }
+}
+
+impl RunStore for FileStore {
+    fn create_run(&mut self) -> SortResult<RunId> {
+        let id = self.next;
+        self.next += 1;
+        self.runs.insert(id, FileRun::default());
+        self.trace.emit(EventKind::RunCreate { run: id.into() });
+        Ok(id)
+    }
+
+    fn append_page(&mut self, run: RunId, page: Page) -> SortResult<()> {
+        self.append_block(run, vec![page])
+    }
+
+    /// One seek and one gathered write for `pages`, however many there are,
+    /// into a range allocated for them. On error the range goes back to the
+    /// free list and the run's index is untouched, so no partially written
+    /// page is ever read.
+    fn append_block(&mut self, run: RunId, pages: Vec<Page>) -> SortResult<()> {
+        if pages.is_empty() {
+            return Ok(());
+        }
+        if !self.runs.contains_key(&run) {
+            return Err(SortError::UnknownRun(run));
+        }
+        let len: u64 = pages.iter().map(|p| p.wire_bytes().len() as u64).sum();
+        let start = self.allocate(len);
         #[cfg(test)]
-        let injected_failure = std::mem::take(&mut self.fail_next_append);
-        #[cfg(not(test))]
-        let injected_failure = false;
-        let r = self.runs.get_mut(&run).ok_or(SortError::UnknownRun(run))?;
-        let start_offset = r.write_pos;
-        let result = if injected_failure {
+        let result = if std::mem::take(&mut self.fail_next_append) {
             Err(std::io::Error::other("injected write failure"))
         } else {
-            write_pages(&mut r.file, start_offset, &pages)
+            write_pages(&mut self.file, start, &pages)
         };
+        #[cfg(not(test))]
+        let result = write_pages(&mut self.file, start, &pages);
         if let Err(e) = result {
-            let _ = r.file.set_len(start_offset);
+            self.release(start, len);
             return Err(e.into());
         }
+        let r = self.runs.entry(run).or_default();
+        let mut offset = start;
         for p in &pages {
             let len = p.wire_bytes().len();
-            r.index.push((r.write_pos, len as u32));
-            r.write_pos += len as u64;
+            r.index.push((offset, len as u32));
+            offset += len as u64;
             r.tuples += p.len();
         }
         self.trace.emit(EventKind::IoWrite {
@@ -193,57 +246,6 @@ impl FileStore {
             pages: pages.len(),
         });
         Ok(())
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        let ids: Vec<RunId> = self.runs.keys().copied().collect();
-        for id in ids {
-            let _ = self.delete_run(id);
-        }
-        self.sweep_trash();
-        if self.own_dir {
-            let _ = std::fs::remove_dir(&self.dir);
-        }
-    }
-}
-
-impl RunStore for FileStore {
-    fn create_run(&mut self) -> SortResult<RunId> {
-        self.sweep_trash();
-        let id = self.next;
-        let path = self.dir.join(format!("run-{id}.bin"));
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        self.next += 1;
-        self.runs.insert(
-            id,
-            FileRun {
-                file,
-                index: Vec::new(),
-                tuples: 0,
-                write_pos: 0,
-                path,
-            },
-        );
-        self.trace.emit(EventKind::RunCreate { run: id.into() });
-        Ok(id)
-    }
-
-    fn append_page(&mut self, run: RunId, page: Page) -> SortResult<()> {
-        self.append_pages(run, vec![page])
-    }
-
-    fn append_block(&mut self, run: RunId, pages: Vec<Page>) -> SortResult<()> {
-        if pages.is_empty() {
-            return Ok(());
-        }
-        self.append_pages(run, pages)
     }
 
     fn read_page(&mut self, run: RunId, idx: usize) -> SortResult<Page> {
@@ -254,7 +256,7 @@ impl RunStore for FileStore {
                 format!("page {idx} out of range ({} page(s))", r.index.len()),
             )
         })?;
-        let page = read_page_at(&r.file, run, idx, offset, len as usize)?;
+        let page = read_page_at(&self.file, run, idx, offset, len as usize)?;
         self.trace.emit(EventKind::IoRead {
             run: run.into(),
             pages: 1,
@@ -270,28 +272,12 @@ impl RunStore for FileStore {
         self.runs.get(&run).map_or(0, |r| r.tuples)
     }
 
+    /// Returns the run's pages to the free list; no file operation, so it
+    /// cannot fail.
     fn delete_run(&mut self, run: RunId) -> SortResult<()> {
-        self.sweep_trash();
         if let Some(r) = self.runs.remove(&run) {
-            drop(r.file);
-            #[cfg(test)]
-            let result = if std::mem::take(&mut self.fail_next_delete) {
-                Err(std::io::Error::other("injected delete failure"))
-            } else {
-                std::fs::remove_file(&r.path)
-            };
-            #[cfg(not(test))]
-            let result = std::fs::remove_file(&r.path);
-            match result {
-                // Deletes must stay idempotent: a file already removed behind
-                // our back must not abort an otherwise-successful sort.
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    // Remember the file so a later operation (or drop) can
-                    // retry instead of orphaning it.
-                    self.trash.push(r.path);
-                    return Err(e.into());
-                }
-                _ => {}
+            for (offset, len) in r.index {
+                self.release(offset, u64::from(len));
             }
             self.trace.emit(EventKind::RunDelete { run: run.into() });
         }

@@ -5,14 +5,15 @@
 //!
 //! * [`MemStore`] — runs held in memory; the default for tests, examples and
 //!   small inputs.
-//! * [`FileStore`] — runs spilled to temporary files on disk, for genuinely
-//!   external sorts.
+//! * [`FileStore`] — runs spilled to disk, for genuinely external sorts: in
+//!   byte ranges of one unnamed temporary file per store, reused as runs are
+//!   deleted (as the paper allocates every run from one temporary area).
 //! * `SimRunStore` (in `masort-dbsim`) — runs that only exist as page counts
 //!   plus key streams, with every access charged against the simulated disk
 //!   model of the paper.
 //!
 //! Every data-moving operation returns `Result<_, SortError>`: [`FileStore`]
-//! propagates real `io::Error`s, and decoding a damaged run file surfaces
+//! propagates real `io::Error`s, and decoding a damaged page surfaces
 //! [`SortError::CorruptRun`](crate::error::SortError::CorruptRun) instead of
 //! panicking.
 

@@ -3,7 +3,6 @@
 use super::*;
 use crate::error::SortError;
 use crate::tuple::{paginate, Tuple};
-use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
 
 fn sample_pages() -> Vec<Page> {
@@ -103,44 +102,77 @@ fn filestore_roundtrip_synthetic_and_bytes() {
     assert_eq!(back2.tuples()[0].key, 99);
 }
 
+/// One page holding one synthetic tuple keyed `k`.
+fn one(k: u64) -> Page {
+    Page::from_tuples(vec![Tuple::synthetic(k, 16)])
+}
+
+fn file_len(s: &FileStore) -> u64 {
+    s.file().metadata().unwrap().len()
+}
+
+/// A deleted run's bytes are taken by the next append that fits: the same
+/// bytes appended again do not grow the file, and deletes are idempotent.
 #[test]
-fn filestore_delete_removes_file() {
+fn a_deleted_runs_space_is_reused() {
     let mut s = FileStore::in_temp_dir().unwrap();
-    let r = s.create_run().unwrap();
-    s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(1, 16)]))
-        .unwrap();
-    let path = s.dir().join(format!("run-{r}.bin"));
-    assert!(path.exists());
+    let (keep, r) = (s.create_run().unwrap(), s.create_run().unwrap());
+    s.append_page(keep, one(0)).unwrap();
+    s.append_block(r, sample_pages()).unwrap();
+    let len = file_len(&s);
     s.delete_run(r).unwrap();
-    assert!(!path.exists());
+    s.delete_run(r).unwrap();
+    assert!(matches!(s.read_page(r, 0), Err(SortError::UnknownRun(_))));
+    let again = s.create_run().unwrap();
+    s.append_block(again, sample_pages()).unwrap();
+    assert_eq!(file_len(&s), len, "the file grew");
+    assert_eq!(s.read_page(again, 2).unwrap().tuples()[0].key, 8);
+    assert_eq!(s.read_page(keep, 0).unwrap().tuples()[0].key, 0);
 }
 
 #[test]
 fn filestore_missing_dir_errors() {
-    assert!(FileStore::new("/definitely/not/a/real/dir/xyz").is_err());
+    let err = FileStore::new("/definitely/not/a/real/dir/xyz").unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
 }
 
+/// The store's file has no name from the moment the store exists, so
+/// nothing is left to clean up however the process ends, and removing its
+/// directory does not disturb the store.
 #[test]
-fn filestores_made_at_once_get_distinct_directories() {
-    const THREADS: usize = 8;
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
+fn a_store_leaves_no_name_in_its_directory() {
+    let dir = std::env::temp_dir().join(format!("masort-unnamed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut s = FileStore::new(&dir).unwrap();
+    let r = s.create_run().unwrap();
+    s.append_block(r, sample_pages()).unwrap();
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir(&dir).unwrap();
+    s.append_page(r, one(5)).unwrap();
+    assert_eq!(s.read_page(r, 3).unwrap().tuples()[0].key, 5);
+}
+
+/// Stores made at once write their first page at offset 0 of their own
+/// files: had two shared one, one would read the other's key.
+#[test]
+fn filestores_made_at_once_get_distinct_files() {
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
+    let handles: Vec<_> = (0..8)
+        .map(|k| {
             let barrier = std::sync::Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                FileStore::in_temp_dir().unwrap()
+                let mut s = FileStore::in_temp_dir().unwrap();
+                let r = s.create_run().unwrap();
+                s.append_page(r, one(k)).unwrap();
+                (s, r, k)
             })
         })
         .collect();
-    let stores: Vec<FileStore> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let dirs: std::collections::HashSet<_> = stores.iter().map(|s| s.dir().to_path_buf()).collect();
-    assert_eq!(dirs.len(), THREADS, "two stores share a directory");
-    drop(stores);
-    assert!(
-        dirs.iter().all(|dir| !dir.exists()),
-        "a directory outlived its store"
-    );
+    for handle in handles {
+        let (mut s, r, k) = handle.join().unwrap();
+        assert_eq!(s.read_page(r, 0).unwrap().tuples()[0].key, k);
+    }
 }
 
 #[test]
@@ -165,9 +197,7 @@ fn truncated_page_yields_corrupt_run() {
     let tuples: Vec<Tuple> = (0..8).map(|k| Tuple::new(k, vec![7u8; 40])).collect();
     s.append_page(r, Page::from_tuples(tuples)).unwrap();
     // Truncate the file mid-page behind the store's back.
-    let path = s.dir().join(format!("run-{r}.bin"));
-    let f = OpenOptions::new().write(true).open(&path).unwrap();
-    f.set_len(20).unwrap();
+    s.file().set_len(20).unwrap();
     match s.read_page(r, 0) {
         Err(SortError::CorruptRun { run, detail }) => {
             assert_eq!(run, r);
@@ -184,28 +214,13 @@ fn garbage_bytes_yield_corrupt_run_not_panic() {
     s.append_page(r, Page::from_tuples(vec![Tuple::new(1, vec![0u8; 64])]))
         .unwrap();
     // Overwrite the page with garbage of the same length.
-    let path = s.dir().join(format!("run-{r}.bin"));
-    let mut f = OpenOptions::new().write(true).open(&path).unwrap();
+    let mut f = s.file();
+    f.seek(SeekFrom::Start(0)).unwrap();
     f.write_all(&[0xFFu8; 77]).unwrap();
-    f.sync_all().unwrap();
     assert!(matches!(
         s.read_page(r, 0),
         Err(SortError::CorruptRun { .. })
     ));
-}
-
-#[test]
-fn delete_run_tolerates_already_removed_file() {
-    // Cleanup must stay idempotent: a run file removed behind the store's
-    // back (tmp cleaner, crash recovery) must not abort the sort when the
-    // merge deletes the consumed run.
-    let mut s = FileStore::in_temp_dir().unwrap();
-    let r = s.create_run().unwrap();
-    s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(1, 16)]))
-        .unwrap();
-    let path = s.dir().join(format!("run-{r}.bin"));
-    std::fs::remove_file(&path).unwrap();
-    assert!(s.delete_run(r).is_ok());
 }
 
 /// A page in the tuple-at-a-time encoding this crate used to write, and
@@ -231,12 +246,10 @@ fn old_format_and_garbage_pages_are_corrupt_run_on_every_read_path() {
     let fill = len - classic.len() - 4;
     classic.extend_from_slice(&(fill as u32).to_le_bytes());
     classic.resize(len, 7);
-    let path = s.dir().join(format!("run-{r}.bin"));
     for bad in [classic, vec![0xFFu8; len]] {
-        let mut f = OpenOptions::new().write(true).open(&path).unwrap();
+        let mut f = s.file();
         f.seek(SeekFrom::Start(len as u64)).unwrap();
         f.write_all(&bad).unwrap();
-        f.sync_all().unwrap();
         match s.read_page(r, 1) {
             Err(SortError::CorruptRun { run, detail }) => {
                 assert_eq!(run, r);
@@ -248,77 +261,29 @@ fn old_format_and_garbage_pages_are_corrupt_run_on_every_read_path() {
     }
 }
 
+/// A failed append changes nothing that can be read: the run keeps its
+/// index, every other run reads back the same pages (the shared file is
+/// never cut back), and the range the write was given — here a deleted
+/// run's — goes back to the free list, where the next append finds it.
 #[test]
 fn failed_sync_append_rolls_back_cleanly() {
     let mut s = FileStore::in_temp_dir().unwrap();
-    let r = s.create_run().unwrap();
-    s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(1, 16)]))
-        .unwrap();
-    let len_before = std::fs::metadata(s.dir().join(format!("run-{r}.bin")))
-        .unwrap()
-        .len();
-
-    s.fail_next_append = true;
-    let err = s.append_block(r, sample_pages()).unwrap_err();
-    assert!(matches!(err, SortError::Io(_)), "{err:?}");
-
-    // No half-written page: index, tuple count and file length unchanged.
-    assert_eq!(s.run_pages(r), 1);
-    assert_eq!(s.run_tuples(r), 1);
-    let len_after = std::fs::metadata(s.dir().join(format!("run-{r}.bin")))
-        .unwrap()
-        .len();
-    assert_eq!(len_before, len_after);
-    // The run stays usable: the next append lands and reads back fine.
-    s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(2, 16)]))
-        .unwrap();
-    assert_eq!(s.read_page(r, 1).unwrap().tuples()[0].key, 2);
-    assert_eq!(s.read_page(r, 0).unwrap().tuples()[0].key, 1);
-}
-
-#[test]
-fn failed_delete_is_retried_not_orphaned() {
-    let mut s = FileStore::in_temp_dir().unwrap();
-    let r = s.create_run().unwrap();
-    s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(3, 16)]))
-        .unwrap();
-    let path = s.dir().join(format!("run-{r}.bin"));
-
-    s.fail_next_delete = true;
-    assert!(s.delete_run(r).is_err());
-    // The run is gone from the store but its file survived the failed
-    // unlink; the store remembers it...
-    assert_eq!(s.run_pages(r), 0);
-    assert!(path.exists());
-    // ...and the next store operation retries the removal.
-    let _ = s.create_run().unwrap();
-    assert!(!path.exists(), "trash sweep must reclaim the orphan");
-}
-
-#[test]
-fn drop_reclaims_trashed_files() {
-    let dir = std::env::temp_dir().join(format!(
-        "masort-trash-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(1)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path;
-    {
-        let mut s = FileStore::new(&dir).unwrap();
-        let r = s.create_run().unwrap();
-        s.append_page(r, Page::from_tuples(vec![Tuple::synthetic(3, 16)]))
-            .unwrap();
-        path = s.dir().join(format!("run-{r}.bin"));
-        s.fail_next_delete = true;
-        assert!(s.delete_run(r).is_err());
-        assert!(path.exists());
+    let runs: Vec<RunId> = (0..3).map(|_| s.create_run().unwrap()).collect();
+    for &r in &runs {
+        s.append_page(r, one(r.into())).unwrap();
     }
-    assert!(!path.exists(), "drop must sweep the trash");
-    std::fs::remove_dir_all(&dir).unwrap();
+    s.delete_run(runs[1]).unwrap();
+    let (a, c) = (runs[0], runs[2]);
+    let len = file_len(&s);
+    s.fail_next_append = true;
+    let err = s.append_page(a, one(7)).unwrap_err();
+    assert!(matches!(err, SortError::Io(_)), "{err:?}");
+    assert_eq!((s.run_pages(a), s.run_tuples(a)), (1, 1));
+    assert_eq!(s.read_page(a, 0).unwrap(), one(0));
+    assert_eq!(s.read_page(c, 0).unwrap(), one(2));
+    s.append_page(c, one(8)).unwrap();
+    assert_eq!(file_len(&s), len, "the hole was reused");
+    assert_eq!(s.read_page(c, 1).unwrap(), one(8));
 }
 
 /// The six required methods over a [`MemStore`], and nothing else.
@@ -437,11 +402,78 @@ fn a_six_method_store_sorts_with_one_page_read_per_page_appended() {
     assert_eq!(sort.store.inner.0.live_runs(), 0);
 }
 
+/// A store failure is the sort's: an append that fails ends the whole sort
+/// in [`SortError::Io`].
 #[test]
-fn create_run_in_removed_directory_errors() {
-    let dir = std::env::temp_dir().join(format!("masort-gone-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut s = FileStore::new(&dir).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-    assert!(matches!(s.create_run(), Err(SortError::Io(_))));
+fn an_append_failure_surfaces_as_io_error_through_a_sort() {
+    let mut store = FileStore::in_temp_dir().unwrap();
+    store.fail_next_append = true;
+    let err = crate::SortJob::builder()
+        .config(crate::SortConfig::default().with_memory_pages(4))
+        .tuples(
+            (0..2_000)
+                .map(|k| Tuple::synthetic(k * 7 % 2_000, 64))
+                .collect(),
+        )
+        .store(store)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, SortError::Io(_)), "{err:?}");
+}
+
+/// Reuse keeps the file at the sort's live set: a sort whose merge runs
+/// preliminary steps, and splits its root under a budget that keeps moving,
+/// ends with a file no longer than 1.05 times the most run bytes it held at
+/// once (from the store's events: pages written, less the runs deleted).
+#[test]
+fn a_wobbled_sorts_file_stays_at_its_peak_live_run_bytes() {
+    use masort_trace::{EventKind, Recorder, SpanId, Trace};
+    let input: Vec<Tuple> = (0..12_000u64)
+        .map(|i| Tuple::synthetic(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16, 64))
+        .collect();
+    let budget = crate::MemoryBudget::new(24);
+    let trace = Trace::enabled(Recorder::new());
+    let cfg = crate::SortConfig::default().with_page_size(512);
+    let mut sort = crate::SortJob::builder()
+        .config(cfg.with_tuple_size(64).with_memory_pages(24))
+        .tuples(input.clone())
+        .store(FileStore::in_temp_dir().unwrap())
+        .env(crate::RealEnv::new().with_trace(trace.clone()))
+        .budget(budget.clone())
+        .build()
+        .unwrap()
+        .run_to_root()
+        .unwrap();
+    // A live run's first page is full: the most bytes a page takes.
+    let runs = &sort.outcome.split.runs;
+    let first = runs.iter().find_map(|r| sort.store.read_page(r.id, 0).ok());
+    let full = first.unwrap().wire_bytes().len();
+    let mut sorted = Vec::new();
+    while let Some(page) = sort.next_page().unwrap() {
+        sorted.extend(page.tuples());
+        if sorted.len().is_multiple_of(160) {
+            let low = sorted.len() % 320 == 160;
+            budget.set_target(if low { 6 } else { 24 }, 0.0);
+        }
+    }
+    crate::verify::assert_sorted_permutation(&input, &sorted);
+    let merge = &sort.outcome.merge;
+    assert!(merge.steps_executed >= 3 && merge.splits >= 1, "{merge:?}");
+    let (mut runs, mut live, mut peak) = (std::collections::HashMap::new(), 0, 0);
+    for e in trace.recorder().unwrap().events_for(SpanId::SERVICE) {
+        match e.kind {
+            EventKind::IoWrite { run, pages } => {
+                *runs.entry(run).or_insert(0) += pages;
+                live += pages;
+                peak = peak.max(live);
+            }
+            EventKind::RunDelete { run } => live -= runs.remove(&run).unwrap_or(0),
+            _ => {}
+        }
+    }
+    let len = file_len(&sort.store);
+    let bound = (peak * full) as u64 * 105 / 100;
+    assert!(len <= bound, "file {len} B, peak {peak} pages of {full} B");
 }

@@ -104,14 +104,10 @@ mod tests {
     use crate::input::{InputSource, VecSource};
     use crate::job::SortJob;
     use crate::store::{FileStore, MemStore, RunId};
-    use crate::sync::atomic::{AtomicUsize, Ordering};
     use crate::verify::assert_sorted_permutation;
     use masort_trace::{EventKind, Recorder, SpanId, Trace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashSet;
-    use std::path::{Path, PathBuf};
-    use std::sync::Arc;
 
     fn random_tuples(n: usize, seed: u64) -> Vec<Tuple> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -129,11 +125,6 @@ mod tests {
             .with_algorithm(AlgorithmSpec::recommended())
     }
 
-    /// Files in the directory of a `FileStore` that is still alive.
-    fn run_files(dir: &Path) -> usize {
-        std::fs::read_dir(dir).unwrap().count()
-    }
-
     fn merge_phase_ends(trace: &Trace) -> usize {
         trace
             .recorder()
@@ -144,22 +135,16 @@ mod tests {
             .count()
     }
 
-    /// A `FileStore` whose page reads fail once `ok_reads` of them succeeded,
-    /// and whose count of live runs outlives it.
+    /// A `FileStore` whose page reads fail once `ok_reads` of them succeeded.
     #[derive(Debug)]
     struct ProbedStore {
         inner: FileStore,
         ok_reads: usize,
-        live: HashSet<RunId>,
-        live_runs: Arc<AtomicUsize>,
     }
 
     impl RunStore for ProbedStore {
         fn create_run(&mut self) -> SortResult<RunId> {
-            let run = self.inner.create_run()?;
-            self.live.insert(run);
-            self.live_runs.store(self.live.len(), Ordering::SeqCst);
-            Ok(run)
+            self.inner.create_run()
         }
         fn append_page(&mut self, run: RunId, page: Page) -> SortResult<()> {
             self.inner.append_page(run, page)
@@ -180,9 +165,10 @@ mod tests {
             self.inner.run_tuples(run)
         }
         fn delete_run(&mut self, run: RunId) -> SortResult<()> {
-            self.live.remove(&run);
-            self.live_runs.store(self.live.len(), Ordering::SeqCst);
             self.inner.delete_run(run)
+        }
+        fn attach_trace(&mut self, trace: Trace) {
+            self.inner.attach_trace(trace);
         }
     }
 
@@ -192,8 +178,6 @@ mod tests {
         input: Vec<Tuple>,
         budget: MemoryBudget,
         trace: Trace,
-        dir: PathBuf,
-        live_runs: Arc<AtomicUsize>,
     }
 
     /// An input that moves the sort's budget as it is read: each
@@ -232,9 +216,6 @@ mod tests {
         let input = random_tuples(n, n as u64);
         let budget = MemoryBudget::new(mem);
         let trace = Trace::enabled(Recorder::new());
-        let store = FileStore::in_temp_dir().unwrap();
-        let dir = store.dir().to_path_buf();
-        let live_runs = Arc::new(AtomicUsize::new(0));
         let job = SortJob::builder()
             .config(cfg(mem))
             .input(MovingInput {
@@ -244,10 +225,8 @@ mod tests {
                 moves,
             })
             .store(ProbedStore {
-                inner: store,
+                inner: FileStore::in_temp_dir().unwrap(),
                 ok_reads,
-                live: HashSet::new(),
-                live_runs: Arc::clone(&live_runs),
             })
             .env(RealEnv::new().with_trace(trace.clone()))
             .budget(budget.clone())
@@ -263,18 +242,25 @@ mod tests {
             input,
             budget,
             trace,
-            dir,
-            live_runs,
         };
         (rig, completion)
     }
 
     impl Rig {
+        /// Runs the store holds, from its own events: created, not deleted.
+        fn live_runs(&self) -> usize {
+            let events = self.trace.recorder().unwrap().events_for(SpanId::SERVICE);
+            events.iter().fold(0, |live, e| match e.kind {
+                EventKind::RunCreate { .. } => live + 1,
+                EventKind::RunDelete { .. } => live - 1,
+                _ => live,
+            })
+        }
+
         /// What every way out of a stream must leave behind. (The run count
-        /// is the store's own: once the stream is gone so is the `FileStore`,
-        /// which deletes its files regardless.)
+        /// is read from the trace, so it outlives the store.)
         fn assert_cleaned_up(&self) {
-            assert_eq!(self.live_runs.load(Ordering::SeqCst), 0, "runs left");
+            assert_eq!(self.live_runs(), 0, "runs left");
             assert_eq!(self.budget.held(), 0, "pages still held");
             assert_eq!(merge_phase_ends(&self.trace), 1);
         }
@@ -292,7 +278,7 @@ mod tests {
         assert!(at_run.merge.started_at <= at_run.merge.finished_at);
         assert!(at_run.merge.started_at >= at_run.split.finished_at);
         assert!(rig.budget.held() > 1, "the parked root holds its buffers");
-        assert_eq!(run_files(&rig.dir), at_run.runs_formed());
+        assert_eq!(rig.live_runs(), at_run.runs_formed());
         assert_eq!(merge_phase_ends(&rig.trace), 0);
 
         let mut stream = completion.into_stream();
@@ -300,7 +286,7 @@ mod tests {
         assert_sorted_permutation(&rig.input, &sorted);
         assert_eq!(sorted.len(), 4_000);
         assert!(stream.next().is_none());
-        assert_eq!(run_files(&rig.dir), 0);
+        assert_eq!(rig.live_runs(), 0);
         assert_eq!(rig.budget.held(), 0);
         assert_eq!(merge_phase_ends(&rig.trace), 1);
 
@@ -327,7 +313,7 @@ mod tests {
         // the merge is over, written, and holds nothing.
         assert_eq!(rig.budget.held(), 0);
         assert_eq!(merge_phase_ends(&rig.trace), 1);
-        assert_eq!(run_files(&rig.dir), 1);
+        assert_eq!(rig.live_runs(), 1);
         assert_eq!(at_run.merge.tuples_output, 6_000);
         assert_eq!(at_run.merge.pages_written, 750);
         assert!(at_run.merge.steps_executed >= 1);
@@ -346,7 +332,7 @@ mod tests {
         let moves = vec![(100, 8), (200, 32)];
         let (rig, completion) = rig_moving(6_000, 32, usize::MAX, moves, true);
         let at_root = completion.outcome.clone();
-        assert_eq!(at_root.runs_formed(), run_files(&rig.dir));
+        assert_eq!(at_root.runs_formed(), rig.live_runs());
         assert!(rig.budget.held() > 1, "the parked root holds its buffers");
         assert_eq!(merge_phase_ends(&rig.trace), 0);
         assert_eq!(at_root.merge.tuples_output, 0);
@@ -366,11 +352,11 @@ mod tests {
         // directly instead of copying it through a 1-input merge step.
         let (rig, completion) = rig(100, 32, usize::MAX);
         assert_eq!(completion.outcome.runs_formed(), 1);
-        assert_eq!(run_files(&rig.dir), 1);
+        assert_eq!(rig.live_runs(), 1);
         let mut stream = completion.into_stream();
         let sorted: Vec<Tuple> = stream.by_ref().map(Result::unwrap).collect();
         assert_sorted_permutation(&rig.input, &sorted);
-        assert_eq!(run_files(&rig.dir), 0);
+        assert_eq!(rig.live_runs(), 0);
         let done = stream.finish();
         assert_eq!(done.merge.pages_written, 0);
         assert_eq!(done.merge.pages_read, done.split.pages_written);
@@ -380,11 +366,11 @@ mod tests {
     fn empty_input_creates_no_run_and_streams_nothing() {
         let (rig, completion) = rig(0, 8, usize::MAX);
         assert_eq!(completion.outcome.runs_formed(), 0);
-        assert_eq!(run_files(&rig.dir), 0, "no output run to create");
+        assert_eq!(rig.live_runs(), 0, "no output run to create");
         let mut stream = completion.into_stream();
         assert!(stream.next().is_none());
         assert_eq!(stream.size_hint(), (0, Some(0)));
-        assert_eq!(run_files(&rig.dir), 0);
+        assert_eq!(rig.live_runs(), 0);
         assert_eq!(stream.finish().merge.pages_written, 0);
         rig.assert_cleaned_up();
     }
@@ -394,7 +380,7 @@ mod tests {
         let (rig, completion) = rig(3_000, 32, usize::MAX);
         let mut stream = completion.into_stream();
         assert_eq!(stream.by_ref().count(), 3_000);
-        assert_eq!(run_files(&rig.dir), 0);
+        assert_eq!(rig.live_runs(), 0);
         rig.assert_cleaned_up();
     }
 
@@ -406,11 +392,7 @@ mod tests {
         let mut stream = completion.into_stream();
         let first: Vec<u64> = stream.by_ref().take(10).map(|t| t.unwrap().key).collect();
         assert!(first.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(
-            run_files(&rig.dir),
-            runs,
-            "inputs live while the merge does"
-        );
+        assert_eq!(rig.live_runs(), runs, "inputs live while the merge does");
         assert!(rig.budget.held() > 0);
         // `finish` is a drop that reports: the same clean-up, plus the books.
         let done = stream.finish();
@@ -446,7 +428,7 @@ mod tests {
         assert!(yielded > 0 && yielded < 3_000);
         assert!(stream.next().is_none(), "stream must fuse after an error");
         assert!(stream.next().is_none());
-        assert_eq!(run_files(&rig.dir), 0);
+        assert_eq!(rig.live_runs(), 0);
         rig.assert_cleaned_up();
     }
 
@@ -500,7 +482,7 @@ mod tests {
         // tuple has been read: what is left is one stored run.
         assert_eq!(rig.budget.held(), 0);
         assert_eq!(merge_phase_ends(&rig.trace), 1);
-        assert_eq!(run_files(&rig.dir), 1);
+        assert_eq!(rig.live_runs(), 1);
         let merge = settled.outcome.merge.clone();
         assert_eq!(merge.steps_executed, 1);
         assert_eq!(merge.tuples_output, 4_000);

@@ -154,7 +154,7 @@ pub struct SubmitSpec {
     pub tuple_size: u64,
     /// Tuples the client intends to send (0 = unknown); a planning hint only.
     pub expected_tuples: u64,
-    /// Ignored: every job's runs spill to a temporary directory. Kept, with
+    /// Ignored: every job's runs spill to a temporary file. Kept, with
     /// its `SUBMIT` byte, only because the benchmark harness still sets it.
     pub spill: bool,
     /// Sort descending instead of ascending.

@@ -3,8 +3,8 @@
 //! here: a connection is answered as soon as it arrives, and shutdown does
 //! not wait out anybody's poll interval.
 //!
-//! (This file is its own test binary so that the spill directories of its
-//! process are all its own; every job spills, so every test takes `DISK` in
+//! (This file is its own test binary so that the run files its process holds
+//! open are all its own; every job spills, so every test takes `DISK` in
 //! turn.)
 
 use std::io::{BufReader, BufWriter, Write};
@@ -35,17 +35,21 @@ fn small_server() -> ServerHandle {
         .spawn()
 }
 
-/// Spill directories this process's sorts currently own (see
-/// `FileStore::in_temp_dir`).
-fn spill_dirs() -> Vec<PathBuf> {
-    let prefix = format!("masort-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .expect("list the temp dir")
+/// The run files this process's stores hold open (see `FileStore::new`):
+/// the `/proc/self/fd` links to unlinked `masort-{pid}-*` files in the temp
+/// directory.
+fn run_files() -> Vec<PathBuf> {
+    let dir = std::fs::canonicalize(std::env::temp_dir()).expect("the temp dir");
+    let prefix = dir.join(format!("masort-{}-", std::process::id()));
+    let prefix = prefix.to_string_lossy();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list the open descriptors")
         .filter_map(|entry| Some(entry.ok()?.path()))
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with(&prefix))
+        .filter(|fd| {
+            std::fs::read_link(fd).is_ok_and(|target| {
+                let target = target.to_string_lossy();
+                target.starts_with(&*prefix) && target.ends_with(" (deleted)")
+            })
         })
         .collect()
 }
@@ -92,9 +96,9 @@ fn join_with_three_sessions_waiting() -> Duration {
         .collect();
     ingesting.ingest(tuples).expect("ingest");
     wait_until("the parked sort to spill a run", || {
-        spill_dirs()
+        run_files()
             .iter()
-            .any(|dir| std::fs::read_dir(dir).is_ok_and(|mut files| files.next().is_some()))
+            .any(|fd| std::fs::metadata(fd).is_ok_and(|file| file.len() > 0))
     });
 
     let asked = Instant::now();
@@ -104,7 +108,7 @@ fn join_with_three_sessions_waiting() -> Duration {
     assert_eq!(stats.cancelled, 1, "the mid-ingest job ends Cancelled");
     assert_eq!(stats.completed, 0);
     assert_eq!(stats.leaked_pages, 0);
-    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    assert_eq!(run_files(), Vec::<PathBuf>::new(), "run files remain open");
     took
 }
 

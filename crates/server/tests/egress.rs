@@ -8,7 +8,7 @@
 //! larger than loop-back's socket buffers, so the session really does block
 //! in `write` with the rest of the result still in the merge. Every wait is
 //! on a state the server reports. (This file is its own test binary so that
-//! the spill directories of its process are all its own; every job spills,
+//! the run files its process holds open are all its own; every job spills,
 //! so every test takes `DISK` in turn.)
 
 use std::net::SocketAddr;
@@ -103,17 +103,21 @@ fn metric(json: &str, name: &str) -> i64 {
     }
 }
 
-/// Spill directories this process's sorts currently own (see
-/// `FileStore::in_temp_dir`).
-fn spill_dirs() -> Vec<PathBuf> {
-    let prefix = format!("masort-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .expect("list the temp dir")
+/// The run files this process's stores hold open (see `FileStore::new`):
+/// the `/proc/self/fd` links to unlinked `masort-{pid}-*` files in the temp
+/// directory.
+fn run_files() -> Vec<PathBuf> {
+    let dir = std::fs::canonicalize(std::env::temp_dir()).expect("the temp dir");
+    let prefix = dir.join(format!("masort-{}-", std::process::id()));
+    let prefix = prefix.to_string_lossy();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list the open descriptors")
         .filter_map(|entry| Some(entry.ok()?.path()))
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with(&prefix))
+        .filter(|fd| {
+            std::fs::read_link(fd).is_ok_and(|target| {
+                let target = target.to_string_lossy();
+                target.starts_with(&*prefix) && target.ends_with(" (deleted)")
+            })
         })
         .collect()
 }
@@ -174,7 +178,7 @@ fn a_client_that_vanishes_mid_egress_leaves_no_trace() {
         ];
         metric(&json, "jobs_live") == 0 && ended.map(|n| metric(&json, n)).iter().sum::<i64>() == 1
     });
-    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    assert_eq!(run_files(), Vec::<PathBuf>::new(), "run files remain open");
     let stats = handle.join();
     assert_eq!((stats.failed, stats.leaked_pages), (0, 0));
 }
@@ -199,7 +203,7 @@ fn a_shutdown_mid_egress_still_delivers_the_result() {
 
     let stats = handle.join();
     assert_eq!((stats.completed, stats.leaked_pages), (1, 0));
-    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    assert_eq!(run_files(), Vec::<PathBuf>::new(), "run files remain open");
 }
 
 #[test]

@@ -438,23 +438,28 @@ fn hostile_ingest_bodies_fail_to_decode_cleanly() {
     assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
 }
 
-/// Spill directories this process's sorts currently own.
-fn spill_dirs() -> Vec<PathBuf> {
-    let prefix = format!("masort-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .expect("list the temp dir")
+/// The run files this process's stores hold open (see `FileStore::new`):
+/// the `/proc/self/fd` links to unlinked `masort-{pid}-*` files in the temp
+/// directory.
+fn run_files() -> Vec<PathBuf> {
+    let dir = std::fs::canonicalize(std::env::temp_dir()).expect("the temp dir");
+    let prefix = dir.join(format!("masort-{}-", std::process::id()));
+    let prefix = prefix.to_string_lossy();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list the open descriptors")
         .filter_map(|entry| Some(entry.ok()?.path()))
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with(&prefix))
+        .filter(|fd| {
+            std::fs::read_link(fd).is_ok_and(|target| {
+                let target = target.to_string_lossy();
+                target.starts_with(&*prefix) && target.ends_with(" (deleted)")
+            })
         })
         .collect()
 }
 
 /// Sent to a live server after a good `INGEST` frame, each hostile body ends
 /// the sort in a typed protocol error — the only frame the client gets after
-/// it — with no result, no page leaked and no spill directory left behind.
+/// it — with no result, no page leaked and no run file left open.
 #[test]
 fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
     let handle = Server::builder()
@@ -508,5 +513,5 @@ fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
     }
     let stats = handle.join();
     assert_eq!((stats.completed, stats.leaked_pages), (0, 0));
-    assert_eq!(spill_dirs(), Vec::<PathBuf>::new(), "run files remain");
+    assert_eq!(run_files(), Vec::<PathBuf>::new(), "run files remain open");
 }

@@ -221,12 +221,10 @@ fn streamed_sort_end_to_end_mem_store() {
 #[test]
 fn streamed_sort_end_to_end_file_store() {
     let input = random_tuples(5_000, 9);
-    let store = FileStore::in_temp_dir().unwrap();
-    let dir = store.dir().to_path_buf();
     let completion = SortJob::builder()
         .config(small_cfg(5, AlgorithmSpec::recommended()))
         .tuples(input.clone())
-        .store(store)
+        .store(FileStore::in_temp_dir().unwrap())
         .build()
         .unwrap()
         .run()
@@ -241,11 +239,6 @@ fn streamed_sort_end_to_end_file_store() {
         count += 1;
     }
     assert_eq!(count, input.len());
-    // Draining the stream deleted the sort's run files. Check while the
-    // stream (and therefore the store and its directory) is still alive —
-    // dropping the FileStore would delete everything regardless.
-    let remaining = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(remaining, 0, "run files should be deleted after streaming");
     // Five pages cannot merge every run at once: preliminary steps moved
     // some tuples before the root moved them all.
     let outcome = stream.finish();
@@ -298,32 +291,6 @@ fn invalid_configs_fail_at_build() {
         SortJob::builder().config(big_tuple).build(),
         Err(SortError::InvalidConfig(_))
     ));
-}
-
-#[test]
-fn sort_into_removed_directory_reports_io_error() {
-    let dir = std::env::temp_dir().join(format!(
-        "masort-e2e-gone-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = FileStore::new(&dir).unwrap();
-    // Remove the directory behind the store's back: creating the first run
-    // file must surface an I/O error through the whole sort pipeline.
-    std::fs::remove_dir_all(&dir).unwrap();
-    let err = SortJob::builder()
-        .config(small_cfg(4, AlgorithmSpec::recommended()))
-        .tuples(random_tuples(2_000, 10))
-        .store(store)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, SortError::Io(_)), "got {err:?}");
 }
 
 /// How a record is stored must not matter to what comes out: every payload
