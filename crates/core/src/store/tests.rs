@@ -130,6 +130,98 @@ fn a_deleted_runs_space_is_reused() {
     assert_eq!(s.read_page(keep, 0).unwrap().tuples()[0].key, 0);
 }
 
+/// A delete takes the run out of the store: it reads and appends as an
+/// unknown run, counts no pages or tuples, and the runs beside it in the
+/// file read as before.
+#[test]
+fn filestore_delete_removes_file() {
+    let mut s = FileStore::in_temp_dir().unwrap();
+    let runs: Vec<RunId> = (0..3).map(|_| s.create_run().unwrap()).collect();
+    for &r in &runs {
+        s.append_page(r, one(r.into())).unwrap();
+    }
+    let r = runs[1];
+    s.delete_run(r).unwrap();
+    assert!(matches!(s.read_page(r, 0), Err(SortError::UnknownRun(x)) if x == r));
+    assert!(matches!(
+        s.append_page(r, one(9)),
+        Err(SortError::UnknownRun(_))
+    ));
+    assert_eq!((s.run_pages(r), s.run_tuples(r)), (0, 0));
+    assert_eq!(s.read_page(runs[0], 0).unwrap(), one(0));
+    assert_eq!(s.read_page(runs[2], 0).unwrap(), one(2));
+}
+
+/// Cleanup stays idempotent: a run whose bytes were cut from the file
+/// behind the store's back, or that was deleted already, still deletes,
+/// and the store goes on working.
+#[test]
+fn delete_run_tolerates_already_removed_file() {
+    let mut s = FileStore::in_temp_dir().unwrap();
+    let r = s.create_run().unwrap();
+    s.append_block(r, sample_pages()).unwrap();
+    s.file().set_len(0).unwrap();
+    assert!(s.delete_run(r).is_ok());
+    assert!(s.delete_run(r).is_ok());
+    let again = s.create_run().unwrap();
+    s.append_block(again, sample_pages()).unwrap();
+    assert_eq!(s.read_page(again, 2).unwrap().tuples()[0].key, 8);
+}
+
+/// Freed ranges merge with their free neighbours, so no freed byte is left
+/// in a piece too small to use: three one-page runs deleted out of order
+/// between two live ones take a three-page append without growing the file.
+#[test]
+fn freed_ranges_merge_so_no_space_is_orphaned() {
+    let mut s = FileStore::in_temp_dir().unwrap();
+    let runs: Vec<RunId> = (0..5).map(|_| s.create_run().unwrap()).collect();
+    for &r in &runs {
+        s.append_page(r, one(r.into())).unwrap();
+    }
+    let len = file_len(&s);
+    for i in [2, 1, 3] {
+        s.delete_run(runs[i]).unwrap();
+    }
+    let r = s.create_run().unwrap();
+    s.append_block(r, (5..8).map(one).collect()).unwrap();
+    assert_eq!(file_len(&s), len, "the file grew");
+    for (idx, k) in (5..8).enumerate() {
+        assert_eq!(s.read_page(r, idx).unwrap(), one(k));
+    }
+    assert_eq!(s.read_page(runs[0], 0).unwrap(), one(0));
+    assert_eq!(s.read_page(runs[4], 0).unwrap(), one(4));
+}
+
+/// How many open descriptors of this process lead to files in `dir` that
+/// no longer have a name.
+fn unnamed_files_in(dir: &std::path::Path) -> usize {
+    let dir = std::fs::canonicalize(dir).unwrap();
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| {
+            target.starts_with(&dir) && target.to_string_lossy().ends_with(" (deleted)")
+        })
+        .count()
+}
+
+/// Dropping the store gives its file's space back: the one descriptor that
+/// held the unnamed file closes with the store.
+#[test]
+fn drop_reclaims_trashed_files() {
+    let dir = std::env::temp_dir().join(format!("masort-drop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut s = FileStore::new(&dir).unwrap();
+    let (r, gone) = (s.create_run().unwrap(), s.create_run().unwrap());
+    s.append_block(r, sample_pages()).unwrap();
+    s.append_page(gone, one(3)).unwrap();
+    s.delete_run(gone).unwrap();
+    assert_eq!(unnamed_files_in(&dir), 1);
+    drop(s);
+    assert_eq!(unnamed_files_in(&dir), 0, "the store's file outlived it");
+    std::fs::remove_dir(&dir).unwrap();
+}
+
 #[test]
 fn filestore_missing_dir_errors() {
     let err = FileStore::new("/definitely/not/a/real/dir/xyz").unwrap_err();

@@ -293,6 +293,34 @@ fn invalid_configs_fail_at_build() {
     ));
 }
 
+/// A sort aimed at a directory that is gone reports an I/O error: its
+/// store's file cannot be made there. Once made, the file has no name, so a
+/// directory removed under a sort's store no longer fails the sort.
+#[test]
+fn sort_into_removed_directory_reports_io_error() {
+    let dir = std::env::temp_dir().join(format!("masort-e2e-gone-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = random_tuples(2_000, 10);
+    let sort = |store: FileStore| -> SortResult<Vec<Tuple>> {
+        SortJob::builder()
+            .config(small_cfg(4, AlgorithmSpec::recommended()))
+            .tuples(input.clone())
+            .store(store)
+            .build()?
+            .run()?
+            .into_sorted_vec()
+    };
+    let store = FileStore::new(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let sorted = sort(store).unwrap();
+    masort_core::verify::assert_sorted_permutation(&input, &sorted);
+    let err = FileStore::new(&dir)
+        .map_err(SortError::from)
+        .and_then(sort)
+        .unwrap_err();
+    assert!(matches!(err, SortError::Io(_)), "got {err:?}");
+}
+
 /// How a record is stored must not matter to what comes out: every payload
 /// kind the record format distinguishes — synthetic (header only), inline,
 /// empty, longer than the record's inline area (kept outside the record), and
