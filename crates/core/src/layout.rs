@@ -10,9 +10,9 @@
 //!   ([`SortConfig::record_stride`](crate::SortConfig::record_stride)). A
 //!   synthetic payload is its 12-byte header alone; a payload too long for
 //!   the inline area lives outside the record.
-//! * `RecordSlab` — the records run formation selects over: slots that are
-//!   filled on insert, freed in any order and recycled through a free list,
-//!   so the slab's footprint tracks what is buffered.
+//! * `RecordSlab` — the records run formation selects over: slots filled on
+//!   insert, freed in any order and recycled, in fixed-size blocks that are
+//!   never moved: the slab holds its high-water mark, to the block.
 //! * [`TupleArena`] — an append-only arena of records, the page under
 //!   construction; payloads that do not fit inline spill into a per-arena
 //!   **overflow area** and the record stores their offset instead.
@@ -171,7 +171,6 @@ pub struct TupleArena {
     room: usize,
     overflow: Vec<u8>,
     count: usize,
-    bytes: usize,
 }
 
 impl TupleArena {
@@ -197,7 +196,6 @@ impl TupleArena {
             room: DENSE_HEADER + records.max(1) * stride,
             overflow: Vec::new(),
             count: 0,
-            bytes: 0,
         }
     }
 
@@ -237,7 +235,6 @@ impl TupleArena {
             self.overflow.extend_from_slice(bytes);
         }
         self.count += 1;
-        self.bytes += KEY_BYTES + payload.len();
     }
 
     /// Append the records in `recs` — whole strides, as a `RecordSlab` slot
@@ -249,18 +246,13 @@ impl TupleArena {
         if !recs.len().is_multiple_of(self.stride) {
             return false;
         }
-        let mut bytes = 0usize;
-        for rec in recs.chunks_exact(self.stride) {
-            let desc = record_descriptor(rec);
-            if desc >> TAG_SHIFT == TAG_OVERFLOW {
-                return false;
-            }
-            bytes += KEY_BYTES + (desc & LEN_MASK) as usize;
+        let spilled = |rec: &[u8]| record_descriptor(rec) >> TAG_SHIFT == TAG_OVERFLOW;
+        if recs.chunks_exact(self.stride).any(spilled) {
+            return false;
         }
         let n = recs.len() / self.stride;
         self.slots(n).copy_from_slice(recs);
         self.count += n;
-        self.bytes += bytes;
         true
     }
 
@@ -299,19 +291,20 @@ impl TupleArena {
             overflow_len: self.overflow.len(),
             count: self.count,
             stride: self.stride,
-            bytes: self.bytes,
         };
         self.overflow.clear();
         self.count = 0;
-        self.bytes = 0;
         page
     }
 }
 
+/// Slots per [`RecordSlab`] block: a power of two, for a shift and a mask.
+pub(crate) const SLAB_BLOCK_SLOTS: usize = 1 << 8;
+
 /// The records run formation selects over: fixed-stride slots, filled on
 /// [`insert`](Self::insert) and recycled through a free list on
-/// [`release`](Self::release), so the slab's footprint tracks the number of
-/// buffered records instead of growing with the input.
+/// [`release`](Self::release), in blocks of `SLAB_BLOCK_SLOTS` that are
+/// allocated as first needed and never copied into a larger buffer.
 ///
 /// Slots hold the same records a [`TupleArena`] does. A payload longer than
 /// the inline area is kept beside the slots, keyed by its slot (slots are
@@ -319,8 +312,11 @@ impl TupleArena {
 #[derive(Debug)]
 pub(crate) struct RecordSlab {
     stride: usize,
-    records: Vec<u8>,
-    free: Vec<u32>,
+    blocks: Vec<Box<[u8]>>,
+    /// Slots handed out since the slab was made or cleared.
+    next: u32,
+    /// The last slot freed (`u32::MAX`: none); a free slot names the previous.
+    free: u32,
     live: usize,
     pub(crate) spilled: HashMap<u32, Box<[u8]>>,
 }
@@ -338,8 +334,9 @@ impl RecordSlab {
         );
         RecordSlab {
             stride,
-            records: Vec::new(),
-            free: Vec::new(),
+            blocks: Vec::new(),
+            next: 0,
+            free: u32::MAX,
             live: 0,
             spilled: HashMap::new(),
         }
@@ -352,57 +349,97 @@ impl RecordSlab {
 
     /// Copy a record into a free slot and return the slot.
     pub fn insert(&mut self, key: u64, payload: PayloadRef<'_>) -> u32 {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let slot = self.records.len() / self.stride;
-            self.records.resize(self.records.len() + self.stride, 0);
-            slot as u32
-        });
-        let at = slot as usize * self.stride;
-        if let Some(bytes) = write_record(&mut self.records[at..at + self.stride], key, payload, 0)
-        {
+        let slot = if self.free != u32::MAX {
+            let slot = self.free;
+            self.free = u32::from_le_bytes(self.record_bytes(slot)[..4].try_into().unwrap());
+            slot
+        } else {
+            if (self.next as usize).is_multiple_of(SLAB_BLOCK_SLOTS) {
+                let block = vec![0; SLAB_BLOCK_SLOTS * self.stride];
+                self.blocks.push(block.into());
+            }
+            self.next += 1;
+            self.next - 1
+        };
+        if let Some(bytes) = write_record(self.record_mut(slot), key, payload, 0) {
             self.spilled.insert(slot, bytes.into());
         }
         self.live += 1;
         slot
     }
 
+    fn record_mut(&mut self, slot: u32) -> &mut [u8] {
+        let at = slot as usize % SLAB_BLOCK_SLOTS * self.stride;
+        &mut self.blocks[slot as usize / SLAB_BLOCK_SLOTS][at..at + self.stride]
+    }
+
     /// The record in `slot` as it lies there: one stride of bytes.
     #[inline]
     pub fn record_bytes(&self, slot: u32) -> &[u8] {
-        &self.records[slot as usize * self.stride..][..self.stride]
+        let at = slot as usize % SLAB_BLOCK_SLOTS * self.stride;
+        &self.blocks[slot as usize / SLAB_BLOCK_SLOTS][at..at + self.stride]
     }
 
     /// The stored key of the record in `slot`.
     #[inline]
     pub fn key(&self, slot: u32) -> u64 {
-        record_key(&self.records[slot as usize * self.stride..])
+        record_key(self.record_bytes(slot))
     }
 
     /// Borrow the payload of the record in `slot`.
     #[inline]
     pub fn payload_ref(&self, slot: u32) -> PayloadRef<'_> {
-        record_payload(&self.records[slot as usize * self.stride..], |_, _| {
-            &self.spilled[&slot]
-        })
+        record_payload(self.record_bytes(slot), |_, _| &self.spilled[&slot])
     }
 
     /// Free `slot` for reuse.
     pub fn release(&mut self, slot: u32) {
-        let rec = &self.records[slot as usize * self.stride..];
-        if record_descriptor(rec) >> TAG_SHIFT == TAG_OVERFLOW {
+        if record_descriptor(self.record_bytes(slot)) >> TAG_SHIFT == TAG_OVERFLOW {
             self.spilled.remove(&slot);
         }
-        self.free.push(slot);
+        let next = std::mem::replace(&mut self.free, slot);
+        self.record_mut(slot)[..4].copy_from_slice(&next.to_le_bytes());
         self.live -= 1;
     }
 
-    /// Free every slot at once, keeping the allocation: the next inserts fill
-    /// the slab front to back again.
+    /// Move the records so that slot `i` holds what slot `order(i)` held,
+    /// where `order` permutes the live slots `0..n`: a cycle of the
+    /// permutation at a time, with one record set aside, so that no record
+    /// is held twice.
+    pub fn permute(&mut self, n: usize, order: impl Fn(usize) -> u32) {
+        let mut done = vec![false; n];
+        let (mut aside, mut moving) = (vec![0; self.stride], vec![0; self.stride]);
+        for start in 0..n as u32 {
+            if done[start as usize] {
+                continue;
+            }
+            aside.copy_from_slice(self.record_bytes(start));
+            let mut to = start;
+            while !std::mem::replace(&mut done[to as usize], true) {
+                let from = order(to as usize);
+                if from != start {
+                    moving.copy_from_slice(self.record_bytes(from));
+                }
+                self.record_mut(to)
+                    .copy_from_slice(if from == start { &aside } else { &moving });
+                to = from;
+            }
+        }
+        let mut spilled = std::mem::take(&mut self.spilled);
+        if !spilled.is_empty() {
+            let moved = (0..n).filter_map(|i| Some((i as u32, spilled.remove(&order(i))?)));
+            self.spilled = moved.collect();
+        }
+    }
+
+    /// Free the block that holds `slot`, whose records must all be released.
+    pub fn free_block(&mut self, slot: u32) {
+        self.blocks[slot as usize / SLAB_BLOCK_SLOTS] = Box::default();
+    }
+
+    /// Free every slot and every block at once.
     pub fn clear(&mut self) {
-        self.records.clear();
-        self.free.clear();
-        self.spilled.clear();
-        self.live = 0;
+        *self = Self::new(self.stride);
     }
 }
 
@@ -414,8 +451,7 @@ impl RecordSlab {
 /// Cloning is cheap (it bumps the `Arc`), and pages decoded from the same
 /// I/O block share the block's single allocation. A page is immutable; it is
 /// built by [`TupleArena::seal`], or by [`Page::from_tuples`] when the caller
-/// holds [`Tuple`]s. Byte accounting (`bytes`) is *logical*
-/// (key + payload per tuple, whatever the stride) and cached.
+/// holds [`Tuple`]s.
 #[derive(Clone, Debug)]
 pub struct Page {
     data: Arc<Vec<u8>>,
@@ -424,7 +460,6 @@ pub struct Page {
     overflow_len: usize,
     count: usize,
     stride: usize,
-    bytes: usize,
 }
 
 impl Default for Page {
@@ -473,10 +508,13 @@ impl Page {
         self.stride
     }
 
-    /// Logical bytes (key + payload per record) of the page's tuples
-    /// (cached; O(1)).
+    /// Logical bytes (key + payload per record) of the page's tuples,
+    /// whatever the stride.
+    #[cfg(test)]
     pub(crate) fn bytes(&self) -> usize {
-        self.bytes
+        (0..self.count)
+            .map(|i| KEY_BYTES + self.record(i).1.len())
+            .sum()
     }
 
     #[inline]
@@ -586,15 +624,13 @@ impl Page {
         if total != len {
             return Err(format!("page claims {total} bytes but occupies {len}"));
         }
-        let mut page = Page {
+        let page = Page {
             data: Arc::clone(data),
             start,
             overflow_len,
             count,
             stride,
-            bytes: 0,
         };
-        let mut bytes = 0usize;
         for i in 0..count {
             let desc = record_descriptor(page.record_at(i));
             let plen = (desc & LEN_MASK) as usize;
@@ -624,15 +660,13 @@ impl Page {
                 TAG_SYNTHETIC => {}
                 _ => return Err(format!("record {i}: invalid payload tag")),
             }
-            bytes += KEY_BYTES + plen;
         }
-        page.bytes = bytes;
         Ok(page)
     }
 }
 
-/// Pages compare by their logical tuples; the stride, where a payload lies
-/// and the byte cache are derived state.
+/// Pages compare by their logical tuples; the stride and where a payload
+/// lies are derived state.
 impl PartialEq for Page {
     fn eq(&self, other: &Self) -> bool {
         self.count == other.count && (0..self.count).all(|i| self.record(i) == other.record(i))
@@ -689,7 +723,6 @@ mod tests {
         arena.push(&Tuple::new(1, vec![9; 4]));
         let first = arena.seal();
         assert!(arena.is_empty());
-        assert_eq!(arena.bytes, 0);
         arena.push(&Tuple::new(2, vec![8; 4]));
         let second = arena.seal();
         assert_eq!(first.len(), 1);

@@ -13,7 +13,7 @@ use crate::config::SortConfig;
 use crate::env::{CpuOp, SortEnv};
 use crate::error::SortResult;
 use crate::input::InputSource;
-use crate::layout::RecordSlab;
+use crate::layout::{RecordSlab, SLAB_BLOCK_SLOTS};
 use crate::store::RunStore;
 
 use super::{OutBlock, SplitStats};
@@ -59,6 +59,7 @@ where
         // ------------------------------------------------------------------
         let mut held_pages = 0usize;
         let mut fill_target = budget.target().max(1);
+        column.reserve_exact(fill_target * tpp);
         loop {
             env.poll(budget);
             if budget.is_cancelled() {
@@ -116,8 +117,15 @@ where
         // memory load has been sorted and queued for (asynchronous) writing
         // can the buffers be handed back — this is why Quicksort reacts to
         // memory shortages so much more slowly than replacement selection.
+        // The records are put in run order where they lie and copied out a
+        // slab block at a time, so the memory load is never held twice.
         // ------------------------------------------------------------------
-        out.gather(&mut slab, column.iter().map(|&(_, slot)| slot));
+        slab.permute(column.len(), |i| column[i].1);
+        for start in (0..column.len() as u32).step_by(SLAB_BLOCK_SLOTS) {
+            let end = (start + SLAB_BLOCK_SLOTS as u32).min(n as u32);
+            out.gather(&mut slab, start..end);
+            slab.free_block(start);
+        }
         column.clear();
         slab.clear();
         let pages = out.take_pages();

@@ -29,12 +29,14 @@
 //! charges — the paper's cost model — stay where they were; what changed is
 //! the cost here: a sift through a 19 400-entry heap was 14 unpredictable
 //! levels per record, 24 % of a file → file sort, where a tournament over a
-//! few dozen mini-runs is 5. A mini-run is held in chunks, freed as they
-//! empty, so popped entries' memory goes back while the mini-run lives.
-//! Emission pops a page of slots, touching only entries, then copies their
-//! records out in one prefetched gather: the slab outgrows L2 (19 400 slots
-//! of 112 B on a 2 MB budget) and is read in key order, random slab order,
-//! so a copy without the prefetch waits on a cache miss per record.
+//! few dozen mini-runs is 5. A batch waits in pieces of a quarter of memory
+//! and each piece is sorted into a mini-run held in chunks that are freed as
+//! they empty: no buffer doubles, and popped entries' memory goes back while
+//! the mini-run lives. Emission pops a page of slots, touching only entries,
+//! then copies their records out in one prefetched gather: the slab outgrows
+//! L2 (19 400 slots of 112 B on a 2 MB budget) and is read in key order,
+//! random slab order, so a copy without the prefetch waits on a cache miss
+//! per record.
 //!
 //! # Natural runs
 //!
@@ -120,15 +122,18 @@ fn head(mini: &[Vec<Entry>]) -> Option<Entry> {
 /// mini-runs (see the module docs).
 #[derive(Default)]
 struct Selection {
-    /// Entries pushed since the last pop, unsorted.
-    pending: Vec<Entry>,
+    /// Entries pushed since the last pop, unsorted, in pieces of a quarter
+    /// of `cap` entries each: a batch is never copied into a larger buffer.
+    pending: Vec<Vec<Entry>>,
     /// Entries pushed for a run after `run`, unsorted: nothing can pop them
-    /// before everything else is gone, so they wait to be sorted as one
-    /// batch — which is also what leaves a single mini-run when a run closes.
-    later: Vec<Entry>,
+    /// before everything else is gone, so they wait to be sorted until then —
+    /// which is also what leaves only `later`'s pieces when a run closes.
+    later: Vec<Vec<Entry>>,
+    /// The records the memory target holds.
+    cap: usize,
     /// The highest run number among `minis` and `pending`.
     run: u32,
-    /// The mini-runs: each a batch sorted *descending* and cut into chunks,
+    /// The mini-runs: each a piece sorted *descending* and cut into chunks,
     /// so its head is the last entry of its last chunk and a chunk's memory
     /// goes back when its last entry pops. Slot `i` of `tree` is keyed by
     /// `minis[i]`'s head.
@@ -140,14 +145,18 @@ struct Selection {
 impl Selection {
     fn push(&mut self, entry: Entry) {
         self.len += 1;
-        if entry.0 > self.run {
-            self.later.push(entry);
+        let batch = if entry.0 > self.run {
+            &mut self.later
         } else {
-            self.pending.push(entry);
+            &mut self.pending
+        };
+        if batch.last().is_none_or(|p| p.len() == p.capacity()) {
+            batch.push(Vec::with_capacity(self.cap.div_ceil(4).max(1)));
         }
+        batch.last_mut().expect("a piece with room").push(entry);
     }
 
-    /// Sort what was pushed since the last pop into a mini-run of its own —
+    /// Sort what was pushed since the last pop into mini-runs, a piece each —
     /// or, with nothing else left, what was pushed for later runs.
     fn settle(&mut self) {
         let batch = if !self.pending.is_empty() {
@@ -157,16 +166,18 @@ impl Selection {
         } else {
             return;
         };
-        let mut batch = std::mem::take(batch);
-        batch.sort_unstable_by(|a, b| b.cmp(a));
-        self.run = self.run.max(batch[0].0);
         // About sqrt(n) chunks of sqrt(n) entries — to a power of two, so
         // that few sizes are ever asked of the allocator: what a mini-run
         // holds beyond its live entries is less than one chunk.
-        let chunk = 1 << batch.len().ilog2().div_ceil(2);
+        let n = batch.iter().map(Vec::len).sum::<usize>();
+        let chunk = 1 << n.ilog2().div_ceil(2);
         self.minis.retain(|mini| !mini.is_empty());
-        self.minis
-            .push(batch.chunks(chunk).map(<[Entry]>::to_vec).collect());
+        for mut piece in std::mem::take(batch) {
+            piece.sort_unstable_by(|a, b| b.cmp(a));
+            self.run = self.run.max(piece[0].0);
+            self.minis
+                .push(piece.chunks(chunk).map(<[Entry]>::to_vec).collect());
+        }
         let heads = self.minis.iter().map(|mini| head(mini));
         self.tree.rebuild(heads);
     }
@@ -243,7 +254,8 @@ impl RunDir {
 /// What natural-run formation tracks on top of the classic state.
 struct Natural {
     /// Natural-run FIFO: the `(cmp, slot)` ascending streak currently being
-    /// detected at the input frontier, merged with the heap at emission.
+    /// detected at the input frontier, merged with the heap at emission. Once
+    /// a streak is a page long it is given room for what memory holds.
     tail: VecDeque<(u128, u32)>,
     dir: RunDir,
     /// The direction the *next* run will sort in. Fixed at the start of the
@@ -594,6 +606,10 @@ impl<'a, S: RunStore> State<'a, S> {
                     stats.natural_runs += 1;
                 }
                 env.charge_cpu(CpuOp::CopyTuple, 1);
+                if nat.tail.len() == nat.tail.capacity() && nat.streak_len >= tpp {
+                    let room = sel.cap.saturating_sub(nat.tail.len());
+                    nat.tail.reserve_exact(room);
+                }
                 nat.tail.push_back((cmp, slab.insert(stored_key, payload)));
                 continue;
             }
@@ -655,6 +671,7 @@ where
         // Under the adaptive policy the block size follows the allocation.
         st.block_tuples = block.block_pages(target) * tpp;
         let cap_tuples = target * tpp;
+        st.sel.cap = cap_tuples;
         let in_mem = st.in_memory_tuples();
 
         // --------------------------------------------------------------
@@ -770,7 +787,7 @@ mod tests {
     /// time under a budget that sheds to a quarter and regrows every few
     /// steps: every peek and pop is a `BinaryHeap`'s, the mini-runs never hold
     /// more than 1.5x their live entries plus one batch (in fact about 1.06x),
-    /// and each run closes on a single one.
+    /// and each run closes on one per piece of its successor's entries.
     #[test]
     fn selection_pops_what_a_binary_heap_pops_and_gives_memory_back() {
         use std::{cmp::Reverse, collections::BinaryHeap};
@@ -778,6 +795,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5E1);
         for block in [1usize, 6] {
             let (mut sel, mut heap) = (Selection::default(), BinaryHeap::new());
+            sel.cap = 64 * 32;
             let (mut run, mut last, mut closed) = (0u32, 0u128, 0);
             for step in 0..4000usize {
                 let cap = if step / 7 % 2 == 0 { 64 } else { 16 } * 32;
@@ -799,7 +817,7 @@ mod tests {
                             last = SortOrder::composite(e.1, e.2);
                         }
                         Some(_) => {
-                            assert_eq!(sel.minis.len(), 1, "run {run} closed on several");
+                            assert!(sel.minis.len() <= 4, "run {run} closed on more pieces");
                             (run, last, closed) = (run + 1, 0, closed + 1);
                             break;
                         }
@@ -808,7 +826,8 @@ mod tests {
                 }
                 assert_eq!(sel.len, heap.len());
                 let held: usize = sel.minis.iter().flatten().map(Vec::capacity).sum();
-                let live = sel.len - sel.pending.len() - sel.later.len();
+                let waiting = sel.pending.iter().chain(&sel.later).map(Vec::len);
+                let live = sel.len - waiting.sum::<usize>();
                 assert!(
                     held <= live * 3 / 2 + 192,
                     "step {step}: {held} held, {live} live"

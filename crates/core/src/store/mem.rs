@@ -12,8 +12,6 @@ pub struct MemStore {
     runs: HashMap<RunId, Vec<Page>>,
     tuple_counts: HashMap<RunId, usize>,
     next: RunId,
-    bytes_written: usize,
-    bytes_read: usize,
     trace: masort_trace::Trace,
 }
 
@@ -21,21 +19,6 @@ impl MemStore {
     /// Create an empty in-memory store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total tuple bytes appended over the store's lifetime. Accounted from
-    /// each page's cached byte total ([`Page::bytes`]), so the bookkeeping is
-    /// O(1) per append instead of a walk over the page.
-    #[cfg(test)]
-    pub(crate) fn bytes_written(&self) -> usize {
-        self.bytes_written
-    }
-
-    /// Total tuple bytes read over the store's lifetime (cached-total
-    /// accounting, like [`bytes_written`](Self::bytes_written)).
-    #[cfg(test)]
-    pub(crate) fn bytes_read(&self) -> usize {
-        self.bytes_read
     }
 
     /// Number of runs currently stored.
@@ -60,7 +43,6 @@ impl RunStore for MemStore {
             .tuple_counts
             .get_mut(&run)
             .ok_or(SortError::UnknownRun(run))?;
-        self.bytes_written += page.bytes();
         *count += page.len();
         self.runs
             .get_mut(&run)
@@ -78,7 +60,6 @@ impl RunStore for MemStore {
         let page = pages.get(idx).ok_or_else(|| {
             SortError::corrupt(run, format!("page {idx} out of range ({})", pages.len()))
         })?;
-        self.bytes_read += page.bytes();
         let page = page.clone();
         self.trace.emit(EventKind::IoRead {
             run: run.into(),

@@ -28,24 +28,6 @@ fn memstore_roundtrip() {
 }
 
 #[test]
-fn memstore_accounts_bytes_from_page_cache() {
-    let mut s = MemStore::new();
-    let r = s.create_run().unwrap();
-    let pages = sample_pages();
-    let total: usize = pages.iter().map(Page::bytes).sum();
-    assert_eq!(total, 10 * 32, "ten 32-byte synthetic tuples");
-    for p in pages {
-        s.append_page(r, p).unwrap();
-    }
-    assert_eq!(s.bytes_written(), total);
-    assert_eq!(s.bytes_read(), 0);
-    for i in 0..3 {
-        s.read_page(r, i).unwrap();
-    }
-    assert_eq!(s.bytes_read(), total);
-}
-
-#[test]
 fn memstore_block_append() {
     let mut s = MemStore::new();
     let r = s.create_run().unwrap();
