@@ -29,7 +29,7 @@ use crate::config::{RunFormation, SortConfig};
 use crate::env::SortEnv;
 use crate::error::SortResult;
 use crate::input::InputSource;
-use crate::layout::{RecordSlab, TupleArena};
+use crate::layout::{prefetch, RecordSlab, TupleArena};
 use crate::store::{RunMeta, RunStore};
 use crate::tuple::Page;
 use replacement::BlockPolicy;
@@ -41,20 +41,6 @@ const ADAPTIVE_MAX_BLOCK: usize = 32;
 
 /// How many records [`OutBlock::gather`] prefetches ahead of its copy.
 const PREFETCH_AHEAD: usize = 8;
-
-/// Prefetch every cache line `rec` touches; a no-op off x86-64.
-#[inline]
-fn prefetch(rec: &[u8]) {
-    #[cfg(target_arch = "x86_64")]
-    for byte in rec.iter().step_by(64).chain(rec.last()) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: a prefetch is a hint: it cannot fault or write, and the
-        // address lies inside `rec`.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>((byte as *const u8).cast()) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = rec;
-}
 
 /// The block of run pages being emitted: records are copied out of the slab
 /// in output order and every `tuples_per_page` of them are sealed into one
@@ -281,7 +267,8 @@ mod tests {
 
     /// A gather is a sequence of takes: over inline, synthetic and spilled
     /// payloads it seals the pages that pushing the records one by one
-    /// seals, and it leaves nothing in the slab.
+    /// seals, and it leaves nothing in the slab; so does a slab permuted
+    /// into that order and gathered front to back.
     #[test]
     fn gather_seals_what_pushing_record_by_record_seals() {
         let mut rng = StdRng::seed_from_u64(0x6A7);
@@ -315,6 +302,21 @@ mod tests {
             let pages = out.take_pages();
             let got: Vec<&[u8]> = pages.iter().map(Page::wire_bytes).collect();
             assert_eq!(got, expect, "stride {stride}");
+            assert_eq!((slab.live(), slab.spilled.len()), (0, 0), "stride {stride}");
+
+            // Put in that order where they lie (as `quick` does), the same
+            // records leave front to back and seal the same pages.
+            let mut slab = RecordSlab::new(stride);
+            for t in &tuples {
+                slab.insert(t.key, (&t.payload).into());
+            }
+            let order: Vec<((), u32)> = slots.iter().map(|&slot| ((), slot)).collect();
+            slab.permute(&order);
+            out.gather(&mut slab, 0..200);
+            slab.free_block(0);
+            let pages = out.take_pages();
+            let got: Vec<&[u8]> = pages.iter().map(Page::wire_bytes).collect();
+            assert_eq!(got, expect, "stride {stride}, permuted");
             assert_eq!((slab.live(), slab.spilled.len()), (0, 0), "stride {stride}");
         }
     }

@@ -38,9 +38,8 @@ where
     };
     budget.record_held(0, env.now());
 
-    // The memory load: records in the slab, and the `(composite key, slot)`
-    // list that is sorted in their place.
-    let mut slab = RecordSlab::new(cfg.record_stride());
+    // The memory load: records in a slab made for each run, and the
+    // `(composite key, slot)` list that is sorted in their place.
     let mut column: Vec<(u128, u32)> = Vec::new();
     let mut composites: Vec<u128> = Vec::new();
     let mut out = OutBlock::new(cfg.record_stride(), tpp);
@@ -59,6 +58,7 @@ where
         // ------------------------------------------------------------------
         let mut held_pages = 0usize;
         let mut fill_target = budget.target().max(1);
+        let mut slab = RecordSlab::new(cfg.record_stride());
         column.reserve_exact(fill_target * tpp);
         loop {
             env.poll(budget);
@@ -120,14 +120,13 @@ where
         // The records are put in run order where they lie and copied out a
         // slab block at a time, so the memory load is never held twice.
         // ------------------------------------------------------------------
-        slab.permute(column.len(), |i| column[i].1);
+        slab.permute(&column);
         for start in (0..column.len() as u32).step_by(SLAB_BLOCK_SLOTS) {
             let end = (start + SLAB_BLOCK_SLOTS as u32).min(n as u32);
             out.gather(&mut slab, start..end);
             slab.free_block(start);
         }
         column.clear();
-        slab.clear();
         let pages = out.take_pages();
         let run = store.create_run()?;
         env.charge_cpu(CpuOp::StartIo, 1);

@@ -604,12 +604,10 @@ impl<'a, S: RunStore> State<'a, S> {
                     // A streak one page long counts as a detected natural
                     // run (shorter fragments are heap noise).
                     stats.natural_runs += 1;
-                }
-                env.charge_cpu(CpuOp::CopyTuple, 1);
-                if nat.tail.len() == nat.tail.capacity() && nat.streak_len >= tpp {
                     let room = sel.cap.saturating_sub(nat.tail.len());
                     nat.tail.reserve_exact(room);
                 }
+                env.charge_cpu(CpuOp::CopyTuple, 1);
                 nat.tail.push_back((cmp, slab.insert(stored_key, payload)));
                 continue;
             }
