@@ -327,7 +327,7 @@ pub(crate) const SLAB_BLOCK_SLOTS: usize = 1 << 8;
 pub(crate) struct RecordSlab {
     stride: usize,
     blocks: Vec<Box<[u8]>>,
-    /// Slots handed out since the slab was made or cleared.
+    /// Slots handed out since the slab was made.
     next: u32,
     /// The last slot freed (`u32::MAX`: none); a free slot names the previous.
     free: u32,
@@ -364,9 +364,8 @@ impl RecordSlab {
     /// Copy a record into a free slot and return the slot.
     pub fn insert(&mut self, key: u64, payload: PayloadRef<'_>) -> u32 {
         let slot = if self.free != u32::MAX {
-            let slot = self.free;
-            self.free = u32::from_le_bytes(self.record_bytes(slot)[..4].try_into().unwrap());
-            slot
+            let next = u32::from_le_bytes(self.record_bytes(self.free)[..4].try_into().unwrap());
+            std::mem::replace(&mut self.free, next)
         } else {
             if (self.next as usize).is_multiple_of(SLAB_BLOCK_SLOTS) {
                 let block = vec![0; SLAB_BLOCK_SLOTS * self.stride];
@@ -419,18 +418,18 @@ impl RecordSlab {
     /// Move the records so that slot `i` holds what slot `order[i].1` held,
     /// where the slots of `order` permute the live slots `0..order.len()`: a
     /// cycle at a time, one record set aside, so no record is held twice,
-    /// prefetching 16 records ahead along the cycle.
-    pub fn permute<K>(&mut self, order: &[(K, u32)]) {
+    /// prefetching 16 records ahead along the cycle. Each slot of `order` is
+    /// left naming its own index, which marks the records already moved.
+    pub fn permute<K>(&mut self, order: &mut [(K, u32)]) {
         let mut spilled = std::mem::take(&mut self.spilled);
         if !spilled.is_empty() {
             let moved =
                 |(i, (_, slot)): (usize, &(K, u32))| Some((i as u32, spilled.remove(slot)?));
             self.spilled = order.iter().enumerate().filter_map(moved).collect();
         }
-        let mut done = vec![false; order.len()];
         let (mut aside, mut moving) = (vec![0; self.stride], vec![0; self.stride]);
         for start in 0..order.len() as u32 {
-            if done[start as usize] {
+            if order[start as usize].1 == start {
                 continue;
             }
             aside.copy_from_slice(self.record_bytes(start));
@@ -439,17 +438,16 @@ impl RecordSlab {
                 ahead = order[ahead as usize].1;
                 prefetch(self.record_bytes(ahead));
             }
-            while !std::mem::replace(&mut done[to as usize], true) {
-                let from = order[to as usize].1;
+            let mut from = std::mem::replace(&mut order[to as usize].1, to);
+            while from != start {
                 ahead = order[ahead as usize].1;
                 prefetch(self.record_bytes(ahead));
-                if from != start {
-                    moving.copy_from_slice(self.record_bytes(from));
-                }
-                self.record_mut(to)
-                    .copy_from_slice(if from == start { &aside } else { &moving });
+                moving.copy_from_slice(self.record_bytes(from));
+                self.record_mut(to).copy_from_slice(&moving);
                 to = from;
+                from = std::mem::replace(&mut order[to as usize].1, to);
             }
+            self.record_mut(to).copy_from_slice(&aside);
         }
     }
 

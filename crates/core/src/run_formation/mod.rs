@@ -310,8 +310,8 @@ mod tests {
             for t in &tuples {
                 slab.insert(t.key, (&t.payload).into());
             }
-            let order: Vec<((), u32)> = slots.iter().map(|&slot| ((), slot)).collect();
-            slab.permute(&order);
+            let mut order: Vec<((), u32)> = slots.iter().map(|&slot| ((), slot)).collect();
+            slab.permute(&mut order);
             out.gather(&mut slab, 0..200);
             slab.free_block(0);
             let pages = out.take_pages();

@@ -120,7 +120,7 @@ where
         // The records are put in run order where they lie and copied out a
         // slab block at a time, so the memory load is never held twice.
         // ------------------------------------------------------------------
-        slab.permute(&column);
+        slab.permute(&mut column);
         for start in (0..column.len() as u32).step_by(SLAB_BLOCK_SLOTS) {
             let end = (start + SLAB_BLOCK_SLOTS as u32).min(n as u32);
             out.gather(&mut slab, start..end);

@@ -29,14 +29,13 @@
 //! charges — the paper's cost model — stay where they were; what changed is
 //! the cost here: a sift through a 19 400-entry heap was 14 unpredictable
 //! levels per record, 24 % of a file → file sort, where a tournament over a
-//! few dozen mini-runs is 5. A batch waits in pieces of a quarter of memory
-//! and each piece is sorted into a mini-run held in chunks that are freed as
-//! they empty: no buffer doubles, and popped entries' memory goes back while
-//! the mini-run lives. Emission pops a page of slots, touching only entries,
-//! then copies their records out in one prefetched gather: the slab outgrows
-//! L2 (19 400 slots of 112 B on a 2 MB budget) and is read in key order,
-//! random slab order, so a copy without the prefetch waits on a cache miss
-//! per record.
+//! few dozen mini-runs is 5. A mini-run is held in chunks, freed as they
+//! empty, so popped entries' memory goes back while the mini-run lives, and
+//! no batch of entries doubles on its way to one (see `Selection`'s fields).
+//! Emission pops a page of slots, touching only entries, then copies their
+//! records out in one prefetched gather: the slab outgrows L2 (19 400 slots
+//! of 112 B on a 2 MB budget) and is read in key order, random slab order,
+//! so a copy without the prefetch waits on a cache miss per record.
 //!
 //! # Natural runs
 //!
@@ -122,18 +121,20 @@ fn head(mini: &[Vec<Entry>]) -> Option<Entry> {
 /// mini-runs (see the module docs).
 #[derive(Default)]
 struct Selection {
-    /// Entries pushed since the last pop, unsorted, in pieces of a quarter
-    /// of `cap` entries each: a batch is never copied into a larger buffer.
+    /// Entries pushed since the last pop, unsorted, in pieces of `block`
+    /// entries — what a batch is when memory is full — so that none is copied
+    /// into a larger buffer or given room for a whole memory load.
     pending: Vec<Vec<Entry>>,
-    /// Entries pushed for a run after `run`, unsorted: nothing can pop them
-    /// before everything else is gone, so they wait to be sorted until then —
-    /// which is also what leaves only `later`'s pieces when a run closes.
+    /// Entries pushed for a run after `run`, unsorted, in pieces of `cap / 4`
+    /// entries: nothing pops them before all else is gone, so they wait and
+    /// are merged then into one mini-run, the only one a closing run leaves.
     later: Vec<Vec<Entry>>,
-    /// The records the memory target holds.
+    /// The records the memory target holds, and those one block write does.
     cap: usize,
+    block: usize,
     /// The highest run number among `minis` and `pending`.
     run: u32,
-    /// The mini-runs: each a piece sorted *descending* and cut into chunks,
+    /// The mini-runs: each a batch sorted *descending* and cut into chunks,
     /// so its head is the last entry of its last chunk and a chunk's memory
     /// goes back when its last entry pops. Slot `i` of `tree` is keyed by
     /// `minis[i]`'s head.
@@ -145,38 +146,56 @@ struct Selection {
 impl Selection {
     fn push(&mut self, entry: Entry) {
         self.len += 1;
-        let batch = if entry.0 > self.run {
-            &mut self.later
+        let (batch, piece) = if entry.0 > self.run {
+            (&mut self.later, self.cap.div_ceil(4))
         } else {
-            &mut self.pending
+            (&mut self.pending, self.block)
         };
         if batch.last().is_none_or(|p| p.len() == p.capacity()) {
-            batch.push(Vec::with_capacity(self.cap.div_ceil(4).max(1)));
+            batch.push(Vec::with_capacity(piece.max(1)));
         }
         batch.last_mut().expect("a piece with room").push(entry);
     }
 
     /// Sort what was pushed since the last pop into mini-runs, a piece each —
-    /// or, with nothing else left, what was pushed for later runs.
+    /// or, with nothing else left, what was pushed for later runs into one.
     fn settle(&mut self) {
-        let batch = if !self.pending.is_empty() {
-            &mut self.pending
-        } else if self.tree.is_empty() && !self.later.is_empty() {
-            &mut self.later
-        } else {
+        if self.pending.is_empty() && (!self.tree.is_empty() || self.later.is_empty()) {
             return;
-        };
+        }
         // About sqrt(n) chunks of sqrt(n) entries — to a power of two, so
         // that few sizes are ever asked of the allocator: what a mini-run
         // holds beyond its live entries is less than one chunk.
-        let n = batch.iter().map(Vec::len).sum::<usize>();
-        let chunk = 1 << n.ilog2().div_ceil(2);
+        let chunk = |n: usize| 1 << n.ilog2().div_ceil(2);
         self.minis.retain(|mini| !mini.is_empty());
-        for mut piece in std::mem::take(batch) {
-            piece.sort_unstable_by(|a, b| b.cmp(a));
-            self.run = self.run.max(piece[0].0);
-            self.minis
-                .push(piece.chunks(chunk).map(<[Entry]>::to_vec).collect());
+        if !self.pending.is_empty() {
+            for mut piece in std::mem::take(&mut self.pending) {
+                piece.sort_unstable_by(|a, b| b.cmp(a));
+                self.run = self.run.max(piece[0].0);
+                let chunks = piece.chunks(chunk(piece.len()));
+                self.minis.push(chunks.map(<[Entry]>::to_vec).collect());
+            }
+        } else {
+            // The pieces are sorted and merged from the largest entry down,
+            // a chunk at a time, each piece shrunk once it has given up four
+            // chunks' worth: no entry is held twice for long.
+            let mut pieces = std::mem::take(&mut self.later);
+            let n = pieces.iter().map(Vec::len).sum::<usize>();
+            let (chunk, mut mini) = (chunk(n), Vec::<Vec<Entry>>::new());
+            pieces.iter_mut().for_each(|piece| piece.sort_unstable());
+            for start in (0..n).step_by(chunk) {
+                let largest = |_| {
+                    let piece = pieces.iter_mut().max_by_key(|p| p.last().copied());
+                    piece.and_then(Vec::pop).expect("an entry is left")
+                };
+                mini.push((start..n.min(start + chunk)).map(largest).collect());
+                let slack = |p: &&mut Vec<Entry>| p.capacity() - p.len() >= 4 * chunk;
+                for piece in pieces.iter_mut().filter(slack) {
+                    piece.shrink_to_fit();
+                }
+            }
+            self.run = self.run.max(mini[0][0].0);
+            self.minis.push(mini);
         }
         let heads = self.minis.iter().map(|mini| head(mini));
         self.tree.rebuild(heads);
@@ -226,8 +245,9 @@ impl BlockPolicy {
 }
 
 /// The direction of the run currently being formed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum RunDir {
+    #[default]
     Up,
     Down,
 }
@@ -252,6 +272,7 @@ impl RunDir {
 }
 
 /// What natural-run formation tracks on top of the classic state.
+#[derive(Default)]
 struct Natural {
     /// Natural-run FIFO: the `(cmp, slot)` ascending streak currently being
     /// detected at the input frontier, merged with the heap at emission. Once
@@ -299,21 +320,6 @@ const STREAK_ENGAGE: usize = 8;
 const SPIKE_EVICT_LIMIT: usize = 4;
 
 impl Natural {
-    fn new() -> Self {
-        Natural {
-            tail: VecDeque::new(),
-            dir: RunDir::Up,
-            next_dir: RunDir::Up,
-            dir_fixed: false,
-            last_composite: None,
-            up_pairs: 0,
-            down_pairs: 0,
-            streak_len: 0,
-            last_in: None,
-            arrival_streak: 0,
-        }
-    }
-
     /// Sniff run 0's direction from the first input page: count ascending vs
     /// descending adjacent rank pairs and start descending when the input
     /// leans that way. The direction must be fixed before any tuple is
@@ -351,7 +357,6 @@ impl Natural {
 struct State<'a, S: RunStore> {
     store: &'a mut S,
     tpp: usize,
-    block_tuples: usize,
     order: SortOrder,
     sel: Selection,
     slab: RecordSlab,
@@ -644,7 +649,6 @@ where
     let mut st = State {
         store,
         tpp,
-        block_tuples: block.block_pages(budget.target().max(1)) * tpp,
         order: cfg.order,
         sel: Selection::default(),
         slab: RecordSlab::new(cfg.record_stride()),
@@ -654,7 +658,7 @@ where
         current_run_no: 0,
         current_run_id: None,
         last_out: None,
-        natural: natural.then(Natural::new),
+        natural: natural.then(Natural::default),
     };
     budget.record_held(0, env.now());
 
@@ -667,9 +671,8 @@ where
         }
         let target = budget.target().max(1);
         // Under the adaptive policy the block size follows the allocation.
-        st.block_tuples = block.block_pages(target) * tpp;
         let cap_tuples = target * tpp;
-        st.sel.cap = cap_tuples;
+        (st.sel.block, st.sel.cap) = (block.block_pages(target) * tpp, cap_tuples);
         let in_mem = st.in_memory_tuples();
 
         // --------------------------------------------------------------
@@ -733,7 +736,7 @@ where
         // A run boundary closes the run; otherwise the block is flushed —
         // full, or short because the selection ran dry, so that the next
         // input page can be absorbed.
-        if st.emit_up_to(env, st.block_tuples) {
+        if st.emit_up_to(env, st.sel.block) {
             st.close_run(env, budget, &mut stats)?;
         } else {
             st.flush(env, budget, &mut stats)?;
@@ -785,7 +788,7 @@ mod tests {
     /// time under a budget that sheds to a quarter and regrows every few
     /// steps: every peek and pop is a `BinaryHeap`'s, the mini-runs never hold
     /// more than 1.5x their live entries plus one batch (in fact about 1.06x),
-    /// and each run closes on one per piece of its successor's entries.
+    /// and each run closes on a single one.
     #[test]
     fn selection_pops_what_a_binary_heap_pops_and_gives_memory_back() {
         use std::{cmp::Reverse, collections::BinaryHeap};
@@ -793,7 +796,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5E1);
         for block in [1usize, 6] {
             let (mut sel, mut heap) = (Selection::default(), BinaryHeap::new());
-            sel.cap = 64 * 32;
+            (sel.cap, sel.block) = (64 * 32, block * 32);
             let (mut run, mut last, mut closed) = (0u32, 0u128, 0);
             for step in 0..4000usize {
                 let cap = if step / 7 % 2 == 0 { 64 } else { 16 } * 32;
@@ -815,7 +818,7 @@ mod tests {
                             last = SortOrder::composite(e.1, e.2);
                         }
                         Some(_) => {
-                            assert!(sel.minis.len() <= 4, "run {run} closed on more pieces");
+                            assert_eq!(sel.minis.len(), 1, "run {run} closed on several");
                             (run, last, closed) = (run + 1, 0, closed + 1);
                             break;
                         }
