@@ -121,7 +121,7 @@ where
         // slab block at a time, so the memory load is never held twice.
         // ------------------------------------------------------------------
         slab.permute(&mut column);
-        for start in (0..column.len() as u32).step_by(SLAB_BLOCK_SLOTS) {
+        for start in (0..n as u32).step_by(SLAB_BLOCK_SLOTS) {
             let end = (start + SLAB_BLOCK_SLOTS as u32).min(n as u32);
             out.gather(&mut slab, start..end);
             slab.free_block(start);

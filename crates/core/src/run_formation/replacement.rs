@@ -121,17 +121,15 @@ fn head(mini: &[Vec<Entry>]) -> Option<Entry> {
 /// mini-runs (see the module docs).
 #[derive(Default)]
 struct Selection {
-    /// Entries pushed since the last pop, unsorted, in pieces of `block`
-    /// entries — what a batch is when memory is full — so that none is copied
-    /// into a larger buffer or given room for a whole memory load.
+    /// Entries pushed since the last pop, unsorted, in pieces of a quarter
+    /// of `cap` entries each: a batch is never copied into a larger buffer.
     pending: Vec<Vec<Entry>>,
-    /// Entries pushed for a run after `run`, unsorted, in pieces of `cap / 4`
-    /// entries: nothing pops them before all else is gone, so they wait and
-    /// are merged then into one mini-run, the only one a closing run leaves.
+    /// Entries pushed for a run after `run`, unsorted, in pieces likewise:
+    /// nothing can pop them before everything else is gone, so they wait,
+    /// and are then made one mini-run — the only one a closing run leaves.
     later: Vec<Vec<Entry>>,
-    /// The records the memory target holds, and those one block write does.
+    /// The records the memory target holds.
     cap: usize,
-    block: usize,
     /// The highest run number among `minis` and `pending`.
     run: u32,
     /// The mini-runs: each a batch sorted *descending* and cut into chunks,
@@ -146,13 +144,13 @@ struct Selection {
 impl Selection {
     fn push(&mut self, entry: Entry) {
         self.len += 1;
-        let (batch, piece) = if entry.0 > self.run {
-            (&mut self.later, self.cap.div_ceil(4))
+        let batch = if entry.0 > self.run {
+            &mut self.later
         } else {
-            (&mut self.pending, self.block)
+            &mut self.pending
         };
         if batch.last().is_none_or(|p| p.len() == p.capacity()) {
-            batch.push(Vec::with_capacity(piece.max(1)));
+            batch.push(Vec::with_capacity(self.cap.div_ceil(4).max(1)));
         }
         batch.last_mut().expect("a piece with room").push(entry);
     }
@@ -160,42 +158,45 @@ impl Selection {
     /// Sort what was pushed since the last pop into mini-runs, a piece each —
     /// or, with nothing else left, what was pushed for later runs into one.
     fn settle(&mut self) {
-        if self.pending.is_empty() && (!self.tree.is_empty() || self.later.is_empty()) {
+        let later = self.pending.is_empty();
+        if later && (!self.tree.is_empty() || self.later.is_empty()) {
             return;
+        }
+        if later {
+            std::mem::swap(&mut self.pending, &mut self.later);
         }
         // About sqrt(n) chunks of sqrt(n) entries — to a power of two, so
         // that few sizes are ever asked of the allocator: what a mini-run
         // holds beyond its live entries is less than one chunk.
-        let chunk = |n: usize| 1 << n.ilog2().div_ceil(2);
+        let n = self.pending.iter().map(Vec::len).sum::<usize>();
+        let chunk = 1 << n.ilog2().div_ceil(2);
         self.minis.retain(|mini| !mini.is_empty());
-        if !self.pending.is_empty() {
-            for mut piece in std::mem::take(&mut self.pending) {
-                piece.sort_unstable_by(|a, b| b.cmp(a));
-                self.run = self.run.max(piece[0].0);
-                let chunks = piece.chunks(chunk(piece.len()));
-                self.minis.push(chunks.map(<[Entry]>::to_vec).collect());
-            }
-        } else {
-            // The pieces are sorted and merged from the largest entry down,
-            // a chunk at a time, each piece shrunk once it has given up four
-            // chunks' worth: no entry is held twice for long.
-            let mut pieces = std::mem::take(&mut self.later);
-            let n = pieces.iter().map(Vec::len).sum::<usize>();
-            let (chunk, mut mini) = (chunk(n), Vec::<Vec<Entry>>::new());
-            pieces.iter_mut().for_each(|piece| piece.sort_unstable());
-            for start in (0..n).step_by(chunk) {
-                let largest = |_| {
-                    let piece = pieces.iter_mut().max_by_key(|p| p.last().copied());
-                    piece.and_then(Vec::pop).expect("an entry is left")
-                };
-                mini.push((start..n.min(start + chunk)).map(largest).collect());
-                let slack = |p: &&mut Vec<Entry>| p.capacity() - p.len() >= 4 * chunk;
-                for piece in pieces.iter_mut().filter(slack) {
-                    piece.shrink_to_fit();
+        for mut piece in std::mem::take(&mut self.pending) {
+            piece.sort_unstable_by(|a, b| b.cmp(a));
+            self.run = self.run.max(piece[0].0);
+            self.minis
+                .push(piece.chunks(chunk).map(<[Entry]>::to_vec).collect());
+        }
+        if later {
+            // Nothing else is left: merge the pieces' mini-runs into one,
+            // smallest first. A chunk that empties is reused for the merged
+            // run if it is whole and freed if not: no entry is held twice.
+            let (mut minis, mut spare) = (std::mem::take(&mut self.minis), Vec::new());
+            let mut merged: Vec<Vec<Entry>> = Vec::with_capacity(n.div_ceil(chunk));
+            for i in 0..n {
+                if i % chunk == 0 {
+                    merged.push(spare.pop().unwrap_or_else(|| Vec::with_capacity(chunk)));
                 }
+                let mini = minis.iter_mut().min_by_key(|m| (m.is_empty(), head(m)));
+                let mini = mini.expect("a mini-run with the entry");
+                let last = mini.last_mut().expect("a chunk with the entry");
+                merged[i / chunk].extend(last.pop());
+                let emptied = mini.pop_if(|c| c.is_empty());
+                spare.extend(emptied.filter(|c| c.capacity() >= chunk));
             }
-            self.run = self.run.max(mini[0][0].0);
-            self.minis.push(mini);
+            merged.iter_mut().for_each(|c| c.reverse());
+            merged.reverse();
+            self.minis.push(merged);
         }
         let heads = self.minis.iter().map(|mini| head(mini));
         self.tree.rebuild(heads);
@@ -357,6 +358,7 @@ impl Natural {
 struct State<'a, S: RunStore> {
     store: &'a mut S,
     tpp: usize,
+    block_tuples: usize,
     order: SortOrder,
     sel: Selection,
     slab: RecordSlab,
@@ -403,11 +405,7 @@ impl<'a, S: RunStore> State<'a, S> {
         }
         let run = match self.current_run_id {
             Some(run) => run,
-            None => {
-                let run = self.store.create_run()?;
-                self.current_run_id = Some(run);
-                run
-            }
+            None => *self.current_run_id.insert(self.store.create_run()?),
         };
         env.charge_cpu(CpuOp::StartIo, 1);
         let pages = self.out.take_pages();
@@ -649,6 +647,7 @@ where
     let mut st = State {
         store,
         tpp,
+        block_tuples: 0,
         order: cfg.order,
         sel: Selection::default(),
         slab: RecordSlab::new(cfg.record_stride()),
@@ -671,8 +670,9 @@ where
         }
         let target = budget.target().max(1);
         // Under the adaptive policy the block size follows the allocation.
+        st.block_tuples = block.block_pages(target) * tpp;
         let cap_tuples = target * tpp;
-        (st.sel.block, st.sel.cap) = (block.block_pages(target) * tpp, cap_tuples);
+        st.sel.cap = cap_tuples;
         let in_mem = st.in_memory_tuples();
 
         // --------------------------------------------------------------
@@ -736,7 +736,7 @@ where
         // A run boundary closes the run; otherwise the block is flushed —
         // full, or short because the selection ran dry, so that the next
         // input page can be absorbed.
-        if st.emit_up_to(env, st.sel.block) {
+        if st.emit_up_to(env, st.block_tuples) {
             st.close_run(env, budget, &mut stats)?;
         } else {
             st.flush(env, budget, &mut stats)?;
@@ -796,7 +796,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5E1);
         for block in [1usize, 6] {
             let (mut sel, mut heap) = (Selection::default(), BinaryHeap::new());
-            (sel.cap, sel.block) = (64 * 32, block * 32);
+            sel.cap = 64 * 32;
             let (mut run, mut last, mut closed) = (0u32, 0u128, 0);
             for step in 0..4000usize {
                 let cap = if step / 7 % 2 == 0 { 64 } else { 16 } * 32;

@@ -95,10 +95,9 @@ fn run_formation_allocates_per_page_not_per_buffer_growth() {
         .run()
         .unwrap();
     assert!(sort.outcome.runs_formed() > 5, "the input must spill");
-    // 2 012 allocations for the 300 pages past warm-up since the entry
-    // batches wait in pieces sized from the block and the grant (2 207 while
-    // they grew by doubling); a slot buffer allocated afresh each round adds
-    // about 5 a page.
+    // 1 998 allocations for the 300 pages past warm-up since the entry
+    // batches wait in fixed-size pieces (2 207 while they grew by doubling);
+    // a slot buffer allocated afresh each round adds about 5 a page.
     let steady = PAGES - WARM_UP;
     let allocations = AT_DRY.load(Ordering::Relaxed) - AT_WARM_UP.load(Ordering::Relaxed);
     assert!(
