@@ -3,7 +3,7 @@
 use super::*;
 use crate::ticket::{JobOutput, JobReport};
 use masort_core::verify::assert_sorted_permutation;
-use masort_core::{ChannelSource, Page};
+use masort_core::Page;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,6 +29,21 @@ impl InputSource for FailingSource {
         Err(SortError::Io(std::io::Error::other(
             "the input's disk died",
         )))
+    }
+}
+
+/// An input that blocks until its gate opens, then ends as a producer that
+/// left mid-stream would: a sort parked on its input.
+struct GatedSource(Arc<(Mutex<bool>, Condvar)>);
+
+impl InputSource for GatedSource {
+    fn next_page(&mut self) -> SortResult<Option<Page>> {
+        let (open, opened) = &*self.0;
+        let mut open = open.lock();
+        while !*open {
+            open = opened.wait(open);
+        }
+        Err(SortError::Io(std::io::ErrorKind::UnexpectedEof.into()))
     }
 }
 
@@ -342,10 +357,10 @@ fn registry_counts_every_terminal_outcome() {
     assert_eq!(starved(svc.submit(request(9)).unwrap_err()), (9, 8));
     // Admitted with the pool's whole minimum and parked on its input, so
     // every later request queues behind it.
-    let (sink, source) = ChannelSource::bounded(1);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let running = svc
         .submit(
-            SortRequest::from_source(small_cfg(4), source)
+            SortRequest::from_source(small_cfg(4), GatedSource(Arc::clone(&gate)))
                 .min_pages(8)
                 .tenant("acme"),
         )
@@ -363,7 +378,8 @@ fn registry_counts_every_terminal_outcome() {
     assert!(queued.cancel());
     assert!(matches!(queued.wait(), Err(SortError::Cancelled)));
     assert!(running.cancel());
-    drop(sink);
+    *gate.0.lock() = true;
+    gate.1.notify_all();
     assert!(matches!(running.wait(), Err(SortError::Cancelled)));
     // Failed, then completed.
     let failing = SortRequest::from_source(small_cfg(4), FailingSource);

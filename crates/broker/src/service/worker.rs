@@ -151,10 +151,10 @@ fn hand_over(shared: &Arc<Shared>, books: Books, sort: SortCompletion<FileStore>
 fn fail(shared: &Shared, books: Books, e: SortError) {
     let ticket = Arc::clone(&books.ticket);
     // A cancelled job did what it was told; count it apart from genuine
-    // failures. A sort that was blocked on a streaming input when the cancel
-    // landed reports its abandoned channel's I/O error instead of
-    // `Cancelled` — normalise it, so cancellation accounting is
-    // deterministic for the caller.
+    // failures. A sort that was blocked on its input when the cancel landed
+    // reports whatever error that input ends with instead of `Cancelled` —
+    // normalise it, so cancellation accounting is deterministic for the
+    // caller.
     let e = match ticket.cancel_requested() {
         true => SortError::Cancelled,
         false => e,

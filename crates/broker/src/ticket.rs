@@ -107,8 +107,8 @@ impl TicketShared {
     /// Whether a cancel was ever requested for this job. The service uses it
     /// to classify the job's final error: a cancelled sort usually aborts at
     /// a budget checkpoint with `SortError::Cancelled`, but one blocked on a
-    /// streaming input can instead surface the I/O error of its abandoned
-    /// channel — the caller asked for a cancel either way.
+    /// streaming input can instead surface whatever error that input ends
+    /// with — the caller asked for a cancel either way.
     pub(crate) fn cancel_requested(&self) -> bool {
         self.cancel.lock().requested
     }

@@ -8,8 +8,8 @@
 //! a shimmed primitive outside a model (tests, binaries) keeps working.
 //!
 //! Caveat for model authors: wake-ups only propagate *between tasks*. A
-//! plain OS thread releasing a checked lock or sending on a checked channel
-//! cannot wake a blocked task — keep all shared state inside tasks.
+//! plain OS thread releasing a checked lock cannot wake a blocked task —
+//! keep all shared state inside tasks.
 
 use crate::rt;
 use std::mem::ManuallyDrop;
@@ -445,298 +445,6 @@ pub mod atomic {
         ) -> Result<bool, bool> {
             rt::yield_point(Some(Location::caller()));
             self.0.compare_exchange(current, new, success, failure)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// mpsc channels
-// ---------------------------------------------------------------------------
-
-/// Checked multi-producer single-consumer channels, API-compatible with the
-/// subset of `std::sync::mpsc` masort uses. Error types are re-used from
-/// `std` so call sites (`e.0`, `TryRecvError::Empty`, …) port unchanged.
-pub mod mpsc {
-    use crate::rt;
-    use std::collections::VecDeque;
-    use std::panic::Location;
-    #[doc(no_inline)]
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    struct ChanState<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        recv_alive: bool,
-    }
-
-    struct Chan<T> {
-        state: std::sync::Mutex<ChanState<T>>,
-        /// Wakes plain-OS-thread receivers; tasks use `res_recv`.
-        not_empty: std::sync::Condvar,
-        /// Wakes plain-OS-thread senders; tasks use `res_send`.
-        not_full: std::sync::Condvar,
-        res_recv: u64,
-        res_send: u64,
-        cap: usize,
-    }
-
-    impl<T> Chan<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, ChanState<T>> {
-            self.state.lock().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    /// Create a bounded checked channel with capacity `bound`.
-    pub fn sync_channel<T>(bound: usize) -> (SyncSender<T>, Receiver<T>) {
-        let c = Arc::new(Chan {
-            state: std::sync::Mutex::new(ChanState {
-                queue: VecDeque::new(),
-                senders: 1,
-                recv_alive: true,
-            }),
-            not_empty: std::sync::Condvar::new(),
-            not_full: std::sync::Condvar::new(),
-            res_recv: rt::next_res_id(),
-            res_send: rt::next_res_id(),
-            cap: bound,
-        });
-        (
-            SyncSender {
-                chan: Arc::clone(&c),
-            },
-            Receiver { chan: c },
-        )
-    }
-
-    fn do_send<T>(chan: &Chan<T>, t: T, site: Option<rt::Site>) -> Result<(), SendError<T>> {
-        loop {
-            rt::yield_point(site);
-            {
-                let mut st = chan.lock();
-                if !st.recv_alive {
-                    return Err(SendError(t));
-                }
-                if st.queue.len() < chan.cap {
-                    st.queue.push_back(t);
-                    drop(st);
-                    rt::wake_all(chan.res_recv);
-                    chan.not_empty.notify_one();
-                    return Ok(());
-                }
-            }
-            if rt::in_model() {
-                rt::block_on(chan.res_send, false, site);
-            } else {
-                let mut st = chan.lock();
-                while st.recv_alive && st.queue.len() >= chan.cap {
-                    st = chan.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-                drop(st);
-            }
-        }
-    }
-
-    fn close_sender<T>(chan: &Chan<T>) {
-        let mut st = chan.lock();
-        st.senders -= 1;
-        let last = st.senders == 0;
-        drop(st);
-        if last {
-            rt::wake_all(chan.res_recv);
-            chan.not_empty.notify_all();
-        }
-    }
-
-    fn add_sender<T>(chan: &Chan<T>) {
-        chan.lock().senders += 1;
-    }
-
-    /// Sending half of a bounded checked channel.
-    pub struct SyncSender<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    impl<T> SyncSender<T> {
-        /// Send a value, blocking while the channel is full; fails if the
-        /// receiver was dropped.
-        #[track_caller]
-        pub fn send(&self, t: T) -> Result<(), SendError<T>> {
-            do_send(&self.chan, t, Some(Location::caller()))
-        }
-
-        /// Send without blocking; reports a full or disconnected channel.
-        #[track_caller]
-        pub fn try_send(&self, t: T) -> Result<(), TrySendError<T>> {
-            rt::yield_point(Some(Location::caller()));
-            let mut st = self.chan.lock();
-            if !st.recv_alive {
-                return Err(TrySendError::Disconnected(t));
-            }
-            if st.queue.len() >= self.chan.cap {
-                return Err(TrySendError::Full(t));
-            }
-            st.queue.push_back(t);
-            drop(st);
-            rt::wake_all(self.chan.res_recv);
-            self.chan.not_empty.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for SyncSender<T> {
-        fn clone(&self) -> Self {
-            add_sender(&self.chan);
-            SyncSender {
-                chan: Arc::clone(&self.chan),
-            }
-        }
-    }
-
-    impl<T> Drop for SyncSender<T> {
-        fn drop(&mut self) {
-            close_sender(&self.chan);
-        }
-    }
-
-    /// Receiving half of a checked channel.
-    pub struct Receiver<T> {
-        chan: Arc<Chan<T>>,
-    }
-
-    impl<T> Receiver<T> {
-        /// Receive a value, blocking until one arrives or every sender is
-        /// dropped.
-        #[track_caller]
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let site = Some(Location::caller());
-            loop {
-                rt::yield_point(site);
-                {
-                    let mut st = self.chan.lock();
-                    if let Some(t) = st.queue.pop_front() {
-                        drop(st);
-                        rt::wake_all(self.chan.res_send);
-                        self.chan.not_full.notify_one();
-                        return Ok(t);
-                    }
-                    if st.senders == 0 {
-                        return Err(RecvError);
-                    }
-                }
-                if rt::in_model() {
-                    rt::block_on(self.chan.res_recv, false, site);
-                } else {
-                    let mut st = self.chan.lock();
-                    while st.queue.is_empty() && st.senders > 0 {
-                        st = self
-                            .chan
-                            .not_empty
-                            .wait(st)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            }
-        }
-
-        /// Receive with a timeout. Inside a schedule the timeout only fires
-        /// once every other task is blocked.
-        #[track_caller]
-        pub fn recv_timeout(&self, dur: Duration) -> Result<T, RecvTimeoutError> {
-            let site = Some(Location::caller());
-            let deadline = Instant::now() + dur;
-            loop {
-                rt::yield_point(site);
-                {
-                    let mut st = self.chan.lock();
-                    if let Some(t) = st.queue.pop_front() {
-                        drop(st);
-                        rt::wake_all(self.chan.res_send);
-                        self.chan.not_full.notify_one();
-                        return Ok(t);
-                    }
-                    if st.senders == 0 {
-                        return Err(RecvTimeoutError::Disconnected);
-                    }
-                }
-                if rt::in_model() {
-                    if rt::block_on(self.chan.res_recv, true, site) == rt::Wake::TimedOut {
-                        // One last drain check happens on the next loop
-                        // iteration; if the queue is still empty, time out.
-                        let st = self.chan.lock();
-                        if st.queue.is_empty() {
-                            return Err(RecvTimeoutError::Timeout);
-                        }
-                    }
-                } else {
-                    let mut st = self.chan.lock();
-                    while st.queue.is_empty() && st.senders > 0 {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(RecvTimeoutError::Timeout);
-                        }
-                        let (g, _) = self
-                            .chan
-                            .not_empty
-                            .wait_timeout(st, deadline - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        st = g;
-                    }
-                }
-            }
-        }
-
-        /// Receive without blocking.
-        #[track_caller]
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            rt::yield_point(Some(Location::caller()));
-            let mut st = self.chan.lock();
-            if let Some(t) = st.queue.pop_front() {
-                drop(st);
-                rt::wake_all(self.chan.res_send);
-                self.chan.not_full.notify_one();
-                return Ok(t);
-            }
-            if st.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-
-        /// Drain currently-queued values without blocking.
-        pub fn try_iter(&self) -> impl Iterator<Item = T> + '_ {
-            std::iter::from_fn(move || self.try_recv().ok())
-        }
-    }
-
-    impl<T> std::fmt::Debug for SyncSender<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("SyncSender").finish_non_exhaustive()
-        }
-    }
-
-    impl<T> std::fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Receiver").finish_non_exhaustive()
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut st = self.chan.lock();
-            st.recv_alive = false;
-            st.queue.clear();
-            drop(st);
-            rt::wake_all(self.chan.res_send);
-            self.chan.not_full.notify_all();
-        }
-    }
-
-    impl<T> Iterator for Receiver<T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.recv().ok()
         }
     }
 }

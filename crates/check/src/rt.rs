@@ -3,7 +3,7 @@
 //!
 //! One *schedule* executes a model closure on a set of real OS threads
 //! ("tasks") of which **exactly one runs at a time**: every instrumented
-//! shim operation (lock, channel, atomic, spawn, sleep) is a *yield point*
+//! shim operation (lock, condvar, atomic, spawn, sleep) is a *yield point*
 //! where the scheduler picks the next runnable task from a deterministic
 //! choice source — a seeded random walk or a replayed/enumerated choice
 //! vector. Because the choice source is the only source of nondeterminism,
@@ -11,7 +11,7 @@
 //!
 //! The runtime detects deadlocks structurally: when no task is runnable and
 //! no timed waiter remains, the schedule fails with every task's block site.
-//! Timed waits (`wait_timeout`, `recv_timeout`) never fire while any task
+//! Timed waits (`wait_timeout`) never fire while any task
 //! can still run — logical time only advances when the system is otherwise
 //! idle, which keeps schedules deterministic without modelling real clocks.
 
@@ -25,8 +25,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// at; used in deadlock reports.
 pub(crate) type Site = &'static Location<'static>;
 
-/// Allocate a process-unique resource id (one per lock / condvar / channel
-/// endpoint / join handle) for the runtime's wait queues.
+/// Allocate a process-unique resource id (one per lock / condvar / join
+/// handle) for the runtime's wait queues.
 pub(crate) fn next_res_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)

@@ -1,9 +1,9 @@
 //! The masort synchronisation shim.
 //!
 //! Every masort crate uses these types instead of `std::sync::{Mutex,
-//! Condvar}`, `std::sync::mpsc` and `std::thread` spawning, and no
-//! `RwLock` at all (the `lint-sync` binary enforces this). The shim has three
-//! build modes:
+//! Condvar}` and `std::thread` spawning, and no `RwLock` and no
+//! `std::sync::mpsc` channel at all (the `lint-sync` binary enforces this).
+//! The shim has three build modes:
 //!
 //! - **release** (default): transparent wrappers over `std` with
 //!   poison-recovering `lock()`; compiles away to nothing.
@@ -38,20 +38,6 @@ pub mod atomic {
     #[doc(no_inline)]
     pub use std::sync::atomic::{
         AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
-}
-
-/// Bounded multi-producer single-consumer channels: `std::sync::mpsc`'s in
-/// default builds, the checked ones under `cfg(masort_check)`.
-pub mod mpsc {
-    #[cfg(masort_check)]
-    pub use crate::checked::mpsc::*;
-    // check-exempt: this module *is* the shim's std escape hatch.
-    #[cfg(not(masort_check))]
-    #[doc(no_inline)]
-    pub use std::sync::mpsc::{
-        sync_channel, Receiver, RecvError, RecvTimeoutError, SendError, SyncSender, TryRecvError,
-        TrySendError,
     };
 }
 

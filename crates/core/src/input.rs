@@ -2,12 +2,10 @@
 
 use crate::error::SortResult;
 use crate::layout::{TupleArena, MIN_DENSE_STRIDE};
-use crate::sync::mpsc;
 use crate::tuple::{paginate, Page, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::fmt;
 
 /// A stream of input pages for the split phase.
 ///
@@ -266,151 +264,6 @@ impl InputSource for GenSource {
     }
 }
 
-/// What travels over a [`ChannelSource`]'s channel.
-#[derive(Debug)]
-enum ChannelItem {
-    Page(Page),
-    Finished,
-}
-
-/// Error returned by [`ChannelSink::send`] when the sort consuming the
-/// channel has terminated (successfully or not) and dropped its
-/// [`ChannelSource`]. The rejected page is handed back to the producer.
-#[derive(Debug)]
-pub struct ChannelClosed(pub Page);
-
-impl fmt::Display for ChannelClosed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "the sort consuming this channel has terminated")
-    }
-}
-
-impl std::error::Error for ChannelClosed {}
-
-/// Producer half of a bounded page channel feeding a sort through
-/// [`ChannelSource`] — the adapter that lets a thread *stream* input into a
-/// running sort (a network session, another operator) instead of
-/// materialising it up front.
-///
-/// Backpressure is built in: [`send`](Self::send) blocks while the channel
-/// holds `capacity` undrained pages, so a producer reading from a socket
-/// naturally stops reading when the sort falls behind.
-///
-/// End-of-input is **explicit**: call [`finish`](Self::finish) to deliver a
-/// clean end-of-stream. Dropping the sink without finishing makes the sort
-/// fail with an I/O error — exactly what an owner wants when the producer
-/// died mid-stream (a client disconnect, a panicked upstream operator), since
-/// a truncated relation must not be reported as a successful sort.
-#[derive(Debug)]
-pub struct ChannelSink {
-    tx: mpsc::SyncSender<ChannelItem>,
-}
-
-impl ChannelSink {
-    /// Deliver one input page, blocking while the channel is at capacity.
-    ///
-    /// Returns the page back inside [`ChannelClosed`] if the consuming sort
-    /// has already terminated; the producer should stop sending.
-    pub fn send(&self, page: Page) -> Result<(), ChannelClosed> {
-        self.tx
-            .send(ChannelItem::Page(page))
-            .map_err(|e| match e.0 {
-                ChannelItem::Page(p) => ChannelClosed(p),
-                ChannelItem::Finished => unreachable!("send only queues pages"),
-            })
-    }
-
-    /// Signal a clean end-of-input. Consumes the sink; after the marker the
-    /// source reports exhaustion (`Ok(None)`) instead of a producer failure.
-    /// Returns `false` if the sort terminated before the marker arrived.
-    pub fn finish(self) -> bool {
-        self.tx.send(ChannelItem::Finished).is_ok()
-    }
-}
-
-/// An [`InputSource`] fed page-by-page from another thread through a bounded
-/// channel — see [`ChannelSink`] for the producer half and the backpressure /
-/// end-of-stream contract.
-///
-/// ```
-/// use masort_core::prelude::*;
-/// use masort_core::ChannelSource;
-///
-/// let (sink, source) = ChannelSource::bounded(4);
-/// let producer = std::thread::spawn(move || {
-///     for k in (0..6u64).rev() {
-///         sink.send(Page::from_tuples(vec![Tuple::synthetic(k, 64)]))
-///             .unwrap();
-///     }
-///     sink.finish();
-/// });
-/// let sorted = SortJob::builder()
-///     .input(source)
-///     .build()?
-///     .run()?
-///     .into_sorted_vec()?;
-/// producer.join().unwrap();
-/// assert_eq!(sorted.len(), 6);
-/// # Ok::<(), masort_core::SortError>(())
-/// ```
-#[derive(Debug)]
-pub struct ChannelSource {
-    rx: mpsc::Receiver<ChannelItem>,
-    done: bool,
-    expected_tuples: Option<usize>,
-}
-
-impl ChannelSource {
-    /// Create a channel holding at most `capacity` (≥ 1) undrained pages and
-    /// return both halves.
-    pub fn bounded(capacity: usize) -> (ChannelSink, ChannelSource) {
-        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        (
-            ChannelSink { tx },
-            ChannelSource {
-                rx,
-                done: false,
-                expected_tuples: None,
-            },
-        )
-    }
-
-    /// Builder-style: declare how many tuples the producer will send, for
-    /// consumers that plan ahead from [`InputSource::total_tuples`]. The sort
-    /// does not enforce the figure.
-    pub fn expecting_tuples(mut self, tuples: usize) -> Self {
-        self.expected_tuples = Some(tuples);
-        self
-    }
-}
-
-impl InputSource for ChannelSource {
-    fn next_page(&mut self) -> SortResult<Option<Page>> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.rx.recv() {
-            Ok(ChannelItem::Page(p)) => Ok(Some(p)),
-            Ok(ChannelItem::Finished) => {
-                self.done = true;
-                Ok(None)
-            }
-            // Sink dropped without `finish()`: the producer died mid-stream,
-            // so the relation is truncated and the sort must fail rather
-            // than sort a prefix.
-            Err(_) => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "input channel closed before end-of-input marker",
-            )
-            .into()),
-        }
-    }
-
-    fn total_tuples(&self) -> Option<usize> {
-        self.expected_tuples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,89 +350,5 @@ mod tests {
                 assert!(w[0] <= w[1], "ramp broken at {i}");
             }
         }
-    }
-
-    #[test]
-    fn channel_source_streams_pages_and_ends_cleanly() {
-        let (sink, mut source) = ChannelSource::bounded(2);
-        let producer = std::thread::spawn(move || {
-            for start in [0u64, 4, 8] {
-                let tuples: Vec<Tuple> = (start..start + 4)
-                    .map(|k| Tuple::synthetic(k, 16))
-                    .collect();
-                sink.send(Page::from_tuples(tuples)).unwrap();
-            }
-            assert!(sink.finish());
-        });
-        let mut keys = Vec::new();
-        while let Some(p) = source.next_page().unwrap() {
-            keys.extend(p.tuples().iter().map(|t| t.key));
-        }
-        producer.join().unwrap();
-        assert_eq!(keys, (0..12).collect::<Vec<_>>());
-        // Exhaustion is sticky.
-        assert!(source.next_page().unwrap().is_none());
-    }
-
-    #[test]
-    fn channel_source_errors_when_producer_dies_mid_stream() {
-        let (sink, mut source) = ChannelSource::bounded(2);
-        sink.send(Page::from_tuples(vec![Tuple::synthetic(1, 16)]))
-            .unwrap();
-        drop(sink); // no finish(): truncated input
-        assert!(source.next_page().unwrap().is_some());
-        let err = source.next_page().unwrap_err();
-        assert!(
-            matches!(err, crate::error::SortError::Io(_)),
-            "truncated channel input must fail the sort: {err:?}"
-        );
-    }
-
-    #[test]
-    fn channel_sink_send_reports_a_dropped_consumer() {
-        let (sink, source) = ChannelSource::bounded(1);
-        drop(source);
-        let page = Page::from_tuples(vec![Tuple::synthetic(7, 16)]);
-        let back = sink.send(page).unwrap_err();
-        assert_eq!(back.0.tuples()[0].key, 7, "the page comes back");
-        let (sink, source) = ChannelSource::bounded(1);
-        drop(source);
-        assert!(!sink.finish());
-    }
-
-    #[test]
-    fn channel_source_backpressure_blocks_the_producer() {
-        use crate::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let sent = Arc::new(AtomicUsize::new(0));
-        let (sink, mut source) = ChannelSource::bounded(2);
-        let sent2 = Arc::clone(&sent);
-        let producer = std::thread::spawn(move || {
-            for k in 0..8u64 {
-                sink.send(Page::from_tuples(vec![Tuple::synthetic(k, 16)]))
-                    .unwrap();
-                sent2.fetch_add(1, Ordering::SeqCst);
-            }
-            sink.finish();
-        });
-        // Give the producer time to run ahead: it can queue at most the
-        // channel capacity (2) plus the one page blocked in send.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(sent.load(Ordering::SeqCst) <= 3, "producer ran unbounded");
-        let mut n = 0;
-        while source.next_page().unwrap().is_some() {
-            n += 1;
-        }
-        producer.join().unwrap();
-        assert_eq!(n, 8);
-    }
-
-    #[test]
-    fn channel_source_reports_expected_tuples() {
-        let (sink, source) = ChannelSource::bounded(1);
-        let source = source.expecting_tuples(128);
-        assert_eq!(source.total_tuples(), Some(128));
-        assert_eq!(source.total_pages(), None);
-        drop(sink);
     }
 }

@@ -133,7 +133,7 @@ pub use error::{SortError, SortResult};
 pub use gensort::{
     gensort_order, record_bytes, tuple_from_record, GensortFileSource, GensortWriter,
 };
-pub use input::{ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, Unsplit, VecSource};
+pub use input::{GenOrder, GenSource, InputSource, Unsplit, VecSource};
 pub use job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
 pub use join::{JoinOutcome, SortMergeJoin};
 pub use layout::{PayloadRef, TupleArena, MIN_DENSE_STRIDE};
@@ -155,9 +155,7 @@ pub mod prelude {
     };
     pub use crate::env::{CpuOp, RealEnv, SortEnv};
     pub use crate::error::{SortError, SortResult};
-    pub use crate::input::{
-        ChannelSink, ChannelSource, GenOrder, GenSource, InputSource, Unsplit, VecSource,
-    };
+    pub use crate::input::{GenOrder, GenSource, InputSource, Unsplit, VecSource};
     pub use crate::job::{IntoInputSource, SortCompletion, SortJob, SortJobBuilder, TupleInput};
     pub use crate::join::{JoinOutcome, SortMergeJoin};
     pub use crate::order::SortOrder;

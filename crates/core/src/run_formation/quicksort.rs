@@ -39,8 +39,9 @@ where
     budget.record_held(0, env.now());
 
     // The memory load: records in a slab made for each run, and the
-    // `(composite key, slot)` list that is sorted in their place.
-    let mut column: Vec<(u128, u32)> = Vec::new();
+    // `(composite key, slot)` list that is sorted in their place — the
+    // composite in its rank and tie halves, so an entry is 24 bytes, not 32.
+    let mut column: Vec<((u64, u64), u32)> = Vec::new();
     let mut composites: Vec<u128> = Vec::new();
     let mut out = OutBlock::new(cfg.record_stride(), tpp);
 
@@ -83,7 +84,8 @@ where
                     cfg.order.composite_column_into(&page, &mut composites);
                     column.extend(composites.iter().enumerate().map(|(i, &composite)| {
                         let (key, payload) = page.record(i);
-                        (composite, slab.insert(key, payload))
+                        let halves = ((composite >> 64) as u64, composite as u64);
+                        (halves, slab.insert(key, payload))
                     }));
                     budget.record_held(held_pages, env.now());
                 }

@@ -275,10 +275,11 @@ impl RunDir {
 /// What natural-run formation tracks on top of the classic state.
 #[derive(Default)]
 struct Natural {
-    /// Natural-run FIFO: the `(cmp, slot)` ascending streak currently being
-    /// detected at the input frontier, merged with the heap at emission. Once
-    /// a streak is a page long it is given room for what memory holds.
-    tail: VecDeque<(u128, u32)>,
+    /// Natural-run FIFO: the `((rank, tie), slot)` ascending streak currently
+    /// being detected at the input frontier, merged with the heap at
+    /// emission — *cmp* in halves, 24 bytes an entry as in [`Entry`]. Once a
+    /// streak is a page long it is given room for what memory holds.
+    tail: VecDeque<((u64, u64), u32)>,
     dir: RunDir,
     /// The direction the *next* run will sort in. Fixed at the start of the
     /// current run, because next-run heap entries are tagged in this space
@@ -461,14 +462,15 @@ impl<'a, S: RunStore> State<'a, S> {
             _ => None,
         };
         let tail = self.natural.as_mut().map(|n| &mut n.tail);
-        let tail_front = tail.as_ref().and_then(|t| t.front()).map(|&(cmp, _)| cmp);
+        let tail_front = tail.as_ref().and_then(|t| t.front());
+        let tail_front = tail_front.map(|&((rank, tie), _)| SortOrder::composite(rank, tie));
         match (heap_cur, tail_front) {
             (Some(h), t) if t.is_none_or(|t| h <= t) => {
                 let (_, _, _, slot) = self.sel.pop().expect("peeked a current-run entry");
                 env.charge_cpu(CpuOp::HeapRemove, 1);
                 Some((h, slot))
             }
-            (_, Some(_)) => tail.and_then(VecDeque::pop_front),
+            (_, Some(t)) => tail.and_then(VecDeque::pop_front).map(|(_, s)| (t, s)),
             (_, None) => None,
         }
     }
@@ -580,10 +582,10 @@ impl<'a, S: RunStore> State<'a, S> {
             let mut evicted = 0;
             while evicted < SPIKE_EVICT_LIMIT {
                 match nat.tail.back() {
-                    Some(&(spike_cmp, spike)) if cmp < spike_cmp => {
+                    Some(&((rank, tie), spike)) if cmp < SortOrder::composite(rank, tie) => {
                         nat.tail.pop_back();
                         env.charge_cpu(CpuOp::HeapInsert, 1);
-                        sel.push(entry(current_run_no, spike_cmp, spike));
+                        sel.push((current_run_no, rank, tie, spike));
                         // The spike took the heap path after all.
                         stats.natural_tuples = stats.natural_tuples.saturating_sub(1);
                         nat.streak_len = nat.streak_len.saturating_sub(1);
@@ -593,7 +595,7 @@ impl<'a, S: RunStore> State<'a, S> {
                 }
             }
             let continues_streak = match nat.tail.back() {
-                Some(&(tail_last, _)) => cmp >= tail_last,
+                Some(&((rank, tie), _)) => cmp >= SortOrder::composite(rank, tie),
                 // Empty tail: current-run membership (`cmp ≥ last_out`) is
                 // already established, but engage only for a proven arrival
                 // streak — random input must not churn through the tail.
@@ -611,7 +613,8 @@ impl<'a, S: RunStore> State<'a, S> {
                     nat.tail.reserve_exact(room);
                 }
                 env.charge_cpu(CpuOp::CopyTuple, 1);
-                nat.tail.push_back((cmp, slab.insert(stored_key, payload)));
+                let slot = slab.insert(stored_key, payload);
+                nat.tail.push_back((((cmp >> 64) as u64, cmp as u64), slot));
                 continue;
             }
             nat.streak_len = 0;

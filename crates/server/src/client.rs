@@ -120,9 +120,9 @@ impl SortClient {
         }
     }
 
-    /// Send one chunk of input tuples. Blocks when the server's ingest
-    /// channel (and then the TCP window) fills — that is the sort's
-    /// backpressure reaching the producer.
+    /// Send one chunk of input tuples, as one `INGEST` frame. Blocks when the
+    /// TCP window fills because the sort, which reads its own frames, takes
+    /// no more input — that is the sort's backpressure reaching the producer.
     pub fn ingest(&mut self, tuples: Vec<Tuple>) -> ClientResult<()> {
         if tuples.is_empty() {
             return Ok(());

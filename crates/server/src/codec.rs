@@ -454,16 +454,36 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
 /// checked against the body before `visit` sees a record, but a body that
 /// fails later has shown `visit` the records before the fault.
 pub fn decode_ingest<'a>(body: &'a [u8], visit: impl FnMut(u64, PayloadRef<'a>)) -> io::Result<()> {
+    ingest_next(body, &mut (0, 0), usize::MAX, visit)
+}
+
+/// Hand the next `n` of an `INGEST` body's records (or the rest) to `visit`
+/// from `at`, which moves past them: the offset they start at (0 before the
+/// body is begun) and how many are left. Bytes after the last are refused.
+pub(crate) fn ingest_next<'a>(
+    body: &'a [u8],
+    at: &mut (usize, usize),
+    n: usize,
+    visit: impl FnMut(u64, PayloadRef<'a>),
+) -> io::Result<()> {
     let mut c = Cursor::new(body);
-    if c.u8("opcode")? != OP_INGEST {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "not an INGEST body",
-        ));
+    c.pos = at.0;
+    if at.0 == 0 {
+        if c.u8("opcode")? != OP_INGEST {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "not an INGEST body",
+            ));
+        }
+        at.1 = c.record_count()?;
     }
-    let count = c.record_count()?;
-    c.records(count, visit)?;
-    c.finish("INGEST")
+    let n = n.min(at.1);
+    c.records(n, visit)?;
+    *at = (c.pos, at.1 - n);
+    match at.1 {
+        0 => c.finish("INGEST"),
+        _ => Ok(()),
+    }
 }
 
 /// Read one length-prefixed frame, blocking until it arrives.

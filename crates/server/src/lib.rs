@@ -20,9 +20,9 @@
 //!   quotas, cooperative drain-and-exit shutdown.
 //! - [`SortClient`] — a thin synchronous client: handshake, submit, stream
 //!   tuples in, iterate sorted tuples out. Ingest is backpressured end to
-//!   end: a sort that cannot take more input stops reading its channel, the
-//!   session stops reading the socket, and the client's `ingest` blocks on
-//!   the TCP window. Egress is the mirror image: the session runs the job's
+//!   end: the sort reads its connection's `INGEST` frames itself, so one that
+//!   cannot take more input stops reading the socket, and the client's
+//!   `ingest` blocks on the TCP window. Egress is the mirror image: the session runs the job's
 //!   last merge step ([`JobOutput`](masort_broker::JobOutput)) and frames
 //!   each page it produces, so the result goes from the merge to the socket
 //!   without being written — and a client that stops reading holds up

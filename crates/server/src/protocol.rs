@@ -16,17 +16,17 @@
 //!                           <--   WELCOME {version, pool}           (or ERR)
 //! SUBMIT {geometry, shares} -->
 //!                           <--   ACCEPTED {job}                    (or ERR)
-//! INGEST {tuples}           -->   (repeated; backpressured by the
-//! INGEST {tuples}           -->    sort's bounded input channel)
+//! INGEST {tuples}           -->   (repeated; read by the sort itself,
+//! INGEST {tuples}           -->    a page at a time: backpressured)
 //! FIN                       -->
 //!                           <--   EGRESS {tuples}                   (repeated)
 //!                           <--   STATS {job summary}               (or ERR)
 //! ```
 //!
 //! `CANCEL` may replace any `INGEST`; the server aborts the job and answers
-//! with `ERR {Cancelled}`. A connection that drops mid-ingest aborts its job
-//! the same way — the sort fails, its pages return to the pool and its runs
-//! are deleted.
+//! with `ERR {Cancelled}`. A connection that drops mid-ingest, or a shutdown,
+//! aborts its job the same way — the sort is cancelled, its pages return to
+//! the pool and its runs are deleted.
 //!
 //! An admin connection opens with `METRICS_REQ` or `TRACE_REQ {job}` instead
 //! of `HELLO` (answered with `METRICS_DATA {json}` / `TRACE_DATA {json}`, and

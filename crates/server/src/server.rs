@@ -2,19 +2,21 @@
 //!
 //! Every accepted connection becomes a session on its own thread. A sort's
 //! runs are formed and merged down to the last step on the service's bounded
-//! worker pool; that step then runs on the session's thread as it frames the
-//! result. So hundreds of connections contend for the same page pool and the
-//! same workers — exactly the multi-query pressure the paper's broker
-//! arbitrates — and a client that stops reading holds no worker.
+//! worker pool, which reads the sort's `INGEST` frames off the connection as
+//! it forms runs; the last step then runs on the session's thread as it
+//! frames the result. So hundreds of connections contend for the same page
+//! pool and the same workers — exactly the multi-query pressure the paper's
+//! broker arbitrates — and a client that stops reading holds no worker.
 //!
-//! Nothing here polls. The accept loop blocks in `accept()` and every
-//! session blocks in `read()`; shutdown (via [`ServerHandle::join`] or a
-//! `SHUTDOWN` frame) flips a flag and *wakes* them — the accept loop by a
-//! loop-back connection to its own listener, each session by shutting down
-//! the read half of its socket, which the blocked read sees as end of
-//! stream. Sessions waiting for input cancel their job, in-flight sorts
-//! drain their egress, and the underlying service is torn down only after
-//! every session thread has been joined.
+//! Nothing here polls. The accept loop blocks in `accept()`, and every
+//! session (or the sort reading its input) blocks in `read()`; shutdown (via
+//! [`ServerHandle::join`] or a `SHUTDOWN` frame) flips a flag and *wakes*
+//! them — the accept loop by a loop-back connection to its own listener, each
+//! connection by shutting down the read half of its socket, which the blocked
+//! read sees as end of stream. A sort reads the flag before every input page,
+//! so one still consuming a long frame stops within a page; sorts past their
+//! input drain their egress, and the underlying service is torn down only
+//! after every session thread has been joined.
 
 use masort_core::sync::atomic::{AtomicBool, Ordering};
 use masort_core::sync::thread::{self, JoinHandle};

@@ -1,38 +1,35 @@
 //! One accepted connection: the server side of the protocol state machine.
 //!
-//! A session owns exactly one sort. It reads `HELLO`/`SUBMIT`, turns the
-//! submission into a [`SortRequest`] whose input is a bounded
-//! [`ChannelSource`] — so a slow sort backpressures `INGEST` frames straight
-//! through TCP — and then decodes records from the socket into the job's
-//! pages, waits on the ticket and frames the sorted pages as it pulls them
-//! off the job's last merge step, which runs on this thread: records stay
-//! bytes both ways, in one body buffer per connection. While the session is
-//! blocked in `write` it holds no lock, so a client that stops reading holds
-//! up nobody else.
-//! Every abnormal exit (a `CANCEL` frame, a protocol violation, a vanished
-//! client) funnels through the same cleanup: cancel the ticket, drop the
-//! ingest channel, and see the job out ([`JobOutput::finish`]) so its pages
-//! are provably back in the pool before the session ends.
+//! A session owns exactly one sort. It reads `HELLO`/`SUBMIT` and turns the
+//! submission into a [`SortRequest`] whose input is the connection's read
+//! half ([`Ingest`]): the sort itself decodes `INGEST` frames into pages, so
+//! a slow sort backpressures the client straight through TCP, and the sort's
+//! own error says how the input ended. The session waits on the ticket and
+//! frames the sorted pages as it pulls them off the job's last merge step,
+//! which runs on this thread: records stay bytes both ways. While the
+//! session is blocked in `write` it holds no lock, so a client that stops
+//! reading holds up nobody else, and whatever became of the socket it sees
+//! the job out ([`JobOutput::finish`]) so its pages are provably back in the
+//! pool before the session ends.
 
-use masort_core::sync::atomic::Ordering;
-use std::io::{self, BufReader, BufWriter, Write};
+use masort_core::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use masort_broker::{JobOutput, SortRequest};
-use masort_core::{ChannelSource, DelaySample, SortError, SortOrder, TupleArena};
+use masort_core::{
+    DelaySample, InputSource, Page, SortConfig, SortError, SortOrder, SortResult, TupleArena,
+};
 use masort_trace::EventKind;
 
 use crate::codec::{
-    decode_frame, decode_ingest, read_body, read_frame_in, write_egress, write_frame, OP_INGEST,
+    decode_frame, ingest_next, read_body, read_frame_in, write_egress, write_frame, OP_INGEST,
 };
 use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::server::ServerShared;
-
-/// Bound of each sort's ingest channel, in pages.
-const INGEST_DEPTH: usize = 8;
 
 /// Tuples per `EGRESS` frame: result pages are coalesced until a frame holds
 /// at least this many (and never past half the frame cap at the job's
@@ -61,10 +58,12 @@ pub(crate) fn wire_error(e: &SortError) -> WireError {
 /// always runs.
 pub(crate) fn run_session(shared: &Arc<ServerShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(&stream);
     let mut writer = BufWriter::new(&stream);
     shared.trace.emit(EventKind::SessionOpen);
-    let _ = serve(shared, &mut reader, &mut writer);
+    // The read half goes to the sort at `SUBMIT`, so it is a socket of its own.
+    if let Ok(read_half) = stream.try_clone() {
+        let _ = serve(shared, BufReader::new(read_half), &mut writer);
+    }
     shared.trace.emit(EventKind::SessionClose);
     let _ = writer.flush();
     // The accept loop keeps a clone of this socket (it is how a waiting
@@ -87,33 +86,25 @@ fn protocol_error<W: Write>(w: &mut W, detail: String) -> io::Result<()> {
     send_error(w, WireError::new(ErrorCode::Protocol, detail))
 }
 
-/// The next frame's body, into `body`, while the server is up; end of stream
-/// (`false`) once it is shutting down. A session blocked in here at shutdown
+/// The next frame, read into `body`, while the server is up; end of stream
+/// (`None`) once it is shutting down. A session blocked in here at shutdown
 /// is woken by the accept loop shutting down its socket's read half, which
 /// also reads as end of stream; the flag covers a session that still has
 /// frames queued in the socket.
-fn next_body(
-    shared: &ServerShared,
-    reader: &mut BufReader<&TcpStream>,
-    body: &mut Vec<u8>,
-) -> io::Result<bool> {
-    Ok(!shared.shutdown.load(Ordering::Acquire) && read_body(reader, body)?)
-}
-
-/// [`next_body`], decoded.
 fn next_frame(
     shared: &ServerShared,
-    reader: &mut BufReader<&TcpStream>,
+    reader: &mut BufReader<TcpStream>,
     body: &mut Vec<u8>,
 ) -> io::Result<Option<Frame>> {
-    next_body(shared, reader, body)?
+    let up = !shared.shutdown.load(Ordering::Acquire);
+    (up && read_body(reader, body)?)
         .then(|| decode_frame(body))
         .transpose()
 }
 
 fn serve<W: Write>(
     shared: &Arc<ServerShared>,
-    reader: &mut BufReader<&TcpStream>,
+    mut reader: BufReader<TcpStream>,
     writer: &mut W,
 ) -> io::Result<()> {
     let body = &mut Vec::new();
@@ -121,7 +112,7 @@ fn serve<W: Write>(
     // SHUTDOWN / TRACE_REQ / METRICS_REQ are admin commands. An opening
     // frame this version cannot decode (an older client's admin opcode, say)
     // is refused in words.
-    let opening = match next_frame(shared, reader, body) {
+    let opening = match next_frame(shared, &mut reader, body) {
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             return protocol_error(writer, e.to_string())
         }
@@ -156,7 +147,7 @@ fn serve<W: Write>(
                         )
                     }
                 }
-                match next_frame(shared, reader, body)? {
+                match next_frame(shared, &mut reader, body)? {
                     Some(next) => frame = next,
                     None => return Ok(()),
                 }
@@ -195,7 +186,7 @@ fn serve<W: Write>(
         },
     )?;
 
-    let spec = match read_frame_in(reader, body)? {
+    let spec = match read_frame_in(&mut reader, body)? {
         None => return Ok(()),
         Some(Frame::Submit(spec)) => spec,
         Some(other) => {
@@ -205,10 +196,11 @@ fn serve<W: Write>(
     run_sort(shared, reader, writer, body, tenant, spec)
 }
 
-/// Admit the submission, pump ingest, drain egress. One sort, end to end.
+/// Admit the submission, hand the sort its input, drain egress. One sort,
+/// end to end.
 fn run_sort<W: Write>(
     shared: &Arc<ServerShared>,
-    reader: &mut BufReader<&TcpStream>,
+    reader: BufReader<TcpStream>,
     writer: &mut W,
     body: &mut Vec<u8>,
     tenant: Option<String>,
@@ -269,19 +261,14 @@ fn run_sort<W: Write>(
         let capped = cfg.memory_pages.min(page_cap);
         cfg = cfg.with_memory_pages(capped);
     }
-    let tuples_per_page = cfg.tuples_per_page();
-    let record_stride = cfg.record_stride();
     // What the job's own geometry says fits half the frame cap.
     let frame_tuples = EGRESS_CHUNK
         .min(MAX_FRAME_BYTES / 2 / cfg.tuple_size.max(1))
         .max(1);
 
-    let (sink, source) = ChannelSource::bounded(INGEST_DEPTH);
-    let source = if spec.expected_tuples != 0 {
-        source.expecting_tuples(spec.expected_tuples as usize)
-    } else {
-        source
-    };
+    let violation = Arc::new(OnceLock::new());
+    let stop = Arc::clone(&shared.shutdown);
+    let source = Ingest::new(reader, &cfg, spec.expected_tuples, stop, violation.clone());
     let mut request = SortRequest::from_source(cfg, source);
     let priority = match quota.map(|q| q.priority) {
         Some(p) if p != 0 => p,
@@ -321,85 +308,18 @@ fn run_sort<W: Write>(
         },
     )?;
 
-    // -- Ingest ------------------------------------------------------------
-    // Records are decoded into pages of the job's own geometry; a full
-    // channel blocks `sink.send`, which stops us reading frames, which fills
-    // the TCP window — backpressure all the way to the client.
-    let mut sink = Some(sink);
-    let mut pending = TupleArena::with_capacity(record_stride, tuples_per_page);
-    // `Ok` once the input is in; `Err` when ingest ended early, with the
-    // protocol violation that ended it, if any.
-    let ingest = loop {
-        let tx = sink.as_ref().expect("sink alive during ingest");
-        // Records go from the body straight into the page under construction;
-        // every page that fills is sent, a partial one carries over. A refused
-        // page means the sort is already over (failed or reallocated away):
-        // stop feeding it, report its fate below. A body that fails to decode
-        // cancels the job, so nothing it fed in reaches a result.
-        let mut closed = false;
-        let frame = match next_body(shared, reader, body) {
-            Ok(true) if body[0] == OP_INGEST => match decode_ingest(body, |key, payload| {
-                if !closed {
-                    pending.push_ref(key, payload);
-                    closed = pending.len() == tuples_per_page && tx.send(pending.seal()).is_err();
-                }
-            }) {
-                Ok(()) if closed => break Ok(()),
-                Ok(()) => continue,
-                Err(e) => Err(e),
-            },
-            Ok(true) => decode_frame(body).map(Some),
-            other => other.map(|_| None),
-        };
-        let violation = match frame {
-            Ok(Some(Frame::Fin)) => {
-                let tx = sink.take().expect("sink alive during ingest");
-                if !pending.is_empty() {
-                    let _ = tx.send(pending.seal());
-                }
-                tx.finish();
-                break Ok(());
-            }
-            Ok(Some(Frame::Cancel)) => None,
-            Ok(Some(other)) => Some(format!(
-                "expected INGEST, FIN or CANCEL, got {}",
-                other.name()
-            )),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => Some(e.to_string()),
-            // Client disconnected mid-ingest (or the server is draining and
-            // the client went quiet).
-            Ok(None) | Err(_) => None,
-        };
-        // Abort the job. Dropping the sink (below) unblocks a sort waiting
-        // for input; cancelling the ticket aborts one that is
-        // mid-computation. Either way we still drain the ticket, so by the
-        // time this session ends the job's pages are back in the pool and its
-        // runs are gone.
-        ticket.cancel();
-        break Err(violation.map(|detail| WireError::new(ErrorCode::Protocol, detail)));
-    };
-    drop(sink);
-
-    if let Err(refusal) = ingest {
-        // Cancelled, refused or abandoned: see the job out so cleanup is
-        // complete, then (best-effort) tell the client.
-        let err = match ticket.wait() {
-            Err(e) => wire_error(&e),
-            // The sort won the race and got to its last merge step before
-            // the cancel landed; the client asked us to throw the result
-            // away.
-            Ok(output) => {
-                output.finish();
-                wire_error(&SortError::Cancelled)
-            }
-        };
-        return send_error(writer, refusal.unwrap_or(err));
-    }
-
     // -- Egress ------------------------------------------------------------
+    // The sort reached its root once its input ended at `FIN`; an input that
+    // ended otherwise cancelled it, and a protocol violation says why.
     let mut output = match ticket.wait() {
         Ok(output) => output,
-        Err(e) => return send_error(writer, wire_error(&e)),
+        Err(e) => {
+            let err = match violation.get() {
+                Some(detail) => WireError::new(ErrorCode::Protocol, detail.clone()),
+                None => wire_error(&e),
+            };
+            return send_error(writer, err);
+        }
     };
     let sent = send_result(&mut output, writer, body, frame_tuples);
     // Whatever became of the socket, the job is over before the session is:
@@ -460,4 +380,151 @@ fn send_result<W: Write>(
     }
     write_egress(writer, &chunk, body)?;
     Ok(Ok(tuples))
+}
+
+/// The [`InputSource`] of a served sort. It ends at `FIN`; a `CANCEL`, a
+/// protocol violation, a vanished client and a shutdown end the sort with
+/// [`SortError::Cancelled`], a violation leaving its detail in `violation`.
+struct Ingest<R> {
+    reader: BufReader<R>,
+    body: Vec<u8>,
+    /// Where decoding stands in the `INGEST` body (see
+    /// [`ingest_next`]); `None` between frames.
+    frame: Option<(usize, usize)>,
+    page: TupleArena,
+    tuples_per_page: usize,
+    expected_tuples: Option<usize>,
+    fin: bool,
+    /// The server's stop flag, read before every page.
+    stop: Arc<AtomicBool>,
+    violation: Arc<OnceLock<String>>,
+}
+
+impl<R: Read> Ingest<R> {
+    /// Read a job's input from `reader` in pages of `cfg`'s geometry;
+    /// `expected_tuples` is `SUBMIT`'s figure (0: none declared).
+    fn new(
+        reader: BufReader<R>,
+        cfg: &SortConfig,
+        expected_tuples: u64,
+        stop: Arc<AtomicBool>,
+        violation: Arc<OnceLock<String>>,
+    ) -> Self {
+        Ingest {
+            reader,
+            body: Vec::new(),
+            frame: None,
+            page: TupleArena::with_capacity(cfg.record_stride(), cfg.tuples_per_page()),
+            tuples_per_page: cfg.tuples_per_page(),
+            expected_tuples: (expected_tuples != 0).then_some(expected_tuples as usize),
+            fin: false,
+            stop,
+            violation,
+        }
+    }
+
+    /// The next frame: an `INGEST` body to decode, or `None` at `FIN`. Any
+    /// error ends the input; `InvalidData` is a protocol violation.
+    fn read_frame(&mut self) -> io::Result<Option<(usize, usize)>> {
+        if !read_body(&mut self.reader, &mut self.body)? {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        if self.body[0] == OP_INGEST {
+            return Ok(Some((0, 0)));
+        }
+        match decode_frame(&self.body)? {
+            Frame::Fin => self.fin = true,
+            Frame::Cancel => return Err(io::ErrorKind::ConnectionAborted.into()),
+            other => {
+                let detail = format!("expected INGEST, FIN or CANCEL, got {}", other.name());
+                return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The sort's error for an input that ended in `e`.
+    fn end(&self, e: io::Error) -> SortError {
+        if e.kind() == io::ErrorKind::InvalidData {
+            let _ = self.violation.set(e.to_string());
+        }
+        SortError::Cancelled
+    }
+}
+
+impl<R: Read> InputSource for Ingest<R> {
+    fn next_page(&mut self) -> SortResult<Option<Page>> {
+        while !self.stop.load(Ordering::Acquire) {
+            let Some(at) = &mut self.frame else {
+                if self.fin {
+                    return Ok((!self.page.is_empty()).then(|| self.page.seal()));
+                }
+                self.frame = self.read_frame().map_err(|e| self.end(e))?;
+                continue;
+            };
+            // A frame that ends mid-page leaves the page to the next one.
+            let (room, page) = (self.tuples_per_page - self.page.len(), &mut self.page);
+            let decoded = ingest_next(&self.body, at, room, |key, data| page.push_ref(key, data));
+            if at.1 == 0 {
+                self.frame = None;
+            }
+            decoded.map_err(|e| self.end(e))?;
+            if self.page.len() == self.tuples_per_page {
+                return Ok(Some(self.page.seal()));
+            }
+        }
+        Err(SortError::Cancelled)
+    }
+
+    fn total_tuples(&self) -> Option<usize> {
+        self.expected_tuples
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use masort_core::sync::atomic::AtomicUsize;
+    use masort_core::{SortJob, Tuple};
+
+    /// Hands a sort its input's pages, counting them, and raises the
+    /// server's stop flag with the tenth.
+    struct StopAtTen(Ingest<io::Cursor<Vec<u8>>>, Arc<AtomicUsize>);
+
+    impl InputSource for StopAtTen {
+        fn next_page(&mut self) -> SortResult<Option<Page>> {
+            let page = self.0.next_page()?;
+            if self.1.fetch_add(1, Ordering::Relaxed) == 9 {
+                self.0.stop.store(true, Ordering::Release);
+            }
+            Ok(page)
+        }
+    }
+
+    /// A stop raised while a sort consumes one `INGEST` frame 64 pages long
+    /// cancels the sort at its next pull. (The source also declares
+    /// `SUBMIT`'s `expected_tuples` to the sort.)
+    #[test]
+    fn a_stop_lands_within_a_page_of_a_long_frame() {
+        let cfg = SortConfig::default().with_page_size(1024);
+        let n = 64 * cfg.tuples_per_page() as u64;
+        let mut wire = Vec::new();
+        let frame = Frame::Ingest((0..n).rev().map(|k| Tuple::synthetic(k, 32)).collect());
+        write_frame(&mut wire, &frame).unwrap();
+        write_frame(&mut wire, &Frame::Fin).unwrap();
+        let (reader, stop) = (BufReader::new(io::Cursor::new(wire)), Arc::default());
+        let source = Ingest::new(reader, &cfg, n, stop, Arc::default());
+        assert_eq!(source.total_tuples(), Some(n as usize));
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let job = SortJob::builder()
+            .config(cfg)
+            .input(StopAtTen(source, Arc::clone(&pulled)));
+        let sort = job.build().unwrap().run_to_root();
+        assert!(matches!(sort.err(), Some(SortError::Cancelled)));
+        assert_eq!(
+            pulled.load(Ordering::Relaxed),
+            10,
+            "pages the sort consumed"
+        );
+    }
 }
