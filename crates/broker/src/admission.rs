@@ -1,9 +1,10 @@
 //! Admission control: requests queue until their guaranteed minimum share is
 //! actually available.
 //!
-//! A request whose `min_pages` fits alongside the minimums already committed
-//! to live sorts is admitted immediately; otherwise it waits in the queue and
-//! is reconsidered on every completion and pool resize. Requests that can
+//! A request is in the queue only while its caller waits to redeem it. One
+//! whose `min_pages` fits alongside the minimums already committed to live
+//! sorts is admitted immediately; otherwise it waits in the queue and is
+//! reconsidered on every completion and pool resize. Requests that can
 //! *never* be admitted (`min_pages` larger than the whole pool) are rejected
 //! with [`SortError::BudgetStarved`](masort_core::SortError::BudgetStarved)
 //! instead of deadlocking — at submission time, or retroactively when an
@@ -22,7 +23,7 @@ use masort_core::{InputSource, SortConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A submitted sort waiting for admission.
+/// A submitted sort, held by its ticket until its caller queues it.
 pub(crate) struct QueuedRequest {
     pub job: JobId,
     pub cfg: SortConfig,
@@ -43,19 +44,8 @@ pub(crate) struct QueuedRequest {
 /// through a burst, small enough that a big request is not starved for long.
 pub(crate) const MAX_BYPASS: u32 = 16;
 
-impl std::fmt::Debug for QueuedRequest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueuedRequest")
-            .field("job", &self.job)
-            .field("priority", &self.priority)
-            .field("min_pages", &self.min_pages)
-            .field("max_pages", &self.max_pages)
-            .finish()
-    }
-}
-
 /// FIFO queue with first-fit admission against a [`MemoryBroker`].
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct AdmissionQueue {
     queue: VecDeque<QueuedRequest>,
 }
@@ -84,6 +74,11 @@ impl AdmissionQueue {
             .iter()
             .take(candidates)
             .position(|r| broker.can_admit(r.min_pages))
+    }
+
+    /// The job [`pop_admissible`](Self::pop_admissible) would take.
+    pub fn peek_admissible(&self, broker: &MemoryBroker) -> Option<JobId> {
+        Some(self.queue[self.first_admissible(broker)?].job)
     }
 
     /// Remove and return the first admissible request, counting the bypass

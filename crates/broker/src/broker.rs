@@ -11,8 +11,8 @@
 //! The broker is usable standalone (hand it budgets you created for your own
 //! [`SortJob`](masort_core::SortJob)s and call
 //! [`rebalance`](MemoryBroker::rebalance) yourself); the
-//! [`SortService`](crate::SortService) wraps it with worker threads and
-//! admission control.
+//! [`SortService`](crate::SortService) wraps it with admission control, and
+//! runs each sort on the thread that redeems its ticket.
 
 use crate::policy::{divide, JobDemand};
 use crate::ticket::JobId;

@@ -5,8 +5,8 @@
 //! `masort-core` provides the adaptive sorts and the shared
 //! [`MemoryBudget`](masort_core::MemoryBudget) handle; this crate provides
 //! the component that actually moves those budgets: a [`SortService`] that
-//! runs many sorts concurrently on a bounded worker-thread pool, and a
-//! memory broker inside it that re-divides **one global page pool** across
+//! runs many sorts concurrently, each on the thread that redeems its ticket,
+//! and a memory broker inside it that re-divides **one global page pool** across
 //! all live sorts with one rule (minimums first, the surplus in proportion to
 //! priority) on every admission, completion and explicit
 //! [`resize_pool`](SortService::resize_pool) call. Sorts
@@ -20,7 +20,7 @@
 //!
 //! let service = SortService::builder()
 //!     .pool_pages(32)              // one global pool, smaller than demand
-//!     .workers(4)
+//!     .workers(4)                  // at most four sorts short of their root
 //!     .build();
 //!
 //! let cfg = SortConfig::default()
@@ -42,32 +42,30 @@
 //!     })
 //!     .collect();
 //!
-//! service.resize_pool(16);         // steal memory from everyone, mid-flight
-//! service.resize_pool(48);         // ... and give it back
-//!
-//! for ticket in tickets {
-//!     // Resolves when the sort is down to its last merge step; reading
-//!     // the output runs that step, on this thread.
-//!     let mut output = ticket.wait()?;
-//!     let mut previous = 0u64;
-//!     for tuple in output.by_ref() {
-//!         let tuple = tuple?;
-//!         assert!(tuple.key >= previous);
-//!         previous = tuple.key;
+//! std::thread::scope(|s| {
+//!     for ticket in &tickets {
+//!         // `wait` runs the sort on this thread down to its last merge
+//!         // step; reading the output runs that step, here too.
+//!         s.spawn(move || {
+//!             let mut output = ticket.wait().unwrap();
+//!             let sorted: Vec<Tuple> = output.by_ref().map(Result::unwrap).collect();
+//!             assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key));
+//!             let report = output.finish(); // final outcome + what the broker did
+//!             assert!(report.initial_grant >= 2);
+//!         });
 //!     }
-//!     let report = output.finish(); // final outcome + what the broker did
-//!     assert!(report.initial_grant >= 2);
-//! }
-//! # Ok::<(), masort_core::SortError>(())
+//!     service.resize_pool(16);     // steal memory from everyone, mid-flight
+//!     service.resize_pool(48);     // ... and give it back
+//! });
 //! ```
 //!
 //! ## Results are streamed, and nobody waits behind a slow reader
 //!
-//! A job's worker runs the sort down to its last merge step, resolves the
-//! ticket and goes back to the queue. The step stays parked in the
-//! [`JobOutput`], and whoever reads the output executes it on their own
-//! thread, so a reader gets the result without it ever being written, and
-//! the grant returns to the pool when the last page has been read. A reader
+//! [`SortTicket::wait`] runs the sort on the caller's thread down to its
+//! last merge step. The step stays parked in the [`JobOutput`] it returns,
+//! and whoever reads the output executes it on their own thread, so a
+//! reader gets the result without it ever being written, and the grant
+//! returns to the pool when the last page has been read. A reader
 //! that stops holds no thread and no memory anybody waits for: a budget
 //! moved meanwhile is answered at once by whoever moved it, which runs the
 //! parked merge's checkpoint; a queued request that does not fit beside the
@@ -78,8 +76,11 @@
 //!
 //! Each request carries a guaranteed minimum share
 //! ([`SortRequest::min_pages`]). A request is admitted only when the pool can
-//! cover its minimum alongside the minimums of every live sort; until then it
-//! queues. Impossible requests — a minimum larger than the whole pool — are
+//! cover its minimum alongside the minimums of every live sort, and fewer
+//! than [`workers`](SortServiceBuilder::workers) sorts are between their
+//! admission and their root; until then its caller waits in line. A ticket
+//! nobody redeems is in no line and holds no pages. Impossible requests — a
+//! minimum larger than the whole pool — are
 //! rejected with [`SortError::BudgetStarved`](masort_core::SortError) at
 //! submission (or retroactively when the pool shrinks under a queued
 //! request's minimum) instead of deadlocking the queue.

@@ -1,12 +1,11 @@
-//! The concurrent sort service: submit many sorts, run them on a bounded
-//! worker pool against one globally brokered page pool.
+//! The concurrent sort service: submit many sorts, each run on the thread
+//! that redeems its ticket, against one globally brokered page pool.
 
 use crate::admission::{AdmissionQueue, QueuedRequest};
 use crate::broker::MemoryBroker;
 // `ServiceStats` and the counter names it reads.
 use crate::stats::*;
 use crate::ticket::{JobId, SortTicket, TicketShared};
-use masort_core::sync::thread::{self, JoinHandle};
 use masort_core::sync::{Condvar, Mutex};
 use masort_core::{InputSource, SortConfig, SortError, SortResult, Tuple, VecSource};
 use masort_trace::{EventKind, MetricsRegistry, MetricsSnapshot, SpanId, Trace};
@@ -14,14 +13,14 @@ use root::RootEnd;
 use state::State;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use worker::worker_loop;
 
+mod redeem;
 mod root;
 mod state;
 #[cfg(test)]
 mod tests;
-mod worker;
 
+pub(crate) use redeem::redeem;
 pub(crate) use root::Root;
 pub(crate) use state::Shared;
 
@@ -137,8 +136,10 @@ impl SortServiceBuilder {
         self
     }
 
-    /// Number of worker threads, i.e. how many sorts run concurrently
-    /// (default: available parallelism clamped to 2..=8; floored at 1).
+    /// How many sorts may be between their admission and their root at
+    /// once (default: available parallelism clamped to 2..=8; floored at
+    /// 1). A sort at its root does not count. Each sort runs on the thread
+    /// that redeems its ticket; the service starts no thread of its own.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -163,12 +164,13 @@ impl SortServiceBuilder {
         self
     }
 
-    /// Start the service: spawn the worker threads and return the handle.
+    /// Start the service and return the handle. No thread is started.
     pub fn build(self) -> SortService {
         let shared = Arc::new(Shared {
             start: Instant::now(),
             suspension_wait: self.suspension_wait,
             trace: self.trace,
+            workers: self.workers,
             state: Mutex::new(State {
                 broker: MemoryBroker::new(self.pool_pages),
                 queue: AdmissionQueue::default(),
@@ -179,45 +181,38 @@ impl SortServiceBuilder {
             }),
             work: Condvar::new(),
         });
-        let handles = (0..self.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("masort-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawning a sort worker thread failed")
-            })
-            .collect();
-        SortService { shared, handles }
+        SortService { shared }
     }
 }
 
 /// A concurrent multi-sort service over one globally brokered page pool.
 ///
-/// Submissions run on a bounded worker-thread pool; the service's memory
-/// broker re-divides the pool across all live sorts on every
-/// admission, completion and [`resize_pool`](Self::resize_pool) call by
-/// moving each sort's shared [`MemoryBudget`](masort_core::MemoryBudget)
-/// target — so sorts genuinely grow, shrink, suspend, page and split **while
-/// running**, exactly as under the paper's DBMS buffer manager, but on real
-/// threads.
+/// Each submission runs on the thread that redeems its
+/// [`SortTicket`]; the service's memory broker re-divides the pool across
+/// all live sorts on every admission, completion and
+/// [`resize_pool`](Self::resize_pool) call by moving each sort's shared
+/// [`MemoryBudget`](masort_core::MemoryBudget) target — so sorts genuinely
+/// grow, shrink, suspend, page and split **while running**, exactly as under
+/// the paper's DBMS buffer manager, but on real threads.
 ///
 /// Dropping the service (or calling [`shutdown`](Self::shutdown)) stops
-/// accepting new work, drains the queue, and joins the workers; every issued
-/// ticket is fulfilled.
+/// accepting new work, waits for every caller in the admission line to be
+/// admitted and every admitted sort to reach its root or end, and settles
+/// the roots still parked; a ticket redeemed after that resolves to
+/// [`SortError::Cancelled`].
 #[derive(Debug)]
 pub struct SortService {
     shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
 }
 
 impl SortService {
-    /// Start building a service (pool size, worker count, trace).
+    /// Start building a service (pool size, admission cap, trace).
     pub fn builder() -> SortServiceBuilder {
         SortServiceBuilder::default()
     }
 
-    /// Submit a sort. Returns a ticket redeemable for the result.
+    /// Submit a sort. Returns a ticket whose [`wait`](SortTicket::wait)
+    /// runs it; until then nothing runs and no page is reserved.
     ///
     /// Fails fast with [`SortError::InvalidConfig`] for unusable
     /// configurations (or a shut-down service) and with
@@ -252,9 +247,8 @@ impl SortService {
         }
         let job = st.next_job;
         st.next_job += 1;
-        let ticket_shared = Arc::new(TicketShared::default());
         st.count(SUBMITTED, request.tenant.as_deref(), 1);
-        st.queue.push(QueuedRequest {
+        let request = QueuedRequest {
             job,
             cfg: request.cfg,
             input: request.input,
@@ -262,51 +256,26 @@ impl SortService {
             priority: request.priority,
             min_pages,
             max_pages,
-            ticket: Arc::clone(&ticket_shared),
+            ticket: Arc::new(TicketShared::default()),
             submitted_at: self.shared.now(),
             bypassed: 0,
-        });
-        drop(st);
-        self.shared
-            .trace
-            .with_span(job_span(job))
-            .emit(EventKind::AdmissionQueued);
-        self.shared.work.notify_all();
-        Ok(SortTicket::new(
-            job,
-            ticket_shared,
-            Arc::downgrade(&self.shared),
-        ))
+        };
+        Ok(SortTicket::new(request, Arc::clone(&self.shared)))
     }
 
     /// Grow or shrink the global page pool while sorts are running. Every
-    /// live sort's budget is re-targeted immediately; queued requests whose
-    /// minimum no longer fits in the pool at all are failed with
-    /// [`SortError::BudgetStarved`].
+    /// live sort's budget is re-targeted immediately; requests waiting in
+    /// the admission line whose minimum no longer fits in the pool at all
+    /// are failed with [`SortError::BudgetStarved`].
     pub fn resize_pool(&self, pages: usize) {
         let now = self.shared.now();
         let mut st = self.shared.lock();
         st.broker.resize(pages, now);
-        let doomed = st.queue.drain_impossible(pages);
-        for req in &doomed {
-            st.count(REJECTED, req.tenant.as_deref(), 1);
-        }
+        // The refused requests die at the end, outside the lock.
+        let _refused = self.shared.refuse_impossible(&mut st);
         let moved = st.parked.clone();
         drop(st);
         self.shared.answer(moved);
-        for req in doomed {
-            self.shared
-                .trace
-                .with_span(job_span(req.job))
-                .emit(EventKind::AdmissionRejected {
-                    needed: req.min_pages,
-                    granted: pages,
-                });
-            req.ticket.fulfill(Err(SortError::BudgetStarved {
-                needed: req.min_pages,
-                granted: pages,
-            }));
-        }
         self.shared.work.notify_all();
     }
 
@@ -315,7 +284,7 @@ impl SortService {
         self.shared.lock().broker.pool_pages()
     }
 
-    /// Number of sorts currently executing (admitted, not yet completed).
+    /// Number of sorts currently live (admitted, not yet released).
     pub fn live_jobs(&self) -> usize {
         self.shared.lock().broker.live_count()
     }
@@ -334,12 +303,14 @@ impl SortService {
         ServiceStats::read(&st.snapshot(), &st.broker)
     }
 
-    /// Stop accepting submissions, drain the queue, join the workers, settle
-    /// every result still at its root, and return the final statistics.
-    /// Every issued ticket is fulfilled and every job released before this
-    /// returns.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.join_workers();
+    /// Stop accepting submissions and redemptions, wait for every caller in
+    /// the admission line to be admitted and every admitted sort to reach
+    /// its root or end, settle every result still at its root, and return
+    /// the final statistics. Every admitted job is released before this
+    /// returns; a ticket not redeemed by then resolves to
+    /// [`SortError::Cancelled`].
+    pub fn shutdown(self) -> ServiceStats {
+        self.drain();
         self.stats()
     }
 
@@ -348,12 +319,14 @@ impl SortService {
         self.shared.work.notify_all();
     }
 
-    fn join_workers(&mut self) {
+    fn drain(&self) {
         self.begin_shutdown();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        let mut st = self.shared.lock();
+        while st.running() > 0 || !st.queue.is_empty() {
+            st = self.shared.work.wait(st);
         }
-        let parked = self.shared.lock().parked.clone();
+        let parked = st.parked.clone();
+        drop(st);
         for root in parked {
             root.slot.lock().settle(&self.shared, RootEnd::Shutdown);
         }
@@ -362,6 +335,6 @@ impl SortService {
 
 impl Drop for SortService {
     fn drop(&mut self) {
-        self.join_workers();
+        self.drain();
     }
 }

@@ -1,5 +1,5 @@
-//! The worker threads: admit a queued request, sort it to its root, and
-//! hand the root to the ticket (or fail the job).
+//! Redeeming a ticket, on the caller's thread: wait in the admission line,
+//! sort to the root, and hand back the output (or fail the job).
 
 use super::root::{Books, Root, RootEnd, RootSlot};
 use super::state::State;
@@ -14,41 +14,68 @@ use masort_core::{
 use masort_trace::EventKind;
 use std::sync::Arc;
 
-/// A worker's life: admit → sort to the root → hand the root over, or fail.
-pub(super) fn worker_loop(shared: Arc<Shared>) {
-    while let Some((books, req)) = next_admitted(&shared) {
-        match sort_to_root(&shared, &books, req) {
-            Ok(sort) => hand_over(&shared, books, sort),
-            Err(e) => fail(&shared, books, e),
-        }
+/// A redeemed ticket's job, on its caller's thread: admitted → sorted to
+/// the root → parked in the output, or failed.
+pub(crate) fn redeem(shared: &Arc<Shared>, req: QueuedRequest) -> SortResult<JobOutput> {
+    let (books, req) = admitted(shared, req)?;
+    match sort_to_root(shared, &books, req) {
+        Ok(sort) => Ok(park(shared, books, sort)),
+        Err(e) => Err(fail(shared, books, e)),
     }
 }
 
-/// Wait for a queued request that fits beside the live minimums and admit
-/// it; `None` once the service is shut down and its queue is drained.
-fn next_admitted(shared: &Shared) -> Option<(Books, QueuedRequest)> {
+/// Wait in the admission line until `req` is admitted: it is the first
+/// request in line whose minimum fits beside the live minimums (within the
+/// bypass bound), and fewer than `workers` admitted jobs are short of their
+/// root. While no request in line fits, a parked root makes room by
+/// settling. A cancel, a pool shrink under the request's minimum or a
+/// shutdown ends the wait with the job's error.
+fn admitted(shared: &Shared, mut req: QueuedRequest) -> SortResult<(Books, QueuedRequest)> {
+    let (job, ticket) = (req.job, Arc::clone(&req.ticket));
+    // Queued from now: a ticket nobody redeemed was in no line.
+    req.submitted_at = shared.now();
+    shared
+        .trace
+        .with_span(job_span(job))
+        .emit(EventKind::AdmissionQueued);
     let mut st = shared.lock();
+    if st.shutdown || ticket.cancel_requested() {
+        return Err(shared.unadmitted(&st, &req, SortError::Cancelled));
+    }
+    st.queue.push(req);
+    // A minimum above the whole pool never fits: refused like a pool shrink.
+    let doomed = shared.refuse_impossible(&mut st);
     loop {
+        if let Some(e) = ticket.refusal() {
+            drop(st);
+            drop(doomed);
+            return Err(e);
+        }
         let state = &mut *st;
-        if let Some(req) = state.queue.pop_admissible(&state.broker) {
-            let books = admit(shared, state, &req);
-            let moved = state.parked.clone();
-            drop(st);
-            // The admission moved every live target; the parked roots follow.
-            shared.answer(moved);
-            return Some((books, req));
-        }
-        // A request is queued that does not fit beside the live
-        // minimums: a parked root makes room, by settling.
-        let root = st.parked.first().filter(|_| !st.queue.is_empty());
-        if let Some(root) = root.cloned() {
-            drop(st);
-            root.slot.lock().settle(shared, RootEnd::QueuedRequest);
-            st = shared.lock();
-            continue;
-        }
-        if st.shutdown && st.queue.is_empty() {
-            return None;
+        if state.running() < shared.workers {
+            let first = state.queue.peek_admissible(&state.broker);
+            if first == Some(job) {
+                let req = state
+                    .queue
+                    .pop_admissible(&state.broker)
+                    .expect("the first admissible request");
+                let books = admit(shared, state, &req);
+                let moved = state.parked.clone();
+                drop(st);
+                // The next in line may fit too; the parked roots follow the
+                // targets the admission moved.
+                shared.work.notify_all();
+                shared.answer(moved);
+                return Ok((books, req));
+            }
+            // No request in line fits beside the live minimums: a parked
+            // root makes room, by settling.
+            if let Some(root) = state.parked.first().filter(|_| first.is_none()).cloned() {
+                drop(st);
+                root.slot.lock().settle(shared, RootEnd::QueuedRequest);
+                st = shared.lock();
+                continue;
+            }
         }
         st = shared.work.wait(st);
     }
@@ -89,7 +116,7 @@ fn admit(shared: &Shared, state: &mut State, req: &QueuedRequest) -> Books {
 }
 
 /// Form the job's runs in a fresh unnamed temporary file and run the
-/// preliminary merge steps on this worker, stopping with the root parked.
+/// preliminary merge steps on the caller's thread, stopping at the root.
 fn sort_to_root(
     shared: &Shared,
     books: &Books,
@@ -105,10 +132,10 @@ fn sort_to_root(
     let mut env = RealEnv::starting_at(shared.start);
     env.max_wait = shared.suspension_wait;
     env.trace = trace.clone();
-    // A panicking job (e.g. a user-supplied `InputSource`) must not take the
-    // worker thread down with it: its pages would stay committed forever and
-    // its ticket would never be resolved. Contain the unwind and surface it
-    // as an error on the ticket instead.
+    // A panicking job (e.g. a user-supplied `InputSource`) must not unwind
+    // past its books: its pages would stay committed forever and its slot
+    // against `workers` taken. Contain the unwind and surface it as the
+    // job's error instead.
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         SortJob::builder()
             .config(req.cfg)
@@ -124,10 +151,10 @@ fn sort_to_root(
     .unwrap_or_else(|panic| Err(panic_error(panic)))
 }
 
-/// Park the job's root where budget moves and settles reach it, and give the
-/// ticket its output.
-fn hand_over(shared: &Arc<Shared>, books: Books, sort: SortCompletion<FileStore>) {
-    let (job, ticket) = (books.job, Arc::clone(&books.ticket));
+/// Park the job's root where budget moves and settles reach it, and make
+/// it the caller's output.
+fn park(shared: &Arc<Shared>, books: Books, sort: SortCompletion<FileStore>) -> JobOutput {
+    let job = books.job;
     let slot = RootSlot {
         sort: Some(sort),
         books: Some(books),
@@ -140,27 +167,27 @@ fn hand_over(shared: &Arc<Shared>, books: Books, sort: SortCompletion<FileStore>
         slot: Mutex::new(slot),
     });
     shared.lock().parked.push(Arc::clone(&root));
+    // The job no longer counts against `workers`.
+    shared.work.notify_all();
     // A move or a cancel since the sort last looked found no root to
     // answer it.
     shared.answer(Some(Arc::clone(&root)));
-    ticket.fulfill(Ok(JobOutput::new(root, Arc::clone(shared))));
+    JobOutput::new(root, Arc::clone(shared))
 }
 
-/// Close the books of a job that failed before its root, and give the ticket
-/// the error.
-fn fail(shared: &Shared, books: Books, e: SortError) {
-    let ticket = Arc::clone(&books.ticket);
+/// Close the books of a job that failed before its root; its error.
+fn fail(shared: &Shared, books: Books, e: SortError) -> SortError {
     // A cancelled job did what it was told; count it apart from genuine
     // failures. A sort that was blocked on its input when the cancel landed
     // reports whatever error that input ends with instead of `Cancelled` —
     // normalise it, so cancellation accounting is deterministic for the
     // caller.
-    let e = match ticket.cancel_requested() {
+    let e = match books.ticket.cancel_requested() {
         true => SortError::Cancelled,
         false => e,
     };
     books.close(shared, Some(&e), None);
-    ticket.fulfill(Err(e));
+    e
 }
 
 /// Convert a caught panic payload into the error delivered on the ticket.

@@ -41,8 +41,9 @@ impl RootEnd {
 
 /// A job at its root. Whoever holds its [`JobOutput`] executes the root on
 /// their own thread; the service keeps a handle, through which whoever moves
-/// the budget runs the root's checkpoint and a worker settles the root when a
-/// queued request needs its memory. Lock order: a root, then the state.
+/// the budget runs the root's checkpoint, and a caller waiting for admission
+/// settles the root when its request needs the memory. Lock order: a root,
+/// then the state.
 #[derive(Debug)]
 pub(crate) struct Root {
     pub(super) job: JobId,

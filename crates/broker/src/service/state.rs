@@ -2,11 +2,12 @@
 //! roots and the metrics registry, behind one lock.
 
 use super::{job_span, Root};
-use crate::admission::AdmissionQueue;
+use crate::admission::{AdmissionQueue, QueuedRequest};
 use crate::broker::MemoryBroker;
 use crate::stats::*;
 use crate::ticket::{JobId, JobReport};
 use masort_core::sync::{Condvar, Mutex, MutexGuard};
+use masort_core::SortError;
 use masort_trace::{EventKind, MetricsRegistry, MetricsSnapshot, Trace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,6 +70,11 @@ impl State {
         }
     }
 
+    /// Admitted jobs short of their root: live, and not parked.
+    pub(super) fn running(&self) -> usize {
+        self.broker.live_count() - self.parked.len()
+    }
+
     /// Set the gauges from the broker's state, then copy the books out.
     pub(super) fn snapshot(&self) -> MetricsSnapshot {
         let gauge = |name, value: usize| self.metrics.gauge(name, None).set(value as i64);
@@ -84,7 +90,10 @@ pub(crate) struct Shared {
     pub(super) suspension_wait: Duration,
     /// Service-wide observability handle; jobs emit on [`job_span`] rebinds.
     pub(super) trace: Trace,
+    /// How many admitted jobs may be short of their root at once.
+    pub(super) workers: usize,
     pub(super) state: Mutex<State>,
+    /// Notified whenever the admission line may move.
     pub(super) work: Condvar,
 }
 
@@ -97,26 +106,52 @@ impl Shared {
         self.state.lock()
     }
 
-    /// Cancel job `job` on the service's side. A job still queued is
-    /// removed and counted, and `true` says its ticket is the caller's to
-    /// resolve; a job at its root has the cancel seen by its checkpoint now.
-    pub(crate) fn cancel(&self, job: JobId) -> bool {
+    /// Count `req` as ended unadmitted, by a cancel or a minimum above the
+    /// pool, and put that on its timeline; `e` is what its caller returns.
+    pub(super) fn unadmitted(&self, st: &State, req: &QueuedRequest, e: SortError) -> SortError {
+        let trace = self.trace.with_span(job_span(req.job));
+        if let SortError::BudgetStarved { needed, granted } = e {
+            st.count(REJECTED, req.tenant.as_deref(), 1);
+            trace.emit(EventKind::AdmissionRejected { needed, granted });
+        } else {
+            st.count(CANCELLED, req.tenant.as_deref(), 1);
+            trace.emit(EventKind::Cancelled);
+        }
+        req.ticket.job_over();
+        e
+    }
+
+    /// Take every request out of the admission line whose minimum exceeds
+    /// the pool: its caller returns `BudgetStarved`. The requests are
+    /// returned, to be dropped outside the lock.
+    pub(super) fn refuse_impossible(&self, st: &mut State) -> Vec<QueuedRequest> {
+        let granted = st.broker.pool_pages();
+        let doomed = st.queue.drain_impossible(granted);
+        for req in &doomed {
+            let e = SortError::BudgetStarved {
+                needed: req.min_pages,
+                granted,
+            };
+            req.ticket.refuse(self.unadmitted(st, req, e));
+        }
+        doomed
+    }
+
+    /// Cancel job `job`: a request nobody redeemed (`unredeemed`) or one
+    /// in the admission line ends here; a job at its root has its checkpoint
+    /// see the cancel now. (A running job sees it on its budget.)
+    pub(crate) fn cancel(&self, job: JobId, unredeemed: Option<QueuedRequest>) {
         let mut st = self.lock();
-        let Some(req) = st.queue.remove(job) else {
+        let Some(req) = unredeemed.or_else(|| st.queue.remove(job)) else {
             let root = st.parked.iter().find(|root| root.job == job).cloned();
             drop(st);
-            self.answer(root);
-            return false;
+            return self.answer(root);
         };
-        st.count(CANCELLED, req.tenant.as_deref(), 1);
+        req.ticket
+            .refuse(self.unadmitted(&st, &req, SortError::Cancelled));
+        // The request (and its boxed input source) dies outside the lock.
         drop(st);
-        self.trace
-            .with_span(job_span(job))
-            .emit(EventKind::Cancelled);
-        // The request (and its boxed input source) dies outside the state
-        // lock.
-        drop(req);
-        true
+        self.work.notify_all();
     }
 
     /// Have each of `roots` answer its budget at once, by running the

@@ -47,6 +47,18 @@ impl InputSource for GatedSource {
     }
 }
 
+/// How many callers wait in the admission line.
+fn in_line(svc: &SortService) -> usize {
+    svc.shared.lock().queue.len()
+}
+
+/// Wait (briefly sleeping) until `done`.
+fn wait_until(mut done: impl FnMut() -> bool) {
+    while !done() {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
 /// Read an output to its end, then take the job's report.
 fn drain(mut output: JobOutput) -> (Vec<Tuple>, JobReport) {
     let sorted = output.by_ref().collect::<SortResult<_>>().unwrap();
@@ -150,21 +162,16 @@ fn pool_shrink_fails_queued_requests_that_no_longer_fit() {
 }
 
 #[test]
-fn shutdown_drains_queued_work() {
+fn shutdown_cancels_the_tickets_nobody_redeemed() {
     let svc = SortService::builder().pool_pages(16).workers(2).build();
-    let inputs: Vec<Vec<Tuple>> = (0..6).map(|i| random_tuples(1_500, 40 + i)).collect();
-    let tickets: Vec<SortTicket> = inputs
-        .iter()
-        .map(|input| {
-            svc.submit(SortRequest::tuples(small_cfg(6), input.clone()))
-                .unwrap()
-        })
-        .collect();
+    let request = |i: u64| SortRequest::tuples(small_cfg(6), random_tuples(1_500, 40 + i));
+    let tickets: Vec<SortTicket> = (0..6).map(|i| svc.submit(request(i)).unwrap()).collect();
+    // Nothing ran: a ticket holds no place in line and no pages.
+    assert_eq!((svc.live_jobs(), in_line(&svc)), (0, 0));
     let stats = svc.shutdown();
-    assert_eq!(stats.completed, 6);
-    for (ticket, input) in tickets.into_iter().zip(&inputs) {
-        let sorted = ticket.wait().unwrap().into_sorted_vec().unwrap();
-        assert_sorted_permutation(input, &sorted);
+    assert_eq!((stats.submitted, stats.completed), (6, 0));
+    for ticket in tickets {
+        assert!(matches!(ticket.wait(), Err(SortError::Cancelled)));
     }
 }
 
@@ -214,8 +221,9 @@ fn panicking_job_fails_its_ticket_and_releases_its_pages() {
 
 #[test]
 fn concurrent_spilled_sorts_round_trip_on_two_workers() {
-    // Four spilling jobs, two workers, a pool of three grants: two run
-    // side by side, each in its own unnamed run file, while two queue.
+    // Four spilling jobs redeemed on four threads, two admitted at a time,
+    // a pool of three grants: two run side by side, each in its own unnamed
+    // run file, while two wait in line.
     let svc = SortService::builder().pool_pages(24).workers(2).build();
     let inputs: Vec<Vec<Tuple>> = (0..4).map(|i| random_tuples(2_000, 90 + i)).collect();
     let tickets: Vec<SortTicket> = inputs
@@ -225,10 +233,15 @@ fn concurrent_spilled_sorts_round_trip_on_two_workers() {
                 .unwrap()
         })
         .collect();
-    for (ticket, input) in tickets.into_iter().zip(&inputs) {
-        let sorted = ticket.wait().unwrap().into_sorted_vec().unwrap();
-        assert_sorted_permutation(input, &sorted);
-    }
+    std::thread::scope(|s| {
+        let callers: Vec<_> = tickets
+            .iter()
+            .map(|ticket| s.spawn(move || ticket.wait().unwrap().into_sorted_vec().unwrap()))
+            .collect();
+        for (caller, input) in callers.into_iter().zip(&inputs) {
+            assert_sorted_permutation(input, &caller.join().unwrap());
+        }
+    });
     let stats = svc.shutdown();
     assert_eq!(stats.completed, 4);
     assert_eq!(stats.failed, 0);
@@ -277,14 +290,16 @@ fn cancelling_a_running_job_aborts_it_and_releases_its_pages() {
                 .tenant("acme"),
         )
         .unwrap();
-    while svc.live_jobs() == 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    assert!(ticket.cancel());
-    match ticket.wait() {
-        Err(SortError::Cancelled) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
+    // The job runs on a thread of its own; this one cancels it.
+    std::thread::scope(|s| {
+        let caller = s.spawn(|| ticket.wait());
+        wait_until(|| svc.live_jobs() > 0);
+        assert!(ticket.cancel());
+        match caller.join().unwrap() {
+            Err(SortError::Cancelled) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+    });
     // The dead job's pages came back: a sort needing the whole pool runs.
     let input = random_tuples(800, 14);
     let sorted = svc
@@ -365,22 +380,34 @@ fn registry_counts_every_terminal_outcome() {
                 .tenant("acme"),
         )
         .unwrap();
-    while svc.live_jobs() == 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    // Dropped by a pool shrink under its minimum.
     let dropped = svc.submit(request(8)).unwrap();
-    svc.resize_pool(7);
-    svc.resize_pool(8);
-    assert_eq!(starved(dropped.wait().unwrap_err()), (8, 7));
-    // Cancelled while queued, then while running.
     let queued = svc.submit(request(8).tenant("acme")).unwrap();
-    assert!(queued.cancel());
-    assert!(matches!(queued.wait(), Err(SortError::Cancelled)));
-    assert!(running.cancel());
-    *gate.0.lock() = true;
-    gate.1.notify_all();
-    assert!(matches!(running.wait(), Err(SortError::Cancelled)));
+    // Each job runs on a thread of its own; this one cancels and resizes.
+    std::thread::scope(|s| {
+        let running_job = s.spawn(|| running.wait());
+        wait_until(|| svc.live_jobs() > 0);
+        // Dropped by a pool shrink under its minimum.
+        let dropped_job = s.spawn(|| dropped.wait());
+        wait_until(|| in_line(&svc) == 1);
+        svc.resize_pool(7);
+        svc.resize_pool(8);
+        assert_eq!(starved(dropped_job.join().unwrap().unwrap_err()), (8, 7));
+        // Cancelled while queued, then while running.
+        let queued_job = s.spawn(|| queued.wait());
+        wait_until(|| in_line(&svc) == 1);
+        assert!(queued.cancel());
+        assert!(matches!(
+            queued_job.join().unwrap(),
+            Err(SortError::Cancelled)
+        ));
+        assert!(running.cancel());
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+        assert!(matches!(
+            running_job.join().unwrap(),
+            Err(SortError::Cancelled)
+        ));
+    });
     // Failed, then completed.
     let failing = SortRequest::from_source(small_cfg(4), FailingSource);
     svc.submit(failing).unwrap().wait().unwrap_err();

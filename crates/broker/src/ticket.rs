@@ -1,141 +1,102 @@
-//! Tickets: the handle a caller holds while a submitted sort is queued and
-//! running, and the output it redeems for once the sort is down to its last
-//! merge step — which the output's holder then executes on their own thread.
+//! Tickets: the handle a caller holds for a submitted sort. Redeeming one
+//! runs the sort on the redeeming thread, down to its last merge step, and
+//! returns the output that the caller then executes on that same thread.
 
-use crate::service::{Root, Shared};
-use masort_core::sync::{Condvar, Mutex};
+use crate::admission::QueuedRequest;
+use crate::service::{redeem, Root, Shared};
+use masort_core::sync::Mutex;
 use masort_core::{MemoryBudget, Page, SortError, SortOutcome, SortResult, Tuple};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Identifier of a job within one [`SortService`](crate::SortService)
 /// (assigned in submission order, starting at 0).
 pub type JobId = u64;
 
-/// Cancellation state shared between a ticket and the worker running its job.
-/// The mutex serialises [`TicketShared::attach_budget`] against
-/// [`TicketShared::request_cancel`], so a cancel landing while the job is
-/// being admitted reaches the budget no matter which side wins the race.
+/// What a ticket and the service share about one job. One lock serialises
+/// [`attach_budget`](TicketShared::attach_budget) against a cancel, so a
+/// cancel landing while the job is admitted reaches the budget either way.
 #[derive(Debug, Default)]
-struct CancelSlot {
-    requested: bool,
+pub(crate) struct TicketShared(Mutex<JobState>);
+
+#[derive(Debug, Default)]
+struct JobState {
+    cancel_requested: bool,
     budget: Option<MemoryBudget>,
-    /// The job has given its grant back (or never had one): nothing is left
-    /// for a cancel to stop.
+    /// The job's grant is back, or it never had one: a cancel stops nothing.
     over: bool,
-}
-
-/// What a ticket resolves to, and whether anybody is still there to take it.
-#[derive(Debug, Default)]
-enum Slot {
-    #[default]
-    Pending,
-    Ready(SortResult<JobOutput>),
-    /// Redeemed, or the ticket was dropped unredeemed.
-    Taken,
-}
-
-impl Slot {
-    /// Take the result if the ticket has resolved.
-    fn take(&mut self) -> Option<SortResult<JobOutput>> {
-        match std::mem::replace(self, Slot::Taken) {
-            Slot::Ready(result) => Some(result),
-            other => {
-                *self = other;
-                None
-            }
-        }
-    }
-}
-
-/// The shared completion slot between a worker thread and the ticket holder.
-#[derive(Debug, Default)]
-pub(crate) struct TicketShared {
-    slot: Mutex<Slot>,
-    cv: Condvar,
-    cancel: Mutex<CancelSlot>,
+    /// Why the job left the admission line unadmitted, for its caller.
+    refused: Option<SortError>,
 }
 
 impl TicketShared {
-    /// Resolve the ticket and wake every waiter. Must be called at most once
-    /// per ticket. A job that ended without an output is over; one that
-    /// resolves to an output is over when it is released
-    /// ([`job_over`](Self::job_over)). If the ticket is gone the result is
-    /// dropped here, which ends the job.
-    pub(crate) fn fulfill(&self, result: SortResult<JobOutput>) {
-        if result.is_err() {
-            self.job_over();
-        }
-        let mut g = self.slot.lock();
-        debug_assert!(!matches!(*g, Slot::Ready(_)), "ticket fulfilled twice");
-        if matches!(*g, Slot::Pending) {
-            *g = Slot::Ready(result);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Called by the admitting worker (under the service state lock): make
-    /// the job's budget reachable from the ticket. A cancel requested while
-    /// the job was still queued is applied to the budget right here, so the
-    /// sort aborts at its first adaptivity checkpoint.
+    /// At admission: make the job's budget reachable from the ticket, and
+    /// cancelled if a cancel came first.
     pub(crate) fn attach_budget(&self, budget: MemoryBudget) {
-        let mut g = self.cancel.lock();
-        if g.requested {
+        let mut g = self.0.lock();
+        if g.cancel_requested {
             budget.cancel();
         }
         g.budget = Some(budget);
     }
 
-    /// Called by [`SortTicket::cancel`]: flag the job as cancelled and, if it
-    /// is already running, cancel its budget. `false` if the job is over.
+    /// Flag the job cancelled and cancel its budget if it has one; `false`
+    /// if the job is over.
     fn request_cancel(&self) -> bool {
-        let mut g = self.cancel.lock();
-        if g.over {
-            return false;
+        let mut g = self.0.lock();
+        if !g.over {
+            g.cancel_requested = true;
+            g.budget.iter().for_each(MemoryBudget::cancel);
         }
-        g.requested = true;
-        if let Some(budget) = &g.budget {
-            budget.cancel();
-        }
-        true
+        !g.over
     }
 
-    /// Called once the job's grant is back with the broker.
     pub(crate) fn job_over(&self) {
-        self.cancel.lock().over = true;
+        self.0.lock().over = true;
     }
 
-    /// Whether a cancel was ever requested for this job. The service uses it
-    /// to classify the job's final error: a cancelled sort usually aborts at
-    /// a budget checkpoint with `SortError::Cancelled`, but one blocked on a
-    /// streaming input can instead surface whatever error that input ends
-    /// with — the caller asked for a cancel either way.
+    /// Whether a cancel was ever requested. A cancelled sort blocked on a
+    /// streaming input may end in that input's error instead of
+    /// `Cancelled`; the caller asked for a cancel either way.
     pub(crate) fn cancel_requested(&self) -> bool {
-        self.cancel.lock().requested
+        self.0.lock().cancel_requested
+    }
+
+    /// Under the state lock, by whoever takes the job out of the admission
+    /// line: its caller returns `e`.
+    pub(crate) fn refuse(&self, e: SortError) {
+        self.0.lock().refused = Some(e);
+    }
+
+    pub(crate) fn refusal(&self) -> Option<SortError> {
+        self.0.lock().refused.take()
     }
 }
 
-/// A claim on the result of one submitted sort.
+/// A claim on one submitted sort.
 ///
-/// Returned by [`SortService::submit`](crate::SortService::submit). Redeem it
-/// with [`wait`](Self::wait) (blocking) or poll with
-/// [`is_done`](Self::is_done). The ticket is independent of the service
-/// handle: it can be sent to another thread and outlives `SortService`
-/// shutdown (queued work is drained before the workers exit, so every ticket
-/// is eventually resolved). Dropping it unredeemed abandons the result: the
-/// sort is closed as soon as it has one.
-#[derive(Debug)]
+/// Returned by [`SortService::submit`](crate::SortService::submit). Nothing
+/// runs and no page is reserved until the ticket is redeemed with
+/// [`wait`](Self::wait), which runs the sort on the calling thread. The
+/// ticket is independent of the service handle and can be sent to, or
+/// shared with, another thread: [`cancel`](Self::cancel) reaches a sort that
+/// another thread is running through `wait`. Dropping it unredeemed ends the
+/// job as cancelled, and so does a service shutdown: a ticket redeemed after
+/// that resolves to [`SortError::Cancelled`].
 pub struct SortTicket {
     job: JobId,
     shared: Arc<TicketShared>,
-    service: Weak<Shared>,
+    service: Arc<Shared>,
+    /// The request, until the ticket is redeemed, cancelled or dropped.
+    request: Mutex<Option<QueuedRequest>>,
 }
 
 impl SortTicket {
-    pub(crate) fn new(job: JobId, shared: Arc<TicketShared>, service: Weak<Shared>) -> Self {
+    pub(crate) fn new(request: QueuedRequest, service: Arc<Shared>) -> Self {
         SortTicket {
-            job,
-            shared,
+            job: request.job,
+            shared: Arc::clone(&request.ticket),
             service,
+            request: Mutex::new(Some(request)),
         }
     }
 
@@ -146,74 +107,77 @@ impl SortTicket {
 
     /// Cancel this job. Returns `true` if the cancellation took effect,
     /// `false` if the job was already over — failed, or its result produced
-    /// to the end (still redeemable with [`wait`](Self::wait)).
+    /// to the end.
     ///
-    /// A job still **queued** is removed from the admission queue on the spot
-    /// and this ticket resolves to [`SortError::Cancelled`] immediately — it
-    /// never reserves pages. A job already **running** has
-    /// its [`MemoryBudget`] flagged; the sort observes the flag at its next
-    /// adaptivity checkpoint (the same points where it polls for memory
-    /// changes), aborts with [`SortError::Cancelled`], and releases every
-    /// page it held back to the pool. A job at its root, its result not read
-    /// to the end, runs that checkpoint on this call: its output then ends
-    /// with [`SortError::Cancelled`].
+    /// A job not yet **admitted** — not redeemed, or waiting in the
+    /// admission line — ends on the spot: it never reserves pages, and
+    /// [`wait`](Self::wait) returns [`SortError::Cancelled`]. A job already
+    /// **running** has its [`MemoryBudget`] flagged; the sort observes the
+    /// flag at its next adaptivity checkpoint (the same points where it polls
+    /// for memory changes), aborts with [`SortError::Cancelled`], and
+    /// releases every page it held back to the pool. A job at its root, its
+    /// result not read to the end, runs that checkpoint on this call: its
+    /// output then ends with [`SortError::Cancelled`].
     pub fn cancel(&self) -> bool {
-        // Flag first: if the job is admitted concurrently, the admitting
-        // worker sees the flag when it attaches the budget and the sort
-        // aborts at its first checkpoint.
+        // Flag first: a caller joining the line or being admitted meanwhile
+        // sees the flag.
         if !self.shared.request_cancel() {
             return false;
         }
-        if let Some(service) = self.service.upgrade() {
-            if service.cancel(self.job) {
-                // Removed from the queue under the service lock: no worker
-                // will ever see this request, so the ticket is ours to
-                // resolve.
-                self.shared.fulfill(Err(SortError::Cancelled));
-            }
-        }
+        // Taken first: the lock is not held while the service acts.
+        let unredeemed = self.request.lock().take();
+        self.service.cancel(self.job, unredeemed);
         true
     }
 
-    /// True once [`wait`](Self::wait) would return without blocking: the
-    /// sort has reached its last merge step, or has ended without one.
-    pub fn is_done(&self) -> bool {
-        matches!(*self.shared.slot.lock(), Slot::Ready(_))
-    }
-
-    /// Block until the sort is down to its last merge step, then return the
-    /// [`JobOutput`] that executes that step (or the error that
-    /// stopped the sort before — I/O failures, `BudgetStarved` rejections
-    /// after a pool shrink, ...).
-    pub fn wait(self) -> SortResult<JobOutput> {
-        let mut g = self.shared.slot.lock();
-        loop {
-            if let Some(result) = g.take() {
-                return result;
-            }
-            g = self.shared.cv.wait(g);
+    /// Run the sort on this thread down to its last merge step, then return
+    /// the [`JobOutput`] that executes that step (or the error that stopped
+    /// the sort before — I/O failures, `BudgetStarved` rejections after a
+    /// pool shrink, a cancel, ...).
+    ///
+    /// The call first waits in the service's admission line until the
+    /// job's minimum fits beside the live sorts' and fewer than
+    /// [`workers`](crate::SortServiceBuilder::workers) sorts are between
+    /// their admission and their root. A ticket redeems once; a second call
+    /// fails with [`SortError::InvalidConfig`].
+    pub fn wait(&self) -> SortResult<JobOutput> {
+        let request = self.request.lock().take();
+        match request {
+            Some(request) => redeem(&self.service, request),
+            None if self.shared.cancel_requested() => Err(SortError::Cancelled),
+            None => Err(SortError::invalid_config("the ticket was redeemed already")),
         }
+    }
+}
+
+impl std::fmt::Debug for SortTicket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SortTicket")
+            .field("job", &self.job)
+            .finish()
     }
 }
 
 impl Drop for SortTicket {
     fn drop(&mut self) {
-        // An output nobody will read ends its job now.
-        let unread = std::mem::replace(&mut *self.shared.slot.lock(), Slot::Taken);
-        drop(unread);
+        // A request nobody redeemed ends now.
+        let unredeemed = self.request.lock().take();
+        if unredeemed.is_some() {
+            self.service.cancel(self.job, unredeemed);
+        }
     }
 }
 
 /// The sorted result of a job, produced by its last merge step as it is read.
 ///
-/// A ticket resolves to this when the sort is down to that step. The step is
-/// parked and executes on whichever thread pulls from this value, so a
+/// [`SortTicket::wait`] returns this once the sort is down to that step. The
+/// step is parked and executes on whichever thread pulls from this value, so a
 /// consumer gets the result straight off the merge — nothing sorted is
 /// written — and the grant goes back to the pool when the last page has been
 /// pulled. Nobody waits for a consumer that stops: whoever moves the job's
 /// budget meanwhile runs the merge's checkpoint for it (split, page, suspend
-/// — as a running merge would), and a queued request whose minimum needs
-/// the grant, or a shutdown, has the remainder
+/// — as a running merge would), and a caller in the admission line whose
+/// minimum needs the grant, or a shutdown, has the remainder
 /// [settled](masort_core::SortCompletion::settle) into one run and the job
 /// released; this value then reads that run, on a fixed three-page
 /// allowance of its own.

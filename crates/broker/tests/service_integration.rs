@@ -57,24 +57,39 @@ fn concurrent_sorts_under_contention() {
         })
         .collect();
 
-    // Shrink and re-grow the global pool while the sorts are in flight: every
+    // Each ticket is redeemed on a thread of its own, so the sorts overlap.
+    // Shrink and re-grow the global pool while they are in flight: every
     // live budget must move.
-    std::thread::sleep(Duration::from_millis(5));
-    service.resize_pool(12);
-    std::thread::sleep(Duration::from_millis(5));
-    service.resize_pool(36);
+    let reports = std::thread::scope(|s| {
+        let callers: Vec<_> = tickets
+            .iter()
+            .enumerate()
+            .map(|(i, ticket)| {
+                s.spawn(move || {
+                    let mut output = ticket
+                        .wait()
+                        .unwrap_or_else(|e| panic!("job {i} failed: {e}"));
+                    let streamed: Vec<Tuple> = output
+                        .by_ref()
+                        .collect::<Result<_, _>>()
+                        .unwrap_or_else(|e| panic!("job {i} stream failed: {e}"));
+                    (streamed, output.finish())
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(5));
+        service.resize_pool(12);
+        std::thread::sleep(Duration::from_millis(5));
+        service.resize_pool(36);
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("caller panicked"))
+            .collect::<Vec<_>>()
+    });
 
     let mut total_reallocations = 0u64;
     let mut total_delay_samples = 0u64;
-    for (i, (ticket, input)) in tickets.into_iter().zip(&inputs).enumerate() {
-        let mut output = ticket
-            .wait()
-            .unwrap_or_else(|e| panic!("job {i} failed: {e}"));
-        let streamed: Vec<Tuple> = output
-            .by_ref()
-            .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| panic!("job {i} stream failed: {e}"));
-        let report = output.finish();
+    for (i, ((streamed, report), input)) in reports.into_iter().zip(&inputs).enumerate() {
         assert!(
             report.initial_grant >= 2,
             "job {i} admitted below its guaranteed minimum (got {})",

@@ -444,21 +444,23 @@ fn every_way_out_of_an_output_leaves_nothing_behind() {
     assert!(report.outcome.merge.tuples_output < 4_000);
     settled(3);
 
-    // The ticket dropped unredeemed, before and after the root is reached.
+    // The ticket dropped unredeemed: nothing ran, and the job ends
+    // cancelled. Dropped once redeemed, it leaves the output the job.
     drop(submit());
     settled(4);
     let ticket = submit();
-    wait_until("the sort to reach its root", || ticket.is_done());
+    let output = ticket.wait().unwrap();
     drop(ticket);
+    let (sorted, _) = drain(output);
+    assert_eq!(keys(&sorted), sorted_keys(&input));
     settled(5);
 
-    // Cancelled mid-egress, through the ticket, while the output waits to
-    // be redeemed: what was handed over is still there, then `Cancelled`.
+    // Cancelled mid-egress, through the ticket: what was read is kept, then
+    // the output ends `Cancelled`.
     let ticket = submit();
-    wait_until("the sort to reach its root", || ticket.is_done());
-    assert!(ticket.cancel(), "a root still running can be cancelled");
     let mut output = ticket.wait().unwrap();
-    let mut got = 0;
+    let mut got = output.next_page().unwrap().expect("a page").len();
+    assert!(ticket.cancel(), "a root still running can be cancelled");
     let err = loop {
         match output.next_page() {
             Ok(Some(page)) => got += page.len(),
@@ -471,7 +473,8 @@ fn every_way_out_of_an_output_leaves_nothing_behind() {
     assert!(matches!(output.next_page(), Ok(None)), "fused");
     drop(output);
     settled(6);
-    assert_eq!(svc.stats().cancelled, 1);
+    // The unredeemed ticket and the cancel.
+    assert_eq!(svc.stats().cancelled, 2);
 
     assert_pool_whole(&svc);
     let stats = svc.shutdown();

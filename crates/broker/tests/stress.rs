@@ -66,15 +66,30 @@ fn submission_storm_with_concurrent_resizes() {
                     .unwrap_or_else(|e| panic!("submitter {t} job {j}: {e}"));
                 results.push((input, ticket));
             }
-            // Redeem in submission order; every sort must be correct.
+            // Redeem each ticket on a thread of its own, so the sorts race
+            // each other and the resizes; every sort must be correct.
+            let outcomes = std::thread::scope(|s| {
+                let callers: Vec<_> = results
+                    .iter()
+                    .map(|(input, ticket)| {
+                        s.spawn(move || match ticket.wait() {
+                            Ok(output) => {
+                                let sorted = output.into_sorted_vec().unwrap();
+                                Ok(is_sorted(&sorted) && is_key_permutation(input, &sorted))
+                            }
+                            Err(e) => Err(e),
+                        })
+                    })
+                    .collect();
+                callers
+                    .into_iter()
+                    .map(|caller| caller.join().expect("caller panicked"))
+                    .collect::<Vec<_>>()
+            });
             let mut starved = 0usize;
-            for (i, (input, ticket)) in results.into_iter().enumerate() {
-                match ticket.wait() {
-                    Ok(output) => {
-                        let sorted = output.into_sorted_vec().unwrap();
-                        assert!(is_sorted(&sorted), "submitter {t} job {i}");
-                        assert!(is_key_permutation(&input, &sorted), "submitter {t} job {i}");
-                    }
+            for (i, outcome) in outcomes.into_iter().enumerate() {
+                match outcome {
+                    Ok(correct) => assert!(correct, "submitter {t} job {i}"),
                     // A resize can legitimately doom a queued request whose
                     // minimum no longer fits; nothing else may fail.
                     Err(SortError::BudgetStarved { .. }) => starved += 1,

@@ -16,6 +16,7 @@
 //! idle, which keeps schedules deterministic without modelling real clocks.
 
 use std::cell::RefCell;
+use std::io::Write;
 use std::panic::Location;
 // check-exempt: the runtime is the instrumentation layer itself.
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +121,21 @@ pub(crate) fn in_model() -> bool {
 /// swallowed) by the task wrapper so it never masks the original failure.
 struct AbortUnwind;
 
-fn abort_unwind() -> ! {
+/// Unwind the calling task out of an aborted schedule. A task unwinding
+/// already (a destructor needing the scheduler on its way out) cannot unwind
+/// twice: the process aborts, so it says why first.
+fn abort_unwind(st: MutexGuard<'_, RtState>) -> ! {
+    if std::thread::panicking() {
+        let failure = st.failure.as_deref().unwrap_or("no failure recorded");
+        // Straight to the descriptor: the test harness's capture of
+        // `eprintln!` would die with the process.
+        let _ = writeln!(
+            std::io::stderr(),
+            "masort-check: schedule aborted during an unwind: {failure}"
+        );
+        std::process::abort();
+    }
+    drop(st);
     std::panic::panic_any(AbortUnwind);
 }
 
@@ -231,8 +246,7 @@ impl Rt {
         self.cv.notify_all();
         loop {
             if st.aborting {
-                drop(st);
-                abort_unwind();
+                abort_unwind(st);
             }
             if st.current == me && st.tasks[me].status == Status::Runnable {
                 return;
@@ -249,8 +263,7 @@ pub(crate) fn yield_point(site: Option<Site>) {
     let Some((rt, me)) = ctx() else { return };
     let mut st = rt.lock();
     if st.aborting {
-        drop(st);
-        abort_unwind();
+        abort_unwind(st);
     }
     st.tasks[me].site = site;
     rt.switch(st, me);
@@ -262,8 +275,7 @@ pub(crate) fn block_on(res: u64, timed: bool, site: Option<Site>) -> Wake {
     let (rt, me) = ctx().expect("block_on called outside a schedule");
     let mut st = rt.lock();
     if st.aborting {
-        drop(st);
-        abort_unwind();
+        abort_unwind(st);
     }
     st.tasks[me].site = site;
     st.tasks[me].status = Status::Blocked { res, timed };

@@ -11,7 +11,7 @@
 //! thousand scheduling decisions at most.
 #![cfg(masort_check)]
 
-use masort_broker::{SortRequest, SortService};
+use masort_broker::{JobOutput, SortRequest, SortService, SortTicket};
 use masort_check::explore::{explore_random, Options};
 use masort_core::prelude::*;
 use masort_core::sync::thread;
@@ -67,11 +67,20 @@ fn budget_retarget_races_holding_reports() {
     .expect("no interleaving may break the budget");
 }
 
+/// Redeem `ticket` on an explorer task of its own and check its result
+/// against `input`.
+fn caller(ticket: SortTicket, input: Vec<Tuple>) -> thread::JoinHandle<()> {
+    thread::spawn(move || {
+        let output = ticket.wait().expect("sort failed");
+        assert_sorted_permutation(&input, &output.into_sorted_vec().expect("read sort"));
+    })
+}
+
 /// The broker under concurrent admission, completion and pool resizing: two
-/// tiny sorts run while another task shrinks and re-grows the page pool.
-/// Every interleaving must deliver both sorted outputs and leave the service
-/// consistent (the resize may suspend/repartition jobs but never wedge or
-/// corrupt them).
+/// tiny sorts, each run by the task that redeems it, while another task
+/// shrinks and re-grows the page pool. Every interleaving must deliver both
+/// sorted outputs and leave the service consistent (the resize may
+/// suspend/repartition jobs but never wedge or corrupt them).
 #[test]
 fn broker_resize_races_admission_and_completion() {
     explore_random(&opts(10), || {
@@ -85,6 +94,10 @@ fn broker_resize_races_admission_and_completion() {
         let t1 = svc
             .submit(SortRequest::tuples(cfg.clone(), in1.clone()).min_pages(2))
             .expect("submit 1");
+        let t2 = svc
+            .submit(SortRequest::tuples(cfg, in2.clone()).min_pages(2))
+            .expect("submit 2");
+        let c1 = caller(t1, in1);
         let resizer = {
             let svc = Arc::clone(&svc);
             thread::spawn(move || {
@@ -92,13 +105,9 @@ fn broker_resize_races_admission_and_completion() {
                 svc.resize_pool(16);
             })
         };
-        let t2 = svc
-            .submit(SortRequest::tuples(cfg, in2.clone()).min_pages(2))
-            .expect("submit 2");
-        let r1 = t1.wait().expect("sort 1 failed");
-        let r2 = t2.wait().expect("sort 2 failed");
-        assert_sorted_permutation(&in1, &r1.into_sorted_vec().expect("read sort 1"));
-        assert_sorted_permutation(&in2, &r2.into_sorted_vec().expect("read sort 2"));
+        let c2 = caller(t2, in2);
+        c1.join().expect("sort 1 panicked");
+        c2.join().expect("sort 2 panicked");
         resizer.join().expect("resizer panicked");
         if let Ok(svc) = Arc::try_unwrap(svc) {
             let stats = svc.shutdown();
@@ -108,34 +117,47 @@ fn broker_resize_races_admission_and_completion() {
     .expect("no interleaving may wedge or corrupt the broker");
 }
 
-/// One worker and a pool of eight pages: a job with a minimum of eight holds
-/// the whole pool, so the next such request fits only once it is released.
-fn whole_pool_request(svc: &SortService, input: &[Tuple]) -> masort_broker::SortTicket {
+/// One admission slot and a pool of eight pages: a job with a minimum of
+/// eight holds the whole pool, so the next such request fits only once it
+/// is released.
+fn whole_pool_request(svc: &SortService, input: &[Tuple]) -> SortTicket {
+    pool_request(svc, input, 8)
+}
+
+fn pool_request(svc: &SortService, input: &[Tuple], min_pages: usize) -> SortTicket {
     let cfg = SortConfig::default()
         .with_page_size(256)
         .with_tuple_size(64)
         .with_memory_pages(4);
-    svc.submit(SortRequest::tuples(cfg, input.to_vec()).min_pages(8))
+    svc.submit(SortRequest::tuples(cfg, input.to_vec()).min_pages(min_pages))
         .expect("submit")
 }
 
-/// A parked root holds the minimum a queued request needs, and its
-/// consumer, having taken one page, does not pull again. The worker must
-/// settle the root to admit the request: a schedule that leaves it parked
-/// shows up as a deadlock. Both results arrive whole and in order.
+/// Redeem `ticket` on an explorer task of its own, take one page of the
+/// result and stop pulling: the task returns the output, parked at its root,
+/// with the page it took.
+fn stalled_caller(ticket: SortTicket) -> thread::JoinHandle<(JobOutput, Vec<Tuple>)> {
+    thread::spawn(move || {
+        let mut output = ticket.wait().expect("sort");
+        let page = output.next_page().expect("page").expect("a first page");
+        (output, page.tuples())
+    })
+}
+
+/// A parked root holds the minimum a waiting request needs, and its
+/// consumer, having taken one page, does not pull again. Each job is run by
+/// the task that redeems it, in either order: the caller still in line
+/// must settle the other's root to be admitted, and a schedule that leaves
+/// it parked shows up as a deadlock. Both results arrive whole and in order.
 #[test]
 fn a_queued_request_is_admitted_past_a_parked_root_nobody_pulls() {
     explore_random(&opts(20), || {
         let svc = SortService::builder().pool_pages(8).workers(1).build();
         let (in1, in2) = (tuples(24, 3), tuples(24, 4));
-        let mut out1 = whole_pool_request(&svc, &in1).wait().expect("sort 1");
-        let mut got = out1
-            .next_page()
-            .expect("page")
-            .expect("a first page")
-            .tuples();
-        let out2 = whole_pool_request(&svc, &in2).wait().expect("sort 2");
-        assert_sorted_permutation(&in2, &out2.into_sorted_vec().expect("read sort 2"));
+        let stalled = stalled_caller(whole_pool_request(&svc, &in1));
+        let reader = caller(whole_pool_request(&svc, &in2), in2);
+        reader.join().expect("sort 2 panicked");
+        let (out1, mut got) = stalled.join().expect("sort 1 panicked");
         got.extend(out1.map(|t| t.expect("tuple")));
         assert_sorted_permutation(&in1, &got);
         let stats = svc.shutdown();
@@ -144,27 +166,64 @@ fn a_queued_request_is_admitted_past_a_parked_root_nobody_pulls() {
     .expect("no interleaving may keep a queued request behind a parked root");
 }
 
+/// Two callers wait for admission behind a job that holds the whole pool's
+/// minimum, while a third task grows the pool and shrinks it back. The
+/// job's own caller stops pulling after one page and waits for the two, so
+/// nothing wakes them but the job reaching its root (a free admission slot,
+/// and a parked root to settle) or its release: a schedule that loses that
+/// wake-up shows up as a deadlock. Every result arrives whole and in order.
+#[test]
+fn callers_in_line_behind_a_pool_holder_are_woken_while_the_pool_is_resized() {
+    explore_random(&opts(20), || {
+        let svc = Arc::new(SortService::builder().pool_pages(8).workers(1).build());
+        let inputs = [tuples(24, 7), tuples(24, 8), tuples(24, 9)];
+        let holder = stalled_caller(whole_pool_request(&svc, &inputs[0]));
+        let callers = [1, 2].map(|i| caller(pool_request(&svc, &inputs[i], 4), inputs[i].clone()));
+        let resizer = {
+            let svc = Arc::clone(&svc);
+            thread::spawn(move || {
+                svc.resize_pool(12);
+                svc.resize_pool(8);
+            })
+        };
+        for c in callers {
+            c.join().expect("a caller panicked");
+        }
+        let (output, mut got) = holder.join().expect("the holder panicked");
+        got.extend(output.map(|t| t.expect("tuple")));
+        assert_sorted_permutation(&inputs[0], &got);
+        resizer.join().expect("resizer panicked");
+        let svc = Arc::try_unwrap(svc).expect("every task joined");
+        let stats = svc.shutdown();
+        assert_eq!((stats.completed, stats.leaked_pages), (3, 0));
+    })
+    .expect("no interleaving may leave a caller in line for good");
+}
+
 /// The ways out of a parked root racing each other: one job's consumer
 /// pulls to the last page while the admission of a second asks for its
-/// settle; the second is cancelled — queued, sorting or parked, wherever the
-/// schedule puts it — and its output dropped. Each job is released exactly
-/// once, and no page leaks.
+/// settle; the second, run by a task of its own, is cancelled by another
+/// task — unredeemed, in line, sorting or parked, wherever the schedule puts
+/// it — and its output dropped. Each job is released exactly once, and no
+/// page leaks.
 #[test]
 fn a_cancel_a_drop_a_settle_and_the_last_pull_release_a_job_once() {
     explore_random(&opts(20), || {
         let svc = SortService::builder().pool_pages(8).workers(1).build();
         let input = tuples(24, 5);
-        let (a, b) = (
-            whole_pool_request(&svc, &input),
-            whole_pool_request(&svc, &input),
-        );
+        let a = whole_pool_request(&svc, &input);
+        let b = Arc::new(whole_pool_request(&svc, &input));
         let reader = thread::spawn(move || a.wait().expect("sort a").into_sorted_vec());
+        let redeemer = {
+            let b = Arc::clone(&b);
+            thread::spawn(move || drop(b.wait()))
+        };
         let canceller = thread::spawn(move || {
             b.cancel();
-            drop(b.wait());
         });
         let sorted = reader.join().expect("reader panicked");
         assert_sorted_permutation(&input, &sorted.expect("read sort a"));
+        redeemer.join().expect("redeemer panicked");
         canceller.join().expect("canceller panicked");
         let stats = svc.stats();
         assert_eq!(stats.completed + stats.cancelled, 2, "{stats:?}");

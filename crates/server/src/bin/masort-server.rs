@@ -16,7 +16,9 @@ use masort_server::{Server, ServerBuilder, TenantQuota};
 fn usage() -> &'static str {
     "usage: masort-server [--addr HOST:PORT] [--pool-pages N] [--workers N]\n\
      \u{20}                    [--page-size BYTES] [--tuple-size BYTES] [--memory-pages N]\n\
-     \u{20}                    [--tenant name=max_live:max_pages[:priority]]..."
+     \u{20}                    [--tenant name=max_live:max_pages[:priority]]...\n\
+     --workers N: how many sorts may be between admission and their root at once\n\
+     \u{20}            (each sort runs on its connection's thread)"
 }
 
 /// The address to bind and the configured builder, or `None` when `--help`

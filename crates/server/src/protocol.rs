@@ -99,7 +99,8 @@ pub enum ErrorCode {
     BudgetStarved = 1,
     /// Unusable sort configuration.
     InvalidConfig = 2,
-    /// An I/O failure inside the sort (or the job panicked).
+    /// An I/O failure inside the sort (or the job panicked, or the server
+    /// could not start a thread for the connection).
     Io = 3,
     /// The job was cancelled — by a `CANCEL` frame or a client disconnect.
     Cancelled = 4,

@@ -1,12 +1,12 @@
 //! The server: a TCP accept loop in front of one [`SortService`].
 //!
-//! Every accepted connection becomes a session on its own thread. A sort's
-//! runs are formed and merged down to the last step on the service's bounded
-//! worker pool, which reads the sort's `INGEST` frames off the connection as
-//! it forms runs; the last step then runs on the session's thread as it
-//! frames the result. So hundreds of connections contend for the same page
-//! pool and the same workers — exactly the multi-query pressure the paper's
-//! broker arbitrates — and a client that stops reading holds no worker.
+//! Every accepted connection becomes a session on its own thread
+//! (`masort-session-{n}`), and its sort runs there from admission to the
+//! last record: it reads its `INGEST` frames off the connection as it forms
+//! runs, and its last merge step runs as the session frames the result. So
+//! hundreds of connections contend for the same page pool — exactly the
+//! multi-query pressure the paper's broker arbitrates — and a client that
+//! stops reading holds nobody else up.
 //!
 //! Nothing here polls. The accept loop blocks in `accept()`, and every
 //! session (or the sort reading its input) blocks in `read()`; shutdown (via
@@ -32,6 +32,8 @@ use masort_broker::{job_span, ServiceStats, SortService};
 use masort_core::SortConfig;
 use masort_trace::{metrics_to_json, trace_to_json, Recorder, Trace};
 
+use crate::codec::write_frame;
+use crate::protocol::{ErrorCode, Frame, WireError};
 use crate::session::run_session;
 use crate::tenant::{TenantQuota, TenantRegistry};
 
@@ -120,7 +122,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Sort worker threads (concurrent sorts actually executing).
+    /// How many sorts may be between their admission and their root at
+    /// once (default 4); a sort at its root does not count. Each sort runs
+    /// on its session's thread.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -197,6 +201,7 @@ impl Server {
         // Each session with a clone of its socket, which is what wakes it at
         // shutdown.
         let mut sessions: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+        let mut opened = 0u64;
         loop {
             let accepted = listener.accept();
             if shared.shutdown.load(Ordering::Acquire) {
@@ -210,8 +215,20 @@ impl Server {
                         continue;
                     };
                     let shared = Arc::clone(&shared);
-                    let session = thread::spawn(move || run_session(&shared, stream));
-                    sessions.push((session, waker));
+                    let session = thread::Builder::new()
+                        .name(format!("masort-session-{opened}"))
+                        .spawn(move || run_session(&shared, stream));
+                    opened += 1;
+                    match session {
+                        Ok(session) => sessions.push((session, waker)),
+                        // The OS refused a thread: answer `ERR {Io}`, close.
+                        Err(e) => {
+                            let detail = format!("no thread for a session: {e}");
+                            let err = Frame::Error(WireError::new(ErrorCode::Io, detail));
+                            let _ = write_frame(&mut &waker, &err);
+                            let _ = waker.shutdown(Shutdown::Both);
+                        }
+                    }
                     // Reap finished sessions so a long-lived server does not
                     // accumulate dead join handles (and their sockets).
                     if sessions.len().is_multiple_of(32) {

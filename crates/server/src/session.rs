@@ -1,16 +1,18 @@
 //! One accepted connection: the server side of the protocol state machine.
 //!
-//! A session owns exactly one sort. It reads `HELLO`/`SUBMIT` and turns the
-//! submission into a [`SortRequest`] whose input is the connection's read
-//! half ([`Ingest`]): the sort itself decodes `INGEST` frames into pages, so
-//! a slow sort backpressures the client straight through TCP, and the sort's
-//! own error says how the input ended. The session waits on the ticket and
-//! frames the sorted pages as it pulls them off the job's last merge step,
-//! which runs on this thread: records stay bytes both ways. While the
-//! session is blocked in `write` it holds no lock, so a client that stops
-//! reading holds up nobody else, and whatever became of the socket it sees
-//! the job out ([`JobOutput::finish`]) so its pages are provably back in the
-//! pool before the session ends.
+//! A session owns exactly one sort, and the sort runs on the session's
+//! thread. It reads `HELLO`/`SUBMIT` and turns the submission into a
+//! [`SortRequest`] whose input is the connection's read half ([`Ingest`]):
+//! the sort itself decodes `INGEST` frames into pages, so a slow sort
+//! backpressures the client straight through TCP, and the sort's own error
+//! says how the input ended. Redeeming the ticket waits in the admission
+//! line (reading no frame meanwhile), then sorts down to the last merge
+//! step on this thread; the session frames the sorted pages as it pulls
+//! them off that step: records stay bytes both ways. While the session is
+//! blocked in `write` it holds no lock, so a client that stops reading
+//! holds up nobody else, and whatever became of the socket it sees the job
+//! out ([`JobOutput::finish`]) so its pages are provably back in the pool
+//! before the session ends.
 
 use masort_core::sync::atomic::{AtomicBool, Ordering};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -309,8 +311,9 @@ fn run_sort<W: Write>(
     )?;
 
     // -- Egress ------------------------------------------------------------
-    // The sort reached its root once its input ended at `FIN`; an input that
-    // ended otherwise cancelled it, and a protocol violation says why.
+    // Redeeming runs the sort here, until its input ends at `FIN` and it
+    // reaches its root; an input that ended otherwise cancelled it, and a
+    // protocol violation says why.
     let mut output = match ticket.wait() {
         Ok(output) => output,
         Err(e) => {

@@ -6,7 +6,7 @@ use crate::json::JsonValue;
 ///
 /// Every [`TraceEvent`] carries the span of the job it
 /// belongs to, so one sort's history is reconstructable from a recorder
-/// shared by worker threads, the store, and the broker. Span `0` is the
+/// shared by sorting threads, the store, and the broker. Span `0` is the
 /// conventional *service* span for events that belong to no particular job
 /// (session open/close, pool-wide changes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]

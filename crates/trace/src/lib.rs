@@ -4,7 +4,7 @@
 //! memory fluctuation. This crate makes that behaviour visible: a
 //! [`Recorder`] of structured, timestamped [`TraceEvent`]s carried on a
 //! per-job [`SpanId`] (so one sort's timeline is reconstructable across
-//! worker threads, the store and the broker), a [`MetricsRegistry`] of
+//! sorting threads, the store and the broker), a [`MetricsRegistry`] of
 //! named counters/gauges/fixed-bucket histograms, and three exporters —
 //! JSON snapshots, Prometheus text exposition, and an ASCII timeline of
 //! grant level vs time with adaptation markers.

@@ -1,8 +1,10 @@
 //! Many sorts, one memory pool: the broker subsystem end to end.
 //!
-//! A `SortService` runs eight concurrent sorts on four worker threads
-//! against a 32-page global pool — far less than their combined demand — while
-//! the main thread plays "operator" and resizes the pool mid-flight. The
+//! A `SortService` runs eight concurrent sorts, each on the thread that
+//! redeems its ticket and at most four short of their last merge step at
+//! once, against a 32-page global pool — far less than their combined
+//! demand — while the main thread plays "operator" and resizes the pool
+//! mid-flight. The
 //! service's memory broker re-divides the pool on every admission, completion
 //! and resize, so each sort's memory genuinely fluctuates while it runs, exactly
 //! as in the paper but on real threads.
@@ -40,29 +42,46 @@ fn main() -> Result<(), SortError> {
         tickets.push((priority, ticket));
     }
 
-    // The "operator": steal half the pool while the sorts run, then return
-    // double. Every live sort's budget moves immediately.
-    std::thread::sleep(Duration::from_millis(20));
-    service.resize_pool(16);
-    std::thread::sleep(Duration::from_millis(20));
-    service.resize_pool(64);
+    let reports = std::thread::scope(|s| {
+        // Each ticket is redeemed on a thread of its own: `wait` runs the
+        // sort there down to its last merge step; streaming the result runs
+        // that step, checked on the fly.
+        let callers: Vec<_> = tickets
+            .iter()
+            .map(|(priority, ticket)| {
+                s.spawn(move || -> Result<_, SortError> {
+                    let mut output = ticket.wait()?;
+                    let mut previous = 0u64;
+                    let mut count = 0usize;
+                    for tuple in output.by_ref() {
+                        let tuple = tuple?;
+                        assert!(tuple.key >= previous, "output out of order");
+                        previous = tuple.key;
+                        count += 1;
+                    }
+                    assert_eq!(count, 120_000);
+                    // The job's books, closed when its grant went back to
+                    // the pool.
+                    Ok((*priority, output.finish()))
+                })
+            })
+            .collect();
+
+        // The "operator": steal half the pool while the sorts run, then
+        // return double. Every live sort's budget moves immediately.
+        std::thread::sleep(Duration::from_millis(20));
+        service.resize_pool(16);
+        std::thread::sleep(Duration::from_millis(20));
+        service.resize_pool(64);
+
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("a caller panicked"))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
 
     println!("job  prio  grant  reallocs  delays  queued(ms)  ran(ms)");
-    for (priority, ticket) in tickets {
-        // Resolves when the sort is down to its last merge step. Stream the
-        // result off that step and check it on the fly.
-        let mut output = ticket.wait()?;
-        let mut previous = 0u64;
-        let mut count = 0usize;
-        for tuple in output.by_ref() {
-            let tuple = tuple?;
-            assert!(tuple.key >= previous, "output out of order");
-            previous = tuple.key;
-            count += 1;
-        }
-        assert_eq!(count, 120_000);
-        // The job's books, closed when its grant went back to the pool.
-        let report = output.finish();
+    for (priority, report) in reports {
         println!(
             "{:>3}  {:>4}  {:>5}  {:>8}  {:>6}  {:>10.2}  {:>7.2}",
             report.job,

@@ -16,13 +16,14 @@
 //!   ([`core::SortOrder`]), streaming output ([`core::SortedStream`]), and
 //!   memory-adaptive sort-merge joins.
 //! * [`broker`] (`masort-broker`) — the concurrent multi-sort service: a
-//!   [`broker::SortService`] runs many submissions on a worker-thread pool
-//!   while its memory broker re-divides one global page pool across all live
-//!   sorts with one rule (minimums first, the surplus by priority), so sorts
-//!   grow, shrink, suspend, page and split while running on real threads.
-//!   A ticket resolves to a [`broker::JobOutput`] once the job is down to its
-//!   last merge step; whoever reads the output executes that step on their
-//!   own thread, so the result is never written out.
+//!   [`broker::SortService`] runs each submission on the thread that
+//!   redeems its ticket while its memory broker re-divides one global page
+//!   pool across all live sorts with one rule (minimums first, the surplus by
+//!   priority), so sorts grow, shrink, suspend, page and split while running
+//!   on real threads. Redeeming a ticket returns a [`broker::JobOutput`] once
+//!   the job is down to its last merge step; whoever reads the output
+//!   executes that step on their own thread, so the result is never written
+//!   out.
 //! * [`dbsim`] — the paper's database-system simulation model (competing
 //!   memory requests, CPU and disk costs) and the experiment harness that
 //!   regenerates every table and figure of the evaluation.
