@@ -91,6 +91,8 @@ struct RtState {
     steps: usize,
     max_steps: usize,
     choices: ChoiceSrc,
+    /// The seed a random walk started from.
+    seed: Option<u64>,
     trace: Vec<(usize, usize)>,
     failure: Option<String>,
     aborting: bool,
@@ -123,15 +125,23 @@ struct AbortUnwind;
 
 /// Unwind the calling task out of an aborted schedule. A task unwinding
 /// already (a destructor needing the scheduler on its way out) cannot unwind
-/// twice: the process aborts, so it says why first.
+/// twice: the process aborts, so it says why first, and how to replay the
+/// schedule, in the words of a [`Failure`](crate::explore::Failure).
 fn abort_unwind(st: MutexGuard<'_, RtState>) -> ! {
     if std::thread::panicking() {
         let failure = st.failure.as_deref().unwrap_or("no failure recorded");
+        let replay = match st.seed {
+            Some(seed) => format!("replay with seed {seed:#018x}"),
+            None => format!(
+                "replay trace {:?}",
+                Vec::from_iter(st.trace.iter().map(|c| c.0))
+            ),
+        };
         // Straight to the descriptor: the test harness's capture of
         // `eprintln!` would die with the process.
         let _ = writeln!(
             std::io::stderr(),
-            "masort-check: schedule aborted during an unwind: {failure}"
+            "masort-check: schedule aborted during an unwind ({replay}): {failure}"
         );
         std::process::abort();
     }
@@ -156,6 +166,10 @@ impl Rt {
                 live: 0,
                 steps: 0,
                 max_steps,
+                seed: match choices {
+                    ChoiceSrc::Random(seed) => Some(seed),
+                    ChoiceSrc::Fixed(_) => None,
+                },
                 choices,
                 trace: Vec::new(),
                 failure: None,

@@ -1,7 +1,8 @@
 //! End-to-end tests of the deterministic interleaving explorer: it must find
 //! a planted deadlock and a planted lost update within a bounded number of
 //! schedules, report task panics as schedule failures, and reproduce every
-//! failure from the printed seed (or recorded choice trace).
+//! failure from the printed seed (or recorded choice trace), also when the
+//! failure aborts the process.
 //!
 //! These tests use the always-compiled [`masort_check::checked`] primitives
 //! directly, so they run in every build mode — no `--cfg masort_check`
@@ -10,6 +11,7 @@
 use masort_check::checked::atomic::{AtomicUsize, Ordering};
 use masort_check::checked::{thread, Mutex};
 use masort_check::explore::{explore_exhaustive, explore_random, replay, replay_trace, Options};
+use std::process::Command;
 use std::sync::Arc;
 
 fn opts(schedules: usize) -> Options {
@@ -163,4 +165,80 @@ fn task_panic_is_reported_not_poison_cascaded() {
         failure.message.contains("boom while holding the lock"),
         "unexpected failure: {failure}"
     );
+}
+
+/// A task holds a value whose destructor takes a checked lock, and waits for
+/// a lock nobody releases, when the root task fails. Unwinding out of the
+/// aborted schedule, the destructor needs the scheduler: the process aborts.
+fn aborting_model() {
+    struct LocksOnDrop(Arc<Mutex<u32>>);
+    impl Drop for LocksOnDrop {
+        fn drop(&mut self) {
+            *self.0.lock() += 1;
+        }
+    }
+    let (gate, started) = (Arc::new(Mutex::new(0u32)), Arc::new(AtomicUsize::new(0)));
+    std::mem::forget(gate.lock());
+    let waiter = {
+        let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+        thread::spawn(move || {
+            let _held = LocksOnDrop(Arc::new(Mutex::new(0)));
+            started.store(1, Ordering::SeqCst);
+            *gate.lock() += 1;
+        })
+    };
+    while started.load(Ordering::SeqCst) == 0 {}
+    std::mem::forget(waiter);
+    panic!("the model fails with a lock-taking destructor held");
+}
+
+/// The child process of the test below: explore [`aborting_model`], or
+/// replay one seed of it, as `MASORT_CHECK_ABORT_CHILD` says (`explore` or
+/// the seed); nothing when it is not set.
+#[test]
+#[ignore = "aborts its process; run as a child by a_schedule_that_aborts_in_an_unwind_names_its_seed"]
+fn aborting_schedule_child() {
+    let Ok(mode) = std::env::var("MASORT_CHECK_ABORT_CHILD") else {
+        return;
+    };
+    let _ = match mode.strip_prefix("0x") {
+        Some(seed) => replay(
+            u64::from_str_radix(seed, 16).unwrap(),
+            &opts(1),
+            aborting_model,
+        ),
+        None => explore_random(&opts(10), aborting_model).map(drop),
+    };
+}
+
+#[test]
+fn a_schedule_that_aborts_in_an_unwind_names_its_seed() {
+    // The line the child writes before it aborts.
+    let abort_line = |mode: &str| {
+        let out = Command::new(std::env::current_exe().unwrap())
+            .args([
+                "aborting_schedule_child",
+                "--exact",
+                "--ignored",
+                "--nocapture",
+            ])
+            .env("MASORT_CHECK_ABORT_CHILD", mode)
+            .output()
+            .expect("run the test binary");
+        assert!(!out.status.success(), "{mode}: the child did not abort");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let prefix = "masort-check: schedule aborted during an unwind";
+        match stderr.lines().find(|line| line.starts_with(prefix)) {
+            Some(line) => line.to_string(),
+            None => panic!("{mode}: no abort line in {stderr}"),
+        }
+    };
+    let explored = abort_line("explore");
+    assert!(explored.contains("lock-taking destructor"), "{explored}");
+    let seed = explored
+        .split("(replay with seed ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no seed in {explored}"));
+    assert_eq!(abort_line(seed), explored, "the seed replays the failure");
 }

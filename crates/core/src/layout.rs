@@ -53,7 +53,7 @@ const TAG_SHIFT: u32 = 30;
 const LEN_MASK: u32 = (1 << TAG_SHIFT) - 1;
 const TAG_INLINE: u32 = 0;
 const TAG_OVERFLOW: u32 = 1;
-const TAG_SYNTHETIC: u32 = 2;
+const TAG_NOMINAL: u32 = 2;
 
 /// Write one record into `rec` (a whole stride). A payload that does not fit
 /// the inline area is handed back: the record then carries `overflow_at` (8
@@ -66,7 +66,7 @@ fn write_record<'p>(
 ) -> Option<&'p [u8]> {
     rec[..KEY_BYTES].copy_from_slice(&key.to_le_bytes());
     let (tag, len, spilled) = match payload {
-        PayloadRef::Synthetic(n) => (TAG_SYNTHETIC, n, None),
+        PayloadRef::Synthetic(n) => (TAG_NOMINAL, n, None),
         PayloadRef::Bytes(b) if b.len() <= rec.len() - RECORD_HEADER => {
             rec[RECORD_HEADER..RECORD_HEADER + b.len()].copy_from_slice(b);
             (TAG_INLINE, b.len() as u32, None)
@@ -593,10 +593,29 @@ impl Page {
     }
 
     /// This page's wire encoding: magic, count, stride and overflow length
-    /// (4 × u32 LE), the record region, the overflow area.
-    pub(crate) fn wire_bytes(&self) -> &[u8] {
+    /// (4 × u32 LE), the record region, the overflow area. It is what a
+    /// [`FileStore`](crate::FileStore) writes and what an `INGEST` or `EGRESS`
+    /// frame carries.
+    pub fn wire_bytes(&self) -> &[u8] {
         let len = DENSE_HEADER + self.count * self.stride + self.overflow_len;
         &self.data[self.start..self.start + len]
+    }
+
+    /// Decode the page whose wire encoding starts at byte `start` of a shared
+    /// buffer, borrowing it: the header gives the page's length, and the
+    /// page is checked as a run page read from disk is (every descriptor,
+    /// length and overflow offset). Bytes after the page are not looked at.
+    pub fn decode_at(data: &Arc<Vec<u8>>, start: usize) -> Result<Self, String> {
+        let rest = data.get(start..).unwrap_or(&[]);
+        let header = rest
+            .get(..DENSE_HEADER)
+            .ok_or("page shorter than its header")?;
+        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap()) as u64;
+        let len = DENSE_HEADER as u64 + word(4) * word(8) + word(12);
+        if len > rest.len() as u64 {
+            return Err("page extends past the buffer".into());
+        }
+        Self::decode_shared(data, start, len as usize)
     }
 
     /// Decode a page that occupies `buf[start..start + len]` of a shared
@@ -671,7 +690,7 @@ impl Page {
                         ));
                     }
                 }
-                TAG_SYNTHETIC => {}
+                TAG_NOMINAL => {}
                 _ => return Err(format!("record {i}: invalid payload tag")),
             }
         }
@@ -803,8 +822,8 @@ mod tests {
         let split = buf.len();
         buf.extend_from_slice(b.wire_bytes());
         let shared = Arc::new(buf);
-        let da = Page::decode_shared(&shared, 0, split).unwrap();
-        let db = Page::decode_shared(&shared, split, shared.len() - split).unwrap();
+        let da = Page::decode_at(&shared, 0).unwrap();
+        let db = Page::decode_at(&shared, split).unwrap();
         assert_eq!(da, a);
         assert_eq!(db, b);
         assert_eq!(Arc::strong_count(&shared), 3);
@@ -844,6 +863,7 @@ mod tests {
                 decode(good[..cut].to_vec()).is_err(),
                 "truncated to {cut} bytes decoded"
             );
+            assert!(Page::decode_at(&Arc::new(good[..cut].to_vec()), 0).is_err());
         }
 
         // Overclaimed count.

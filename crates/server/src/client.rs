@@ -12,7 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use masort_core::Tuple;
 
-use crate::codec::{read_frame, read_frame_in, write_frame, write_frame_with};
+use crate::codec::{decode_frame, read_body, read_frame, write_frame, write_ingest};
 use crate::protocol::{Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION};
 
 /// Everything that can go wrong on the client side of a sort.
@@ -60,9 +60,11 @@ fn closed(wanted: &str) -> ClientError {
 pub struct SortClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// Every frame's body is encoded or read in this one buffer.
+    /// Every `INGEST` body is built, and every frame read, in this buffer.
     body: Vec<u8>,
     pool_pages: u64,
+    /// Most records per `INGEST` page, from `ACCEPTED`.
+    tuples_per_page: usize,
 }
 
 impl SortClient {
@@ -77,6 +79,7 @@ impl SortClient {
             writer: BufWriter::new(stream),
             body: Vec::new(),
             pool_pages: 0,
+            tuples_per_page: 0,
         };
         client.send(&Frame::Hello {
             version: PROTOCOL_VERSION,
@@ -93,15 +96,15 @@ impl SortClient {
     }
 
     fn send(&mut self, frame: &Frame) -> ClientResult<()> {
-        write_frame_with(&mut self.writer, frame, &mut self.body)?;
+        write_frame(&mut self.writer, frame)?;
         self.writer.flush()?;
         Ok(())
     }
 
     fn recv(&mut self, wanted: &str) -> ClientResult<Frame> {
-        match read_frame_in(&mut self.reader, &mut self.body)? {
-            Some(frame) => Ok(frame),
-            None => Err(closed(wanted)),
+        match read_body(&mut self.reader, &mut self.body)? {
+            true => Ok(decode_frame(&self.body)?),
+            false => Err(closed(wanted)),
         }
     }
 
@@ -114,20 +117,27 @@ impl SortClient {
     pub fn submit(&mut self, spec: SubmitSpec) -> ClientResult<u64> {
         self.send(&Frame::Submit(spec))?;
         match self.recv("ACCEPTED")? {
-            Frame::Accepted { job } => Ok(job),
+            Frame::Accepted {
+                job,
+                tuples_per_page,
+            } => {
+                self.tuples_per_page = tuples_per_page as usize;
+                Ok(job)
+            }
             Frame::Error(e) => Err(ClientError::Remote(e)),
             other => Err(unexpected(&other, "ACCEPTED")),
         }
     }
 
-    /// Send one chunk of input tuples, as one `INGEST` frame. Blocks when the
-    /// TCP window fills because the sort, which reads its own frames, takes
-    /// no more input — that is the sort's backpressure reaching the producer.
+    /// Send one chunk of input tuples, cut into pages of the job's geometry
+    /// (`ACCEPTED`'s tuples per page), as `INGEST` frames of whole pages, as
+    /// many as the frame cap needs. Blocks when the TCP window fills because
+    /// the sort, which reads its own frames, takes no more input — that is
+    /// the sort's backpressure reaching the producer.
     pub fn ingest(&mut self, tuples: Vec<Tuple>) -> ClientResult<()> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
-        self.send(&Frame::Ingest(tuples))
+        let per_page = self.tuples_per_page;
+        write_ingest(&mut self.writer, tuples, per_page, &mut self.body)?;
+        Ok(self.writer.flush()?)
     }
 
     /// Declare end of input and switch to draining the sorted result.

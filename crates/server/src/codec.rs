@@ -2,36 +2,43 @@
 //!
 //! A frame on the wire is `u32 LE length ++ body`, where `body[0]` is the
 //! opcode and the rest is the opcode-specific payload. All integers are
-//! little-endian; strings and byte blobs are length-prefixed (`u32 LE` count
-//! followed by the raw bytes). Records encode as
-//! `u64 key ++ u8 payload-tag ++ payload`, where tag `0` is a synthetic
-//! payload (`u32` nominal size) and tag `1` is a literal byte blob — so a
-//! round trip preserves not just keys but the exact payload representation.
+//! little-endian; strings are length-prefixed (`u32 LE` byte count followed
+//! by the UTF-8 bytes).
 //!
-//! One routine encodes a record and one decodes it, over a key and a
-//! [`PayloadRef`]. The [`Frame`] path wraps them in `Vec<Tuple>`s; the server
-//! keeps records as bytes ([`decode_ingest`], [`write_egress`]).
+//! The payload of an `INGEST` or `EGRESS` body is whole pages, back to back,
+//! each in the store's page encoding ([`Page::wire_bytes`]: a 16-byte
+//! header, fixed-stride `key | descriptor | payload` records, an overflow
+//! area). So a record has one encoder and one decoder, `masort_core`'s, for
+//! the store, the merge, the session and the client: every page that
+//! arrives passes the checks a run page read from disk does
+//! ([`Page::decode_at`]), and a page with no records is refused besides. A
+//! [`Frame::Ingest`] or [`Frame::Egress`] holds tuples: it encodes them as
+//! one page (none when empty) and decodes to the tuples of all its pages,
+//! so a synthetic payload stays synthetic. The server moves pages, never
+//! tuples ([`write_egress`]).
 //!
 //! Decoding is defensive: every read is bounds-checked against the body, the
-//! length prefix is capped at [`MAX_FRAME_BYTES`], unknown opcodes and
-//! error codes are rejected, and trailing garbage after a well-formed payload
-//! is an error. Malformed input can only ever produce
-//! [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`] — never
-//! a panic or an oversized allocation.
+//! length prefix is capped at [`MAX_FRAME_BYTES`] and the body grows as its
+//! bytes arrive, unknown opcodes and error codes are rejected, and trailing
+//! garbage after a well-formed payload is an error. Malformed input can only
+//! ever produce [`io::ErrorKind::InvalidData`] /
+//! [`io::ErrorKind::UnexpectedEof`] — never a panic or an allocation sized
+//! by what the bytes claim.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
-use masort_core::{Page, PayloadRef, Tuple};
+use masort_core::{Page, Tuple};
 
 use crate::protocol::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES};
 
-const TAG_SYNTHETIC: u8 = 0;
-const TAG_BYTES: u8 = 1;
-/// The opcode of an `INGEST` body, whose records [`decode_ingest`] reads.
+/// The opcode of an `INGEST` body.
 pub(crate) const OP_INGEST: u8 = 0x05;
 const OP_EGRESS: u8 = 0x07;
-/// The fewest bytes a record takes: key, tag, a size or a blob's length.
-const MIN_RECORD: usize = 8 + 1 + 4;
+
+/// How far a frame body is grown ahead of the bytes that have arrived, so a
+/// length prefix alone costs the reader at most this much.
+const BODY_STEP: usize = 64 << 10;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -49,58 +56,16 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Bytes one record takes in an `INGEST` / `EGRESS` body.
-fn record_len(payload: PayloadRef<'_>) -> usize {
-    match payload {
-        PayloadRef::Synthetic(_) => MIN_RECORD,
-        PayloadRef::Bytes(bytes) => MIN_RECORD + bytes.len(),
-    }
-}
-
-/// The one record encoder.
-fn put_record(buf: &mut Vec<u8>, key: u64, payload: PayloadRef<'_>) {
-    put_u64(buf, key);
-    match payload {
-        PayloadRef::Synthetic(size) => {
-            buf.push(TAG_SYNTHETIC);
-            put_u32(buf, size);
-        }
-        PayloadRef::Bytes(bytes) => {
-            buf.push(TAG_BYTES);
-            put_bytes(buf, bytes);
-        }
-    }
-}
-
-fn put_tuples(buf: &mut Vec<u8>, tuples: &[Tuple]) {
-    put_u32(buf, tuples.len() as u32);
-    for t in tuples {
-        put_record(buf, t.key, PayloadRef::from(&t.payload));
-    }
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Encode a frame into its body bytes (opcode byte included, length prefix
 /// excluded). [`write_frame`] adds the prefix; this form exists so tests can
 /// corrupt bodies directly.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(frame, &mut buf);
-    buf
-}
-
-/// Encode `frame`'s body into `buf`, replacing its contents.
-fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.push(frame.opcode());
+    let buf = &mut vec![frame.opcode()];
     match frame {
         Frame::Hello { version, tenant } => {
             put_u32(buf, *version);
@@ -130,8 +95,18 @@ fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
             buf.push(spec.spill as u8);
             buf.push(spec.descending as u8);
         }
-        Frame::Accepted { job } => put_u64(buf, *job),
-        Frame::Ingest(tuples) | Frame::Egress(tuples) => put_tuples(buf, tuples),
+        Frame::Accepted {
+            job,
+            tuples_per_page,
+        } => {
+            put_u64(buf, *job);
+            put_u64(buf, *tuples_per_page);
+        }
+        Frame::Ingest(tuples) | Frame::Egress(tuples) => {
+            if !tuples.is_empty() {
+                buf.extend_from_slice(Page::from_tuples(tuples.clone()).wire_bytes());
+            }
+        }
         Frame::Fin | Frame::Cancel | Frame::Shutdown | Frame::MetricsReq => {}
         Frame::Stats(s) => {
             put_u64(buf, s.job);
@@ -158,6 +133,7 @@ fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
         Frame::TraceReq { job } => put_u64(buf, *job),
         Frame::TraceData { json } | Frame::MetricsData { json } => put_str(buf, json),
     }
+    std::mem::take(buf)
 }
 
 /// Write one length-prefixed frame. Flushes are the caller's business —
@@ -165,18 +141,7 @@ fn encode_into(frame: &Frame, buf: &mut Vec<u8>) {
 /// [`MAX_FRAME_BYTES`] is refused with `InvalidInput` before anything is
 /// written.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    write_frame_with(w, frame, &mut Vec::new())
-}
-
-/// [`write_frame`], encoding the body in `body`, whose allocation the caller
-/// keeps from frame to frame.
-pub(crate) fn write_frame_with<W: Write>(
-    w: &mut W,
-    frame: &Frame,
-    body: &mut Vec<u8>,
-) -> io::Result<()> {
-    encode_into(frame, body);
-    write_body(w, frame.name(), body)
+    write_body(w, frame.name(), &encode_frame(frame))
 }
 
 fn write_body<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()> {
@@ -193,31 +158,61 @@ fn write_body<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()> {
     w.write_all(body)
 }
 
-/// Write the records of `pages`, in order, as `EGRESS` frames: the bytes
-/// [`write_frame`] writes for `Frame::Egress` of the same records, cut at a
-/// record boundary wherever one more record would take the body over
-/// [`MAX_FRAME_BYTES`] (each record's size is known before it is encoded, so
-/// nothing is encoded twice). Each body is built in `body`, whose allocation
-/// the caller keeps from frame to frame. A single record over the cap is
-/// refused with `InvalidInput` before a byte of its frame is written.
+/// Write `pages`, in order, as `EGRESS` frames, each built in `body`, whose
+/// allocation the caller keeps from frame to frame. A frame is whole pages
+/// as they are, closed where the next page would take it over
+/// [`MAX_FRAME_BYTES`]. A page too large for a frame of its own (records far
+/// longer than the job declared) is sealed again as smaller pages; a record
+/// that does not fit a frame is refused with `InvalidInput` before a byte is
+/// written.
 pub fn write_egress<W: Write>(w: &mut W, pages: &[Page], body: &mut Vec<u8>) -> io::Result<()> {
-    let mut records = pages
-        .iter()
-        .flat_map(|page| (0..page.len()).map(move |i| page.record(i)))
-        .peekable();
-    while records.peek().is_some() {
-        body.clear();
-        body.extend_from_slice(&[OP_EGRESS, 0, 0, 0, 0]);
-        let mut n = 0u32;
-        while let Some((key, payload)) =
-            records.next_if(|&(_, p)| n == 0 || body.len() + record_len(p) <= MAX_FRAME_BYTES)
-        {
-            put_record(body, key, payload);
-            n += 1;
+    write_pages(w, OP_EGRESS, pages, body)
+}
+
+/// Cut `tuples` into pages of at most `per_page` records and write them as
+/// [`write_egress`] writes pages, in `INGEST` frames.
+pub(crate) fn write_ingest<W: Write>(
+    w: &mut W,
+    tuples: Vec<Tuple>,
+    per_page: usize,
+    body: &mut Vec<u8>,
+) -> io::Result<()> {
+    let (mut tuples, mut pages) = (tuples.into_iter().peekable(), Vec::new());
+    while tuples.peek().is_some() {
+        pages.push(Page::from_tuples(
+            tuples.by_ref().take(per_page.max(1)).collect(),
+        ));
+    }
+    write_pages(w, OP_INGEST, &pages, body)
+}
+
+/// Whether `page` fits a frame of its own, after the opcode.
+fn fits(page: &Page) -> bool {
+    page.wire_bytes().len() < MAX_FRAME_BYTES
+}
+
+fn write_pages<W: Write>(w: &mut W, op: u8, pages: &[Page], body: &mut Vec<u8>) -> io::Result<()> {
+    if !pages.iter().all(fits) {
+        // Payloads far over the job's declared size: a page per record.
+        let one = |t| Page::from_tuples(vec![t]);
+        let cut: Vec<Page> = pages.iter().flat_map(Page::tuples).map(one).collect();
+        if !cut.iter().all(fits) {
+            let detail = format!("a record is over the {MAX_FRAME_BYTES} byte frame cap");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, detail));
         }
-        // The count goes after the opcode once the cut is known.
-        body[1..5].copy_from_slice(&n.to_le_bytes());
-        write_body(w, "EGRESS", body)?;
+        return write_pages(w, op, &cut, body);
+    }
+    let mut pages = pages.iter().peekable();
+    while pages.peek().is_some() {
+        body.clear();
+        body.push(op);
+        while let Some(page) =
+            pages.next_if(|p| body.len() + p.wire_bytes().len() <= MAX_FRAME_BYTES)
+        {
+            body.extend_from_slice(page.wire_bytes());
+        }
+        w.write_all(&(body.len() as u32).to_le_bytes())?;
+        w.write_all(body)?;
     }
     Ok(())
 }
@@ -272,14 +267,10 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// A length-prefixed blob, borrowed (so bounds-checked before any copy).
-    fn blob(&mut self, what: &str) -> io::Result<&'a [u8]> {
-        let len = self.u32(what)? as usize;
-        self.take(len, what)
-    }
-
+    /// A length-prefixed string, bounds-checked before it is copied.
     fn string(&mut self, what: &str) -> io::Result<String> {
-        String::from_utf8(self.blob(what)?.to_vec()).map_err(|_| {
+        let len = self.u32(what)? as usize;
+        String::from_utf8(self.take(len, what)?.to_vec()).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("malformed frame: {what} is not UTF-8"),
@@ -298,48 +289,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// A record list's count, bounds-checked before anyone allocates for it.
-    fn record_count(&mut self) -> io::Result<usize> {
-        let count = self.u32("tuple count")? as usize;
-        if count > (self.buf.len() - self.pos) / MIN_RECORD {
-            return Err(Self::bad("tuple list"));
-        }
-        Ok(count)
-    }
-
-    /// The one record decoder: `count` records, each handed to `visit`.
-    fn records(
-        &mut self,
-        count: usize,
-        mut visit: impl FnMut(u64, PayloadRef<'a>),
-    ) -> io::Result<()> {
-        for _ in 0..count {
-            let key = self.u64("tuple key")?;
-            let payload = match self.u8("payload tag")? {
-                TAG_SYNTHETIC => PayloadRef::Synthetic(self.u32("synthetic payload size")?),
-                TAG_BYTES => PayloadRef::Bytes(self.blob("payload bytes")?),
-                tag => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("malformed frame: unknown payload tag {tag}"),
-                    ))
-                }
-            };
-            visit(key, payload);
-        }
-        Ok(())
-    }
-
+    /// Whole pages, the rest of the body: decoded as they lie in a copy of
+    /// it, their tuples taken out.
     fn tuples(&mut self) -> io::Result<Vec<Tuple>> {
-        let count = self.record_count()?;
-        let mut out = Vec::with_capacity(count);
-        self.records(count, |key, payload| {
-            out.push(Tuple {
-                key,
-                payload: payload.to_payload(),
-            })
-        })?;
-        Ok(out)
+        let (pages, mut at, mut tuples) = (Arc::new(self.buf[self.pos..].to_vec()), 0, Vec::new());
+        self.pos = self.buf.len();
+        while at < pages.len() {
+            let page = next_page(&pages, &mut at, usize::MAX)?;
+            tuples.extend((0..page.len()).map(|i| page.get(i)));
+        }
+        Ok(tuples)
     }
 
     fn finish(self, frame: &'static str) -> io::Result<()> {
@@ -390,6 +349,7 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         }),
         0x04 => Frame::Accepted {
             job: c.u64("ACCEPTED job")?,
+            tuples_per_page: c.u64("ACCEPTED tuples_per_page")?,
         },
         OP_INGEST => Frame::Ingest(c.tuples()?),
         0x06 => Frame::Fin,
@@ -449,41 +409,22 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
     Ok(frame)
 }
 
-/// Decode an `INGEST` body's records, handing each to `visit` as its key and
-/// a payload borrowed from `body` — no [`Tuple`] is built. The count is
-/// checked against the body before `visit` sees a record, but a body that
-/// fails later has shown `visit` the records before the fault.
-pub fn decode_ingest<'a>(body: &'a [u8], visit: impl FnMut(u64, PayloadRef<'a>)) -> io::Result<()> {
-    ingest_next(body, &mut (0, 0), usize::MAX, visit)
-}
-
-/// Hand the next `n` of an `INGEST` body's records (or the rest) to `visit`
-/// from `at`, which moves past them: the offset they start at (0 before the
-/// body is begun) and how many are left. Bytes after the last are refused.
-pub(crate) fn ingest_next<'a>(
-    body: &'a [u8],
-    at: &mut (usize, usize),
-    n: usize,
-    visit: impl FnMut(u64, PayloadRef<'a>),
-) -> io::Result<()> {
-    let mut c = Cursor::new(body);
-    c.pos = at.0;
-    if at.0 == 0 {
-        if c.u8("opcode")? != OP_INGEST {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "not an INGEST body",
-            ));
-        }
-        at.1 = c.record_count()?;
-    }
-    let n = n.min(at.1);
-    c.records(n, visit)?;
-    *at = (c.pos, at.1 - n);
-    match at.1 {
-        0 => c.finish("INGEST"),
-        _ => Ok(()),
-    }
+/// The page of an `INGEST` or `EGRESS` payload held in `body` that starts
+/// at byte `at`, which moves past it. The page borrows `body`; one cut short
+/// by the end of the body, or holding no records or more than `most`, is
+/// `InvalidData`.
+pub(crate) fn next_page(body: &Arc<Vec<u8>>, at: &mut usize, most: usize) -> io::Result<Page> {
+    let page = Page::decode_at(body, *at).and_then(|page| match page.len() {
+        0 => Err("no records".into()),
+        n if n > most => Err(format!("{n} records, over the job's {most} per page")),
+        _ => Ok(page),
+    });
+    let page = page.map_err(|detail| {
+        let detail = format!("malformed frame: page at byte {at}: {detail}");
+        io::Error::new(io::ErrorKind::InvalidData, detail)
+    })?;
+    *at += page.wire_bytes().len();
+    Ok(page)
 }
 
 /// Read one length-prefixed frame, blocking until it arrives.
@@ -493,13 +434,10 @@ pub(crate) fn ingest_next<'a>(
 /// a frame is [`io::ErrorKind::UnexpectedEof`]. A length prefix over
 /// [`MAX_FRAME_BYTES`] is rejected before any body allocation.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
-    read_frame_in(r, &mut Vec::new())
-}
-
-/// [`read_frame`], reading the body into `body`, whose allocation the caller
-/// keeps from frame to frame.
-pub(crate) fn read_frame_in<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<Option<Frame>> {
-    read_body(r, body)?.then(|| decode_frame(body)).transpose()
+    let mut body = Vec::new();
+    read_body(r, &mut body)?
+        .then(|| decode_frame(&body))
+        .transpose()
 }
 
 /// [`read_frame`] without the decode: read one frame's body into `body`,
@@ -535,9 +473,16 @@ pub fn read_body<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<bool> {
             format!("malformed frame: {len} byte body exceeds the {MAX_FRAME_BYTES} byte cap"),
         ));
     }
-    // Only the growth past the last frame's length is zero-filled.
-    body.resize(len, 0);
+    // The body grows as its bytes arrive, at most a step ahead of them; what
+    // the last frame left is reused without being cleared.
+    body.truncate(len);
     r.read_exact(body)?;
+    while body.len() < len {
+        let at = body.len();
+        body.reserve_exact(BODY_STEP.min(len - at));
+        body.resize(len.min(at + BODY_STEP), 0);
+        r.read_exact(&mut body[at..])?;
+    }
     Ok(true)
 }
 
@@ -583,7 +528,10 @@ mod tests {
             spill: true,
             descending: true,
         }));
-        round_trip(Frame::Accepted { job: 42 });
+        round_trip(Frame::Accepted {
+            job: 42,
+            tuples_per_page: 75,
+        });
         round_trip(Frame::Ingest(vec![
             Tuple::synthetic(9, 64),
             Tuple::new(3, vec![1, 2, 3]),
@@ -640,8 +588,13 @@ mod tests {
 
     #[test]
     fn a_blob_count_larger_than_the_body_does_not_allocate() {
-        // INGEST claiming u32::MAX tuples with a 5-byte body.
-        let body = [0x05, 0xFF, 0xFF, 0xFF, 0xFF];
+        // INGEST with a 4-byte payload, shorter than a page header.
+        let body = [OP_INGEST, 0xFF, 0xFF, 0xFF, 0xFF];
+        let err = decode_frame(&body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // INGEST whose one page claims u32::MAX records.
+        let mut body = encode_frame(&Frame::Ingest(vec![Tuple::synthetic(9, 64)]));
+        body[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_frame(&body).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -658,7 +611,11 @@ mod tests {
     #[test]
     fn eof_inside_a_frame_is_unexpected_eof() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Frame::Accepted { job: 5 }).unwrap();
+        let accepted = Frame::Accepted {
+            job: 5,
+            tuples_per_page: 75,
+        };
+        write_frame(&mut wire, &accepted).unwrap();
         wire.truncate(wire.len() - 3);
         let err = read_frame(&mut io::Cursor::new(wire)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);

@@ -15,13 +15,18 @@
 //! HELLO {version, tenant}   -->
 //!                           <--   WELCOME {version, pool}           (or ERR)
 //! SUBMIT {geometry, shares} -->
-//!                           <--   ACCEPTED {job}                    (or ERR)
-//! INGEST {tuples}           -->   (repeated; read by the sort itself,
-//! INGEST {tuples}           -->    a page at a time: backpressured)
+//!                           <--   ACCEPTED {job, tuples/page}       (or ERR)
+//! INGEST {pages}            -->   (repeated; read by the sort itself,
+//! INGEST {pages}            -->    a page at a time: backpressured)
 //! FIN                       -->
-//!                           <--   EGRESS {tuples}                   (repeated)
+//!                           <--   EGRESS {pages}                    (repeated)
 //!                           <--   STATS {job summary}               (or ERR)
 //! ```
+//!
+//! `INGEST` and `EGRESS` carry whole pages in the store's page encoding (see
+//! [`crate::codec`]). An `INGEST` page holds at least one record and at most
+//! the tuples per page `ACCEPTED` names; the server hands it to the sort as
+//! it arrives, checked but not re-packed.
 //!
 //! `CANCEL` may replace any `INGEST`; the server aborts the job and answers
 //! with `ERR {Cancelled}`. A connection that drops mid-ingest, or a shutdown,
@@ -42,8 +47,11 @@ use masort_core::Tuple;
 /// dropped the four-byte compute-worker count from the middle of it; version
 /// 4 dropped the arbitration-policy name from the end of `WELCOME`; version 5
 /// dropped the service-counters request and its reply (opcodes `0x0C` /
-/// `0x0D`, now unknown) and answers `SHUTDOWN` with `METRICS_DATA`.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// `0x0D`, now unknown) and answers `SHUTDOWN` with `METRICS_DATA`; version
+/// 6 carries `INGEST` and `EGRESS` records as pages in the store's encoding,
+/// not one record at a time, and adds the job's tuples per page to
+/// `ACCEPTED`.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on one frame's body (opcode + payload), enforced on both
 /// send and receive. 16 MiB comfortably fits the largest egress chunk while
@@ -237,12 +245,14 @@ pub enum Frame {
     Accepted {
         /// Server-assigned job identifier.
         job: u64,
+        /// Most records an `INGEST` page may hold: the job's page geometry.
+        tuples_per_page: u64,
     },
-    /// A chunk of input tuples.
+    /// A chunk of input tuples, sent as pages.
     Ingest(Vec<Tuple>),
     /// End of input: the client has sent every tuple.
     Fin,
-    /// A chunk of sorted output tuples.
+    /// A chunk of sorted output tuples, sent as pages.
     Egress(Vec<Tuple>),
     /// Terminal frame of a successful sort: per-job statistics. Arrives
     /// after the last `EGRESS` chunk.

@@ -1,12 +1,13 @@
 //! The server: a TCP accept loop in front of one [`SortService`].
 //!
 //! Every accepted connection becomes a session on its own thread
-//! (`masort-session-{n}`), and its sort runs there from admission to the
-//! last record: it reads its `INGEST` frames off the connection as it forms
-//! runs, and its last merge step runs as the session frames the result. So
-//! hundreds of connections contend for the same page pool — exactly the
-//! multi-query pressure the paper's broker arbitrates — and a client that
-//! stops reading holds nobody else up.
+//! (`masort-s-{n}`, `n` counting connections from 0; the prefix is short so
+//! that Linux's 15-byte thread name keeps six digits of the number), and its
+//! sort runs there from admission to the last record: it reads its `INGEST`
+//! frames off the connection as it forms runs, and its last merge step runs
+//! as the session frames the result. So hundreds of connections contend for
+//! the same page pool — exactly the multi-query pressure the paper's broker
+//! arbitrates — and a client that stops reading holds nobody else up.
 //!
 //! Nothing here polls. The accept loop blocks in `accept()`, and every
 //! session (or the sort reading its input) blocks in `read()`; shutdown (via
@@ -216,7 +217,7 @@ impl Server {
                     };
                     let shared = Arc::clone(&shared);
                     let session = thread::Builder::new()
-                        .name(format!("masort-session-{opened}"))
+                        .name(format!("masort-s-{opened}"))
                         .spawn(move || run_session(&shared, stream));
                     opened += 1;
                     match session {

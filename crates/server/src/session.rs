@@ -3,16 +3,16 @@
 //! A session owns exactly one sort, and the sort runs on the session's
 //! thread. It reads `HELLO`/`SUBMIT` and turns the submission into a
 //! [`SortRequest`] whose input is the connection's read half ([`Ingest`]):
-//! the sort itself decodes `INGEST` frames into pages, so a slow sort
-//! backpressures the client straight through TCP, and the sort's own error
-//! says how the input ended. Redeeming the ticket waits in the admission
-//! line (reading no frame meanwhile), then sorts down to the last merge
-//! step on this thread; the session frames the sorted pages as it pulls
-//! them off that step: records stay bytes both ways. While the session is
-//! blocked in `write` it holds no lock, so a client that stops reading
-//! holds up nobody else, and whatever became of the socket it sees the job
-//! out ([`JobOutput::finish`]) so its pages are provably back in the pool
-//! before the session ends.
+//! the sort itself reads `INGEST` frames and takes their pages as they lie,
+//! so a slow sort backpressures the client straight through TCP, and the
+//! sort's own error says how the input ended. Redeeming the ticket waits in
+//! the admission line (reading no frame meanwhile), then sorts down to the
+//! last merge step on this thread; the session frames the sorted pages as
+//! it pulls them off that step: pages stay pages both ways. While the
+//! session is blocked in `write` it holds no lock, so a client that stops
+//! reading holds up nobody else, and whatever became of the socket it sees
+//! the job out ([`JobOutput::finish`]) so its pages are provably back in the
+//! pool before the session ends.
 
 use masort_core::sync::atomic::{AtomicBool, Ordering};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -20,14 +20,10 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, OnceLock};
 
 use masort_broker::{JobOutput, SortRequest};
-use masort_core::{
-    DelaySample, InputSource, Page, SortConfig, SortError, SortOrder, SortResult, TupleArena,
-};
+use masort_core::{DelaySample, InputSource, Page, SortConfig, SortError, SortOrder, SortResult};
 use masort_trace::EventKind;
 
-use crate::codec::{
-    decode_frame, ingest_next, read_body, read_frame_in, write_egress, write_frame, OP_INGEST,
-};
+use crate::codec::{decode_frame, next_page, read_body, write_egress, write_frame, OP_INGEST};
 use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
@@ -188,7 +184,10 @@ fn serve<W: Write>(
         },
     )?;
 
-    let spec = match read_frame_in(&mut reader, body)? {
+    let spec = match read_body(&mut reader, body)?
+        .then(|| decode_frame(body))
+        .transpose()?
+    {
         None => return Ok(()),
         Some(Frame::Submit(spec)) => spec,
         Some(other) => {
@@ -268,6 +267,7 @@ fn run_sort<W: Write>(
         .min(MAX_FRAME_BYTES / 2 / cfg.tuple_size.max(1))
         .max(1);
 
+    let tuples_per_page = cfg.tuples_per_page() as u64;
     let violation = Arc::new(OnceLock::new());
     let stop = Arc::clone(&shared.shutdown);
     let source = Ingest::new(reader, &cfg, spec.expected_tuples, stop, violation.clone());
@@ -307,6 +307,7 @@ fn run_sort<W: Write>(
         writer,
         &Frame::Accepted {
             job: ticket.job_id(),
+            tuples_per_page,
         },
     )?;
 
@@ -354,11 +355,11 @@ fn run_sort<W: Write>(
     )
 }
 
-/// Frame the job's result as its pages are merged: sealed pages, coalesced
-/// up to `frame_tuples` records per `EGRESS` frame (and split wherever the
-/// frame cap says, for payloads far larger than the job's geometry
-/// declared), encoded in `body`. Returns how many tuples went out, or the
-/// error that ended the result.
+/// Frame the job's result as its pages are merged: the sealed pages as they
+/// are, coalesced up to `frame_tuples` records per `EGRESS` frame (and cut
+/// wherever the frame cap says, for payloads far larger than the job's
+/// geometry declared), built in `body`. Returns how many tuples went out, or
+/// the error that ended the result.
 fn send_result<W: Write>(
     output: &mut JobOutput,
     writer: &mut W,
@@ -390,11 +391,10 @@ fn send_result<W: Write>(
 /// [`SortError::Cancelled`], a violation leaving its detail in `violation`.
 struct Ingest<R> {
     reader: BufReader<R>,
-    body: Vec<u8>,
-    /// Where decoding stands in the `INGEST` body (see
-    /// [`ingest_next`]); `None` between frames.
-    frame: Option<(usize, usize)>,
-    page: TupleArena,
+    /// The last frame's body; the pages of an `INGEST` body borrow it.
+    body: Arc<Vec<u8>>,
+    /// Where the body's next page starts (its length once none is left).
+    at: usize,
     tuples_per_page: usize,
     expected_tuples: Option<usize>,
     fin: bool,
@@ -415,9 +415,8 @@ impl<R: Read> Ingest<R> {
     ) -> Self {
         Ingest {
             reader,
-            body: Vec::new(),
-            frame: None,
-            page: TupleArena::with_capacity(cfg.record_stride(), cfg.tuples_per_page()),
+            body: Arc::default(),
+            at: 0,
             tuples_per_page: cfg.tuples_per_page(),
             expected_tuples: (expected_tuples != 0).then_some(expected_tuples as usize),
             fin: false,
@@ -426,16 +425,24 @@ impl<R: Read> Ingest<R> {
         }
     }
 
-    /// The next frame: an `INGEST` body to decode, or `None` at `FIN`. Any
-    /// error ends the input; `InvalidData` is a protocol violation.
-    fn read_frame(&mut self) -> io::Result<Option<(usize, usize)>> {
-        if !read_body(&mut self.reader, &mut self.body)? {
+    /// Read the next frame: an `INGEST` body to take pages from, `FIN`, or
+    /// the end of the input. Any error ends the input; `InvalidData` is a
+    /// protocol violation.
+    fn read_frame(&mut self) -> io::Result<()> {
+        // A page of the last body the sort still holds keeps that body.
+        if Arc::get_mut(&mut self.body).is_none() {
+            self.body = Arc::default();
+        }
+        let body = Arc::make_mut(&mut self.body);
+        if !read_body(&mut self.reader, body)? {
             return Err(io::ErrorKind::UnexpectedEof.into());
         }
-        if self.body[0] == OP_INGEST {
-            return Ok(Some((0, 0)));
+        if body[0] == OP_INGEST {
+            self.at = 1;
+            return Ok(());
         }
-        match decode_frame(&self.body)? {
+        self.at = body.len();
+        match decode_frame(body)? {
             Frame::Fin => self.fin = true,
             Frame::Cancel => return Err(io::ErrorKind::ConnectionAborted.into()),
             other => {
@@ -443,7 +450,7 @@ impl<R: Read> Ingest<R> {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     /// The sort's error for an input that ended in `e`.
@@ -458,23 +465,14 @@ impl<R: Read> Ingest<R> {
 impl<R: Read> InputSource for Ingest<R> {
     fn next_page(&mut self) -> SortResult<Option<Page>> {
         while !self.stop.load(Ordering::Acquire) {
-            let Some(at) = &mut self.frame else {
-                if self.fin {
-                    return Ok((!self.page.is_empty()).then(|| self.page.seal()));
-                }
-                self.frame = self.read_frame().map_err(|e| self.end(e))?;
-                continue;
-            };
-            // A frame that ends mid-page leaves the page to the next one.
-            let (room, page) = (self.tuples_per_page - self.page.len(), &mut self.page);
-            let decoded = ingest_next(&self.body, at, room, |key, data| page.push_ref(key, data));
-            if at.1 == 0 {
-                self.frame = None;
+            if self.at < self.body.len() {
+                let page = next_page(&self.body, &mut self.at, self.tuples_per_page);
+                return page.map(Some).map_err(|e| self.end(e));
             }
-            decoded.map_err(|e| self.end(e))?;
-            if self.page.len() == self.tuples_per_page {
-                return Ok(Some(self.page.seal()));
+            if self.fin {
+                return Ok(None);
             }
+            self.read_frame().map_err(|e| self.end(e))?;
         }
         Err(SortError::Cancelled)
     }
@@ -487,6 +485,7 @@ impl<R: Read> InputSource for Ingest<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::write_ingest;
     use masort_core::sync::atomic::AtomicUsize;
     use masort_core::{SortJob, Tuple};
 
@@ -504,16 +503,18 @@ mod tests {
         }
     }
 
-    /// A stop raised while a sort consumes one `INGEST` frame 64 pages long
+    /// A stop raised while a sort consumes one `INGEST` frame of 64 pages
     /// cancels the sort at its next pull. (The source also declares
     /// `SUBMIT`'s `expected_tuples` to the sort.)
     #[test]
     fn a_stop_lands_within_a_page_of_a_long_frame() {
         let cfg = SortConfig::default().with_page_size(1024);
-        let n = 64 * cfg.tuples_per_page() as u64;
-        let mut wire = Vec::new();
-        let frame = Frame::Ingest((0..n).rev().map(|k| Tuple::synthetic(k, 32)).collect());
-        write_frame(&mut wire, &frame).unwrap();
+        let (per_page, mut wire) = (cfg.tuples_per_page(), Vec::new());
+        let n = 64 * per_page as u64;
+        let tuples = (0..n).rev().map(|k| Tuple::synthetic(k, 32)).collect();
+        write_ingest(&mut wire, tuples, per_page, &mut Vec::new()).unwrap();
+        let len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
+        assert_eq!(wire.len(), 4 + len, "one frame");
         write_frame(&mut wire, &Frame::Fin).unwrap();
         let (reader, stop) = (BufReader::new(io::Cursor::new(wire)), Arc::default());
         let source = Ingest::new(reader, &cfg, n, stop, Arc::default());

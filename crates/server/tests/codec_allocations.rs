@@ -1,15 +1,16 @@
-//! The server's record paths allocate per frame, not per record: `INGEST`
-//! bodies read into one reused buffer and decoded straight into a page, and
-//! sealed pages encoded to `EGRESS` frames through one reused body. A
-//! counting global allocator measures it, so this file holds one test and
+//! The server's page paths allocate per frame, not per record: an `INGEST`
+//! body is read into one buffer and its pages are decoded where they lie in
+//! it, and sealed pages go out as `EGRESS` frames through one reused body.
+//! A counting global allocator measures it, so this file holds one test and
 //! nothing runs beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use masort_core::{Page, Tuple, TupleArena};
-use masort_server::codec::{decode_ingest, read_body, write_egress, write_frame};
+use masort_core::{Page, Tuple};
+use masort_server::codec::{read_body, write_egress, write_frame};
 use masort_server::Frame;
 
 struct Counting;
@@ -58,14 +59,22 @@ fn ingest_into_a_page_and_pages_to_egress_allocate_per_frame() {
         write_frame(&mut wire, &Frame::Ingest(records.clone())).unwrap();
     }
 
-    // INGEST: one body buffer for the stream, one page per frame.
+    // INGEST: the pages of a body borrow it, so a body whose pages are still
+    // held is left to them and the next frame gets a buffer of its own.
     let mut reader = io::Cursor::new(&wire[..]);
-    let (mut body, mut pages) = (Vec::new(), Vec::with_capacity(FRAMES));
-    let mut arena = TupleArena::with_capacity(64, PER_FRAME);
-    let ingest = allocations_in(|| {
-        while read_body(&mut reader, &mut body).unwrap() {
-            decode_ingest(&body, |key, payload| arena.push_ref(key, payload)).unwrap();
-            pages.push(arena.seal());
+    let (mut body, mut pages) = (Arc::new(Vec::new()), Vec::with_capacity(FRAMES));
+    let ingest = allocations_in(|| loop {
+        if Arc::get_mut(&mut body).is_none() {
+            body = Arc::default();
+        }
+        if !read_body(&mut reader, Arc::make_mut(&mut body)).unwrap() {
+            break;
+        }
+        let mut at = 1;
+        while at < body.len() {
+            let page = Page::decode_at(&body, at).unwrap();
+            at += page.wire_bytes().len();
+            pages.push(page);
         }
     });
     assert_eq!(pages.len(), FRAMES);
@@ -85,6 +94,8 @@ fn ingest_into_a_page_and_pages_to_egress_allocate_per_frame() {
         first <= 24 && rest == 0,
         "EGRESS: {first}, then {rest} allocations"
     );
+    // The frames are the pages' own bytes: those of `Frame::Egress`, which
+    // seals the same tuples the same way.
     let mut expect = Vec::new();
     for records in &frames {
         write_frame(&mut expect, &Frame::Egress(records.clone())).unwrap();

@@ -445,7 +445,10 @@ fn the_result_iterator_fuses_after_an_error() {
             read_frame(&mut reader),
             Ok(Some(Frame::Submit(_)))
         ));
-        reply(Frame::Accepted { job: 1 });
+        reply(Frame::Accepted {
+            job: 1,
+            tuples_per_page: 8,
+        });
         assert!(matches!(read_frame(&mut reader), Ok(Some(Frame::Fin))));
         reply(Frame::Egress(
             (0..3).map(|k| Tuple::synthetic(k, 16)).collect(),

@@ -101,10 +101,12 @@ fn a_served_sort_runs_on_its_session_thread_and_no_pool_thread_exists() {
         !names.iter().any(|name| name.contains("worker")),
         "{names:?}"
     );
-    let sessions = names
-        .iter()
-        .filter(|name| name.starts_with("masort-session"));
-    assert_eq!(sessions.count(), 2, "one per open connection: {names:?}");
+    // One per open connection, each under its full name: the idle one was
+    // accepted first.
+    for session in ["masort-s-0", "masort-s-1"] {
+        let named = names.iter().filter(|name| *name == session);
+        assert_eq!(named.count(), 1, "{session}: {names:?}");
+    }
     // The accept loop and the two sessions; the sort has no thread of its own.
     assert_eq!(names.len(), before + 3, "{names:?}");
 

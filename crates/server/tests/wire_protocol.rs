@@ -1,17 +1,15 @@
 //! Wire-protocol robustness: randomized round-trips for every frame type,
 //! a fuzz pass proving malformed bytes produce clean errors — never
-//! panics, never oversized allocations — the record paths the server takes
-//! (pages to `EGRESS`, `INGEST` into a page) held to the bytes of the
-//! `Frame` path, and hostile `INGEST` bodies sent to a live server.
+//! panics, never oversized allocations — `EGRESS` frames held to the bytes
+//! of the pages they carry, and hostile page regions in `INGEST` / `EGRESS`
+//! bodies, decoded and sent to a live server.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
 use masort_core::{Page, SortConfig, Tuple, TupleArena, MIN_DENSE_STRIDE};
-use masort_server::codec::{
-    decode_frame, decode_ingest, encode_frame, read_frame, write_egress, write_frame,
-};
+use masort_server::codec::{decode_frame, encode_frame, read_frame, write_egress, write_frame};
 use masort_server::{
     ErrorCode, Frame, JobSummary, Server, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
@@ -75,6 +73,7 @@ fn random_frame(rng: &mut StdRng) -> Frame {
         2 => Frame::Submit(random_submit_spec(rng)),
         3 => Frame::Accepted {
             job: rng.next_u64(),
+            tuples_per_page: rng.next_u64(),
         },
         4 => Frame::Ingest(random_tuples(rng, 64)),
         5 => Frame::Fin,
@@ -238,10 +237,10 @@ fn garbage_opcodes_are_rejected() {
         let err = decode_frame(&[opcode]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "opcode {opcode:#X}");
     }
-    assert_eq!(
-        decode_frame(&[0x00]).unwrap_err().kind(),
-        io::ErrorKind::InvalidData
-    );
+    for body in [&[0x00][..], &[]] {
+        let err = decode_frame(body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body:?}");
+    }
 }
 
 #[test]
@@ -270,16 +269,16 @@ fn hostile_length_prefixes_do_not_allocate() {
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
 
-/// A tuple list whose count field promises far more tuples than the body
-/// could hold must be rejected before any allocation is attempted.
+/// An `INGEST` page whose count promises far more records than the body
+/// holds is refused before a record is read.
 #[test]
 fn overclaimed_tuple_counts_are_rejected() {
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..200 {
-        let mut body = vec![0x05]; // INGEST
-        body.extend_from_slice(&(rng.next_u64() as u32 | 0x0100_0000).to_le_bytes());
-        let pad = (rng.next_u64() % 32) as usize;
-        body.extend((0..pad).map(|_| rng.next_u64() as u8));
+        let n = 1 + (rng.next_u64() % 8) as usize;
+        let tuples = payload_case(&mut rng, 2, n);
+        let mut body = encode_frame(&Frame::Ingest(tuples));
+        body[5..9].copy_from_slice(&(rng.next_u64() as u32 | 0x0100_0000).to_le_bytes());
         let err = decode_frame(&body).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -312,9 +311,24 @@ fn sealed(tuples: &[Tuple], stride: usize) -> Page {
     arena.seal()
 }
 
-/// Pages encode to the very bytes the `Frame` path writes for the same
-/// records, however the records lie in the pages, and an `INGEST` body
-/// decoded into an arena is the page of the frame's tuples.
+/// The tuples of every `EGRESS` frame in `wire`, in order, and how many
+/// frames there were.
+fn egress_tuples(wire: &[u8]) -> (Vec<Tuple>, usize) {
+    let (mut r, mut tuples, mut frames) = (io::Cursor::new(wire), Vec::new(), 0);
+    while let Some(frame) = read_frame(&mut r).unwrap() {
+        let Frame::Egress(records) = frame else {
+            panic!("only EGRESS frames");
+        };
+        tuples.extend(records);
+        frames += 1;
+    }
+    (tuples, frames)
+}
+
+/// An `EGRESS` frame is the bytes of the pages it carries, however the
+/// records lie in them, and decodes to their tuples; a `Frame` of tuples
+/// is the frame of the one page [`Page::from_tuples`] makes of them, the
+/// same bytes for `INGEST` as for `EGRESS` but the opcode.
 #[test]
 fn pages_and_frames_encode_records_to_the_same_bytes() {
     let mut rng = StdRng::seed_from_u64(0x00B1_7E1D);
@@ -327,30 +341,41 @@ fn pages_and_frames_encode_records_to_the_same_bytes() {
         // One page, or the same records cut into several.
         let cut = 1 + (rng.next_u64() % 30) as usize;
         let pages: Vec<Page> = tuples.chunks(cut).map(|c| sealed(c, stride)).collect();
+        let mut wire = Vec::new();
+        write_egress(&mut wire, &pages, &mut body).unwrap();
         let mut expect = Vec::new();
         if !tuples.is_empty() {
-            write_frame(&mut expect, &Frame::Egress(tuples.clone())).unwrap();
+            let bytes: Vec<u8> = pages.iter().flat_map(|p| p.wire_bytes().to_vec()).collect();
+            expect.extend_from_slice(&(1 + bytes.len() as u32).to_le_bytes());
+            expect.push(0x07);
+            expect.extend_from_slice(&bytes);
         }
-        for pages in [vec![sealed(&tuples, stride)], pages] {
-            let mut wire = Vec::new();
-            write_egress(&mut wire, &pages, &mut body).unwrap();
-            assert_eq!(wire, expect, "trial {trial}: kind {kind}, stride {stride}");
-        }
+        assert_eq!(wire, expect, "trial {trial}: kind {kind}, stride {stride}");
+        assert_eq!(egress_tuples(&wire).0, tuples, "trial {trial}");
 
-        let ingest = encode_frame(&Frame::Ingest(tuples.clone()));
-        let mut arena = TupleArena::new(stride);
-        decode_ingest(&ingest, |key, payload| arena.push_ref(key, payload)).unwrap();
-        let Frame::Ingest(decoded) = decode_frame(&ingest).unwrap() else {
-            panic!("an INGEST body decodes to INGEST");
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &Frame::Egress(tuples.clone())).unwrap();
+        let one = if tuples.is_empty() {
+            vec![]
+        } else {
+            vec![Page::from_tuples(tuples.clone())]
         };
-        assert_eq!(arena.seal(), Page::from_tuples(decoded), "trial {trial}");
+        let mut wire = Vec::new();
+        write_egress(&mut wire, &one, &mut body).unwrap();
+        if tuples.is_empty() {
+            assert_eq!(framed, [1, 0, 0, 0, 0x07], "trial {trial}: no pages");
+        } else {
+            assert_eq!(framed, wire, "trial {trial}");
+        }
+        let ingest = encode_frame(&Frame::Ingest(tuples.clone()));
+        assert_eq!(ingest[1..], framed[5..], "trial {trial}");
     }
 }
 
-/// A page whose records encode to more than the frame cap goes out as
-/// several frames, cut at record boundaries, each the bytes `write_frame`
-/// writes for its records; a single record over the cap is refused before
-/// anything is written.
+/// A page whose encoding is over the frame cap is sealed again as smaller
+/// pages, which go out as frames of whole pages holding the same records in
+/// order; a single record over the cap is refused before anything is
+/// written.
 #[test]
 fn a_page_over_the_frame_cap_is_cut_into_frames_of_whole_records() {
     let big = MAX_FRAME_BYTES / 3;
@@ -359,83 +384,73 @@ fn a_page_over_the_frame_cap_is_cut_into_frames_of_whole_records() {
         .chain([Tuple::synthetic(9, 64), Tuple::new(10, vec![1; 40])])
         .collect();
     let page = Page::from_tuples(tuples.clone());
+    assert!(page.wire_bytes().len() > 3 * MAX_FRAME_BYTES);
     let mut wire = Vec::new();
     write_egress(&mut wire, std::slice::from_ref(&page), &mut Vec::new()).unwrap();
-
-    let mut r = io::Cursor::new(&wire[..]);
-    let mut frames = Vec::new();
-    while let Some(frame) = read_frame(&mut r).unwrap() {
-        let Frame::Egress(records) = frame else {
-            panic!("only EGRESS frames");
-        };
-        frames.push(records);
-    }
-    // Two records of a third of the cap fit a frame; a third does not.
-    assert_eq!(frames.iter().map(Vec::len).collect::<Vec<_>>(), [2, 2, 3]);
-    let mut expect = Vec::new();
-    for records in &frames {
-        write_frame(&mut expect, &Frame::Egress(records.clone())).unwrap();
-    }
-    assert_eq!(wire, expect);
-    assert_eq!(frames.concat(), tuples);
+    // Five records of a third of the cap need three frames at least; every
+    // frame passed `read_frame`'s cap and decoded as whole pages.
+    let (records, frames) = egress_tuples(&wire);
+    assert_eq!(records, tuples);
+    assert!((3..=5).contains(&frames), "{frames} frames");
 
     let whale = Page::from_tuples(vec![Tuple::new(1, vec![0; MAX_FRAME_BYTES])]);
     let mut out = Vec::new();
-    let err = write_egress(&mut out, &[whale], &mut Vec::new()).unwrap_err();
+    let err = write_egress(&mut out, &[page, whale], &mut Vec::new()).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     assert!(out.is_empty(), "nothing of a refused frame is written");
 }
 
-/// `INGEST` bodies a hostile or broken client might send, each next to how
-/// many of its records a decoder gets to see before the error.
-fn hostile_ingest_bodies() -> Vec<(&'static str, Vec<u8>, usize)> {
-    let record = |key: u64, payload: &[u8]| {
-        let mut r = key.to_le_bytes().to_vec();
-        r.push(1); // a byte blob
-        r.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        r.extend_from_slice(payload);
-        r
+/// Page regions a hostile or broken peer might send, as the payload of an
+/// `INGEST` or `EGRESS` body (`op`).
+fn hostile_bodies(op: u8) -> Vec<(&'static str, Vec<u8>)> {
+    let three: Vec<Tuple> = (0..3).map(|k| Tuple::new(k, vec![k as u8; 20])).collect();
+    let good = sealed(&three, 32).wire_bytes().to_vec();
+    let body = |pages: &[&[u8]]| {
+        [&[op][..]]
+            .iter()
+            .chain(pages)
+            .flat_map(|p| p.to_vec())
+            .collect()
     };
-    let list = |count: u32, records: &[Vec<u8>]| {
-        let mut body = vec![0x05];
-        body.extend_from_slice(&count.to_le_bytes());
-        records.iter().for_each(|r| body.extend_from_slice(r));
-        body
+    let word = |mut page: Vec<u8>, at: usize, value: u32| {
+        page[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        page
     };
-    let three: Vec<Vec<u8>> = (0..3).map(|k| record(k, &[k as u8; 20])).collect();
-
-    let overclaimed = list(1_000, &three);
-    let mut truncated = list(3, &three);
-    truncated.truncate(truncated.len() - 10);
-    let mut unknown_tag = list(3, &three);
-    unknown_tag[5 + three[0].len() + 8] = 7;
-    let mut long_blob = list(3, &three[..2]);
-    let mut liar = record(2, &[2; 20]);
-    liar[9..13].copy_from_slice(&4_000u32.to_le_bytes());
-    long_blob.extend_from_slice(&liar);
+    // The second record keeps its 60-byte payload in the overflow area; its
+    // offset word follows the record's key and descriptor.
+    let spilled = sealed(&[three[0].clone(), Tuple::new(7, vec![7; 60])], 24);
+    let mut far = spilled.wire_bytes().to_vec();
+    far[16 + 24 + 12..16 + 24 + 20].copy_from_slice(&1_000_000u64.to_le_bytes());
+    let empty = sealed(&[], 32).wire_bytes().to_vec();
     vec![
-        ("an overclaimed count", overclaimed, 0),
-        ("a truncated third record", truncated, 2),
-        ("an unknown tag mid-frame", unknown_tag, 1),
-        ("a blob longer than the body", long_blob, 2),
+        (
+            "an overclaimed record count",
+            body(&[&word(good.clone(), 4, 1_000)]),
+        ),
+        (
+            "a stride below the record header",
+            body(&[&word(good.clone(), 8, 8)]),
+        ),
+        ("an overflow offset past its page", body(&[&far])),
+        (
+            "a last page cut short",
+            body(&[&good, &good[..good.len() - 10]]),
+        ),
+        ("a page with no records", body(&[&good, &empty])),
     ]
 }
 
-/// Each hostile body fails to decode with `InvalidData`; a decoder sees none
-/// of a body whose count the body cannot hold, and a body that is not
-/// `INGEST` is refused as `InvalidInput`.
+/// Each hostile page region fails to decode, in an `INGEST` and in an
+/// `EGRESS` body, with `InvalidData`: every page is checked as a run page
+/// read from disk is, its length against the body before anything is built.
 #[test]
 fn hostile_ingest_bodies_fail_to_decode_cleanly() {
-    for (what, body, seen) in hostile_ingest_bodies() {
-        let mut visited = 0;
-        let err = decode_ingest(&body, |_, _| visited += 1).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-        assert_eq!(visited, seen, "{what}");
-        assert!(decode_frame(&body).is_err(), "{what}");
+    for op in [0x05, 0x07] {
+        for (what, body) in hostile_bodies(op) {
+            let err = decode_frame(&body).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
-    let fin = encode_frame(&Frame::Fin);
-    let err = decode_ingest(&fin, |_, _| panic!("FIN has no records")).unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
 }
 
 /// The run files this process's stores hold open (see `FileStore::new`):
@@ -457,9 +472,10 @@ fn run_files() -> Vec<PathBuf> {
         .collect()
 }
 
-/// Sent to a live server after a good `INGEST` frame, each hostile body ends
-/// the sort in a typed protocol error — the only frame the client gets after
-/// it — with no result, no page leaked and no run file left open.
+/// Sent to a live server after good `INGEST` frames, each hostile body — and
+/// a well-formed page of more records than `ACCEPTED` allows — ends the sort
+/// in a typed protocol error, the only frame the client gets after it, with
+/// no result, no page leaked and no run file left open.
 #[test]
 fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
     let handle = Server::builder()
@@ -474,7 +490,12 @@ fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
         .bind("127.0.0.1:0")
         .expect("bind loopback")
         .spawn();
-    for (what, hostile, _) in hostile_ingest_bodies() {
+    let over = (0..33).map(|k| Tuple::new(k, vec![7; 20])).collect();
+    let over = (
+        "a page over the job's tuples per page",
+        encode_frame(&Frame::Ingest(over)),
+    );
+    for (what, hostile) in hostile_bodies(0x05).into_iter().chain([over]) {
         let stream = TcpStream::connect(handle.addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
@@ -489,13 +510,21 @@ fn hostile_ingest_ends_in_a_protocol_error_and_leaves_nothing_behind() {
         };
         assert!(matches!(exchange(&hello), Some(Frame::Welcome { .. })));
         let submit = Frame::Submit(SubmitSpec::default());
-        assert!(matches!(exchange(&submit), Some(Frame::Accepted { .. })));
+        let Some(Frame::Accepted {
+            tuples_per_page, ..
+        }) = exchange(&submit)
+        else {
+            panic!("{what}: not accepted");
+        };
+        assert_eq!(tuples_per_page, 32, "1024-byte pages of 32-byte tuples");
         // Enough good records to fill pages and spill a run first.
         let good: Vec<Tuple> = (0..500u64)
             .rev()
             .map(|k| Tuple::new(k, vec![7; 20]))
             .collect();
-        write_frame(&mut writer, &Frame::Ingest(good)).unwrap();
+        for page in good.chunks(32) {
+            write_frame(&mut writer, &Frame::Ingest(page.to_vec())).unwrap();
+        }
         writer
             .write_all(&(hostile.len() as u32).to_le_bytes())
             .unwrap();
