@@ -214,7 +214,7 @@ impl JobOutput {
         }
         // What the iterator left of its page.
         let rest = std::mem::replace(&mut self.at, self.page.len())..self.page.len();
-        let rest = rest.map(|i| self.page.get(i)).collect();
+        let rest: Vec<Tuple> = rest.map(|i| self.page.get(i)).collect();
         Ok(Some(Page::from_tuples(rest)))
     }
 

@@ -493,15 +493,20 @@ impl Page {
     /// payloads — so equal-sized payloads all lie inline and an outlier goes
     /// to the overflow area. A builder that knows its stride pushes into a
     /// [`TupleArena`] instead.
-    pub fn from_tuples(tuples: Vec<Tuple>) -> Self {
-        let (real, total) = tuples
-            .iter()
-            .fold((0usize, 0usize), |(n, sum), t| match &t.payload {
-                Payload::Bytes(b) => (n + 1, sum + b.len()),
-                Payload::Synthetic(_) => (n, sum),
-            });
-        let stride = (RECORD_HEADER + total.div_ceil(real.max(1))).max(MIN_DENSE_STRIDE);
+    pub fn from_tuples(tuples: impl AsRef<[Tuple]>) -> Self {
+        let tuples = tuples.as_ref();
+        let real = || {
+            tuples.iter().filter_map(|t| match &t.payload {
+                Payload::Bytes(b) => Some(b.len()),
+                Payload::Synthetic(_) => None,
+            })
+        };
+        let (n, total) = real().fold((0, 0), |(n, sum), len| (n + 1, sum + len));
+        let stride = (RECORD_HEADER + total.div_ceil(n.max(1))).max(MIN_DENSE_STRIDE);
         let mut arena = TupleArena::with_capacity(stride, tuples.len());
+        // The outliers' overflow area, sized once.
+        let spilled = real().filter(|&len| len > stride - RECORD_HEADER).sum();
+        arena.overflow.reserve_exact(spilled);
         tuples.iter().for_each(|t| arena.push(t));
         arena.seal()
     }
@@ -601,17 +606,26 @@ impl Page {
         &self.data[self.start..self.start + len]
     }
 
+    /// What a page's 16-byte header states: how many records the page holds
+    /// and how many bytes its wire encoding takes, header included. Nothing
+    /// else of the header is checked here; [`decode_at`](Self::decode_at)
+    /// checks the whole page.
+    pub fn wire_len(header: &[u8; DENSE_HEADER]) -> (usize, u64) {
+        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap()) as u64;
+        (
+            word(4) as usize,
+            DENSE_HEADER as u64 + word(4) * word(8) + word(12),
+        )
+    }
+
     /// Decode the page whose wire encoding starts at byte `start` of a shared
     /// buffer, borrowing it: the header gives the page's length, and the
     /// page is checked as a run page read from disk is (every descriptor,
     /// length and overflow offset). Bytes after the page are not looked at.
     pub fn decode_at(data: &Arc<Vec<u8>>, start: usize) -> Result<Self, String> {
         let rest = data.get(start..).unwrap_or(&[]);
-        let header = rest
-            .get(..DENSE_HEADER)
-            .ok_or("page shorter than its header")?;
-        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().unwrap()) as u64;
-        let len = DENSE_HEADER as u64 + word(4) * word(8) + word(12);
+        let header = rest.first_chunk().ok_or("page shorter than its header")?;
+        let (_, len) = Self::wire_len(header);
         if len > rest.len() as u64 {
             return Err("page extends past the buffer".into());
         }

@@ -92,14 +92,10 @@ pub const KEY_BYTES: usize = 8;
 /// tuples each, preserving order.
 pub(crate) fn paginate(tuples: Vec<Tuple>, tuples_per_page: usize) -> Vec<Page> {
     assert!(tuples_per_page > 0, "tuples_per_page must be positive");
-    let mut tuples = tuples.into_iter().peekable();
-    let mut pages = Vec::with_capacity(tuples.len().div_ceil(tuples_per_page));
-    while tuples.peek().is_some() {
-        pages.push(Page::from_tuples(
-            tuples.by_ref().take(tuples_per_page).collect(),
-        ));
-    }
-    pages
+    tuples
+        .chunks(tuples_per_page)
+        .map(Page::from_tuples)
+        .collect()
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ fn run_formation_allocates_per_page_not_per_buffer_growth() {
                 let key = (p * PER_PAGE + i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 Tuple::new(key, vec![key as u8; 100])
             });
-            Page::from_tuples(tuples.collect())
+            Page::from_tuples(tuples.collect::<Vec<_>>())
         })
         .collect();
     let input = Pages {

@@ -140,7 +140,11 @@ mod tests {
     }
 
     fn page_of(keys: &[u64]) -> Page {
-        Page::from_tuples(keys.iter().map(|&k| Tuple::synthetic(k, 256)).collect())
+        Page::from_tuples(
+            keys.iter()
+                .map(|&k| Tuple::synthetic(k, 256))
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]

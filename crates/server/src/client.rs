@@ -12,7 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use masort_core::Tuple;
 
-use crate::codec::{decode_frame, read_body, read_frame, write_frame, write_ingest};
+use crate::codec::{read_frame, write_frame, write_ingest, BODY_STEP};
 use crate::protocol::{Frame, JobSummary, SubmitSpec, WireError, PROTOCOL_VERSION};
 
 /// Everything that can go wrong on the client side of a sort.
@@ -60,8 +60,6 @@ fn closed(wanted: &str) -> ClientError {
 pub struct SortClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// Every `INGEST` body is built, and every frame read, in this buffer.
-    body: Vec<u8>,
     pool_pages: u64,
     /// Most records per `INGEST` page, from `ACCEPTED`.
     tuples_per_page: usize,
@@ -73,11 +71,10 @@ impl SortClient {
     pub fn connect(addr: impl ToSocketAddrs, tenant: Option<&str>) -> ClientResult<SortClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
+        let reader = BufReader::with_capacity(BODY_STEP, stream.try_clone()?);
         let mut client = SortClient {
             reader,
             writer: BufWriter::new(stream),
-            body: Vec::new(),
             pool_pages: 0,
             tuples_per_page: 0,
         };
@@ -97,15 +94,11 @@ impl SortClient {
 
     fn send(&mut self, frame: &Frame) -> ClientResult<()> {
         write_frame(&mut self.writer, frame)?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(self.writer.flush()?)
     }
 
     fn recv(&mut self, wanted: &str) -> ClientResult<Frame> {
-        match read_body(&mut self.reader, &mut self.body)? {
-            true => Ok(decode_frame(&self.body)?),
-            false => Err(closed(wanted)),
-        }
+        read_frame(&mut self.reader)?.ok_or_else(|| closed(wanted))
     }
 
     /// Page-pool size the server advertised in WELCOME.
@@ -136,7 +129,7 @@ impl SortClient {
     /// the sort's backpressure reaching the producer.
     pub fn ingest(&mut self, tuples: Vec<Tuple>) -> ClientResult<()> {
         let per_page = self.tuples_per_page;
-        write_ingest(&mut self.writer, tuples, per_page, &mut self.body)?;
+        write_ingest(&mut self.writer, tuples, per_page)?;
         Ok(self.writer.flush()?)
     }
 

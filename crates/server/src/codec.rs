@@ -8,17 +8,18 @@
 //! The payload of an `INGEST` or `EGRESS` body is whole pages, back to back,
 //! each in the store's page encoding ([`Page::wire_bytes`]: a 16-byte
 //! header, fixed-stride `key | descriptor | payload` records, an overflow
-//! area). So a record has one encoder and one decoder, `masort_core`'s, for
-//! the store, the merge, the session and the client: every page that
-//! arrives passes the checks a run page read from disk does
-//! ([`Page::decode_at`]), and a page with no records is refused besides. A
-//! [`Frame::Ingest`] or [`Frame::Egress`] holds tuples: it encodes them as
-//! one page (none when empty) and decodes to the tuples of all its pages,
-//! so a synthetic payload stays synthetic. The server moves pages, never
-//! tuples ([`write_egress`]).
+//! area), so a record has one encoder and one decoder, `masort_core`'s. No
+//! such payload is held whole: one reader takes it a page at a time, from a
+//! socket or a slice, each page into a buffer of its own sized by its header
+//! ([`Page::wire_len`]) and checked as a run page read from disk is
+//! ([`Page::decode_at`]); a page with no records is refused besides. The
+//! writers send pages from where they lie, behind the frame's prefix
+//! ([`write_egress`]). A [`Frame::Ingest`] or [`Frame::Egress`] holds tuples:
+//! it encodes them as one page (none when empty) and decodes to the tuples
+//! of all its pages, so a synthetic payload stays synthetic.
 //!
 //! Decoding is defensive: every read is bounds-checked against the body, the
-//! length prefix is capped at [`MAX_FRAME_BYTES`] and the body grows as its
+//! length prefix is capped at [`MAX_FRAME_BYTES`], a buffer grows as its
 //! bytes arrive, unknown opcodes and error codes are rejected, and trailing
 //! garbage after a well-formed payload is an error. Malformed input can only
 //! ever produce [`io::ErrorKind::InvalidData`] /
@@ -36,9 +37,14 @@ use crate::protocol::{ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_F
 pub(crate) const OP_INGEST: u8 = 0x05;
 const OP_EGRESS: u8 = 0x07;
 
-/// How far a frame body is grown ahead of the bytes that have arrived, so a
-/// length prefix alone costs the reader at most this much.
-const BODY_STEP: usize = 64 << 10;
+/// How far a buffer is grown ahead of the bytes that have arrived, so a
+/// length prefix alone costs the reader at most this much; also the
+/// capacity of the session's and the client's read buffers.
+pub(crate) const BODY_STEP: usize = 64 << 10;
+
+/// The most bytes of a frame other than `INGEST` that the server reads: a
+/// longer one is refused before its body is read.
+pub(crate) const CONTROL_FRAME_BYTES: usize = 4 << 10;
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -104,7 +110,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Ingest(tuples) | Frame::Egress(tuples) => {
             if !tuples.is_empty() {
-                buf.extend_from_slice(Page::from_tuples(tuples.clone()).wire_bytes());
+                buf.extend_from_slice(Page::from_tuples(tuples).wire_bytes());
             }
         }
         Frame::Fin | Frame::Cancel | Frame::Shutdown | Frame::MetricsReq => {}
@@ -141,49 +147,32 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// [`MAX_FRAME_BYTES`] is refused with `InvalidInput` before anything is
 /// written.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    write_body(w, frame.name(), &encode_frame(frame))
-}
-
-fn write_body<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()> {
+    let body = encode_frame(frame);
     if body.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "{name} frame body is {} bytes, over the {MAX_FRAME_BYTES} byte frame cap",
-                body.len()
-            ),
-        ));
+        let (name, len) = (frame.name(), body.len());
+        let detail =
+            format!("{name} frame body is {len} bytes, over the {MAX_FRAME_BYTES} byte frame cap");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, detail));
     }
     w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+    w.write_all(&body)
 }
 
-/// Write `pages`, in order, as `EGRESS` frames, each built in `body`, whose
-/// allocation the caller keeps from frame to frame. A frame is whole pages
-/// as they are, closed where the next page would take it over
-/// [`MAX_FRAME_BYTES`]. A page too large for a frame of its own (records far
-/// longer than the job declared) is sealed again as smaller pages; a record
-/// that does not fit a frame is refused with `InvalidInput` before a byte is
-/// written.
-pub fn write_egress<W: Write>(w: &mut W, pages: &[Page], body: &mut Vec<u8>) -> io::Result<()> {
-    write_pages(w, OP_EGRESS, pages, body)
+/// Write `pages`, in order, as `EGRESS` frames of whole pages, each closed
+/// where the next page would take it over [`MAX_FRAME_BYTES`]: a frame's
+/// prefix and opcode, then each page's own bytes, with no body built. A
+/// page too large for a frame of its own (records far longer than the job
+/// declared) is sealed again as smaller pages; a record that does not fit a
+/// frame is refused with `InvalidInput` before a byte is written.
+pub fn write_egress<W: Write>(w: &mut W, pages: &[Page]) -> io::Result<()> {
+    write_pages(w, OP_EGRESS, pages)
 }
 
-/// Cut `tuples` into pages of at most `per_page` records and write them as
+/// Cut `tuples` into pages of at most `most` records and write them as
 /// [`write_egress`] writes pages, in `INGEST` frames.
-pub(crate) fn write_ingest<W: Write>(
-    w: &mut W,
-    tuples: Vec<Tuple>,
-    per_page: usize,
-    body: &mut Vec<u8>,
-) -> io::Result<()> {
-    let (mut tuples, mut pages) = (tuples.into_iter().peekable(), Vec::new());
-    while tuples.peek().is_some() {
-        pages.push(Page::from_tuples(
-            tuples.by_ref().take(per_page.max(1)).collect(),
-        ));
-    }
-    write_pages(w, OP_INGEST, &pages, body)
+pub(crate) fn write_ingest<W: Write>(w: &mut W, tuples: Vec<Tuple>, most: usize) -> io::Result<()> {
+    let pages: Vec<Page> = tuples.chunks(most.max(1)).map(Page::from_tuples).collect();
+    write_pages(w, OP_INGEST, &pages)
 }
 
 /// Whether `page` fits a frame of its own, after the opcode.
@@ -191,28 +180,35 @@ fn fits(page: &Page) -> bool {
     page.wire_bytes().len() < MAX_FRAME_BYTES
 }
 
-fn write_pages<W: Write>(w: &mut W, op: u8, pages: &[Page], body: &mut Vec<u8>) -> io::Result<()> {
+fn write_pages<W: Write>(w: &mut W, op: u8, pages: &[Page]) -> io::Result<()> {
     if !pages.iter().all(fits) {
         // Payloads far over the job's declared size: a page per record.
-        let one = |t| Page::from_tuples(vec![t]);
+        let one = |t| Page::from_tuples([t]);
         let cut: Vec<Page> = pages.iter().flat_map(Page::tuples).map(one).collect();
         if !cut.iter().all(fits) {
             let detail = format!("a record is over the {MAX_FRAME_BYTES} byte frame cap");
             return Err(io::Error::new(io::ErrorKind::InvalidInput, detail));
         }
-        return write_pages(w, op, &cut, body);
+        return write_pages(w, op, &cut);
     }
-    let mut pages = pages.iter().peekable();
-    while pages.peek().is_some() {
-        body.clear();
-        body.push(op);
-        while let Some(page) =
-            pages.next_if(|p| body.len() + p.wire_bytes().len() <= MAX_FRAME_BYTES)
+    let mut rest = pages;
+    while !rest.is_empty() {
+        let (mut n, mut len) = (0, 1);
+        while let Some(page) = rest
+            .get(n)
+            .filter(|p| len + p.wire_bytes().len() <= MAX_FRAME_BYTES)
         {
-            body.extend_from_slice(page.wire_bytes());
+            len += page.wire_bytes().len();
+            n += 1;
         }
-        w.write_all(&(body.len() as u32).to_le_bytes())?;
-        w.write_all(body)?;
+        let mut head = [op; 5];
+        head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        w.write_all(&head)?;
+        let (frame, after) = rest.split_at(n);
+        for page in frame {
+            w.write_all(page.wire_bytes())?;
+        }
+        rest = after;
     }
     Ok(())
 }
@@ -232,23 +228,11 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    fn bad(what: &str) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("malformed frame: truncated {what}"),
-        )
-    }
-
     fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let slice = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(Self::bad(what)),
-        }
+        let slice = self.buf[self.pos..].get(..n);
+        let slice = slice.ok_or_else(|| malformed(format!("truncated {what}")))?;
+        self.pos += n;
+        Ok(slice)
     }
 
     fn u8(&mut self, what: &str) -> io::Result<u8> {
@@ -270,48 +254,26 @@ impl<'a> Cursor<'a> {
     /// A length-prefixed string, bounds-checked before it is copied.
     fn string(&mut self, what: &str) -> io::Result<String> {
         let len = self.u32(what)? as usize;
-        String::from_utf8(self.take(len, what)?.to_vec()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed frame: {what} is not UTF-8"),
-            )
-        })
+        String::from_utf8(self.take(len, what)?.to_vec())
+            .map_err(|_| malformed(format!("{what} is not UTF-8")))
     }
 
     fn bool(&mut self, what: &str) -> io::Result<bool> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
-            v => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed frame: {what} flag byte is {v}, expected 0 or 1"),
-            )),
+            v => Err(malformed(format!(
+                "{what} flag byte is {v}, expected 0 or 1"
+            ))),
         }
-    }
-
-    /// Whole pages, the rest of the body: decoded as they lie in a copy of
-    /// it, their tuples taken out.
-    fn tuples(&mut self) -> io::Result<Vec<Tuple>> {
-        let (pages, mut at, mut tuples) = (Arc::new(self.buf[self.pos..].to_vec()), 0, Vec::new());
-        self.pos = self.buf.len();
-        while at < pages.len() {
-            let page = next_page(&pages, &mut at, usize::MAX)?;
-            tuples.extend((0..page.len()).map(|i| page.get(i)));
-        }
-        Ok(tuples)
     }
 
     fn finish(self, frame: &'static str) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "malformed frame: {} trailing bytes after {frame} payload",
-                    self.buf.len() - self.pos
-                ),
-            ))
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(malformed(format!(
+                "{n} trailing bytes after {frame} payload"
+            ))),
         }
     }
 }
@@ -320,6 +282,10 @@ impl<'a> Cursor<'a> {
 /// opcodes, truncated payloads and trailing garbage with
 /// [`io::ErrorKind::InvalidData`].
 pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
+    // Pages are read from a body as from a stream.
+    if let [op @ (OP_INGEST | OP_EGRESS), pages @ ..] = body {
+        return read_rest(&mut &pages[..], *op, body.len());
+    }
     let mut c = Cursor::new(body);
     let opcode = c.u8("opcode")?;
     let frame = match opcode {
@@ -351,9 +317,7 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
             job: c.u64("ACCEPTED job")?,
             tuples_per_page: c.u64("ACCEPTED tuples_per_page")?,
         },
-        OP_INGEST => Frame::Ingest(c.tuples()?),
         0x06 => Frame::Fin,
-        OP_EGRESS => Frame::Egress(c.tuples()?),
         0x08 => Frame::Stats(JobSummary {
             job: c.u64("STATS job")?,
             tuples: c.u64("STATS tuples")?,
@@ -372,12 +336,8 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         }),
         0x09 => {
             let raw = c.u8("ERR code")?;
-            let code = ErrorCode::from_u8(raw).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed frame: unknown error code {raw}"),
-                )
-            })?;
+            let code = ErrorCode::from_u8(raw)
+                .ok_or_else(|| malformed(format!("unknown error code {raw}")))?;
             Frame::Error(WireError {
                 code,
                 needed: c.u64("ERR needed")?,
@@ -397,34 +357,105 @@ pub fn decode_frame(body: &[u8]) -> io::Result<Frame> {
         0x11 => Frame::MetricsData {
             json: c.string("METRICS_DATA json")?,
         },
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed frame: unknown opcode 0x{other:02X}"),
-            ))
-        }
+        other => return Err(malformed(format!("unknown opcode 0x{other:02X}"))),
     };
     let name = frame.name();
     c.finish(name)?;
     Ok(frame)
 }
 
-/// The page of an `INGEST` or `EGRESS` payload held in `body` that starts
-/// at byte `at`, which moves past it. The page borrows `body`; one cut short
-/// by the end of the body, or holding no records or more than `most`, is
-/// `InvalidData`.
-pub(crate) fn next_page(body: &Arc<Vec<u8>>, at: &mut usize, most: usize) -> io::Result<Page> {
-    let page = Page::decode_at(body, *at).and_then(|page| match page.len() {
-        0 => Err("no records".into()),
-        n if n > most => Err(format!("{n} records, over the job's {most} per page")),
-        _ => Ok(page),
-    });
-    let page = page.map_err(|detail| {
-        let detail = format!("malformed frame: page at byte {at}: {detail}");
-        io::Error::new(io::ErrorKind::InvalidData, detail)
-    })?;
-    *at += page.wire_bytes().len();
-    Ok(page)
+fn malformed(detail: String) -> io::Error {
+    let detail = format!("malformed frame: {detail}");
+    io::Error::new(io::ErrorKind::InvalidData, detail)
+}
+
+/// Read the next page of an `INGEST` or `EGRESS` payload, `left` bytes of
+/// its frame still to come. A page with no records, more than `most`, or
+/// more bytes than are left is refused (`InvalidData`) before its buffer is
+/// allocated; the buffer grows as the bytes arrive, and the page is checked
+/// as a run page read from disk is.
+pub(crate) fn read_page<R: Read>(r: &mut R, left: usize, most: usize) -> io::Result<Page> {
+    let mut header = [0; _];
+    if left < header.len() {
+        return Err(malformed(format!("{left} bytes left for a page")));
+    }
+    r.read_exact(&mut header)?;
+    let (records, len) = Page::wire_len(&header);
+    if records == 0 || records > most || len > left as u64 {
+        return Err(malformed(match records > most {
+            true => format!("a page of {records} records, over the job's {most} per page"),
+            false => format!("a page of {records} records in {len} bytes, {left} bytes left"),
+        }));
+    }
+    let mut buf = Vec::with_capacity((len as usize).min(header.len() + BODY_STEP));
+    buf.extend_from_slice(&header);
+    read_grown(r, &mut buf, len as usize)?;
+    Page::decode_at(&Arc::new(buf), 0).map_err(|detail| malformed(format!("page: {detail}")))
+}
+
+/// The tuples of the pages in the next `left` bytes of `r`.
+fn read_tuples<R: Read>(r: &mut R, mut left: usize) -> io::Result<Vec<Tuple>> {
+    let mut tuples = Vec::new();
+    while left > 0 {
+        let page = read_page(r, left, usize::MAX)?;
+        left -= page.wire_bytes().len();
+        tuples.extend((0..page.len()).map(|i| page.get(i)));
+    }
+    Ok(tuples)
+}
+
+/// Fill `buf` from `r` up to `len` bytes, growing it at most
+/// [`BODY_STEP`] ahead of the bytes that have arrived.
+fn read_grown<R: Read>(r: &mut R, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    while buf.len() < len {
+        let at = buf.len();
+        buf.reserve_exact(BODY_STEP.min(len - at));
+        buf.resize(len.min(at + BODY_STEP), 0);
+        r.read_exact(&mut buf[at..])?;
+    }
+    Ok(())
+}
+
+/// The error for a frame of `len` bytes where at most `most` are read.
+pub(crate) fn over_cap(len: usize, most: usize) -> io::Error {
+    malformed(format!("{len} byte body exceeds the {most} byte cap"))
+}
+
+/// Read the next frame's length prefix and opcode: `None` on a clean end of
+/// stream, else the opcode and the frame's length, opcode included. A
+/// length of 0 or over `most` is `InvalidData` before the opcode is read,
+/// and a close inside the prefix `UnexpectedEof`.
+pub(crate) fn read_head<R: Read>(r: &mut R, most: usize) -> io::Result<Option<(u8, usize)>> {
+    // A clean end of stream comes before a frame's first byte.
+    let mut head = [0u8; 5];
+    loop {
+        match r.read(&mut head[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    r.read_exact(&mut head[1..4])?;
+    match u32::from_le_bytes(head[..4].try_into().unwrap()) as usize {
+        0 => Err(malformed("zero-length body".into())),
+        len if len > most => Err(over_cap(len, most)),
+        len => r.read_exact(&mut head[4..]).map(|()| Some((head[4], len))),
+    }
+}
+
+/// The rest of a frame of `len` bytes whose opcode `op` [`read_head`] read:
+/// an `INGEST` or `EGRESS` payload a page at a time, any other body whole.
+pub(crate) fn read_rest<R: Read>(r: &mut R, op: u8, len: usize) -> io::Result<Frame> {
+    match op {
+        OP_INGEST => read_tuples(r, len - 1).map(Frame::Ingest),
+        OP_EGRESS => read_tuples(r, len - 1).map(Frame::Egress),
+        _ => {
+            let mut body = vec![op];
+            read_grown(r, &mut body, len)?;
+            decode_frame(&body)
+        }
+    }
 }
 
 /// Read one length-prefixed frame, blocking until it arrives.
@@ -432,58 +463,19 @@ pub(crate) fn next_page(body: &Arc<Vec<u8>>, at: &mut usize, most: usize) -> io:
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
 /// frames, or this side shut the socket's read half down); a close *inside*
 /// a frame is [`io::ErrorKind::UnexpectedEof`]. A length prefix over
-/// [`MAX_FRAME_BYTES`] is rejected before any body allocation.
+/// [`MAX_FRAME_BYTES`] is rejected before any body allocation; an `INGEST`
+/// or `EGRESS` payload is read a page at a time, and no buffer is grown
+/// more than 64 KiB ahead of the bytes that arrived.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Frame>> {
-    let mut body = Vec::new();
-    read_body(r, &mut body)?
-        .then(|| decode_frame(&body))
-        .transpose()
+    read_frame_within(r, MAX_FRAME_BYTES)
 }
 
-/// [`read_frame`] without the decode: read one frame's body into `body`,
-/// which keeps its allocation from frame to frame, and return whether a
-/// frame arrived (`false` on a clean end-of-stream).
-pub fn read_body<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<bool> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0usize;
-    while got < prefix.len() {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame length prefix",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed frame: zero-length body",
-        ));
-    }
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("malformed frame: {len} byte body exceeds the {MAX_FRAME_BYTES} byte cap"),
-        ));
-    }
-    // The body grows as its bytes arrive, at most a step ahead of them; what
-    // the last frame left is reused without being cleared.
-    body.truncate(len);
-    r.read_exact(body)?;
-    while body.len() < len {
-        let at = body.len();
-        body.reserve_exact(BODY_STEP.min(len - at));
-        body.resize(len.min(at + BODY_STEP), 0);
-        r.read_exact(&mut body[at..])?;
-    }
-    Ok(true)
+/// [`read_frame`] for a frame of at most `most` bytes: a longer one is
+/// `InvalidData` from its length prefix alone.
+pub(crate) fn read_frame_within<R: Read>(r: &mut R, most: usize) -> io::Result<Option<Frame>> {
+    read_head(r, most)?
+        .map(|(op, len)| read_rest(r, op, len))
+        .transpose()
 }
 
 #[cfg(test)]

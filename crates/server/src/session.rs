@@ -3,16 +3,19 @@
 //! A session owns exactly one sort, and the sort runs on the session's
 //! thread. It reads `HELLO`/`SUBMIT` and turns the submission into a
 //! [`SortRequest`] whose input is the connection's read half ([`Ingest`]):
-//! the sort itself reads `INGEST` frames and takes their pages as they lie,
-//! so a slow sort backpressures the client straight through TCP, and the
-//! sort's own error says how the input ended. Redeeming the ticket waits in
-//! the admission line (reading no frame meanwhile), then sorts down to the
-//! last merge step on this thread; the session frames the sorted pages as
-//! it pulls them off that step: pages stay pages both ways. While the
-//! session is blocked in `write` it holds no lock, so a client that stops
-//! reading holds up nobody else, and whatever became of the socket it sees
-//! the job out ([`JobOutput::finish`]) so its pages are provably back in the
-//! pool before the session ends.
+//! the sort itself reads `INGEST` frames off the socket a page at a time, so
+//! what a session holds of its input is one page, whatever the frames' size;
+//! a slow sort backpressures the client straight through TCP, and the
+//! sort's own error says how the input ended. Any other frame over
+//! [`CONTROL_FRAME_BYTES`] is answered `ERR {Protocol}` unread. Redeeming
+//! the ticket waits in the admission line (reading no frame meanwhile),
+//! then sorts down to the last merge step on this thread; the session
+//! writes the sorted pages from where they lie as it pulls them off that
+//! step: pages stay pages both ways. While the session is blocked in
+//! `write` it holds no lock, so a client that stops reading holds up nobody
+//! else, and whatever became of the socket it sees the job out
+//! ([`JobOutput::finish`]) so its pages are provably back in the pool
+//! before the session ends.
 
 use masort_core::sync::atomic::{AtomicBool, Ordering};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -23,7 +26,10 @@ use masort_broker::{JobOutput, SortRequest};
 use masort_core::{DelaySample, InputSource, Page, SortConfig, SortError, SortOrder, SortResult};
 use masort_trace::EventKind;
 
-use crate::codec::{decode_frame, next_page, read_body, write_egress, write_frame, OP_INGEST};
+use crate::codec::{
+    over_cap, read_frame_within, read_head, read_page, read_rest, write_egress, write_frame,
+    BODY_STEP, CONTROL_FRAME_BYTES, OP_INGEST,
+};
 use crate::protocol::{
     ErrorCode, Frame, JobSummary, SubmitSpec, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
@@ -60,7 +66,14 @@ pub(crate) fn run_session(shared: &Arc<ServerShared>, stream: TcpStream) {
     shared.trace.emit(EventKind::SessionOpen);
     // The read half goes to the sort at `SUBMIT`, so it is a socket of its own.
     if let Ok(read_half) = stream.try_clone() {
-        let _ = serve(shared, BufReader::new(read_half), &mut writer);
+        let reader = BufReader::with_capacity(BODY_STEP, read_half);
+        // A frame this version cannot decode, or a control frame over its
+        // cap, is refused in words.
+        if let Err(e) = serve(shared, reader, &mut writer) {
+            if e.kind() == io::ErrorKind::InvalidData {
+                let _ = protocol_error(&mut writer, e.to_string());
+            }
+        }
     }
     shared.trace.emit(EventKind::SessionClose);
     let _ = writer.flush();
@@ -84,20 +97,16 @@ fn protocol_error<W: Write>(w: &mut W, detail: String) -> io::Result<()> {
     send_error(w, WireError::new(ErrorCode::Protocol, detail))
 }
 
-/// The next frame, read into `body`, while the server is up; end of stream
-/// (`None`) once it is shutting down. A session blocked in here at shutdown
-/// is woken by the accept loop shutting down its socket's read half, which
-/// also reads as end of stream; the flag covers a session that still has
-/// frames queued in the socket.
-fn next_frame(
-    shared: &ServerShared,
-    reader: &mut BufReader<TcpStream>,
-    body: &mut Vec<u8>,
-) -> io::Result<Option<Frame>> {
-    let up = !shared.shutdown.load(Ordering::Acquire);
-    (up && read_body(reader, body)?)
-        .then(|| decode_frame(body))
-        .transpose()
+/// The next control frame while the server is up; end of stream (`None`)
+/// once it is shutting down. A session blocked in here at shutdown is woken
+/// by the accept loop shutting down its socket's read half, which also
+/// reads as end of stream; the flag covers a session that still has frames
+/// queued in the socket.
+fn next_frame<R: Read>(shared: &ServerShared, reader: &mut R) -> io::Result<Option<Frame>> {
+    if shared.shutdown.load(Ordering::Acquire) {
+        return Ok(None);
+    }
+    read_frame_within(reader, CONTROL_FRAME_BYTES)
 }
 
 fn serve<W: Write>(
@@ -105,18 +114,9 @@ fn serve<W: Write>(
     mut reader: BufReader<TcpStream>,
     writer: &mut W,
 ) -> io::Result<()> {
-    let body = &mut Vec::new();
     // The opening frame routes the whole connection: HELLO starts a sort,
-    // SHUTDOWN / TRACE_REQ / METRICS_REQ are admin commands. An opening
-    // frame this version cannot decode (an older client's admin opcode, say)
-    // is refused in words.
-    let opening = match next_frame(shared, &mut reader, body) {
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            return protocol_error(writer, e.to_string())
-        }
-        opening => opening?,
-    };
-    let tenant = match opening {
+    // SHUTDOWN / TRACE_REQ / METRICS_REQ are admin commands.
+    let tenant = match next_frame(shared, &mut reader)? {
         None => return Ok(()),
         Some(frame @ (Frame::Shutdown | Frame::TraceReq { .. } | Frame::MetricsReq)) => {
             let mut frame = frame;
@@ -145,7 +145,7 @@ fn serve<W: Write>(
                         )
                     }
                 }
-                match next_frame(shared, &mut reader, body)? {
+                match next_frame(shared, &mut reader)? {
                     Some(next) => frame = next,
                     None => return Ok(()),
                 }
@@ -184,17 +184,14 @@ fn serve<W: Write>(
         },
     )?;
 
-    let spec = match read_body(&mut reader, body)?
-        .then(|| decode_frame(body))
-        .transpose()?
-    {
+    let spec = match read_frame_within(&mut reader, CONTROL_FRAME_BYTES)? {
         None => return Ok(()),
         Some(Frame::Submit(spec)) => spec,
         Some(other) => {
             return protocol_error(writer, format!("expected SUBMIT, got {}", other.name()))
         }
     };
-    run_sort(shared, reader, writer, body, tenant, spec)
+    run_sort(shared, reader, writer, tenant, spec)
 }
 
 /// Admit the submission, hand the sort its input, drain egress. One sort,
@@ -203,7 +200,6 @@ fn run_sort<W: Write>(
     shared: &Arc<ServerShared>,
     reader: BufReader<TcpStream>,
     writer: &mut W,
-    body: &mut Vec<u8>,
     tenant: Option<String>,
     spec: SubmitSpec,
 ) -> io::Result<()> {
@@ -325,7 +321,7 @@ fn run_sort<W: Write>(
             return send_error(writer, err);
         }
     };
-    let sent = send_result(&mut output, writer, body, frame_tuples);
+    let sent = send_result(&mut output, writer, frame_tuples);
     // Whatever became of the socket, the job is over before the session is:
     // sort closed, grant back in the pool.
     let report = output.finish();
@@ -358,12 +354,11 @@ fn run_sort<W: Write>(
 /// Frame the job's result as its pages are merged: the sealed pages as they
 /// are, coalesced up to `frame_tuples` records per `EGRESS` frame (and cut
 /// wherever the frame cap says, for payloads far larger than the job's
-/// geometry declared), built in `body`. Returns how many tuples went out, or
-/// the error that ended the result.
+/// geometry declared). Returns how many tuples went out, or the error that
+/// ended the result.
 fn send_result<W: Write>(
     output: &mut JobOutput,
     writer: &mut W,
-    body: &mut Vec<u8>,
     frame_tuples: usize,
 ) -> io::Result<Result<u64, SortError>> {
     let mut tuples = 0u64;
@@ -374,7 +369,7 @@ fn send_result<W: Write>(
                 tuples += page.len() as u64;
                 chunk.push(page);
                 if chunk.iter().map(|p| p.len()).sum::<usize>() >= frame_tuples {
-                    write_egress(writer, &chunk, body)?;
+                    write_egress(writer, &chunk)?;
                     chunk.clear();
                 }
             }
@@ -382,7 +377,7 @@ fn send_result<W: Write>(
             Err(e) => return Ok(Err(e)),
         }
     }
-    write_egress(writer, &chunk, body)?;
+    write_egress(writer, &chunk)?;
     Ok(Ok(tuples))
 }
 
@@ -391,10 +386,8 @@ fn send_result<W: Write>(
 /// [`SortError::Cancelled`], a violation leaving its detail in `violation`.
 struct Ingest<R> {
     reader: BufReader<R>,
-    /// The last frame's body; the pages of an `INGEST` body borrow it.
-    body: Arc<Vec<u8>>,
-    /// Where the body's next page starts (its length once none is left).
-    at: usize,
+    /// Bytes of the current `INGEST` frame not read yet.
+    left: usize,
     tuples_per_page: usize,
     expected_tuples: Option<usize>,
     fin: bool,
@@ -415,8 +408,7 @@ impl<R: Read> Ingest<R> {
     ) -> Self {
         Ingest {
             reader,
-            body: Arc::default(),
-            at: 0,
+            left: 0,
             tuples_per_page: cfg.tuples_per_page(),
             expected_tuples: (expected_tuples != 0).then_some(expected_tuples as usize),
             fin: false,
@@ -425,30 +417,24 @@ impl<R: Read> Ingest<R> {
         }
     }
 
-    /// Read the next frame: an `INGEST` body to take pages from, `FIN`, or
-    /// the end of the input. Any error ends the input; `InvalidData` is a
-    /// protocol violation.
+    /// Read the next frame's head: an `INGEST` frame to take pages from, or
+    /// the whole of `FIN`, or the end of the input. Any error ends the input;
+    /// `InvalidData` is a protocol violation.
     fn read_frame(&mut self) -> io::Result<()> {
-        // A page of the last body the sort still holds keeps that body.
-        if Arc::get_mut(&mut self.body).is_none() {
-            self.body = Arc::default();
-        }
-        let body = Arc::make_mut(&mut self.body);
-        if !read_body(&mut self.reader, body)? {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        if body[0] == OP_INGEST {
-            self.at = 1;
-            return Ok(());
-        }
-        self.at = body.len();
-        match decode_frame(body)? {
-            Frame::Fin => self.fin = true,
-            Frame::Cancel => return Err(io::ErrorKind::ConnectionAborted.into()),
-            other => {
-                let detail = format!("expected INGEST, FIN or CANCEL, got {}", other.name());
-                return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+        let head = read_head(&mut self.reader, MAX_FRAME_BYTES)?;
+        match head.ok_or(io::ErrorKind::UnexpectedEof)? {
+            (OP_INGEST, len) => self.left = len - 1,
+            (_, len) if len > CONTROL_FRAME_BYTES => {
+                return Err(over_cap(len, CONTROL_FRAME_BYTES))
             }
+            (op, len) => match read_rest(&mut self.reader, op, len)? {
+                Frame::Fin => self.fin = true,
+                Frame::Cancel => return Err(io::ErrorKind::ConnectionAborted.into()),
+                other => {
+                    let detail = format!("expected INGEST, FIN or CANCEL, got {}", other.name());
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+                }
+            },
         }
         Ok(())
     }
@@ -465,9 +451,11 @@ impl<R: Read> Ingest<R> {
 impl<R: Read> InputSource for Ingest<R> {
     fn next_page(&mut self) -> SortResult<Option<Page>> {
         while !self.stop.load(Ordering::Acquire) {
-            if self.at < self.body.len() {
-                let page = next_page(&self.body, &mut self.at, self.tuples_per_page);
-                return page.map(Some).map_err(|e| self.end(e));
+            if self.left > 0 {
+                let page = read_page(&mut self.reader, self.left, self.tuples_per_page);
+                let page = page.map_err(|e| self.end(e))?;
+                self.left -= page.wire_bytes().len();
+                return Ok(Some(page));
             }
             if self.fin {
                 return Ok(None);
@@ -512,7 +500,7 @@ mod tests {
         let (per_page, mut wire) = (cfg.tuples_per_page(), Vec::new());
         let n = 64 * per_page as u64;
         let tuples = (0..n).rev().map(|k| Tuple::synthetic(k, 32)).collect();
-        write_ingest(&mut wire, tuples, per_page, &mut Vec::new()).unwrap();
+        write_ingest(&mut wire, tuples, per_page).unwrap();
         let len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
         assert_eq!(wire.len(), 4 + len, "one frame");
         write_frame(&mut wire, &Frame::Fin).unwrap();

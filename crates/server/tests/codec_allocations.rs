@@ -1,16 +1,16 @@
-//! The server's page paths allocate per frame, not per record: an `INGEST`
-//! body is read into one buffer and its pages are decoded where they lie in
-//! it, and sealed pages go out as `EGRESS` frames through one reused body.
-//! A counting global allocator measures it, so this file holds one test and
-//! nothing runs beside it.
+//! The codec's page paths allocate per page, never per frame-sized body:
+//! `read_frame` takes an `INGEST` payload a page at a time, each page into a
+//! buffer of its own, and `write_egress` sends sealed pages from where they
+//! lie behind each frame's prefix, with no body built; encoding a `Frame` of
+//! tuples copies no tuple. A counting global allocator measures it, so this
+//! file holds one test and nothing runs beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use masort_core::{Page, Tuple};
-use masort_server::codec::{read_body, write_egress, write_frame};
+use masort_server::codec::{encode_frame, read_frame, write_egress, write_frame};
 use masort_server::Frame;
 
 struct Counting;
@@ -46,7 +46,9 @@ fn allocations_in(f: impl FnOnce()) -> usize {
 fn ingest_into_a_page_and_pages_to_egress_allocate_per_frame() {
     const FRAMES: usize = 50;
     const PER_FRAME: usize = 1_000;
-    // Real payloads, so the `Frame` path would allocate once per record.
+    // Real payloads, so anything that copied a tuple would allocate once per
+    // record; a third of them are longer than the mean and leave their
+    // records for the page's overflow area.
     let frames: Vec<Vec<Tuple>> = (0..FRAMES)
         .map(|f| {
             (0..PER_FRAME as u64)
@@ -54,44 +56,56 @@ fn ingest_into_a_page_and_pages_to_egress_allocate_per_frame() {
                 .collect()
         })
         .collect();
+
+    // Encoding a frame of tuples builds its one page from them, borrowed:
+    // as many allocations for a thousand records as for ten.
+    let (ten, all) = (Frame::Ingest(frames[0][..10].to_vec()), &frames[0]);
+    let all = Frame::Ingest(all.clone());
+    let few = allocations_in(|| drop(encode_frame(&ten)));
+    let many = allocations_in(|| drop(encode_frame(&all)));
+    assert!(
+        many == few && many <= 6,
+        "encode: {few} allocations for 10 records, {many} for {PER_FRAME}"
+    );
     let mut wire = Vec::new();
     for records in &frames {
         write_frame(&mut wire, &Frame::Ingest(records.clone())).unwrap();
     }
 
-    // INGEST: the pages of a body borrow it, so a body whose pages are still
-    // held is left to them and the next frame gets a buffer of its own.
+    // INGEST: each page is read into a buffer of its own, grown a step at a
+    // time as its bytes arrive (these pages are 67 KB, so two steps), and
+    // kept in the page's `Arc`; what the frame holds besides — its tuple
+    // vector and a payload per real record — is not the reader's.
     let mut reader = io::Cursor::new(&wire[..]);
-    let (mut body, mut pages) = (Arc::new(Vec::new()), Vec::with_capacity(FRAMES));
-    let ingest = allocations_in(|| loop {
-        if Arc::get_mut(&mut body).is_none() {
-            body = Arc::default();
-        }
-        if !read_body(&mut reader, Arc::make_mut(&mut body)).unwrap() {
-            break;
-        }
-        let mut at = 1;
-        while at < body.len() {
-            let page = Page::decode_at(&body, at).unwrap();
-            at += page.wire_bytes().len();
-            pages.push(page);
+    let mut decoded = Vec::with_capacity(FRAMES);
+    let ingest = allocations_in(|| {
+        while let Some(frame) = read_frame(&mut reader).unwrap() {
+            let Frame::Ingest(tuples) = frame else {
+                panic!("only INGEST frames");
+            };
+            decoded.push(tuples);
         }
     });
-    assert_eq!(pages.len(), FRAMES);
-    assert_eq!(pages[7], Page::from_tuples(frames[7].clone()));
-    assert!(ingest <= 3 * FRAMES + 8, "INGEST: {ingest} allocations");
+    assert_eq!(decoded.len(), FRAMES);
+    assert_eq!(decoded[7], frames[7]);
+    let own = ingest - FRAMES * (1 + PER_FRAME);
+    assert!(
+        own <= 3 * FRAMES,
+        "INGEST: {own} allocations besides payloads"
+    );
 
-    // EGRESS: one body buffer for every frame, grown on the first only.
+    // EGRESS: the pages go out from where they lie, behind each frame's
+    // prefix; the writer allocates nothing.
+    let pages: Vec<Page> = frames.iter().map(Page::from_tuples).collect();
     let mut out = Vec::with_capacity(2 * wire.len());
-    let mut body = Vec::new();
-    let first = allocations_in(|| write_egress(&mut out, &pages[..1], &mut body).unwrap());
+    let first = allocations_in(|| write_egress(&mut out, &pages[..1]).unwrap());
     let rest = allocations_in(|| {
         for page in &pages[1..] {
-            write_egress(&mut out, std::slice::from_ref(page), &mut body).unwrap();
+            write_egress(&mut out, std::slice::from_ref(page)).unwrap();
         }
     });
     assert!(
-        first <= 24 && rest == 0,
+        first == 0 && rest == 0,
         "EGRESS: {first}, then {rest} allocations"
     );
     // The frames are the pages' own bytes: those of `Frame::Egress`, which

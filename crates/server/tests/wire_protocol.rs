@@ -332,7 +332,6 @@ fn egress_tuples(wire: &[u8]) -> (Vec<Tuple>, usize) {
 #[test]
 fn pages_and_frames_encode_records_to_the_same_bytes() {
     let mut rng = StdRng::seed_from_u64(0x00B1_7E1D);
-    let mut body = Vec::new();
     for trial in 0..200 {
         let kind = trial % 4;
         let n = (rng.next_u64() % 90) as usize;
@@ -342,7 +341,7 @@ fn pages_and_frames_encode_records_to_the_same_bytes() {
         let cut = 1 + (rng.next_u64() % 30) as usize;
         let pages: Vec<Page> = tuples.chunks(cut).map(|c| sealed(c, stride)).collect();
         let mut wire = Vec::new();
-        write_egress(&mut wire, &pages, &mut body).unwrap();
+        write_egress(&mut wire, &pages).unwrap();
         let mut expect = Vec::new();
         if !tuples.is_empty() {
             let bytes: Vec<u8> = pages.iter().flat_map(|p| p.wire_bytes().to_vec()).collect();
@@ -361,7 +360,7 @@ fn pages_and_frames_encode_records_to_the_same_bytes() {
             vec![Page::from_tuples(tuples.clone())]
         };
         let mut wire = Vec::new();
-        write_egress(&mut wire, &one, &mut body).unwrap();
+        write_egress(&mut wire, &one).unwrap();
         if tuples.is_empty() {
             assert_eq!(framed, [1, 0, 0, 0, 0x07], "trial {trial}: no pages");
         } else {
@@ -386,7 +385,7 @@ fn a_page_over_the_frame_cap_is_cut_into_frames_of_whole_records() {
     let page = Page::from_tuples(tuples.clone());
     assert!(page.wire_bytes().len() > 3 * MAX_FRAME_BYTES);
     let mut wire = Vec::new();
-    write_egress(&mut wire, std::slice::from_ref(&page), &mut Vec::new()).unwrap();
+    write_egress(&mut wire, std::slice::from_ref(&page)).unwrap();
     // Five records of a third of the cap need three frames at least; every
     // frame passed `read_frame`'s cap and decoded as whole pages.
     let (records, frames) = egress_tuples(&wire);
@@ -395,7 +394,7 @@ fn a_page_over_the_frame_cap_is_cut_into_frames_of_whole_records() {
 
     let whale = Page::from_tuples(vec![Tuple::new(1, vec![0; MAX_FRAME_BYTES])]);
     let mut out = Vec::new();
-    let err = write_egress(&mut out, &[page, whale], &mut Vec::new()).unwrap_err();
+    let err = write_egress(&mut out, &[page, whale]).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     assert!(out.is_empty(), "nothing of a refused frame is written");
 }
